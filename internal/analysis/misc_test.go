@@ -80,3 +80,15 @@ func TestSourceAndVectorsAccessors(t *testing.T) {
 		t.Errorf("Sources = %v, want one", got)
 	}
 }
+
+// A cycle no loop entry breaks has no processing order: the raw CFG of a
+// loop, before cfg.InsertLoopControl, must be refused, not spun on.
+func TestSourceVectorsRejectUnbrokenCycle(t *testing.T) {
+	g := buildCFG(t, "var x\nx := 3\nwhile x > 0 { x := x - 1 }\n")
+	need := VarNeed(g)
+	placement := PlaceSwitches(g, ComputeControlDeps(g), need)
+	_, err := ComputeSourceVectors(g, nil, g.Prog.AllNames(), need, placement)
+	if err == nil || !strings.Contains(err.Error(), "no topological order") {
+		t.Fatalf("err = %v, want the no-topological-order refusal", err)
+	}
+}

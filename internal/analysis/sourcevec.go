@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -32,6 +33,9 @@ func (s Source) String() string {
 }
 
 func sortSources(srcs []Source) {
+	if len(srcs) < 2 {
+		return
+	}
 	sort.Slice(srcs, func(i, j int) bool {
 		if srcs[i].Node != srcs[j].Node {
 			return srcs[i].Node < srcs[j].Node
@@ -41,6 +45,20 @@ func sortSources(srcs []Source) {
 		}
 		return srcs[i].Dir && !srcs[j].Dir
 	})
+}
+
+// idHeap is a min-heap of CFG node ids.
+type idHeap []int
+
+func (h idHeap) Len() int           { return len(h) }
+func (h idHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h idHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *idHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *idHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // SourceVectors is the result of the Figure 11 computation: for every node
@@ -148,33 +166,32 @@ func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, nee
 		return out
 	}
 
-	// Topological processing ignoring back edges.
-	isBackPred := func(node, pred int) bool {
-		nd := g.Nodes[node]
-		return nd.Kind == cfg.KindLoopEntry && nd.BackPreds[pred]
-	}
+	// Topological processing ignoring back edges, lowest ready id first: a
+	// node enters the ready heap once every non-back predecessor has been
+	// processed, which can only become true when one of them is.
 	processed := make([]bool, n)
-	for count := 0; count < n; count++ {
-		pick := -1
-		for _, id := range g.SortedIDs() {
-			if processed[id] {
-				continue
-			}
-			ready := true
-			for _, p := range g.Nodes[id].Preds {
-				if !processed[p] && !isBackPred(id, p) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				pick = id
-				break
+	ready := func(id int) bool {
+		nd := g.Nodes[id]
+		for _, p := range nd.Preds {
+			if !processed[p] && !(nd.Kind == cfg.KindLoopEntry && nd.BackPreds[p]) {
+				return false
 			}
 		}
-		if pick == -1 {
+		return true
+	}
+	var frontier idHeap
+	queued := make([]bool, n)
+	for id := 0; id < n; id++ {
+		if ready(id) {
+			queued[id] = true
+			frontier = append(frontier, id) // ascending, so already a heap
+		}
+	}
+	for count := 0; count < n; count++ {
+		if len(frontier) == 0 {
 			return nil, fmt.Errorf("analysis: no topological order (cycle not broken by loop entries)")
 		}
+		pick := heap.Pop(&frontier).(int)
 		processed[pick] = true
 		nd := g.Nodes[pick]
 		self := []Source{{Node: pick, Dir: true}}
@@ -261,6 +278,12 @@ func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, nee
 					// exits; this is defensive pass-through.
 					contribute(nd.Succs[0], tok, srcs, pick)
 				}
+			}
+		}
+		for _, s := range nd.Succs {
+			if !queued[s] && ready(s) {
+				queued[s] = true
+				heap.Push(&frontier, s)
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package vet
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"ctdf/internal/dfg"
 	"ctdf/internal/machcheck"
@@ -28,7 +30,12 @@ func passAliasCover(u *Unit) ([]Diagnostic, string) {
 	if !u.hasMeta() {
 		return nil, noMetaReason
 	}
-	ds := orderingCheck(u)
+	return append(orderingCheck(u), gatherCheck(u)...), ""
+}
+
+// gatherCheck is the gather-trace half of passAliasCover.
+func gatherCheck(u *Unit) []Diagnostic {
+	var ds []Diagnostic
 	tr := newTokenTracer(u)
 	for _, n := range u.G.Nodes {
 		var accessIn int
@@ -53,7 +60,7 @@ func passAliasCover(u *Unit) ([]Diagnostic, string) {
 			}
 		}
 	}
-	return ds, ""
+	return ds
 }
 
 // orderingCheck enforces the race-freedom reading of §5: for every pair
@@ -65,84 +72,125 @@ func passAliasCover(u *Unit) ([]Diagnostic, string) {
 // the transformation's whole point is to prove its iterations
 // independent and unorder them (Figure 14(b)).
 func orderingCheck(u *Unit) []Diagnostic {
-	var ops []*dfg.Node
-	for _, n := range u.G.Nodes {
-		switch n.Kind {
-		case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
-			ops = append(ops, n)
-		}
-	}
+	ops, opOf := memoryOps(u.G)
 	if len(ops) < 2 {
 		return nil
 	}
-	reach := map[int][]bool{}
-	for _, n := range ops {
-		reach[n.ID] = forwardReach(u, n.ID)
-	}
-	toks := func(n *dfg.Node) map[string]bool {
-		set := map[string]bool{}
-		for _, t := range u.Res.TokensOf[n.Var] {
-			set[t] = true
+	// Sets of operations are bitsets over ops: the stores, and per cover
+	// element the operations whose access set holds it.
+	words := (len(ops) + 63) / 64
+	stores := make([]uint64, words)
+	holders := map[string][]uint64{}
+	for i, n := range ops {
+		if n.Kind == dfg.Store || n.Kind == dfg.StoreIdx {
+			stores[i/64] |= 1 << (i % 64)
 		}
-		return set
+		for _, t := range u.Res.TokensOf[n.Var] {
+			if holders[t] == nil {
+				holders[t] = make([]uint64, words)
+			}
+			holders[t][i/64] |= 1 << (i % 64)
+		}
 	}
-	isStore := func(n *dfg.Node) bool { return n.Kind == dfg.Store || n.Kind == dfg.StoreIdx }
-	guards := newGuardTable(u)
+	reach := reachOps(u, opOf, words)
+	guards := u.guardTable()
 
 	var ds []Diagnostic
+	cand := make([]uint64, words)
 	for i, a := range ops {
-		for _, b := range ops[i+1:] {
-			if !isStore(a) && !isStore(b) {
-				continue // reads never race
+		// Candidates: operations sharing a cover element with a, one of the
+		// pair a store (reads never race), that a does not reach.
+		isStore := stores[i/64]&(1<<(i%64)) != 0
+		clear(cand)
+		for _, t := range u.Res.TokensOf[a.Var] {
+			for w, set := range holders[t] {
+				cand[w] |= set
 			}
-			shared := ""
-			bt := toks(b)
-			for t := range toks(a) {
-				if bt[t] {
-					shared = t
-					break
+		}
+		for w, set := range reach[a.ID*words : (a.ID+1)*words] {
+			cand[w] &^= set
+			if !isStore {
+				cand[w] &= stores[w]
+			}
+		}
+		// Each pair is judged once, from its earlier operation.
+		for w := i / 64; w < words; w++ {
+			set := cand[w]
+			if w == i/64 {
+				set &^= 1<<(i%64+1) - 1
+			}
+			for ; set != 0; set &= set - 1 {
+				b := ops[w*64+bits.TrailingZeros64(set)]
+				if reach[b.ID*words+i/64]&(1<<(i%64)) != 0 {
+					continue
 				}
+				// Memory operations put their firing guard on every output. A
+				// starved operation cannot race (token-balance reports it); an
+				// unconverged table overstates guards and exempts no pair.
+				ga, gb := guards.at(a.ID, 0), guards.at(b.ID, 0)
+				if guards.converged && (ga.top || gb.top || disjoint(ga, gb)) {
+					continue
+				}
+				shared := ""
+				for _, t := range u.Res.TokensOf[a.Var] {
+					if slices.Contains(u.Res.TokensOf[b.Var], t) {
+						shared = t
+						break
+					}
+				}
+				ds = append(ds, Diagnostic{
+					Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
+					Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
+				})
 			}
-			if shared == "" {
-				continue
-			}
-			if reach[a.ID][b.ID] || reach[b.ID][a.ID] {
-				continue
-			}
-			ga, gb := guards.firingGuard(a), guards.firingGuard(b)
-			if ga.top || gb.top {
-				continue // a starved operation cannot race (token-balance reports it)
-			}
-			if disjoint(ga, gb) {
-				continue
-			}
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
-				Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
-			})
 		}
 	}
 	return ds
 }
 
-// forwardReach marks every node reachable from src over any arc.
-func forwardReach(u *Unit, src int) []bool {
-	seen := make([]bool, len(u.G.Nodes))
-	seen[src] = true
-	stack := []int{src}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for p := 0; p < u.G.Nodes[n].OutPorts(); p++ {
-			for _, a := range u.Out(n, p) {
-				if !seen[a.To] {
-					seen[a.To] = true
-					stack = append(stack, a.To)
+// memoryOps lists the operations that hold access tokens, in node order,
+// and maps each node to its index in that list, or -1.
+func memoryOps(g *dfg.Graph) (ops []*dfg.Node, opOf []int) {
+	opOf = make([]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		opOf[n.ID] = -1
+		switch n.Kind {
+		case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
+			opOf[n.ID] = len(ops)
+			ops = append(ops, n)
+		}
+	}
+	return ops, opOf
+}
+
+// reachOps computes, for every node, the set of memory operations some
+// path of one or more arcs leads to, as one row of words uint64s per node
+// over the operation numbering opOf. It is the least solution of
+// row(n) = ∪ over arcs n→s of row(s) ∪ {s}, found by sweeping the nodes in
+// post-order — successors first, so only arcs closing a cycle leave work
+// for the next sweep — until a sweep changes nothing.
+func reachOps(u *Unit, opOf []int, words int) []uint64 {
+	rows := make([]uint64, len(u.G.Nodes)*words)
+	for _, a := range u.out.arcs {
+		if k := opOf[a.To]; k >= 0 {
+			rows[a.From*words+k/64] |= 1 << (k % 64)
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range u.post {
+			row := rows[n*words : (n+1)*words]
+			for _, a := range u.out.node(n) {
+				for i, w := range rows[a.To*words : (a.To+1)*words] {
+					if row[i]|w != row[i] {
+						row[i] |= w
+						changed = true
+					}
 				}
 			}
 		}
 	}
-	return seen
+	return rows
 }
 
 // tokenTracer memoizes, per output port, the set of access-token lines
@@ -158,6 +206,8 @@ type tokenTracer struct {
 	// emits the loop's completion token rather than the array tokens.
 	parallel map[int]string
 	all      map[string]bool
+	// calls indexes the call linkage by Apply node.
+	calls map[int]*dfg.CallInfo
 }
 
 func newTokenTracer(u *Unit) *tokenTracer {
@@ -167,6 +217,7 @@ func newTokenTracer(u *Unit) *tokenTracer {
 		inProgress: make([]map[int]bool, len(u.G.Nodes)),
 		parallel:   map[int]string{},
 		all:        map[string]bool{},
+		calls:      map[int]*dfg.CallInfo{},
 	}
 	for i := range u.G.Nodes {
 		tr.memo[i] = map[int]map[string]bool{}
@@ -177,6 +228,9 @@ func newTokenTracer(u *Unit) *tokenTracer {
 	}
 	for _, tok := range u.Res.Universe {
 		tr.all[tok] = true
+	}
+	for i := len(u.G.Calls) - 1; i >= 0; i-- { // backwards: the first entry for an Apply wins
+		tr.calls[u.G.Calls[i].Apply] = &u.G.Calls[i]
 	}
 	return tr
 }
@@ -252,14 +306,11 @@ func (tr *tokenTracer) compute(n *dfg.Node, port int) map[string]bool {
 	case dfg.Param:
 		return single(n.Tok)
 	case dfg.Apply:
-		for _, c := range tr.u.G.Calls {
-			if c.Apply != n.ID {
-				continue
-			}
+		if c := tr.calls[n.ID]; c != nil {
 			if port < len(c.InTokens) {
 				return single(c.InTokens[port])
 			}
-			if j := port - len(c.InTokens); j >= 0 && j < len(c.ParamIn) {
+			if j := port - len(c.InTokens); j < len(c.ParamIn) {
 				return single(c.InTokens[c.ParamIn[j]])
 			}
 		}

@@ -1,0 +1,81 @@
+package vet_test
+
+import (
+	"testing"
+
+	"ctdf/internal/cfg"
+	"ctdf/internal/opt"
+	"ctdf/internal/translate"
+	"ctdf/internal/vet"
+	"ctdf/internal/workloads"
+)
+
+// compile translates w under o and, when optimize is set, runs the graph
+// optimizer, so the result carries the certificate vet validates.
+func compile(tb testing.TB, w workloads.Workload, o translate.Options, optimize bool) *translate.Result {
+	tb.Helper()
+	g, err := cfg.Build(w.Parse())
+	if err != nil {
+		tb.Fatalf("%s: build: %v", w.Name, err)
+	}
+	res, err := translate.Translate(g, o)
+	if err != nil {
+		tb.Fatalf("%s: translate: %v", w.Name, err)
+	}
+	if optimize {
+		if _, err := opt.Run(res); err != nil {
+			tb.Fatalf("%s: optimize: %v", w.Name, err)
+		}
+	}
+	return res
+}
+
+var benchSink *vet.Report
+
+// BenchmarkVet times vet.Run on the program shapes of benchmark/'s four
+// workloads (same generators, sizes and options), so a profile of the
+// verifier can be taken without the rest of the pipeline around it.
+func BenchmarkVet(b *testing.B) {
+	structured := translate.Options{Schema: translate.Schema2Opt}
+	for _, c := range []struct {
+		name     string
+		w        workloads.Workload
+		o        translate.Options
+		optimize bool
+	}{
+		{"structured-40", workloads.Random(1990, 40, 3), structured, true},
+		{"structured-56", workloads.Random(1991, 56, 3), structured, true},
+		{"unstructured-48", workloads.RandomUnstructured(1990, 48), structured, false},
+		{"aliased-32", workloads.RandomAliased(1990, 32, 3), translate.Options{Schema: translate.Schema3Opt}, false},
+		{"wide-64", workloads.Wide(64, 4000), translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			res := compile(b, c.w, c.o, c.optimize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = vet.Run(res.Graph, res)
+			}
+			if !benchSink.Clean() {
+				b.Fatalf("not clean:\n%s", benchSink)
+			}
+		})
+	}
+}
+
+// vetAllocBudget bounds the allocations of one vet.Run on the budget
+// program. The run made 983 k when every pass kept its sets in maps and
+// makes about 61 k now; the gate leaves that some headroom across Go
+// versions while staying far under the 60 % (590 k) the rewrite had to
+// meet. Allocation counts repeat exactly, so this gate is deterministic
+// where wall time is not.
+const vetAllocBudget = 150_000
+
+func TestVetAllocBudget(t *testing.T) {
+	res := compile(t, workloads.Random(1990, 40, 3), translate.Options{Schema: translate.Schema2Opt}, true)
+	got := testing.AllocsPerRun(3, func() { benchSink = vet.Run(res.Graph, res) })
+	if got > vetAllocBudget {
+		t.Errorf("vet.Run allocates %.0f times per run, budget %d", got, vetAllocBudget)
+	}
+	t.Logf("vet.Run: %.0f allocs per run (budget %d)", got, vetAllocBudget)
+}

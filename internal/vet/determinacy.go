@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 
 	"ctdf/internal/dfg"
 	"ctdf/internal/machcheck"
@@ -35,7 +36,13 @@ import (
 // are separated by the tag's frame, so multiple arcs are legal there.
 func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 	g := u.G
-	guards := newGuardTable(u)
+	guards := u.guardTable()
+	if !guards.converged {
+		return []Diagnostic{{
+			Severity: SevError, Check: machcheck.InvalidConfig, Node: -1,
+			Msg: "guard analysis exceeded its monotone step bound: the graph is malformed and its merges cannot be judged",
+		}}, ""
+	}
 	var ds []Diagnostic
 	for _, n := range g.Nodes {
 		for p := 0; p < n.NIns; p++ {
@@ -74,195 +81,210 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 	return ds, ""
 }
 
-// guardKey is one predicate arm. The predicate is identified by the wire
-// feeding the switch's control input, not by the switch node: one fork
-// emits one switch per routed token, all fed by the same predicate value,
-// and arms of DIFFERENT switches on the SAME wire are still the same
-// predicate decision (the diamond's merge receives switch-a's false arm
-// and switch-b's true arm — disjoint because both switches test a<b).
-type guardKey struct {
-	predNode int
-	predPort int
-	arm      bool
-}
+// predWire identifies a predicate by the wire feeding a switch's control
+// input, not by the switch node: one fork emits one switch per routed
+// token, all fed by the same predicate value, and arms of DIFFERENT
+// switches on the SAME wire are still the same predicate decision (the
+// diamond's merge receives switch-a's false arm and switch-b's true arm —
+// disjoint because both switches test a<b).
+type predWire struct{ node, port int }
 
 // guardSet is a set of switch arms, or ⊤ (the port provably never emits).
+// Predicate wire i owns bits 2i (true arm) and 2i+1 (false arm) of bits,
+// which is meaningful only when top is false.
 type guardSet struct {
-	top bool
-	set map[guardKey]bool
+	top  bool
+	bits []uint64
 }
 
-func (s guardSet) has(k guardKey) bool { return s.top || s.set[k] }
-
 // disjoint reports whether some predicate routes the two guard sets down
-// opposite arms.
+// opposite arms: swapping a's even and odd bits turns each arm into its
+// opposite, which then only has to meet b.
 func disjoint(a, b guardSet) bool {
-	for k := range a.set {
-		if b.set[guardKey{predNode: k.predNode, predPort: k.predPort, arm: !k.arm}] {
+	const even = 0x5555555555555555
+	for i, w := range a.bits {
+		if ((w&even)<<1|(w>>1)&even)&b.bits[i] != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// guardTable holds the per-output-port guard sets.
+// guardTable holds the guard set of every output port, one row of words
+// uint64s per row of the Unit's output index.
 type guardTable struct {
-	u *Unit
-	// byNode[n][p] is the guard of output port p of node n.
-	byNode [][]guardSet
+	u     *Unit
+	words int
+	top   []bool
+	bits  []uint64
+	// wires[i] is the predicate owning bits 2i and 2i+1; arm[n] is the
+	// true-arm bit of switch n's predicate.
+	wires []predWire
+	arm   []int
+	// fire and port are the transfer functions' scratch sets.
+	fire, port []uint64
+	// converged is false when the solver gave up at its step bound.
+	converged bool
 }
 
 func (t *guardTable) at(node, port int) guardSet {
-	if node < 0 || node >= len(t.byNode) || port < 0 || port >= len(t.byNode[node]) {
-		return guardSet{top: true}
+	row := t.u.out.base[node] + port
+	return guardSet{top: t.top[row], bits: t.bits[row*t.words : (row+1)*t.words]}
+}
+
+// guardTable solves the guard analysis on first use; the determinacy and
+// alias-cover passes read the one table.
+func (u *Unit) guardTable() *guardTable {
+	if u.guards == nil {
+		u.guards = newGuardTable(u)
+		u.guardBuilds++
 	}
-	return t.byNode[node][port]
+	return u.guards
 }
 
 // newGuardTable runs the descending fixpoint. All ports start at ⊤; every
 // transfer function is monotone under ⊇ (intersection across a port's
-// arcs, union across a node's ports), so iteration from ⊤ converges to the
-// greatest fixpoint over the finite lattice of switch-arm sets.
+// arcs, union across a node's ports), so chaotic iteration from ⊤ reaches
+// the greatest fixpoint over the finite lattice of switch-arm sets in
+// whatever order nodes are revisited. The order here is a worklist swept
+// in reverse post-order: a node is recomputed only after an operand
+// changed, and acyclic stretches settle in the sweep that reaches them.
 func newGuardTable(u *Unit) *guardTable {
 	g := u.G
-	t := &guardTable{u: u, byNode: make([][]guardSet, len(g.Nodes))}
-	for i, n := range g.Nodes {
-		t.byNode[i] = make([]guardSet, n.OutPorts())
-		for p := range t.byNode[i] {
-			t.byNode[i][p] = guardSet{top: true}
+	t := &guardTable{u: u, arm: make([]int, len(g.Nodes))}
+	index := map[predWire]int{}
+	for _, n := range g.Nodes {
+		if n.Kind != dfg.Switch {
+			continue
 		}
+		// A switch with a malformed control port (no arc, or several)
+		// falls back to its own identity so its arms at least exclude
+		// each other.
+		w := predWire{-n.ID - 1, -1}
+		if arcs := u.In(n.ID, 1); len(arcs) == 1 {
+			w = predWire{arcs[0].From, arcs[0].FromPort}
+		}
+		i, ok := index[w]
+		if !ok {
+			i = len(t.wires)
+			index[w] = i
+			t.wires = append(t.wires, w)
+		}
+		t.arm[n.ID] = 2 * i
 	}
-	changed := true
-	for rounds := 0; changed && rounds < 4*len(g.Nodes)+16; rounds++ {
-		changed = false
-		for _, n := range g.Nodes {
-			if t.update(n) {
-				changed = true
+	rows := u.out.base[len(g.Nodes)]
+	t.words = (2*len(t.wires) + 63) / 64
+	t.top = make([]bool, rows)
+	for i := range t.top {
+		t.top[i] = true
+	}
+	t.bits = make([]uint64, (rows+2)*t.words)
+	t.fire, t.port = t.bits[rows*t.words:(rows+1)*t.words], t.bits[(rows+1)*t.words:]
+
+	// A set only ever shrinks, so a port changes at most once per arm plus
+	// once to leave ⊤, and each change requeues the port's consumers: the
+	// updates cannot outnumber the bound unless monotonicity is broken.
+	bound := len(g.Nodes) + (2*len(t.wires)+1)*len(u.out.arcs)
+	clean := make([]bool, len(g.Nodes)) // outputs current with the operands
+	for pending, steps := len(clean), 0; pending > 0; {
+		for i := len(u.post) - 1; i >= 0; i-- {
+			n := u.post[i]
+			if clean[n] {
+				continue
+			}
+			clean[n] = true
+			pending--
+			if steps++; steps > bound {
+				return t
+			}
+			if !t.update(g.Nodes[n]) {
+				continue
+			}
+			for _, a := range u.out.node(n) {
+				if clean[a.To] {
+					clean[a.To] = false
+					pending++
+				}
 			}
 		}
 	}
+	t.converged = true
 	return t
 }
 
 // update recomputes node n's output guards; reports whether they changed.
 func (t *guardTable) update(n *dfg.Node) bool {
-	fire := t.firingGuard(n)
-	changed := false
-	set := func(port int, gs guardSet) {
-		if !guardEqual(t.byNode[n.ID][port], gs) {
-			t.byNode[n.ID][port] = gs
-			changed = true
-		}
-	}
+	row := t.u.out.base[n.ID]
 	switch n.Kind {
 	case dfg.Switch:
-		pred := t.predKey(n)
-		pred.arm = true
-		set(0, addGuard(fire, pred))
-		pred.arm = false
-		set(1, addGuard(fire, pred))
+		top := t.firingGuard(n)
+		word, bit := &t.fire[t.arm[n.ID]/64], uint64(1)<<(t.arm[n.ID]%64)
+		fire := *word
+		*word = fire | bit
+		changed := t.set(row, top, t.fire)
+		*word = fire | bit<<1
+		return t.set(row+1, top, t.fire) || changed
 	case dfg.LoopEntry:
 		// Any-arrival: either the initial or the back port fires the entry,
 		// so tokens leaving it carry only the guards common to both — the
 		// outer-path arms the initial token passed (an iteration token is
 		// the same token under an advanced tag), never loop-internal arms.
-		set(0, intersect(t.portGuard(n, 0), t.portGuard(n, 1)))
-	default:
-		for p := range t.byNode[n.ID] {
-			set(p, fire)
-		}
+		return t.set(row, t.meetPort(t.fire, t.meetPort(t.fire, true, n.ID, 0), n.ID, 1), t.fire)
+	}
+	top, changed := t.firingGuard(n), false
+	for p := row; p < t.u.out.base[n.ID+1]; p++ {
+		changed = t.set(p, top, t.fire) || changed
 	}
 	return changed
 }
 
-// predKey identifies switch n's predicate by its control-input wire; a
-// switch with a malformed control port (no arc, or several) falls back to
-// its own identity so its arms at least exclude each other.
-func (t *guardTable) predKey(n *dfg.Node) guardKey {
-	if arcs := t.u.In(n.ID, 1); len(arcs) == 1 {
-		return guardKey{predNode: arcs[0].From, predPort: arcs[0].FromPort}
-	}
-	return guardKey{predNode: -n.ID - 1, predPort: -1}
-}
-
-// portGuard is the guard of one input port: the intersection over its
-// arcs (a multi-arc port is a merge point — only common guards survive).
-// An unfed port is ⊤: it never matches.
-func (t *guardTable) portGuard(n *dfg.Node, p int) guardSet {
-	arcs := t.u.In(n.ID, p)
-	if len(arcs) == 0 {
-		return guardSet{top: true}
-	}
-	out := t.at(arcs[0].From, arcs[0].FromPort)
-	for _, a := range arcs[1:] {
-		out = intersect(out, t.at(a.From, a.FromPort))
-	}
-	return out
-}
-
-// firingGuard is the union over the node's input ports of each port's
-// guard: the node fires only when every port delivers, so its tokens
-// passed every arm any operand passed. Start and Param fire
-// unconditionally (per program / per activation).
-func (t *guardTable) firingGuard(n *dfg.Node) guardSet {
-	if n.Kind == dfg.Start || n.Kind == dfg.Param {
-		return guardSet{set: map[guardKey]bool{}}
-	}
-	out := guardSet{set: map[guardKey]bool{}}
-	for p := 0; p < n.NIns; p++ {
-		port := t.portGuard(n, p)
-		if port.top {
-			return guardSet{top: true}
-		}
-		for k := range port.set {
-			out.set[k] = true
-		}
-	}
-	return out
-}
-
-func addGuard(gs guardSet, k guardKey) guardSet {
-	if gs.top {
-		return gs
-	}
-	out := guardSet{set: make(map[guardKey]bool, len(gs.set)+1)}
-	for g := range gs.set {
-		out.set[g] = true
-	}
-	out.set[k] = true
-	return out
-}
-
-func intersect(a, b guardSet) guardSet {
-	if a.top {
-		return b
-	}
-	if b.top {
-		return a
-	}
-	out := guardSet{set: map[guardKey]bool{}}
-	for k := range a.set {
-		if b.set[k] {
-			out.set[k] = true
-		}
-	}
-	return out
-}
-
-func guardEqual(a, b guardSet) bool {
-	if a.top != b.top {
+// set stores (top, bits) as the guard of output row; reports a change.
+func (t *guardTable) set(row int, top bool, bits []uint64) bool {
+	cur := t.bits[row*t.words : (row+1)*t.words]
+	if t.top[row] == top && (top || slices.Equal(cur, bits)) {
 		return false
 	}
-	if a.top {
-		return true
-	}
-	if len(a.set) != len(b.set) {
-		return false
-	}
-	for k := range a.set {
-		if !b.set[k] {
-			return false
-		}
-	}
+	t.top[row] = top
+	copy(cur, bits)
 	return true
+}
+
+// meetPort intersects the guards of the arcs entering (node, port) into
+// the set (top, dst) and returns its new top flag. Starting from ⊤ this is
+// the guard of the input port: a multi-arc port is a merge point, so only
+// common guards survive, and an unfed port stays ⊤ — it never matches.
+func (t *guardTable) meetPort(dst []uint64, top bool, node, port int) bool {
+	for _, a := range t.u.In(node, port) {
+		switch src := t.at(a.From, a.FromPort); {
+		case src.top:
+		case top:
+			copy(dst, src.bits)
+			top = false
+		default:
+			for i, w := range src.bits {
+				dst[i] &= w
+			}
+		}
+	}
+	return top
+}
+
+// firingGuard leaves in t.fire the union over the node's input ports of
+// each port's guard, and reports whether it is ⊤: the node fires only when
+// every port delivers, so its tokens passed every arm any operand passed.
+// Start and Param fire unconditionally (per program / per activation).
+func (t *guardTable) firingGuard(n *dfg.Node) (top bool) {
+	clear(t.fire)
+	if n.Kind == dfg.Start || n.Kind == dfg.Param {
+		return false
+	}
+	for p := 0; p < n.NIns; p++ {
+		if t.meetPort(t.port, true, n.ID, p) {
+			return true
+		}
+		for i, w := range t.port {
+			t.fire[i] |= w
+		}
+	}
+	return false
 }

@@ -1,0 +1,421 @@
+package vet
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"ctdf/internal/dfg"
+	"ctdf/internal/machcheck"
+	"ctdf/internal/translate"
+)
+
+// This file keeps the analyses the dense solver replaced — the map-based
+// guard lattice swept round-robin, and one forward DFS per memory
+// operation — as the oracle the solver is diffed against. They are the
+// former production code, renamed with a ref prefix and otherwise
+// unchanged; nothing outside the tests uses them.
+
+// OptionCombos hands the clean-sweep matrix to package vet_test.
+var OptionCombos = optionCombos
+
+// CheckAgainstReference vets g with the production analyses and with the
+// reference ones and fails tb unless they agree on (a) the guard set of
+// every output port, (b) reachability between every pair of memory
+// operations, and (c) the report's diagnostics. It returns the production
+// report. The differential tests live in package vet_test, which may
+// import internal/opt (opt imports vet), and reach in through here.
+func CheckAgainstReference(tb testing.TB, g *dfg.Graph, res *translate.Result) *Report {
+	tb.Helper()
+	u := newUnit(g, res)
+	rep := u.run(Passes())
+	if u.guardBuilds != 1 {
+		tb.Errorf("guard table solved %d times in one run, want 1", u.guardBuilds)
+	}
+
+	got, want := u.guardTable(), newRefGuardTable(u)
+	if !got.converged {
+		tb.Fatalf("guard solver hit its step bound")
+	}
+	for _, n := range g.Nodes {
+		for p := 0; p < n.OutPorts(); p++ {
+			gs, ws := got.at(n.ID, p), want.at(n.ID, p)
+			if dec := decodeGuards(got, gs); !refGuardEqual(dec, ws) {
+				tb.Errorf("%s port %d: guard set %v, reference %v", n, p, dec, ws)
+			}
+		}
+	}
+
+	ops, opOf := memoryOps(g)
+	words := (len(ops) + 63) / 64
+	reach := reachOps(u, opOf, words)
+	for _, a := range ops {
+		seen := refForwardReach(u, a.ID)
+		for j, b := range ops {
+			if a == b {
+				continue // the DFS marks its source; the solver asks for a cycle
+			}
+			if got := reach[a.ID*words+j/64]&(1<<(j%64)) != 0; got != seen[b.ID] {
+				tb.Errorf("%s reaches %s: solver %v, DFS %v", a, b, got, seen[b.ID])
+			}
+		}
+	}
+
+	passes := Passes()
+	for i := range passes {
+		switch passes[i].Name {
+		case "determinacy":
+			passes[i].run = refPassDeterminacy
+		case "alias-cover":
+			passes[i].run = refPassAliasCover
+		}
+	}
+	if ref := newUnit(g, res).run(passes); !reflect.DeepEqual(rep.Diags, ref.Diags) {
+		tb.Errorf("diagnostics differ from the reference analyses\n got:\n%s\nwant:\n%s", rep, ref)
+	}
+	return rep
+}
+
+// decodeGuards turns a bitset guard back into the reference's arm set.
+func decodeGuards(t *guardTable, gs guardSet) refGuardSet {
+	if gs.top {
+		return refGuardSet{top: true}
+	}
+	out := refGuardSet{set: map[refGuardKey]bool{}}
+	for i, w := range t.wires {
+		for arm := 0; arm < 2; arm++ {
+			if bit := 2*i + arm; gs.bits[bit/64]&(1<<(bit%64)) != 0 {
+				out.set[refGuardKey{predNode: w.node, predPort: w.port, arm: arm == 0}] = true
+			}
+		}
+	}
+	return out
+}
+
+// refPassDeterminacy is passDeterminacy's judgement of multi-arc ports
+// over the reference guard table.
+func refPassDeterminacy(u *Unit) ([]Diagnostic, string) {
+	g := u.G
+	guards := newRefGuardTable(u)
+	var ds []Diagnostic
+	for _, n := range g.Nodes {
+		for p := 0; p < n.NIns; p++ {
+			arcs := u.In(n.ID, p)
+			if len(arcs) < 2 {
+				continue
+			}
+			switch {
+			case n.Kind == dfg.Merge && p == 0:
+				for i := 0; i < len(arcs); i++ {
+					for j := i + 1; j < len(arcs); j++ {
+						gi := guards.at(arcs[i].From, arcs[i].FromPort)
+						gj := guards.at(arcs[j].From, arcs[j].FromPort)
+						if gi.top || gj.top {
+							continue
+						}
+						if !refDisjoint(gi, gj) {
+							ds = append(ds, Diagnostic{
+								Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: n.Tok,
+								Msg: fmt.Sprintf("merge inputs from d%d.%d and d%d.%d are not on disjoint predicate paths: one execution can deliver both tokens under one tag",
+									arcs[i].From, arcs[i].FromPort, arcs[j].From, arcs[j].FromPort),
+							})
+						}
+					}
+				}
+			case n.Kind == dfg.Param:
+			default:
+				ds = append(ds, Diagnostic{
+					Severity: SevError, Check: machcheck.TagViolation, Node: n.ID, Tok: n.Tok,
+					Msg: fmt.Sprintf("input port %d is fed by %d arcs: two tokens can arrive under one tag", p, len(arcs)),
+				})
+			}
+		}
+	}
+	return ds, ""
+}
+
+func refPassAliasCover(u *Unit) ([]Diagnostic, string) {
+	if !u.hasMeta() {
+		return nil, noMetaReason
+	}
+	return append(refOrderingCheck(u), gatherCheck(u)...), ""
+}
+
+// refOrderingCheck is the former orderingCheck: every pair of memory
+// operations, a DFS per operation, a token map per pair. One departure:
+// the old loop named whichever shared token Go's map iteration met first,
+// so two runs could disagree on a pair sharing several; both sides now
+// name the first in TokensOf order.
+func refOrderingCheck(u *Unit) []Diagnostic {
+	var ops []*dfg.Node
+	for _, n := range u.G.Nodes {
+		switch n.Kind {
+		case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
+			ops = append(ops, n)
+		}
+	}
+	if len(ops) < 2 {
+		return nil
+	}
+	reach := map[int][]bool{}
+	for _, n := range ops {
+		reach[n.ID] = refForwardReach(u, n.ID)
+	}
+	toks := func(n *dfg.Node) map[string]bool {
+		set := map[string]bool{}
+		for _, t := range u.Res.TokensOf[n.Var] {
+			set[t] = true
+		}
+		return set
+	}
+	isStore := func(n *dfg.Node) bool { return n.Kind == dfg.Store || n.Kind == dfg.StoreIdx }
+	guards := newRefGuardTable(u)
+
+	var ds []Diagnostic
+	for i, a := range ops {
+		for _, b := range ops[i+1:] {
+			if !isStore(a) && !isStore(b) {
+				continue // reads never race
+			}
+			shared := ""
+			bt := toks(b)
+			for _, t := range u.Res.TokensOf[a.Var] {
+				if bt[t] {
+					shared = t
+					break
+				}
+			}
+			if shared == "" {
+				continue
+			}
+			if reach[a.ID][b.ID] || reach[b.ID][a.ID] {
+				continue
+			}
+			ga, gb := guards.firingGuard(a), guards.firingGuard(b)
+			if ga.top || gb.top {
+				continue // a starved operation cannot race (token-balance reports it)
+			}
+			if refDisjoint(ga, gb) {
+				continue
+			}
+			ds = append(ds, Diagnostic{
+				Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
+				Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
+			})
+		}
+	}
+	return ds
+}
+
+// refGuardKey is one predicate arm. The predicate is identified by the wire
+// feeding the switch's control input, not by the switch node: one fork
+// emits one switch per routed token, all fed by the same predicate value,
+// and arms of DIFFERENT switches on the SAME wire are still the same
+// predicate decision (the diamond's merge receives switch-a's false arm
+// and switch-b's true arm — refDisjoint because both switches test a<b).
+type refGuardKey struct {
+	predNode int
+	predPort int
+	arm      bool
+}
+
+// refGuardSet is a set of switch arms, or ⊤ (the port provably never emits).
+type refGuardSet struct {
+	top bool
+	set map[refGuardKey]bool
+}
+
+func (s refGuardSet) has(k refGuardKey) bool { return s.top || s.set[k] }
+
+// refDisjoint reports whether some predicate routes the two guard sets down
+// opposite arms.
+func refDisjoint(a, b refGuardSet) bool {
+	for k := range a.set {
+		if b.set[refGuardKey{predNode: k.predNode, predPort: k.predPort, arm: !k.arm}] {
+			return true
+		}
+	}
+	return false
+}
+
+// refGuardTable holds the per-output-port guard sets.
+type refGuardTable struct {
+	u *Unit
+	// byNode[n][p] is the guard of output port p of node n.
+	byNode [][]refGuardSet
+}
+
+func (t *refGuardTable) at(node, port int) refGuardSet {
+	if node < 0 || node >= len(t.byNode) || port < 0 || port >= len(t.byNode[node]) {
+		return refGuardSet{top: true}
+	}
+	return t.byNode[node][port]
+}
+
+// newRefGuardTable runs the descending fixpoint. All ports start at ⊤; every
+// transfer function is monotone under ⊇ (intersection across a port's
+// arcs, union across a node's ports), so iteration from ⊤ converges to the
+// greatest fixpoint over the finite lattice of switch-arm sets.
+func newRefGuardTable(u *Unit) *refGuardTable {
+	g := u.G
+	t := &refGuardTable{u: u, byNode: make([][]refGuardSet, len(g.Nodes))}
+	for i, n := range g.Nodes {
+		t.byNode[i] = make([]refGuardSet, n.OutPorts())
+		for p := range t.byNode[i] {
+			t.byNode[i][p] = refGuardSet{top: true}
+		}
+	}
+	changed := true
+	for rounds := 0; changed && rounds < 4*len(g.Nodes)+16; rounds++ {
+		changed = false
+		for _, n := range g.Nodes {
+			if t.update(n) {
+				changed = true
+			}
+		}
+	}
+	return t
+}
+
+// update recomputes node n's output guards; reports whether they changed.
+func (t *refGuardTable) update(n *dfg.Node) bool {
+	fire := t.firingGuard(n)
+	changed := false
+	set := func(port int, gs refGuardSet) {
+		if !refGuardEqual(t.byNode[n.ID][port], gs) {
+			t.byNode[n.ID][port] = gs
+			changed = true
+		}
+	}
+	switch n.Kind {
+	case dfg.Switch:
+		pred := t.predKey(n)
+		pred.arm = true
+		set(0, refAddGuard(fire, pred))
+		pred.arm = false
+		set(1, refAddGuard(fire, pred))
+	case dfg.LoopEntry:
+		// Any-arrival: either the initial or the back port fires the entry,
+		// so tokens leaving it carry only the guards common to both — the
+		// outer-path arms the initial token passed (an iteration token is
+		// the same token under an advanced tag), never loop-internal arms.
+		set(0, refIntersect(t.portGuard(n, 0), t.portGuard(n, 1)))
+	default:
+		for p := range t.byNode[n.ID] {
+			set(p, fire)
+		}
+	}
+	return changed
+}
+
+// predKey identifies switch n's predicate by its control-input wire; a
+// switch with a malformed control port (no arc, or several) falls back to
+// its own identity so its arms at least exclude each other.
+func (t *refGuardTable) predKey(n *dfg.Node) refGuardKey {
+	if arcs := t.u.In(n.ID, 1); len(arcs) == 1 {
+		return refGuardKey{predNode: arcs[0].From, predPort: arcs[0].FromPort}
+	}
+	return refGuardKey{predNode: -n.ID - 1, predPort: -1}
+}
+
+// portGuard is the guard of one input port: the intersection over its
+// arcs (a multi-arc port is a merge point — only common guards survive).
+// An unfed port is ⊤: it never matches.
+func (t *refGuardTable) portGuard(n *dfg.Node, p int) refGuardSet {
+	arcs := t.u.In(n.ID, p)
+	if len(arcs) == 0 {
+		return refGuardSet{top: true}
+	}
+	out := t.at(arcs[0].From, arcs[0].FromPort)
+	for _, a := range arcs[1:] {
+		out = refIntersect(out, t.at(a.From, a.FromPort))
+	}
+	return out
+}
+
+// firingGuard is the union over the node's input ports of each port's
+// guard: the node fires only when every port delivers, so its tokens
+// passed every arm any operand passed. Start and Param fire
+// unconditionally (per program / per activation).
+func (t *refGuardTable) firingGuard(n *dfg.Node) refGuardSet {
+	if n.Kind == dfg.Start || n.Kind == dfg.Param {
+		return refGuardSet{set: map[refGuardKey]bool{}}
+	}
+	out := refGuardSet{set: map[refGuardKey]bool{}}
+	for p := 0; p < n.NIns; p++ {
+		port := t.portGuard(n, p)
+		if port.top {
+			return refGuardSet{top: true}
+		}
+		for k := range port.set {
+			out.set[k] = true
+		}
+	}
+	return out
+}
+
+func refAddGuard(gs refGuardSet, k refGuardKey) refGuardSet {
+	if gs.top {
+		return gs
+	}
+	out := refGuardSet{set: make(map[refGuardKey]bool, len(gs.set)+1)}
+	for g := range gs.set {
+		out.set[g] = true
+	}
+	out.set[k] = true
+	return out
+}
+
+func refIntersect(a, b refGuardSet) refGuardSet {
+	if a.top {
+		return b
+	}
+	if b.top {
+		return a
+	}
+	out := refGuardSet{set: map[refGuardKey]bool{}}
+	for k := range a.set {
+		if b.set[k] {
+			out.set[k] = true
+		}
+	}
+	return out
+}
+
+func refGuardEqual(a, b refGuardSet) bool {
+	if a.top != b.top {
+		return false
+	}
+	if a.top {
+		return true
+	}
+	if len(a.set) != len(b.set) {
+		return false
+	}
+	for k := range a.set {
+		if !b.set[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// refForwardReach marks every node reachable from src over any arc.
+func refForwardReach(u *Unit, src int) []bool {
+	seen := make([]bool, len(u.G.Nodes))
+	seen[src] = true
+	stack := []int{src}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for p := 0; p < u.G.Nodes[n].OutPorts(); p++ {
+			for _, a := range u.Out(n, p) {
+				if !seen[a.To] {
+					seen[a.To] = true
+					stack = append(stack, a.To)
+				}
+			}
+		}
+	}
+	return seen
+}

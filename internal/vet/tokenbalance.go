@@ -32,21 +32,8 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 
 	// Forward reachability from start over all arcs.
 	fwd := make([]bool, len(g.Nodes))
-	if g.StartID >= 0 && g.StartID < len(g.Nodes) {
-		stack := []int{g.StartID}
-		fwd[g.StartID] = true
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for p := 0; p < g.Nodes[n].OutPorts(); p++ {
-				for _, a := range u.Out(n, p) {
-					if !fwd[a.To] {
-						fwd[a.To] = true
-						stack = append(stack, a.To)
-					}
-				}
-			}
-		}
+	for _, n := range u.post[:u.fromStart] {
+		fwd[n] = true
 	}
 
 	// Backward reachability to a token-retiring sink.
@@ -61,12 +48,10 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for p := 0; p < g.Nodes[n].NIns; p++ {
-			for _, a := range u.In(n, p) {
-				if !bwd[a.From] {
-					bwd[a.From] = true
-					stack = append(stack, a.From)
-				}
+		for _, a := range u.in.node(n) {
+			if !bwd[a.From] {
+				bwd[a.From] = true
+				stack = append(stack, a.From)
 			}
 		}
 	}

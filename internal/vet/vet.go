@@ -189,9 +189,13 @@ func Passes() []Pass {
 // translation-validation passes diff against; nil (or a Result without a
 // CFG) restricts the run to the graph-level passes.
 func Run(g *dfg.Graph, res *translate.Result) *Report {
-	u := newUnit(g, res)
+	return newUnit(g, res).run(Passes())
+}
+
+func (u *Unit) run(passes []Pass) *Report {
+	g := u.G
 	rep := &Report{}
-	for _, p := range Passes() {
+	for _, p := range passes {
 		diags, skip := p.run(u)
 		if skip != "" {
 			rep.Skipped = append(rep.Skipped, SkippedPass{Pass: p.Name, Reason: skip})
@@ -220,47 +224,133 @@ type Unit struct {
 	G   *dfg.Graph
 	Res *translate.Result
 
-	// ins[node][port] and outs[node][port] list arcs; arcs referencing
-	// out-of-range nodes or ports are dropped here and reported by the
-	// structure pass.
-	ins  []map[int][]dfg.Arc
-	outs []map[int][]dfg.Arc
+	// in and out index the arcs by the port they enter and leave. Arcs
+	// referencing out-of-range nodes or ports are dropped here and
+	// reported by the structure pass.
+	in, out arcIndex
+
+	// post lists every node in depth-first post-order over the arcs, the
+	// first fromStart of them being those reachable from start. The two
+	// dataflow solvers sweep it (forwards in reverse, backwards as is) so
+	// that all but loop-carried facts settle in one sweep.
+	post      []int
+	fromStart int
 
 	place     *placeInfo // cached recomputed placement (passes 3–5)
 	placeOnce bool
+
+	guards      *guardTable // cached guard analysis (determinacy, alias-cover)
+	guardBuilds int         // times guards was solved; the tests hold it to 1
 }
 
 func newUnit(g *dfg.Graph, res *translate.Result) *Unit {
-	u := &Unit{
-		G: g, Res: res,
-		ins:  make([]map[int][]dfg.Arc, len(g.Nodes)),
-		outs: make([]map[int][]dfg.Arc, len(g.Nodes)),
-	}
-	for i := range g.Nodes {
-		u.ins[i] = map[int][]dfg.Arc{}
-		u.outs[i] = map[int][]dfg.Arc{}
-	}
+	n := len(g.Nodes)
+	var arcs []dfg.Arc
 	for _, a := range g.Arcs {
-		if a.From < 0 || a.From >= len(g.Nodes) || a.To < 0 || a.To >= len(g.Nodes) {
-			continue
+		if a.From >= 0 && a.From < n && a.To >= 0 && a.To < n &&
+			a.FromPort >= 0 && a.FromPort < g.Nodes[a.From].OutPorts() &&
+			a.ToPort >= 0 && a.ToPort < g.Nodes[a.To].NIns {
+			arcs = append(arcs, a)
 		}
-		if a.FromPort < 0 || a.FromPort >= g.Nodes[a.From].OutPorts() {
-			continue
-		}
-		if a.ToPort < 0 || a.ToPort >= g.Nodes[a.To].NIns {
-			continue
-		}
-		u.outs[a.From][a.FromPort] = append(u.outs[a.From][a.FromPort], a)
-		u.ins[a.To][a.ToPort] = append(u.ins[a.To][a.ToPort], a)
 	}
+	u := &Unit{G: g, Res: res}
+	u.in = newArcIndex(g, arcs, func(nd *dfg.Node) int { return nd.NIns }, func(a dfg.Arc) (int, int) { return a.To, a.ToPort })
+	u.out = newArcIndex(g, arcs, (*dfg.Node).OutPorts, func(a dfg.Arc) (int, int) { return a.From, a.FromPort })
+	u.postOrder()
 	return u
 }
 
+// arcIndex groups arcs by port in compressed sparse rows: port p of node n
+// is row base[n]+p, and its arcs are arcs[off[row]:off[row+1]] in g.Arcs
+// order. A node's rows are adjacent, so all its arcs form one slice too.
+type arcIndex struct {
+	base, off []int
+	arcs      []dfg.Arc
+}
+
+// newArcIndex counting-sorts arcs by the (node, port) end picks, over
+// ports(n) rows per node.
+func newArcIndex(g *dfg.Graph, arcs []dfg.Arc, ports func(*dfg.Node) int, end func(dfg.Arc) (node, port int)) arcIndex {
+	x := arcIndex{base: make([]int, len(g.Nodes)+1), arcs: make([]dfg.Arc, len(arcs))}
+	for i, nd := range g.Nodes {
+		x.base[i+1] = x.base[i] + max(ports(nd), 0)
+	}
+	rows := x.base[len(g.Nodes)]
+	off := make([]int, rows+2) // counts land two slots up, so that filling leaves off[r] at row r's start
+	for _, a := range arcs {
+		n, p := end(a)
+		off[x.base[n]+p+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	for _, a := range arcs {
+		n, p := end(a)
+		r := x.base[n] + p + 1
+		x.arcs[off[r]] = a
+		off[r]++
+	}
+	x.off = off[:rows+1]
+	return x
+}
+
+// port returns the arcs at (node, port), none if node has no such port.
+func (x *arcIndex) port(node, port int) []dfg.Arc {
+	row := x.base[node] + port
+	if port < 0 || row >= x.base[node+1] {
+		return nil
+	}
+	return x.arcs[x.off[row]:x.off[row+1]]
+}
+
+// node returns the arcs at any port of node.
+func (x *arcIndex) node(node int) []dfg.Arc {
+	return x.arcs[x.off[x.base[node]]:x.off[x.base[node+1]]]
+}
+
+// postOrder fills post and fromStart by iterative depth-first search,
+// rooted at start first and then at every node start does not reach.
+func (u *Unit) postOrder() {
+	n := len(u.G.Nodes)
+	u.post = make([]int, 0, n)
+	seen := make([]bool, n)
+	followed := make([]int, n) // out-arcs of each node already taken
+	var stack []int
+	visit := func(root int) {
+		seen[root] = true
+		stack = append(stack[:0], root)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			arcs := u.out.node(v)
+			if followed[v] == len(arcs) {
+				u.post = append(u.post, v)
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			to := arcs[followed[v]].To
+			followed[v]++
+			if !seen[to] {
+				seen[to] = true
+				stack = append(stack, to)
+			}
+		}
+	}
+	if s := u.G.StartID; s >= 0 && s < n {
+		visit(s)
+	}
+	u.fromStart = len(u.post)
+	for i := range seen {
+		if !seen[i] {
+			visit(i)
+		}
+	}
+}
+
 // In returns the arcs entering (node, port).
-func (u *Unit) In(node, port int) []dfg.Arc { return u.ins[node][port] }
+func (u *Unit) In(node, port int) []dfg.Arc { return u.in.port(node, port) }
 
 // Out returns the arcs leaving (node, port).
-func (u *Unit) Out(node, port int) []dfg.Arc { return u.outs[node][port] }
+func (u *Unit) Out(node, port int) []dfg.Arc { return u.out.port(node, port) }
 
 // hasMeta reports whether translation-validation metadata is available.
 func (u *Unit) hasMeta() bool {

@@ -54,9 +54,11 @@ go run ./cmd/ctdf chaos -recover -json artifacts/recover.json
 echo "== vet suite (plain + optimized) =="
 # Every committed workload × schema must verify statically clean, both
 # as translated and after the graph optimizer — whose certificate vet
-# validates rather than trusts (see ANALYSIS.md; the committed snapshot
-# is artifacts/vet.json).
-go run ./cmd/ctdf vet -suite -optimize
+# validates rather than trusts (see ANALYSIS.md). The run rewrites the
+# committed snapshot artifacts/vet.json, which must come out unchanged:
+# a verifier change that moves any verdict shows up as a diff here.
+go run ./cmd/ctdf vet -suite -optimize -jsonfile artifacts/vet.json
+git diff --exit-code artifacts/vet.json
 
 echo "== replay divergence gate =="
 # Record and replay every serializable workload × schema, plain and
@@ -73,7 +75,7 @@ go tool pprof -raw /tmp/ctdf-verify.pprof.pb.gz >/dev/null
 rm -f /tmp/ctdf-verify.pprof.pb.gz
 
 echo "== benchmark smoke =="
-go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry' -benchtime=1x .
+go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet' -benchtime=1x . ./internal/vet
 
 echo "== /metrics endpoint smoke =="
 # Serve the telemetry registry over real HTTP, run an instrumented
