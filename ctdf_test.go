@@ -2,7 +2,10 @@ package ctdf
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"ctdf/internal/workloads"
 )
 
 const exampleSrc = `
@@ -260,5 +263,46 @@ func TestVariablesAccessor(t *testing.T) {
 	got := p.Variables()
 	if len(got) != 3 || got[0] != "b" || got[2] != "z" {
 		t.Errorf("Variables() = %v", got)
+	}
+}
+
+// TestConcurrentRunsShareADataflow: a translated *Dataflow is immutable
+// to its runs — every engine lowers or wires it privately — so any
+// number of goroutines may Run one concurrently (a `ctdf top` loop beside
+// a /metrics-driven run, or any library caller). Run under -race
+// (scripts/verify.sh has a named step).
+func TestConcurrentRunsShareADataflow(t *testing.T) {
+	w := workloads.Wide(8, 20)
+	p, err := Compile(w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Interpret(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]RunConfig{
+		"sequential": {},
+		"workers2":   {Workers: 2},
+		"channels":   {Engine: EngineChannels},
+	} {
+		d, err := p.Translate(Options{Schema: Schema2Opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, err := d.Run(cfg)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+				} else if r.Snapshot != want.Snapshot {
+					t.Errorf("%s: store differs from the interpreter's", name)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

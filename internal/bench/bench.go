@@ -523,13 +523,15 @@ func ScalingGate(rep *Report) []string {
 
 // TelemetryOverheadFloor is the minimum instrumented/uninstrumented
 // best-iteration fires/sec ratio TelemetryGate accepts on the
-// telemetry/ cell pairs. The probe is designed to cost only phase-
-// boundary work — a handful of clock reads and atomic folds per cycle,
-// nothing per firing — so on the short-cycle fib workload the
-// instrumented run keeps well over half its throughput; the floor sits
-// at 0.4 to leave room for shared-host noise while still catching an
-// accidental per-firing instrument.
-const TelemetryOverheadFloor = 0.4
+// telemetry/ cell pairs. The probe costs only phase-boundary work and
+// nothing per firing: the sequential loop reads the wall clock on one
+// cycle in sixteen and accumulates its counters and histograms in plain
+// memory, folded into the registry's atomics every sixteen cycles. On
+// the short-cycle fib workload (a 60 µs run, so the per-run probe set-up
+// shows) the instrumented engine measures 0.79x of the uninstrumented
+// one; the floor sits at 0.7 to leave room for shared-host noise while
+// still catching a per-cycle clock read or a per-firing instrument.
+const TelemetryOverheadFloor = 0.7
 
 // TelemetryGate holds the telemetry overhead tripwire: every
 // "telemetry/<workload>/on" cell is compared against its "/off" twin.

@@ -199,12 +199,6 @@ func (n *Node) String() string {
 	return fmt.Sprintf("d%d: %s", n.ID, n.Kind)
 }
 
-// Target is the head of an arc: an input port of a node.
-type Target struct {
-	Node int
-	Port int
-}
-
 // Arc is a token-carrying edge. Dummy marks access-token (synchronization
 // only) arcs — the dotted arcs of the paper's figures.
 type Arc struct {
@@ -256,9 +250,6 @@ type Graph struct {
 
 	// outs[node][port] lists arc indices leaving that port.
 	outs [][][]int
-	// outTargets[node][port] caches the destination list of each out
-	// port (built lazily by OutTargets).
-	outTargets [][][]Target
 	// ins[node][port] lists arc indices entering that port.
 	ins [][][]int
 
@@ -331,39 +322,6 @@ func (g *Graph) OutArcs(node, port int) []Arc {
 		out[i] = g.Arcs[a]
 	}
 	return out
-}
-
-// OutTargets returns the destinations of the arcs leaving (node, port).
-// Unlike OutArcs it returns a cached slice — built on first use, shared
-// across calls — so per-firing fan-out never allocates; callers must not
-// mutate it or Connect new arcs afterwards.
-func (g *Graph) OutTargets(node, port int) []Target {
-	if g.outTargets == nil {
-		g.outTargets = make([][][]Target, len(g.Nodes))
-	}
-	if g.outTargets[node] == nil {
-		g.outTargets[node] = make([][]Target, len(g.outs[node]))
-		for p, idxs := range g.outs[node] {
-			ts := make([]Target, len(idxs))
-			for i, a := range idxs {
-				ts[i] = Target{Node: g.Arcs[a].To, Port: g.Arcs[a].ToPort}
-			}
-			g.outTargets[node][p] = ts
-		}
-	}
-	return g.outTargets[node][port]
-}
-
-// WarmTargets builds the OutTargets cache for every (node, port) up
-// front. The sharded machine calls it once before starting parallel
-// phases: shard workers fan out tokens concurrently, and the lazy
-// per-node cache build would otherwise be a data race.
-func (g *Graph) WarmTargets() {
-	for id := range g.Nodes {
-		for p := range g.outs[id] {
-			g.OutTargets(id, p)
-		}
-	}
 }
 
 // MaxFanOut returns the largest number of arcs leaving any single

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"ctdf/internal/dfg"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/token"
 )
@@ -305,14 +304,17 @@ func (m *sim) capture() *Checkpoint {
 	// node id (node→shard ownership is a partition, so walking nodes
 	// visits every bucket exactly once).
 	for node := range m.g.Nodes {
-		b := &m.shs[m.shardOf[node]].ready.buckets[node]
-		if b.head == len(b.items) {
+		sh := m.shs[m.shardOf[node]]
+		b := &sh.ready.buckets[node]
+		pending := b.pending()
+		if len(pending) == 0 {
 			continue
 		}
 		snap := ckBucket{Node: node, Dirty: b.dirty}
-		for _, f := range b.items[b.head:] {
+		for i := range pending {
+			f := &pending[i]
 			snap.Firings = append(snap.Firings, ckFiring{
-				Tag: m.tags.key(f.tgID), Port: f.port, Vals: append([]int64(nil), f.vals...),
+				Tag: m.tags.key(f.tgID), Port: int(f.port), Vals: append([]int64(nil), sh.frame(f)...),
 			})
 		}
 		ck.Ready = append(ck.Ready, snap)
@@ -321,22 +323,23 @@ func (m *sim) capture() *Checkpoint {
 	// Matching store: pending activations per node, sorted by tag key.
 	for node := range m.shards {
 		s := &m.shards[node]
-		if s.e == nil && len(s.more) == 0 {
+		if s.e.n == 0 && len(s.more) == 0 {
 			continue
 		}
 		nIns := m.g.Nodes[node].NIns
+		arena := m.shs[m.shardOf[node]].arena
 		var ents []ckMatch
 		add := func(tgID int32, e *matchEntry) {
 			vals := make([]int64, nIns)
 			for p := 0; p < nIns; p++ {
 				if e.have&(uint64(1)<<uint(p)) != 0 {
-					vals[p] = e.vals[p]
+					vals[p] = arena[int(e.vals)+p]
 				}
 			}
-			ents = append(ents, ckMatch{Node: node, Tag: m.tags.key(tgID), Have: e.have, N: e.n, Vals: vals})
+			ents = append(ents, ckMatch{Node: node, Tag: m.tags.key(tgID), Have: e.have, N: int(e.n), Vals: vals})
 		}
-		if s.e != nil {
-			add(s.tgID, s.e)
+		if s.e.n != 0 {
+			add(s.e.tgID, &s.e)
 		}
 		for tgID, e := range s.more {
 			add(tgID, e)
@@ -345,25 +348,26 @@ func (m *sim) capture() *Checkpoint {
 		ck.Match = append(ck.Match, ents...)
 	}
 
-	// In-flight split-phase completions, ascending due cycle. The
-	// per-delayed grouping is flattened: delivery order is the slice
-	// concatenation order, and release hooks (race detection) are
-	// incompatible with checkpointing.
-	cycles := make([]int, 0, len(m.inflight))
-	for at := range m.inflight {
-		cycles = append(cycles, at)
+	// In-flight split-phase completions, one batch per due cycle,
+	// ascending. The per-delayed grouping is flattened: delivery order is
+	// the slice concatenation order — records due at one cycle share a
+	// ring slot in park order, which the stable sort keeps — and release
+	// hooks (race detection) are incompatible with checkpointing.
+	var pending []delayed
+	for _, slot := range m.ring {
+		pending = append(pending, slot...)
 	}
-	sort.Ints(cycles)
-	for _, at := range cycles {
-		batch := ckInflight{At: at}
-		for _, d := range m.inflight[at] {
-			for _, t := range d.tokens {
-				batch.Toks = append(batch.Toks, ckTok{
-					Node: t.to.Node, Port: t.to.Port, Val: t.val, Tag: m.tags.key(t.tgID),
-				})
-			}
+	sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+	for _, d := range pending {
+		if n := len(ck.Inflight); n == 0 || ck.Inflight[n-1].At != d.at {
+			ck.Inflight = append(ck.Inflight, ckInflight{At: d.at})
 		}
-		ck.Inflight = append(ck.Inflight, batch)
+		batch := &ck.Inflight[len(ck.Inflight)-1]
+		for _, t := range d.tokens {
+			batch.Toks = append(batch.Toks, ckTok{
+				Node: int(t.node), Port: int(t.port), Val: t.val, Tag: m.tags.key(t.tgID),
+			})
+		}
 	}
 
 	// Memory store, by name. Aliased names serialize their shared cell
@@ -555,7 +559,7 @@ func (m *sim) restore(ck *Checkpoint) error {
 		}
 		m.procs.nextID = ck.NextAct
 		for _, a := range ck.Acts {
-			info := m.procs.byApply[a.Apply]
+			info := m.p.call(a.Apply)
 			if info == nil {
 				return ckErrf("activation %d references unknown apply node %d", a.ID, a.Apply)
 			}
@@ -588,22 +592,26 @@ func (m *sim) restore(ck *Checkpoint) error {
 		}
 		sh := m.shs[m.shardOf[snap.Node]]
 		b := &sh.ready.buckets[snap.Node]
+		o := &m.p.ops[snap.Node]
 		for _, f := range snap.Firings {
-			if len(f.Vals) == 0 || len(f.Vals) > 64 {
+			// An activation's frame holds one operand when every token
+			// fires the node on its own, else one per input port.
+			want := int(o.nIns)
+			if o.flags&opSolo != 0 {
+				want = 1
+			}
+			if len(f.Vals) != want {
 				return ckErrf("node %d firing carries %d operands", snap.Node, len(f.Vals))
 			}
 			tgID, err := m.internKey(f.Tag)
 			if err != nil {
 				return err
 			}
-			vals := sh.getVals(len(f.Vals))
-			copy(vals, f.Vals)
-			b.items = append(b.items, firing{node: snap.Node, tgID: tgID, vals: vals, port: f.Port, dep: -1})
+			off := sh.getVals(int32(want))
+			copy(sh.arena[off:], f.Vals)
+			sh.ready.push(int32(snap.Node), tgID, int32(f.Port), -1, off, int32(want))
 		}
-		b.head = 0
 		b.dirty = snap.Dirty
-		sh.ready.active = append(sh.ready.active, snap.Node)
-		sh.ready.count += len(snap.Firings)
 	}
 
 	// Matching store.
@@ -620,16 +628,13 @@ func (m *sim) restore(ck *Checkpoint) error {
 		if err != nil {
 			return err
 		}
-		if m.matchLookup(cm.Node, tgID) != nil {
+		if m.matchLookup(int32(cm.Node), tgID) != nil {
 			return ckErrf("duplicate match entry at node %d tag %q", cm.Node, cm.Tag)
 		}
 		sh := m.shs[m.shardOf[cm.Node]]
-		e := sh.getEntry(nIns)
-		e.have = cm.Have
-		e.n = cm.N
-		e.dep = -1
-		copy(e.vals, cm.Vals)
-		m.matchInsert(sh, cm.Node, tgID, e)
+		e := m.matchInsert(sh, int32(cm.Node), tgID, int32(nIns))
+		e.have, e.n, e.dep = cm.Have, int32(cm.N), -1
+		copy(sh.arena[e.vals:], cm.Vals)
 	}
 	if m.sharded {
 		m.matchLive = m.totalMatchCount()
@@ -652,11 +657,9 @@ func (m *sim) restore(ck *Checkpoint) error {
 			if err != nil {
 				return err
 			}
-			toks = append(toks, tok{
-				to: dfg.Target{Node: ct.Node, Port: ct.Port}, val: ct.Val, tgID: tgID, dep: -1, dep2: -1,
-			})
+			toks = append(toks, tok{val: ct.Val, node: int32(ct.Node), port: int32(ct.Port), tgID: tgID, dep: -1})
 		}
-		m.inflight[inf.At] = []delayed{{tokens: toks}}
+		m.parkAt(inf.At, toks, nil)
 	}
 
 	// RNG streams: fast-forward by replaying the shuffle-length history

@@ -17,9 +17,12 @@
 //     observability hooks (Config.Collector, an *obs.Collector) that
 //     count firings/waits/stalls and thread the firing DAG used for
 //     critical-path extraction (see OBSERVABILITY.md).
+//   - prog.go — the flat program form: the validated graph lowered once
+//     per Run into a dense operator table with CSR fan-out spans, the
+//     only thing the hot loops read (see PERFORMANCE.md).
 //   - queue.go — the hot-path data structures: the bucketed ready queue,
-//     the tag-intern table, the sharded matching store's free lists
-//     (see PERFORMANCE.md).
+//     the tag-intern table, the sharded matching store, the operand
+//     arena and its free lists (see PERFORMANCE.md).
 //   - par.go — the optional parallel issue stage (Config.ParallelIssue)
 //     that evaluates pure operators of a large batch on a worker pool.
 //   - shard.go — the sharded multi-core machine (Config.Workers): the
@@ -40,6 +43,7 @@ package machine
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -242,56 +246,53 @@ type Outcome struct {
 	Checkpoint *CheckpointRef
 }
 
-// token is a value travelling an arc. It is plain old data — the tag
+// tok is a value travelling an arc: 24 bytes of plain old data — the tag
 // rides along as its interned id (see tagTable), not as a string — so
 // buffering and copying tokens costs no GC write barriers and token
 // buffers are noscan memory.
 type tok struct {
-	to  dfg.Target
-	val int64
+	val  int64
+	node int32
+	port int32
 	// tgID is the interned tag id; the matching store hashes it instead
 	// of a tag string.
 	tgID int32
 	// dep is the producer firing's id in the collector's firing DAG
 	// (-1 when the DAG is not being recorded or the token has no
-	// producer, e.g. the initial start tokens).
+	// producer, e.g. the initial start tokens). Values below -1 index
+	// sim.dep2s, the journal-only side list for the rare token with two
+	// producers (see tokDeps).
 	dep int32
-	// dep2 is the second producer firing for the rare token with two: a
-	// deferred I-structure read's result depends on both the read firing
-	// and the store that satisfied it. dep holds the later-finishing one
-	// (the critical-path link); dep2 the other, recorded only while
-	// journaling so the provenance DAG keeps both edges. -1 when absent.
-	dep2 int32
 }
 
 // matchEntry is one partially matched activation: a frame slot set in the
-// explicit token store, addressed by (node, interned tag).
+// explicit token store, addressed by (node, interned tag). Journal deps
+// accumulate in the owning shard's side table under the frame's offset.
 type matchEntry struct {
 	have uint64
-	vals []int64
-	n    int
+	vals int32 // operand frame offset in the owning shard's arena
+	n    int32
 	// dep is the latest-finishing producer firing among the operands
 	// matched so far (critical-path recording only).
-	dep int32
-	// deps accumulates every operand's producer firings in arrival order
-	// (journaling only; nil otherwise).
-	deps []int32
+	dep  int32
+	tgID int32
 }
 
-// firing is an enabled operator activation.
+// firing is an enabled operator activation: 24 bytes, pointer-free. Its
+// operands live in the owning shard's arena, its journal deps (every
+// operand's producer firings) in the shard's side table under the same
+// frame offset.
 type firing struct {
-	node int
-	vals []int64
+	node int32
 	tgID int32
 	// port is the arriving port for any-arrival operators (merge, loop
 	// entry).
-	port int
+	port int32
 	// dep is the latest-finishing input firing before issue; after issue
 	// it is reused to hold this firing's own id in the firing DAG.
-	dep int32
-	// deps holds the producer firings of every operand (journaling only;
-	// nil otherwise). Ownership passes to the journal at issue.
-	deps []int32
+	dep  int32
+	vals int32 // operand frame offset
+	n    int32 // operand count
 }
 
 // deadlineStride is how many schedulable units (cycles or firings) pass
@@ -333,6 +334,7 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	m := &sim{
 		g:         g,
+		p:         lower(g),
 		cfg:       cfgc,
 		store:     interp.NewStoreWithBinding(g.Prog, cfgc.Binding),
 		tags:      newTagTable(),
@@ -361,6 +363,14 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	m.istruct = newIStructUnit(g)
 	m.procs = newProcLinkage(g)
+	// The in-flight ring: one slot per due cycle modulo its length, long
+	// enough that a plain MemLatency completion never shares a slot with
+	// an earlier lap (longer waits — injected delays — just stay put).
+	ring := 2
+	for ring <= cfgc.MemLatency && ring < 1<<10 {
+		ring <<= 1
+	}
+	m.ring = make([][]delayed, ring)
 	// Worker count: >1 selects the sharded engine; fault injection forces
 	// the sequential path (like ParallelIssue, injection decisions must
 	// observe deliveries in sequential order).
@@ -391,7 +401,10 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 }
 
 type sim struct {
-	g     *dfg.Graph
+	g *dfg.Graph
+	// p is the flat program lowered from g (prog.go): the hot loops read
+	// it and never the graph.
+	p     *prog
 	cfg   Config
 	store *interp.Store
 	rng   *rand.Rand
@@ -412,21 +425,25 @@ type sim struct {
 	// updating global statistics in place.
 	sharded bool
 
-	// Hot-path scratch and arenas: batchBuf holds the sequential engine's
-	// issue batch, emitBuf the tokens the firing currently retiring emits,
-	// tokArena backs parked in-flight token slices. All three are touched
-	// only by sequential code (issue/retire), never by shard workers.
+	// Hot-path scratch: batchBuf holds a materialised issue batch
+	// (seeded-random, processor-bounded and parallel-issue cycles),
+	// emitBuf the tokens the firing currently retiring emits. Both are
+	// touched only by sequential code (issue/retire), never by shard
+	// workers.
 	batchBuf []firing
 	emitBuf  []tok
-	tokArena []tok
 	// fusedScratch backs fused-node step evaluation (sequential retire
 	// path only).
 	fusedScratch []int64
 
-	// inflight memory completions: cycle → emissions.
-	inflight map[int][]delayed
-	cycle    int
-	stats    Stats
+	// In-flight memory completions: ring[at&(len-1)] holds the records
+	// due at cycle at (and any due whole laps later), inflightN counts
+	// them. Drained slots keep their records' token slices for reuse, so a
+	// split-phase cycle allocates nothing in steady state.
+	ring      [][]delayed
+	inflightN int
+	cycle     int
+	stats     Stats
 
 	// deadlineTick counts schedulable units since the last wall-clock
 	// sample (see deadlineStride).
@@ -439,13 +456,13 @@ type sim struct {
 	// Observability: col collects counters/events (nil when disabled),
 	// dag caches col.DAGEnabled() (critical path or journal), jour caches
 	// col.JournalEnabled(), curDep is the firing id the tokens currently
-	// being emitted inherit as their producer, and curDep2 the second
-	// producer for deferred I-structure read results (-1 otherwise).
-	col     *obs.Collector
-	dag     bool
-	jour    bool
-	curDep  int32
-	curDep2 int32
+	// being emitted inherit as their producer, and dep2s the (dep, dep2)
+	// pairs of tokens with two producers (journaling only; see tokDeps).
+	col    *obs.Collector
+	dag    bool
+	jour   bool
+	curDep int32
+	dep2s  [][2]int32
 
 	// Fault injection (nil = none) and the delivered-token budget that
 	// bounds token explosions.
@@ -472,6 +489,8 @@ type sim struct {
 	// base firing-DAG id of the current cycle's batch, the merged live
 	// matching-store population, and reusable merge cursors.
 	pool      *shardPool
+	fireFn    func(*shardState)
+	delivFn   func(*shardState)
 	seqBox    [][]routedTok
 	relBox    [][]routedTok
 	fanStride int64
@@ -491,6 +510,7 @@ type sim struct {
 }
 
 type delayed struct {
+	at     int
 	tokens []tok
 	// race bookkeeping: location released at completion.
 	release func()
@@ -502,6 +522,7 @@ type delayed struct {
 func (m *sim) abort(err error) (*Outcome, error) {
 	m.stats.Cycles = m.cycle
 	m.stats.TokensMoved = m.delivered
+	m.tel.flush(m)
 	if ce, ok := err.(*machcheck.Error); ok {
 		ce.Cycle = m.cycle
 		m.col.Abort(m.cycle, string(ce.Check))
@@ -524,9 +545,8 @@ func (m *sim) overDeadline(start time.Time) error {
 }
 
 func (m *sim) run() (*Outcome, error) {
-	m.inflight = map[int][]delayed{}
-	m.endVals = make([]int64, m.g.Nodes[m.g.EndID].NIns)
-	m.curDep, m.curDep2 = -1, -1
+	m.endVals = make([]int64, m.p.ops[m.g.EndID].nIns)
+	m.curDep = -1
 	start := time.Now()
 
 	if m.cfg.Resume != nil {
@@ -538,12 +558,12 @@ func (m *sim) run() (*Outcome, error) {
 		}
 	} else {
 		// Cycle 0: start emits one dummy token per out arc at the root tag.
-		targets := m.g.OutTargets(m.g.StartID, 0)
+		targets := m.p.out(int32(m.g.StartID), 0)
 		if m.tel != nil && len(targets) > 0 {
 			m.tel.trafficAdd(m.tel.seqLane(), 0, len(targets))
 		}
 		for _, t := range targets {
-			if err := m.deliver(tok{to: t, val: 0, tgID: rootTagID, dep: -1, dep2: -1}); err != nil {
+			if err := m.deliver(&tok{node: t.node, port: t.port, tgID: rootTagID, dep: -1}); err != nil {
 				return m.abort(err)
 			}
 		}
@@ -555,23 +575,9 @@ func (m *sim) run() (*Outcome, error) {
 	// at that switch, and the drops may be scheduled after end's inputs
 	// completed.
 	ready := m.sh0.ready
-	var telT0 time.Time
-	for !m.done || ready.count > 0 || len(m.inflight) > 0 {
-		m.tel.sampleDepth(m)
-		if err := m.maybeCheckpoint(); err != nil {
+	for !m.done || ready.count > 0 || m.inflightN > 0 {
+		if err := m.beginCycle(start, ready.count); err != nil {
 			return m.abort(err)
-		}
-		if m.cycle > m.cfg.MaxCycles {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d cycles (deadlock or runaway loop?)", m.cfg.MaxCycles).WithStuck(m.stuckList()))
-		}
-		if m.cfg.Deadline > 0 {
-			if err := m.overDeadline(start); err != nil {
-				return m.abort(err)
-			}
-		}
-		if !m.done && ready.count == 0 && len(m.inflight) == 0 {
-			return m.abort(m.deadlockError())
 		}
 		// Issue up to Processors enabled operations this cycle, in
 		// deterministic order (or seeded-random when configured).
@@ -579,120 +585,65 @@ func (m *sim) run() (*Outcome, error) {
 		// vocabulary: select = batch construction, fire = the firing
 		// loop, deliver = the cycle-boundary delivery (retire has no
 		// sequential counterpart — impure effects run inside fire).
-		if m.tel != nil {
+		timed := m.tel.sampled(m.cycle)
+		var telT0 time.Time
+		if timed {
 			telT0 = time.Now()
 		}
 		issue := ready.count
 		if m.cfg.Processors > 0 && issue > m.cfg.Processors {
 			issue = m.cfg.Processors
 		}
-		if int64(m.stats.Ops)+int64(issue) > m.cfg.MaxOps {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d firings (runaway loop?)", m.cfg.MaxOps))
+		if err := m.noteIssue(issue); err != nil {
+			return m.abort(err)
 		}
-		var batch []firing
-		if m.rng != nil {
-			// Seeded-random mode: materialize the whole deterministic
-			// order, shuffle it (consuming the same randomness the old
-			// global sort+shuffle did), issue a prefix and re-queue the
-			// rest.
-			all := ready.fill(m.batchBuf[:0], ready.count)
-			m.batchBuf = all
-			m.rng.Shuffle(len(all), func(i, j int) {
-				all[i], all[j] = all[j], all[i]
-			})
-			if m.cfg.CheckpointEvery > 0 {
-				m.shufLog = append(m.shufLog, len(all))
-			}
-			batch = all[:issue]
-			for _, f := range all[issue:] {
-				ready.push(f)
-			}
-		} else {
-			m.batchBuf = ready.fill(m.batchBuf[:0], issue)
-			batch = m.batchBuf
-		}
-		if m.tel != nil {
-			observeSeconds(m.tel.selSec, time.Since(telT0))
-		}
-		if issue > m.stats.MaxParallelism {
-			m.stats.MaxParallelism = issue
-		}
-		if m.cycle < m.cfg.ProfileLimit {
-			for len(m.stats.Profile) <= m.cycle {
-				m.stats.Profile = append(m.stats.Profile, 0)
-			}
-			m.stats.Profile[m.cycle] = issue
-		}
-
 		// Optional parallel issue stage: precompute pure operators on a
 		// worker pool, then retire the batch sequentially in issue order.
-		if m.tel != nil {
+		usePar := m.par && m.inj == nil && issue >= parIssueThreshold
+		var err error
+		if m.rng == nil && issue == ready.count && !usePar {
+			// The whole queue issues: fire straight from the buckets, in
+			// the order fill would have copied them out. Nothing is
+			// enqueued meanwhile — emissions wait in emitBuf for the
+			// cycle boundary — so the runs stay put while they issue.
+			for node := ready.next(0); node >= 0 && err == nil; node = ready.next(node + 1) {
+				err = m.issueRun(ready.take(node, issue), false, start)
+			}
+		} else {
+			batch := m.materialise(issue)
+			if timed {
+				observeSampled(m.tel.selSec, time.Since(telT0))
+				telT0 = time.Now()
+			}
+			if usePar {
+				m.computePure(batch)
+			}
+			err = m.issueRun(batch, usePar, start)
+		}
+		if err != nil {
+			return m.abort(err)
+		}
+		if timed {
+			observeSampled(m.tel.fireSec[0], time.Since(telT0))
 			telT0 = time.Now()
 		}
-		usePar := m.par && m.inj == nil && len(batch) >= parIssueThreshold
-		if usePar {
-			m.computePure(batch)
-		}
-		for i := range batch {
-			f := &batch[i]
-			if m.col != nil {
-				// f.dep switches meaning here: latest input firing in,
-				// this firing's own DAG id out.
-				f.dep = m.col.Fire(f.node, m.cycle, m.costOf(f.node), len(f.vals), f.port, f.dep, f.deps, m.tags.key(f.tgID))
-			} else {
-				f.dep = -1
-			}
-			m.curDep, m.curDep2 = f.dep, -1
-			if usePar && m.parOut[i].ok {
-				out := &m.parOut[i]
-				if out.err != nil {
-					return m.abort(out.err)
-				}
-				m.emitAll(f.node, out.port, out.val, f.tgID)
-			} else if err := m.fire(f); err != nil {
-				return m.abort(err)
-			}
-			m.sh0.putVals(f.vals)
-			if m.cfg.Deadline > 0 {
-				if err := m.overDeadline(start); err != nil {
-					return m.abort(err)
-				}
-			}
-		}
-		if m.tel != nil {
-			observeSeconds(m.tel.fireSec[0], time.Since(telT0))
-			telT0 = time.Now()
-		}
-		// Completions scheduled for the next cycle boundary.
+		// Completions scheduled for the next cycle boundary, after this
+		// cycle's emissions.
 		m.cycle++
 		m.stats.Ops += issue
-		released := m.inflight[m.cycle]
-		for _, d := range released {
-			if d.release != nil {
-				d.release()
-			}
+		due := m.takeDue()
+		emitN, memN := len(m.emitBuf), 0
+		if err := m.deliverAll(m.emitBuf); err != nil {
+			return m.abort(err)
 		}
-		delete(m.inflight, m.cycle)
-		emitN := len(m.emitBuf)
-		for i := range m.emitBuf {
-			if err := m.deliver(m.emitBuf[i]); err != nil {
+		m.emitBuf = m.emitBuf[:0]
+		for i := range due {
+			memN += len(due[i].tokens)
+			if err := m.deliverAll(due[i].tokens); err != nil {
 				return m.abort(err)
 			}
 		}
-		m.emitBuf = m.emitBuf[:0]
-		for _, d := range released {
-			for i := range d.tokens {
-				if err := m.deliver(d.tokens[i]); err != nil {
-					return m.abort(err)
-				}
-			}
-		}
 		if m.tel != nil {
-			memN := 0
-			for _, d := range released {
-				memN += len(d.tokens)
-			}
 			if emitN > 0 {
 				m.tel.trafficAdd(m.tel.seqLane(), 0, emitN)
 			}
@@ -701,12 +652,133 @@ func (m *sim) run() (*Outcome, error) {
 			}
 			m.tel.outbox[0].Observe(int64(emitN), telemetry.DepthBuckets)
 			m.tel.inbox[0].Observe(int64(emitN+memN), telemetry.DepthBuckets)
-			observeSeconds(m.tel.delivSec[0], time.Since(telT0))
+			if timed {
+				observeSampled(m.tel.delivSec[0], time.Since(telT0))
+			}
 			m.tel.cycleCounts(m, issue)
 		}
 	}
+	return m.finish()
+}
+
+// beginCycle runs the checks at the top of both engines' cycle loops:
+// the checkpoint interval, the cycle and wall-clock budgets, and deadlock
+// (no enabled work, nothing in flight, end not fired).
+func (m *sim) beginCycle(start time.Time, ready int) error {
+	m.tel.sampleDepth(m)
+	if err := m.maybeCheckpoint(); err != nil {
+		return err
+	}
+	if m.cycle > m.cfg.MaxCycles {
+		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
+			"exceeded %d cycles (deadlock or runaway loop?)", m.cfg.MaxCycles).WithStuck(m.stuckList())
+	}
+	if m.cfg.Deadline > 0 {
+		if err := m.overDeadline(start); err != nil {
+			return err
+		}
+	}
+	if !m.done && ready == 0 && m.inflightN == 0 {
+		return m.deadlockError()
+	}
+	return nil
+}
+
+// noteIssue charges a cycle's issue width against the firing budget and
+// records it in the parallelism statistics.
+func (m *sim) noteIssue(issue int) error {
+	if int64(m.stats.Ops)+int64(issue) > m.cfg.MaxOps {
+		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
+			"exceeded %d firings (runaway loop?)", m.cfg.MaxOps)
+	}
+	if issue > m.stats.MaxParallelism {
+		m.stats.MaxParallelism = issue
+	}
+	if m.cycle < m.cfg.ProfileLimit {
+		for len(m.stats.Profile) <= m.cycle {
+			m.stats.Profile = append(m.stats.Profile, 0)
+		}
+		m.stats.Profile[m.cycle] = issue
+	}
+	return nil
+}
+
+// materialise copies the cycle's issue batch out of the ready queue —
+// the path of cycles that do not issue the whole queue in order.
+func (m *sim) materialise(issue int) []firing {
+	ready := m.sh0.ready
+	if m.rng == nil {
+		m.batchBuf = ready.fill(m.batchBuf[:0], issue)
+		return m.batchBuf
+	}
+	// Seeded-random mode: materialize the whole deterministic order,
+	// shuffle it (consuming the same randomness the old global
+	// sort+shuffle did), issue a prefix and re-queue the rest.
+	all := ready.fill(m.batchBuf[:0], ready.count)
+	m.batchBuf = all
+	m.rng.Shuffle(len(all), func(i, j int) {
+		all[i], all[j] = all[j], all[i]
+	})
+	if m.cfg.CheckpointEvery > 0 {
+		m.shufLog = append(m.shufLog, len(all))
+	}
+	for _, f := range all[issue:] {
+		ready.requeue(f)
+	}
+	return all[:issue]
+}
+
+// issueRun fires a run of the sequential engine's issue order: a whole
+// bucket in place, or a materialised batch (par marks that computePure
+// filled parOut for it).
+func (m *sim) issueRun(run []firing, par bool, start time.Time) error {
+	for i := range run {
+		var pre *pureOut
+		if par {
+			pre = &m.parOut[i]
+		}
+		if err := m.issue(m.sh0, &run[i], pre); err != nil {
+			return err
+		}
+		if m.cfg.Deadline > 0 {
+			if err := m.overDeadline(start); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// issue observes and fires one activation owned by sh — emitting the
+// precomputed result when the parallel issue stage produced one — then
+// recycles its operand frame.
+func (m *sim) issue(sh *shardState, f *firing, pre *pureOut) error {
+	if m.col != nil { // else every dep is -1 already
+		// f.dep switches meaning here: latest input firing in, this
+		// firing's own DAG id out, which the tokens it emits inherit as
+		// their producer.
+		f.dep = m.col.Fire(int(f.node), m.cycle, m.p.cost(f.node, m.cfg.MemLatency), int(f.n), int(f.port),
+			f.dep, sh.takeDeps(f.vals), m.tags.key(f.tgID))
+		m.curDep = f.dep
+	}
+	if pre != nil && pre.ok {
+		if pre.err != nil {
+			return pre.err
+		}
+		m.emitAll(f.node, pre.port, pre.val, f.tgID)
+	} else if err := m.fire(f, sh.frame(f)); err != nil {
+		return err
+	}
+	sh.putVals(f.vals, f.n)
+	return nil
+}
+
+// finish is both engines' epilogue: final statistics and the
+// conservation checks of a drained machine.
+func (m *sim) finish() (*Outcome, error) {
 	m.stats.Cycles = m.endCycle
 	m.stats.TokensMoved = m.delivered
+	m.tel.flush(m)
 	if err := m.istruct.pendingError(); err != nil {
 		return m.abort(err)
 	}
@@ -744,8 +816,8 @@ func (m *sim) stuckList() []machcheck.Stuck {
 	keys := make([]stuckKey, 0, m.totalMatchCount())
 	for node := range m.shards {
 		s := &m.shards[node]
-		if s.e != nil {
-			keys = append(keys, stuckKey{node: node, tag: m.tags.keys[s.tgID], e: s.e})
+		if s.e.n != 0 {
+			keys = append(keys, stuckKey{node: node, tag: m.tags.keys[s.e.tgID], e: &s.e})
 		}
 		for tgID, e := range s.more {
 			keys = append(keys, stuckKey{node: node, tag: m.tags.keys[tgID], e: e})
@@ -761,24 +833,32 @@ func (m *sim) stuckList() []machcheck.Stuck {
 	for _, k := range keys {
 		out = append(out, machcheck.Stuck{
 			Node: k.node, Label: m.g.Nodes[k.node].String(), Tag: k.tag,
-			Have: k.e.n, Need: m.g.Nodes[k.node].NIns,
+			Have: int(k.e.n), Need: m.g.Nodes[k.node].NIns,
 		})
 	}
 	return out
 }
 
-// matchSite reports whether tokens delivered to n rendezvous in the
-// matching store (or at end), where strict conservation makes a dropped,
-// duplicated, or tag-corrupted token visible — the eligible sites for
-// delivery faults.
-func matchSite(n *dfg.Node) bool {
-	switch n.Kind {
-	case dfg.Merge, dfg.LoopEntry, dfg.Param:
-		return false // any-arrival: no matching
-	case dfg.End:
-		return true
+// deliverAll delivers a buffer of tokens in order. Without an injector
+// and with the whole buffer inside the delivered-token budget — every
+// cycle but a runaway's last — the tokens go straight to deliverOnce.
+func (m *sim) deliverAll(ts []tok) error {
+	if m.inj == nil && m.delivered+int64(len(ts)) <= 8*m.cfg.MaxOps+1024 {
+		for i := range ts {
+			if err := m.deliverOnce(m.sh0, &ts[i], 0); err != nil {
+				m.delivered += int64(i) + 1
+				return err
+			}
+		}
+		m.delivered += int64(len(ts))
+		return nil
 	}
-	return n.NIns >= 2
+	for i := range ts {
+		if err := m.deliver(&ts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // deliver routes a token to its destination, enabling a firing when the
@@ -787,27 +867,42 @@ func matchSite(n *dfg.Node) bool {
 // Sequential engine only; the sharded engine's delivery phase calls
 // deliverOnce per shard directly (injection forces the sequential path,
 // and the token budget is enforced at the cycle merge).
-func (m *sim) deliver(t tok) error {
+func (m *sim) deliver(t *tok) error {
 	if m.delivered++; m.delivered > 8*m.cfg.MaxOps+1024 {
 		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
 			"delivered %d tokens (token explosion?)", m.delivered)
 	}
 	if m.inj != nil {
-		switch m.inj.Deliver(matchSite(m.g.Nodes[t.to.Node])) {
+		node := int(t.node)
+		switch m.inj.Deliver(m.p.ops[node].flags&opMatchSite != 0) {
 		case fault.ActDrop:
-			m.col.Fault(t.to.Node, m.cycle, string(fault.DropToken))
+			m.col.Fault(node, m.cycle, string(fault.DropToken))
 			return nil
 		case fault.ActDup:
-			m.col.Fault(t.to.Node, m.cycle, string(fault.DupToken))
+			m.col.Fault(node, m.cycle, string(fault.DupToken))
 			if err := m.deliverOnce(m.sh0, t, 0); err != nil {
 				return err
 			}
 		case fault.ActCorruptTag:
-			m.col.Fault(t.to.Node, m.cycle, string(fault.CorruptTag))
+			m.col.Fault(node, m.cycle, string(fault.CorruptTag))
 			t.tgID = m.tags.pushID(t.tgID)
 		}
 	}
 	return m.deliverOnce(m.sh0, t, 0)
+}
+
+// tokDeps decodes a token's producer firings. A deferred I-structure
+// read's result depends on both the read firing and the store that
+// satisfied it: dep is the later-finishing one (the critical-path link),
+// dep2 the other, recorded only while journaling so the provenance DAG
+// keeps both edges (-1 when absent) — the pair waits in dep2s and the
+// token carries -2-index.
+func (m *sim) tokDeps(t *tok) (dep, dep2 int32) {
+	if t.dep >= -1 {
+		return t.dep, -1
+	}
+	pair := m.dep2s[-2-t.dep]
+	return pair[0], pair[1]
 }
 
 // deliverOnce lands one token on the shard that owns its destination
@@ -817,59 +912,47 @@ func (m *sim) deliver(t tok) error {
 // waits are recorded as per-shard events keyed by seq instead of
 // updating Matches/PeakMatchStore in place, and the cycle merge replays
 // them in seq order so the statistics come out byte-identical.
-func (m *sim) deliverOnce(sh *shardState, t tok, seq int64) error {
-	n := m.g.Nodes[t.to.Node]
-	switch n.Kind {
-	case dfg.Merge, dfg.LoopEntry, dfg.Param:
-		// Any-arrival operators: each token fires the node on its own.
-		vals := sh.getVals(1)
-		vals[0] = t.val
-		fr := firing{node: n.ID, tgID: t.tgID, vals: vals, port: t.to.Port, dep: t.dep}
-		if m.jour {
-			fr.deps = appendDeps(nil, &t)
-		}
-		sh.ready.push(fr)
-		return nil
-	case dfg.End:
-		if t.tgID != rootTagID {
-			return machcheck.Newf(machcheck.TagViolation, "machine",
-				"token reached end with non-root tag %q (unbalanced loop context)", m.tags.key(t.tgID))
-		}
+func (m *sim) deliverOnce(sh *shardState, t *tok, seq int64) error {
+	o := &m.p.ops[t.node]
+	dep, dep2 := m.tokDeps(t)
+	if o.kind == uint8(dfg.End) && t.tgID != rootTagID {
+		return machcheck.Newf(machcheck.TagViolation, "machine",
+			"token reached end with non-root tag %q (unbalanced loop context)", m.tags.key(t.tgID))
 	}
-	if n.NIns == 1 {
-		vals := sh.getVals(1)
-		vals[0] = t.val
-		fr := firing{node: n.ID, tgID: t.tgID, vals: vals, dep: t.dep}
+	if o.flags&opSolo != 0 {
+		// Any-arrival and one-input operators: each token fires the node
+		// on its own (port matters to the any-arrival ones only and is 0
+		// for the rest).
+		off := sh.getVals(1)
+		sh.arena[off] = t.val
 		if m.jour {
-			fr.deps = appendDeps(nil, &t)
+			sh.deps[off] = appendDeps(nil, dep, dep2)
 		}
-		sh.ready.push(fr)
+		sh.ready.push(t.node, t.tgID, t.port, dep, off, 1)
 		return nil
 	}
-	e := m.matchLookup(n.ID, t.tgID)
+	e := m.matchLookup(t.node, t.tgID)
 	inserted := e == nil
 	if inserted {
-		e = sh.getEntry(n.NIns)
-		e.dep = t.dep
-		m.matchInsert(sh, n.ID, t.tgID, e)
+		e = m.matchInsert(sh, t.node, t.tgID, o.nIns)
+		e.dep = dep
 	} else if m.dag {
-		e.dep = m.col.MaxDep(e.dep, t.dep)
+		e.dep = m.col.MaxDep(e.dep, dep)
 	}
 	if m.jour {
-		e.deps = appendDeps(e.deps, &t)
+		sh.deps[e.vals] = appendDeps(sh.deps[e.vals], dep, dep2)
 	}
-	bit := uint64(1) << uint(t.to.Port)
+	bit := uint64(1) << uint(t.port)
 	if e.have&bit != 0 {
 		return machcheck.Newf(machcheck.TagViolation, "machine",
-			"duplicate token at %s port %d tag %q", n, t.to.Port, m.tags.key(t.tgID))
+			"duplicate token at %s port %d tag %q", m.g.Nodes[t.node], t.port, m.tags.key(t.tgID))
 	}
 	e.have |= bit
-	e.vals[t.to.Port] = t.val
+	sh.arena[e.vals+t.port] = t.val
 	e.n++
-	if e.n == n.NIns {
-		m.matchDelete(sh, n.ID, t.tgID)
-		sh.ready.push(firing{node: n.ID, tgID: t.tgID, vals: e.vals, dep: e.dep, deps: e.deps})
-		sh.putEntry(e)
+	if e.n == o.nIns {
+		sh.ready.push(t.node, t.tgID, 0, e.dep, e.vals, e.n)
+		m.matchDelete(sh, t.node, e)
 		if m.sharded {
 			sh.waits = append(sh.waits, waitEvent{seq: seq, delta: -1})
 		}
@@ -879,12 +962,12 @@ func (m *sim) deliverOnce(sh *shardState, t tok, seq int64) error {
 			d = 1
 		}
 		sh.waits = append(sh.waits, waitEvent{
-			seq: seq, node: int32(n.ID), port: int32(t.to.Port), dep: t.dep, tgID: t.tgID, delta: d,
+			seq: seq, node: t.node, port: t.port, dep: dep, tgID: t.tgID, delta: d,
 		})
 	} else {
 		m.stats.Matches++
 		if m.col != nil {
-			m.col.Wait(n.ID, m.cycle, t.to.Port, t.dep, m.tags.key(t.tgID))
+			m.col.Wait(int(t.node), m.cycle, int(t.port), dep, m.tags.key(t.tgID))
 		}
 		if sh.matchCount > m.stats.PeakMatchStore {
 			m.stats.PeakMatchStore = sh.matchCount
@@ -894,87 +977,92 @@ func (m *sim) deliverOnce(sh *shardState, t tok, seq int64) error {
 }
 
 // emitAll broadcasts val on every arc leaving (node, port) by appending
-// to the cycle's emission buffer. Emitted tokens inherit m.curDep (and
-// m.curDep2, normally -1) as their producer firings.
-func (m *sim) emitAll(node, port int, val int64, tgID int32) {
-	targets := m.g.OutTargets(node, port)
-	for _, t := range targets {
-		m.emitBuf = append(m.emitBuf, tok{to: t, val: val, tgID: tgID, dep: m.curDep, dep2: m.curDep2})
+// to the cycle's emission buffer. Emitted tokens inherit m.curDep as
+// their producer firing.
+func (m *sim) emitAll(node int32, port int, val int64, tgID int32) {
+	targets := m.p.out(node, port)
+	at := len(m.emitBuf)
+	m.emitBuf = slices.Grow(m.emitBuf, len(targets))[:at+len(targets)]
+	buf, dep := m.emitBuf[at:], m.curDep
+	for i, t := range targets {
+		// Field by field: a composite literal is built on the stack and
+		// copied, which stalls store forwarding on this hottest of loops.
+		e := &buf[i]
+		e.val, e.node, e.port, e.tgID, e.dep = val, t.node, t.port, tgID, dep
 	}
 	if m.col != nil {
-		m.col.Emitted(node, len(targets))
+		m.col.Emitted(int(node), len(targets))
 	}
 }
 
 // appendDeps accumulates a token's producer firings onto a journal deps
 // list, skipping absent (-1) links. Called only while journaling.
-func appendDeps(deps []int32, t *tok) []int32 {
-	if t.dep >= 0 {
-		deps = append(deps, t.dep)
+func appendDeps(deps []int32, dep, dep2 int32) []int32 {
+	if dep >= 0 {
+		deps = append(deps, dep)
 	}
-	if t.dep2 >= 0 {
-		deps = append(deps, t.dep2)
+	if dep2 >= 0 {
+		deps = append(deps, dep2)
 	}
 	return deps
 }
 
-// costOf is an operator's duration in cycles: split-phase memory
-// operations take MemLatency, everything else one cycle.
-func (m *sim) costOf(node int) int {
-	switch m.g.Nodes[node].Kind {
-	case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx, dfg.ILoad, dfg.IStore:
-		return m.cfg.MemLatency
+// loopEntryStep is the tag arithmetic of a loop-entry firing: a token on
+// port 0 enters the loop (push), one on the back edge advances it (bump).
+func loopEntryStep(port int32) int {
+	if port == 0 {
+		return tagPush
 	}
-	return 1
+	return tagBump
 }
 
 // fire executes one operator activation, appending the tokens it emits
 // this cycle to the emission buffer (memory operations park their results
 // in the in-flight queue instead).
-func (m *sim) fire(f *firing) error {
-	n := m.g.Nodes[f.node]
-	switch n.Kind {
+func (m *sim) fire(f *firing, vals []int64) error {
+	o := &m.p.ops[f.node]
+	switch dfg.Kind(o.kind) {
 	case dfg.End:
 		if m.done {
 			return machcheck.Newf(machcheck.TagViolation, "machine",
 				"end fired twice (duplicate result token)")
 		}
-		copy(m.endVals, f.vals)
+		copy(m.endVals, vals)
 		m.endCycle = m.cycle + 1
 		m.done = true
 		return nil
 
 	case dfg.Const:
-		m.emitAll(n.ID, 0, n.Val, f.tgID)
+		m.emitAll(f.node, 0, o.val, f.tgID)
 		return nil
 
 	case dfg.BinOp:
-		v, err := interp.Apply(n.Op, f.vals[0], f.vals[1])
+		v, err := interp.Apply(lang.Op(o.code), vals[0], vals[1])
 		if err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err)
 		}
-		if m.inj != nil && fault.PredicateOp(n.Op) {
+		if m.inj != nil && fault.PredicateOp(lang.Op(o.code)) {
 			if fv, hit := m.inj.Misfire(v); hit {
-				m.col.Fault(n.ID, m.cycle, string(fault.MisfireValue))
+				m.col.Fault(int(f.node), m.cycle, string(fault.MisfireValue))
 				v = fv
 			}
 		}
-		m.emitAll(n.ID, 0, v, f.tgID)
+		m.emitAll(f.node, 0, v, f.tgID)
 		return nil
 
 	case dfg.UnOp:
 		var v int64
-		switch n.Op {
+		switch lang.Op(o.code) {
 		case lang.OpNeg:
-			v = -f.vals[0]
+			v = -vals[0]
 		case lang.OpNot:
-			if f.vals[0] == 0 {
+			if vals[0] == 0 {
 				v = 1
 			}
 		default:
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", n.Op)
+			return machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", lang.Op(o.code))
 		}
-		m.emitAll(n.ID, 0, v, f.tgID)
+		m.emitAll(f.node, 0, v, f.tgID)
 		return nil
 
 	case dfg.Fused:
@@ -982,27 +1070,27 @@ func (m *sim) fire(f *firing) error {
 		// injection sees the fused node as a single operator (Misfire
 		// targets predicate binops only, and fused trees are interior
 		// value computations, so no injection point is lost).
-		fi := m.g.FusionOf(n.ID)
-		vals, err := interp.EvalFused(fi.Steps, f.vals, m.fusedScratch)
+		fi := &m.p.fusions[o.aux]
+		res, err := interp.EvalFused(fi.Steps, vals, m.fusedScratch)
 		if err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err)
 		}
-		m.fusedScratch = vals
+		m.fusedScratch = res
 		for p, s := range fi.Outs {
-			m.emitAll(n.ID, p, vals[s], f.tgID)
+			m.emitAll(f.node, p, res[s], f.tgID)
 		}
 		return nil
 
 	case dfg.Switch:
 		port := 0
-		if f.vals[1] == 0 {
+		if vals[1] == 0 {
 			port = 1
 		}
-		m.emitAll(n.ID, port, f.vals[0], f.tgID)
+		m.emitAll(f.node, port, vals[0], f.tgID)
 		return nil
 
 	case dfg.Merge, dfg.Param:
-		m.emitAll(n.ID, 0, f.vals[0], f.tgID)
+		m.emitAll(f.node, 0, vals[0], f.tgID)
 		return nil
 
 	case dfg.Apply:
@@ -1012,31 +1100,30 @@ func (m *sim) fire(f *firing) error {
 		return m.fireProcReturn(f)
 
 	case dfg.Synch:
-		m.emitAll(n.ID, 0, 0, f.tgID)
+		m.emitAll(f.node, 0, 0, f.tgID)
 		return nil
 
 	case dfg.LoopEntry:
-		var ntID int32
-		if f.port == 0 {
-			ntID = m.tags.pushID(f.tgID)
-		} else {
-			var err error
-			ntID, err = m.tags.bumpID(f.tgID)
-			if err != nil {
-				return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", n, err)
-			}
+		ntID, err := m.tags.step(f.tgID, loopEntryStep(f.port))
+		if err != nil {
+			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
 		}
-		m.emitAll(n.ID, 0, f.vals[0], ntID)
+		m.emitAll(f.node, 0, vals[0], ntID)
 		return nil
 
 	case dfg.LoopExit:
-		ntID, err := m.tags.popID(f.tgID)
+		ntID, err := m.tags.step(f.tgID, tagPop)
 		if err != nil {
-			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", n, err)
+			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
 		}
-		m.emitAll(n.ID, 0, f.vals[0], ntID)
+		m.emitAll(f.node, 0, vals[0], ntID)
 		return nil
+	}
 
+	// Memory operators, off the fast path: the node supplies the storage
+	// name and the error text.
+	n := m.g.Nodes[f.node]
+	switch n.Kind {
 	case dfg.Load:
 		m.stats.MemOps++
 		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
@@ -1046,8 +1133,8 @@ func (m *sim) fire(f *firing) error {
 		}
 		v := m.store.Get(name)
 		mark := len(m.emitBuf)
-		m.emitAll(n.ID, 0, v, f.tgID)
-		m.emitAll(n.ID, 1, 0, f.tgID)
+		m.emitAll(f.node, 0, v, f.tgID)
+		m.emitAll(f.node, 1, 0, f.tgID)
 		m.park(mark, release)
 		return nil
 
@@ -1058,57 +1145,57 @@ func (m *sim) fire(f *firing) error {
 		if err != nil {
 			return err
 		}
-		m.store.Set(name, f.vals[0])
+		m.store.Set(name, vals[0])
 		mark := len(m.emitBuf)
-		m.emitAll(n.ID, 0, 0, f.tgID)
+		m.emitAll(f.node, 0, 0, f.tgID)
 		m.park(mark, release)
 		return nil
 
 	case dfg.LoadIdx:
 		m.stats.MemOps++
 		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
-		release, err := m.acquire(name, f.vals[0], false)
+		release, err := m.acquire(name, vals[0], false)
 		if err != nil {
 			return err
 		}
-		v, err := m.store.GetIdx(name, f.vals[0])
+		v, err := m.store.GetIdx(name, vals[0])
 		if err != nil {
 			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
 		}
 		mark := len(m.emitBuf)
-		m.emitAll(n.ID, 0, v, f.tgID)
-		m.emitAll(n.ID, 1, 0, f.tgID)
+		m.emitAll(f.node, 0, v, f.tgID)
+		m.emitAll(f.node, 1, 0, f.tgID)
 		m.park(mark, release)
 		return nil
 
 	case dfg.StoreIdx:
 		m.stats.MemOps++
 		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
-		release, err := m.acquire(name, f.vals[0], true)
+		release, err := m.acquire(name, vals[0], true)
 		if err != nil {
 			return err
 		}
-		if err := m.store.SetIdx(name, f.vals[0], f.vals[1]); err != nil {
+		if err := m.store.SetIdx(name, vals[0], vals[1]); err != nil {
 			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
 		}
 		mark := len(m.emitBuf)
-		m.emitAll(n.ID, 0, 0, f.tgID)
+		m.emitAll(f.node, 0, 0, f.tgID)
 		m.park(mark, release)
 		return nil
 
 	case dfg.ILoad:
 		m.stats.MemOps++
-		ready, err := m.istruct.read(n.Var, f.vals[0], istructWaiter{node: n.ID, tgID: f.tgID, dep: f.dep})
+		ready, err := m.istruct.read(n.Var, vals[0], istructWaiter{node: int(f.node), tgID: f.tgID, dep: f.dep})
 		if err != nil {
 			return err
 		}
 		if ready {
-			v, err := m.store.GetIdx(n.Var, f.vals[0])
+			v, err := m.store.GetIdx(n.Var, vals[0])
 			if err != nil {
 				return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
 			}
 			mark := len(m.emitBuf)
-			m.emitAll(n.ID, 0, v, f.tgID)
+			m.emitAll(f.node, 0, v, f.tgID)
 			m.park(mark, nil)
 		}
 		// A deferred read emits when the write arrives.
@@ -1116,11 +1203,11 @@ func (m *sim) fire(f *firing) error {
 
 	case dfg.IStore:
 		m.stats.MemOps++
-		waiters, err := m.istruct.write(n.Var, f.vals[0])
+		waiters, err := m.istruct.write(n.Var, vals[0])
 		if err != nil {
 			return err
 		}
-		if err := m.store.SetIdx(n.Var, f.vals[0], f.vals[1]); err != nil {
+		if err := m.store.SetIdx(n.Var, vals[0], vals[1]); err != nil {
 			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
 		}
 		mark := len(m.emitBuf)
@@ -1128,19 +1215,23 @@ func (m *sim) fire(f *firing) error {
 		for _, w := range waiters {
 			// A deferred read's result depends on both the read's own
 			// firing and the store that satisfied it: dep carries the
-			// later-finishing link (critical path), dep2 the other edge so
-			// the journaled provenance DAG keeps both producers.
+			// later-finishing link (critical path); while journaling the
+			// other edge rides in dep2s so the provenance DAG keeps both
+			// producers (see tokDeps).
 			m.curDep = m.col.MaxDep(storeDep, w.dep)
 			if m.jour {
+				other := storeDep
 				if m.curDep == storeDep {
-					m.curDep2 = w.dep
-				} else {
-					m.curDep2 = storeDep
+					other = w.dep
+				}
+				if other >= 0 {
+					m.dep2s = append(m.dep2s, [2]int32{m.curDep, other})
+					m.curDep = int32(-1 - len(m.dep2s))
 				}
 			}
-			m.emitAll(w.node, 0, f.vals[1], w.tgID)
+			m.emitAll(int32(w.node), 0, vals[1], w.tgID)
 		}
-		m.curDep, m.curDep2 = storeDep, -1
+		m.curDep = storeDep
 		m.park(mark, nil)
 		return nil
 	}
@@ -1155,21 +1246,59 @@ func (m *sim) fire(f *firing) error {
 // response is still needed for completion).
 func (m *sim) park(mark int, release func()) {
 	at := m.cycle + m.cfg.MemLatency
-	var tokens []tok
-	if pending := m.emitBuf[mark:]; len(pending) > 0 {
-		tokens = m.parkSlice(pending)
-		m.emitBuf = m.emitBuf[:mark]
-	}
-	if m.inj != nil && !m.done && len(tokens) > 0 {
+	pending := m.emitBuf[mark:]
+	m.emitBuf = m.emitBuf[:mark]
+	if m.inj != nil && !m.done && len(pending) > 0 {
 		if lose, delay := m.inj.MemResponse(); lose {
 			m.col.Fault(-1, m.cycle, string(fault.LoseMemResponse))
-			tokens = nil
+			pending = nil
 		} else if delay > 0 {
 			m.col.Fault(-1, m.cycle, string(fault.DelayMemResponse))
 			at += delay
 		}
 	}
-	m.inflight[at] = append(m.inflight[at], delayed{tokens: tokens, release: release})
+	m.parkAt(at, pending, release)
+}
+
+// parkAt files a completion record under its due cycle's ring slot,
+// copying toks into the token slice a drained record left behind there.
+func (m *sim) parkAt(at int, toks []tok, release func()) {
+	s := &m.ring[at&(len(m.ring)-1)]
+	if n := len(*s); n < cap(*s) {
+		*s = (*s)[:n+1]
+	} else {
+		*s = append(*s, delayed{})
+	}
+	d := &(*s)[len(*s)-1]
+	d.at, d.release = at, release
+	d.tokens = append(d.tokens[:0], toks...)
+	m.inflightN++
+}
+
+// takeDue removes and returns the completion records due at the current
+// cycle, in park order, after running their release hooks. Records due
+// whole laps later (an injected delay, a checkpoint taken under a longer
+// latency) stay in the slot.
+func (m *sim) takeDue() []delayed {
+	s := &m.ring[m.cycle&(len(m.ring)-1)]
+	due, later := *s, []delayed(nil)
+	for i := range due {
+		if due[i].at != m.cycle {
+			later = append(later, due[i])
+		}
+	}
+	if later == nil {
+		*s = due[:0] // keeps the records' token slices for parkAt
+	} else {
+		*s, due = later, slices.DeleteFunc(slices.Clone(due), func(d delayed) bool { return d.at != m.cycle })
+	}
+	for i := range due {
+		if due[i].release != nil {
+			due[i].release()
+		}
+	}
+	m.inflightN -= len(due)
+	return due
 }
 
 func (m *sim) acquire(name string, idx int64, write bool) (func(), error) {

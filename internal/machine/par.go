@@ -93,54 +93,56 @@ func (m *sim) computePure(batch []firing) {
 
 // evalPure evaluates one operator if it is pure. It reads only the
 // firing's operands and the immutable graph — never simulator state —
-// so concurrent calls on distinct batch slots are race-free.
+// so concurrent calls on distinct batch slots are race-free (operand
+// frames are carved at delivery, so the arena does not grow under them).
 func (m *sim) evalPure(f *firing, out *pureOut) {
 	*out = pureOut{}
-	n := m.g.Nodes[f.node]
-	switch n.Kind {
+	o := &m.p.ops[f.node]
+	vals := m.sh0.frame(f)
+	switch dfg.Kind(o.kind) {
 	case dfg.Const:
-		out.ok, out.val = true, n.Val
+		out.ok, out.val = true, o.val
 	case dfg.BinOp:
-		v, err := interp.Apply(n.Op, f.vals[0], f.vals[1])
+		v, err := interp.Apply(lang.Op(o.code), vals[0], vals[1])
 		if err != nil {
 			out.ok = true
-			out.err = machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+			out.err = machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err)
 			return
 		}
 		out.ok, out.val = true, v
 	case dfg.UnOp:
-		switch n.Op {
+		switch lang.Op(o.code) {
 		case lang.OpNeg:
-			out.ok, out.val = true, -f.vals[0]
+			out.ok, out.val = true, -vals[0]
 		case lang.OpNot:
 			out.ok = true
-			if f.vals[0] == 0 {
+			if vals[0] == 0 {
 				out.val = 1
 			}
 		default:
 			out.ok = true
-			out.err = machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", n.Op)
+			out.err = machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", lang.Op(o.code))
 		}
 	case dfg.Switch:
-		out.ok, out.val = true, f.vals[0]
-		if f.vals[1] == 0 {
+		out.ok, out.val = true, vals[0]
+		if vals[1] == 0 {
 			out.port = 1
 		}
 	case dfg.Merge, dfg.Param:
-		out.ok, out.val = true, f.vals[0]
+		out.ok, out.val = true, vals[0]
 	case dfg.Synch:
 		out.ok = true
 	case dfg.Fused:
-		fi := m.g.FusionOf(f.node)
+		fi := &m.p.fusions[o.aux]
 		if len(fi.Outs) != 1 {
 			return // multi-output fused nodes retire sequentially
 		}
-		vals, err := interp.EvalFused(fi.Steps, f.vals, nil)
+		res, err := interp.EvalFused(fi.Steps, vals, nil)
 		if err != nil {
 			out.ok = true
-			out.err = machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+			out.err = machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err)
 			return
 		}
-		out.ok, out.val = true, vals[fi.Outs[0]]
+		out.ok, out.val = true, res[fi.Outs[0]]
 	}
 }

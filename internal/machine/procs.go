@@ -26,22 +26,18 @@ type activation struct {
 	resolved map[string]string
 }
 
-// procLinkage is the per-run activation registry.
+// procLinkage is the per-run activation registry (the static linkage of
+// each Apply node lives in the flat program, see prog.call).
 type procLinkage struct {
-	byApply map[int]*dfg.CallInfo
-	live    map[int]*activation
-	nextID  int
+	live   map[int]*activation
+	nextID int
 }
 
 func newProcLinkage(g *dfg.Graph) *procLinkage {
 	if len(g.Calls) == 0 {
 		return nil
 	}
-	l := &procLinkage{byApply: map[int]*dfg.CallInfo{}, live: map[int]*activation{}}
-	for i := range g.Calls {
-		l.byApply[g.Calls[i].Apply] = &g.Calls[i]
-	}
-	return l
+	return &procLinkage{live: map[int]*activation{}}
 }
 
 // resolveName maps a variable name to the storage it denotes under the
@@ -67,7 +63,7 @@ func (m *sim) resolveName(name string, tg token.Tag) string {
 
 // fireApply allocates an activation and sends the callee's entry tokens.
 func (m *sim) fireApply(f *firing) error {
-	info := m.procs.byApply[f.node]
+	info := m.p.call(int(f.node))
 	if info == nil {
 		return machcheck.Newf(machcheck.OperatorFault, "machine",
 			"apply d%d has no call linkage", f.node)
@@ -102,7 +98,7 @@ func (m *sim) fireProcReturn(f *firing) error {
 	}
 	delete(m.procs.live, id)
 	for p := 0; p < len(rec.info.InTokens); p++ {
-		m.emitAll(rec.info.Apply, p, 0, rec.callerTgID)
+		m.emitAll(int32(rec.info.Apply), p, 0, rec.callerTgID)
 	}
 	return nil
 }

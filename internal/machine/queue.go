@@ -1,7 +1,9 @@
 package machine
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 
 	"ctdf/internal/token"
 )
@@ -21,9 +23,9 @@ import (
 //     and each bucket is sorted alone — O(Σ bᵢ log bᵢ) over small
 //     buckets instead of O(E log E) over the whole enabled set per
 //     cycle;
-//   - free lists for match entries, operand-value slices, and parked
-//     token slices, so steady-state cycles recycle allocations instead
-//     of making new ones (see PERFORMANCE.md).
+//   - the operand arena with its per-arity free lists of frame offsets,
+//     and the free list of overflow match entries, so steady-state
+//     cycles recycle instead of allocating (see PERFORMANCE.md).
 
 // rootTagID is the interned id of token.Root; every tagTable assigns it
 // first.
@@ -37,23 +39,27 @@ type tagTable struct {
 	ids  map[string]int32
 	keys []string
 	tags []token.Tag
-	// Tag-arithmetic caches: a loop entry fires once per loop variable
-	// per iteration with the same tag, so Push/Bump/Pop results repeat;
-	// caching them by id replaces per-firing tag-string construction
-	// with one integer map hit.
-	push map[int32]int32
-	bump map[int32]int32
-	pop  map[int32]int32
+	// arith caches tag arithmetic by id: a loop entry fires once per loop
+	// variable per iteration with the same tag, so Push/Bump/Pop results
+	// repeat; arith[id][op] holds the result's id plus one (0 = not yet
+	// computed), replacing per-firing tag-string construction with one
+	// indexed load.
+	arith [][3]int32
 }
+
+// The tag-arithmetic operations step and peek cache.
+const (
+	tagPush = iota
+	tagBump
+	tagPop
+)
 
 func newTagTable() *tagTable {
 	return &tagTable{
-		ids:  map[string]int32{"": rootTagID},
-		keys: []string{""},
-		tags: []token.Tag{token.Root},
-		push: map[int32]int32{},
-		bump: map[int32]int32{},
-		pop:  map[int32]int32{},
+		ids:   map[string]int32{"": rootTagID},
+		keys:  []string{""},
+		tags:  []token.Tag{token.Root},
+		arith: make([][3]int32, 1),
 	}
 }
 
@@ -67,6 +73,7 @@ func (t *tagTable) intern(tg token.Tag) int32 {
 	t.ids[k] = id
 	t.keys = append(t.keys, k)
 	t.tags = append(t.tags, tg)
+	t.arith = append(t.arith, [3]int32{})
 	return id
 }
 
@@ -76,64 +83,45 @@ func (t *tagTable) tag(id int32) token.Tag { return t.tags[id] }
 // key returns the canonical key string behind an interned id.
 func (t *tagTable) key(id int32) string { return t.keys[id] }
 
-// pushID returns the interned id of tag(id).Push().
-func (t *tagTable) pushID(id int32) int32 {
-	if nid, ok := t.push[id]; ok {
-		return nid
+// step returns the interned id of tag(id) pushed, bumped or popped.
+func (t *tagTable) step(id int32, op int) (int32, error) {
+	if nid := t.arith[id][op]; nid != 0 {
+		return nid - 1, nil
 	}
-	nid := t.intern(t.tags[id].Push())
-	t.push[id] = nid
+	var nt token.Tag
+	var err error
+	switch op {
+	case tagPush:
+		nt = t.tags[id].Push()
+	case tagBump:
+		nt, err = t.tags[id].Bump()
+	default:
+		nt, err = t.tags[id].Pop()
+	}
+	if err != nil {
+		return 0, err
+	}
+	nid := t.intern(nt)
+	t.arith[id][op] = nid + 1
+	return nid, nil
+}
+
+// pushID returns the interned id of tag(id).Push(), which cannot fail.
+func (t *tagTable) pushID(id int32) int32 {
+	nid, _ := t.step(id, tagPush)
 	return nid
 }
 
-// bumpID returns the interned id of tag(id).Bump().
-func (t *tagTable) bumpID(id int32) (int32, error) {
-	if nid, ok := t.bump[id]; ok {
-		return nid, nil
-	}
-	nt, err := t.tags[id].Bump()
-	if err != nil {
-		return 0, err
-	}
-	nid := t.intern(nt)
-	t.bump[id] = nid
-	return nid, nil
-}
-
-// popID returns the interned id of tag(id).Pop().
-func (t *tagTable) popID(id int32) (int32, error) {
-	if nid, ok := t.pop[id]; ok {
-		return nid, nil
-	}
-	nt, err := t.tags[id].Pop()
-	if err != nil {
-		return 0, err
-	}
-	nid := t.intern(nt)
-	t.pop[id] = nid
-	return nid, nil
-}
-
-// peekPush / peekBump / peekPop are the read-only halves of the
-// tag-arithmetic caches, for the sharded machine's parallel fire phase:
-// the cycle's tags are resolved (and cached) during sequential selection,
-// so the phase itself only reads the maps — a cache miss means the tag
-// could not be resolved ahead of time (e.g. a malformed pop) and the
-// firing falls back to the sequential retire pass, which re-runs the
-// arithmetic and surfaces any error in deterministic issue order.
-func (t *tagTable) peekPush(id int32) (int32, bool) {
-	nid, ok := t.push[id]
-	return nid, ok
-}
-
-func (t *tagTable) peekBump(id int32) (int32, bool) {
-	nid, ok := t.bump[id]
-	return nid, ok
-}
-
-func (t *tagTable) peekPop(id int32) (int32, bool) {
-	nid, ok := t.pop[id]
-	return nid, ok
+// peek is the read-only half of the tag-arithmetic cache, for the
+// sharded machine's parallel fire phase: the cycle's tags are resolved
+// (and cached) during sequential selection, so the phase itself only
+// reads the table — a cache miss means the tag could not be resolved
+// ahead of time (e.g. a malformed pop) and the firing falls back to the
+// sequential retire pass, which re-runs the arithmetic and surfaces any
+// error in deterministic issue order.
+func (t *tagTable) peek(id int32, op int) (int32, bool) {
+	nid := t.arith[id][op]
+	return nid - 1, nid != 0
 }
 
 // bucket holds the pending firings of one node. items[head:] are
@@ -141,18 +129,30 @@ func (t *tagTable) peekPop(id int32) (int32, bool) {
 // slice is reset when it drains.
 type bucket struct {
 	items []firing
-	head  int
+	head  int32
 	// dirty marks that items arrived since the pending range was last
 	// sorted.
 	dirty bool
+	// first is items' initial backing: the common case of one pending
+	// firing per node stays on the bucket's own cache line (the struct is
+	// 64 bytes), and only buckets that ever hold more reallocate.
+	first [1]firing
+	_     [8]byte
 }
 
+// pending returns the bucket's firings not yet issued.
+func (b *bucket) pending() []firing { return b.items[b.head:] }
+
 // readyQueue is the bucketed ready queue: one bucket per node, plus the
-// sorted list of node ids with pending work. Invariant: a node is in
-// active iff its bucket has pending firings.
+// set of node ids with pending work as a two-level bitmap — bit n of
+// words for node n, bit w of sum for every nonzero word w — so marking a
+// node active is two ORs and walking the active nodes in ascending id
+// skips empty stretches 4096 nodes at a time. Invariant: a node's bit is
+// set iff its bucket has pending firings.
 type readyQueue struct {
 	buckets []bucket
-	active  []int
+	words   []uint64
+	sum     []uint64
 	count   int
 	// tt resolves interned tag ids to key strings for bucket ordering.
 	tt *tagTable
@@ -160,114 +160,98 @@ type readyQueue struct {
 
 func newReadyQueue(nodes int, tt *tagTable) *readyQueue {
 	q := &readyQueue{buckets: make([]bucket, nodes), tt: tt}
-	// Pre-carve two slots of capacity per bucket out of one shared
-	// allocation; only buckets that ever hold more pending firings
-	// reallocate individually.
-	backing := make([]firing, 2*nodes)
+	q.words = make([]uint64, nodes>>6+1)
+	q.sum = make([]uint64, len(q.words)>>6+1)
 	for i := range q.buckets {
-		q.buckets[i].items = backing[2*i : 2*i : 2*i+2]
+		q.buckets[i].items = q.buckets[i].first[:0]
 	}
 	return q
 }
 
-// push enqueues one enabled firing.
-func (q *readyQueue) push(f firing) {
-	b := &q.buckets[f.node]
-	if len(b.items) == b.head {
-		b.items = b.items[:0]
-		b.head = 0
-		b.dirty = false
-		i := sort.SearchInts(q.active, f.node)
-		if i == len(q.active) || q.active[i] != f.node {
-			q.active = append(q.active, 0)
-			copy(q.active[i+1:], q.active[i:])
-			q.active[i] = f.node
-		}
+// push enqueues one enabled firing, writing its record in place at the
+// bucket's tail.
+func (q *readyQueue) push(node, tgID, port, dep, vals, n int32) {
+	b := &q.buckets[node]
+	if len(b.items) == 0 {
+		q.words[node>>6] |= 1 << uint(node&63)
+		q.sum[node>>12] |= 1 << uint(node>>6&63)
 	} else {
 		b.dirty = true
 	}
-	b.items = append(b.items, f)
 	q.count++
+	if k := len(b.items); k < cap(b.items) {
+		b.items = b.items[:k+1]
+	} else {
+		b.items = append(b.items, firing{})
+	}
+	f := &b.items[len(b.items)-1]
+	f.node, f.tgID, f.port, f.dep, f.vals, f.n = node, tgID, port, dep, vals, n
 }
 
-// fill appends up to max firings to dst in deterministic issue order:
-// ascending node id, then tag key, then port — the same total order the
-// retired global sort produced. Buckets that drain leave the active
-// list; a bucket cut short by the processor bound keeps its remainder
-// (still sorted) for the next cycle.
-func (q *readyQueue) fill(dst []firing, max int) []firing {
-	taken, w := 0, 0
-	for r := 0; r < len(q.active); r++ {
-		node := q.active[r]
-		b := &q.buckets[node]
-		if taken == max {
-			q.active[w] = node
-			w++
-			continue
+// next returns the lowest active node id >= from, or -1.
+func (q *readyQueue) next(from int) int {
+	w := from >> 6
+	if w >= len(q.words) {
+		return -1
+	}
+	if m := q.words[w] >> uint(from&63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	w++
+	for s := w >> 6; s < len(q.sum); s++ {
+		m := q.sum[s]
+		if s == w>>6 {
+			m &= ^uint64(0) << uint(w&63)
 		}
-		if b.dirty {
-			sortFirings(b.items[b.head:], q.tt)
-			b.dirty = false
-		}
-		take := len(b.items) - b.head
-		if take > max-taken {
-			take = max - taken
-		}
-		dst = append(dst, b.items[b.head:b.head+take]...)
-		b.head += take
-		taken += take
-		if b.head == len(b.items) {
-			b.items = b.items[:0]
-			b.head = 0
-		} else {
-			q.active[w] = node
-			w++
+		if m != 0 {
+			w = s<<6 + bits.TrailingZeros64(m)
+			return w<<6 + bits.TrailingZeros64(q.words[w])
 		}
 	}
-	q.active = q.active[:w]
-	q.count -= taken
+	return -1
+}
+
+// take dequeues up to max pending firings of an active node in
+// deterministic issue order — tag key, then port; walking the active
+// nodes in ascending id therefore yields the same total order the
+// retired global sort produced. A bucket cut short keeps its remainder
+// (still sorted) for the next cycle; one that drains leaves the active
+// set. The returned run aliases the bucket's storage: it is valid until
+// the next push for the node, which is past the cycle's issue
+// because emissions are buffered to the cycle boundary.
+func (q *readyQueue) take(node, max int) []firing {
+	b := &q.buckets[node]
+	run := b.pending()
+	if b.dirty {
+		sortFirings(run, q.tt)
+		b.dirty = false
+	}
+	if len(run) > max {
+		run = run[:max]
+		b.head += int32(max)
+	} else {
+		b.items, b.head = b.items[:0], 0
+		if q.words[node>>6] &^= 1 << uint(node&63); q.words[node>>6] == 0 {
+			q.sum[node>>12] &^= 1 << uint(node>>6&63)
+		}
+	}
+	q.count -= len(run)
+	return run
+}
+
+// fill appends up to max firings to dst in deterministic issue order.
+func (q *readyQueue) fill(dst []firing, max int) []firing {
+	for node := q.next(0); node >= 0 && max > 0; node = q.next(node + 1) {
+		run := q.take(node, max)
+		dst = append(dst, run...)
+		max -= len(run)
+	}
 	return dst
 }
 
-// takePlanned consumes firings according to a selection plan — per-node
-// (node, take) entries in ascending node order, a subsequence of the
-// active list — invoking fn(f, base+j) for the j-th firing taken from
-// each planned bucket. It mirrors fill's bookkeeping exactly
-// (sort-on-dirty, head advance, active-list compaction) but leaves the
-// global issue index to the plan, which the sharded machine computed by
-// merging all shards' active lists (see shard.go).
-func (q *readyQueue) takePlanned(plan []planEntry, fn func(f *firing, gi int)) {
-	taken, w, p := 0, 0, 0
-	for r := 0; r < len(q.active); r++ {
-		node := q.active[r]
-		if p == len(plan) || plan[p].node != node {
-			q.active[w] = node
-			w++
-			continue
-		}
-		b := &q.buckets[node]
-		if b.dirty {
-			sortFirings(b.items[b.head:], q.tt)
-			b.dirty = false
-		}
-		take := plan[p].take
-		for j := 0; j < take; j++ {
-			fn(&b.items[b.head+j], plan[p].base+j)
-		}
-		b.head += take
-		taken += take
-		p++
-		if b.head == len(b.items) {
-			b.items = b.items[:0]
-			b.head = 0
-		} else {
-			q.active[w] = node
-			w++
-		}
-	}
-	q.active = q.active[:w]
-	q.count -= taken
-}
+// requeue puts back a firing that fill materialised but the cycle did
+// not issue (seeded-random mode).
+func (q *readyQueue) requeue(f firing) { q.push(f.node, f.tgID, f.port, f.dep, f.vals, f.n) }
 
 // sortFirings orders one bucket's pending range by (tag key, port); the
 // node is constant within a bucket.
@@ -275,143 +259,111 @@ func sortFirings(fs []firing, tt *tagTable) {
 	if len(fs) < 2 {
 		return
 	}
-	sort.Slice(fs, func(i, j int) bool {
-		if ak, bk := tt.keys[fs[i].tgID], tt.keys[fs[j].tgID]; ak != bk {
-			return ak < bk
+	slices.SortFunc(fs, func(a, b firing) int {
+		if a.tgID != b.tgID { // distinct ids intern distinct keys
+			return strings.Compare(tt.keys[a.tgID], tt.keys[b.tgID])
 		}
-		return fs[i].port < fs[j].port
+		return int(a.port) - int(b.port)
 	})
 }
 
 // --- matching-store shards --------------------------------------------
 
 // shardSlot is one node's shard of the matching store. The common case —
-// at most one pending tag per node at a time — lives in the inline slot;
+// at most one pending tag per node at a time — lives in the inline entry
+// (free while e.n == 0), on the cache line the lookup already fetched;
 // nodes with tag-parallel activations (overlapping loop iterations)
 // spill to the overflow map, allocated only then.
 type shardSlot struct {
-	e    *matchEntry
-	tgID int32
+	e    matchEntry
 	more map[int32]*matchEntry
 }
 
 // matchLookup finds the pending entry for (node, tgID), or nil.
-func (m *sim) matchLookup(node int, tgID int32) *matchEntry {
+func (m *sim) matchLookup(node, tgID int32) *matchEntry {
 	s := &m.shards[node]
-	if s.e != nil && s.tgID == tgID {
-		return s.e
-	}
-	if s.more != nil {
-		return s.more[tgID]
-	}
-	return nil
-}
-
-// matchInsert records a new pending entry for (node, tgID), charged to
-// the owning shard's population count.
-func (m *sim) matchInsert(sh *shardState, node int, tgID int32, e *matchEntry) {
-	s := &m.shards[node]
-	if s.e == nil {
-		s.e, s.tgID = e, tgID
-		sh.matchCount++
-		return
+	if s.e.n != 0 && s.e.tgID == tgID {
+		return &s.e
 	}
 	if s.more == nil {
-		s.more = map[int32]*matchEntry{}
+		return nil
 	}
-	s.more[tgID] = e
-	sh.matchCount++
+	return s.more[tgID]
 }
 
-// matchDelete removes the completed entry for (node, tgID).
-func (m *sim) matchDelete(sh *shardState, node int, tgID int32) {
+// matchInsert opens a pending entry for (node, tgID) with an n-slot
+// operand frame, charged to the owning shard's population count. The
+// caller counts the first operand in before anything else looks.
+func (m *sim) matchInsert(sh *shardState, node, tgID, n int32) *matchEntry {
 	s := &m.shards[node]
-	if s.e != nil && s.tgID == tgID {
-		s.e = nil
+	e := &s.e
+	if e.n != 0 {
+		if k := len(sh.entryFree); k > 0 {
+			e, sh.entryFree = sh.entryFree[k-1], sh.entryFree[:k-1]
+		} else {
+			e = new(matchEntry)
+		}
+		if s.more == nil {
+			s.more = map[int32]*matchEntry{}
+		}
+		s.more[tgID] = e
+	}
+	*e = matchEntry{vals: sh.getVals(n), tgID: tgID}
+	sh.matchCount++
+	return e
+}
+
+// matchDelete removes node's completed entry e; its operand frame (and
+// with it the journal deps) has moved onto the firing that consumed the
+// match.
+func (m *sim) matchDelete(sh *shardState, node int32, e *matchEntry) {
+	if s := &m.shards[node]; e == &s.e {
+		e.n = 0
 	} else {
-		delete(s.more, tgID)
+		delete(s.more, e.tgID)
+		sh.entryFree = append(sh.entryFree, e)
 	}
 	sh.matchCount--
 }
 
 // --- free lists and arenas --------------------------------------------
 
-// Free lists recycle steady-state churn; chunked arenas amortize the
-// warmup growth (Go allocations) that remains, carving many small
-// objects out of one allocation. They live on the shardState so every
-// shard recycles privately — no cross-shard sharing, no locks; the
-// sequential engine uses shard 0's lists for everything.
+// Free lists recycle steady-state churn; the operand arena amortizes the
+// warmup growth (Go allocations) that remains. They live on the
+// shardState so every shard recycles privately — no cross-shard sharing,
+// no locks; the sequential engine uses shard 0's lists for everything.
 
-// getEntry returns a blank match entry with an operand slice of length n.
-func (sh *shardState) getEntry(n int) *matchEntry {
-	var e *matchEntry
-	if k := len(sh.entryFree); k > 0 {
-		e = sh.entryFree[k-1]
-		sh.entryFree = sh.entryFree[:k-1]
-		*e = matchEntry{}
-	} else {
-		if len(sh.entryArena) == 0 {
-			sh.entryArena = make([]matchEntry, 64)
-		}
-		e = &sh.entryArena[0]
-		sh.entryArena = sh.entryArena[1:]
+// getVals returns the offset of an n-slot operand frame in the shard's
+// arena. Frames are not zeroed: every port is overwritten before it is
+// read (an activation fires only once all its operands arrived).
+func (sh *shardState) getVals(n int32) int32 {
+	if fl := sh.valsFree[n]; len(fl) > 0 {
+		sh.valsFree[n] = fl[:len(fl)-1]
+		return fl[len(fl)-1]
 	}
-	e.vals = sh.getVals(n)
-	return e
+	off := len(sh.arena)
+	sh.arena = append(sh.arena, make([]int64, n)...)
+	if sh.deps != nil {
+		sh.deps = append(sh.deps, make([][]int32, n)...)
+	}
+	return int32(off)
 }
 
-// putEntry recycles a completed entry; its operand slice and journal
-// deps have moved onto the firing that consumed the match.
-func (sh *shardState) putEntry(e *matchEntry) {
-	e.vals = nil
-	e.deps = nil
-	sh.entryFree = append(sh.entryFree, e)
-}
+// putVals recycles a fired activation's operand frame.
+func (sh *shardState) putVals(off, n int32) { sh.valsFree[n] = append(sh.valsFree[n], off) }
 
-// getVals returns an operand slice of exactly length n. Slices are not
-// zeroed: every port is overwritten before it is read (an activation
-// fires only once all its operands arrived).
-func (sh *shardState) getVals(n int) []int64 {
-	if n < len(sh.valsFree) {
-		if k := len(sh.valsFree[n]); k > 0 {
-			v := sh.valsFree[n][k-1]
-			sh.valsFree[n] = sh.valsFree[n][:k-1]
-			return v
-		}
-	}
-	if len(sh.valsArena) < n {
-		size := 512
-		if n > size {
-			size = n
-		}
-		sh.valsArena = make([]int64, size)
-	}
-	v := sh.valsArena[:n:n]
-	sh.valsArena = sh.valsArena[n:]
-	return v
-}
+// frame returns a firing's operands. The slice is valid until the arena
+// next grows — past the cycle's issue, since frames are carved at
+// delivery.
+func (sh *shardState) frame(f *firing) []int64 { return sh.arena[f.vals : f.vals+f.n] }
 
-// putVals recycles a fired activation's operand slice.
-func (sh *shardState) putVals(v []int64) {
-	if n := len(v); n > 0 && n < len(sh.valsFree) {
-		sh.valsFree[n] = append(sh.valsFree[n], v)
+// takeDeps hands the journal the producer firings of the activation
+// whose frame starts at off (nil unless journaling).
+func (sh *shardState) takeDeps(off int32) []int32 {
+	if sh.deps == nil {
+		return nil
 	}
-}
-
-// parkSlice copies the emission buffer's tail into an arena-carved token
-// slice for the in-flight queue. Tokens are plain old data, so spent
-// chunks are noscan garbage reclaimed wholesale.
-func (m *sim) parkSlice(pending []tok) []tok {
-	n := len(pending)
-	if len(m.tokArena) < n {
-		size := 512
-		if n > size {
-			size = n
-		}
-		m.tokArena = make([]tok, size)
-	}
-	t := m.tokArena[:n:n]
-	m.tokArena = m.tokArena[n:]
-	copy(t, pending)
-	return t
+	d := sh.deps[off]
+	sh.deps[off] = nil
+	return d
 }

@@ -156,11 +156,15 @@ type shardState struct {
 	// shard owns.
 	matchCount int
 
-	// Free lists and arenas (queue.go) — strictly shard-private.
-	entryFree  []*matchEntry
-	entryArena []matchEntry
-	valsFree   [][][]int64
-	valsArena  []int64
+	// Free lists and arenas (queue.go) — strictly shard-private. arena
+	// holds the operand frames of this shard's activations, valsFree the
+	// offsets of recycled frames by arity, and deps (journaling only,
+	// else nil) the producer firings of the activation whose frame
+	// starts at each offset.
+	entryFree []*matchEntry
+	arena     []int64
+	valsFree  [][]int32
+	deps      [][]int32
 
 	// rng is the shard's seeded-random issue stream (nil outside
 	// seeded-random mode), deterministic by (seed, shard id).
@@ -202,18 +206,15 @@ type shardState struct {
 // the sequential engine (shard 0 owns everything and no parallel-phase
 // scratch is allocated).
 func (m *sim) initShards(w int) {
-	maxIns := 1
-	for _, n := range m.g.Nodes {
-		if n.NIns > maxIns {
-			maxIns = n.NIns
-		}
-	}
-	m.shardOf = make([]int32, len(m.g.Nodes))
+	m.shardOf = make([]int32, len(m.p.ops))
 	m.shs = make([]*shardState, w)
 	for i := range m.shs {
 		sh := &shardState{id: i}
-		sh.ready = newReadyQueue(len(m.g.Nodes), m.tags)
-		sh.valsFree = make([][][]int64, maxIns+1)
+		sh.ready = newReadyQueue(len(m.p.ops), m.tags)
+		sh.valsFree = make([][]int32, m.p.maxIns+1)
+		if m.jour {
+			sh.deps = [][]int32{}
+		}
 		if w > 1 {
 			sh.outbox = make([][]routedTok, w)
 			sh.heads = make([]int, w+2)
@@ -222,7 +223,7 @@ func (m *sim) initShards(w int) {
 	}
 	m.sh0 = m.shs[0]
 	if w > 1 {
-		for id := range m.g.Nodes {
+		for id := range m.shardOf {
 			m.shardOf[id] = int32(shardHash(id) % uint32(w))
 		}
 		m.seqBox = make([][]routedTok, w)
@@ -330,20 +331,17 @@ func (m *sim) readyTotal() int {
 // structure as run(), with the issue/retire/deliver work split into the
 // phases described at the top of this file.
 func (m *sim) runSharded() (*Outcome, error) {
-	m.inflight = map[int][]delayed{}
-	m.endVals = make([]int64, m.g.Nodes[m.g.EndID].NIns)
-	m.curDep, m.curDep2 = -1, -1
+	m.endVals = make([]int64, m.p.ops[m.g.EndID].nIns)
+	m.curDep = -1
 	start := time.Now()
 
-	// Parallel phases fan out tokens concurrently; build the lazy
-	// out-target caches up front so they are read-only from here on.
-	m.g.WarmTargets()
 	// fanStride spaces the sequence keys of consecutive firings so that
 	// (gi, emission index) order-embeds into one int64: seq =
 	// (gi+1)*fanStride + k, with k < fanStride by construction.
 	m.fanStride = int64(m.g.MaxFanOut()) + 1
 	m.pool = newShardPool(m.shs)
 	defer m.pool.stop()
+	m.phaseFuncs()
 
 	if m.cfg.Resume != nil {
 		// Restore a checkpoint instead of starting at cycle 0 (pre-run
@@ -354,10 +352,10 @@ func (m *sim) runSharded() (*Outcome, error) {
 	} else {
 		// Cycle 0: start emits one dummy token per out arc at the root tag,
 		// delivered through the same phase machinery as ordinary cycles.
-		for i, t := range m.g.OutTargets(m.g.StartID, 0) {
-			d := m.shardOf[t.Node]
+		for i, t := range m.p.out(int32(m.g.StartID), 0) {
+			d := m.shardOf[t.node]
 			m.seqBox[d] = append(m.seqBox[d], routedTok{
-				t: tok{to: t, val: 0, tgID: rootTagID, dep: -1, dep2: -1}, seq: int64(i),
+				t: tok{node: t.node, port: t.port, tgID: rootTagID, dep: -1}, seq: int64(i),
 			})
 		}
 		m.runDeliverPhase()
@@ -367,22 +365,9 @@ func (m *sim) runSharded() (*Outcome, error) {
 	}
 
 	var telT0 time.Time
-	for !m.done || m.readyTotal() > 0 || len(m.inflight) > 0 {
-		m.tel.sampleDepth(m)
-		if err := m.maybeCheckpoint(); err != nil {
+	for !m.done || m.readyTotal() > 0 || m.inflightN > 0 {
+		if err := m.beginCycle(start, m.readyTotal()); err != nil {
 			return m.abort(err)
-		}
-		if m.cycle > m.cfg.MaxCycles {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d cycles (deadlock or runaway loop?)", m.cfg.MaxCycles).WithStuck(m.stuckList()))
-		}
-		if m.cfg.Deadline > 0 {
-			if err := m.overDeadline(start); err != nil {
-				return m.abort(err)
-			}
-		}
-		if !m.done && m.readyTotal() == 0 && len(m.inflight) == 0 {
-			return m.abort(m.deadlockError())
 		}
 		if m.tel != nil {
 			telT0 = time.Now()
@@ -391,23 +376,13 @@ func (m *sim) runSharded() (*Outcome, error) {
 		if m.tel != nil {
 			observeSeconds(m.tel.selSec, time.Since(telT0))
 		}
-		if int64(m.stats.Ops)+int64(issue) > m.cfg.MaxOps {
-			return m.abort(machcheck.Newf(machcheck.CyclesExceeded, "machine",
-				"exceeded %d firings (runaway loop?)", m.cfg.MaxOps))
-		}
-		if issue > m.stats.MaxParallelism {
-			m.stats.MaxParallelism = issue
-		}
-		if m.cycle < m.cfg.ProfileLimit {
-			for len(m.stats.Profile) <= m.cycle {
-				m.stats.Profile = append(m.stats.Profile, 0)
-			}
-			m.stats.Profile[m.cycle] = issue
+		if err := m.noteIssue(issue); err != nil {
+			return m.abort(err)
 		}
 		if m.dag {
 			m.dagBase = int32(m.col.FiringCount())
 		}
-		m.runFirePhase(issue)
+		m.runPhase(m.fireFn, issue, false)
 		if m.tel != nil {
 			telT0 = time.Now()
 		}
@@ -422,18 +397,10 @@ func (m *sim) runSharded() (*Outcome, error) {
 		// sequential delivery order).
 		m.cycle++
 		m.stats.Ops += issue
-		released := m.inflight[m.cycle]
-		for _, d := range released {
-			if d.release != nil {
-				d.release()
-			}
-		}
-		delete(m.inflight, m.cycle)
 		relSeq := int64(1) << 62
-		for _, d := range released {
-			for i := range d.tokens {
-				t := d.tokens[i]
-				dst := m.shardOf[t.to.Node]
+		for _, d := range m.takeDue() {
+			for _, t := range d.tokens {
+				dst := m.shardOf[t.node]
 				m.relBox[dst] = append(m.relBox[dst], routedTok{t: t, seq: relSeq})
 				relSeq++
 			}
@@ -444,20 +411,7 @@ func (m *sim) runSharded() (*Outcome, error) {
 		}
 		m.tel.cycleCounts(m, issue)
 	}
-	m.stats.Cycles = m.endCycle
-	m.stats.TokensMoved = m.delivered
-	if err := m.istruct.pendingError(); err != nil {
-		return m.abort(err)
-	}
-	if m.procs != nil && len(m.procs.live) != 0 {
-		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
-			"%d procedure activations never returned", len(m.procs.live)))
-	}
-	if n := m.totalMatchCount(); n != 0 {
-		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
-			"%d tokens left after end fired", n).WithStuck(m.stuckList()))
-	}
-	return &Outcome{Store: m.store, EndValues: m.endVals, Stats: m.stats, Checkpoint: m.lastCk}, nil
+	return m.finish()
 }
 
 // --- phase 1: select --------------------------------------------------
@@ -477,34 +431,33 @@ func (m *sim) selectCycle() int {
 		budget = int(^uint(0) >> 1)
 	}
 	issue := 0
+	// cur[s] is shard s's lowest active node not yet planned (-1: none).
 	cur := m.selCur
 	for s, sh := range m.shs {
 		sh.plan = sh.plan[:0]
-		cur[s] = 0
+		cur[s] = sh.ready.next(0)
 	}
 	for budget > 0 {
-		best, bestNode := -1, 0
-		for s, sh := range m.shs {
-			if cur[s] < len(sh.ready.active) {
-				if nd := sh.ready.active[cur[s]]; best < 0 || nd < bestNode {
-					best, bestNode = s, nd
-				}
+		best := -1
+		for s := range m.shs {
+			if cur[s] >= 0 && (best < 0 || cur[s] < cur[best]) {
+				best = s
 			}
 		}
 		if best < 0 {
 			break
 		}
-		sh := m.shs[best]
-		b := &sh.ready.buckets[bestNode]
-		take := len(b.items) - b.head
+		sh, node := m.shs[best], cur[best]
+		pending := sh.ready.buckets[node].pending()
+		take := len(pending)
 		if take > budget {
 			take = budget
 		}
-		m.warmLoopTags(bestNode, b)
-		sh.plan = append(sh.plan, planEntry{node: bestNode, take: take, base: issue})
+		m.warmLoopTags(node, pending)
+		sh.plan = append(sh.plan, planEntry{node: node, take: take, base: issue})
 		issue += take
 		budget -= take
-		cur[best]++
+		cur[best] = sh.ready.next(node + 1)
 	}
 	return issue
 }
@@ -553,56 +506,62 @@ func (m *sim) selectCycleRandom() int {
 // cache lookup will miss, deferring it to the sequential retire pass,
 // which re-runs the arithmetic and reports the error at the firing's
 // exact position in issue order.
-func (m *sim) warmLoopTags(node int, b *bucket) {
-	switch m.g.Nodes[node].Kind {
+func (m *sim) warmLoopTags(node int, pending []firing) {
+	switch dfg.Kind(m.p.ops[node].kind) {
 	case dfg.LoopEntry:
-		for i := b.head; i < len(b.items); i++ {
-			f := &b.items[i]
-			if f.port == 0 {
-				m.tags.pushID(f.tgID)
-			} else {
-				_, _ = m.tags.bumpID(f.tgID)
-			}
+		for _, f := range pending {
+			_, _ = m.tags.step(f.tgID, loopEntryStep(f.port))
 		}
 	case dfg.LoopExit:
-		for i := b.head; i < len(b.items); i++ {
-			_, _ = m.tags.popID(b.items[i].tgID)
+		for _, f := range pending {
+			_, _ = m.tags.step(f.tgID, tagPop)
 		}
 	}
 }
 
 // --- phase 2: fire ----------------------------------------------------
 
-// runFirePhase evaluates the cycle's planned firings, on the pool for
-// wide cycles, inline for narrow ones (same results either way — the
-// threshold trades dispatch overhead only).
-func (m *sim) runFirePhase(issue int) {
-	if issue == 0 {
-		return
-	}
-	fn := m.fireShard
+// phaseFuncs binds the two parallel phases' per-shard bodies once per
+// run (a method value allocates; the phases run twice a cycle). With
+// telemetry on, per-shard busy time accumulates in plain shard-local
+// scratch; the cycle merge folds it into the registry in shard order.
+func (m *sim) phaseFuncs() {
+	m.fireFn, m.delivFn = m.fireShard, m.deliverShard
 	if m.tel != nil {
-		// Per-shard busy time accumulates in plain shard-local scratch;
-		// the cycle merge folds it into the registry in shard order.
-		fn = func(sh *shardState) {
+		m.fireFn = func(sh *shardState) {
 			t0 := time.Now()
 			m.fireShard(sh)
 			sh.telFireNs += time.Since(t0).Nanoseconds()
 		}
+		m.delivFn = func(sh *shardState) {
+			t0 := time.Now()
+			m.deliverShard(sh)
+			sh.telDelivNs += time.Since(t0).Nanoseconds()
+		}
 	}
-	if issue < shardedPhaseMin {
+}
+
+// runPhase runs fn over every shard: on the pool when the cycle's work
+// (planned firings or routed tokens) is worth dispatching, inline on the
+// coordinating goroutine for narrow cycles — same results either way,
+// the threshold trades dispatch overhead only.
+func (m *sim) runPhase(fn func(*shardState), work int, deliver bool) {
+	switch {
+	case work == 0:
+	case work < shardedPhaseMin:
 		for _, sh := range m.shs {
 			fn(sh)
 		}
-		return
-	}
-	if m.tel != nil {
-		var barNs int64
+	case m.tel != nil:
+		bar, barNs := m.tel.barFire, int64(0)
+		if deliver {
+			bar = m.tel.barDeliv
+		}
 		m.pool.runTimed(fn, &barNs)
-		m.tel.barFire.Observe(barNs, telemetry.TimeBuckets)
-		return
+		bar.Observe(barNs, telemetry.TimeBuckets)
+	default:
+		m.pool.run(fn)
 	}
-	m.pool.run(fn)
 }
 
 func (m *sim) fireShard(sh *shardState) {
@@ -619,13 +578,16 @@ func (m *sim) fireShard(sh *shardState) {
 			m.fireOneSharded(sh, &all[j], sh.randBase+j)
 		}
 		for _, f := range all[sh.randTake:] {
-			sh.ready.push(f)
+			sh.ready.requeue(f)
 		}
 		return
 	}
-	sh.ready.takePlanned(sh.plan, func(f *firing, gi int) {
-		m.fireOneSharded(sh, f, gi)
-	})
+	for _, pe := range sh.plan {
+		run := sh.ready.take(pe.node, pe.take)
+		for j := range run {
+			m.fireOneSharded(sh, &run[j], pe.base+j)
+		}
+	}
 }
 
 // fireOneSharded evaluates one firing if it is pure — reading only its
@@ -634,63 +596,58 @@ func (m *sim) fireShard(sh *shardState) {
 // inboxes. Impure firings, and pure ones that fault, defer to the
 // sequential retire pass.
 func (m *sim) fireOneSharded(sh *shardState, f *firing, gi int) {
-	n := m.g.Nodes[f.node]
+	o := &m.p.ops[f.node]
+	vals := sh.frame(f)
 	var val int64
 	port := 0
 	tg := f.tgID
-	switch n.Kind {
+	switch dfg.Kind(o.kind) {
 	case dfg.Const:
-		val = n.Val
+		val = o.val
 	case dfg.BinOp:
-		v, err := interp.Apply(n.Op, f.vals[0], f.vals[1])
+		v, err := interp.Apply(lang.Op(o.code), vals[0], vals[1])
 		if err != nil {
 			sh.recordFireEvent(m, f, gi, 0)
-			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err))
+			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err))
 			return
 		}
 		val = v
 	case dfg.UnOp:
-		switch n.Op {
+		switch lang.Op(o.code) {
 		case lang.OpNeg:
-			val = -f.vals[0]
+			val = -vals[0]
 		case lang.OpNot:
-			if f.vals[0] == 0 {
+			if vals[0] == 0 {
 				val = 1
 			}
 		default:
 			sh.recordFireEvent(m, f, gi, 0)
-			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", n.Op))
+			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", lang.Op(o.code)))
 			return
 		}
 	case dfg.Switch:
-		val = f.vals[0]
-		if f.vals[1] == 0 {
+		val = vals[0]
+		if vals[1] == 0 {
 			port = 1
 		}
 	case dfg.Merge, dfg.Param:
-		val = f.vals[0]
+		val = vals[0]
 	case dfg.Synch:
 		// emits 0
 	case dfg.LoopEntry:
 		var ok bool
-		if f.port == 0 {
-			tg, ok = m.tags.peekPush(f.tgID)
-		} else {
-			tg, ok = m.tags.peekBump(f.tgID)
-		}
-		if !ok {
+		if tg, ok = m.tags.peek(f.tgID, loopEntryStep(f.port)); !ok {
 			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
 			return
 		}
-		val = f.vals[0]
+		val = vals[0]
 	case dfg.LoopExit:
 		var ok bool
-		tg, ok = m.tags.peekPop(f.tgID)
-		if !ok {
+		if tg, ok = m.tags.peek(f.tgID, tagPop); !ok {
 			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
 			return
 		}
-		val = f.vals[0]
+		val = vals[0]
 	default:
 		sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
 		return
@@ -702,16 +659,16 @@ func (m *sim) fireOneSharded(sh *shardState, f *firing, gi int) {
 		// order starting from dagBase.
 		dep = m.dagBase + int32(gi)
 	}
-	targets := m.g.OutTargets(f.node, port)
+	targets := m.p.out(f.node, port)
 	seqBase := int64(gi+1) * m.fanStride
 	for k, t := range targets {
-		dst := m.shardOf[t.Node]
+		dst := m.shardOf[t.node]
 		sh.outbox[dst] = append(sh.outbox[dst], routedTok{
-			t: tok{to: t, val: val, tgID: tg, dep: dep, dep2: -1}, seq: seqBase + int64(k),
+			t: tok{val: val, node: t.node, port: t.port, tgID: tg, dep: dep}, seq: seqBase + int64(k),
 		})
 	}
 	sh.recordFireEvent(m, f, gi, len(targets))
-	sh.putVals(f.vals)
+	sh.putVals(f.vals, f.n)
 	// Pure firings executed here feed the fire/retire split counter;
 	// plain shard-local scratch, folded at the cycle merge.
 	sh.telPureFired++
@@ -722,8 +679,8 @@ func (sh *shardState) recordFireEvent(m *sim, f *firing, gi, emitted int) {
 		return
 	}
 	sh.fireEvs = append(sh.fireEvs, fireEvent{
-		gi: gi, node: int32(f.node), port: int32(f.port), consumed: int32(len(f.vals)),
-		emitted: int32(emitted), inDep: f.dep, tgID: f.tgID, deps: f.deps,
+		gi: gi, node: f.node, port: f.port, consumed: f.n,
+		emitted: int32(emitted), inDep: f.dep, tgID: f.tgID, deps: sh.takeDeps(f.vals),
 	})
 }
 
@@ -791,25 +748,16 @@ func (m *sim) retireCycle(start time.Time) error {
 		} else {
 			imf := &sh.impure[imCur[best]]
 			imCur[best]++
-			f := &imf.f
-			if m.col != nil {
-				f.dep = m.col.Fire(f.node, m.cycle, m.costOf(f.node), len(f.vals), f.port, f.dep, f.deps, m.tags.key(f.tgID))
-			} else {
-				f.dep = -1
-			}
-			m.curDep, m.curDep2 = f.dep, -1
 			mark := len(m.emitBuf)
-			if err := m.fire(f); err != nil {
+			if err := m.issue(sh, &imf.f, nil); err != nil {
 				return err
 			}
 			seqBase := int64(imf.gi+1) * m.fanStride
-			for k := range m.emitBuf[mark:] {
-				t := m.emitBuf[mark+k]
-				dst := m.shardOf[t.to.Node]
+			for k, t := range m.emitBuf[mark:] {
+				dst := m.shardOf[t.node]
 				m.seqBox[dst] = append(m.seqBox[dst], routedTok{t: t, seq: seqBase + int64(k)})
 			}
 			m.emitBuf = m.emitBuf[:mark]
-			sh.putVals(f.vals)
 			if m.tel != nil {
 				m.tel.retireFirings.Add(1)
 			}
@@ -826,7 +774,7 @@ func (m *sim) retireCycle(start time.Time) error {
 // --- phase 4: deliver + merge -----------------------------------------
 
 // runDeliverPhase lands the cycle's routed tokens on their owning
-// shards, on the pool when the token volume is worth it.
+// shards.
 func (m *sim) runDeliverPhase() {
 	total := 0
 	for _, sh := range m.shs {
@@ -834,36 +782,10 @@ func (m *sim) runDeliverPhase() {
 			total += len(ob)
 		}
 	}
-	for _, b := range m.seqBox {
-		total += len(b)
+	for d := range m.seqBox {
+		total += len(m.seqBox[d]) + len(m.relBox[d])
 	}
-	for _, b := range m.relBox {
-		total += len(b)
-	}
-	if total == 0 {
-		return
-	}
-	fn := m.deliverShard
-	if m.tel != nil {
-		fn = func(sh *shardState) {
-			t0 := time.Now()
-			m.deliverShard(sh)
-			sh.telDelivNs += time.Since(t0).Nanoseconds()
-		}
-	}
-	if total < shardedPhaseMin {
-		for _, sh := range m.shs {
-			fn(sh)
-		}
-		return
-	}
-	if m.tel != nil {
-		var barNs int64
-		m.pool.runTimed(fn, &barNs)
-		m.tel.barDeliv.Observe(barNs, telemetry.TimeBuckets)
-		return
-	}
-	m.pool.run(fn)
+	m.runPhase(m.delivFn, total, true)
 }
 
 // deliverShard drains every inbox addressed to sh — one per source
@@ -906,7 +828,7 @@ func (m *sim) deliverShard(sh *shardState) {
 		rt := &stream(best)[heads[best]]
 		heads[best]++
 		sh.delivered++
-		if err := m.deliverOnce(sh, rt.t, rt.seq); err != nil {
+		if err := m.deliverOnce(sh, &rt.t, rt.seq); err != nil {
 			// Record the earliest error in sequential delivery order and
 			// stop this shard: tokens past an abort are never delivered by
 			// the sequential engine either, and other shards' deliveries

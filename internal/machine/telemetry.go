@@ -24,13 +24,18 @@ import (
 type machineTel struct {
 	w int
 
-	// Invariant counters, sampled once per cycle at the boundary.
-	cycles, firings    *telemetry.Series
-	delivered, matches *telemetry.Series
-	matchDepth         *telemetry.Series
+	// Invariant counters, sampled once per cycle at the boundary. Like
+	// the occupancy histograms and the traffic matrix below they are
+	// written by sequential code only, through telemetry.Local fronts
+	// that flush folds into the registry every telSampleEvery cycles and
+	// at the end of the run: no atomics per cycle, exact final values.
+	cycles, firings    *telemetry.Local
+	delivered, matches *telemetry.Local
+	matchDepth         *telemetry.Local
 	matchPeak          *telemetry.Series
 	checkpoints        *telemetry.Series
 	ckSec              *telemetry.Series
+	locals             []*telemetry.Local
 
 	// Phase wall time: select/retire run on the coordinator ("seq"),
 	// fire/deliver per shard; barrier waits are the coordinator's time
@@ -40,7 +45,7 @@ type machineTel struct {
 	barFire, barDeliv *telemetry.Series
 	fireFirings       *telemetry.Series
 	retireFirings     *telemetry.Series
-	outbox, inbox     []*telemetry.Series
+	outbox, inbox     []*telemetry.Local
 
 	// traffic[src][dst] is the cross-shard token matrix, rows 0..w-1
 	// for shard sources plus the "seq" (sequential step) and "mem"
@@ -48,20 +53,27 @@ type machineTel struct {
 	// that actually carry tokens appear — in deterministic order, since
 	// all creation happens in sequential merge code.
 	trafficFam *telemetry.Family
-	traffic    [][]*telemetry.Series
+	traffic    [][]*telemetry.Local
 
 	// Cycle-boundary scratch for delta sampling.
 	prevDelivered int64
 	prevMatches   int
 }
 
+// local opens a flush-managed front for a series.
+func (t *machineTel) local(s *telemetry.Series) *telemetry.Local {
+	l := s.Local()
+	t.locals = append(t.locals, l)
+	return l
+}
+
 func newMachineTel(reg *telemetry.Registry, w int) *machineTel {
 	t := &machineTel{w: w}
-	t.cycles = reg.Family(telemetry.SpecMachineCycles).Series()
-	t.firings = reg.Family(telemetry.SpecMachineFirings).Series()
-	t.delivered = reg.Family(telemetry.SpecMachineTokens).Series()
-	t.matches = reg.Family(telemetry.SpecMachineMatches).Series()
-	t.matchDepth = reg.Family(telemetry.SpecMachineMatchDepth).Series()
+	t.cycles = t.local(reg.Family(telemetry.SpecMachineCycles).Series())
+	t.firings = t.local(reg.Family(telemetry.SpecMachineFirings).Series())
+	t.delivered = t.local(reg.Family(telemetry.SpecMachineTokens).Series())
+	t.matches = t.local(reg.Family(telemetry.SpecMachineMatches).Series())
+	t.matchDepth = t.local(reg.Family(telemetry.SpecMachineMatchDepth).Series())
 	t.matchPeak = reg.Family(telemetry.SpecMachineMatchPeak).Series()
 	t.checkpoints = reg.Family(telemetry.SpecMachineCheckpoints).Series()
 	t.ckSec = reg.Family(telemetry.SpecMachineCheckpointSeconds).Series()
@@ -76,15 +88,15 @@ func newMachineTel(reg *telemetry.Registry, w int) *machineTel {
 	t.barFire = bar.Series("fire")
 	t.barDeliv = bar.Series("deliver")
 	t.trafficFam = reg.Family(telemetry.SpecMachineTraffic)
-	t.traffic = make([][]*telemetry.Series, w+2)
+	t.traffic = make([][]*telemetry.Local, w+2)
 	for i := range t.traffic {
-		t.traffic[i] = make([]*telemetry.Series, w)
+		t.traffic[i] = make([]*telemetry.Local, w)
 	}
 	ob := reg.Family(telemetry.SpecMachineOutbox)
 	ib := reg.Family(telemetry.SpecMachineInbox)
 	for i := 0; i < w; i++ {
-		t.outbox = append(t.outbox, ob.Series(strconv.Itoa(i)))
-		t.inbox = append(t.inbox, ib.Series(strconv.Itoa(i)))
+		t.outbox = append(t.outbox, t.local(ob.Series(strconv.Itoa(i))))
+		t.inbox = append(t.inbox, t.local(ib.Series(strconv.Itoa(i))))
 	}
 	pf := reg.Family(telemetry.SpecMachinePhaseFirings)
 	t.fireFirings = pf.Series("fire")
@@ -111,12 +123,10 @@ func (t *machineTel) srcName(row int) string {
 // trafficAdd counts n tokens on the src→dst lane, creating the series
 // on first use. Called only from sequential code.
 func (t *machineTel) trafficAdd(src, dst, n int) {
-	s := t.traffic[src][dst]
-	if s == nil {
-		s = t.trafficFam.Series(t.srcName(src), strconv.Itoa(dst))
-		t.traffic[src][dst] = s
+	if t.traffic[src][dst] == nil {
+		t.traffic[src][dst] = t.local(t.trafficFam.Series(t.srcName(src), strconv.Itoa(dst)))
 	}
-	s.Add(int64(n))
+	t.traffic[src][dst].Add(int64(n))
 }
 
 // sampleDepth records the matching-store population, once per main-loop
@@ -129,7 +139,7 @@ func (t *machineTel) sampleDepth(m *sim) {
 	t.matchDepth.Observe(int64(m.totalMatchCount()), telemetry.DepthBuckets)
 }
 
-// cycleCounts folds the cycle's deterministic deltas into the invariant
+// cycleCounts notes the cycle's deterministic deltas for the invariant
 // counters at the end of the loop body (after delivery/merge), again at
 // the same point in both engines.
 func (t *machineTel) cycleCounts(m *sim, issue int) {
@@ -142,7 +152,42 @@ func (t *machineTel) cycleCounts(m *sim, issue int) {
 	t.prevDelivered = m.delivered
 	t.matches.Add(int64(m.stats.Matches - t.prevMatches))
 	t.prevMatches = m.stats.Matches
+	if m.cycle%telSampleEvery == 0 {
+		t.flush(m)
+	}
+}
+
+// flush folds the Local fronts into the registry: every telSampleEvery
+// cycles, so a live scrape trails the run by a few cycles at most, and
+// when the run ends or aborts, so the final values are exact.
+func (t *machineTel) flush(m *sim) {
+	if t == nil {
+		return
+	}
+	for _, l := range t.locals {
+		l.Flush()
+	}
 	t.matchPeak.SetMax(int64(m.stats.PeakMatchStore))
+}
+
+// telSampleEvery is the sequential loop's phase-timing stride: it reads
+// the wall clock on one cycle in telSampleEvery and records each phase
+// duration with that weight, so the seconds histograms keep estimating
+// per-cycle phase time and their sums total phase time while the clock
+// reads — the bulk of the probe's cost on short cycles — drop 16-fold.
+const telSampleEvery = 16
+
+// sampled reports whether the sequential loop times this cycle: one per
+// window of telSampleEvery, at an offset that steps through every
+// residue from window to window so a loop whose period divides the
+// window cannot keep presenting the same cycle of its body.
+func (t *machineTel) sampled(cycle int) bool {
+	return t != nil && cycle&(telSampleEvery-1) == (cycle/telSampleEvery*5)&(telSampleEvery-1)
+}
+
+// observeSampled records a sampled cycle's phase duration.
+func observeSampled(s *telemetry.Series, d time.Duration) {
+	s.ObserveN(d.Nanoseconds(), telSampleEvery, telemetry.TimeBuckets)
 }
 
 // observeSeconds records a duration into a seconds histogram.

@@ -137,7 +137,11 @@ func (s *Series) SetMax(n int64) {
 }
 
 // Observe records one histogram observation.
-func (s *Series) Observe(v int64, bounds []int64) {
+func (s *Series) Observe(v int64, bounds []int64) { s.ObserveN(v, 1, bounds) }
+
+// ObserveN records n observations of v: a sampled measurement standing
+// for n like it.
+func (s *Series) ObserveN(v, n int64, bounds []int64) {
 	if s == nil {
 		return
 	}
@@ -145,9 +149,57 @@ func (s *Series) Observe(v int64, bounds []int64) {
 	for i < len(bounds) && v > bounds[i] {
 		i++
 	}
-	s.buckets[i].Add(1)
-	s.count.Add(1)
-	s.sum.Add(v)
+	s.buckets[i].Add(n)
+	s.count.Add(n)
+	s.sum.Add(v * n)
+}
+
+// Local is a single-goroutine front for a Series: Add and Observe update
+// plain memory, and Flush folds what accumulated into the series'
+// atomics. A hot loop that owns a series' writes pays the atomic cost
+// once per flush instead of once per event; readers see the values as of
+// the last Flush, and exactly once the owner has flushed for good.
+type Local struct {
+	s       *Series
+	v, sum  int64
+	buckets []int64
+}
+
+// Local returns a new front for s; the caller is its only user.
+func (s *Series) Local() *Local { return &Local{s: s, buckets: make([]int64, len(s.buckets))} }
+
+// Add increments the counter (or adjusts the gauge) by n.
+func (l *Local) Add(n int64) { l.v += n }
+
+// Observe records one histogram observation.
+func (l *Local) Observe(v int64, bounds []int64) {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	l.buckets[i]++
+	l.sum += v
+}
+
+// Flush folds the accumulated updates into the series.
+func (l *Local) Flush() {
+	if l.v != 0 {
+		l.s.v.Add(l.v)
+		l.v = 0
+	}
+	n := int64(0)
+	for i, c := range l.buckets {
+		if c != 0 {
+			l.s.buckets[i].Add(c)
+			l.buckets[i] = 0
+			n += c
+		}
+	}
+	if n != 0 {
+		l.s.count.Add(n)
+		l.s.sum.Add(l.sum)
+		l.sum = 0
+	}
 }
 
 // Family is a registered metric family: a Spec plus its series, in

@@ -165,3 +165,43 @@ func TestOpenMetricsParses(t *testing.T) {
 		t.Fatal("counter value lost")
 	}
 }
+
+// TestLocalFrontMatchesDirectUpdates: a series written through a Local
+// front (plain-memory accumulation, periodic Flush) and with weighted
+// observations ends up byte-identical to one written event by event.
+func TestLocalFrontMatchesDirectUpdates(t *testing.T) {
+	render := func(viaLocal bool) string {
+		r := NewRegistry()
+		ops := r.Family(Spec{Name: "ctdf_test_ops", Kind: KindCounter, Help: "ops"}).Series()
+		depth := r.Family(Spec{Name: "ctdf_test_depth", Kind: KindHistogram,
+			Buckets: []int64{0, 2, 8}, Help: "queue depth"}).Series()
+		lo, ld := ops.Local(), depth.Local()
+		for i, d := range []int64{0, 1, 2, 3, 9, 9, 9, 200} {
+			if viaLocal {
+				lo.Add(d)
+				ld.Observe(d, []int64{0, 2, 8})
+				if i%3 == 2 {
+					lo.Flush()
+					ld.Flush()
+				}
+			} else {
+				ops.Add(d)
+				depth.Observe(d, []int64{0, 2, 8})
+			}
+		}
+		lo.Flush()
+		ld.Flush()
+		lo.Flush() // flushing twice folds nothing twice
+		if viaLocal {
+			depth.ObserveN(5, 3, []int64{0, 2, 8})
+		} else {
+			for i := 0; i < 3; i++ {
+				depth.Observe(5, []int64{0, 2, 8})
+			}
+		}
+		return string(r.Snapshot().OpenMetrics())
+	}
+	if direct, local := render(false), render(true); direct != local {
+		t.Fatalf("Local front diverged from direct updates:\n--- direct\n%s--- local\n%s", direct, local)
+	}
+}

@@ -33,6 +33,14 @@ echo "== sharded machine -race (W=4) =="
 # this named step keeps the gate visible and independently runnable.
 go test -race -run 'Sharded' -count=1 ./internal/machine ./internal/obs/journal
 
+echo "== concurrent runs of one Dataflow -race =="
+# A run lowers the graph into a private flat program and only reads the
+# graph itself, so goroutines may share a *Dataflow across all engines
+# (sequential, sharded, channels). Also covered by the full -race run
+# above; this named step keeps the gate visible and independently
+# runnable.
+go test -race -run 'ConcurrentRuns' -count=1 .
+
 echo "== chaos smoke matrix =="
 go run ./cmd/ctdf chaos -smoke
 
@@ -75,7 +83,7 @@ go tool pprof -raw /tmp/ctdf-verify.pprof.pb.gz >/dev/null
 rm -f /tmp/ctdf-verify.pprof.pb.gz
 
 echo "== benchmark smoke =="
-go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet' -benchtime=1x . ./internal/vet
+go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet|BenchmarkMachineRun' -benchtime=1x . ./internal/vet ./internal/machine
 
 echo "== /metrics endpoint smoke =="
 # Serve the telemetry registry over real HTTP, run an instrumented
