@@ -187,7 +187,6 @@ func cmdRun(args []string) error {
 	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	seed := fs.Int64("seed", 0, "randomize machine issue order with this seed")
 	races := fs.Bool("races", false, "detect overlapping conflicting memory operations")
-	parissue := fs.Bool("parissue", false, "evaluate pure operators of large issue batches on a worker pool (machine engine)")
 	workers := fs.Int("workers", 1, "shard the machine across N shared-nothing workers (byte-identical execution)")
 	profile := fs.Bool("profile", false, "print the per-cycle parallelism profile")
 	legalize := fs.Bool("legalize", false, "decompose wide synch collectors into two-input trees")
@@ -241,7 +240,7 @@ func cmdRun(args []string) error {
 	}
 	cfg := ctdf.RunConfig{
 		Processors: *procs, MemLatency: *latency, Binding: b,
-		RandomSeed: *seed, DetectRaces: *races, ParallelIssue: *parissue,
+		RandomSeed: *seed, DetectRaces: *races,
 		Workers: *workers, Deadline: *deadline,
 	}
 	if *supervise {

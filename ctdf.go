@@ -174,11 +174,6 @@ type RunConfig struct {
 	// DetectRaces makes the machine verify that no two memory operations
 	// on one location ever overlap unless both are reads.
 	DetectRaces bool
-	// ParallelIssue evaluates the pure operators of large machine issue
-	// batches on a host worker pool; the simulated execution is
-	// observably identical, it just finishes sooner. EngineMachine only;
-	// ignored while fault injection is active.
-	ParallelIssue bool
 	// Workers, when > 1, runs the sharded multi-core machine: nodes are
 	// partitioned across Workers shared-nothing shards and each cycle's
 	// pure firings and token deliveries execute on per-shard host
@@ -570,7 +565,6 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 			Binding:         interp.Binding(cfg.Binding),
 			RandomSeed:      cfg.RandomSeed,
 			DetectRaces:     cfg.DetectRaces,
-			ParallelIssue:   cfg.ParallelIssue,
 			Workers:         cfg.Workers,
 			Trace:           cfg.Trace,
 			Collector:       col,

@@ -27,7 +27,6 @@ import (
 	"ctdf/internal/dfg"
 	"ctdf/internal/fault"
 	"ctdf/internal/interp"
-	"ctdf/internal/lang"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/obs"
 	"ctdf/internal/obs/telemetry"
@@ -533,20 +532,6 @@ func (e *engine) fail(err error) bool {
 	return true
 }
 
-// matchSite reports whether node is a matching operator (>=2 inputs with
-// strict per-port matching) or the end node — the deliveries where token
-// conservation makes drop/dup/corrupt-tag faults provably visible.
-func (e *engine) matchSite(node int) bool {
-	n := e.g.Nodes[node]
-	switch n.Kind {
-	case dfg.Merge, dfg.LoopEntry, dfg.Param:
-		return false
-	case dfg.End:
-		return true
-	}
-	return n.NIns >= 2
-}
-
 // send delivers a token; the in-flight count rises before delivery so the
 // quiescence check cannot fire spuriously, and the delivered count rises
 // with every push so the watchdog sees the run is alive.
@@ -555,7 +540,7 @@ func (e *engine) send(node int, m msg) {
 		deliverTestDelay()
 	}
 	if e.inj != nil {
-		switch e.inj.Deliver(e.matchSite(node)) {
+		switch e.inj.Deliver(e.g.Nodes[node].MatchSite()) {
 		case fault.ActDrop:
 			// The token vanishes: in-flight never counts it, so the run
 			// quiesces with the destination starved.
@@ -606,14 +591,17 @@ func (e *engine) worker(n *dfg.Node) {
 	box := e.boxes[n.ID]
 	match := map[string]*matchState{}
 	defer func() { e.leftover.Add(int64(len(match))) }()
-	anyArrival := n.Kind == dfg.Merge || n.Kind == dfg.LoopEntry || n.Kind == dfg.Param
+	perToken := n.FiresPerToken()
+	// fused backs a Fused operator's step results from one firing to the
+	// next (only this goroutine fires n).
+	var fused []int64
 	for {
 		m, ok := box.pop()
 		if !ok {
 			return
 		}
-		if anyArrival || n.NIns <= 1 {
-			e.fire(n, []int64{m.val}, m.port, m.tg, m.clock)
+		if perToken {
+			e.fire(n, []int64{m.val}, m.port, m.tg, m.clock, &fused)
 			e.retire()
 			continue
 		}
@@ -637,7 +625,7 @@ func (e *engine) worker(n *dfg.Node) {
 		st.n++
 		if st.n == n.NIns {
 			delete(match, m.tg.Key())
-			e.fire(n, st.vals, 0, st.tg, st.clock)
+			e.fire(n, st.vals, 0, st.tg, st.clock, &fused)
 		}
 		e.retire()
 	}
@@ -677,10 +665,19 @@ func (e *engine) emit(node, port int, val int64, tg token.Tag, clock int64) {
 	}
 }
 
+// opFault fails the run with a kernel or store error, reported as this
+// engine's operator fault at the node.
+func (e *engine) opFault(n *dfg.Node, err error) {
+	e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
+}
+
 // fire executes one activation. clock is the max Lamport timestamp over
 // the activation's operand tokens; the firing's own timestamp is
-// clock + 1 and is stamped onto every token it emits.
-func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock int64) {
+// clock + 1 and is stamped onto every token it emits. What a state-free
+// operator computes is the kernel's (interp.Step); the cases here are the
+// operators with engine state behind them. fused is the firing
+// goroutine's scratch for a Fused operator's step results.
+func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock int64, fused *[]int64) {
 	if e.failed.Load() {
 		return
 	}
@@ -715,60 +712,20 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 			return
 		}
 
-	case dfg.Const:
-		e.emit(n.ID, 0, n.Val, tg, fc)
-
-	case dfg.BinOp:
-		v, err := interp.Apply(n.Op, vals[0], vals[1])
-		if err != nil {
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
-			return
-		}
-		if e.inj != nil && fault.PredicateOp(n.Op) {
-			if fv, hit := e.inj.Misfire(v); hit {
-				v = fv
-			}
-		}
-		e.emit(n.ID, 0, v, tg, fc)
-
-	case dfg.UnOp:
-		var v int64
-		switch n.Op {
-		case lang.OpNeg:
-			v = -vals[0]
-		case lang.OpNot:
-			if vals[0] == 0 {
-				v = 1
-			}
-		default:
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "bad unary op %v", n.Op))
-			return
-		}
-		e.emit(n.ID, 0, v, tg, fc)
-
 	case dfg.Fused:
 		// One activation evaluates the whole step program (no Misfire
 		// inside: fused steps are interior value computations, mirroring
 		// the machine engine).
 		fi := e.g.FusionOf(n.ID)
-		res, err := interp.EvalFused(fi.Steps, vals, nil)
+		res, err := interp.EvalFused(fi.Steps, vals, *fused)
 		if err != nil {
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
+			e.opFault(n, err)
 			return
 		}
+		*fused = res
 		for p, s := range fi.Outs {
 			e.emit(n.ID, p, res[s], tg, fc)
 		}
-
-	case dfg.Switch:
-		out := 0
-		if vals[1] == 0 {
-			out = 1
-		}
-		e.emit(n.ID, out, vals[0], tg, fc)
-
-	case dfg.Merge, dfg.Param:
-		e.emit(n.ID, 0, vals[0], tg, fc)
 
 	case dfg.Apply:
 		info := e.procByApply[n.ID]
@@ -810,54 +767,16 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 			e.emit(rec.info.Apply, p, 0, rec.callerTag, fc)
 		}
 
-	case dfg.Synch:
-		e.emit(n.ID, 0, 0, tg, fc)
-
-	case dfg.LoopEntry:
-		var nt token.Tag
-		var err error
-		if port == 0 {
-			nt = tg.Push()
-		} else {
-			nt, err = tg.Bump()
-			if err != nil {
-				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
-				return
-			}
-		}
-		e.emit(n.ID, 0, vals[0], nt, fc)
-
-	case dfg.LoopExit:
-		nt, err := tg.Pop()
+	case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
+		v, err := e.store.Access(n.Kind, e.resolveName(n.Var, tg), vals)
 		if err != nil {
-			e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
-			return
-		}
-		e.emit(n.ID, 0, vals[0], nt, fc)
-
-	case dfg.Load:
-		e.emit(n.ID, 0, e.store.Get(e.resolveName(n.Var, tg)), tg, fc)
-		e.emit(n.ID, 1, 0, tg, fc)
-
-	case dfg.Store:
-		e.store.Set(e.resolveName(n.Var, tg), vals[0])
-		e.emit(n.ID, 0, 0, tg, fc)
-
-	case dfg.LoadIdx:
-		v, err := e.store.GetIdx(e.resolveName(n.Var, tg), vals[0])
-		if err != nil {
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
+			e.opFault(n, err)
 			return
 		}
 		e.emit(n.ID, 0, v, tg, fc)
-		e.emit(n.ID, 1, 0, tg, fc)
-
-	case dfg.StoreIdx:
-		if err := e.store.SetIdx(e.resolveName(n.Var, tg), vals[0], vals[1]); err != nil {
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
-			return
+		if n.OutPorts() == 2 {
+			e.emit(n.ID, 1, 0, tg, fc)
 		}
-		e.emit(n.ID, 0, 0, tg, fc)
 
 	case dfg.ILoad:
 		idx := vals[0]
@@ -878,7 +797,7 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		e.istructMu.Unlock()
 		v, err := e.store.GetIdx(n.Var, idx)
 		if err != nil {
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
+			e.opFault(n, err)
 			return
 		}
 		e.emit(n.ID, 0, v, tg, fc)
@@ -902,7 +821,7 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		full[idx] = true
 		if err := e.store.SetIdx(n.Var, idx, vals[1]); err != nil {
 			e.istructMu.Unlock()
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
+			e.opFault(n, err)
 			return
 		}
 		waiters := e.istructWait[n.Var][idx]
@@ -920,6 +839,31 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		}
 
 	default:
-		e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "cannot fire %s", n))
+		v, out, err := interp.Step(n.Kind, n.Op, n.Val, vals)
+		if err != nil {
+			e.opFault(n, err)
+			return
+		}
+		switch n.Kind {
+		case dfg.BinOp:
+			if e.inj != nil && fault.PredicateOp(n.Op) {
+				if fv, hit := e.inj.Misfire(v); hit {
+					v = fv
+				}
+			}
+		case dfg.LoopEntry:
+			if port == 0 {
+				tg = tg.Push()
+			} else if tg, err = tg.Bump(); err != nil {
+				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
+				return
+			}
+		case dfg.LoopExit:
+			if tg, err = tg.Pop(); err != nil {
+				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
+				return
+			}
+		}
+		e.emit(n.ID, out, v, tg, fc)
 	}
 }

@@ -1,21 +1,27 @@
 package chanexec_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/chanexec"
+	"ctdf/internal/dfg"
+	"ctdf/internal/lang"
+	"ctdf/internal/machcheck"
 	"ctdf/internal/machine"
 	"ctdf/internal/obs"
+	"ctdf/internal/opt"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
 )
 
 // TestCrossEngineFiringCountsAgree asserts dataflow determinacy at the
 // operator level: the cycle-driven machine — under every scheduling
-// regime it offers (unlimited processors, a tight processor bound, a
-// seeded-random issue order, and the parallel issue stage) — and the
+// regime it offers (unlimited processors, a tight processor bound and a
+// seeded-random issue order) — and the
 // goroutine-per-node channel engine must fire every node exactly the
 // same number of times on every workload. Scheduling freedom may reorder
 // firings but never add or remove one, and every engine must converge on
@@ -33,7 +39,6 @@ func TestCrossEngineFiringCountsAgree(t *testing.T) {
 		{"p1", machine.Config{Processors: 1}},
 		{"p3", machine.Config{Processors: 3}},
 		{"p0-rand", machine.Config{RandomSeed: 42}},
-		{"p0-par", machine.Config{ParallelIssue: true}},
 	}
 	for _, w := range workloads.All() {
 		for _, opt := range schemas {
@@ -79,6 +84,67 @@ func TestCrossEngineFiringCountsAgree(t *testing.T) {
 					t.Errorf("%s: final stores differ", tag)
 				}
 			}
+		}
+	}
+}
+
+// TestOperatorFaultTextAgrees: an arithmetic fault is the kernel's error
+// wrapped once per engine as "<node>: <cause>", so the sequential
+// machine, the sharded machine and the channel engine word it
+// identically — unfused, inside a fused tree, and for an operator no
+// evaluator defines.
+func TestOperatorFaultTextAgrees(t *testing.T) {
+	build := func(src string, optimize bool) *dfg.Graph {
+		res, err := translate.Translate(cfg.MustBuild(lang.MustParse(src)),
+			translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if optimize {
+			if _, err := opt.Run(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return res.Graph
+	}
+	badUnary := build("var x, y\nx := -y\n", false)
+	for _, n := range badUnary.Nodes {
+		if n.Kind == dfg.UnOp {
+			n.Op = lang.OpMul
+		}
+	}
+	fused := build("var x, y\nx := (y + 1) / (y * 2)\n", true)
+	if fused.CountKind(dfg.Fused) == 0 {
+		t.Fatal("optimizer fused nothing; the fused case lost its subject")
+	}
+	for _, c := range []struct {
+		name  string
+		g     *dfg.Graph
+		cause string
+	}{
+		{"div0", build("var x, y\nx := 1 / y\n", false), ": division by zero"},
+		{"div0-fused", fused, ": fused step "},
+		{"bad-unary", badUnary, ": bad unary op *"},
+	} {
+		msg := func(engine string, err error) string {
+			var ce *machcheck.Error
+			if !errors.As(err, &ce) || ce.Check != machcheck.OperatorFault {
+				t.Fatalf("%s/%s: want an operator fault, got %v", c.name, engine, err)
+			}
+			return ce.Msg
+		}
+		_, err := machine.Run(c.g, machine.Config{})
+		want := msg("machine", err)
+		if !strings.HasPrefix(want, "d") || !strings.Contains(want, c.cause) {
+			t.Errorf("%s: machine fault %q is not \"<node>%s…\"", c.name, want, c.cause)
+		}
+		_, err = machine.Run(c.g, machine.Config{Workers: 2})
+		if got := msg("sharded", err); got != want {
+			t.Errorf("%s: sharded machine says %q, sequential %q", c.name, got, want)
+		}
+		_, err = chanexec.Run(c.g, chanexec.Config{})
+		if got := msg("channels", err); got != want {
+			t.Errorf("%s: channels says %q, machine %q", c.name, got, want)
 		}
 	}
 }

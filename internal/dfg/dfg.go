@@ -145,6 +145,35 @@ type Node struct {
 	Stmt int
 }
 
+// The firing-rule classes of §2.2 — when an operator is enabled, as
+// opposed to what it then computes (interp.Step). Every engine takes them
+// from here.
+
+// FiresPerToken reports whether every arriving token fires the node on
+// its own: the any-arrival operators (merge, loop entry, param — the
+// arrival port is part of the firing) and every operator with at most
+// one input. The rest rendezvous all NIns operands under one tag.
+func (n *Node) FiresPerToken() bool {
+	return n.Kind == Merge || n.Kind == LoopEntry || n.Kind == Param || n.NIns <= 1
+}
+
+// MatchSite reports whether token conservation is checked where the
+// node's tokens land — a rendezvous of two or more operands, or end — so
+// a dropped, duplicated or tag-corrupted token there is provably visible.
+func (n *Node) MatchSite() bool {
+	return n.Kind == End || (n.NIns >= 2 && !n.FiresPerToken())
+}
+
+// SplitPhase reports whether the node is a memory operation, whose
+// result returns after the memory latency.
+func (n *Node) SplitPhase() bool {
+	switch n.Kind {
+	case Load, Store, LoadIdx, StoreIdx, ILoad, IStore:
+		return true
+	}
+	return false
+}
+
 // Operand references inside a FusedOp step: values ≥ 0 name the result
 // of a prior step; values < 0 name an external input port of the fused
 // node, encoded as -(port+1).

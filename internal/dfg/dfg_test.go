@@ -163,3 +163,40 @@ func TestSortedByKind(t *testing.T) {
 		}
 	}
 }
+
+// TestFiringRuleClasses pins the §2.2 firing-rule classes per kind and
+// arity, independently of the engines that read them.
+func TestFiringRuleClasses(t *testing.T) {
+	for _, c := range []struct {
+		n                          Node
+		perToken, matchSite, split bool
+	}{
+		{Node{Kind: End, NIns: 1}, true, true, false},
+		{Node{Kind: End, NIns: 3}, false, true, false},
+		{Node{Kind: Const, NIns: 1}, true, false, false},
+		{Node{Kind: BinOp, NIns: 2}, false, true, false},
+		{Node{Kind: UnOp, NIns: 1}, true, false, false},
+		{Node{Kind: Switch, NIns: 2}, false, true, false},
+		{Node{Kind: Merge, NIns: 1}, true, false, false},
+		{Node{Kind: Synch, NIns: 1}, true, false, false},
+		{Node{Kind: Synch, NIns: 4}, false, true, false},
+		{Node{Kind: Load, NIns: 1}, true, false, true},
+		{Node{Kind: Store, NIns: 2}, false, true, true},
+		{Node{Kind: LoadIdx, NIns: 2}, false, true, true},
+		{Node{Kind: StoreIdx, NIns: 3}, false, true, true},
+		{Node{Kind: LoopEntry, NIns: 2}, true, false, false},
+		{Node{Kind: LoopExit, NIns: 1}, true, false, false},
+		{Node{Kind: ILoad, NIns: 1}, true, false, true},
+		{Node{Kind: IStore, NIns: 2}, false, true, true},
+		{Node{Kind: Apply, NIns: 2}, false, true, false},
+		{Node{Kind: Param, NIns: 1}, true, false, false},
+		{Node{Kind: ProcReturn, NIns: 2}, false, true, false},
+		{Node{Kind: Fused, NIns: 3}, false, true, false},
+	} {
+		n := c.n
+		if n.FiresPerToken() != c.perToken || n.MatchSite() != c.matchSite || n.SplitPhase() != c.split {
+			t.Errorf("%v/%d: per-token %v match-site %v split-phase %v, want %v %v %v", n.Kind, n.NIns,
+				n.FiresPerToken(), n.MatchSite(), n.SplitPhase(), c.perToken, c.matchSite, c.split)
+		}
+	}
+}

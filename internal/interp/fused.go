@@ -4,17 +4,14 @@ import (
 	"fmt"
 
 	"ctdf/internal/dfg"
-	"ctdf/internal/lang"
 )
 
 // EvalFused evaluates a fused operator's step program over its external
 // input operands, returning one value per step (the caller selects the
-// emitted ones via FusedInfo.Outs). It is shared by both execution
-// engines so fused arithmetic cannot diverge from the unfused operators
-// it replaced: binops go through Apply, unops use the engines' neg/not
-// semantics, consts consume their trigger operand and produce Val.
-// scratch, if large enough, backs the result slice to avoid per-firing
-// allocation.
+// emitted ones via FusedInfo.Outs). Each step is one Step of the operator
+// kernel, so fused arithmetic cannot diverge from the unfused operators
+// it replaced. scratch, if large enough, backs the result slice to avoid
+// per-firing allocation.
 func EvalFused(steps []dfg.FusedOp, in []int64, scratch []int64) ([]int64, error) {
 	var res []int64
 	if cap(scratch) >= len(steps) {
@@ -29,32 +26,22 @@ func EvalFused(steps []dfg.FusedOp, in []int64, scratch []int64) ([]int64, error
 		return in[dfg.FusedInputPort(r)]
 	}
 	for i, s := range steps {
+		var frame [2]int64
 		switch s.Kind {
-		case dfg.Const:
-			rd(s.A) // the trigger operand is consumed but carries no value
-			res[i] = s.Val
-		case dfg.UnOp:
-			switch s.Op {
-			case lang.OpNeg:
-				res[i] = -rd(s.A)
-			case lang.OpNot:
-				if rd(s.A) == 0 {
-					res[i] = 1
-				} else {
-					res[i] = 0
-				}
-			default:
-				return nil, fmt.Errorf("fused step %d: bad unary op %v", i, s.Op)
-			}
 		case dfg.BinOp:
-			v, err := Apply(s.Op, rd(s.A), rd(s.B))
-			if err != nil {
-				return nil, fmt.Errorf("fused step %d: %v", i, err)
-			}
-			res[i] = v
+			frame[1] = rd(s.B)
+			fallthrough
+		case dfg.Const, dfg.UnOp:
+			// A const's operand is its trigger: consumed, carrying no value.
+			frame[0] = rd(s.A)
 		default:
 			return nil, fmt.Errorf("fused step %d: kind %v cannot fuse", i, s.Kind)
 		}
+		v, _, err := Step(s.Kind, s.Op, s.Val, frame[:])
+		if err != nil {
+			return nil, fmt.Errorf("fused step %d: %v", i, err)
+		}
+		res[i] = v
 	}
 	return res, nil
 }

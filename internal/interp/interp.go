@@ -258,16 +258,7 @@ func Eval(e lang.Expr, st *Store) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case lang.OpNeg:
-			return -v, nil
-		case lang.OpNot:
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		}
-		return 0, fmt.Errorf("interp: bad unary op %v", x.Op)
+		return ApplyUnary(x.Op, v)
 	case *lang.BinExpr:
 		l, err := Eval(x.L, st)
 		if err != nil {
@@ -280,50 +271,4 @@ func Eval(e lang.Expr, st *Store) (int64, error) {
 		return Apply(x.Op, l, r)
 	}
 	return 0, fmt.Errorf("interp: unknown expression type %T", e)
-}
-
-// Apply computes a binary operation; it is shared by every execution
-// engine so arithmetic semantics cannot diverge.
-func Apply(op lang.Op, l, r int64) (int64, error) {
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case lang.OpAdd:
-		return l + r, nil
-	case lang.OpSub:
-		return l - r, nil
-	case lang.OpMul:
-		return l * r, nil
-	case lang.OpDiv:
-		if r == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return l / r, nil
-	case lang.OpMod:
-		if r == 0 {
-			return 0, fmt.Errorf("modulus by zero")
-		}
-		return l % r, nil
-	case lang.OpLt:
-		return b2i(l < r), nil
-	case lang.OpLe:
-		return b2i(l <= r), nil
-	case lang.OpGt:
-		return b2i(l > r), nil
-	case lang.OpGe:
-		return b2i(l >= r), nil
-	case lang.OpEq:
-		return b2i(l == r), nil
-	case lang.OpNe:
-		return b2i(l != r), nil
-	case lang.OpAnd:
-		return b2i(l != 0 && r != 0), nil
-	case lang.OpOr:
-		return b2i(l != 0 || r != 0), nil
-	}
-	return 0, fmt.Errorf("bad binary op %v", op)
 }

@@ -23,8 +23,6 @@
 //   - queue.go — the hot-path data structures: the bucketed ready queue,
 //     the tag-intern table, the sharded matching store, the operand
 //     arena and its free lists (see PERFORMANCE.md).
-//   - par.go — the optional parallel issue stage (Config.ParallelIssue)
-//     that evaluates pure operators of a large batch on a worker pool.
 //   - shard.go — the sharded multi-core machine (Config.Workers): the
 //     whole engine partitioned into shared-nothing per-worker shards
 //     with deterministic cross-shard token routing, byte-identical to
@@ -89,12 +87,6 @@ type Config struct {
 	// DetectRaces additionally checks that no two memory operations on the
 	// same location overlap in time unless both are reads.
 	DetectRaces bool
-	// ParallelIssue evaluates the pure operators of large issue batches on
-	// a host worker pool (see par.go). The simulated execution is
-	// observably identical to the sequential one — same issue order, same
-	// statistics, same events; it only spends host CPUs to get there
-	// faster. Ignored while fault injection is active.
-	ParallelIssue bool
 	// Workers, when > 1, runs the sharded multi-core machine (see
 	// shard.go and SCALING.md): nodes are partitioned across Workers
 	// shared-nothing shards, each cycle's pure firings and token
@@ -357,7 +349,6 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	m.dag = m.col.DAGEnabled()
 	m.jour = m.col.JournalEnabled()
 	m.inj = cfgc.Inject
-	m.par = cfgc.ParallelIssue
 	if cfgc.DetectRaces {
 		m.locs = newRaceDetector(g.Prog, cfgc.Binding)
 	}
@@ -372,8 +363,8 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	m.ring = make([][]delayed, ring)
 	// Worker count: >1 selects the sharded engine; fault injection forces
-	// the sequential path (like ParallelIssue, injection decisions must
-	// observe deliveries in sequential order).
+	// the sequential path (injection decisions must observe deliveries in
+	// sequential order).
 	w := cfgc.Workers
 	if w > maxShards {
 		w = maxShards
@@ -426,7 +417,7 @@ type sim struct {
 	sharded bool
 
 	// Hot-path scratch: batchBuf holds a materialised issue batch
-	// (seeded-random, processor-bounded and parallel-issue cycles),
+	// (seeded-random and processor-bounded cycles),
 	// emitBuf the tokens the firing currently retiring emits. Both are
 	// touched only by sequential code (issue/retire), never by shard
 	// workers.
@@ -468,11 +459,6 @@ type sim struct {
 	// bounds token explosions.
 	inj       *fault.Injector
 	delivered int64
-
-	// Parallel issue stage (par.go): par enables it, parOut holds the
-	// per-batch-slot results of the pure-operator compute phase.
-	par    bool
-	parOut []pureOut
 
 	// Checkpointing (checkpoint.go): ckID numbers completed checkpoints,
 	// lastCk is the newest one's handle, resumedAt the cycle this run was
@@ -597,17 +583,14 @@ func (m *sim) run() (*Outcome, error) {
 		if err := m.noteIssue(issue); err != nil {
 			return m.abort(err)
 		}
-		// Optional parallel issue stage: precompute pure operators on a
-		// worker pool, then retire the batch sequentially in issue order.
-		usePar := m.par && m.inj == nil && issue >= parIssueThreshold
 		var err error
-		if m.rng == nil && issue == ready.count && !usePar {
+		if m.rng == nil && issue == ready.count {
 			// The whole queue issues: fire straight from the buckets, in
 			// the order fill would have copied them out. Nothing is
 			// enqueued meanwhile — emissions wait in emitBuf for the
 			// cycle boundary — so the runs stay put while they issue.
 			for node := ready.next(0); node >= 0 && err == nil; node = ready.next(node + 1) {
-				err = m.issueRun(ready.take(node, issue), false, start)
+				err = m.issueRun(ready.take(node, issue), start)
 			}
 		} else {
 			batch := m.materialise(issue)
@@ -615,10 +598,7 @@ func (m *sim) run() (*Outcome, error) {
 				observeSampled(m.tel.selSec, time.Since(telT0))
 				telT0 = time.Now()
 			}
-			if usePar {
-				m.computePure(batch)
-			}
-			err = m.issueRun(batch, usePar, start)
+			err = m.issueRun(batch, start)
 		}
 		if err != nil {
 			return m.abort(err)
@@ -729,15 +709,10 @@ func (m *sim) materialise(issue int) []firing {
 }
 
 // issueRun fires a run of the sequential engine's issue order: a whole
-// bucket in place, or a materialised batch (par marks that computePure
-// filled parOut for it).
-func (m *sim) issueRun(run []firing, par bool, start time.Time) error {
+// bucket in place, or a materialised batch.
+func (m *sim) issueRun(run []firing, start time.Time) error {
 	for i := range run {
-		var pre *pureOut
-		if par {
-			pre = &m.parOut[i]
-		}
-		if err := m.issue(m.sh0, &run[i], pre); err != nil {
+		if err := m.issue(m.sh0, &run[i]); err != nil {
 			return err
 		}
 		if m.cfg.Deadline > 0 {
@@ -749,10 +724,9 @@ func (m *sim) issueRun(run []firing, par bool, start time.Time) error {
 	return nil
 }
 
-// issue observes and fires one activation owned by sh — emitting the
-// precomputed result when the parallel issue stage produced one — then
-// recycles its operand frame.
-func (m *sim) issue(sh *shardState, f *firing, pre *pureOut) error {
+// issue observes and fires one activation owned by sh, then recycles its
+// operand frame.
+func (m *sim) issue(sh *shardState, f *firing) error {
 	if m.col != nil { // else every dep is -1 already
 		// f.dep switches meaning here: latest input firing in, this
 		// firing's own DAG id out, which the tokens it emits inherit as
@@ -761,12 +735,7 @@ func (m *sim) issue(sh *shardState, f *firing, pre *pureOut) error {
 			f.dep, sh.takeDeps(f.vals), m.tags.key(f.tgID))
 		m.curDep = f.dep
 	}
-	if pre != nil && pre.ok {
-		if pre.err != nil {
-			return pre.err
-		}
-		m.emitAll(f.node, pre.port, pre.val, f.tgID)
-	} else if err := m.fire(f, sh.frame(f)); err != nil {
+	if err := m.fire(f, sh.frame(f)); err != nil {
 		return err
 	}
 	sh.putVals(f.vals, f.n)
@@ -1007,21 +976,59 @@ func appendDeps(deps []int32, dep, dep2 int32) []int32 {
 	return deps
 }
 
-// loopEntryStep is the tag arithmetic of a loop-entry firing: a token on
-// port 0 enters the loop (push), one on the back edge advances it (bump).
-func loopEntryStep(port int32) int {
-	if port == 0 {
+// loopTagStep is the tag arithmetic of a loop operator's firing: a token
+// on a loop entry's port 0 enters the loop (push), one on its back edge
+// advances it (bump); a loop exit leaves it (pop).
+func loopTagStep(kind dfg.Kind, port int32) int {
+	switch {
+	case kind == dfg.LoopExit:
+		return tagPop
+	case port == 0:
 		return tagPush
 	}
 	return tagBump
 }
 
+// opFault reports a kernel or store error as this engine's operator
+// fault at the node.
+func (m *sim) opFault(node int32, err error) error {
+	return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[node], err)
+}
+
 // fire executes one operator activation, appending the tokens it emits
 // this cycle to the emission buffer (memory operations park their results
-// in the in-flight queue instead).
+// in the in-flight queue instead). What a state-free operator computes is
+// the kernel's (interp.Step); the machine adds the loop operators' tag
+// arithmetic and the misfire injection point.
 func (m *sim) fire(f *firing, vals []int64) error {
 	o := &m.p.ops[f.node]
-	switch dfg.Kind(o.kind) {
+	kind := dfg.Kind(o.kind)
+	if !interp.StateFree(kind) {
+		return m.fireStateful(f, kind, vals)
+	}
+	v, port, err := interp.Step(kind, lang.Op(o.code), o.val, vals)
+	if err != nil {
+		return m.opFault(f.node, err)
+	}
+	tgID := f.tgID
+	if kind == dfg.LoopEntry || kind == dfg.LoopExit {
+		if tgID, err = m.tags.step(tgID, loopTagStep(kind, f.port)); err != nil {
+			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
+		}
+	} else if m.inj != nil && kind == dfg.BinOp && fault.PredicateOp(lang.Op(o.code)) {
+		if fv, hit := m.inj.Misfire(v); hit {
+			m.col.Fault(int(f.node), m.cycle, string(fault.MisfireValue))
+			v = fv
+		}
+	}
+	m.emitAll(f.node, port, v, tgID)
+	return nil
+}
+
+// fireStateful fires the operators with machine state behind them: end,
+// fused scratch, activation linkage, memory.
+func (m *sim) fireStateful(f *firing, kind dfg.Kind, vals []int64) error {
+	switch kind {
 	case dfg.End:
 		if m.done {
 			return machcheck.Newf(machcheck.TagViolation, "machine",
@@ -1032,48 +1039,15 @@ func (m *sim) fire(f *firing, vals []int64) error {
 		m.done = true
 		return nil
 
-	case dfg.Const:
-		m.emitAll(f.node, 0, o.val, f.tgID)
-		return nil
-
-	case dfg.BinOp:
-		v, err := interp.Apply(lang.Op(o.code), vals[0], vals[1])
-		if err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err)
-		}
-		if m.inj != nil && fault.PredicateOp(lang.Op(o.code)) {
-			if fv, hit := m.inj.Misfire(v); hit {
-				m.col.Fault(int(f.node), m.cycle, string(fault.MisfireValue))
-				v = fv
-			}
-		}
-		m.emitAll(f.node, 0, v, f.tgID)
-		return nil
-
-	case dfg.UnOp:
-		var v int64
-		switch lang.Op(o.code) {
-		case lang.OpNeg:
-			v = -vals[0]
-		case lang.OpNot:
-			if vals[0] == 0 {
-				v = 1
-			}
-		default:
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", lang.Op(o.code))
-		}
-		m.emitAll(f.node, 0, v, f.tgID)
-		return nil
-
 	case dfg.Fused:
 		// The whole step program evaluates in this one firing; fault
 		// injection sees the fused node as a single operator (Misfire
 		// targets predicate binops only, and fused trees are interior
 		// value computations, so no injection point is lost).
-		fi := &m.p.fusions[o.aux]
+		fi := &m.p.fusions[m.p.ops[f.node].aux]
 		res, err := interp.EvalFused(fi.Steps, vals, m.fusedScratch)
 		if err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err)
+			return m.opFault(f.node, err)
 		}
 		m.fusedScratch = res
 		for p, s := range fi.Outs {
@@ -1081,110 +1055,22 @@ func (m *sim) fire(f *firing, vals []int64) error {
 		}
 		return nil
 
-	case dfg.Switch:
-		port := 0
-		if vals[1] == 0 {
-			port = 1
-		}
-		m.emitAll(f.node, port, vals[0], f.tgID)
-		return nil
-
-	case dfg.Merge, dfg.Param:
-		m.emitAll(f.node, 0, vals[0], f.tgID)
-		return nil
-
 	case dfg.Apply:
 		return m.fireApply(f)
 
 	case dfg.ProcReturn:
 		return m.fireProcReturn(f)
-
-	case dfg.Synch:
-		m.emitAll(f.node, 0, 0, f.tgID)
-		return nil
-
-	case dfg.LoopEntry:
-		ntID, err := m.tags.step(f.tgID, loopEntryStep(f.port))
-		if err != nil {
-			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
-		}
-		m.emitAll(f.node, 0, vals[0], ntID)
-		return nil
-
-	case dfg.LoopExit:
-		ntID, err := m.tags.step(f.tgID, tagPop)
-		if err != nil {
-			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
-		}
-		m.emitAll(f.node, 0, vals[0], ntID)
-		return nil
 	}
+	return m.fireMem(f, kind, vals)
+}
 
-	// Memory operators, off the fast path: the node supplies the storage
-	// name and the error text.
+// fireMem executes a memory operator, off the fast path: the node
+// supplies the storage name and the error text.
+func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 	n := m.g.Nodes[f.node]
-	switch n.Kind {
-	case dfg.Load:
-		m.stats.MemOps++
-		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
-		release, err := m.acquire(name, -1, false)
-		if err != nil {
-			return err
-		}
-		v := m.store.Get(name)
-		mark := len(m.emitBuf)
-		m.emitAll(f.node, 0, v, f.tgID)
-		m.emitAll(f.node, 1, 0, f.tgID)
-		m.park(mark, release)
-		return nil
-
-	case dfg.Store:
-		m.stats.MemOps++
-		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
-		release, err := m.acquire(name, -1, true)
-		if err != nil {
-			return err
-		}
-		m.store.Set(name, vals[0])
-		mark := len(m.emitBuf)
-		m.emitAll(f.node, 0, 0, f.tgID)
-		m.park(mark, release)
-		return nil
-
-	case dfg.LoadIdx:
-		m.stats.MemOps++
-		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
-		release, err := m.acquire(name, vals[0], false)
-		if err != nil {
-			return err
-		}
-		v, err := m.store.GetIdx(name, vals[0])
-		if err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
-		}
-		mark := len(m.emitBuf)
-		m.emitAll(f.node, 0, v, f.tgID)
-		m.emitAll(f.node, 1, 0, f.tgID)
-		m.park(mark, release)
-		return nil
-
-	case dfg.StoreIdx:
-		m.stats.MemOps++
-		name := m.resolveName(n.Var, m.tags.tag(f.tgID))
-		release, err := m.acquire(name, vals[0], true)
-		if err != nil {
-			return err
-		}
-		if err := m.store.SetIdx(name, vals[0], vals[1]); err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
-		}
-		mark := len(m.emitBuf)
-		m.emitAll(f.node, 0, 0, f.tgID)
-		m.park(mark, release)
-		return nil
-
+	m.stats.MemOps++
+	switch kind {
 	case dfg.ILoad:
-		m.stats.MemOps++
 		ready, err := m.istruct.read(n.Var, vals[0], istructWaiter{node: int(f.node), tgID: f.tgID, dep: f.dep})
 		if err != nil {
 			return err
@@ -1192,7 +1078,7 @@ func (m *sim) fire(f *firing, vals []int64) error {
 		if ready {
 			v, err := m.store.GetIdx(n.Var, vals[0])
 			if err != nil {
-				return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+				return m.opFault(f.node, err)
 			}
 			mark := len(m.emitBuf)
 			m.emitAll(f.node, 0, v, f.tgID)
@@ -1202,13 +1088,12 @@ func (m *sim) fire(f *firing, vals []int64) error {
 		return nil
 
 	case dfg.IStore:
-		m.stats.MemOps++
 		waiters, err := m.istruct.write(n.Var, vals[0])
 		if err != nil {
 			return err
 		}
 		if err := m.store.SetIdx(n.Var, vals[0], vals[1]); err != nil {
-			return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", n, err)
+			return m.opFault(f.node, err)
 		}
 		mark := len(m.emitBuf)
 		storeDep := m.curDep
@@ -1235,7 +1120,30 @@ func (m *sim) fire(f *firing, vals []int64) error {
 		m.park(mark, nil)
 		return nil
 	}
-	return machcheck.Newf(machcheck.OperatorFault, "machine", "cannot fire %s", n)
+
+	// Updatable memory: the engine resolves the name under the firing's
+	// activation and holds the location for the race checker; what is
+	// read or written is the kernel's (Store.Access).
+	name := m.resolveName(n.Var, m.tags.tag(f.tgID))
+	idx := int64(-1)
+	if kind == dfg.LoadIdx || kind == dfg.StoreIdx {
+		idx = vals[0]
+	}
+	release, err := m.acquire(name, idx, kind == dfg.Store || kind == dfg.StoreIdx)
+	if err != nil {
+		return err
+	}
+	v, err := m.store.Access(kind, name, vals)
+	if err != nil {
+		return m.opFault(f.node, err)
+	}
+	mark := len(m.emitBuf)
+	m.emitAll(f.node, 0, v, f.tgID)
+	if n.OutPorts() == 2 {
+		m.emitAll(f.node, 1, 0, f.tgID)
+	}
+	m.park(mark, release)
+	return nil
 }
 
 // park schedules memory-operation results — the emission buffer's tail

@@ -15,17 +15,15 @@ import "ctdf/internal/dfg"
 // target is the head of an arc: an input port of a node.
 type target struct{ node, port int32 }
 
-// Operator class bits, fixed by kind and arity at lowering.
+// Operator class bits: the node's firing-rule classes (dfg.Node), fixed
+// at lowering.
 const (
-	// opSolo: every arriving token fires the node on its own — the
-	// any-arrival operators (merge, loop entry, param) and every
-	// one-input operator; no rendezvous in the matching store.
+	// opSolo is Node.FiresPerToken: no rendezvous in the matching store.
 	opSolo uint8 = 1 << iota
-	// opMatchSite: tokens rendezvous in the matching store (or at end),
-	// where strict conservation makes a dropped, duplicated or
-	// tag-corrupted token visible — the eligible sites for delivery faults.
+	// opMatchSite is Node.MatchSite: the eligible sites for delivery
+	// faults.
 	opMatchSite
-	// opMem: split-phase memory operation, MemLatency cycles long.
+	// opMem is Node.SplitPhase: MemLatency cycles long.
 	opMem
 )
 
@@ -67,16 +65,13 @@ func lower(g *dfg.Graph) *prog {
 		o := &p.ops[i]
 		*o = op{val: n.Val, outs: ports, nIns: int32(n.NIns), aux: -1, kind: uint8(n.Kind), code: uint8(n.Op)}
 		ports += int32(n.OutPorts())
-		switch {
-		case n.Kind == dfg.Merge || n.Kind == dfg.LoopEntry || n.Kind == dfg.Param || n.NIns == 1:
-			o.flags = opSolo
-		case n.NIns >= 2:
-			o.flags = opMatchSite
+		if n.FiresPerToken() {
+			o.flags |= opSolo
 		}
-		switch n.Kind {
-		case dfg.End:
+		if n.MatchSite() {
 			o.flags |= opMatchSite
-		case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx, dfg.ILoad, dfg.IStore:
+		}
+		if n.SplitPhase() {
 			o.flags |= opMem
 		}
 		if n.NIns > p.maxIns {

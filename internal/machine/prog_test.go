@@ -50,15 +50,14 @@ func checkLowering(t *testing.T, name string, g *dfg.Graph) {
 		if dfg.Kind(o.kind) != n.Kind || int(o.nIns) != n.NIns || lang.Op(o.code) != n.Op || o.val != n.Val {
 			t.Fatalf("%s: %s lowered to %+v", name, n, o)
 		}
-		anyArrival := n.Kind == dfg.Merge || n.Kind == dfg.LoopEntry || n.Kind == dfg.Param
-		wantSolo := anyArrival || n.NIns == 1
-		wantMatch := n.Kind == dfg.End || (!anyArrival && n.NIns >= 2)
+		// The class bits are the node's firing-rule classes (pinned per
+		// kind by dfg's TestFiringRuleClasses), nothing of the table's own.
 		wantCost := 1
-		switch n.Kind {
-		case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx, dfg.ILoad, dfg.IStore:
+		if n.SplitPhase() {
 			wantCost = 7
 		}
-		if o.flags&opSolo != 0 != wantSolo || o.flags&opMatchSite != 0 != wantMatch || p.cost(int32(id), 7) != wantCost {
+		if o.flags&opSolo != 0 != n.FiresPerToken() || o.flags&opMatchSite != 0 != n.MatchSite() ||
+			o.flags&opMem != 0 != n.SplitPhase() || p.cost(int32(id), 7) != wantCost {
 			t.Fatalf("%s: %s lowered to class bits %03b", name, n, o.flags)
 		}
 		if n.NIns > p.maxIns {

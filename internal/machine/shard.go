@@ -30,11 +30,12 @@ import (
 //     sequential engine's batch. Loop-tag arithmetic for the planned
 //     firings is resolved here, so phase 2 only reads the tag table.
 //  2. fire (parallel): every shard evaluates its planned firings. Pure
-//     operators (the par.go set, plus loop tag rewrites whose results
-//     were cached in phase 1) evaluate immediately and route their
-//     output tokens into per-destination-shard outboxes; everything
-//     impure (memory, procedure linkage, end, uncached tag arithmetic)
-//     is deferred. Tokens are stamped with a sequence key ordered by
+//     operators (the kernel's state-free kinds, see interp.Step; loop
+//     operators only when phase 1 cached their tag rewrite) evaluate
+//     immediately and route their output tokens into
+//     per-destination-shard outboxes; everything impure (memory, fused
+//     trees, procedure linkage, end, uncached tag arithmetic) is
+//     deferred. Tokens are stamped with a sequence key ordered by
 //     (gi, emission index) — the exact order the sequential engine
 //     would have appended them to its emission buffer.
 //  3. retire (sequential): the deferred impure firings and the pure
@@ -507,15 +508,12 @@ func (m *sim) selectCycleRandom() int {
 // which re-runs the arithmetic and reports the error at the firing's
 // exact position in issue order.
 func (m *sim) warmLoopTags(node int, pending []firing) {
-	switch dfg.Kind(m.p.ops[node].kind) {
-	case dfg.LoopEntry:
-		for _, f := range pending {
-			_, _ = m.tags.step(f.tgID, loopEntryStep(f.port))
-		}
-	case dfg.LoopExit:
-		for _, f := range pending {
-			_, _ = m.tags.step(f.tgID, tagPop)
-		}
+	kind := dfg.Kind(m.p.ops[node].kind)
+	if kind != dfg.LoopEntry && kind != dfg.LoopExit {
+		return
+	}
+	for _, f := range pending {
+		_, _ = m.tags.step(f.tgID, loopTagStep(kind, f.port))
 	}
 }
 
@@ -597,59 +595,19 @@ func (m *sim) fireShard(sh *shardState) {
 // sequential retire pass.
 func (m *sim) fireOneSharded(sh *shardState, f *firing, gi int) {
 	o := &m.p.ops[f.node]
-	vals := sh.frame(f)
-	var val int64
-	port := 0
-	tg := f.tgID
-	switch dfg.Kind(o.kind) {
-	case dfg.Const:
-		val = o.val
-	case dfg.BinOp:
-		v, err := interp.Apply(lang.Op(o.code), vals[0], vals[1])
-		if err != nil {
-			sh.recordFireEvent(m, f, gi, 0)
-			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[f.node], err))
-			return
-		}
-		val = v
-	case dfg.UnOp:
-		switch lang.Op(o.code) {
-		case lang.OpNeg:
-			val = -vals[0]
-		case lang.OpNot:
-			if vals[0] == 0 {
-				val = 1
-			}
-		default:
-			sh.recordFireEvent(m, f, gi, 0)
-			sh.recordFireErr(gi, machcheck.Newf(machcheck.OperatorFault, "machine", "bad unary op %v", lang.Op(o.code)))
-			return
-		}
-	case dfg.Switch:
-		val = vals[0]
-		if vals[1] == 0 {
-			port = 1
-		}
-	case dfg.Merge, dfg.Param:
-		val = vals[0]
-	case dfg.Synch:
-		// emits 0
-	case dfg.LoopEntry:
-		var ok bool
-		if tg, ok = m.tags.peek(f.tgID, loopEntryStep(f.port)); !ok {
-			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
-			return
-		}
-		val = vals[0]
-	case dfg.LoopExit:
-		var ok bool
-		if tg, ok = m.tags.peek(f.tgID, tagPop); !ok {
-			sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
-			return
-		}
-		val = vals[0]
-	default:
+	kind := dfg.Kind(o.kind)
+	tg, pure := f.tgID, interp.StateFree(kind)
+	if kind == dfg.LoopEntry || kind == dfg.LoopExit {
+		tg, pure = m.tags.peek(f.tgID, loopTagStep(kind, f.port))
+	}
+	if !pure {
 		sh.impure = append(sh.impure, impureFiring{gi: gi, f: *f})
+		return
+	}
+	val, port, err := interp.Step(kind, lang.Op(o.code), o.val, sh.frame(f))
+	if err != nil {
+		sh.recordFireEvent(m, f, gi, 0)
+		sh.recordFireErr(gi, m.opFault(f.node, err))
 		return
 	}
 	var dep int32 = -1
@@ -749,7 +707,7 @@ func (m *sim) retireCycle(start time.Time) error {
 			imf := &sh.impure[imCur[best]]
 			imCur[best]++
 			mark := len(m.emitBuf)
-			if err := m.issue(sh, &imf.f, nil); err != nil {
+			if err := m.issue(sh, &imf.f); err != nil {
 				return err
 			}
 			seqBase := int64(imf.gi+1) * m.fanStride

@@ -19,6 +19,19 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== operator semantics written once =="
+# What an operator computes is defined in internal/interp/kernel.go and
+# nowhere else (see DESIGN.md, "Operator semantics"): an engine that
+# names a unary op or calls the binary evaluator directly has started a
+# second copy.
+copies=$(grep -rn 'lang\.OpNeg\|lang\.OpNot\|interp\.Apply(' --include='*.go' \
+    internal/machine internal/chanexec | grep -v '_test\.go:' || true)
+if [ -n "$copies" ]; then
+    echo "operator semantics restated outside the kernel:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
