@@ -305,13 +305,69 @@ func BenchmarkE15Linked(b *testing.B) {
 
 // --- Pipeline stage costs ---
 
+// BenchmarkCompile times source text → (optimized) dataflow graph, what
+// benchmark/ reports as compile_s, on the program shapes of its two
+// compile workloads (same generators, sizes and options), so a profile
+// of the front end, the translator and the optimizer can be taken
+// without vet and the machine around them.
 func BenchmarkCompile(b *testing.B) {
-	w := workloads.MustByName("matmul-2x2-flat")
-	for i := 0; i < b.N; i++ {
-		if _, err := Compile(w.Source); err != nil {
-			b.Fatal(err)
-		}
+	structured := Options{Schema: Schema2Opt, Optimize: 1}
+	aliased := Options{Schema: Schema3Opt, Cover: CoverClass}
+	for _, c := range []struct {
+		name string
+		w    workloads.Workload
+		o    Options
+	}{
+		{"structured-40", workloads.Random(1990, 40, 3), structured},
+		{"structured-56", workloads.Random(1991, 56, 3), structured},
+		{"unstructured-48a", workloads.RandomUnstructured(1990, 48), Options{Schema: Schema2Opt}},
+		{"unstructured-48b", workloads.RandomUnstructured(1991, 48), Options{Schema: Schema2Opt}},
+		{"aliased-32a", workloads.RandomAliased(1990, 32, 3), aliased},
+		{"aliased-32b", workloads.RandomAliased(1991, 32, 3), aliased},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var d *Dataflow
+			for i := 0; i < b.N; i++ {
+				p, err := Compile(c.w.Source)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if d, err = p.Translate(c.o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(d.Stats().Nodes), "dfnodes")
+		})
 	}
+}
+
+// compileAllocBudget bounds the allocations of one compile of the budget
+// program, source text to optimized graph. It took 444 k when every
+// optimizer sweep copied the graph's adjacency and rebuilt the graph, the
+// analyses kept their sets in maps of maps and loop control recomputed
+// dominators per loop, and takes about 81 k now; 0.7× the old count
+// (311 k) is what the rewrite had to meet. The gate sits well under that:
+// one more adjacency copy or rebuilt graph per run is 25 k to 50 k
+// allocations on this program and trips it. Allocation counts repeat
+// exactly, so this gate is deterministic where wall time is not.
+const compileAllocBudget = 120_000
+
+func TestCompileAllocBudget(t *testing.T) {
+	src := workloads.Random(1990, 40, 3).Source
+	got := testing.AllocsPerRun(3, func() {
+		p, err := Compile(src)
+		if err == nil {
+			_, err = p.Translate(Options{Schema: Schema2Opt, Optimize: 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > compileAllocBudget {
+		t.Errorf("compile allocates %.0f times per run, budget %d", got, compileAllocBudget)
+	}
+	t.Logf("compile: %.0f allocs per run (budget %d)", got, compileAllocBudget)
 }
 
 func BenchmarkTranslateSchemas(b *testing.B) {

@@ -73,7 +73,7 @@ func cmdExplain(args []string) error {
 
 	pdom := cfg.PostDominators(tg)
 	fmt.Println("\n== immediate postdominators (footnote 6) ==")
-	for _, id := range tg.SortedIDs() {
+	for id := range tg.Nodes {
 		if ip := pdom.Idom[id]; ip >= 0 {
 			fmt.Printf("ipdom(n%d) = n%d\n", id, ip)
 		}
@@ -81,7 +81,7 @@ func cmdExplain(args []string) error {
 
 	cd := analysis.ComputeControlDeps(tg)
 	fmt.Println("\n== control dependences (Definition 4) ==")
-	for _, id := range tg.SortedIDs() {
+	for id := range tg.Nodes {
 		if deps := cd.CD(id); len(deps) > 0 {
 			var parts []string
 			for _, f := range deps {
@@ -106,14 +106,9 @@ func cmdExplain(args []string) error {
 	}
 
 	fmt.Println("\n== source vectors (Figure 11), non-trivial entries ==")
-	for _, id := range res.CFG.SortedIDs() {
-		toks := make([]string, 0, len(res.SV.SV[id]))
-		for tok := range res.SV.SV[id] {
-			toks = append(toks, tok)
-		}
-		sort.Strings(toks)
-		for _, tok := range toks {
-			srcs := res.SV.SV[id][tok]
+	for id := range res.CFG.Nodes {
+		for _, tok := range res.SV.Universe {
+			srcs := res.SV.Sources(id, tok)
 			if len(srcs) == 0 {
 				continue
 			}

@@ -50,8 +50,8 @@ func TestControlDependenceMatchesDefinition(t *testing.T) {
 		g := buildCFG(t, w.Source)
 		cd := ComputeControlDeps(g)
 		pdom := cd.PostDom()
-		for _, n := range g.SortedIDs() {
-			for _, f := range g.SortedIDs() {
+		for n := range g.Nodes {
+			for f := range g.Nodes {
 				want := bruteCD(g, pdom, n, f)
 				got := cd.On[n][f]
 				if got != want {
@@ -68,7 +68,7 @@ func TestControlDependenceTargetsAreForks(t *testing.T) {
 	for _, w := range testPrograms() {
 		g := buildCFG(t, w.Source)
 		cd := ComputeControlDeps(g)
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			for f := range cd.On[n] {
 				k := g.Nodes[f].Kind
 				if k != cfg.KindFork && k != cfg.KindStart {
@@ -87,9 +87,9 @@ func TestTheorem1(t *testing.T) {
 		g := buildCFG(t, w.Source)
 		cd := ComputeControlDeps(g)
 		pdom := cd.PostDom()
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			cdp := cd.IteratedCD([]int{n})
-			for _, f := range g.SortedIDs() {
+			for f := range g.Nodes {
 				want := BetweenWith(g, pdom, f, n)
 				if cdp[f] != want {
 					t.Errorf("%s: Theorem 1 violated: F=n%d N=n%d: CD+ says %v, between says %v",
@@ -109,9 +109,9 @@ func TestSwitchPlacementMatchesTheorem1(t *testing.T) {
 		pdom := cd.PostDom()
 		placement := PlaceSwitches(g, cd, VarNeed(g))
 		for _, x := range g.Prog.AllNames() {
-			for _, f := range g.SortedIDs() {
+			for f := range g.Nodes {
 				want := false
-				for _, n := range g.SortedIDs() {
+				for n := range g.Nodes {
 					if g.Refs(n)[x] && BetweenWith(g, pdom, f, n) {
 						want = true
 						break
@@ -178,7 +178,7 @@ func TestIteratedCDClosure(t *testing.T) {
 	for _, w := range testPrograms() {
 		g := buildCFG(t, w.Source)
 		cd := ComputeControlDeps(g)
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			cdp := cd.IteratedCD([]int{n})
 			for f := range cdp {
 				for f2 := range cd.On[f] {

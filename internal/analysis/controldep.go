@@ -14,8 +14,10 @@
 //   - switchplace.go — switch placement (Figure 10): a token for x needs a
 //     switch at fork F iff some statement referencing x is in CD+ of F.
 //   - sourcevec.go — source vectors (Figure 11) for the §4.2 direct
-//     construction; sourcevec_literal.go is a line-by-line transliteration
-//     of the figure kept as a cross-check.
+//     construction; sourcevec_literal_test.go holds a line-by-line
+//     transliteration of the figure, kept as a cross-check.
+//   - tokens.go — the dense form the three run on: interned token ids and
+//     bit rows indexed by (CFG node, token).
 //   - alias.go — alias structures, covers, and access sets C[x]
 //     (Definitions 6–7) with cover legality checking.
 //   - procalias.go — deriving alias structures from FORTRAN-style call
@@ -56,7 +58,7 @@ func ComputeControlDeps(g *cfg.Graph) *ControlDeps {
 		cd.On[i] = map[int]bool{}
 		cd.Of[i] = map[int]bool{}
 	}
-	for _, a := range g.SortedIDs() {
+	for a := range g.Nodes {
 		for _, b := range g.Nodes[a].Succs {
 			if pdom.StrictlyDominates(b, a) {
 				continue

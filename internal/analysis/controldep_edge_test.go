@@ -17,7 +17,7 @@ func TestControlDepsTrivialGraph(t *testing.T) {
 		t.Fatalf("empty program CFG has %d nodes, want 2 (start, end)", g.Len())
 	}
 	cd := ComputeControlDeps(g)
-	for _, n := range g.SortedIDs() {
+	for n := range g.Nodes {
 		if deps := cd.CD(n); len(deps) != 0 {
 			t.Errorf("CD(n%d) = %v, want empty on the trivial graph", n, deps)
 		}
@@ -29,8 +29,8 @@ func TestControlDepsTrivialGraph(t *testing.T) {
 		t.Errorf("trivial graph placed switches: %v", p.Needs)
 	}
 	pdom := cd.PostDom()
-	for _, f := range g.SortedIDs() {
-		for _, n := range g.SortedIDs() {
+	for f := range g.Nodes {
+		for n := range g.Nodes {
 			if BetweenWith(g, pdom, f, n) {
 				t.Errorf("Between(n%d, n%d) on the trivial graph", f, n)
 			}
@@ -48,7 +48,7 @@ func TestIteratedCDStaleSeeds(t *testing.T) {
 	if got := cd.IteratedCD([]int{-1, g.Len(), g.Len() + 40}); len(got) != 0 {
 		t.Errorf("CD+ of out-of-range seeds = %v, want empty", got)
 	}
-	for _, n := range g.SortedIDs() {
+	for n := range g.Nodes {
 		clean := cd.IteratedCD([]int{n})
 		mixed := cd.IteratedCD([]int{-7, n, g.Len() + 3})
 		if len(clean) != len(mixed) {
@@ -123,9 +123,9 @@ y := s
 		}
 		cd := ComputeControlDeps(g)
 		pdom := cd.PostDom()
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			cdp := cd.IteratedCD([]int{n})
-			for _, f := range g.SortedIDs() {
+			for f := range g.Nodes {
 				if want := BetweenWith(g, pdom, f, n); cdp[f] != want {
 					t.Errorf("%s (copies=%d): Theorem 1 violated at F=n%d N=n%d: CD+ says %v, between says %v",
 						w.Name, copies, f, n, cdp[f], want)

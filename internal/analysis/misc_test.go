@@ -26,7 +26,7 @@ func TestControlDepAccessors(t *testing.T) {
 	g := buildCFG(t, "var a, b\nif a < 1 {\n  b := 2\n}\nb := 3\n")
 	cd := ComputeControlDeps(g)
 	found := false
-	for _, n := range g.SortedIDs() {
+	for n := range g.Nodes {
 		if deps := cd.CD(n); len(deps) > 0 {
 			found = true
 			// Sorted ascending.
@@ -68,7 +68,7 @@ func TestSourceAndVectorsAccessors(t *testing.T) {
 	}
 	// The second statement's x source is the first statement.
 	var second int = -1
-	for _, id := range g.SortedIDs() {
+	for id := range g.Nodes {
 		if n := g.Nodes[id]; n.Kind == cfg.KindAssign && n.RHS.String() != "1" {
 			second = id
 		}

@@ -149,7 +149,7 @@ func TestQuickIteratedCDSubsetOfForks(t *testing.T) {
 			return true
 		}
 		cd := ComputeControlDeps(g)
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			for fk := range cd.IteratedCD([]int{n}) {
 				if len(g.Nodes[fk].Succs) != 2 {
 					return false

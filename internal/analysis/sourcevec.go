@@ -1,8 +1,8 @@
 package analysis
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ctdf/internal/cfg"
@@ -32,33 +32,24 @@ func (s Source) String() string {
 	return fmt.Sprintf("⟨n%d,%s⟩", s.Node, d)
 }
 
-func sortSources(srcs []Source) {
-	if len(srcs) < 2 {
-		return
+// compareSources orders sources by node, then taps before post-read
+// taps, then the true out-direction before the false one.
+func compareSources(a, b Source) int {
+	switch {
+	case a.Node != b.Node:
+		return a.Node - b.Node
+	case a.Read != b.Read:
+		if b.Read {
+			return -1
+		}
+		return 1
+	case a.Dir != b.Dir:
+		if a.Dir {
+			return -1
+		}
+		return 1
 	}
-	sort.Slice(srcs, func(i, j int) bool {
-		if srcs[i].Node != srcs[j].Node {
-			return srcs[i].Node < srcs[j].Node
-		}
-		if srcs[i].Read != srcs[j].Read {
-			return srcs[j].Read
-		}
-		return srcs[i].Dir && !srcs[j].Dir
-	})
-}
-
-// idHeap is a min-heap of CFG node ids.
-type idHeap []int
-
-func (h idHeap) Len() int           { return len(h) }
-func (h idHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h idHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *idHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *idHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	return 0
 }
 
 // SourceVectors is the result of the Figure 11 computation: for every node
@@ -70,21 +61,83 @@ func (h *idHeap) Pop() any {
 // loop-entry ports — exactly the places where dataflow merges may be
 // created.
 type SourceVectors struct {
-	// SV[n][tok] is the source set of token tok at node n. For loop
-	// entries this is the initial (entry-side) port.
-	SV []map[string][]Source
-	// Back[n][tok] holds, for loop-entry nodes, the back-edge (iteration)
-	// port sources.
-	Back []map[string][]Source
 	// LoopNeed[n], for loop-entry and loop-exit nodes, is the token set
 	// that must circulate through the loop (everything else bypasses it).
 	LoopNeed map[int]map[string]bool
 	// Universe is the full token name universe, sorted.
 	Universe []string
+	// Order is the topological order (cfg.Graph.TopoOrder) the vectors
+	// were propagated in; the graph builder emits nodes in the same order.
+	Order []int
+
+	toks *tokenIDs // Universe first, so a token's id is its Universe index
+	// cells holds one source list per (row, token): a row per CFG node —
+	// for loop entries the initial (entry-side) port — then one per loop
+	// entry for its back-edge (iteration) port, found through backRow. A
+	// list is almost always one source and is kept in the cell itself;
+	// Node is noSource for an empty list and manySources for one kept,
+	// sorted, in many under the cell's index.
+	cells   []Source
+	many    map[int][]Source
+	backRow map[int]int
 }
 
-// Sources returns the sorted source list of token tok at node n.
-func (s *SourceVectors) Sources(n int, tok string) []Source { return s.SV[n][tok] }
+const (
+	noSource    = -1
+	manySources = -2
+)
+
+// Sources returns the sorted source list of token tok at node n; for a
+// loop entry, those of the initial port.
+func (s *SourceVectors) Sources(n int, tok string) []Source { return s.at(n, tok) }
+
+// BackSources returns the sorted sources of token tok at the back-edge
+// port of loop entry n.
+func (s *SourceVectors) BackSources(n int, tok string) []Source {
+	if row, ok := s.backRow[n]; ok {
+		return s.at(row, tok)
+	}
+	return nil
+}
+
+func (s *SourceVectors) at(row int, tok string) []Source {
+	t, ok := s.toks.id[tok]
+	if !ok || int(t) >= len(s.Universe) {
+		return nil
+	}
+	return s.list(row*len(s.Universe) + int(t))
+}
+
+func (s *SourceVectors) list(cell int) []Source {
+	switch s.cells[cell].Node {
+	case noSource:
+		return nil
+	case manySources:
+		return s.many[cell]
+	}
+	return s.cells[cell : cell+1 : cell+1]
+}
+
+// add puts src on the list of cell.
+func (s *SourceVectors) add(cell int, src Source) {
+	c := &s.cells[cell]
+	switch {
+	case c.Node == noSource:
+		*c = src
+	case c.Node != manySources:
+		if *c == src {
+			return
+		}
+		s.many[cell] = []Source{*c}
+		c.Node = manySources
+		fallthrough
+	default:
+		list := s.many[cell]
+		if i, found := slices.BinarySearchFunc(list, src, compareSources); !found {
+			s.many[cell] = slices.Insert(list, i, src)
+		}
+	}
+}
 
 // ComputeSourceVectors runs the worklist algorithm of Figure 11,
 // generalized to abstract tokens and to the loop control statements of §3:
@@ -109,261 +162,215 @@ func (s *SourceVectors) Sources(n int, tok string) []Source { return s.SV[n][tok
 // influence propagation (a loop entry regenerates its tokens).
 func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, need NeedFunc, placement *Placement) (*SourceVectors, error) {
 	n := g.Len()
-	sv := make([]map[string]map[Source]bool, n)
-	svBack := make([]map[string]map[Source]bool, n)
-	for i := 0; i < n; i++ {
-		sv[i] = map[string]map[Source]bool{}
-		svBack[i] = map[string]map[Source]bool{}
+	out := &SourceVectors{
+		Universe: append([]string(nil), universe...),
+		many:     map[int][]Source{},
+		backRow:  map[int]int{},
 	}
-	loopNeed := LoopNeeds(g, loops, need, placement)
+	sort.Strings(out.Universe)
+	out.toks = newTokenIDs(out.Universe)
+	v := len(out.Universe)
+	// regen[id] is what node id consumes and regenerates: the tokens an
+	// assignment, call or fork needs, the tokens a loop's control
+	// statements circulate.
+	regen, switched := tokenRows(g, out.toks, need, placement)
+	var loopRows bitRows
+	out.LoopNeed, loopRows = loopNeeds(loops, out.toks, regen, switched)
 	pdom := cfg.PostDominators(g)
 
 	// Bypass target per loop entry: the first node on the entry's
 	// postdominator chain that is outside the loop body and not one of its
 	// exit statements.
 	bypass := map[int]int{}
-	for _, l := range loops {
-		exitSet := map[int]bool{}
-		for _, x := range l.Exits {
-			exitSet[x] = true
-		}
+	for i, l := range loops {
 		t := pdom.Idom[l.Entry]
-		for t != -1 && (l.Body[t] || exitSet[t]) {
+		for t != -1 && (l.Body[t] || isExit(l, t)) {
 			t = pdom.Idom[t]
 		}
 		if t == -1 {
 			return nil, fmt.Errorf("analysis: loop at n%d has no postdominator outside its body", l.Entry)
 		}
 		bypass[l.Entry] = t
+		copy(regen.row(l.Entry), loopRows.row(i))
+		for _, x := range l.Exits {
+			copy(regen.row(x), loopRows.row(i))
+		}
+	}
+	for id, nd := range g.Nodes {
+		if nd.Kind == cfg.KindLoopEntry {
+			out.backRow[id] = n + len(out.backRow)
+		}
+	}
+	out.cells = make([]Source, (n+len(out.backRow))*v)
+	for i := range out.cells {
+		out.cells[i].Node = noSource
 	}
 
-	// contribute records srcs as sources of tok at node to; writes from a
-	// back predecessor of a loop entry land on the entry's back port.
-	contribute := func(to int, tok string, srcs []Source, fromNode int) {
-		tgt := sv
-		toNode := g.Nodes[to]
-		if toNode.Kind == cfg.KindLoopEntry && fromNode >= 0 && toNode.BackPreds[fromNode] {
-			tgt = svBack
+	var ok bool
+	if out.Order, ok = g.TopoOrder(); !ok {
+		return nil, fmt.Errorf("analysis: no topological order (cycle not broken by loop entries)")
+	}
+	// port returns the first cell of the row that tokens sent from node
+	// from arrive on at node to: the back port of a loop entry when from
+	// is one of its back predecessors. Tokens sent around intervening
+	// nodes (from < 0) always arrive on the initial port.
+	port := func(to, from int) int {
+		if from >= 0 && g.Nodes[to].BackPreds[from] {
+			return out.backRow[to] * v
 		}
-		m := tgt[to][tok]
-		if m == nil {
-			m = map[Source]bool{}
-			tgt[to][tok] = m
-		}
-		for _, s := range srcs {
-			m[s] = true
+		return to * v
+	}
+	forward := func(from, to int) {
+		for _, src := range out.list(from) {
+			out.add(to, src)
 		}
 	}
-	// passThrough forwards the (at most one) source of tok at node id to
-	// target to.
-	current := func(id int, tok string) []Source {
-		m := sv[id][tok]
-		out := make([]Source, 0, len(m))
-		for s := range m {
-			out = append(out, s)
-		}
-		sortSources(out)
-		return out
-	}
-
-	// Topological processing ignoring back edges, lowest ready id first: a
-	// node enters the ready heap once every non-back predecessor has been
-	// processed, which can only become true when one of them is.
-	processed := make([]bool, n)
-	ready := func(id int) bool {
-		nd := g.Nodes[id]
-		for _, p := range nd.Preds {
-			if !processed[p] && !(nd.Kind == cfg.KindLoopEntry && nd.BackPreds[p]) {
-				return false
-			}
-		}
-		return true
-	}
-	var frontier idHeap
-	queued := make([]bool, n)
-	for id := 0; id < n; id++ {
-		if ready(id) {
-			queued[id] = true
-			frontier = append(frontier, id) // ascending, so already a heap
-		}
-	}
-	for count := 0; count < n; count++ {
-		if len(frontier) == 0 {
-			return nil, fmt.Errorf("analysis: no topological order (cycle not broken by loop entries)")
-		}
-		pick := heap.Pop(&frontier).(int)
-		processed[pick] = true
+	for _, pick := range out.Order {
 		nd := g.Nodes[pick]
-		self := []Source{{Node: pick, Dir: true}}
+		self := Source{Node: pick, Dir: true}
+		here := pick * v
+		takes := regen.row(pick)
 
 		switch nd.Kind {
 		case cfg.KindStart:
 			// Figure 11: every token flows from start to its (program
 			// entry) successor; the conventional start→end edge carries
 			// nothing.
-			for _, tok := range universe {
-				contribute(nd.Succs[0], tok, self, pick)
+			next := port(nd.Succs[0], pick)
+			for t := 0; t < v; t++ {
+				out.add(next+t, self)
 			}
 
 		case cfg.KindEnd:
 			// Terminal; the translation collects every token here.
 
-		case cfg.KindAssign, cfg.KindCall:
+		case cfg.KindAssign, cfg.KindCall, cfg.KindLoopExit:
 			// A call statement is a memory operation on everything its
 			// callee may touch: it consumes and regenerates the mapped
-			// token set (separate-compilation mode).
-			needSet := map[string]bool{}
-			for _, tok := range need(pick) {
-				needSet[tok] = true
-			}
-			for _, tok := range universe {
-				if needSet[tok] {
-					contribute(nd.Succs[0], tok, self, pick)
-				} else if srcs := current(pick, tok); len(srcs) > 0 {
-					contribute(nd.Succs[0], tok, srcs, pick)
+			// token set (separate-compilation mode). A token that bypassed
+			// a loop never reaches its exits; passing it through there is
+			// defensive.
+			next := port(nd.Succs[0], pick)
+			for t := 0; t < v; t++ {
+				if has(takes, t) {
+					out.add(next+t, self)
+				} else {
+					forward(here+t, next+t)
 				}
 			}
 
 		case cfg.KindFork:
-			readSet := map[string]bool{}
-			for _, tok := range need(pick) {
-				readSet[tok] = true
-			}
-			for _, tok := range universe {
+			sw := switched.row(pick)
+			onT, onF, past := port(nd.Succs[0], pick), port(nd.Succs[1], pick), port(pdom.Idom[pick], -1)
+			for t := 0; t < v; t++ {
 				switch {
-				case placement.NeedsSwitch(pick, tok):
-					contribute(nd.Succs[0], tok, []Source{{Node: pick, Dir: true}}, pick)
-					contribute(nd.Succs[1], tok, []Source{{Node: pick, Dir: false}}, pick)
-				case readSet[tok]:
+				case has(sw, t):
+					out.add(onT+t, Source{Node: pick, Dir: true})
+					out.add(onF+t, Source{Node: pick, Dir: false})
+				case has(takes, t):
 					// The fork's read block consumed and regenerated the
 					// token; it continues past the (unneeded) switch point
 					// to the fork's immediate postdominator.
-					contribute(pdom.Idom[pick], tok, []Source{{Node: pick, Dir: true, Read: true}}, -1)
+					out.add(past+t, Source{Node: pick, Dir: true, Read: true})
 				default:
-					if srcs := current(pick, tok); len(srcs) > 0 {
-						contribute(pdom.Idom[pick], tok, srcs, -1)
-					}
+					forward(here+t, past+t)
 				}
 			}
 
 		case cfg.KindJoin:
-			for _, tok := range universe {
-				srcs := current(pick, tok)
-				switch {
-				case len(srcs) == 0:
-				case len(srcs) == 1:
-					// Single source: no merge operator; forward the source.
-					contribute(nd.Succs[0], tok, srcs, pick)
-				default:
+			next := port(nd.Succs[0], pick)
+			for t := 0; t < v; t++ {
+				if out.cells[here+t].Node == manySources {
 					// A dataflow merge is created here; it becomes the source.
-					contribute(nd.Succs[0], tok, self, pick)
+					out.add(next+t, self)
+				} else {
+					// Single source: no merge operator; forward the source.
+					forward(here+t, next+t)
 				}
 			}
 
 		case cfg.KindLoopEntry:
-			for _, tok := range universe {
-				if loopNeed[pick][tok] {
-					contribute(nd.Succs[0], tok, self, pick)
-				} else if srcs := current(pick, tok); len(srcs) > 0 {
-					contribute(bypass[pick], tok, srcs, -1)
-				}
-			}
-
-		case cfg.KindLoopExit:
-			for _, tok := range universe {
-				if loopNeed[pick][tok] {
-					contribute(nd.Succs[0], tok, self, pick)
-				} else if srcs := current(pick, tok); len(srcs) > 0 {
-					// A token that bypassed the loop never reaches its
-					// exits; this is defensive pass-through.
-					contribute(nd.Succs[0], tok, srcs, pick)
+			next, around := port(nd.Succs[0], pick), port(bypass[pick], -1)
+			for t := 0; t < v; t++ {
+				if has(takes, t) {
+					out.add(next+t, self)
+				} else {
+					forward(here+t, around+t)
 				}
 			}
 		}
-		for _, s := range nd.Succs {
-			if !queued[s] && ready(s) {
-				queued[s] = true
-				heap.Push(&frontier, s)
-			}
-		}
 	}
-
-	out := &SourceVectors{
-		SV:       make([]map[string][]Source, n),
-		Back:     make([]map[string][]Source, n),
-		LoopNeed: loopNeed,
-		Universe: append([]string(nil), universe...),
-	}
-	sort.Strings(out.Universe)
-	flatten := func(in []map[string]map[Source]bool, dst []map[string][]Source) {
-		for i, m := range in {
-			dst[i] = map[string][]Source{}
-			for tok, set := range m {
-				srcs := make([]Source, 0, len(set))
-				for s := range set {
-					srcs = append(srcs, s)
-				}
-				sortSources(srcs)
-				dst[i][tok] = srcs
-			}
-		}
-	}
-	flatten(sv, out.SV)
-	flatten(svBack, out.Back)
-	if err := out.validate(g, need, placement); err != nil {
+	if err := out.validate(g, regen, switched); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// validate checks the structural invariants the graph builder relies on.
-func (s *SourceVectors) validate(g *cfg.Graph, need NeedFunc, placement *Placement) error {
-	for _, id := range g.SortedIDs() {
-		nd := g.Nodes[id]
+func isExit(l cfg.Loop, id int) bool {
+	for _, x := range l.Exits {
+		if x == id {
+			return true
+		}
+	}
+	return false
+}
+
+// validate checks the structural invariants the graph builder relies on;
+// needs holds the need rows of assignments, calls and forks.
+func (s *SourceVectors) validate(g *cfg.Graph, needs, switched bitRows) error {
+	v := len(s.Universe)
+	// single checks that every token of row has exactly one source at nd.
+	// A token outside the universe has none: nothing carries it.
+	single := func(nd *cfg.Node, row []uint64, does string) error {
+		for t, tok := range s.toks.names {
+			if !has(row, t) {
+				continue
+			}
+			if c := len(s.Sources(nd.ID, tok)); c != 1 {
+				return fmt.Errorf("analysis: %s %s token %s but has %d sources", nd, does, tok, c)
+			}
+		}
+		return nil
+	}
+	for id, nd := range g.Nodes {
 		// Multiple sources may appear only where merges are legal.
 		if nd.Kind != cfg.KindJoin && nd.Kind != cfg.KindEnd && nd.Kind != cfg.KindLoopEntry {
-			for tok, srcs := range s.SV[id] {
-				if len(srcs) > 1 {
-					return fmt.Errorf("analysis: %s has %d sources for %s at non-merge node", nd, len(srcs), tok)
+			for t, tok := range s.Universe {
+				if s.cells[id*v+t].Node == manySources {
+					return fmt.Errorf("analysis: %s has %d sources for %s at non-merge node", nd, len(s.many[id*v+t]), tok)
 				}
 			}
 		}
 		switch nd.Kind {
 		case cfg.KindAssign, cfg.KindCall:
-			for _, tok := range need(id) {
-				if len(s.SV[id][tok]) != 1 {
-					return fmt.Errorf("analysis: %s needs token %s but has %d sources", nd, tok, len(s.SV[id][tok]))
-				}
+			if err := single(nd, needs.row(id), "needs"); err != nil {
+				return err
 			}
 		case cfg.KindFork:
-			for _, tok := range need(id) {
-				if len(s.SV[id][tok]) != 1 {
-					return fmt.Errorf("analysis: %s reads token %s but has %d sources", nd, tok, len(s.SV[id][tok]))
-				}
+			if err := single(nd, needs.row(id), "reads"); err != nil {
+				return err
 			}
-			for tok := range placement.Needs[id] {
-				if len(s.SV[id][tok]) != 1 {
-					return fmt.Errorf("analysis: %s switches token %s but has %d sources", nd, tok, len(s.SV[id][tok]))
-				}
+			if err := single(nd, switched.row(id), "switches"); err != nil {
+				return err
 			}
 		case cfg.KindLoopEntry:
 			for tok := range s.LoopNeed[id] {
-				if len(s.SV[id][tok]) < 1 {
+				if len(s.Sources(id, tok)) < 1 {
 					return fmt.Errorf("analysis: loop entry %s has no initial source for %s", nd, tok)
 				}
-				if len(s.Back[id][tok]) < 1 {
+				if len(s.BackSources(id, tok)) < 1 {
 					return fmt.Errorf("analysis: loop entry %s has no back-edge source for %s", nd, tok)
 				}
 			}
 		case cfg.KindLoopExit:
 			for tok := range s.LoopNeed[id] {
-				if len(s.SV[id][tok]) != 1 {
-					return fmt.Errorf("analysis: loop exit %s has %d sources for %s", nd, len(s.SV[id][tok]), tok)
+				if c := len(s.Sources(id, tok)); c != 1 {
+					return fmt.Errorf("analysis: loop exit %s has %d sources for %s", nd, c, tok)
 				}
 			}
 		case cfg.KindEnd:
-			for _, tok := range s.Universe {
-				if len(s.SV[id][tok]) < 1 {
+			for t, tok := range s.Universe {
+				if s.cells[id*v+t].Node == noSource {
 					return fmt.Errorf("analysis: token %s never reaches end", tok)
 				}
 			}

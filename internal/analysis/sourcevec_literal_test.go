@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ctdf/internal/cfg"
@@ -44,20 +46,20 @@ func TestSourceVectorsMatchLiteralFigure11(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range g.SortedIDs() {
+		for id := range g.Nodes {
 			for _, tok := range universe {
-				ps := prod.SV[id][tok]
-				ls := lit.SV[id][tok]
+				ps := prod.Sources(id, tok)
+				ls := lit[id][tok]
 				// Compare resolved source sets.
-				resolve := func(sv *SourceVectors, in []Source) map[Source]bool {
+				resolve := func(at func(n int, tok string) []Source, in []Source) map[Source]bool {
 					out := map[Source]bool{}
 					for _, s := range in {
-						out[sv.ResolveThroughJoins(g, s, tok)] = true
+						out[resolveThroughJoins(g, at, s, tok)] = true
 					}
 					return out
 				}
-				pr := resolve(prod, ps)
-				lr := resolve(lit, ls)
+				pr := resolve(prod.Sources, ps)
+				lr := resolve(func(n int, tok string) []Source { return lit[n][tok] }, ls)
 				if len(pr) != len(lr) {
 					t.Errorf("node n%d tok %s: production %v vs literal %v", id, tok, ps, ls)
 					continue
@@ -83,5 +85,156 @@ func TestLiteralRejectsLoops(t *testing.T) {
 	placement := PlaceSwitches(tg, cd, need)
 	if _, err := ComputeSourceVectorsLiteral(tg, tg.Prog.AllNames(), need, placement); err == nil {
 		t.Error("literal reference must reject loop-control graphs")
+	}
+}
+
+// ComputeSourceVectorsLiteral is a transliteration of Figure 11 as printed,
+// kept as a cross-validation reference for ComputeSourceVectors:
+//
+//   - a join contributes ⟨N,true⟩ for every token present at it, even with
+//     a single source (the paper resolves single-source joins to "no
+//     operator" later, when the graph is wired: "A join with a single
+//     source is equivalent to no operator");
+//   - the production version (ComputeSourceVectors) instead forwards
+//     single sources during propagation, so merges appear in its vectors
+//     only where real merges will exist.
+//
+// resolveThroughJoins erases that representational difference; the
+// cross-check in the tests asserts both algorithms name identical
+// ultimate sources for every consumer. This reference supports plain
+// variables on acyclic graphs (Figure 11 predates the loop-control
+// generalization this repository adds).
+func ComputeSourceVectorsLiteral(g *cfg.Graph, universe []string, need NeedFunc, placement *Placement) ([]map[string][]Source, error) {
+	for _, n := range g.Nodes {
+		if n.Kind == cfg.KindLoopEntry || n.Kind == cfg.KindLoopExit {
+			return nil, fmt.Errorf("analysis: the literal Figure 11 reference handles acyclic graphs only")
+		}
+	}
+	n := g.Len()
+	sv := make([]map[string]map[Source]bool, n)
+	for i := 0; i < n; i++ {
+		sv[i] = map[string]map[Source]bool{}
+	}
+	pdom := cfg.PostDominators(g)
+	add := func(to int, tok string, srcs ...Source) {
+		m := sv[to][tok]
+		if m == nil {
+			m = map[Source]bool{}
+			sv[to][tok] = m
+		}
+		for _, s := range srcs {
+			m[s] = true
+		}
+	}
+	current := func(id int, tok string) []Source {
+		m := sv[id][tok]
+		out := make([]Source, 0, len(m))
+		for s := range m {
+			out = append(out, s)
+		}
+		slices.SortFunc(out, compareSources)
+		return out
+	}
+
+	// Figure 11's worklist: process a node once all predecessors are
+	// visited (acyclic, so plain topological order works).
+	processed := make([]bool, n)
+	for count := 0; count < n; count++ {
+		pick := -1
+		for id := range g.Nodes {
+			if processed[id] {
+				continue
+			}
+			ready := true
+			for _, p := range g.Nodes[id].Preds {
+				if !processed[p] {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				pick = id
+				break
+			}
+		}
+		if pick == -1 {
+			return nil, fmt.Errorf("analysis: cycle in supposedly acyclic graph")
+		}
+		processed[pick] = true
+		nd := g.Nodes[pick]
+		switch nd.Kind {
+		case cfg.KindStart:
+			for _, tok := range universe {
+				add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+			}
+		case cfg.KindEnd:
+		case cfg.KindAssign:
+			needSet := map[string]bool{}
+			for _, tok := range need(pick) {
+				needSet[tok] = true
+			}
+			for _, tok := range universe {
+				if needSet[tok] {
+					add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+				} else {
+					add(nd.Succs[0], tok, current(pick, tok)...)
+				}
+			}
+		case cfg.KindFork:
+			readSet := map[string]bool{}
+			for _, tok := range need(pick) {
+				readSet[tok] = true
+			}
+			for _, tok := range universe {
+				switch {
+				case placement.NeedsSwitch(pick, tok):
+					add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+					add(nd.Succs[1], tok, Source{Node: pick, Dir: false})
+				case readSet[tok]:
+					add(pdom.Idom[pick], tok, Source{Node: pick, Dir: true, Read: true})
+				default:
+					add(pdom.Idom[pick], tok, current(pick, tok)...)
+				}
+			}
+		case cfg.KindJoin:
+			// The figure as printed: every token present becomes sourced
+			// by the join itself.
+			for _, tok := range universe {
+				if len(current(pick, tok)) > 0 {
+					add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+				}
+			}
+		}
+	}
+
+	out := make([]map[string][]Source, n)
+	for i, m := range sv {
+		out[i] = map[string][]Source{}
+		for tok, set := range m {
+			srcs := make([]Source, 0, len(set))
+			for s := range set {
+				srcs = append(srcs, s)
+			}
+			slices.SortFunc(srcs, compareSources)
+			out[i][tok] = srcs
+		}
+	}
+	return out, nil
+}
+
+// resolveThroughJoins maps a source to its ultimate producer by chasing
+// single-source joins (the "equivalent to no operator" rule of §4.2)
+// through the source vectors at reads.
+func resolveThroughJoins(g *cfg.Graph, at func(n int, tok string) []Source, src Source, tok string) Source {
+	for {
+		n := g.Nodes[src.Node]
+		if n.Kind != cfg.KindJoin {
+			return src
+		}
+		srcs := at(src.Node, tok)
+		if len(srcs) != 1 {
+			return src
+		}
+		src = srcs[0]
 	}
 }

@@ -35,46 +35,45 @@ func (p *Placement) NeedsSwitch(f int, tok string) bool { return p.Needs[f][tok]
 func (p *Placement) Tokens(f int) []string { return sortedNames(p.Needs[f]) }
 
 // PlaceSwitches runs the worklist algorithm of Figure 10 for every access
-// token: seed the worklist with the nodes that need the token, then
-// propagate through control dependences; every fork reached is marked as
-// needing a switch for that token. By Corollary 1 the marked forks for
-// token x are exactly CD+({N : N needs x}).
+// token at once: seed the worklist with the nodes that need tokens, then
+// propagate token sets through control dependences; every fork reached is
+// marked as needing a switch for the tokens that reached it. By Corollary
+// 1 the marked forks for token x are exactly CD+({N : N needs x}).
 func PlaceSwitches(g *cfg.Graph, cd *ControlDeps, need NeedFunc) *Placement {
+	toks := newTokenIDs(nil)
+	reach, _ := tokenRows(g, toks, need, nil) // tokens needed or switched at the node
+	placed := newBitRows(g.Len(), len(toks.names))
+	onWL := make([]bool, g.Len())
+	var worklist []int
+	for id := range g.Nodes {
+		onWL[id] = true
+		worklist = append(worklist, id)
+	}
+	for len(worklist) > 0 {
+		n := worklist[len(worklist)-1]
+		worklist = worklist[:len(worklist)-1]
+		onWL[n] = false
+		from := reach.row(n)
+		for f := range cd.On[n] {
+			grew := false
+			at, through := placed.row(f), reach.row(f)
+			for i, w := range from {
+				if w&^at[i] != 0 {
+					at[i] |= w
+					through[i] |= w
+					grew = true
+				}
+			}
+			if grew && !onWL[f] {
+				onWL[f] = true
+				worklist = append(worklist, f)
+			}
+		}
+	}
 	p := &Placement{Needs: map[int]map[string]bool{}}
-	// Invert need: token -> nodes that need it.
-	users := map[string][]int{}
-	for _, id := range g.SortedIDs() {
-		for _, tok := range need(id) {
-			users[tok] = append(users[tok], id)
-		}
-	}
-	toks := make([]string, 0, len(users))
-	for tok := range users {
-		toks = append(toks, tok)
-	}
-	sort.Strings(toks)
-	for _, tok := range toks {
-		onWL := map[int]bool{}
-		var worklist []int
-		for _, n := range users[tok] {
-			if !onWL[n] {
-				onWL[n] = true
-				worklist = append(worklist, n)
-			}
-		}
-		for len(worklist) > 0 {
-			n := worklist[len(worklist)-1]
-			worklist = worklist[:len(worklist)-1]
-			for f := range cd.On[n] {
-				if p.Needs[f] == nil {
-					p.Needs[f] = map[string]bool{}
-				}
-				p.Needs[f][tok] = true
-				if !onWL[f] {
-					onWL[f] = true
-					worklist = append(worklist, f)
-				}
-			}
+	for f := range g.Nodes {
+		if set := toks.nameSet(placed.row(f)); len(set) > 0 {
+			p.Needs[f] = set
 		}
 	}
 	return p
@@ -85,23 +84,32 @@ func PlaceSwitches(g *cfg.Graph, cd *ControlDeps, need NeedFunc) *Placement {
 // any node in the loop body plus tokens switched at any fork in the body
 // (§4's relaxation: all other tokens bypass the loop entirely).
 func LoopNeeds(g *cfg.Graph, loops []cfg.Loop, need NeedFunc, p *Placement) map[int]map[string]bool {
+	if len(loops) == 0 {
+		return map[int]map[string]bool{}
+	}
+	toks := newTokenIDs(nil)
+	needs, switched := tokenRows(g, toks, need, p)
+	out, _ := loopNeeds(loops, toks, needs, switched)
+	return out
+}
+
+// loopNeeds is LoopNeeds over token rows; it also returns each loop's row.
+func loopNeeds(loops []cfg.Loop, toks *tokenIDs, needs, switched bitRows) (map[int]map[string]bool, bitRows) {
 	out := map[int]map[string]bool{}
-	for _, l := range loops {
-		set := map[string]bool{}
+	rows := newBitRows(len(loops), len(toks.names))
+	for i, l := range loops {
+		row := rows.row(i)
 		for b := range l.Body {
-			for _, tok := range need(b) {
-				set[tok] = true
-			}
-			for tok := range p.Needs[b] {
-				set[tok] = true
-			}
+			union(row, needs.row(b))
+			union(row, switched.row(b))
 		}
+		set := toks.nameSet(row)
 		out[l.Entry] = set
 		for _, x := range l.Exits {
 			out[x] = set
 		}
 	}
-	return out
+	return out, rows
 }
 
 func sortedNames(m map[string]bool) []string {

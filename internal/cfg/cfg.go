@@ -7,7 +7,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ctdf/internal/lang"
@@ -292,8 +291,9 @@ func contains(xs []int, x int) bool {
 
 // reachableFrom returns the set of nodes reachable from id, following
 // successor edges, or predecessor edges when reverse is true.
-func (g *Graph) reachableFrom(id int, reverse bool) map[int]bool {
-	seen := map[int]bool{id: true}
+func (g *Graph) reachableFrom(id int, reverse bool) []bool {
+	seen := make([]bool, len(g.Nodes))
+	seen[id] = true
 	stack := []int{id}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
@@ -397,15 +397,4 @@ func (g *Graph) DOT() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// SortedIDs returns all node IDs in ascending order (deterministic
-// iteration helper).
-func (g *Graph) SortedIDs() []int {
-	ids := make([]int, len(g.Nodes))
-	for i := range g.Nodes {
-		ids[i] = i
-	}
-	sort.Ints(ids)
-	return ids
 }

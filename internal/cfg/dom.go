@@ -10,9 +10,11 @@ package cfg
 type DomTree struct {
 	// Idom[n] is the immediate (post)dominator of n, or -1 for the root.
 	Idom []int
-	// order[n] is the reverse-postorder number used for intersections.
-	order []int
-	root  int
+	root int
+	// pre[n] is n's preorder number in the tree and last[n] the largest
+	// preorder number in n's subtree, so a dominates b exactly when
+	// pre[a] <= pre[b] <= last[a]. Nodes the root does not reach have -1.
+	pre, last []int32
 }
 
 // Root returns the tree root (start for dominators, end for postdominators).
@@ -20,13 +22,10 @@ func (t *DomTree) Root() int { return t.root }
 
 // Dominates reports whether a (post)dominates b (reflexively).
 func (t *DomTree) Dominates(a, b int) bool {
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		b = t.Idom[b]
+	if a == b {
+		return true
 	}
-	return false
+	return t.pre[a] >= 0 && t.pre[a] <= t.pre[b] && t.pre[b] <= t.last[a]
 }
 
 // StrictlyDominates reports whether a (post)dominates b and a != b.
@@ -107,5 +106,48 @@ func computeDom(g *Graph, rpo []int, root int, preds func(int) []int) *DomTree {
 		}
 	}
 	idom[root] = -1
-	return &DomTree{Idom: idom, order: order, root: root}
+	t := &DomTree{Idom: idom, root: root}
+	t.number()
+	return t
+}
+
+// number fills pre and last by a preorder walk of the tree from its root.
+func (t *DomTree) number() {
+	n := len(t.Idom)
+	// Children in CSR form: kids[first[p]:first[p+1]] are p's children.
+	first := make([]int32, n+1)
+	for _, p := range t.Idom {
+		if p >= 0 {
+			first[p+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		first[i+1] += first[i]
+	}
+	kids := make([]int32, first[n])
+	fill := append([]int32(nil), first[:n]...)
+	for c, p := range t.Idom {
+		if p >= 0 {
+			kids[fill[p]] = int32(c)
+			fill[p]++
+		}
+	}
+	t.pre, t.last = make([]int32, n), fill // fill is spent; reuse it for last
+	for i := range t.pre {
+		t.pre[i], t.last[i] = -1, -1
+	}
+	next := int32(0)
+	stack := []int32{int32(t.root)}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		if t.pre[v] < 0 {
+			t.pre[v] = next
+			next++
+			stack = append(stack, kids[first[v]:first[v+1]]...)
+			continue
+		}
+		// Second visit: every descendant has been numbered.
+		stack = stack[:len(stack)-1]
+		t.last[v] = next - 1
+	}
 }

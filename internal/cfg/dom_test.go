@@ -85,8 +85,8 @@ func TestDominatorsAgainstBruteForce(t *testing.T) {
 	for _, src := range domTestPrograms {
 		g := build(t, src)
 		dom := Dominators(g)
-		for _, a := range g.SortedIDs() {
-			for _, b := range g.SortedIDs() {
+		for a := range g.Nodes {
+			for b := range g.Nodes {
 				want := bruteDominates(g, a, b)
 				got := dom.Dominates(a, b)
 				if got != want {
@@ -101,8 +101,8 @@ func TestPostDominatorsAgainstBruteForce(t *testing.T) {
 	for _, src := range domTestPrograms {
 		g := build(t, src)
 		pdom := PostDominators(g)
-		for _, a := range g.SortedIDs() {
-			for _, b := range g.SortedIDs() {
+		for a := range g.Nodes {
+			for b := range g.Nodes {
 				want := brutePostDominates(g, a, b)
 				got := pdom.Dominates(a, b)
 				if got != want {
@@ -122,7 +122,7 @@ func TestImmediatePostdominatorUnique(t *testing.T) {
 		if pdom.Root() != g.End {
 			t.Errorf("postdominator root = n%d, want end n%d", pdom.Root(), g.End)
 		}
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			if n == g.End {
 				if pdom.Idom[n] != -1 {
 					t.Errorf("ipdom(end) = n%d, want none", pdom.Idom[n])
@@ -139,7 +139,7 @@ func TestImmediatePostdominatorUnique(t *testing.T) {
 			if !pdom.StrictlyDominates(ip, n) {
 				t.Errorf("ipdom(n%d)=n%d does not strictly postdominate it", n, ip)
 			}
-			for _, m := range g.SortedIDs() {
+			for m := range g.Nodes {
 				if m != n && pdom.StrictlyDominates(m, n) && !pdom.Dominates(m, ip) {
 					t.Errorf("n%d strictly postdominates n%d but not its ipdom n%d", m, n, ip)
 				}

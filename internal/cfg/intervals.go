@@ -98,7 +98,10 @@ func Intervals(nodes []int, entry int, succs, preds func(int) []int) []Interval 
 // the graph is reducible by intervals.
 func DerivedSequence(g *Graph) ([][]Interval, bool) {
 	// Level 0 runs on the concrete graph.
-	nodes := g.SortedIDs()
+	nodes := make([]int, g.Len())
+	for i := range nodes {
+		nodes[i] = i
+	}
 	level := Intervals(nodes, g.Start,
 		func(n int) []int { return g.Nodes[n].Succs },
 		func(n int) []int { return g.Nodes[n].Preds })
@@ -123,7 +126,7 @@ func DerivedSequence(g *Graph) ([][]Interval, bool) {
 		for i := range cur {
 			succSet[i] = map[int]bool{}
 		}
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			for _, s := range g.Nodes[n].Succs {
 				a, b := owner[n], owner[s]
 				if a != b {

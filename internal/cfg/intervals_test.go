@@ -13,7 +13,11 @@ func TestIntervalsPartition(t *testing.T) {
 	progs := append(workloads.All(), workloads.RandomUnstructured(5, 3))
 	for _, w := range progs {
 		g := build(t, w.Source)
-		ivs := Intervals(g.SortedIDs(), g.Start,
+		ids := make([]int, g.Len())
+		for i := range ids {
+			ids[i] = i
+		}
+		ivs := Intervals(ids, g.Start,
 			func(n int) []int { return g.Nodes[n].Succs },
 			func(n int) []int { return g.Nodes[n].Preds })
 		seen := map[int]int{}

@@ -44,107 +44,224 @@ type Loop struct {
 // inserted for every cyclic interval, innermost first. The input graph is
 // not modified. Graphs without cycles are returned as a (validated) copy
 // with no loops.
+//
+// Dominators and the loop nest are computed once, on the input: inserting
+// control statements only splits edges, so it changes neither which
+// original nodes a loop holds nor how loops nest. What it does change is
+// each enclosing loop's size, by the statements that land inside it, and
+// sizes decide the order (smallest body first, then header id) and with
+// it the ids the new nodes get; so every pending loop keeps its member
+// list current as inner loops are transformed.
 func InsertLoopControl(g *Graph) (*Graph, []Loop, error) {
-	if err := checkReducible(g); err != nil {
+	dom, err := reducibleDominators(g)
+	if err != nil {
 		return nil, nil, err
 	}
 	out := g.Clone()
-	for {
-		loop, ok := findUntransformedLoop(out)
-		if !ok {
-			break
+	nest := findLoopNest(out, dom)
+	// ready holds size·n + header for every pending loop whose inner
+	// loops are all done; its size is then final.
+	var ready intHeap
+	n := out.Len()
+	enqueue := func(l *pendingLoop) {
+		if l.kids == 0 {
+			ready.push(len(l.members)*n + l.header)
 		}
-		transformLoop(out, loop.header, loop.body, loop.backs)
+	}
+	for i := range nest.loops {
+		enqueue(&nest.loops[i])
+	}
+	for len(ready) > 0 {
+		i := nest.at[ready.pop()%n]
+		nest.transform(out, i)
+		if p := nest.loops[i].parent; p >= 0 {
+			nest.loops[p].kids--
+			enqueue(&nest.loops[p])
+		}
 	}
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("cfg: loop transformation broke the graph: %w", err)
 	}
-	loops := FindLoops(out)
-	return out, loops, nil
+	return out, FindLoops(out), nil
 }
 
 // Clone deep-copies the graph structure (expressions are shared; they are
 // immutable after parsing).
 func (g *Graph) Clone() *Graph {
-	out := &Graph{Start: g.Start, End: g.End, Prog: g.Prog}
-	for _, n := range g.Nodes {
-		nn := *n
-		nn.Succs = append([]int(nil), n.Succs...)
-		nn.Preds = append([]int(nil), n.Preds...)
+	out := &Graph{Start: g.Start, End: g.End, Prog: g.Prog, Nodes: make([]*Node, len(g.Nodes))}
+	nodes := make([]Node, len(g.Nodes))
+	edges := make([]int, 2*g.NumEdges())
+	// Each list gets exactly its own length of the shared array, so an
+	// append to it moves it out instead of overwriting its neighbour.
+	own := func(xs []int) []int {
+		k := copy(edges, xs)
+		cp := edges[:k:k]
+		edges = edges[k:]
+		return cp
+	}
+	for i, n := range g.Nodes {
+		nn := &nodes[i]
+		*nn = *n
+		nn.Succs, nn.Preds = own(n.Succs), own(n.Preds)
 		if n.BackPreds != nil {
 			nn.BackPreds = make(map[int]bool, len(n.BackPreds))
 			for k, v := range n.BackPreds {
 				nn.BackPreds[k] = v
 			}
 		}
-		out.Nodes = append(out.Nodes, &nn)
+		out.Nodes[i] = nn
 	}
 	return out
 }
 
-type rawLoop struct {
+// pendingLoop is a natural loop that has not been given its control
+// statements yet.
+type pendingLoop struct {
 	header int
-	backs  []int // back-edge sources
-	body   map[int]bool
+	parent int // innermost enclosing loop, -1 for none
+	kids   int // directly enclosed loops still pending
+	// members is the loop body in ascending id order: the natural loop
+	// and, appended as they are created, the control statements of
+	// enclosed loops that lie inside it.
+	members []int
 }
 
-// findUntransformedLoop locates the smallest natural loop whose header is
-// not already a loop-entry node. Returns ok=false when every cycle has
-// been transformed.
-func findUntransformedLoop(g *Graph) (rawLoop, bool) {
-	dom := Dominators(g)
-	byHeader := map[int][]int{}
-	for _, n := range g.Nodes {
-		for _, s := range n.Succs {
-			if dom.Dominates(s, n.ID) && g.Nodes[s].Kind != KindLoopEntry {
-				byHeader[s] = append(byHeader[s], n.ID)
+// loopNest is the forest of natural loops of a reducible graph whose
+// headers are not loop entries yet.
+type loopNest struct {
+	loops []pendingLoop
+	at    []int32 // at[h] indexes the loop headed by node h, -1 if none is
+	// inner[v] is the innermost loop holding node v, -1 for none; it
+	// grows with the graph.
+	inner []int32
+	// in and chain are stamp sets over nodes and loops: transforming
+	// loop i stamps its members and its enclosing loops with i+1.
+	in, chain []int32
+}
+
+// findLoopNest identifies the natural loops of g through its dominator
+// tree: a back edge t→h (h dominates t) puts in the loop of h every node
+// that reaches t without passing through h.
+func findLoopNest(g *Graph, dom *DomTree) *loopNest {
+	n := g.Len()
+	nest := &loopNest{at: make([]int32, n), in: make([]int32, n)}
+	for i := range nest.at {
+		nest.at[i] = -1
+	}
+	for _, t := range g.Nodes {
+		for _, h := range t.Succs {
+			if !dom.Dominates(h, t.ID) || g.Nodes[h].Kind == KindLoopEntry {
+				continue
+			}
+			if nest.at[h] < 0 {
+				nest.at[h] = int32(len(nest.loops))
+				nest.loops = append(nest.loops, pendingLoop{header: h, members: []int{h}})
+			}
+			l := &nest.loops[nest.at[h]]
+			l.members = append(l.members, t.ID) // a back-edge source: the walk starts there
+		}
+	}
+	bodies, headers := make([][]int, len(nest.loops)), make([]int, len(nest.loops))
+	for i := range nest.loops {
+		l := &nest.loops[i]
+		l.members = reaching(g, l.members, 1, nest.in, int32(i+1))
+		bodies[i], headers[i] = l.members, l.header
+	}
+	for i := range nest.in {
+		nest.in[i] = 0 // transform stamps afresh
+	}
+	nest.chain = make([]int32, len(nest.loops))
+	// Natural loops of distinct headers are disjoint or nested.
+	var parents []int
+	parents, nest.inner = nesting(n, bodies, headers)
+	for i, p := range parents {
+		if nest.loops[i].parent = p; p >= 0 {
+			nest.loops[p].kids++
+		}
+	}
+	return nest
+}
+
+// reaching completes a loop body: members[:from] are nodes the walk stops
+// at and members[from:] nodes it starts from, possibly repeated; it
+// returns, in ascending order, these and every node that reaches a
+// starting node without passing a stopping one. in is scratch: no entry
+// may equal stamp beforehand, and the body's entries do afterwards.
+func reaching(g *Graph, members []int, from int, in []int32, stamp int32) []int {
+	seeds := members[from:]
+	members = members[:from]
+	for _, v := range members {
+		in[v] = stamp
+	}
+	for _, v := range seeds {
+		if in[v] != stamp {
+			in[v] = stamp
+			members = append(members, v)
+		}
+	}
+	for k := from; k < len(members); k++ {
+		for _, p := range g.Nodes[members[k]].Preds {
+			if in[p] != stamp {
+				in[p] = stamp
+				members = append(members, p)
 			}
 		}
 	}
-	if len(byHeader) == 0 {
-		return rawLoop{}, false
-	}
-	var candidates []rawLoop
-	for h, backs := range byHeader {
-		sort.Ints(backs)
-		candidates = append(candidates, rawLoop{header: h, backs: backs, body: naturalLoop(g, h, backs)})
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		if len(candidates[i].body) != len(candidates[j].body) {
-			return len(candidates[i].body) < len(candidates[j].body)
-		}
-		return candidates[i].header < candidates[j].header
-	})
-	return candidates[0], true
+	sort.Ints(members)
+	return members
 }
 
-// naturalLoop computes the natural loop of header h with the given
-// back-edge sources: h plus every node that reaches a back-edge source
-// without passing through h.
-func naturalLoop(g *Graph, h int, backs []int) map[int]bool {
-	body := map[int]bool{h: true}
-	stack := append([]int(nil), backs...)
-	for _, t := range backs {
-		body[t] = true
+// nesting takes node sets over 0…n-1 that are pairwise disjoint or nested
+// and one key node per set, and returns for each set the smallest other
+// set holding its key (-1 for none) and for each node the smallest set
+// holding it (-1 for none). Visiting the sets largest first, the smallest
+// set seen so far around a node is the last one seen.
+func nesting(n int, sets [][]int, keys []int) (parent []int, inner []int32) {
+	bySize := make([]int, len(sets))
+	for i := range bySize {
+		bySize[i] = i
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.Nodes[n].Preds {
-			if !body[p] {
-				body[p] = true
-				stack = append(stack, p)
-			}
+	sort.Slice(bySize, func(a, b int) bool { return len(sets[bySize[a]]) > len(sets[bySize[b]]) })
+	parent, inner = make([]int, len(sets)), make([]int32, n)
+	for i := range inner {
+		inner[i] = -1
+	}
+	for _, i := range bySize {
+		parent[i] = int(inner[keys[i]])
+		for _, v := range sets[i] {
+			inner[v] = int32(i)
 		}
 	}
-	return body
+	return parent, inner
 }
 
-// transformLoop inserts the loop-entry and loop-exit statements for one
-// natural loop, mutating g.
-func transformLoop(g *Graph, h int, body map[int]bool, backs []int) {
-	le := g.AddNode(KindLoopEntry)
-	le.LoopHeader = h
+// addNode appends a control statement to g and records it as lying in
+// loop innermost (-1 for none) and every loop around that one.
+func (nest *loopNest) addNode(g *Graph, kind NodeKind, header, innermost int) *Node {
+	nd := g.AddNode(kind)
+	nd.LoopHeader = header
+	nest.inner = append(nest.inner, int32(innermost))
+	nest.in = append(nest.in, 0)
+	for a := innermost; a >= 0; a = nest.loops[a].parent {
+		nest.loops[a].members = append(nest.loops[a].members, nd.ID)
+	}
+	return nd
+}
+
+// transform inserts the loop-entry and loop-exit statements for loop i,
+// mutating g.
+func (nest *loopNest) transform(g *Graph, i int32) {
+	l := &nest.loops[i]
+	h, stamp := l.header, i+1
+	for _, m := range l.members {
+		nest.in[m] = stamp
+	}
+	for a := l.parent; a >= 0; a = nest.loops[a].parent {
+		nest.chain[a] = stamp
+	}
+	body := func(v int) bool { return nest.in[v] == stamp }
+
+	le := nest.addNode(g, KindLoopEntry, h, l.parent)
 	le.BackPreds = map[int]bool{}
 
 	// Redirect every edge into the header — from outside (entries) and from
@@ -156,34 +273,104 @@ func transformLoop(g *Graph, h int, body map[int]bool, backs []int) {
 		for contains(g.Nodes[p].Succs, h) {
 			g.ReplaceEdge(p, h, le.ID)
 		}
-		if body[p] {
+		if body(p) {
 			le.BackPreds[p] = true
 		}
 	}
 	g.AddEdge(le.ID, h)
 
-	// Splice a loop exit onto every edge leaving the cyclic part.
-	for _, a := range sortedKeys(body) {
-		succs := append([]int(nil), g.Nodes[a].Succs...)
-		for _, s := range succs {
-			if body[s] || s == le.ID {
+	// Splice a loop exit onto every edge leaving the cyclic part. The exit
+	// lies in the loops around this one that hold the edge's target.
+	for _, a := range l.members {
+		for si, s := range g.Nodes[a].Succs {
+			if body(s) || s == le.ID {
 				continue
 			}
-			lx := g.AddNode(KindLoopExit)
-			lx.LoopHeader = h
-			g.ReplaceEdge(a, s, lx.ID)
+			around := int(nest.inner[s])
+			for around >= 0 && nest.chain[around] != stamp {
+				around = nest.loops[around].parent
+			}
+			lx := nest.addNode(g, KindLoopExit, h, around)
+			g.ReplaceEdgeAt(a, si, lx.ID)
 			g.AddEdge(lx.ID, s)
 		}
 	}
 }
 
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// TopoOrder returns g's nodes in topological order ignoring the back
+// edges into loop entries, the lowest ready id first, and false if some
+// cycle is not broken by a loop entry. It is the order in which the
+// source vectors are propagated and the dataflow graph is emitted: every
+// node comes after everything that can send it a token within one
+// iteration.
+func (g *Graph) TopoOrder() ([]int, bool) {
+	n := g.Len()
+	wait := make([]int32, n) // forward predecessors not yet in the order
+	var ready intHeap
+	for id, nd := range g.Nodes {
+		for _, p := range nd.Preds {
+			if !nd.BackPreds[p] {
+				wait[id]++
+			}
+		}
+		if wait[id] == 0 {
+			ready = append(ready, id) // ascending, so already a heap
+		}
 	}
-	sort.Ints(out)
-	return out
+	order := make([]int, 0, n)
+	for len(ready) > 0 {
+		id := ready.pop()
+		order = append(order, id)
+		for _, s := range g.Nodes[id].Succs {
+			if g.Nodes[s].BackPreds[id] {
+				continue
+			}
+			if wait[s]--; wait[s] == 0 {
+				ready.push(s)
+			}
+		}
+	}
+	return order, len(order) == n
+}
+
+// intHeap is a binary min-heap of ints.
+type intHeap []int
+
+func (h *intHeap) push(x int) {
+	*h = append(*h, x)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func (h *intHeap) pop() int {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	return top
 }
 
 // FindLoops reconstructs the Loop descriptors of a graph already
@@ -191,46 +378,39 @@ func sortedKeys(m map[int]bool) []int {
 // loops listed first, with nesting depths filled in.
 func FindLoops(g *Graph) []Loop {
 	var loops []Loop
+	var bodies [][]int
+	var entries []int
+	in := make([]int32, g.Len())
 	for _, n := range g.Nodes {
 		if n.Kind != KindLoopEntry {
 			continue
 		}
-		body := map[int]bool{n.ID: true}
-		var stack []int
+		// The body is what reaches a back edge without leaving through
+		// the entry.
+		body := []int{n.ID}
 		for b := range n.BackPreds {
-			if !body[b] {
-				body[b] = true
-				stack = append(stack, b)
-			}
+			body = append(body, b)
 		}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range g.Nodes[x].Preds {
-				if !body[p] {
-					body[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-		l := Loop{Entry: n.ID, Header: n.Succs[0], Body: body}
-		for _, b := range sortedKeys(body) {
+		stamp := int32(len(loops) + 1)
+		body = reaching(g, body, 1, in, stamp)
+		l := Loop{Entry: n.ID, Header: n.Succs[0], Body: make(map[int]bool, len(body))}
+		for _, b := range body {
+			l.Body[b] = true
 			for _, s := range g.Nodes[b].Succs {
-				if g.Nodes[s].Kind == KindLoopExit && g.Nodes[s].LoopHeader == n.Succs[0] && !body[s] {
+				if sn := g.Nodes[s]; sn.Kind == KindLoopExit && sn.LoopHeader == l.Header && in[s] != stamp {
 					l.Exits = append(l.Exits, s)
 				}
 			}
 		}
 		sort.Ints(l.Exits)
-		loops = append(loops, l)
+		loops, bodies, entries = append(loops, l), append(bodies, body), append(entries, n.ID)
 	}
-	// Nesting depth: count enclosing loop bodies.
+	// Nesting depth: one more than the number of loops around the entry.
+	parents, _ := nesting(g.Len(), bodies, entries)
 	for i := range loops {
 		loops[i].Depth = 1
-		for j := range loops {
-			if i != j && loops[j].Body[loops[i].Entry] {
-				loops[i].Depth++
-			}
+		for p := parents[i]; p >= 0; p = parents[p] {
+			loops[i].Depth++
 		}
 	}
 	sort.Slice(loops, func(i, j int) bool {
@@ -242,63 +422,42 @@ func FindLoops(g *Graph) []Loop {
 	return loops
 }
 
-// checkReducible verifies that g reduces to a single node under the
-// classic T1 (self-loop removal) / T2 (single-predecessor merge)
-// transformations; if not, the CFG has irreducible control flow.
+// checkReducible reports whether g has irreducible control flow.
 func checkReducible(g *Graph) error {
-	succs := map[int]map[int]bool{}
-	preds := map[int]map[int]bool{}
-	for _, n := range g.Nodes {
-		succs[n.ID] = map[int]bool{}
-		preds[n.ID] = map[int]bool{}
+	_, err := reducibleDominators(g)
+	return err
+}
+
+// reducibleDominators returns g's dominator tree, or ErrIrreducible
+// (wrapped) unless g is reducible: every node reachable, and every edge
+// that retreats in a depth-first walk a back edge, its target dominating
+// its source. That is the graphs the classic T1 (self-loop removal) / T2
+// (single-predecessor merge) transformations reduce to a single node.
+func reducibleDominators(g *Graph) (*DomTree, error) {
+	rpo := g.RPO()
+	if len(rpo) != g.Len() {
+		return nil, fmt.Errorf("cfg: %w", ErrIrreducible)
 	}
+	pos := make([]int32, g.Len())
+	for i, id := range rpo {
+		pos[id] = int32(i)
+	}
+	dom := computeDom(g, rpo, g.Start, func(n int) []int { return g.Nodes[n].Preds })
 	for _, n := range g.Nodes {
 		for _, s := range n.Succs {
-			succs[n.ID][s] = true
-			preds[s][n.ID] = true
+			if pos[s] <= pos[n.ID] && !dom.Dominates(s, n.ID) {
+				return nil, fmt.Errorf("cfg: %w", ErrIrreducible)
+			}
 		}
 	}
-	for {
-		changed := false
-		// T1: remove self-loops.
-		for n := range succs {
-			if succs[n][n] {
-				delete(succs[n], n)
-				delete(preds[n], n)
-				changed = true
-			}
-		}
-		// T2: merge single-pred nodes into their predecessor.
-		for n := range succs {
-			if n == g.Start || len(preds[n]) != 1 {
-				continue
-			}
-			var p int
-			for q := range preds[n] {
-				p = q
-			}
-			for s := range succs[n] {
-				delete(preds[s], n)
-				if s != p {
-					succs[p][s] = true
-					preds[s][p] = true
-				} else {
-					// merging creates a self-loop on p
-					succs[p][p] = true
-					preds[p][p] = true
-				}
-			}
-			delete(succs[p], n)
-			delete(succs, n)
-			delete(preds, n)
-			changed = true
-		}
-		if !changed {
-			break
-		}
+	return dom, nil
+}
+
+func sortedKeys(m map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	if len(succs) != 1 {
-		return fmt.Errorf("cfg: %w", ErrIrreducible)
-	}
-	return nil
+	sort.Ints(out)
+	return out
 }

@@ -44,7 +44,7 @@ func TestQuickDominatorAxioms(t *testing.T) {
 		}
 		dom := Dominators(g)
 		pdom := PostDominators(g)
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			// start dominates everything; end postdominates everything.
 			if !dom.Dominates(g.Start, n) || !pdom.Dominates(g.End, n) {
 				return false

@@ -304,8 +304,9 @@ func (g *Graph) Add(n *Node) *Node {
 	}
 	n.ID = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
-	g.outs = append(g.outs, make([][]int, outPorts(n)))
-	g.ins = append(g.ins, make([][]int, n.NIns))
+	ports := make([][]int, outPorts(n)+n.NIns)
+	g.outs = append(g.outs, ports[:outPorts(n):outPorts(n)])
+	g.ins = append(g.ins, ports[outPorts(n):])
 	switch n.Kind {
 	case Start:
 		g.StartID = n.ID
@@ -423,8 +424,7 @@ func (g *Graph) Validate() error {
 	if g.StartID < 0 || g.EndID < 0 {
 		return fmt.Errorf("dfg: missing start or end node")
 	}
-	seenArcs := map[Arc]bool{}
-	for _, a := range g.Arcs {
+	for ai, a := range g.Arcs {
 		if a.From < 0 || a.From >= len(g.Nodes) || a.To < 0 || a.To >= len(g.Nodes) {
 			return fmt.Errorf("dfg: arc %+v out of node range", a)
 		}
@@ -437,12 +437,17 @@ func (g *Graph) Validate() error {
 		// Duplicate endpoints would deliver the same token twice (and once
 		// delivered twice under one tag, the ETS matching rules of §2.2 are
 		// violated); reject them statically. The dummy flag is not part of
-		// the endpoint identity.
-		key := Arc{From: a.From, FromPort: a.FromPort, To: a.To, ToPort: a.ToPort}
-		if seenArcs[key] {
-			return fmt.Errorf("dfg: duplicate arc %s port %d → %s port %d", g.Nodes[a.From], a.FromPort, g.Nodes[a.To], a.ToPort)
+		// the endpoint identity. An out-port's arc list is short and in
+		// arc order, so the earlier arcs of a's own list are the only
+		// possible duplicates.
+		for _, bi := range g.outs[a.From][a.FromPort] {
+			if bi >= ai {
+				break
+			}
+			if b := g.Arcs[bi]; b.To == a.To && b.ToPort == a.ToPort {
+				return fmt.Errorf("dfg: duplicate arc %s port %d → %s port %d", g.Nodes[a.From], a.FromPort, g.Nodes[a.To], a.ToPort)
+			}
 		}
-		seenArcs[key] = true
 	}
 	for _, n := range g.Nodes {
 		// Input arity must match the operator kind: a switch with three

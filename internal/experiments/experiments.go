@@ -299,9 +299,9 @@ func e5() ([]*table, error) {
 		}
 		cd := analysis.ComputeControlDeps(g)
 		pdom := cd.PostDom()
-		for _, n := range g.SortedIDs() {
+		for n := range g.Nodes {
 			cdp := cd.IteratedCD([]int{n})
-			for _, f := range g.SortedIDs() {
+			for f := range g.Nodes {
 				pairs++
 				if cdp[f] != analysis.BetweenWith(g, pdom, f, n) {
 					mismatches++
@@ -365,7 +365,7 @@ func e7() ([]*table, error) {
 			return nil, err
 		}
 		var refs []string
-		for _, id := range g.SortedIDs() {
+		for id := range g.Nodes {
 			for v := range g.Refs(id) {
 				refs = append(refs, v)
 			}

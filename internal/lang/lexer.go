@@ -201,7 +201,7 @@ func (l *lexer) next() (token, error) {
 // lexAll scans the whole input.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var out []token
+	out := make([]token, 0, len(src)/2) // a token and its spacing rarely take under two bytes
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -19,80 +19,49 @@ import (
 // consumer, so a dead node fed by one of those stays in place (vet
 // tolerates it: unconsumed pure values are dead code, not leaks).
 //
-// Runs to a fixpoint so a whole orphaned chain unravels back-to-front.
-func eliminateDead(g *dfg.Graph, res *translate.Result, count, total *int) (*dfg.Graph, error) {
-	e := newEditor(g)
+// Runs to a fixpoint so a whole orphaned chain unravels back-to-front,
+// and returns the number of nodes deleted.
+func (w *work) eliminateDead(res *translate.Result) int {
 	isValue := func(k dfg.Kind) bool {
 		return k == dfg.Const || k == dfg.BinOp || k == dfg.UnOp || k == dfg.Fused
 	}
-	srcSafe := func(sn *dfg.Node, port int) bool {
-		if isValue(sn.Kind) {
+	// droppable: the arc's source port may go unconsumed, or keeps
+	// another consumer.
+	droppable := func(a dfg.Arc) bool {
+		sn := w.nodes[a.From]
+		switch {
+		case w.outs.size(w.outs.slot(a.From, a.FromPort)) > 1, isValue(sn.Kind):
 			return true
-		}
-		if (sn.Kind == dfg.Load || sn.Kind == dfg.LoadIdx || sn.Kind == dfg.ILoad) && port == 0 {
+		case (sn.Kind == dfg.Load || sn.Kind == dfg.LoadIdx || sn.Kind == dfg.ILoad) && a.FromPort == 0:
 			return true
 		}
 		return res != nil && sn.Tok != "" && res.ValueTokens[sn.Tok] != ""
 	}
 
-	portLive := make([][]int, len(g.Nodes)) // live out-arc count per (node, port)
-	outLive := make([]int, len(g.Nodes))
-	for i, n := range g.Nodes {
-		portLive[i] = make([]int, n.OutPorts())
-	}
-	for _, a := range g.Arcs {
-		portLive[a.From][a.FromPort]++
-		outLive[a.From]++
-	}
-
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		for _, v := range g.Nodes {
-			if e.deadN[v.ID] || !isValue(v.Kind) || outLive[v.ID] != 0 || v.OutPorts() == 0 {
-				continue
-			}
-			ok := true
-			for p := 0; p < v.NIns && ok; p++ {
-				for _, ai := range e.ins[v.ID][p] {
-					if e.deadA[ai] {
-						continue
-					}
-					a := g.Arcs[ai]
-					if portLive[a.From][a.FromPort] > 1 || srcSafe(g.Nodes[a.From], a.FromPort) {
-						continue
-					}
-					ok = false
-					break
-				}
-			}
-			if !ok {
+	nodes:
+		for id, v := range w.nodes {
+			if v == nil || !isValue(v.Kind) || v.OutPorts() == 0 || w.outDegree(id) != 0 {
 				continue
 			}
 			for p := 0; p < v.NIns; p++ {
-				for _, ai := range e.ins[v.ID][p] {
-					if e.deadA[ai] {
-						continue
+				for ai := w.ins.first(w.ins.slot(id, p)); ai >= 0; ai = w.ins.next(ai) {
+					if !droppable(w.arcs[ai]) {
+						continue nodes
 					}
-					a := g.Arcs[ai]
-					e.deadA[ai] = true
-					portLive[a.From][a.FromPort]--
-					outLive[a.From]--
 				}
 			}
-			e.deadN[v.ID] = true
+			for p := 0; p < v.NIns; p++ {
+				for slot := w.ins.slot(id, p); w.ins.first(slot) >= 0; {
+					w.killArc(w.ins.first(slot))
+				}
+			}
+			w.nodes[id] = nil
 			changed = true
 			n++
 		}
 	}
-	if n == 0 {
-		return g, nil
-	}
-	ng, err := e.rebuild()
-	if err != nil {
-		return nil, err
-	}
-	*count += n
-	*total += n
-	return ng, nil
+	return n
 }

@@ -21,140 +21,142 @@ import (
 // and Fused nodes from earlier rounds are not re-fused (their
 // multi-step bodies stay as built). External input count is capped at
 // 64 to keep the engines' one-word matching bitmask exact.
-func fuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
-	e := newEditor(g)
+func (w *work) fuseOperators() int {
 	pure := func(k dfg.Kind) bool { return k == dfg.Const || k == dfg.BinOp || k == dfg.UnOp }
-	outDeg := func(id int) int {
-		d := 0
-		for _, arcs := range e.outs[id] {
-			d += len(arcs)
-		}
-		return d
-	}
 	// absorbable: the node's single consumer is a pure operator tree
 	// under construction (binop/unop), so the node belongs to that
 	// consumer's tree rather than rooting its own.
 	absorbable := func(id int) bool {
-		if outDeg(id) != 1 {
+		if w.outDegree(id) != 1 {
 			return false
 		}
-		k := g.Nodes[g.Arcs[e.outs[id][0][0]].To].Kind
+		k := w.nodes[w.arcs[w.outs.first(w.outs.slot(id, 0))].To].Kind
 		return k == dfg.BinOp || k == dfg.UnOp
 	}
 
 	type tree struct {
 		root    int
 		steps   []dfg.FusedOp
-		ext     map[int]int // arc index → external input port
 		members []int
 		nExt    int
 	}
-	treeOf := make([]int, len(g.Nodes))
-	for i := range treeOf {
-		treeOf[i] = -1
-	}
-	var trees []*tree
+	// treeOf[v] is the tree node v joined, extPort[a] the external input
+	// port arc a feeds on crossing into a tree; -1 for none.
+	w.treeOf = minusOnes(w.treeOf, len(w.nodes))
+	w.extPort = minusOnes(w.extPort, len(w.arcs))
+	var trees []tree
 
-	for _, root := range g.Nodes {
-		if (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || treeOf[root.ID] != -1 {
-			continue
+	// build adds node v and, producers first, the operators it absorbs to
+	// tree t, and returns v's step; okTree turns false if the tree cannot
+	// be fused.
+	var t tree
+	okTree := true
+	var build func(v int) int
+	build = func(v int) int {
+		if !okTree {
+			return 0
 		}
-		if outDeg(root.ID) < 1 || absorbable(root.ID) {
-			continue
-		}
-		t := &tree{root: root.ID, ext: map[int]int{}}
-		okTree := true
-		var build func(v int) int
-		build = func(v int) int {
-			if !okTree {
-				return 0
-			}
-			vn := g.Nodes[v]
-			var refs [2]int
-			for p := 0; p < vn.NIns; p++ {
-				arcs := e.ins[v][p]
-				if len(arcs) != 1 {
-					okTree = false
-					return 0
-				}
-				ai := arcs[0]
-				src := g.Arcs[ai].From
-				if pure(g.Nodes[src].Kind) && outDeg(src) == 1 && treeOf[src] == -1 {
-					refs[p] = build(src)
-				} else {
-					if t.nExt >= 64 {
-						okTree = false
-						return 0
-					}
-					t.ext[ai] = t.nExt
-					refs[p] = dfg.FusedInput(t.nExt)
-					t.nExt++
-				}
-			}
-			var op dfg.FusedOp
-			switch vn.Kind {
-			case dfg.Const:
-				op = dfg.FusedOp{Kind: dfg.Const, Val: vn.Val, A: refs[0]}
-			case dfg.UnOp:
-				op = dfg.FusedOp{Kind: dfg.UnOp, Op: vn.Op, A: refs[0]}
-			case dfg.BinOp:
-				op = dfg.FusedOp{Kind: dfg.BinOp, Op: vn.Op, A: refs[0], B: refs[1]}
-			default:
+		vn := w.nodes[v]
+		var refs [2]int
+		for p := 0; p < vn.NIns; p++ {
+			ai := w.ins.only(w.ins.slot(v, p))
+			if ai < 0 {
 				okTree = false
 				return 0
 			}
-			t.steps = append(t.steps, op)
-			t.members = append(t.members, v)
-			return len(t.steps) - 1
+			src := w.arcs[ai].From
+			if pure(w.nodes[src].Kind) && w.outDegree(src) == 1 && w.treeOf[src] == -1 {
+				refs[p] = build(src)
+			} else {
+				if t.nExt >= 64 {
+					okTree = false
+					return 0
+				}
+				w.extPort[ai] = int32(t.nExt)
+				refs[p] = dfg.FusedInput(t.nExt)
+				t.nExt++
+			}
 		}
-		build(root.ID)
+		var op dfg.FusedOp
+		switch vn.Kind {
+		case dfg.Const:
+			op = dfg.FusedOp{Kind: dfg.Const, Val: vn.Val, A: refs[0]}
+		case dfg.UnOp:
+			op = dfg.FusedOp{Kind: dfg.UnOp, Op: vn.Op, A: refs[0]}
+		case dfg.BinOp:
+			op = dfg.FusedOp{Kind: dfg.BinOp, Op: vn.Op, A: refs[0], B: refs[1]}
+		default:
+			okTree = false
+			return 0
+		}
+		t.steps = append(t.steps, op)
+		t.members = append(t.members, v)
+		return len(t.steps) - 1
+	}
+	for id, root := range w.nodes {
+		if root == nil || (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || w.treeOf[id] != -1 {
+			continue
+		}
+		if w.outDegree(id) < 1 || absorbable(id) {
+			continue
+		}
+		t, okTree = tree{root: id}, true
+		build(id)
 		if !okTree || len(t.steps) < 2 {
 			continue // nothing worth fusing at this root
 		}
 		for _, m := range t.members {
-			treeOf[m] = len(trees)
+			w.treeOf[m] = int32(len(trees))
 		}
 		trees = append(trees, t)
 	}
 	if len(trees) == 0 {
-		return g, nil
+		return 0
 	}
 
 	fusedID := make([]int, len(trees))
 	for i, t := range trees {
-		rn := g.Nodes[t.root]
-		fusedID[i] = e.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
-		e.newFus = append(e.newFus, dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int{len(t.steps) - 1}})
-		for _, m := range t.members {
-			e.deadN[m] = true
-		}
+		rn := w.nodes[t.root]
+		fusedID[i] = w.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
+		w.fusions = append(w.fusions, dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int{len(t.steps) - 1}})
 	}
-	for ai, a := range g.Arcs {
-		sT, dT := treeOf[a.From], treeOf[a.To]
-		if sT == -1 && dT == -1 {
+	// Rewire the arcs that were there before this round's; they connect
+	// nodes that were, too.
+	for ai := int32(0); int(ai) < len(w.extPort); ai++ {
+		a := w.arcs[ai]
+		sT, dT := w.treeOf[a.From], w.treeOf[a.To]
+		if !w.live[ai] || (sT == -1 && dT == -1) {
 			continue
 		}
-		e.deadA[ai] = true
-		if dT != -1 {
-			if p, ok := trees[dT].ext[ai]; ok {
-				from, fp := a.From, a.FromPort
-				if sT != -1 {
-					from, fp = fusedID[sT], 0 // the feeder is another tree's root
-				}
-				e.added = append(e.added, dfg.Arc{From: from, FromPort: fp, To: fusedID[dT], ToPort: p, Dummy: a.Dummy})
+		w.killArc(ai)
+		switch {
+		case dT == -1:
+			// Root output crossing out of the tree.
+			w.addArc(dfg.Arc{From: fusedID[sT], FromPort: 0, To: a.To, ToPort: a.ToPort, Dummy: a.Dummy})
+		case w.extPort[ai] >= 0:
+			if sT != -1 {
+				a.From, a.FromPort = fusedID[sT], 0 // the feeder is another tree's root
 			}
-			// Not an external input: an interior arc, dropped — that is
-			// the optimization.
-			continue
+			w.addArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: fusedID[dT], ToPort: int(w.extPort[ai]), Dummy: a.Dummy})
 		}
-		// Root output crossing out of the tree.
-		e.added = append(e.added, dfg.Arc{From: fusedID[sT], FromPort: 0, To: a.To, ToPort: a.ToPort, Dummy: a.Dummy})
+		// Otherwise an interior arc, dropped — that is the optimization.
 	}
-	ng, err := e.rebuild()
-	if err != nil {
-		return nil, err
+	for _, t := range trees {
+		for _, m := range t.members {
+			w.nodes[m] = nil
+		}
 	}
-	*count += len(trees)
-	*total += len(trees)
-	return ng, nil
+	return len(trees)
+}
+
+// minusOnes returns s resized to n elements, all -1.
+func minusOnes(s []int32, n int) []int32 {
+	if cap(s) < n {
+		s = make([]int32, n, n+n/4)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }

@@ -15,61 +15,55 @@ import (
 // m2's other arms (they reached m2 before the rewrite too, just one hop
 // later).
 //
-// Within a round, a merge that has already absorbed arms is skipped as
-// a flattening source (its in-arc list is stale); the round loop
-// re-runs until no chain remains.
-func collapseMerges(g *dfg.Graph, cert *translate.OptCertificate, count, total *int) (*dfg.Graph, error) {
+// Within a sweep, a merge that has already absorbed arms, or whose own
+// output was rewired into another merge, is skipped as a flattening
+// source (the sweep's rewrites stay independent of their order); sweeps
+// repeat until no chain remains. It returns the number of merges removed.
+func (w *work) collapseMerges(cert *translate.OptCertificate) int {
+	total := 0
 	for {
-		e := newEditor(g)
-		touched := make([]bool, len(g.Nodes)) // received rewired arms this round
+		w.sweep++
 		n := 0
-		for _, m1 := range g.Nodes {
-			if m1.Kind != dfg.Merge || e.deadN[m1.ID] || touched[m1.ID] {
+		for id, m1 := range w.nodes {
+			if m1 == nil || m1.Kind != dfg.Merge || !w.fresh(id) {
 				continue
 			}
-			outs := e.outs[m1.ID][0]
-			if len(outs) != 1 {
+			out := w.outs.only(w.outs.slot(id, 0))
+			if out < 0 {
 				continue
 			}
-			a := g.Arcs[outs[0]]
-			if a.ToPort != 0 || a.To == m1.ID {
+			a := w.arcs[out]
+			if a.ToPort != 0 || a.To == id {
 				continue
 			}
-			m2 := g.Nodes[a.To]
-			if m2.Kind != dfg.Merge || m2.Tok != m1.Tok || e.deadN[m2.ID] {
+			m2 := w.nodes[a.To]
+			if m2.Kind != dfg.Merge || m2.Tok != m1.Tok {
 				continue
 			}
+			arms := w.ins.slot(id, 0)
 			ok := true
-			for _, ii := range e.ins[m1.ID][0] {
-				ia := g.Arcs[ii]
-				if e.hasArc(ia.From, ia.FromPort, m2.ID, 0) {
-					ok = false // the arm already feeds m2 directly: duplicate
-					break
-				}
+			for ii := w.ins.first(arms); ii >= 0 && ok; ii = w.ins.next(ii) {
+				// An arm that already feeds m2 directly would be duplicated.
+				ok = !w.hasArc(w.arcs[ii].From, w.arcs[ii].FromPort, m2.ID, 0)
 			}
 			if !ok {
 				continue
 			}
-			for _, ii := range e.ins[m1.ID][0] {
-				ia := g.Arcs[ii]
-				e.added = append(e.added, dfg.Arc{From: ia.From, FromPort: ia.FromPort, To: m2.ID, ToPort: 0, Dummy: ia.Dummy})
-				e.deadA[ii] = true
+			for ii := w.ins.first(arms); ii >= 0; ii = w.ins.first(arms) {
+				ia := w.arcs[ii]
+				w.addArc(dfg.Arc{From: ia.From, FromPort: ia.FromPort, To: m2.ID, ToPort: 0, Dummy: ia.Dummy})
+				w.killArc(ii)
+				w.touch(ia.From)
 			}
-			e.deadA[outs[0]] = true
-			e.deadN[m1.ID] = true
-			touched[m2.ID] = true
+			w.killArc(out)
+			w.nodes[id] = nil
+			w.touch(m2.ID)
 			cert.RemovedMerges[translate.StmtTok{Stmt: m1.Stmt, Tok: m1.Tok}]++
 			n++
 		}
 		if n == 0 {
-			return g, nil
+			return total
 		}
-		ng, err := e.rebuild()
-		if err != nil {
-			return nil, err
-		}
-		g = ng
-		*count += n
-		*total += n
+		total += n
 	}
 }

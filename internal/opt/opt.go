@@ -35,12 +35,18 @@
 // single-consumer pure values (no other node observes the interior
 // tokens), and dead elimination deletes tokens that were provably
 // discarded anyway.
+//
+// The passes do not rewrite dfg.Graph values, which are append-only: one
+// run lowers its input once into a private working graph (work.go) whose
+// per-port adjacency is current after every edit, every pass edits that
+// in place, and a dfg.Graph is built from it once, after the last round
+// — or not at all when nothing was rewritten, in which case the input
+// graph itself is handed back.
 package opt
 
 import (
 	"fmt"
 
-	"ctdf/internal/dfg"
 	"ctdf/internal/translate"
 	"ctdf/internal/vet"
 )
@@ -75,30 +81,27 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 		minimal = nil // metadata-free graph: skip the placement-driven pass
 	}
 
-	g := res.Graph
+	w := newWork(res.Graph)
 	counts := [4]int{}
 	for round := 0; ; round++ {
 		if round >= maxRounds {
 			return nil, fmt.Errorf("opt: pipeline did not reach a fixpoint after %d rounds", maxRounds)
 		}
-		n := 0
+		before := counts
 		if minimal != nil {
-			g, err = sinkSwitches(g, minimal, cert, &counts[0], &n)
-			if err != nil {
-				return nil, err
-			}
+			counts[0] += w.sinkSwitches(minimal, cert)
 		}
-		if g, err = collapseMerges(g, cert, &counts[1], &n); err != nil {
-			return nil, err
-		}
-		if g, err = fuseOperators(g, &counts[2], &n); err != nil {
-			return nil, err
-		}
-		if g, err = eliminateDead(g, res, &counts[3], &n); err != nil {
-			return nil, err
-		}
-		if n == 0 {
+		counts[1] += w.collapseMerges(cert)
+		counts[2] += w.fuseOperators()
+		counts[3] += w.eliminateDead(res)
+		if counts == before {
 			break
+		}
+	}
+	g := res.Graph
+	if counts != [4]int{} {
+		if g, err = w.graph(); err != nil {
+			return nil, err
 		}
 	}
 	if err := g.Validate(); err != nil {
@@ -113,132 +116,4 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 	res.Graph = g
 	res.Opt = cert
 	return cert, nil
-}
-
-// editor accumulates one batch of rewrites against a graph and rebuilds
-// a fresh graph with dense node ids. dfg.Graph is append-only by design
-// (its arc indices and target caches assume immutability), so passes
-// mark deletions and additions here and the rebuild re-adds everything
-// that survives, in original order — keeping pass output deterministic.
-type editor struct {
-	g        *dfg.Graph
-	deadN    []bool
-	deadA    []bool
-	added    []dfg.Arc       // endpoints in old-id space (new nodes at len(g.Nodes)+i)
-	newNodes []*dfg.Node     // appended nodes, ids len(g.Nodes)+i
-	newFus   []dfg.FusedInfo // fusion entries for appended nodes, old-id space
-
-	// outs[node][port] and ins[node][port] list arc indices.
-	outs [][][]int
-	ins  [][][]int
-}
-
-func newEditor(g *dfg.Graph) *editor {
-	e := &editor{
-		g:     g,
-		deadN: make([]bool, len(g.Nodes)),
-		deadA: make([]bool, len(g.Arcs)),
-		outs:  make([][][]int, len(g.Nodes)),
-		ins:   make([][][]int, len(g.Nodes)),
-	}
-	for i, n := range g.Nodes {
-		e.outs[i] = make([][]int, n.OutPorts())
-		e.ins[i] = make([][]int, n.NIns)
-	}
-	for ai, a := range g.Arcs {
-		e.outs[a.From][a.FromPort] = append(e.outs[a.From][a.FromPort], ai)
-		e.ins[a.To][a.ToPort] = append(e.ins[a.To][a.ToPort], ai)
-	}
-	return e
-}
-
-// addNode appends a node in old-id space and returns its provisional id.
-func (e *editor) addNode(n *dfg.Node) int {
-	id := len(e.g.Nodes) + len(e.newNodes)
-	e.newNodes = append(e.newNodes, n)
-	return id
-}
-
-// hasArc reports whether an arc with these endpoints survives the edits
-// (or was added by them) — used to refuse rewrites that would create a
-// duplicate arc.
-func (e *editor) hasArc(from, fromPort, to, toPort int) bool {
-	if from < len(e.outs) {
-		for _, ai := range e.outs[from][fromPort] {
-			if !e.deadA[ai] {
-				a := e.g.Arcs[ai]
-				if a.To == to && a.ToPort == toPort {
-					return true
-				}
-			}
-		}
-	}
-	for _, a := range e.added {
-		if a.From == from && a.FromPort == fromPort && a.To == to && a.ToPort == toPort {
-			return true
-		}
-	}
-	return false
-}
-
-// rebuild materializes the edited graph. Surviving nodes keep their
-// relative order; appended nodes follow. An arc left attached to a
-// deleted node is a pass bug and fails loudly.
-func (e *editor) rebuild() (*dfg.Graph, error) {
-	g := e.g
-	ng := dfg.NewGraph(g.Prog)
-	remap := make([]int, len(g.Nodes)+len(e.newNodes))
-	for i, n := range g.Nodes {
-		if e.deadN[i] {
-			remap[i] = -1
-			continue
-		}
-		cp := *n
-		ng.Add(&cp)
-		remap[i] = cp.ID
-	}
-	for i, n := range e.newNodes {
-		cp := *n
-		ng.Add(&cp)
-		remap[len(g.Nodes)+i] = cp.ID
-	}
-	connect := func(a dfg.Arc) error {
-		from, to := remap[a.From], remap[a.To]
-		if from < 0 || to < 0 {
-			return fmt.Errorf("opt: internal error: arc d%d.%d→d%d.%d survives a deleted endpoint", a.From, a.FromPort, a.To, a.ToPort)
-		}
-		ng.Connect(from, a.FromPort, to, a.ToPort, a.Dummy)
-		return nil
-	}
-	for ai, a := range g.Arcs {
-		if e.deadA[ai] {
-			continue
-		}
-		if err := connect(a); err != nil {
-			return nil, err
-		}
-	}
-	for _, a := range e.added {
-		if err := connect(a); err != nil {
-			return nil, err
-		}
-	}
-	for i := range g.Fusions {
-		fi := g.Fusions[i]
-		if remap[fi.Node] < 0 {
-			continue
-		}
-		fi.Node = remap[fi.Node]
-		fi.Steps = append([]dfg.FusedOp(nil), fi.Steps...)
-		fi.Outs = append([]int(nil), fi.Outs...)
-		ng.AddFusion(fi)
-	}
-	for _, fi := range e.newFus {
-		if remap[fi.Node] < 0 {
-			continue
-		}
-		fi.Node = remap[fi.Node]
-		ng.AddFusion(fi)
-	}
-	return ng, nil
 }

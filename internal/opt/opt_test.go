@@ -192,7 +192,7 @@ func TestOptimizeIsIdempotent(t *testing.T) {
 		if _, err := Run(res); err != nil {
 			t.Fatal(err)
 		}
-		first := dfg.Text(res.Graph)
+		first, graph := dfg.Text(res.Graph), res.Graph
 		cert2, err := Run(res)
 		if err != nil {
 			t.Fatal(err)
@@ -200,8 +200,61 @@ func TestOptimizeIsIdempotent(t *testing.T) {
 		if n := cert2.Rewrites(); n != 0 {
 			t.Errorf("%v: second optimization run rewrote %d more times", s, n)
 		}
+		if res.Graph != graph {
+			t.Errorf("%v: a run without rewrites must hand back its input graph, not a copy", s)
+		}
 		if dfg.Text(res.Graph) != first {
 			t.Errorf("%v: second optimization run changed the graph text", s)
+		}
+	}
+}
+
+// optimizedAgrees optimizes w under schema s and holds the result to
+// vet and to sequential interpretation.
+func optimizedAgrees(t *testing.T, w workloads.Workload, s translate.Schema) {
+	t.Helper()
+	g, err := cfg.Build(w.Parse())
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	want, err := interp.Run(g, interp.Options{})
+	if err != nil {
+		t.Fatalf("%s: interp: %v", w.Name, err)
+	}
+	res, err := translate.Translate(g, translate.Options{Schema: s})
+	if err != nil {
+		t.Fatalf("%s/%v: translate: %v", w.Name, s, err)
+	}
+	if _, err := Run(res); err != nil {
+		t.Fatalf("%s/%v: optimize: %v", w.Name, s, err)
+	}
+	if rep := vet.Run(res.Graph, res); !rep.Clean() {
+		t.Fatalf("%s/%v: optimized graph not vet-clean:\n%s", w.Name, s, rep)
+	}
+	out, err := machine.Run(res.Graph, machine.Config{})
+	if err != nil {
+		t.Fatalf("%s/%v: optimized machine run: %v", w.Name, s, err)
+	}
+	if got := translate.FinalSnapshot(res, out.Store, out.EndValues); got != want.Store.Snapshot() {
+		t.Errorf("%s/%v: optimized result disagrees with interpretation\n got %s\nwant %s", w.Name, s, got, want.Store.Snapshot())
+	}
+}
+
+// TestSinkChainedPairs: goto-built programs under the unoptimized schemas
+// chain sinkable switch/merge pairs — one pair's merge feeding the next
+// pair's switch directly. Rewriting both from one snapshot of the graph
+// wired the second from the first's deleted merge ("arc d44.0→d112.0
+// survives a deleted endpoint" on the first program below, the smallest
+// reproduction). The sweep after it draws one schema per program from the
+// 1 000 cells — seeds 0–39 × sizes 2–6 × five schemas — of which 176
+// failed that way.
+func TestSinkChainedPairs(t *testing.T) {
+	for _, s := range []translate.Schema{translate.Schema2, translate.Schema3} {
+		optimizedAgrees(t, workloads.RandomUnstructured(1, 3), s)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		for size := 2; size <= 6; size++ {
+			optimizedAgrees(t, workloads.RandomUnstructured(seed, size), allSchemas[(int(seed)+size)%len(allSchemas)])
 		}
 	}
 }

@@ -12,9 +12,26 @@ import (
 )
 
 // Mutation-style self-tests: each pass gets one graph it must rewrite
-// and one it must leave byte-identical. The must-not cases assert
-// pointer equality — a pass with nothing to do returns its input graph
-// without a rebuild.
+// and one it must leave alone. The must-not cases assert zero rewrites —
+// and a run without rewrites returns its input graph, not a copy
+// (TestOptimizeIsIdempotent).
+
+// runPass applies one pass to g's working graph and returns the graph
+// that results and the pass's rewrite count.
+func runPass(t *testing.T, g *dfg.Graph, pass func(w *work) int) (*dfg.Graph, int) {
+	t.Helper()
+	w := newWork(g)
+	n := pass(w)
+	ng, err := w.graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ng, n
+}
+
+func collapse(w *work) int { return w.collapseMerges(freshCert()) }
+func fuse(w *work) int     { return w.fuseOperators() }
+func dead(w *work) int     { return w.eliminateDead(nil) }
 
 // mergeChain builds start → {c1 → m1 → m2, c2 → m2} → end, with both
 // merges on token tok2 unless tok1 overrides m1's.
@@ -37,34 +54,24 @@ func mergeChain(tok1, tok2 string) *dfg.Graph {
 
 func TestCollapseMergesFlattensChain(t *testing.T) {
 	g := mergeChain("t", "t")
-	var count, n int
-	ng, err := collapseMerges(g, freshCert(), &count, &n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ng, count := runPass(t, g, collapse)
 	if count != 1 {
 		t.Fatalf("want 1 merge collapsed, got %d", count)
 	}
 	if got := countKind(ng, dfg.Merge); got != 1 {
 		t.Fatalf("want 1 surviving merge, got %d", got)
 	}
-	e := newEditor(ng)
 	for _, m := range ng.Nodes {
-		if m.Kind == dfg.Merge && len(e.ins[m.ID][0]) != 2 {
-			t.Fatalf("surviving merge should have absorbed both arms, has %d", len(e.ins[m.ID][0]))
+		if m.Kind == dfg.Merge && ng.InDegree(m.ID, 0) != 2 {
+			t.Fatalf("surviving merge should have absorbed both arms, has %d", ng.InDegree(m.ID, 0))
 		}
 	}
 }
 
 func TestCollapseMergesLeavesDistinctTokens(t *testing.T) {
 	g := mergeChain("x", "y")
-	var count, n int
-	ng, err := collapseMerges(g, freshCert(), &count, &n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 || ng != g {
-		t.Fatalf("merges on distinct tokens must not flatten (count %d, rebuilt %v)", count, ng != g)
+	if _, count := runPass(t, g, collapse); count != 0 {
+		t.Fatalf("merges on distinct tokens must not flatten (count %d)", count)
 	}
 }
 
@@ -89,11 +96,7 @@ func opChain() *dfg.Graph {
 
 func TestFuseOperatorsCollapsesTree(t *testing.T) {
 	g := opChain()
-	var count, n int
-	ng, err := fuseOperators(g, &count, &n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ng, count := runPass(t, g, fuse)
 	if count != 1 {
 		t.Fatalf("want 1 tree fused, got %d", count)
 	}
@@ -134,13 +137,8 @@ func TestFuseOperatorsLeavesSingleOperator(t *testing.T) {
 	g.Connect(start.ID, 0, b.ID, 0, false)
 	g.Connect(start.ID, 0, b.ID, 1, false)
 	g.Connect(b.ID, 0, end.ID, 0, false)
-	var count, n int
-	ng, err := fuseOperators(g, &count, &n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 || ng != g {
-		t.Fatalf("a lone operator must not fuse (count %d, rebuilt %v)", count, ng != g)
+	if _, count := runPass(t, g, fuse); count != 0 {
+		t.Fatalf("a lone operator must not fuse (count %d)", count)
 	}
 }
 
@@ -151,11 +149,7 @@ func TestEliminateDeadUnravelsOrphanedValues(t *testing.T) {
 	u := g.Add(&dfg.Node{Kind: dfg.UnOp, Op: lang.OpNeg})
 	g.Connect(start.ID, 0, c.ID, 0, false)
 	g.Connect(c.ID, 0, u.ID, 0, false)
-	var count, n int
-	ng, err := eliminateDead(g, nil, &count, &n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ng, count := runPass(t, g, dead)
 	// The unop dies (its feeder is a pure value source); the const stays
 	// — deleting it would leave the start port with no consumer.
 	if count != 1 {
@@ -171,13 +165,8 @@ func TestEliminateDeadKeepsAccessFedNode(t *testing.T) {
 	start := g.Add(&dfg.Node{Kind: dfg.Start})
 	u := g.Add(&dfg.Node{Kind: dfg.UnOp, Op: lang.OpNeg})
 	g.Connect(start.ID, 0, u.ID, 0, false)
-	var count, n int
-	ng, err := eliminateDead(g, nil, &count, &n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 0 || ng != g {
-		t.Fatalf("a dead node emptying an access port must stay (count %d, rebuilt %v)", count, ng != g)
+	if _, count := runPass(t, g, dead); count != 0 {
+		t.Fatalf("a dead node emptying an access port must stay (count %d)", count)
 	}
 }
 

@@ -23,74 +23,71 @@ import (
 // deleted. Loop-circulation switches never match: their false arm feeds
 // a loop-exit, not a merge.
 //
-// The pattern guarantees pair-disjointness (each removed merge has both
-// in-arcs consumed by its removed switch), so a whole round batches into
-// one rebuild; the inner fixpoint then collapses nested diamonds
-// inside-out, since deleting an inner pair turns the outer pair's arms
-// into single arcs.
-func sinkSwitches(g *dfg.Graph, minimal *analysis.Placement, cert *translate.OptCertificate, count, total *int) (*dfg.Graph, error) {
+// Two matching pairs can be chained — one pair's merge feeding the
+// other's switch directly, as data or as control — and then rewriting one
+// edits the arcs the other is matched on. A pair therefore waits for the
+// next sweep when this sweep already edited the adjacency of its switch
+// or its merge. The sweeps also collapse nested diamonds inside-out,
+// since deleting an inner pair turns the outer pair's arms into single
+// arcs. It returns the number of pairs removed.
+func (w *work) sinkSwitches(minimal *analysis.Placement, cert *translate.OptCertificate) int {
+	total := 0
 	for {
-		e := newEditor(g)
+		w.sweep++
 		n := 0
-		for _, sw := range g.Nodes {
-			if sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" {
+		for id, sw := range w.nodes {
+			if sw == nil || sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" || !w.fresh(id) {
 				continue
 			}
 			if minimal.NeedsSwitch(sw.Stmt, sw.Tok) {
 				continue // required by Theorem 1: removing it would break determinacy
 			}
-			o0, o1 := e.outs[sw.ID][0], e.outs[sw.ID][1]
-			if len(o0) != 1 || len(o1) != 1 {
+			o0, o1 := w.outs.only(w.outs.slot(id, 0)), w.outs.only(w.outs.slot(id, 1))
+			if o0 < 0 || o1 < 0 {
 				continue
 			}
-			a0, a1 := g.Arcs[o0[0]], g.Arcs[o1[0]]
+			a0, a1 := w.arcs[o0], w.arcs[o1]
 			if a0.To != a1.To || a0.ToPort != 0 || a1.ToPort != 0 {
 				continue
 			}
-			m := g.Nodes[a0.To]
-			if m.Kind != dfg.Merge || m.Tok != sw.Tok || len(e.ins[m.ID][0]) != 2 {
+			m := w.nodes[a0.To]
+			if m.Kind != dfg.Merge || m.Tok != sw.Tok || w.ins.size(w.ins.slot(m.ID, 0)) != 2 || !w.fresh(m.ID) {
 				continue
 			}
-			din, cin := e.ins[sw.ID][0], e.ins[sw.ID][1]
-			if len(din) != 1 || len(cin) != 1 {
+			din, cin := w.ins.only(w.ins.slot(id, 0)), w.ins.only(w.ins.slot(id, 1))
+			if din < 0 || cin < 0 {
 				continue
 			}
-			data := g.Arcs[din[0]]
+			data, mouts := w.arcs[din], w.outs.slot(m.ID, 0)
 			ok := true
-			for _, mi := range e.outs[m.ID][0] {
-				ma := g.Arcs[mi]
-				if e.hasArc(data.From, data.FromPort, ma.To, ma.ToPort) {
-					ok = false // would duplicate an existing arc; leave the pair
-					break
-				}
+			for mi := w.outs.first(mouts); mi >= 0 && ok; mi = w.outs.next(mi) {
+				// Wiring the data source straight through must not
+				// duplicate an existing arc; if it would, leave the pair.
+				ok = !w.hasArc(data.From, data.FromPort, w.arcs[mi].To, w.arcs[mi].ToPort)
 			}
 			if !ok {
 				continue
 			}
-			for _, mi := range e.outs[m.ID][0] {
-				ma := g.Arcs[mi]
-				e.added = append(e.added, dfg.Arc{From: data.From, FromPort: data.FromPort, To: ma.To, ToPort: ma.ToPort, Dummy: ma.Dummy})
-				e.deadA[mi] = true
+			for k := w.outs.size(mouts); k > 0; k-- {
+				mi := w.outs.first(mouts)
+				ma := w.arcs[mi]
+				w.addArc(dfg.Arc{From: data.From, FromPort: data.FromPort, To: ma.To, ToPort: ma.ToPort, Dummy: ma.Dummy})
+				w.killArc(mi)
+				w.touch(ma.To)
 			}
-			e.deadA[din[0]] = true
-			e.deadA[cin[0]] = true
-			e.deadA[o0[0]] = true
-			e.deadA[o1[0]] = true
-			e.deadN[sw.ID] = true
-			e.deadN[m.ID] = true
+			w.touch(data.From)
+			w.touch(w.arcs[cin].From)
+			for _, a := range [...]int32{din, cin, o0, o1} {
+				w.killArc(a)
+			}
+			w.nodes[id], w.nodes[m.ID] = nil, nil
 			cert.RemovedSwitches[translate.StmtTok{Stmt: sw.Stmt, Tok: sw.Tok}]++
 			cert.RemovedMerges[translate.StmtTok{Stmt: m.Stmt, Tok: m.Tok}]++
 			n++
 		}
 		if n == 0 {
-			return g, nil
+			return total
 		}
-		ng, err := e.rebuild()
-		if err != nil {
-			return nil, err
-		}
-		g = ng
-		*count += n
-		*total += n
+		total += n
 	}
 }

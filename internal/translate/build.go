@@ -17,8 +17,12 @@ type src struct {
 }
 
 type builder struct {
-	g           *cfg.Graph
-	loops       []cfg.Loop
+	g     *cfg.Graph
+	loops []cfg.Loop
+	// need gives the sorted token set a statement or fork block consumes:
+	// the tokens of every variable it references plus any §6.3 completion
+	// token attached to it.
+	need        analysis.NeedFunc
 	sv          *analysis.SourceVectors
 	placement   *analysis.Placement
 	tokensOf    map[string][]string
@@ -93,8 +97,7 @@ func (b *builder) resolve(s analysis.Source, tok string) (src, error) {
 // into CFG node id and returns the wire to consume it from. A merge node
 // is created when several sources feed the same point.
 func (b *builder) inputSrc(id int, tok string) (src, error) {
-	srcs := b.sv.SV[id][tok]
-	return b.combine(srcs, id, tok)
+	return b.combine(b.sv.Sources(id, tok), id, tok)
 }
 
 func (b *builder) combine(srcs []analysis.Source, id int, tok string) (src, error) {
@@ -144,20 +147,17 @@ func (b *builder) synchOf(wires []src, stmt int, tok string) src {
 	return src{s.ID, 0}
 }
 
-// build drives the translation: CFG nodes are processed in topological
-// order ignoring loop back edges, so every input source tap exists by the
-// time it is consumed; loop-entry back ports are wired in a final pass.
+// build drives the translation: CFG nodes are processed in the
+// topological order the source vectors were propagated in (ignoring loop
+// back edges), so every input source tap exists by the time it is
+// consumed; loop-entry back ports are wired in a final pass.
 func (b *builder) build() error {
 	b.tapT = map[int]map[string]src{}
 	b.tapF = map[int]map[string]src{}
 	b.tapR = map[int]map[string]src{}
 
-	order, err := b.topoOrder()
-	if err != nil {
-		return err
-	}
 	var pendingBack []int
-	for _, id := range order {
+	for _, id := range b.sv.Order {
 		n := b.g.Nodes[id]
 		switch n.Kind {
 		case cfg.KindStart:
@@ -202,41 +202,6 @@ func (b *builder) build() error {
 		}
 	}
 	return nil
-}
-
-func (b *builder) topoOrder() ([]int, error) {
-	n := b.g.Len()
-	isBackPred := func(node, pred int) bool {
-		nd := b.g.Nodes[node]
-		return nd.Kind == cfg.KindLoopEntry && nd.BackPreds[pred]
-	}
-	processed := make([]bool, n)
-	order := make([]int, 0, n)
-	for len(order) < n {
-		pick := -1
-		for _, id := range b.g.SortedIDs() {
-			if processed[id] {
-				continue
-			}
-			ready := true
-			for _, p := range b.g.Nodes[id].Preds {
-				if !processed[p] && !isBackPred(id, p) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				pick = id
-				break
-			}
-		}
-		if pick == -1 {
-			return nil, fmt.Errorf("translate: CFG has a cycle not broken by loop entries")
-		}
-		processed[pick] = true
-		order = append(order, pick)
-	}
-	return order, nil
 }
 
 func (b *builder) buildStart(id int) error {
@@ -334,9 +299,8 @@ func (b *builder) buildJoin(id int) error {
 	// with a single source were forwarded during the source-vector
 	// computation ("a join with a single source is equivalent to no
 	// operator", §4.2).
-	toks := sortedTokens(b.sv.SV[id])
-	for _, tok := range toks {
-		srcs := b.sv.SV[id][tok]
+	for _, tok := range b.sv.Universe {
+		srcs := b.sv.Sources(id, tok)
 		if len(srcs) < 2 {
 			continue
 		}
@@ -364,7 +328,7 @@ func (b *builder) buildLoopEntry(id int) error {
 
 func (b *builder) wireBackPort(id int) error {
 	for _, tok := range sortedTokens(b.sv.LoopNeed[id]) {
-		w, err := b.combine(b.sv.Back[id][tok], id, tok)
+		w, err := b.combine(b.sv.BackSources(id, tok), id, tok)
 		if err != nil {
 			return err
 		}
@@ -562,28 +526,9 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 	return src{}, fmt.Errorf("translate: unknown expression %T", e)
 }
 
-// consumedTokens returns the sorted token set a statement block consumes:
-// the tokens of every variable it references plus any §6.3 completion
-// tokens attached to it.
-func (b *builder) consumedTokens(id int) []string {
-	set := map[string]bool{}
-	for v := range b.g.Refs(id) {
-		if b.istructs[v] {
-			continue
-		}
-		for _, tok := range b.tokensOf[v] {
-			set[tok] = true
-		}
-	}
-	if ps, ok := b.pstores[id]; ok {
-		set[ps.DoneToken()] = true
-	}
-	return sortedTokens(set)
-}
-
 func (b *builder) buildAssign(id int) error {
 	n := b.g.Nodes[id]
-	consumed := b.consumedTokens(id)
+	consumed := b.need(id)
 	ctx, err := b.newStmtCtx(id, consumed)
 	if err != nil {
 		return err
@@ -661,7 +606,7 @@ func (b *builder) buildAssign(id int) error {
 
 func (b *builder) buildFork(id int) error {
 	n := b.g.Nodes[id]
-	consumed := b.consumedTokens(id)
+	consumed := b.need(id)
 	switched := b.placement.Tokens(id)
 	consumedSet := map[string]bool{}
 	for _, t := range consumed {

@@ -104,7 +104,7 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 		for _, f := range procParams(prog, name) {
 			set[f] = true
 		}
-		for _, id := range ug.SortedIDs() {
+		for id := range ug.Nodes {
 			n := ug.Nodes[id]
 			for v := range ug.Refs(id) {
 				set[v] = true
@@ -120,7 +120,7 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 	for changed := true; changed; {
 		changed = false
 		for name, ug := range units {
-			for _, id := range ug.SortedIDs() {
+			for id := range ug.Nodes {
 				n := ug.Nodes[id]
 				if n.Kind != cfg.KindCall {
 					continue
@@ -229,7 +229,7 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 			return nil, fmt.Errorf("translate: unit %q: %w", unit, err)
 		}
 		b := &builder{
-			g: ug, loops: loops, sv: sv, placement: placement,
+			g: ug, loops: loops, need: need, sv: sv, placement: placement,
 			tokensOf: tokensOf, universe: sortedUniverse[unit],
 			valueTokens: map[string]string{},
 			pstores:     map[int]ParallelStore{},

@@ -47,6 +47,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ctdf/internal/analysis"
@@ -309,13 +310,14 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 		sort.Strings(universe)
 	}
 
-	need := makeNeed(g, tokensOf, pstores, istructs)
+	base := makeNeed(g, tokensOf, pstores, istructs)
 
+	need := base
 	var placement *analysis.Placement
 	switch opt.Schema {
 	case Schema2Opt, Schema3Opt:
 		cd := analysis.ComputeControlDeps(g)
-		need, placement = placeWithLoopControl(g, loops, cd, need)
+		need, placement = placeWithLoopControl(g, loops, cd, base)
 	default:
 		placement = allSwitches(g, universe)
 	}
@@ -328,6 +330,7 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 	b := &builder{
 		g:           g,
 		loops:       loops,
+		need:        base,
 		sv:          sv,
 		placement:   placement,
 		tokensOf:    tokensOf,
@@ -374,32 +377,24 @@ func removeTokens(universe []string, drop map[string]bool) []string {
 // makeNeed derives the NeedFunc: a node needs the union of the token sets
 // of the variables it references (I-structure arrays have none);
 // statements carrying a §6.3-parallelized store additionally need the
-// loop's completion token.
+// loop's completion token. Every node's need is worked out here, once;
+// the analyses and the builder all read the same sorted slices.
 func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStore, istructs map[string]bool) analysis.NeedFunc {
-	doneAt := map[int][]string{}
+	needs := make([][]string, g.Len())
 	for _, ps := range pstores {
-		doneAt[ps.StoreStmt] = append(doneAt[ps.StoreStmt], ps.DoneToken())
+		needs[ps.StoreStmt] = append(needs[ps.StoreStmt], ps.DoneToken())
 	}
-	return func(id int) []string {
-		set := map[string]bool{}
+	for id := range g.Nodes {
+		toks := needs[id]
 		for v := range g.Refs(id) {
-			if istructs[v] {
-				continue
-			}
-			for _, tok := range tokensOf[v] {
-				set[tok] = true
+			if !istructs[v] {
+				toks = append(toks, tokensOf[v]...)
 			}
 		}
-		for _, tok := range doneAt[id] {
-			set[tok] = true
-		}
-		out := make([]string, 0, len(set))
-		for tok := range set {
-			out = append(out, tok)
-		}
-		sort.Strings(out)
-		return out
+		slices.Sort(toks)
+		needs[id] = slices.Compact(toks)
 	}
+	return func(id int) []string { return needs[id] }
 }
 
 // placeWithLoopControl computes switch placement for the optimized

@@ -1,0 +1,171 @@
+package vet_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"ctdf/internal/analysis"
+	"ctdf/internal/cfg"
+	"ctdf/internal/dfg"
+	"ctdf/internal/lang"
+	"ctdf/internal/opt"
+	"ctdf/internal/translate"
+	"ctdf/internal/vet"
+	"ctdf/internal/workloads"
+)
+
+// twoLevelExit jumps out of two nested loops at once: the inner loop's
+// exit statement then sits behind the outer loop's, which is where loop
+// descriptors derived from the nest and ones read back off the graph
+// could part.
+const twoLevelExit = `
+var i, j, x
+i := 0
+outer:
+if i < 3 then goto ob else goto done
+ob:
+j := 0
+inner:
+if j < 3 then goto ib else goto oend
+ib:
+x := x + 1
+if x > 5 then goto done else goto icont
+icont:
+j := j + 1
+goto inner
+oend:
+i := i + 1
+goto outer
+done:
+x := x + 100
+`
+
+// diffCompile holds one translation, as built and (when optimize is set)
+// after the graph optimizer, to the reference compile side: the
+// loop-controlled CFG and its loops, switch placement, source vectors
+// and emission order, and the optimized graph's text. It returns how
+// many dataflow graphs it diffed; zero when the schema rejects o.
+func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, optimize bool) int {
+	res, err := translate.Translate(g, o)
+	if err != nil {
+		return 0
+	}
+	fail := func(what string, got, want any) {
+		t.Helper()
+		t.Fatalf("%s/%+v: %s differs from the reference\n got %v\nwant %v", label, o, what, got, want)
+	}
+
+	g0, _, err := cfg.MakeReducible(g)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	wantCFG, wantLoops := refInsertLoopControl(g0)
+	if !reflect.DeepEqual(res.CFG.Nodes, wantCFG.Nodes) {
+		fail("loop-controlled CFG", res.CFG, wantCFG)
+	}
+	if !reflect.DeepEqual(res.Loops, wantLoops) {
+		fail("loops", res.Loops, wantLoops)
+	}
+
+	need, placement := refNeed(res), res.Placement
+	if o.Schema == translate.Schema2Opt || o.Schema == translate.Schema3Opt {
+		need, placement = refPlaceWithLoopControl(res.CFG, res.Loops, need)
+		if !reflect.DeepEqual(res.Placement.Needs, placement.Needs) {
+			fail("switch placement", res.Placement.Needs, placement.Needs)
+		}
+	}
+	want, err := refComputeSourceVectors(res.CFG, res.Loops, res.Universe, need, placement)
+	if err != nil {
+		t.Fatalf("%s/%+v: reference source vectors: %v", label, o, err)
+	}
+	if !reflect.DeepEqual(res.SV.Order, want.order) {
+		fail("topological order", res.SV.Order, want.order)
+	}
+	if !reflect.DeepEqual(res.SV.LoopNeed, want.loopNeed) {
+		fail("loop needs", res.SV.LoopNeed, want.loopNeed)
+	}
+	same := func(a, b []analysis.Source) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
+	for id := range res.CFG.Nodes {
+		for _, tok := range res.Universe {
+			if got, want := res.SV.Sources(id, tok), want.sv[id][tok]; !same(got, want) {
+				fail(fmt.Sprintf("SV_n%d(%s)", id, tok), got, want)
+			}
+			if got, want := res.SV.BackSources(id, tok), want.back[id][tok]; !same(got, want) {
+				fail(fmt.Sprintf("back SV_n%d(%s)", id, tok), got, want)
+			}
+		}
+	}
+	if !optimize {
+		return 1
+	}
+
+	ref := *res
+	wantCert, err := refOptRun(&ref)
+	if err != nil {
+		t.Fatalf("%s/%+v: reference optimizer: %v", label, o, err)
+	}
+	cert, err := opt.Run(res)
+	if err != nil {
+		t.Fatalf("%s/%+v: optimizer: %v", label, o, err)
+	}
+	if !reflect.DeepEqual(cert, wantCert) {
+		fail("optimizer certificate", cert, wantCert)
+	}
+	if got, want := dfg.Text(res.Graph), dfg.Text(ref.Graph); got != want {
+		fail("optimized graph text", got, want)
+	}
+	return 2
+}
+
+// TestCompileMatchesReference: the production front end, analyses and
+// optimizer against the implementations they replaced, on every committed
+// workload under every schema/option combination and on generated
+// programs — structured, goto-built and aliased — each under the
+// combinations drawn round-robin, plain and optimized.
+func TestCompileMatchesReference(t *testing.T) {
+	combos := vet.OptionCombos()
+	graphs := 0
+	suite := append(workloads.All(), workloads.Workload{Name: "two-level-exit", Source: twoLevelExit})
+	for _, w := range suite {
+		prog, err := lang.Parse(w.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		g, err := cfg.Build(prog)
+		if err != nil {
+			continue // procedure workloads need linked translation
+		}
+		for _, o := range combos {
+			graphs += diffCompile(t, w.Name, g, o, true)
+		}
+	}
+	for seed := int64(0); seed < 70; seed++ {
+		for size := 3; size <= 8; size++ {
+			for i, w := range []workloads.Workload{
+				workloads.Random(seed, size, 3),
+				workloads.RandomUnstructured(seed, size),
+				workloads.RandomAliased(seed, size, 2),
+			} {
+				g, err := cfg.Build(w.Parse())
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				// Walk the combinations from a per-program offset until one
+				// is accepted, so every program is diffed and every
+				// combination drawn.
+				for k := range combos {
+					o := combos[(int(seed)*18+size*3+i+k)%len(combos)]
+					if n := diffCompile(t, fmt.Sprintf("%s/%d", w.Name, size), g, o, (int(seed)+size)%2 == 0); n > 0 {
+						graphs += n
+						break
+					}
+				}
+			}
+		}
+	}
+	if graphs < 600 {
+		t.Fatalf("diffed %d graphs, want at least 600; suite lost coverage", graphs)
+	}
+	t.Logf("diffed %d graphs", graphs)
+}

@@ -36,12 +36,8 @@ func diffCell(t *testing.T, label string, g *cfg.Graph, o translate.Options, opt
 		}
 	}
 	if optimize {
-		// The optimizer refuses some goto-built graphs under the unoptimized
-		// schemas (an internal/opt defect, see ROADMAP); that is not what
-		// this test holds, so such a cell is diffed unoptimized only.
 		if _, err := opt.Run(res); err != nil {
-			t.Logf("%s/%+v: not optimized: %v", label, o, err)
-			return graphs, dirty
+			t.Fatalf("%s/%+v: optimize: %v", label, o, err)
 		}
 		check("optimized", vet.CheckAgainstReference(t, res.Graph, res))
 	}

@@ -106,6 +106,9 @@ func minimalFixpoint(res *translate.Result, base analysis.NeedFunc) *placeInfo {
 	cd := analysis.ComputeControlDeps(g)
 	loopNeed := map[int]map[string]bool{}
 	extended := func(id int) []string {
+		if len(loopNeed[id]) == 0 {
+			return base(id)
+		}
 		set := map[string]bool{}
 		for _, tok := range base(id) {
 			set[tok] = true
@@ -123,7 +126,7 @@ func minimalFixpoint(res *translate.Result, base analysis.NeedFunc) *placeInfo {
 		// Corollary 1: fork F needs a switch for token t iff F ∈ CD+ of
 		// the nodes needing t.
 		users := map[string][]int{}
-		for _, id := range g.SortedIDs() {
+		for id := range g.Nodes {
 			for _, tok := range extended(id) {
 				users[tok] = append(users[tok], id)
 			}
@@ -180,10 +183,12 @@ func baseNeed(res *translate.Result) analysis.NeedFunc {
 	for _, ps := range res.ParallelStores {
 		doneAt[ps.StoreStmt] = append(doneAt[ps.StoreStmt], ps.DoneToken())
 	}
-	g := res.CFG
-	return func(id int) []string {
+	// Worked out once per node: the fixpoint below asks again on every
+	// round.
+	needs := make([][]string, res.CFG.Len())
+	for id := range needs {
 		set := map[string]bool{}
-		for v := range g.Refs(id) {
+		for v := range res.CFG.Refs(id) {
 			if istructs[v] {
 				continue
 			}
@@ -194,8 +199,9 @@ func baseNeed(res *translate.Result) analysis.NeedFunc {
 		for _, tok := range doneAt[id] {
 			set[tok] = true
 		}
-		return sortedKeys(set)
+		needs[id] = sortedKeys(set)
 	}
+	return func(id int) []string { return needs[id] }
 }
 
 // passSwitchPlacement diffs the switches the translator emitted against
@@ -345,20 +351,20 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 	}
 
 	expected := map[stmtTok]int{}
-	for _, id := range g.SortedIDs() {
+	for id := range g.Nodes {
 		switch g.Nodes[id].Kind {
 		case cfg.KindJoin, cfg.KindEnd:
-			for tok, srcs := range sv.SV[id] {
-				if len(srcs) > 1 {
+			for _, tok := range sv.Universe {
+				if len(sv.Sources(id, tok)) > 1 {
 					expected[stmtTok{id, tok}]++
 				}
 			}
 		case cfg.KindLoopEntry:
 			for tok := range sv.LoopNeed[id] {
-				if len(sv.SV[id][tok]) > 1 {
+				if len(sv.Sources(id, tok)) > 1 {
 					expected[stmtTok{id, tok}]++
 				}
-				if len(sv.Back[id][tok]) > 1 {
+				if len(sv.BackSources(id, tok)) > 1 {
 					expected[stmtTok{id, tok}]++
 				}
 			}
@@ -448,7 +454,7 @@ func checkLoopCirculation(u *Unit, sv *analysis.SourceVectors) []Diagnostic {
 			delete(actual, k)
 		}
 	}
-	for _, id := range g.SortedIDs() {
+	for id := range g.Nodes {
 		switch g.Nodes[id].Kind {
 		case cfg.KindLoopEntry:
 			check("entry", id, entries)
