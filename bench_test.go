@@ -491,28 +491,10 @@ func BenchmarkObsJournal(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryDisabled is the telemetry arm of the disabled-path
-// overhead guard (the same contract BenchmarkObsDisabled pins for the
-// collector): with RunConfig.Telemetry nil, the uninstrumented engine
-// pays only nil-check branches at phase boundaries — never per firing —
-// so compare against BenchmarkTelemetryEnabled. verify.sh also gates
-// the instrumented/uninstrumented fires-per-second ratio on the bench
-// smoke.
-func BenchmarkTelemetryDisabled(b *testing.B) {
-	p := compileBench(b, workloads.MustByName("fib-iterative").Source)
-	d, err := p.Translate(Options{Schema: Schema2Opt})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(RunConfig{MemLatency: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTelemetryEnabled is the same run with a live registry
-// recording every phase, counter, and histogram in the catalog.
+// BenchmarkTelemetryEnabled is BenchmarkObsDisabled's run with a live
+// registry recording every phase, counter, and histogram in the catalog;
+// with RunConfig.Telemetry nil the engine pays only nil-check branches at
+// phase boundaries, never per firing.
 func BenchmarkTelemetryEnabled(b *testing.B) {
 	p := compileBench(b, workloads.MustByName("fib-iterative").Source)
 	d, err := p.Translate(Options{Schema: Schema2Opt})

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,56 +36,61 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	err := dispatch(os.Args[1:])
+	if err == nil {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "ctdf:", err)
+	var bad usageError
+	if errors.As(err, &bad) {
+		fmt.Fprint(os.Stderr, usageText)
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "run":
-		err = cmdRun(os.Args[2:])
-	case "profile":
-		err = cmdProfile(os.Args[2:])
-	case "top":
-		err = cmdTop(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "replay":
-		err = cmdReplay(os.Args[2:])
-	case "dot":
-		err = cmdDot(os.Args[2:])
-	case "stats":
-		err = cmdStats(os.Args[2:])
-	case "vet":
-		err = cmdVet(os.Args[2:])
-	case "opt":
-		err = cmdOpt(os.Args[2:])
-	case "aliases":
-		err = cmdAliases(os.Args[2:])
-	case "explain":
-		err = cmdExplain(os.Args[2:])
-	case "experiments":
-		err = cmdExperiments(os.Args[2:])
-	case "chaos":
-		err = cmdChaos(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "workloads":
-		err = cmdWorkloads()
-	case "-h", "--help", "help":
-		usage()
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ctdf:", err)
-		os.Exit(1)
-	}
+	os.Exit(1)
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
+// usageError is a command line dispatch cannot route to a command; main
+// names it, prints the usage block and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// commands maps a command's name to its implementation, which takes the
+// arguments after the name.
+var commands = map[string]func(args []string) error{
+	"run":         cmdRun,
+	"profile":     cmdProfile,
+	"top":         cmdTop,
+	"trace":       cmdTrace,
+	"replay":      cmdReplay,
+	"dot":         cmdDot,
+	"stats":       cmdStats,
+	"vet":         cmdVet,
+	"opt":         cmdOpt,
+	"aliases":     cmdAliases,
+	"explain":     cmdExplain,
+	"experiments": cmdExperiments,
+	"chaos":       cmdChaos,
+	"workloads":   func([]string) error { return cmdWorkloads() },
+}
+
+// dispatch runs the command args[0] names on the arguments after it.
+func dispatch(args []string) error {
+	if len(args) == 0 {
+		return usageError("no command given")
+	}
+	name := args[0]
+	if cmd, ok := commands[name]; ok {
+		return cmd(args[1:])
+	}
+	if name == "-h" || name == "--help" || name == "help" {
+		fmt.Fprint(os.Stderr, usageText)
+		return nil
+	}
+	return usageError(fmt.Sprintf("unknown command %q", name))
+}
+
+const usageText = `usage:
   ctdf run [flags] (file | -workload name)
   ctdf profile [flags] (file | -workload name)
   ctdf top [flags] (file | -workload name)
@@ -98,11 +104,9 @@ func usage() {
   ctdf explain [flags] (file | -workload name)
   ctdf experiments [flags] [id ...]
   ctdf chaos [flags]
-  ctdf bench [flags]
   ctdf workloads
 Use 'ctdf run -h' etc. for per-command flags.
-`)
-}
+`
 
 // sourceFlags adds the common program-selection flags.
 func sourceFlags(fs *flag.FlagSet) (workload *string) {

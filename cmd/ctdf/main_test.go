@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -211,5 +212,27 @@ func TestCmdErrors(t *testing.T) {
 	}
 	if _, err := capture(t, func() error { return cmdDot([]string{"-workload", "gcd", "-format", "zorp"}) }); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestUnknownCommandIsNamed: main prints a dispatch error to stderr and,
+// for a usageError, the usage block after it — so a retired command (the
+// bench subcommand) is named, not answered with the bare usage text.
+func TestUnknownCommandIsNamed(t *testing.T) {
+	err := dispatch([]string{"bench", "-smoke"})
+	var bad usageError
+	if !errors.As(err, &bad) || !strings.Contains(err.Error(), `unknown command "bench"`) {
+		t.Errorf("dispatch(bench) = %v, want a usageError naming the command", err)
+	}
+	if err := dispatch(nil); !errors.As(err, &bad) {
+		t.Errorf("dispatch() = %v, want a usageError", err)
+	}
+	if strings.Contains(usageText, "bench") {
+		t.Errorf("usage still lists a bench command:\n%s", usageText)
+	}
+	for name := range commands {
+		if !strings.Contains(usageText, "  ctdf "+name+" ") && !strings.Contains(usageText, "  ctdf "+name+"\n") {
+			t.Errorf("usage does not list the %s command", name)
+		}
 	}
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ctdf/internal/obs/telemetry"
 )
 
 // TestExperimentsDocInSync keeps EXPERIMENTS.md honest: every experiment's
@@ -13,11 +17,7 @@ import (
 // link the experiment's JSON artifact, and state its asserted metric.
 // If a table goes stale, regenerate it with `go run ./cmd/ctdf experiments`.
 func TestExperimentsDocInSync(t *testing.T) {
-	doc, err := os.ReadFile("../../EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(doc)
+	s := readDoc(t, "EXPERIMENTS.md")
 	for _, e := range All() {
 		out, err := e.Run()
 		if err != nil {
@@ -50,6 +50,74 @@ func TestArtifactsDirInSync(t *testing.T) {
 		}
 		if strings.TrimRight(string(got), "\n") != string(want) {
 			t.Errorf("%s: artifacts/%s is stale (regenerate with `go run ./cmd/ctdf experiments -json artifacts`)", e.ID, e.Artifact)
+		}
+	}
+}
+
+func readDoc(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// internalPackages returns every directory under internal/ that directly
+// contains Go source — i.e. every internal package, including nested
+// ones like obs/journal.
+func internalPackages(t *testing.T) []string {
+	t.Helper()
+	root := filepath.Join("..", "..", "internal")
+	hasGo := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && strings.HasSuffix(d.Name(), ".go") {
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			hasGo[filepath.ToSlash(rel)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []string
+	for rel := range hasGo {
+		pkgs = append(pkgs, "internal/"+rel)
+	}
+	return pkgs
+}
+
+// TestArchitectureDocsCoverInternalPackages: the README repository
+// layout and the DESIGN.md system inventory must each mention every
+// internal package, so a new subsystem cannot land undocumented.
+func TestArchitectureDocsCoverInternalPackages(t *testing.T) {
+	docs := map[string]string{
+		"README.md": readDoc(t, "README.md"),
+		"DESIGN.md": readDoc(t, "DESIGN.md"),
+	}
+	for _, pkg := range internalPackages(t) {
+		for name, body := range docs {
+			if !strings.Contains(body, pkg) {
+				t.Errorf("%s does not mention %s (add it to the subsystem map)", name, pkg)
+			}
+		}
+	}
+}
+
+// TestTelemetryCatalogDocumented: OBSERVABILITY.md's engine-telemetry
+// metric catalog must name every family in telemetry.Catalog(), so a
+// metric cannot be added to the engines without a documented row.
+func TestTelemetryCatalogDocumented(t *testing.T) {
+	doc := readDoc(t, "OBSERVABILITY.md")
+	for _, spec := range telemetry.Catalog() {
+		if !strings.Contains(doc, "`"+spec.Name+"`") {
+			t.Errorf("OBSERVABILITY.md metric catalog is missing %s", spec.Name)
 		}
 	}
 }

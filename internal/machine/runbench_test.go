@@ -5,6 +5,7 @@ import (
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/dfg"
+	"ctdf/internal/obs/telemetry"
 	"ctdf/internal/opt"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
@@ -23,6 +24,16 @@ func benchGraph(tb testing.TB, w workloads.Workload, o translate.Options, optimi
 		}
 	}
 	return res.Graph
+}
+
+// runAllocs is the allocation count of one Run of g under c.
+func runAllocs(t *testing.T, g *dfg.Graph, c Config) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(3, func() {
+		if _, err := Run(g, c); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 var benchOutcome *Outcome
@@ -69,17 +80,55 @@ func TestRunAllocBudget(t *testing.T) {
 	g400 := benchGraph(t, workloads.Wide(8, 400), plain, false)
 	g800 := benchGraph(t, workloads.Wide(8, 800), plain, false)
 	for _, workers := range []int{0, 2} {
-		allocs := func(g *dfg.Graph) float64 {
-			return testing.AllocsPerRun(3, func() {
-				if _, err := Run(g, Config{MemLatency: 4, Workers: workers}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		a400, a800 := allocs(g400), allocs(g800)
+		c := Config{MemLatency: 4, Workers: workers}
+		a400, a800 := runAllocs(t, g400, c), runAllocs(t, g800, c)
 		if extra := a800 - a400; extra > perIter*400 {
 			t.Errorf("workers=%d: 400 more iterations cost %.0f allocations (%.0f → %.0f), want <= %d per iteration",
 				workers, extra, a400, a800, perIter)
 		}
+	}
+}
+
+// telemetryAllocSlack is how many more allocations a run may make with a
+// telemetry registry attached than without: the probe's per-run set-up
+// against an already populated registry (44 when the slack was set) and
+// nothing per cycle or per firing, which is what a wall-clock overhead
+// floor was once kept to catch.
+const telemetryAllocSlack = 64
+
+// TestRunAllocBudgetSmallPrograms bounds the allocations of one Run of
+// four short programs, where per-run set-up is most of the count and one
+// allocation per cycle or per firing multiplies it. A budget is the count
+// measured when it was set × 1.25 + 16, taken from the -race build, which
+// allocates more than the plain one and runs this test too. Allocation
+// counts repeat to within one, so this gates what wall time on a shared
+// host cannot.
+func TestRunAllocBudgetSmallPrograms(t *testing.T) {
+	plain := translate.Options{Schema: translate.Schema2Opt}
+	elim := translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}
+	fib := workloads.MustByName("fib-iterative")
+	fibPlain := benchGraph(t, fib, plain, false)
+	for _, c := range []struct {
+		name   string
+		g      *dfg.Graph
+		cfg    Config
+		budget float64
+	}{
+		// Measured: 101 allocations, 117 under -race; the optimized graph the same.
+		{"fib-iterative/mem-elim", benchGraph(t, fib, elim, false), Config{MemLatency: 4}, 162},
+		{"fib-iterative/mem-elim+opt", benchGraph(t, fib, elim, true), Config{MemLatency: 4}, 162},
+		// 186, 199 under -race.
+		{"nested-loops", benchGraph(t, workloads.MustByName("nested-loops"), plain, false), Config{}, 264},
+		// 400, 567 under -race.
+		{"random-16", benchGraph(t, workloads.Random(4242, 16, 3), plain, false), Config{}, 724},
+		// 145 bare + 44, 166 + 44 under -race.
+		{"fib-iterative+telemetry", fibPlain, Config{MemLatency: 4, Telemetry: telemetry.NewRegistry()},
+			runAllocs(t, fibPlain, Config{MemLatency: 4}) + telemetryAllocSlack},
+	} {
+		got := runAllocs(t, c.g, c.cfg)
+		if got > c.budget {
+			t.Errorf("%s: Run allocates %.0f times, budget %.0f", c.name, got, c.budget)
+		}
+		t.Logf("%s: %.0f allocs per run (budget %.0f)", c.name, got, c.budget)
 	}
 }

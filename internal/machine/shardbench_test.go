@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkShardedWide measures the sharded engine against the
-// sequential one on the worker-scaling workload shape (see SCALING.md
-// and the `ctdf bench -cpu` matrix): wide independent lanes, pure
-// firings, sustained issue width. w1 is the sequential engine.
+// sequential one on the worker-scaling workload shape (see SCALING.md):
+// wide independent lanes, pure firings, sustained issue width. w1 is the
+// sequential engine.
 func BenchmarkShardedWide(b *testing.B) {
 	w := workloads.Wide(64, 60)
 	g := cfg.MustBuild(w.Parse())

@@ -10,7 +10,7 @@ import (
 // machineTel is the machine's telemetry probe (Config.Telemetry). A nil
 // probe disables everything at the cost of one nil check per phase —
 // never per firing on the hot path — so the disabled engine stays
-// within the BenchmarkTelemetryDisabled overhead budget.
+// within the BenchmarkObsDisabled overhead budget.
 //
 // Determinism contract (see the telemetry package doc): the parallel
 // phases write only plain per-shard scratch (telFireNs, telDelivNs,

@@ -9,7 +9,7 @@
 //   - Disabled is near-free. Engines hold nil probe structs when no
 //     registry is attached, and every instrument method is nil-receiver
 //     safe, so an uninstrumented firing pays only nil-check branches
-//     (guarded by BenchmarkTelemetryDisabled).
+//     (guarded by BenchmarkObsDisabled).
 //
 //   - Enabled is deterministic where the machine is. Instrument values
 //     are int64 (durations in nanoseconds), updated with atomics so a

@@ -23,11 +23,13 @@ var allSchemas = []translate.Schema{
 // gate: every committed workload under every schema, optimized, must
 // (1) vet with zero diagnostics, certificate included, (2) produce the
 // same final store as the unoptimized graph on the machine engine and
-// as sequential interpretation, and (3) agree between the machine and
-// channel engines on both store and firing count.
+// as sequential interpretation, (3) agree between the machine and
+// channel engines on both store and firing count, and (4) never fire
+// more operators or take more cycles than the graph it was rewritten
+// from. The suite is the committed workloads plus one generated program.
 func TestOptimizedSuiteAgreesAcrossEngines(t *testing.T) {
 	cells := 0
-	for _, w := range workloads.All() {
+	for _, w := range append(workloads.All(), workloads.Random(4242, 16, 3)) {
 		g, err := cfg.Build(w.Parse())
 		if err != nil {
 			continue // procedure workloads need linked translation
@@ -69,6 +71,12 @@ func TestOptimizedSuiteAgreesAcrossEngines(t *testing.T) {
 			if mo.Store.Snapshot() != co.Store.Snapshot() || int64(mo.Stats.Ops) != co.Ops {
 				t.Errorf("%s/%v: engines disagree on optimized graph: machine %s (%d ops) vs channels %s (%d ops)",
 					w.Name, s, mo.Store.Snapshot(), mo.Stats.Ops, co.Store.Snapshot(), co.Ops)
+			}
+			if mo.Stats.Ops > base.Stats.Ops {
+				t.Errorf("%s/%v: optimized graph fires %d operators vs %d unoptimized", w.Name, s, mo.Stats.Ops, base.Stats.Ops)
+			}
+			if mo.Stats.Cycles > base.Stats.Cycles {
+				t.Errorf("%s/%v: optimized graph takes %d cycles vs %d unoptimized", w.Name, s, mo.Stats.Cycles, base.Stats.Cycles)
 			}
 			cells++
 		}

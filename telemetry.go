@@ -14,7 +14,7 @@ import (
 // (channel engine). A registry accumulates across runs, so repeated
 // executions against one Telemetry build a live series — that is what
 // `ctdf top` and the -metrics endpoint scrape. Nil disables everything
-// at near-zero cost (see BenchmarkTelemetryDisabled). See
+// at near-zero cost (see BenchmarkObsDisabled). See
 // OBSERVABILITY.md for the metric catalog.
 type Telemetry struct {
 	reg *telemetry.Registry
