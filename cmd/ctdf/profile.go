@@ -25,7 +25,7 @@ func cmdProfile(args []string) error {
 	engine := fs.String("engine", "machine", "execution engine: machine, channels")
 	procs := fs.Int("procs", 0, "processors (0 = unlimited)")
 	latency := fs.Int("latency", 1, "split-phase memory latency in cycles")
-	workers := fs.Int("workers", 1, "shard the machine across N workers (byte-identical execution)")
+	workers := fs.Int("workers", 1, "partition the machine's state across N shards (byte-identical execution)")
 	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	events := fs.String("events", "-", "NDJSON event stream destination: -, a file path, or none")
 	jsonOut := fs.String("json", "", "also write the report as JSON: - or a file path")

@@ -24,7 +24,7 @@ func cmdTop(args []string) error {
 	istructs := istructFlag(fs)
 	procs := fs.Int("procs", 0, "processors (0 = unlimited)")
 	latency := fs.Int("latency", 1, "split-phase memory latency in cycles")
-	workers := fs.Int("workers", 1, "shard the machine across N workers")
+	workers := fs.Int("workers", 1, "partition the machine's state across N shards")
 	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	refresh := fs.Duration("refresh", 500*time.Millisecond, "repaint interval")
 	duration := fs.Duration("duration", 10*time.Second, "how long to keep running (0 = until ctrl-c)")

@@ -24,7 +24,7 @@ func cmdTrace(args []string) error {
 	schema, cover, elim, parReads, parStores := translateOptions(fs)
 	istructs := istructFlag(fs)
 	procs := fs.Int("procs", 0, "processors (0 = unlimited)")
-	workers := fs.Int("workers", 1, "shard the machine across N shared-nothing workers (byte-identical execution)")
+	workers := fs.Int("workers", 1, "partition the machine's state across N shared-nothing shards (byte-identical execution)")
 	latency := fs.Int("latency", 1, "split-phase memory latency in cycles")
 	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	explain := fs.String("explain", "", "render the backward cause cone of this anchor (NODE[@TAG], label, or #ID)")

@@ -174,12 +174,14 @@ type RunConfig struct {
 	// DetectRaces makes the machine verify that no two memory operations
 	// on one location ever overlap unless both are reads.
 	DetectRaces bool
-	// Workers, when > 1, runs the sharded multi-core machine: nodes are
-	// partitioned across Workers shared-nothing shards and each cycle's
-	// pure firings and token deliveries execute on per-shard host
-	// workers. The simulated execution is byte-identical to the
-	// sequential engine at every worker count (see SCALING.md).
-	// EngineMachine only; ignored while fault injection is active.
+	// Workers, when > 1, partitions the machine's nodes and their state
+	// across Workers shared-nothing shards. Every cycle still runs the
+	// one-worker cycle body: the one that spreads a cycle's pure firings
+	// and token deliveries over per-shard host workers wins at no cycle
+	// width measured on available hardware, so no run takes it. The
+	// simulated execution is byte-identical at every worker count (see
+	// SCALING.md). EngineMachine only; ignored while fault injection is
+	// active.
 	Workers int
 	// MaxCycles / MaxOps bound the execution (defaults: one million
 	// cycles, ten million firings).

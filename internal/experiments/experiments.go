@@ -73,8 +73,8 @@ func All() []Experiment {
 			"linked graph size grows with procedure count, not call sites, and results agree with inlining", e15},
 		{"E18", "Graph optimizer: fusion and switch sinking cut traffic and cycles", "Figure 9 generalized; §6 transformations composed post-translation", "e18.json",
 			"tokens moved drop on every cell, and Figure 9 plus the loop workloads finish in fewer cycles than schema2-opt+elim alone", e18},
-		{"E19", "Engine telemetry: phase firing split and cross-shard traffic across worker counts", "observability of the sharded BSP engine (SCALING.md); byte-identical execution at every worker count", "e19.json",
-			"cycles, firings, and token counts are invariant across worker counts; cross-shard traffic is zero at w=1 and positive at w>=4; and the fire/retire split sums to total firings on every sharded run", e19},
+		{"E19", "Engine telemetry: invariant counters and the partition's token balance across worker counts", "observability of the partitioned machine (SCALING.md); byte-identical execution at every worker count", "e19.json",
+			"cycles, firings, and the token counts of both lanes are invariant across worker counts; one shard receives every token at w=1, and the busiest of w>=4 shards less than half of them", e19},
 	}
 }
 
@@ -761,17 +761,18 @@ func e18() ([]*table, error) {
 	return []*table{t}, nil
 }
 
-// e19: engine telemetry — phase firing split and cross-shard token
-// traffic across worker counts. Everything in this table is
-// scheduling-independent: the sharded machine is byte-identical to the
-// sequential engine, so the counters and the traffic matrix depend only
-// on workload and worker count (the wall-time families the profiler
-// also records are excluded here precisely because they vary). The
-// fire/retire split exists only on sharded runs — the sequential engine
-// has no separate retire phase — so w=1 rows show "-".
+// e19: engine telemetry — the invariant counters and the partition's
+// token balance across worker counts. Everything in this table is
+// scheduling-independent: a run at any worker count is byte-identical to
+// the one-worker run, so the counters depend only on the workload and the
+// traffic matrix only on workload and worker count (the wall-time
+// families the profiler also records are excluded here precisely because
+// they vary). Every cycle of these runs takes the sequential body
+// (SCALING.md), whose tokens travel on the seq and mem lanes to the shard
+// that owns their destination; busiest% is the largest share of them one
+// shard receives.
 func e19() ([]*table, error) {
-	t := newTable("workload", "workers", "cycles", "firings", "fire", "retire",
-		"tokens", "seq", "mem", "remote", "remote%")
+	t := newTable("workload", "workers", "cycles", "firings", "tokens", "seq", "mem", "busiest%")
 	cases := []workloads.Workload{
 		workloads.MustByName("fib-iterative"),
 		workloads.Wide(64, 60),
@@ -788,16 +789,14 @@ func e19() ([]*table, error) {
 				return nil, err
 			}
 			b := reg.Snapshot().MachineBreakdown()
-			fireS, retireS, remotePct := "-", "-", "-"
-			if workers > 1 {
-				fireS = fmt.Sprint(b.FireFirings)
-				retireS = fmt.Sprint(b.RetireFirings)
-				if b.ShardTokens > 0 {
-					remotePct = fmt.Sprintf("%.2f", 100*float64(b.RemoteTokens)/float64(b.ShardTokens))
-				}
+			perDst := map[string]int64{}
+			var busiest int64
+			for _, c := range b.Traffic {
+				perDst[c.Dst] += c.Tokens
+				busiest = max(busiest, perDst[c.Dst])
 			}
-			t.row(w.Name, workers, b.Cycles, b.Firings, fireS, retireS,
-				b.Tokens, b.SeqTokens, b.MemTokens, b.RemoteTokens, remotePct)
+			t.row(w.Name, workers, b.Cycles, b.Firings, b.Tokens, b.SeqTokens, b.MemTokens,
+				fmt.Sprintf("%.2f", 100*float64(busiest)/float64(b.Tokens)))
 		}
 	}
 	return []*table{t}, nil

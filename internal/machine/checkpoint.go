@@ -155,8 +155,8 @@ type Checkpoint struct {
 	NextAct int            `json:"next_activation,omitempty"`
 
 	// Shuffle-length histories for seeded-random issue mode: the main
-	// loop's stream (sequential engine) and each shard's stream (sharded
-	// engine). Fast-forwarded by replaying no-op shuffles on restore.
+	// stream (one worker) and each shard's stream (more). Fast-forwarded
+	// by replaying no-op shuffles on restore.
 	MainShuffles  []int   `json:"main_shuffles,omitempty"`
 	ShardShuffles [][]int `json:"shard_shuffles,omitempty"`
 }
@@ -239,8 +239,8 @@ func ckErrf(format string, args ...interface{}) error {
 	return machcheck.Newf(machcheck.InvalidConfig, "machine", "restore checkpoint: "+format, args...)
 }
 
-// maybeCheckpoint runs at the top of the cycle loop of both engines and
-// captures a checkpoint when the interval is due. The resume cycle
+// maybeCheckpoint runs at the top of the cycle loop and captures a
+// checkpoint when the interval is due. The resume cycle
 // itself is skipped (it was just restored), and capture stops the
 // moment an armed fault injector fires — post-fault state is tainted,
 // and keeping only pre-fault checkpoints is what lets a supervisor
@@ -304,7 +304,7 @@ func (m *sim) capture() *Checkpoint {
 	// node id (node→shard ownership is a partition, so walking nodes
 	// visits every bucket exactly once).
 	for node := range m.g.Nodes {
-		sh := m.shs[m.shardOf[node]]
+		sh := m.owner(int32(node))
 		b := &sh.ready.buckets[node]
 		pending := b.pending()
 		if len(pending) == 0 {
@@ -327,7 +327,7 @@ func (m *sim) capture() *Checkpoint {
 			continue
 		}
 		nIns := m.g.Nodes[node].NIns
-		arena := m.shs[m.shardOf[node]].arena
+		arena := m.owner(int32(node)).arena
 		var ents []ckMatch
 		add := func(tgID int32, e *matchEntry) {
 			vals := make([]int64, nIns)
@@ -590,7 +590,7 @@ func (m *sim) restore(ck *Checkpoint) error {
 		if len(snap.Firings) == 0 {
 			return ckErrf("empty ready bucket for node %d", snap.Node)
 		}
-		sh := m.shs[m.shardOf[snap.Node]]
+		sh := m.owner(int32(snap.Node))
 		b := &sh.ready.buckets[snap.Node]
 		o := &m.p.ops[snap.Node]
 		for _, f := range snap.Firings {
@@ -631,14 +631,12 @@ func (m *sim) restore(ck *Checkpoint) error {
 		if m.matchLookup(int32(cm.Node), tgID) != nil {
 			return ckErrf("duplicate match entry at node %d tag %q", cm.Node, cm.Tag)
 		}
-		sh := m.shs[m.shardOf[cm.Node]]
+		sh := m.owner(int32(cm.Node))
 		e := m.matchInsert(sh, int32(cm.Node), tgID, int32(nIns))
 		e.have, e.n, e.dep = cm.Have, int32(cm.N), -1
 		copy(sh.arena[e.vals:], cm.Vals)
 	}
-	if m.sharded {
-		m.matchLive = m.totalMatchCount()
-	}
+	m.matchLive = len(ck.Match)
 
 	// In-flight memory completions.
 	lastAt := ck.Cycle

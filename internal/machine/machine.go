@@ -13,7 +13,8 @@
 // Map to the paper:
 //
 //   - machine.go — the ETS pipeline of §2.2: tag matching, instruction
-//     issue, split-phase memory, bounded processors per cycle; also the
+//     issue, split-phase memory, bounded processors per cycle — the one
+//     cycle loop and its sequential cycle body; also the
 //     observability hooks (Config.Collector, an *obs.Collector) that
 //     count firings/waits/stalls and thread the firing DAG used for
 //     critical-path extraction (see OBSERVABILITY.md).
@@ -23,10 +24,10 @@
 //   - queue.go — the hot-path data structures: the bucketed ready queue,
 //     the tag-intern table, the sharded matching store, the operand
 //     arena and its free lists (see PERFORMANCE.md).
-//   - shard.go — the sharded multi-core machine (Config.Workers): the
-//     whole engine partitioned into shared-nothing per-worker shards
-//     with deterministic cross-shard token routing, byte-identical to
-//     the sequential engine at every worker count (see SCALING.md).
+//   - shard.go — the partitioned machine (Config.Workers): the state
+//     split into shared-nothing shards, and the pooled cycle body that
+//     drives them on host workers for cycles wide enough to repay it,
+//     byte-identical at every worker count (see SCALING.md).
 //   - istruct.go — the I-structure memory unit of §6.3: presence bits,
 //     deferred reads satisfied by the eventual write.
 //   - procs.go — activation contexts for procedure invocations (§2.2),
@@ -40,6 +41,7 @@ package machine
 
 import (
 	"io"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -87,17 +89,18 @@ type Config struct {
 	// DetectRaces additionally checks that no two memory operations on the
 	// same location overlap in time unless both are reads.
 	DetectRaces bool
-	// Workers, when > 1, runs the sharded multi-core machine (see
-	// shard.go and SCALING.md): nodes are partitioned across Workers
-	// shared-nothing shards, each cycle's pure firings and token
-	// deliveries run on per-shard host workers, and the impure remainder
-	// retires sequentially in global issue order. The simulated execution
-	// is byte-identical to the sequential one at every worker count —
-	// same snapshots, statistics, firing vectors, journal — because the
-	// shard count parameterizes only host-side data layout, never the
-	// simulated schedule. 0 and 1 select the sequential engine; the value
-	// is capped at 256; ignored while fault injection is active
-	// (injection decisions must see deliveries in sequential order).
+	// Workers, when > 1, partitions the machine's nodes and their state
+	// across that many shared-nothing shards (see shard.go and
+	// SCALING.md). A cycle still runs the one-worker cycle body, over the
+	// partitioned state, unless its ready count reaches poolGrain — no
+	// measured width, so none does; only then do its pure firings and
+	// token deliveries run on per-shard host workers, the impure remainder
+	// retiring sequentially in global issue order. The simulated execution is byte-identical at every
+	// worker count — same snapshots, statistics, firing vectors, journal
+	// — because the shard count parameterizes only host-side data layout,
+	// never the simulated schedule. 0 and 1 mean one shard; the value is
+	// capped at 256; ignored while fault injection is active (injection
+	// decisions must see deliveries in sequential order).
 	Workers int
 	// CheckpointEvery, when > 0, captures a deterministic checkpoint of
 	// the full machine state every CheckpointEvery cycles (see
@@ -362,8 +365,8 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		ring <<= 1
 	}
 	m.ring = make([][]delayed, ring)
-	// Worker count: >1 selects the sharded engine; fault injection forces
-	// the sequential path (injection decisions must observe deliveries in
+	// Worker count: >1 partitions the state across shards; fault injection
+	// forces one shard (injection decisions must observe deliveries in
 	// sequential order).
 	w := cfgc.Workers
 	if w > maxShards {
@@ -385,9 +388,6 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 			sh.rng = rand.New(rand.NewSource(shardSeed(cfgc.RandomSeed, sh.id)))
 		}
 	}
-	if w > 1 {
-		return m.runSharded()
-	}
 	return m.run()
 }
 
@@ -402,29 +402,19 @@ type sim struct {
 
 	// Scheduling state: tags interns tag keys, shards is the matching
 	// store sharded by destination node and keyed by interned tag. The
-	// ready queues, matching-store population counts, and free lists live
-	// on the per-shard states (shs); the sequential engine runs with one
-	// shard (sh0) owning every node, the sharded engine (shard.go) with
-	// Workers shards partitioned by node id.
-	tags    *tagTable
-	shards  []shardSlot
-	shs     []*shardState
-	sh0     *shardState
-	shardOf []int32
-	// sharded marks the multi-worker engine: deliverOnce records
-	// matching-store waits as mergeable per-shard events instead of
-	// updating global statistics in place.
-	sharded bool
+	// ready queues, operand arenas and free lists live on the per-shard
+	// states (shs), partitioned by node id (op.shard); one worker means
+	// one shard owning every node. matchLive is the matching store's
+	// population, current at every cycle boundary.
+	tags      *tagTable
+	shards    []shardSlot
+	shs       []*shardState
+	matchLive int
 
-	// Hot-path scratch: batchBuf holds a materialised issue batch
-	// (seeded-random and processor-bounded cycles),
-	// emitBuf the tokens the firing currently retiring emits. Both are
-	// touched only by sequential code (issue/retire), never by shard
-	// workers.
-	batchBuf []firing
-	emitBuf  []tok
-	// fusedScratch backs fused-node step evaluation (sequential retire
-	// path only).
+	// Hot-path scratch of sequential code, never touched by shard
+	// workers: emitBuf holds the tokens emitted so far this cycle,
+	// fusedScratch backs fused-node step evaluation.
+	emitBuf      []tok
 	fusedScratch []int64
 
 	// In-flight memory completions: ring[at&(len-1)] holds the records
@@ -469,21 +459,21 @@ type sim struct {
 	resumedAt int
 	shufLog   []int
 
-	// Sharded engine state (shard.go): the worker pool, the
-	// sequential-writer inbox lanes (impure emissions and start tokens;
-	// released split-phase completions), the sequence-key stride, the
-	// base firing-DAG id of the current cycle's batch, the merged live
-	// matching-store population, and reusable merge cursors.
+	// Pooled cycle body state (shard.go, startPool): the worker pool and
+	// its phase functions and barrier series, the sequential-writer inbox
+	// lanes (impure emissions; released split-phase completions), the
+	// sequence-key stride, the base firing-DAG id of the current cycle's
+	// batch, and reusable merge cursors.
 	pool      *shardPool
 	fireFn    func(*shardState)
 	delivFn   func(*shardState)
+	barFire   *telemetry.Series
+	barDeliv  *telemetry.Series
 	seqBox    [][]routedTok
 	relBox    [][]routedTok
 	fanStride int64
 	dagBase   int32
-	matchLive int
-	selCur    []int
-	evCur     []int
+	cur       []int
 	imCur     []int
 
 	locs    *raceDetector
@@ -530,10 +520,16 @@ func (m *sim) overDeadline(start time.Time) error {
 	return nil
 }
 
+// run is the cycle loop, the same at every worker count. A cycle has two
+// bodies, seqCycle and — for cycles of more than one shard whose ready
+// count reaches poolGrain — pooledCycle (shard.go); both leave the same
+// state at the cycle boundary, so any interleaving of them across a run
+// is byte-identical to the one-worker run.
 func (m *sim) run() (*Outcome, error) {
 	m.endVals = make([]int64, m.p.ops[m.g.EndID].nIns)
 	m.curDep = -1
 	start := time.Now()
+	defer func() { m.pool.stop() }()
 
 	if m.cfg.Resume != nil {
 		// Restore a checkpoint instead of starting at cycle 0. A
@@ -544,14 +540,11 @@ func (m *sim) run() (*Outcome, error) {
 		}
 	} else {
 		// Cycle 0: start emits one dummy token per out arc at the root tag.
-		targets := m.p.out(int32(m.g.StartID), 0)
-		if m.tel != nil && len(targets) > 0 {
-			m.tel.trafficAdd(m.tel.seqLane(), 0, len(targets))
+		for _, t := range m.p.out(int32(m.g.StartID), 0) {
+			m.emitBuf = append(m.emitBuf, tok{node: t.node, port: t.port, tgID: rootTagID, dep: -1})
 		}
-		for _, t := range targets {
-			if err := m.deliver(&tok{node: t.node, port: t.port, tgID: rootTagID, dep: -1}); err != nil {
-				return m.abort(err)
-			}
+		if err := m.deliverBoundary(nil); err != nil {
+			return m.abort(err)
 		}
 	}
 
@@ -560,23 +553,19 @@ func (m *sim) run() (*Outcome, error) {
 	// the token's value is dead, e.g. after §6.1 elimination) are dropped
 	// at that switch, and the drops may be scheduled after end's inputs
 	// completed.
-	ready := m.sh0.ready
-	for !m.done || ready.count > 0 || m.inflightN > 0 {
-		if err := m.beginCycle(start, ready.count); err != nil {
+	for {
+		ready := 0
+		for _, sh := range m.shs {
+			ready += sh.ready.count
+		}
+		if m.done && ready == 0 && m.inflightN == 0 {
+			return m.finish()
+		}
+		if err := m.beginCycle(start, ready); err != nil {
 			return m.abort(err)
 		}
-		// Issue up to Processors enabled operations this cycle, in
-		// deterministic order (or seeded-random when configured).
-		// Telemetry maps the sequential engine onto the BSP phase
-		// vocabulary: select = batch construction, fire = the firing
-		// loop, deliver = the cycle-boundary delivery (retire has no
-		// sequential counterpart — impure effects run inside fire).
-		timed := m.tel.sampled(m.cycle)
-		var telT0 time.Time
-		if timed {
-			telT0 = time.Now()
-		}
-		issue := ready.count
+		// Issue up to Processors enabled operations this cycle.
+		issue := ready
 		if m.cfg.Processors > 0 && issue > m.cfg.Processors {
 			issue = m.cfg.Processors
 		}
@@ -584,64 +573,118 @@ func (m *sim) run() (*Outcome, error) {
 			return m.abort(err)
 		}
 		var err error
-		if m.rng == nil && issue == ready.count {
-			// The whole queue issues: fire straight from the buckets, in
-			// the order fill would have copied them out. Nothing is
-			// enqueued meanwhile — emissions wait in emitBuf for the
-			// cycle boundary — so the runs stay put while they issue.
-			for node := ready.next(0); node >= 0 && err == nil; node = ready.next(node + 1) {
-				err = m.issueRun(ready.take(node, issue), start)
-			}
+		if len(m.shs) > 1 && ready >= poolGrain {
+			err = m.pooledCycle(start, issue)
 		} else {
-			batch := m.materialise(issue)
-			if timed {
-				observeSampled(m.tel.selSec, time.Since(telT0))
-				telT0 = time.Now()
-			}
-			err = m.issueRun(batch, start)
+			err = m.seqCycle(start, issue)
 		}
 		if err != nil {
 			return m.abort(err)
 		}
-		if timed {
-			observeSampled(m.tel.fireSec[0], time.Since(telT0))
-			telT0 = time.Now()
-		}
-		// Completions scheduled for the next cycle boundary, after this
-		// cycle's emissions.
-		m.cycle++
-		m.stats.Ops += issue
-		due := m.takeDue()
-		emitN, memN := len(m.emitBuf), 0
-		if err := m.deliverAll(m.emitBuf); err != nil {
-			return m.abort(err)
-		}
-		m.emitBuf = m.emitBuf[:0]
-		for i := range due {
-			memN += len(due[i].tokens)
-			if err := m.deliverAll(due[i].tokens); err != nil {
-				return m.abort(err)
-			}
-		}
 		if m.tel != nil {
-			if emitN > 0 {
-				m.tel.trafficAdd(m.tel.seqLane(), 0, emitN)
-			}
-			if memN > 0 {
-				m.tel.trafficAdd(m.tel.memLane(), 0, memN)
-			}
-			m.tel.outbox[0].Observe(int64(emitN), telemetry.DepthBuckets)
-			m.tel.inbox[0].Observe(int64(emitN+memN), telemetry.DepthBuckets)
-			if timed {
-				observeSampled(m.tel.delivSec[0], time.Since(telT0))
-			}
 			m.tel.cycleCounts(m, issue)
 		}
 	}
-	return m.finish()
 }
 
-// beginCycle runs the checks at the top of both engines' cycle loops:
+// seqCycle is the sequential cycle body: fire the cycle's issue enabled
+// operations in deterministic order (or seeded-random when configured)
+// from their owners' queues, then deliver at the cycle boundary.
+// Telemetry maps it onto the BSP phase vocabulary on the coordinator's
+// (shard 0's) series: select = shuffling a seeded-random batch, fire =
+// the firing loop, deliver = the boundary delivery (retire has no
+// counterpart — impure effects run inside fire).
+func (m *sim) seqCycle(start time.Time, issue int) error {
+	timed := m.tel.sampled(m.cycle)
+	var telT0 time.Time
+	if timed {
+		telT0 = time.Now()
+	}
+	var err error
+	switch {
+	case m.rng == nil:
+		// Fire straight from the buckets, walking the union of the shards'
+		// active sets in ascending node id, a word at a time. Nothing is
+		// enqueued meanwhile — emissions wait in emitBuf for the cycle
+		// boundary — so the sets lose only bits already walked and the
+		// runs stay put while they issue; a bucket cut short by Processors
+		// keeps its remainder.
+		left := issue
+		for si := range m.shs[0].ready.sum {
+			var su uint64
+			for _, sh := range m.shs {
+				su |= sh.ready.sum[si]
+			}
+			for ; su != 0 && left > 0 && err == nil; su &= su - 1 {
+				w := si<<6 + bits.TrailingZeros64(su)
+				var u uint64
+				for _, sh := range m.shs {
+					u |= sh.ready.words[w]
+				}
+				for ; u != 0 && left > 0 && err == nil; u &= u - 1 {
+					node := w<<6 + bits.TrailingZeros64(u)
+					sh := m.owner(int32(node))
+					run := sh.ready.take(node, left)
+					left -= len(run)
+					err = m.issueRun(sh, run, start)
+				}
+			}
+		}
+	case issue > 0 || len(m.shs) == 1: // one worker's log also records the idle cycles' empty draws
+		// Seeded-random mode: every shard shuffles its pending set with
+		// its own stream, issues its share (selectCycleRandom) — shard-major,
+		// the pooled body's issue order — and re-queues the rest.
+		m.selectCycleRandom(issue)
+		for _, sh := range m.shs {
+			m.shuffled(sh)
+		}
+		if timed {
+			observeSampled(m.tel.selSec, time.Since(telT0))
+			telT0 = time.Now()
+		}
+		for _, sh := range m.shs {
+			for _, f := range sh.batchBuf[sh.randTake:] {
+				sh.ready.requeue(f)
+			}
+			if err = m.issueRun(sh, sh.batchBuf[:sh.randTake], start); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if timed {
+		observeSampled(m.tel.fireSec[0], time.Since(telT0))
+		telT0 = time.Now()
+	}
+	// Completions scheduled for the next cycle boundary, after this
+	// cycle's emissions.
+	m.cycle++
+	m.stats.Ops += issue
+	err = m.deliverBoundary(m.takeDue())
+	if timed && err == nil {
+		observeSampled(m.tel.delivSec[0], time.Since(telT0))
+	}
+	return err
+}
+
+// deliverBoundary is the sequential delivery at a cycle boundary: the
+// cycle's emissions in emission order, then the completions now due.
+func (m *sim) deliverBoundary(due []delayed) error {
+	emitN := len(m.emitBuf)
+	err := m.deliverAll(m.emitBuf, laneSeq)
+	m.emitBuf = m.emitBuf[:0]
+	for i := 0; i < len(due) && err == nil; i++ {
+		err = m.deliverAll(due[i].tokens, laneMem)
+	}
+	if err == nil && m.tel != nil {
+		m.tel.occupancy(emitN)
+	}
+	return err
+}
+
+// beginCycle runs the checks at the top of the cycle loop:
 // the checkpoint interval, the cycle and wall-clock budgets, and deadlock
 // (no enabled work, nothing in flight, end not fired).
 func (m *sim) beginCycle(start time.Time, ready int) error {
@@ -683,36 +726,11 @@ func (m *sim) noteIssue(issue int) error {
 	return nil
 }
 
-// materialise copies the cycle's issue batch out of the ready queue —
-// the path of cycles that do not issue the whole queue in order.
-func (m *sim) materialise(issue int) []firing {
-	ready := m.sh0.ready
-	if m.rng == nil {
-		m.batchBuf = ready.fill(m.batchBuf[:0], issue)
-		return m.batchBuf
-	}
-	// Seeded-random mode: materialize the whole deterministic order,
-	// shuffle it (consuming the same randomness the old global
-	// sort+shuffle did), issue a prefix and re-queue the rest.
-	all := ready.fill(m.batchBuf[:0], ready.count)
-	m.batchBuf = all
-	m.rng.Shuffle(len(all), func(i, j int) {
-		all[i], all[j] = all[j], all[i]
-	})
-	if m.cfg.CheckpointEvery > 0 {
-		m.shufLog = append(m.shufLog, len(all))
-	}
-	for _, f := range all[issue:] {
-		ready.requeue(f)
-	}
-	return all[:issue]
-}
-
-// issueRun fires a run of the sequential engine's issue order: a whole
-// bucket in place, or a materialised batch.
-func (m *sim) issueRun(run []firing, start time.Time) error {
+// issueRun fires a run of sh's activations in order: a bucket's pending
+// firings in place, or the prefix of a shuffled batch.
+func (m *sim) issueRun(sh *shardState, run []firing, start time.Time) error {
 	for i := range run {
-		if err := m.issue(m.sh0, &run[i]); err != nil {
+		if err := m.issue(sh, &run[i]); err != nil {
 			return err
 		}
 		if m.cfg.Deadline > 0 {
@@ -742,8 +760,8 @@ func (m *sim) issue(sh *shardState, f *firing) error {
 	return nil
 }
 
-// finish is both engines' epilogue: final statistics and the
-// conservation checks of a drained machine.
+// finish is the run's epilogue: final statistics and the conservation
+// checks of a drained machine.
 func (m *sim) finish() (*Outcome, error) {
 	m.stats.Cycles = m.endCycle
 	m.stats.TokensMoved = m.delivered
@@ -758,20 +776,11 @@ func (m *sim) finish() (*Outcome, error) {
 	// Strict conservation: after the drain, no partially matched
 	// activation may remain in the matching store (a waiting token whose
 	// partner can never arrive is a translation bug).
-	if n := m.totalMatchCount(); n != 0 {
+	if m.matchLive != 0 {
 		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
-			"%d tokens left after end fired", n).WithStuck(m.stuckList()))
+			"%d tokens left after end fired", m.matchLive).WithStuck(m.stuckList()))
 	}
 	return &Outcome{Store: m.store, EndValues: m.endVals, Stats: m.stats, Checkpoint: m.lastCk}, nil
-}
-
-// totalMatchCount sums the matching store's population over all shards.
-func (m *sim) totalMatchCount() int {
-	n := 0
-	for _, sh := range m.shs {
-		n += sh.matchCount
-	}
-	return n
 }
 
 // stuckList renders the matching store's partially matched activations as
@@ -782,7 +791,7 @@ func (m *sim) stuckList() []machcheck.Stuck {
 		tag  string
 		e    *matchEntry
 	}
-	keys := make([]stuckKey, 0, m.totalMatchCount())
+	keys := make([]stuckKey, 0, m.matchLive)
 	for node := range m.shards {
 		s := &m.shards[node]
 		if s.e.n != 0 {
@@ -808,13 +817,33 @@ func (m *sim) stuckList() []machcheck.Stuck {
 	return out
 }
 
-// deliverAll delivers a buffer of tokens in order. Without an injector
-// and with the whole buffer inside the delivered-token budget — every
-// cycle but a runaway's last — the tokens go straight to deliverOnce.
-func (m *sim) deliverAll(ts []tok) error {
-	if m.inj == nil && m.delivered+int64(len(ts)) <= 8*m.cfg.MaxOps+1024 {
+// tokenBudget is the delivered-token count past which a run aborts.
+func (m *sim) tokenBudget() int64 { return 8*m.cfg.MaxOps + 1024 }
+
+// owner returns the shard that owns node; with one shard, without
+// waiting for the node's row, which the hot loops can measure.
+func (m *sim) owner(node int32) *shardState {
+	if len(m.shs) == 1 {
+		return m.shs[0]
+	}
+	return m.shs[m.p.ops[node].shard]
+}
+
+// deliverAll delivers a buffer of tokens in order, each to its owner,
+// counting them on telemetry's lane. Without an injector and with the
+// whole buffer inside the delivered-token budget — every cycle but a
+// runaway's last — the tokens go straight to deliverOnce.
+func (m *sim) deliverAll(ts []tok, lane int) error {
+	if m.tel != nil {
+		m.tel.routed(m, lane, ts)
+	}
+	if m.inj == nil && m.delivered+int64(len(ts)) <= m.tokenBudget() {
+		sh := m.shs[0] // reloading the one shard per token is measurable
 		for i := range ts {
-			if err := m.deliverOnce(m.sh0, &ts[i], 0); err != nil {
+			if len(m.shs) > 1 {
+				sh = m.shs[m.p.ops[ts[i].node].shard]
+			}
+			if err := m.deliverOnce(sh, &ts[i], seqInPlace); err != nil {
 				m.delivered += int64(i) + 1
 				return err
 			}
@@ -832,15 +861,15 @@ func (m *sim) deliverAll(ts []tok) error {
 
 // deliver routes a token to its destination, enabling a firing when the
 // activation's operands are complete. It is also the fault-injection
-// point for delivery faults and enforces the delivered-token budget.
-// Sequential engine only; the sharded engine's delivery phase calls
-// deliverOnce per shard directly (injection forces the sequential path,
-// and the token budget is enforced at the cycle merge).
+// point for delivery faults and stops the run at the token that crosses
+// the delivered-token budget. Sequential code only: injection forces one
+// shard, and a pooled cycle that could cross the budget delivers here.
 func (m *sim) deliver(t *tok) error {
-	if m.delivered++; m.delivered > 8*m.cfg.MaxOps+1024 {
+	if m.delivered++; m.delivered > m.tokenBudget() {
 		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
 			"delivered %d tokens (token explosion?)", m.delivered)
 	}
+	sh := m.owner(t.node)
 	if m.inj != nil {
 		node := int(t.node)
 		switch m.inj.Deliver(m.p.ops[node].flags&opMatchSite != 0) {
@@ -849,7 +878,7 @@ func (m *sim) deliver(t *tok) error {
 			return nil
 		case fault.ActDup:
 			m.col.Fault(node, m.cycle, string(fault.DupToken))
-			if err := m.deliverOnce(m.sh0, t, 0); err != nil {
+			if err := m.deliverOnce(sh, t, seqInPlace); err != nil {
 				return err
 			}
 		case fault.ActCorruptTag:
@@ -857,7 +886,7 @@ func (m *sim) deliver(t *tok) error {
 			t.tgID = m.tags.pushID(t.tgID)
 		}
 	}
-	return m.deliverOnce(m.sh0, t, 0)
+	return m.deliverOnce(sh, t, seqInPlace)
 }
 
 // tokDeps decodes a token's producer firings. A deferred I-structure
@@ -874,13 +903,15 @@ func (m *sim) tokDeps(t *tok) (dep, dep2 int32) {
 	return pair[0], pair[1]
 }
 
+// seqInPlace is the seq sequential code, delivering in order, passes.
+const seqInPlace int64 = -1
+
 // deliverOnce lands one token on the shard that owns its destination
-// node. seq is the token's position in the sequential delivery order of
-// the cycle (see shard.go); the sequential engine passes 0 — it
-// processes tokens in that order anyway. In sharded mode, matching-store
-// waits are recorded as per-shard events keyed by seq instead of
-// updating Matches/PeakMatchStore in place, and the cycle merge replays
-// them in seq order so the statistics come out byte-identical.
+// node. Matching-store waits update Matches, PeakMatchStore, matchLive and
+// the collector in place, unless seq — the pooled delivery phase's: the
+// token's position in the cycle's sequential delivery order (shard.go) —
+// says to record them as per-shard events, which the cycle merge replays
+// in seq order so the statistics come out byte-identical.
 func (m *sim) deliverOnce(sh *shardState, t *tok, seq int64) error {
 	o := &m.p.ops[t.node]
 	dep, dep2 := m.tokDeps(t)
@@ -922,10 +953,12 @@ func (m *sim) deliverOnce(sh *shardState, t *tok, seq int64) error {
 	if e.n == o.nIns {
 		sh.ready.push(t.node, t.tgID, 0, e.dep, e.vals, e.n)
 		m.matchDelete(sh, t.node, e)
-		if m.sharded {
+		if seq != seqInPlace {
 			sh.waits = append(sh.waits, waitEvent{seq: seq, delta: -1})
+		} else {
+			m.matchLive--
 		}
-	} else if m.sharded {
+	} else if seq != seqInPlace {
 		var d int8
 		if inserted {
 			d = 1
@@ -934,12 +967,15 @@ func (m *sim) deliverOnce(sh *shardState, t *tok, seq int64) error {
 			seq: seq, node: t.node, port: t.port, dep: dep, tgID: t.tgID, delta: d,
 		})
 	} else {
+		if inserted {
+			m.matchLive++
+		}
 		m.stats.Matches++
 		if m.col != nil {
 			m.col.Wait(int(t.node), m.cycle, int(t.port), dep, m.tags.key(t.tgID))
 		}
-		if sh.matchCount > m.stats.PeakMatchStore {
-			m.stats.PeakMatchStore = sh.matchCount
+		if m.matchLive > m.stats.PeakMatchStore {
+			m.stats.PeakMatchStore = m.matchLive
 		}
 	}
 	return nil
@@ -1222,5 +1258,5 @@ func (m *sim) deadlockError() error {
 	}
 	return machcheck.Newf(machcheck.Deadlock, "machine",
 		"no enabled work at cycle %d but end has not fired; %d activations waiting",
-		m.cycle, m.totalMatchCount()).WithStuck(m.stuckList())
+		m.cycle, m.matchLive).WithStuck(m.stuckList())
 }

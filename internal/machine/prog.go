@@ -40,6 +40,9 @@ type op struct {
 	kind  uint8 // dfg.Kind
 	code  uint8 // lang.Op of BinOp/UnOp
 	flags uint8
+	// shard is the owning shard (initShards): the one field of the run,
+	// not the graph, here because who wants it is reading the row.
+	shard uint8
 }
 
 type prog struct {

@@ -149,6 +149,8 @@ func (b *bucket) pending() []firing { return b.items[b.head:] }
 // node active is two ORs and walking the active nodes in ascending id
 // skips empty stretches 4096 nodes at a time. Invariant: a node's bit is
 // set iff its bucket has pending firings.
+// A node has one owner, so every shard's queue indexes the machine's one
+// bucket table and owns only the bitmaps and count of its own nodes.
 type readyQueue struct {
 	buckets []bucket
 	words   []uint64
@@ -158,14 +160,13 @@ type readyQueue struct {
 	tt *tagTable
 }
 
-func newReadyQueue(nodes int, tt *tagTable) *readyQueue {
-	q := &readyQueue{buckets: make([]bucket, nodes), tt: tt}
-	q.words = make([]uint64, nodes>>6+1)
-	q.sum = make([]uint64, len(q.words)>>6+1)
-	for i := range q.buckets {
-		q.buckets[i].items = q.buckets[i].first[:0]
+// newBuckets allocates the bucket table.
+func newBuckets(nodes int) []bucket {
+	buckets := make([]bucket, nodes)
+	for i := range buckets {
+		buckets[i].items = buckets[i].first[:0]
 	}
-	return q
+	return buckets
 }
 
 // push enqueues one enabled firing, writing its record in place at the
@@ -239,12 +240,10 @@ func (q *readyQueue) take(node, max int) []firing {
 	return run
 }
 
-// fill appends up to max firings to dst in deterministic issue order.
-func (q *readyQueue) fill(dst []firing, max int) []firing {
-	for node := q.next(0); node >= 0 && max > 0; node = q.next(node + 1) {
-		run := q.take(node, max)
-		dst = append(dst, run...)
-		max -= len(run)
+// fill moves every pending firing to dst in deterministic issue order.
+func (q *readyQueue) fill(dst []firing) []firing {
+	for node := q.next(0); node >= 0; node = q.next(node + 1) {
+		dst = append(dst, q.take(node, q.count)...)
 	}
 	return dst
 }
@@ -292,8 +291,8 @@ func (m *sim) matchLookup(node, tgID int32) *matchEntry {
 }
 
 // matchInsert opens a pending entry for (node, tgID) with an n-slot
-// operand frame, charged to the owning shard's population count. The
-// caller counts the first operand in before anything else looks.
+// operand frame from the owning shard's arena. The caller counts the
+// first operand in before anything else looks, and the entry in matchLive.
 func (m *sim) matchInsert(sh *shardState, node, tgID, n int32) *matchEntry {
 	s := &m.shards[node]
 	e := &s.e
@@ -309,7 +308,6 @@ func (m *sim) matchInsert(sh *shardState, node, tgID, n int32) *matchEntry {
 		s.more[tgID] = e
 	}
 	*e = matchEntry{vals: sh.getVals(n), tgID: tgID}
-	sh.matchCount++
 	return e
 }
 
@@ -323,7 +321,6 @@ func (m *sim) matchDelete(sh *shardState, node int32, e *matchEntry) {
 		delete(s.more, e.tgID)
 		sh.entryFree = append(sh.entryFree, e)
 	}
-	sh.matchCount--
 }
 
 // --- free lists and arenas --------------------------------------------
@@ -331,7 +328,7 @@ func (m *sim) matchDelete(sh *shardState, node int32, e *matchEntry) {
 // Free lists recycle steady-state churn; the operand arena amortizes the
 // warmup growth (Go allocations) that remains. They live on the
 // shardState so every shard recycles privately — no cross-shard sharing,
-// no locks; the sequential engine uses shard 0's lists for everything.
+// no locks; with one worker shard 0's lists serve every node.
 
 // getVals returns the offset of an n-slot operand frame in the shard's
 // arena. Frames are not zeroed: every port is overwritten before it is

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/dfg"
@@ -34,6 +36,18 @@ func runAllocs(t *testing.T, g *dfg.Graph, c Config) float64 {
 			t.Fatal(err)
 		}
 	})
+}
+
+// runBytes is the number of bytes one Run of g under c allocates.
+func runBytes(t *testing.T, g *dfg.Graph, c Config) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(g, c); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 var benchOutcome *Outcome
@@ -96,39 +110,65 @@ func TestRunAllocBudget(t *testing.T) {
 // floor was once kept to catch.
 const telemetryAllocSlack = 64
 
+// shardAllocAllowance is how many more allocations a run may make per
+// shard past the first: its state, its queue's two bitmaps and its
+// free-list table, and the first growth of its arena and free lists — no
+// worker-pool goroutine, channel or outbox, which a run whose cycles stay
+// under poolGrain never builds (7 per shard on fib-iterative when it was
+// set, against 29 when every run with Workers > 1 started the pool).
+const shardAllocAllowance = 8
+
 // TestRunAllocBudgetSmallPrograms bounds the allocations of one Run of
 // four short programs, where per-run set-up is most of the count and one
 // allocation per cycle or per firing multiplies it. A budget is the count
 // measured when it was set × 1.25 + 16, taken from the -race build, which
-// allocates more than the plain one and runs this test too. Allocation
-// counts repeat to within one, so this gates what wall time on a shared
-// host cannot.
+// allocates more than the plain one and runs this test too; with four
+// workers a run gets shardAllocAllowance more per extra shard, and may
+// not allocate one bucket table's worth of bytes more than with one — the
+// shards share the table. Allocation counts repeat to within one, so this
+// gates what wall time on a shared host cannot.
 func TestRunAllocBudgetSmallPrograms(t *testing.T) {
 	plain := translate.Options{Schema: translate.Schema2Opt}
 	elim := translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}
 	fib := workloads.MustByName("fib-iterative")
-	fibPlain := benchGraph(t, fib, plain, false)
 	for _, c := range []struct {
 		name   string
 		g      *dfg.Graph
 		cfg    Config
 		budget float64
 	}{
-		// Measured: 101 allocations, 117 under -race; the optimized graph the same.
+		// Measured: 99 allocations, 111 under -race; the optimized graph the same.
 		{"fib-iterative/mem-elim", benchGraph(t, fib, elim, false), Config{MemLatency: 4}, 162},
 		{"fib-iterative/mem-elim+opt", benchGraph(t, fib, elim, true), Config{MemLatency: 4}, 162},
-		// 186, 199 under -race.
+		// 184, 194 under -race.
 		{"nested-loops", benchGraph(t, workloads.MustByName("nested-loops"), plain, false), Config{}, 264},
-		// 400, 567 under -race.
+		// 399, 560 under -race.
 		{"random-16", benchGraph(t, workloads.Random(4242, 16, 3), plain, false), Config{}, 724},
-		// 145 bare + 44, 166 + 44 under -race.
-		{"fib-iterative+telemetry", fibPlain, Config{MemLatency: 4, Telemetry: telemetry.NewRegistry()},
-			runAllocs(t, fibPlain, Config{MemLatency: 4}) + telemetryAllocSlack},
 	} {
-		got := runAllocs(t, c.g, c.cfg)
-		if got > c.budget {
-			t.Errorf("%s: Run allocates %.0f times, budget %.0f", c.name, got, c.budget)
+		for _, workers := range []int{1, 4} {
+			c.cfg.Workers = workers
+			budget := c.budget + float64(workers-1)*shardAllocAllowance
+			got := runAllocs(t, c.g, c.cfg)
+			if got > budget {
+				t.Errorf("%s workers=%d: Run allocates %.0f times, budget %.0f", c.name, workers, got, budget)
+			}
+			t.Logf("%s workers=%d: %.0f allocs per run (budget %.0f)", c.name, workers, got, budget)
 		}
-		t.Logf("%s: %.0f allocs per run (budget %.0f)", c.name, got, c.budget)
+	}
+	// The shards share one bucket table, the bulk of a run's set-up on a
+	// graph this size: four workers may not cost a table's bytes more.
+	wide := benchGraph(t, workloads.Wide(64, 4), elim, false)
+	one, four := runBytes(t, wide, Config{}), runBytes(t, wide, Config{Workers: 4})
+	table := uint64(len(wide.Nodes)) * uint64(unsafe.Sizeof(bucket{}))
+	if four >= one+table {
+		t.Errorf("wide-64x4: Run allocates %d bytes with four workers, %d with one: a %d-byte bucket table more", four, one, table)
+	}
+	t.Logf("wide-64x4: %d bytes per run with one worker, %d with four (bucket table %d)", one, four, table)
+	// A run with a reused registry may allocate telemetryAllocSlack more
+	// than the bare run: 145 bare + 44, 166 + 44 under -race.
+	fibPlain := benchGraph(t, fib, plain, false)
+	budget := runAllocs(t, fibPlain, Config{MemLatency: 4}) + telemetryAllocSlack
+	if got := runAllocs(t, fibPlain, Config{MemLatency: 4, Telemetry: telemetry.NewRegistry()}); got > budget {
+		t.Errorf("fib-iterative+telemetry: Run allocates %.0f times, budget %.0f", got, budget)
 	}
 }

@@ -1,33 +1,38 @@
 package machine
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"ctdf/internal/dfg"
 	"ctdf/internal/interp"
 	"ctdf/internal/lang"
-	"ctdf/internal/machcheck"
 	"ctdf/internal/obs/telemetry"
 )
 
-// The sharded multi-core machine (Config.Workers > 1): the Monsoon
-// multi-PE story of paper §2.2, where each processing element owns a
-// slice of the explicit token store and tokens travel to the PE that
-// owns their destination instruction. Nodes are partitioned across W
-// shared-nothing shards by a hash of the node id; each shard owns its
-// nodes' ready-queue buckets, matching-store slots, and free lists, so
-// shard workers never contend on scheduler state.
+// The partitioned machine (Config.Workers > 1): the Monsoon multi-PE
+// story of paper §2.2, where each processing element owns a slice of the
+// explicit token store and tokens travel to the PE that owns their
+// destination instruction. Nodes are partitioned across W shared-nothing
+// shards by a hash of the node id; each shard owns its nodes' ready
+// buckets, matching-store slots, operand frames and free lists.
 //
-// A cycle runs as four phases (bulk-synchronous, like the cycle it
-// simulates):
+// The cycle loop (run, machine.go) has two bodies over that state: the
+// sequential one (seqCycle), the default at every worker count, and the
+// pooled one here (pooledCycle), for cycles whose ready count reaches
+// poolGrain, where host workers drive the shards without contending on
+// scheduler state. A pooled cycle runs as four phases (bulk-synchronous,
+// like the cycle it simulates):
 //
 //  1. select (sequential): merge the shards' active lists into the
 //     global deterministic issue order and assign each planned firing
-//     its global issue index gi — exactly the index it would have in the
-//     sequential engine's batch. Loop-tag arithmetic for the planned
+//     its global issue index gi — exactly its position in the
+//     sequential body's issue order. Loop-tag arithmetic for the planned
 //     firings is resolved here, so phase 2 only reads the tag table.
 //  2. fire (parallel): every shard evaluates its planned firings. Pure
 //     operators (the kernel's state-free kinds, see interp.Step; loop
@@ -36,8 +41,8 @@ import (
 //     per-destination-shard outboxes; everything impure (memory, fused
 //     trees, procedure linkage, end, uncached tag arithmetic) is
 //     deferred. Tokens are stamped with a sequence key ordered by
-//     (gi, emission index) — the exact order the sequential engine
-//     would have appended them to its emission buffer.
+//     (gi, emission index) — the exact order the sequential body would
+//     have appended them to its emission buffer.
 //  3. retire (sequential): the deferred impure firings and the pure
 //     firings' observation events are merged back into ascending gi
 //     order and replayed: collector Fire events, journal records,
@@ -55,7 +60,7 @@ import (
 //     events byte-exactly, and picks the earliest error in sequential
 //     order if any shard aborted.
 //
-// Why this is byte-exact at any worker count: in the sequential engine,
+// Why this is byte-exact at any worker count: in the sequential body,
 // tokens produced in cycle C are only delivered at the C→C+1 boundary,
 // so within a cycle the only cross-firing effects are through impure
 // state — which phase 3 runs in exact sequential order. Pure firings
@@ -67,14 +72,17 @@ import (
 // discussion.
 
 // maxShards caps Config.Workers; past a few hundred shards the
-// per-shard queues cost more than any machine can win back.
+// per-shard queues cost more than any machine can win back, and a shard
+// id fits op.shard's byte.
 const maxShards = 256
 
-// shardedPhaseMin is the minimum per-cycle work (planned firings or
-// routed tokens) worth dispatching to the worker pool; narrower cycles
-// run all shards inline on the coordinating goroutine. A variable so
-// tests can force the parallel phases on small workloads.
-var shardedPhaseMin = 64
+// poolGrain is the ready count from which a cycle runs the pooled body:
+// the smallest firings-per-cycle width at which BenchmarkShardedWide has
+// the pooled body ahead of the sequential one with two workers. No width
+// of the committed sweep (139 to 8,789, see SCALING.md) is, so there is
+// none and no run's cycle takes the pooled body; a variable only for the
+// tests and the sweep, which lower it.
+var poolGrain = math.MaxInt
 
 // shardHash maps a node id to its owning shard (Fibonacci hashing —
 // consecutive ids, the common layout of a translated program, spread
@@ -146,16 +154,12 @@ type impureFiring struct {
 	f  firing
 }
 
-// shardState is one shard's private scheduler state. The sequential
-// engine runs with a single shard owning every node; the sharded engine
-// gives each shard the nodes with shardHash(id) % W == id and lets a
-// host worker drive it through the parallel phases.
+// shardState is one shard's private scheduler state: shard s owns the
+// nodes with shardHash(id) % W == s, and in a pooled cycle one host
+// worker drives it through the parallel phases.
 type shardState struct {
 	id    int
-	ready *readyQueue
-	// matchCount is the population of the matching-store slots this
-	// shard owns.
-	matchCount int
+	ready readyQueue
 
 	// Free lists and arenas (queue.go) — strictly shard-private. arena
 	// holds the operand frames of this shard's activations, valsFree the
@@ -175,17 +179,19 @@ type shardState struct {
 	// this one's exact state (see checkpoint.go).
 	shufLog []int
 
-	// Per-cycle scratch for the sharded engine's phases.
-	plan      []planEntry
+	// A seeded-random cycle's shuffled batch and the shard's share of it
+	// (selectCycleRandom), on either body; then per-cycle scratch of the
+	// pooled body's phases (outbox and heads built by startPool).
 	batchBuf  []firing
+	randTake  int
+	randBase  int
+	plan      []planEntry
 	outbox    [][]routedTok // fire phase → per-destination-shard tokens
 	fireEvs   []fireEvent   // fire phase → deferred pure observations
 	impure    []impureFiring
 	waits     []waitEvent
 	heads     []int // delivery-phase k-way merge cursors
 	delivered int64
-	randTake  int
-	randBase  int
 
 	// First error per phase, in sequential order (min gi / min seq);
 	// the retire pass and cycle merge pick the global minimum.
@@ -203,53 +209,76 @@ type shardState struct {
 	telPureFired int64
 }
 
-// initShards builds the per-shard states and the node→shard map. w=1 is
-// the sequential engine (shard 0 owns everything and no parallel-phase
-// scratch is allocated).
+// initShards builds the per-shard states over one bucket table and the
+// node→shard map.
 func (m *sim) initShards(w int) {
-	m.shardOf = make([]int32, len(m.p.ops))
 	m.shs = make([]*shardState, w)
+	buckets := newBuckets(len(m.p.ops))
+	words := len(buckets)>>6 + 1
 	for i := range m.shs {
-		sh := &shardState{id: i}
-		sh.ready = newReadyQueue(len(m.p.ops), m.tags)
-		sh.valsFree = make([][]int32, m.p.maxIns+1)
+		sh := &shardState{id: i, valsFree: make([][]int32, m.p.maxIns+1)}
+		sh.ready = readyQueue{buckets: buckets, tt: m.tags, words: make([]uint64, words), sum: make([]uint64, words>>6+1)}
 		if m.jour {
 			sh.deps = [][]int32{}
 		}
-		if w > 1 {
-			sh.outbox = make([][]routedTok, w)
-			sh.heads = make([]int, w+2)
-		}
 		m.shs[i] = sh
 	}
-	m.sh0 = m.shs[0]
-	if w > 1 {
-		for id := range m.shardOf {
-			m.shardOf[id] = int32(shardHash(id) % uint32(w))
+	if w > 1 { // one shard owns row after row of zeros already
+		for id := range m.p.ops {
+			m.p.ops[id].shard = uint8(shardHash(id) % uint32(w))
 		}
-		m.seqBox = make([][]routedTok, w)
-		m.relBox = make([][]routedTok, w)
-		m.selCur = make([]int, w)
-		m.evCur = make([]int, w)
-		m.imCur = make([]int, w)
-		m.sharded = true
 	}
+}
+
+// startPool builds what only the pooled body uses, at the first cycle
+// that reaches the grain; most runs never spawn a goroutine.
+func (m *sim) startPool() {
+	w := len(m.shs)
+	for _, sh := range m.shs {
+		sh.outbox = make([][]routedTok, w)
+		sh.heads = make([]int, w+2)
+	}
+	m.seqBox, m.relBox = make([][]routedTok, w), make([][]routedTok, w)
+	m.cur, m.imCur = make([]int, w), make([]int, w)
+	// fanStride spaces the sequence keys of consecutive firings so that
+	// (gi, emission index) order-embeds into one int64: seq =
+	// (gi+1)*fanStride + k, with k < fanStride: a firing emits on one
+	// node's arcs (its own; a procedure return on its Apply's), once each.
+	m.fanStride = int64(m.g.MaxFanOut()) + 1
+	// The two parallel phases' per-shard bodies, bound once per run (a
+	// method value allocates; the phases run twice a cycle). With
+	// telemetry on, per-shard busy time accumulates in plain shard-local
+	// scratch; the cycle merge folds it into the registry in shard order.
+	m.fireFn, m.delivFn = m.fireShard, m.deliverShard
+	if m.tel != nil {
+		m.barFire, m.barDeliv = m.tel.barFire, m.tel.barDeliv
+		m.fireFn = func(sh *shardState) {
+			t0 := time.Now()
+			m.fireShard(sh)
+			sh.telFireNs += time.Since(t0).Nanoseconds()
+		}
+		m.delivFn = func(sh *shardState) {
+			t0 := time.Now()
+			m.deliverShard(sh)
+			sh.telDelivNs += time.Since(t0).Nanoseconds()
+		}
+	}
+	m.pool = newShardPool(m.shs)
 }
 
 // --- worker pool ------------------------------------------------------
 
-// shardPool drives the parallel phases: min(GOMAXPROCS, W) persistent
-// goroutines, each owning a fixed subset of shards (static round-robin,
-// so which goroutine runs a shard never affects anything — determinism
-// depends only on the shard count).
-// shardPool runs the parallel phases. The calling goroutine executes the
-// first shard slice itself, so the goroutine count equals the host-core
-// budget instead of exceeding it by one perpetually-parking coordinator
-// — profiling shows the oversubscribed variant doubles the futex traffic
-// of the phase barrier, which runs twice per simulated cycle. By the
-// time the caller finishes its own share the helpers usually have too,
-// making Wait a no-futex fast path. (A fully spinning barrier was tried
-// and measured slower here: helpers burning a core through the
+// shardPool drives the parallel phases: min(GOMAXPROCS, W) goroutines,
+// each owning a fixed subset of shards (static round-robin, so which
+// goroutine runs a shard never affects anything — determinism depends
+// only on the shard count). The calling goroutine is one of them and
+// executes the first shard slice itself, so the goroutine count equals
+// the host-core budget instead of exceeding it by one perpetually-parking
+// coordinator — profiling shows the oversubscribed variant doubles the
+// futex traffic of the phase barrier, which runs twice per pooled cycle.
+// By the time the caller finishes its own share the helpers usually have
+// too, making Wait a no-futex fast path. (A fully spinning barrier was
+// tried and measured slower here: helpers burning a core through the
 // sequential select/retire/merge stretches starve the coordinator.)
 type shardPool struct {
 	chans []chan func(*shardState)
@@ -287,14 +316,11 @@ func newShardPool(shs []*shardState) *shardPool {
 }
 
 // run executes fn once per shard and waits for all of them (the phase
-// barrier). The caller's goroutine processes the first shard slice.
-func (p *shardPool) run(fn func(*shardState)) { p.runTimed(fn, nil) }
-
-// runTimed additionally accumulates the coordinator's barrier wait —
-// the stretch between finishing its own shard slice and the last
-// helper's Done — into *barNs when non-nil (telemetry's
+// barrier). The caller's goroutine processes the first shard slice; its
+// barrier wait — the stretch between finishing that slice and the last
+// helper's Done — is observed into bar when non-nil (telemetry's
 // barrier_wait_seconds probe).
-func (p *shardPool) runTimed(fn func(*shardState), barNs *int64) {
+func (p *shardPool) run(fn func(*shardState), bar *telemetry.Series) {
 	p.wg.Add(len(p.chans))
 	for _, ch := range p.chans {
 		ch <- fn
@@ -302,117 +328,61 @@ func (p *shardPool) runTimed(fn func(*shardState), barNs *int64) {
 	for _, sh := range p.mine {
 		fn(sh)
 	}
-	if barNs != nil {
-		t0 := time.Now()
+	if bar == nil {
 		p.wg.Wait()
-		*barNs += time.Since(t0).Nanoseconds()
 		return
 	}
+	t0 := time.Now()
 	p.wg.Wait()
+	observeSeconds(bar, time.Since(t0))
 }
 
+// stop ends the helper goroutines of a pool the run started, if it did.
 func (p *shardPool) stop() {
+	if p == nil {
+		return
+	}
 	for _, ch := range p.chans {
 		close(ch)
 	}
 }
 
-// --- main loop --------------------------------------------------------
+// --- the pooled cycle --------------------------------------------------
 
-// readyTotal sums enabled work over all shards.
-func (m *sim) readyTotal() int {
-	n := 0
-	for _, sh := range m.shs {
-		n += sh.ready.count
+// pooledCycle is the pooled cycle body — the same cycle as seqCycle, with
+// the issue/retire/deliver work split into the phases described at the
+// top of this file.
+func (m *sim) pooledCycle(start time.Time, issue int) error {
+	if m.pool == nil {
+		m.startPool()
 	}
-	return n
-}
-
-// runSharded is the sharded engine's main loop — the same cycle
-// structure as run(), with the issue/retire/deliver work split into the
-// phases described at the top of this file.
-func (m *sim) runSharded() (*Outcome, error) {
-	m.endVals = make([]int64, m.p.ops[m.g.EndID].nIns)
-	m.curDep = -1
-	start := time.Now()
-
-	// fanStride spaces the sequence keys of consecutive firings so that
-	// (gi, emission index) order-embeds into one int64: seq =
-	// (gi+1)*fanStride + k, with k < fanStride by construction.
-	m.fanStride = int64(m.g.MaxFanOut()) + 1
-	m.pool = newShardPool(m.shs)
-	defer m.pool.stop()
-	m.phaseFuncs()
-
-	if m.cfg.Resume != nil {
-		// Restore a checkpoint instead of starting at cycle 0 (pre-run
-		// failure on a malformed checkpoint, like invalid configuration).
-		if err := m.restore(m.cfg.Resume); err != nil {
-			return nil, err
-		}
-	} else {
-		// Cycle 0: start emits one dummy token per out arc at the root tag,
-		// delivered through the same phase machinery as ordinary cycles.
-		for i, t := range m.p.out(int32(m.g.StartID), 0) {
-			d := m.shardOf[t.node]
-			m.seqBox[d] = append(m.seqBox[d], routedTok{
-				t: tok{node: t.node, port: t.port, tgID: rootTagID, dep: -1}, seq: int64(i),
-			})
-		}
-		m.runDeliverPhase()
-		if err := m.mergeCycle(); err != nil {
-			return m.abort(err)
-		}
-	}
-
 	var telT0 time.Time
-	for !m.done || m.readyTotal() > 0 || m.inflightN > 0 {
-		if err := m.beginCycle(start, m.readyTotal()); err != nil {
-			return m.abort(err)
-		}
-		if m.tel != nil {
-			telT0 = time.Now()
-		}
-		issue := m.selectCycle()
-		if m.tel != nil {
-			observeSeconds(m.tel.selSec, time.Since(telT0))
-		}
-		if err := m.noteIssue(issue); err != nil {
-			return m.abort(err)
-		}
-		if m.dag {
-			m.dagBase = int32(m.col.FiringCount())
-		}
-		m.runPhase(m.fireFn, issue, false)
-		if m.tel != nil {
-			telT0 = time.Now()
-		}
-		if err := m.retireCycle(start); err != nil {
-			return m.abort(err)
-		}
-		if m.tel != nil {
-			observeSeconds(m.tel.retSec, time.Since(telT0))
-		}
-		// Cycle boundary: count the issue, complete split-phase memory,
-		// route the released tokens after this cycle's emissions (the
-		// sequential delivery order).
-		m.cycle++
-		m.stats.Ops += issue
-		relSeq := int64(1) << 62
-		for _, d := range m.takeDue() {
-			for _, t := range d.tokens {
-				dst := m.shardOf[t.node]
-				m.relBox[dst] = append(m.relBox[dst], routedTok{t: t, seq: relSeq})
-				relSeq++
-			}
-		}
-		m.runDeliverPhase()
-		if err := m.mergeCycle(); err != nil {
-			return m.abort(err)
-		}
-		m.tel.cycleCounts(m, issue)
+	if m.tel != nil {
+		telT0 = time.Now()
 	}
-	return m.finish()
+	m.selectCycle(issue)
+	if m.tel != nil {
+		observeSeconds(m.tel.selSec, time.Since(telT0))
+	}
+	if m.dag {
+		m.dagBase = int32(m.col.FiringCount())
+	}
+	m.pool.run(m.fireFn, m.barFire)
+	if m.tel != nil {
+		telT0 = time.Now()
+	}
+	if err := m.retireCycle(start); err != nil {
+		return err
+	}
+	if m.tel != nil {
+		observeSeconds(m.tel.retSec, time.Since(telT0))
+	}
+	// Cycle boundary: count the issue, complete split-phase memory, land
+	// the released tokens after this cycle's emissions (the sequential
+	// delivery order).
+	m.cycle++
+	m.stats.Ops += issue
+	return m.deliverPooled(m.takeDue())
 }
 
 // --- phase 1: select --------------------------------------------------
@@ -420,74 +390,51 @@ func (m *sim) runSharded() (*Outcome, error) {
 // selectCycle merges the shards' active lists into the global
 // deterministic issue order (ascending node id — node→shard ownership
 // is a partition, so the lists are disjoint and the merge never ties)
-// and plans up to Processors firings, assigning global issue indices.
+// and plans the cycle's issue firings, assigning global issue indices.
 // Loop-tag arithmetic for the planned buckets is resolved here, caching
 // the results so the parallel fire phase only reads the tag table.
-func (m *sim) selectCycle() int {
+func (m *sim) selectCycle(issue int) {
 	if m.rng != nil {
-		return m.selectCycleRandom()
+		m.selectCycleRandom(issue)
+		return
 	}
-	budget := m.cfg.Processors
-	if budget <= 0 {
-		budget = int(^uint(0) >> 1)
-	}
-	issue := 0
 	// cur[s] is shard s's lowest active node not yet planned (-1: none).
-	cur := m.selCur
+	cur := m.cur
 	for s, sh := range m.shs {
 		sh.plan = sh.plan[:0]
 		cur[s] = sh.ready.next(0)
 	}
-	for budget > 0 {
+	for base := 0; base < issue; {
 		best := -1
 		for s := range m.shs {
 			if cur[s] >= 0 && (best < 0 || cur[s] < cur[best]) {
 				best = s
 			}
 		}
-		if best < 0 {
-			break
-		}
 		sh, node := m.shs[best], cur[best]
 		pending := sh.ready.buckets[node].pending()
-		take := len(pending)
-		if take > budget {
-			take = budget
-		}
+		take := min(len(pending), issue-base)
 		m.warmLoopTags(node, pending)
-		sh.plan = append(sh.plan, planEntry{node: node, take: take, base: issue})
-		issue += take
-		budget -= take
+		sh.plan = append(sh.plan, planEntry{node: node, take: take, base: base})
+		base += take
 		cur[best] = sh.ready.next(node + 1)
 	}
-	return issue
 }
 
-// selectCycleRandom plans a seeded-random cycle: the issue budget is
-// split round-robin across shards with pending work, each shard
-// shuffles its own pending set with its (seed, shard) stream, and
-// global issue indices are assigned shard-major. Deterministic for a
-// fixed (seed, W); across worker counts the schedule differs but every
-// observable final state agrees (dataflow determinacy — the property
-// seeded-random mode exists to exercise).
-func (m *sim) selectCycleRandom() int {
-	total := 0
+// selectCycleRandom plans a seeded-random cycle, for either body: the
+// cycle's issue firings are split round-robin across shards with pending
+// work, each shard shuffles its own pending set with its stream
+// (shuffled), and global issue indices are assigned shard-major.
+// Deterministic for a fixed (seed, W); across worker counts the schedule
+// differs but every observable final state agrees (dataflow determinacy —
+// the property seeded-random mode exists to exercise).
+func (m *sim) selectCycleRandom(issue int) {
 	for _, sh := range m.shs {
-		sh.plan = sh.plan[:0]
 		sh.randTake = 0
-		total += sh.ready.count
 	}
-	issue := total
-	if m.cfg.Processors > 0 && issue > m.cfg.Processors {
-		issue = m.cfg.Processors
-	}
-	rem := issue
-	for rem > 0 {
+	for rem := issue; rem > 0; {
 		for _, sh := range m.shs {
-			if rem == 0 {
-				break
-			}
-			if sh.randTake < sh.ready.count {
+			if rem > 0 && sh.randTake < sh.ready.count {
 				sh.randTake++
 				rem--
 			}
@@ -498,7 +445,6 @@ func (m *sim) selectCycleRandom() int {
 		sh.randBase = base
 		base += sh.randTake
 	}
-	return issue
 }
 
 // warmLoopTags pre-resolves tag arithmetic for a planned loop bucket so
@@ -519,59 +465,29 @@ func (m *sim) warmLoopTags(node int, pending []firing) {
 
 // --- phase 2: fire ----------------------------------------------------
 
-// phaseFuncs binds the two parallel phases' per-shard bodies once per
-// run (a method value allocates; the phases run twice a cycle). With
-// telemetry on, per-shard busy time accumulates in plain shard-local
-// scratch; the cycle merge folds it into the registry in shard order.
-func (m *sim) phaseFuncs() {
-	m.fireFn, m.delivFn = m.fireShard, m.deliverShard
-	if m.tel != nil {
-		m.fireFn = func(sh *shardState) {
-			t0 := time.Now()
-			m.fireShard(sh)
-			sh.telFireNs += time.Since(t0).Nanoseconds()
-		}
-		m.delivFn = func(sh *shardState) {
-			t0 := time.Now()
-			m.deliverShard(sh)
-			sh.telDelivNs += time.Since(t0).Nanoseconds()
-		}
+// shuffled materialises sh's whole ready queue, in deterministic order,
+// into sh.batchBuf and shuffles it with the shard's stream — with one
+// worker the run's main stream, consuming the same randomness the old
+// global sort+shuffle did — logging the draw for checkpoints.
+func (m *sim) shuffled(sh *shardState) []firing {
+	rng, log := sh.rng, &sh.shufLog
+	if len(m.shs) == 1 {
+		rng, log = m.rng, &m.shufLog
 	}
-}
-
-// runPhase runs fn over every shard: on the pool when the cycle's work
-// (planned firings or routed tokens) is worth dispatching, inline on the
-// coordinating goroutine for narrow cycles — same results either way,
-// the threshold trades dispatch overhead only.
-func (m *sim) runPhase(fn func(*shardState), work int, deliver bool) {
-	switch {
-	case work == 0:
-	case work < shardedPhaseMin:
-		for _, sh := range m.shs {
-			fn(sh)
-		}
-	case m.tel != nil:
-		bar, barNs := m.tel.barFire, int64(0)
-		if deliver {
-			bar = m.tel.barDeliv
-		}
-		m.pool.runTimed(fn, &barNs)
-		bar.Observe(barNs, telemetry.TimeBuckets)
-	default:
-		m.pool.run(fn)
+	all := sh.ready.fill(sh.batchBuf[:0])
+	sh.batchBuf = all
+	rng.Shuffle(len(all), func(i, j int) {
+		all[i], all[j] = all[j], all[i]
+	})
+	if m.cfg.CheckpointEvery > 0 {
+		*log = append(*log, len(all))
 	}
+	return all
 }
 
 func (m *sim) fireShard(sh *shardState) {
 	if m.rng != nil {
-		all := sh.ready.fill(sh.batchBuf[:0], sh.ready.count)
-		sh.batchBuf = all
-		sh.rng.Shuffle(len(all), func(i, j int) {
-			all[i], all[j] = all[j], all[i]
-		})
-		if m.cfg.CheckpointEvery > 0 {
-			sh.shufLog = append(sh.shufLog, len(all))
-		}
+		all := m.shuffled(sh)
 		for j := 0; j < sh.randTake; j++ {
 			m.fireOneSharded(sh, &all[j], sh.randBase+j)
 		}
@@ -620,7 +536,7 @@ func (m *sim) fireOneSharded(sh *shardState, f *firing, gi int) {
 	targets := m.p.out(f.node, port)
 	seqBase := int64(gi+1) * m.fanStride
 	for k, t := range targets {
-		dst := m.shardOf[t.node]
+		dst := m.p.ops[t.node].shard
 		sh.outbox[dst] = append(sh.outbox[dst], routedTok{
 			t: tok{val: val, node: t.node, port: t.port, tgID: tg, dep: dep}, seq: seqBase + int64(k),
 		})
@@ -668,7 +584,7 @@ func (m *sim) retireCycle(start time.Time) error {
 			pureErr, pureErrGi = sh.fireErr, sh.fireErrGi
 		}
 	}
-	evCur, imCur := m.evCur, m.imCur
+	evCur, imCur := m.cur, m.imCur
 	for s := range m.shs {
 		evCur[s], imCur[s] = 0, 0
 	}
@@ -712,7 +628,7 @@ func (m *sim) retireCycle(start time.Time) error {
 			}
 			seqBase := int64(imf.gi+1) * m.fanStride
 			for k, t := range m.emitBuf[mark:] {
-				dst := m.shardOf[t.node]
+				dst := m.p.ops[t.node].shard
 				m.seqBox[dst] = append(m.seqBox[dst], routedTok{t: t, seq: seqBase + int64(k)})
 			}
 			m.emitBuf = m.emitBuf[:mark]
@@ -731,19 +647,54 @@ func (m *sim) retireCycle(start time.Time) error {
 
 // --- phase 4: deliver + merge -----------------------------------------
 
-// runDeliverPhase lands the cycle's routed tokens on their owning
-// shards.
-func (m *sim) runDeliverPhase() {
+// deliverPooled lands the cycle's routed tokens, then the completions now
+// due, on their owners through the parallel delivery phase and the cycle
+// merge — unless they would cross the delivered-token budget: the run
+// ends at the crossing token, which only delivery in sequential order
+// finds, so the routed emissions are sorted back into that order and
+// delivered as the sequential body does. One of them aborts the run, so
+// the pooled scratch is not reset.
+func (m *sim) deliverPooled(due []delayed) error {
 	total := 0
 	for _, sh := range m.shs {
 		for _, ob := range sh.outbox {
 			total += len(ob)
 		}
 	}
-	for d := range m.seqBox {
-		total += len(m.seqBox[d]) + len(m.relBox[d])
+	for _, b := range m.seqBox {
+		total += len(b)
 	}
-	m.runPhase(m.delivFn, total, true)
+	for i := range due {
+		total += len(due[i].tokens)
+	}
+	if m.delivered+int64(total) > m.tokenBudget() {
+		var routed []routedTok
+		for _, sh := range m.shs {
+			for _, ob := range sh.outbox {
+				routed = append(routed, ob...)
+			}
+		}
+		for _, b := range m.seqBox {
+			routed = append(routed, b...)
+		}
+		slices.SortFunc(routed, func(a, b routedTok) int { return cmp.Compare(a.seq, b.seq) })
+		for i := range routed {
+			m.emitBuf = append(m.emitBuf, routed[i].t)
+		}
+		return m.deliverBoundary(due)
+	}
+	relSeq := int64(1) << 62
+	for i := range due {
+		for _, t := range due[i].tokens {
+			dst := m.p.ops[t.node].shard
+			m.relBox[dst] = append(m.relBox[dst], routedTok{t: t, seq: relSeq})
+			relSeq++
+		}
+	}
+	if total > 0 {
+		m.pool.run(m.delivFn, m.barDeliv)
+	}
+	return m.mergeCycle()
 }
 
 // deliverShard drains every inbox addressed to sh — one per source
@@ -799,11 +750,11 @@ func (m *sim) deliverShard(sh *shardState) {
 }
 
 // mergeCycle is the sequential epilogue of the delivery phase: it folds
-// the per-shard delivered-token counts into the global explosion
-// budget, replays the matching-store events in sequential delivery
-// order — reproducing Matches, PeakMatchStore, and collector Wait
-// events byte-exactly — and surfaces the earliest delivery error. All
-// per-cycle scratch is reset here.
+// the per-shard delivered-token counts into the global count (within
+// budget: deliverPooled checked), replays the matching-store events in
+// sequential delivery order — reproducing Matches, PeakMatchStore, and
+// collector Wait events byte-exactly — and surfaces the earliest delivery
+// error. All per-cycle scratch is reset here.
 func (m *sim) mergeCycle() error {
 	// Telemetry folds the parallel phases' per-shard scratch (busy
 	// times, pure-firing counts, occupancy, the traffic matrix) before
@@ -818,7 +769,7 @@ func (m *sim) mergeCycle() error {
 			minErr, minSeq = sh.delivErr, sh.delivErrSeq
 		}
 	}
-	cur := m.evCur
+	cur := m.cur
 	for s := range m.shs {
 		cur[s] = 0
 	}
@@ -859,17 +810,7 @@ func (m *sim) mergeCycle() error {
 		}
 	}
 	for d := range m.seqBox {
-		m.seqBox[d] = m.seqBox[d][:0]
+		m.seqBox[d], m.relBox[d] = m.seqBox[d][:0], m.relBox[d][:0]
 	}
-	for d := range m.relBox {
-		m.relBox[d] = m.relBox[d][:0]
-	}
-	if minErr != nil {
-		return minErr
-	}
-	if m.delivered > 8*m.cfg.MaxOps+1024 {
-		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
-			"delivered %d tokens (token explosion?)", m.delivered)
-	}
-	return nil
+	return minErr
 }

@@ -38,8 +38,9 @@ type machineTel struct {
 	locals             []*telemetry.Local
 
 	// Phase wall time: select/retire run on the coordinator ("seq"),
-	// fire/deliver per shard; barrier waits are the coordinator's time
-	// parked at the two phase barriers.
+	// fire/deliver per shard (a sequential-body cycle samples both into
+	// shard 0's, the coordinator's); barrier waits are the coordinator's
+	// time parked at a pooled cycle's two phase barriers.
 	selSec, retSec    *telemetry.Series
 	fireSec, delivSec []*telemetry.Series
 	barFire, barDeliv *telemetry.Series
@@ -55,9 +56,13 @@ type machineTel struct {
 	trafficFam *telemetry.Family
 	traffic    [][]*telemetry.Local
 
-	// Cycle-boundary scratch for delta sampling.
+	// Cycle-boundary scratch for delta sampling, the tokens the
+	// sequential body delivered to each shard so far this cycle, and
+	// routed's per-destination counting scratch.
 	prevDelivered int64
 	prevMatches   int
+	inboxN        []int64
+	perDst        []int
 }
 
 // local opens a flush-managed front for a series.
@@ -68,7 +73,7 @@ func (t *machineTel) local(s *telemetry.Series) *telemetry.Local {
 }
 
 func newMachineTel(reg *telemetry.Registry, w int) *machineTel {
-	t := &machineTel{w: w}
+	t := &machineTel{w: w, inboxN: make([]int64, w), perDst: make([]int, w)}
 	t.cycles = t.local(reg.Family(telemetry.SpecMachineCycles).Series())
 	t.firings = t.local(reg.Family(telemetry.SpecMachineFirings).Series())
 	t.delivered = t.local(reg.Family(telemetry.SpecMachineTokens).Series())
@@ -104,48 +109,74 @@ func newMachineTel(reg *telemetry.Registry, w int) *machineTel {
 	return t
 }
 
-// Traffic-matrix source-lane row indices: rows 0..w-1 are shard
-// sources; the two extra lanes follow.
-func (t *machineTel) seqLane() int { return t.w }
-func (t *machineTel) memLane() int { return t.w + 1 }
+// The traffic matrix's source lanes past the shard rows 0..w-1: what
+// sequential code emitted, and released split-phase completions.
+const (
+	laneSeq = iota
+	laneMem
+)
 
 func (t *machineTel) srcName(row int) string {
-	switch row {
-	case t.w:
-		return "seq"
-	case t.w + 1:
-		return "mem"
-	default:
-		return strconv.Itoa(row)
+	if row >= t.w {
+		return [...]string{laneSeq: "seq", laneMem: "mem"}[row-t.w]
 	}
+	return strconv.Itoa(row)
 }
 
-// trafficAdd counts n tokens on the src→dst lane, creating the series
+// trafficAdd counts n > 0 tokens on the src→dst lane, creating the series
 // on first use. Called only from sequential code.
 func (t *machineTel) trafficAdd(src, dst, n int) {
+	if n == 0 {
+		return
+	}
 	if t.traffic[src][dst] == nil {
 		t.traffic[src][dst] = t.local(t.trafficFam.Series(t.srcName(src), strconv.Itoa(dst)))
 	}
 	t.traffic[src][dst].Add(int64(n))
 }
 
-// sampleDepth records the matching-store population, once per main-loop
-// iteration at the same point in both engines — which is what makes the
+// routed counts tokens the sequential body delivers on the lane → owner
+// cells of the traffic matrix (created in ascending destination order,
+// like the pooled merge's) and toward the owners' inbox occupancy.
+func (t *machineTel) routed(m *sim, lane int, ts []tok) {
+	if t.w == 1 {
+		t.trafficAdd(t.w+lane, 0, len(ts))
+		t.inboxN[0] += int64(len(ts))
+		return
+	}
+	for i := range ts {
+		t.perDst[m.p.ops[ts[i].node].shard]++
+	}
+	for d, n := range t.perDst {
+		t.trafficAdd(t.w+lane, d, n)
+		t.inboxN[d] += int64(n)
+		t.perDst[d] = 0
+	}
+}
+
+// occupancy records a sequential-body cycle's occupancy: the emission
+// buffer is shard 0's outbox, a shard's inbox what was delivered to it.
+func (t *machineTel) occupancy(emitN int) {
+	t.outbox[0].Observe(int64(emitN), telemetry.DepthBuckets)
+	for d, n := range t.inboxN {
+		t.inbox[d].Observe(n, telemetry.DepthBuckets)
+		t.inboxN[d] = 0
+	}
+}
+
+// sampleDepth records the matching-store population, once per cycle-loop
+// iteration on either body — which is what makes the
 // histogram invariant across worker counts.
 func (t *machineTel) sampleDepth(m *sim) {
 	if t == nil {
 		return
 	}
-	t.matchDepth.Observe(int64(m.totalMatchCount()), telemetry.DepthBuckets)
+	t.matchDepth.Observe(int64(m.matchLive), telemetry.DepthBuckets)
 }
 
 // cycleCounts notes the cycle's deterministic deltas for the invariant
-// counters at the end of the loop body (after delivery/merge), again at
-// the same point in both engines.
+// counters at the end of the loop body (after delivery/merge).
 func (t *machineTel) cycleCounts(m *sim, issue int) {
-	if t == nil {
-		return
-	}
 	t.cycles.Add(1)
 	t.firings.Add(int64(issue))
 	t.delivered.Add(m.delivered - t.prevDelivered)
@@ -170,14 +201,14 @@ func (t *machineTel) flush(m *sim) {
 	t.matchPeak.SetMax(int64(m.stats.PeakMatchStore))
 }
 
-// telSampleEvery is the sequential loop's phase-timing stride: it reads
+// telSampleEvery is the sequential body's phase-timing stride: it reads
 // the wall clock on one cycle in telSampleEvery and records each phase
 // duration with that weight, so the seconds histograms keep estimating
 // per-cycle phase time and their sums total phase time while the clock
 // reads — the bulk of the probe's cost on short cycles — drop 16-fold.
 const telSampleEvery = 16
 
-// sampled reports whether the sequential loop times this cycle: one per
+// sampled reports whether the sequential body times this cycle: one per
 // window of telSampleEvery, at an offset that steps through every
 // residue from window to window so a loop whose period divides the
 // window cannot keep presenting the same cycle of its body.
@@ -215,21 +246,15 @@ func (t *machineTel) mergeSharded(m *sim) {
 		t.inbox[sh.id].Observe(sh.delivered, telemetry.DepthBuckets)
 		staged := int64(0)
 		for d, ob := range sh.outbox {
-			if n := len(ob); n > 0 {
-				staged += int64(n)
-				t.trafficAdd(sh.id, d, n)
-			}
+			staged += int64(len(ob))
+			t.trafficAdd(sh.id, d, len(ob))
 		}
 		t.outbox[sh.id].Observe(staged, telemetry.DepthBuckets)
 	}
 	for d, b := range m.seqBox {
-		if len(b) > 0 {
-			t.trafficAdd(t.seqLane(), d, len(b))
-		}
+		t.trafficAdd(t.w+laneSeq, d, len(b))
 	}
 	for d, b := range m.relBox {
-		if len(b) > 0 {
-			t.trafficAdd(t.memLane(), d, len(b))
-		}
+		t.trafficAdd(t.w+laneMem, d, len(b))
 	}
 }

@@ -31,12 +31,13 @@ func telemetryRun(t *testing.T, w workloads.Workload, workers int) *telemetry.Sn
 // TestTelemetryInvariantAcrossWorkers pins the aggregation-determinism
 // contract: the invariant projection of the registry — cycles, firings,
 // tokens, matches, matching-store depth histogram and peak, checkpoint
-// count — renders byte-identically at every worker count, because the
-// simulated execution does and the per-shard scratch is folded into the
-// registry in shard order at the sequential merge point. This is the
-// telemetry companion to TestShardedObservablyIdentical.
+// count — renders byte-identically at every worker count and on either
+// cycle body (poolGrains), because the simulated execution does, the
+// pooled body's per-shard scratch is folded into the registry in shard
+// order at the sequential merge point, and the sequential body writes
+// from sequential code. This is the telemetry companion to
+// TestShardedObservablyIdentical.
 func TestTelemetryInvariantAcrossWorkers(t *testing.T) {
-	forceShardPool(t)
 	cases := []workloads.Workload{
 		workloads.MustByName("running-example"),
 		workloads.MustByName("fib-iterative"),
@@ -50,38 +51,43 @@ func TestTelemetryInvariantAcrossWorkers(t *testing.T) {
 			if len(base) == 0 || !bytes.HasSuffix(base, []byte("# EOF\n")) {
 				t.Fatalf("sequential invariant exposition malformed:\n%s", base)
 			}
-			for _, workers := range []int{2, 4, 8} {
-				got := telemetryRun(t, w, workers).Invariant().OpenMetrics()
-				if !bytes.Equal(base, got) {
-					t.Errorf("W=%d invariant exposition diverged from sequential:\n--- W=1 ---\n%s\n--- W=%d ---\n%s",
-						workers, base, workers, got)
+			atEachGrain(func(grain int) {
+				for _, workers := range []int{2, 4, 8} {
+					got := telemetryRun(t, w, workers).Invariant().OpenMetrics()
+					if !bytes.Equal(base, got) {
+						t.Errorf("W=%d grain=%d invariant exposition diverged from sequential:\n--- W=1 ---\n%s\n--- W=%d ---\n%s",
+							workers, grain, base, workers, got)
+					}
 				}
-			}
+			})
 		})
 	}
 }
 
 // TestTelemetryStableDeterministic pins the fixed-topology contract:
-// for one worker count, the stable projection (everything but wall
-// time) — including the cross-shard traffic matrix, outbox/inbox
-// occupancy histograms, and the fire/retire firing split — is
-// byte-reproducible run over run.
+// for one worker count and one grain, the stable projection (everything
+// but wall time) — including the cross-shard traffic matrix,
+// outbox/inbox occupancy histograms, and the fire/retire firing split —
+// is byte-reproducible run over run.
 func TestTelemetryStableDeterministic(t *testing.T) {
-	forceShardPool(t)
 	w := workloads.MustByName("running-example")
-	base := telemetryRun(t, w, 3).Stable().OpenMetrics()
-	for i := 0; i < 3; i++ {
-		if got := telemetryRun(t, w, 3).Stable().OpenMetrics(); !bytes.Equal(base, got) {
-			t.Fatalf("stable exposition not reproducible at fixed W:\n--- first ---\n%s\n--- rerun ---\n%s", base, got)
+	atEachGrain(func(grain int) {
+		base := telemetryRun(t, w, 3).Stable().OpenMetrics()
+		for i := 0; i < 3; i++ {
+			if got := telemetryRun(t, w, 3).Stable().OpenMetrics(); !bytes.Equal(base, got) {
+				t.Fatalf("grain=%d: stable exposition not reproducible at fixed W:\n--- first ---\n%s\n--- rerun ---\n%s", grain, base, got)
+			}
 		}
-	}
+	})
 }
 
 // TestTelemetryStableGolden pins the stable exposition of the running
-// example at W=3 byte-for-byte, so any change to the engine's token
-// routing, occupancy, or the renderer shows up as a reviewable diff.
+// example at W=3 with every cycle that has work on the pooled body (the
+// memory-wait cycles, with nothing ready, run the sequential one)
+// byte-for-byte, so any change to the engine's token routing, occupancy,
+// or the renderer shows up as a reviewable diff.
 func TestTelemetryStableGolden(t *testing.T) {
-	forceShardPool(t)
+	setPoolGrain(t, 1)
 	got := telemetryRun(t, workloads.MustByName("running-example"), 3).Stable().OpenMetrics()
 	path := filepath.Join("testdata", "telemetry_running_example_w3.om")
 	if *updateGoldens {
@@ -99,11 +105,11 @@ func TestTelemetryStableGolden(t *testing.T) {
 }
 
 // TestTelemetryBreakdownConsistency checks the profiler's arithmetic on
-// a sharded run: the fire/retire split sums to total firings, every
+// a pooled run: the fire/retire split sums to total firings, every
 // traffic row sums to the tokens the matrix attributes to its source,
 // and the phase table renders the per-shard rows.
 func TestTelemetryBreakdownConsistency(t *testing.T) {
-	forceShardPool(t)
+	setPoolGrain(t, 1)
 	snap := telemetryRun(t, workloads.MustByName("fib-iterative"), 4)
 	b := snap.MachineBreakdown()
 	if b.Workers != 4 {

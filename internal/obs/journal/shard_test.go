@@ -13,13 +13,14 @@ import (
 	"ctdf/internal/workloads"
 )
 
-// These tests pin the sharded machine's contract at the journal level:
+// These tests pin the partitioned machine's contract at the journal level:
 // the full causal record — every firing with its complete provenance
 // deps, every matching-store park with its producer attribution, tag
-// lineage, abort forensics — must be byte-identical between a sequential
-// run and a sharded run at any worker count. They live here rather than
-// in internal/machine because the journal package imports the machine
-// (the import cycle runs the other way).
+// lineage, abort forensics — must be byte-identical between a one-worker
+// run and a run at any worker count. A default run's cycles take the
+// sequential body; the pooled body's and the alternating runs' turn at
+// the same comparison is in internal/machine (journal_test.go), where the
+// grain override is.
 
 // diffParks compares the two journals' park lists field by field. Diff
 // only checks the counts (parks are secondary to the firing DAG in the
@@ -41,9 +42,9 @@ func diffParks(t *testing.T, label string, want, got []Park) {
 }
 
 // TestShardedJournalByteExact records the same workload × schema cell
-// under the sequential engine and under the sharded engine at several
-// worker counts, then demands the journals agree on every firing (node,
-// cycle, cost, tag, full provenance deps) and on every park event.
+// with one worker and at several worker counts, then demands the
+// journals agree on every firing (node, cycle, cost, tag, full
+// provenance deps) and on every park event.
 // Producers and consumers land on different shards for essentially
 // every arc, so this is the routing + deterministic-merge forensics
 // test: if cross-shard token delivery perturbed match order, park

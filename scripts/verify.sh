@@ -38,7 +38,8 @@ go test ./...
 echo "== go test -race =="
 # The one -race run. Three suites it holds, each runnable alone with -run:
 # Sharded (internal/machine, internal/obs/journal) — byte-exact at worker
-# counts 2, 3, 4, 8, the shared-nothing discipline of SCALING.md;
+# counts 2, 3, 4, 8 with the cycles on the pooled body, on the sequential
+# one and alternating, the shared-nothing discipline of SCALING.md;
 # ConcurrentRuns (root package) — goroutines sharing one *Dataflow across
 # the sequential, sharded and channel engines; Checkpoint
 # (internal/machine) — capture/restore at every boundary, what the
@@ -83,6 +84,10 @@ rm -f /tmp/ctdf-verify.pprof.pb.gz
 
 echo "== benchmark smoke =="
 go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet|BenchmarkMachineRun|BenchmarkCompile' -benchtime=1x . ./internal/vet ./internal/machine
+# The poolGrain sweep (SCALING.md) and only profiling harness of the
+# pooled cycle body, at its narrowest width: translating the wider
+# programs takes seconds and, at 4,096 lanes, gigabytes.
+go test -run=NONE -bench='BenchmarkShardedWide/lanes=64' -benchtime=1x ./internal/machine
 
 echo "== /metrics endpoint smoke =="
 # Serve the telemetry registry over real HTTP, run an instrumented
