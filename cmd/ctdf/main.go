@@ -191,7 +191,7 @@ func cmdRun(args []string) error {
 	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	seed := fs.Int64("seed", 0, "randomize machine issue order with this seed")
 	races := fs.Bool("races", false, "detect overlapping conflicting memory operations")
-	workers := fs.Int("workers", 1, "partition the machine's state across N shared-nothing shards (byte-identical execution; no host workers: they win at no measured cycle width, see SCALING.md)")
+	workers := fs.Int("workers", 1, "partition the machine's state across N shared-nothing shards (byte-identical execution)")
 	profile := fs.Bool("profile", false, "print the per-cycle parallelism profile")
 	legalize := fs.Bool("legalize", false, "decompose wide synch collectors into two-input trees")
 	linked := fs.Bool("linked", false, "compile procedures separately (Apply/Param/ProcReturn linkage)")

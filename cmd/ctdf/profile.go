@@ -29,7 +29,7 @@ func cmdProfile(args []string) error {
 	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	events := fs.String("events", "-", "NDJSON event stream destination: -, a file path, or none")
 	jsonOut := fs.String("json", "", "also write the report as JSON: - or a file path")
-	tel := fs.Bool("telemetry", false, "record engine telemetry; print the per-shard phase breakdown and traffic matrix")
+	tel := fs.Bool("telemetry", false, "record engine telemetry; print the phase breakdown and traffic matrix")
 	telJSON := fs.String("telemetry-json", "", "also write the telemetry snapshot as JSON: - or a file path")
 	top := fs.Int("top", 10, "per-node rows shown in the text report (0 = all)")
 	vs := fs.String("vs", "", "also run under this schema and print the diff (baseline = -schema)")

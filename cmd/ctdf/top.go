@@ -13,10 +13,10 @@ import (
 
 // cmdTop is a live telemetry view: it executes the workload on the
 // machine engine in a background loop — the registry accumulates across
-// iterations — and repaints the per-shard phase breakdown, barrier
-// waits, and cross-shard traffic matrix at every -refresh tick, the way
-// `top` repaints process state. It exits after -duration (0 = until
-// ctrl-c), leaving the final table on screen.
+// iterations — and repaints the phase breakdown and lane → shard
+// traffic matrix at every -refresh tick, the way `top` repaints process
+// state. It exits after -duration (0 = until ctrl-c), leaving the final
+// table on screen.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	workload := sourceFlags(fs)

@@ -175,13 +175,10 @@ type RunConfig struct {
 	// on one location ever overlap unless both are reads.
 	DetectRaces bool
 	// Workers, when > 1, partitions the machine's nodes and their state
-	// across Workers shared-nothing shards. Every cycle still runs the
-	// one-worker cycle body: the one that spreads a cycle's pure firings
-	// and token deliveries over per-shard host workers wins at no cycle
-	// width measured on available hardware, so no run takes it. The
-	// simulated execution is byte-identical at every worker count (see
-	// SCALING.md). EngineMachine only; ignored while fault injection is
-	// active.
+	// across Workers shared-nothing shards and nothing else: the run stays
+	// on the calling goroutine and the simulated execution is
+	// byte-identical at every worker count. EngineMachine only; ignored
+	// while fault injection is active.
 	Workers int
 	// MaxCycles / MaxOps bound the execution (defaults: one million
 	// cycles, ten million firings).
@@ -206,12 +203,11 @@ type RunConfig struct {
 	// the critical path; Obs.Events streams NDJSON. See OBSERVABILITY.md.
 	Obs *ObsOptions
 	// Telemetry, when non-nil, records engine metrics into the given
-	// registry: per-phase shard wall time, barrier waits, the
-	// cross-shard traffic matrix, matching-store depth, and checkpoint
-	// timing on the machine engine; firings, deliveries, mailbox depth,
-	// and watchdog headroom on the channel engine. The registry
-	// accumulates across runs and can be scraped live. See
-	// OBSERVABILITY.md.
+	// registry: sampled phase wall time, the lane → shard token-traffic
+	// matrix, matching-store depth, and checkpoint timing on the machine
+	// engine; firings, deliveries, mailbox depth, and watchdog headroom on
+	// the channel engine. The registry accumulates across runs and can be
+	// scraped live. See OBSERVABILITY.md.
 	Telemetry *Telemetry
 	// Recovery, when non-nil, supervises the run: aborts whose machine
 	// check is classified transient (or whose planned fault actually

@@ -354,24 +354,6 @@ func (g *Graph) OutArcs(node, port int) []Arc {
 	return out
 }
 
-// MaxFanOut returns the largest number of arcs leaving any single node,
-// all its out ports together — a bound on what one firing emits, and the
-// pooled machine's stride for packing (firing, emission index) pairs into
-// one ordered sequence key.
-func (g *Graph) MaxFanOut() int {
-	max := 0
-	for id := range g.Nodes {
-		n := 0
-		for _, arcs := range g.outs[id] {
-			n += len(arcs)
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // InDegree returns the number of arcs entering (node, port).
 func (g *Graph) InDegree(node, port int) int { return len(g.ins[node][port]) }
 

@@ -767,10 +767,9 @@ func e18() ([]*table, error) {
 // the one-worker run, so the counters depend only on the workload and the
 // traffic matrix only on workload and worker count (the wall-time
 // families the profiler also records are excluded here precisely because
-// they vary). Every cycle of these runs takes the sequential body
-// (SCALING.md), whose tokens travel on the seq and mem lanes to the shard
-// that owns their destination; busiest% is the largest share of them one
-// shard receives.
+// they vary). Tokens travel on the seq and mem lanes to the shard that
+// owns their destination; busiest% is the largest share of them one shard
+// receives.
 func e19() ([]*table, error) {
 	t := newTable("workload", "workers", "cycles", "firings", "tokens", "seq", "mem", "busiest%")
 	cases := []workloads.Workload{

@@ -17,10 +17,10 @@ import (
 // Deterministic checkpoint/restore (see ROBUSTNESS.md, "Recovery").
 //
 // A checkpoint is taken at the top of the cycle loop — a consistency
-// point where the emission buffers and cross-shard outboxes are empty,
-// so the whole simulation state is exactly: the pending ready-queue
-// firings, the partially matched activations in the matching store, the
-// in-flight split-phase memory completions, the memory store,
+// point where the emission buffer is empty, so the whole simulation
+// state is exactly: the pending ready-queue firings, the partially
+// matched activations in the matching store, the in-flight split-phase
+// memory completions, the memory store,
 // I-structure presence/deferred-reader state, procedure activations,
 // statistics counters, and (in seeded-random mode) the RNG streams.
 // Restoring that state into a fresh machine and resuming produces a

@@ -3,7 +3,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -98,21 +97,13 @@ func roundTrip(t *testing.T, ck *Checkpoint) *Checkpoint {
 	return dec
 }
 
-// grainPairs are the (capture, resume) poolGrain settings of the resume
-// matrices: a checkpoint is a cycle boundary, where both cycle bodies
-// leave the same state, so one captured between pooled cycles must
-// resume on the sequential body and the other way round, and both ways
-// with the bodies alternating.
-var grainPairs = [][2]int{{1, math.MaxInt}, {math.MaxInt, 1}, {8, 8}}
-
 // TestCheckpointRestoreResumesByteIdentical is the tentpole property
 // test: across workloads × configs, a run that checkpoints every few
 // cycles (1) produces the same outcome as one that doesn't, and (2)
 // restoring at EVERY sampled checkpoint — serialized and deserialized,
 // at worker counts 1 and 4, from snapshots captured at worker counts 1
-// and 4, captured under one cycle body and resumed under the other
-// (grainPairs) — resumes to the byte-identical final outcome: snapshot,
-// end values, and full statistics including the parallelism profile.
+// and 4 — resumes to the byte-identical final outcome: snapshot, end
+// values, and full statistics including the parallelism profile.
 func TestCheckpointRestoreResumesByteIdentical(t *testing.T) {
 	for _, wname := range checkpointWorkloads {
 		for _, cc := range checkpointConfigs() {
@@ -124,48 +115,40 @@ func TestCheckpointRestoreResumesByteIdentical(t *testing.T) {
 					t.Fatalf("baseline: %v", err)
 				}
 				want := cellOf(base)
-				for _, grains := range grainPairs {
-					for _, capW := range []int{1, 4} {
-						var cks []*Checkpoint
-						var out *Outcome
-						withPoolGrain(grains[0], func() {
-							out, err = Run(res.Graph, Config{
-								Processors: cc.pr, MemLatency: cc.lat, Workers: capW,
-								CheckpointEvery: 7,
-								CheckpointSink: func(ck *Checkpoint) error {
-									cks = append(cks, roundTrip(t, ck))
-									return nil
-								},
+				for _, capW := range []int{1, 4} {
+					var cks []*Checkpoint
+					out, err := Run(res.Graph, Config{
+						Processors: cc.pr, MemLatency: cc.lat, Workers: capW,
+						CheckpointEvery: 7,
+						CheckpointSink: func(ck *Checkpoint) error {
+							cks = append(cks, roundTrip(t, ck))
+							return nil
+						},
+					})
+					label := fmt.Sprintf("capW=%d", capW)
+					if err != nil {
+						t.Fatalf("%s: checkpointed run: %v", label, err)
+					}
+					if !cellOf(out).equal(want) {
+						t.Fatalf("%s: checkpointing perturbed the run", label)
+					}
+					if len(cks) == 0 {
+						t.Fatalf("%s: run took no checkpoints (too short for interval 7?)", label)
+					}
+					if out.Checkpoint == nil || out.Checkpoint.ID != cks[len(cks)-1].ID {
+						t.Fatalf("%s: outcome does not reference the last checkpoint", label)
+					}
+					for _, ck := range sampleCheckpoints(cks, 8) {
+						for _, resW := range []int{1, 4} {
+							got, err := Run(res.Graph, Config{
+								Processors: cc.pr, MemLatency: cc.lat, Workers: resW, Resume: ck,
 							})
-						})
-						label := fmt.Sprintf("grains=%v capW=%d", grains, capW)
-						if err != nil {
-							t.Fatalf("%s: checkpointed run: %v", label, err)
-						}
-						if !cellOf(out).equal(want) {
-							t.Fatalf("%s: checkpointing perturbed the run", label)
-						}
-						if len(cks) == 0 {
-							t.Fatalf("%s: run took no checkpoints (too short for interval 7?)", label)
-						}
-						if out.Checkpoint == nil || out.Checkpoint.ID != cks[len(cks)-1].ID {
-							t.Fatalf("%s: outcome does not reference the last checkpoint", label)
-						}
-						for _, ck := range sampleCheckpoints(cks, 8) {
-							for _, resW := range []int{1, 4} {
-								var got *Outcome
-								withPoolGrain(grains[1], func() {
-									got, err = Run(res.Graph, Config{
-										Processors: cc.pr, MemLatency: cc.lat, Workers: resW, Resume: ck,
-									})
-								})
-								if err != nil {
-									t.Fatalf("%s ck=%d resW=%d: resume: %v", label, ck.ID, resW, err)
-								}
-								if !cellOf(got).equal(want) {
-									t.Errorf("%s ck=%d (cycle %d) resW=%d: resumed outcome diverged\nwant %+v\ngot  %+v",
-										label, ck.ID, ck.Cycle, resW, want, cellOf(got))
-								}
+							if err != nil {
+								t.Fatalf("%s ck=%d resW=%d: resume: %v", label, ck.ID, resW, err)
+							}
+							if !cellOf(got).equal(want) {
+								t.Errorf("%s ck=%d (cycle %d) resW=%d: resumed outcome diverged\nwant %+v\ngot  %+v",
+									label, ck.ID, ck.Cycle, resW, want, cellOf(got))
 							}
 						}
 					}
@@ -212,55 +195,45 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 // TestCheckpointSeededRandomResume checks the RNG fast-forward: in
 // seeded-random issue mode a resumed run must replay the exact schedule
-// the original explored, at the worker count that took the snapshot —
-// whichever cycle body captures and whichever resumes (grainPairs), the
-// shards' streams being drawn from alike; restoring a seeded snapshot at
-// a different worker count is rejected.
+// the original explored, at the worker count that took the snapshot;
+// restoring a seeded snapshot at a different worker count is rejected.
 func TestCheckpointSeededRandomResume(t *testing.T) {
 	const seed = 12345
 	res := buildGraph(t, "fib-iterative", translate.Options{Schema: translate.Schema2Opt})
-	for _, grains := range grainPairs {
-		for _, w := range []int{1, 4} {
-			label := fmt.Sprintf("grains=%v W=%d", grains, w)
-			base, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w})
+	for _, w := range []int{1, 4} {
+		label := fmt.Sprintf("W=%d", w)
+		base, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w})
+		if err != nil {
+			t.Fatalf("%s baseline: %v", label, err)
+		}
+		var cks []*Checkpoint
+		out, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, CheckpointEvery: 5,
+			CheckpointSink: func(ck *Checkpoint) error { cks = append(cks, roundTrip(t, ck)); return nil }})
+		if err != nil {
+			t.Fatalf("%s checkpointed: %v", label, err)
+		}
+		if !cellOf(out).equal(cellOf(base)) {
+			t.Fatalf("%s: checkpointing perturbed the seeded run", label)
+		}
+		if len(cks) == 0 {
+			t.Fatalf("%s: no checkpoints", label)
+		}
+		for _, ck := range sampleCheckpoints(cks, 5) {
+			got, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, Resume: ck})
 			if err != nil {
-				t.Fatalf("%s baseline: %v", label, err)
+				t.Fatalf("%s ck=%d: resume: %v", label, ck.ID, err)
 			}
-			var cks []*Checkpoint
-			var out *Outcome
-			withPoolGrain(grains[0], func() {
-				out, err = Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, CheckpointEvery: 5,
-					CheckpointSink: func(ck *Checkpoint) error { cks = append(cks, roundTrip(t, ck)); return nil }})
-			})
-			if err != nil {
-				t.Fatalf("%s checkpointed: %v", label, err)
+			if !cellOf(got).equal(cellOf(base)) {
+				t.Errorf("%s ck=%d (cycle %d): seeded resume diverged", label, ck.ID, ck.Cycle)
 			}
-			if !cellOf(out).equal(cellOf(base)) {
-				t.Fatalf("%s: checkpointing perturbed the seeded run", label)
-			}
-			if len(cks) == 0 {
-				t.Fatalf("%s: no checkpoints", label)
-			}
-			for _, ck := range sampleCheckpoints(cks, 5) {
-				var got *Outcome
-				withPoolGrain(grains[1], func() {
-					got, err = Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: w, Resume: ck})
-				})
-				if err != nil {
-					t.Fatalf("%s ck=%d: resume: %v", label, ck.ID, err)
-				}
-				if !cellOf(got).equal(cellOf(base)) {
-					t.Errorf("%s ck=%d (cycle %d): seeded resume diverged", label, ck.ID, ck.Cycle)
-				}
-			}
-			// Cross-worker seeded restore must be rejected, not silently wrong.
-			otherW := 4
-			if w == 4 {
-				otherW = 1
-			}
-			if _, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: otherW, Resume: cks[0]}); !errors.Is(err, machcheck.ErrInvalidConfig) {
-				t.Errorf("%s snapshot restored at W=%d: got %v, want InvalidConfig", label, otherW, err)
-			}
+		}
+		// Cross-worker seeded restore must be rejected, not silently wrong.
+		otherW := 4
+		if w == 4 {
+			otherW = 1
+		}
+		if _, err := Run(res.Graph, Config{MemLatency: 2, RandomSeed: seed, Workers: otherW, Resume: cks[0]}); !errors.Is(err, machcheck.ErrInvalidConfig) {
+			t.Errorf("%s snapshot restored at W=%d: got %v, want InvalidConfig", label, otherW, err)
 		}
 	}
 }

@@ -14,7 +14,7 @@
 //
 //   - machine.go — the ETS pipeline of §2.2: tag matching, instruction
 //     issue, split-phase memory, bounded processors per cycle — the one
-//     cycle loop and its sequential cycle body; also the
+//     cycle loop and its one cycle body; also the
 //     observability hooks (Config.Collector, an *obs.Collector) that
 //     count firings/waits/stalls and thread the firing DAG used for
 //     critical-path extraction (see OBSERVABILITY.md).
@@ -25,8 +25,7 @@
 //     the tag-intern table, the sharded matching store, the operand
 //     arena and its free lists (see PERFORMANCE.md).
 //   - shard.go — the partitioned machine (Config.Workers): the state
-//     split into shared-nothing shards, and the pooled cycle body that
-//     drives them on host workers for cycles wide enough to repay it,
+//     split into shared-nothing shards that the one cycle body walks,
 //     byte-identical at every worker count (see SCALING.md).
 //   - istruct.go — the I-structure memory unit of §6.3: presence bits,
 //     deferred reads satisfied by the eventual write.
@@ -90,17 +89,15 @@ type Config struct {
 	// same location overlap in time unless both are reads.
 	DetectRaces bool
 	// Workers, when > 1, partitions the machine's nodes and their state
-	// across that many shared-nothing shards (see shard.go and
-	// SCALING.md). A cycle still runs the one-worker cycle body, over the
-	// partitioned state, unless its ready count reaches poolGrain — no
-	// measured width, so none does; only then do its pure firings and
-	// token deliveries run on per-shard host workers, the impure remainder
-	// retiring sequentially in global issue order. The simulated execution is byte-identical at every
-	// worker count — same snapshots, statistics, firing vectors, journal
-	// — because the shard count parameterizes only host-side data layout,
-	// never the simulated schedule. 0 and 1 mean one shard; the value is
-	// capped at 256; ignored while fault injection is active (injection
-	// decisions must see deliveries in sequential order).
+	// across that many shared-nothing shards (see shard.go) and nothing
+	// else: every cycle runs the one cycle body on the calling goroutine,
+	// over the partitioned state. The simulated execution is
+	// byte-identical at every worker count — same snapshots, statistics,
+	// firing vectors, journal — because the shard count parameterizes only
+	// host-side data layout, never the simulated schedule. 0 and 1 mean
+	// one shard; the value is capped at 256; ignored while fault injection
+	// is active (a fault plan's sites must not depend on the worker count,
+	// which a seeded-random schedule does).
 	Workers int
 	// CheckpointEvery, when > 0, captures a deterministic checkpoint of
 	// the full machine state every CheckpointEvery cycles (see
@@ -130,15 +127,15 @@ type Config struct {
 	// firing DAG for critical-path extraction. Nil disables observability
 	// at the cost of one branch per firing.
 	Collector *obs.Collector
-	// Telemetry, when non-nil, receives engine-level metrics: per-shard
-	// BSP phase wall time, barrier waits, the cross-shard token-traffic
-	// matrix, outbox/inbox occupancy, matching-store depth, and
-	// checkpoint capture time (see internal/obs/telemetry and
-	// OBSERVABILITY.md). Unlike Collector it observes the host engine,
-	// not the simulated program, so it is compatible with checkpointing
-	// — capture time is itself a telemetry metric. Nil disables it at
-	// the cost of one branch per phase. Repeated runs against one
-	// registry accumulate.
+	// Telemetry, when non-nil, receives engine-level metrics: sampled
+	// select / fire / deliver wall time, the lane → owning-shard token
+	// matrix, emission-buffer and per-shard inbox occupancy,
+	// matching-store depth, and checkpoint capture time (see
+	// internal/obs/telemetry and OBSERVABILITY.md). Unlike Collector it
+	// observes the host engine, not the simulated program, so it is
+	// compatible with checkpointing — capture time is itself a telemetry
+	// metric. Nil disables it at the cost of one branch per phase.
+	// Repeated runs against one registry accumulate.
 	Telemetry *telemetry.Registry
 }
 
@@ -366,8 +363,7 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	m.ring = make([][]delayed, ring)
 	// Worker count: >1 partitions the state across shards; fault injection
-	// forces one shard (injection decisions must observe deliveries in
-	// sequential order).
+	// forces one shard (a fault plan's sites must not depend on it).
 	w := cfgc.Workers
 	if w > maxShards {
 		w = maxShards
@@ -380,7 +376,7 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		// The probe is sized to the effective worker count (after the
 		// injection/cap adjustments above) so per-shard series exist
 		// exactly for the shards that will run.
-		m.tel = newMachineTel(cfgc.Telemetry, w)
+		m.tel = newMachineTel(cfgc.Telemetry, w, &cfgc)
 	}
 	if cfgc.RandomSeed != 0 {
 		m.rng = rand.New(rand.NewSource(cfgc.RandomSeed))
@@ -411,8 +407,7 @@ type sim struct {
 	shs       []*shardState
 	matchLive int
 
-	// Hot-path scratch of sequential code, never touched by shard
-	// workers: emitBuf holds the tokens emitted so far this cycle,
+	// Hot-path scratch: emitBuf holds the tokens emitted so far this cycle,
 	// fusedScratch backs fused-node step evaluation.
 	emitBuf      []tok
 	fusedScratch []int64
@@ -459,23 +454,6 @@ type sim struct {
 	resumedAt int
 	shufLog   []int
 
-	// Pooled cycle body state (shard.go, startPool): the worker pool and
-	// its phase functions and barrier series, the sequential-writer inbox
-	// lanes (impure emissions; released split-phase completions), the
-	// sequence-key stride, the base firing-DAG id of the current cycle's
-	// batch, and reusable merge cursors.
-	pool      *shardPool
-	fireFn    func(*shardState)
-	delivFn   func(*shardState)
-	barFire   *telemetry.Series
-	barDeliv  *telemetry.Series
-	seqBox    [][]routedTok
-	relBox    [][]routedTok
-	fanStride int64
-	dagBase   int32
-	cur       []int
-	imCur     []int
-
 	locs    *raceDetector
 	istruct *istructUnit
 	procs   *procLinkage
@@ -520,16 +498,12 @@ func (m *sim) overDeadline(start time.Time) error {
 	return nil
 }
 
-// run is the cycle loop, the same at every worker count. A cycle has two
-// bodies, seqCycle and — for cycles of more than one shard whose ready
-// count reaches poolGrain — pooledCycle (shard.go); both leave the same
-// state at the cycle boundary, so any interleaving of them across a run
-// is byte-identical to the one-worker run.
+// run is the cycle loop and seqCycle its one body, the same at every
+// worker count.
 func (m *sim) run() (*Outcome, error) {
 	m.endVals = make([]int64, m.p.ops[m.g.EndID].nIns)
 	m.curDep = -1
 	start := time.Now()
-	defer func() { m.pool.stop() }()
 
 	if m.cfg.Resume != nil {
 		// Restore a checkpoint instead of starting at cycle 0. A
@@ -572,13 +546,7 @@ func (m *sim) run() (*Outcome, error) {
 		if err := m.noteIssue(issue); err != nil {
 			return m.abort(err)
 		}
-		var err error
-		if len(m.shs) > 1 && ready >= poolGrain {
-			err = m.pooledCycle(start, issue)
-		} else {
-			err = m.seqCycle(start, issue)
-		}
-		if err != nil {
+		if err := m.seqCycle(start, issue); err != nil {
 			return m.abort(err)
 		}
 		if m.tel != nil {
@@ -587,13 +555,11 @@ func (m *sim) run() (*Outcome, error) {
 	}
 }
 
-// seqCycle is the sequential cycle body: fire the cycle's issue enabled
-// operations in deterministic order (or seeded-random when configured)
-// from their owners' queues, then deliver at the cycle boundary.
-// Telemetry maps it onto the BSP phase vocabulary on the coordinator's
-// (shard 0's) series: select = shuffling a seeded-random batch, fire =
-// the firing loop, deliver = the boundary delivery (retire has no
-// counterpart — impure effects run inside fire).
+// seqCycle is the cycle body: fire the cycle's issue enabled operations
+// in deterministic order (or seeded-random when configured) from their
+// owners' queues, then deliver at the cycle boundary. Telemetry times
+// three phases of it: select = shuffling a seeded-random batch, fire =
+// the firing loop, deliver = the boundary delivery.
 func (m *sim) seqCycle(start time.Time, issue int) error {
 	timed := m.tel.sampled(m.cycle)
 	var telT0 time.Time
@@ -632,8 +598,8 @@ func (m *sim) seqCycle(start time.Time, issue int) error {
 		}
 	case issue > 0 || len(m.shs) == 1: // one worker's log also records the idle cycles' empty draws
 		// Seeded-random mode: every shard shuffles its pending set with
-		// its own stream, issues its share (selectCycleRandom) — shard-major,
-		// the pooled body's issue order — and re-queues the rest.
+		// its own stream, issues its share (selectCycleRandom), shard-major,
+		// and re-queues the rest.
 		m.selectCycleRandom(issue)
 		for _, sh := range m.shs {
 			m.shuffled(sh)
@@ -655,7 +621,7 @@ func (m *sim) seqCycle(start time.Time, issue int) error {
 		return err
 	}
 	if timed {
-		observeSampled(m.tel.fireSec[0], time.Since(telT0))
+		observeSampled(m.tel.fireSec, time.Since(telT0))
 		telT0 = time.Now()
 	}
 	// Completions scheduled for the next cycle boundary, after this
@@ -664,13 +630,13 @@ func (m *sim) seqCycle(start time.Time, issue int) error {
 	m.stats.Ops += issue
 	err = m.deliverBoundary(m.takeDue())
 	if timed && err == nil {
-		observeSampled(m.tel.delivSec[0], time.Since(telT0))
+		observeSampled(m.tel.delivSec, time.Since(telT0))
 	}
 	return err
 }
 
-// deliverBoundary is the sequential delivery at a cycle boundary: the
-// cycle's emissions in emission order, then the completions now due.
+// deliverBoundary is the delivery at a cycle boundary: the cycle's
+// emissions in emission order, then the completions now due.
 func (m *sim) deliverBoundary(due []delayed) error {
 	emitN := len(m.emitBuf)
 	err := m.deliverAll(m.emitBuf, laneSeq)
@@ -843,7 +809,7 @@ func (m *sim) deliverAll(ts []tok, lane int) error {
 			if len(m.shs) > 1 {
 				sh = m.shs[m.p.ops[ts[i].node].shard]
 			}
-			if err := m.deliverOnce(sh, &ts[i], seqInPlace); err != nil {
+			if err := m.deliverOnce(sh, &ts[i]); err != nil {
 				m.delivered += int64(i) + 1
 				return err
 			}
@@ -862,8 +828,7 @@ func (m *sim) deliverAll(ts []tok, lane int) error {
 // deliver routes a token to its destination, enabling a firing when the
 // activation's operands are complete. It is also the fault-injection
 // point for delivery faults and stops the run at the token that crosses
-// the delivered-token budget. Sequential code only: injection forces one
-// shard, and a pooled cycle that could cross the budget delivers here.
+// the delivered-token budget.
 func (m *sim) deliver(t *tok) error {
 	if m.delivered++; m.delivered > m.tokenBudget() {
 		return machcheck.Newf(machcheck.CyclesExceeded, "machine",
@@ -878,7 +843,7 @@ func (m *sim) deliver(t *tok) error {
 			return nil
 		case fault.ActDup:
 			m.col.Fault(node, m.cycle, string(fault.DupToken))
-			if err := m.deliverOnce(sh, t, seqInPlace); err != nil {
+			if err := m.deliverOnce(sh, t); err != nil {
 				return err
 			}
 		case fault.ActCorruptTag:
@@ -886,7 +851,7 @@ func (m *sim) deliver(t *tok) error {
 			t.tgID = m.tags.pushID(t.tgID)
 		}
 	}
-	return m.deliverOnce(sh, t, seqInPlace)
+	return m.deliverOnce(sh, t)
 }
 
 // tokDeps decodes a token's producer firings. A deferred I-structure
@@ -903,16 +868,10 @@ func (m *sim) tokDeps(t *tok) (dep, dep2 int32) {
 	return pair[0], pair[1]
 }
 
-// seqInPlace is the seq sequential code, delivering in order, passes.
-const seqInPlace int64 = -1
-
 // deliverOnce lands one token on the shard that owns its destination
-// node. Matching-store waits update Matches, PeakMatchStore, matchLive and
-// the collector in place, unless seq — the pooled delivery phase's: the
-// token's position in the cycle's sequential delivery order (shard.go) —
-// says to record them as per-shard events, which the cycle merge replays
-// in seq order so the statistics come out byte-identical.
-func (m *sim) deliverOnce(sh *shardState, t *tok, seq int64) error {
+// node; a token that has to wait updates Matches, PeakMatchStore,
+// matchLive and the collector.
+func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 	o := &m.p.ops[t.node]
 	dep, dep2 := m.tokDeps(t)
 	if o.kind == uint8(dfg.End) && t.tgID != rootTagID {
@@ -953,19 +912,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok, seq int64) error {
 	if e.n == o.nIns {
 		sh.ready.push(t.node, t.tgID, 0, e.dep, e.vals, e.n)
 		m.matchDelete(sh, t.node, e)
-		if seq != seqInPlace {
-			sh.waits = append(sh.waits, waitEvent{seq: seq, delta: -1})
-		} else {
-			m.matchLive--
-		}
-	} else if seq != seqInPlace {
-		var d int8
-		if inserted {
-			d = 1
-		}
-		sh.waits = append(sh.waits, waitEvent{
-			seq: seq, node: t.node, port: t.port, dep: dep, tgID: t.tgID, delta: d,
-		})
+		m.matchLive--
 	} else {
 		if inserted {
 			m.matchLive++

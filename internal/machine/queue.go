@@ -47,7 +47,7 @@ type tagTable struct {
 	arith [][3]int32
 }
 
-// The tag-arithmetic operations step and peek cache.
+// The tag-arithmetic operations step caches.
 const (
 	tagPush = iota
 	tagBump
@@ -110,18 +110,6 @@ func (t *tagTable) step(id int32, op int) (int32, error) {
 func (t *tagTable) pushID(id int32) int32 {
 	nid, _ := t.step(id, tagPush)
 	return nid
-}
-
-// peek is the read-only half of the tag-arithmetic cache, for the
-// sharded machine's parallel fire phase: the cycle's tags are resolved
-// (and cached) during sequential selection, so the phase itself only
-// reads the table — a cache miss means the tag could not be resolved
-// ahead of time (e.g. a malformed pop) and the firing falls back to the
-// sequential retire pass, which re-runs the arithmetic and surfaces any
-// error in deterministic issue order.
-func (t *tagTable) peek(id int32, op int) (int32, bool) {
-	nid := t.arith[id][op]
-	return nid - 1, nid != 0
 }
 
 // bucket holds the pending firings of one node. items[head:] are
@@ -327,8 +315,8 @@ func (m *sim) matchDelete(sh *shardState, node int32, e *matchEntry) {
 
 // Free lists recycle steady-state churn; the operand arena amortizes the
 // warmup growth (Go allocations) that remains. They live on the
-// shardState so every shard recycles privately — no cross-shard sharing,
-// no locks; with one worker shard 0's lists serve every node.
+// shardState, so every shard recycles its own; with one worker shard 0's
+// lists serve every node.
 
 // getVals returns the offset of an n-slot operand frame in the shard's
 // arena. Frames are not zeroed: every port is overwritten before it is

@@ -112,10 +112,8 @@ const telemetryAllocSlack = 64
 
 // shardAllocAllowance is how many more allocations a run may make per
 // shard past the first: its state, its queue's two bitmaps and its
-// free-list table, and the first growth of its arena and free lists — no
-// worker-pool goroutine, channel or outbox, which a run whose cycles stay
-// under poolGrain never builds (7 per shard on fib-iterative when it was
-// set, against 29 when every run with Workers > 1 started the pool).
+// free-list table, and the first growth of its arena and free lists (7
+// per shard on fib-iterative when it was set).
 const shardAllocAllowance = 8
 
 // TestRunAllocBudgetSmallPrograms bounds the allocations of one Run of

@@ -3,7 +3,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -16,48 +15,15 @@ import (
 	"ctdf/internal/workloads"
 )
 
-// poolGrains are the poolGrain settings the body-equivalence tests run
-// at: every cycle with work pooled, the two bodies alternating inside one
-// run (the suite's programs are a few firings wide), every cycle on the
-// sequential body — the default.
-var poolGrains = []int{1, 8, math.MaxInt}
-
-// setPoolGrain overrides poolGrain for the rest of the test; 1 drives
-// every cycle with enabled work through the worker pool and the
-// cross-shard merges, however narrow.
-func setPoolGrain(tb testing.TB, grain int) {
-	tb.Helper()
-	old := poolGrain
-	poolGrain = grain
-	tb.Cleanup(func() { poolGrain = old })
-}
-
-// withPoolGrain runs f with poolGrain set to grain.
-func withPoolGrain(grain int, f func()) {
-	defer func(old int) { poolGrain = old }(poolGrain)
-	poolGrain = grain
-	f()
-}
-
-// atEachGrain runs f once per poolGrains entry with poolGrain set to it.
-func atEachGrain(f func(grain int)) {
-	for _, grain := range poolGrains {
-		withPoolGrain(grain, func() { f(grain) })
-	}
-}
-
 // shardWorkerCounts are the worker counts the byte-exactness tests pin;
-// 2 and 3 stress uneven partitions, 8 exceeds the host's cores on CI so
-// the pool multiplexes shards onto fewer goroutines.
+// 2 and 3 stress uneven partitions, 8 leaves most shards of a small
+// program with a handful of nodes.
 var shardWorkerCounts = []int{2, 3, 4, 8}
 
 // TestShardedObservablyIdentical pins the partitioned machine's contract:
-// any worker count, with its cycles on either body or alternating between
-// them (poolGrains), must reproduce the one-worker run byte-for-byte —
+// any worker count must reproduce the one-worker run byte-for-byte —
 // snapshot, cycle count, op counts, matching statistics, and the
 // per-node firing vector — across every workload × golden config cell.
-// The whole suite runs under -race in CI (scripts/verify.sh), which is
-// what holds the parallel phases to the shared-nothing discipline.
 func TestShardedObservablyIdentical(t *testing.T) {
 	for _, w := range workloads.All() {
 		for _, gc := range goldenConfigs() {
@@ -69,47 +35,43 @@ func TestShardedObservablyIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("translate: %v", err)
 				}
-				atEachGrain(func(grain int) {
-					for _, workers := range shardWorkerCounts {
-						col := obs.NewCollector(res.Graph, obs.Options{})
-						out, err := Run(res.Graph, Config{
-							Processors: gc.Processors,
-							MemLatency: gc.MemLatency,
-							Collector:  col,
-							Workers:    workers,
-						})
-						if err != nil {
-							t.Fatalf("W=%d grain=%d: %v", workers, grain, err)
-						}
-						rep := col.Report(out.Stats.Cycles, nil)
-						got := goldenCell{
-							Snapshot:       out.Store.Snapshot(),
-							Cycles:         out.Stats.Cycles,
-							Ops:            out.Stats.Ops,
-							MemOps:         out.Stats.MemOps,
-							Matches:        out.Stats.Matches,
-							MaxParallelism: out.Stats.MaxParallelism,
-							PeakMatchStore: out.Stats.PeakMatchStore,
-							Firings:        rep.NodeFirings(),
-						}
-						if d := diffCell(seq, got); d != "" {
-							t.Errorf("W=%d grain=%d diverged from sequential:\n%s", workers, grain, d)
-						}
+				for _, workers := range shardWorkerCounts {
+					col := obs.NewCollector(res.Graph, obs.Options{})
+					out, err := Run(res.Graph, Config{
+						Processors: gc.Processors,
+						MemLatency: gc.MemLatency,
+						Collector:  col,
+						Workers:    workers,
+					})
+					if err != nil {
+						t.Fatalf("W=%d: %v", workers, err)
 					}
-				})
+					rep := col.Report(out.Stats.Cycles, nil)
+					got := goldenCell{
+						Snapshot:       out.Store.Snapshot(),
+						Cycles:         out.Stats.Cycles,
+						Ops:            out.Stats.Ops,
+						MemOps:         out.Stats.MemOps,
+						Matches:        out.Stats.Matches,
+						MaxParallelism: out.Stats.MaxParallelism,
+						PeakMatchStore: out.Stats.PeakMatchStore,
+						Firings:        rep.NodeFirings(),
+					}
+					if d := diffCell(seq, got); d != "" {
+						t.Errorf("W=%d diverged from sequential:\n%s", workers, d)
+					}
+				}
 			})
 		}
 	}
 }
 
-// TestShardedCriticalPathIdentical checks the pooled body's firing-DAG id
-// precompute: pure firings stamp their tokens with dagBase+gi before Fire
-// runs, so the recorded DAG — and therefore the extracted critical path —
-// must be identical to the one-worker run's at any worker count, on the
-// translated graph and on the optimized one (fused trees retire
-// sequentially; nothing else drives them through the pool).
+// TestShardedCriticalPathIdentical checks the firing DAG over the
+// partition: producer ids ride on tokens into whichever shard owns their
+// destination, so the recorded DAG — and therefore the extracted critical
+// path — must be identical to the one-worker run's at any worker count,
+// on the translated graph and on the optimized one (fused trees).
 func TestShardedCriticalPathIdentical(t *testing.T) {
-	setPoolGrain(t, 1)
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -139,21 +101,18 @@ func TestShardedCriticalPathIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedErrorsMatchSequential checks that an abnormal end inside a
-// pooled cycle surfaces as in the one-worker run — the identical typed
-// machine check with the identical partial statistics: a fire-phase
-// operator fault (division by zero), first in issue order even though
-// shard workers evaluate the batch out of order; and the delivered-token
-// budget, which stops the run at the token that crosses it — in the
-// middle of the 1,400 start tokens, or, with 40 processors and a budget
-// of 1,408, eight tokens into the delivery of the first pooled cycle, or,
-// on separately compiled procedures, between the three tokens the third
-// of a cycle's four Apply firings emits on its three parameter ports
-// (impure, multi-port: the retire pass's sequence keys).
+// TestShardedErrorsMatchSequential checks that an abnormal end over the
+// partition surfaces as in the one-worker run — the identical typed
+// machine check with the identical partial statistics: an operator fault
+// (division by zero); and the delivered-token budget, which stops the run
+// at the token that crosses it — in the middle of the 1,400 start tokens,
+// or, with 40 processors and a budget of 1,408, eight tokens into the
+// first cycle's boundary delivery, or, on separately compiled procedures,
+// between the three tokens the third of a cycle's four Apply firings
+// emits on its three parameter ports.
 func TestShardedErrorsMatchSequential(t *testing.T) {
-	setPoolGrain(t, 1)
 	div0 := workloads.Workload{Name: "div0", Source: "var x, y\nx := 1 / y\n"}
-	wide := translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}
+	wide := benchGraph(t, workloads.Wide(700, 4), translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}, false)
 	var vars []string
 	var calls strings.Builder
 	for k := 0; k < 350; k++ {
@@ -171,10 +130,10 @@ func TestShardedErrorsMatchSequential(t *testing.T) {
 		cfg  Config
 	}{
 		{"div0", benchGraph(t, div0, translate.Options{Schema: translate.Schema2Opt}, false), Config{}},
-		{"token-budget/start", benchGraph(t, workloads.Wide(700, 4), wide, false), Config{MaxOps: 1}},
-		{"token-budget/start-late", benchGraph(t, workloads.Wide(700, 4), wide, false), Config{MaxOps: 40}},
-		{"token-budget/pooled-cycle", benchGraph(t, workloads.Wide(700, 4), wide, false), Config{MaxOps: 48, Processors: 40}},
-		{"token-budget/pooled-cycle-linked", linked.Graph, Config{MaxOps: 4, Processors: 4}},
+		{"token-budget/start", wide, Config{MaxOps: 1}},
+		{"token-budget/start-late", wide, Config{MaxOps: 40}},
+		{"token-budget/first-cycle", wide, Config{MaxOps: 48, Processors: 40}},
+		{"token-budget/first-cycle-linked", linked.Graph, Config{MaxOps: 4, Processors: 4}},
 	} {
 		seq, seqErr := Run(c.g, c.cfg)
 		if seqErr == nil {
@@ -202,10 +161,9 @@ func TestShardedErrorsMatchSequential(t *testing.T) {
 // TestShardedAbortMatchesSequential drives a runaway loop into the
 // MaxCycles abort: producers and consumers of the loop's tokens sit on
 // different shards, and the abort — cycle number, stuck-token
-// diagnostics, partial statistics — must come out of pooled cycles
-// exactly as with one worker.
+// diagnostics, partial statistics — must come out exactly as with one
+// worker.
 func TestShardedAbortMatchesSequential(t *testing.T) {
-	setPoolGrain(t, 1)
 	w := workloads.Workload{Name: "runaway", Source: "var x\nwhile x < 1 {\n  x := x - 1\n}\n"}
 	g := cfg.MustBuild(w.Parse())
 	res, err := translate.Translate(g, translate.Options{Schema: translate.Schema2Opt})
@@ -234,11 +192,10 @@ func TestShardedAbortMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardedDeadlineAborts checks the wall-clock deadline fires inside
-// pooled cycles too (the abort cycle is wall-clock dependent, so
-// only the check type is pinned).
+// TestShardedDeadlineAborts checks the wall-clock deadline fires over the
+// partition too (the abort cycle is wall-clock dependent, so only the
+// check type is pinned).
 func TestShardedDeadlineAborts(t *testing.T) {
-	setPoolGrain(t, 1)
 	w := workloads.MustByName("fib-iterative")
 	g := cfg.MustBuild(w.Parse())
 	res, err := translate.Translate(g, translate.Options{Schema: translate.Schema2})
@@ -259,9 +216,8 @@ func TestShardedDeadlineAborts(t *testing.T) {
 // so W=1 and W=8 explore different schedules from the same seed — but
 // dataflow determinacy demands the observables that matter agree: the
 // final store and the per-node firing vector. The W=8 schedule itself is
-// a function of (seed, W) alone: a repeated run, and a run with its
-// cycles on the other body (poolGrains), must reproduce the statistics
-// exactly — both bodies draw from the shards' streams alike.
+// a function of (seed, W) alone: a repeated run must reproduce the
+// statistics exactly.
 func TestShardedSeededRandomDeterminacy(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -280,25 +236,17 @@ func TestShardedSeededRandomDeterminacy(t *testing.T) {
 				return out.Store.Snapshot(), col.Report(out.Stats.Cycles, nil).NodeFirings(), out.Stats
 			}
 			snap1, fires1, _ := run(1)
-			var first Stats
-			atEachGrain(func(grain int) {
-				snap8, fires8, stats8 := run(8)
-				if snap1 != snap8 {
-					t.Errorf("grain=%d: snapshot diverged between W=1 and W=8:\nW=1: %s\nW=8: %s", grain, snap1, snap8)
-				}
-				if fmt.Sprint(fires1) != fmt.Sprint(fires8) {
-					t.Errorf("grain=%d: firing vector diverged between W=1 and W=8:\nW=1: %v\nW=8: %v", grain, fires1, fires8)
-				}
-				snapR, firesR, statsR := run(8)
-				if snapR != snap8 || fmt.Sprint(firesR) != fmt.Sprint(fires8) || fmt.Sprint(statsR) != fmt.Sprint(stats8) {
-					t.Errorf("grain=%d: repeated W=8 seeded run was not deterministic", grain)
-				}
-				if grain == poolGrains[0] {
-					first = stats8
-				} else if fmt.Sprint(first) != fmt.Sprint(stats8) {
-					t.Errorf("grain=%d: W=8 seeded schedule differs from grain=%d's:\n%+v\n%+v", grain, poolGrains[0], stats8, first)
-				}
-			})
+			snap8, fires8, stats8 := run(8)
+			if snap1 != snap8 {
+				t.Errorf("snapshot diverged between W=1 and W=8:\nW=1: %s\nW=8: %s", snap1, snap8)
+			}
+			if fmt.Sprint(fires1) != fmt.Sprint(fires8) {
+				t.Errorf("firing vector diverged between W=1 and W=8:\nW=1: %v\nW=8: %v", fires1, fires8)
+			}
+			snapR, firesR, statsR := run(8)
+			if snapR != snap8 || fmt.Sprint(firesR) != fmt.Sprint(fires8) || fmt.Sprint(statsR) != fmt.Sprint(stats8) {
+				t.Error("repeated W=8 seeded run was not deterministic")
+			}
 		})
 	}
 }

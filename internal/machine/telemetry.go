@@ -12,11 +12,9 @@ import (
 // never per firing on the hot path — so the disabled engine stays
 // within the BenchmarkObsDisabled overhead budget.
 //
-// Determinism contract (see the telemetry package doc): the parallel
-// phases write only plain per-shard scratch (telFireNs, telDelivNs,
-// telPureFired on shardState); the sequential cycle merge folds that
-// scratch into the registry's atomic instruments iterating shards in
-// order 0..W-1, so series creation order — and therefore the rendered
+// Determinism contract (see the telemetry package doc): everything is
+// written from the one cycle body, in an order the simulated execution
+// fixes, so series creation order — and therefore the rendered
 // exposition — is byte-deterministic for a fixed worker count, while
 // the invariant families (cycles, firings, tokens, matches, match-store
 // depth/peak, checkpoint count) come out byte-identical at every worker
@@ -25,10 +23,10 @@ type machineTel struct {
 	w int
 
 	// Invariant counters, sampled once per cycle at the boundary. Like
-	// the occupancy histograms and the traffic matrix below they are
-	// written by sequential code only, through telemetry.Local fronts
-	// that flush folds into the registry every telSampleEvery cycles and
-	// at the end of the run: no atomics per cycle, exact final values.
+	// the occupancy histograms and the traffic matrix below they go
+	// through telemetry.Local fronts that flush folds into the registry
+	// every telSampleEvery cycles and at the end of the run: no atomics
+	// per cycle, exact final values.
 	cycles, firings    *telemetry.Local
 	delivered, matches *telemetry.Local
 	matchDepth         *telemetry.Local
@@ -37,28 +35,23 @@ type machineTel struct {
 	ckSec              *telemetry.Series
 	locals             []*telemetry.Local
 
-	// Phase wall time: select/retire run on the coordinator ("seq"),
-	// fire/deliver per shard (a sequential-body cycle samples both into
-	// shard 0's, the coordinator's); barrier waits are the coordinator's
-	// time parked at a pooled cycle's two phase barriers.
-	selSec, retSec    *telemetry.Series
-	fireSec, delivSec []*telemetry.Series
-	barFire, barDeliv *telemetry.Series
-	fireFirings       *telemetry.Series
-	retireFirings     *telemetry.Series
-	outbox, inbox     []*telemetry.Local
+	// Sampled phase wall time (seqCycle): the seeded-random shuffle, the
+	// firing loop, the boundary delivery; the emission buffer's occupancy
+	// and each shard's inbox occupancy.
+	selSec, fireSec, delivSec *telemetry.Series
+	outbox                    *telemetry.Local
+	inbox                     []*telemetry.Local
 
-	// traffic[src][dst] is the cross-shard token matrix, rows 0..w-1
-	// for shard sources plus the "seq" (sequential step) and "mem"
-	// (latency release) lanes. Series are created lazily — only lanes
-	// that actually carry tokens appear — in deterministic order, since
-	// all creation happens in sequential merge code.
+	// traffic[lane][dst] counts the tokens each source lane — "seq" (the
+	// cycle's emissions) and "mem" (latency releases) — delivers to each
+	// owning shard. Series are created lazily — only cells that carry
+	// tokens appear — in deterministic order.
 	trafficFam *telemetry.Family
-	traffic    [][]*telemetry.Local
+	traffic    [2][]*telemetry.Local
 
-	// Cycle-boundary scratch for delta sampling, the tokens the
-	// sequential body delivered to each shard so far this cycle, and
-	// routed's per-destination counting scratch.
+	// Cycle-boundary scratch for delta sampling, the tokens delivered to
+	// each shard so far this cycle, and routed's per-destination counting
+	// scratch.
 	prevDelivered int64
 	prevMatches   int
 	inboxN        []int64
@@ -72,7 +65,10 @@ func (t *machineTel) local(s *telemetry.Series) *telemetry.Local {
 	return l
 }
 
-func newMachineTel(reg *telemetry.Registry, w int) *machineTel {
+// newMachineTel opens the run's series: those some cycle of this run can
+// write, so the shuffle's only in seeded-random mode and the capture
+// time's only when checkpointing (a nil series ignores its updates).
+func newMachineTel(reg *telemetry.Registry, w int, cfg *Config) *machineTel {
 	t := &machineTel{w: w, inboxN: make([]int64, w), perDst: make([]int, w)}
 	t.cycles = t.local(reg.Family(telemetry.SpecMachineCycles).Series())
 	t.firings = t.local(reg.Family(telemetry.SpecMachineFirings).Series())
@@ -81,66 +77,52 @@ func newMachineTel(reg *telemetry.Registry, w int) *machineTel {
 	t.matchDepth = t.local(reg.Family(telemetry.SpecMachineMatchDepth).Series())
 	t.matchPeak = reg.Family(telemetry.SpecMachineMatchPeak).Series()
 	t.checkpoints = reg.Family(telemetry.SpecMachineCheckpoints).Series()
-	t.ckSec = reg.Family(telemetry.SpecMachineCheckpointSeconds).Series()
+	if cfg.CheckpointEvery > 0 {
+		t.ckSec = reg.Family(telemetry.SpecMachineCheckpointSeconds).Series()
+	}
 	phase := reg.Family(telemetry.SpecMachinePhaseSeconds)
-	t.selSec = phase.Series("select", "seq")
-	t.retSec = phase.Series("retire", "seq")
-	for i := 0; i < w; i++ {
-		t.fireSec = append(t.fireSec, phase.Series("fire", strconv.Itoa(i)))
-		t.delivSec = append(t.delivSec, phase.Series("deliver", strconv.Itoa(i)))
+	if cfg.RandomSeed != 0 {
+		t.selSec = phase.Series("select", "seq")
 	}
-	bar := reg.Family(telemetry.SpecMachineBarrierSeconds)
-	t.barFire = bar.Series("fire")
-	t.barDeliv = bar.Series("deliver")
+	t.fireSec = phase.Series("fire", "0")
+	t.delivSec = phase.Series("deliver", "0")
 	t.trafficFam = reg.Family(telemetry.SpecMachineTraffic)
-	t.traffic = make([][]*telemetry.Local, w+2)
-	for i := range t.traffic {
-		t.traffic[i] = make([]*telemetry.Local, w)
+	for lane := range t.traffic {
+		t.traffic[lane] = make([]*telemetry.Local, w)
 	}
-	ob := reg.Family(telemetry.SpecMachineOutbox)
+	t.outbox = t.local(reg.Family(telemetry.SpecMachineOutbox).Series("0"))
 	ib := reg.Family(telemetry.SpecMachineInbox)
 	for i := 0; i < w; i++ {
-		t.outbox = append(t.outbox, t.local(ob.Series(strconv.Itoa(i))))
 		t.inbox = append(t.inbox, t.local(ib.Series(strconv.Itoa(i))))
 	}
-	pf := reg.Family(telemetry.SpecMachinePhaseFirings)
-	t.fireFirings = pf.Series("fire")
-	t.retireFirings = pf.Series("retire")
 	return t
 }
 
-// The traffic matrix's source lanes past the shard rows 0..w-1: what
-// sequential code emitted, and released split-phase completions.
+// The traffic matrix's source lanes: the cycle's emissions, and released
+// split-phase completions.
 const (
 	laneSeq = iota
 	laneMem
 )
 
-func (t *machineTel) srcName(row int) string {
-	if row >= t.w {
-		return [...]string{laneSeq: "seq", laneMem: "mem"}[row-t.w]
-	}
-	return strconv.Itoa(row)
-}
-
-// trafficAdd counts n > 0 tokens on the src→dst lane, creating the series
-// on first use. Called only from sequential code.
-func (t *machineTel) trafficAdd(src, dst, n int) {
+// trafficAdd counts n > 0 tokens on the lane→dst cell, creating the
+// series on first use.
+func (t *machineTel) trafficAdd(lane, dst, n int) {
 	if n == 0 {
 		return
 	}
-	if t.traffic[src][dst] == nil {
-		t.traffic[src][dst] = t.local(t.trafficFam.Series(t.srcName(src), strconv.Itoa(dst)))
+	if t.traffic[lane][dst] == nil {
+		t.traffic[lane][dst] = t.local(t.trafficFam.Series([...]string{laneSeq: "seq", laneMem: "mem"}[lane], strconv.Itoa(dst)))
 	}
-	t.traffic[src][dst].Add(int64(n))
+	t.traffic[lane][dst].Add(int64(n))
 }
 
-// routed counts tokens the sequential body delivers on the lane → owner
-// cells of the traffic matrix (created in ascending destination order,
-// like the pooled merge's) and toward the owners' inbox occupancy.
+// routed counts the tokens a boundary delivers on the lane → owner cells
+// of the traffic matrix (created in ascending destination order) and
+// toward the owners' inbox occupancy.
 func (t *machineTel) routed(m *sim, lane int, ts []tok) {
 	if t.w == 1 {
-		t.trafficAdd(t.w+lane, 0, len(ts))
+		t.trafficAdd(lane, 0, len(ts))
 		t.inboxN[0] += int64(len(ts))
 		return
 	}
@@ -148,16 +130,16 @@ func (t *machineTel) routed(m *sim, lane int, ts []tok) {
 		t.perDst[m.p.ops[ts[i].node].shard]++
 	}
 	for d, n := range t.perDst {
-		t.trafficAdd(t.w+lane, d, n)
+		t.trafficAdd(lane, d, n)
 		t.inboxN[d] += int64(n)
 		t.perDst[d] = 0
 	}
 }
 
-// occupancy records a sequential-body cycle's occupancy: the emission
-// buffer is shard 0's outbox, a shard's inbox what was delivered to it.
+// occupancy records a cycle boundary's occupancy: the emission buffer is
+// the one outbox, a shard's inbox what was delivered to it.
 func (t *machineTel) occupancy(emitN int) {
-	t.outbox[0].Observe(int64(emitN), telemetry.DepthBuckets)
+	t.outbox.Observe(int64(emitN), telemetry.DepthBuckets)
 	for d, n := range t.inboxN {
 		t.inbox[d].Observe(n, telemetry.DepthBuckets)
 		t.inboxN[d] = 0
@@ -165,8 +147,8 @@ func (t *machineTel) occupancy(emitN int) {
 }
 
 // sampleDepth records the matching-store population, once per cycle-loop
-// iteration on either body — which is what makes the
-// histogram invariant across worker counts.
+// iteration — which is what makes the histogram invariant across worker
+// counts.
 func (t *machineTel) sampleDepth(m *sim) {
 	if t == nil {
 		return
@@ -175,7 +157,7 @@ func (t *machineTel) sampleDepth(m *sim) {
 }
 
 // cycleCounts notes the cycle's deterministic deltas for the invariant
-// counters at the end of the loop body (after delivery/merge).
+// counters at the end of the loop body (after delivery).
 func (t *machineTel) cycleCounts(m *sim, issue int) {
 	t.cycles.Add(1)
 	t.firings.Add(int64(issue))
@@ -201,14 +183,14 @@ func (t *machineTel) flush(m *sim) {
 	t.matchPeak.SetMax(int64(m.stats.PeakMatchStore))
 }
 
-// telSampleEvery is the sequential body's phase-timing stride: it reads
+// telSampleEvery is the cycle body's phase-timing stride: it reads
 // the wall clock on one cycle in telSampleEvery and records each phase
 // duration with that weight, so the seconds histograms keep estimating
 // per-cycle phase time and their sums total phase time while the clock
 // reads — the bulk of the probe's cost on short cycles — drop 16-fold.
 const telSampleEvery = 16
 
-// sampled reports whether the sequential body times this cycle: one per
+// sampled reports whether the cycle body times this cycle: one per
 // window of telSampleEvery, at an offset that steps through every
 // residue from window to window so a loop whose period divides the
 // window cannot keep presenting the same cycle of its body.
@@ -224,37 +206,4 @@ func observeSampled(s *telemetry.Series, d time.Duration) {
 // observeSeconds records a duration into a seconds histogram.
 func observeSeconds(s *telemetry.Series, d time.Duration) {
 	s.Observe(d.Nanoseconds(), telemetry.TimeBuckets)
-}
-
-// mergeSharded runs inside mergeCycle, before the per-cycle scratch is
-// reset: it folds the parallel phases' plain per-shard scratch into the
-// registry in shard order, counts the cycle's outbox traffic into the
-// src→dst matrix, and records occupancy. The seq/mem inbox lanes are
-// written by the coordinator, so they count under their own source
-// rows.
-func (t *machineTel) mergeSharded(m *sim) {
-	if t == nil {
-		return
-	}
-	for _, sh := range m.shs {
-		t.fireSec[sh.id].Observe(sh.telFireNs, telemetry.TimeBuckets)
-		sh.telFireNs = 0
-		t.delivSec[sh.id].Observe(sh.telDelivNs, telemetry.TimeBuckets)
-		sh.telDelivNs = 0
-		t.fireFirings.Add(sh.telPureFired)
-		sh.telPureFired = 0
-		t.inbox[sh.id].Observe(sh.delivered, telemetry.DepthBuckets)
-		staged := int64(0)
-		for d, ob := range sh.outbox {
-			staged += int64(len(ob))
-			t.trafficAdd(sh.id, d, len(ob))
-		}
-		t.outbox[sh.id].Observe(staged, telemetry.DepthBuckets)
-	}
-	for d, b := range m.seqBox {
-		t.trafficAdd(t.w+laneSeq, d, len(b))
-	}
-	for d, b := range m.relBox {
-		t.trafficAdd(t.w+laneMem, d, len(b))
-	}
 }

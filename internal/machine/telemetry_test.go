@@ -31,11 +31,8 @@ func telemetryRun(t *testing.T, w workloads.Workload, workers int) *telemetry.Sn
 // TestTelemetryInvariantAcrossWorkers pins the aggregation-determinism
 // contract: the invariant projection of the registry — cycles, firings,
 // tokens, matches, matching-store depth histogram and peak, checkpoint
-// count — renders byte-identically at every worker count and on either
-// cycle body (poolGrains), because the simulated execution does, the
-// pooled body's per-shard scratch is folded into the registry in shard
-// order at the sequential merge point, and the sequential body writes
-// from sequential code. This is the telemetry companion to
+// count — renders byte-identically at every worker count, because the
+// simulated execution does. This is the telemetry companion to
 // TestShardedObservablyIdentical.
 func TestTelemetryInvariantAcrossWorkers(t *testing.T) {
 	cases := []workloads.Workload{
@@ -51,43 +48,35 @@ func TestTelemetryInvariantAcrossWorkers(t *testing.T) {
 			if len(base) == 0 || !bytes.HasSuffix(base, []byte("# EOF\n")) {
 				t.Fatalf("sequential invariant exposition malformed:\n%s", base)
 			}
-			atEachGrain(func(grain int) {
-				for _, workers := range []int{2, 4, 8} {
-					got := telemetryRun(t, w, workers).Invariant().OpenMetrics()
-					if !bytes.Equal(base, got) {
-						t.Errorf("W=%d grain=%d invariant exposition diverged from sequential:\n--- W=1 ---\n%s\n--- W=%d ---\n%s",
-							workers, grain, base, workers, got)
-					}
+			for _, workers := range []int{2, 4, 8} {
+				got := telemetryRun(t, w, workers).Invariant().OpenMetrics()
+				if !bytes.Equal(base, got) {
+					t.Errorf("W=%d invariant exposition diverged from sequential:\n--- W=1 ---\n%s\n--- W=%d ---\n%s",
+						workers, base, workers, got)
 				}
-			})
+			}
 		})
 	}
 }
 
 // TestTelemetryStableDeterministic pins the fixed-topology contract:
-// for one worker count and one grain, the stable projection (everything
-// but wall time) — including the cross-shard traffic matrix,
-// outbox/inbox occupancy histograms, and the fire/retire firing split —
-// is byte-reproducible run over run.
+// for one worker count, the stable projection (everything but wall time)
+// — including the lane → shard traffic matrix and the outbox/inbox
+// occupancy histograms — is byte-reproducible run over run.
 func TestTelemetryStableDeterministic(t *testing.T) {
 	w := workloads.MustByName("running-example")
-	atEachGrain(func(grain int) {
-		base := telemetryRun(t, w, 3).Stable().OpenMetrics()
-		for i := 0; i < 3; i++ {
-			if got := telemetryRun(t, w, 3).Stable().OpenMetrics(); !bytes.Equal(base, got) {
-				t.Fatalf("grain=%d: stable exposition not reproducible at fixed W:\n--- first ---\n%s\n--- rerun ---\n%s", grain, base, got)
-			}
+	base := telemetryRun(t, w, 3).Stable().OpenMetrics()
+	for i := 0; i < 3; i++ {
+		if got := telemetryRun(t, w, 3).Stable().OpenMetrics(); !bytes.Equal(base, got) {
+			t.Fatalf("stable exposition not reproducible at fixed W:\n--- first ---\n%s\n--- rerun ---\n%s", base, got)
 		}
-	})
+	}
 }
 
 // TestTelemetryStableGolden pins the stable exposition of the running
-// example at W=3 with every cycle that has work on the pooled body (the
-// memory-wait cycles, with nothing ready, run the sequential one)
-// byte-for-byte, so any change to the engine's token routing, occupancy,
-// or the renderer shows up as a reviewable diff.
+// example at W=3 byte-for-byte, so any change to the engine's token
+// routing, occupancy, or the renderer shows up as a reviewable diff.
 func TestTelemetryStableGolden(t *testing.T) {
-	setPoolGrain(t, 1)
 	got := telemetryRun(t, workloads.MustByName("running-example"), 3).Stable().OpenMetrics()
 	path := filepath.Join("testdata", "telemetry_running_example_w3.om")
 	if *updateGoldens {
@@ -105,35 +94,37 @@ func TestTelemetryStableGolden(t *testing.T) {
 }
 
 // TestTelemetryBreakdownConsistency checks the profiler's arithmetic on
-// a pooled run: the fire/retire split sums to total firings, every
-// traffic row sums to the tokens the matrix attributes to its source,
-// and the phase table renders the per-shard rows.
+// a four-shard run: every delivered token is on the seq or the mem lane,
+// the matrix cells sum to its lanes, the shards' inbox occupancy sums to
+// the tokens delivered, and the phase table renders its rows.
 func TestTelemetryBreakdownConsistency(t *testing.T) {
-	setPoolGrain(t, 1)
 	snap := telemetryRun(t, workloads.MustByName("fib-iterative"), 4)
 	b := snap.MachineBreakdown()
 	if b.Workers != 4 {
 		t.Fatalf("workers = %d, want 4", b.Workers)
 	}
-	if b.FireFirings+b.RetireFirings != b.Firings {
-		t.Errorf("fire %d + retire %d != firings %d", b.FireFirings, b.RetireFirings, b.Firings)
-	}
-	if b.Cycles == 0 || b.Tokens == 0 || b.Matches == 0 {
+	if b.Cycles == 0 || b.Tokens == 0 || b.Matches == 0 || b.MemTokens == 0 {
 		t.Errorf("empty counters: %+v", b)
 	}
-	if b.RemoteTokens == 0 {
-		t.Error("no cross-shard traffic recorded on a 4-way sharded run")
+	if b.Tokens != b.SeqTokens+b.MemTokens {
+		t.Errorf("tokens %d != seq %d + mem %d", b.Tokens, b.SeqTokens, b.MemTokens)
 	}
-	var matrix int64
+	rows := map[string]int64{}
 	for _, c := range b.Traffic {
-		matrix += c.Tokens
+		rows[c.Src] += c.Tokens
 	}
-	if matrix != b.ShardTokens+b.SeqTokens+b.MemTokens {
-		t.Errorf("traffic matrix sum %d != shard %d + seq %d + mem %d",
-			matrix, b.ShardTokens, b.SeqTokens, b.MemTokens)
+	if len(rows) != 2 || rows["seq"] != b.SeqTokens || rows["mem"] != b.MemTokens {
+		t.Errorf("traffic matrix rows %v, want seq %d and mem %d only", rows, b.SeqTokens, b.MemTokens)
+	}
+	var inbox int64
+	for _, ser := range snap.Family(telemetry.SpecMachineInbox.Name).Series {
+		inbox += ser.Sum
+	}
+	if inbox != b.Tokens {
+		t.Errorf("per-shard inbox occupancy sums to %d, tokens delivered %d", inbox, b.Tokens)
 	}
 	table := snap.PhaseTable()
-	for _, want := range []string{"select", "fire", "retire", "deliver", "barrier", "cross-shard traffic"} {
+	for _, want := range []string{"select", "fire", "deliver", "token traffic"} {
 		if !bytes.Contains([]byte(table), []byte(want)) {
 			t.Errorf("phase table missing %q:\n%s", want, table)
 		}

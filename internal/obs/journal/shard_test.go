@@ -17,15 +17,12 @@ import (
 // the full causal record — every firing with its complete provenance
 // deps, every matching-store park with its producer attribution, tag
 // lineage, abort forensics — must be byte-identical between a one-worker
-// run and a run at any worker count. A default run's cycles take the
-// sequential body; the pooled body's and the alternating runs' turn at
-// the same comparison is in internal/machine (journal_test.go), where the
-// grain override is.
+// run and a run at any worker count.
 
 // diffParks compares the two journals' park lists field by field. Diff
 // only checks the counts (parks are secondary to the firing DAG in the
-// replay gate); the sharded merge reorders park processing internally,
-// so this is the test that proves the merge re-serializes them exactly.
+// replay gate), so this is the test that holds park order and attribution
+// over the partition.
 func diffParks(t *testing.T, label string, want, got []Park) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -46,10 +43,9 @@ func diffParks(t *testing.T, label string, want, got []Park) {
 // journals agree on every firing (node, cycle, cost, tag, full
 // provenance deps) and on every park event.
 // Producers and consumers land on different shards for essentially
-// every arc, so this is the routing + deterministic-merge forensics
-// test: if cross-shard token delivery perturbed match order, park
-// attribution (Dep) or firing provenance would shift and Diff would
-// catch it.
+// every arc, so this is the routing forensics test: if delivery to the
+// owning shard perturbed match order, park attribution (Dep) or firing
+// provenance would shift and Diff would catch it.
 func TestShardedJournalByteExact(t *testing.T) {
 	schemas := []translate.Options{
 		{Schema: translate.Schema2},

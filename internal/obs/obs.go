@@ -236,25 +236,8 @@ func (c *Collector) Abort(cycle int, detail string) {
 	c.sink.Emit(Event{Cycle: cycle, Type: EvAbort, Node: -1, Detail: detail})
 }
 
-// FiringCount returns the number of firings recorded in the firing DAG
-// so far. The sharded machine uses it to precompute the ids Fire will
-// assign to a cycle's batch (ids are dense call indices), so parallel
-// shard workers can stamp emitted tokens with their producer's id before
-// the sequential retire pass actually calls Fire.
-func (c *Collector) FiringCount() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.firings)
-}
-
 // MaxDep returns whichever of two producer firings completes later —
 // the dependence a token matched from both inherits.
-//
-// MaxDep only reads the firing DAG, so concurrent calls are safe as long
-// as no Fire call runs at the same time — the discipline the sharded
-// machine's delivery phase observes (all Fire calls happen in the
-// sequential retire pass that precedes it).
 func (c *Collector) MaxDep(a, b int32) int32 {
 	if c == nil || (!c.critical && c.journal == nil) {
 		return noDep

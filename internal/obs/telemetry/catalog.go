@@ -4,8 +4,7 @@ import "strconv"
 
 // Bucket layouts shared by the engine families. Durations are stored
 // in nanoseconds; TimeBuckets spans 1µs..10s in decades, which is the
-// range a phase, barrier wait, or checkpoint capture can plausibly
-// occupy. DepthBuckets is a power-of-two ladder for token counts and
+// range a phase or checkpoint capture can plausibly occupy. DepthBuckets is a power-of-two ladder for token counts and
 // queue depths.
 var (
 	TimeBuckets  = []int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
@@ -13,11 +12,11 @@ var (
 )
 
 // Machine engine families. Per-shard series use the shard id as the
-// label value; the sequential phases run on the coordinator and use
-// shard "seq". The traffic matrix has two extra source lanes: "seq"
-// for tokens emitted by the sequential select/retire step (and by the
-// w=1 engine) and "mem" for memory-latency releases delivered at the
-// cycle boundary.
+// label value. The one cycle body times its select phase under shard
+// "seq" and its fire and deliver phases under shard "0", and its emission
+// buffer is outbox "0". The traffic matrix's sources are two lanes: "seq"
+// for the tokens a cycle's firings emit and "mem" for memory-latency
+// releases, both delivered at the cycle boundary.
 var (
 	SpecMachineCycles = Spec{
 		Name: "ctdf_machine_cycles", Kind: KindCounter,
@@ -56,33 +55,22 @@ var (
 		Name: "ctdf_machine_phase_seconds", Kind: KindHistogram,
 		Unit: "seconds", Buckets: TimeBuckets,
 		Labels: []string{"phase", "shard"}, Varying: true, Sharded: true,
-		Help: "per-cycle wall time in each BSP phase (select/fire/retire/deliver) per shard",
-	}
-	SpecMachineBarrierSeconds = Spec{
-		Name: "ctdf_machine_barrier_wait_seconds", Kind: KindHistogram,
-		Unit: "seconds", Buckets: TimeBuckets,
-		Labels: []string{"phase"}, Varying: true, Sharded: true,
-		Help: "coordinator wait at the fire/deliver phase barriers",
+		Help: "per-cycle wall time in each phase of the cycle body (select/fire/deliver)",
 	}
 	SpecMachineTraffic = Spec{
 		Name: "ctdf_machine_shard_traffic_tokens", Kind: KindCounter,
 		Labels: []string{"src", "dst"}, Sharded: true,
-		Help: "tokens routed from src shard outboxes to dst shard inboxes (src seq = sequential step, src mem = latency releases)",
+		Help: "tokens delivered from each source lane to the dst shard that owns their destination (src seq = the cycle's emissions, src mem = latency releases)",
 	}
 	SpecMachineOutbox = Spec{
 		Name: "ctdf_machine_outbox_tokens", Kind: KindHistogram, Buckets: DepthBuckets,
 		Labels: []string{"shard"}, Sharded: true,
-		Help: "tokens staged in a shard's outboxes per fire phase",
+		Help: "tokens in the emission buffer at each cycle boundary",
 	}
 	SpecMachineInbox = Spec{
 		Name: "ctdf_machine_inbox_tokens", Kind: KindHistogram, Buckets: DepthBuckets,
 		Labels: []string{"shard"}, Sharded: true,
-		Help: "tokens merged into a shard's stores per deliver phase",
-	}
-	SpecMachinePhaseFirings = Spec{
-		Name: "ctdf_machine_phase_firings", Kind: KindCounter,
-		Labels: []string{"phase"}, Sharded: true,
-		Help: "firings by executing phase: fire = pure parallel, retire = impure sequential",
+		Help: "tokens delivered to a shard's nodes at each cycle boundary",
 	}
 )
 
@@ -120,49 +108,45 @@ func Catalog() []Spec {
 		SpecMachineCycles, SpecMachineFirings, SpecMachineTokens,
 		SpecMachineMatches, SpecMachineMatchDepth, SpecMachineMatchPeak,
 		SpecMachineCheckpoints, SpecMachineCheckpointSeconds,
-		SpecMachinePhaseSeconds, SpecMachineBarrierSeconds,
+		SpecMachinePhaseSeconds,
 		SpecMachineTraffic, SpecMachineOutbox, SpecMachineInbox,
-		SpecMachinePhaseFirings,
 		SpecChanFirings, SpecChanTokens, SpecChanMailboxDepth,
 		SpecChanWatchdogExtensions, SpecChanWatchdogHeadroom,
 	}
 }
 
-// TrafficCell is one src→dst entry of the cross-shard traffic matrix.
+// TrafficCell is one src→dst entry of the lane → shard traffic matrix.
 type TrafficCell struct {
 	Src, Dst string
 	Tokens   int64
 }
 
 // MachineBreakdown is the machine engine's profile extracted from a
-// snapshot: per-shard phase busy time, barrier waits, firing split,
-// and the traffic matrix — the inputs to the human phase table, the
-// bench phase cells, and experiment E19.
+// snapshot: phase busy time and the traffic matrix — the inputs to the
+// human phase table, the benchmark's phase shares, and experiment E19.
 type MachineBreakdown struct {
-	Workers              int     // shard count observed in per-shard series
-	SelectNs, RetireNs   int64   // sequential phases (coordinator)
-	FireNs, DeliverNs    []int64 // per-shard busy time
-	BarrierFireNs        int64
-	BarrierDeliverNs     int64
+	Workers              int     // shard count observed in the inbox series
+	SelectNs             int64   // seeded-random shuffle
+	FireNs, DeliverNs    []int64 // busy time by the series' shard label (one entry: "0")
 	Cycles, Firings      int64
 	Tokens, Matches      int64
-	FireFirings          int64 // pure firings in the parallel fire phase
-	RetireFirings        int64 // impure firings retired sequentially
 	Traffic              []TrafficCell
-	RemoteTokens         int64 // shard→different-shard tokens
-	ShardTokens          int64 // all tokens with a numeric src shard
-	SeqTokens, MemTokens int64 // coordinator and latency-release lanes
+	SeqTokens, MemTokens int64 // emission and latency-release lanes
+
+	// Always zero: the series these summed are gone with the host-parallel
+	// cycle body. benchmark/traced.go is their only reader; they go when
+	// ROADMAP item 1(a) edits it.
+	RetireNs, BarrierFireNs, BarrierDeliverNs int64
+	RemoteTokens, ShardTokens                 int64
 }
 
 // MachineBreakdown extracts the machine profile from the snapshot.
 func (s *Snapshot) MachineBreakdown() *MachineBreakdown {
 	b := &MachineBreakdown{
-		Cycles:        s.Family(SpecMachineCycles.Name).Get(),
-		Firings:       s.Family(SpecMachineFirings.Name).Get(),
-		Tokens:        s.Family(SpecMachineTokens.Name).Get(),
-		Matches:       s.Family(SpecMachineMatches.Name).Get(),
-		FireFirings:   s.Family(SpecMachinePhaseFirings.Name).Get("fire"),
-		RetireFirings: s.Family(SpecMachinePhaseFirings.Name).Get("retire"),
+		Cycles:  s.Family(SpecMachineCycles.Name).Get(),
+		Firings: s.Family(SpecMachineFirings.Name).Get(),
+		Tokens:  s.Family(SpecMachineTokens.Name).Get(),
+		Matches: s.Family(SpecMachineMatches.Name).Get(),
 	}
 	if f := s.Family(SpecMachinePhaseSeconds.Name); f != nil {
 		for _, ser := range f.Series {
@@ -170,8 +154,6 @@ func (s *Snapshot) MachineBreakdown() *MachineBreakdown {
 			switch phase {
 			case "select":
 				b.SelectNs += ser.Sum
-			case "retire":
-				b.RetireNs += ser.Sum
 			case "fire", "deliver":
 				id, err := strconv.Atoi(shard)
 				if err != nil {
@@ -189,10 +171,8 @@ func (s *Snapshot) MachineBreakdown() *MachineBreakdown {
 			}
 		}
 	}
-	b.Workers = len(b.FireNs)
-	if f := s.Family(SpecMachineBarrierSeconds.Name); f != nil {
-		_, b.BarrierFireNs = f.Sums("fire")
-		_, b.BarrierDeliverNs = f.Sums("deliver")
+	if f := s.Family(SpecMachineInbox.Name); f != nil {
+		b.Workers = len(f.Series)
 	}
 	if f := s.Family(SpecMachineTraffic.Name); f != nil {
 		for _, ser := range f.Series {
@@ -203,11 +183,6 @@ func (s *Snapshot) MachineBreakdown() *MachineBreakdown {
 				b.SeqTokens += ser.Value
 			case "mem":
 				b.MemTokens += ser.Value
-			default:
-				b.ShardTokens += ser.Value
-				if src != dst {
-					b.RemoteTokens += ser.Value
-				}
 			}
 		}
 	}

@@ -97,14 +97,13 @@ func escapeHelp(v string) string {
 	return r.Replace(v)
 }
 
-// PhaseTable renders the human profile: per-phase wall time with
-// per-shard fire/deliver rows and imbalance, barrier waits, the firing
-// split, and the cross-shard traffic matrix. Shares are fractions of
+// PhaseTable renders the human profile: per-phase wall time, the run's
+// counters, and the lane → shard traffic matrix. Shares are fractions of
 // the total busy time accounted across all rows.
 func (s *Snapshot) PhaseTable() string {
 	b := s.MachineBreakdown()
 	var out strings.Builder
-	total := b.SelectNs + b.RetireNs + b.BarrierFireNs + b.BarrierDeliverNs
+	total := b.SelectNs
 	for i := range b.FireNs {
 		total += b.FireNs[i] + b.DeliverNs[i]
 	}
@@ -117,26 +116,18 @@ func (s *Snapshot) PhaseTable() string {
 	for i, ns := range b.FireNs {
 		row("fire", strconv.Itoa(i), ns)
 	}
-	row("retire", "seq", b.RetireNs)
 	for i, ns := range b.DeliverNs {
 		row("deliver", strconv.Itoa(i), ns)
 	}
-	row("barrier", "fire", b.BarrierFireNs)
-	row("barrier", "deliv", b.BarrierDeliverNs)
-	fmt.Fprintf(&out, "  cycles %d  firings %d (fire %d / retire %d)  tokens %d  matches %d\n",
-		b.Cycles, b.Firings, b.FireFirings, b.RetireFirings, b.Tokens, b.Matches)
-	if b.Workers > 1 {
-		fmt.Fprintf(&out, "  fire imbalance (max/mean): %.2fx   deliver imbalance: %.2fx\n",
-			imbalance(b.FireNs), imbalance(b.DeliverNs))
-	}
+	fmt.Fprintf(&out, "  cycles %d  firings %d  tokens %d  matches %d\n",
+		b.Cycles, b.Firings, b.Tokens, b.Matches)
 	if len(b.Traffic) > 0 {
 		out.WriteString(trafficMatrix(b))
 	}
 	return out.String()
 }
 
-// trafficMatrix renders the src→dst token matrix with the seq/mem
-// lanes last and a remote-share summary line.
+// trafficMatrix renders the src→dst token matrix.
 func trafficMatrix(b *MachineBreakdown) string {
 	srcs, dsts := []string{}, []string{}
 	cells := map[[2]string]int64{}
@@ -156,7 +147,7 @@ func trafficMatrix(b *MachineBreakdown) string {
 	sortLanes(srcs)
 	sortLanes(dsts)
 	var out strings.Builder
-	out.WriteString("cross-shard traffic (tokens, src rows / dst columns)\n")
+	out.WriteString("token traffic (src lane rows / dst shard columns)\n")
 	fmt.Fprintf(&out, "  %6s", "src\\dst")
 	for _, d := range dsts {
 		fmt.Fprintf(&out, " %8s", d)
@@ -168,10 +159,6 @@ func trafficMatrix(b *MachineBreakdown) string {
 			fmt.Fprintf(&out, " %8d", cells[[2]string{s, d}])
 		}
 		out.WriteByte('\n')
-	}
-	if b.ShardTokens > 0 {
-		fmt.Fprintf(&out, "  remote share: %s (%d of %d shard-sourced tokens cross shards)\n",
-			fmtShare(b.RemoteTokens, b.ShardTokens), b.RemoteTokens, b.ShardTokens)
 	}
 	return out.String()
 }
@@ -196,23 +183,6 @@ func sortLanes(lanes []string) {
 		}
 		return ni < nj
 	})
-}
-
-func imbalance(ns []int64) float64 {
-	if len(ns) == 0 {
-		return 1
-	}
-	var max, sum int64
-	for _, v := range ns {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(ns)) / float64(sum)
 }
 
 func fmtDur(ns int64) string {

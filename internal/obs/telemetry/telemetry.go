@@ -1,7 +1,7 @@
 // Package telemetry is the engine-level metrics registry: counters,
-// gauges, and fixed-bucket histograms describing the *runtime* (BSP
-// phase times, barrier waits, cross-shard traffic, mailbox depths)
-// rather than the translated program, which internal/obs observes.
+// gauges, and fixed-bucket histograms describing the *runtime* (phase
+// times, token traffic by owning shard, mailbox depths) rather than the
+// translated program, which internal/obs observes.
 //
 // The package follows the obs discipline on both axes that matter to
 // the machine:
@@ -15,10 +15,9 @@
 //     are int64 (durations in nanoseconds), updated with atomics so a
 //     Snapshot is race-free at any instant — that is what lets `ctdf
 //     top` and the /metrics endpoint read a *running* machine. The
-//     sharded engine keeps per-shard scratch in plain fields during the
-//     parallel phases and folds it into the registry during the
-//     sequential merge step in shard order 0..W-1, so series creation
-//     order — and therefore the rendered text — is byte-deterministic.
+//     machine creates and writes its series from its one cycle body, in
+//     an order the simulated execution fixes, so series creation order
+//     — and therefore the rendered text — is byte-deterministic.
 //
 // Not everything a profiler measures can be invariant: wall-clock times
 // depend on the host and per-shard series depend on the worker count.
@@ -76,9 +75,9 @@ type Spec struct {
 	// Varying families are excluded from every byte-exact comparison.
 	Varying bool `json:"varying,omitempty"`
 	// Sharded marks families whose series set or values depend on the
-	// worker topology (per-shard timings, the traffic matrix, the
-	// pure/impure firing split). Sharded families are deterministic at
-	// a fixed worker count but excluded from cross-worker comparisons.
+	// worker topology (per-shard occupancy, the traffic matrix). Sharded
+	// families are deterministic at a fixed worker count but excluded
+	// from cross-worker comparisons.
 	Sharded bool `json:"sharded,omitempty"`
 }
 
@@ -379,20 +378,6 @@ func (f *FamilySnap) Get(labelVals ...string) int64 {
 		}
 	}
 	return 0
-}
-
-// Sums returns count and sum of the histogram series with the given
-// label values.
-func (f *FamilySnap) Sums(labelVals ...string) (count, sum int64) {
-	if f == nil {
-		return 0, 0
-	}
-	for _, s := range f.Series {
-		if labelsEqual(s.Labels, labelVals) {
-			return s.Count, s.Sum
-		}
-	}
-	return 0, 0
 }
 
 func labelsEqual(a, b []string) bool {

@@ -84,11 +84,10 @@ func TestInstrumentSemantics(t *testing.T) {
 	if got := snap.Family(SpecMachineMatchPeak.Name).Get(); got != 10 {
 		t.Fatalf("gauge = %d, want 10 (SetMax must not lower)", got)
 	}
-	count, sum := snap.Family(SpecMachineMatchDepth.Name).Sums()
-	if count != 3 || sum != 100005 {
-		t.Fatalf("histogram count/sum = %d/%d", count, sum)
-	}
 	hs := snap.Family(SpecMachineMatchDepth.Name).Series[0]
+	if hs.Count != 3 || hs.Sum != 100005 {
+		t.Fatalf("histogram count/sum = %d/%d", hs.Count, hs.Sum)
+	}
 	// depth 0 → bucket le=0; depth 5 → le=8; 100000 → +Inf.
 	if hs.Buckets[0] != 1 || hs.Buckets[4] != 1 || hs.Buckets[len(hs.Buckets)-1] != 1 {
 		t.Fatalf("bucket placement wrong: %v", hs.Buckets)

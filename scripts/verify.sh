@@ -32,18 +32,29 @@ if [ -n "$copies" ]; then
     exit 1
 fi
 
+echo "== the cycle-exact machine is single-threaded =="
+# internal/machine starts no goroutine and imports neither sync nor
+# runtime: Workers partitions state and nothing else (SCALING.md), and
+# host parallelism belongs to the channel engine.
+threads=$(grep -nE '^[[:space:]]*go[[:space:]]|"sync"|"runtime"' internal/machine/*.go |
+    grep -v '_test\.go:' || true)
+if [ -n "$threads" ]; then
+    echo "goroutine, sync or runtime in internal/machine:" >&2
+    echo "$threads" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
 echo "== go test -race =="
-# The one -race run. Three suites it holds, each runnable alone with -run:
-# Sharded (internal/machine, internal/obs/journal) — byte-exact at worker
-# counts 2, 3, 4, 8 with the cycles on the pooled body, on the sequential
-# one and alternating, the shared-nothing discipline of SCALING.md;
+# The one -race run. The machine itself starts no goroutine (the gate
+# above), so what -race holds is, each runnable alone with -run:
 # ConcurrentRuns (root package) — goroutines sharing one *Dataflow across
-# the sequential, sharded and channel engines; Checkpoint
-# (internal/machine) — capture/restore at every boundary, what the
-# recovery supervisor rests on (ROBUSTNESS.md).
+# machine runs at several worker counts and the channel engine; the
+# channel engine's own suites (internal/chanexec) — a goroutine per
+# operator; Checkpoint (internal/machine) — sinks and resumes driven by
+# the recovery supervisor (ROBUSTNESS.md).
 go test -race -timeout 5m ./...
 
 echo "== chaos smoke matrix =="
@@ -84,10 +95,6 @@ rm -f /tmp/ctdf-verify.pprof.pb.gz
 
 echo "== benchmark smoke =="
 go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet|BenchmarkMachineRun|BenchmarkCompile' -benchtime=1x . ./internal/vet ./internal/machine
-# The poolGrain sweep (SCALING.md) and only profiling harness of the
-# pooled cycle body, at its narrowest width: translating the wider
-# programs takes seconds and, at 4,096 lanes, gigabytes.
-go test -run=NONE -bench='BenchmarkShardedWide/lanes=64' -benchtime=1x ./internal/machine
 
 echo "== /metrics endpoint smoke =="
 # Serve the telemetry registry over real HTTP, run an instrumented

@@ -8,9 +8,9 @@ import (
 )
 
 // Telemetry is an engine metrics registry: attach one to RunConfig and
-// the run records per-phase shard wall time, barrier waits, the
-// cross-shard token-traffic matrix, matching-store depth, checkpoint
-// timing (machine engine), and firing/delivery/mailbox/watchdog metrics
+// the run records sampled phase wall time, the lane → shard
+// token-traffic matrix, matching-store depth, checkpoint timing
+// (machine engine), and firing/delivery/mailbox/watchdog metrics
 // (channel engine). A registry accumulates across runs, so repeated
 // executions against one Telemetry build a live series — that is what
 // `ctdf top` and the -metrics endpoint scrape. Nil disables everything
@@ -61,8 +61,8 @@ type TelemetrySnapshot struct {
 // format (the /metrics wire format), terminated by "# EOF".
 func (s *TelemetrySnapshot) OpenMetrics() []byte { return s.snap.OpenMetrics() }
 
-// PhaseTable renders the human-readable per-shard phase breakdown,
-// barrier waits, imbalance, and cross-shard traffic matrix.
+// PhaseTable renders the human-readable phase breakdown, counters, and
+// lane → shard traffic matrix.
 func (s *TelemetrySnapshot) PhaseTable() string { return s.snap.PhaseTable() }
 
 // JSON renders the snapshot as indented JSON (durations in
@@ -72,9 +72,9 @@ func (s *TelemetrySnapshot) JSON() ([]byte, error) {
 }
 
 // MachineBreakdown extracts the machine profiler's aggregate numbers —
-// per-phase nanoseconds, barrier waits, counters, and the traffic
-// matrix — for in-module tooling (the bench harness); the type lives in
-// the internal telemetry package.
+// per-phase nanoseconds, counters, and the traffic matrix — for
+// in-module tooling (the bench harness); the type lives in the internal
+// telemetry package.
 func (s *TelemetrySnapshot) MachineBreakdown() *telemetry.MachineBreakdown {
 	return s.snap.MachineBreakdown()
 }

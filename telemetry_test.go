@@ -36,7 +36,7 @@ func TestTelemetryPublicAPI(t *testing.T) {
 	snap := reg.Snapshot()
 	om := string(snap.OpenMetrics())
 	for _, want := range []string{
-		"ctdf_machine_cycles_total", "ctdf_machine_phase_seconds", "ctdf_machine_barrier_wait_seconds",
+		"ctdf_machine_cycles_total", "ctdf_machine_phase_seconds", "ctdf_machine_inbox_tokens",
 		"# EOF",
 	} {
 		if !strings.Contains(om, want) {
