@@ -240,6 +240,7 @@ var seedTestDelay func()
 
 type engine struct {
 	g        *dfg.Graph
+	adj      *dfg.Index // g's adjacency, read in place by every firing goroutine
 	store    *interp.Store
 	boxes    []*mailbox
 	counters *obs.NodeCounters
@@ -315,6 +316,7 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	}
 	e := &engine{
 		g:        g,
+		adj:      g.Index(),
 		store:    interp.NewStoreWithBinding(g.Prog, cfg.Binding),
 		boxes:    make([]*mailbox, len(g.Nodes)),
 		counters: cfg.Counters,
@@ -381,7 +383,8 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	// the count again, driving inflight to zero mid-seeding and tripping a
 	// spurious quiescent-before-end deadlock on a clean run.
 	e.inflight.Add(1)
-	for _, a := range g.OutArcs(g.StartID, 0) {
+	for _, ai := range e.adj.Out(g.StartID, 0) {
+		a := &g.Arcs[ai]
 		e.send(a.To, msg{port: a.ToPort, val: 0, tg: token.Root})
 		if seedTestDelay != nil {
 			seedTestDelay()
@@ -660,7 +663,8 @@ func (e *engine) resolveNameLocked(name string, tg token.Tag) string {
 // emit broadcasts val on every arc leaving (node, port), stamping each
 // token with the producing firing's Lamport clock.
 func (e *engine) emit(node, port int, val int64, tg token.Tag, clock int64) {
-	for _, a := range e.g.OutArcs(node, port) {
+	for _, ai := range e.adj.Out(node, port) {
+		a := &e.g.Arcs[ai]
 		e.send(a.To, msg{port: a.ToPort, val: val, tg: tg, clock: clock})
 	}
 }

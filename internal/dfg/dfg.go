@@ -8,8 +8,10 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"ctdf/internal/lang"
 )
@@ -107,9 +109,6 @@ func (n *Node) OutPorts() int {
 	}
 	return numOuts(n.Kind)
 }
-
-// outPorts returns the node's output port count.
-func outPorts(n *Node) int { return n.OutPorts() }
 
 // fixedIns returns the input port count for fixed-arity kinds, or -1 for
 // variable arity (End, Synch).
@@ -262,7 +261,9 @@ type CallInfo struct {
 	Bindings map[string]string
 }
 
-// Graph is a dataflow program graph.
+// Graph is a dataflow program graph: a flat table of nodes and a flat
+// table of arcs, both append-only. Who is wired to whom is read through
+// Index.
 type Graph struct {
 	Nodes []*Node
 	Arcs  []Arc
@@ -277,10 +278,9 @@ type Graph struct {
 	Fusions   []FusedInfo
 	fusionIdx map[int]int
 
-	// outs[node][port] lists arc indices leaving that port.
-	outs [][][]int
-	// ins[node][port] lists arc indices entering that port.
-	ins [][][]int
+	// index is the adjacency of the graph as it stood when a reader last
+	// asked for it (Index).
+	index atomic.Pointer[Index]
 
 	StartID int
 	EndID   int
@@ -304,9 +304,6 @@ func (g *Graph) Add(n *Node) *Node {
 	}
 	n.ID = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
-	ports := make([][]int, outPorts(n)+n.NIns)
-	g.outs = append(g.outs, ports[:outPorts(n):outPorts(n)])
-	g.ins = append(g.ins, ports[outPorts(n):])
 	switch n.Kind {
 	case Start:
 		g.StartID = n.ID
@@ -336,26 +333,24 @@ func (g *Graph) FusionOf(node int) *FusedInfo {
 	return &g.Fusions[i]
 }
 
-// Connect adds an arc from (from, fromPort) to (to, toPort).
+// Connect adds an arc from (from, fromPort) to (to, toPort). The
+// endpoints are not checked here: Validate reports an arc that names no
+// port, and Index leaves it out.
 func (g *Graph) Connect(from, fromPort, to, toPort int, dummy bool) {
-	idx := len(g.Arcs)
+	if len(g.Arcs) == cap(g.Arcs) {
+		// Double: append grows a table this long by a quarter at a time,
+		// copying it four times over on the way to its final length.
+		g.Arcs = slices.Grow(g.Arcs, max(len(g.Arcs), 64))
+	}
 	g.Arcs = append(g.Arcs, Arc{From: from, FromPort: fromPort, To: to, ToPort: toPort, Dummy: dummy})
-	g.outs[from][fromPort] = append(g.outs[from][fromPort], idx)
-	g.ins[to][toPort] = append(g.ins[to][toPort], idx)
 }
 
-// OutArcs returns the arcs leaving (node, port).
-func (g *Graph) OutArcs(node, port int) []Arc {
-	idxs := g.outs[node][port]
-	out := make([]Arc, len(idxs))
-	for i, a := range idxs {
-		out[i] = g.Arcs[a]
-	}
-	return out
-}
+// OutArcs returns the ids of the arcs leaving (node, port), in arc order:
+// a row of the graph's Index, to be read and not written.
+func (g *Graph) OutArcs(node, port int) []int32 { return g.Index().Out(node, port) }
 
 // InDegree returns the number of arcs entering (node, port).
-func (g *Graph) InDegree(node, port int) int { return len(g.ins[node][port]) }
+func (g *Graph) InDegree(node, port int) int { return len(g.Index().In(node, port)) }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
@@ -409,11 +404,12 @@ func (g *Graph) Validate() error {
 	if g.StartID < 0 || g.EndID < 0 {
 		return fmt.Errorf("dfg: missing start or end node")
 	}
+	x := g.Index()
 	for ai, a := range g.Arcs {
 		if a.From < 0 || a.From >= len(g.Nodes) || a.To < 0 || a.To >= len(g.Nodes) {
 			return fmt.Errorf("dfg: arc %+v out of node range", a)
 		}
-		if a.FromPort < 0 || a.FromPort >= outPorts(g.Nodes[a.From]) {
+		if a.FromPort < 0 || a.FromPort >= g.Nodes[a.From].OutPorts() {
 			return fmt.Errorf("dfg: arc from %s port %d out of range", g.Nodes[a.From], a.FromPort)
 		}
 		if a.ToPort < 0 || a.ToPort >= g.Nodes[a.To].NIns {
@@ -425,8 +421,8 @@ func (g *Graph) Validate() error {
 		// the endpoint identity. An out-port's arc list is short and in
 		// arc order, so the earlier arcs of a's own list are the only
 		// possible duplicates.
-		for _, bi := range g.outs[a.From][a.FromPort] {
-			if bi >= ai {
+		for _, bi := range x.Out(a.From, a.FromPort) {
+			if int(bi) >= ai {
 				break
 			}
 			if b := g.Arcs[bi]; b.To == a.To && b.ToPort == a.ToPort {
@@ -444,7 +440,7 @@ func (g *Graph) Validate() error {
 	}
 	for _, n := range g.Nodes {
 		for p := 0; p < n.NIns; p++ {
-			deg := g.InDegree(n.ID, p)
+			deg := len(x.In(n.ID, p))
 			switch {
 			case n.Kind == Merge && p == 0:
 				if deg < 2 {
@@ -513,7 +509,7 @@ func (g *Graph) Validate() error {
 // acyclic (prior steps only), and the operand count fits the engines'
 // 64-bit matching bitmask.
 func (g *Graph) validateFusions() error {
-	seen := map[int]bool{}
+	seen := make([]bool, len(g.Nodes))
 	for i := range g.Fusions {
 		fi := &g.Fusions[i]
 		if fi.Node < 0 || fi.Node >= len(g.Nodes) || g.Nodes[fi.Node].Kind != Fused {

@@ -33,7 +33,7 @@ func TestConnectAndArcLookup(t *testing.T) {
 	e := g.Add(&Node{Kind: End, NIns: 1})
 	g.Connect(s.ID, 0, e.ID, 0, true)
 	arcs := g.OutArcs(s.ID, 0)
-	if len(arcs) != 1 || arcs[0].To != e.ID || !arcs[0].Dummy {
+	if len(arcs) != 1 || g.Arcs[arcs[0]].To != e.ID || !g.Arcs[arcs[0]].Dummy {
 		t.Errorf("arcs = %+v", arcs)
 	}
 	if g.InDegree(e.ID, 0) != 1 {

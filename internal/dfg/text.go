@@ -455,7 +455,8 @@ func Listing(g *Graph) string {
 		fmt.Fprintf(&b, "%-28s", n.String())
 		var dests []string
 		for p := 0; p < n.OutPorts(); p++ {
-			for _, a := range g.OutArcs(n.ID, p) {
+			for _, ai := range g.OutArcs(n.ID, p) {
+				a := g.Arcs[ai]
 				d := fmt.Sprintf("d%d.%d", a.To, a.ToPort)
 				if n.OutPorts() > 1 {
 					d = fmt.Sprintf("%d→%s", p, d)

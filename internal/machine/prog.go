@@ -48,7 +48,8 @@ type op struct {
 type prog struct {
 	ops []op
 	// spans and targets are the CSR fan-out table, every (node, port)'s
-	// arcs in the graph's own arc order.
+	// arcs in the graph's own arc order. spans is the output half of the
+	// graph's index itself (shared, read-only); targets is the run's own.
 	spans   []int32
 	targets []target
 	// fusions and calls alias the graph's side tables (read-only).
@@ -58,16 +59,16 @@ type prog struct {
 }
 
 // lower builds the flat program of a graph that passed Validate, in one
-// O(nodes + arcs) pass: arcs are bucketed by (from, port) with a counting
-// sort, which keeps each port's arcs in ascending arc index — the order
-// Connect recorded them in and OutArcs reports.
+// O(nodes + arcs) pass. The bucketing of arcs by (from, port) is the
+// graph's index, not redone here: each port's arcs in ascending arc index
+// — the order Connect recorded them in and OutArcs reports — and, the graph
+// being valid, every arc in exactly one row.
 func lower(g *dfg.Graph) *prog {
 	p := &prog{ops: make([]op, len(g.Nodes)), fusions: g.Fusions, calls: g.Calls, maxIns: 1}
-	ports := int32(0)
+	x := g.Index()
 	for i, n := range g.Nodes {
 		o := &p.ops[i]
-		*o = op{val: n.Val, outs: ports, nIns: int32(n.NIns), aux: -1, kind: uint8(n.Kind), code: uint8(n.Op)}
-		ports += int32(n.OutPorts())
+		*o = op{val: n.Val, outs: int32(x.OutRow(i)), nIns: int32(n.NIns), aux: -1, kind: uint8(n.Kind), code: uint8(n.Op)}
 		if n.FiresPerToken() {
 			o.flags |= opSolo
 		}
@@ -89,22 +90,11 @@ func lower(g *dfg.Graph) *prog {
 			p.ops[a].aux = int32(i)
 		}
 	}
-	// Count into spans[i+2], prefix-sum so spans[i+1] is port i's start,
-	// then let the fill advance it to port i's end — port i+1's start.
-	p.spans = make([]int32, ports+2)
-	for i := range g.Arcs {
-		a := &g.Arcs[i]
-		p.spans[p.ops[a.From].outs+int32(a.FromPort)+2]++
-	}
-	for i := 2; i < len(p.spans); i++ {
-		p.spans[i] += p.spans[i-1]
-	}
-	p.targets = make([]target, len(g.Arcs))
-	for i := range g.Arcs {
-		a := &g.Arcs[i]
-		at := &p.spans[p.ops[a.From].outs+int32(a.FromPort)+1]
-		p.targets[*at] = target{node: int32(a.To), port: int32(a.ToPort)}
-		*at++
+	spans, ids := x.OutTable()
+	p.spans, p.targets = spans, make([]target, len(ids))
+	for i, ai := range ids {
+		a := &g.Arcs[ai]
+		p.targets[i] = target{node: int32(a.To), port: int32(a.ToPort)}
 	}
 	return p
 }

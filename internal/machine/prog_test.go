@@ -68,7 +68,8 @@ func checkLowering(t *testing.T, name string, g *dfg.Graph) {
 			if len(arcs) != len(span) {
 				t.Fatalf("%s: %s port %d: %d targets, %d arcs", name, n, port, len(span), len(arcs))
 			}
-			for i, a := range arcs {
+			for i, ai := range arcs {
+				a := g.Arcs[ai]
 				if int(span[i].node) != a.To || int(span[i].port) != a.ToPort {
 					t.Fatalf("%s: %s port %d target %d = %+v, arc %+v", name, n, port, i, span[i], a)
 				}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -80,6 +81,33 @@ func BenchmarkMachineRun(b *testing.B) {
 				}
 				benchOutcome = out
 			}
+		})
+	}
+}
+
+// BenchmarkLaneSweep is the machine's width sweep: workloads.Wide at
+// constant total work (lanes × iterations = 65 536, about 0.85 M firings)
+// from 4 lanes to 256, so per-node state grows 64-fold — 66 to 4 098
+// nodes, past every cache level's share of it — while the firings stay the
+// same. It reports ns per firing and firings per cycle; ROADMAP item 7
+// records what it read.
+func BenchmarkLaneSweep(b *testing.B) {
+	wide := translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}
+	const work = 1 << 16
+	for _, lanes := range []int{4, 16, 64, 256} {
+		g := benchGraph(b, workloads.Wide(lanes, work/lanes), wide, false)
+		b.Run(fmt.Sprintf("lanes-%d", lanes), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out, err := Run(g, Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchOutcome = out
+			}
+			st := benchOutcome.Stats
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(st.Ops), "ns/firing")
+			b.ReportMetric(float64(st.Ops)/float64(st.Cycles), "firings/cycle")
+			b.ReportMetric(float64(len(g.Nodes)), "nodes")
 		})
 	}
 }

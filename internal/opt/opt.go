@@ -48,7 +48,6 @@ import (
 	"fmt"
 
 	"ctdf/internal/translate"
-	"ctdf/internal/vet"
 )
 
 // maxRounds bounds the pipeline fixpoint; each round must remove at
@@ -60,7 +59,7 @@ const maxRounds = 1024
 // res.Opt and returned. Graphs without translation metadata (loaded from
 // text) still get the metadata-free passes (fusion, merge collapsing,
 // dead elimination); switch sinking needs the CFG to recompute the
-// minimal placement and is skipped without it.
+// minimal placement and sinks nothing without it.
 func Run(res *translate.Result) (*translate.OptCertificate, error) {
 	if res == nil || res.Graph == nil {
 		return nil, fmt.Errorf("opt: no graph to optimize")
@@ -68,29 +67,23 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 	if len(res.Graph.Calls) > 0 {
 		return nil, fmt.Errorf("opt: linked procedure graphs are not optimizable (call linkage pins node ids)")
 	}
+	return newWork(res.Graph).run(res)
+}
+
+// run iterates the pipeline over w, the working form of res.Graph, to its
+// fixpoint and stores the outcome in res.
+func (w *work) run(res *translate.Result) (*translate.OptCertificate, error) {
 	cert := &translate.OptCertificate{
 		RemovedSwitches: map[translate.StmtTok]int{},
 		RemovedMerges:   map[translate.StmtTok]int{},
 	}
-
-	// The sinking work-list criterion is exactly the predicate behind
-	// vet's "redundant switch" warning: the recomputed §4 placement has
-	// no entry for the (fork, token) slot.
-	minimal, err := vet.MinimalPlacement(res)
-	if err != nil {
-		minimal = nil // metadata-free graph: skip the placement-driven pass
-	}
-
-	w := newWork(res.Graph)
 	counts := [4]int{}
 	for round := 0; ; round++ {
 		if round >= maxRounds {
 			return nil, fmt.Errorf("opt: pipeline did not reach a fixpoint after %d rounds", maxRounds)
 		}
 		before := counts
-		if minimal != nil {
-			counts[0] += w.sinkSwitches(minimal, cert)
-		}
+		counts[0] += w.sinkSwitches(res, cert)
 		counts[1] += w.collapseMerges(cert)
 		counts[2] += w.fuseOperators()
 		counts[3] += w.eliminateDead(res)
@@ -100,6 +93,7 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 	}
 	g := res.Graph
 	if counts != [4]int{} {
+		var err error
 		if g, err = w.graph(); err != nil {
 			return nil, err
 		}

@@ -192,6 +192,59 @@ func TestSinkLeavesMinimalPlacementAlone(t *testing.T) {
 	}
 }
 
+// TestPlacementComputedOnDemand pins both halves of the on-demand rule on
+// the ruler's structured program. Under plain Schema2 the sinking pass
+// removes exactly the pairs it removed when the placement was computed up
+// front (counts recorded from that version), and recomputes the placement
+// once for all of them and every round. Under Schema2Opt no switch/merge
+// pair matches the structural pattern, so the run never computes it.
+func TestPlacementComputedOnDemand(t *testing.T) {
+	for _, c := range []struct {
+		schema     translate.Schema
+		passes     [4]int
+		nodes      int
+		placements int
+	}{
+		{translate.Schema2, [4]int{1622, 344, 562, 0}, 10548, 1},
+		{translate.Schema2Opt, [4]int{0, 93, 562, 0}, 3118, 0},
+	} {
+		res, err := translate.Translate(cfg.MustBuild(workloads.Random(1990, 40, 3).Parse()), translate.Options{Schema: c.schema})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWork(res.Graph)
+		cert, err := w.run(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [4]int
+		for i, p := range cert.Passes {
+			got[i] = p.Rewrites
+		}
+		if got != c.passes || len(res.Graph.Nodes) != c.nodes {
+			t.Errorf("%v: rewrites %v leaving %d nodes, want %v leaving %d", c.schema, got, len(res.Graph.Nodes), c.passes, c.nodes)
+		}
+		if w.placements != c.placements {
+			t.Errorf("%v: placement recomputed %d times, want %d", c.schema, w.placements, c.placements)
+		}
+	}
+	// Without translation metadata there is no placement to recompute:
+	// the one attempt fails and nothing is sunk.
+	res, err := translate.Translate(cfg.MustBuild(workloads.MustByName("fig9-bypass").Parse()), translate.Options{Schema: translate.Schema2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &translate.Result{Graph: res.Graph}
+	w := newWork(bare.Graph)
+	cert, err := w.run(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Passes[0].Rewrites != 0 || w.placements != 1 || w.minimal != nil {
+		t.Errorf("metadata-free graph: %d pairs sunk, placement tried %d times", cert.Passes[0].Rewrites, w.placements)
+	}
+}
+
 func freshCert() *translate.OptCertificate {
 	return &translate.OptCertificate{
 		RemovedSwitches: map[translate.StmtTok]int{},

@@ -1,9 +1,9 @@
 package opt
 
 import (
-	"ctdf/internal/analysis"
 	"ctdf/internal/dfg"
 	"ctdf/internal/translate"
+	"ctdf/internal/vet"
 )
 
 // sinkSwitches removes switch/merge identity pairs — the Figure 9
@@ -12,7 +12,8 @@ import (
 // Legality (semantic): the recomputed §4 minimal placement does not
 // need a switch for (fork, token). By Theorem 1 the token's value is
 // not live across the conditional in a way that requires routing, so
-// steering it per-arm is pure overhead.
+// steering it per-arm is pure overhead. This is exactly the predicate
+// behind vet's "redundant switch" warning.
 //
 // Pattern (structural): both switch arms are wired, via exactly one arc
 // each, into port 0 of the same 2-input merge for the same token, and
@@ -30,7 +31,12 @@ import (
 // or its merge. The sweeps also collapse nested diamonds inside-out,
 // since deleting an inner pair turns the outer pair's arms into single
 // arcs. It returns the number of pairs removed.
-func (w *work) sinkSwitches(minimal *analysis.Placement, cert *translate.OptCertificate) int {
+//
+// Neither condition has an effect until both hold, so the cheap one is
+// tested first: the placement is recomputed when the first pair that
+// matches the pattern asks for it (needsSwitch), and a translation that
+// already placed its switches minimally never pays for it.
+func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificate) int {
 	total := 0
 	for {
 		w.sweep++
@@ -38,9 +44,6 @@ func (w *work) sinkSwitches(minimal *analysis.Placement, cert *translate.OptCert
 		for id, sw := range w.nodes {
 			if sw == nil || sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" || !w.fresh(id) {
 				continue
-			}
-			if minimal.NeedsSwitch(sw.Stmt, sw.Tok) {
-				continue // required by Theorem 1: removing it would break determinacy
 			}
 			o0, o1 := w.outs.only(w.outs.slot(id, 0)), w.outs.only(w.outs.slot(id, 1))
 			if o0 < 0 || o1 < 0 {
@@ -65,8 +68,8 @@ func (w *work) sinkSwitches(minimal *analysis.Placement, cert *translate.OptCert
 				// duplicate an existing arc; if it would, leave the pair.
 				ok = !w.hasArc(data.From, data.FromPort, w.arcs[mi].To, w.arcs[mi].ToPort)
 			}
-			if !ok {
-				continue
+			if !ok || w.needsSwitch(res, sw) {
+				continue // required by Theorem 1: removing it would break determinacy
 			}
 			for k := w.outs.size(mouts); k > 0; k-- {
 				mi := w.outs.first(mouts)
@@ -90,4 +93,16 @@ func (w *work) sinkSwitches(minimal *analysis.Placement, cert *translate.OptCert
 		}
 		total += n
 	}
+}
+
+// needsSwitch reports whether the §4 minimal placement requires switch sw
+// — always, when there is no translation metadata to recompute it from.
+// The placement is vet's recomputation, independent of the translator's,
+// made at the first call and kept for the run.
+func (w *work) needsSwitch(res *translate.Result, sw *dfg.Node) bool {
+	if w.placements == 0 {
+		w.placements++
+		w.minimal, _ = vet.MinimalPlacement(res)
+	}
+	return w.minimal == nil || w.minimal.NeedsSwitch(sw.Stmt, sw.Tok)
 }

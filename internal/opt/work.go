@@ -3,13 +3,14 @@ package opt
 import (
 	"fmt"
 
+	"ctdf/internal/analysis"
 	"ctdf/internal/dfg"
 )
 
 // work is the optimizer's private working graph. dfg.Graph is
-// append-only by design (its arc indices and target caches assume
-// immutability), so the passes edit this flat form in place instead and a
-// dfg.Graph is built from it once, at the end of the run. Node and arc
+// append-only by design (its index is built for a graph that only grows),
+// so the passes edit this flat form in place instead and a dfg.Graph is
+// built from it once, at the end of the run. Node and arc
 // tables only grow: a deleted node leaves a nil, a deleted arc a cleared
 // live bit, so ids stay stable across passes and table order is creation
 // order — the order survivors keep in the final graph, exactly as if the
@@ -28,6 +29,12 @@ type work struct {
 	// list of the node; sweep numbers the sweeps of the whole run.
 	touched []int32
 	sweep   int32
+
+	// minimal is the recomputed §4 placement, nil until a switch/merge
+	// pair asks for it (needsSwitch) and still nil when it cannot be
+	// computed; placements counts the recomputations, at most one a run.
+	minimal    *analysis.Placement
+	placements int
 
 	// Scratch of fuseOperators, kept between rounds.
 	treeOf  []int32

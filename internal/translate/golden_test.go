@@ -116,7 +116,8 @@ func TestGoldenFig9BypassWiring(t *testing.T) {
 	// operation chain directly: follow the single dummy arc.
 	arcs := dg.OutArcs(firstStore.ID, 0)
 	foundDirect := false
-	for _, a := range arcs {
+	for _, ai := range arcs {
+		a := dg.Arcs[ai]
 		to := dg.Nodes[a.To]
 		// Acceptable direct targets: the load of x in the second statement
 		// (x := 0 has no load — so the store itself) or the store.

@@ -170,18 +170,22 @@ func memoryOps(g *dfg.Graph) (ops []*dfg.Node, opOf []int) {
 // post-order — successors first, so only arcs closing a cycle leave work
 // for the next sweep — until a sweep changes nothing.
 func reachOps(u *Unit, opOf []int, words int) []uint64 {
+	arcs := u.G.Arcs
 	rows := make([]uint64, len(u.G.Nodes)*words)
-	for _, a := range u.out.arcs {
-		if k := opOf[a.To]; k >= 0 {
-			rows[a.From*words+k/64] |= 1 << (k % 64)
+	for n := range u.G.Nodes {
+		for _, ai := range u.adj.OutOf(n) {
+			if k := opOf[arcs[ai].To]; k >= 0 {
+				rows[n*words+k/64] |= 1 << (k % 64)
+			}
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range u.post {
 			row := rows[n*words : (n+1)*words]
-			for _, a := range u.out.node(n) {
-				for i, w := range rows[a.To*words : (a.To+1)*words] {
+			for _, ai := range u.adj.OutOf(n) {
+				to := arcs[ai].To
+				for i, w := range rows[to*words : (to+1)*words] {
 					if row[i]|w != row[i] {
 						row[i] |= w
 						changed = true
@@ -197,11 +201,12 @@ func reachOps(u *Unit, opOf []int, words int) []uint64 {
 // flowing through it.
 type tokenTracer struct {
 	u *Unit
-	// memo[node][port]; nil = not yet computed, inProgress marks a cycle
-	// being expanded (contributes nothing — a token line cannot originate
-	// inside a cycle that never reaches start).
-	memo       []map[int]map[string]bool
-	inProgress []map[int]bool
+	// memo and state hold one entry per output row of the graph's index.
+	// A port being expanded contributes nothing when a cycle leads back to
+	// it — a token line cannot originate inside a cycle that never reaches
+	// start.
+	memo  []map[string]bool
+	state []uint8 // traceNew, traceExpanding, traceDone
 	// parallel marks §6.3-parallelized store statements, whose StoreIdx
 	// emits the loop's completion token rather than the array tokens.
 	parallel map[int]string
@@ -210,18 +215,21 @@ type tokenTracer struct {
 	calls map[int]*dfg.CallInfo
 }
 
+const (
+	traceNew uint8 = iota
+	traceExpanding
+	traceDone
+)
+
 func newTokenTracer(u *Unit) *tokenTracer {
+	rows := u.adj.OutRow(len(u.G.Nodes))
 	tr := &tokenTracer{
-		u:          u,
-		memo:       make([]map[int]map[string]bool, len(u.G.Nodes)),
-		inProgress: make([]map[int]bool, len(u.G.Nodes)),
-		parallel:   map[int]string{},
-		all:        map[string]bool{},
-		calls:      map[int]*dfg.CallInfo{},
-	}
-	for i := range u.G.Nodes {
-		tr.memo[i] = map[int]map[string]bool{}
-		tr.inProgress[i] = map[int]bool{}
+		u:        u,
+		memo:     make([]map[string]bool, rows),
+		state:    make([]uint8, rows),
+		parallel: map[int]string{},
+		all:      map[string]bool{},
+		calls:    map[int]*dfg.CallInfo{},
 	}
 	for _, ps := range u.Res.ParallelStores {
 		tr.parallel[ps.StoreStmt] = ps.DoneToken()
@@ -236,10 +244,17 @@ func newTokenTracer(u *Unit) *tokenTracer {
 }
 
 // portTokens is the union over the arcs entering (node, port) of the
-// tokens each source emits.
+// tokens each source emits. Token sets are read, never written, once
+// returned, so a port fed by one arc shares its source's.
 func (tr *tokenTracer) portTokens(node, port int) map[string]bool {
+	in := tr.u.In(node, port)
+	if len(in) == 1 {
+		a := &tr.u.G.Arcs[in[0]]
+		return tr.outTokens(a.From, a.FromPort)
+	}
 	out := map[string]bool{}
-	for _, a := range tr.u.In(node, port) {
+	for _, ai := range in {
+		a := &tr.u.G.Arcs[ai]
 		for tok := range tr.outTokens(a.From, a.FromPort) {
 			out[tok] = true
 		}
@@ -252,17 +267,16 @@ func (tr *tokenTracer) outTokens(node, port int) map[string]bool {
 	if node < 0 || node >= len(tr.u.G.Nodes) {
 		return nil
 	}
-	if got, ok := tr.memo[node][port]; ok {
-		return got
-	}
-	if tr.inProgress[node][port] {
+	row := tr.u.adj.OutRow(node) + port
+	if port < 0 || row >= tr.u.adj.OutRow(node+1) || tr.state[row] == traceExpanding {
 		return nil
 	}
-	tr.inProgress[node][port] = true
-	got := tr.compute(tr.u.G.Nodes[node], port)
-	tr.inProgress[node][port] = false
-	tr.memo[node][port] = got
-	return got
+	if tr.state[row] == traceNew {
+		tr.state[row] = traceExpanding
+		tr.memo[row] = tr.compute(tr.u.G.Nodes[node], port)
+		tr.state[row] = traceDone
+	}
+	return tr.memo[row]
 }
 
 func (tr *tokenTracer) compute(n *dfg.Node, port int) map[string]bool {

@@ -64,12 +64,15 @@ func BenchmarkVet(b *testing.B) {
 }
 
 // vetAllocBudget bounds the allocations of one vet.Run on the budget
-// program. The run made 983 k when every pass kept its sets in maps and
-// makes about 61 k now; the gate leaves that some headroom across Go
-// versions while staying far under the 60 % (590 k) the rewrite had to
-// meet. Allocation counts repeat exactly, so this gate is deterministic
-// where wall time is not.
-const vetAllocBudget = 150_000
+// program. The run made 983 k when every pass kept its sets in maps, 61 k
+// after the passes moved onto one index and two dense solvers, 19.9 k with
+// that index counting-sorted from two private copies of every arc, and
+// makes 9.4 k now that the passes read the graph's own index and the
+// alias-cover trace keys its memo by the index's output rows instead of
+// two maps per node. The gate is that count (under -race) × 1.25.
+// Allocation counts repeat exactly, so this gate is deterministic where
+// wall time is not.
+const vetAllocBudget = 11_750
 
 func TestVetAllocBudget(t *testing.T) {
 	res := compile(t, workloads.Random(1990, 40, 3), translate.Options{Schema: translate.Schema2Opt}, true)

@@ -54,8 +54,9 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 			case n.Kind == dfg.Merge && p == 0:
 				for i := 0; i < len(arcs); i++ {
 					for j := i + 1; j < len(arcs); j++ {
-						gi := guards.at(arcs[i].From, arcs[i].FromPort)
-						gj := guards.at(arcs[j].From, arcs[j].FromPort)
+						ai, aj := &g.Arcs[arcs[i]], &g.Arcs[arcs[j]]
+						gi := guards.at(ai.From, ai.FromPort)
+						gj := guards.at(aj.From, aj.FromPort)
 						if gi.top || gj.top {
 							continue // a source that never fires cannot collide (reported by token-balance)
 						}
@@ -63,7 +64,7 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 							ds = append(ds, Diagnostic{
 								Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: n.Tok,
 								Msg: fmt.Sprintf("merge inputs from d%d.%d and d%d.%d are not on disjoint predicate paths: one execution can deliver both tokens under one tag",
-									arcs[i].From, arcs[i].FromPort, arcs[j].From, arcs[j].FromPort),
+									ai.From, ai.FromPort, aj.From, aj.FromPort),
 							})
 						}
 					}
@@ -111,7 +112,7 @@ func disjoint(a, b guardSet) bool {
 }
 
 // guardTable holds the guard set of every output port, one row of words
-// uint64s per row of the Unit's output index.
+// uint64s per output row of the graph's index.
 type guardTable struct {
 	u     *Unit
 	words int
@@ -128,7 +129,7 @@ type guardTable struct {
 }
 
 func (t *guardTable) at(node, port int) guardSet {
-	row := t.u.out.base[node] + port
+	row := t.u.adj.OutRow(node) + port
 	return guardSet{top: t.top[row], bits: t.bits[row*t.words : (row+1)*t.words]}
 }
 
@@ -162,7 +163,7 @@ func newGuardTable(u *Unit) *guardTable {
 		// each other.
 		w := predWire{-n.ID - 1, -1}
 		if arcs := u.In(n.ID, 1); len(arcs) == 1 {
-			w = predWire{arcs[0].From, arcs[0].FromPort}
+			w = predWire{g.Arcs[arcs[0]].From, g.Arcs[arcs[0]].FromPort}
 		}
 		i, ok := index[w]
 		if !ok {
@@ -172,7 +173,7 @@ func newGuardTable(u *Unit) *guardTable {
 		}
 		t.arm[n.ID] = 2 * i
 	}
-	rows := u.out.base[len(g.Nodes)]
+	rows := u.adj.OutRow(len(g.Nodes))
 	t.words = (2*len(t.wires) + 63) / 64
 	t.top = make([]bool, rows)
 	for i := range t.top {
@@ -184,7 +185,7 @@ func newGuardTable(u *Unit) *guardTable {
 	// A set only ever shrinks, so a port changes at most once per arm plus
 	// once to leave ⊤, and each change requeues the port's consumers: the
 	// updates cannot outnumber the bound unless monotonicity is broken.
-	bound := len(g.Nodes) + (2*len(t.wires)+1)*len(u.out.arcs)
+	bound := len(g.Nodes) + (2*len(t.wires)+1)*u.adj.NumArcs()
 	clean := make([]bool, len(g.Nodes)) // outputs current with the operands
 	for pending, steps := len(clean), 0; pending > 0; {
 		for i := len(u.post) - 1; i >= 0; i-- {
@@ -200,9 +201,9 @@ func newGuardTable(u *Unit) *guardTable {
 			if !t.update(g.Nodes[n]) {
 				continue
 			}
-			for _, a := range u.out.node(n) {
-				if clean[a.To] {
-					clean[a.To] = false
+			for _, ai := range u.adj.OutOf(n) {
+				if to := g.Arcs[ai].To; clean[to] {
+					clean[to] = false
 					pending++
 				}
 			}
@@ -214,7 +215,7 @@ func newGuardTable(u *Unit) *guardTable {
 
 // update recomputes node n's output guards; reports whether they changed.
 func (t *guardTable) update(n *dfg.Node) bool {
-	row := t.u.out.base[n.ID]
+	row := t.u.adj.OutRow(n.ID)
 	switch n.Kind {
 	case dfg.Switch:
 		top := t.firingGuard(n)
@@ -232,7 +233,7 @@ func (t *guardTable) update(n *dfg.Node) bool {
 		return t.set(row, t.meetPort(t.fire, t.meetPort(t.fire, true, n.ID, 0), n.ID, 1), t.fire)
 	}
 	top, changed := t.firingGuard(n), false
-	for p := row; p < t.u.out.base[n.ID+1]; p++ {
+	for p := row; p < t.u.adj.OutRow(n.ID+1); p++ {
 		changed = t.set(p, top, t.fire) || changed
 	}
 	return changed
@@ -254,7 +255,8 @@ func (t *guardTable) set(row int, top bool, bits []uint64) bool {
 // the guard of the input port: a multi-arc port is a merge point, so only
 // common guards survive, and an unfed port stays ⊤ — it never matches.
 func (t *guardTable) meetPort(dst []uint64, top bool, node, port int) bool {
-	for _, a := range t.u.In(node, port) {
+	for _, ai := range t.u.In(node, port) {
+		a := &t.u.G.Arcs[ai]
 		switch src := t.at(a.From, a.FromPort); {
 		case src.top:
 		case top:

@@ -100,7 +100,7 @@ func refPassDeterminacy(u *Unit) ([]Diagnostic, string) {
 	var ds []Diagnostic
 	for _, n := range g.Nodes {
 		for p := 0; p < n.NIns; p++ {
-			arcs := u.In(n.ID, p)
+			arcs := refArcs(u, u.In(n.ID, p))
 			if len(arcs) < 2 {
 				continue
 			}
@@ -312,7 +312,7 @@ func (t *refGuardTable) update(n *dfg.Node) bool {
 // switch with a malformed control port (no arc, or several) falls back to
 // its own identity so its arms at least exclude each other.
 func (t *refGuardTable) predKey(n *dfg.Node) refGuardKey {
-	if arcs := t.u.In(n.ID, 1); len(arcs) == 1 {
+	if arcs := refArcs(t.u, t.u.In(n.ID, 1)); len(arcs) == 1 {
 		return refGuardKey{predNode: arcs[0].From, predPort: arcs[0].FromPort}
 	}
 	return refGuardKey{predNode: -n.ID - 1, predPort: -1}
@@ -322,7 +322,7 @@ func (t *refGuardTable) predKey(n *dfg.Node) refGuardKey {
 // arcs (a multi-arc port is a merge point — only common guards survive).
 // An unfed port is ⊤: it never matches.
 func (t *refGuardTable) portGuard(n *dfg.Node, p int) refGuardSet {
-	arcs := t.u.In(n.ID, p)
+	arcs := refArcs(t.u, t.u.In(n.ID, p))
 	if len(arcs) == 0 {
 		return refGuardSet{top: true}
 	}
@@ -409,7 +409,7 @@ func refForwardReach(u *Unit, src int) []bool {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for p := 0; p < u.G.Nodes[n].OutPorts(); p++ {
-			for _, a := range u.Out(n, p) {
+			for _, a := range refArcs(u, u.Out(n, p)) {
 				if !seen[a.To] {
 					seen[a.To] = true
 					stack = append(stack, a.To)
@@ -418,4 +418,14 @@ func refForwardReach(u *Unit, src int) []bool {
 		}
 	}
 	return seen
+}
+
+// refArcs resolves a row of the graph's index to arc values, the form the
+// reference was written against.
+func refArcs(u *Unit, ids []int32) []dfg.Arc {
+	arcs := make([]dfg.Arc, len(ids))
+	for i, ai := range ids {
+		arcs[i] = u.G.Arcs[ai]
+	}
+	return arcs
 }

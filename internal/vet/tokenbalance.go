@@ -48,10 +48,10 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, a := range u.in.node(n) {
-			if !bwd[a.From] {
-				bwd[a.From] = true
-				stack = append(stack, a.From)
+		for _, ai := range u.adj.InTo(n) {
+			if from := g.Arcs[ai].From; !bwd[from] {
+				bwd[from] = true
+				stack = append(stack, from)
 			}
 		}
 	}

@@ -217,17 +217,16 @@ func (u *Unit) run(passes []Pass) *Report {
 }
 
 // Unit is the subject of a vet run: the graph, optional translation
-// metadata, and a defensively built arc index (mutated or hand-written
-// graphs may violate the invariants dfg.Graph's own index assumes, so the
-// passes never trust it).
+// metadata, and what the passes share — the graph's adjacency and a
+// depth-first order over it.
 type Unit struct {
 	G   *dfg.Graph
 	Res *translate.Result
 
-	// in and out index the arcs by the port they enter and leave. Arcs
-	// referencing out-of-range nodes or ports are dropped here and
-	// reported by the structure pass.
-	in, out arcIndex
+	// adj is the graph's own index. Mutated or hand-written graphs may hold
+	// arcs that name no node or no port; the index leaves those out, so the
+	// passes never meet them, and the structure pass reports them.
+	adj *dfg.Index
 
 	// post lists every node in depth-first post-order over the arcs, the
 	// first fromStart of them being those reachable from start. The two
@@ -244,68 +243,9 @@ type Unit struct {
 }
 
 func newUnit(g *dfg.Graph, res *translate.Result) *Unit {
-	n := len(g.Nodes)
-	var arcs []dfg.Arc
-	for _, a := range g.Arcs {
-		if a.From >= 0 && a.From < n && a.To >= 0 && a.To < n &&
-			a.FromPort >= 0 && a.FromPort < g.Nodes[a.From].OutPorts() &&
-			a.ToPort >= 0 && a.ToPort < g.Nodes[a.To].NIns {
-			arcs = append(arcs, a)
-		}
-	}
-	u := &Unit{G: g, Res: res}
-	u.in = newArcIndex(g, arcs, func(nd *dfg.Node) int { return nd.NIns }, func(a dfg.Arc) (int, int) { return a.To, a.ToPort })
-	u.out = newArcIndex(g, arcs, (*dfg.Node).OutPorts, func(a dfg.Arc) (int, int) { return a.From, a.FromPort })
+	u := &Unit{G: g, Res: res, adj: g.Index()}
 	u.postOrder()
 	return u
-}
-
-// arcIndex groups arcs by port in compressed sparse rows: port p of node n
-// is row base[n]+p, and its arcs are arcs[off[row]:off[row+1]] in g.Arcs
-// order. A node's rows are adjacent, so all its arcs form one slice too.
-type arcIndex struct {
-	base, off []int
-	arcs      []dfg.Arc
-}
-
-// newArcIndex counting-sorts arcs by the (node, port) end picks, over
-// ports(n) rows per node.
-func newArcIndex(g *dfg.Graph, arcs []dfg.Arc, ports func(*dfg.Node) int, end func(dfg.Arc) (node, port int)) arcIndex {
-	x := arcIndex{base: make([]int, len(g.Nodes)+1), arcs: make([]dfg.Arc, len(arcs))}
-	for i, nd := range g.Nodes {
-		x.base[i+1] = x.base[i] + max(ports(nd), 0)
-	}
-	rows := x.base[len(g.Nodes)]
-	off := make([]int, rows+2) // counts land two slots up, so that filling leaves off[r] at row r's start
-	for _, a := range arcs {
-		n, p := end(a)
-		off[x.base[n]+p+2]++
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	for _, a := range arcs {
-		n, p := end(a)
-		r := x.base[n] + p + 1
-		x.arcs[off[r]] = a
-		off[r]++
-	}
-	x.off = off[:rows+1]
-	return x
-}
-
-// port returns the arcs at (node, port), none if node has no such port.
-func (x *arcIndex) port(node, port int) []dfg.Arc {
-	row := x.base[node] + port
-	if port < 0 || row >= x.base[node+1] {
-		return nil
-	}
-	return x.arcs[x.off[row]:x.off[row+1]]
-}
-
-// node returns the arcs at any port of node.
-func (x *arcIndex) node(node int) []dfg.Arc {
-	return x.arcs[x.off[x.base[node]]:x.off[x.base[node+1]]]
 }
 
 // postOrder fills post and fromStart by iterative depth-first search,
@@ -321,13 +261,13 @@ func (u *Unit) postOrder() {
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
-			arcs := u.out.node(v)
+			arcs := u.adj.OutOf(v)
 			if followed[v] == len(arcs) {
 				u.post = append(u.post, v)
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			to := arcs[followed[v]].To
+			to := u.G.Arcs[arcs[followed[v]]].To
 			followed[v]++
 			if !seen[to] {
 				seen[to] = true
@@ -346,11 +286,11 @@ func (u *Unit) postOrder() {
 	}
 }
 
-// In returns the arcs entering (node, port).
-func (u *Unit) In(node, port int) []dfg.Arc { return u.in.port(node, port) }
+// In returns the ids of the arcs entering (node, port).
+func (u *Unit) In(node, port int) []int32 { return u.adj.In(node, port) }
 
-// Out returns the arcs leaving (node, port).
-func (u *Unit) Out(node, port int) []dfg.Arc { return u.out.port(node, port) }
+// Out returns the ids of the arcs leaving (node, port).
+func (u *Unit) Out(node, port int) []int32 { return u.adj.Out(node, port) }
 
 // hasMeta reports whether translation-validation metadata is available.
 func (u *Unit) hasMeta() bool {
@@ -360,8 +300,8 @@ func (u *Unit) hasMeta() bool {
 const noMetaReason = "no translation metadata (graph loaded from text or linked)"
 
 // passStructure reruns the structural validator and reports its first
-// finding as a diagnostic; the remaining passes still run (their arc index
-// ignores malformed arcs), so one broken invariant does not hide others.
+// finding as a diagnostic; the remaining passes still run (the index holds
+// no malformed arc), so one broken invariant does not hide others.
 func passStructure(u *Unit) ([]Diagnostic, string) {
 	if err := u.G.Validate(); err != nil {
 		return []Diagnostic{{

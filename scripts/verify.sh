@@ -94,7 +94,7 @@ go tool pprof -raw /tmp/ctdf-verify.pprof.pb.gz >/dev/null
 rm -f /tmp/ctdf-verify.pprof.pb.gz
 
 echo "== benchmark smoke =="
-go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet|BenchmarkMachineRun|BenchmarkCompile' -benchtime=1x . ./internal/vet ./internal/machine
+go test -run=NONE -bench='BenchmarkE11|BenchmarkObs|BenchmarkTelemetry|BenchmarkVet|BenchmarkMachineRun|BenchmarkLaneSweep|BenchmarkCompile' -benchtime=1x . ./internal/vet ./internal/machine
 
 echo "== /metrics endpoint smoke =="
 # Serve the telemetry registry over real HTTP, run an instrumented
