@@ -158,7 +158,7 @@ func TestIndexIsTheArcTable(t *testing.T) {
 		each(workloads.RandomAliased(seed, 5, 2))
 		each(workloads.RandomProcs(seed, 3))
 	}
-	if graphs < 400 {
+	if graphs < 600 {
 		t.Fatalf("only %d graphs checked; suite lost coverage", graphs)
 	}
 }

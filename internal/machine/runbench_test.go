@@ -87,10 +87,9 @@ func BenchmarkMachineRun(b *testing.B) {
 
 // BenchmarkLaneSweep is the machine's width sweep: workloads.Wide at
 // constant total work (lanes × iterations = 65 536, about 0.85 M firings)
-// from 4 lanes to 256, so per-node state grows 64-fold — 66 to 4 098
-// nodes, past every cache level's share of it — while the firings stay the
-// same. It reports ns per firing and firings per cycle; ROADMAP item 7
-// records what it read.
+// from 4 lanes to 256, so the firings stay the same while per-node state
+// grows 64-fold, 66 to 4 098 nodes. It reports ns per firing and firings
+// per cycle; ROADMAP item 7 records what it read.
 func BenchmarkLaneSweep(b *testing.B) {
 	wide := translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}
 	const work = 1 << 16

@@ -65,13 +65,14 @@ func BenchmarkVet(b *testing.B) {
 
 // vetAllocBudget bounds the allocations of one vet.Run on the budget
 // program. The run made 983 k when every pass kept its sets in maps, 61 k
-// after the passes moved onto one index and two dense solvers, 19.9 k with
-// that index counting-sorted from two private copies of every arc, and
-// makes 9.4 k now that the passes read the graph's own index and the
-// alias-cover trace keys its memo by the index's output rows instead of
-// two maps per node. The gate is that count (under -race) × 1.25.
-// Allocation counts repeat exactly, so this gate is deterministic where
-// wall time is not.
+// after the passes moved onto one index and two dense solvers, 19.9 k
+// while the alias-cover trace kept two maps per node for its memo, and
+// makes 9.4 k now that the memo is keyed by the output rows of the graph's
+// index and a single-source port shares its source's token set. (Reading
+// the graph's index instead of counting-sorting two private copies of
+// every arc saved bytes, 5.6 → 3.9 MB, not counts.) The gate is that count
+// (under -race, which allocates a little more) × 1.25. Allocation counts
+// repeat exactly, so this gate is deterministic where wall time is not.
 const vetAllocBudget = 11_750
 
 func TestVetAllocBudget(t *testing.T) {
