@@ -82,6 +82,22 @@ func TestCmdRunChannels(t *testing.T) {
 	}
 }
 
+// A linked graph goes through -legalize (it panicked before graphs were
+// edited in one place) and computes what the unlegalized run prints.
+func TestCmdRunLinkedLegalize(t *testing.T) {
+	out, err := capture(t, func() error {
+		return cmdRun([]string{"-workload", "proc-fortran", "-linked", "-legalize"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"a=6\n", "b=2\n", "c=20\n", "d=30\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestCmdRunBinding(t *testing.T) {
 	out, err := capture(t, func() error {
 		return cmdRun([]string{"-workload", "fortran-alias", "-schema", "schema3", "-binding", "x=z"})

@@ -1,10 +1,13 @@
 package ctdf
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"ctdf/internal/dfg"
+	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
 )
 
@@ -203,6 +206,78 @@ e := a + b + c
 	}
 	if got.Snapshot != want.Snapshot {
 		t.Error("legalization changed results")
+	}
+}
+
+// TestGraphPassesAcceptEveryGraphClass: LegalizeSynchTrees and
+// EliminateRedundantSwitches take every graph a translation hands over —
+// plain, optimized (fused nodes and their step programs) and linked (apply
+// nodes and their call linkage) — and hand back a valid graph that
+// computes the unedited graph's store on both engines.
+func TestGraphPassesAcceptEveryGraphClass(t *testing.T) {
+	passes := []struct {
+		name string
+		run  func(*Dataflow) (*Dataflow, int)
+	}{
+		{"legalize", (*Dataflow).LegalizeSynchTrees},
+		{"eliminate", (*Dataflow).EliminateRedundantSwitches},
+	}
+	cells, fused, rewritten := 0, 0, 0
+	check := func(label string, d *Dataflow) {
+		cells++
+		if d.graph().CountKind(dfg.Fused) > 0 {
+			fused++
+		}
+		for _, e := range []Engine{EngineMachine, EngineChannels} {
+			want, err := d.Run(RunConfig{Engine: e})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for _, p := range passes {
+				got, n := p.run(d)
+				if n > 0 {
+					rewritten++
+				}
+				if err := got.graph().Validate(); err != nil {
+					t.Fatalf("%s/%s: %v", label, p.name, err)
+				}
+				if a := translate.MaxSynchArity(got.graph()); p.name == "legalize" && a > 2 {
+					t.Errorf("%s: synch arity %d remains after legalizing", label, a)
+				}
+				r, err := got.Run(RunConfig{Engine: e})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", label, p.name, err)
+				}
+				if r.Snapshot != want.Snapshot {
+					t.Errorf("%s/%s changed the final store:\n%s\nwant:\n%s", label, p.name, r.Snapshot, want.Snapshot)
+				}
+			}
+		}
+	}
+	for _, w := range workloads.All() {
+		p, err := Compile(w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []Schema{Schema2, Schema2Opt, Schema3} {
+			for optimize := 0; optimize <= 1; optimize++ {
+				d, err := p.Translate(Options{Schema: s, Optimize: optimize})
+				if err != nil {
+					t.Fatalf("%s/%v: %v", w.Name, s, err)
+				}
+				check(fmt.Sprintf("%s/%v/optimize=%d", w.Name, s, optimize), d)
+			}
+		}
+		if strings.HasPrefix(w.Name, "proc-") {
+			d, err := p.TranslateLinked()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(w.Name+"/linked", d)
+		}
+	}
+	if fused < 40 || rewritten < 16 {
+		t.Fatalf("%d cells, %d with fused nodes, %d rewrites; suite lost coverage", cells, fused, rewritten)
 	}
 }
 

@@ -3,8 +3,8 @@ package dfg
 // Index is a graph's adjacency: for every port of every node, the ids of
 // the arcs leaving or entering it, in arc order. It is the one such table:
 // Validate, Listing, the channel engine and every vet pass read it in
-// place, and the machine lowers its fan-out table from it. Only the
-// optimizer, which edits, keeps per-port lists of its own.
+// place, and the machine lowers its fan-out table from it. Editing goes
+// through Editor, which hands back a graph with an index of its own.
 //
 // The table is compressed sparse rows over ports. Output ports come first,
 // numbered densely in node order (OutRow), then input ports likewise; row r

@@ -126,6 +126,16 @@ func TestIndexIsTheArcTable(t *testing.T) {
 		}
 		graphs++
 	}
+	forEachSuiteGraph(check)
+	if graphs < 600 {
+		t.Fatalf("only %d graphs checked; suite lost coverage", graphs)
+	}
+}
+
+// forEachSuiteGraph hands check every committed workload under every
+// schema, plain and optimized, linked graphs included, and generated
+// programs.
+func forEachSuiteGraph(check func(name string, g *dfg.Graph)) {
 	each := func(w workloads.Workload) {
 		prog := w.Parse()
 		if len(prog.Procs()) > 0 {
@@ -157,9 +167,6 @@ func TestIndexIsTheArcTable(t *testing.T) {
 		each(workloads.RandomUnstructured(seed, 3))
 		each(workloads.RandomAliased(seed, 5, 2))
 		each(workloads.RandomProcs(seed, 3))
-	}
-	if graphs < 600 {
-		t.Fatalf("only %d graphs checked; suite lost coverage", graphs)
 	}
 }
 

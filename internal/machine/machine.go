@@ -114,10 +114,6 @@ type Config struct {
 	// byte-identical final Outcome the original would have. Incompatible
 	// with Inject (fault plans count delivery sites from cycle 0).
 	Resume *Checkpoint
-	// ProfileLimit caps the recorded parallelism profile length (default
-	// 1<<16 cycles; negative values are rejected); statistics remain exact
-	// beyond it.
-	ProfileLimit int
 	// Trace, when non-nil, receives one line per operator firing
 	// ("cycle 12: d5: binop + [tag 0.1]"); it is implemented as an
 	// obs.TraceSink on the event stream.
@@ -157,9 +153,6 @@ func (c *Config) validate() error {
 	case c.MaxOps < 0:
 		return machcheck.Newf(machcheck.InvalidConfig, "machine",
 			"MaxOps must be >= 0 (0 = default 1e7), got %d", c.MaxOps)
-	case c.ProfileLimit < 0:
-		return machcheck.Newf(machcheck.InvalidConfig, "machine",
-			"ProfileLimit must be >= 0 (0 = default 65536), got %d", c.ProfileLimit)
 	case c.Deadline < 0:
 		return machcheck.Newf(machcheck.InvalidConfig, "machine",
 			"Deadline must be >= 0 (0 = none), got %v", c.Deadline)
@@ -209,7 +202,7 @@ type Stats struct {
 	// pressure).
 	PeakMatchStore int
 	// Profile[i] is the number of operations issued at cycle i (truncated
-	// to ProfileLimit entries).
+	// to profileLimit entries).
 	Profile []int
 }
 
@@ -294,6 +287,10 @@ type firing struct {
 // orders of magnitude before the next cycle boundary.
 const deadlineStride = 64
 
+// profileLimit caps the recorded parallelism profile (Stats.Profile), in
+// cycles; statistics remain exact beyond it.
+const profileLimit = 1 << 16
+
 // Run executes the dataflow graph to completion.
 //
 // Errors raised by the machine's own checks are *machcheck.Error values
@@ -317,9 +314,6 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	if cfgc.MaxOps == 0 {
 		cfgc.MaxOps = 10_000_000
-	}
-	if cfgc.ProfileLimit == 0 {
-		cfgc.ProfileLimit = 1 << 16
 	}
 	if err := cfgc.Binding.Validate(g.Prog); err != nil {
 		return nil, err
@@ -683,7 +677,7 @@ func (m *sim) noteIssue(issue int) error {
 	if issue > m.stats.MaxParallelism {
 		m.stats.MaxParallelism = issue
 	}
-	if m.cycle < m.cfg.ProfileLimit {
+	if m.cycle < profileLimit {
 		for len(m.stats.Profile) <= m.cycle {
 			m.stats.Profile = append(m.stats.Profile, 0)
 		}

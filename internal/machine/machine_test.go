@@ -320,7 +320,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 		{MemLatency: -2},
 		{MaxCycles: -3},
 		{MaxOps: -4},
-		{ProfileLimit: -5},
 		{Deadline: -time.Second},
 	}
 	for _, c := range bad {

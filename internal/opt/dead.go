@@ -28,9 +28,9 @@ func (w *work) eliminateDead(res *translate.Result) int {
 	// droppable: the arc's source port may go unconsumed, or keeps
 	// another consumer.
 	droppable := func(a dfg.Arc) bool {
-		sn := w.nodes[a.From]
+		sn := w.Nodes[a.From]
 		switch {
-		case w.outs.size(w.outs.slot(a.From, a.FromPort)) > 1, isValue(sn.Kind):
+		case w.Outs.Size(w.Outs.Slot(a.From, a.FromPort)) > 1, isValue(sn.Kind):
 			return true
 		case (sn.Kind == dfg.Load || sn.Kind == dfg.LoadIdx || sn.Kind == dfg.ILoad) && a.FromPort == 0:
 			return true
@@ -42,23 +42,19 @@ func (w *work) eliminateDead(res *translate.Result) int {
 	for changed := true; changed; {
 		changed = false
 	nodes:
-		for id, v := range w.nodes {
-			if v == nil || !isValue(v.Kind) || v.OutPorts() == 0 || w.outDegree(id) != 0 {
+		for id, v := range w.Nodes {
+			if v == nil || !isValue(v.Kind) || v.OutPorts() == 0 || w.OutDegree(id) != 0 {
 				continue
 			}
 			for p := 0; p < v.NIns; p++ {
-				for ai := w.ins.first(w.ins.slot(id, p)); ai >= 0; ai = w.ins.next(ai) {
-					if !droppable(w.arcs[ai]) {
+				for ai := w.Ins.First(w.Ins.Slot(id, p)); ai >= 0; ai = w.Ins.Next(ai) {
+					if !droppable(w.Arcs[ai]) {
 						continue nodes
 					}
 				}
 			}
-			for p := 0; p < v.NIns; p++ {
-				for slot := w.ins.slot(id, p); w.ins.first(slot) >= 0; {
-					w.killArc(w.ins.first(slot))
-				}
-			}
-			w.nodes[id] = nil
+			w.KillArcsInto(id)
+			w.Remove(id)
 			changed = true
 			n++
 		}

@@ -27,10 +27,10 @@ func (w *work) fuseOperators() int {
 	// under construction (binop/unop), so the node belongs to that
 	// consumer's tree rather than rooting its own.
 	absorbable := func(id int) bool {
-		if w.outDegree(id) != 1 {
+		if w.OutDegree(id) != 1 {
 			return false
 		}
-		k := w.nodes[w.arcs[w.outs.first(w.outs.slot(id, 0))].To].Kind
+		k := w.Nodes[w.Arcs[w.Outs.First(w.Outs.Slot(id, 0))].To].Kind
 		return k == dfg.BinOp || k == dfg.UnOp
 	}
 
@@ -42,8 +42,8 @@ func (w *work) fuseOperators() int {
 	}
 	// treeOf[v] is the tree node v joined, extPort[a] the external input
 	// port arc a feeds on crossing into a tree; -1 for none.
-	w.treeOf = minusOnes(w.treeOf, len(w.nodes))
-	w.extPort = minusOnes(w.extPort, len(w.arcs))
+	w.treeOf = minusOnes(w.treeOf, len(w.Nodes))
+	w.extPort = minusOnes(w.extPort, len(w.Arcs))
 	var trees []tree
 
 	// build adds node v and, producers first, the operators it absorbs to
@@ -56,16 +56,16 @@ func (w *work) fuseOperators() int {
 		if !okTree {
 			return 0
 		}
-		vn := w.nodes[v]
+		vn := w.Nodes[v]
 		var refs [2]int
 		for p := 0; p < vn.NIns; p++ {
-			ai := w.ins.only(w.ins.slot(v, p))
+			ai := w.Ins.Only(w.Ins.Slot(v, p))
 			if ai < 0 {
 				okTree = false
 				return 0
 			}
-			src := w.arcs[ai].From
-			if pure(w.nodes[src].Kind) && w.outDegree(src) == 1 && w.treeOf[src] == -1 {
+			src := w.Arcs[ai].From
+			if pure(w.Nodes[src].Kind) && w.OutDegree(src) == 1 && w.treeOf[src] == -1 {
 				refs[p] = build(src)
 			} else {
 				if t.nExt >= 64 {
@@ -93,11 +93,11 @@ func (w *work) fuseOperators() int {
 		t.members = append(t.members, v)
 		return len(t.steps) - 1
 	}
-	for id, root := range w.nodes {
+	for id, root := range w.Nodes {
 		if root == nil || (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || w.treeOf[id] != -1 {
 			continue
 		}
-		if w.outDegree(id) < 1 || absorbable(id) {
+		if w.OutDegree(id) < 1 || absorbable(id) {
 			continue
 		}
 		t, okTree = tree{root: id}, true
@@ -116,34 +116,34 @@ func (w *work) fuseOperators() int {
 
 	fusedID := make([]int, len(trees))
 	for i, t := range trees {
-		rn := w.nodes[t.root]
+		rn := w.Nodes[t.root]
 		fusedID[i] = w.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
-		w.fusions = append(w.fusions, dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int{len(t.steps) - 1}})
+		w.AddFusion(dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int{len(t.steps) - 1}})
 	}
 	// Rewire the arcs that were there before this round's; they connect
 	// nodes that were, too.
 	for ai := int32(0); int(ai) < len(w.extPort); ai++ {
-		a := w.arcs[ai]
+		a := w.Arcs[ai]
 		sT, dT := w.treeOf[a.From], w.treeOf[a.To]
-		if !w.live[ai] || (sT == -1 && dT == -1) {
+		if !w.Live(ai) || (sT == -1 && dT == -1) {
 			continue
 		}
-		w.killArc(ai)
+		w.KillArc(ai)
 		switch {
 		case dT == -1:
 			// Root output crossing out of the tree.
-			w.addArc(dfg.Arc{From: fusedID[sT], FromPort: 0, To: a.To, ToPort: a.ToPort, Dummy: a.Dummy})
+			w.AddArc(dfg.Arc{From: fusedID[sT], FromPort: 0, To: a.To, ToPort: a.ToPort, Dummy: a.Dummy})
 		case w.extPort[ai] >= 0:
 			if sT != -1 {
 				a.From, a.FromPort = fusedID[sT], 0 // the feeder is another tree's root
 			}
-			w.addArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: fusedID[dT], ToPort: int(w.extPort[ai]), Dummy: a.Dummy})
+			w.AddArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: fusedID[dT], ToPort: int(w.extPort[ai]), Dummy: a.Dummy})
 		}
 		// Otherwise an interior arc, dropped — that is the optimization.
 	}
 	for _, t := range trees {
 		for _, m := range t.members {
-			w.nodes[m] = nil
+			w.Remove(m)
 		}
 	}
 	return len(trees)

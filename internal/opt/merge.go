@@ -24,39 +24,39 @@ func (w *work) collapseMerges(cert *translate.OptCertificate) int {
 	for {
 		w.sweep++
 		n := 0
-		for id, m1 := range w.nodes {
+		for id, m1 := range w.Nodes {
 			if m1 == nil || m1.Kind != dfg.Merge || !w.fresh(id) {
 				continue
 			}
-			out := w.outs.only(w.outs.slot(id, 0))
+			out := w.Outs.Only(w.Outs.Slot(id, 0))
 			if out < 0 {
 				continue
 			}
-			a := w.arcs[out]
+			a := w.Arcs[out]
 			if a.ToPort != 0 || a.To == id {
 				continue
 			}
-			m2 := w.nodes[a.To]
+			m2 := w.Nodes[a.To]
 			if m2.Kind != dfg.Merge || m2.Tok != m1.Tok {
 				continue
 			}
-			arms := w.ins.slot(id, 0)
+			arms := w.Ins.Slot(id, 0)
 			ok := true
-			for ii := w.ins.first(arms); ii >= 0 && ok; ii = w.ins.next(ii) {
+			for ii := w.Ins.First(arms); ii >= 0 && ok; ii = w.Ins.Next(ii) {
 				// An arm that already feeds m2 directly would be duplicated.
-				ok = !w.hasArc(w.arcs[ii].From, w.arcs[ii].FromPort, m2.ID, 0)
+				ok = !w.HasArc(w.Arcs[ii].From, w.Arcs[ii].FromPort, m2.ID, 0)
 			}
 			if !ok {
 				continue
 			}
-			for ii := w.ins.first(arms); ii >= 0; ii = w.ins.first(arms) {
-				ia := w.arcs[ii]
-				w.addArc(dfg.Arc{From: ia.From, FromPort: ia.FromPort, To: m2.ID, ToPort: 0, Dummy: ia.Dummy})
-				w.killArc(ii)
+			for ii := w.Ins.First(arms); ii >= 0; ii = w.Ins.First(arms) {
+				ia := w.Arcs[ii]
+				w.AddArc(dfg.Arc{From: ia.From, FromPort: ia.FromPort, To: m2.ID, ToPort: 0, Dummy: ia.Dummy})
+				w.KillArc(ii)
 				w.touch(ia.From)
 			}
-			w.killArc(out)
-			w.nodes[id] = nil
+			w.KillArc(out)
+			w.Remove(id)
 			w.touch(m2.ID)
 			cert.RemovedMerges[translate.StmtTok{Stmt: m1.Stmt, Tok: m1.Tok}]++
 			n++

@@ -37,11 +37,11 @@
 // discarded anyway.
 //
 // The passes do not rewrite dfg.Graph values, which are append-only: one
-// run lowers its input once into a private working graph (work.go) whose
-// per-port adjacency is current after every edit, every pass edits that
-// in place, and a dfg.Graph is built from it once, after the last round
-// — or not at all when nothing was rewritten, in which case the input
-// graph itself is handed back.
+// run lowers its input once into a dfg.Editor, whose per-port adjacency
+// is current after every edit, every pass edits that in place, and a
+// dfg.Graph is built from it once, after the last round — or not at all
+// when nothing was rewritten, in which case the input graph itself is
+// handed back.
 package opt
 
 import (
@@ -94,8 +94,8 @@ func (w *work) run(res *translate.Result) (*translate.OptCertificate, error) {
 	g := res.Graph
 	if counts != [4]int{} {
 		var err error
-		if g, err = w.graph(); err != nil {
-			return nil, err
+		if g, err = w.Graph(); err != nil {
+			return nil, fmt.Errorf("opt: internal error: %w", err)
 		}
 	}
 	if err := g.Validate(); err != nil {

@@ -22,7 +22,7 @@ func runPass(t *testing.T, g *dfg.Graph, pass func(w *work) int) (*dfg.Graph, in
 	t.Helper()
 	w := newWork(g)
 	n := pass(w)
-	ng, err := w.graph()
+	ng, err := w.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}

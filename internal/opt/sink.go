@@ -41,49 +41,48 @@ func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificat
 	for {
 		w.sweep++
 		n := 0
-		for id, sw := range w.nodes {
+		for id, sw := range w.Nodes {
 			if sw == nil || sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" || !w.fresh(id) {
 				continue
 			}
-			o0, o1 := w.outs.only(w.outs.slot(id, 0)), w.outs.only(w.outs.slot(id, 1))
+			o0, o1 := w.Outs.Only(w.Outs.Slot(id, 0)), w.Outs.Only(w.Outs.Slot(id, 1))
 			if o0 < 0 || o1 < 0 {
 				continue
 			}
-			a0, a1 := w.arcs[o0], w.arcs[o1]
+			a0, a1 := w.Arcs[o0], w.Arcs[o1]
 			if a0.To != a1.To || a0.ToPort != 0 || a1.ToPort != 0 {
 				continue
 			}
-			m := w.nodes[a0.To]
-			if m.Kind != dfg.Merge || m.Tok != sw.Tok || w.ins.size(w.ins.slot(m.ID, 0)) != 2 || !w.fresh(m.ID) {
+			m := w.Nodes[a0.To]
+			if m.Kind != dfg.Merge || m.Tok != sw.Tok || w.Ins.Size(w.Ins.Slot(m.ID, 0)) != 2 || !w.fresh(m.ID) {
 				continue
 			}
-			din, cin := w.ins.only(w.ins.slot(id, 0)), w.ins.only(w.ins.slot(id, 1))
+			din, cin := w.Ins.Only(w.Ins.Slot(id, 0)), w.Ins.Only(w.Ins.Slot(id, 1))
 			if din < 0 || cin < 0 {
 				continue
 			}
-			data, mouts := w.arcs[din], w.outs.slot(m.ID, 0)
+			data, mouts := w.Arcs[din], w.Outs.Slot(m.ID, 0)
 			ok := true
-			for mi := w.outs.first(mouts); mi >= 0 && ok; mi = w.outs.next(mi) {
+			for mi := w.Outs.First(mouts); mi >= 0 && ok; mi = w.Outs.Next(mi) {
 				// Wiring the data source straight through must not
 				// duplicate an existing arc; if it would, leave the pair.
-				ok = !w.hasArc(data.From, data.FromPort, w.arcs[mi].To, w.arcs[mi].ToPort)
+				ok = !w.HasArc(data.From, data.FromPort, w.Arcs[mi].To, w.Arcs[mi].ToPort)
 			}
 			if !ok || w.needsSwitch(res, sw) {
 				continue // required by Theorem 1: removing it would break determinacy
 			}
-			for k := w.outs.size(mouts); k > 0; k-- {
-				mi := w.outs.first(mouts)
-				ma := w.arcs[mi]
-				w.addArc(dfg.Arc{From: data.From, FromPort: data.FromPort, To: ma.To, ToPort: ma.ToPort, Dummy: ma.Dummy})
-				w.killArc(mi)
-				w.touch(ma.To)
+			for k := w.Outs.Size(mouts); k > 0; k-- {
+				mi := w.Outs.First(mouts)
+				w.MoveSource(mi, data.From, data.FromPort)
+				w.touch(w.Arcs[mi].To)
 			}
 			w.touch(data.From)
-			w.touch(w.arcs[cin].From)
+			w.touch(w.Arcs[cin].From)
 			for _, a := range [...]int32{din, cin, o0, o1} {
-				w.killArc(a)
+				w.KillArc(a)
 			}
-			w.nodes[id], w.nodes[m.ID] = nil, nil
+			w.Remove(id)
+			w.Remove(m.ID)
 			cert.RemovedSwitches[translate.StmtTok{Stmt: sw.Stmt, Tok: sw.Tok}]++
 			cert.RemovedMerges[translate.StmtTok{Stmt: m.Stmt, Tok: m.Tok}]++
 			n++

@@ -1,7 +1,7 @@
 package translate
 
 import (
-	"sort"
+	"fmt"
 
 	"ctdf/internal/dfg"
 )
@@ -20,224 +20,79 @@ import (
 // direct §4.2 construction; the loop-bypass part of the direct
 // construction is out of its reach (that is the paper's argument for
 // building the optimized graph directly). The returned graph is a new
-// graph; the input is unchanged. The second result is the number of
+// graph; the input — any validated graph: translated, optimized, linked or
+// loaded from text — is unchanged. The second result is the number of
 // switches eliminated.
 func EliminateRedundantSwitches(g *dfg.Graph) (*dfg.Graph, int) {
-	m := newMutGraph(g)
+	e := dfg.NewEditor(g)
 	eliminated := 0
-	for {
-		changed := false
-		for _, id := range m.liveIDs() {
-			n := m.nodes[id]
-			if n == nil || n.Kind != dfg.Switch {
-				// The node may have been removed earlier in this sweep.
+	for changed := true; changed; {
+		changed = false
+		for id, sw := range e.Nodes {
+			if sw == nil || sw.Kind != dfg.Switch {
 				continue
 			}
 			// Both outputs must each feed exactly one arc, into the same
 			// merge's single input port.
-			t := m.outs[id][0]
-			f := m.outs[id][1]
-			if len(t) != 1 || len(f) != 1 {
+			t, f := e.Outs.Only(e.Outs.Slot(id, 0)), e.Outs.Only(e.Outs.Slot(id, 1))
+			if t < 0 || f < 0 {
 				continue
 			}
-			mt, mf := t[0], f[0]
-			if mt.Node != mf.Node || mt.Port != 0 || mf.Port != 0 {
+			mg := e.Arcs[t].To
+			if e.Arcs[f].To != mg || e.Arcs[t].ToPort != 0 || e.Arcs[f].ToPort != 0 {
 				continue
 			}
-			mg := m.nodes[mt.Node]
-			if mg.Kind != dfg.Merge || len(m.ins[mt.Node][0]) != 2 {
+			if e.Nodes[mg].Kind != dfg.Merge || e.Ins.Size(e.Ins.Slot(mg, 0)) != 2 {
 				continue
 			}
 			// Rewire: the switch's data source feeds the merge's consumers
 			// directly; the control arc is dropped.
-			dataSrc := m.ins[id][0][0]
-			dummy := m.dummy[[2]arcEnd{dataSrc, {id, 0}}]
-			m.removeArcsInto(id)
-			consumers := append([]arcEnd(nil), m.outs[mg.ID][0]...)
-			m.removeNode(mg.ID)
-			m.removeNode(id)
-			for _, c := range consumers {
-				m.addArc(dataSrc, c)
-				m.dummy[[2]arcEnd{dataSrc, c}] = dummy
+			data := e.Arcs[e.Ins.First(e.Ins.Slot(id, 0))]
+			e.KillArcsInto(id)
+			for slot := e.Outs.Slot(mg, 0); e.Outs.First(slot) >= 0; {
+				c := e.Outs.First(slot)
+				e.AddArc(dfg.Arc{From: data.From, FromPort: data.FromPort, To: e.Arcs[c].To, ToPort: e.Arcs[c].ToPort, Dummy: data.Dummy})
+				e.KillArc(c)
 			}
+			e.KillArcsInto(mg)
+			e.Remove(mg)
+			e.Remove(id)
 			eliminated++
 			changed = true
 		}
-		if !changed {
-			break
-		}
 	}
-	m.removeDeadPure()
-	return m.rebuild(g), eliminated
-}
-
-// arcEnd is one endpoint of an arc.
-type arcEnd struct {
-	Node int
-	Port int
-}
-
-// mutGraph is a small mutable adjacency view used by graph-to-graph
-// passes.
-type mutGraph struct {
-	nodes map[int]*dfg.Node
-	// outs[node][port] / ins[node][port] list opposite endpoints; dummy
-	// per arc tracked alongside.
-	outs   map[int][][]arcEnd
-	ins    map[int][][]arcEnd
-	dummy  map[[2]arcEnd]bool
-	nextID int
-}
-
-// addNode allocates a fresh node in the mutable view and returns its id.
-func (m *mutGraph) addNode(n *dfg.Node) int {
-	id := m.nextID
-	m.nextID++
-	n.ID = id
-	m.nodes[id] = n
-	m.outs[id] = make([][]arcEnd, numOutPorts(n.Kind))
-	m.ins[id] = make([][]arcEnd, n.NIns)
-	return id
-}
-
-func newMutGraph(g *dfg.Graph) *mutGraph {
-	m := &mutGraph{
-		nodes: map[int]*dfg.Node{},
-		outs:  map[int][][]arcEnd{},
-		ins:   map[int][][]arcEnd{},
-		dummy: map[[2]arcEnd]bool{},
-	}
-	for _, n := range g.Nodes {
-		nn := *n
-		m.nodes[n.ID] = &nn
-		m.outs[n.ID] = make([][]arcEnd, numOutPorts(n.Kind))
-		m.ins[n.ID] = make([][]arcEnd, n.NIns)
-		if n.ID >= m.nextID {
-			m.nextID = n.ID + 1
-		}
-	}
-	for _, a := range g.Arcs {
-		from := arcEnd{a.From, a.FromPort}
-		to := arcEnd{a.To, a.ToPort}
-		m.outs[a.From][a.FromPort] = append(m.outs[a.From][a.FromPort], to)
-		m.ins[a.To][a.ToPort] = append(m.ins[a.To][a.ToPort], from)
-		m.dummy[[2]arcEnd{from, to}] = a.Dummy
-	}
-	return m
-}
-
-func numOutPorts(k dfg.Kind) int {
-	switch k {
-	case dfg.End:
-		return 0
-	case dfg.Switch, dfg.Load, dfg.LoadIdx:
-		return 2
-	default:
-		return 1
-	}
-}
-
-func (m *mutGraph) liveIDs() []int {
-	ids := make([]int, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-func (m *mutGraph) addArc(from, to arcEnd) {
-	m.outs[from.Node][from.Port] = append(m.outs[from.Node][from.Port], to)
-	m.ins[to.Node][to.Port] = append(m.ins[to.Node][to.Port], from)
-}
-
-func (m *mutGraph) removeArc(from, to arcEnd) {
-	m.outs[from.Node][from.Port] = drop(m.outs[from.Node][from.Port], to)
-	m.ins[to.Node][to.Port] = drop(m.ins[to.Node][to.Port], from)
-}
-
-func drop(xs []arcEnd, x arcEnd) []arcEnd {
-	for i, v := range xs {
-		if v == x {
-			return append(xs[:i:i], xs[i+1:]...)
-		}
-	}
-	return xs
-}
-
-func (m *mutGraph) removeArcsInto(id int) {
-	for p, srcs := range m.ins[id] {
-		for _, s := range append([]arcEnd(nil), srcs...) {
-			m.removeArc(s, arcEnd{id, p})
-		}
-	}
-}
-
-func (m *mutGraph) removeArcsOutOf(id int) {
-	for p, dsts := range m.outs[id] {
-		for _, d := range append([]arcEnd(nil), dsts...) {
-			m.removeArc(arcEnd{id, p}, d)
-		}
-	}
-}
-
-func (m *mutGraph) removeNode(id int) {
-	m.removeArcsInto(id)
-	m.removeArcsOutOf(id)
-	delete(m.nodes, id)
-	delete(m.outs, id)
-	delete(m.ins, id)
+	removeDeadPure(e)
+	return edited(e), eliminated
 }
 
 // removeDeadPure deletes pure value nodes none of whose outputs are
-// consumed (constants and arithmetic left over from eliminated predicate
-// uses), iterating since removals expose new dead nodes.
-func (m *mutGraph) removeDeadPure() {
-	for {
-		changed := false
-		for _, id := range m.liveIDs() {
-			n := m.nodes[id]
-			switch n.Kind {
-			case dfg.Const, dfg.BinOp, dfg.UnOp:
-			default:
+// consumed (constants, arithmetic and fused trees left over from
+// eliminated predicate uses), iterating since removals expose new dead
+// nodes.
+func removeDeadPure(e *dfg.Editor) {
+	for changed := true; changed; {
+		changed = false
+		for id, n := range e.Nodes {
+			if n == nil || e.OutDegree(id) != 0 {
 				continue
 			}
-			used := false
-			for _, dsts := range m.outs[id] {
-				if len(dsts) > 0 {
-					used = true
-					break
-				}
-			}
-			if !used {
-				m.removeNode(id)
+			switch n.Kind {
+			case dfg.Const, dfg.BinOp, dfg.UnOp, dfg.Fused:
+				e.KillArcsInto(id)
+				e.Remove(id)
 				changed = true
 			}
-		}
-		if !changed {
-			return
 		}
 	}
 }
 
-// rebuild materializes the mutable view as a fresh dfg.Graph with dense
-// IDs.
-func (m *mutGraph) rebuild(orig *dfg.Graph) *dfg.Graph {
-	out := dfg.NewGraph(orig.Prog)
-	remap := map[int]int{}
-	for _, id := range m.liveIDs() {
-		n := m.nodes[id]
-		nn := *n
-		added := out.Add(&nn)
-		remap[id] = added.ID
+// edited materializes a pass's result. The passes here kill every arc of
+// a node they remove and remove no node of a call's linkage, so an error
+// is a bug in them.
+func edited(e *dfg.Editor) *dfg.Graph {
+	g, err := e.Graph()
+	if err != nil {
+		panic(fmt.Sprintf("translate: internal error: %v", err))
 	}
-	for _, id := range m.liveIDs() {
-		for p, dsts := range m.outs[id] {
-			for _, d := range dsts {
-				from := arcEnd{id, p}
-				out.Connect(remap[id], p, remap[d.Node], d.Port, m.dummy[[2]arcEnd{from, d}])
-			}
-		}
-	}
-	return out
+	return g
 }

@@ -14,35 +14,32 @@ import (
 // and three-input stores are left alone — they model machine services, not
 // single instructions.
 //
-// Returns a new graph and the number of synch nodes added; the input is
-// unchanged.
+// Returns a new graph and the number of synch nodes added; the input —
+// any validated graph: translated, optimized, linked or loaded from text —
+// is unchanged.
 func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
-	m := newMutGraph(g)
+	e := dfg.NewEditor(g)
 	added := 0
-	for _, id := range m.liveIDs() {
-		n := m.nodes[id]
-		if n == nil || n.Kind != dfg.Synch || n.NIns <= 2 {
+	type end struct{ node, port int }
+	for id, n := range g.Nodes {
+		if n.Kind != dfg.Synch || n.NIns <= 2 {
 			continue
 		}
-		srcs := make([]arcEnd, n.NIns)
-		for p := 0; p < n.NIns; p++ {
-			srcs[p] = m.ins[id][p][0]
+		cur := make([]end, n.NIns)
+		for p := range cur {
+			a := e.Arcs[e.Ins.First(e.Ins.Slot(id, p))]
+			cur[p] = end{a.From, a.FromPort}
 		}
-		consumers := append([]arcEnd(nil), m.outs[id][0]...)
-		tok, stmt := n.Tok, n.Stmt
-		m.removeNode(id)
+		e.KillArcsInto(id)
 
 		// Pairwise reduction to a balanced binary tree.
-		cur := srcs
 		for len(cur) > 1 {
-			var next []arcEnd
+			var next []end
 			for i := 0; i+1 < len(cur); i += 2 {
-				s := m.addNode(&dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: tok, Stmt: stmt})
-				m.addArc(cur[i], arcEnd{s, 0})
-				m.dummy[[2]arcEnd{cur[i], {s, 0}}] = true
-				m.addArc(cur[i+1], arcEnd{s, 1})
-				m.dummy[[2]arcEnd{cur[i+1], {s, 1}}] = true
-				next = append(next, arcEnd{s, 0})
+				s := e.AddNode(&dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: n.Tok, Stmt: n.Stmt})
+				e.AddArc(dfg.Arc{From: cur[i].node, FromPort: cur[i].port, To: s, ToPort: 0, Dummy: true})
+				e.AddArc(dfg.Arc{From: cur[i+1].node, FromPort: cur[i+1].port, To: s, ToPort: 1, Dummy: true})
+				next = append(next, end{s, 0})
 				added++
 			}
 			if len(cur)%2 == 1 {
@@ -50,12 +47,12 @@ func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 			}
 			cur = next
 		}
-		for _, c := range consumers {
-			m.addArc(cur[0], c)
-			m.dummy[[2]arcEnd{cur[0], c}] = true
+		for slot := e.Outs.Slot(id, 0); e.Outs.First(slot) >= 0; {
+			e.MoveSource(e.Outs.First(slot), cur[0].node, cur[0].port)
 		}
+		e.Remove(id)
 	}
-	return m.rebuild(g), added
+	return edited(e), added
 }
 
 // MaxSynchArity returns the widest synch operator in the graph (0 if none).

@@ -11,10 +11,11 @@ import (
 // one pass — if a pass regresses into vacuity, the harness fails, not
 // just the (always-clean) translator sweep.
 //
-// Mutations rebuild the graph from scratch through dfg.NewGraph so the
-// result maintains the Graph's internal indices; node provenance (Stmt,
-// Tok) is copied, so the translation metadata of the original Result
-// still describes the mutated graph's intent.
+// Mutations edit the graph through a dfg.Editor, so every graph a
+// translation can hand over — optimized and linked ones too — can be
+// mutated; node provenance (Stmt, Tok) is copied, so the translation
+// metadata of the original Result still describes the mutated graph's
+// intent.
 
 // A Mutation derives a defective graph from a translation.
 type Mutation struct {
@@ -58,37 +59,10 @@ func Mutations() []Mutation {
 	}
 }
 
-// rebuild clones g, dropping the nodes in drop and passing every arc
-// through arcFn (identity when nil; return ok=false to delete the arc).
-// Arc endpoints are given in the original ID space; arcs touching dropped
-// nodes are deleted after the transform. Node IDs are remapped densely.
-func rebuild(g *dfg.Graph, drop map[int]bool, edit func(n *dfg.Node), arcFn func(a dfg.Arc) (dfg.Arc, bool)) *dfg.Graph {
-	out := dfg.NewGraph(g.Prog)
-	remap := make([]int, len(g.Nodes))
-	for i, n := range g.Nodes {
-		if drop[n.ID] {
-			remap[i] = -1
-			continue
-		}
-		c := *n
-		if edit != nil {
-			edit(&c)
-		}
-		remap[i] = out.Add(&c).ID
-	}
-	for _, a := range g.Arcs {
-		if arcFn != nil {
-			var keep bool
-			if a, keep = arcFn(a); !keep {
-				continue
-			}
-		}
-		if remap[a.From] < 0 || remap[a.To] < 0 {
-			continue
-		}
-		out.Connect(remap[a.From], a.FromPort, remap[a.To], a.ToPort, a.Dummy)
-	}
-	return out
+// mutant materializes an edited graph.
+func mutant(e *dfg.Editor) (*dfg.Graph, bool) {
+	g, err := e.Graph()
+	return g, err == nil
 }
 
 // dropSwitch removes the first switch and rewires both arms' consumers
@@ -96,35 +70,26 @@ func rebuild(g *dfg.Graph, drop map[int]bool, edit func(n *dfg.Node), arcFn func
 // of the branch taken — exactly the unsoundness Theorem 1's placement
 // exists to prevent.
 func dropSwitch(res *translate.Result) (*dfg.Graph, bool) {
-	g := res.Graph
-	sw := -1
-	for _, n := range g.Nodes {
-		if n.Kind == dfg.Switch {
-			sw = n.ID
-			break
+	e := dfg.NewEditor(res.Graph)
+	for sw, n := range e.Nodes {
+		if n.Kind != dfg.Switch {
+			continue
 		}
-	}
-	if sw < 0 {
-		return nil, false
-	}
-	var data dfg.Arc
-	found := false
-	for _, a := range g.Arcs {
-		if a.To == sw && a.ToPort == 0 {
-			data, found = a, true
-			break
+		din := e.Ins.First(e.Ins.Slot(sw, 0))
+		if din < 0 {
+			return nil, false
 		}
-	}
-	if !found {
-		return nil, false
-	}
-	mut := rebuild(g, map[int]bool{sw: true}, nil, func(a dfg.Arc) (dfg.Arc, bool) {
-		if a.From == sw {
-			a.From, a.FromPort = data.From, data.FromPort
+		data := e.Arcs[din]
+		for p := 0; p < 2; p++ {
+			for slot := e.Outs.Slot(sw, p); e.Outs.First(slot) >= 0; {
+				e.MoveSource(e.Outs.First(slot), data.From, data.FromPort)
+			}
 		}
-		return a, true
-	})
-	return mut, true
+		e.KillArcsInto(sw)
+		e.Remove(sw)
+		return mutant(e)
+	}
+	return nil, false
 }
 
 // retargetArc redirects the first dummy arc not already feeding end onto
@@ -135,57 +100,29 @@ func retargetArc(res *translate.Result) (*dfg.Graph, bool) {
 	if g.EndID < 0 || g.Nodes[g.EndID].NIns == 0 {
 		return nil, false
 	}
-	victim := -1
 	for i, a := range g.Arcs {
 		if a.Dummy && a.To != g.EndID {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		return nil, false
-	}
-	i := 0
-	mut := rebuild(g, nil, nil, func(a dfg.Arc) (dfg.Arc, bool) {
-		if i == victim {
+			e := dfg.NewEditor(g)
+			e.KillArc(int32(i))
 			a.To, a.ToPort = g.EndID, 0
+			e.AddArc(a)
+			return mutant(e)
 		}
-		i++
-		return a, true
-	})
-	return mut, true
+	}
+	return nil, false
 }
 
 // dropMergeArm deletes one input arc of the first merge fed by two or
 // more arcs: the deleted arm's line has no consumer left.
 func dropMergeArm(res *translate.Result) (*dfg.Graph, bool) {
-	g := res.Graph
-	victim := -1
-	for i, a := range g.Arcs {
-		if a.ToPort != 0 || g.Nodes[a.To].Kind != dfg.Merge {
-			continue
-		}
-		arms := 0
-		for _, b := range g.Arcs {
-			if b.To == a.To && b.ToPort == 0 {
-				arms++
-			}
-		}
-		if arms >= 2 {
-			victim = i
-			break
+	e := dfg.NewEditor(res.Graph)
+	for i, a := range e.Arcs {
+		if a.ToPort == 0 && e.Nodes[a.To].Kind == dfg.Merge && e.Ins.Size(e.Ins.Slot(a.To, 0)) >= 2 {
+			e.KillArc(int32(i))
+			return mutant(e)
 		}
 	}
-	if victim < 0 {
-		return nil, false
-	}
-	i := 0
-	mut := rebuild(g, nil, nil, func(a dfg.Arc) (dfg.Arc, bool) {
-		keep := i != victim
-		i++
-		return a, keep
-	})
-	return mut, true
+	return nil, false
 }
 
 // synchSites finds synchs with at least two operands.
@@ -207,16 +144,14 @@ func truncateSynch(res *translate.Result) (*dfg.Graph, bool) {
 	if len(sites) == 0 {
 		return nil, false
 	}
-	s := sites[0]
-	last := s.NIns - 1
-	mut := rebuild(res.Graph, nil, func(n *dfg.Node) {
-		if n.ID == s.ID {
-			n.NIns--
-		}
-	}, func(a dfg.Arc) (dfg.Arc, bool) {
-		return a, !(a.To == s.ID && a.ToPort == last)
-	})
-	return mut, true
+	e := dfg.NewEditor(res.Graph)
+	s := *sites[0]
+	s.NIns--
+	for slot := e.Ins.Slot(s.ID, s.NIns); e.Ins.First(slot) >= 0; {
+		e.KillArc(e.Ins.First(slot))
+	}
+	e.Nodes[s.ID] = &s
+	return mutant(e)
 }
 
 // bypassSynch rewires a memory operation's access input past its synch
@@ -224,41 +159,21 @@ func truncateSynch(res *translate.Result) (*dfg.Graph, bool) {
 // operation now fires holding one cover element's token instead of all of
 // them — the §5 race the synch tree exists to prevent.
 func bypassSynch(res *translate.Result) (*dfg.Graph, bool) {
-	g := res.Graph
-	for _, s := range synchSites(g) {
-		var op dfg.Arc // synch output → memory op access input
-		found := false
-		for _, a := range g.Arcs {
-			if a.From != s.ID {
-				continue
-			}
-			k := g.Nodes[a.To].Kind
-			if k == dfg.Load || k == dfg.Store || k == dfg.LoadIdx || k == dfg.StoreIdx {
-				op, found = a, true
-				break
-			}
-		}
-		if !found {
+	e := dfg.NewEditor(res.Graph)
+	for _, s := range synchSites(res.Graph) {
+		oi := e.Ins.First(e.Ins.Slot(s.ID, 0))
+		if oi < 0 {
 			continue
 		}
-		var operand dfg.Arc // line feeding the synch's first operand
-		foundOperand := false
-		for _, a := range g.Arcs {
-			if a.To == s.ID && a.ToPort == 0 {
-				operand, foundOperand = a, true
-				break
+		operand := e.Arcs[oi] // line feeding the synch's first operand
+		// synch output → memory op access input
+		for op := e.Outs.First(e.Outs.Slot(s.ID, 0)); op >= 0; op = e.Outs.Next(op) {
+			switch e.Nodes[e.Arcs[op].To].Kind {
+			case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
+				e.MoveSource(op, operand.From, operand.FromPort)
+				return mutant(e)
 			}
 		}
-		if !foundOperand {
-			continue
-		}
-		mut := rebuild(g, nil, nil, func(a dfg.Arc) (dfg.Arc, bool) {
-			if a == op {
-				a.From, a.FromPort = operand.From, operand.FromPort
-			}
-			return a, true
-		})
-		return mut, true
 	}
 	return nil, false
 }

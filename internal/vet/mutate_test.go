@@ -1,44 +1,30 @@
-package vet
+package vet_test
 
 import (
 	"sort"
 	"testing"
 
-	"ctdf/internal/cfg"
-	"ctdf/internal/dfg"
 	"ctdf/internal/translate"
+	"ctdf/internal/vet"
 	"ctdf/internal/workloads"
 )
 
-func mustTranslate(t *testing.T, name string, opt translate.Options) *translate.Result {
+func mutationByName(t *testing.T, name string) vet.Mutation {
 	t.Helper()
-	w := workloads.MustByName(name)
-	g, err := cfg.Build(w.Parse())
-	if err != nil {
-		t.Fatalf("build %s: %v", name, err)
-	}
-	res, err := translate.Translate(g, opt)
-	if err != nil {
-		t.Fatalf("translate %s: %v", name, err)
-	}
-	return res
-}
-
-func mutationByName(t *testing.T, name string) Mutation {
-	t.Helper()
-	for _, m := range Mutations() {
+	for _, m := range vet.Mutations() {
 		if m.Name == name {
 			return m
 		}
 	}
 	t.Fatalf("no mutation %q", name)
-	return Mutation{}
+	return vet.Mutation{}
 }
 
 // TestMutationsDetected: each seeded mutation class must be flagged by
-// the passes that own the violated condition. The detecting pass is part
-// of the contract — a mutation "detected" by an unrelated pass means the
-// owning pass went vacuous.
+// the passes that own the violated condition, on the graph as translated
+// and on its optimized form (fused nodes, sunk switches, a certificate to
+// validate). The detecting pass is part of the contract — a mutation
+// "detected" by an unrelated pass means the owning pass went vacuous.
 func TestMutationsDetected(t *testing.T) {
 	cases := []struct {
 		mutation string
@@ -85,24 +71,26 @@ func TestMutationsDetected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.mutation+"/"+tc.workload, func(t *testing.T) {
-			res := mustTranslate(t, tc.workload, tc.opt)
-			if rep := Run(res.Graph, res); !rep.Clean() {
-				t.Fatalf("baseline not clean:\n%s", rep)
-			}
-			m := mutationByName(t, tc.mutation)
-			mut, ok := m.Apply(res)
-			if !ok {
-				t.Fatalf("mutation %s does not apply to %s", tc.mutation, tc.workload)
-			}
-			rep := Run(mut, res)
-			if rep.Errors() == 0 {
-				t.Fatalf("mutation %s escaped: report clean", tc.mutation)
-			}
-			got := rep.Detectors()
-			for _, want := range tc.detectors {
-				i := sort.SearchStrings(got, want)
-				if i >= len(got) || got[i] != want {
-					t.Errorf("mutation %s: pass %s reported no error; detectors: %v\n%s", tc.mutation, want, got, rep)
+			for _, optimize := range []bool{false, true} {
+				res := compile(t, workloads.MustByName(tc.workload), tc.opt, optimize)
+				if rep := vet.Run(res.Graph, res); !rep.Clean() {
+					t.Fatalf("optimize=%v: baseline not clean:\n%s", optimize, rep)
+				}
+				m := mutationByName(t, tc.mutation)
+				mut, ok := m.Apply(res)
+				if !ok {
+					t.Fatalf("optimize=%v: mutation %s does not apply to %s", optimize, tc.mutation, tc.workload)
+				}
+				rep := vet.Run(mut, res)
+				if rep.Errors() == 0 {
+					t.Fatalf("optimize=%v: mutation %s escaped: report clean", optimize, tc.mutation)
+				}
+				got := rep.Detectors()
+				for _, want := range tc.detectors {
+					i := sort.SearchStrings(got, want)
+					if i >= len(got) || got[i] != want {
+						t.Errorf("optimize=%v: mutation %s: pass %s reported no error; detectors: %v\n%s", optimize, tc.mutation, want, got, rep)
+					}
 				}
 			}
 		})
@@ -113,11 +101,11 @@ func TestMutationsDetected(t *testing.T) {
 // least one committed workload.
 func TestMutationsApplyBroadly(t *testing.T) {
 	candidates := []*translate.Result{
-		mustTranslate(t, "fortran-alias", translate.Options{Schema: translate.Schema3}),
-		mustTranslate(t, "diamond", translate.Options{Schema: translate.Schema2}),
-		mustTranslate(t, "running-example", translate.Options{Schema: translate.Schema2}),
+		compile(t, workloads.MustByName("fortran-alias"), translate.Options{Schema: translate.Schema3}, false),
+		compile(t, workloads.MustByName("diamond"), translate.Options{Schema: translate.Schema2}, false),
+		compile(t, workloads.MustByName("running-example"), translate.Options{Schema: translate.Schema2}, false),
 	}
-	for _, m := range Mutations() {
+	for _, m := range vet.Mutations() {
 		applied := false
 		for _, res := range candidates {
 			if _, ok := m.Apply(res); ok {
@@ -128,46 +116,5 @@ func TestMutationsApplyBroadly(t *testing.T) {
 		if !applied {
 			t.Errorf("mutation %s found no site on any candidate workload", m.Name)
 		}
-	}
-}
-
-// TestFig9PlacementAgreement pins the acceptance criterion: on the paper's
-// Figure 9–11 worked example the switch-placement pass's independently
-// recomputed placement must equal the switch set the translator emitted.
-func TestFig9PlacementAgreement(t *testing.T) {
-	res := mustTranslate(t, "fig9-bypass", translate.Options{Schema: translate.Schema2Opt})
-	u := newUnit(res.Graph, res)
-	pi := u.placementInfo()
-	if pi.err != nil {
-		t.Fatal(pi.err)
-	}
-
-	emitted := map[stmtTok]bool{}
-	for _, n := range res.Graph.Nodes {
-		if n.Kind == dfg.Switch {
-			emitted[stmtTok{n.Stmt, n.Tok}] = true
-		}
-	}
-	recomputed := map[stmtTok]bool{}
-	for f, toks := range pi.place.Needs {
-		if f < 0 || f >= res.CFG.Len() || res.CFG.Nodes[f].Kind != cfg.KindFork {
-			continue
-		}
-		for tok := range toks {
-			recomputed[stmtTok{f, tok}] = true
-		}
-	}
-	for k := range emitted {
-		if !recomputed[k] {
-			t.Errorf("translator switched %q at stmt %d; recomputation did not", k.tok, k.stmt)
-		}
-	}
-	for k := range recomputed {
-		if !emitted[k] {
-			t.Errorf("recomputation demands a switch for %q at stmt %d; translator emitted none", k.tok, k.stmt)
-		}
-	}
-	if len(emitted) == 0 {
-		t.Fatal("fig9-bypass emitted no switches; the worked example lost its fork")
 	}
 }

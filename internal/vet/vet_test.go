@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ctdf/internal/cfg"
+	"ctdf/internal/dfg"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
 )
@@ -101,5 +102,60 @@ func TestVetCleanOnRandomPrograms(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func mustTranslate(t *testing.T, name string, opt translate.Options) *translate.Result {
+	t.Helper()
+	w := workloads.MustByName(name)
+	g, err := cfg.Build(w.Parse())
+	if err != nil {
+		t.Fatalf("build %s: %v", name, err)
+	}
+	res, err := translate.Translate(g, opt)
+	if err != nil {
+		t.Fatalf("translate %s: %v", name, err)
+	}
+	return res
+}
+
+// TestFig9PlacementAgreement pins the acceptance criterion: on the paper's
+// Figure 9–11 worked example the switch-placement pass's independently
+// recomputed placement must equal the switch set the translator emitted.
+func TestFig9PlacementAgreement(t *testing.T) {
+	res := mustTranslate(t, "fig9-bypass", translate.Options{Schema: translate.Schema2Opt})
+	u := newUnit(res.Graph, res)
+	pi := u.placementInfo()
+	if pi.err != nil {
+		t.Fatal(pi.err)
+	}
+
+	emitted := map[stmtTok]bool{}
+	for _, n := range res.Graph.Nodes {
+		if n.Kind == dfg.Switch {
+			emitted[stmtTok{n.Stmt, n.Tok}] = true
+		}
+	}
+	recomputed := map[stmtTok]bool{}
+	for f, toks := range pi.place.Needs {
+		if f < 0 || f >= res.CFG.Len() || res.CFG.Nodes[f].Kind != cfg.KindFork {
+			continue
+		}
+		for tok := range toks {
+			recomputed[stmtTok{f, tok}] = true
+		}
+	}
+	for k := range emitted {
+		if !recomputed[k] {
+			t.Errorf("translator switched %q at stmt %d; recomputation did not", k.tok, k.stmt)
+		}
+	}
+	for k := range recomputed {
+		if !emitted[k] {
+			t.Errorf("recomputation demands a switch for %q at stmt %d; translator emitted none", k.tok, k.stmt)
+		}
+	}
+	if len(emitted) == 0 {
+		t.Fatal("fig9-bypass emitted no switches; the worked example lost its fork")
 	}
 }
