@@ -493,6 +493,38 @@ func BenchmarkObsJournal(b *testing.B) {
 	}
 }
 
+// TestJournalAllocationsDoNotGrowPerFiring holds a journaled run to one
+// record of the run: from Wide(8,100) to Wide(8,200), which doubles the
+// firings, the journaled run may allocate at most 16 times more than the
+// plain run's own growth — a few doublings of the record's tables, and
+// nothing per firing.
+func TestJournalAllocationsDoNotGrowPerFiring(t *testing.T) {
+	allocs := func(iters int, o *ObsOptions) float64 {
+		p, err := Compile(workloads.Wide(8, iters).Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := p.Translate(Options{Schema: Schema2Opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Many runs: under -race, sync.Pool drops make the node labels'
+		// fmt calls allocate a varying few per run.
+		return testing.AllocsPerRun(25, func() {
+			if _, err := d.Run(RunConfig{MemLatency: 4, Obs: o}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	journal := &ObsOptions{Journal: true}
+	plain := allocs(200, nil) - allocs(100, nil)
+	journaled := allocs(200, journal) - allocs(100, journal)
+	if journaled > plain+16 {
+		t.Errorf("doubling the firings costs the journaled run %.0f allocations, the plain run %.0f", journaled, plain)
+	}
+	t.Logf("doubling the firings: plain run +%.0f allocations, journaled run +%.0f", plain, journaled)
+}
+
 // BenchmarkTelemetryEnabled is BenchmarkObsDisabled's run with a live
 // registry recording every phase, counter, and histogram in the catalog;
 // with RunConfig.Telemetry nil the engine pays only nil-check branches at

@@ -108,13 +108,12 @@ func replaySuite(verbose bool) error {
 				for _, workers := range workerCounts {
 					label := fmt.Sprintf("%s/%v%s/w%d", w.Name, opt.Schema, variant, workers)
 					jcfg := journal.Config{Processors: 2, MemLatency: 3, Workers: workers}
-					rec := journal.NewRecorder(res.Graph, label, jcfg)
-					col := obs.NewCollector(res.Graph, obs.Options{Journal: rec})
+					col := obs.NewCollector(res.Graph, obs.Options{CriticalPath: true})
 					out, err := machine.Run(res.Graph, machine.Config{Processors: 2, MemLatency: 3, Collector: col, Workers: workers})
 					if err != nil {
 						return fmt.Errorf("%s: %w", label, err)
 					}
-					j := rec.Finish(out.Stats.Cycles)
+					j := journal.New(res.Graph, col, label, jcfg, out.Stats.Cycles)
 					var buf bytes.Buffer
 					if err := j.Write(&buf); err != nil {
 						return fmt.Errorf("%s: %w", label, err)

@@ -522,30 +522,9 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 	switch cfg.Engine {
 	case EngineMachine:
 		var col *obs.Collector
-		var rec *journal.Recorder
 		if cfg.Obs != nil {
-			opts := obs.Options{CriticalPath: cfg.Obs.CriticalPath}
-			if cfg.Obs.Journal {
-				// The journal captures the full run configuration so Replay
-				// can re-execute it bit-for-bit, fault plan included.
-				jcfg := journal.Config{
-					Processors: cfg.Processors,
-					MemLatency: cfg.MemLatency,
-					MaxCycles:  cfg.MaxCycles,
-					MaxOps:     cfg.MaxOps,
-					RandomSeed: cfg.RandomSeed,
-					Workers:    cfg.Workers,
-					Binding:    cfg.Binding,
-				}
-				if cfg.Fault != nil {
-					jcfg.FaultClass = string(cfg.Fault.Class)
-					jcfg.FaultSite = cfg.Fault.Site
-					jcfg.FaultDelay = cfg.Fault.Delay
-				}
-				rec = journal.NewRecorder(d.res.Graph, cfg.Obs.Label, jcfg)
-				opts.Journal = rec
-			}
-			col = obs.NewCollector(d.res.Graph, opts)
+			// The critical path and the journal read one record of the run.
+			col = obs.NewCollector(d.res.Graph, obs.Options{CriticalPath: cfg.Obs.CriticalPath || cfg.Obs.Journal})
 			if cfg.Obs.Events != nil {
 				if err := obs.WriteMeta(cfg.Obs.Events, col.Meta()); err != nil {
 					return nil, err
@@ -591,6 +570,9 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 		}
 		if col != nil {
 			rep := col.Report(out.Stats.Cycles, out.Stats.Profile)
+			if !cfg.Obs.CriticalPath {
+				rep.CriticalPath = nil // the record was kept for the journal only
+			}
 			rep.Engine = "machine"
 			rep.Schema = cfg.Obs.Label
 			if cfg.Obs.Events != nil {
@@ -599,9 +581,25 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 				}
 			}
 			res.Obs = &ObsReport{rep: rep}
-		}
-		if rec != nil {
-			res.Journal = &ExecJournal{j: rec.Finish(out.Stats.Cycles)}
+			if cfg.Obs.Journal {
+				// The journal captures the full run configuration so Replay
+				// can re-execute it bit-for-bit, fault plan included.
+				jcfg := journal.Config{
+					Processors: cfg.Processors,
+					MemLatency: cfg.MemLatency,
+					MaxCycles:  cfg.MaxCycles,
+					MaxOps:     cfg.MaxOps,
+					RandomSeed: cfg.RandomSeed,
+					Workers:    cfg.Workers,
+					Binding:    cfg.Binding,
+				}
+				if cfg.Fault != nil {
+					jcfg.FaultClass = string(cfg.Fault.Class)
+					jcfg.FaultSite = cfg.Fault.Site
+					jcfg.FaultDelay = cfg.Fault.Delay
+				}
+				res.Journal = &ExecJournal{j: journal.New(d.res.Graph, col, cfg.Obs.Label, jcfg, out.Stats.Cycles)}
+			}
 		}
 		return res, err
 	case EngineChannels:

@@ -43,13 +43,12 @@ func TestLamportClocksMatchMachineCausalDepth(t *testing.T) {
 			clocks := counters.Clocks()
 
 			for _, procs := range []int{0, 2} {
-				rec := journal.NewRecorder(res.Graph, w.Name, journal.Config{Processors: procs, MemLatency: 2})
-				col := obs.NewCollector(res.Graph, obs.Options{Journal: rec})
+				col := obs.NewCollector(res.Graph, obs.Options{CriticalPath: true})
 				out, err := machine.Run(res.Graph, machine.Config{Processors: procs, MemLatency: 2, Collector: col})
 				if err != nil {
 					t.Fatalf("%s/%v machine: %v", w.Name, opt.Schema, err)
 				}
-				j := rec.Finish(out.Stats.Cycles)
+				j := journal.New(res.Graph, col, w.Name, journal.Config{Processors: procs, MemLatency: 2}, out.Stats.Cycles)
 
 				if err := j.CheckLinearization(); err != nil {
 					t.Errorf("%s/%v P=%d: %v", w.Name, opt.Schema, procs, err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/bits"
 	"os"
 	"sort"
 	"strconv"
@@ -454,6 +455,10 @@ func (m *sim) internKey(key string) (int32, error) {
 	return m.tags.intern(tg), nil
 }
 
+// inPort reports whether port is one of node's input ports: the operand
+// frame slot and matching bit a restored token or firing may name.
+func (m *sim) inPort(node, port int) bool { return port >= 0 && port < m.g.Nodes[node].NIns }
+
 // restore loads a checkpoint into a freshly initialized sim, in place of
 // the cycle-0 start-token delivery. The sim's shards, stores, and units
 // are already built; restore populates them and positions the cycle
@@ -603,13 +608,16 @@ func (m *sim) restore(ck *Checkpoint) error {
 			if len(f.Vals) != want {
 				return ckErrf("node %d firing carries %d operands", snap.Node, len(f.Vals))
 			}
+			if !m.inPort(snap.Node, f.Port) {
+				return ckErrf("node %d firing arrived on port %d", snap.Node, f.Port)
+			}
 			tgID, err := m.internKey(f.Tag)
 			if err != nil {
 				return err
 			}
 			off := sh.getVals(int32(want))
 			copy(sh.arena[off:], f.Vals)
-			sh.ready.push(int32(snap.Node), tgID, int32(f.Port), -1, off, int32(want))
+			sh.ready.push(int32(snap.Node), tgID, int32(f.Port), off, int32(want))
 		}
 		b.dirty = snap.Dirty
 	}
@@ -621,7 +629,8 @@ func (m *sim) restore(ck *Checkpoint) error {
 			return ckErrf("match entry node %d out of range", cm.Node)
 		}
 		nIns := m.g.Nodes[cm.Node].NIns
-		if len(cm.Vals) != nIns || cm.N <= 0 || cm.N >= nIns {
+		if len(cm.Vals) != nIns || cm.N <= 0 || cm.N >= nIns ||
+			cm.Have>>uint(nIns) != 0 || bits.OnesCount64(cm.Have) != cm.N {
 			return ckErrf("match entry at node %d is not a partial activation", cm.Node)
 		}
 		tgID, err := m.internKey(cm.Tag)
@@ -633,7 +642,7 @@ func (m *sim) restore(ck *Checkpoint) error {
 		}
 		sh := m.owner(int32(cm.Node))
 		e := m.matchInsert(sh, int32(cm.Node), tgID, int32(nIns))
-		e.have, e.n, e.dep = cm.Have, int32(cm.N), -1
+		e.have, e.n = cm.Have, int32(cm.N)
 		copy(sh.arena[e.vals:], cm.Vals)
 	}
 	m.matchLive = len(ck.Match)
@@ -648,8 +657,8 @@ func (m *sim) restore(ck *Checkpoint) error {
 		lastAt = inf.At
 		toks := make([]tok, 0, len(inf.Toks))
 		for _, ct := range inf.Toks {
-			if ct.Node < 0 || ct.Node >= len(m.g.Nodes) {
-				return ckErrf("in-flight token to node %d out of range", ct.Node)
+			if ct.Node < 0 || ct.Node >= len(m.g.Nodes) || !m.inPort(ct.Node, ct.Port) {
+				return ckErrf("in-flight token to node %d port %d out of range", ct.Node, ct.Port)
 			}
 			tgID, err := m.internKey(ct.Tag)
 			if err != nil {
@@ -664,6 +673,15 @@ func (m *sim) restore(ck *Checkpoint) error {
 	// (a no-op shuffle of length n consumes exactly the randomness the
 	// original call did).
 	if m.rng != nil {
+		// No run logs more than one shuffle per cycle, each of a ready set
+		// no larger than the tokens delivered so far.
+		for _, log := range append([][]int{ck.MainShuffles}, ck.ShardShuffles...) {
+			for _, n := range log {
+				if len(log) > ck.Cycle || n < 0 || int64(n) > ck.Delivered {
+					return ckErrf("%d shuffles in %d cycles, one of %d firings with %d tokens delivered", len(log), ck.Cycle, n, ck.Delivered)
+				}
+			}
+		}
 		noop := func(i, j int) {}
 		for _, n := range ck.MainShuffles {
 			m.rng.Shuffle(n, noop)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ctdf/internal/cfg"
+	"ctdf/internal/dfg"
 	"ctdf/internal/fault"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/translate"
@@ -54,7 +55,7 @@ func checkpointConfigs() []ckConfig {
 	}
 }
 
-func buildGraph(t *testing.T, wname string, opt translate.Options) *translate.Result {
+func buildGraph(t testing.TB, wname string, opt translate.Options) *translate.Result {
 	t.Helper()
 	w := workloads.MustByName(wname)
 	g := cfg.MustBuild(w.Parse())
@@ -318,5 +319,97 @@ func TestCheckpointConfigValidation(t *testing.T) {
 	other := buildGraph(t, "gcd", translate.Options{Schema: translate.Schema2Opt})
 	if _, err := Run(other.Graph, Config{Resume: last}); !errors.Is(err, machcheck.ErrInvalidConfig) {
 		t.Errorf("restore into different graph: %v", err)
+	}
+}
+
+// TestRestoreRejectsMalformedCheckpoints edits one field of a real
+// checkpoint at a time (Schema2Opt, latency 4, a checkpoint every 3
+// cycles, through Encode and Decode): an in-flight token or ready firing
+// on a port outside its node's inputs, a match entry with a bit past its
+// node's inputs, a match entry whose bit count is not its operand count.
+// Each must be refused with InvalidConfig before the run starts — neither
+// panic in delivery nor resume into a neighbour's operand frame.
+func TestRestoreRejectsMalformedCheckpoints(t *testing.T) {
+	matching := func(g *dfg.Graph, node int) bool {
+		return g.Nodes[node].NIns > 1 && !g.Nodes[node].FiresPerToken()
+	}
+	type edit struct {
+		name string
+		// apply edits ck, reporting false when ck has no site for it.
+		apply func(g *dfg.Graph, ck *Checkpoint) bool
+	}
+	var edits []edit
+	for _, port := range []int{5, 70, 100000, -1} {
+		port := port
+		edits = append(edits, edit{fmt.Sprintf("in-flight port %d", port), func(g *dfg.Graph, ck *Checkpoint) bool {
+			for i := range ck.Inflight {
+				for k := range ck.Inflight[i].Toks {
+					if tk := &ck.Inflight[i].Toks[k]; matching(g, tk.Node) {
+						tk.Port = port
+						return true
+					}
+				}
+			}
+			return false
+		}})
+	}
+	edits = append(edits,
+		edit{"ready port past the inputs", func(g *dfg.Graph, ck *Checkpoint) bool {
+			if len(ck.Ready) == 0 {
+				return false
+			}
+			ck.Ready[0].Firings[0].Port = g.Nodes[ck.Ready[0].Node].NIns
+			return true
+		}},
+		edit{"match bit past the inputs", func(g *dfg.Graph, ck *Checkpoint) bool {
+			if len(ck.Match) == 0 {
+				return false
+			}
+			m := &ck.Match[0]
+			m.Have = m.Have&(m.Have-1) | 1<<uint(g.Nodes[m.Node].NIns) // same bit count
+			return true
+		}},
+		edit{"match bit count is not N", func(g *dfg.Graph, ck *Checkpoint) bool {
+			if len(ck.Match) == 0 {
+				return false
+			}
+			m := &ck.Match[0]
+			m.Have |= (m.Have + 1) &^ m.Have // the lowest clear bit, an input since N < NIns
+			return true
+		}},
+	)
+	hit := map[string]int{}
+	for _, wname := range []string{"bubble-sort", "collatz-bounded", "deep-expression", "sieve", "proc-fortran", "proc-in-loop"} {
+		g := buildGraph(t, wname, translate.Options{Schema: translate.Schema2Opt}).Graph
+		var cks [][]byte
+		if _, err := Run(g, Config{MemLatency: 4, CheckpointEvery: 3, CheckpointSink: func(ck *Checkpoint) error {
+			b, err := ck.Encode()
+			cks = append(cks, b)
+			return err
+		}}); err != nil {
+			t.Fatalf("%s: %v", wname, err)
+		}
+		for _, e := range edits {
+			for _, b := range cks {
+				ck, err := DecodeCheckpoint(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !e.apply(g, ck) {
+					continue
+				}
+				hit[e.name]++
+				out, err := Run(g, Config{MemLatency: 4, Resume: ck})
+				if !errors.Is(err, machcheck.ErrInvalidConfig) || out != nil {
+					t.Errorf("%s, %s at cycle %d: got outcome %v, error %v; want InvalidConfig", wname, e.name, ck.Cycle, out != nil, err)
+				}
+				break
+			}
+		}
+	}
+	for _, e := range edits {
+		if hit[e.name] == 0 {
+			t.Errorf("%s: no checkpoint had a site to edit", e.name)
+		}
 	}
 }

@@ -23,8 +23,8 @@ type istructWaiter struct {
 	// tgID is the deferred read's interned tag id, carried so the
 	// satisfying write can emit the result in the reader's context.
 	tgID int32
-	// dep is the deferred read's own firing id in the collector's firing
-	// DAG (-1 when not recording).
+	// dep is the deferred read's own firing id in the collector's record
+	// (-1 when the record is not kept).
 	dep int32
 }
 

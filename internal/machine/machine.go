@@ -16,8 +16,9 @@
 //     issue, split-phase memory, bounded processors per cycle — the one
 //     cycle loop and its one cycle body; also the
 //     observability hooks (Config.Collector, an *obs.Collector) that
-//     count firings/waits/stalls and thread the firing DAG used for
-//     critical-path extraction (see OBSERVABILITY.md).
+//     count firings/waits/stalls and, when the collector keeps the run's
+//     record, thread every firing's producer firings into it — the DAG the
+//     critical path and the journal read (see OBSERVABILITY.md).
 //   - prog.go — the flat program form: the validated graph lowered once
 //     per Run into a dense operator table with CSR fan-out spans, the
 //     only thing the hot loops read (see PERFORMANCE.md).
@@ -242,40 +243,33 @@ type tok struct {
 	// tgID is the interned tag id; the matching store hashes it instead
 	// of a tag string.
 	tgID int32
-	// dep is the producer firing's id in the collector's firing DAG
-	// (-1 when the DAG is not being recorded or the token has no
-	// producer, e.g. the initial start tokens). Values below -1 index
-	// sim.dep2s, the journal-only side list for the rare token with two
-	// producers (see tokDeps).
+	// dep is the producer firing's id in the collector's record (-1 when
+	// the record is not kept or the token has no producer, e.g. the
+	// initial start tokens). Values below -1 index sim.dep2s, the side
+	// list for the rare token with two producers (see noteDeps).
 	dep int32
 }
 
 // matchEntry is one partially matched activation: a frame slot set in the
-// explicit token store, addressed by (node, interned tag). Journal deps
-// accumulate in the owning shard's side table under the frame's offset.
+// explicit token store, addressed by (node, interned tag). While the
+// record is kept, its operands' producer firings accumulate in the owning
+// shard's side table under the frame's offset.
 type matchEntry struct {
 	have uint64
 	vals int32 // operand frame offset in the owning shard's arena
 	n    int32
-	// dep is the latest-finishing producer firing among the operands
-	// matched so far (critical-path recording only).
-	dep  int32
 	tgID int32
 }
 
-// firing is an enabled operator activation: 24 bytes, pointer-free. Its
-// operands live in the owning shard's arena, its journal deps (every
-// operand's producer firings) in the shard's side table under the same
-// frame offset.
+// firing is an enabled operator activation: pointer-free. Its operands
+// live in the owning shard's arena, their producer firings (while the
+// record is kept) in the shard's side table under the same frame offset.
 type firing struct {
 	node int32
 	tgID int32
 	// port is the arriving port for any-arrival operators (merge, loop
 	// entry).
 	port int32
-	// dep is the latest-finishing input firing before issue; after issue
-	// it is reused to hold this firing's own id in the firing DAG.
-	dep  int32
 	vals int32 // operand frame offset
 	n    int32 // operand count
 }
@@ -340,8 +334,10 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		}
 		m.col.AddSink(&obs.TraceSink{W: cfgc.Trace, Labels: labels})
 	}
-	m.dag = m.col.DAGEnabled()
-	m.jour = m.col.JournalEnabled()
+	if m.col != nil { // a method value allocates
+		m.col.BindTags(m.tags.key)
+		m.rec = m.col.Record()
+	}
 	m.inj = cfgc.Inject
 	if cfgc.DetectRaces {
 		m.locs = newRaceDetector(g.Prog, cfgc.Binding)
@@ -424,13 +420,11 @@ type sim struct {
 	done     bool
 
 	// Observability: col collects counters/events (nil when disabled),
-	// dag caches col.DAGEnabled() (critical path or journal), jour caches
-	// col.JournalEnabled(), curDep is the firing id the tokens currently
-	// being emitted inherit as their producer, and dep2s the (dep, dep2)
-	// pairs of tokens with two producers (journaling only; see tokDeps).
+	// rec is its record of the run (nil unless kept), curDep is the firing
+	// id the tokens currently being emitted inherit as their producer, and
+	// dep2s the producer pairs of tokens with two (see noteDeps).
 	col    *obs.Collector
-	dag    bool
-	jour   bool
+	rec    *obs.Record
 	curDep int32
 	dep2s  [][2]int32
 
@@ -706,12 +700,16 @@ func (m *sim) issueRun(sh *shardState, run []firing, start time.Time) error {
 // operand frame.
 func (m *sim) issue(sh *shardState, f *firing) error {
 	if m.col != nil { // else every dep is -1 already
-		// f.dep switches meaning here: latest input firing in, this
-		// firing's own DAG id out, which the tokens it emits inherit as
-		// their producer.
-		f.dep = m.col.Fire(int(f.node), m.cycle, m.p.cost(f.node, m.cfg.MemLatency), int(f.n), int(f.port),
-			f.dep, sh.takeDeps(f.vals), m.tags.key(f.tgID))
-		m.curDep = f.dep
+		// The record copies the frame's producer list; the list is then
+		// truncated for the frame's next activation. The firing's id is the
+		// producer of the tokens it emits.
+		var deps []int32
+		if m.rec != nil {
+			deps = sh.deps[f.vals]
+			sh.deps[f.vals] = deps[:0]
+		}
+		m.curDep = m.col.Fire(int(f.node), m.cycle, m.p.cost(f.node, m.cfg.MemLatency), int(f.n), int(f.port),
+			f.tgID, deps)
 	}
 	if err := m.fire(f, sh.frame(f)); err != nil {
 		return err
@@ -848,18 +846,28 @@ func (m *sim) deliver(t *tok) error {
 	return m.deliverOnce(sh, t)
 }
 
-// tokDeps decodes a token's producer firings. A deferred I-structure
-// read's result depends on both the read firing and the store that
-// satisfied it: dep is the later-finishing one (the critical-path link),
-// dep2 the other, recorded only while journaling so the provenance DAG
-// keeps both edges (-1 when absent) — the pair waits in dep2s and the
-// token carries -2-index.
-func (m *sim) tokDeps(t *tok) (dep, dep2 int32) {
-	if t.dep >= -1 {
-		return t.dep, -1
+// noteDeps appends token t's producer firings to the producer list of
+// the activation whose operand frame starts at off; called only while the
+// record is kept. A deferred I-structure read's result has two producers,
+// the read and the store that satisfied it: the pair waits in dep2s,
+// later-finishing first, and the token carries -2-index.
+func (m *sim) noteDeps(sh *shardState, off int32, t *tok) {
+	switch {
+	case t.dep >= 0:
+		sh.deps[off] = append(sh.deps[off], t.dep)
+	case t.dep < -1:
+		p := &m.dep2s[-2-t.dep]
+		sh.deps[off] = append(sh.deps[off], p[0], p[1])
 	}
-	pair := m.dep2s[-2-t.dep]
-	return pair[0], pair[1]
+}
+
+// producer returns a parked token's producer firing for the record: its
+// own, or the first of a pair.
+func (m *sim) producer(t *tok) int32 {
+	if t.dep < -1 {
+		return m.dep2s[-2-t.dep][0]
+	}
+	return t.dep
 }
 
 // deliverOnce lands one token on the shard that owns its destination
@@ -867,7 +875,6 @@ func (m *sim) tokDeps(t *tok) (dep, dep2 int32) {
 // matchLive and the collector.
 func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 	o := &m.p.ops[t.node]
-	dep, dep2 := m.tokDeps(t)
 	if o.kind == uint8(dfg.End) && t.tgID != rootTagID {
 		return machcheck.Newf(machcheck.TagViolation, "machine",
 			"token reached end with non-root tag %q (unbalanced loop context)", m.tags.key(t.tgID))
@@ -878,22 +885,19 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 		// for the rest).
 		off := sh.getVals(1)
 		sh.arena[off] = t.val
-		if m.jour {
-			sh.deps[off] = appendDeps(nil, dep, dep2)
+		if m.rec != nil {
+			m.noteDeps(sh, off, t)
 		}
-		sh.ready.push(t.node, t.tgID, t.port, dep, off, 1)
+		sh.ready.push(t.node, t.tgID, t.port, off, 1)
 		return nil
 	}
 	e := m.matchLookup(t.node, t.tgID)
 	inserted := e == nil
 	if inserted {
 		e = m.matchInsert(sh, t.node, t.tgID, o.nIns)
-		e.dep = dep
-	} else if m.dag {
-		e.dep = m.col.MaxDep(e.dep, dep)
 	}
-	if m.jour {
-		sh.deps[e.vals] = appendDeps(sh.deps[e.vals], dep, dep2)
+	if m.rec != nil {
+		m.noteDeps(sh, e.vals, t)
 	}
 	bit := uint64(1) << uint(t.port)
 	if e.have&bit != 0 {
@@ -904,7 +908,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 	sh.arena[e.vals+t.port] = t.val
 	e.n++
 	if e.n == o.nIns {
-		sh.ready.push(t.node, t.tgID, 0, e.dep, e.vals, e.n)
+		sh.ready.push(t.node, t.tgID, 0, e.vals, e.n)
 		m.matchDelete(sh, t.node, e)
 		m.matchLive--
 	} else {
@@ -913,7 +917,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 		}
 		m.stats.Matches++
 		if m.col != nil {
-			m.col.Wait(int(t.node), m.cycle, int(t.port), dep, m.tags.key(t.tgID))
+			m.col.Wait(int(t.node), m.cycle, int(t.port), t.tgID, m.producer(t))
 		}
 		if m.matchLive > m.stats.PeakMatchStore {
 			m.stats.PeakMatchStore = m.matchLive
@@ -939,18 +943,6 @@ func (m *sim) emitAll(node int32, port int, val int64, tgID int32) {
 	if m.col != nil {
 		m.col.Emitted(int(node), len(targets))
 	}
-}
-
-// appendDeps accumulates a token's producer firings onto a journal deps
-// list, skipping absent (-1) links. Called only while journaling.
-func appendDeps(deps []int32, dep, dep2 int32) []int32 {
-	if dep >= 0 {
-		deps = append(deps, dep)
-	}
-	if dep2 >= 0 {
-		deps = append(deps, dep2)
-	}
-	return deps
 }
 
 // loopTagStep is the tag arithmetic of a loop operator's firing: a token
@@ -1048,7 +1040,7 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 	m.stats.MemOps++
 	switch kind {
 	case dfg.ILoad:
-		ready, err := m.istruct.read(n.Var, vals[0], istructWaiter{node: int(f.node), tgID: f.tgID, dep: f.dep})
+		ready, err := m.istruct.read(n.Var, vals[0], istructWaiter{node: int(f.node), tgID: f.tgID, dep: m.curDep})
 		if err != nil {
 			return err
 		}
@@ -1076,20 +1068,17 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 		storeDep := m.curDep
 		for _, w := range waiters {
 			// A deferred read's result depends on both the read's own
-			// firing and the store that satisfied it: dep carries the
-			// later-finishing link (critical path); while journaling the
-			// other edge rides in dep2s so the provenance DAG keeps both
-			// producers (see tokDeps).
-			m.curDep = m.col.MaxDep(storeDep, w.dep)
-			if m.jour {
-				other := storeDep
-				if m.curDep == storeDep {
-					other = w.dep
+			// firing and the store that satisfied it; while the record is
+			// kept the pair rides in dep2s, the later-finishing producer
+			// first — the store on a tie (see noteDeps).
+			m.curDep = storeDep
+			if m.rec != nil && storeDep >= 0 && w.dep >= 0 {
+				pair := [2]int32{storeDep, w.dep}
+				if m.rec.Fires[w.dep].Finish > m.rec.Fires[storeDep].Finish {
+					pair = [2]int32{w.dep, storeDep}
 				}
-				if other >= 0 {
-					m.dep2s = append(m.dep2s, [2]int32{m.curDep, other})
-					m.curDep = int32(-1 - len(m.dep2s))
-				}
+				m.dep2s = append(m.dep2s, pair)
+				m.curDep = int32(-1 - len(m.dep2s))
 			}
 			m.emitAll(int32(w.node), 0, vals[1], w.tgID)
 		}

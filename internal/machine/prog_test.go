@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/dfg"
@@ -156,7 +155,7 @@ func TestRunValidatesBeforeLowering(t *testing.T) {
 	}
 }
 
-// TestRecordsArePlainOldData pins the hot records' layout: 24 bytes each
+// TestRecordsArePlainOldData pins the hot records' layout: fixed sizes
 // and pointer-free, so the buffers that hold them are noscan memory and a
 // later field cannot silently bring back GC scan work.
 func TestRecordsArePlainOldData(t *testing.T) {
@@ -182,14 +181,14 @@ func TestRecordsArePlainOldData(t *testing.T) {
 		v    interface{}
 		size uintptr
 	}{
-		{tok{}, unsafe.Sizeof(tok{})},
-		{firing{}, unsafe.Sizeof(firing{})},
-		{matchEntry{}, unsafe.Sizeof(matchEntry{})},
-		{op{}, unsafe.Sizeof(op{})},
+		{tok{}, 24},
+		{firing{}, 20},
+		{matchEntry{}, 24},
+		{op{}, 24},
 	} {
 		ty := reflect.TypeOf(rec.v)
-		if rec.size != 24 {
-			t.Errorf("%s is %d bytes, want 24", ty, rec.size)
+		if ty.Size() != rec.size {
+			t.Errorf("%s is %d bytes, want %d", ty, ty.Size(), rec.size)
 		}
 		if hasPointers(ty) {
 			t.Errorf("%s carries a pointer", ty)

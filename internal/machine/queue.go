@@ -159,7 +159,7 @@ func newBuckets(nodes int) []bucket {
 
 // push enqueues one enabled firing, writing its record in place at the
 // bucket's tail.
-func (q *readyQueue) push(node, tgID, port, dep, vals, n int32) {
+func (q *readyQueue) push(node, tgID, port, vals, n int32) {
 	b := &q.buckets[node]
 	if len(b.items) == 0 {
 		q.words[node>>6] |= 1 << uint(node&63)
@@ -174,7 +174,7 @@ func (q *readyQueue) push(node, tgID, port, dep, vals, n int32) {
 		b.items = append(b.items, firing{})
 	}
 	f := &b.items[len(b.items)-1]
-	f.node, f.tgID, f.port, f.dep, f.vals, f.n = node, tgID, port, dep, vals, n
+	f.node, f.tgID, f.port, f.vals, f.n = node, tgID, port, vals, n
 }
 
 // next returns the lowest active node id >= from, or -1.
@@ -238,7 +238,7 @@ func (q *readyQueue) fill(dst []firing) []firing {
 
 // requeue puts back a firing that fill materialised but the cycle did
 // not issue (seeded-random mode).
-func (q *readyQueue) requeue(f firing) { q.push(f.node, f.tgID, f.port, f.dep, f.vals, f.n) }
+func (q *readyQueue) requeue(f firing) { q.push(f.node, f.tgID, f.port, f.vals, f.n) }
 
 // sortFirings orders one bucket's pending range by (tag key, port); the
 // node is constant within a bucket.
@@ -300,7 +300,7 @@ func (m *sim) matchInsert(sh *shardState, node, tgID, n int32) *matchEntry {
 }
 
 // matchDelete removes node's completed entry e; its operand frame (and
-// with it the journal deps) has moved onto the firing that consumed the
+// with it the producer list) has moved onto the firing that consumed the
 // match.
 func (m *sim) matchDelete(sh *shardState, node int32, e *matchEntry) {
 	if s := &m.shards[node]; e == &s.e {
@@ -341,14 +341,3 @@ func (sh *shardState) putVals(off, n int32) { sh.valsFree[n] = append(sh.valsFre
 // next grows — past the cycle's issue, since frames are carved at
 // delivery.
 func (sh *shardState) frame(f *firing) []int64 { return sh.arena[f.vals : f.vals+f.n] }
-
-// takeDeps hands the journal the producer firings of the activation
-// whose frame starts at off (nil unless journaling).
-func (sh *shardState) takeDeps(off int32) []int32 {
-	if sh.deps == nil {
-		return nil
-	}
-	d := sh.deps[off]
-	sh.deps[off] = nil
-	return d
-}

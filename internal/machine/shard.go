@@ -48,9 +48,9 @@ type shardState struct {
 
 	// Free lists and arenas (queue.go) — strictly shard-private. arena
 	// holds the operand frames of this shard's activations, valsFree the
-	// offsets of recycled frames by arity, and deps (journaling only,
-	// else nil) the producer firings of the activation whose frame
-	// starts at each offset.
+	// offsets of recycled frames by arity, and deps (while the record is
+	// kept, else nil) the producer firings of the activation whose frame
+	// starts at each offset, truncated and reused as the frame is.
 	entryFree []*matchEntry
 	arena     []int64
 	valsFree  [][]int32
@@ -79,7 +79,7 @@ func (m *sim) initShards(w int) {
 	for i := range m.shs {
 		sh := &shardState{id: i, valsFree: make([][]int32, m.p.maxIns+1)}
 		sh.ready = readyQueue{buckets: buckets, tt: m.tags, words: make([]uint64, words), sum: make([]uint64, words>>6+1)}
-		if m.jour {
+		if m.rec != nil {
 			sh.deps = [][]int32{}
 		}
 		m.shs[i] = sh

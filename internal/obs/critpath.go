@@ -47,45 +47,45 @@ type CriticalPath struct {
 }
 
 // criticalPath extracts the longest dependence chain ending at the end
-// node's firing (nil when the DAG was not recorded or end never fired).
+// node's first firing (nil when the record was not kept or end never
+// fired): walking back, each step is the first producer of maximal
+// Finish of the step after it.
 func (c *Collector) criticalPath() *CriticalPath {
-	if c == nil || !c.critical {
+	if c == nil || c.rec == nil {
 		return nil
 	}
-	end := -1
-	for i := range c.firings {
-		if int(c.firings[i].node) == c.endID {
-			end = i
+	r := c.rec
+	end := noDep
+	for i := range r.Fires {
+		if int(r.Fires[i].Node) == c.endID {
+			end = int32(i)
 			break
 		}
 	}
 	if end < 0 {
 		return nil
 	}
-	var chain []int
-	for f := int32(end); f >= 0; f = c.firings[f].pred {
-		chain = append(chain, int(f))
+	ops := 0
+	for f := end; f >= 0; f = r.pred(f) {
+		ops++
 	}
-	// chain is end→start; reverse it.
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	cp := &CriticalPath{Length: c.firings[end].finish, Ops: len(chain)}
+	cp := &CriticalPath{Length: r.Fires[end].Finish, Ops: ops, Steps: make([]CritStep, ops)}
 	byKind := map[string]*KindCost{}
-	for _, f := range chain {
-		rec := c.firings[f]
-		m := c.meta[rec.node]
-		cp.Steps = append(cp.Steps, CritStep{
-			Node: int(rec.node), Kind: m.Kind, Label: m.Label, Tag: rec.tag,
-			Cycle: int(rec.cycle), Cost: int(rec.cost), Finish: rec.finish,
-		})
+	// The walk runs end→start; the steps run start→end.
+	for f, i := end, ops-1; f >= 0; f, i = r.pred(f), i-1 {
+		rec := &r.Fires[f]
+		m := c.meta[rec.Node]
+		cp.Steps[i] = CritStep{
+			Node: int(rec.Node), Kind: m.Kind, Label: m.Label, Tag: r.Tags[rec.Tag],
+			Cycle: int(rec.Cycle), Cost: int(rec.Cost), Finish: rec.Finish,
+		}
 		kc := byKind[m.Kind]
 		if kc == nil {
 			kc = &KindCost{Kind: m.Kind}
 			byKind[m.Kind] = kc
 		}
 		kc.Ops++
-		kc.Cycles += int64(rec.cost)
+		kc.Cycles += int64(rec.Cost)
 	}
 	for _, kc := range byKind {
 		if cp.Length > 0 {

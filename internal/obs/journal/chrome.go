@@ -62,8 +62,8 @@ func (j *Journal) WriteChromeTrace(w io.Writer) error {
 	// Lane assignment and per-tag span extents in one pass (fires are in
 	// cycle order).
 	type span struct{ start, end int64 }
-	tags := map[string]*span{}
-	var tagOrder []string
+	spans := make([]*span, len(j.Tags))
+	var tagOrder []int32
 	lanes := 0
 	lane, laneCycle := 0, int32(-1)
 	for i := range j.Fires {
@@ -76,9 +76,9 @@ func (j *Journal) WriteChromeTrace(w io.Writer) error {
 		if lane+1 > lanes {
 			lanes = lane + 1
 		}
-		args := map[string]any{"tag": j.renderTag(f.Tag), "firing": f.ID}
-		if len(f.Deps) > 0 {
-			args["deps"] = f.Deps
+		args := map[string]any{"tag": j.tagName(f.Tag), "firing": i}
+		if deps := j.Deps(int32(i)); len(deps) > 0 {
+			args["deps"] = deps
 		}
 		if err := emit(ev{
 			Name: j.label(f.Node), Cat: j.kind(f.Node), Ph: "X",
@@ -86,9 +86,9 @@ func (j *Journal) WriteChromeTrace(w io.Writer) error {
 		}); err != nil {
 			return err
 		}
-		s := tags[f.Tag]
+		s := spans[f.Tag]
 		if s == nil {
-			tags[f.Tag] = &span{start: int64(f.Cycle), end: int64(f.Cycle + f.Cost)}
+			spans[f.Tag] = &span{start: int64(f.Cycle), end: int64(f.Cycle + f.Cost)}
 			tagOrder = append(tagOrder, f.Tag)
 		} else if e := int64(f.Cycle + f.Cost); e > s.end {
 			s.end = e
@@ -102,9 +102,9 @@ func (j *Journal) WriteChromeTrace(w io.Writer) error {
 	}
 	// Async spans: one per tag, first-seen order, ids stable across runs.
 	for n, tag := range tagOrder {
-		s := tags[tag]
+		s := spans[tag]
 		id := fmt.Sprintf("tag-%d", n)
-		name := "tag " + j.renderTag(tag)
+		name := "tag " + j.tagName(tag)
 		if err := emit(ev{Name: name, Cat: "tag", Ph: "b", Ts: s.start, Pid: 0, Tid: 0, ID: id}); err != nil {
 			return err
 		}
@@ -117,7 +117,7 @@ func (j *Journal) WriteChromeTrace(w io.Writer) error {
 		p := &j.Parks[i]
 		if err := emit(ev{Name: "park " + j.label(p.Node), Cat: "match", Ph: "i",
 			Ts: int64(p.Cycle), Pid: 0, Tid: 0, S: "t",
-			Args: map[string]any{"tag": j.renderTag(p.Tag), "port": p.Port}}); err != nil {
+			Args: map[string]any{"tag": j.tagName(p.Tag), "port": p.Port}}); err != nil {
 			return err
 		}
 	}

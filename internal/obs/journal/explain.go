@@ -57,7 +57,7 @@ func cone(j *Journal, anchors []int32, forward bool) (*Cone, error) {
 			if in[i] {
 				continue
 			}
-			for _, d := range j.Fires[i].Deps {
+			for _, d := range j.Deps(int32(i)) {
 				if in[d] {
 					in[i] = true
 					break
@@ -70,7 +70,7 @@ func cone(j *Journal, anchors []int32, forward bool) (*Cone, error) {
 			if !in[i] {
 				continue
 			}
-			for _, d := range j.Fires[i].Deps {
+			for _, d := range j.Deps(int32(i)) {
 				in[d] = true
 			}
 		}
@@ -121,16 +121,12 @@ func (c *Cone) Text(maxDepth int) string {
 	walk = func(id int32, depth int) {
 		f := &c.j.Fires[id]
 		indent := strings.Repeat("  ", depth)
-		tag := f.Tag
-		if tag == "" {
-			tag = "root"
-		}
 		if expanded[id] {
 			fmt.Fprintf(&b, "%s#%d (see above)\n", indent, id)
 			return
 		}
 		expanded[id] = true
-		fmt.Fprintf(&b, "%s#%d %s [tag %s] @cycle %d", indent, id, c.j.label(f.Node), tag, f.Cycle)
+		fmt.Fprintf(&b, "%s#%d %s [tag %s] @cycle %d", indent, id, c.j.label(f.Node), c.j.tagName(f.Tag), f.Cycle)
 		if f.Cost > 1 {
 			fmt.Fprintf(&b, " (cost %d)", f.Cost)
 		}
@@ -155,14 +151,14 @@ func (c *Cone) Text(maxDepth int) string {
 // direction: producers for a backward cone, consumers for a forward one.
 func (c *Cone) next(id int32) []int32 {
 	if !c.Forward {
-		return c.j.Fires[id].Deps
+		return c.j.Deps(id)
 	}
 	var out []int32
 	for _, cand := range c.IDs {
 		if cand <= id {
 			continue
 		}
-		for _, d := range c.j.Fires[cand].Deps {
+		for _, d := range c.j.Deps(cand) {
 			if d == id {
 				out = append(out, cand)
 				break
@@ -223,12 +219,12 @@ func ResolveAnchor(j *Journal, spec string) ([]int32, error) {
 	var out []int32
 	for i := range j.Fires {
 		f := &j.Fires[i]
-		if hasTag && f.Tag != tag {
+		if hasTag && j.Tags[f.Tag] != tag {
 			continue
 		}
 		for _, nd := range nodes {
 			if int(f.Node) == nd {
-				out = append(out, f.ID)
+				out = append(out, int32(i))
 				break
 			}
 		}

@@ -26,7 +26,7 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata export goldens 
 // goldenJournal records the running example under the configuration the
 // OBSERVABILITY.md walkthrough uses: schema2-opt, memory latency 4,
 // unlimited processors.
-func goldenJournal(t *testing.T) *Journal {
+func goldenJournal(t testing.TB) *Journal {
 	t.Helper()
 	w, err := workloads.ByName("running-example")
 	if err != nil {
@@ -37,13 +37,12 @@ func goldenJournal(t *testing.T) *Journal {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(res.Graph, "schema2-opt", Config{MemLatency: 4})
-	col := obs.NewCollector(res.Graph, obs.Options{Journal: rec})
+	col := obs.NewCollector(res.Graph, obs.Options{CriticalPath: true})
 	out, err := machine.Run(res.Graph, machine.Config{MemLatency: 4, Collector: col})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.Finish(out.Stats.Cycles)
+	return New(res.Graph, col, "schema2-opt", Config{MemLatency: 4}, out.Stats.Cycles)
 }
 
 func checkExportGolden(t *testing.T, name string, got []byte) {

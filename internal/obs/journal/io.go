@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"ctdf/internal/dfg"
 	"ctdf/internal/obs"
 )
 
@@ -38,18 +39,28 @@ type headerLine struct {
 }
 
 type fireLine struct {
-	Type string `json:"type"`
-	Fire
+	Type  string  `json:"type"`
+	ID    int32   `json:"id"`
+	Node  int32   `json:"node"`
+	Cycle int32   `json:"cycle"`
+	Cost  int32   `json:"cost"`
+	Port  int32   `json:"port,omitempty"`
+	Tag   string  `json:"tag,omitempty"`
+	Deps  []int32 `json:"deps,omitempty"`
 }
 
 type parkLine struct {
-	Type string `json:"type"`
-	Park
+	Type  string `json:"type"`
+	Node  int32  `json:"node"`
+	Cycle int32  `json:"cycle"`
+	Port  int32  `json:"port,omitempty"`
+	Tag   string `json:"tag,omitempty"`
+	Dep   int32  `json:"dep"`
 }
 
 type faultLine struct {
 	Type string `json:"type"`
-	Fault
+	obs.Fault
 }
 
 type abortLine struct {
@@ -63,23 +74,32 @@ type endLine struct {
 	Cycles int    `json:"cycles"`
 }
 
-// Write streams the journal as NDJSON.
+// Write streams the journal as NDJSON. The graph text is rendered here,
+// not when the run starts ("" for linked procedure graphs).
 func (j *Journal) Write(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
+	graph := j.graphText
+	if graph == "" && j.graph != nil && len(j.graph.Calls) == 0 {
+		graph = dfg.Text(j.graph)
+	}
 	if err := enc.Encode(headerLine{
 		Type: "journal", Version: j.Version, Engine: j.Engine, Label: j.Label,
-		Config: j.Config, Graph: j.GraphText, Nodes: j.Nodes,
+		Config: j.Config, Graph: graph, Nodes: j.Nodes,
 	}); err != nil {
 		return err
 	}
 	for i := range j.Fires {
-		if err := enc.Encode(fireLine{Type: "fire", Fire: j.Fires[i]}); err != nil {
+		f := &j.Fires[i]
+		if err := enc.Encode(fireLine{Type: "fire", ID: int32(i), Node: f.Node, Cycle: f.Cycle, Cost: f.Cost,
+			Port: f.Port, Tag: j.Tags[f.Tag], Deps: j.Deps(int32(i))}); err != nil {
 			return err
 		}
 	}
 	for i := range j.Parks {
-		if err := enc.Encode(parkLine{Type: "park", Park: j.Parks[i]}); err != nil {
+		p := &j.Parks[i]
+		if err := enc.Encode(parkLine{Type: "park", Node: p.Node, Cycle: p.Cycle, Port: p.Port,
+			Tag: j.Tags[p.Tag], Dep: p.Dep}); err != nil {
 			return err
 		}
 	}
@@ -99,7 +119,9 @@ func (j *Journal) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read parses an NDJSON journal and validates its internal consistency.
+// Read parses an NDJSON journal into the record form a run's collector
+// keeps (tags interned in file order) and validates its internal
+// consistency.
 func Read(r io.Reader) (*Journal, error) {
 	sc := bufio.NewScanner(r)
 	// A serialized graph rides in one header line; give it room.
@@ -108,6 +130,17 @@ func Read(r io.Reader) (*Journal, error) {
 	var kind struct {
 		Type string `json:"type"`
 	}
+	tagIDs := map[string]int32{}
+	intern := func(tag string) int32 {
+		id, ok := tagIDs[tag]
+		if !ok {
+			id = int32(len(j.Tags))
+			tagIDs[tag] = id
+			j.Tags = append(j.Tags, tag)
+		}
+		return id
+	}
+	var f fireLine
 	sawHeader, sawEnd := false, false
 	line := 0
 	for sc.Scan() {
@@ -135,26 +168,29 @@ func Read(r io.Reader) (*Journal, error) {
 				return nil, fmt.Errorf("journal: unsupported format version %d (have %d)", h.Version, Version)
 			}
 			j.Version, j.Engine, j.Label = h.Version, h.Engine, h.Label
-			j.Config, j.GraphText, j.Nodes = h.Config, h.Graph, h.Nodes
+			j.Config, j.graphText, j.Nodes = h.Config, h.Graph, h.Nodes
 			sawHeader = true
 		case "fire":
-			var f fireLine
+			f = fireLine{Deps: f.Deps[:0]}
 			if err := json.Unmarshal(raw, &f); err != nil {
 				return nil, fmt.Errorf("journal: line %d: %w", line, err)
 			}
-			j.Fires = append(j.Fires, f.Fire)
+			if err := j.checkFire(&f); err != nil {
+				return nil, fmt.Errorf("journal: line %d: %w", line, err)
+			}
+			j.AddFire(f.Node, f.Cycle, f.Cost, f.Port, intern(f.Tag), f.Deps)
 		case "park":
 			var p parkLine
 			if err := json.Unmarshal(raw, &p); err != nil {
 				return nil, fmt.Errorf("journal: line %d: %w", line, err)
 			}
-			j.Parks = append(j.Parks, p.Park)
+			j.Parks = append(j.Parks, obs.Park{Node: p.Node, Cycle: p.Cycle, Port: p.Port, Tag: intern(p.Tag), Dep: p.Dep})
 		case "fault":
-			var f faultLine
-			if err := json.Unmarshal(raw, &f); err != nil {
+			var fl faultLine
+			if err := json.Unmarshal(raw, &fl); err != nil {
 				return nil, fmt.Errorf("journal: line %d: %w", line, err)
 			}
-			j.Faults = append(j.Faults, f.Fault)
+			j.Faults = append(j.Faults, fl.Fault)
 		case "abort":
 			var a abortLine
 			if err := json.Unmarshal(raw, &a); err != nil {
@@ -185,6 +221,25 @@ func Read(r io.Reader) (*Journal, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// checkFire validates a fire line against the firings read before it:
+// its id is the next one, its node exists, and it depends only on
+// earlier firings.
+func (j *Journal) checkFire(f *fireLine) error {
+	id := int32(len(j.Fires))
+	if f.ID != id {
+		return fmt.Errorf("fire %d carries id %d", id, f.ID)
+	}
+	if f.Node < 0 || int(f.Node) >= len(j.Nodes) {
+		return fmt.Errorf("fire %d names unknown node %d", id, f.Node)
+	}
+	for _, d := range f.Deps {
+		if d < 0 || d >= id {
+			return fmt.Errorf("fire %d depends on invalid firing %d", id, d)
+		}
+	}
+	return nil
 }
 
 // WriteFile writes the journal to path, gzipped when path ends in ".gz".

@@ -1,8 +1,8 @@
 // Package journal records and replays causal execution journals of the
-// machine engine. A journal holds, for every firing, the full set of
-// operand-producer firings — the complete provenance DAG, generalizing
-// the critical-path collector's single latest-finishing link — plus the
-// matching-store park events and tag lineage. Because the translated
+// machine engine. A journal is the run's obs.Record — for every firing,
+// the full set of operand-producer firings (the complete provenance DAG,
+// whose first-max-finish path is the collector's critical path), plus
+// the matching-store park events and tag lineage. Because the translated
 // graphs are determinate (paper §3, §5), one journal is a complete,
 // replayable description of every run of the same configuration, which
 // is what makes the three consumers built on top of it sound:
@@ -33,41 +33,6 @@ import (
 // Version is the journal format version.
 const Version = 1
 
-// Fire is one recorded firing — a node of the provenance DAG. Its ID is
-// its index in the journal's fire list, which is the engine's issue
-// order (deterministic for the machine engine).
-type Fire struct {
-	ID    int32  `json:"id"`
-	Node  int32  `json:"node"`
-	Cycle int32  `json:"cycle"`
-	Cost  int32  `json:"cost"`
-	Port  int32  `json:"port,omitempty"`
-	Tag   string `json:"tag,omitempty"`
-	// Deps holds the producer firing ids of every operand the firing
-	// consumed (empty for firings fed only by initial tokens). A deferred
-	// I-structure read's consumer carries both the read and the
-	// satisfying store.
-	Deps []int32 `json:"deps,omitempty"`
-}
-
-// Park is one matching-store park: a token that had to wait for its
-// partner operands (§2.2 frame-memory pressure). Dep is the parked
-// token's producer firing (-1 for initial tokens).
-type Park struct {
-	Node  int32  `json:"node"`
-	Cycle int32  `json:"cycle"`
-	Port  int32  `json:"port,omitempty"`
-	Tag   string `json:"tag,omitempty"`
-	Dep   int32  `json:"dep"`
-}
-
-// Fault is one injected fault observed during the run.
-type Fault struct {
-	Node  int    `json:"node"`
-	Cycle int    `json:"cycle"`
-	Class string `json:"class"`
-}
-
 // Config captures the machine configuration a journal was recorded
 // under — everything Replay needs to re-execute the run bit-for-bit.
 // Zero values mean engine defaults, exactly as in machine.Config.
@@ -87,104 +52,53 @@ type Config struct {
 	FaultDelay int    `json:"faultDelay,omitempty"`
 }
 
-// Journal is one recorded machine-engine run.
+// Journal is one recorded machine-engine run: the run's obs.Record — the
+// provenance DAG, parks, faults and abort — with what replaying and
+// rendering it needs.
 type Journal struct {
 	Version int    `json:"version"`
 	Engine  string `json:"engine"`
 	// Label optionally names the run (workload/schema), for reports.
 	Label string `json:"label,omitempty"`
-	// GraphText is the dfg text serialization of the executed graph,
-	// making the journal self-contained for file-based replay. Empty for
-	// linked procedure graphs (not serializable in dfg format v1); those
-	// journals replay in-memory via the retained graph only.
-	GraphText string `json:"-"`
 	// Nodes is the per-node attribution metadata, indexed by node id.
 	Nodes  []obs.NodeMeta `json:"-"`
 	Config Config         `json:"config"`
 	// Cycles is the run's total execution time.
 	Cycles int `json:"cycles"`
-	// AbortCheck/AbortCycle record the machine check that ended the run
-	// ("" for clean completion).
-	AbortCheck string `json:"abortCheck,omitempty"`
-	AbortCycle int    `json:"abortCycle,omitempty"`
 
-	Fires  []Fire  `json:"-"`
-	Parks  []Park  `json:"-"`
-	Faults []Fault `json:"-"`
+	obs.Record `json:"-"`
 
 	// graph is the executed graph when the journal was recorded (or
-	// replayed) in-process; file-loaded journals parse GraphText lazily.
-	graph *dfg.Graph
+	// replayed) in-process; file-loaded journals parse graphText, the dfg
+	// text the file carried (empty for linked procedure graphs, which dfg
+	// format v1 cannot serialize), on demand.
+	graph     *dfg.Graph
+	graphText string
 }
 
-// Recorder implements obs.Journal, accumulating a Journal during one
-// machine run. Wire it via obs.Options.Journal; call Finish once the run
-// returns.
-type Recorder struct {
-	j *Journal
-}
-
-// NewRecorder prepares a journal recorder for one run of g. label names
-// the run in reports; cfg must describe the machine configuration the
-// run uses, so the journal replays identically.
-func NewRecorder(g *dfg.Graph, label string, cfg Config) *Recorder {
-	j := &Journal{
-		Version: Version,
-		Engine:  "machine",
-		Label:   label,
-		Nodes:   g.Meta(),
-		Config:  cfg,
-		graph:   g,
+// New builds the journal of one machine run of g from the record its
+// collector kept (obs.Options.CriticalPath). label names the run in
+// reports; cfg must describe the machine configuration the run used, so
+// the journal replays identically; cycles is the run's total execution
+// time.
+func New(g *dfg.Graph, col *obs.Collector, label string, cfg Config, cycles int) *Journal {
+	j := &Journal{Version: Version, Engine: "machine", Label: label, Nodes: col.Meta(), Config: cfg, Cycles: cycles, graph: g}
+	if rec := col.Record(); rec != nil {
+		j.Record = *rec
 	}
-	if len(g.Calls) == 0 {
-		j.GraphText = dfg.Text(g)
-	}
-	return &Recorder{j: j}
+	return j
 }
 
-// RecordFire implements obs.Journal; the firing id is the call index.
-func (r *Recorder) RecordFire(node, cycle, cost, port int, tag string, deps []int32) {
-	r.j.Fires = append(r.j.Fires, Fire{
-		ID: int32(len(r.j.Fires)), Node: int32(node), Cycle: int32(cycle),
-		Cost: int32(cost), Port: int32(port), Tag: tag, Deps: deps,
-	})
-}
-
-// RecordPark implements obs.Journal.
-func (r *Recorder) RecordPark(node, cycle, port int, tag string, dep int32) {
-	r.j.Parks = append(r.j.Parks, Park{
-		Node: int32(node), Cycle: int32(cycle), Port: int32(port), Tag: tag, Dep: dep,
-	})
-}
-
-// RecordFault implements obs.Journal.
-func (r *Recorder) RecordFault(node, cycle int, detail string) {
-	r.j.Faults = append(r.j.Faults, Fault{Node: node, Cycle: cycle, Class: detail})
-}
-
-// RecordAbort implements obs.Journal.
-func (r *Recorder) RecordAbort(cycle int, check string) {
-	r.j.AbortCheck = check
-	r.j.AbortCycle = cycle
-}
-
-// Finish seals the journal with the run's total cycle count and returns
-// it. The recorder must not be used afterwards.
-func (r *Recorder) Finish(cycles int) *Journal {
-	r.j.Cycles = cycles
-	return r.j
-}
-
-// Graph returns the journal's executed graph, parsing GraphText on
-// demand for file-loaded journals.
+// Graph returns the journal's executed graph, parsing the recorded graph
+// text on demand for file-loaded journals.
 func (j *Journal) Graph() (*dfg.Graph, error) {
 	if j.graph != nil {
 		return j.graph, nil
 	}
-	if j.GraphText == "" {
+	if j.graphText == "" {
 		return nil, fmt.Errorf("journal: no graph recorded (linked procedure graphs are not serializable); replay requires the in-memory graph")
 	}
-	g, err := dfg.ParseText(strings.NewReader(j.GraphText))
+	g, err := dfg.ParseText(strings.NewReader(j.graphText))
 	if err != nil {
 		return nil, fmt.Errorf("journal: parsing recorded graph: %w", err)
 	}
@@ -200,29 +114,23 @@ func (j *Journal) label(node int32) string {
 	return fmt.Sprintf("d%d", node)
 }
 
-// checkIDs validates every dependence edge's target, so queries and
-// depth computations cannot panic on a truncated or corrupted journal.
+// checkIDs validates every row's node and every park's producer, so
+// queries and depth computations cannot panic on a journal whose rows
+// were edited after it was built. Producer edges point strictly backward
+// by construction (obs.Record.AddFire).
 func (j *Journal) checkIDs() error {
 	for i := range j.Fires {
-		f := &j.Fires[i]
-		if f.ID != int32(i) {
-			return fmt.Errorf("journal: fire %d carries id %d", i, f.ID)
-		}
-		if int(f.Node) >= len(j.Nodes) || f.Node < 0 {
-			return fmt.Errorf("journal: fire %d names unknown node %d", i, f.Node)
-		}
-		for _, d := range f.Deps {
-			if d < 0 || d >= f.ID {
-				return fmt.Errorf("journal: fire %d depends on invalid firing %d", i, d)
-			}
+		if n := j.Fires[i].Node; n < 0 || int(n) >= len(j.Nodes) {
+			return fmt.Errorf("journal: fire %d names unknown node %d", i, n)
 		}
 	}
 	for i := range j.Parks {
-		if int(j.Parks[i].Node) >= len(j.Nodes) || j.Parks[i].Node < 0 {
-			return fmt.Errorf("journal: park %d names unknown node %d", i, j.Parks[i].Node)
+		p := &j.Parks[i]
+		if p.Node < 0 || int(p.Node) >= len(j.Nodes) {
+			return fmt.Errorf("journal: park %d names unknown node %d", i, p.Node)
 		}
-		if j.Parks[i].Dep >= int32(len(j.Fires)) {
-			return fmt.Errorf("journal: park %d names invalid producer %d", i, j.Parks[i].Dep)
+		if p.Dep >= int32(len(j.Fires)) {
+			return fmt.Errorf("journal: park %d names invalid producer %d", i, p.Dep)
 		}
 	}
 	return nil
@@ -238,7 +146,7 @@ func (j *Journal) Depths() []int64 {
 	depths := make([]int64, len(j.Fires))
 	for i := range j.Fires {
 		var max int64
-		for _, d := range j.Fires[i].Deps {
+		for _, d := range j.Deps(int32(i)) {
 			if depths[d] > max {
 				max = depths[d]
 			}
@@ -272,11 +180,11 @@ func (j *Journal) CheckLinearization() error {
 	}
 	for i := range j.Fires {
 		f := &j.Fires[i]
-		for _, d := range f.Deps {
+		for _, d := range j.Deps(int32(i)) {
 			p := &j.Fires[d]
 			if p.Cycle+p.Cost > f.Cycle {
 				return fmt.Errorf("journal: firing #%d (%s @%d) consumes #%d (%s) finishing at %d",
-					f.ID, j.label(f.Node), f.Cycle, p.ID, j.label(p.Node), p.Cycle+p.Cost)
+					i, j.label(f.Node), f.Cycle, d, j.label(p.Node), p.Cycle+p.Cost)
 			}
 		}
 	}
@@ -299,18 +207,13 @@ func (j *Journal) Summary() string {
 	return b.String()
 }
 
-// FiringsAt returns the ids of node's firings under the given tag key,
-// in issue order. It is the anchor resolver for Explain/Impact queries
-// ("d10@0.1"): any-arrival operators (merge, loop entry) legitimately
-// fire several times per tag.
-func (j *Journal) FiringsAt(node int, tag string) []int32 {
-	var out []int32
-	for i := range j.Fires {
-		if int(j.Fires[i].Node) == node && j.Fires[i].Tag == tag {
-			out = append(out, j.Fires[i].ID)
-		}
+// tagName renders an interned tag id for humans ("root" for the root
+// tag).
+func (j *Journal) tagName(id int32) string {
+	if j.Tags[id] == "" {
+		return "root"
 	}
-	return out
+	return j.Tags[id]
 }
 
 // NodesByLabel finds node ids whose label contains the given substring —

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,27 +29,26 @@ func translateWorkload(t *testing.T, w workloads.Workload, opt translate.Options
 	return res
 }
 
-// record runs the machine with a journal recorder attached and returns
-// the sealed journal plus the collector's report.
+// record runs the machine with the collector keeping the run's record
+// and returns the journal built from it plus the collector's report.
 func record(t *testing.T, g *dfg.Graph, label string, jcfg Config, mcfg machine.Config) (*Journal, *obs.Report) {
 	t.Helper()
-	rec := NewRecorder(g, label, jcfg)
-	col := obs.NewCollector(g, obs.Options{CriticalPath: true, Journal: rec})
+	col := obs.NewCollector(g, obs.Options{CriticalPath: true})
 	mcfg.Collector = col
 	out, err := machine.Run(g, mcfg)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	return rec.Finish(out.Stats.Cycles), col.Report(out.Stats.Cycles, out.Stats.Profile)
+	return New(g, col, label, jcfg, out.Stats.Cycles), col.Report(out.Stats.Cycles, out.Stats.Profile)
 }
 
-// TestCriticalPathEqualsLongestProvenancePath is the cross-validation of
-// the PR 1 critical-path extractor against the full provenance DAG: the
-// collector tracks only the single latest-finishing link per firing,
-// the journal keeps every link; the longest weighted path through the
-// complete DAG must equal the extractor's Length on every workload,
-// schema, latency, and processor count.
-func TestCriticalPathEqualsLongestProvenancePath(t *testing.T) {
+// TestCriticalPathFollowsFirstMaxFinishDeps checks the critical path as a
+// query over the record, on every workload, schema, latency and processor
+// count: its last step is end's first firing, each step is the first
+// producer of maximal chain length of the step after it, and every
+// firing's chain length is its cost plus its producers' largest — the
+// longest weighted provenance path, whose value at end is the Length.
+func TestCriticalPathFollowsFirstMaxFinishDeps(t *testing.T) {
 	schemas := []translate.Options{
 		{Schema: translate.Schema1},
 		{Schema: translate.Schema2},
@@ -59,32 +59,49 @@ func TestCriticalPathEqualsLongestProvenancePath(t *testing.T) {
 			res := translateWorkload(t, w, opt)
 			for _, lat := range []int{1, 4} {
 				for _, procs := range []int{0, 1, 3} {
-					jcfg := Config{Processors: procs, MemLatency: lat}
-					j, rep := record(t, res.Graph, w.Name, jcfg, machine.Config{MemLatency: lat, Processors: procs})
+					label := fmt.Sprintf("%s/%v lat=%d P=%d", w.Name, opt.Schema, lat, procs)
+					j, rep := record(t, res.Graph, w.Name, Config{Processors: procs, MemLatency: lat}, machine.Config{MemLatency: lat, Processors: procs})
 					if err := j.CheckLinearization(); err != nil {
-						t.Fatalf("%s/%v lat=%d P=%d: %v", w.Name, opt.Schema, lat, procs, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					if rep.CriticalPath == nil {
-						t.Fatalf("%s/%v: no critical path", w.Name, opt.Schema)
+					cp := rep.CriticalPath
+					if cp == nil || len(cp.Steps) == 0 {
+						t.Fatalf("%s: no critical path", label)
 					}
-					// Longest weighted path: L(f) = cost(f) + max L(deps).
 					longest := make([]int64, len(j.Fires))
-					var max int64
 					for i := range j.Fires {
 						var m int64
-						for _, d := range j.Fires[i].Deps {
-							if longest[d] > m {
-								m = longest[d]
-							}
+						for _, d := range j.Deps(int32(i)) {
+							m = max(m, longest[d])
 						}
 						longest[i] = m + int64(j.Fires[i].Cost)
-						if longest[i] > max {
-							max = longest[i]
+						if j.Fires[i].Finish != longest[i] {
+							t.Fatalf("%s: firing #%d finish %d, longest path %d", label, i, j.Fires[i].Finish, longest[i])
 						}
 					}
-					if max != rep.CriticalPath.Length {
-						t.Errorf("%s/%v lat=%d P=%d: longest provenance path %d != critical path %d",
-							w.Name, opt.Schema, lat, procs, max, rep.CriticalPath.Length)
+					ends, err := ResolveAnchor(j, fmt.Sprintf("d%d@root", res.Graph.EndID))
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					id := ends[0]
+					if cp.Length != longest[id] || cp.Ops != len(cp.Steps) {
+						t.Errorf("%s: length %d over %d ops, end's longest path %d over %d steps", label, cp.Length, cp.Ops, longest[id], len(cp.Steps))
+					}
+					for k := len(cp.Steps) - 1; k >= 0; k-- {
+						f, s := &j.Fires[id], cp.Steps[k]
+						if int(f.Node) != s.Node || int(f.Cycle) != s.Cycle || int(f.Cost) != s.Cost || j.Tags[f.Tag] != s.Tag || f.Finish != s.Finish {
+							t.Fatalf("%s: step %d is %+v, want firing #%d %+v", label, k, s, id, *f)
+						}
+						next := int32(-1)
+						for _, d := range j.Deps(id) {
+							if next < 0 || longest[d] > longest[next] {
+								next = d
+							}
+						}
+						if (k == 0) != (next < 0) {
+							t.Fatalf("%s: chain of %d steps, firing #%d at step %d has first max dep %d", label, len(cp.Steps), id, k, next)
+						}
+						id = next
 					}
 				}
 			}
@@ -112,7 +129,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 		for i := range j.Fires {
 			a, b := j.Fires[i], got.Fires[i]
-			if a.Node != b.Node || a.Cycle != b.Cycle || a.Cost != b.Cost || a.Tag != b.Tag || !depsEqual(a.Deps, b.Deps) {
+			if a.Node != b.Node || a.Cycle != b.Cycle || a.Cost != b.Cost || a.Port != b.Port || a.Finish != b.Finish ||
+				j.Tags[a.Tag] != got.Tags[b.Tag] || !slices.Equal(j.Deps(int32(i)), got.Deps(int32(i))) {
 				t.Fatalf("fire %d roundtrip: %+v != %+v", i, a, b)
 			}
 		}
@@ -166,9 +184,9 @@ func TestExplainImpactDuality(t *testing.T) {
 	res := translateWorkload(t, workloads.RunningExample, translate.Options{Schema: translate.Schema2})
 	j, _ := record(t, res.Graph, "running-example", Config{MemLatency: 4}, machine.Config{MemLatency: 4})
 
-	endFires := j.FiringsAt(res.Graph.EndID, j.Fires[len(j.Fires)-1].Tag)
-	if len(endFires) == 0 {
-		t.Fatal("end node never fired")
+	endFires, err := ResolveAnchor(j, fmt.Sprintf("d%d@root", res.Graph.EndID))
+	if err != nil {
+		t.Fatal(err)
 	}
 	cause, err := Explain(j, endFires)
 	if err != nil {
@@ -176,7 +194,7 @@ func TestExplainImpactDuality(t *testing.T) {
 	}
 	// Backward closure: every member's deps are members.
 	for _, id := range cause.IDs {
-		for _, d := range j.Fires[id].Deps {
+		for _, d := range j.Deps(id) {
 			if !cause.Contains(d) {
 				t.Fatalf("cause cone not closed: #%d in, dep #%d out", id, d)
 			}
@@ -332,9 +350,6 @@ func TestReplayInMemory(t *testing.T) {
 		}
 		found = true
 		j, _ := record(t, res.Graph, w.Name, Config{MemLatency: 2}, machine.Config{MemLatency: 2})
-		if j.GraphText != "" {
-			t.Fatalf("%s: linked graph serialized?", w.Name)
-		}
 		rr, err := Replay(j)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
@@ -350,6 +365,9 @@ func TestReplayInMemory(t *testing.T) {
 		loaded, err := Read(&buf)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if loaded.graphText != "" {
+			t.Fatalf("%s: linked graph serialized?", w.Name)
 		}
 		if _, err := Replay(loaded); err == nil {
 			t.Errorf("%s: replay of graph-less journal did not fail", w.Name)
@@ -508,7 +526,7 @@ func TestDepthsMatchParallelStructure(t *testing.T) {
 		if depths[i] == 1 {
 			sawRoot = true
 		}
-		for _, d := range j.Fires[i].Deps {
+		for _, d := range j.Deps(int32(i)) {
 			if depths[d] >= depths[i] {
 				t.Fatalf("depth not strictly increasing along edge %d->%d", d, i)
 			}

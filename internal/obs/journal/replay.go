@@ -3,6 +3,7 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ctdf/internal/fault"
@@ -78,8 +79,8 @@ func Replay(j *Journal) (*ReplayResult, error) {
 			Delay: j.Config.FaultDelay,
 		})
 	}
-	rec := NewRecorder(g, j.Label, j.Config)
-	cfg.Collector = obs.NewCollector(g, obs.Options{Journal: rec})
+	col := obs.NewCollector(g, obs.Options{CriticalPath: true})
+	cfg.Collector = col
 
 	out, err := machine.Run(g, cfg)
 	cycles := 0
@@ -88,13 +89,13 @@ func Replay(j *Journal) (*ReplayResult, error) {
 		if !errors.As(err, &ce) {
 			return nil, fmt.Errorf("journal: replay failed outside machine checks: %w", err)
 		}
-		// The abort itself was journaled via RecordAbort; the diff below
-		// compares it against the recording.
+		// The abort itself is in the record; the diff below compares it
+		// against the recording.
 		cycles = ce.Cycle
 	} else {
 		cycles = out.Stats.Cycles
 	}
-	replayed := rec.Finish(cycles)
+	replayed := New(g, col, j.Label, j.Config, cycles)
 
 	res := &ReplayResult{Replayed: replayed}
 	res.Divergences, res.Truncated = Diff(j, replayed), false
@@ -108,8 +109,9 @@ func Replay(j *Journal) (*ReplayResult, error) {
 // Diff compares two journals of what should be the same run — a
 // recording against its replay, or a sequential-engine journal against a
 // sharded-engine one (byte-exactness gate, SCALING.md) — firing by
-// firing. It returns at most MaxDivergences+1 entries; an empty slice
-// means the journals agree exactly.
+// firing. Tags compare rendered, since a file-loaded journal interns them
+// in file order. It returns at most MaxDivergences+1 entries; an empty
+// slice means the journals agree exactly.
 func Diff(j, replayed *Journal) []Divergence {
 	var out []Divergence
 	truncated := false
@@ -139,11 +141,11 @@ func Diff(j, replayed *Journal) []Divergence {
 		if a.Cost != b.Cost {
 			add(i, "cost", fmt.Sprint(a.Cost), fmt.Sprint(b.Cost))
 		}
-		if a.Tag != b.Tag {
-			add(i, "tag", j.renderTag(a.Tag), j.renderTag(b.Tag))
+		if j.Tags[a.Tag] != replayed.Tags[b.Tag] {
+			add(i, "tag", j.tagName(a.Tag), replayed.tagName(b.Tag))
 		}
-		if !depsEqual(a.Deps, b.Deps) {
-			add(i, "deps", fmt.Sprint(a.Deps), fmt.Sprint(b.Deps))
+		if da, db := j.Deps(int32(i)), replayed.Deps(int32(i)); !slices.Equal(da, db) {
+			add(i, "deps", fmt.Sprint(da), fmt.Sprint(db))
 		}
 		if truncated {
 			break
@@ -162,18 +164,6 @@ func Diff(j, replayed *Journal) []Divergence {
 		add(-1, "abort cycle", fmt.Sprint(j.AbortCycle), fmt.Sprint(replayed.AbortCycle))
 	}
 	return out
-}
-
-func depsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func orNone(s string) string {

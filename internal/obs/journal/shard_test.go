@@ -19,20 +19,22 @@ import (
 // lineage, abort forensics — must be byte-identical between a one-worker
 // run and a run at any worker count.
 
-// diffParks compares the two journals' park lists field by field. Diff
-// only checks the counts (parks are secondary to the firing DAG in the
-// replay gate), so this is the test that holds park order and attribution
-// over the partition.
-func diffParks(t *testing.T, label string, want, got []Park) {
+// diffParks compares the two journals' park lists field by field, tags
+// rendered. Diff only checks the counts (parks are secondary to the
+// firing DAG in the replay gate), so this is the test that holds park
+// order and attribution over the partition.
+func diffParks(t *testing.T, label string, want, got *Journal) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Errorf("%s: park count diverged: sequential %d, sharded %d", label, len(want), len(got))
+	if len(want.Parks) != len(got.Parks) {
+		t.Errorf("%s: park count diverged: sequential %d, sharded %d", label, len(want.Parks), len(got.Parks))
 		return
 	}
-	for i := range want {
-		a, b := want[i], got[i]
-		if a != b {
-			t.Errorf("%s: park #%d diverged:\nsequential: %+v\nsharded:    %+v", label, i, a, b)
+	for i := range want.Parks {
+		a, b := want.Parks[i], got.Parks[i]
+		ta, tb := want.Tags[a.Tag], got.Tags[b.Tag]
+		a.Tag, b.Tag = 0, 0
+		if a != b || ta != tb {
+			t.Errorf("%s: park #%d diverged:\nsequential: %+v tag %q\nsharded:    %+v tag %q", label, i, a, ta, b, tb)
 			return
 		}
 	}
@@ -68,7 +70,7 @@ func TestShardedJournalByteExact(t *testing.T) {
 						}
 						return
 					}
-					diffParks(t, fmt.Sprintf("W=%d", workers), seq.Parks, sh.Parks)
+					diffParks(t, fmt.Sprintf("W=%d", workers), seq, sh)
 				}
 			})
 		}
@@ -89,13 +91,12 @@ func TestShardedAbortJournalByteExact(t *testing.T) {
 	}
 	run := func(workers int) *Journal {
 		jcfg := Config{MaxCycles: 150, Workers: workers}
-		rec := NewRecorder(res.Graph, fmt.Sprintf("runaway/w%d", workers), jcfg)
-		col := obs.NewCollector(res.Graph, obs.Options{Journal: rec})
+		col := obs.NewCollector(res.Graph, obs.Options{CriticalPath: true})
 		out, err := machine.Run(res.Graph, machine.Config{MaxCycles: 150, Collector: col, Workers: workers})
 		if err == nil || !errors.Is(err, machcheck.CyclesExceeded) {
 			t.Fatalf("W=%d: expected CyclesExceeded, got %v", workers, err)
 		}
-		return rec.Finish(out.Stats.Cycles)
+		return New(res.Graph, col, fmt.Sprintf("runaway/w%d", workers), jcfg, out.Stats.Cycles)
 	}
 	seq := run(1)
 	if seq.AbortCheck == "" {
@@ -109,7 +110,7 @@ func TestShardedAbortJournalByteExact(t *testing.T) {
 			}
 			continue
 		}
-		diffParks(t, fmt.Sprintf("W=%d", workers), seq.Parks, sh.Parks)
+		diffParks(t, fmt.Sprintf("W=%d", workers), seq, sh)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"ctdf/internal/obs"
 )
 
 // State is the machine state at one cycle, reconstructed purely from
@@ -37,7 +39,7 @@ type LiveToken struct {
 
 // ParkedToken is one matching-store resident.
 type ParkedToken struct {
-	Park
+	obs.Park
 	// Claimed is the cycle the parked operand's activation finally fired,
 	// or -1 if it never did (deadlocked or aborted run).
 	Claimed int32
@@ -55,21 +57,18 @@ func (j *Journal) StateAt(c int) (*State, error) {
 	for i := range j.Fires {
 		f := &j.Fires[i]
 		if f.Cycle <= cy && cy < f.Cycle+f.Cost {
-			st.Issued = append(st.Issued, f.ID)
+			st.Issued = append(st.Issued, int32(i))
 		}
-		for _, d := range f.Deps {
+		for _, d := range j.Deps(int32(i)) {
 			p := &j.Fires[d]
 			if p.Cycle+p.Cost <= cy && cy < f.Cycle {
-				st.Tokens = append(st.Tokens, LiveToken{Producer: d, Consumer: f.ID})
+				st.Tokens = append(st.Tokens, LiveToken{Producer: d, Consumer: int32(i)})
 			}
 		}
 	}
 	// A park is claimed by the first firing of its (node, tag) activation
 	// at or after the park cycle; fires are already in cycle order.
-	type actKey struct {
-		node int32
-		tag  string
-	}
+	type actKey struct{ node, tag int32 }
 	cycles := map[actKey][]int32{}
 	for i := range j.Fires {
 		k := actKey{j.Fires[i].Node, j.Fires[i].Tag}
@@ -101,13 +100,6 @@ func (j *Journal) StateAt(c int) (*State, error) {
 }
 
 // Text renders the state dump for terminal output.
-func (j *Journal) renderTag(tag string) string {
-	if tag == "" {
-		return "root"
-	}
-	return tag
-}
-
 func (s *State) Text(j *Journal) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "state at cycle %d: %d issued, %d live tokens, %d parked\n",
@@ -117,7 +109,7 @@ func (s *State) Text(j *Journal) string {
 		for _, id := range s.Issued {
 			f := &j.Fires[id]
 			fmt.Fprintf(&b, "    #%-5d %-26s [tag %s] issued @%d, done @%d\n",
-				id, j.label(f.Node), j.renderTag(f.Tag), f.Cycle, f.Cycle+f.Cost)
+				id, j.label(f.Node), j.tagName(f.Tag), f.Cycle, f.Cycle+f.Cost)
 		}
 	}
 	if len(s.Tokens) > 0 {
@@ -125,7 +117,7 @@ func (s *State) Text(j *Journal) string {
 		for _, t := range s.Tokens {
 			p, c := &j.Fires[t.Producer], &j.Fires[t.Consumer]
 			fmt.Fprintf(&b, "    #%-5d %-26s -> #%d %s [tag %s] (consumed @%d)\n",
-				t.Producer, j.label(p.Node), t.Consumer, j.label(c.Node), j.renderTag(c.Tag), c.Cycle)
+				t.Producer, j.label(p.Node), t.Consumer, j.label(c.Node), j.tagName(c.Tag), c.Cycle)
 		}
 	}
 	if len(s.Parked) > 0 {
@@ -136,7 +128,7 @@ func (s *State) Text(j *Journal) string {
 				claim = fmt.Sprintf("claimed @%d", p.Claimed)
 			}
 			fmt.Fprintf(&b, "    %-26s port %d [tag %s] parked @%d, %s\n",
-				j.label(p.Node), p.Port, j.renderTag(p.Tag), p.Cycle, claim)
+				j.label(p.Node), p.Port, j.tagName(p.Tag), p.Cycle, claim)
 		}
 	}
 	return b.String()

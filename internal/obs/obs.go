@@ -8,7 +8,11 @@
 //     memory-latency stall cycles;
 //   - a cycle-stamped event stream with pluggable sinks (in-memory ring
 //     buffer, NDJSON writer, the historical trace format);
-//   - post-run analyses: critical-path extraction over the firing DAG
+//   - the run's Record: every firing with its operands' producer
+//     firings, every matching-store park, the faults and the abort — the
+//     firing DAG that the causal journal (internal/obs/journal) and the
+//     critical path both read;
+//   - post-run analyses: critical-path extraction over the Record
 //     (the longest dependence chain, with per-operator attribution),
 //     parallelism-profile histograms, and schema-vs-schema diff reports
 //     (Compare) that make experiment deltas machine-readable.
@@ -31,57 +35,23 @@ type NodeMeta = dfg.Meta
 // noDep marks a token that carries no recorded producer firing.
 const noDep int32 = -1
 
-// Journal receives the causal execution journal: one record per firing
-// carrying the full set of operand-producer firing ids (the provenance
-// DAG, generalizing the critical-path collector's single
-// latest-finishing link), one record per matching-store park, and the
-// run-ending fault/abort records. Implementations live in
-// internal/obs/journal; the engines only ever see this interface, so
-// journal collection stays nil-safe and zero-cost when disabled.
-//
-// RecordFire is called once per firing, in engine issue order; the
-// firing's id is its zero-based call index (identical to the id Fire
-// returns). deps holds the producer firing ids of every operand the
-// firing consumed (negative ids — initial tokens — are never passed);
-// the callee owns the slice.
-type Journal interface {
-	RecordFire(node, cycle, cost, port int, tag string, deps []int32)
-	RecordPark(node, cycle, port int, tag string, dep int32)
-	RecordFault(node, cycle int, detail string)
-	RecordAbort(cycle int, check string)
-}
-
-// firingRec is one recorded operator firing: a node of the firing DAG.
-type firingRec struct {
-	node int32
-	// pred is the input firing on the longest dependence chain into this
-	// firing (noDep at the start of a chain).
-	pred int32
-	cost int32
-	// cycle is the engine cycle the firing issued at.
-	cycle int32
-	// finish is the length in cycles of the longest dependence chain
-	// ending with this firing's completion.
-	finish int64
-	tag    string
-}
-
 // Collector gathers per-node counters, streams events to an optional
-// sink, and (optionally) records the firing DAG for critical-path
-// extraction. It is single-goroutine (the cycle-driven machine); the
-// concurrent channel engine uses NodeCounters instead.
+// sink, and (optionally) keeps the run's Record, which the critical path
+// and the causal journal read. It is single-goroutine (the cycle-driven
+// machine); the concurrent channel engine uses NodeCounters instead.
 //
 // A nil *Collector is valid: every method is a no-op and Fire returns
 // noDep, so engines thread one pointer and pay one branch when
 // observability is disabled.
 type Collector struct {
-	meta     []NodeMeta
-	nodes    []NodeStats
-	sink     Sink
-	critical bool
-	journal  Journal
-	firings  []firingRec
-	endID    int
+	meta  []NodeMeta
+	nodes []NodeStats
+	sink  Sink
+	endID int
+	// rec is the run's record (nil unless Options.CriticalPath); tagKey
+	// renders the engine's interned tag ids (BindTags).
+	rec    *Record
+	tagKey func(int32) string
 }
 
 // Options configures a Collector.
@@ -89,20 +59,20 @@ type Options struct {
 	// Sink receives the cycle-stamped event stream (nil for counters
 	// only).
 	Sink Sink
-	// CriticalPath records every firing's longest dependence chain so
-	// Report can extract the critical path. Costs one small record per
-	// firing.
+	// CriticalPath keeps the run's Record, so Report can extract the
+	// critical path and journal.New can build the causal journal. Costs a
+	// 32-byte row per firing, 4 bytes per producer edge and a 20-byte row
+	// per park.
 	CriticalPath bool
-	// Journal receives the causal execution journal (nil to disable).
-	// Enabling it also records the firing DAG, since journal records are
-	// keyed by firing id.
-	Journal Journal
 }
 
 // NewCollector prepares a collector for one run of g.
 func NewCollector(g *dfg.Graph, opt Options) *Collector {
 	meta := g.Meta()
-	c := &Collector{meta: meta, sink: opt.Sink, critical: opt.CriticalPath, journal: opt.Journal, endID: g.EndID}
+	c := &Collector{meta: meta, sink: opt.Sink, endID: g.EndID}
+	if opt.CriticalPath {
+		c.rec = &Record{}
+	}
 	c.nodes = make([]NodeStats, len(meta))
 	for i, m := range meta {
 		c.nodes[i].Meta = m
@@ -118,16 +88,23 @@ func (c *Collector) Meta() []NodeMeta {
 	return c.meta
 }
 
-// CriticalPathEnabled reports whether the firing DAG is being recorded.
-func (c *Collector) CriticalPathEnabled() bool { return c != nil && c.critical }
+// Record returns the run's record, or nil unless Options.CriticalPath was
+// set. The engine appends to it until the run returns.
+func (c *Collector) Record() *Record {
+	if c == nil {
+		return nil
+	}
+	return c.rec
+}
 
-// DAGEnabled reports whether firings must carry producer ids — true when
-// either the critical path or the causal journal is being recorded.
-func (c *Collector) DAGEnabled() bool { return c != nil && (c.critical || c.journal != nil) }
-
-// JournalEnabled reports whether the full per-firing operand-producer
-// sets (and matching-store parks) are being journaled.
-func (c *Collector) JournalEnabled() bool { return c != nil && c.journal != nil }
+// BindTags attaches the engine's tag table: key renders an interned tag
+// id, the form Fire and Wait take, to its canonical key. The engine calls
+// it before the first event.
+func (c *Collector) BindTags(key func(id int32) string) {
+	if c != nil {
+		c.tagKey = key
+	}
+}
 
 // AddSink attaches an additional event sink.
 func (c *Collector) AddSink(s Sink) {
@@ -144,12 +121,12 @@ func (c *Collector) AddSink(s Sink) {
 // Fire records one operator firing: node and issue cycle, the firing's
 // cost in cycles (1 for ordinary operators, the split-phase latency for
 // memory operations), the number of tokens consumed, the arrival port
-// (meaningful for any-arrival operators; 0 otherwise), the producer
-// firing of the firing's latest input (dep), the full set of producer
-// firings of its operands (deps; nil unless journaling), and the token
-// tag. It returns the firing's id for threading onto the tokens the
-// firing emits, or noDep when the firing DAG is not being recorded.
-func (c *Collector) Fire(node, cycle, cost, consumed, port int, dep int32, deps []int32, tag string) int32 {
+// (meaningful for any-arrival operators; 0 otherwise), the interned tag,
+// and the producer firings of its operands in arrival order (nil unless
+// the record is kept), which the record copies. It returns the firing's
+// id for threading onto the tokens the firing emits, or noDep when the
+// record is not kept.
+func (c *Collector) Fire(node, cycle, cost, consumed, port int, tag int32, deps []int32) int32 {
 	if c == nil {
 		return noDep
 	}
@@ -160,20 +137,21 @@ func (c *Collector) Fire(node, cycle, cost, consumed, port int, dep int32, deps 
 		ns.MemStallCycles += int64(cost - 1)
 	}
 	if c.sink != nil {
-		c.sink.Emit(Event{Cycle: cycle, Type: EvFire, Node: node, Kind: ns.Meta.Kind, Tag: tag, Cost: cost})
+		c.sink.Emit(Event{Cycle: cycle, Type: EvFire, Node: node, Kind: ns.Meta.Kind, Tag: c.tagKey(tag), Cost: cost})
 	}
-	if c.journal != nil {
-		c.journal.RecordFire(node, cycle, cost, port, tag, deps)
-	} else if !c.critical {
+	if c.rec == nil {
 		return noDep
 	}
-	rec := firingRec{node: int32(node), pred: dep, cost: int32(cost), cycle: int32(cycle), tag: tag}
-	rec.finish = int64(cost)
-	if dep >= 0 {
-		rec.finish += c.firings[dep].finish
+	c.renderTags(tag)
+	return c.rec.AddFire(int32(node), int32(cycle), int32(cost), int32(port), tag, deps)
+}
+
+// renderTags extends the record's tag table through id. Engines intern
+// tags densely, so each key is rendered once, on first sight.
+func (c *Collector) renderTags(id int32) {
+	for int(id) >= len(c.rec.Tags) {
+		c.rec.Tags = append(c.rec.Tags, c.tagKey(int32(len(c.rec.Tags))))
 	}
-	c.firings = append(c.firings, rec)
-	return int32(len(c.firings) - 1)
 }
 
 // Emitted credits n emitted tokens to node.
@@ -187,17 +165,18 @@ func (c *Collector) Emitted(node, n int) {
 // Wait records a token that had to wait in the matching store for its
 // partner operands (ETS frame-memory pressure, §2.2). port is the
 // arrival port and dep the token's producer firing (noDep for initial
-// tokens); both feed the journal's park records.
-func (c *Collector) Wait(node, cycle, port int, dep int32, tag string) {
+// tokens); both feed the record's park rows.
+func (c *Collector) Wait(node, cycle, port int, tag, dep int32) {
 	if c == nil {
 		return
 	}
 	c.nodes[node].MatchWaits++
 	if c.sink != nil {
-		c.sink.Emit(Event{Cycle: cycle, Type: EvWait, Node: node, Kind: c.nodes[node].Meta.Kind, Tag: tag})
+		c.sink.Emit(Event{Cycle: cycle, Type: EvWait, Node: node, Kind: c.nodes[node].Meta.Kind, Tag: c.tagKey(tag)})
 	}
-	if c.journal != nil {
-		c.journal.RecordPark(node, cycle, port, tag, dep)
+	if c.rec != nil {
+		c.renderTags(tag)
+		c.rec.Parks = append(c.rec.Parks, Park{Node: int32(node), Cycle: int32(cycle), Port: int32(port), Tag: tag, Dep: dep})
 	}
 }
 
@@ -207,8 +186,8 @@ func (c *Collector) Fault(node, cycle int, detail string) {
 	if c == nil {
 		return
 	}
-	if c.journal != nil {
-		c.journal.RecordFault(node, cycle, detail)
+	if c.rec != nil {
+		c.rec.Faults = append(c.rec.Faults, Fault{Node: node, Cycle: cycle, Class: detail})
 	}
 	if c.sink == nil {
 		return
@@ -227,31 +206,13 @@ func (c *Collector) Abort(cycle int, detail string) {
 	if c == nil {
 		return
 	}
-	if c.journal != nil {
-		c.journal.RecordAbort(cycle, detail)
+	if c.rec != nil {
+		c.rec.AbortCheck, c.rec.AbortCycle = detail, cycle
 	}
 	if c.sink == nil {
 		return
 	}
 	c.sink.Emit(Event{Cycle: cycle, Type: EvAbort, Node: -1, Detail: detail})
-}
-
-// MaxDep returns whichever of two producer firings completes later —
-// the dependence a token matched from both inherits.
-func (c *Collector) MaxDep(a, b int32) int32 {
-	if c == nil || (!c.critical && c.journal == nil) {
-		return noDep
-	}
-	if a < 0 {
-		return b
-	}
-	if b < 0 {
-		return a
-	}
-	if c.firings[a].finish >= c.firings[b].finish {
-		return a
-	}
-	return b
 }
 
 // NodeCounters is the lock-free per-node firing counter the concurrent

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -96,18 +97,16 @@ func TestTraceSinkFormatAndFilter(t *testing.T) {
 
 func TestNilCollectorNoOps(t *testing.T) {
 	var c *Collector
-	if got := c.Fire(3, 1, 1, 2, 0, 5, nil, "0"); got != noDep {
+	c.BindTags(func(int32) string { return "" })
+	if got := c.Fire(3, 1, 1, 2, 0, 1, []int32{5}); got != noDep {
 		t.Errorf("nil Fire returned %d", got)
 	}
 	c.Emitted(3, 2)
-	c.Wait(3, 1, 0, noDep, "0")
-	if got := c.MaxDep(1, 2); got != noDep {
-		t.Errorf("nil MaxDep returned %d", got)
-	}
+	c.Wait(3, 1, 0, 1, noDep)
 	if c.Report(0, nil) != nil {
 		t.Error("nil Report should be nil")
 	}
-	if c.Meta() != nil || c.CriticalPathEnabled() {
+	if c.Meta() != nil || c.Record() != nil {
 		t.Error("nil collector leaks state")
 	}
 	var nc *NodeCounters
@@ -118,6 +117,56 @@ func TestNilCollectorNoOps(t *testing.T) {
 	}
 	if nc.Clocks() != nil {
 		t.Error("nil NodeCounters.Clocks should be nil")
+	}
+}
+
+// TestRecordRowsArePlainOldData pins the record's row layout: fixed width
+// and pointer-free, so a long run's record is noscan memory.
+func TestRecordRowsArePlainOldData(t *testing.T) {
+	for _, row := range []struct {
+		v    interface{}
+		size uintptr
+	}{{Firing{}, 32}, {Park{}, 20}} {
+		ty := reflect.TypeOf(row.v)
+		if ty.Size() != row.size {
+			t.Errorf("%s is %d bytes, want %d", ty, ty.Size(), row.size)
+		}
+		for i := 0; i < ty.NumField(); i++ {
+			if k := ty.Field(i).Type.Kind(); k != reflect.Int32 && k != reflect.Int64 {
+				t.Errorf("%s.%s is a %s", ty, ty.Field(i).Name, k)
+			}
+		}
+	}
+}
+
+// TestRecordDepsAndFinish checks the producer arena and the chain length
+// a firing's row carries: Cost plus its producers' largest Finish.
+func TestRecordDepsAndFinish(t *testing.T) {
+	var r Record
+	a := r.AddFire(0, 0, 1, 0, 0, nil)
+	b := r.AddFire(1, 0, 4, 0, 0, nil)
+	c := r.AddFire(2, 4, 1, 0, 0, []int32{a, b})
+	d := r.AddFire(3, 5, 1, 0, 0, []int32{b, c})
+	want := []struct {
+		deps   []int32
+		finish int64
+	}{{nil, 1}, {nil, 4}, {[]int32{a, b}, 5}, {[]int32{b, c}, 6}}
+	for i, w := range want {
+		got := r.Deps(int32(i))
+		if !reflect.DeepEqual(append([]int32(nil), got...), w.deps) || r.Fires[i].Finish != w.finish {
+			t.Errorf("firing %d: deps %v finish %d, want %v finish %d", i, got, r.Fires[i].Finish, w.deps, w.finish)
+		}
+	}
+	// The first producer of maximal Finish, earliest arrival on a tie.
+	if p := r.pred(d); p != c {
+		t.Errorf("pred(%d) = %d, want %d", d, p, c)
+	}
+	r.Fires[a].Finish = 4
+	if p := r.pred(c); p != a {
+		t.Errorf("tie: pred(%d) = %d, want the first-arrived %d", c, p, a)
+	}
+	if p := r.pred(a); p != noDep {
+		t.Errorf("pred of a root firing = %d", p)
 	}
 }
 

@@ -57,6 +57,19 @@ if [ -n "$builders" ]; then
     exit 1
 fi
 
+echo "== a run is recorded once =="
+# The critical path and the causal journal read one record of a machine
+# run, obs.Record (see OBSERVABILITY.md, "Critical path"): a second
+# per-firing record, a latest-finishing link folded beside it, or a
+# journal recorder fed firing by firing has started a second copy.
+twice=$(grep -rnwE 'firingRec|MaxDep|RecordFire|RecordPark|NewRecorder|appendDeps' --include='*.go' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$twice" ]; then
+    echo "a second record of the run:" >&2
+    echo "$twice" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
