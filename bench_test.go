@@ -452,9 +452,8 @@ func BenchmarkObsDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkObsEnabled is the same run with full observability: counters,
-// an in-memory event ring, and firing-DAG recording for the critical
-// path.
+// BenchmarkObsEnabled is the same run with full observability: counters
+// and the run's record, which the critical path reads.
 func BenchmarkObsEnabled(b *testing.B) {
 	p := compileBench(b, workloads.MustByName("fib-iterative").Source)
 	d, err := p.Translate(Options{Schema: Schema2Opt})

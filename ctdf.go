@@ -196,11 +196,14 @@ type RunConfig struct {
 	// Result.Fault reports what happened.
 	Fault *FaultPlan
 	// Trace, when non-nil, receives one line per operator firing
-	// (EngineMachine only).
+	// (EngineMachine only), written from the run's record when the run
+	// returns, after an abort too. A traced run keeps the record: 32 bytes
+	// per firing, 4 per producer edge, 20 per matching-store park.
 	Trace io.Writer
 	// Obs, when non-nil, makes this an observed run: Result.Obs carries
 	// per-node counters, the parallelism histogram, and (if requested)
-	// the critical path; Obs.Events streams NDJSON. See OBSERVABILITY.md.
+	// the critical path; Obs.Events receives the NDJSON event stream. See
+	// OBSERVABILITY.md.
 	Obs *ObsOptions
 	// Telemetry, when non-nil, records engine metrics into the given
 	// registry: sampled phase wall time, the lane → shard token-traffic
@@ -522,15 +525,11 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 	switch cfg.Engine {
 	case EngineMachine:
 		var col *obs.Collector
-		if cfg.Obs != nil {
-			// The critical path and the journal read one record of the run.
-			col = obs.NewCollector(d.res.Graph, obs.Options{CriticalPath: cfg.Obs.CriticalPath || cfg.Obs.Journal})
-			if cfg.Obs.Events != nil {
-				if err := obs.WriteMeta(cfg.Obs.Events, col.Meta()); err != nil {
-					return nil, err
-				}
-				col.AddSink(obs.NewNDJSONSink(cfg.Obs.Events))
-			}
+		if cfg.Obs != nil || cfg.Trace != nil {
+			// The critical path, the journal, the event stream and the trace
+			// read one record of the run.
+			keep := cfg.Trace != nil || cfg.Obs.CriticalPath || cfg.Obs.Journal || cfg.Obs.Events != nil
+			col = obs.NewCollector(d.res.Graph, obs.Options{CriticalPath: keep})
 		}
 		out, err := machine.Run(d.res.Graph, machine.Config{
 			Processors:      cfg.Processors,
@@ -543,7 +542,6 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 			RandomSeed:      cfg.RandomSeed,
 			DetectRaces:     cfg.DetectRaces,
 			Workers:         cfg.Workers,
-			Trace:           cfg.Trace,
 			Collector:       col,
 			Telemetry:       cfg.Telemetry.registry(),
 			CheckpointEvery: ck.every,
@@ -568,15 +566,20 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 		if out.Checkpoint != nil {
 			res.Checkpoint = &CheckpointRef{ID: out.Checkpoint.ID, Cycle: out.Checkpoint.Cycle}
 		}
-		if col != nil {
+		if cfg.Trace != nil {
+			if werr := obs.WriteTrace(cfg.Trace, col.Meta(), col.Record()); werr != nil && err == nil {
+				err = werr
+			}
+		}
+		if cfg.Obs != nil {
 			rep := col.Report(out.Stats.Cycles, out.Stats.Profile)
 			if !cfg.Obs.CriticalPath {
-				rep.CriticalPath = nil // the record was kept for the journal only
+				rep.CriticalPath = nil // the record was kept for another reader
 			}
 			rep.Engine = "machine"
 			rep.Schema = cfg.Obs.Label
 			if cfg.Obs.Events != nil {
-				if werr := obs.WriteSummary(cfg.Obs.Events, rep); werr != nil && err == nil {
+				if werr := obs.WriteEvents(cfg.Obs.Events, col.Meta(), col.Record(), rep); werr != nil && err == nil {
 					err = werr
 				}
 			}
@@ -629,10 +632,7 @@ func (d *Dataflow) runOnce(cfg RunConfig, inj *fault.Injector, ck ckPlumb) (*Res
 			rep.Engine = "channels"
 			rep.Schema = cfg.Obs.Label
 			if cfg.Obs.Events != nil {
-				if werr := obs.WriteMeta(cfg.Obs.Events, d.res.Graph.Meta()); werr != nil && err == nil {
-					err = werr
-				}
-				if werr := obs.WriteSummary(cfg.Obs.Events, rep); werr != nil && err == nil {
+				if werr := obs.WriteEvents(cfg.Obs.Events, d.res.Graph.Meta(), nil, rep); werr != nil && err == nil {
 					err = werr
 				}
 			}

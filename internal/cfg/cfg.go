@@ -2,7 +2,10 @@
 // §2.1 — nodes are assignments, forks ("if p then goto lt else goto lf"),
 // and labeled joins, plus unique start and end nodes — together with the
 // dominator/postdominator machinery and the interval (loop) transformation
-// of §3 that inserts loop-entry and loop-exit statements.
+// of §3 that inserts loop-entry and loop-exit statements. The
+// transformation finds cycles as natural loops (loops.go); the Allen–Cocke
+// interval decomposition the paper cites is kept only as the test
+// reference those loop headers are checked against (intervals_test.go).
 package cfg
 
 import (

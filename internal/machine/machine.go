@@ -35,12 +35,11 @@
 //   - race.go — optional checker that no two conflicting memory
 //     operations overlap in time (the §5 correctness condition covers
 //     must enforce).
-//   - trace.go — ASCII parallelism chart; execution traces themselves are
-//     obs.TraceSink events (Config.Trace).
+//   - trace.go — ASCII parallelism chart; execution traces are written
+//     from the collector's record after the run (obs.WriteTrace).
 package machine
 
 import (
-	"io"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -104,7 +103,7 @@ type Config struct {
 	// the full machine state every CheckpointEvery cycles (see
 	// checkpoint.go and ROBUSTNESS.md). Each completed checkpoint is
 	// handed to CheckpointSink; the run's Outcome carries the last one's
-	// CheckpointRef. Incompatible with DetectRaces, Trace, and Collector
+	// CheckpointRef. Incompatible with DetectRaces and Collector
 	// (checkpoints cannot capture race-detector or observability state).
 	CheckpointEvery int
 	// CheckpointSink receives each completed checkpoint. A sink error
@@ -115,14 +114,10 @@ type Config struct {
 	// byte-identical final Outcome the original would have. Incompatible
 	// with Inject (fault plans count delivery sites from cycle 0).
 	Resume *Checkpoint
-	// Trace, when non-nil, receives one line per operator firing
-	// ("cycle 12: d5: binop + [tag 0.1]"); it is implemented as an
-	// obs.TraceSink on the event stream.
-	Trace io.Writer
-	// Collector, when non-nil, gathers per-node counters, streams
-	// cycle-stamped events to its sinks, and (when enabled) records the
-	// firing DAG for critical-path extraction. Nil disables observability
-	// at the cost of one branch per firing.
+	// Collector, when non-nil, gathers per-node counters and (when it
+	// keeps the run's record) records the firing DAG, which the critical
+	// path, the journal, the event stream and the trace read. Nil disables
+	// observability at the cost of one branch per firing.
 	Collector *obs.Collector
 	// Telemetry, when non-nil, receives engine-level metrics: sampled
 	// select / fire / deliver wall time, the lane → owning-shard token
@@ -169,9 +164,9 @@ func (c *Config) validate() error {
 		case c.DetectRaces:
 			return machcheck.Newf(machcheck.InvalidConfig, "machine",
 				"checkpointing cannot capture race-detector state (disable DetectRaces)")
-		case c.Collector != nil || c.Trace != nil:
+		case c.Collector != nil:
 			return machcheck.Newf(machcheck.InvalidConfig, "machine",
-				"checkpointing cannot capture observability state (detach Collector/Trace)")
+				"checkpointing cannot capture observability state (detach Collector)")
 		}
 	}
 	if c.Resume != nil && c.Inject != nil {
@@ -276,9 +271,8 @@ type firing struct {
 
 // deadlineStride is how many schedulable units (cycles or firings) pass
 // between wall-clock deadline samples. The old scheme only sampled every
-// 1024 cycles, so a run wedged inside enormous batches — or crawling
-// through slow traced firings — could overshoot a tiny deadline by
-// orders of magnitude before the next cycle boundary.
+// 1024 cycles, so a run wedged inside enormous batches could overshoot a
+// tiny deadline by orders of magnitude before the next cycle boundary.
 const deadlineStride = 64
 
 // profileLimit caps the recorded parallelism profile (Stats.Profile), in
@@ -320,19 +314,7 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 		tags:      newTagTable(),
 		shards:    make([]shardSlot, len(g.Nodes)),
 		resumedAt: -1,
-	}
-	m.col = cfgc.Collector
-	if cfgc.Trace != nil {
-		// The historical trace format is an event sink; traced runs are
-		// observed runs even when the caller attached no collector.
-		if m.col == nil {
-			m.col = obs.NewCollector(g, obs.Options{})
-		}
-		labels := make([]string, len(g.Nodes))
-		for i, n := range g.Nodes {
-			labels[i] = n.String()
-		}
-		m.col.AddSink(&obs.TraceSink{W: cfgc.Trace, Labels: labels})
+		col:       cfgc.Collector,
 	}
 	if m.col != nil { // a method value allocates
 		m.col.BindTags(m.tags.key)

@@ -280,34 +280,29 @@ func TestRaceDetectorUnit(t *testing.T) {
 	relA()
 }
 
-// slowWriter models an expensive trace sink: each firing's trace line
-// costs per of wall-clock time, so a run's real duration is decoupled
-// from its cycle count.
-type slowWriter struct{ per time.Duration }
-
-func (w slowWriter) Write(p []byte) (int, error) { time.Sleep(w.per); return len(p), nil }
-
 // TestTinyDeadlineAbortsPromptly pins the adaptive deadline sampling: the
 // wall clock is consulted every deadlineStride schedulable units, so a
-// run whose firings are slow aborts within a bounded number of firings of
-// the deadline expiring. The retired sampling scheme checked only at
-// cycle numbers divisible by 1024 — this run stays far below 1024 cycles,
-// so it would have ground through every slow firing and returned success
-// long after its deadline.
+// wide run aborts within a bounded number of firings of the deadline
+// expiring. The retired sampling scheme checked only at cycle numbers
+// divisible by 1024 — this run ends after a few hundred cycles, so it
+// would never have been sampled and would have run to completion.
 func TestTinyDeadlineAbortsPromptly(t *testing.T) {
-	res := translateWorkload(t, workloads.MustByName("fib-iterative"), translate.Options{Schema: translate.Schema2Opt})
-	start := time.Now()
-	out, err := Run(res.Graph, Config{
-		Processors: 1,
-		Deadline:   20 * time.Millisecond,
-		Trace:      slowWriter{per: time.Millisecond},
-	})
+	res := translateWorkload(t, workloads.Wide(512, 40), translate.Options{Schema: translate.Schema2Opt})
+	full, err := Run(res.Graph, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.Cycles >= 1024 {
+		t.Fatalf("the run takes %d cycles; it must end before the retired scheme's first sample", full.Stats.Cycles)
+	}
+	out, err := Run(res.Graph, Config{Deadline: time.Millisecond})
 	if !errors.Is(err, machcheck.ErrDeadline) {
-		t.Fatalf("want %v, got err=%v out=%+v", machcheck.ErrDeadline, err, out)
+		t.Fatalf("want %v, got err=%v", machcheck.ErrDeadline, err)
 	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("deadline abort took %v; wall-clock sampling is too coarse", el)
+	if out.Stats.Ops >= full.Stats.Ops {
+		t.Errorf("deadline abort after %d of the run's %d firings", out.Stats.Ops, full.Stats.Ops)
 	}
+	t.Logf("aborted after %d of %d firings (%d cycles)", out.Stats.Ops, full.Stats.Ops, full.Stats.Cycles)
 }
 
 // TestInvalidConfigRejected checks every negative knob is rejected up

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -12,20 +13,17 @@ import (
 
 // TestTraceGoldenByteCompatible pins the `-trace` output to the exact
 // bytes the pre-obs inline formatter produced (the golden was captured
-// from the seed implementation): migrating tracing onto obs.TraceSink
-// must not change a single byte.
+// from the seed implementation): rendering the trace from the run's
+// record must not change a single byte.
 func TestTraceGoldenByteCompatible(t *testing.T) {
 	want, err := os.ReadFile("testdata/trace_running_example_l4.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := translateWorkload(t, workloads.RunningExample, translate.Options{Schema: translate.Schema2})
-	var buf strings.Builder
-	if _, err := Run(res.Graph, Config{MemLatency: 4, Trace: &buf}); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(want) {
-		t.Errorf("trace output diverged from golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
+	got, _ := traced(t, res.Graph, Config{MemLatency: 4})
+	if got != string(want) {
+		t.Errorf("trace output diverged from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
@@ -33,11 +31,7 @@ func TestTraceGoldenByteCompatible(t *testing.T) {
 // the machine's own aggregate statistics on the running example.
 func TestCollectorCountersMatchStats(t *testing.T) {
 	res := translateWorkload(t, workloads.RunningExample, translate.Options{Schema: translate.Schema2})
-	ring, err := obs.NewRingSink(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := obs.NewCollector(res.Graph, obs.Options{Sink: ring, CriticalPath: true})
+	col := obs.NewCollector(res.Graph, obs.Options{CriticalPath: true})
 	out, err := Run(res.Graph, Config{MemLatency: 4, Collector: col})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +61,16 @@ func TestCollectorCountersMatchStats(t *testing.T) {
 	}
 	// The event stream carries one fire event per op and one wait event
 	// per matching-store wait.
+	var stream strings.Builder
+	if err := obs.WriteEvents(&stream, col.Meta(), col.Record(), rep); err != nil {
+		t.Fatal(err)
+	}
 	fires, waits := 0, 0
-	for _, e := range ring.Events() {
+	for _, line := range strings.Split(strings.TrimSpace(stream.String()), "\n") {
+		var e obs.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
 		switch e.Type {
 		case obs.EvFire:
 			fires++
@@ -177,11 +179,7 @@ func TestCollectorDisabledIdenticalRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		ring, err := obs.NewRingSink(64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		col := obs.NewCollector(res.Graph, obs.Options{Sink: ring, CriticalPath: true})
+		col := obs.NewCollector(res.Graph, obs.Options{CriticalPath: true})
 		observed, err := Run(res.Graph, Config{MemLatency: 2, Collector: col})
 		if err != nil {
 			t.Fatalf("%s observed: %v", w.Name, err)

@@ -4,18 +4,32 @@ import (
 	"strings"
 	"testing"
 
+	"ctdf/internal/dfg"
+	"ctdf/internal/obs"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
 )
 
-func TestTraceOutput(t *testing.T) {
-	res := translateWorkload(t, workloads.RunningExample, translate.Options{Schema: translate.Schema2})
-	var buf strings.Builder
-	out, err := Run(res.Graph, Config{Trace: &buf})
+// traced runs g under cfg with a collector that keeps the record and
+// renders the run's trace from it, as `ctdf run -trace` does.
+func traced(t *testing.T, g *dfg.Graph, cfg Config) (string, *Outcome) {
+	t.Helper()
+	col := obs.NewCollector(g, obs.Options{CriticalPath: true})
+	cfg.Collector = col
+	out, err := Run(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := buf.String()
+	var buf strings.Builder
+	if err := obs.WriteTrace(&buf, col.Meta(), col.Record()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), out
+}
+
+func TestTraceOutput(t *testing.T) {
+	res := translateWorkload(t, workloads.RunningExample, translate.Options{Schema: translate.Schema2})
+	trace, out := traced(t, res.Graph, Config{})
 	lines := strings.Count(trace, "\n")
 	if lines != out.Stats.Ops {
 		t.Errorf("trace has %d lines, ops = %d", lines, out.Stats.Ops)

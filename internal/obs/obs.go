@@ -6,12 +6,12 @@
 //   - per-node counters keyed by dfg node id and operator kind: firings,
 //     tokens consumed and emitted, matching-store waits, and split-phase
 //     memory-latency stall cycles;
-//   - a cycle-stamped event stream with pluggable sinks (in-memory ring
-//     buffer, NDJSON writer, the historical trace format);
 //   - the run's Record: every firing with its operands' producer
 //     firings, every matching-store park, the faults and the abort — the
-//     firing DAG that the causal journal (internal/obs/journal) and the
-//     critical path both read;
+//     firing DAG that the causal journal (internal/obs/journal), the
+//     critical path, the NDJSON event stream and the historical trace
+//     format all read, the last two written from it when the run returns
+//     (WriteEvents, WriteTrace);
 //   - post-run analyses: critical-path extraction over the Record
 //     (the longest dependence chain, with per-operator attribution),
 //     parallelism-profile histograms, and schema-vs-schema diff reports
@@ -35,9 +35,9 @@ type NodeMeta = dfg.Meta
 // noDep marks a token that carries no recorded producer firing.
 const noDep int32 = -1
 
-// Collector gathers per-node counters, streams events to an optional
-// sink, and (optionally) keeps the run's Record, which the critical path
-// and the causal journal read. It is single-goroutine (the cycle-driven
+// Collector gathers per-node counters and (optionally) keeps the run's
+// Record, which the critical path, the causal journal, the event stream
+// and the trace read. It is single-goroutine (the cycle-driven
 // machine); the concurrent channel engine uses NodeCounters instead.
 //
 // A nil *Collector is valid: every method is a no-op and Fire returns
@@ -46,7 +46,6 @@ const noDep int32 = -1
 type Collector struct {
 	meta  []NodeMeta
 	nodes []NodeStats
-	sink  Sink
 	endID int
 	// rec is the run's record (nil unless Options.CriticalPath); tagKey
 	// renders the engine's interned tag ids (BindTags).
@@ -56,20 +55,17 @@ type Collector struct {
 
 // Options configures a Collector.
 type Options struct {
-	// Sink receives the cycle-stamped event stream (nil for counters
-	// only).
-	Sink Sink
 	// CriticalPath keeps the run's Record, so Report can extract the
-	// critical path and journal.New can build the causal journal. Costs a
-	// 32-byte row per firing, 4 bytes per producer edge and a 20-byte row
-	// per park.
+	// critical path, journal.New can build the causal journal, and
+	// WriteEvents / WriteTrace can render the run. Costs a 32-byte row per
+	// firing, 4 bytes per producer edge and a 20-byte row per park.
 	CriticalPath bool
 }
 
 // NewCollector prepares a collector for one run of g.
 func NewCollector(g *dfg.Graph, opt Options) *Collector {
 	meta := g.Meta()
-	c := &Collector{meta: meta, sink: opt.Sink, endID: g.EndID}
+	c := &Collector{meta: meta, endID: g.EndID}
 	if opt.CriticalPath {
 		c.rec = &Record{}
 	}
@@ -106,18 +102,6 @@ func (c *Collector) BindTags(key func(id int32) string) {
 	}
 }
 
-// AddSink attaches an additional event sink.
-func (c *Collector) AddSink(s Sink) {
-	if c == nil || s == nil {
-		return
-	}
-	if c.sink == nil {
-		c.sink = s
-		return
-	}
-	c.sink = MultiSink{c.sink, s}
-}
-
 // Fire records one operator firing: node and issue cycle, the firing's
 // cost in cycles (1 for ordinary operators, the split-phase latency for
 // memory operations), the number of tokens consumed, the arrival port
@@ -135,9 +119,6 @@ func (c *Collector) Fire(node, cycle, cost, consumed, port int, tag int32, deps 
 	ns.Consumed += int64(consumed)
 	if cost > 1 {
 		ns.MemStallCycles += int64(cost - 1)
-	}
-	if c.sink != nil {
-		c.sink.Emit(Event{Cycle: cycle, Type: EvFire, Node: node, Kind: ns.Meta.Kind, Tag: c.tagKey(tag), Cost: cost})
 	}
 	if c.rec == nil {
 		return noDep
@@ -171,9 +152,6 @@ func (c *Collector) Wait(node, cycle, port int, tag, dep int32) {
 		return
 	}
 	c.nodes[node].MatchWaits++
-	if c.sink != nil {
-		c.sink.Emit(Event{Cycle: cycle, Type: EvWait, Node: node, Kind: c.nodes[node].Meta.Kind, Tag: c.tagKey(tag)})
-	}
 	if c.rec != nil {
 		c.renderTags(tag)
 		c.rec.Parks = append(c.rec.Parks, Park{Node: int32(node), Cycle: int32(cycle), Port: int32(port), Tag: tag, Dep: dep})
@@ -183,36 +161,21 @@ func (c *Collector) Wait(node, cycle, port int, tag, dep int32) {
 // Fault records an injected fault at node (-1 when the fault has no
 // single node, e.g. a lost memory response); detail is the fault class.
 func (c *Collector) Fault(node, cycle int, detail string) {
-	if c == nil {
+	if c == nil || c.rec == nil {
 		return
 	}
-	if c.rec != nil {
-		c.rec.Faults = append(c.rec.Faults, Fault{Node: node, Cycle: cycle, Class: detail})
-	}
-	if c.sink == nil {
-		return
-	}
-	kind := ""
-	if node >= 0 && node < len(c.nodes) {
-		kind = c.nodes[node].Meta.Kind
-	}
-	c.sink.Emit(Event{Cycle: cycle, Type: EvFault, Node: node, Kind: kind, Detail: detail})
+	c.rec.Faults = append(c.rec.Faults, Fault{Node: node, Cycle: cycle, Class: detail,
+		fires: len(c.rec.Fires), parks: len(c.rec.Parks)})
 }
 
 // Abort records a failed machine check ending the run; detail is the
 // check name. Aborted runs still produce a full report, so partial
 // executions stay profilable.
 func (c *Collector) Abort(cycle int, detail string) {
-	if c == nil {
+	if c == nil || c.rec == nil {
 		return
 	}
-	if c.rec != nil {
-		c.rec.AbortCheck, c.rec.AbortCycle = detail, cycle
-	}
-	if c.sink == nil {
-		return
-	}
-	c.sink.Emit(Event{Cycle: cycle, Type: EvAbort, Node: -1, Detail: detail})
+	c.rec.AbortCheck, c.rec.AbortCycle = detail, cycle
 }
 
 // NodeCounters is the lock-free per-node firing counter the concurrent

@@ -7,89 +7,77 @@ import (
 	"testing"
 )
 
-func mustRing(t *testing.T, n int) *RingSink {
-	t.Helper()
-	r, err := NewRingSink(n)
-	if err != nil {
-		t.Fatal(err)
+// streamRecord is a hand-built record: two firings, a park at the second
+// firing's cycle, a fault between them, and an abort.
+func streamRecord() ([]NodeMeta, *Record) {
+	meta := []NodeMeta{
+		{Node: 0, Kind: "start", Label: "d0: start"},
+		{Node: 1, Kind: "binop", Label: "d1: binop +"},
+		{Node: 2, Kind: "store", Label: "d2: store x"},
 	}
-	return r
+	r := &Record{Tags: []string{"", "0.1"}}
+	r.AddFire(1, 0, 1, 0, 1, nil)
+	r.Faults = append(r.Faults, Fault{Node: 2, Cycle: 1, Class: "dup-token", fires: 1})
+	r.Parks = append(r.Parks, Park{Node: 2, Cycle: 1, Tag: 1, Dep: 0})
+	r.AddFire(2, 1, 4, 0, 0, []int32{0})
+	r.AbortCheck, r.AbortCycle = "TagViolation", 2
+	return meta, r
 }
 
-func TestRingSinkWraps(t *testing.T) {
-	r := mustRing(t, 3)
-	for i := 0; i < 5; i++ {
-		r.Emit(Event{Cycle: i, Type: EvFire})
-	}
-	if r.Total() != 5 {
-		t.Errorf("total = %d, want 5", r.Total())
-	}
-	ev := r.Events()
-	if len(ev) != 3 {
-		t.Fatalf("retained %d events, want 3", len(ev))
-	}
-	for i, e := range ev {
-		if e.Cycle != i+2 {
-			t.Errorf("event %d has cycle %d, want %d (oldest-first)", i, e.Cycle, i+2)
-		}
-	}
-}
-
-func TestNDJSONSinkOneObjectPerLine(t *testing.T) {
+// TestWriteEventsOneObjectPerLine checks the stream's line order — meta,
+// then parks ahead of a cycle's firings with each fault where it was
+// recorded, then the abort, then the summary — and its round trip.
+func TestWriteEventsOneObjectPerLine(t *testing.T) {
+	meta, r := streamRecord()
 	var b strings.Builder
-	s := NewNDJSONSink(&b)
-	s.Emit(Event{Cycle: 1, Type: EvFire, Node: 2, Kind: "binop", Tag: "0", Cost: 1})
-	s.Emit(Event{Cycle: 3, Type: EvWait, Node: 4, Kind: "store", Tag: "0.1"})
-	if s.Err() != nil {
-		t.Fatal(s.Err())
+	if err := WriteEvents(&b, meta, r, &Report{Cycles: 2}); err != nil {
+		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	want := []EventType{EvMeta, EvMeta, EvMeta, EvFire, EvFault, EvWait, EvFire, EvAbort, EvSummary}
+	if len(lines) != len(want) {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), b.String())
 	}
-	var e Event
-	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e != (Event{Cycle: 1, Type: EvFire, Node: 2, Kind: "binop", Tag: "0", Cost: 1}) {
-		t.Errorf("round-trip mismatch: %+v", e)
-	}
-	var w Event
-	if err := json.Unmarshal([]byte(lines[1]), &w); err != nil {
-		t.Fatal(err)
-	}
-	if w.Type != EvWait || w.Cost != 0 {
-		t.Errorf("wait event round-trip mismatch: %+v", w)
-	}
-}
-
-func TestRingSinkRejectsNonPositiveCapacity(t *testing.T) {
-	for _, n := range []int{0, -1, -100} {
-		if r, err := NewRingSink(n); err == nil {
-			t.Errorf("NewRingSink(%d) = %v, want error", n, r)
+	evs := make([]Event, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal([]byte(line), &evs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if evs[i].Type != want[i] {
+			t.Errorf("line %d is %q, want %q", i, evs[i].Type, want[i])
 		}
 	}
-	if _, err := NewRingSink(1); err != nil {
-		t.Errorf("NewRingSink(1) rejected: %v", err)
+	if evs[3] != (Event{Cycle: 0, Type: EvFire, Node: 1, Kind: "binop", Tag: "0.1", Cost: 1}) {
+		t.Errorf("fire round-trip mismatch: %+v", evs[3])
+	}
+	if evs[4] != (Event{Cycle: 1, Type: EvFault, Node: 2, Kind: "store", Detail: "dup-token"}) {
+		t.Errorf("fault round-trip mismatch: %+v", evs[4])
+	}
+	if evs[5] != (Event{Cycle: 1, Type: EvWait, Node: 2, Kind: "store", Tag: "0.1"}) {
+		t.Errorf("wait round-trip mismatch: %+v", evs[5])
+	}
+	if evs[7] != (Event{Cycle: 2, Type: EvAbort, Node: -1, Detail: "TagViolation"}) {
+		t.Errorf("abort round-trip mismatch: %+v", evs[7])
+	}
+	// Without a record (the channel engine) the stream is meta + summary.
+	b.Reset()
+	if err := WriteEvents(&b, meta, nil, &Report{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(b.String(), "\n"); n != len(meta)+1 {
+		t.Errorf("record-free stream has %d lines, want %d", n, len(meta)+1)
 	}
 }
 
-func TestMultiSinkFansOut(t *testing.T) {
-	a, b := mustRing(t, 8), mustRing(t, 8)
-	m := MultiSink{a, b}
-	m.Emit(Event{Cycle: 7, Type: EvFire})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Errorf("fan-out failed: %d, %d", a.Total(), b.Total())
-	}
-}
-
-func TestTraceSinkFormatAndFilter(t *testing.T) {
+// TestWriteTraceFormat pins the trace line format: firings only, the
+// root tag rendering empty.
+func TestWriteTraceFormat(t *testing.T) {
+	meta, r := streamRecord()
 	var b strings.Builder
-	s := &TraceSink{W: &b, Labels: []string{"d0: start", "d1: binop +"}}
-	s.Emit(Event{Cycle: 12, Type: EvFire, Node: 1, Tag: "0.1"})
-	s.Emit(Event{Cycle: 13, Type: EvWait, Node: 1, Tag: "0.1"}) // not traced
-	s.Emit(Event{Cycle: 14, Type: EvFire, Node: 1, Tag: ""})    // root tag renders empty
-	want := "cycle 12: d1: binop + [tag 0.1]\ncycle 14: d1: binop + [tag ]\n"
+	if err := WriteTrace(&b, meta, r); err != nil {
+		t.Fatal(err)
+	}
+	want := "cycle 0: d1: binop + [tag 0.1]\ncycle 1: d2: store x [tag ]\n"
 	if b.String() != want {
 		t.Errorf("trace output %q, want %q", b.String(), want)
 	}

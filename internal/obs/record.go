@@ -3,8 +3,9 @@ package obs
 // Record is the one record of an observed machine run: the firing DAG,
 // every firing with all of its operands' producer firings, plus the
 // matching-store parks, the injected faults and the abort. The critical
-// path (Report) and the causal journal (internal/obs/journal) are two
-// readers of it. Rows are pointer-free and fixed width, producer ids live
+// path (Report), the causal journal (internal/obs/journal), the NDJSON
+// event stream (WriteEvents) and the execution trace (WriteTrace) are its
+// readers. Rows are pointer-free and fixed width, producer ids live
 // in one CSR arena, and tags are interned ids into Tags, each rendered
 // once.
 type Record struct {
@@ -42,11 +43,13 @@ type Park struct {
 	Node, Cycle, Port, Tag, Dep int32
 }
 
-// Fault is one injected fault observed during the run.
+// Fault is one injected fault observed during the run. fires and parks
+// count the rows recorded before it, its place in the event stream.
 type Fault struct {
-	Node  int    `json:"node"`
-	Cycle int    `json:"cycle"`
-	Class string `json:"class"`
+	Node         int    `json:"node"`
+	Cycle        int    `json:"cycle"`
+	Class        string `json:"class"`
+	fires, parks int
 }
 
 // AddFire appends a firing and returns its id. deps holds the producer

@@ -58,11 +58,13 @@ if [ -n "$builders" ]; then
 fi
 
 echo "== a run is recorded once =="
-# The critical path and the causal journal read one record of a machine
-# run, obs.Record (see OBSERVABILITY.md, "Critical path"): a second
-# per-firing record, a latest-finishing link folded beside it, or a
-# journal recorder fed firing by firing has started a second copy.
-twice=$(grep -rnwE 'firingRec|MaxDep|RecordFire|RecordPark|NewRecorder|appendDeps' --include='*.go' . |
+# The critical path, the causal journal, the event stream and the trace
+# read one record of a machine run, obs.Record (see OBSERVABILITY.md,
+# "Critical path" and "Event stream"): a second per-firing record, a
+# latest-finishing link folded beside it, a journal recorder fed firing by
+# firing, or an event sink rendering the run live has started a second
+# copy.
+twice=$(grep -rnwE 'firingRec|MaxDep|RecordFire|RecordPark|NewRecorder|appendDeps|AddSink|TraceSink|NDJSONSink|RingSink|MultiSink' --include='*.go' . |
     grep -v '_test\.go:' || true)
 if [ -n "$twice" ]; then
     echo "a second record of the run:" >&2
