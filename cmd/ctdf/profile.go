@@ -10,7 +10,7 @@ import (
 	"ctdf/internal/obs"
 )
 
-// cmdProfile executes a program as an observed run: it streams the
+// cmdProfile executes a program as an observed run: it writes the
 // NDJSON event stream (node metadata, cycle-stamped fire/wait events,
 // and a trailing summary line), then prints the human-readable report —
 // per-node counters, per-kind aggregation, parallelism histogram, and
