@@ -8,6 +8,7 @@ package ctdf
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ctdf/internal/experiments"
@@ -342,22 +343,30 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// compileAllocBudget bounds the allocations of one compile of the budget
-// program, source text to optimized graph. It took 444 k when every
-// optimizer sweep copied the graph's adjacency and rebuilt the graph, the
-// analyses kept their sets in maps of maps and loop control recomputed
-// dominators per loop; 81 k while dfg.Graph kept a slice per node and per
-// port, grown arc by arc, in translation and again in the optimizer's one
-// materialisation; and takes 39.8 k now that Add and Connect are appends.
-// The gate is that count (under -race, which allocates a little more)
-// × 1.25: a slice per port of the 8.3 k nodes the two graphs hold is 16 k
-// allocations and trips it. Allocation counts repeat exactly, so this gate
-// is deterministic where wall time is not.
-const compileAllocBudget = 50_000
+// compileAllocBudget and compileByteBudget bound the allocations of one
+// compile of the budget program, source text to optimized graph. It took
+// 444 k allocations when every optimizer sweep copied the graph's
+// adjacency and rebuilt the graph, the analyses kept their sets in maps of
+// maps and loop control recomputed dominators per loop; 81 k while
+// dfg.Graph kept a slice per node and per port, grown arc by arc, in
+// translation and again in the optimizer's one materialisation; 39.8 k
+// (8.3 MB) while the translator built a graph the optimizer copied into
+// its editor and out again; and takes 20.8 k (6.1 MB) now that the
+// optimizer edits the editor the translator emitted into, and the
+// builder's per-statement scratch is dense and reused. Each gate is that
+// figure under -race, which allocates a little more, × 1.25: the
+// previous construction path (a built graph copied into the optimizer's
+// editor and back out) trips both. Allocation counts
+// and bytes repeat exactly, so these gates are deterministic where wall
+// time is not.
+const (
+	compileAllocBudget = 26_000
+	compileByteBudget  = 7_650_000
+)
 
 func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.Random(1990, 40, 3).Source
-	got := testing.AllocsPerRun(3, func() {
+	compile := func() {
 		p, err := Compile(src)
 		if err == nil {
 			_, err = p.Translate(Options{Schema: Schema2Opt, Optimize: 1})
@@ -365,11 +374,17 @@ func TestCompileAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if got > compileAllocBudget {
-		t.Errorf("compile allocates %.0f times per run, budget %d", got, compileAllocBudget)
 	}
-	t.Logf("compile: %.0f allocs per run (budget %d)", got, compileAllocBudget)
+	got := testing.AllocsPerRun(3, compile)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	compile()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if got > compileAllocBudget || bytes > compileByteBudget {
+		t.Errorf("compile allocates %.0f times and %d bytes per run, budget %d and %d", got, bytes, compileAllocBudget, compileByteBudget)
+	}
+	t.Logf("compile: %.0f allocs and %d bytes per run (budget %d and %d)", got, bytes, compileAllocBudget, compileByteBudget)
 }
 
 func BenchmarkTranslateSchemas(b *testing.B) {

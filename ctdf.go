@@ -341,17 +341,17 @@ func (p *Program) Translate(opt Options) (*Dataflow, error) {
 		}
 	}
 	iopt.Optimize = opt.Optimize
-	res, err := translate.Translate(p.cfg, iopt)
+	// With Optimize set, the optimizer edits the graph as the translator
+	// emitted it: one graph is built and validated.
+	var edit func(*dfg.Editor, *translate.Result) error
+	if opt.Optimize > 0 {
+		edit = graphopt.Edit
+	}
+	res, err := translate.TranslateEdited(p.cfg, iopt, edit)
 	if err != nil {
 		return nil, err
 	}
-	d := &Dataflow{res: res}
-	if opt.Optimize > 0 {
-		if _, err := d.Optimize(); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return &Dataflow{res: res}, nil
 }
 
 // OptPass reports one optimizer pass's activity for Optimize.

@@ -52,9 +52,11 @@ func FuzzLoadDataflowRun(f *testing.F) {
 // graph that vets clean, under every schema and transform combination the
 // translator accepts — and must stay clean through the graph optimizer,
 // whose certificate vet validates rather than trusts, and whose output
-// must execute to the same result on both engines. Seeds are the
-// committed workloads, so the fuzzer mutates from realistic programs
-// toward pathological ones.
+// must execute to the same result on both engines. Translating with
+// Optimize set, where the optimizer edits the graph as it is emitted, must
+// give the very graph that optimizing the plain translation gives. Seeds
+// are the committed workloads, so the fuzzer mutates from realistic
+// programs toward pathological ones.
 func FuzzCompileVet(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source)
@@ -68,6 +70,7 @@ func FuzzCompileVet(f *testing.F) {
 		{Schema: Schema2Opt, EliminateMemory: true, ParallelReads: true, ParallelArrayStores: true},
 		{Schema: Schema2Opt, EliminateMemory: true, UseIStructures: true},
 		{Schema: Schema3Opt, Cover: CoverClass, ParallelReads: true},
+		{Schema: Schema3Opt, Cover: CoverClass, ParallelArrayStores: true},
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Compile(src)
@@ -103,6 +106,11 @@ func FuzzCompileVet(f *testing.F) {
 			}
 			if rep := d.Vet(); !rep.Clean() {
 				t.Errorf("schema %v optimized graph does not vet clean:\n%s", opt.Schema, rep)
+				continue
+			}
+			opt.Optimize = 1
+			if one, err := p.Translate(opt); err != nil || one.Text() != d.Text() {
+				t.Errorf("schema %v: translating optimized (err %v) differs from optimizing the translation", opt.Schema, err)
 				continue
 			}
 			mo, err := d.Run(RunConfig{MaxCycles: 20_000, MaxOps: 2_000_000})

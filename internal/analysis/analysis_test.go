@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"ctdf/internal/cfg"
@@ -53,7 +54,7 @@ func TestControlDependenceMatchesDefinition(t *testing.T) {
 		for n := range g.Nodes {
 			for f := range g.Nodes {
 				want := bruteCD(g, pdom, n, f)
-				got := cd.On[n][f]
+				got := slices.Contains(cd.On[n], f)
 				if got != want {
 					t.Errorf("%s: CD(n%d ← n%d) = %v, definition says %v", w.Name, n, f, got, want)
 				}
@@ -69,7 +70,7 @@ func TestControlDependenceTargetsAreForks(t *testing.T) {
 		g := buildCFG(t, w.Source)
 		cd := ComputeControlDeps(g)
 		for n := range g.Nodes {
-			for f := range cd.On[n] {
+			for _, f := range cd.On[n] {
 				k := g.Nodes[f].Kind
 				if k != cfg.KindFork && k != cfg.KindStart {
 					t.Errorf("%s: n%d control dependent on non-fork %s", w.Name, n, g.Nodes[f])
@@ -181,7 +182,7 @@ func TestIteratedCDClosure(t *testing.T) {
 		for n := range g.Nodes {
 			cdp := cd.IteratedCD([]int{n})
 			for f := range cdp {
-				for f2 := range cd.On[f] {
+				for _, f2 := range cd.On[f] {
 					if !cdp[f2] {
 						t.Errorf("%s: CD+ not closed: n%d ∈ CD+(n%d) but CD(n%d) ∋ n%d missing",
 							w.Name, f, n, f, f2)

@@ -25,7 +25,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 
 	"ctdf/internal/cfg"
 )
@@ -35,10 +35,8 @@ import (
 // fork nodes (including start, which the conventional start→end edge makes
 // a fork).
 type ControlDeps struct {
-	// On[n] is CD(n): the nodes n is control dependent on.
-	On []map[int]bool
-	// Of[f] is the inverse: the nodes control dependent on f.
-	Of []map[int]bool
+	// On[n] is CD(n): the nodes n is control dependent on, sorted.
+	On [][]int
 
 	pdom *cfg.DomTree
 }
@@ -46,26 +44,21 @@ type ControlDeps struct {
 // ComputeControlDeps computes control dependences with the
 // Ferrante–Ottenstein–Warren walk: for each CFG edge a→b where b does not
 // strictly postdominate a, every node on the postdominator-tree path from
-// b up to (excluding) ipdom(a) is control dependent on a.
+// b up to (excluding) ipdom(a) is control dependent on a. Taking a in
+// increasing order keeps each row sorted, and a second walk from a to the
+// same node finds a already last in its row.
 func ComputeControlDeps(g *cfg.Graph) *ControlDeps {
 	pdom := cfg.PostDominators(g)
-	cd := &ControlDeps{
-		On:   make([]map[int]bool, g.Len()),
-		Of:   make([]map[int]bool, g.Len()),
-		pdom: pdom,
-	}
-	for i := 0; i < g.Len(); i++ {
-		cd.On[i] = map[int]bool{}
-		cd.Of[i] = map[int]bool{}
-	}
+	cd := &ControlDeps{On: make([][]int, g.Len()), pdom: pdom}
 	for a := range g.Nodes {
 		for _, b := range g.Nodes[a].Succs {
 			if pdom.StrictlyDominates(b, a) {
 				continue
 			}
 			for w := b; w != -1 && w != pdom.Idom[a]; w = pdom.Idom[w] {
-				cd.On[w][a] = true
-				cd.Of[a][w] = true
+				if row := cd.On[w]; len(row) == 0 || row[len(row)-1] != a {
+					cd.On[w] = append(row, a)
+				}
 			}
 		}
 	}
@@ -76,7 +69,7 @@ func ComputeControlDeps(g *cfg.Graph) *ControlDeps {
 func (cd *ControlDeps) PostDom() *cfg.DomTree { return cd.pdom }
 
 // CD returns CD(n) as a sorted slice.
-func (cd *ControlDeps) CD(n int) []int { return sortedSet(cd.On[n]) }
+func (cd *ControlDeps) CD(n int) []int { return slices.Clone(cd.On[n]) }
 
 // IteratedCD computes CD+(seeds): the limit of CD(S), CD(S) ∪ CD(CD(S)),
 // ... (Definition 5, generalized to a seed set). By Theorem 1, F ∈
@@ -96,7 +89,7 @@ func (cd *ControlDeps) IteratedCD(seeds []int) map[int]bool {
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		for f := range cd.On[n] {
+		for _, f := range cd.On[n] {
 			if !out[f] {
 				out[f] = true
 				work = append(work, f)
@@ -153,13 +146,4 @@ func BetweenWith(g *cfg.Graph, pdom *cfg.DomTree, f, n int) bool {
 		}
 	}
 	return false
-}
-
-func sortedSet(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

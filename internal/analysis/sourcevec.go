@@ -16,7 +16,7 @@ import (
 // variables), and a token it reads but does not switch leaves the fork's
 // read block before any switch, independent of the branch taken.
 type Source struct {
-	Node int
+	Node int32 // 32 bits: the vectors keep one per (CFG node, token)
 	Dir  bool
 	Read bool
 }
@@ -37,7 +37,7 @@ func (s Source) String() string {
 func compareSources(a, b Source) int {
 	switch {
 	case a.Node != b.Node:
-		return a.Node - b.Node
+		return int(a.Node - b.Node)
 	case a.Read != b.Read:
 		if b.Read {
 			return -1
@@ -100,12 +100,21 @@ func (s *SourceVectors) BackSources(n int, tok string) []Source {
 	return nil
 }
 
+// TokenID returns tok's position in Universe, the id the analyses
+// interned it under, or -1 for a token outside the universe.
+func (s *SourceVectors) TokenID(tok string) int {
+	if t, ok := s.toks.id[tok]; ok && int(t) < len(s.Universe) {
+		return int(t)
+	}
+	return -1
+}
+
 func (s *SourceVectors) at(row int, tok string) []Source {
-	t, ok := s.toks.id[tok]
-	if !ok || int(t) >= len(s.Universe) {
+	t := s.TokenID(tok)
+	if t < 0 {
 		return nil
 	}
-	return s.list(row*len(s.Universe) + int(t))
+	return s.list(row*len(s.Universe) + t)
 }
 
 func (s *SourceVectors) list(cell int) []Source {
@@ -227,7 +236,7 @@ func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, nee
 	}
 	for _, pick := range out.Order {
 		nd := g.Nodes[pick]
-		self := Source{Node: pick, Dir: true}
+		self := Source{Node: int32(pick), Dir: true}
 		here := pick * v
 		takes := regen.row(pick)
 
@@ -265,13 +274,13 @@ func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, nee
 			for t := 0; t < v; t++ {
 				switch {
 				case has(sw, t):
-					out.add(onT+t, Source{Node: pick, Dir: true})
-					out.add(onF+t, Source{Node: pick, Dir: false})
+					out.add(onT+t, Source{Node: int32(pick), Dir: true})
+					out.add(onF+t, Source{Node: int32(pick), Dir: false})
 				case has(takes, t):
 					// The fork's read block consumed and regenerated the
 					// token; it continues past the (unneeded) switch point
 					// to the fork's immediate postdominator.
-					out.add(past+t, Source{Node: pick, Dir: true, Read: true})
+					out.add(past+t, Source{Node: int32(pick), Dir: true, Read: true})
 				default:
 					forward(here+t, past+t)
 				}

@@ -165,7 +165,7 @@ func ComputeSourceVectorsLiteral(g *cfg.Graph, universe []string, need NeedFunc,
 		switch nd.Kind {
 		case cfg.KindStart:
 			for _, tok := range universe {
-				add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+				add(nd.Succs[0], tok, Source{Node: int32(pick), Dir: true})
 			}
 		case cfg.KindEnd:
 		case cfg.KindAssign:
@@ -175,7 +175,7 @@ func ComputeSourceVectorsLiteral(g *cfg.Graph, universe []string, need NeedFunc,
 			}
 			for _, tok := range universe {
 				if needSet[tok] {
-					add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+					add(nd.Succs[0], tok, Source{Node: int32(pick), Dir: true})
 				} else {
 					add(nd.Succs[0], tok, current(pick, tok)...)
 				}
@@ -188,10 +188,10 @@ func ComputeSourceVectorsLiteral(g *cfg.Graph, universe []string, need NeedFunc,
 			for _, tok := range universe {
 				switch {
 				case placement.NeedsSwitch(pick, tok):
-					add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
-					add(nd.Succs[1], tok, Source{Node: pick, Dir: false})
+					add(nd.Succs[0], tok, Source{Node: int32(pick), Dir: true})
+					add(nd.Succs[1], tok, Source{Node: int32(pick), Dir: false})
 				case readSet[tok]:
-					add(pdom.Idom[pick], tok, Source{Node: pick, Dir: true, Read: true})
+					add(pdom.Idom[pick], tok, Source{Node: int32(pick), Dir: true, Read: true})
 				default:
 					add(pdom.Idom[pick], tok, current(pick, tok)...)
 				}
@@ -201,7 +201,7 @@ func ComputeSourceVectorsLiteral(g *cfg.Graph, universe []string, need NeedFunc,
 			// by the join itself.
 			for _, tok := range universe {
 				if len(current(pick, tok)) > 0 {
-					add(nd.Succs[0], tok, Source{Node: pick, Dir: true})
+					add(nd.Succs[0], tok, Source{Node: int32(pick), Dir: true})
 				}
 			}
 		}
@@ -231,7 +231,7 @@ func resolveThroughJoins(g *cfg.Graph, at func(n int, tok string) []Source, src 
 		if n.Kind != cfg.KindJoin {
 			return src
 		}
-		srcs := at(src.Node, tok)
+		srcs := at(int(src.Node), tok)
 		if len(srcs) != 1 {
 			return src
 		}

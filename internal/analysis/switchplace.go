@@ -54,7 +54,7 @@ func PlaceSwitches(g *cfg.Graph, cd *ControlDeps, need NeedFunc) *Placement {
 		worklist = worklist[:len(worklist)-1]
 		onWL[n] = false
 		from := reach.row(n)
-		for f := range cd.On[n] {
+		for _, f := range cd.On[n] {
 			grew := false
 			at, through := placed.row(f), reach.row(f)
 			for i, w := range from {

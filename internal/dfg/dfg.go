@@ -279,8 +279,10 @@ type Graph struct {
 	fusionIdx map[int]int
 
 	// index is the adjacency of the graph as it stood when a reader last
-	// asked for it (Index).
+	// asked for it (Index); valid the size at which it last passed
+	// Validate.
 	index atomic.Pointer[Index]
+	valid atomic.Pointer[[4]int]
 
 	StartID int
 	EndID   int
@@ -337,12 +339,17 @@ func (g *Graph) FusionOf(node int) *FusedInfo {
 // endpoints are not checked here: Validate reports an arc that names no
 // port, and Index leaves it out.
 func (g *Graph) Connect(from, fromPort, to, toPort int, dummy bool) {
-	if len(g.Arcs) == cap(g.Arcs) {
-		// Double: append grows a table this long by a quarter at a time,
-		// copying it four times over on the way to its final length.
-		g.Arcs = slices.Grow(g.Arcs, max(len(g.Arcs), 64))
+	g.Arcs = appendArc(g.Arcs, Arc{From: from, FromPort: fromPort, To: to, ToPort: toPort, Dummy: dummy})
+}
+
+// appendArc appends a to arcs, doubling a full table: append grows a
+// table this long by a quarter at a time, copying it four times over on
+// the way to its final length.
+func appendArc(arcs []Arc, a Arc) []Arc {
+	if len(arcs) == cap(arcs) {
+		arcs = slices.Grow(arcs, max(len(arcs), 64))
 	}
-	g.Arcs = append(g.Arcs, Arc{From: from, FromPort: fromPort, To: to, ToPort: toPort, Dummy: dummy})
+	return append(arcs, a)
 }
 
 // OutArcs returns the ids of the arcs leaving (node, port), in arc order:
@@ -399,8 +406,22 @@ func (g *Graph) Stats() Stats {
 // Validate checks structural sanity: port indices in range, every input
 // port of every node fed by exactly one arc (any number for merge port 0
 // and at least one for End ports), switches' control ports connected, and
-// a start and end node present.
+// a start and end node present. Like Index, a graph that passed is not
+// checked again until it grows (a node, an arc, a step program or a call
+// record): a compile, its verification and every run share one check.
 func (g *Graph) Validate() error {
+	size := [4]int{len(g.Nodes), len(g.Arcs), len(g.Fusions), len(g.Calls)}
+	if v := g.valid.Load(); v != nil && *v == size {
+		return nil
+	}
+	if err := g.validate(); err != nil {
+		return err
+	}
+	g.valid.Store(&size)
+	return nil
+}
+
+func (g *Graph) validate() error {
 	if g.StartID < 0 || g.EndID < 0 {
 		return fmt.Errorf("dfg: missing start or end node")
 	}

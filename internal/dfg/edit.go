@@ -3,16 +3,20 @@ package dfg
 import (
 	"fmt"
 	"slices"
+
+	"ctdf/internal/lang"
 )
 
 // Editor is the editable form of a graph, and the only one. A Graph is
 // append-only by design (its Index is built for a graph that only grows),
-// so a pass that rewrites one lowers it into an Editor, edits that in
-// place, and builds a Graph from it once, with Graph; the source graph is
-// never written. Node and arc tables only grow: a removed node leaves a
-// nil, a killed arc a cleared live bit, so ids stay stable across edits
-// and table order is creation order — the order survivors keep in the
-// result, exactly as if the graph had been compacted after every edit.
+// so the translator emits into an Editor (NewEditorFor), a pass that
+// rewrites a graph lowers it into one (NewEditor), and either builds a
+// Graph from it once, with Graph. Node and arc tables only grow: a removed
+// node leaves a nil, a killed arc is marked dead, so ids stay stable
+// across edits and table order is creation order — the order survivors
+// keep in the result, exactly as if the graph had been compacted after
+// every edit. A lowered graph's nodes stay its own and are never written;
+// the nodes the editor created and its arc table become the result's.
 type Editor struct {
 	src *Graph
 	// Nodes is the node table, nil where a node was removed. The source's
@@ -21,10 +25,11 @@ type Editor struct {
 	Nodes []*Node
 	// Arcs is the arc table, killed arcs included (Live).
 	Arcs []Arc
-	live []bool
-	// Outs and Ins list the live arcs at every output and input port, in
-	// arc-creation order, and are current after every edit.
-	Outs, Ins Ports
+	dead []bool
+	// outs and ins are built by the first read (Outs, Ins): a graph that
+	// is only emitted never needs them.
+	outs, ins Ports
+	ported    bool
 	// fusions holds the step programs by editor node id, in creation
 	// order.
 	fusions []FusedInfo
@@ -38,11 +43,12 @@ type Ports struct {
 	links []struct{ next, prev int32 }       // per arc, -1 at the ends
 }
 
-// reserve makes room for a graph of the given size and half as much again.
-func (p *Ports) reserve(nodes, arcs int) {
-	p.base = make([]int32, 0, nodes+nodes/2)
-	p.slots = make([]struct{ head, tail, size int32 }, 0, 3*nodes)
-	p.links = make([]struct{ next, prev int32 }, 0, arcs+arcs/2)
+// reserve makes room for the given nodes and ports and a quarter as many
+// again, and for arcs arcs.
+func (p *Ports) reserve(nodes, ports, arcs int) {
+	p.base = make([]int32, 0, nodes+nodes/4)
+	p.slots = make([]struct{ head, tail, size int32 }, 0, ports+ports/4)
+	p.links = make([]struct{ next, prev int32 }, 0, arcs)
 }
 
 func (p *Ports) addNode(nports int) {
@@ -99,30 +105,60 @@ func (p *Ports) remove(slot, arc int32) {
 // NewEditor lowers g, whose arcs must name ports that exist (a validated
 // graph's do).
 func NewEditor(g *Graph) *Editor {
-	e := &Editor{
+	return &Editor{
 		src:     g,
 		Nodes:   append(make([]*Node, 0, len(g.Nodes)+len(g.Nodes)/4), g.Nodes...),
-		Arcs:    make([]Arc, 0, len(g.Arcs)+len(g.Arcs)/2),
+		Arcs:    append(make([]Arc, 0, len(g.Arcs)+len(g.Arcs)/2), g.Arcs...),
+		dead:    make([]bool, len(g.Arcs)),
 		fusions: append([]FusedInfo(nil), g.Fusions...),
 	}
-	e.Outs.reserve(len(g.Nodes), len(g.Arcs))
-	e.Ins.reserve(len(g.Nodes), len(g.Arcs))
-	for _, n := range g.Nodes {
-		e.Outs.addNode(n.OutPorts())
-		e.Ins.addNode(n.NIns)
-	}
-	for _, a := range g.Arcs {
-		e.AddArc(a)
-	}
-	return e
 }
 
-// AddNode appends n, whose port counts must be set, and returns its id.
+// NewEditorFor starts an empty graph for prog.
+func NewEditorFor(prog *lang.Program) *Editor { return &Editor{src: NewGraph(prog)} }
+
+// Outs and Ins list the live arcs at every output and input port, in
+// arc-creation order, and are current after every edit.
+func (e *Editor) Outs() *Ports { e.port(); return &e.outs }
+func (e *Editor) Ins() *Ports  { e.port(); return &e.ins }
+
+func (e *Editor) port() {
+	if e.ported {
+		return
+	}
+	outs, ins := 0, 0
+	for _, n := range e.Nodes {
+		outs, ins = outs+n.OutPorts(), ins+n.NIns
+	}
+	e.outs.reserve(len(e.Nodes), outs, cap(e.Arcs))
+	e.ins.reserve(len(e.Nodes), ins, cap(e.Arcs))
+	for _, n := range e.Nodes {
+		e.outs.addNode(n.OutPorts())
+		e.ins.addNode(n.NIns)
+	}
+	for id, a := range e.Arcs {
+		e.link(int32(id), a)
+	}
+	e.ported = true
+}
+
+func (e *Editor) link(id int32, a Arc) {
+	e.outs.push(e.outs.Slot(a.From, a.FromPort), id)
+	e.ins.push(e.ins.Slot(a.To, a.ToPort), id)
+}
+
+// AddNode appends n and returns its id. A fixed-arity kind gets its NIns
+// here; for the others the caller sets the port counts.
 func (e *Editor) AddNode(n *Node) int {
+	if fi := fixedIns(n.Kind); fi >= 0 {
+		n.NIns = fi
+	}
 	n.ID = len(e.Nodes)
 	e.Nodes = append(e.Nodes, n)
-	e.Outs.addNode(n.OutPorts())
-	e.Ins.addNode(n.NIns)
+	if e.ported {
+		e.outs.addNode(n.OutPorts())
+		e.ins.addNode(n.NIns)
+	}
 	return n.ID
 }
 
@@ -132,6 +168,7 @@ func (e *Editor) AddFusion(fi FusedInfo) { e.fusions = append(e.fusions, fi) }
 // Remove deletes node id and, with a Fused node, its step program. The
 // node's arcs are the caller's to kill: one left attached fails Graph.
 func (e *Editor) Remove(id int) {
+	e.port() // built after the removal, they would have no row for it
 	if e.Nodes[id].Kind == Fused {
 		e.fusions = slices.DeleteFunc(e.fusions, func(fi FusedInfo) bool { return fi.Node == id })
 	}
@@ -140,19 +177,19 @@ func (e *Editor) Remove(id int) {
 
 // AddArc appends a, last at both its ports.
 func (e *Editor) AddArc(a Arc) {
-	id := int32(len(e.Arcs))
-	e.Arcs = append(e.Arcs, a)
-	e.live = append(e.live, true)
-	e.Outs.push(e.Outs.Slot(a.From, a.FromPort), id)
-	e.Ins.push(e.Ins.Slot(a.To, a.ToPort), id)
+	e.Arcs, e.dead = appendArc(e.Arcs, a), append(e.dead, false)
+	if e.ported {
+		e.link(int32(len(e.Arcs)-1), a)
+	}
 }
 
 // KillArc deletes arc id, which must be live.
 func (e *Editor) KillArc(id int32) {
+	e.port()
 	a := e.Arcs[id]
-	e.live[id] = false
-	e.Outs.remove(e.Outs.Slot(a.From, a.FromPort), id)
-	e.Ins.remove(e.Ins.Slot(a.To, a.ToPort), id)
+	e.dead[id] = true
+	e.outs.remove(e.outs.Slot(a.From, a.FromPort), id)
+	e.ins.remove(e.ins.Slot(a.To, a.ToPort), id)
 }
 
 // MoveSource makes arc id leave port port of node node: the arc is killed
@@ -166,20 +203,22 @@ func (e *Editor) MoveSource(id int32, node, port int) {
 
 // KillArcsInto kills every arc entering node id.
 func (e *Editor) KillArcsInto(id int) {
+	ins := e.Ins()
 	for p := 0; p < e.Nodes[id].NIns; p++ {
-		for slot := e.Ins.Slot(id, p); e.Ins.First(slot) >= 0; {
-			e.KillArc(e.Ins.First(slot))
+		for slot := ins.Slot(id, p); ins.First(slot) >= 0; {
+			e.KillArc(ins.First(slot))
 		}
 	}
 }
 
 // Live reports whether arc id has not been killed.
-func (e *Editor) Live(id int32) bool { return e.live[id] }
+func (e *Editor) Live(id int32) bool { return !e.dead[id] }
 
 // HasArc reports whether an arc with these endpoints exists — used to
 // refuse rewrites that would create a duplicate arc.
 func (e *Editor) HasArc(from, fromPort, to, toPort int) bool {
-	for id := e.Outs.First(e.Outs.Slot(from, fromPort)); id >= 0; id = e.Outs.Next(id) {
+	outs := e.Outs()
+	for id := outs.First(outs.Slot(from, fromPort)); id >= 0; id = outs.Next(id) {
 		if a := e.Arcs[id]; a.To == to && a.ToPort == toPort {
 			return true
 		}
@@ -189,9 +228,9 @@ func (e *Editor) HasArc(from, fromPort, to, toPort int) bool {
 
 // OutDegree returns the number of arcs leaving node id on any port.
 func (e *Editor) OutDegree(id int) int {
-	d := int32(0)
+	outs, d := e.Outs(), int32(0)
 	for p := e.Nodes[id].OutPorts() - 1; p >= 0; p-- {
-		d += e.Outs.Size(e.Outs.Slot(id, p))
+		d += outs.Size(outs.Slot(id, p))
 	}
 	return int(d)
 }
@@ -200,35 +239,24 @@ func (e *Editor) OutDegree(id int) int {
 // densely in table order, surviving arcs follow in table order, and the
 // step programs and the source's call linkage follow their nodes. An arc,
 // a step program or a call record left attached to a removed node is a
-// bug in the pass that edited, and the error.
+// bug in the pass that edited, and the error. Once Graph has succeeded the
+// editor is done: the result holds its arc table, compacted in place, and
+// the nodes it created, renumbered in place; the source's are copied.
 func (e *Editor) Graph() (*Graph, error) {
 	ng := NewGraph(e.src.Prog)
 	remap := make([]int, len(e.Nodes))
 	alive := 0
-	for _, n := range e.Nodes {
+	for i, n := range e.Nodes {
+		remap[i] = -1
 		if n != nil {
+			remap[i] = alive
 			alive++
 		}
 	}
-	ng.Nodes, ng.Arcs = make([]*Node, 0, alive), make([]Arc, 0, len(e.Arcs))
-	copies := make([]Node, 0, alive)
-	for i, n := range e.Nodes {
-		if n == nil {
-			remap[i] = -1
-			continue
-		}
-		copies = append(copies, *n)
-		remap[i] = ng.Add(&copies[len(copies)-1]).ID
-	}
 	for id, a := range e.Arcs {
-		if !e.live[id] {
-			continue
-		}
-		from, to := remap[a.From], remap[a.To]
-		if from < 0 || to < 0 {
+		if !e.dead[id] && (remap[a.From] < 0 || remap[a.To] < 0) {
 			return nil, fmt.Errorf("dfg: arc d%d.%d→d%d.%d survives a removed endpoint", a.From, a.FromPort, a.To, a.ToPort)
 		}
-		ng.Connect(from, a.FromPort, to, a.ToPort, a.Dummy)
 	}
 	// moved renumbers a node a side table names; ok turns false if it is
 	// not there.
@@ -256,6 +284,32 @@ func (e *Editor) Graph() (*Graph, error) {
 			return nil, fmt.Errorf("dfg: the call linkage of %s survives a removed node", c.Proc)
 		}
 		ng.Calls = append(ng.Calls, c)
+	}
+	ng.Arcs = e.Arcs[:0]
+	for id, a := range e.Arcs {
+		if !e.dead[id] {
+			a.From, a.To = remap[a.From], remap[a.To]
+			ng.Arcs = append(ng.Arcs, a)
+		}
+	}
+	ng.Nodes = make([]*Node, 0, alive)
+	copies := make([]Node, 0, len(e.src.Nodes))
+	for i, n := range e.Nodes {
+		if n == nil {
+			continue
+		}
+		if i < len(e.src.Nodes) {
+			copies = append(copies, *n)
+			n = &copies[len(copies)-1]
+		}
+		n.ID = remap[i]
+		ng.Nodes = append(ng.Nodes, n)
+		switch n.Kind {
+		case Start:
+			ng.StartID = n.ID
+		case End:
+			ng.EndID = n.ID
+		}
 	}
 	return ng, nil
 }

@@ -106,13 +106,13 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 		degree := 0
 		for p := 0; p < n.OutPorts(); p++ {
 			want := m.at(true, id, p)
-			slot := e.Outs.Slot(id, p)
+			slot := e.Outs().Slot(id, p)
 			only := int32(-1)
 			if len(want) == 1 {
 				only = want[0]
 			}
-			if got := walk(&e.Outs, id, p); !slices.Equal(got, want) || int(e.Outs.Size(slot)) != len(want) || e.Outs.Only(slot) != only {
-				t.Fatalf("%s: %s out port %d lists %v (size %d, only %d), want %v", name, n, p, got, e.Outs.Size(slot), e.Outs.Only(slot), want)
+			if got := walk(e.Outs(), id, p); !slices.Equal(got, want) || int(e.Outs().Size(slot)) != len(want) || e.Outs().Only(slot) != only {
+				t.Fatalf("%s: %s out port %d lists %v (size %d, only %d), want %v", name, n, p, got, e.Outs().Size(slot), e.Outs().Only(slot), want)
 			}
 			for _, ai := range want {
 				if a := m.arcs[ai]; !e.HasArc(id, p, a.To, a.ToPort) {
@@ -128,7 +128,7 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 			t.Fatalf("%s: %s has out-degree %d, want %d", name, n, e.OutDegree(id), degree)
 		}
 		for p := 0; p < n.NIns; p++ {
-			if got, want := walk(&e.Ins, id, p), m.at(false, id, p); !slices.Equal(got, want) {
+			if got, want := walk(e.Ins(), id, p), m.at(false, id, p); !slices.Equal(got, want) {
 				t.Fatalf("%s: %s in port %d lists %v, want %v", name, n, p, got, want)
 			}
 		}
@@ -330,8 +330,8 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 				e.Remove(id)
 				fails("arcs leaving a removed switch", e)
 				for p := 0; p < 2; p++ {
-					for slot := e.Outs.Slot(id, p); e.Outs.First(slot) >= 0; {
-						e.KillArc(e.Outs.First(slot))
+					for slot := e.Outs().Slot(id, p); e.Outs().First(slot) >= 0; {
+						e.KillArc(e.Outs().First(slot))
 					}
 				}
 				if _, err := e.Graph(); err != nil {
@@ -345,8 +345,8 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 			id := g.Fusions[len(g.Fusions)-1].Node
 			e := dfg.NewEditor(g)
 			e.KillArcsInto(id)
-			for slot := e.Outs.Slot(id, 0); e.Outs.First(slot) >= 0; {
-				e.KillArc(e.Outs.First(slot))
+			for slot := e.Outs().Slot(id, 0); e.Outs().First(slot) >= 0; {
+				e.KillArc(e.Outs().First(slot))
 			}
 			e.Nodes[id] = nil // not Remove, which takes the step program along
 			fails("a step program whose node is gone", e)
@@ -361,8 +361,8 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 				e := dfg.NewEditor(g)
 				e.KillArcsInto(id)
 				for p := 0; p < g.Nodes[id].OutPorts(); p++ {
-					for slot := e.Outs.Slot(id, p); e.Outs.First(slot) >= 0; {
-						e.KillArc(e.Outs.First(slot))
+					for slot := e.Outs().Slot(id, p); e.Outs().First(slot) >= 0; {
+						e.KillArc(e.Outs().First(slot))
 					}
 				}
 				e.Remove(id)

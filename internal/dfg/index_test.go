@@ -213,6 +213,39 @@ func TestIndexFollowsTheGraph(t *testing.T) {
 	}
 }
 
+// TestValidateFollowsTheGraph: a graph that passed Validate is not checked
+// again while it keeps its size, and is checked again once it grows — by a
+// node, an arc or a step program — so a bad addition after a clean
+// validation cannot slip through.
+func TestValidateFollowsTheGraph(t *testing.T) {
+	grow := map[string]func(g *dfg.Graph){
+		"arc":    func(g *dfg.Graph) { g.Arcs = append(g.Arcs, dfg.Arc{From: len(g.Nodes) + 7, To: g.EndID}) },
+		"node":   func(g *dfg.Graph) { g.Nodes = append(g.Nodes, &dfg.Node{ID: len(g.Nodes), Kind: dfg.UnOp, NIns: 1}) },
+		"fusion": func(g *dfg.Graph) { g.AddFusion(dfg.FusedInfo{Node: g.StartID}) },
+	}
+	for name, grow := range grow {
+		res, err := translate.Translate(cfg.MustBuild(workloads.MustByName("fib-iterative").Parse()), translate.Options{Schema: translate.Schema2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := res.Graph
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// An edit in place is not growth: Validate keeps its verdict.
+		sw := g.Nodes[g.StartID].Kind
+		g.Nodes[g.StartID].Kind = dfg.Merge
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: a graph of unchanged size was checked again: %v", name, err)
+		}
+		g.Nodes[g.StartID].Kind = sw
+		grow(g)
+		if err := g.Validate(); err == nil {
+			t.Fatalf("%s: Validate accepted a graph that grew a bad %s after a clean validation", name, name)
+		}
+	}
+}
+
 // TestIndexVariableArity: End and Synch get their input rows from the
 // NIns the caller sets after Add — also when something read the index in
 // between, while the node still had none.

@@ -146,12 +146,23 @@ func TestLoweringIsTheGraph(t *testing.T) {
 
 // TestRunValidatesBeforeLowering: lowering indexes by arc endpoints
 // without rechecking them, so a graph Validate rejects must never reach
-// it — Run reports the validation error instead of panicking.
+// it — Run reports the validation error instead of panicking. A graph
+// that already ran clean is validated again once it has grown.
 func TestRunValidatesBeforeLowering(t *testing.T) {
-	g := benchGraph(t, workloads.MustByName("running-example"), translate.Options{Schema: translate.Schema2}, false)
-	g.Arcs = append(g.Arcs, dfg.Arc{From: len(g.Nodes) + 7, To: g.EndID})
-	if out, err := Run(g, Config{}); err == nil || out != nil {
-		t.Fatalf("Run accepted a graph with an out-of-range arc (outcome %v)", out)
+	for _, grow := range []func(g *dfg.Graph){
+		func(g *dfg.Graph) { g.Arcs = append(g.Arcs, dfg.Arc{From: len(g.Nodes) + 7, To: g.EndID}) },
+		func(g *dfg.Graph) {
+			g.Nodes = append(g.Nodes, &dfg.Node{ID: len(g.Nodes), Kind: dfg.Load, NIns: 1, Var: "x"})
+		},
+	} {
+		g := benchGraph(t, workloads.MustByName("running-example"), translate.Options{Schema: translate.Schema2}, false)
+		if _, err := Run(g, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		grow(g)
+		if out, err := Run(g, Config{}); err == nil || out != nil {
+			t.Fatalf("Run accepted a graph that grew an unfed node or an out-of-range arc (outcome %v)", out)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func (w *work) eliminateDead(res *translate.Result) int {
 	droppable := func(a dfg.Arc) bool {
 		sn := w.Nodes[a.From]
 		switch {
-		case w.Outs.Size(w.Outs.Slot(a.From, a.FromPort)) > 1, isValue(sn.Kind):
+		case w.Outs().Size(w.Outs().Slot(a.From, a.FromPort)) > 1, isValue(sn.Kind):
 			return true
 		case (sn.Kind == dfg.Load || sn.Kind == dfg.LoadIdx || sn.Kind == dfg.ILoad) && a.FromPort == 0:
 			return true
@@ -47,7 +47,7 @@ func (w *work) eliminateDead(res *translate.Result) int {
 				continue
 			}
 			for p := 0; p < v.NIns; p++ {
-				for ai := w.Ins.First(w.Ins.Slot(id, p)); ai >= 0; ai = w.Ins.Next(ai) {
+				for ai := w.Ins().First(w.Ins().Slot(id, p)); ai >= 0; ai = w.Ins().Next(ai) {
 					if !droppable(w.Arcs[ai]) {
 						continue nodes
 					}

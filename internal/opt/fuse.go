@@ -30,21 +30,27 @@ func (w *work) fuseOperators() int {
 		if w.OutDegree(id) != 1 {
 			return false
 		}
-		k := w.Nodes[w.Arcs[w.Outs.First(w.Outs.Slot(id, 0))].To].Kind
+		k := w.Nodes[w.Arcs[w.Outs().First(w.Outs().Slot(id, 0))].To].Kind
 		return k == dfg.BinOp || k == dfg.UnOp
 	}
 
-	type tree struct {
-		root    int
-		steps   []dfg.FusedOp
-		members []int
-		nExt    int
-	}
+	// A tree's steps are steps[lo:hi] of an arena the round's step
+	// programs keep, and its members, root last, members[lo:hi] of one kept
+	// between rounds: the two grow and shrink in step.
+	type tree struct{ lo, hi, nExt int }
 	// treeOf[v] is the tree node v joined, extPort[a] the external input
 	// port arc a feeds on crossing into a tree; -1 for none.
-	w.treeOf = minusOnes(w.treeOf, len(w.Nodes))
-	w.extPort = minusOnes(w.extPort, len(w.Arcs))
+	w.treeOf = minusOnes(w.treeOf, len(w.Nodes), cap(w.Nodes))
+	w.extPort = minusOnes(w.extPort, len(w.Arcs), cap(w.Arcs))
+	npure := 0 // bounds the steps
+	for _, n := range w.Nodes {
+		if n != nil && pure(n.Kind) {
+			npure++
+		}
+	}
 	var trees []tree
+	steps := make([]dfg.FusedOp, 0, npure)
+	members := w.members[:0]
 
 	// build adds node v and, producers first, the operators it absorbs to
 	// tree t, and returns v's step; okTree turns false if the tree cannot
@@ -59,7 +65,7 @@ func (w *work) fuseOperators() int {
 		vn := w.Nodes[v]
 		var refs [2]int
 		for p := 0; p < vn.NIns; p++ {
-			ai := w.Ins.Only(w.Ins.Slot(v, p))
+			ai := w.Ins().Only(w.Ins().Slot(v, p))
 			if ai < 0 {
 				okTree = false
 				return 0
@@ -89,9 +95,9 @@ func (w *work) fuseOperators() int {
 			okTree = false
 			return 0
 		}
-		t.steps = append(t.steps, op)
-		t.members = append(t.members, v)
-		return len(t.steps) - 1
+		steps = append(steps, op)
+		members = append(members, v)
+		return len(steps) - 1 - t.lo
 	}
 	for id, root := range w.Nodes {
 		if root == nil || (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || w.treeOf[id] != -1 {
@@ -100,25 +106,28 @@ func (w *work) fuseOperators() int {
 		if w.OutDegree(id) < 1 || absorbable(id) {
 			continue
 		}
-		t, okTree = tree{root: id}, true
+		t, okTree = tree{lo: len(steps)}, true
 		build(id)
-		if !okTree || len(t.steps) < 2 {
-			continue // nothing worth fusing at this root
+		if t.hi = len(steps); !okTree || t.hi-t.lo < 2 {
+			steps, members = steps[:t.lo], members[:t.lo] // nothing worth fusing at this root
+			continue
 		}
-		for _, m := range t.members {
+		for _, m := range members[t.lo:t.hi] {
 			w.treeOf[m] = int32(len(trees))
 		}
 		trees = append(trees, t)
 	}
+	w.members = members
 	if len(trees) == 0 {
 		return 0
 	}
 
-	fusedID := make([]int, len(trees))
+	fusedID, outs := make([]int, len(trees)), make([]int, 0, len(trees))
 	for i, t := range trees {
-		rn := w.Nodes[t.root]
+		rn := w.Nodes[members[t.hi-1]]
 		fusedID[i] = w.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
-		w.AddFusion(dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int{len(t.steps) - 1}})
+		outs = append(outs, t.hi-t.lo-1)
+		w.AddFusion(dfg.FusedInfo{Node: fusedID[i], Steps: steps[t.lo:t.hi:t.hi], Outs: outs[i : i+1 : i+1]})
 	}
 	// Rewire the arcs that were there before this round's; they connect
 	// nodes that were, too.
@@ -142,17 +151,18 @@ func (w *work) fuseOperators() int {
 		// Otherwise an interior arc, dropped — that is the optimization.
 	}
 	for _, t := range trees {
-		for _, m := range t.members {
+		for _, m := range members[t.lo:t.hi] {
 			w.Remove(m)
 		}
 	}
 	return len(trees)
 }
 
-// minusOnes returns s resized to n elements, all -1.
-func minusOnes(s []int32, n int) []int32 {
+// minusOnes returns s resized to n elements, all -1; a new s has room
+// for c.
+func minusOnes(s []int32, n, c int) []int32 {
 	if cap(s) < n {
-		s = make([]int32, n, n+n/4)
+		s = make([]int32, n, max(n, c))
 	}
 	s = s[:n]
 	for i := range s {

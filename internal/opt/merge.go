@@ -28,7 +28,7 @@ func (w *work) collapseMerges(cert *translate.OptCertificate) int {
 			if m1 == nil || m1.Kind != dfg.Merge || !w.fresh(id) {
 				continue
 			}
-			out := w.Outs.Only(w.Outs.Slot(id, 0))
+			out := w.Outs().Only(w.Outs().Slot(id, 0))
 			if out < 0 {
 				continue
 			}
@@ -40,16 +40,16 @@ func (w *work) collapseMerges(cert *translate.OptCertificate) int {
 			if m2.Kind != dfg.Merge || m2.Tok != m1.Tok {
 				continue
 			}
-			arms := w.Ins.Slot(id, 0)
+			arms := w.Ins().Slot(id, 0)
 			ok := true
-			for ii := w.Ins.First(arms); ii >= 0 && ok; ii = w.Ins.Next(ii) {
+			for ii := w.Ins().First(arms); ii >= 0 && ok; ii = w.Ins().Next(ii) {
 				// An arm that already feeds m2 directly would be duplicated.
 				ok = !w.HasArc(w.Arcs[ii].From, w.Arcs[ii].FromPort, m2.ID, 0)
 			}
 			if !ok {
 				continue
 			}
-			for ii := w.Ins.First(arms); ii >= 0; ii = w.Ins.First(arms) {
+			for ii := w.Ins().First(arms); ii >= 0; ii = w.Ins().First(arms) {
 				ia := w.Arcs[ii]
 				w.AddArc(dfg.Arc{From: ia.From, FromPort: ia.FromPort, To: m2.ID, ToPort: 0, Dummy: ia.Dummy})
 				w.KillArc(ii)

@@ -36,23 +36,33 @@
 // tokens), and dead elimination deletes tokens that were provably
 // discarded anyway.
 //
-// The passes do not rewrite dfg.Graph values, which are append-only: one
-// run lowers its input once into a dfg.Editor, whose per-port adjacency
-// is current after every edit, every pass edits that in place, and a
-// dfg.Graph is built from it once, after the last round — or not at all
-// when nothing was rewritten, in which case the input graph itself is
-// handed back.
+// The passes do not rewrite dfg.Graph values, which are append-only: they
+// edit a dfg.Editor in place, whose per-port adjacency is current after
+// every edit, and a dfg.Graph is built from it once, after the last round.
+// A compile runs them on the editor the translator emitted into (Edit),
+// so the graph is built, indexed and validated once. Run lowers a
+// graph already built into an editor of its own, and builds nothing when
+// nothing was rewritten: the input graph itself is handed back.
 package opt
 
 import (
 	"fmt"
 
+	"ctdf/internal/dfg"
 	"ctdf/internal/translate"
 )
 
 // maxRounds bounds the pipeline fixpoint; each round must remove at
 // least one node to continue, so the true bound is the node count.
 const maxRounds = 1024
+
+// Edit runs the pipeline on e, the editor the translation res describes
+// was emitted into (translate.TranslateEdited), and records the
+// certificate in res.
+func Edit(e *dfg.Editor, res *translate.Result) (err error) {
+	res.Opt, err = newWork(e).run(res)
+	return err
+}
 
 // Run optimizes res.Graph in place: the rewritten graph replaces
 // res.Graph, and the certificate recording what was removed is stored in
@@ -67,11 +77,26 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 	if len(res.Graph.Calls) > 0 {
 		return nil, fmt.Errorf("opt: linked procedure graphs are not optimizable (call linkage pins node ids)")
 	}
-	return newWork(res.Graph).run(res)
+	w := newWork(dfg.NewEditor(res.Graph))
+	cert, err := w.run(res)
+	if err != nil {
+		return nil, err
+	}
+	g := res.Graph
+	if cert.Rewrites() > 0 {
+		if g, err = w.Graph(); err != nil {
+			return nil, fmt.Errorf("opt: internal error: %w", err)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("opt: optimized graph is invalid: %w", err)
+	}
+	res.Graph, res.Opt = g, cert
+	return cert, nil
 }
 
-// run iterates the pipeline over w, the working form of res.Graph, to its
-// fixpoint and stores the outcome in res.
+// run iterates the pipeline over w to its fixpoint. res supplies the
+// translation metadata; its Graph is not read.
 func (w *work) run(res *translate.Result) (*translate.OptCertificate, error) {
 	cert := &translate.OptCertificate{
 		RemovedSwitches: map[translate.StmtTok]int{},
@@ -91,23 +116,11 @@ func (w *work) run(res *translate.Result) (*translate.OptCertificate, error) {
 			break
 		}
 	}
-	g := res.Graph
-	if counts != [4]int{} {
-		var err error
-		if g, err = w.Graph(); err != nil {
-			return nil, fmt.Errorf("opt: internal error: %w", err)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("opt: optimized graph is invalid: %w", err)
-	}
 	cert.Passes = []translate.PassCount{
 		{Name: "sink-switches", Rewrites: counts[0]},
 		{Name: "collapse-merges", Rewrites: counts[1]},
 		{Name: "fuse-operators", Rewrites: counts[2]},
 		{Name: "eliminate-dead", Rewrites: counts[3]},
 	}
-	res.Graph = g
-	res.Opt = cert
 	return cert, nil
 }

@@ -20,7 +20,7 @@ import (
 // that results and the pass's rewrite count.
 func runPass(t *testing.T, g *dfg.Graph, pass func(w *work) int) (*dfg.Graph, int) {
 	t.Helper()
-	w := newWork(g)
+	w := newWork(dfg.NewEditor(g))
 	n := pass(w)
 	ng, err := w.Graph()
 	if err != nil {
@@ -212,8 +212,12 @@ func TestPlacementComputedOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := newWork(res.Graph)
+		w := newWork(dfg.NewEditor(res.Graph))
 		cert, err := w.run(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := w.Graph()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,8 +225,8 @@ func TestPlacementComputedOnDemand(t *testing.T) {
 		for i, p := range cert.Passes {
 			got[i] = p.Rewrites
 		}
-		if got != c.passes || len(res.Graph.Nodes) != c.nodes {
-			t.Errorf("%v: rewrites %v leaving %d nodes, want %v leaving %d", c.schema, got, len(res.Graph.Nodes), c.passes, c.nodes)
+		if got != c.passes || len(g.Nodes) != c.nodes {
+			t.Errorf("%v: rewrites %v leaving %d nodes, want %v leaving %d", c.schema, got, len(g.Nodes), c.passes, c.nodes)
 		}
 		if w.placements != c.placements {
 			t.Errorf("%v: placement recomputed %d times, want %d", c.schema, w.placements, c.placements)
@@ -235,7 +239,7 @@ func TestPlacementComputedOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare := &translate.Result{Graph: res.Graph}
-	w := newWork(bare.Graph)
+	w := newWork(dfg.NewEditor(bare.Graph))
 	cert, err := w.run(bare)
 	if err != nil {
 		t.Fatal(err)

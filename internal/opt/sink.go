@@ -45,7 +45,7 @@ func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificat
 			if sw == nil || sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" || !w.fresh(id) {
 				continue
 			}
-			o0, o1 := w.Outs.Only(w.Outs.Slot(id, 0)), w.Outs.Only(w.Outs.Slot(id, 1))
+			o0, o1 := w.Outs().Only(w.Outs().Slot(id, 0)), w.Outs().Only(w.Outs().Slot(id, 1))
 			if o0 < 0 || o1 < 0 {
 				continue
 			}
@@ -54,16 +54,16 @@ func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificat
 				continue
 			}
 			m := w.Nodes[a0.To]
-			if m.Kind != dfg.Merge || m.Tok != sw.Tok || w.Ins.Size(w.Ins.Slot(m.ID, 0)) != 2 || !w.fresh(m.ID) {
+			if m.Kind != dfg.Merge || m.Tok != sw.Tok || w.Ins().Size(w.Ins().Slot(m.ID, 0)) != 2 || !w.fresh(m.ID) {
 				continue
 			}
-			din, cin := w.Ins.Only(w.Ins.Slot(id, 0)), w.Ins.Only(w.Ins.Slot(id, 1))
+			din, cin := w.Ins().Only(w.Ins().Slot(id, 0)), w.Ins().Only(w.Ins().Slot(id, 1))
 			if din < 0 || cin < 0 {
 				continue
 			}
-			data, mouts := w.Arcs[din], w.Outs.Slot(m.ID, 0)
+			data, mouts := w.Arcs[din], w.Outs().Slot(m.ID, 0)
 			ok := true
-			for mi := w.Outs.First(mouts); mi >= 0 && ok; mi = w.Outs.Next(mi) {
+			for mi := w.Outs().First(mouts); mi >= 0 && ok; mi = w.Outs().Next(mi) {
 				// Wiring the data source straight through must not
 				// duplicate an existing arc; if it would, leave the pair.
 				ok = !w.HasArc(data.From, data.FromPort, w.Arcs[mi].To, w.Arcs[mi].ToPort)
@@ -71,8 +71,8 @@ func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificat
 			if !ok || w.needsSwitch(res, sw) {
 				continue // required by Theorem 1: removing it would break determinacy
 			}
-			for k := w.Outs.Size(mouts); k > 0; k-- {
-				mi := w.Outs.First(mouts)
+			for k := w.Outs().Size(mouts); k > 0; k-- {
+				mi := w.Outs().First(mouts)
 				w.MoveSource(mi, data.From, data.FromPort)
 				w.touch(w.Arcs[mi].To)
 			}

@@ -25,10 +25,11 @@ type work struct {
 	// Scratch of fuseOperators, kept between rounds.
 	treeOf  []int32
 	extPort []int32
+	members []int
 }
 
-func newWork(g *dfg.Graph) *work {
-	return &work{Editor: dfg.NewEditor(g), touched: make([]int32, len(g.Nodes))}
+func newWork(e *dfg.Editor) *work {
+	return &work{Editor: e, touched: make([]int32, len(e.Nodes))}
 }
 
 func (w *work) addNode(n *dfg.Node) int {

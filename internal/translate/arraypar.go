@@ -28,15 +28,6 @@ type ParallelStore struct {
 // DoneToken names the completion token line of this transformation.
 func (ps ParallelStore) DoneToken() string { return ps.Array + doneSuffix }
 
-func (ps ParallelStore) loopHasExit(id int) bool {
-	for _, x := range ps.Exits {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // FindParallelStores applies the "standard disambiguation" of §6.3 in its
 // simplest classical form — stores indexed by a strict induction variable
 // are independent across iterations. A loop/array pair (L, x) qualifies

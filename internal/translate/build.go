@@ -1,7 +1,9 @@
 package translate
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ctdf/internal/analysis"
@@ -10,11 +12,14 @@ import (
 	"ctdf/internal/lang"
 )
 
-// src is a wire source: an output port of a dataflow node.
+// src is a wire source: an output port of a dataflow node. Node -1 is no
+// wire.
 type src struct {
-	node int
-	port int
+	node int32
+	port int32
 }
+
+var noWire = src{-1, 0}
 
 type builder struct {
 	g     *cfg.Graph
@@ -29,9 +34,9 @@ type builder struct {
 	universe    []string
 	valueTokens map[string]string // token → variable whose value it carries (§6.1)
 	parReads    bool
-	pstores     map[int]ParallelStore // by StoreStmt
-	istructs    map[string]bool       // arrays with I-structure semantics (§6.3)
-	out         *dfg.Graph
+	pstores     []ParallelStore
+	istructs    map[string]bool // arrays with I-structure semantics (§6.3)
+	out         *dfg.Editor
 
 	// Separate-compilation (linked) mode: a procedure unit replaces the
 	// start node by per-token Param nodes and the end node by a ProcReturn;
@@ -46,20 +51,21 @@ type builder struct {
 	calleeArity  func(proc string) int // callee universe size (param ports)
 	pendingCalls []*pendingCall
 
-	// Output taps per CFG node and token: the true/single out-direction,
-	// the false out-direction (switch false arms), and the fork post-read
-	// tap.
-	tapT map[int]map[string]src
-	tapF map[int]map[string]src
-	tapR map[int]map[string]src
-}
+	// taps holds the wire every (CFG node, token id) leaves on, in rows of
+	// len(universe) cells: the true or only out-direction in row id, and a
+	// fork's other side in row forkRow[id] — a switch's false arm, or the
+	// post-read tap of a token the fork reads but does not switch (never
+	// both). Token ids are the source vectors'; a token outside the
+	// universe gets the stray cell, where no read finds a wire.
+	taps    []src
+	forkRow []int32
+	stray   src
 
-func indexParallelStores(ps []ParallelStore) map[int]ParallelStore {
-	out := map[int]ParallelStore{}
-	for _, p := range ps {
-		out[p.StoreStmt] = p
-	}
-	return out
+	// Scratch reused from statement to statement: the context, the nodes
+	// emitted (allocated a slab at a time), the wires a gate collects.
+	ctx   stmtCtx
+	slab  []dfg.Node
+	wires []src
 }
 
 func (b *builder) isValueToken(tok string) bool { return b.valueTokens[tok] != "" }
@@ -68,29 +74,40 @@ func (b *builder) isValueToken(tok string) bool { return b.valueTokens[tok] != "
 // (synchronization-only) arcs; value-carrying token lines (§6.1) are not.
 func (b *builder) dummyFor(tok string) bool { return !b.isValueToken(tok) }
 
-func (b *builder) setTap(m map[int]map[string]src, id int, tok string, s src) {
-	if m[id] == nil {
-		m[id] = map[string]src{}
+// node emits n and returns its id.
+func (b *builder) node(n dfg.Node) int32 {
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]dfg.Node, 0, 256)
 	}
-	m[id][tok] = s
+	b.slab = append(b.slab, n)
+	return int32(b.out.AddNode(&b.slab[len(b.slab)-1]))
+}
+
+// wire connects w to port port of node to.
+func (b *builder) wire(w src, to int32, port int, dummy bool) {
+	b.out.AddArc(dfg.Arc{From: int(w.node), FromPort: int(w.port), To: int(to), ToPort: port, Dummy: dummy})
+}
+
+// tap returns the cell of token tok's tap at CFG node id, on the fork's
+// other side when side is set.
+func (b *builder) tap(id int, side bool, tok string) *src {
+	t, row := b.sv.TokenID(tok), id
+	if side {
+		row = int(b.forkRow[id])
+	}
+	if t < 0 {
+		b.stray = noWire
+		return &b.stray
+	}
+	return &b.taps[row*len(b.universe)+t]
 }
 
 // resolve maps an SV source to the concrete output port it names.
 func (b *builder) resolve(s analysis.Source, tok string) (src, error) {
-	var m map[int]map[string]src
-	switch {
-	case s.Read:
-		m = b.tapR
-	case s.Dir:
-		m = b.tapT
-	default:
-		m = b.tapF
+	if w := *b.tap(int(s.Node), s.Read || !s.Dir, tok); w.node >= 0 {
+		return w, nil
 	}
-	w, ok := m[s.Node][tok]
-	if !ok {
-		return src{}, fmt.Errorf("translate: no tap for %v token %s (source %s)", b.g.Nodes[s.Node], tok, s)
-	}
-	return w, nil
+	return src{}, fmt.Errorf("translate: no tap for %v token %s (source %s)", b.g.Nodes[s.Node], tok, s)
 }
 
 // inputSrc resolves the (single or merged) source of token tok flowing
@@ -107,44 +124,32 @@ func (b *builder) combine(srcs []analysis.Source, id int, tok string) (src, erro
 	if len(srcs) == 1 {
 		return b.resolve(srcs[0], tok)
 	}
-	m := b.out.Add(&dfg.Node{Kind: dfg.Merge, Tok: tok, Stmt: id})
+	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: tok, Stmt: id})
 	for _, s := range srcs {
 		w, err := b.resolve(s, tok)
 		if err != nil {
 			return src{}, err
 		}
-		b.out.Connect(w.node, w.port, m.ID, 0, b.dummyFor(tok))
+		b.wire(w, m, 0, b.dummyFor(tok))
 	}
-	return src{m.ID, 0}, nil
+	return src{m, 0}, nil
 }
 
 // synchOf collects a set of wires into one: a single wire passes through;
 // several are joined by a synch tree (paper Figure 2). Wires are
 // deduplicated — token lines that already merged at a shared operation
-// need only one arc.
+// need only one arc. The wires are sorted in place.
 func (b *builder) synchOf(wires []src, stmt int, tok string) src {
-	dedup := wires[:0:0]
-	seen := map[src]bool{}
-	for _, w := range wires {
-		if !seen[w] {
-			seen[w] = true
-			dedup = append(dedup, w)
-		}
+	slices.SortFunc(wires, func(x, y src) int { return cmp.Or(cmp.Compare(x.node, y.node), cmp.Compare(x.port, y.port)) })
+	wires = slices.Compact(wires)
+	if len(wires) == 1 {
+		return wires[0]
 	}
-	sort.Slice(dedup, func(i, j int) bool {
-		if dedup[i].node != dedup[j].node {
-			return dedup[i].node < dedup[j].node
-		}
-		return dedup[i].port < dedup[j].port
-	})
-	if len(dedup) == 1 {
-		return dedup[0]
+	s := b.node(dfg.Node{Kind: dfg.Synch, NIns: len(wires), Tok: tok, Stmt: stmt})
+	for i, w := range wires {
+		b.wire(w, s, i, true)
 	}
-	s := b.out.Add(&dfg.Node{Kind: dfg.Synch, NIns: len(dedup), Tok: tok, Stmt: stmt})
-	for i, w := range dedup {
-		b.out.Connect(w.node, w.port, s.ID, i, true)
-	}
-	return src{s.ID, 0}
+	return src{s, 0}
 }
 
 // build drives the translation: CFG nodes are processed in the
@@ -152,47 +157,46 @@ func (b *builder) synchOf(wires []src, stmt int, tok string) src {
 // back edges), so every input source tap exists by the time it is
 // consumed; loop-entry back ports are wired in a final pass.
 func (b *builder) build() error {
-	b.tapT = map[int]map[string]src{}
-	b.tapF = map[int]map[string]src{}
-	b.tapR = map[int]map[string]src{}
+	rows := b.g.Len()
+	b.forkRow = make([]int32, rows)
+	for id, n := range b.g.Nodes {
+		if n.Kind == cfg.KindFork {
+			b.forkRow[id] = int32(rows)
+			rows++
+		}
+	}
+	v := len(b.universe)
+	b.taps = make([]src, rows*v)
+	for i := range b.taps {
+		b.taps[i] = noWire
+	}
+	b.ctx = stmtCtx{b: b, tails: make([]src, v), pending: make([][]src, v), vals: map[string]src{}}
 
 	var pendingBack []int
 	for _, id := range b.sv.Order {
 		n := b.g.Nodes[id]
+		var err error
 		switch n.Kind {
 		case cfg.KindStart:
-			if err := b.buildStart(id); err != nil {
-				return err
-			}
+			b.buildStart(id)
 		case cfg.KindEnd:
-			if err := b.buildEnd(id); err != nil {
-				return err
-			}
+			err = b.buildEnd(id)
 		case cfg.KindAssign:
-			if err := b.buildAssign(id); err != nil {
-				return err
-			}
+			err = b.buildAssign(id)
 		case cfg.KindFork:
-			if err := b.buildFork(id); err != nil {
-				return err
-			}
+			err = b.buildFork(id)
 		case cfg.KindJoin:
-			if err := b.buildJoin(id); err != nil {
-				return err
-			}
+			err = b.buildJoin(id)
 		case cfg.KindLoopEntry:
-			if err := b.buildLoopEntry(id); err != nil {
-				return err
-			}
+			err = b.buildLoopEntry(id)
 			pendingBack = append(pendingBack, id)
 		case cfg.KindLoopExit:
-			if err := b.buildLoopExit(id); err != nil {
-				return err
-			}
+			err = b.buildLoopExit(id)
 		case cfg.KindCall:
-			if err := b.buildCall(id); err != nil {
-				return err
-			}
+			err = b.buildCall(id)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// Back-edge wiring: every tap now exists.
@@ -204,23 +208,22 @@ func (b *builder) build() error {
 	return nil
 }
 
-func (b *builder) buildStart(id int) error {
+func (b *builder) buildStart(id int) {
 	if b.procMode {
 		// A procedure unit's tokens arrive from its call sites: one Param
 		// node per token, fed by every Apply.
 		b.paramNodes = map[string]int{}
 		for _, tok := range b.universe {
-			p := b.out.Add(&dfg.Node{Kind: dfg.Param, Tok: tok, Var: b.procName, Stmt: id})
-			b.paramNodes[tok] = p.ID
-			b.setTap(b.tapT, id, tok, src{p.ID, 0})
+			p := b.node(dfg.Node{Kind: dfg.Param, Tok: tok, Var: b.procName, Stmt: id})
+			b.paramNodes[tok] = int(p)
+			*b.tap(id, false, tok) = src{p, 0}
 		}
-		return nil
+		return
 	}
-	s := b.out.Add(&dfg.Node{Kind: dfg.Start, Stmt: id})
+	s := b.node(dfg.Node{Kind: dfg.Start, Stmt: id})
 	for _, tok := range b.universe {
-		b.setTap(b.tapT, id, tok, src{s.ID, 0})
+		*b.tap(id, false, tok) = src{s, 0}
 	}
-	return nil
 }
 
 func (b *builder) buildEnd(id int) error {
@@ -228,14 +231,14 @@ func (b *builder) buildEnd(id int) error {
 	if b.procMode {
 		kind = dfg.ProcReturn
 	}
-	e := b.out.Add(&dfg.Node{Kind: kind, NIns: len(b.universe), Var: b.procName, Stmt: id})
-	b.returnNode = e.ID
+	e := b.node(dfg.Node{Kind: kind, NIns: len(b.universe), Var: b.procName, Stmt: id})
+	b.returnNode = int(e)
 	for i, tok := range b.universe {
 		w, err := b.inputSrc(id, tok)
 		if err != nil {
 			return err
 		}
-		b.out.Connect(w.node, w.port, e.ID, i, b.dummyFor(tok))
+		b.wire(w, e, i, b.dummyFor(tok))
 	}
 	return nil
 }
@@ -262,7 +265,7 @@ func (b *builder) buildCall(id int) error {
 	if len(consumed) == 0 {
 		return fmt.Errorf("translate: call of %s touches nothing (empty effect set)", n.Proc)
 	}
-	apply := b.out.Add(&dfg.Node{
+	apply := b.node(dfg.Node{
 		Kind: dfg.Apply, Var: n.Proc, Stmt: id,
 		NIns:  len(consumed),
 		NOuts: len(consumed) + b.calleeArity(n.Proc),
@@ -272,15 +275,15 @@ func (b *builder) buildCall(id int) error {
 		if err != nil {
 			return err
 		}
-		b.out.Connect(w.node, w.port, apply.ID, i, true)
-		b.setTap(b.tapT, id, tok, src{apply.ID, i})
+		b.wire(w, apply, i, true)
+		*b.tap(id, false, tok) = src{apply, int32(i)}
 	}
 	bindings := map[string]string{}
 	for i, formal := range procParams(b.g.Prog, n.Proc) {
 		bindings[formal] = n.Args[i]
 	}
 	b.pendingCalls = append(b.pendingCalls, &pendingCall{
-		apply: apply.ID, proc: n.Proc, inTokens: consumed, bindings: bindings,
+		apply: int(apply), proc: n.Proc, inTokens: consumed, bindings: bindings,
 	})
 	return nil
 }
@@ -308,20 +311,20 @@ func (b *builder) buildJoin(id int) error {
 		if err != nil {
 			return err
 		}
-		b.setTap(b.tapT, id, tok, w)
+		*b.tap(id, false, tok) = w
 	}
 	return nil
 }
 
 func (b *builder) buildLoopEntry(id int) error {
 	for _, tok := range sortedTokens(b.sv.LoopNeed[id]) {
-		le := b.out.Add(&dfg.Node{Kind: dfg.LoopEntry, Tok: tok, Stmt: id})
+		le := b.node(dfg.Node{Kind: dfg.LoopEntry, Tok: tok, Stmt: id})
 		w, err := b.inputSrc(id, tok)
 		if err != nil {
 			return err
 		}
-		b.out.Connect(w.node, w.port, le.ID, 0, b.dummyFor(tok))
-		b.setTap(b.tapT, id, tok, src{le.ID, 0})
+		b.wire(w, le, 0, b.dummyFor(tok))
+		*b.tap(id, false, tok) = src{le, 0}
 	}
 	return nil
 }
@@ -332,34 +335,43 @@ func (b *builder) wireBackPort(id int) error {
 		if err != nil {
 			return err
 		}
-		tap := b.tapT[id][tok]
-		b.out.Connect(w.node, w.port, tap.node, 1, b.dummyFor(tok))
+		b.wire(w, b.tap(id, false, tok).node, 1, b.dummyFor(tok))
 	}
 	return nil
 }
 
 func (b *builder) buildLoopExit(id int) error {
 	for _, tok := range sortedTokens(b.sv.LoopNeed[id]) {
-		lx := b.out.Add(&dfg.Node{Kind: dfg.LoopExit, Tok: tok, Stmt: id})
+		lx := b.node(dfg.Node{Kind: dfg.LoopExit, Tok: tok, Stmt: id})
 		w, err := b.inputSrc(id, tok)
 		if err != nil {
 			return err
 		}
-		b.out.Connect(w.node, w.port, lx.ID, 0, b.dummyFor(tok))
-		b.setTap(b.tapT, id, tok, src{lx.ID, 0})
+		b.wire(w, lx, 0, b.dummyFor(tok))
+		*b.tap(id, false, tok) = src{lx, 0}
 	}
 	// §6.3: downstream consumers of a parallelized array must wait for all
 	// of the loop's stores: rejoin the array's access line with the
-	// completion line at the exit.
+	// completion line at the exit. The line is the array's one token —
+	// under a Schema 3 cover its access set, not its name
+	// (FindParallelStores accepts unaliased arrays only).
 	for _, ps := range b.pstores {
-		if ps.loopHasExit(id) {
-			arr := b.tapT[id][ps.Array]
-			done := b.tapT[id][ps.DoneToken()]
-			s := b.out.Add(&dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: ps.Array, Stmt: id})
-			b.out.Connect(arr.node, arr.port, s.ID, 0, true)
-			b.out.Connect(done.node, done.port, s.ID, 1, true)
-			b.setTap(b.tapT, id, ps.Array, src{s.ID, 0})
+		if !slices.Contains(ps.Exits, id) {
+			continue
 		}
+		tok, exit := b.tokensOf[ps.Array][0], analysis.Source{Node: int32(id), Dir: true}
+		arr, err := b.resolve(exit, tok)
+		if err != nil {
+			return err
+		}
+		done, err := b.resolve(exit, ps.DoneToken())
+		if err != nil {
+			return err
+		}
+		s := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: tok, Stmt: id})
+		b.wire(arr, s, 0, true)
+		b.wire(done, s, 1, true)
+		*b.tap(id, false, tok) = src{s, 0}
 	}
 	return nil
 }
@@ -367,25 +379,34 @@ func (b *builder) buildLoopExit(id int) error {
 // stmtCtx tracks, while one statement or fork block is built, the current
 // tail of every token line threading through the block's memory
 // operations (paper Figures 4, 7, 13), the pending read completions of
-// §6.2 read parallelization, and the trigger wire feeding constants.
+// §6.2 read parallelization, and the trigger wire feeding constants. The
+// builder keeps one, reset for every block: tails and pending are indexed
+// by token id.
 type stmtCtx struct {
 	b          *builder
 	id         int
-	tails      map[string]src
-	pending    map[string][]src
+	consumed   []string
+	tails      []src
+	pending    [][]src
 	trigger    src
 	hasTrigger bool
 	vals       map[string]src // loaded scalar values
 }
 
 func (b *builder) newStmtCtx(id int, consumed []string) (*stmtCtx, error) {
-	ctx := &stmtCtx{b: b, id: id, tails: map[string]src{}, pending: map[string][]src{}, vals: map[string]src{}}
+	ctx := &b.ctx
+	for _, tok := range ctx.consumed {
+		t := b.sv.TokenID(tok)
+		ctx.tails[t], ctx.pending[t] = noWire, ctx.pending[t][:0]
+	}
+	ctx.id, ctx.consumed, ctx.trigger, ctx.hasTrigger = id, consumed, noWire, false
+	clear(ctx.vals)
 	for i, tok := range consumed {
 		w, err := b.inputSrc(id, tok)
 		if err != nil {
 			return nil, err
 		}
-		ctx.tails[tok] = w
+		ctx.tails[b.sv.TokenID(tok)] = w
 		if i == 0 {
 			ctx.trigger = w
 			ctx.hasTrigger = true
@@ -397,51 +418,40 @@ func (b *builder) newStmtCtx(id int, consumed []string) (*stmtCtx, error) {
 // collapse finishes any pending parallel reads on token tok and returns
 // its up-to-date tail.
 func (ctx *stmtCtx) collapse(tok string) src {
-	if p := ctx.pending[tok]; len(p) > 0 {
-		ctx.tails[tok] = ctx.b.synchOf(p, ctx.id, tok)
-		delete(ctx.pending, tok)
+	t := ctx.b.sv.TokenID(tok)
+	if p := ctx.pending[t]; len(p) > 0 {
+		ctx.tails[t] = ctx.b.synchOf(p, ctx.id, tok)
+		ctx.pending[t] = p[:0]
 	}
-	return ctx.tails[tok]
+	return ctx.tails[t]
 }
 
-// gateRead returns the access wire for a read on the given token lines and
-// registers the op's completion: sequentially threaded normally, or fed a
-// replica with the completion collected later under §6.2.
-func (ctx *stmtCtx) gateRead(tokens []string) (gate src, complete func(accessOut src)) {
-	if ctx.b.parReads {
-		wires := make([]src, 0, len(tokens))
-		for _, t := range tokens {
-			wires = append(wires, ctx.tails[t])
-		}
-		gate = ctx.b.synchOf(wires, ctx.id, tokens[0])
-		return gate, func(out src) {
-			for _, t := range tokens {
-				ctx.pending[t] = append(ctx.pending[t], out)
-			}
-		}
-	}
-	wires := make([]src, 0, len(tokens))
+// gate returns the access wire of a memory operation on the given token
+// lines: under §6.2 a read is fed a replica of each line, anything else
+// waits for the line's pending reads first.
+func (ctx *stmtCtx) gate(tokens []string, read bool) src {
+	b := ctx.b
+	wires := b.wires[:0]
 	for _, t := range tokens {
-		wires = append(wires, ctx.collapse(t))
-	}
-	gate = ctx.b.synchOf(wires, ctx.id, tokens[0])
-	return gate, func(out src) {
-		for _, t := range tokens {
-			ctx.tails[t] = out
+		if read && b.parReads {
+			wires = append(wires, ctx.tails[b.sv.TokenID(t)])
+		} else {
+			wires = append(wires, ctx.collapse(t))
 		}
 	}
+	b.wires = wires
+	return b.synchOf(wires, ctx.id, tokens[0])
 }
 
-// gateWrite returns the access wire for a write: all pending reads on the
-// token lines complete first; the store's completion becomes the new tail.
-func (ctx *stmtCtx) gateWrite(tokens []string) (gate src, complete func(accessOut src)) {
-	wires := make([]src, 0, len(tokens))
-	for _, t := range tokens {
-		wires = append(wires, ctx.collapse(t))
-	}
-	gate = ctx.b.synchOf(wires, ctx.id, tokens[0])
-	return gate, func(out src) {
-		for _, t := range tokens {
+// complete registers the operation's access completion out on the token
+// lines it gated: their new tail, or under §6.2 one more read for the
+// line's synch tree to collect.
+func (ctx *stmtCtx) complete(tokens []string, read bool, out src) {
+	for _, tok := range tokens {
+		t := ctx.b.sv.TokenID(tok)
+		if read && ctx.b.parReads {
+			ctx.pending[t] = append(ctx.pending[t], out)
+		} else {
 			ctx.tails[t] = out
 		}
 	}
@@ -453,14 +463,14 @@ func (ctx *stmtCtx) loadScalar(v string) {
 	toks := b.tokensOf[v]
 	if len(toks) == 1 && b.isValueToken(toks[0]) {
 		// §6.1: the token line carries the value; no load needed.
-		ctx.vals[v] = ctx.tails[toks[0]]
+		ctx.vals[v] = ctx.tails[b.sv.TokenID(toks[0])]
 		return
 	}
-	gate, complete := ctx.gateRead(toks)
-	ld := b.out.Add(&dfg.Node{Kind: dfg.Load, Var: v, Stmt: ctx.id})
-	b.out.Connect(gate.node, gate.port, ld.ID, 0, true)
-	complete(src{ld.ID, 1})
-	ctx.vals[v] = src{ld.ID, 0}
+	gate := ctx.gate(toks, true)
+	ld := b.node(dfg.Node{Kind: dfg.Load, Var: v, Stmt: ctx.id})
+	b.wire(gate, ld, 0, true)
+	ctx.complete(toks, true, src{ld, 1})
+	ctx.vals[v] = src{ld, 0}
 }
 
 // compile builds the dataflow subgraph of an expression and returns the
@@ -474,9 +484,9 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if !ctx.hasTrigger {
 			return src{}, fmt.Errorf("translate: internal: no trigger wire for constant in %s", b.g.Nodes[ctx.id])
 		}
-		c := b.out.Add(&dfg.Node{Kind: dfg.Const, Val: x.Value, Stmt: ctx.id})
-		b.out.Connect(ctx.trigger.node, ctx.trigger.port, c.ID, 0, true)
-		return src{c.ID, 0}, nil
+		c := b.node(dfg.Node{Kind: dfg.Const, Val: x.Value, Stmt: ctx.id})
+		b.wire(ctx.trigger, c, 0, true)
+		return src{c, 0}, nil
 	case *lang.VarRef:
 		v, ok := ctx.vals[x.Name]
 		if !ok {
@@ -491,16 +501,17 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if b.istructs[x.Name] {
 			// I-structure read: no access token; the memory defers the
 			// read until the cell is written.
-			ld := b.out.Add(&dfg.Node{Kind: dfg.ILoad, Var: x.Name, Stmt: ctx.id})
-			b.out.Connect(idx.node, idx.port, ld.ID, 0, false)
-			return src{ld.ID, 0}, nil
+			ld := b.node(dfg.Node{Kind: dfg.ILoad, Var: x.Name, Stmt: ctx.id})
+			b.wire(idx, ld, 0, false)
+			return src{ld, 0}, nil
 		}
-		gate, complete := ctx.gateRead(b.tokensOf[x.Name])
-		ld := b.out.Add(&dfg.Node{Kind: dfg.LoadIdx, Var: x.Name, Stmt: ctx.id})
-		b.out.Connect(idx.node, idx.port, ld.ID, 0, false)
-		b.out.Connect(gate.node, gate.port, ld.ID, 1, true)
-		complete(src{ld.ID, 1})
-		return src{ld.ID, 0}, nil
+		toks := b.tokensOf[x.Name]
+		gate := ctx.gate(toks, true)
+		ld := b.node(dfg.Node{Kind: dfg.LoadIdx, Var: x.Name, Stmt: ctx.id})
+		b.wire(idx, ld, 0, false)
+		b.wire(gate, ld, 1, true)
+		ctx.complete(toks, true, src{ld, 1})
+		return src{ld, 0}, nil
 	case *lang.BinExpr:
 		l, err := ctx.compile(x.L)
 		if err != nil {
@@ -510,18 +521,18 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if err != nil {
 			return src{}, err
 		}
-		op := b.out.Add(&dfg.Node{Kind: dfg.BinOp, Op: x.Op, Stmt: ctx.id})
-		b.out.Connect(l.node, l.port, op.ID, 0, false)
-		b.out.Connect(r.node, r.port, op.ID, 1, false)
-		return src{op.ID, 0}, nil
+		op := b.node(dfg.Node{Kind: dfg.BinOp, Op: x.Op, Stmt: ctx.id})
+		b.wire(l, op, 0, false)
+		b.wire(r, op, 1, false)
+		return src{op, 0}, nil
 	case *lang.UnExpr:
 		v, err := ctx.compile(x.X)
 		if err != nil {
 			return src{}, err
 		}
-		op := b.out.Add(&dfg.Node{Kind: dfg.UnOp, Op: x.Op, Stmt: ctx.id})
-		b.out.Connect(v.node, v.port, op.ID, 0, false)
-		return src{op.ID, 0}, nil
+		op := b.node(dfg.Node{Kind: dfg.UnOp, Op: x.Op, Stmt: ctx.id})
+		b.wire(v, op, 0, false)
+		return src{op, 0}, nil
 	}
 	return src{}, fmt.Errorf("translate: unknown expression %T", e)
 }
@@ -561,45 +572,38 @@ func (b *builder) buildAssign(id int) error {
 	case n.TargetIndex == nil && len(toks) == 1 && b.isValueToken(toks[0]):
 		// §6.1: the value rides the token line; no store.
 		ctx.collapse(toks[0])
-		ctx.tails[toks[0]] = val
+		ctx.tails[b.sv.TokenID(toks[0])] = val
 	case n.TargetIndex == nil:
-		gate, complete := ctx.gateWrite(toks)
-		st := b.out.Add(&dfg.Node{Kind: dfg.Store, Var: target, Stmt: id})
-		b.out.Connect(val.node, val.port, st.ID, 0, false)
-		b.out.Connect(gate.node, gate.port, st.ID, 1, true)
-		complete(src{st.ID, 0})
+		gate := ctx.gate(toks, false)
+		st := b.node(dfg.Node{Kind: dfg.Store, Var: target, Stmt: id})
+		b.wire(val, st, 0, false)
+		b.wire(gate, st, 1, true)
+		ctx.complete(toks, false, src{st, 0})
 	case b.istructs[target]:
 		// I-structure write: index and value in, no token, no output.
-		st := b.out.Add(&dfg.Node{Kind: dfg.IStore, Var: target, Stmt: id})
-		b.out.Connect(idxSrc.node, idxSrc.port, st.ID, 0, false)
-		b.out.Connect(val.node, val.port, st.ID, 1, false)
+		st := b.node(dfg.Node{Kind: dfg.IStore, Var: target, Stmt: id})
+		b.wire(idxSrc, st, 0, false)
+		b.wire(val, st, 1, false)
 	default:
-		ps, parallel := b.pstores[id]
-		st := b.out.Add(&dfg.Node{Kind: dfg.StoreIdx, Var: target, Stmt: id})
-		b.out.Connect(idxSrc.node, idxSrc.port, st.ID, 0, false)
-		b.out.Connect(val.node, val.port, st.ID, 1, false)
-		if parallel {
+		st := b.node(dfg.Node{Kind: dfg.StoreIdx, Var: target, Stmt: id})
+		b.wire(idxSrc, st, 0, false)
+		b.wire(val, st, 1, false)
+		gate := ctx.gate(toks, false)
+		b.wire(gate, st, 2, true)
+		if i := slices.IndexFunc(b.pstores, func(ps ParallelStore) bool { return ps.StoreStmt == id }); i >= 0 {
 			// §6.3 / Figure 14(b): the store receives a replica of the
 			// access token, which passes to the next iteration
 			// immediately; the store's completion joins the loop's
 			// completion line.
-			wires := make([]src, 0, len(toks))
-			for _, t := range toks {
-				wires = append(wires, ctx.collapse(t))
-			}
-			gate := b.synchOf(wires, id, ps.Array)
-			b.out.Connect(gate.node, gate.port, st.ID, 2, true)
-			d := ps.DoneToken()
-			ctx.tails[d] = b.synchOf([]src{ctx.collapse(d), {st.ID, 0}}, id, d)
+			d := b.pstores[i].DoneToken()
+			ctx.tails[b.sv.TokenID(d)] = b.synchOf([]src{ctx.collapse(d), {st, 0}}, id, d)
 		} else {
-			gate, complete := ctx.gateWrite(toks)
-			b.out.Connect(gate.node, gate.port, st.ID, 2, true)
-			complete(src{st.ID, 0})
+			ctx.complete(toks, false, src{st, 0})
 		}
 	}
 
 	for _, tok := range consumed {
-		b.setTap(b.tapT, id, tok, ctx.collapse(tok))
+		*b.tap(id, false, tok) = ctx.collapse(tok)
 	}
 	return nil
 }
@@ -608,26 +612,21 @@ func (b *builder) buildFork(id int) error {
 	n := b.g.Nodes[id]
 	consumed := b.need(id)
 	switched := b.placement.Tokens(id)
-	consumedSet := map[string]bool{}
-	for _, t := range consumed {
-		consumedSet[t] = true
-	}
 
 	ctx, err := b.newStmtCtx(id, consumed)
 	if err != nil {
 		return err
 	}
 	// Switched-but-not-read tokens enter at the switch directly.
-	swIn := map[string]src{}
 	for _, tok := range switched {
-		if consumedSet[tok] {
+		if slices.Contains(consumed, tok) {
 			continue
 		}
 		w, err := b.inputSrc(id, tok)
 		if err != nil {
 			return err
 		}
-		swIn[tok] = w
+		*b.tap(id, true, tok) = w // the switch's data input, until the switch is built
 		if !ctx.hasTrigger {
 			ctx.trigger = w
 			ctx.hasTrigger = true
@@ -651,26 +650,20 @@ func (b *builder) buildFork(id int) error {
 	}
 
 	for _, tok := range switched {
-		var data src
-		if consumedSet[tok] {
+		data := *b.tap(id, true, tok)
+		if slices.Contains(consumed, tok) {
 			data = ctx.collapse(tok)
-		} else {
-			data = swIn[tok]
 		}
-		sw := b.out.Add(&dfg.Node{Kind: dfg.Switch, Tok: tok, Stmt: id})
-		b.out.Connect(data.node, data.port, sw.ID, 0, b.dummyFor(tok))
-		b.out.Connect(pval.node, pval.port, sw.ID, 1, false)
-		b.setTap(b.tapT, id, tok, src{sw.ID, 0})
-		b.setTap(b.tapF, id, tok, src{sw.ID, 1})
+		sw := b.node(dfg.Node{Kind: dfg.Switch, Tok: tok, Stmt: id})
+		b.wire(data, sw, 0, b.dummyFor(tok))
+		b.wire(pval, sw, 1, false)
+		*b.tap(id, false, tok) = src{sw, 0}
+		*b.tap(id, true, tok) = src{sw, 1}
 	}
 	// Read-but-unswitched tokens leave through the post-read tap.
-	switchedSet := map[string]bool{}
-	for _, t := range switched {
-		switchedSet[t] = true
-	}
 	for _, tok := range consumed {
-		if !switchedSet[tok] {
-			b.setTap(b.tapR, id, tok, ctx.collapse(tok))
+		if !slices.Contains(switched, tok) {
+			*b.tap(id, true, tok) = ctx.collapse(tok)
 		}
 	}
 	return nil

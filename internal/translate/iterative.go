@@ -34,7 +34,7 @@ func EliminateRedundantSwitches(g *dfg.Graph) (*dfg.Graph, int) {
 			}
 			// Both outputs must each feed exactly one arc, into the same
 			// merge's single input port.
-			t, f := e.Outs.Only(e.Outs.Slot(id, 0)), e.Outs.Only(e.Outs.Slot(id, 1))
+			t, f := e.Outs().Only(e.Outs().Slot(id, 0)), e.Outs().Only(e.Outs().Slot(id, 1))
 			if t < 0 || f < 0 {
 				continue
 			}
@@ -42,15 +42,15 @@ func EliminateRedundantSwitches(g *dfg.Graph) (*dfg.Graph, int) {
 			if e.Arcs[f].To != mg || e.Arcs[t].ToPort != 0 || e.Arcs[f].ToPort != 0 {
 				continue
 			}
-			if e.Nodes[mg].Kind != dfg.Merge || e.Ins.Size(e.Ins.Slot(mg, 0)) != 2 {
+			if e.Nodes[mg].Kind != dfg.Merge || e.Ins().Size(e.Ins().Slot(mg, 0)) != 2 {
 				continue
 			}
 			// Rewire: the switch's data source feeds the merge's consumers
 			// directly; the control arc is dropped.
-			data := e.Arcs[e.Ins.First(e.Ins.Slot(id, 0))]
+			data := e.Arcs[e.Ins().First(e.Ins().Slot(id, 0))]
 			e.KillArcsInto(id)
-			for slot := e.Outs.Slot(mg, 0); e.Outs.First(slot) >= 0; {
-				c := e.Outs.First(slot)
+			for slot := e.Outs().Slot(mg, 0); e.Outs().First(slot) >= 0; {
+				c := e.Outs().First(slot)
 				e.AddArc(dfg.Arc{From: data.From, FromPort: data.FromPort, To: e.Arcs[c].To, ToPort: e.Arcs[c].ToPort, Dummy: data.Dummy})
 				e.KillArc(c)
 			}

@@ -166,7 +166,7 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 		return out
 	}
 
-	out := dfg.NewGraph(prog)
+	out := dfg.NewEditorFor(prog)
 	type unitExports struct {
 		params  map[string]int
 		ret     int
@@ -232,7 +232,6 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 			g: ug, loops: loops, need: need, sv: sv, placement: placement,
 			tokensOf: tokensOf, universe: sortedUniverse[unit],
 			valueTokens: map[string]string{},
-			pstores:     map[int]ParallelStore{},
 			istructs:    map[string]bool{},
 			out:         out,
 			procMode:    unit != "",
@@ -247,6 +246,7 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 	}
 
 	// Link every call site to its callee.
+	var calls []dfg.CallInfo
 	for _, name := range order {
 		for _, pc := range exports[name].pending {
 			callee := exports[pc.proc]
@@ -264,18 +264,23 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 					return nil, fmt.Errorf("translate: callee %s has no param node for token %s", pc.proc, tok)
 				}
 				info.Params = append(info.Params, pn)
-				out.Connect(pc.apply, len(pc.inTokens)+j, pn, 0, true)
+				out.AddArc(dfg.Arc{From: pc.apply, FromPort: len(pc.inTokens) + j, To: pn, Dummy: true})
 			}
-			out.Calls = append(out.Calls, info)
+			calls = append(calls, info)
 		}
 	}
-	sort.Slice(out.Calls, func(i, j int) bool { return out.Calls[i].Apply < out.Calls[j].Apply })
+	sort.Slice(calls, func(i, j int) bool { return calls[i].Apply < calls[j].Apply })
 
-	if err := out.Validate(); err != nil {
+	linked, err := out.Graph()
+	if err == nil {
+		linked.Calls = calls
+		err = linked.Validate()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("translate: linked graph invalid: %w", err)
 	}
 	return &LinkedResult{
-		Graph:        out,
+		Graph:        linked,
 		MainUniverse: sortedUniverse[""],
 		ProcUniverse: sortedUniverse,
 		ValueTokens:  map[string]string{},

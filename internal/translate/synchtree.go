@@ -27,7 +27,7 @@ func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 		}
 		cur := make([]end, n.NIns)
 		for p := range cur {
-			a := e.Arcs[e.Ins.First(e.Ins.Slot(id, p))]
+			a := e.Arcs[e.Ins().First(e.Ins().Slot(id, p))]
 			cur[p] = end{a.From, a.FromPort}
 		}
 		e.KillArcsInto(id)
@@ -47,8 +47,8 @@ func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 			}
 			cur = next
 		}
-		for slot := e.Outs.Slot(id, 0); e.Outs.First(slot) >= 0; {
-			e.MoveSource(e.Outs.First(slot), cur[0].node, cur[0].port)
+		for slot := e.Outs().Slot(id, 0); e.Outs().First(slot) >= 0; {
+			e.MoveSource(e.Outs().First(slot), cur[0].node, cur[0].port)
 		}
 		e.Remove(id)
 	}

@@ -199,16 +199,6 @@ func TestParallelReadsShortenReadChains(t *testing.T) {
 
 // --- Array store parallelization (§6.3, Figure 14) ---
 
-func TestParallelArrayStoresCorrect(t *testing.T) {
-	for _, w := range workloads.All() {
-		for _, schema := range []Schema{Schema2, Schema2Opt} {
-			t.Run(w.Name+"/"+schema.String(), func(t *testing.T) {
-				checkEquivalence(t, w, Options{Schema: schema, ParallelArrayStores: true}, nil)
-			})
-		}
-	}
-}
-
 func TestFindParallelStoresOnFig14(t *testing.T) {
 	g := cfg.MustBuild(workloads.Fig14ArrayLoop.Parse())
 	tg, loops, err := cfg.InsertLoopControl(g)

@@ -47,6 +47,7 @@ package translate
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -122,8 +123,9 @@ type Options struct {
 	// Optimize selects the post-translation graph-optimizer level
 	// (internal/opt): 0 runs no optimizer; 1 runs the full pipeline
 	// (switch sinking, merge collapsing, operator fusion, dead-token
-	// elimination). The optimizer rewrites Result.Graph in place after
-	// Translate returns and records its claims in Result.Opt so the
+	// elimination). Translate only records the level: the optimizer edits
+	// the graph as it is emitted (TranslateEdited with opt.Edit) or one
+	// already built (opt.Run), and records its claims in Result.Opt so the
 	// verifier can hold the optimized graph to the schema contract.
 	Optimize int
 }
@@ -217,7 +219,14 @@ type Result struct {
 
 // Translate builds the dataflow graph for prog's CFG under the given
 // options.
-func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
+func Translate(g0 *cfg.Graph, opt Options) (*Result, error) { return TranslateEdited(g0, opt, nil) }
+
+// TranslateEdited is Translate with a rewrite between emission and the
+// graph: edit, unless nil, gets the editor the builder emitted into and
+// the result, whose Graph is set once edit has returned. One graph is then
+// materialised from the editor and validated, once — the optimizer's
+// hand-over (opt.Edit).
+func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result) error) (*Result, error) {
 	// Footnote 5: irreducible control flow is made reducible by code
 	// copying before the interval decomposition.
 	g0, copied, err := cfg.MakeReducible(g0)
@@ -229,7 +238,8 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Token universe and variable→token mapping.
+	// Token universe, variable→token mapping, and the tokens that carry a
+	// variable's value (token → variable; §6.1).
 	prog := g.Prog
 	tokensOf := map[string][]string{}
 	var universe []string
@@ -253,7 +263,7 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 			as := analysis.NewAliasStructure(prog)
 			for _, v := range prog.VarNames() {
 				if len(as.Class(v)) == 1 {
-					valueTokens[v] = v
+					valueTokens[v] = v // v's token is v
 				}
 			}
 		}
@@ -289,7 +299,7 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 		for _, a := range istructList {
 			istructs[a] = true
 		}
-		universe = removeTokens(universe, istructs)
+		universe = slices.DeleteFunc(universe, func(tok string) bool { return istructs[tok] })
 	}
 
 	// §6.3: find loop/array pairs with provably independent stores, give
@@ -307,7 +317,10 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 			pstores = append(pstores, ps)
 			universe = append(universe, ps.DoneToken())
 		}
+		// Loops that parallelize stores to one array share its completion
+		// line.
 		sort.Strings(universe)
+		universe = slices.Compact(universe)
 	}
 
 	base := makeNeed(g, tokensOf, pstores, istructs)
@@ -335,20 +348,16 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 		placement:   placement,
 		tokensOf:    tokensOf,
 		universe:    universe,
-		valueTokens: invertValueTokens(valueTokens),
+		valueTokens: valueTokens,
 		parReads:    opt.ParallelReads,
-		pstores:     indexParallelStores(pstores),
+		pstores:     pstores,
 		istructs:    istructs,
-		out:         dfg.NewGraph(prog),
+		out:         dfg.NewEditorFor(prog),
 	}
 	if err := b.build(); err != nil {
 		return nil, err
 	}
-	if err := b.out.Validate(); err != nil {
-		return nil, fmt.Errorf("translate: built an invalid graph: %w", err)
-	}
-	return &Result{
-		Graph:          b.out,
+	res := &Result{
 		Options:        opt,
 		CFG:            g,
 		Loops:          loops,
@@ -356,22 +365,23 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) {
 		SV:             sv,
 		Universe:       universe,
 		TokensOf:       tokensOf,
-		ValueTokens:    invertValueTokens(valueTokens),
+		ValueTokens:    valueTokens,
 		ParallelStores: pstores,
 		IStructures:    istructList,
 		CopiedNodes:    copied,
-	}, nil
-}
-
-// removeTokens drops the named tokens from the universe.
-func removeTokens(universe []string, drop map[string]bool) []string {
-	out := universe[:0:0]
-	for _, tok := range universe {
-		if !drop[tok] {
-			out = append(out, tok)
+	}
+	if edit != nil {
+		if err := edit(b.out, res); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	if res.Graph, err = b.out.Graph(); err == nil {
+		err = res.Graph.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("translate: built an invalid graph: %w", err)
+	}
+	return res, nil
 }
 
 // makeNeed derives the NeedFunc: a node needs the union of the token sets
@@ -410,47 +420,24 @@ func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStor
 // fixpoint. The returned NeedFunc is the extended one the source-vector
 // computation must also see.
 func placeWithLoopControl(g *cfg.Graph, loops []cfg.Loop, cd *analysis.ControlDeps, base analysis.NeedFunc) (analysis.NeedFunc, *analysis.Placement) {
-	loopNeed := map[int]map[string]bool{}
+	var loopNeed map[int]map[string]bool
 	extended := func(id int) []string {
-		if set, ok := loopNeed[id]; ok {
-			merged := map[string]bool{}
-			for _, tok := range base(id) {
-				merged[tok] = true
-			}
-			for tok := range set {
-				merged[tok] = true
-			}
-			return sortedTokens(merged)
+		set, ok := loopNeed[id]
+		if !ok {
+			return base(id)
 		}
-		return base(id)
+		toks := append(sortedTokens(set), base(id)...)
+		slices.Sort(toks)
+		return slices.Compact(toks)
 	}
-	var placement *analysis.Placement
 	for {
-		placement = analysis.PlaceSwitches(g, cd, extended)
+		placement := analysis.PlaceSwitches(g, cd, extended)
 		next := analysis.LoopNeeds(g, loops, base, placement)
-		if loopNeedsEqual(loopNeed, next) {
+		if maps.EqualFunc(loopNeed, next, func(a, b map[string]bool) bool { return maps.Equal(a, b) }) {
 			return extended, placement
 		}
 		loopNeed = next
 	}
-}
-
-func loopNeedsEqual(a, b map[int]map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for tok := range av {
-			if !bv[tok] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // allSwitches is the Schema 1/2/3 placement: every fork switches every
@@ -468,14 +455,4 @@ func allSwitches(g *cfg.Graph, universe []string) *analysis.Placement {
 		p.Needs[n.ID] = set
 	}
 	return p
-}
-
-// invertValueTokens turns var→token into token→var (they coincide for
-// Schema 2 tokens but the indirection keeps the builder honest).
-func invertValueTokens(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for v, tok := range m {
-		out[tok] = v
-	}
-	return out
 }

@@ -28,8 +28,9 @@ func mustCFG(t *testing.T, w workloads.Workload) *cfg.Graph {
 }
 
 // checkEquivalence translates under opt, executes on the machine, and
-// compares the final state against the sequential interpreter.
-func checkEquivalence(t *testing.T, w workloads.Workload, opt Options, binding interp.Binding) {
+// compares the final state against the sequential interpreter; it returns
+// the translation.
+func checkEquivalence(t *testing.T, w workloads.Workload, opt Options, binding interp.Binding) *Result {
 	t.Helper()
 	g := mustCFG(t, w)
 	want, err := interp.Run(g, interp.Options{Binding: binding})
@@ -49,6 +50,7 @@ func checkEquivalence(t *testing.T, w workloads.Workload, opt Options, binding i
 		t.Errorf("%s/%v: final state differs\nmachine:\n%s\ninterp:\n%s\ndataflow graph:\n%s",
 			w.Name, opt.Schema, got, want.Store.Snapshot(), res.Graph.DOT())
 	}
+	return res
 }
 
 func TestAllSchemasMatchInterpreterOnSuite(t *testing.T) {

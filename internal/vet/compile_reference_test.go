@@ -773,7 +773,7 @@ func refPlaceSwitches(g *cfg.Graph, cd *analysis.ControlDeps, need analysis.Need
 		for len(worklist) > 0 {
 			n := worklist[len(worklist)-1]
 			worklist = worklist[:len(worklist)-1]
-			for f := range cd.On[n] {
+			for _, f := range cd.On[n] {
 				if p.Needs[f] == nil {
 					p.Needs[f] = map[string]bool{}
 				}
@@ -929,7 +929,7 @@ func refComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, 
 		processed[pick] = true
 		out.order = append(out.order, pick)
 		nd := g.Nodes[pick]
-		self := []analysis.Source{{Node: pick, Dir: true}}
+		self := []analysis.Source{{Node: int32(pick), Dir: true}}
 
 		switch nd.Kind {
 		case cfg.KindStart:
@@ -956,10 +956,10 @@ func refComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, 
 			for _, tok := range universe {
 				switch {
 				case placement.NeedsSwitch(pick, tok):
-					contribute(nd.Succs[0], tok, []analysis.Source{{Node: pick, Dir: true}}, pick)
-					contribute(nd.Succs[1], tok, []analysis.Source{{Node: pick, Dir: false}}, pick)
+					contribute(nd.Succs[0], tok, []analysis.Source{{Node: int32(pick), Dir: true}}, pick)
+					contribute(nd.Succs[1], tok, []analysis.Source{{Node: int32(pick), Dir: false}}, pick)
 				case readSet[tok]:
-					contribute(pdom.Idom[pick], tok, []analysis.Source{{Node: pick, Dir: true, Read: true}}, -1)
+					contribute(pdom.Idom[pick], tok, []analysis.Source{{Node: int32(pick), Dir: true, Read: true}}, -1)
 				default:
 					if srcs := current(pick, tok); len(srcs) > 0 {
 						contribute(pdom.Idom[pick], tok, srcs, -1)

@@ -75,14 +75,14 @@ func dropSwitch(res *translate.Result) (*dfg.Graph, bool) {
 		if n.Kind != dfg.Switch {
 			continue
 		}
-		din := e.Ins.First(e.Ins.Slot(sw, 0))
+		din := e.Ins().First(e.Ins().Slot(sw, 0))
 		if din < 0 {
 			return nil, false
 		}
 		data := e.Arcs[din]
 		for p := 0; p < 2; p++ {
-			for slot := e.Outs.Slot(sw, p); e.Outs.First(slot) >= 0; {
-				e.MoveSource(e.Outs.First(slot), data.From, data.FromPort)
+			for slot := e.Outs().Slot(sw, p); e.Outs().First(slot) >= 0; {
+				e.MoveSource(e.Outs().First(slot), data.From, data.FromPort)
 			}
 		}
 		e.KillArcsInto(sw)
@@ -117,7 +117,7 @@ func retargetArc(res *translate.Result) (*dfg.Graph, bool) {
 func dropMergeArm(res *translate.Result) (*dfg.Graph, bool) {
 	e := dfg.NewEditor(res.Graph)
 	for i, a := range e.Arcs {
-		if a.ToPort == 0 && e.Nodes[a.To].Kind == dfg.Merge && e.Ins.Size(e.Ins.Slot(a.To, 0)) >= 2 {
+		if a.ToPort == 0 && e.Nodes[a.To].Kind == dfg.Merge && e.Ins().Size(e.Ins().Slot(a.To, 0)) >= 2 {
 			e.KillArc(int32(i))
 			return mutant(e)
 		}
@@ -147,8 +147,8 @@ func truncateSynch(res *translate.Result) (*dfg.Graph, bool) {
 	e := dfg.NewEditor(res.Graph)
 	s := *sites[0]
 	s.NIns--
-	for slot := e.Ins.Slot(s.ID, s.NIns); e.Ins.First(slot) >= 0; {
-		e.KillArc(e.Ins.First(slot))
+	for slot := e.Ins().Slot(s.ID, s.NIns); e.Ins().First(slot) >= 0; {
+		e.KillArc(e.Ins().First(slot))
 	}
 	e.Nodes[s.ID] = &s
 	return mutant(e)
@@ -161,13 +161,13 @@ func truncateSynch(res *translate.Result) (*dfg.Graph, bool) {
 func bypassSynch(res *translate.Result) (*dfg.Graph, bool) {
 	e := dfg.NewEditor(res.Graph)
 	for _, s := range synchSites(res.Graph) {
-		oi := e.Ins.First(e.Ins.Slot(s.ID, 0))
+		oi := e.Ins().First(e.Ins().Slot(s.ID, 0))
 		if oi < 0 {
 			continue
 		}
 		operand := e.Arcs[oi] // line feeding the synch's first operand
 		// synch output → memory op access input
-		for op := e.Outs.First(e.Outs.Slot(s.ID, 0)); op >= 0; op = e.Outs.Next(op) {
+		for op := e.Outs().First(e.Outs().Slot(s.ID, 0)); op >= 0; op = e.Outs().Next(op) {
 			switch e.Nodes[e.Arcs[op].To].Kind {
 			case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
 				e.MoveSource(op, operand.From, operand.FromPort)

@@ -45,14 +45,15 @@ if [ -n "$threads" ]; then
 fi
 
 echo "== graphs are edited in one place =="
-# A dataflow graph is built by the translator (its builder and its linker)
-# and rewritten through dfg.Editor (see DESIGN.md, "One editor"): any other
-# non-test code that makes an empty graph to fill has started a private
-# rewriter, with its own id remapping to get wrong.
+# A dataflow graph is built through dfg.Editor — the translator's builder
+# and linker emit into one, and every rewrite lowers a graph into one (see
+# DESIGN.md, "One editor") — or read from text inside internal/dfg: any
+# other non-test code that makes an empty graph to fill has started a
+# private builder, with its own arities and id remapping to get wrong.
 builders=$(grep -rn 'dfg\.NewGraph(' --include='*.go' . | grep -v '_test\.go:' |
-    grep -v '^\./internal/dfg/\|^\./internal/translate/translate\.go:\|^\./internal/translate/linked\.go:' || true)
+    grep -v '^\./internal/dfg/' || true)
 if [ -n "$builders" ]; then
-    echo "dfg.NewGraph called outside the translator's builder and linker:" >&2
+    echo "dfg.NewGraph called outside internal/dfg:" >&2
     echo "$builders" >&2
     exit 1
 fi
