@@ -34,9 +34,10 @@ func (c ckCell) equal(o ckCell) bool {
 		reflect.DeepEqual(c.stats, o.stats)
 }
 
-// checkpointWorkloads spans the state a checkpoint must carry: loops
-// (tag stacks), split-phase memory backlogs, I-structures (via the
-// memelim config), and live procedure activations.
+// checkpointWorkloads spans the loop and memory state a checkpoint must
+// carry: loops (tag stacks) and split-phase memory backlogs, with and
+// without §6.1 memory elimination. I-structures and live procedure
+// activations are TestCheckpointResumeStatefulUnits'.
 var checkpointWorkloads = []string{
 	"running-example", "fib-iterative", "array-sum", "nested-loops", "proc-in-loop",
 }
@@ -156,6 +157,70 @@ func TestCheckpointRestoreResumesByteIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// statefulGraphs are the graphs whose checkpoints carry the stateful
+// units' state: linked procedure graphs (live activations) and
+// I-structure graphs (presence bits and deferred readers).
+func statefulGraphs(t testing.TB) map[string]*dfg.Graph {
+	t.Helper()
+	graphs := map[string]*dfg.Graph{}
+	for _, w := range []string{"proc-fortran", "proc-in-loop"} {
+		res, err := translate.TranslateLinked(workloads.MustByName(w).Parse())
+		if err != nil {
+			t.Fatalf("%s: link: %v", w, err)
+		}
+		graphs[w+"/linked"] = res.Graph
+	}
+	for _, w := range []string{"producer-consumer", "fig14-array-stores", "array-sum"} {
+		graphs[w+"/istruct"] = buildGraph(t, w, translate.Options{Schema: translate.Schema2Opt, UseIStructures: true}).Graph
+	}
+	return graphs
+}
+
+// TestCheckpointResumeStatefulUnits resumes from every checkpoint of the
+// stateful graphs — taken each cycle at latency {1, 4} × processors
+// {0, 2}, each through Encode and Decode — and requires the uncheckpointed
+// run's outcome from every one. Some checkpoint must hold a live
+// activation and some a deferred I-structure reader, or the matrix has
+// stopped covering the state it is here for.
+func TestCheckpointResumeStatefulUnits(t *testing.T) {
+	acts, deferred := 0, 0
+	for name, g := range statefulGraphs(t) {
+		for _, lat := range []int{1, 4} {
+			for _, pr := range []int{0, 2} {
+				label := fmt.Sprintf("%s/l%d/p%d", name, lat, pr)
+				base, err := Run(g, Config{Processors: pr, MemLatency: lat})
+				if err != nil {
+					t.Fatalf("%s: baseline: %v", label, err)
+				}
+				want := cellOf(base)
+				var cks []*Checkpoint
+				if _, err := Run(g, Config{Processors: pr, MemLatency: lat, CheckpointEvery: 1,
+					CheckpointSink: func(ck *Checkpoint) error { cks = append(cks, roundTrip(t, ck)); return nil }}); err != nil {
+					t.Fatalf("%s: checkpointed run: %v", label, err)
+				}
+				for _, ck := range cks {
+					if len(ck.Acts) > 0 {
+						acts++
+					}
+					if len(ck.IDeferred) > 0 {
+						deferred++
+					}
+					got, err := Run(g, Config{Processors: pr, MemLatency: lat, Resume: ck})
+					if err != nil {
+						t.Fatalf("%s ck=%d: resume: %v", label, ck.ID, err)
+					}
+					if !cellOf(got).equal(want) {
+						t.Errorf("%s ck=%d (cycle %d): resumed outcome diverged", label, ck.ID, ck.Cycle)
+					}
+				}
+			}
+		}
+	}
+	if acts == 0 || deferred == 0 {
+		t.Errorf("%d checkpoints held live activations and %d deferred I-structure readers; want some of each", acts, deferred)
 	}
 }
 
