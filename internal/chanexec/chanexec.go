@@ -3,7 +3,10 @@
 // realization of the dataflow firing rule ("operators that test conditions
 // at their inputs and outputs to determine when to execute", §2.2). It
 // validates the cycle-driven machine simulator: both engines must compute
-// identical final states, because dataflow graphs are determinate.
+// identical final states, because dataflow graphs are determinate. What an
+// operator computes is internal/interp's, for both engines — the kernel,
+// and the I-structure and activation units this engine calls under its
+// locks — so their values and error texts agree by construction.
 //
 // Tokens are never dropped: an execution is complete when the global
 // in-flight token count reaches zero; if that happens before the end node
@@ -20,6 +23,7 @@
 package chanexec
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -272,19 +276,11 @@ type engine struct {
 	endVals []int64
 	endDone bool
 
-	// Procedure linkage (separate compilation): activation registry.
-	procMu      sync.Mutex
-	procByApply map[int]*dfg.CallInfo
-	procLive    map[int]*chanActivation
-	procNext    int
-
-	// I-structure memory (§6.3): presence bits and deferred readers,
-	// guarded by istructMu. Deferred reads count toward deferredReads;
-	// quiescence with unsatisfied deferred reads is an error.
-	istructMu     sync.Mutex
-	istructFull   map[string][]bool
-	istructWait   map[string]map[int64][]deferredRead
-	deferredReads atomic.Int64
+	// The stateful units (internal/interp), each behind its own lock.
+	procMu    sync.Mutex
+	procs     interp.Activations[token.Tag]
+	istructMu sync.Mutex
+	istructs  interp.IStructs[deferredRead]
 }
 
 type deferredRead struct {
@@ -294,12 +290,6 @@ type deferredRead struct {
 	// satisfying write joins it with its own (max) before emitting the
 	// result, keeping both causal edges.
 	clock int64
-}
-
-type chanActivation struct {
-	info      *dfg.CallInfo
-	callerTag token.Tag
-	resolved  map[string]string
 }
 
 // Run executes the dataflow graph to completion.
@@ -323,30 +313,15 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 		maxOps:   maxOps,
 		inj:      cfg.Inject,
 		done:     make(chan struct{}),
+		procs:    interp.NewActivations[token.Tag](g, "channels"),
 	}
+	e.istructs = interp.NewIStructs[deferredRead](g, e.store, "channels")
 	if cfg.Telemetry != nil {
 		e.tel = newChanTel(cfg.Telemetry)
 	}
 	e.endVals = make([]int64, g.Nodes[g.EndID].NIns)
 	for i := range e.boxes {
 		e.boxes[i] = newMailbox()
-	}
-	if len(g.Calls) > 0 {
-		e.procByApply = map[int]*dfg.CallInfo{}
-		e.procLive = map[int]*chanActivation{}
-		for i := range g.Calls {
-			e.procByApply[g.Calls[i].Apply] = &g.Calls[i]
-		}
-	}
-	e.istructFull = map[string][]bool{}
-	e.istructWait = map[string]map[int64][]deferredRead{}
-	for _, n := range g.Nodes {
-		if n.Kind == dfg.ILoad || n.Kind == dfg.IStore {
-			if _, ok := e.istructFull[n.Var]; !ok {
-				e.istructFull[n.Var] = make([]bool, g.Prog.ArraySize(n.Var))
-				e.istructWait[n.Var] = map[int64][]deferredRead{}
-			}
-		}
 	}
 
 	var wg sync.WaitGroup
@@ -410,18 +385,8 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	if err != nil {
 		return partial, err
 	}
-	if e.procLive != nil {
-		e.procMu.Lock()
-		live := len(e.procLive)
-		e.procMu.Unlock()
-		if live != 0 {
-			return partial, machcheck.Newf(machcheck.TokenLeak, "channels",
-				"%d procedure activations never returned", live)
-		}
-	}
-	if n := e.deferredReads.Load(); n != 0 {
-		return partial, machcheck.Newf(machcheck.Deadlock, "channels",
-			"%d I-structure reads of never-written cells", n)
+	if err := cmp.Or(e.procs.Leak(), e.istructs.Pending()); err != nil {
+		return partial, err
 	}
 	// Strict conservation: no partially matched activation may survive the
 	// run (its partner token can never arrive).
@@ -564,15 +529,22 @@ func (e *engine) send(node int, m msg) {
 }
 
 // retire marks one delivered token fully processed; when the last token
-// retires the execution is quiescent.
+// retires the execution is quiescent. Quiescence before end is a
+// deadlock, named by the I-structure reads it strands when there are any.
 func (e *engine) retire() {
 	if e.inflight.Add(-1) == 0 {
 		e.endMu.Lock()
 		finished := e.endDone
 		e.endMu.Unlock()
 		if !finished {
-			e.fail(machcheck.Newf(machcheck.Deadlock, "channels",
-				"quiescent before end fired (deadlocked tokens)"))
+			e.istructMu.Lock()
+			err := e.istructs.Pending()
+			e.istructMu.Unlock()
+			if err == nil {
+				err = machcheck.Newf(machcheck.Deadlock, "channels",
+					"quiescent before end fired (deadlocked tokens)")
+			}
+			e.fail(err)
 			return
 		}
 		if e.state.CompareAndSwap(stateRunning, stateCompleted) {
@@ -632,32 +604,6 @@ func (e *engine) worker(n *dfg.Node) {
 		}
 		e.retire()
 	}
-}
-
-// resolveName maps a variable name to the storage it denotes under tg:
-// formals resolve through the innermost activation's binding.
-func (e *engine) resolveName(name string, tg token.Tag) string {
-	if e.procLive == nil {
-		return name
-	}
-	e.procMu.Lock()
-	defer e.procMu.Unlock()
-	return e.resolveNameLocked(name, tg)
-}
-
-func (e *engine) resolveNameLocked(name string, tg token.Tag) string {
-	act := tg.Activation()
-	if act < 0 {
-		return name
-	}
-	rec := e.procLive[act]
-	if rec == nil {
-		return name
-	}
-	if r, ok := rec.resolved[name]; ok {
-		return r
-	}
-	return name
 }
 
 // emit broadcasts val on every arc leaving (node, port), stamping each
@@ -732,47 +678,37 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		}
 
 	case dfg.Apply:
-		info := e.procByApply[n.ID]
-		if info == nil {
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels",
-				"apply d%d has no call linkage", n.ID))
+		e.procMu.Lock()
+		nt, info, err := e.procs.Open(n.ID, tg, tg)
+		e.procMu.Unlock()
+		if err != nil {
+			e.fail(err)
 			return
 		}
-		e.procMu.Lock()
-		id := e.procNext
-		e.procNext++
-		rec := &chanActivation{info: info, callerTag: tg, resolved: map[string]string{}}
-		for formal, actual := range info.Bindings {
-			rec.resolved[formal] = e.resolveNameLocked(actual, tg)
-		}
-		e.procLive[id] = rec
-		e.procMu.Unlock()
-		nt := tg.PushCall(id)
 		for j := range info.Params {
 			e.emit(n.ID, len(info.InTokens)+j, 0, nt, fc)
 		}
 
 	case dfg.ProcReturn:
-		_, id, err := tg.PopCall()
-		if err != nil {
-			e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
-			return
-		}
 		e.procMu.Lock()
-		rec := e.procLive[id]
-		delete(e.procLive, id)
+		info, caller, err := e.procs.Close(n.ID, tg)
 		e.procMu.Unlock()
-		if rec == nil {
-			e.fail(machcheck.Newf(machcheck.TagViolation, "channels",
-				"return for unknown activation %d", id))
+		if err != nil {
+			e.fail(err)
 			return
 		}
-		for p := 0; p < len(rec.info.InTokens); p++ {
-			e.emit(rec.info.Apply, p, 0, rec.callerTag, fc)
+		for p := range info.InTokens {
+			e.emit(info.Apply, p, 0, caller, fc)
 		}
 
 	case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
-		v, err := e.store.Access(n.Kind, e.resolveName(n.Var, tg), vals)
+		name := n.Var
+		if e.procs.Linked() { // else the registry never changes
+			e.procMu.Lock()
+			name = e.procs.Resolve(n.Var, tg)
+			e.procMu.Unlock()
+		}
+		v, err := e.store.Access(n.Kind, name, vals)
 		if err != nil {
 			e.opFault(n, err)
 			return
@@ -783,63 +719,27 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		}
 
 	case dfg.ILoad:
-		idx := vals[0]
 		e.istructMu.Lock()
-		full := e.istructFull[n.Var]
-		if idx < 0 || idx >= int64(len(full)) {
-			e.istructMu.Unlock()
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels",
-				"I-structure index %d out of range for %s[%d]", idx, n.Var, len(full)))
-			return
-		}
-		if !full[idx] {
-			e.istructWait[n.Var][idx] = append(e.istructWait[n.Var][idx], deferredRead{node: n.ID, tg: tg, clock: fc})
-			e.deferredReads.Add(1)
-			e.istructMu.Unlock()
-			return
-		}
+		v, full, err := e.istructs.Read(n.Var, vals[0], deferredRead{node: n.ID, tg: tg, clock: fc})
 		e.istructMu.Unlock()
-		v, err := e.store.GetIdx(n.Var, idx)
 		if err != nil {
-			e.opFault(n, err)
-			return
+			e.fail(err)
+		} else if full { // else the write emits the result
+			e.emit(n.ID, 0, v, tg, fc)
 		}
-		e.emit(n.ID, 0, v, tg, fc)
 
 	case dfg.IStore:
-		idx := vals[0]
 		e.istructMu.Lock()
-		full := e.istructFull[n.Var]
-		if idx < 0 || idx >= int64(len(full)) {
-			e.istructMu.Unlock()
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels",
-				"I-structure index %d out of range for %s[%d]", idx, n.Var, len(full)))
-			return
-		}
-		if full[idx] {
-			e.istructMu.Unlock()
-			e.fail(machcheck.Newf(machcheck.OperatorFault, "channels",
-				"I-structure write-once violation: %s[%d] written twice", n.Var, idx))
-			return
-		}
-		full[idx] = true
-		if err := e.store.SetIdx(n.Var, idx, vals[1]); err != nil {
-			e.istructMu.Unlock()
-			e.opFault(n, err)
-			return
-		}
-		waiters := e.istructWait[n.Var][idx]
-		delete(e.istructWait[n.Var], idx)
+		waiters, err := e.istructs.Write(n.Var, vals[0], vals[1])
 		e.istructMu.Unlock()
+		if err != nil {
+			e.fail(err)
+			return
+		}
 		for _, w := range waiters {
-			e.deferredReads.Add(-1)
 			// The result token is causally after both the store firing and
 			// the deferred read firing: join their clocks.
-			jc := fc
-			if w.clock > jc {
-				jc = w.clock
-			}
-			e.emit(w.node, 0, vals[1], w.tg, jc)
+			e.emit(w.node, 0, vals[1], w.tg, max(fc, w.clock))
 		}
 
 	default:

@@ -148,3 +148,76 @@ func TestOperatorFaultTextAgrees(t *testing.T) {
 		}
 	}
 }
+
+// TestStatefulFaultTextAgrees: the stateful operators' faults are the
+// interp units' own (IStructs, Activations), so the sequential machine,
+// the sharded machine and the channel engine raise the same check with
+// the same text — an I-structure index past the array, a second write to
+// one cell, a read of a cell no one writes, and an apply with no call
+// record.
+func TestStatefulFaultTextAgrees(t *testing.T) {
+	istruct := func(src string) *dfg.Graph {
+		res, err := translate.Translate(cfg.MustBuild(lang.MustParse(src)),
+			translate.Options{Schema: translate.Schema2Opt, UseIStructures: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.IStructures) == 0 {
+			t.Fatalf("no I-structure in %q", src)
+		}
+		return res.Graph
+	}
+	// Twice: a[i] := 1 with its index and value arcs swapped, so every
+	// iteration stores into a[1].
+	twice := istruct("var i, s\narray a[8]\nwhile i < 8 {\n  a[i] := 1\n  i := i + 1\n}\ns := a[1]\n")
+	ed := dfg.NewEditor(twice)
+	for _, n := range twice.Nodes {
+		if n.Kind == dfg.IStore {
+			ins := [2]dfg.Arc{}
+			ids := [2]int32{}
+			for ai, a := range twice.Arcs {
+				if a.To == n.ID {
+					ins[a.ToPort], ids[a.ToPort] = a, int32(ai)
+				}
+			}
+			ed.MoveSource(ids[0], ins[1].From, ins[1].FromPort)
+			ed.MoveSource(ids[1], ins[0].From, ins[0].FromPort)
+		}
+	}
+	twice, err := ed.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlinked, err := translate.TranslateLinked(workloads.MustByName("proc-fortran").Parse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := unlinked.Graph.Calls[0].Apply
+	unlinked.Graph.Calls[0].Apply = len(unlinked.Graph.Nodes)
+	for _, c := range []struct {
+		name  string
+		g     *dfg.Graph
+		check machcheck.Check
+		msg   string
+	}{
+		{"index-out-of-range",
+			istruct("var i, s\narray a[4]\nwhile i < 6 {\n  a[i] := i\n  i := i + 1\n}\ns := a[2]\n"),
+			machcheck.OperatorFault, "I-structure index 4 out of range for a[4]"},
+		{"write-once", twice, machcheck.OperatorFault, "I-structure write-once violation: a[1] written twice"},
+		{"never-written",
+			istruct("var i, s\narray a[16]\nstart: i := i + 1\na[i] := i\nif i < 10 then goto start else goto done\ndone:\ns := a[12]\n"),
+			machcheck.Deadlock, "I-structure reads of never-written cells: [a[12] (1 readers)]"},
+		{"no-call-record", unlinked.Graph, machcheck.OperatorFault, fmt.Sprintf("apply d%d has no call linkage", apply)},
+	} {
+		for engine, run := range map[string]func() error{
+			"machine":  func() error { _, err := machine.Run(c.g, machine.Config{}); return err },
+			"sharded":  func() error { _, err := machine.Run(c.g, machine.Config{Workers: 2}); return err },
+			"channels": func() error { _, err := chanexec.Run(c.g, chanexec.Config{}); return err },
+		} {
+			var ce *machcheck.Error
+			if err := run(); !errors.As(err, &ce) || ce.Check != c.check || ce.Msg != c.msg {
+				t.Errorf("%s/%s: got %v, want %s: %s", c.name, engine, err, string(c.check), c.msg)
+			}
+		}
+	}
+}

@@ -13,10 +13,10 @@ import (
 // operands — so the value semantics are plain functions over scalars, and
 // every evaluator calls them: the expression interpreter (Eval), the
 // fused step programs (EvalFused), the cycle-driven machine and the
-// channel engine. An engine is a scheduler around this kernel; what stays
-// with it is tag arithmetic, name resolution, split-phase timing,
-// I-structure presence, activation linkage, fault injection and
-// observation (see the "Operator semantics" table in DESIGN.md).
+// channel engine. The stateful operators have their units beside it
+// (IStructs, Activations). An engine is a scheduler around them; what
+// stays with it is tag arithmetic, split-phase timing, emission, fault
+// injection and observation (see "Operator semantics" in DESIGN.md).
 
 // Apply computes a binary operation. Booleans are 0/1; division or
 // modulus by zero is an error.

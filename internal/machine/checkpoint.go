@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"ctdf/internal/dfg"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/token"
 )
@@ -390,50 +391,13 @@ func (m *sim) capture() *Checkpoint {
 		}
 	}
 
-	// I-structure presence bits and deferred readers.
-	inames := make([]string, 0, len(m.istruct.full))
-	for name := range m.istruct.full {
-		inames = append(inames, name)
-	}
-	sort.Strings(inames)
-	for _, name := range inames {
-		if ck.IFull == nil {
-			ck.IFull = map[string][]bool{}
-		}
-		ck.IFull[name] = append([]bool(nil), m.istruct.full[name]...)
-		cellIdx := make([]int64, 0, len(m.istruct.deferred[name]))
-		for idx := range m.istruct.deferred[name] {
-			cellIdx = append(cellIdx, idx)
-		}
-		sort.Slice(cellIdx, func(i, j int) bool { return cellIdx[i] < cellIdx[j] })
-		for _, idx := range cellIdx {
-			for _, w := range m.istruct.deferred[name][idx] {
-				ck.IDeferred = append(ck.IDeferred, ckDeferred{
-					Array: name, Idx: idx, Node: w.node, Tag: m.tags.key(w.tgID),
-				})
-			}
-		}
-	}
-
-	// Live procedure activations, ascending id.
-	if m.procs != nil {
-		ck.NextAct = m.procs.nextID
-		ids := make([]int, 0, len(m.procs.live))
-		for id := range m.procs.live {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			rec := m.procs.live[id]
-			resolved := make(map[string]string, len(rec.resolved))
-			for k, v := range rec.resolved {
-				resolved[k] = v
-			}
-			ck.Acts = append(ck.Acts, ckActivation{
-				ID: id, Apply: rec.info.Apply, CallerTag: m.tags.key(rec.callerTgID), Resolved: resolved,
-			})
-		}
-	}
+	// The stateful units, in the order their Save methods visit.
+	ck.IFull = m.istruct.Save(func(name string, idx int64, w waiter) {
+		ck.IDeferred = append(ck.IDeferred, ckDeferred{Array: name, Idx: idx, Node: int(w.node), Tag: m.tags.key(w.tgID)})
+	})
+	ck.NextAct = m.procs.Save(func(id int, info *dfg.CallInfo, caller int32, resolved map[string]string) {
+		ck.Acts = append(ck.Acts, ckActivation{ID: id, Apply: info.Apply, CallerTag: m.tags.key(caller), Resolved: resolved})
+	})
 
 	// RNG shuffle histories (seeded-random mode only).
 	if m.rng != nil {
@@ -534,18 +498,13 @@ func (m *sim) restore(ck *Checkpoint) error {
 		}
 	}
 
-	// I-structure unit.
+	// The stateful units.
 	for name, bits := range ck.IFull {
-		have, ok := m.istruct.full[name]
-		if !ok || len(bits) != len(have) {
+		if !m.istruct.SetFull(name, bits) {
 			return ckErrf("I-structure %q does not match the graph", name)
 		}
-		copy(have, bits)
 	}
 	for _, d := range ck.IDeferred {
-		if _, ok := m.istruct.deferred[d.Array]; !ok {
-			return ckErrf("deferred read of unknown I-structure %q", d.Array)
-		}
 		if d.Node < 0 || d.Node >= len(m.g.Nodes) {
 			return ckErrf("deferred read node %d out of range", d.Node)
 		}
@@ -553,31 +512,24 @@ func (m *sim) restore(ck *Checkpoint) error {
 		if err != nil {
 			return err
 		}
-		m.istruct.deferred[d.Array][d.Idx] = append(m.istruct.deferred[d.Array][d.Idx],
-			istructWaiter{node: d.Node, tgID: tgID, dep: -1})
+		if !m.istruct.Defer(d.Array, d.Idx, waiter{node: int32(d.Node), tgID: tgID, dep: -1}) {
+			return ckErrf("deferred read of unknown I-structure %q", d.Array)
+		}
 	}
-
-	// Procedure activations.
-	if len(ck.Acts) > 0 || ck.NextAct > 0 {
-		if m.procs == nil {
-			return ckErrf("checkpoint has procedure activations but the graph has no calls")
+	if (len(ck.Acts) > 0 || ck.NextAct > 0) && !m.procs.Linked() {
+		return ckErrf("checkpoint has procedure activations but the graph has no calls")
+	}
+	m.procs.Restore(ck.NextAct)
+	for _, a := range ck.Acts {
+		info := m.procs.Call(a.Apply)
+		if info == nil {
+			return ckErrf("activation %d references unknown apply node %d", a.ID, a.Apply)
 		}
-		m.procs.nextID = ck.NextAct
-		for _, a := range ck.Acts {
-			info := m.p.call(a.Apply)
-			if info == nil {
-				return ckErrf("activation %d references unknown apply node %d", a.ID, a.Apply)
-			}
-			tgID, err := m.internKey(a.CallerTag)
-			if err != nil {
-				return err
-			}
-			resolved := make(map[string]string, len(a.Resolved))
-			for k, v := range a.Resolved {
-				resolved[k] = v
-			}
-			m.procs.live[a.ID] = &activation{info: info, callerTgID: tgID, resolved: resolved}
+		tgID, err := m.internKey(a.CallerTag)
+		if err != nil {
+			return err
 		}
+		m.procs.Reopen(a.ID, info, tgID, a.Resolved)
 	}
 
 	// Ready queues: rebuild each bucket's pending range verbatim. The

@@ -21,17 +21,15 @@
 //     critical path and the journal read (see OBSERVABILITY.md).
 //   - prog.go — the flat program form: the validated graph lowered once
 //     per Run into a dense operator table with CSR fan-out spans, the
-//     only thing the hot loops read (see PERFORMANCE.md).
+//     only thing the hot loops read (see PERFORMANCE.md). I-structure
+//     memory (§6.3) and procedure activations (§2.2) are internal/interp's
+//     units, which fireStateful and fireMem call.
 //   - queue.go — the hot-path data structures: the bucketed ready queue,
 //     the tag-intern table, the sharded matching store, the operand
 //     arena and its free lists (see PERFORMANCE.md).
 //   - shard.go — the partitioned machine (Config.Workers): the state
 //     split into shared-nothing shards that the one cycle body walks,
 //     byte-identical at every worker count (see SCALING.md).
-//   - istruct.go — the I-structure memory unit of §6.3: presence bits,
-//     deferred reads satisfied by the eventual write.
-//   - procs.go — activation contexts for procedure invocations (§2.2),
-//     Apply/Param/ProcReturn linkage.
 //   - race.go — optional checker that no two conflicting memory
 //     operations overlap in time (the §5 correctness condition covers
 //     must enforce).
@@ -40,6 +38,7 @@
 package machine
 
 import (
+	"cmp"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -324,8 +323,8 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	if cfgc.DetectRaces {
 		m.locs = newRaceDetector(g.Prog, cfgc.Binding)
 	}
-	m.istruct = newIStructUnit(g)
-	m.procs = newProcLinkage(g)
+	m.istruct = interp.NewIStructs[waiter](g, m.store, "machine")
+	m.procs = interp.NewActivations[int32](g, "machine")
 	// The in-flight ring: one slot per due cycle modulo its length, long
 	// enough that a plain MemLatency completion never shares a slot with
 	// an earlier lap (longer waits — injected delays — just stay put).
@@ -424,14 +423,19 @@ type sim struct {
 	resumedAt int
 	shufLog   []int
 
+	// The stateful units; procs' callers are interned tag ids.
 	locs    *raceDetector
-	istruct *istructUnit
-	procs   *procLinkage
+	istruct interp.IStructs[waiter]
+	procs   interp.Activations[int32]
 
 	// tel is the engine telemetry probe (Config.Telemetry); nil when
 	// telemetry is disabled.
 	tel *machineTel
 }
+
+// waiter is a deferred I-structure read: its node, interned tag and own
+// firing id in the collector's record (-1 when the record is not kept).
+type waiter struct{ node, tgID, dep int32 }
 
 type delayed struct {
 	at     int
@@ -706,12 +710,8 @@ func (m *sim) finish() (*Outcome, error) {
 	m.stats.Cycles = m.endCycle
 	m.stats.TokensMoved = m.delivered
 	m.tel.flush(m)
-	if err := m.istruct.pendingError(); err != nil {
+	if err := cmp.Or(m.istruct.Pending(), m.procs.Leak()); err != nil {
 		return m.abort(err)
-	}
-	if m.procs != nil && len(m.procs.live) != 0 {
-		return m.abort(machcheck.Newf(machcheck.TokenLeak, "machine",
-			"%d procedure activations never returned", len(m.procs.live)))
 	}
 	// Strict conservation: after the drain, no partially matched
 	// activation may remain in the matching store (a waiting token whose
@@ -976,8 +976,8 @@ func (m *sim) fire(f *firing, vals []int64) error {
 	return nil
 }
 
-// fireStateful fires the operators with machine state behind them: end,
-// fused scratch, activation linkage, memory.
+// fireStateful fires the operators with state behind them: end, fused
+// scratch, activation linkage (interp.Activations), memory.
 func (m *sim) fireStateful(f *firing, kind dfg.Kind, vals []int64) error {
 	switch kind {
 	case dfg.End:
@@ -1007,10 +1007,27 @@ func (m *sim) fireStateful(f *firing, kind dfg.Kind, vals []int64) error {
 		return nil
 
 	case dfg.Apply:
-		return m.fireApply(f)
+		// The callee's entry tokens carry a fresh call frame.
+		tg, info, err := m.procs.Open(int(f.node), f.tgID, m.tags.tag(f.tgID))
+		if err != nil {
+			return err
+		}
+		tgID := m.tags.intern(tg)
+		for j := range info.Params {
+			m.emitAll(f.node, len(info.InTokens)+j, 0, tgID)
+		}
+		return nil
 
 	case dfg.ProcReturn:
-		return m.fireProcReturn(f)
+		// The calling Apply's return ports signal in the caller's context.
+		info, caller, err := m.procs.Close(int(f.node), m.tags.tag(f.tgID))
+		if err != nil {
+			return err
+		}
+		for p := range info.InTokens {
+			m.emitAll(int32(info.Apply), p, 0, caller)
+		}
+		return nil
 	}
 	return m.fireMem(f, kind, vals)
 }
@@ -1022,15 +1039,11 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 	m.stats.MemOps++
 	switch kind {
 	case dfg.ILoad:
-		ready, err := m.istruct.read(n.Var, vals[0], istructWaiter{node: int(f.node), tgID: f.tgID, dep: m.curDep})
+		v, full, err := m.istruct.Read(n.Var, vals[0], waiter{node: f.node, tgID: f.tgID, dep: m.curDep})
 		if err != nil {
 			return err
 		}
-		if ready {
-			v, err := m.store.GetIdx(n.Var, vals[0])
-			if err != nil {
-				return m.opFault(f.node, err)
-			}
+		if full {
 			mark := len(m.emitBuf)
 			m.emitAll(f.node, 0, v, f.tgID)
 			m.park(mark, nil)
@@ -1039,12 +1052,9 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 		return nil
 
 	case dfg.IStore:
-		waiters, err := m.istruct.write(n.Var, vals[0])
+		waiters, err := m.istruct.Write(n.Var, vals[0], vals[1])
 		if err != nil {
 			return err
-		}
-		if err := m.store.SetIdx(n.Var, vals[0], vals[1]); err != nil {
-			return m.opFault(f.node, err)
 		}
 		mark := len(m.emitBuf)
 		storeDep := m.curDep
@@ -1062,7 +1072,7 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 				m.dep2s = append(m.dep2s, pair)
 				m.curDep = int32(-1 - len(m.dep2s))
 			}
-			m.emitAll(int32(w.node), 0, vals[1], w.tgID)
+			m.emitAll(w.node, 0, vals[1], w.tgID)
 		}
 		m.curDep = storeDep
 		m.park(mark, nil)
@@ -1072,7 +1082,7 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 	// Updatable memory: the engine resolves the name under the firing's
 	// activation and holds the location for the race checker; what is
 	// read or written is the kernel's (Store.Access).
-	name := m.resolveName(n.Var, m.tags.tag(f.tgID))
+	name := m.procs.Resolve(n.Var, m.tags.tag(f.tgID))
 	idx := int64(-1)
 	if kind == dfg.LoadIdx || kind == dfg.StoreIdx {
 		idx = vals[0]
@@ -1165,7 +1175,7 @@ func (m *sim) acquire(name string, idx int64, write bool) (func(), error) {
 }
 
 func (m *sim) deadlockError() error {
-	if err := m.istruct.pendingError(); err != nil {
+	if err := m.istruct.Pending(); err != nil {
 		return err
 	}
 	return machcheck.Newf(machcheck.Deadlock, "machine",

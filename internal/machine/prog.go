@@ -34,8 +34,8 @@ type op struct {
 	// targets[spans[outs+p]:spans[outs+p+1]].
 	outs int32
 	nIns int32
-	// aux is the row of a Fused node's step program in prog.fusions, of
-	// an Apply node's linkage in prog.calls; -1 otherwise.
+	// aux is the row of a Fused node's step program in prog.fusions; -1
+	// otherwise.
 	aux   int32
 	kind  uint8 // dfg.Kind
 	code  uint8 // lang.Op of BinOp/UnOp
@@ -52,9 +52,8 @@ type prog struct {
 	// graph's index itself (shared, read-only); targets is the run's own.
 	spans   []int32
 	targets []target
-	// fusions and calls alias the graph's side tables (read-only).
+	// fusions aliases the graph's side table (read-only).
 	fusions []dfg.FusedInfo
-	calls   []dfg.CallInfo
 	maxIns  int
 }
 
@@ -64,7 +63,7 @@ type prog struct {
 // — the order Connect recorded them in and OutArcs reports — and, the graph
 // being valid, every arc in exactly one row.
 func lower(g *dfg.Graph) *prog {
-	p := &prog{ops: make([]op, len(g.Nodes)), fusions: g.Fusions, calls: g.Calls, maxIns: 1}
+	p := &prog{ops: make([]op, len(g.Nodes)), fusions: g.Fusions, maxIns: 1}
 	x := g.Index()
 	for i, n := range g.Nodes {
 		o := &p.ops[i]
@@ -85,11 +84,6 @@ func lower(g *dfg.Graph) *prog {
 	for i := range g.Fusions {
 		p.ops[g.Fusions[i].Node].aux = int32(i)
 	}
-	for i := range g.Calls {
-		if a := g.Calls[i].Apply; a >= 0 && a < len(p.ops) && g.Nodes[a].Kind == dfg.Apply {
-			p.ops[a].aux = int32(i)
-		}
-	}
 	spans, ids := x.OutTable()
 	p.spans, p.targets = spans, make([]target, len(ids))
 	for i, ai := range ids {
@@ -103,14 +97,6 @@ func lower(g *dfg.Graph) *prog {
 func (p *prog) out(node int32, port int) []target {
 	i := p.ops[node].outs + int32(port)
 	return p.targets[p.spans[i]:p.spans[i+1]]
-}
-
-// call returns the linkage of an Apply node, or nil.
-func (p *prog) call(node int) *dfg.CallInfo {
-	if node < 0 || node >= len(p.ops) || p.ops[node].kind != uint8(dfg.Apply) || p.ops[node].aux < 0 {
-		return nil
-	}
-	return &p.calls[p.ops[node].aux]
 }
 
 // cost is an operator's duration in cycles: split-phase memory

@@ -79,17 +79,8 @@ func checkLowering(t *testing.T, name string, g *dfg.Graph) {
 			if o.aux < 0 || &p.fusions[o.aux] != fi {
 				t.Fatalf("%s: %s lost its step program (aux %d)", name, n, o.aux)
 			}
-		case n.Kind == dfg.Apply:
-			if c := p.call(id); c == nil || c.Apply != id {
-				t.Fatalf("%s: %s lost its call linkage (aux %d)", name, n, o.aux)
-			}
-		case o.aux != -1 || p.call(id) != nil:
+		case o.aux != -1:
 			t.Fatalf("%s: %s has side-table row %d", name, n, o.aux)
-		}
-	}
-	for i := range g.Calls {
-		if c := p.call(g.Calls[i].Apply); c == nil || c.Apply != g.Calls[i].Apply {
-			t.Fatalf("%s: call linkage %d does not round-trip", name, i)
 		}
 	}
 }

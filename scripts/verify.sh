@@ -20,12 +20,14 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== operator semantics written once =="
-# What an operator computes is defined in internal/interp/kernel.go and
-# nowhere else (see DESIGN.md, "Operator semantics"): an engine that
-# names a unary op or calls the binary evaluator directly has started a
-# second copy.
-copies=$(grep -rn 'lang\.OpNeg\|lang\.OpNot\|interp\.Apply(' --include='*.go' \
-    internal/machine internal/chanexec | grep -v '_test\.go:' || true)
+# What an operator computes is defined in internal/interp and nowhere else
+# (see DESIGN.md, "Operator semantics"): the state-free operators in
+# kernel.go, I-structure memory and procedure activations in istructs.go
+# and activations.go. An engine that names a unary op, calls the binary
+# evaluator, pushes or pops a call frame, or words a unit's error itself
+# has started a second copy.
+copies=$(grep -rn 'lang\.OpNeg\|lang\.OpNot\|interp\.Apply(\|PushCall(\|PopCall(\|written twice\|never-written\|no call linkage\|never returned' \
+    --include='*.go' internal/machine internal/chanexec | grep -v '_test\.go:' || true)
 if [ -n "$copies" ]; then
     echo "operator semantics restated outside the kernel:" >&2
     echo "$copies" >&2
