@@ -14,33 +14,30 @@ import (
 // reducible (every goto targets either the top of its own pattern's loop
 // or a forward label in the same pattern).
 func RandomUnstructured(seed int64, size int) Workload {
-	r := rand.New(rand.NewSource(seed))
-	g := &ugen{r: r}
-	nvars := 3 + r.Intn(3)
-	for i := 0; i < nvars; i++ {
-		g.scalars = append(g.scalars, fmt.Sprintf("v%d", i))
-	}
-	g.arr = "arr"
-	g.arrSize = 8
-
+	g := newUgen(seed)
 	var b strings.Builder
 	for i := 0; i < size; i++ {
 		g.pattern(&b)
 	}
-	var decls strings.Builder
-	fmt.Fprintf(&decls, "var %s\n", strings.Join(g.scalars, ", "))
-	if g.counters > 0 {
-		var cs []string
-		for i := 0; i < g.counters; i++ {
-			cs = append(cs, fmt.Sprintf("u%d", i))
-		}
-		fmt.Fprintf(&decls, "var %s\n", strings.Join(cs, ", "))
+	return g.workload(fmt.Sprintf("random-unstructured-%d", seed), b.String())
+}
+
+// RandomMultiLatch generates a seeded random program of counted loops
+// whose back-edges part at a fork: continue-style gotos from inside a
+// fork's arms, and k-way dispatch loops (k = 2, 3, 4) whose every target
+// jumps back to the header. No fork in a loop reads the loop's counter, so
+// §4 forwards the counter's token past the fork to the loop entry's
+// back-edge port. Programs terminate (each loop is bounded by its own
+// counter, tested once at its header) and stay reducible (every goto
+// targets its own loop's header or a forward label).
+func RandomMultiLatch(seed int64, size int) Workload {
+	g := newUgen(seed)
+	var b strings.Builder
+	for i := 0; i < size; i++ {
+		g.latchPattern(&b)
+		g.assign(&b)
 	}
-	fmt.Fprintf(&decls, "array %s[%d]\n", g.arr, g.arrSize)
-	return Workload{
-		Name:   fmt.Sprintf("random-unstructured-%d", seed),
-		Source: decls.String() + b.String(),
-	}
+	return g.workload(fmt.Sprintf("random-multilatch-%d", seed), b.String())
 }
 
 // RandomProcs generates a seeded random program with one or two
@@ -152,6 +149,31 @@ type ugen struct {
 	arrSize  int
 	counters int
 	labels   int
+}
+
+// newUgen draws the scalars of a goto program.
+func newUgen(seed int64) *ugen {
+	g := &ugen{r: rand.New(rand.NewSource(seed)), arr: "arr", arrSize: 8}
+	nvars := 3 + g.r.Intn(3)
+	for i := 0; i < nvars; i++ {
+		g.scalars = append(g.scalars, fmt.Sprintf("v%d", i))
+	}
+	return g
+}
+
+// workload prefixes body with the declarations of everything it uses.
+func (g *ugen) workload(name, body string) Workload {
+	var decls strings.Builder
+	fmt.Fprintf(&decls, "var %s\n", strings.Join(g.scalars, ", "))
+	if g.counters > 0 {
+		var cs []string
+		for i := 0; i < g.counters; i++ {
+			cs = append(cs, fmt.Sprintf("u%d", i))
+		}
+		fmt.Fprintf(&decls, "var %s\n", strings.Join(cs, ", "))
+	}
+	fmt.Fprintf(&decls, "array %s[%d]\n", g.arr, g.arrSize)
+	return Workload{Name: name, Source: decls.String() + body}
 }
 
 func (g *ugen) v() string { return g.scalars[g.r.Intn(len(g.scalars))] }
@@ -267,4 +289,67 @@ func midOrTop(g *ugen, top, mid string) string {
 		return top
 	}
 	return mid
+}
+
+// latchPattern emits one counted loop whose back-edges part at a fork.
+func (g *ugen) latchPattern(b *strings.Builder) {
+	c := g.counter()
+	k := 1 + g.r.Intn(4) // 1: continue from a fork; else a k-way dispatch
+	sel := ""
+	if k > 1 {
+		sel = g.counter()
+		fmt.Fprintf(b, "%s := %d\n", sel, 1+g.r.Intn(k))
+	}
+	top, body, out := g.label(), g.label(), g.label()
+	fmt.Fprintf(b, "%s := 0\n", c)
+	fmt.Fprintf(b, "%s:\n", top)
+	fmt.Fprintf(b, "%s := %s + 1\n", c, c)
+	fmt.Fprintf(b, "if %s > %d then goto %s else goto %s\n", c, 2+g.r.Intn(5), out, body)
+	fmt.Fprintf(b, "%s:\n", body)
+	if k == 1 {
+		// A continue straight from the fork half the time, else from the
+		// end of its true arm; the false arm may fork and continue again.
+		g.assign(b)
+		arm, rest := g.label(), g.label()
+		if g.r.Intn(2) == 0 {
+			fmt.Fprintf(b, "if %s then goto %s else goto %s\n", g.cond(), top, rest)
+		} else {
+			fmt.Fprintf(b, "if %s then goto %s else goto %s\n", g.cond(), arm, rest)
+			fmt.Fprintf(b, "%s:\n", arm)
+			g.assign(b)
+			fmt.Fprintf(b, "goto %s\n", top)
+		}
+		fmt.Fprintf(b, "%s:\n", rest)
+		g.assign(b)
+		if g.r.Intn(2) == 0 {
+			more := g.label()
+			fmt.Fprintf(b, "if %s then goto %s else goto %s\n", g.cond(), top, more)
+			fmt.Fprintf(b, "%s:\n", more)
+			g.assign(b)
+		}
+		fmt.Fprintf(b, "goto %s\n", top)
+	} else {
+		// Target i runs when sel == i; each sets the next selector.
+		targets := make([]string, k)
+		for i := range targets {
+			targets[i] = g.label()
+		}
+		for i := 1; i < k; i++ {
+			next := targets[k-1]
+			if i < k-1 {
+				next = g.label()
+			}
+			fmt.Fprintf(b, "if %s == %d then goto %s else goto %s\n", sel, i, targets[i-1], next)
+			if i < k-1 {
+				fmt.Fprintf(b, "%s:\n", next)
+			}
+		}
+		for _, t := range targets {
+			fmt.Fprintf(b, "%s:\n", t)
+			g.assign(b)
+			fmt.Fprintf(b, "%s := %d\n", sel, 1+g.r.Intn(k))
+			fmt.Fprintf(b, "goto %s\n", top)
+		}
+	}
+	fmt.Fprintf(b, "%s:\n", out)
 }
