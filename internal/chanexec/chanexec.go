@@ -244,7 +244,7 @@ var seedTestDelay func()
 
 type engine struct {
 	g        *dfg.Graph
-	adj      *dfg.Index // g's adjacency, read in place by every firing goroutine
+	tab      *dfg.OpTable // g's operator table, read in place by every firing goroutine
 	store    *interp.Store
 	boxes    []*mailbox
 	counters *obs.NodeCounters
@@ -306,7 +306,7 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	}
 	e := &engine{
 		g:        g,
-		adj:      g.Index(),
+		tab:      g.OpTable(),
 		store:    interp.NewStoreWithBinding(g.Prog, cfg.Binding),
 		boxes:    make([]*mailbox, len(g.Nodes)),
 		counters: cfg.Counters,
@@ -358,9 +358,8 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	// the count again, driving inflight to zero mid-seeding and tripping a
 	// spurious quiescent-before-end deadlock on a clean run.
 	e.inflight.Add(1)
-	for _, ai := range e.adj.Out(g.StartID, 0) {
-		a := &g.Arcs[ai]
-		e.send(a.To, msg{port: a.ToPort, val: 0, tg: token.Root})
+	for _, t := range e.tab.Out(int32(g.StartID), 0) {
+		e.send(int(t.Node), msg{port: int(t.Port), val: 0, tg: token.Root})
 		if seedTestDelay != nil {
 			seedTestDelay()
 		}
@@ -508,7 +507,7 @@ func (e *engine) send(node int, m msg) {
 		deliverTestDelay()
 	}
 	if e.inj != nil {
-		switch e.inj.Deliver(e.g.Nodes[node].MatchSite()) {
+		switch e.inj.Deliver(e.tab.Ops[node].Flags&dfg.OpMatchSite != 0) {
 		case fault.ActDrop:
 			// The token vanishes: in-flight never counts it, so the run
 			// quiesces with the destination starved.
@@ -566,7 +565,7 @@ func (e *engine) worker(n *dfg.Node) {
 	box := e.boxes[n.ID]
 	match := map[string]*matchState{}
 	defer func() { e.leftover.Add(int64(len(match))) }()
-	perToken := n.FiresPerToken()
+	perToken := e.tab.Ops[n.ID].Flags&dfg.OpSolo != 0
 	// fused backs a Fused operator's step results from one firing to the
 	// next (only this goroutine fires n).
 	var fused []int64
@@ -609,9 +608,8 @@ func (e *engine) worker(n *dfg.Node) {
 // emit broadcasts val on every arc leaving (node, port), stamping each
 // token with the producing firing's Lamport clock.
 func (e *engine) emit(node, port int, val int64, tg token.Tag, clock int64) {
-	for _, ai := range e.adj.Out(node, port) {
-		a := &e.g.Arcs[ai]
-		e.send(a.To, msg{port: a.ToPort, val: val, tg: tg, clock: clock})
+	for _, t := range e.tab.Out(int32(node), port) {
+		e.send(int(t.Node), msg{port: int(t.Port), val: val, tg: tg, clock: clock})
 	}
 }
 
@@ -666,7 +664,7 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		// One activation evaluates the whole step program (no Misfire
 		// inside: fused steps are interior value computations, mirroring
 		// the machine engine).
-		fi := e.g.FusionOf(n.ID)
+		fi := &e.g.Fusions[e.tab.Ops[n.ID].Aux]
 		res, err := interp.EvalFused(fi.Steps, vals, *fused)
 		if err != nil {
 			e.opFault(n, err)

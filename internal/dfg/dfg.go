@@ -50,7 +50,7 @@ type Kind int
 //	          Apply's return ports (no static outputs)
 //	Fused     optimizer-built super-operator: in 0..NIns-1 collect the
 //	          external operands of a fused pure expression tree, then the
-//	          whole step program (Graph.FusionOf) evaluates in one firing
+//	          whole step program (Graph.Fusions) evaluates in one firing
 //	          → out 0..NOuts-1 emit the designated step results. Strictly
 //	          matched like BinOp; tag-preserving; never touches memory.
 const (
@@ -273,15 +273,14 @@ type Graph struct {
 	Calls []CallInfo
 
 	// Fusions holds the step programs of Fused nodes, in node-id order
-	// (empty for unoptimized translations); fusionIdx maps node id →
-	// Fusions index and is maintained by AddFusion.
-	Fusions   []FusedInfo
-	fusionIdx map[int]int
+	// (empty for unoptimized translations); OpTable finds a node's.
+	Fusions []FusedInfo
 
-	// index is the adjacency of the graph as it stood when a reader last
-	// asked for it (Index); valid the size at which it last passed
-	// Validate.
+	// index and table are the adjacency and the operator table of the
+	// graph as it stood when a reader last asked for them (Index,
+	// OpTable); valid the size at which it last passed Validate.
 	index atomic.Pointer[Index]
+	table atomic.Pointer[OpTable]
 	valid atomic.Pointer[[4]int]
 
 	StartID int
@@ -316,24 +315,7 @@ func (g *Graph) Add(n *Node) *Node {
 }
 
 // AddFusion records the step program of a Fused node.
-func (g *Graph) AddFusion(fi FusedInfo) {
-	if g.fusionIdx == nil {
-		g.fusionIdx = map[int]int{}
-	}
-	g.fusionIdx[fi.Node] = len(g.Fusions)
-	g.Fusions = append(g.Fusions, fi)
-}
-
-// FusionOf returns the step program of a Fused node, or nil. The index
-// is built by AddFusion, so lookups are safe from concurrent engine
-// workers.
-func (g *Graph) FusionOf(node int) *FusedInfo {
-	i, ok := g.fusionIdx[node]
-	if !ok {
-		return nil
-	}
-	return &g.Fusions[i]
-}
+func (g *Graph) AddFusion(fi FusedInfo) { g.Fusions = append(g.Fusions, fi) }
 
 // Connect adds an arc from (from, fromPort) to (to, toPort). The
 // endpoints are not checked here: Validate reports an arc that names no

@@ -271,12 +271,13 @@ func TestEditorAgainstModel(t *testing.T) {
 		if len(got.Nodes) != len(nodes) {
 			t.Fatalf("%s: %d nodes survive, want %d", name, len(got.Nodes), len(nodes))
 		}
+		ops := got.OpTable().Ops
 		for i, n := range got.Nodes {
 			if *n != nodes[i] {
 				t.Fatalf("%s: node %d is %+v, want %+v", name, i, *n, nodes[i])
 			}
-			if (n.Kind == dfg.Fused) != (got.FusionOf(i) != nil) {
-				t.Fatalf("%s: %s: step program %v", name, n, got.FusionOf(i))
+			if (n.Kind == dfg.Fused) != (ops[i].Aux >= 0) {
+				t.Fatalf("%s: %s: step program row %d", name, n, ops[i].Aux)
 			}
 			if n.Kind == dfg.Start && got.StartID != i || n.Kind == dfg.End && got.EndID != i {
 				t.Fatalf("%s: %s is not the graph's start %d / end %d", name, n, got.StartID, got.EndID)

@@ -2,9 +2,9 @@ package dfg
 
 // Index is a graph's adjacency: for every port of every node, the ids of
 // the arcs leaving or entering it, in arc order. It is the one such table:
-// Validate, Listing, the channel engine and every vet pass read it in
-// place, and the machine lowers its fan-out table from it. Editing goes
-// through Editor, which hands back a graph with an index of its own.
+// Validate, Listing and every vet pass read it in place, and the operator
+// table (OpTable) takes its fan-out from it. Editing goes through Editor,
+// which hands back a graph with an index of its own.
 //
 // The table is compressed sparse rows over ports. Output ports come first,
 // numbered densely in node order (OutRow), then input ports likewise; row r
@@ -127,14 +127,6 @@ func (x *Index) InTo(node int) []int32 {
 // output ports — a key for per-port side tables. OutRow(n+1) is one past
 // node n's last row, and OutRow of the node count the number of rows.
 func (x *Index) OutRow(node int) int { return int(x.base[node]) }
-
-// OutTable returns the output half of the table as it is stored: row r,
-// for r below OutRow of the node count, holds ids[off[r]:off[r+1]], and ids
-// lists every indexed arc once. Both are the index's own memory.
-func (x *Index) OutTable() (off, ids []int32) {
-	rows := x.base[x.nodes]
-	return x.off[:rows+1], x.ids[:x.off[rows]]
-}
 
 // NumArcs returns how many arcs are indexed: all but the malformed ones.
 func (x *Index) NumArcs() int { return len(x.ids) / 2 }

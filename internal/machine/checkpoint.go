@@ -549,12 +549,12 @@ func (m *sim) restore(ck *Checkpoint) error {
 		}
 		sh := m.owner(int32(snap.Node))
 		b := &sh.ready.buckets[snap.Node]
-		o := &m.p.ops[snap.Node]
+		o := &m.p.Ops[snap.Node]
 		for _, f := range snap.Firings {
 			// An activation's frame holds one operand when every token
 			// fires the node on its own, else one per input port.
-			want := int(o.nIns)
-			if o.flags&opSolo != 0 {
+			want := int(o.NIns)
+			if o.Flags&dfg.OpSolo != 0 {
 				want = 1
 			}
 			if len(f.Vals) != want {

@@ -19,11 +19,11 @@
 //     count firings/waits/stalls and, when the collector keeps the run's
 //     record, thread every firing's producer firings into it — the DAG the
 //     critical path and the journal read (see OBSERVABILITY.md).
-//   - prog.go — the flat program form: the validated graph lowered once
-//     per Run into a dense operator table with CSR fan-out spans, the
-//     only thing the hot loops read (see PERFORMANCE.md). I-structure
-//     memory (§6.3) and procedure activations (§2.2) are internal/interp's
-//     units, which fireStateful and fireMem call.
+//     The hot loops read the graph's operator table (dfg.OpTable), built
+//     once per graph and shared read-only with the channel engine (see
+//     PERFORMANCE.md). I-structure memory (§6.3) and procedure
+//     activations (§2.2) are internal/interp's units, which fireStateful
+//     and fireMem call.
 //   - queue.go — the hot-path data structures: the bucketed ready queue,
 //     the tag-intern table, the sharded matching store, the operand
 //     arena and its free lists (see PERFORMANCE.md).
@@ -307,7 +307,7 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 	}
 	m := &sim{
 		g:         g,
-		p:         lower(g),
+		p:         g.OpTable(),
 		cfg:       cfgc,
 		store:     interp.NewStoreWithBinding(g.Prog, cfgc.Binding),
 		tags:      newTagTable(),
@@ -360,9 +360,9 @@ func Run(g *dfg.Graph, cfgc Config) (*Outcome, error) {
 
 type sim struct {
 	g *dfg.Graph
-	// p is the flat program lowered from g (prog.go): the hot loops read
-	// it and never the graph.
-	p     *prog
+	// p is g's operator table: the hot loops read it and never the
+	// graph. It is shared with every other run of g, so never written.
+	p     *dfg.OpTable
 	cfg   Config
 	store *interp.Store
 	rng   *rand.Rand
@@ -370,12 +370,13 @@ type sim struct {
 	// Scheduling state: tags interns tag keys, shards is the matching
 	// store sharded by destination node and keyed by interned tag. The
 	// ready queues, operand arenas and free lists live on the per-shard
-	// states (shs), partitioned by node id (op.shard); one worker means
-	// one shard owning every node. matchLive is the matching store's
-	// population, current at every cycle boundary.
+	// states (shs), partitioned by node id (owners, nil with one shard);
+	// one worker means one shard owning every node. matchLive is the
+	// matching store's population, current at every cycle boundary.
 	tags      *tagTable
 	shards    []shardSlot
 	shs       []*shardState
+	owners    []uint8
 	matchLive int
 
 	// Hot-path scratch: emitBuf holds the tokens emitted so far this cycle,
@@ -475,7 +476,7 @@ func (m *sim) overDeadline(start time.Time) error {
 // run is the cycle loop and seqCycle its one body, the same at every
 // worker count.
 func (m *sim) run() (*Outcome, error) {
-	m.endVals = make([]int64, m.p.ops[m.g.EndID].nIns)
+	m.endVals = make([]int64, m.p.Ops[m.g.EndID].NIns)
 	m.curDep = -1
 	start := time.Now()
 
@@ -488,8 +489,8 @@ func (m *sim) run() (*Outcome, error) {
 		}
 	} else {
 		// Cycle 0: start emits one dummy token per out arc at the root tag.
-		for _, t := range m.p.out(int32(m.g.StartID), 0) {
-			m.emitBuf = append(m.emitBuf, tok{node: t.node, port: t.port, tgID: rootTagID, dep: -1})
+		for _, t := range m.p.Out(int32(m.g.StartID), 0) {
+			m.emitBuf = append(m.emitBuf, tok{node: t.Node, port: t.Port, tgID: rootTagID, dep: -1})
 		}
 		if err := m.deliverBoundary(nil); err != nil {
 			return m.abort(err)
@@ -694,7 +695,7 @@ func (m *sim) issue(sh *shardState, f *firing) error {
 			deps = sh.deps[f.vals]
 			sh.deps[f.vals] = deps[:0]
 		}
-		m.curDep = m.col.Fire(int(f.node), m.cycle, m.p.cost(f.node, m.cfg.MemLatency), int(f.n), int(f.port),
+		m.curDep = m.col.Fire(int(f.node), m.cycle, m.cost(f.node), int(f.n), int(f.port),
 			f.tgID, deps)
 	}
 	if err := m.fire(f, sh.frame(f)); err != nil {
@@ -760,13 +761,22 @@ func (m *sim) stuckList() []machcheck.Stuck {
 // tokenBudget is the delivered-token count past which a run aborts.
 func (m *sim) tokenBudget() int64 { return 8*m.cfg.MaxOps + 1024 }
 
+// cost is an operator's duration in cycles: split-phase memory
+// operations take MemLatency, everything else one cycle.
+func (m *sim) cost(node int32) int {
+	if m.p.Ops[node].Flags&dfg.OpMem != 0 {
+		return m.cfg.MemLatency
+	}
+	return 1
+}
+
 // owner returns the shard that owns node; with one shard, without
-// waiting for the node's row, which the hot loops can measure.
+// waiting for the node's owner entry, which the hot loops can measure.
 func (m *sim) owner(node int32) *shardState {
 	if len(m.shs) == 1 {
 		return m.shs[0]
 	}
-	return m.shs[m.p.ops[node].shard]
+	return m.shs[m.owners[node]]
 }
 
 // deliverAll delivers a buffer of tokens in order, each to its owner,
@@ -781,7 +791,7 @@ func (m *sim) deliverAll(ts []tok, lane int) error {
 		sh := m.shs[0] // reloading the one shard per token is measurable
 		for i := range ts {
 			if len(m.shs) > 1 {
-				sh = m.shs[m.p.ops[ts[i].node].shard]
+				sh = m.shs[m.owners[ts[i].node]]
 			}
 			if err := m.deliverOnce(sh, &ts[i]); err != nil {
 				m.delivered += int64(i) + 1
@@ -811,7 +821,7 @@ func (m *sim) deliver(t *tok) error {
 	sh := m.owner(t.node)
 	if m.inj != nil {
 		node := int(t.node)
-		switch m.inj.Deliver(m.p.ops[node].flags&opMatchSite != 0) {
+		switch m.inj.Deliver(m.p.Ops[node].Flags&dfg.OpMatchSite != 0) {
 		case fault.ActDrop:
 			m.col.Fault(node, m.cycle, string(fault.DropToken))
 			return nil
@@ -856,12 +866,12 @@ func (m *sim) producer(t *tok) int32 {
 // node; a token that has to wait updates Matches, PeakMatchStore,
 // matchLive and the collector.
 func (m *sim) deliverOnce(sh *shardState, t *tok) error {
-	o := &m.p.ops[t.node]
-	if o.kind == uint8(dfg.End) && t.tgID != rootTagID {
+	o := &m.p.Ops[t.node]
+	if o.Kind == uint8(dfg.End) && t.tgID != rootTagID {
 		return machcheck.Newf(machcheck.TagViolation, "machine",
 			"token reached end with non-root tag %q (unbalanced loop context)", m.tags.key(t.tgID))
 	}
-	if o.flags&opSolo != 0 {
+	if o.Flags&dfg.OpSolo != 0 {
 		// Any-arrival and one-input operators: each token fires the node
 		// on its own (port matters to the any-arrival ones only and is 0
 		// for the rest).
@@ -876,7 +886,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 	e := m.matchLookup(t.node, t.tgID)
 	inserted := e == nil
 	if inserted {
-		e = m.matchInsert(sh, t.node, t.tgID, o.nIns)
+		e = m.matchInsert(sh, t.node, t.tgID, o.NIns)
 	}
 	if m.rec != nil {
 		m.noteDeps(sh, e.vals, t)
@@ -889,7 +899,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 	e.have |= bit
 	sh.arena[e.vals+t.port] = t.val
 	e.n++
-	if e.n == o.nIns {
+	if e.n == o.NIns {
 		sh.ready.push(t.node, t.tgID, 0, e.vals, e.n)
 		m.matchDelete(sh, t.node, e)
 		m.matchLive--
@@ -912,7 +922,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 // to the cycle's emission buffer. Emitted tokens inherit m.curDep as
 // their producer firing.
 func (m *sim) emitAll(node int32, port int, val int64, tgID int32) {
-	targets := m.p.out(node, port)
+	targets := m.p.Out(node, port)
 	at := len(m.emitBuf)
 	m.emitBuf = slices.Grow(m.emitBuf, len(targets))[:at+len(targets)]
 	buf, dep := m.emitBuf[at:], m.curDep
@@ -920,7 +930,7 @@ func (m *sim) emitAll(node int32, port int, val int64, tgID int32) {
 		// Field by field: a composite literal is built on the stack and
 		// copied, which stalls store forwarding on this hottest of loops.
 		e := &buf[i]
-		e.val, e.node, e.port, e.tgID, e.dep = val, t.node, t.port, tgID, dep
+		e.val, e.node, e.port, e.tgID, e.dep = val, t.Node, t.Port, tgID, dep
 	}
 	if m.col != nil {
 		m.col.Emitted(int(node), len(targets))
@@ -952,12 +962,12 @@ func (m *sim) opFault(node int32, err error) error {
 // the kernel's (interp.Step); the machine adds the loop operators' tag
 // arithmetic and the misfire injection point.
 func (m *sim) fire(f *firing, vals []int64) error {
-	o := &m.p.ops[f.node]
-	kind := dfg.Kind(o.kind)
+	o := &m.p.Ops[f.node]
+	kind := dfg.Kind(o.Kind)
 	if !interp.StateFree(kind) {
 		return m.fireStateful(f, kind, vals)
 	}
-	v, port, err := interp.Step(kind, lang.Op(o.code), o.val, vals)
+	v, port, err := interp.Step(kind, lang.Op(o.Code), o.Val, vals)
 	if err != nil {
 		return m.opFault(f.node, err)
 	}
@@ -966,7 +976,7 @@ func (m *sim) fire(f *firing, vals []int64) error {
 		if tgID, err = m.tags.step(tgID, loopTagStep(kind, f.port)); err != nil {
 			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
 		}
-	} else if m.inj != nil && kind == dfg.BinOp && fault.PredicateOp(lang.Op(o.code)) {
+	} else if m.inj != nil && kind == dfg.BinOp && fault.PredicateOp(lang.Op(o.Code)) {
 		if fv, hit := m.inj.Misfire(v); hit {
 			m.col.Fault(int(f.node), m.cycle, string(fault.MisfireValue))
 			v = fv
@@ -995,7 +1005,7 @@ func (m *sim) fireStateful(f *firing, kind dfg.Kind, vals []int64) error {
 		// injection sees the fused node as a single operator (Misfire
 		// targets predicate binops only, and fused trees are interior
 		// value computations, so no injection point is lost).
-		fi := &m.p.fusions[m.p.ops[f.node].aux]
+		fi := &m.g.Fusions[m.p.Ops[f.node].Aux]
 		res, err := interp.EvalFused(fi.Steps, vals, m.fusedScratch)
 		if err != nil {
 			return m.opFault(f.node, err)

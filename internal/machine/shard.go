@@ -16,7 +16,7 @@ import "math/rand"
 
 // maxShards caps Config.Workers; past a few hundred shards the
 // per-shard queues cost more than any machine can win back, and a shard
-// id fits op.shard's byte.
+// id fits a byte of sim.owners.
 const maxShards = 256
 
 // shardHash maps a node id to its owning shard (Fibonacci hashing —
@@ -70,23 +70,24 @@ type shardState struct {
 	randTake int
 }
 
-// initShards builds the per-shard states over one bucket table and the
-// node→shard map.
+// initShards builds the per-shard states over one bucket table and, with
+// more than one shard, the run's node→shard map.
 func (m *sim) initShards(w int) {
 	m.shs = make([]*shardState, w)
-	buckets := newBuckets(len(m.p.ops))
+	buckets := newBuckets(len(m.p.Ops))
 	words := len(buckets)>>6 + 1
 	for i := range m.shs {
-		sh := &shardState{id: i, valsFree: make([][]int32, m.p.maxIns+1)}
+		sh := &shardState{id: i, valsFree: make([][]int32, m.p.MaxIns+1)}
 		sh.ready = readyQueue{buckets: buckets, tt: m.tags, words: make([]uint64, words), sum: make([]uint64, words>>6+1)}
 		if m.rec != nil {
 			sh.deps = [][]int32{}
 		}
 		m.shs[i] = sh
 	}
-	if w > 1 { // one shard owns row after row of zeros already
-		for id := range m.p.ops {
-			m.p.ops[id].shard = uint8(shardHash(id) % uint32(w))
+	if w > 1 {
+		m.owners = make([]uint8, len(m.p.Ops))
+		for id := range m.owners {
+			m.owners[id] = uint8(shardHash(id) % uint32(w))
 		}
 	}
 }

@@ -127,7 +127,7 @@ func (t *machineTel) routed(m *sim, lane int, ts []tok) {
 		return
 	}
 	for i := range ts {
-		t.perDst[m.p.ops[ts[i].node].shard]++
+		t.perDst[m.owners[ts[i].node]]++
 	}
 	for d, n := range t.perDst {
 		t.trafficAdd(lane, d, n)

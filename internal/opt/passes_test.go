@@ -115,7 +115,7 @@ func TestFuseOperatorsCollapsesTree(t *testing.T) {
 		if node.Kind != dfg.Fused {
 			continue
 		}
-		fi := ng.FusionOf(node.ID)
+		fi := &ng.Fusions[ng.OpTable().Ops[node.ID].Aux]
 		if len(fi.Steps) != 4 || len(fi.Outs) != 1 {
 			t.Fatalf("want 4 steps and 1 output, got %d/%d", len(fi.Steps), len(fi.Outs))
 		}

@@ -34,6 +34,20 @@ if [ -n "$copies" ]; then
     exit 1
 fi
 
+echo "== one program form =="
+# Both engines read a graph's operator table (dfg.OpTable), built once per
+# graph and shared read-only by its runs (see PERFORMANCE.md, "Flat
+# program form"): an engine that asks a node for its firing-rule class,
+# looks up a step program by node or walks the arc table itself has
+# started a second program form.
+forms=$(grep -rn 'FiresPerToken(\|MatchSite(\|SplitPhase(\|FusionOf(\|\.Arcs\[' \
+    --include='*.go' internal/machine internal/chanexec | grep -v '_test\.go:' || true)
+if [ -n "$forms" ]; then
+    echo "an engine reads the graph instead of its operator table:" >&2
+    echo "$forms" >&2
+    exit 1
+fi
+
 echo "== the cycle-exact machine is single-threaded =="
 # internal/machine starts no goroutine and imports neither sync nor
 # runtime: Workers partitions state and nothing else (SCALING.md), and
