@@ -509,10 +509,16 @@ func BenchmarkObsJournal(b *testing.B) {
 
 // TestJournalAllocationsDoNotGrowPerFiring holds a journaled run to one
 // record of the run: from Wide(8,100) to Wide(8,200), which doubles the
-// firings, the journaled run may allocate at most 16 times more than the
-// plain run's own growth — a few doublings of the record's tables, and
-// nothing per firing.
+// firings, the journaled run may allocate at most margin times more than
+// the plain run's own growth — a few doublings of the record's tables, and
+// nothing per firing. Over 40 runs each, the excess measured
+// 11–14 in the plain build and 4–24 under -race, whose pool drops add
+// noise but no trend: the margin is 16 and 32.
 func TestJournalAllocationsDoNotGrowPerFiring(t *testing.T) {
+	margin := 16.0
+	if raceBuild {
+		margin = 32
+	}
 	allocs := func(iters int, o *ObsOptions) float64 {
 		p, err := Compile(workloads.Wide(8, iters).Source)
 		if err != nil {
@@ -533,7 +539,7 @@ func TestJournalAllocationsDoNotGrowPerFiring(t *testing.T) {
 	journal := &ObsOptions{Journal: true}
 	plain := allocs(200, nil) - allocs(100, nil)
 	journaled := allocs(200, journal) - allocs(100, journal)
-	if journaled > plain+16 {
+	if journaled > plain+margin {
 		t.Errorf("doubling the firings costs the journaled run %.0f allocations, the plain run %.0f", journaled, plain)
 	}
 	t.Logf("doubling the firings: plain run +%.0f allocations, journaled run +%.0f", plain, journaled)
