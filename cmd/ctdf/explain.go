@@ -50,20 +50,24 @@ func cmdExplain(args []string) error {
 	fmt.Println("\n== control-flow graph (§2.1) ==")
 	fmt.Print(g.String())
 
-	g2, copied, err := cfg.MakeReducible(g)
+	g2, regions, err := cfg.MakeReducible(g)
 	if err != nil {
 		return err
 	}
-	if copied > 0 {
-		fmt.Printf("\n== code copying (footnote 5): %d nodes duplicated ==\n", copied)
+	if regions > 0 {
+		fmt.Printf("\n== irreducible flow (footnote 5): %d dispatch region(s), each a header join forking on %s ==\n", regions, cfg.Selector)
+		for _, n := range g2.Nodes[g.Len():] {
+			fmt.Printf("%-40s -> %v\n", n, n.Succs)
+		}
 	}
-	tg, loops, err := cfg.InsertLoopControl(g2)
+	res, err := translate.Translate(g, translate.Options{Schema: schema})
 	if err != nil {
 		return err
 	}
-	if len(loops) > 0 {
-		fmt.Printf("\n== interval transformation (§3): %d loop(s) ==\n", len(loops))
-		for _, l := range loops {
+	tg := res.CFG
+	if len(res.Loops) > 0 {
+		fmt.Printf("\n== interval transformation (§3): %d loop(s) ==\n", len(res.Loops))
+		for _, l := range res.Loops {
 			fmt.Printf("loop entry n%d (header n%d, depth %d, exits %v, %d body nodes)\n",
 				l.Entry, l.Header, l.Depth, l.Exits, len(l.Body))
 		}
@@ -91,10 +95,6 @@ func cmdExplain(args []string) error {
 		}
 	}
 
-	res, err := translate.Translate(g, translate.Options{Schema: schema})
-	if err != nil {
-		return err
-	}
 	fmt.Printf("\n== switch placement (Figure 10), schema %s ==\n", schema)
 	forks := make([]int, 0, len(res.Placement.Needs))
 	for f := range res.Placement.Needs {
@@ -129,7 +129,7 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	want, err := interp.Run(res.CFG, interp.Options{})
+	want, err := interp.Run(g, interp.Options{})
 	if err != nil {
 		return err
 	}

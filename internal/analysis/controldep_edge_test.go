@@ -70,9 +70,9 @@ func TestIteratedCDStaleSeeds(t *testing.T) {
 
 // TestTheorem1OnRewrittenIrreducible re-proves Theorem 1 (CD+(N) ∋ F ⟺ N
 // between F and ipdom(F)) on the graphs the translator actually analyzes:
-// irreducible CFGs after the footnote-5 code-copying rewrite of
-// cfg.MakeReducible. The duplicated join nodes have fan-in patterns the
-// structured workloads never produce.
+// irreducible CFGs after cfg.MakeReducible's dispatch rewrite (footnote
+// 5). A dispatch header joins every edge into a region's entries, a
+// fan-in the structured workloads never produce.
 func TestTheorem1OnRewrittenIrreducible(t *testing.T) {
 	cases := []workloads.Workload{
 		// Two mutually-entering loops: the classic irreducible pattern.
@@ -109,16 +109,16 @@ y := s
 		workloads.MustByName("unstructured-skip"),
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		cases = append(cases, workloads.RandomUnstructured(seed, 5))
+		cases = append(cases, workloads.RandomUnstructured(seed, 5), workloads.RandomIrreducible(seed, 1))
 	}
 	rewritten := 0
 	for _, w := range cases {
 		g0 := buildCFG(t, w.Source)
-		g, copies, err := cfg.MakeReducible(g0)
+		g, regions, err := cfg.MakeReducible(g0)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		if copies > 0 {
+		if regions > 0 {
 			rewritten++
 		}
 		cd := ComputeControlDeps(g)
@@ -127,13 +127,13 @@ y := s
 			cdp := cd.IteratedCD([]int{n})
 			for f := range g.Nodes {
 				if want := BetweenWith(g, pdom, f, n); cdp[f] != want {
-					t.Errorf("%s (copies=%d): Theorem 1 violated at F=n%d N=n%d: CD+ says %v, between says %v",
-						w.Name, copies, f, n, cdp[f], want)
+					t.Errorf("%s (regions=%d): Theorem 1 violated at F=n%d N=n%d: CD+ says %v, between says %v",
+						w.Name, regions, f, n, cdp[f], want)
 				}
 			}
 		}
 	}
 	if rewritten == 0 {
-		t.Fatal("no test case exercised the code-copying rewrite; the irreducible inputs have gone stale")
+		t.Fatal("no test case exercised the dispatch rewrite; the irreducible inputs have gone stale")
 	}
 }

@@ -10,6 +10,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ctdf/internal/lang"
@@ -79,11 +80,6 @@ type Node struct {
 	Preds []int
 }
 
-// IsMemOp reports whether the node performs memory operations (only
-// assignments and forks reference variables; joins, loop control, start
-// and end do not).
-func (n *Node) IsMemOp() bool { return n.Kind == KindAssign || n.Kind == KindFork }
-
 // String renders the node for diagnostics.
 func (n *Node) String() string {
 	switch n.Kind {
@@ -145,9 +141,6 @@ func (g *Graph) AddEdge(from, to int) {
 	g.Nodes[to].Preds = append(g.Nodes[to].Preds, from)
 }
 
-// Node returns the node with the given ID.
-func (g *Graph) Node(id int) *Node { return g.Nodes[id] }
-
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.Nodes) }
 
@@ -160,21 +153,12 @@ func (g *Graph) NumEdges() int {
 	return e
 }
 
-// ReplaceEdge rewrites the edge from→oldTo into from→newTo, preserving the
-// out-direction ordering of from, and fixes the pred lists.
-func (g *Graph) ReplaceEdge(from, oldTo, newTo int) {
+// ReplaceEdgeAt rewrites successor slot si of node from to point at newTo,
+// fixing pred lists.
+func (g *Graph) ReplaceEdgeAt(from, si, newTo int) {
 	f := g.Nodes[from]
-	found := false
-	for i, s := range f.Succs {
-		if s == oldTo {
-			f.Succs[i] = newTo
-			found = true
-			break
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("cfg: no edge n%d→n%d", from, oldTo))
-	}
+	oldTo := f.Succs[si]
+	f.Succs[si] = newTo
 	old := g.Nodes[oldTo]
 	for i, p := range old.Preds {
 		if p == from {
@@ -259,12 +243,12 @@ func (g *Graph) Validate() error {
 			if s < 0 || s >= len(g.Nodes) {
 				return fmt.Errorf("cfg: %s has out-of-range successor %d", n, s)
 			}
-			if !contains(g.Nodes[s].Preds, n.ID) {
+			if !slices.Contains(g.Nodes[s].Preds, n.ID) {
 				return fmt.Errorf("cfg: edge n%d→n%d missing from pred list", n.ID, s)
 			}
 		}
 		for _, p := range n.Preds {
-			if !contains(g.Nodes[p].Succs, n.ID) {
+			if !slices.Contains(g.Nodes[p].Succs, n.ID) {
 				return fmt.Errorf("cfg: pred edge n%d→n%d missing from succ list", p, n.ID)
 			}
 		}
@@ -281,15 +265,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // reachableFrom returns the set of nodes reachable from id, following

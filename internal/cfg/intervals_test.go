@@ -306,3 +306,12 @@ func cyclicIntervalHeaders(g *Graph) ([]int, error) {
 	sort.Ints(out)
 	return out, nil
 }
+
+func sortedKeys(m map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Ints(out)
+	return out
+}

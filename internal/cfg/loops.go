@@ -18,12 +18,12 @@ import (
 // loop-entry node, all back edges are redirected to the same loop-entry
 // node (flagged as iteration re-entries), and a loop-exit node is spliced
 // onto every edge A→B with A inside the cyclic part and B outside.
-// Irreducible graphs would require code copying (paper footnote 5); they
-// are reported as an error.
+// Irreducible graphs are reported as an error: MakeReducible (paper
+// footnote 5) must run first.
 
 // ErrIrreducible is returned (wrapped) by InsertLoopControl for CFGs whose
 // cycles cannot be decomposed into nested single-entry intervals.
-var ErrIrreducible = fmt.Errorf("irreducible control flow (would require code copying, paper footnote 5)")
+var ErrIrreducible = fmt.Errorf("irreducible control flow (needs MakeReducible, paper footnote 5)")
 
 // Loop describes one transformed loop in a CFG produced by
 // InsertLoopControl.
@@ -131,12 +131,9 @@ type pendingLoop struct {
 type loopNest struct {
 	loops []pendingLoop
 	at    []int32 // at[h] indexes the loop headed by node h, -1 if none is
-	// inner[v] is the innermost loop holding node v, -1 for none; it
-	// grows with the graph.
-	inner []int32
-	// in and chain are stamp sets over nodes and loops: transforming
-	// loop i stamps its members and its enclosing loops with i+1.
-	in, chain []int32
+	// in is a stamp set over nodes: transforming loop i stamps its
+	// members with i+1.
+	in []int32
 }
 
 // findLoopNest identifies the natural loops of g through its dominator
@@ -170,11 +167,8 @@ func findLoopNest(g *Graph, dom *DomTree) *loopNest {
 	for i := range nest.in {
 		nest.in[i] = 0 // transform stamps afresh
 	}
-	nest.chain = make([]int32, len(nest.loops))
 	// Natural loops of distinct headers are disjoint or nested.
-	var parents []int
-	parents, nest.inner = nesting(n, bodies, headers)
-	for i, p := range parents {
+	for i, p := range nesting(n, bodies, headers) {
 		if nest.loops[i].parent = p; p >= 0 {
 			nest.loops[p].kids++
 		}
@@ -213,16 +207,15 @@ func reaching(g *Graph, members []int, from int, in []int32, stamp int32) []int 
 
 // nesting takes node sets over 0…n-1 that are pairwise disjoint or nested
 // and one key node per set, and returns for each set the smallest other
-// set holding its key (-1 for none) and for each node the smallest set
-// holding it (-1 for none). Visiting the sets largest first, the smallest
-// set seen so far around a node is the last one seen.
-func nesting(n int, sets [][]int, keys []int) (parent []int, inner []int32) {
+// set holding its key (-1 for none). Visiting the sets largest first, the
+// smallest set seen so far around a node is the last one seen.
+func nesting(n int, sets [][]int, keys []int) []int {
 	bySize := make([]int, len(sets))
 	for i := range bySize {
 		bySize[i] = i
 	}
 	sort.Slice(bySize, func(a, b int) bool { return len(sets[bySize[a]]) > len(sets[bySize[b]]) })
-	parent, inner = make([]int, len(sets)), make([]int32, n)
+	parent, inner := make([]int, len(sets)), make([]int32, n)
 	for i := range inner {
 		inner[i] = -1
 	}
@@ -232,7 +225,7 @@ func nesting(n int, sets [][]int, keys []int) (parent []int, inner []int32) {
 			inner[v] = int32(i)
 		}
 	}
-	return parent, inner
+	return parent
 }
 
 // addNode appends a control statement to g and records it as lying in
@@ -240,7 +233,6 @@ func nesting(n int, sets [][]int, keys []int) (parent []int, inner []int32) {
 func (nest *loopNest) addNode(g *Graph, kind NodeKind, header, innermost int) *Node {
 	nd := g.AddNode(kind)
 	nd.LoopHeader = header
-	nest.inner = append(nest.inner, int32(innermost))
 	nest.in = append(nest.in, 0)
 	for a := innermost; a >= 0; a = nest.loops[a].parent {
 		nest.loops[a].members = append(nest.loops[a].members, nd.ID)
@@ -256,9 +248,6 @@ func (nest *loopNest) transform(g *Graph, i int32) {
 	for _, m := range l.members {
 		nest.in[m] = stamp
 	}
-	for a := l.parent; a >= 0; a = nest.loops[a].parent {
-		nest.chain[a] = stamp
-	}
 	body := func(v int) bool { return nest.in[v] == stamp }
 
 	le := nest.addNode(g, KindLoopEntry, h, l.parent)
@@ -268,10 +257,11 @@ func (nest *loopNest) transform(g *Graph, i int32) {
 	// back-edge sources (iteration) — to the loop entry.
 	preds := append([]int(nil), g.Nodes[h].Preds...)
 	for _, p := range preds {
-		// A predecessor may have two parallel edges to h (both fork arms);
-		// ReplaceEdge rewrites one occurrence per call, so loop over them.
-		for contains(g.Nodes[p].Succs, h) {
-			g.ReplaceEdge(p, h, le.ID)
+		// A predecessor may have two parallel edges to h (both fork arms).
+		for si, s := range g.Nodes[p].Succs {
+			if s == h {
+				g.ReplaceEdgeAt(p, si, le.ID)
+			}
 		}
 		if body(p) {
 			le.BackPreds[p] = true
@@ -280,17 +270,15 @@ func (nest *loopNest) transform(g *Graph, i int32) {
 	g.AddEdge(le.ID, h)
 
 	// Splice a loop exit onto every edge leaving the cyclic part. The exit
-	// lies in the loops around this one that hold the edge's target.
+	// lies in every loop around this one: a goto that leaves an enclosing
+	// loop too passes this exit first, and the enclosing loop splices its
+	// own exit after it.
 	for _, a := range l.members {
 		for si, s := range g.Nodes[a].Succs {
 			if body(s) || s == le.ID {
 				continue
 			}
-			around := int(nest.inner[s])
-			for around >= 0 && nest.chain[around] != stamp {
-				around = nest.loops[around].parent
-			}
-			lx := nest.addNode(g, KindLoopExit, h, around)
+			lx := nest.addNode(g, KindLoopExit, h, l.parent)
 			g.ReplaceEdgeAt(a, si, lx.ID)
 			g.AddEdge(lx.ID, s)
 		}
@@ -378,35 +366,41 @@ func (h *intHeap) pop() int {
 // loops listed first, with nesting depths filled in.
 func FindLoops(g *Graph) []Loop {
 	var loops []Loop
-	var bodies [][]int
-	var entries []int
-	in := make([]int32, g.Len())
+	of := make([]int32, g.Len()) // of[h] indexes the loop headed by node h
 	for _, n := range g.Nodes {
-		if n.Kind != KindLoopEntry {
-			continue
+		if n.Kind == KindLoopEntry {
+			of[n.Succs[0]] = int32(len(loops))
+			loops = append(loops, Loop{Entry: n.ID, Header: n.Succs[0]})
 		}
-		// The body is what reaches a back edge without leaving through
-		// the entry.
-		body := []int{n.ID}
-		for b := range n.BackPreds {
+	}
+	for _, n := range g.Nodes {
+		if n.Kind == KindLoopExit {
+			l := &loops[of[n.LoopHeader]]
+			l.Exits = append(l.Exits, n.ID)
+		}
+	}
+	bodies, entries := make([][]int, len(loops)), make([]int, len(loops))
+	in := make([]int32, g.Len())
+	for i := range loops {
+		l := &loops[i]
+		// The body is what reaches a back edge or an exit without
+		// passing through the entry.
+		body := []int{l.Entry}
+		for b := range g.Nodes[l.Entry].BackPreds {
 			body = append(body, b)
 		}
-		stamp := int32(len(loops) + 1)
-		body = reaching(g, body, 1, in, stamp)
-		l := Loop{Entry: n.ID, Header: n.Succs[0], Body: make(map[int]bool, len(body))}
+		for _, x := range l.Exits {
+			body = append(body, g.Nodes[x].Preds[0])
+		}
+		body = reaching(g, body, 1, in, int32(i+1))
+		l.Body = make(map[int]bool, len(body))
 		for _, b := range body {
 			l.Body[b] = true
-			for _, s := range g.Nodes[b].Succs {
-				if sn := g.Nodes[s]; sn.Kind == KindLoopExit && sn.LoopHeader == l.Header && in[s] != stamp {
-					l.Exits = append(l.Exits, s)
-				}
-			}
 		}
-		sort.Ints(l.Exits)
-		loops, bodies, entries = append(loops, l), append(bodies, body), append(entries, n.ID)
+		bodies[i], entries[i] = body, l.Entry
 	}
 	// Nesting depth: one more than the number of loops around the entry.
-	parents, _ := nesting(g.Len(), bodies, entries)
+	parents := nesting(g.Len(), bodies, entries)
 	for i := range loops {
 		loops[i].Depth = 1
 		for p := parents[i]; p >= 0; p = parents[p] {
@@ -420,12 +414,6 @@ func FindLoops(g *Graph) []Loop {
 		return loops[i].Entry < loops[j].Entry
 	})
 	return loops
-}
-
-// checkReducible reports whether g has irreducible control flow.
-func checkReducible(g *Graph) error {
-	_, err := reducibleDominators(g)
-	return err
 }
 
 // reducibleDominators returns g's dominator tree, or ErrIrreducible
@@ -451,13 +439,4 @@ func reducibleDominators(g *Graph) (*DomTree, error) {
 		}
 	}
 	return dom, nil
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

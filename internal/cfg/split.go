@@ -2,281 +2,169 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+
+	"ctdf/internal/lang"
 )
 
+// Selector is the scalar a dispatch header forks on. No source program
+// can name it: the lexer never produces '$'.
+const Selector = "$sel"
+
 // MakeReducible returns a CFG equivalent to g whose cycles decompose into
-// nested single-entry intervals, applying the code copying the paper
-// alludes to in footnote 5 ("if we allow code copying, then any
-// control-flow graph can be decomposed into such nested intervals").
+// nested single-entry intervals, and the number of dispatch regions that
+// took. The paper's footnote 5 gets there by code copying, which grows
+// exponentially with the entries of a region; this turns the choice of
+// entry into data instead. Every strongly connected region with k > 1
+// entries gets one header join, followed by a chain of forks
+// "Selector == j", and every edge into entry j — from outside the region
+// or inside it — becomes "Selector := j" and a jump to the header. The
+// region less its header is then split the same way. The rewrite adds
+// O(edges) nodes and never fails on a valid graph.
 //
-// The algorithm runs the T1 (self-loop removal) / T2 (single-predecessor
-// merge) reduction with supernode tracking; when the reduction jams, every
-// remaining supernode has at least two predecessors, so the smallest one
-// is an irreducible region entered from several places. That region's
-// nodes are duplicated once per entering supernode and the reduction
-// restarts. The returned copy count is the number of duplicated nodes
-// (zero when g was already reducible, in which case g itself is returned).
-//
-// Region entry nodes are necessarily joins (anything with one predecessor
-// was absorbed by T2), and cross-region edge targets are joins for the
-// same reason, so duplication preserves the CFG invariant that only joins
-// merge control.
+// Selector is declared on a copy of g.Prog; interp.Store.Snapshot leaves
+// it out, so the rewritten graph computes the stores g computes. A
+// reducible g is returned itself, with 0.
 func MakeReducible(g *Graph) (*Graph, int, error) {
-	if checkReducible(g) == nil {
+	if _, err := reducibleDominators(g); err == nil {
 		return g, 0, nil
 	}
-	cur := g.Clone()
-	copies := 0
-	for round := 0; ; round++ {
-		if round > 64 || cur.Len() > 100_000 {
-			return nil, 0, fmt.Errorf("cfg: code copying did not converge (%d rounds, %d nodes)", round, cur.Len())
-		}
-		region, preds, reducible := jamRegion(cur)
-		if reducible {
-			if err := cur.Validate(); err != nil {
-				return nil, 0, fmt.Errorf("cfg: code copying broke the graph: %w", err)
-			}
-			return cur, copies, nil
-		}
-		copies += duplicateRegion(cur, region, preds)
+	out := g.Clone()
+	prog := *g.Prog
+	prog.Vars = append(slices.Clip(prog.Vars), lang.VarDecl{Name: Selector})
+	out.Prog = &prog
+	n := out.Len()
+	d := &dispatcher{g: out, in: make([]int32, n), index: make([]int32, n)}
+	work, regions := [][]int{make([]int, n)}, 0
+	for i := range work[0] {
+		work[0][i] = i
 	}
+	for len(work) > 0 {
+		set := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, r := range d.regions(set) {
+			switch {
+			case len(r.entries) == 1:
+				work = append(work, slices.DeleteFunc(r.nodes, func(v int) bool { return v == r.entries[0] }))
+			case len(r.entries) > 1:
+				d.dispatch(r.entries)
+				regions++
+				// Every edge into an entry now leaves the header's chain,
+				// so the cycles left in the region avoid its entries.
+				work = append(work, r.nodes)
+			}
+		}
+	}
+	if err := out.Validate(); err != nil {
+		return nil, 0, fmt.Errorf("cfg: dispatch broke the graph: %w", err)
+	}
+	return out, regions, nil
 }
 
-// jamRegion runs the supernode T1/T2 reduction. If the graph is reducible
-// it reports reducible=true. Otherwise it returns the original-node set of
-// the smallest jammed supernode together with the partition of its
-// external predecessor (original) nodes by entering supernode.
-func jamRegion(g *Graph) (region map[int]bool, preds [][]int, reducible bool) {
-	// super[n] = representative supernode id for original node n.
-	super := make([]int, g.Len())
-	members := map[int][]int{}
-	succs := map[int]map[int]bool{}
-	predsOf := map[int]map[int]bool{}
-	for _, n := range g.Nodes {
-		super[n.ID] = n.ID
-		members[n.ID] = []int{n.ID}
-		succs[n.ID] = map[int]bool{}
-		predsOf[n.ID] = map[int]bool{}
-	}
-	for _, n := range g.Nodes {
-		for _, s := range n.Succs {
-			if s != n.ID {
-				succs[n.ID][s] = true
-				predsOf[s][n.ID] = true
-			}
-		}
-	}
-	for {
-		changed := false
-		for id := range succs {
-			// T1
-			if succs[id][id] {
-				delete(succs[id], id)
-				delete(predsOf[id], id)
-				changed = true
-			}
-		}
-		for id := range succs {
-			if id == super[g.Start] || len(predsOf[id]) != 1 {
-				continue
-			}
-			var p int
-			for q := range predsOf[id] {
-				p = q
-			}
-			// T2: merge id into p.
-			members[p] = append(members[p], members[id]...)
-			for _, orig := range members[id] {
-				super[orig] = p
-			}
-			for s := range succs[id] {
-				delete(predsOf[s], id)
-				if s == p {
-					succs[p][p] = true
-					predsOf[p][p] = true
-				} else {
-					succs[p][s] = true
-					predsOf[s][p] = true
-				}
-			}
-			delete(succs[p], id)
-			delete(succs, id)
-			delete(predsOf, id)
-			delete(members, id)
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
-	if len(succs) == 1 {
-		return nil, nil, true
-	}
-	// Jammed. The jam also contains innocent acyclic fan-in (joins fed by
-	// several stuck supernodes, the end node); only supernodes on a cycle
-	// of the limit graph belong to an irreducible region. Restrict the
-	// pick to members of non-trivial strongly connected components.
-	cyclic := nontrivialSCCMembers(succs)
-	var ids []int
-	for id := range succs {
-		if id == super[g.Start] || !cyclic[id] {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		// Cannot happen for a genuinely irreducible graph; fail loudly
-		// rather than loop.
-		panic("cfg: T1/T2 jammed without a cyclic supernode")
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if len(members[ids[i]]) != len(members[ids[j]]) {
-			return len(members[ids[i]]) < len(members[ids[j]])
-		}
-		return ids[i] < ids[j]
-	})
-	pick := ids[0]
-	region = map[int]bool{}
-	for _, orig := range members[pick] {
-		region[orig] = true
-	}
-	// Partition the region's external original predecessors by supernode.
-	bySuper := map[int][]int{}
-	for orig := range region {
-		for _, p := range g.Nodes[orig].Preds {
-			if !region[p] {
-				bySuper[super[p]] = append(bySuper[super[p]], p)
-			}
-		}
-	}
-	var superIDs []int
-	for sid := range bySuper {
-		superIDs = append(superIDs, sid)
-	}
-	sort.Ints(superIDs)
-	for _, sid := range superIDs {
-		ps := bySuper[sid]
-		sort.Ints(ps)
-		preds = append(preds, ps)
-	}
-	return region, preds, false
+// dispatcher holds the scratch of MakeReducible, one slot per node:
+// in[v] == stamp marks v as a member of the node set at hand, and index
+// is Tarjan's numbering of it.
+type dispatcher struct {
+	g         *Graph
+	stamp     int32
+	in, index []int32
 }
 
-// nontrivialSCCMembers returns the nodes of adj that lie on some cycle
-// (members of strongly connected components with more than one node;
-// self-loops were removed by T1).
-func nontrivialSCCMembers(adj map[int]map[int]bool) map[int]bool {
-	// Tarjan's algorithm, iterative enough for our sizes via recursion.
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
+// region is a strongly connected set of nodes, in ascending order, and
+// those of them with a predecessor outside it.
+type region struct{ nodes, entries []int }
+
+// add appends a node to the graph and its scratch slots.
+func (d *dispatcher) add(kind NodeKind) *Node {
+	d.in, d.index = append(d.in, 0), append(d.index, 0)
+	return d.g.AddNode(kind)
+}
+
+// regions returns the strongly connected components of the subgraph set
+// induces that hold more than one node (Tarjan's algorithm; a self-loop
+// is a single-entry cycle already).
+func (d *dispatcher) regions(set []int) []region {
+	d.stamp++
+	for _, v := range set {
+		d.in[v], d.index[v] = d.stamp, 0
+	}
+	var out []region
 	var stack []int
-	next := 0
-	out := map[int]bool{}
-	var strong func(v int)
-	strong = func(v int) {
-		index[v] = next
-		low[v] = next
+	next := int32(0)
+	var visit func(v int) int32
+	visit = func(v int) int32 {
 		next++
+		d.index[v] = next
+		low := next
 		stack = append(stack, v)
-		onStack[v] = true
-		for w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+		for _, s := range d.g.Nodes[v].Succs {
+			switch {
+			case d.in[s] != d.stamp: // outside the set, or in a finished component
+			case d.index[s] == 0:
+				low = min(low, visit(s))
+			default:
+				low = min(low, d.index[s])
 			}
 		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 {
-				for _, w := range comp {
-					out[w] = true
-				}
-			}
+		if low < d.index[v] {
+			return low
 		}
+		i := len(stack) - 1
+		for stack[i] != v {
+			i--
+		}
+		r := region{nodes: slices.Clone(stack[i:])}
+		stack = stack[:i]
+		if len(r.nodes) > 1 {
+			// Of the set, the component holds just what is numbered v's
+			// number or later and not yet in a finished component.
+			slices.Sort(r.nodes)
+			for _, w := range r.nodes {
+				if slices.ContainsFunc(d.g.Nodes[w].Preds, func(p int) bool { return d.in[p] != d.stamp || d.index[p] < d.index[v] }) {
+					r.entries = append(r.entries, w)
+				}
+			}
+			out = append(out, r)
+		}
+		for _, w := range r.nodes {
+			d.in[w] = 0
+		}
+		return low
 	}
-	ids := make([]int, 0, len(adj))
-	for id := range adj {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if _, seen := index[id]; !seen {
-			strong(id)
+	for _, v := range set {
+		if d.in[v] == d.stamp && d.index[v] == 0 {
+			visit(v)
 		}
 	}
 	return out
 }
 
-// duplicateRegion clones the region once per entering predecessor group
-// beyond the first, redirecting each group's edges into its own clone.
-// Returns the number of nodes created.
-func duplicateRegion(g *Graph, region map[int]bool, predGroups [][]int) int {
-	created := 0
-	for gi := 1; gi < len(predGroups); gi++ {
-		// Clone every region node.
-		cloneOf := map[int]int{}
-		for _, orig := range sortedKeys(region) {
-			n := g.Nodes[orig]
-			c := g.AddNode(n.Kind)
-			c.Target, c.TargetIndex, c.RHS = n.Target, n.TargetIndex, n.RHS
-			c.Cond = n.Cond
-			c.Label = ""
-			c.LoopHeader = n.LoopHeader
-			cloneOf[orig] = c.ID
-			created++
-		}
-		// Wire clone successors: internal edges to clones, external edges
-		// to the original targets.
-		for _, orig := range sortedKeys(region) {
-			c := g.Nodes[cloneOf[orig]]
-			for _, s := range g.Nodes[orig].Succs {
-				t := s
-				if region[s] {
-					t = cloneOf[s]
-				}
-				c.Succs = append(c.Succs, t)
-				g.Nodes[t].Preds = append(g.Nodes[t].Preds, c.ID)
-			}
-		}
-		// Redirect this group's entering edges to the clones.
-		for _, p := range predGroups[gi] {
+// dispatch gives the region entered at entries one header: every edge
+// into entries[j] becomes "Selector := j" and a jump to a new join, which
+// forks on Selector to entries[j].
+func (d *dispatcher) dispatch(entries []int) {
+	g := d.g
+	header := d.add(KindJoin)
+	for j, e := range entries {
+		for _, p := range slices.Clone(g.Nodes[e].Preds) {
 			for si, s := range g.Nodes[p].Succs {
-				if region[s] {
-					g.ReplaceEdgeAt(p, si, cloneOf[s])
+				if s != e {
+					continue
 				}
+				set := d.add(KindAssign)
+				set.Target, set.RHS = Selector, &lang.IntLit{Value: int64(j)}
+				g.ReplaceEdgeAt(p, si, set.ID)
+				g.AddEdge(set.ID, header.ID)
 			}
 		}
 	}
-	return created
-}
-
-// ReplaceEdgeAt rewrites successor slot si of node from to point at newTo,
-// fixing pred lists.
-func (g *Graph) ReplaceEdgeAt(from, si, newTo int) {
-	f := g.Nodes[from]
-	oldTo := f.Succs[si]
-	f.Succs[si] = newTo
-	old := g.Nodes[oldTo]
-	for i, p := range old.Preds {
-		if p == from {
-			old.Preds = append(old.Preds[:i], old.Preds[i+1:]...)
-			break
-		}
+	from := header.ID
+	for j, e := range entries[:len(entries)-1] {
+		f := d.add(KindFork)
+		f.Cond = &lang.BinExpr{Op: lang.OpEq, L: &lang.VarRef{Name: Selector}, R: &lang.IntLit{Value: int64(j)}}
+		g.AddEdge(from, f.ID)
+		g.AddEdge(f.ID, e)
+		from = f.ID
 	}
-	g.Nodes[newTo].Preds = append(g.Nodes[newTo].Preds, from)
+	g.AddEdge(from, entries[len(entries)-1])
 }

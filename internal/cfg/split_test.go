@@ -1,9 +1,10 @@
 package cfg
 
 import (
+	"slices"
 	"testing"
 
-	"ctdf/internal/lang"
+	"ctdf/internal/workloads"
 )
 
 // irreducibleSrc jumps into the middle of a loop: the classic two-entry
@@ -66,48 +67,94 @@ func TestMakeReducibleNoOpOnReducible(t *testing.T) {
 	}
 }
 
+// TestMakeReducibleOnIrreducible: each region of several entries gets
+// one dispatch header, and nothing else changes: the original nodes keep
+// their ids and statements, and what is added is a join per region,
+// "Selector := j" on every edge into entry j, and forks reading Selector
+// alone. Selector is declared on a copy of the program.
 func TestMakeReducibleOnIrreducible(t *testing.T) {
-	for _, src := range []string{irreducibleSrc, doublyIrreducibleSrc} {
-		p, err := lang.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := Build(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if checkReducible(g) == nil {
+	for _, tc := range []struct {
+		src     string
+		regions int
+	}{{irreducibleSrc, 1}, {doublyIrreducibleSrc, 2}} {
+		g := build(t, tc.src)
+		if _, err := reducibleDominators(g); err == nil {
 			t.Fatal("test premise broken: graph is reducible")
 		}
-		out, copies, err := MakeReducible(g)
+		out, regions, err := MakeReducible(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if copies == 0 {
-			t.Fatal("no nodes copied for an irreducible graph")
+		if regions != tc.regions {
+			t.Errorf("%d dispatch regions, want %d", regions, tc.regions)
 		}
-		if err := checkReducible(out); err != nil {
+		if _, err := reducibleDominators(out); err != nil {
 			t.Fatalf("result still irreducible: %v", err)
 		}
-		if err := out.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		// Loop insertion must now succeed.
 		if _, _, err := InsertLoopControl(out); err != nil {
-			t.Fatalf("loop insertion on copied graph: %v", err)
+			t.Fatalf("loop insertion on the dispatched graph: %v", err)
 		}
-		// Statement multiset: every original assignment text still occurs,
-		// possibly duplicated, and nothing new was invented.
-		origs := map[string]bool{}
-		for _, n := range g.Nodes {
-			if n.Kind == KindAssign {
-				origs[n.Target+":="+n.RHS.String()] = true
+		if slices.Contains(g.Prog.VarNames(), Selector) || !slices.Contains(out.Prog.VarNames(), Selector) {
+			t.Errorf("selector declared on %v, want only on the copy %v", g.Prog.VarNames(), out.Prog.VarNames())
+		}
+		joins := 0
+		for id, n := range out.Nodes {
+			if id < g.Len() {
+				if o := g.Nodes[id]; n.Kind != o.Kind || n.RHS != o.RHS || n.Cond != o.Cond {
+					t.Errorf("original %s became %s", o, n)
+				}
+				continue
+			}
+			reads := out.ReadSet(id)
+			switch {
+			case n.Kind == KindJoin:
+				joins++
+			case n.Kind == KindAssign && n.Target == Selector && len(reads) == 0:
+			case n.Kind == KindFork && len(reads) == 1 && reads[Selector]:
+			default:
+				t.Errorf("dispatch added %s", n)
 			}
 		}
+		if joins != regions {
+			t.Errorf("%d joins added for %d regions", joins, regions)
+		}
+	}
+}
+
+// TestMakeReducibleIsLinear: the k-entry probe, whose code copying grows
+// exponentially in k, gains fewer dispatch nodes than it has edges.
+func TestMakeReducibleIsLinear(t *testing.T) {
+	for k := 2; k <= 12; k++ {
+		g := build(t, workloads.KEntry(k).Source)
+		out, regions, err := MakeReducible(g)
+		if err != nil || regions != 1 {
+			t.Fatalf("k=%d: %d regions, %v", k, regions, err)
+		}
+		if added := out.Len() - g.Len(); added > g.NumEdges() {
+			t.Errorf("k=%d: %d nodes added to a graph of %d edges", k, added, g.NumEdges())
+		}
+	}
+}
+
+// TestGeneratedShapes: workloads.RandomIrreducible draws regions of
+// several entries, each taking one dispatch header, and
+// workloads.RandomMultiExit draws gotos that pass one loop's exit
+// statement straight into an enclosing loop's.
+func TestGeneratedShapes(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		w := workloads.RandomIrreducible(seed, 2)
+		g := build(t, w.Source)
+		if _, regions, err := MakeReducible(g); err != nil || regions < 2 {
+			t.Errorf("%s: %d dispatch regions (%v), want one per region, at least 2", w.Name, regions, err)
+		}
+		w = workloads.RandomMultiExit(seed, 1)
+		out, _ := withLoops(t, w.Source)
+		chained := false
 		for _, n := range out.Nodes {
-			if n.Kind == KindAssign && !origs[n.Target+":="+n.RHS.String()] {
-				t.Errorf("copying invented a new assignment %s", n)
-			}
+			chained = chained || n.Kind == KindLoopExit && out.Nodes[n.Succs[0]].Kind == KindLoopExit
+		}
+		if !chained {
+			t.Errorf("%s: no goto leaves two loops at once", w.Name)
 		}
 	}
 }

@@ -151,12 +151,17 @@ func (s *Store) Array(name string) []int64 {
 }
 
 // Snapshot renders the entire final state deterministically — scalar
-// values and array contents by name — so executions can be compared.
+// values and array contents by name — so executions can be compared. It
+// leaves out cfg.Selector, which only a dispatch rewrite declares: the
+// rewritten graph's store then reads as the original graph's.
 func (s *Store) Snapshot() string {
 	names := append([]string(nil), s.names...)
 	sort.Strings(names)
 	out := ""
 	for _, n := range names {
+		if n == cfg.Selector {
+			continue
+		}
 		if arr, ok := s.arrays[n]; ok {
 			out += fmt.Sprintf("%s=%v\n", n, arr)
 		} else {

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/dfg"
 	"ctdf/internal/fault"
+	"ctdf/internal/interp"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
@@ -475,6 +477,58 @@ func TestRestoreRejectsMalformedCheckpoints(t *testing.T) {
 	for _, e := range edits {
 		if hit[e.name] == 0 {
 			t.Errorf("%s: no checkpoint had a site to edit", e.name)
+		}
+	}
+}
+
+// TestDispatchSelectorRoundTrips: an irreducible program's graph declares
+// the dispatch selector (cfg.MakeReducible). The graph survives its text
+// form, every checkpoint holds the selector and resumes to the
+// uncheckpointed outcome, and the final store reads as sequential
+// interpretation of the original program, selector left out.
+func TestDispatchSelectorRoundTrips(t *testing.T) {
+	g0 := cfg.MustBuild(workloads.KEntry(4).Parse())
+	want, err := interp.Run(g0, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := translate.Translate(g0, translate.Options{Schema: translate.Schema2Opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := dfg.Text(res.Graph)
+	g, err := dfg.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dfg.Text(g) != text || !strings.Contains(text, "var "+cfg.Selector+"\n") {
+		t.Fatal("graph text does not round-trip with the selector declared")
+	}
+	base, err := Run(g, Config{MemLatency: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := base.Store.Snapshot(); got != want.Store.Snapshot() {
+		t.Fatalf("machine computes\n%s\ninterp\n%s", got, want.Store.Snapshot())
+	}
+	var cks []*Checkpoint
+	if _, err := Run(g, Config{MemLatency: 3, CheckpointEvery: 13,
+		CheckpointSink: func(ck *Checkpoint) error { cks = append(cks, roundTrip(t, ck)); return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if len(cks) == 0 {
+		t.Fatal("run took no checkpoints")
+	}
+	for _, ck := range sampleCheckpoints(cks, 6) {
+		if _, ok := ck.Scalars[cfg.Selector]; !ok {
+			t.Errorf("checkpoint %d leaves out the selector", ck.ID)
+		}
+		got, err := Run(g, Config{MemLatency: 3, Resume: ck})
+		if err != nil {
+			t.Fatalf("ck=%d: resume: %v", ck.ID, err)
+		}
+		if !cellOf(got).equal(cellOf(base)) {
+			t.Errorf("ck=%d (cycle %d): resumed outcome diverged", ck.ID, ck.Cycle)
 		}
 	}
 }

@@ -312,7 +312,8 @@ func TestReplayIdentical(t *testing.T) {
 		{Schema: translate.Schema1},
 		{Schema: translate.Schema2Opt},
 	}
-	for _, w := range workloads.All() {
+	// KEntry(4) is irreducible: its graph declares the dispatch selector.
+	for _, w := range append(workloads.All(), workloads.KEntry(4)) {
 		for _, opt := range schemas {
 			res := translateWorkload(t, w, opt)
 			if len(res.Graph.Calls) > 0 {

@@ -7,8 +7,8 @@ import (
 	"ctdf/internal/workloads"
 )
 
-// irreducibleWorkloads exercise footnote 5's code copying: jumps into the
-// middle of loops.
+// irreducibleWorkloads exercise the dispatch rewrite that stands in for
+// footnote 5's code copying: jumps into the middle of loops.
 var irreducibleWorkloads = []workloads.Workload{
 	{
 		Name: "irreducible-two-entry",
@@ -61,14 +61,14 @@ func TestIrreducibleProgramsAllSchemas(t *testing.T) {
 	}
 }
 
-func TestIrreducibleReportsCopies(t *testing.T) {
+func TestIrreducibleReportsDispatchRegions(t *testing.T) {
 	g := mustCFG(t, irreducibleWorkloads[0])
 	res, err := Translate(g, Options{Schema: Schema2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CopiedNodes == 0 {
-		t.Error("CopiedNodes should report footnote-5 duplication")
+	if res.DispatchRegions != 1 {
+		t.Errorf("DispatchRegions = %d, want 1 for one two-entry region", res.DispatchRegions)
 	}
 	// Reducible input reports zero.
 	g2 := mustCFG(t, workloads.RunningExample)
@@ -76,7 +76,7 @@ func TestIrreducibleReportsCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.CopiedNodes != 0 {
-		t.Errorf("CopiedNodes = %d on reducible input", res2.CopiedNodes)
+	if res2.DispatchRegions != 0 {
+		t.Errorf("DispatchRegions = %d on reducible input", res2.DispatchRegions)
 	}
 }

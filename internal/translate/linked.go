@@ -41,10 +41,6 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	globals := map[string]bool{}
-	for _, n := range prog.AllNames() {
-		globals[n] = true
-	}
 
 	// Only procedures reachable from the main body are compiled (an
 	// uncalled body would have no call sites to feed its Param nodes).
@@ -94,6 +90,22 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 		}
 		units[pr.Name] = pg
 		order = append(order, pr.Name)
+	}
+	// Footnote 5, as in Translate. A dispatch header's selector is one
+	// more global, declared on the program every unit then reads.
+	for _, name := range order {
+		ug, regions, err := cfg.MakeReducible(units[name])
+		if err != nil {
+			return nil, err
+		}
+		if regions > 0 {
+			prog = ug.Prog
+		}
+		units[name] = ug
+	}
+	globals := map[string]bool{}
+	for _, n := range prog.AllNames() {
+		globals[n] = true
 	}
 
 	// Universes: formals plus transitively touched globals; the call graph
@@ -175,12 +187,7 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 	exports := map[string]*unitExports{}
 
 	for _, name := range order {
-		ug0 := units[name]
-		ug0, _, err := cfg.MakeReducible(ug0)
-		if err != nil {
-			return nil, err
-		}
-		ug, loops, err := cfg.InsertLoopControl(ug0)
+		ug, loops, err := cfg.InsertLoopControl(units[name])
 		if err != nil {
 			return nil, err
 		}

@@ -275,3 +275,41 @@ call work(e)
 	}
 	checkLinked(t, w)
 }
+
+// TestLinkedIrreducibleBodies: a callee and a main body that each jump
+// into the middle of a loop get one dispatch header apiece; the selector
+// is one more global of the linked program.
+func TestLinkedIrreducibleBodies(t *testing.T) {
+	checkLinked(t, workloads.Workload{Name: "irreducible-bodies", Source: `
+var x, y, r
+proc bump(a, s) {
+  if a == 0 then goto p else goto q
+  p:
+  s := s + 1
+  goto q2
+  q:
+  s := s + 2
+  goto p2
+  p2:
+  if s < 10 then goto p else goto done
+  q2:
+  if s < 20 then goto q else goto done
+  done:
+  a := s
+}
+x := 0
+call bump(x, y)
+if y > 3 then goto m else goto n
+m:
+call bump(x, r)
+x := x + 1
+goto n2
+n:
+r := r + 5
+goto m2
+m2:
+if r < 30 then goto m else goto end
+n2:
+if x < 50 then goto n else goto end
+`})
+}

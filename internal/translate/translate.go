@@ -209,9 +209,9 @@ type Result struct {
 	ParallelStores []ParallelStore
 	// IStructures lists the arrays given I-structure semantics.
 	IStructures []string
-	// CopiedNodes is the number of CFG nodes duplicated to make
-	// irreducible control flow reducible (paper footnote 5).
-	CopiedNodes int
+	// DispatchRegions is the number of irreducible regions given a
+	// dispatch header (cfg.MakeReducible, paper footnote 5).
+	DispatchRegions int
 	// Opt is the optimizer's certificate when Options.Optimize > 0 ran
 	// (set by internal/opt, nil otherwise).
 	Opt *OptCertificate
@@ -227,9 +227,9 @@ func Translate(g0 *cfg.Graph, opt Options) (*Result, error) { return TranslateEd
 // materialised from the editor and validated, once — the optimizer's
 // hand-over (opt.Edit).
 func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result) error) (*Result, error) {
-	// Footnote 5: irreducible control flow is made reducible by code
-	// copying before the interval decomposition.
-	g0, copied, err := cfg.MakeReducible(g0)
+	// Footnote 5: irreducible control flow is made reducible before the
+	// interval decomposition, here by a dispatch header per region.
+	g0, regions, err := cfg.MakeReducible(g0)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +272,12 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		cover := opt.Cover
 		if cover == nil {
 			cover = analysis.SingletonCover(as)
+		}
+		if regions > 0 && !slices.ContainsFunc(cover.Elements, func(e analysis.CoverElement) bool { return e.Vars[cfg.Selector] }) {
+			// A cover drawn for the source program leaves out the
+			// dispatch selector; it gets a token of its own.
+			cover = &analysis.Cover{Elements: append(slices.Clip(cover.Elements),
+				analysis.CoverElement{Name: cfg.Selector, Vars: map[string]bool{cfg.Selector: true}})}
 		}
 		if err := cover.Validate(as); err != nil {
 			return nil, err
@@ -358,17 +364,17 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		return nil, err
 	}
 	res := &Result{
-		Options:        opt,
-		CFG:            g,
-		Loops:          loops,
-		Placement:      placement,
-		SV:             sv,
-		Universe:       universe,
-		TokensOf:       tokensOf,
-		ValueTokens:    valueTokens,
-		ParallelStores: pstores,
-		IStructures:    istructList,
-		CopiedNodes:    copied,
+		Options:         opt,
+		CFG:             g,
+		Loops:           loops,
+		Placement:       placement,
+		SV:              sv,
+		Universe:        universe,
+		TokensOf:        tokensOf,
+		ValueTokens:     valueTokens,
+		ParallelStores:  pstores,
+		IStructures:     istructList,
+		DispatchRegions: regions,
 	}
 	if edit != nil {
 		if err := edit(b.out, res); err != nil {

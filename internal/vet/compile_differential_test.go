@@ -15,32 +15,6 @@ import (
 	"ctdf/internal/workloads"
 )
 
-// twoLevelExit jumps out of two nested loops at once: the inner loop's
-// exit statement then sits behind the outer loop's, which is where loop
-// descriptors derived from the nest and ones read back off the graph
-// could part.
-const twoLevelExit = `
-var i, j, x
-i := 0
-outer:
-if i < 3 then goto ob else goto done
-ob:
-j := 0
-inner:
-if j < 3 then goto ib else goto oend
-ib:
-x := x + 1
-if x > 5 then goto done else goto icont
-icont:
-j := j + 1
-goto inner
-oend:
-i := i + 1
-goto outer
-done:
-x := x + 100
-`
-
 // diffCompile holds one translation, as built and (when optimize is set)
 // after the graph optimizer, to the reference compile side: the
 // loop-controlled CFG and its loops, switch placement, source vectors
@@ -126,7 +100,9 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 func TestCompileMatchesReference(t *testing.T) {
 	combos := vet.OptionCombos()
 	graphs := 0
-	suite := append(workloads.All(), workloads.Workload{Name: "two-level-exit", Source: twoLevelExit})
+	// TwoLevelExit leaves two nested loops with one goto: the inner loop's
+	// exit statement comes first, then the outer one's (§3).
+	suite := append(workloads.All(), workloads.TwoLevelExit)
 	for _, w := range suite {
 		prog, err := lang.Parse(w.Source)
 		if err != nil {

@@ -3,6 +3,7 @@ package vet_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"ctdf/internal/analysis"
@@ -95,6 +96,11 @@ func refContains(xs []int, x int) bool {
 	return false
 }
 
+// refReplaceEdge rewrites the first edge from→oldTo into from→newTo.
+func refReplaceEdge(g *cfg.Graph, from, oldTo, newTo int) {
+	g.ReplaceEdgeAt(from, slices.Index(g.Nodes[from].Succs, oldTo), newTo)
+}
+
 func refSortedInts(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
@@ -111,7 +117,7 @@ func refTransformLoop(g *cfg.Graph, h int, body map[int]bool) {
 	preds := append([]int(nil), g.Nodes[h].Preds...)
 	for _, p := range preds {
 		for refContains(g.Nodes[p].Succs, h) {
-			g.ReplaceEdge(p, h, le.ID)
+			refReplaceEdge(g, p, h, le.ID)
 		}
 		if body[p] {
 			le.BackPreds[p] = true
@@ -124,9 +130,15 @@ func refTransformLoop(g *cfg.Graph, h int, body map[int]bool) {
 			if body[s] || s == le.ID {
 				continue
 			}
+			// An exit leaving this loop through inner loops' exits (made
+			// earlier, the inner loops being smaller) goes after them.
+			from := a
+			for g.Nodes[s].Kind == cfg.KindLoopExit {
+				from, s = s, g.Nodes[s].Succs[0]
+			}
 			lx := g.AddNode(cfg.KindLoopExit)
 			lx.LoopHeader = h
-			g.ReplaceEdge(a, s, lx.ID)
+			refReplaceEdge(g, from, s, lx.ID)
 			g.AddEdge(lx.ID, s)
 		}
 	}
@@ -138,12 +150,22 @@ func refFindLoops(g *cfg.Graph) []cfg.Loop {
 		if n.Kind != cfg.KindLoopEntry {
 			continue
 		}
+		// The body is what reaches a back edge or one of the loop's exits.
 		body := map[int]bool{n.ID: true}
-		var stack []int
+		var stack, exits []int
 		for b := range n.BackPreds {
 			if !body[b] {
 				body[b] = true
 				stack = append(stack, b)
+			}
+		}
+		for _, x := range g.Nodes {
+			if x.Kind == cfg.KindLoopExit && x.LoopHeader == n.Succs[0] {
+				exits = append(exits, x.ID)
+				if p := x.Preds[0]; !body[p] {
+					body[p] = true
+					stack = append(stack, p)
+				}
 			}
 		}
 		for len(stack) > 0 {
@@ -156,16 +178,7 @@ func refFindLoops(g *cfg.Graph) []cfg.Loop {
 				}
 			}
 		}
-		l := cfg.Loop{Entry: n.ID, Header: n.Succs[0], Body: body}
-		for _, b := range refSortedInts(body) {
-			for _, s := range g.Nodes[b].Succs {
-				if g.Nodes[s].Kind == cfg.KindLoopExit && g.Nodes[s].LoopHeader == n.Succs[0] && !body[s] {
-					l.Exits = append(l.Exits, s)
-				}
-			}
-		}
-		sort.Ints(l.Exits)
-		loops = append(loops, l)
+		loops = append(loops, cfg.Loop{Entry: n.ID, Header: n.Succs[0], Body: body, Exits: exits})
 	}
 	// Nesting depth: count enclosing loop bodies.
 	for i := range loops {

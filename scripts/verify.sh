@@ -89,6 +89,19 @@ if [ -n "$twice" ]; then
     exit 1
 fi
 
+echo "== irreducible flow is dispatched, not copied =="
+# cfg.MakeReducible gives each region of several entries one dispatch
+# header (see DESIGN.md, "Irreducible flow"): linear, and it never fails.
+# The code-copying reducer of footnote 5 it replaced grew exponentially
+# with the entries of a region; its helpers coming back means a second
+# path has.
+copying=$(grep -rnw 'jamRegion\|duplicateRegion' --include='*.go' . || true)
+if [ -n "$copying" ]; then
+    echo "code copying is back:" >&2
+    echo "$copying" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
