@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"ctdf/internal/chaos"
@@ -25,9 +23,7 @@ func cmdChaos(args []string) error {
 	jsonPath := fs.String("json", "", "write the detection matrix as JSON to this file")
 	verbose := fs.Bool("v", false, "print every matrix cell")
 	recover := fs.Bool("recover", false, "run the recovery matrix: prove transient faults are survived, not just detected")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	if *recover {
 		return chaosRecover(chaos.Config{Smoke: *smoke, Seed: *seed, Deadline: *deadline}, *jsonPath, *verbose)
 	}
@@ -51,12 +47,7 @@ func cmdChaos(args []string) error {
 	}
 	fmt.Print(m.Summary())
 	if *jsonPath != "" {
-		js, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			return err
-		}
-		js = append(js, '\n')
-		if err := os.WriteFile(*jsonPath, js, 0o644); err != nil {
+		if err := writeJSON(*jsonPath, m); err != nil {
 			return err
 		}
 		fmt.Printf("matrix written to %s\n", *jsonPath)
@@ -90,12 +81,7 @@ func chaosRecover(cfg chaos.Config, jsonPath string, verbose bool) error {
 	}
 	fmt.Print(m.Summary())
 	if jsonPath != "" {
-		js, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			return err
-		}
-		js = append(js, '\n')
-		if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
+		if err := writeJSON(jsonPath, m); err != nil {
 			return err
 		}
 		fmt.Printf("matrix written to %s\n", jsonPath)

@@ -12,6 +12,7 @@ import (
 	"ctdf/internal/interp"
 	"ctdf/internal/lang"
 	"ctdf/internal/machine"
+	"ctdf/internal/obs"
 	"ctdf/internal/translate"
 )
 
@@ -21,13 +22,11 @@ import (
 // listing, and an execution summary.
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	workload := sourceFlags(fs)
+	source := addSourceFlags(fs)
 	schemaName := fs.String("schema", "schema2-opt", "translation schema")
 	latency := fs.Int("latency", 4, "split-phase memory latency in cycles")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
+	fs.Parse(args)
+	src, err := source.text()
 	if err != nil {
 		return err
 	}
@@ -136,7 +135,7 @@ func cmdExplain(args []string) error {
 	fmt.Printf("\n== execution (L=%d, unlimited processors) ==\n", *latency)
 	fmt.Printf("cycles: %d   ops: %d   avg parallelism: %.2f   peak match store: %d\n",
 		out.Stats.Cycles, out.Stats.Ops, out.Stats.AvgParallelism(), out.Stats.PeakMatchStore)
-	fmt.Print(out.Stats.ProfileChart(64, 8))
+	fmt.Print(obs.ProfileChart(out.Stats.Profile, out.Stats.Cycles, 64, 8))
 	got := translate.FinalSnapshot(res, out.Store, out.EndValues)
 	fmt.Println("final state:")
 	fmt.Print(got)

@@ -25,9 +25,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 
 	"ctdf"
@@ -56,7 +56,9 @@ type usageError string
 func (e usageError) Error() string { return string(e) }
 
 // commands maps a command's name to its implementation, which takes the
-// arguments after the name.
+// arguments after the name. Each parses them with a flag.ExitOnError
+// set, whose Parse exits on a bad flag (0 for -h) and so never returns
+// an error.
 var commands = map[string]func(args []string) error{
 	"run":         cmdRun,
 	"profile":     cmdProfile,
@@ -108,90 +110,13 @@ const usageText = `usage:
 Use 'ctdf run -h' etc. for per-command flags.
 `
 
-// sourceFlags adds the common program-selection flags.
-func sourceFlags(fs *flag.FlagSet) (workload *string) {
-	return fs.String("workload", "", "run a built-in workload instead of a file")
-}
-
-func loadSource(fs *flag.FlagSet, workload string) (string, error) {
-	if workload != "" {
-		w, err := workloads.ByName(workload)
-		if err != nil {
-			return "", fmt.Errorf("unknown workload %q (see 'ctdf workloads')", workload)
-		}
-		return w.Source, nil
-	}
-	if fs.NArg() != 1 {
-		return "", fmt.Errorf("expected exactly one source file (or -workload)")
-	}
-	name := fs.Arg(0)
-	if name == "-" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(name)
-	return string(b), err
-}
-
-func translateOptions(fs *flag.FlagSet) (schema, cover *string, elim, parReads, parStores *bool) {
-	schema = fs.String("schema", "schema2-opt", "translation schema: schema1, schema2, schema2-opt, schema3, schema3-opt")
-	cover = fs.String("cover", "singleton", "schema 3 cover: singleton, class, monolithic")
-	elim = fs.Bool("elim", false, "eliminate memory operations for unaliased scalars (§6.1)")
-	parReads = fs.Bool("parreads", false, "parallelize read sequences (§6.2)")
-	parStores = fs.Bool("parstores", false, "parallelize independent array stores (§6.3)")
-	return
-}
-
-func istructFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("istructs", false, "give write-once arrays I-structure semantics (§6.3)")
-}
-
-func buildOptions(schema, cover string, elim, parReads, parStores, istructs bool) (ctdf.Options, error) {
-	s, err := ctdf.ParseSchema(schema)
-	if err != nil {
-		return ctdf.Options{}, err
-	}
-	opt := ctdf.Options{Schema: s, EliminateMemory: elim, ParallelReads: parReads, ParallelArrayStores: parStores, UseIStructures: istructs}
-	switch cover {
-	case "singleton":
-		opt.Cover = ctdf.CoverSingleton
-	case "class":
-		opt.Cover = ctdf.CoverClass
-	case "monolithic":
-		opt.Cover = ctdf.CoverMonolithic
-	default:
-		return ctdf.Options{}, fmt.Errorf("unknown cover %q", cover)
-	}
-	return opt, nil
-}
-
-func parseBinding(s string) (map[string]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]string{}
-	for _, pair := range strings.Split(s, ",") {
-		kv := strings.SplitN(pair, "=", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return nil, fmt.Errorf("bad binding %q (want name=canonical,…)", pair)
-		}
-		out[kv[0]] = kv[1]
-	}
-	return out, nil
-}
-
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	schema, cover, elim, parReads, parStores := translateOptions(fs)
-	istructs := istructFlag(fs)
+	pf := addProgramFlags(fs)
+	mf := addMachineFlags(fs)
 	engine := fs.String("engine", "machine", "execution engine: machine, channels, interp")
-	procs := fs.Int("procs", 0, "processors (0 = unlimited)")
-	latency := fs.Int("latency", 1, "split-phase memory latency in cycles")
-	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
 	seed := fs.Int64("seed", 0, "randomize machine issue order with this seed")
 	races := fs.Bool("races", false, "detect overlapping conflicting memory operations")
-	workers := fs.Int("workers", 1, "partition the machine's state across N shared-nothing shards (byte-identical execution)")
 	profile := fs.Bool("profile", false, "print the per-cycle parallelism profile")
 	legalize := fs.Bool("legalize", false, "decompose wide synch collectors into two-input trees")
 	linked := fs.Bool("linked", false, "compile procedures separately (Apply/Param/ProcReturn linkage)")
@@ -199,24 +124,18 @@ func cmdRun(args []string) error {
 	deadline := fs.Duration("deadline", 0, "wall-clock deadline per attempt (0 = none)")
 	supervise := fs.Bool("recover", false, "supervise the run: retry transient aborts, resuming the machine from its last checkpoint")
 	metrics := fs.String("metrics", "", "serve OpenMetrics at this address (e.g. :9464) during and after the run; ctrl-c to exit")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
+	fs.Parse(args)
+	p, err := pf.program()
 	if err != nil {
 		return err
 	}
-	p, err := ctdf.Compile(src)
-	if err != nil {
-		return err
-	}
-	b, err := parseBinding(*binding)
+	cfg, err := mf.config()
 	if err != nil {
 		return err
 	}
 
 	if *engine == "interp" {
-		r, err := p.Interpret(b)
+		r, err := p.Interpret(cfg.Binding)
 		if err != nil {
 			return err
 		}
@@ -224,16 +143,10 @@ func cmdRun(args []string) error {
 		return nil
 	}
 
-	opt, err := buildOptions(*schema, *cover, *elim, *parReads, *parStores, *istructs)
-	if err != nil {
+	if cfg.Engine, err = parseEngine(*engine); err != nil {
 		return err
 	}
-	var d *ctdf.Dataflow
-	if *linked {
-		d, err = p.TranslateLinked()
-	} else {
-		d, err = p.Translate(opt)
-	}
+	d, err := pf.translate(p, *pf.schema, *linked)
 	if err != nil {
 		return err
 	}
@@ -242,11 +155,7 @@ func cmdRun(args []string) error {
 		d, added = d.LegalizeSynchTrees()
 		fmt.Fprintf(os.Stderr, "legalized: %d two-input synchs added\n", added)
 	}
-	cfg := ctdf.RunConfig{
-		Processors: *procs, MemLatency: *latency, Binding: b,
-		RandomSeed: *seed, DetectRaces: *races,
-		Workers: *workers, Deadline: *deadline,
-	}
+	cfg.RandomSeed, cfg.DetectRaces, cfg.Deadline = *seed, *races, *deadline
 	if *supervise {
 		cfg.Recovery = &ctdf.RecoveryPolicy{}
 	}
@@ -262,14 +171,6 @@ func cmdRun(args []string) error {
 	}
 	if *trace {
 		cfg.Trace = os.Stderr
-	}
-	switch *engine {
-	case "machine":
-		cfg.Engine = ctdf.EngineMachine
-	case "channels":
-		cfg.Engine = ctdf.EngineChannels
-	default:
-		return fmt.Errorf("unknown engine %q", *engine)
 	}
 	r, err := d.Run(cfg)
 	if err != nil {
@@ -291,7 +192,7 @@ func cmdRun(args []string) error {
 			r.Recovery.CheckpointsTaken, r.Recovery.CyclesReplayed)
 	}
 	st := d.Stats()
-	fmt.Printf("schema: %s   engine: %s\n", opt.Schema, *engine)
+	fmt.Printf("schema: %s   engine: %s\n", *pf.schema, *engine)
 	fmt.Printf("graph: %d nodes, %d arcs (%d switches, %d merges, %d synchs, %d loads, %d stores)\n",
 		st.Nodes, st.Arcs, st.Switches, st.Merges, st.Synchs, st.Loads, st.Stores)
 	if cfg.Engine == ctdf.EngineMachine {
@@ -320,19 +221,11 @@ func cmdRun(args []string) error {
 
 func cmdDot(args []string) error {
 	fs := flag.NewFlagSet("dot", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	schema, cover, elim, parReads, parStores := translateOptions(fs)
-	istructs := istructFlag(fs)
+	pf := addProgramFlags(fs)
 	kind := fs.String("graph", "dfg", "which graph to render: cfg, dfg")
 	format := fs.String("format", "dot", "output format for dfg: dot, text, listing")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
-	if err != nil {
-		return err
-	}
-	p, err := ctdf.Compile(src)
+	fs.Parse(args)
+	p, err := pf.program()
 	if err != nil {
 		return err
 	}
@@ -341,40 +234,20 @@ func cmdDot(args []string) error {
 		fmt.Print(p.ControlFlowDOT())
 		return nil
 	case "dfg":
-		opt, err := buildOptions(*schema, *cover, *elim, *parReads, *parStores, *istructs)
+		d, err := pf.translate(p, *pf.schema, false)
 		if err != nil {
 			return err
 		}
-		d, err := p.Translate(opt)
-		if err != nil {
-			return err
-		}
-		switch *format {
-		case "dot":
-			fmt.Print(d.DOT())
-		case "text":
-			fmt.Print(d.Text())
-		case "listing":
-			fmt.Print(d.Listing())
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		return nil
+		return writeGraph(d, *format)
 	}
 	return fmt.Errorf("unknown graph kind %q", *kind)
 }
 
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
-	if err != nil {
-		return err
-	}
-	p, err := ctdf.Compile(src)
+	source := addSourceFlags(fs)
+	fs.Parse(args)
+	p, err := source.program()
 	if err != nil {
 		return err
 	}
@@ -396,15 +269,9 @@ func cmdStats(args []string) error {
 // program's call sites (paper §5).
 func cmdAliases(args []string) error {
 	fs := flag.NewFlagSet("aliases", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
-	if err != nil {
-		return err
-	}
-	p, err := ctdf.Compile(src)
+	source := addSourceFlags(fs)
+	fs.Parse(args)
+	p, err := source.program()
 	if err != nil {
 		return err
 	}
@@ -428,9 +295,7 @@ func cmdAliases(args []string) error {
 func cmdExperiments(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	jsonDir := fs.String("json", "", "also write one JSON artifact per experiment into this directory")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	want := map[string]bool{}
 	for _, a := range fs.Args() {
 		want[a] = true
@@ -451,14 +316,8 @@ func cmdExperiments(args []string) error {
 		}
 		fmt.Println(out)
 		if *jsonDir != "" {
-			js, err := e.JSON()
-			if err != nil {
+			if err := writeJSON(filepath.Join(*jsonDir, e.Artifact), e); err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
-			}
-			js = append(js, '\n')
-			path := *jsonDir + string(os.PathSeparator) + e.Artifact
-			if err := os.WriteFile(path, js, 0o644); err != nil {
-				return err
 			}
 		}
 	}

@@ -226,6 +226,9 @@ func TestCmdErrors(t *testing.T) {
 	if _, err := capture(t, func() error { return cmdRun([]string{}) }); err == nil {
 		t.Error("missing source accepted")
 	}
+	if _, err := capture(t, func() error { return cmdRun([]string{"-workload", "fib-iterative", "other.src"}) }); err == nil {
+		t.Error("stray argument after -workload accepted")
+	}
 	if _, err := capture(t, func() error { return cmdDot([]string{"-workload", "gcd", "-format", "zorp"}) }); err == nil {
 		t.Error("unknown format accepted")
 	}

@@ -14,27 +14,11 @@ import (
 // printing anything.
 func cmdOpt(args []string) error {
 	fs := flag.NewFlagSet("opt", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	schema, cover, elim, parReads, parStores := translateOptions(fs)
-	istructs := istructFlag(fs)
+	pf := addProgramFlags(fs)
 	explain := fs.Bool("explain", false, "print per-pass rewrite counts")
 	format := fs.String("format", "", "also emit the optimized graph: text, dot, listing")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
-	if err != nil {
-		return err
-	}
-	p, err := ctdf.Compile(src)
-	if err != nil {
-		return err
-	}
-	opt, err := buildOptions(*schema, *cover, *elim, *parReads, *parStores, *istructs)
-	if err != nil {
-		return err
-	}
-	d, err := p.Translate(opt)
+	fs.Parse(args)
+	d, err := pf.dataflow(false)
 	if err != nil {
 		return err
 	}
@@ -59,7 +43,7 @@ func cmdOpt(args []string) error {
 		return fmt.Errorf("optimizer changed the result:\nbefore %safter %s", beforeRun.Snapshot, afterRun.Snapshot)
 	}
 
-	fmt.Printf("schema: %s\n", opt.Schema)
+	fmt.Printf("schema: %s\n", *pf.schema)
 	fmt.Printf("graph: %d → %d nodes, %d → %d arcs (%d → %d switches, %d → %d merges)\n",
 		before.Nodes, after.Nodes, before.Arcs, after.Arcs,
 		before.Switches, after.Switches, before.Merges, after.Merges)
@@ -73,16 +57,8 @@ func cmdOpt(args []string) error {
 		}
 		fmt.Printf("  %-16s %4d rewrites\n", "total", total)
 	}
-	switch *format {
-	case "":
-	case "text":
-		fmt.Print(d.Text())
-	case "dot":
-		fmt.Print(d.DOT())
-	case "listing":
-		fmt.Print(d.Listing())
-	default:
-		return fmt.Errorf("unknown format %q", *format)
+	if *format == "" {
+		return nil
 	}
-	return nil
+	return writeGraph(d, *format)
 }

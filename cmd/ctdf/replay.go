@@ -33,9 +33,7 @@ func cmdReplay(args []string) error {
 	at := fs.Int("at", -1, "also dump machine state at this cycle")
 	suite := fs.Bool("suite", false, "record and replay every serializable workload × schema")
 	verbose := fs.Bool("v", false, "suite mode: print one line per replayed run")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	if *suite {
 		return replaySuite(*verbose)
 	}

@@ -19,41 +19,22 @@ import (
 // table on screen.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	schema, cover, elim, parReads, parStores := translateOptions(fs)
-	istructs := istructFlag(fs)
-	procs := fs.Int("procs", 0, "processors (0 = unlimited)")
-	latency := fs.Int("latency", 1, "split-phase memory latency in cycles")
-	workers := fs.Int("workers", 1, "partition the machine's state across N shards")
-	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
+	pf := addProgramFlags(fs)
+	mf := addMachineFlags(fs)
 	refresh := fs.Duration("refresh", 500*time.Millisecond, "repaint interval")
 	duration := fs.Duration("duration", 10*time.Second, "how long to keep running (0 = until ctrl-c)")
 	metrics := fs.String("metrics", "", "also serve OpenMetrics at this address while running")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
+	fs.Parse(args)
+	d, err := pf.dataflow(false)
 	if err != nil {
 		return err
 	}
-	p, err := ctdf.Compile(src)
+	cfg, err := mf.config()
 	if err != nil {
 		return err
 	}
-	b, err := parseBinding(*binding)
-	if err != nil {
-		return err
-	}
-	opt, err := buildOptions(*schema, *cover, *elim, *parReads, *parStores, *istructs)
-	if err != nil {
-		return err
-	}
-	d, err := p.Translate(opt)
-	if err != nil {
-		return err
-	}
-
 	reg := ctdf.NewTelemetry()
+	cfg.Telemetry = reg
 	if *metrics != "" {
 		srv, err := reg.Serve(*metrics)
 		if err != nil {
@@ -61,10 +42,6 @@ func cmdTop(args []string) error {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "metrics: serving http://%s/metrics\n", srv.Addr())
-	}
-	cfg := ctdf.RunConfig{
-		Processors: *procs, MemLatency: *latency, Workers: *workers,
-		Binding: b, Telemetry: reg,
 	}
 
 	// The runner loops the workload until told to stop; each iteration
@@ -108,7 +85,7 @@ func cmdTop(args []string) error {
 			// Home the cursor and wipe the previous frame.
 			fmt.Print("\x1b[H\x1b[2J")
 		}
-		fmt.Printf("ctdf top — schema %s, %d worker(s), %d iteration(s)\n\n", opt.Schema, *workers, iters.Load())
+		fmt.Printf("ctdf top — schema %s, %d worker(s), %d iteration(s)\n\n", *pf.schema, cfg.Workers, iters.Load())
 		fmt.Print(reg.Snapshot().PhaseTable())
 	}
 	running := true

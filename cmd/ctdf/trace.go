@@ -20,47 +20,25 @@ import (
 // for a walkthrough on the running example.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	schema, cover, elim, parReads, parStores := translateOptions(fs)
-	istructs := istructFlag(fs)
-	procs := fs.Int("procs", 0, "processors (0 = unlimited)")
-	workers := fs.Int("workers", 1, "partition the machine's state across N shared-nothing shards (byte-identical execution)")
-	latency := fs.Int("latency", 1, "split-phase memory latency in cycles")
-	binding := fs.String("binding", "", "alias binding, e.g. x=z (x and z share one location)")
+	pf := addProgramFlags(fs)
+	mf := addMachineFlags(fs)
 	explain := fs.String("explain", "", "render the backward cause cone of this anchor (NODE[@TAG], label, or #ID)")
 	impact := fs.String("impact", "", "render the forward slice of this anchor")
 	depth := fs.Int("depth", 0, "limit rendered cone depth (0 = unlimited)")
 	journalPath := fs.String("journal", "", "save the journal to this file (.gz compresses) for 'ctdf replay'")
 	chrome := fs.String("chrome", "", "export a Chrome Trace Event JSON for Perfetto to this file")
 	pprof := fs.String("pprof", "", "export a pprof profile for 'go tool pprof' to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	src, err := loadSource(fs, *workload)
+	fs.Parse(args)
+	d, err := pf.dataflow(false)
 	if err != nil {
 		return err
 	}
-	p, err := ctdf.Compile(src)
+	cfg, err := mf.config()
 	if err != nil {
 		return err
 	}
-	b, err := parseBinding(*binding)
-	if err != nil {
-		return err
-	}
-	opt, err := buildOptions(*schema, *cover, *elim, *parReads, *parStores, *istructs)
-	if err != nil {
-		return err
-	}
-	d, err := p.Translate(opt)
-	if err != nil {
-		return err
-	}
-	r, err := d.Run(ctdf.RunConfig{
-		Engine: ctdf.EngineMachine, Processors: *procs, Workers: *workers,
-		MemLatency: *latency, Binding: b,
-		Obs: &ctdf.ObsOptions{Journal: true, Label: opt.Schema.String()},
-	})
+	cfg.Obs = &ctdf.ObsOptions{Journal: true, Label: *pf.schema}
+	r, err := d.Run(cfg)
 	if err != nil {
 		return err
 	}

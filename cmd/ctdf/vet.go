@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"ctdf"
 	"ctdf/internal/workloads"
@@ -21,45 +19,34 @@ import (
 //	ctdf vet -suite [-json file]               verify every workload × schema
 func cmdVet(args []string) error {
 	fs := flag.NewFlagSet("vet", flag.ExitOnError)
-	workload := sourceFlags(fs)
-	schema, cover, elim, parReads, parStores := translateOptions(fs)
-	istructs := istructFlag(fs)
+	pf := addProgramFlags(fs)
 	linked := fs.Bool("linked", false, "compile procedures separately before verifying")
 	suite := fs.Bool("suite", false, "verify every built-in workload under every schema")
 	optimize := fs.Bool("optimize", false, "suite mode: also verify the optimized translation of every cell")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	jsonPath := fs.String("jsonfile", "", "write the report as JSON to this file")
 	verbose := fs.Bool("v", false, "suite mode: print one line per verified graph")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	fs.Parse(args)
 	if *suite {
 		return vetSuite(*jsonOut, *jsonPath, *verbose, *optimize)
 	}
 
-	src, err := loadSource(fs, *workload)
-	if err != nil {
-		return err
-	}
-	p, err := ctdf.Compile(src)
-	if err != nil {
-		return err
-	}
-	var d *ctdf.Dataflow
-	if *linked {
-		d, err = p.TranslateLinked()
-	} else {
-		var opt ctdf.Options
-		if opt, err = buildOptions(*schema, *cover, *elim, *parReads, *parStores, *istructs); err == nil {
-			d, err = p.Translate(opt)
-		}
-	}
+	d, err := pf.dataflow(*linked)
 	if err != nil {
 		return err
 	}
 	rep := d.Vet()
-	if err := emitVet(rep, *jsonOut, *jsonPath); err != nil {
-		return err
+	if *jsonOut {
+		if err := writeJSON("-", rep); err != nil {
+			return err
+		}
+	} else {
+		fmt.Print(rep.String())
+	}
+	if *jsonPath != "" {
+		if err := writeJSON(*jsonPath, rep); err != nil {
+			return err
+		}
 	}
 	if rep.Errors > 0 {
 		return fmt.Errorf("vet: %d errors", rep.Errors)
@@ -143,46 +130,19 @@ func vetSuite(jsonOut bool, jsonPath string, verbose, optimize bool) error {
 	}
 	fmt.Printf("vet suite: %d graphs verified, %d clean, %d errors, %d warnings\n",
 		rep.Verified, rep.Clean, rep.Errors, rep.Warnings)
-	if jsonOut || jsonPath != "" {
-		js, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+	if jsonOut {
+		if err := writeJSON("-", rep); err != nil {
 			return err
 		}
-		js = append(js, '\n')
-		if jsonOut {
-			os.Stdout.Write(js)
+	}
+	if jsonPath != "" {
+		if err := writeJSON(jsonPath, rep); err != nil {
+			return err
 		}
-		if jsonPath != "" {
-			if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("report written to %s\n", jsonPath)
-		}
+		fmt.Printf("report written to %s\n", jsonPath)
 	}
 	if rep.Errors > 0 {
 		return fmt.Errorf("vet suite: %d errors", rep.Errors)
-	}
-	return nil
-}
-
-func emitVet(rep *ctdf.VetReport, jsonOut bool, jsonPath string) error {
-	if jsonOut || jsonPath != "" {
-		js, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		js = append(js, '\n')
-		if jsonOut {
-			os.Stdout.Write(js)
-		}
-		if jsonPath != "" {
-			if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	if !jsonOut {
-		fmt.Print(rep.String())
 	}
 	return nil
 }
