@@ -30,8 +30,6 @@ import (
 type RecoveryPolicy struct {
 	// MaxAttempts bounds total attempts including the first (default 3).
 	MaxAttempts int
-	// Backoff is the flat delay between attempts (default none).
-	Backoff time.Duration
 	// CheckpointEvery is the machine checkpoint interval in cycles
 	// (default 64). Negative disables checkpointing: machine retries then
 	// restart from scratch like channel retries. Checkpointing is also
@@ -278,9 +276,6 @@ func (d *Dataflow) runSupervised(cfg RunConfig) (*Result, error) {
 		}
 		if deadline > 0 {
 			deadline = time.Duration(float64(deadline) * pol.DeadlineFactor)
-		}
-		if pol.Backoff > 0 {
-			time.Sleep(pol.Backoff)
 		}
 	}
 }
