@@ -416,7 +416,7 @@ func (d *Dataflow) Listing() string { return dfg.Listing(d.res.Graph) }
 // ProfileChart renders a parallelism profile (Result.Profile) as an ASCII
 // bar chart: columns are time buckets, bar height is operations issued.
 func ProfileChart(profile []int, cycles, width, height int) string {
-	return machine.Stats{Profile: profile, Cycles: cycles}.ProfileChart(width, height)
+	return obs.ProfileChart(profile, cycles, width, height)
 }
 
 // LoadDataflow parses a dataflow graph serialized by Text. The result can

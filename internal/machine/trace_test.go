@@ -40,33 +40,3 @@ func TestTraceOutput(t *testing.T) {
 		}
 	}
 }
-
-func TestProfileChart(t *testing.T) {
-	res := translateWorkload(t, workloads.MustByName("fib-iterative"), translate.Options{Schema: translate.Schema2})
-	out, err := Run(res.Graph, Config{MemLatency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chart := out.Stats.ProfileChart(60, 8)
-	if !strings.Contains(chart, "#") || !strings.Contains(chart, "cycle") {
-		t.Errorf("chart malformed:\n%s", chart)
-	}
-	// Height: 8 bar rows + axis + label.
-	if got := strings.Count(chart, "\n"); got != 10 {
-		t.Errorf("chart has %d lines, want 10", got)
-	}
-	// The peak row is labeled with MaxParallelism.
-	if !strings.Contains(chart, "   ") {
-		t.Error("chart missing axis labels")
-	}
-}
-
-func TestProfileChartDegenerate(t *testing.T) {
-	if got := (Stats{}).ProfileChart(10, 4); !strings.Contains(got, "empty") {
-		t.Errorf("empty profile chart = %q", got)
-	}
-	s := Stats{Profile: []int{3}, Cycles: 1}
-	if got := s.ProfileChart(0, 0); !strings.Contains(got, "#") {
-		t.Errorf("degenerate dims chart = %q", got)
-	}
-}
