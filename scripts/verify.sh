@@ -102,6 +102,22 @@ if [ -n "$copying" ]; then
     exit 1
 fi
 
+echo "== shared ctdf flags are declared once =="
+# The flags several ctdf commands share — the program flags (-workload,
+# -schema, -cover, …) and the machine flags (-procs, -latency, -workers,
+# -binding) — are declared once, in cmd/ctdf/flags.go: a command that
+# declares one itself has started a second copy, with a default and help
+# text of its own to drift. explain's own -schema and -latency (default
+# 4) are the one exception.
+flagdups=$(grep -nE '\("(procs|latency|workers|binding|schema|cover|workload)",' cmd/ctdf/*.go |
+    grep -v '_test\.go:' | grep -vE '^cmd/ctdf/explain\.go:[0-9]+:.*\("(schema|latency)",' |
+    sed -E 's/.*\("([a-z]+)",.*/\1/' | sort | uniq -d)
+if [ -n "$flagdups" ]; then
+    echo "ctdf flags declared more than once:" >&2
+    echo "$flagdups" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
