@@ -212,8 +212,8 @@ e := a + b + c
 // TestGraphPassesAcceptEveryGraphClass: LegalizeSynchTrees and
 // EliminateRedundantSwitches take every graph a translation hands over —
 // plain, optimized (fused nodes and their step programs) and linked (apply
-// nodes and their call linkage) — and hand back a valid graph that
-// computes the unedited graph's store on both engines.
+// nodes and their call linkage) — and hand back a valid graph that vets
+// clean and computes the unedited graph's store on both engines.
 func TestGraphPassesAcceptEveryGraphClass(t *testing.T) {
 	passes := []struct {
 		name string
@@ -243,6 +243,11 @@ func TestGraphPassesAcceptEveryGraphClass(t *testing.T) {
 				}
 				if a := translate.MaxSynchArity(got.graph()); p.name == "legalize" && a > 2 {
 					t.Errorf("%s: synch arity %d remains after legalizing", label, a)
+				}
+				if e == EngineMachine {
+					if rep := got.Vet(); !rep.Clean() {
+						t.Errorf("%s/%s: vet:\n%s", label, p.name, rep)
+					}
 				}
 				r, err := got.Run(RunConfig{Engine: e})
 				if err != nil {

@@ -159,6 +159,15 @@ type OptCertificate struct {
 	Passes []PassCount `json:"passes"`
 }
 
+// Clone returns a copy of c whose removal claims can grow without
+// touching c's; the clone of nil claims nothing.
+func (c *OptCertificate) Clone() *OptCertificate {
+	if c == nil {
+		return &OptCertificate{RemovedSwitches: map[StmtTok]int{}, RemovedMerges: map[StmtTok]int{}}
+	}
+	return &OptCertificate{RemovedSwitches: maps.Clone(c.RemovedSwitches), RemovedMerges: maps.Clone(c.RemovedMerges), Passes: c.Passes}
+}
+
 // Rewrites sums the per-pass rewrite counts.
 func (c *OptCertificate) Rewrites() int {
 	if c == nil {
