@@ -25,7 +25,7 @@ func writeGraph(d *ctdf.Dataflow, format string) error {
 
 // writeJSON writes v as indented JSON and a newline, to stdout when path
 // is "-" and to the file at path otherwise. A value with a JSON method
-// (the library's reports) is encoded by it.
+// (an experiment, which runs to build its artifact) is encoded by it.
 func writeJSON(path string, v any) error {
 	var js []byte
 	var err error

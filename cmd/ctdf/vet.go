@@ -82,11 +82,11 @@ func vetSuite(jsonOut bool, jsonPath string, verbose, optimize bool) error {
 	add := func(name, schemaName string, linked bool, vr *ctdf.VetReport) {
 		e := vetSuiteEntry{
 			Workload: name, Schema: schemaName, Linked: linked,
-			Passes: len(vr.Passes), Skipped: len(vr.Skipped),
+			Passes: len(vr.Ran), Skipped: len(vr.Skipped),
 			Errors: vr.Errors, Warnings: vr.Warnings,
 		}
 		if !vr.Clean() {
-			e.Diagnostics = vr.Diagnostics
+			e.Diagnostics = vr.Diags
 		}
 		rep.Entries = append(rep.Entries, e)
 		rep.Verified++

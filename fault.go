@@ -39,19 +39,11 @@ func FaultClasses() []FaultClass { return fault.Classes() }
 // ParseFaultClass parses a fault class name.
 func ParseFaultClass(s string) (FaultClass, error) { return fault.ParseClass(s) }
 
-// FaultPlan selects one fault to inject into a run.
-type FaultPlan struct {
-	// Class is the fault class.
-	Class FaultClass
-	// Site is the 1-based index of the eligible injection site to hit; 0
-	// runs a counting pass that injects nothing but reports the site
-	// count in Result.Fault.Sites (use it to pick a site from a seed with
-	// PickFaultSite).
-	Site int64
-	// Delay is the extra latency in cycles for FaultDelayMemResponse
-	// (0 means the default).
-	Delay int
-}
+// FaultPlan selects one fault to inject into a run: its Class, the
+// 1-based Site to hit (0 runs a counting pass that injects nothing but
+// reports the site count in Result.Fault.Sites; pick a site from a seed
+// with PickFaultSite), and the Delay of FaultDelayMemResponse.
+type FaultPlan = fault.Plan
 
 // FaultReport describes what the injector saw and did during a run.
 type FaultReport struct {

@@ -166,6 +166,15 @@ func (r *Report) NodeFirings() []int64 {
 	return out
 }
 
+// CriticalPathLength returns the longest dependence chain's length in
+// cycles, or 0 when the critical path was not recorded.
+func (r *Report) CriticalPathLength() int64 {
+	if r.CriticalPath == nil {
+		return 0
+	}
+	return r.CriticalPath.Length
+}
+
 // Text renders the report for humans: run totals, the busiest nodes
 // (top rows of the per-node table; top <= 0 means all), the per-kind
 // aggregation, the parallelism histogram, and the critical path.

@@ -12,7 +12,7 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // Handler serves the registry's current snapshot at /metrics in the
 // OpenMetrics text format. Scraping is race-free against a running
 // machine because Snapshot reads only atomics.
-func Handler(r *Registry) http.Handler {
+func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", openMetricsContentType)
@@ -31,13 +31,15 @@ type Server struct {
 }
 
 // Serve starts an HTTP server for the registry on addr (e.g. ":9464"
-// or "127.0.0.1:0"). It returns once the listener is bound.
-func Serve(r *Registry, addr string) (*Server, error) {
+// or "127.0.0.1:0"). It returns once the listener is bound; query Addr
+// for the binding, and Close the server to shut down without leaking
+// its goroutine.
+func (r *Registry) Serve(addr string) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{lis: lis, srv: &http.Server{Handler: Handler(r)}, done: make(chan struct{})}
+	s := &Server{lis: lis, srv: &http.Server{Handler: r.Handler()}, done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		s.srv.Serve(lis)

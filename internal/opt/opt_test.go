@@ -158,7 +158,7 @@ func TestVetRejectsBogusCertificate(t *testing.T) {
 	// Inflate one genuine switch claim.
 	for k := range cert.RemovedSwitches {
 		cert.RemovedSwitches[k]++
-		if rep := vet.Run(res.Graph, res); rep.Errors() == 0 {
+		if rep := vet.Run(res.Graph, res); rep.Errors == 0 {
 			t.Errorf("inflated claim at %v not rejected", k)
 		}
 		cert.RemovedSwitches[k]--
@@ -168,14 +168,14 @@ func TestVetRejectsBogusCertificate(t *testing.T) {
 	// Fabricate a claim at a slot the contract never placed.
 	bogus := translate.StmtTok{Stmt: 1 << 20, Tok: "no-such-token"}
 	cert.RemovedSwitches[bogus] = 1
-	if rep := vet.Run(res.Graph, res); rep.Errors() == 0 {
+	if rep := vet.Run(res.Graph, res); rep.Errors == 0 {
 		t.Error("fabricated switch claim not rejected")
 	}
 	delete(cert.RemovedSwitches, bogus)
 
 	// Overclaim merge removals beyond what the contract places.
 	cert.RemovedMerges[bogus] = 3
-	if rep := vet.Run(res.Graph, res); rep.Errors() == 0 {
+	if rep := vet.Run(res.Graph, res); rep.Errors == 0 {
 		t.Error("fabricated merge claim not rejected")
 	}
 	delete(cert.RemovedMerges, bogus)

@@ -82,7 +82,7 @@ func TestMutationsDetected(t *testing.T) {
 					t.Fatalf("optimize=%v: mutation %s does not apply to %s", optimize, tc.mutation, tc.workload)
 				}
 				rep := vet.Run(mut, res)
-				if rep.Errors() == 0 {
+				if rep.Errors == 0 {
 					t.Fatalf("optimize=%v: mutation %s escaped: report clean", optimize, tc.mutation)
 				}
 				got := rep.Detectors()

@@ -59,12 +59,16 @@ func (s Severity) String() string {
 	return "error"
 }
 
+// MarshalText encodes the severity by name, as String renders it.
+func (s Severity) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // Diagnostic is one finding of one pass.
 type Diagnostic struct {
 	// Pass names the reporting pass.
 	Pass string `json:"pass"`
-	// Severity grades the finding.
-	Severity Severity `json:"-"`
+	// Severity grades the finding: "error" (a correctness condition is
+	// refuted) or "warning" (missed optimization or harmless redundancy).
+	Severity Severity `json:"severity"`
 	// Check is the machcheck invariant the defect would violate at run
 	// time (empty for pure optimization warnings).
 	Check machcheck.Check `json:"check,omitempty"`
@@ -111,23 +115,18 @@ type Report struct {
 	Diags []Diagnostic `json:"diagnostics"`
 	// Ran lists the passes that ran.
 	Ran []string `json:"passes"`
-	// Skipped lists the passes that could not run (missing metadata).
+	// Skipped lists the passes that could not run. Graphs loaded from
+	// text or linked from separately compiled procedures carry no
+	// translation metadata, so the translation-validation passes
+	// (switch-placement, source-vectors, alias-cover) skip.
 	Skipped []SkippedPass `json:"skipped,omitempty"`
+	// Errors and Warnings count the diagnostics of each severity.
+	Errors   int `json:"errors"`
+	Warnings int `json:"warnings"`
 }
 
 // Clean reports whether the run produced no diagnostics at all.
 func (r *Report) Clean() bool { return len(r.Diags) == 0 }
-
-// Errors counts error-severity diagnostics.
-func (r *Report) Errors() int {
-	n := 0
-	for _, d := range r.Diags {
-		if d.Severity == SevError {
-			n++
-		}
-	}
-	return n
-}
 
 // Detectors returns the sorted set of passes that reported at least one
 // error (the mutation self-tests assert on it).
@@ -157,7 +156,7 @@ func (r *Report) String() string {
 	if len(r.Skipped) > 0 {
 		fmt.Fprintf(&b, " (%d skipped)", len(r.Skipped))
 	}
-	fmt.Fprintf(&b, ", %d errors, %d warnings\n", r.Errors(), len(r.Diags)-r.Errors())
+	fmt.Fprintf(&b, ", %d errors, %d warnings\n", r.Errors, r.Warnings)
 	return b.String()
 }
 
@@ -212,6 +211,13 @@ func (u *Unit) run(passes []Pass) *Report {
 			}
 		}
 		rep.Diags = append(rep.Diags, diags...)
+	}
+	for _, d := range rep.Diags {
+		if d.Severity == SevError {
+			rep.Errors++
+		} else {
+			rep.Warnings++
+		}
 	}
 	return rep
 }

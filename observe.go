@@ -6,7 +6,6 @@
 package ctdf
 
 import (
-	"encoding/json"
 	"io"
 
 	"ctdf/internal/obs"
@@ -116,47 +115,14 @@ func (e *ExecJournal) WriteChromeTrace(w io.Writer) error { return e.j.WriteChro
 func (e *ExecJournal) WritePprof(w io.Writer) error { return e.j.WritePprof(w) }
 
 // ObsReport is the structured outcome of an observed run: per-node and
-// per-kind counters, the parallelism histogram, and (when requested)
-// the critical path.
-type ObsReport struct {
-	rep *obs.Report
-}
-
-// Text renders the report for humans, showing at most top per-node rows
-// (top <= 0 shows all).
-func (r *ObsReport) Text(top int) string { return r.rep.Text(top) }
-
-// JSON renders the full report as indented JSON.
-func (r *ObsReport) JSON() ([]byte, error) { return json.MarshalIndent(r.rep, "", "  ") }
-
-// NodeFirings returns per-node firing counts indexed by dataflow node
-// id — identical across engines on the same graph (dataflow
-// determinacy).
-func (r *ObsReport) NodeFirings() []int64 { return r.rep.NodeFirings() }
-
-// CriticalPathLength returns the longest dependence chain's length in
-// cycles, or 0 when the critical path was not recorded.
-func (r *ObsReport) CriticalPathLength() int64 {
-	if r.rep.CriticalPath == nil {
-		return 0
-	}
-	return r.rep.CriticalPath.Length
-}
+// per-kind counters, the parallelism histogram, and (when requested) the
+// critical path. encoding/json encodes it in full.
+type ObsReport = obs.Report
 
 // ObsDiff is a structured comparison of two observed runs.
-type ObsDiff struct {
-	d *obs.Diff
-}
+type ObsDiff = obs.Diff
 
 // CompareObs diffs two reports (a the baseline, b the configuration
 // under test): cycles, ops, matching waits, memory stalls, critical
 // path, and per-kind firing counts.
-func CompareObs(a, b *ObsReport) *ObsDiff {
-	return &ObsDiff{d: obs.Compare(a.rep, b.rep)}
-}
-
-// Text renders the diff for humans.
-func (d *ObsDiff) Text() string { return d.d.Text() }
-
-// JSON renders the diff as indented JSON.
-func (d *ObsDiff) JSON() ([]byte, error) { return json.MarshalIndent(d.d, "", "  ") }
+func CompareObs(a, b *ObsReport) *ObsDiff { return obs.Compare(a, b) }

@@ -118,6 +118,28 @@ if [ -n "$flagdups" ]; then
     exit 1
 fi
 
+echo "== public types are declared once =="
+# The root package re-exports the internal types it used to mirror (see
+# README.md, "Install & quickstart"): each name below is an alias of the
+# type that produces it, so there is no copy to convert to and from. A
+# name declared as a type of its own, or a conversion helper of the old
+# copies come back, has started a second definition to keep in step.
+decls=$(go doc -short . | grep '^type ')
+for name in Schema OptPass GraphStats CheckpointRef FaultPlan VetReport VetDiagnostic \
+    VetSkip Telemetry TelemetrySnapshot TelemetryServer ObsReport ObsDiff; do
+    if ! echo "$decls" | grep -q "^type $name = "; then
+        echo "ctdf.$name is not a type alias:" >&2
+        echo "$decls" | grep "^type $name " >&2 || echo "(not declared)" >&2
+        exit 1
+    fi
+done
+helpers=$(grep -n 'toInternalSchema\|severityOf\|registry()' *.go | grep -v '_test\.go:' || true)
+if [ -n "$helpers" ]; then
+    echo "a conversion between a public type and its internal original:" >&2
+    echo "$helpers" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 

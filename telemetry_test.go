@@ -1,6 +1,7 @@
 package ctdf
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"runtime"
@@ -46,7 +47,7 @@ func TestTelemetryPublicAPI(t *testing.T) {
 	if table := snap.PhaseTable(); !strings.Contains(table, "phase breakdown") {
 		t.Errorf("phase table malformed:\n%s", table)
 	}
-	js, err := snap.JSON()
+	js, err := json.Marshal(snap)
 	if err != nil || len(js) == 0 {
 		t.Fatalf("JSON: %v", err)
 	}

@@ -4,84 +4,18 @@ import (
 	"ctdf/internal/vet"
 )
 
-// VetDiagnostic is one finding of one verification pass.
-type VetDiagnostic struct {
-	// Pass names the reporting pass.
-	Pass string `json:"pass"`
-	// Severity is "error" (a correctness condition is refuted) or
-	// "warning" (missed optimization or harmless redundancy).
-	Severity string `json:"severity"`
-	// Check names the machine-check invariant the defect would trip at
-	// run time (see the machcheck taxonomy), empty for pure warnings.
-	Check string `json:"check,omitempty"`
-	// Node is the dataflow node the finding anchors to, or -1.
-	Node int `json:"node"`
-	// Label is the node's diagnostic label ("" when Node is -1).
-	Label string `json:"label,omitempty"`
-	// Tok is the access token or variable involved, if any.
-	Tok string `json:"tok,omitempty"`
-	// Paper cites the section, figure, or theorem of the violated
-	// condition.
-	Paper string `json:"paper,omitempty"`
-	// Msg describes the finding.
-	Msg string `json:"msg"`
-}
+// VetReport is the outcome of verifying one dataflow graph: the findings
+// (Diags, grouped by pass in registry order), the passes that ran and
+// those that skipped, and the error and warning counts.
+type VetReport = vet.Report
 
-// String renders the diagnostic on one line.
-func (d VetDiagnostic) String() string {
-	return vet.Diagnostic{
-		Pass: d.Pass, Severity: severityOf(d.Severity), Node: d.Node,
-		Label: d.Label, Tok: d.Tok, Paper: d.Paper, Msg: d.Msg,
-	}.String()
-}
-
-func severityOf(s string) vet.Severity {
-	if s == "warning" {
-		return vet.SevWarning
-	}
-	return vet.SevError
-}
+// VetDiagnostic is one finding of one verification pass: its severity,
+// the machine check the defect would trip at run time, the node it
+// anchors to, and the paper's violated condition.
+type VetDiagnostic = vet.Diagnostic
 
 // VetSkip records a verification pass that could not run and why.
-type VetSkip struct {
-	Pass   string `json:"pass"`
-	Reason string `json:"reason"`
-}
-
-// VetReport is the outcome of verifying one dataflow graph.
-type VetReport struct {
-	// Diagnostics lists every finding, grouped by pass in registry order.
-	Diagnostics []VetDiagnostic `json:"diagnostics"`
-	// Passes lists the passes that ran.
-	Passes []string `json:"passes"`
-	// Skipped lists the passes that could not run. Graphs loaded from
-	// text or linked from separately compiled procedures carry no
-	// translation metadata, so the translation-validation passes
-	// (switch-placement, source-vectors, alias-cover) skip.
-	Skipped []VetSkip `json:"skipped,omitempty"`
-	// Errors counts error-severity diagnostics.
-	Errors int `json:"errors"`
-	// Warnings counts warning-severity diagnostics.
-	Warnings int `json:"warnings"`
-}
-
-// Clean reports whether the run produced no diagnostics at all.
-func (r *VetReport) Clean() bool { return len(r.Diagnostics) == 0 }
-
-// String renders the report: one line per diagnostic, then a summary.
-func (r *VetReport) String() string {
-	rep := &vet.Report{Ran: r.Passes}
-	for _, d := range r.Diagnostics {
-		rep.Diags = append(rep.Diags, vet.Diagnostic{
-			Pass: d.Pass, Severity: severityOf(d.Severity), Node: d.Node,
-			Label: d.Label, Tok: d.Tok, Paper: d.Paper, Msg: d.Msg,
-		})
-	}
-	for _, s := range r.Skipped {
-		rep.Skipped = append(rep.Skipped, vet.SkippedPass{Pass: s.Pass, Reason: s.Reason})
-	}
-	return rep.String()
-}
+type VetSkip = vet.SkippedPass
 
 // Vet statically verifies the dataflow graph against the paper's
 // correctness conditions: structural invariants, token balance (§3),
@@ -90,21 +24,4 @@ func (r *VetReport) String() string {
 // produced by Translate should always verify clean; diagnostics on a
 // hand-edited or transformed graph locate the violated condition. See
 // ANALYSIS.md for the pass and diagnostics reference.
-func (d *Dataflow) Vet() *VetReport {
-	rep := vet.Run(d.res.Graph, d.res)
-	out := &VetReport{
-		Passes:   rep.Ran,
-		Errors:   rep.Errors(),
-		Warnings: len(rep.Diags) - rep.Errors(),
-	}
-	for _, dg := range rep.Diags {
-		out.Diagnostics = append(out.Diagnostics, VetDiagnostic{
-			Pass: dg.Pass, Severity: dg.Severity.String(), Check: string(dg.Check),
-			Node: dg.Node, Label: dg.Label, Tok: dg.Tok, Paper: dg.Paper, Msg: dg.Msg,
-		})
-	}
-	for _, s := range rep.Skipped {
-		out.Skipped = append(out.Skipped, VetSkip{Pass: s.Pass, Reason: s.Reason})
-	}
-	return out
-}
+func (d *Dataflow) Vet() *VetReport { return vet.Run(d.res.Graph, d.res) }
