@@ -104,7 +104,7 @@ func TestRecoverCyclesExceededRaisesBudget(t *testing.T) {
 
 	r, err := d.Run(RunConfig{
 		MaxCycles: clean.Cycles / 2,
-		Recovery:  &RecoveryPolicy{CheckpointEvery: 4, BudgetFactor: 4},
+		Recovery:  &RecoveryPolicy{CheckpointEvery: 4},
 	})
 	if err != nil {
 		t.Fatalf("supervised run failed: %v", err)
