@@ -96,12 +96,12 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 }
 
 // run iterates the pipeline over w to its fixpoint. res supplies the
-// translation metadata; its Graph is not read.
+// translation metadata; its Graph is not read. The certificate starts
+// from the removal claims of res.Opt, which an earlier run over the same
+// graph left there, so it covers everything the graph lacks against the
+// unedited contract; its Passes count this run's rewrites only.
 func (w *work) run(res *translate.Result) (*translate.OptCertificate, error) {
-	cert := &translate.OptCertificate{
-		RemovedSwitches: map[translate.StmtTok]int{},
-		RemovedMerges:   map[translate.StmtTok]int{},
-	}
+	cert := res.Opt.Clone()
 	counts := [4]int{}
 	for round := 0; ; round++ {
 		if round >= maxRounds {
