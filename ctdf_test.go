@@ -347,9 +347,10 @@ func TestVariablesAccessor(t *testing.T) {
 }
 
 // TestConcurrentRunsShareADataflow: a translated *Dataflow is immutable
-// to its runs — every engine lowers or wires it privately — so any
-// number of goroutines may Run one concurrently (a `ctdf top` loop beside
-// a /metrics-driven run, or any library caller). Run under -race
+// to its runs and to vet — every engine lowers or wires it privately, and
+// vet's passes, themselves concurrent, only read it — so any number of
+// goroutines may Run and Vet one concurrently (a `ctdf top` loop beside a
+// /metrics-driven run, or any library caller). Run under -race
 // (scripts/verify.sh has a named step).
 func TestConcurrentRunsShareADataflow(t *testing.T) {
 	w := workloads.Wide(8, 20)
@@ -380,6 +381,9 @@ func TestConcurrentRunsShareADataflow(t *testing.T) {
 					t.Errorf("%s: %v", name, err)
 				} else if r.Snapshot != want.Snapshot {
 					t.Errorf("%s: store differs from the interpreter's", name)
+				}
+				if rep := d.Vet(); !rep.Clean() || len(rep.Ran) != 6 {
+					t.Errorf("%s: vet ran %d passes, want 6 and a clean report:\n%s", name, len(rep.Ran), rep)
 				}
 			}()
 		}

@@ -3,6 +3,7 @@ package vet_test
 import (
 	"testing"
 
+	"ctdf/internal/analysis"
 	"ctdf/internal/cfg"
 	"ctdf/internal/opt"
 	"ctdf/internal/translate"
@@ -33,10 +34,15 @@ func compile(tb testing.TB, w workloads.Workload, o translate.Options, optimize 
 var benchSink *vet.Report
 
 // BenchmarkVet times vet.Run on the program shapes of benchmark/'s four
-// workloads (same generators, sizes and options), so a profile of the
-// verifier can be taken without the rest of the pipeline around it.
+// workloads (same generators, sizes and options: the aliased program under
+// the class cover, the narrow loop nest without memory elimination), so a
+// profile of the verifier can be taken without the rest of the pipeline
+// around it. Vet runs its passes concurrently; -cpu 1,2 reads the serial
+// and the two-core figure.
 func BenchmarkVet(b *testing.B) {
 	structured := translate.Options{Schema: translate.Schema2Opt}
+	aliased := workloads.RandomAliased(1990, 32, 3)
+	classCover := translate.Options{Schema: translate.Schema3Opt, Cover: analysis.ClassCover(analysis.NewAliasStructure(aliased.Parse()))}
 	for _, c := range []struct {
 		name     string
 		w        workloads.Workload
@@ -46,8 +52,9 @@ func BenchmarkVet(b *testing.B) {
 		{"structured-40", workloads.Random(1990, 40, 3), structured, true},
 		{"structured-56", workloads.Random(1991, 56, 3), structured, true},
 		{"unstructured-48", workloads.RandomUnstructured(1990, 48), structured, false},
-		{"aliased-32", workloads.RandomAliased(1990, 32, 3), translate.Options{Schema: translate.Schema3Opt}, false},
+		{"aliased-32", aliased, classCover, false},
 		{"wide-64", workloads.Wide(64, 4000), translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}, false},
+		{"narrow-8", workloads.Wide(8, 8000), structured, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			res := compile(b, c.w, c.o, c.optimize)

@@ -136,10 +136,10 @@ func (t *guardTable) at(node, port int) guardSet {
 // guardTable solves the guard analysis on first use; the determinacy and
 // alias-cover passes read the one table.
 func (u *Unit) guardTable() *guardTable {
-	if u.guards == nil {
+	u.guardOnce.Do(func() {
 		u.guards = newGuardTable(u)
 		u.guardBuilds++
-	}
+	})
 	return u.guards
 }
 

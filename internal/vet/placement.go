@@ -62,11 +62,7 @@ type placeInfo struct {
 // genuine cross-check, iterated with loop needs to the same monotone
 // fixpoint translate.placeWithLoopControl uses. Cached per Unit.
 func (u *Unit) placementInfo() *placeInfo {
-	if u.placeOnce {
-		return u.place
-	}
-	u.placeOnce = true
-	u.place = recomputePlacement(u.Res)
+	u.placeOnce.Do(func() { u.place = recomputePlacement(u.Res) })
 	return u.place
 }
 

@@ -22,9 +22,12 @@ var OptionCombos = optionCombos
 // CheckAgainstReference vets g with the production analyses and with the
 // reference ones and fails tb unless they agree on (a) the guard set of
 // every output port, (b) reachability between every pair of memory
-// operations, and (c) the report's diagnostics. It returns the production
-// report. The differential tests live in package vet_test, which may
-// import internal/opt (opt imports vet), and reach in through here.
+// operations, and (c) the report: the production runner runs its passes
+// concurrently, the reference calls them one after another (refRun), and
+// the two must list the same diagnostics, ran and skipped passes in the
+// same order. It returns the production report. The differential tests
+// live in package vet_test, which may import internal/opt (opt imports
+// vet), and reach in through here.
 func CheckAgainstReference(tb testing.TB, g *dfg.Graph, res *translate.Result) *Report {
 	tb.Helper()
 	u := newUnit(g, res)
@@ -70,8 +73,41 @@ func CheckAgainstReference(tb testing.TB, g *dfg.Graph, res *translate.Result) *
 			passes[i].run = refPassAliasCover
 		}
 	}
-	if ref := newUnit(g, res).run(passes); !reflect.DeepEqual(rep.Diags, ref.Diags) {
-		tb.Errorf("diagnostics differ from the reference analyses\n got:\n%s\nwant:\n%s", rep, ref)
+	if ref := refRun(newUnit(g, res), passes); !reflect.DeepEqual(rep, ref) {
+		tb.Errorf("report differs from the reference analyses run in series\n got:\n%s\nwant:\n%s", rep, ref)
+	}
+	return rep
+}
+
+// refRun is the former Unit.run: each pass called in turn on the caller's
+// goroutine, its findings appended in registry order.
+func refRun(u *Unit, passes []Pass) *Report {
+	g := u.G
+	rep := &Report{}
+	for _, p := range passes {
+		diags, skip := p.run(u)
+		if skip != "" {
+			rep.Skipped = append(rep.Skipped, SkippedPass{Pass: p.Name, Reason: skip})
+			continue
+		}
+		rep.Ran = append(rep.Ran, p.Name)
+		for i := range diags {
+			diags[i].Pass = p.Name
+			if diags[i].Paper == "" {
+				diags[i].Paper = p.Paper
+			}
+			if diags[i].Node >= 0 && diags[i].Node < len(g.Nodes) && diags[i].Label == "" {
+				diags[i].Label = g.Nodes[diags[i].Node].String()
+			}
+		}
+		rep.Diags = append(rep.Diags, diags...)
+	}
+	for _, d := range rep.Diags {
+		if d.Severity == SevError {
+			rep.Errors++
+		} else {
+			rep.Warnings++
+		}
 	}
 	return rep
 }

@@ -147,11 +147,15 @@ echo "== go test -race =="
 # The one -race run. The machine itself starts no goroutine (the gate
 # above), so what -race holds is, each runnable alone with -run:
 # ConcurrentRuns (root package) — goroutines sharing one *Dataflow across
-# machine runs at several worker counts and the channel engine; the
+# machine runs at several worker counts, the channel engine and vet; the
 # channel engine's own suites (internal/chanexec) — a goroutine per
-# operator; Checkpoint (internal/machine) — sinks and resumes driven by
-# the recovery supervisor (ROBUSTNESS.md).
+# operator; internal/vet — every vet run forks its passes onto goroutines
+# that share the graph and two analyses solved once; Checkpoint
+# (internal/machine) — sinks and resumes driven by the recovery
+# supervisor (ROBUSTNESS.md). ConcurrentRuns runs ten times more, so vet's
+# passes meet in more interleavings.
 go test -race -timeout 5m ./...
+go test -race -count=10 -run TestConcurrentRunsShareADataflow .
 
 echo "== chaos smoke matrix =="
 go run ./cmd/ctdf chaos -smoke
