@@ -51,8 +51,8 @@ func FuzzLoadDataflowRun(f *testing.F) {
 // arbitrary source programs: anything Compile accepts must translate to a
 // graph that vets clean, under every schema and transform combination the
 // translator accepts — and must stay clean through the graph optimizer,
-// whose certificate vet validates rather than trusts, and whose output
-// must execute to the same result on both engines. Translating with
+// whose removals vet judges from the graph alone, and whose output must
+// execute to the same result on both engines. Translating with
 // Optimize set, where the optimizer edits the graph as it is emitted, must
 // give the very graph that optimizing the plain translation gives. Seeds
 // are the committed workloads, so the fuzzer mutates from realistic

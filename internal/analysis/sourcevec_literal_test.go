@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -33,41 +34,73 @@ func acyclicPrograms(t *testing.T) []*cfg.Graph {
 // consumer once single-source joins are resolved away.
 func TestSourceVectorsMatchLiteralFigure11(t *testing.T) {
 	for _, g := range acyclicPrograms(t) {
-		universe := g.Prog.AllNames()
 		need := VarNeed(g)
-		cd := ComputeControlDeps(g)
-		placement := PlaceSwitches(g, cd, need)
+		matchLiteral(t, g, need, PlaceSwitches(g, ComputeControlDeps(g), need))
+	}
+}
 
-		prod, err := ComputeSourceVectors(g, nil, universe, need, placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit, err := ComputeSourceVectorsLiteral(g, universe, need, placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range g.Nodes {
-			for _, tok := range universe {
-				ps := prod.Sources(id, tok)
-				ls := lit[id][tok]
-				// Compare resolved source sets.
-				resolve := func(at func(n int, tok string) []Source, in []Source) map[Source]bool {
-					out := map[Source]bool{}
-					for _, s := range in {
-						out[resolveThroughJoins(g, at, s, tok)] = true
-					}
-					return out
-				}
-				pr := resolve(prod.Sources, ps)
-				lr := resolve(func(n int, tok string) []Source { return lit[n][tok] }, ls)
-				if len(pr) != len(lr) {
-					t.Errorf("node n%d tok %s: production %v vs literal %v", id, tok, ps, ls)
+// TestSourceVectorsMatchLiteralOnPartialPlacements: the verifier computes
+// source vectors under the switches an edited graph holds, which lie
+// between the minimal placement and the unoptimized schemas' full one
+// (a switch at every fork for every token). The two computations must
+// agree on such placements too: the minimal one plus a seeded random
+// subset of the rest of the full one.
+func TestSourceVectorsMatchLiteralOnPartialPlacements(t *testing.T) {
+	rng := rand.New(rand.NewSource(1990))
+	for _, g := range acyclicPrograms(t) {
+		need := VarNeed(g)
+		minimal := PlaceSwitches(g, ComputeControlDeps(g), need)
+		for round := 0; round < 3; round++ {
+			needs := map[int]map[string]bool{}
+			for id, nd := range g.Nodes {
+				if nd.Kind != cfg.KindFork {
 					continue
 				}
-				for s := range pr {
-					if !lr[s] {
-						t.Errorf("node n%d tok %s: production source %s missing from literal %v", id, tok, s, ls)
+				set := map[string]bool{}
+				for _, tok := range g.Prog.AllNames() {
+					if minimal.NeedsSwitch(id, tok) || rng.Intn(2) == 0 {
+						set[tok] = true
 					}
+				}
+				needs[id] = set
+			}
+			matchLiteral(t, g, need, &Placement{Needs: needs})
+		}
+	}
+}
+
+// matchLiteral compares the production and the literal source vectors of
+// g under placement, after resolving single-source joins away.
+func matchLiteral(t *testing.T, g *cfg.Graph, need NeedFunc, placement *Placement) {
+	t.Helper()
+	universe := g.Prog.AllNames()
+	prod, err := ComputeSourceVectors(g, nil, universe, need, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, err := ComputeSourceVectorsLiteral(g, universe, need, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(at func(n int, tok string) []Source, in []Source, tok string) map[Source]bool {
+		out := map[Source]bool{}
+		for _, s := range in {
+			out[resolveThroughJoins(g, at, s, tok)] = true
+		}
+		return out
+	}
+	litAt := func(n int, tok string) []Source { return lit[n][tok] }
+	for id := range g.Nodes {
+		for _, tok := range universe {
+			ps, ls := prod.Sources(id, tok), lit[id][tok]
+			pr, lr := resolve(prod.Sources, ps, tok), resolve(litAt, ls, tok)
+			if len(pr) != len(lr) {
+				t.Errorf("node n%d tok %s: production %v vs literal %v", id, tok, ps, ls)
+				continue
+			}
+			for s := range pr {
+				if !lr[s] {
+					t.Errorf("node n%d tok %s: production source %s missing from literal %v", id, tok, s, ls)
 				}
 			}
 		}

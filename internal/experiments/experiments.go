@@ -337,7 +337,7 @@ func e6() ([]*table, error) {
 		if err != nil {
 			return nil, err
 		}
-		iter, _ := translate.EliminateRedundantSwitches(s2.Graph, nil)
+		iter, _ := translate.EliminateRedundantSwitches(s2.Graph)
 		a := iter.CountKind(dfg.Switch)
 		b := direct.Graph.CountKind(dfg.Switch)
 		t.row(w.Name, s2.Graph.CountKind(dfg.Switch), a, b, a == b)

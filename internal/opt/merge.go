@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"ctdf/internal/dfg"
-	"ctdf/internal/translate"
-)
+import "ctdf/internal/dfg"
 
 // collapseMerges flattens merge chains: a merge m1 whose single
 // consumer is port 0 of another merge m2 for the same token forwards
@@ -19,7 +16,7 @@ import (
 // output was rewired into another merge, is skipped as a flattening
 // source (the sweep's rewrites stay independent of their order); sweeps
 // repeat until no chain remains. It returns the number of merges removed.
-func (w *work) collapseMerges(cert *translate.OptCertificate) int {
+func (w *work) collapseMerges() int {
 	total := 0
 	for {
 		w.sweep++
@@ -58,7 +55,6 @@ func (w *work) collapseMerges(cert *translate.OptCertificate) int {
 			w.KillArc(out)
 			w.Remove(id)
 			w.touch(m2.ID)
-			cert.RemovedMerges[translate.StmtTok{Stmt: m1.Stmt, Tok: m1.Tok}]++
 			n++
 		}
 		if n == 0 {

@@ -24,11 +24,14 @@
 //     deleted, provided no producer's access-token port is left
 //     unconsumed.
 //
-// Every structural claim the pipeline makes about switch and merge
-// removals is recorded in a translate.OptCertificate; internal/vet
-// validates the claims against its own recomputed placement rather than
-// trusting them, so the optimized graph still passes the full
-// translation-validation suite. Determinacy is preserved pass by pass:
+// The pipeline keeps no record of what it removed. internal/vet judges
+// each absence from the graph and the CFG alone: a switch may be missing
+// where its own recomputed minimal placement has none (Theorem 1), and a
+// merge where the source vectors under the remaining switches need none
+// or where a collapsed chain carries its arms on. So the optimized graph
+// still passes the full translation-validation suite. A run sets res.Opt
+// (translate.OptCertificate) to say that it ran and how often each pass
+// rewrote. Determinacy is preserved pass by pass:
 // sinking removes an identity pair (the merge's outgoing guard is
 // exactly the guard the switch's data input carried), flattening
 // preserves the token multiset a merge forwards, fusion only touches
@@ -57,16 +60,16 @@ import (
 const maxRounds = 1024
 
 // Edit runs the pipeline on e, the editor the translation res describes
-// was emitted into (translate.TranslateEdited), and records the
-// certificate in res.
+// was emitted into (translate.TranslateEdited), and records its rewrite
+// counts in res.Opt.
 func Edit(e *dfg.Editor, res *translate.Result) (err error) {
 	res.Opt, err = newWork(e).run(res)
 	return err
 }
 
 // Run optimizes res.Graph in place: the rewritten graph replaces
-// res.Graph, and the certificate recording what was removed is stored in
-// res.Opt and returned. Graphs without translation metadata (loaded from
+// res.Graph, and the run's rewrite counts are stored in res.Opt and
+// returned. Graphs without translation metadata (loaded from
 // text) still get the metadata-free passes (fusion, merge collapsing,
 // dead elimination); switch sinking needs the CFG to recompute the
 // minimal placement and sinks nothing without it.
@@ -95,32 +98,28 @@ func Run(res *translate.Result) (*translate.OptCertificate, error) {
 	return cert, nil
 }
 
-// run iterates the pipeline over w to its fixpoint. res supplies the
-// translation metadata; its Graph is not read. The certificate starts
-// from the removal claims of res.Opt, which an earlier run over the same
-// graph left there, so it covers everything the graph lacks against the
-// unedited contract; its Passes count this run's rewrites only.
+// run iterates the pipeline over w to its fixpoint and reports this
+// run's rewrites. res supplies the translation metadata; its Graph is not
+// read.
 func (w *work) run(res *translate.Result) (*translate.OptCertificate, error) {
-	cert := res.Opt.Clone()
 	counts := [4]int{}
 	for round := 0; ; round++ {
 		if round >= maxRounds {
 			return nil, fmt.Errorf("opt: pipeline did not reach a fixpoint after %d rounds", maxRounds)
 		}
 		before := counts
-		counts[0] += w.sinkSwitches(res, cert)
-		counts[1] += w.collapseMerges(cert)
+		counts[0] += w.sinkSwitches(res)
+		counts[1] += w.collapseMerges()
 		counts[2] += w.fuseOperators()
 		counts[3] += w.eliminateDead(res)
 		if counts == before {
 			break
 		}
 	}
-	cert.Passes = []translate.PassCount{
+	return &translate.OptCertificate{Passes: []translate.PassCount{
 		{Name: "sink-switches", Rewrites: counts[0]},
 		{Name: "collapse-merges", Rewrites: counts[1]},
 		{Name: "fuse-operators", Rewrites: counts[2]},
 		{Name: "eliminate-dead", Rewrites: counts[3]},
-	}
-	return cert, nil
+	}}, nil
 }

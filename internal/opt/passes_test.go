@@ -29,7 +29,7 @@ func runPass(t *testing.T, g *dfg.Graph, pass func(w *work) int) (*dfg.Graph, in
 	return ng, n
 }
 
-func collapse(w *work) int { return w.collapseMerges(freshCert()) }
+func collapse(w *work) int { return w.collapseMerges() }
 func fuse(w *work) int     { return w.fuseOperators() }
 func dead(w *work) int     { return w.eliminateDead(nil) }
 
@@ -246,12 +246,5 @@ func TestPlacementComputedOnDemand(t *testing.T) {
 	}
 	if cert.Passes[0].Rewrites != 0 || w.placements != 1 || w.minimal != nil {
 		t.Errorf("metadata-free graph: %d pairs sunk, placement tried %d times", cert.Passes[0].Rewrites, w.placements)
-	}
-}
-
-func freshCert() *translate.OptCertificate {
-	return &translate.OptCertificate{
-		RemovedSwitches: map[translate.StmtTok]int{},
-		RemovedMerges:   map[translate.StmtTok]int{},
 	}
 }

@@ -36,7 +36,7 @@ import (
 // tested first: the placement is recomputed when the first pair that
 // matches the pattern asks for it (needsSwitch), and a translation that
 // already placed its switches minimally never pays for it.
-func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificate) int {
+func (w *work) sinkSwitches(res *translate.Result) int {
 	total := 0
 	for {
 		w.sweep++
@@ -83,8 +83,6 @@ func (w *work) sinkSwitches(res *translate.Result, cert *translate.OptCertificat
 			}
 			w.Remove(id)
 			w.Remove(m.ID)
-			cert.RemovedSwitches[translate.StmtTok{Stmt: sw.Stmt, Tok: sw.Tok}]++
-			cert.RemovedMerges[translate.StmtTok{Stmt: m.Stmt, Tok: m.Tok}]++
 			n++
 		}
 		if n == 0 {

@@ -22,10 +22,8 @@ import (
 // building the optimized graph directly). The returned graph is a new
 // graph; the input — any validated graph: translated, optimized, linked or
 // loaded from text — is unchanged. The second result is the number of
-// switches eliminated. When cert is non-nil, each removed switch/merge
-// pair is claimed in it, as the optimizer claims the pairs it sinks, so
-// the verifier holds the result to the minimal placement.
-func EliminateRedundantSwitches(g *dfg.Graph, cert *OptCertificate) (*dfg.Graph, int) {
+// switches eliminated.
+func EliminateRedundantSwitches(g *dfg.Graph) (*dfg.Graph, int) {
 	e := dfg.NewEditor(g)
 	eliminated := 0
 	for changed := true; changed; {
@@ -55,10 +53,6 @@ func EliminateRedundantSwitches(g *dfg.Graph, cert *OptCertificate) (*dfg.Graph,
 				c := e.Outs().First(slot)
 				e.AddArc(dfg.Arc{From: data.From, FromPort: data.FromPort, To: e.Arcs[c].To, ToPort: e.Arcs[c].ToPort, Dummy: data.Dummy})
 				e.KillArc(c)
-			}
-			if cert != nil {
-				cert.RemovedSwitches[StmtTok{Stmt: sw.Stmt, Tok: sw.Tok}]++
-				cert.RemovedMerges[StmtTok{Stmt: e.Nodes[mg].Stmt, Tok: e.Nodes[mg].Tok}]++
 			}
 			e.KillArcsInto(mg)
 			e.Remove(mg)

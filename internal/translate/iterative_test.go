@@ -33,7 +33,7 @@ func TestIterativeEliminationPreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simplified, n := EliminateRedundantSwitches(res.Graph, nil)
+			simplified, n := EliminateRedundantSwitches(res.Graph)
 			if err := simplified.Validate(); err != nil {
 				t.Fatalf("simplified graph invalid after %d eliminations: %v", n, err)
 			}
@@ -67,7 +67,7 @@ func TestIterativeMatchesDirectOnAcyclic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			iter, n := EliminateRedundantSwitches(s2.Graph, nil)
+			iter, n := EliminateRedundantSwitches(s2.Graph)
 			got := iter.CountKind(dfg.Switch)
 			want := direct.Graph.CountKind(dfg.Switch)
 			if got != want {
@@ -84,7 +84,7 @@ func TestIterativeEliminatesFig9Switch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n := EliminateRedundantSwitches(res.Graph, nil)
+	_, n := EliminateRedundantSwitches(res.Graph)
 	if n == 0 {
 		t.Error("Figure 9's redundant access_x switch was not eliminated")
 	}
@@ -96,8 +96,8 @@ func TestIterativeIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	once, n1 := EliminateRedundantSwitches(res.Graph, nil)
-	twice, n2 := EliminateRedundantSwitches(once, nil)
+	once, n1 := EliminateRedundantSwitches(res.Graph)
+	twice, n2 := EliminateRedundantSwitches(once)
 	if n2 != 0 {
 		t.Errorf("second pass eliminated %d more switches after %d (not a fixpoint)", n2, n1)
 	}

@@ -125,17 +125,9 @@ type Options struct {
 	// (switch sinking, merge collapsing, operator fusion, dead-token
 	// elimination). Translate only records the level: the optimizer edits
 	// the graph as it is emitted (TranslateEdited with opt.Edit) or one
-	// already built (opt.Run), and records its claims in Result.Opt so the
-	// verifier can hold the optimized graph to the schema contract.
+	// already built (opt.Run), and sets Result.Opt, which tells the
+	// verifier that switches and merges may have been removed.
 	Optimize int
-}
-
-// StmtTok identifies one (originating statement, access token) placement
-// slot — the key under which the verifier diffs actual switch and merge
-// operators against the schema contract.
-type StmtTok struct {
-	Stmt int
-	Tok  string
 }
 
 // PassCount is one optimizer pass's rewrite tally.
@@ -144,28 +136,16 @@ type PassCount struct {
 	Rewrites int    `json:"rewrites"`
 }
 
-// OptCertificate records what the optimizer (internal/opt) did to a
-// graph, in the form the verifier checks rather than trusts: per
-// placement slot, how many switch and merge operators were removed. Vet
-// adjusts the schema contract's expected operator counts by these claims
-// and independently recomputes the minimal (§4 optimized) placement to
-// confirm each removal was legal — a bogus claim surfaces as a vet
-// error, not a silently weakened check.
+// OptCertificate reports what the last graph-editing pass did: the
+// optimizer (internal/opt) or the iterative switch elimination. It claims
+// nothing the verifier relies on — vet judges a switch or merge absent
+// from the graph by the graph and the CFG alone — but its presence on a
+// Result says an edit pass ran, so a switch missing where the minimal
+// placement does not require one is a removal, not a contract breach.
 type OptCertificate struct {
-	RemovedSwitches map[StmtTok]int `json:"-"`
-	RemovedMerges   map[StmtTok]int `json:"-"`
 	// Passes records per-pass rewrite counts in pipeline order (for
 	// `ctdf opt -explain` and the experiments).
 	Passes []PassCount `json:"passes"`
-}
-
-// Clone returns a copy of c whose removal claims can grow without
-// touching c's; the clone of nil claims nothing.
-func (c *OptCertificate) Clone() *OptCertificate {
-	if c == nil {
-		return &OptCertificate{RemovedSwitches: map[StmtTok]int{}, RemovedMerges: map[StmtTok]int{}}
-	}
-	return &OptCertificate{RemovedSwitches: maps.Clone(c.RemovedSwitches), RemovedMerges: maps.Clone(c.RemovedMerges), Passes: c.Passes}
 }
 
 // Rewrites sums the per-pass rewrite counts.
@@ -221,8 +201,10 @@ type Result struct {
 	// DispatchRegions is the number of irreducible regions given a
 	// dispatch header (cfg.MakeReducible, paper footnote 5).
 	DispatchRegions int
-	// Opt is the optimizer's certificate when Options.Optimize > 0 ran
-	// (set by internal/opt, nil otherwise).
+	// Opt is set by every pass that edits the graph after translation —
+	// internal/opt and the iterative switch elimination — and is nil on
+	// a graph as translated. Vet then accepts a switch absent where the
+	// minimal placement does not require one.
 	Opt *OptCertificate
 }
 

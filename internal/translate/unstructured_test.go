@@ -44,7 +44,7 @@ func TestRandomUnstructuredIterativeElimination(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simplified, _ := EliminateRedundantSwitches(res.Graph, nil)
+			simplified, _ := EliminateRedundantSwitches(res.Graph)
 			if err := simplified.Validate(); err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,8 @@ import (
 )
 
 // compile translates w under o and, when optimize is set, runs the graph
-// optimizer, so the result carries the certificate vet validates.
+// optimizer, so the graph lacks the switches and merges it removed and
+// res.Opt says an edit pass ran.
 func compile(tb testing.TB, w workloads.Workload, o translate.Options, optimize bool) *translate.Result {
 	tb.Helper()
 	g, err := cfg.Build(w.Parse())

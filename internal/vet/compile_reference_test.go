@@ -218,10 +218,6 @@ func refOptRun(res *translate.Result) (*translate.OptCertificate, error) {
 	if len(res.Graph.Calls) > 0 {
 		return nil, fmt.Errorf("opt: linked procedure graphs are not optimizable (call linkage pins node ids)")
 	}
-	cert := &translate.OptCertificate{
-		RemovedSwitches: map[translate.StmtTok]int{},
-		RemovedMerges:   map[translate.StmtTok]int{},
-	}
 
 	// The sinking work-list criterion is exactly the predicate behind
 	// vet's "redundant switch" warning: the recomputed §4 placement has
@@ -239,12 +235,12 @@ func refOptRun(res *translate.Result) (*translate.OptCertificate, error) {
 		}
 		n := 0
 		if minimal != nil {
-			g, err = refSinkSwitches(g, minimal, cert, &counts[0], &n)
+			g, err = refSinkSwitches(g, minimal, &counts[0], &n)
 			if err != nil {
 				return nil, err
 			}
 		}
-		if g, err = refCollapseMerges(g, cert, &counts[1], &n); err != nil {
+		if g, err = refCollapseMerges(g, &counts[1], &n); err != nil {
 			return nil, err
 		}
 		if g, err = refFuseOperators(g, &counts[2], &n); err != nil {
@@ -260,12 +256,12 @@ func refOptRun(res *translate.Result) (*translate.OptCertificate, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("opt: optimized graph is invalid: %w", err)
 	}
-	cert.Passes = []translate.PassCount{
+	cert := &translate.OptCertificate{Passes: []translate.PassCount{
 		{Name: "sink-switches", Rewrites: counts[0]},
 		{Name: "collapse-merges", Rewrites: counts[1]},
 		{Name: "fuse-operators", Rewrites: counts[2]},
 		{Name: "eliminate-dead", Rewrites: counts[3]},
-	}
+	}}
 	res.Graph = g
 	res.Opt = cert
 	return cert, nil
@@ -387,7 +383,7 @@ func (e *refEditor) rebuild() (*dfg.Graph, error) {
 	return ng, nil
 }
 
-func refSinkSwitches(g *dfg.Graph, minimal *analysis.Placement, cert *translate.OptCertificate, count, total *int) (*dfg.Graph, error) {
+func refSinkSwitches(g *dfg.Graph, minimal *analysis.Placement, count, total *int) (*dfg.Graph, error) {
 	for {
 		e := newRefEditor(g)
 		touched := make([]bool, len(g.Nodes)) // adjacency edited this sweep
@@ -440,8 +436,6 @@ func refSinkSwitches(g *dfg.Graph, minimal *analysis.Placement, cert *translate.
 			e.deadA[o1[0]] = true
 			e.deadN[sw.ID] = true
 			e.deadN[m.ID] = true
-			cert.RemovedSwitches[translate.StmtTok{Stmt: sw.Stmt, Tok: sw.Tok}]++
-			cert.RemovedMerges[translate.StmtTok{Stmt: m.Stmt, Tok: m.Tok}]++
 			n++
 		}
 		if n == 0 {
@@ -457,7 +451,7 @@ func refSinkSwitches(g *dfg.Graph, minimal *analysis.Placement, cert *translate.
 	}
 }
 
-func refCollapseMerges(g *dfg.Graph, cert *translate.OptCertificate, count, total *int) (*dfg.Graph, error) {
+func refCollapseMerges(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 	for {
 		e := newRefEditor(g)
 		touched := make([]bool, len(g.Nodes)) // received rewired arms this round
@@ -497,7 +491,6 @@ func refCollapseMerges(g *dfg.Graph, cert *translate.OptCertificate, count, tota
 			e.deadA[outs[0]] = true
 			e.deadN[m1.ID] = true
 			touched[m2.ID] = true
-			cert.RemovedMerges[translate.StmtTok{Stmt: m1.Stmt, Tok: m1.Tok}]++
 			n++
 		}
 		if n == 0 {

@@ -22,8 +22,8 @@ func mutationByName(t *testing.T, name string) vet.Mutation {
 
 // TestMutationsDetected: each seeded mutation class must be flagged by
 // the passes that own the violated condition, on the graph as translated
-// and on its optimized form (fused nodes, sunk switches, a certificate to
-// validate). The detecting pass is part of the contract — a mutation
+// and on its optimized form (fused nodes, sunk switches, collapsed
+// merges). The detecting pass is part of the contract — a mutation
 // "detected" by an unrelated pass means the owning pass went vacuous.
 func TestMutationsDetected(t *testing.T) {
 	cases := []struct {

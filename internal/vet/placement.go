@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"ctdf/internal/analysis"
@@ -18,7 +19,7 @@ type stmtTok struct {
 	tok  string
 }
 
-func sortedStmtToks[T any](m map[stmtTok]T) []stmtTok {
+func sortedSlots[T any](m map[stmtTok]T) []stmtTok {
 	out := make([]stmtTok, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -32,20 +33,6 @@ func sortedStmtToks[T any](m map[stmtTok]T) []stmtTok {
 	return out
 }
 
-func sortedCertKeys(m map[translate.StmtTok]int) []translate.StmtTok {
-	out := make([]translate.StmtTok, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stmt != out[j].Stmt {
-			return out[i].Stmt < out[j].Stmt
-		}
-		return out[i].Tok < out[j].Tok
-	})
-	return out
-}
-
 // placeInfo is the independently recomputed translation plan the
 // validation passes diff the graph against: the extended need function,
 // the switch placement, and the per-loop circulating token sets.
@@ -54,6 +41,11 @@ type placeInfo struct {
 	place    *analysis.Placement
 	loopNeed map[int]map[string]bool
 	err      error
+
+	// switches indexes the graph's switches by (fork, token); held is
+	// place without the slots that hold none — place itself when all do.
+	switches map[stmtTok][]int
+	held     *analysis.Placement
 }
 
 // placementInfo recomputes switch placement from first principles —
@@ -62,8 +54,45 @@ type placeInfo struct {
 // genuine cross-check, iterated with loop needs to the same monotone
 // fixpoint translate.placeWithLoopControl uses. Cached per Unit.
 func (u *Unit) placementInfo() *placeInfo {
-	u.placeOnce.Do(func() { u.place = recomputePlacement(u.Res) })
+	u.placeOnce.Do(func() {
+		u.place = recomputePlacement(u.Res)
+		if u.place.err == nil {
+			u.place.indexSwitches(u.G, u.Res.CFG)
+		}
+	})
 	return u.place
+}
+
+// indexSwitches fills switches and held from g. Placement marks start
+// too (the conventional start→end edge makes it a fork for CD purposes),
+// but the builder gives start no switch.
+func (pi *placeInfo) indexSwitches(g *dfg.Graph, c *cfg.Graph) {
+	pi.switches = map[stmtTok][]int{}
+	for _, n := range g.Nodes {
+		if n.Kind == dfg.Switch {
+			k := stmtTok{n.Stmt, n.Tok}
+			pi.switches[k] = append(pi.switches[k], n.ID)
+		}
+	}
+	pi.held = pi.place
+	for f, toks := range pi.place.Needs {
+		for tok := range toks {
+			if !isFork(c, f) || len(pi.switches[stmtTok{f, tok}]) > 0 {
+				continue
+			}
+			if pi.held == pi.place {
+				pi.held = &analysis.Placement{Needs: map[int]map[string]bool{}}
+				for id, set := range pi.place.Needs {
+					pi.held.Needs[id] = maps.Clone(set)
+				}
+			}
+			delete(pi.held.Needs[f], tok)
+		}
+	}
+}
+
+func isFork(g *cfg.Graph, id int) bool {
+	return id >= 0 && id < g.Len() && g.Nodes[id].Kind == cfg.KindFork
 }
 
 func recomputePlacement(res *translate.Result) *placeInfo {
@@ -152,9 +181,10 @@ func minimalFixpoint(res *translate.Result, base analysis.NeedFunc) *placeInfo {
 // whatever its schema: the forks that genuinely need each token routed
 // (Corollary 1 plus loop circulation needs). It is both the optimizer's
 // sinking criterion (internal/opt removes a switch only where this
-// placement has no entry) and the verifier's independent legality check
-// for the optimizer's removal claims — the two sides recompute it
-// separately, so a bug in one is caught by the other.
+// placement has no entry) and the verifier's test of a switch absent from
+// an edited graph (Theorem 1: the absence is sound iff this placement has
+// no entry for the slot). The two sides recompute it separately, so a bug
+// in one is caught by the other.
 func MinimalPlacement(res *translate.Result) (*analysis.Placement, error) {
 	if res == nil || res.CFG == nil || res.TokensOf == nil {
 		return nil, fmt.Errorf("vet: no translation metadata to recompute placement from")
@@ -204,9 +234,13 @@ func baseNeed(res *translate.Result) analysis.NeedFunc {
 // the independently recomputed placement. The comparison is keyed by
 // (originating fork, token) via the nodes' Stmt provenance:
 //
-//   - a missing switch is unsound (Theorem 1: the fork is in CD+ of a node
-//     referencing the token, so the token MUST be routed by the branch —
-//     unrouted it arrives on an untaken path and breaks determinacy);
+//   - a missing switch is unsound where the minimal placement requires it
+//     (Theorem 1: the fork is in CD+ of a node referencing the token, so
+//     the token MUST be routed by the branch — unrouted it arrives on an
+//     untaken path and breaks determinacy). Where it does not, the
+//     absence is sound: an edit pass (res.Opt set) may have removed the
+//     switch with its merge. On a graph no pass edited it still breaks
+//     the schema contract, and is an error;
 //   - a redundant switch is legal but a missed §4 optimization (warning,
 //     suppressed for the unoptimized schemas whose contract IS "a switch
 //     at every fork for every token");
@@ -221,71 +255,32 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 	}
 	g := u.Res.CFG
 
-	actual := map[stmtTok][]int{}
-	for _, n := range u.G.Nodes {
-		if n.Kind == dfg.Switch {
-			k := stmtTok{n.Stmt, n.Tok}
-			actual[k] = append(actual[k], n.ID)
+	// An absent slot is required where the minimal placement has it: the
+	// contract itself under the optimized schemas, recomputed otherwise.
+	// Should that fail, every contract slot counts as required.
+	minimal := pi.place
+	if sc := u.Res.Options.Schema; pi.held != pi.place && sc != translate.Schema2Opt && sc != translate.Schema3Opt {
+		if m, err := MinimalPlacement(u.Res); err == nil {
+			minimal = m
 		}
-	}
-
-	// The optimizer's certificate (if one ran) claims per-slot switch
-	// removals. Each claim is validated, not trusted: the slot's removal
-	// must be legal under an independently recomputed minimal placement.
-	var removed map[translate.StmtTok]int
-	if u.Res.Opt != nil {
-		removed = u.Res.Opt.RemovedSwitches
-	}
-	claimsSeen := map[translate.StmtTok]bool{}
-	var minimal *analysis.Placement
-	if len(removed) > 0 {
-		m, err := MinimalPlacement(u.Res)
-		if err != nil {
-			return []Diagnostic{{Severity: SevError, Check: machcheck.InvalidConfig, Node: -1,
-				Msg: "cannot validate optimizer certificate: " + err.Error()}}, ""
-		}
-		minimal = m
 	}
 
 	var ds []Diagnostic
-	expected := map[stmtTok]bool{}
-	// Switches are emitted only at real fork statements; placement marks
-	// start too (the conventional start→end edge makes it a fork for CD
-	// purposes) but the builder gives start no switch.
 	for _, f := range sortedIntKeys(pi.place.Needs) {
-		if f < 0 || f >= g.Len() || g.Nodes[f].Kind != cfg.KindFork {
+		if !isFork(g, f) {
 			continue
 		}
 		for _, tok := range sortedKeys(pi.place.Needs[f]) {
-			k := stmtTok{f, tok}
-			expected[k] = true
-			claimed := removed[translate.StmtTok{Stmt: f, Tok: tok}]
-			if claimed > 0 {
-				claimsSeen[translate.StmtTok{Stmt: f, Tok: tok}] = true
-				switch {
-				case claimed > 1:
-					ds = append(ds, Diagnostic{
-						Severity: SevError, Check: machcheck.InvalidConfig, Node: -1, Tok: tok,
-						Msg: fmt.Sprintf("optimizer certificate claims %d switch removals for token %s at fork %s, but the contract places exactly one", claimed, tok, g.Nodes[f]),
-					})
-				case minimal.Needs[f][tok]:
-					ds = append(ds, Diagnostic{
-						Severity: SevError, Check: machcheck.Determinacy, Node: -1, Tok: tok,
-						Msg: fmt.Sprintf("optimizer removed a required switch: fork %s is in CD+ of a node referencing token %s (Theorem 1), so the removal is unsound", g.Nodes[f], tok),
-					})
-				case len(actual[k]) != 0:
-					ds = append(ds, Diagnostic{
-						Severity: SevError, Check: machcheck.InvalidConfig, Node: actual[k][0], Tok: tok,
-						Msg: fmt.Sprintf("optimizer certificate claims the switch for token %s at fork %s was removed, but it is still present", tok, g.Nodes[f]),
-					})
-				}
-				continue
-			}
-			switch ids := actual[k]; {
-			case len(ids) == 0:
+			switch ids := pi.switches[stmtTok{f, tok}]; {
+			case len(ids) == 0 && minimal.NeedsSwitch(f, tok):
 				ds = append(ds, Diagnostic{
 					Severity: SevError, Check: machcheck.Determinacy, Node: -1, Tok: tok,
 					Msg: fmt.Sprintf("missing switch for token %s at fork %s: the fork is in CD+ of a node referencing it, so the token must be branch-routed", tok, g.Nodes[f]),
+				})
+			case len(ids) == 0 && u.Res.Opt == nil:
+				ds = append(ds, Diagnostic{
+					Severity: SevError, Check: machcheck.InvalidConfig, Node: -1, Tok: tok,
+					Msg: fmt.Sprintf("missing switch for token %s at fork %s: the schema contract places one there, and no edit pass ran to remove it", tok, g.Nodes[f]),
 				})
 			case len(ids) > 1:
 				ds = append(ds, Diagnostic{
@@ -295,21 +290,11 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 			}
 		}
 	}
-	// Claims at slots the contract never placed a switch in are bogus by
-	// construction.
-	for _, k := range sortedCertKeys(removed) {
-		if !claimsSeen[k] {
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.InvalidConfig, Node: -1, Tok: k.Tok,
-				Msg: fmt.Sprintf("optimizer certificate claims a switch removal for token %s at %s, where the contract places none", k.Tok, stmtLabel(g, k.Stmt)),
-			})
-		}
-	}
 	for _, n := range u.G.Nodes {
-		if n.Kind != dfg.Switch || expected[stmtTok{n.Stmt, n.Tok}] {
+		if n.Kind != dfg.Switch || (isFork(g, n.Stmt) && pi.place.NeedsSwitch(n.Stmt, n.Tok)) {
 			continue
 		}
-		if n.Stmt < 0 || n.Stmt >= g.Len() || g.Nodes[n.Stmt].Kind != cfg.KindFork {
+		if !isFork(g, n.Stmt) {
 			ds = append(ds, Diagnostic{
 				Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: n.Tok,
 				Msg: fmt.Sprintf("switch has no originating fork (stmt %d)", n.Stmt),
@@ -325,11 +310,15 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 }
 
 // passSourceVectors recomputes the Figure 11 source vectors under the
-// recomputed placement and checks the merge set: a dataflow merge exists
-// exactly where a token has more than one source — at joins and end, and
-// at the initial and back ports of the loop entries of the tokens each
-// loop circulates. The same metadata checks the loop entry/exit operator
-// sets against the recomputed circulating-token sets.
+// switches the graph holds and checks the merge set: a dataflow merge
+// exists exactly where a token has more than one source — at joins and
+// end, and at the initial and back ports of the loop entries of the
+// tokens each loop circulates. The one accepted shortfall is the shape
+// merge collapsing leaves: a join with no merge whose token feeds a merge
+// slot of the same token that holds one, directly or through a chain of
+// such joins (determinacy judges where the arms landed). The same vectors
+// check the loop entry/exit operator sets against the circulating-token
+// sets.
 func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 	if !u.hasMeta() {
 		return nil, noMetaReason
@@ -340,7 +329,7 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 	}
 	res := u.Res
 	g := res.CFG
-	sv, err := analysis.ComputeSourceVectors(g, res.Loops, res.Universe, pi.need, pi.place)
+	sv, err := analysis.ComputeSourceVectors(g, res.Loops, res.Universe, pi.need, pi.held)
 	if err != nil {
 		return []Diagnostic{{Severity: SevError, Check: machcheck.InvalidConfig, Node: -1,
 			Msg: "source-vector recomputation failed: " + err.Error()}}, ""
@@ -372,12 +361,32 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 			actual[stmtTok{n.Stmt, n.Tok}]++
 		}
 	}
-	// The optimizer's certificate claims per-slot merge removals (sunk
-	// switch/merge pairs, flattened merge chains); the claimed count is
-	// deducted from the contract's expectation and can never exceed it.
-	var removedMerges map[translate.StmtTok]int
-	if u.Res.Opt != nil {
-		removedMerges = u.Res.Opt.RemovedMerges
+	// collapsed reports whether slot k, holding no merge, is a join whose
+	// token feeds a merge slot that holds one, directly or through joins
+	// holding none either. Its index of which slot each join feeds is
+	// built at the first shortfall.
+	var feeds map[stmtTok]stmtTok
+	collapsed := func(k stmtTok) bool {
+		if feeds == nil {
+			feeds = map[stmtTok]stmtTok{}
+			for slot := range expected {
+				for _, srcs := range [...][]analysis.Source{sv.Sources(slot.stmt, slot.tok), sv.BackSources(slot.stmt, slot.tok)} {
+					for _, s := range srcs {
+						if len(srcs) > 1 && g.Nodes[s.Node].Kind == cfg.KindJoin {
+							feeds[stmtTok{int(s.Node), slot.tok}] = slot
+						}
+					}
+				}
+			}
+		}
+		for range len(feeds) {
+			next, ok := feeds[k]
+			if !ok || actual[next] > 0 {
+				return ok
+			}
+			k = next
+		}
+		return false
 	}
 	var ds []Diagnostic
 	keys := map[stmtTok]bool{}
@@ -387,23 +396,10 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 	for k := range actual {
 		keys[k] = true
 	}
-	for k := range removedMerges {
-		keys[stmtTok{k.Stmt, k.Tok}] = true
-	}
-	for _, k := range sortedStmtToks(keys) {
+	for _, k := range sortedSlots(keys) {
 		want, got := expected[k], actual[k]
-		if claimed := removedMerges[translate.StmtTok{Stmt: k.stmt, Tok: k.tok}]; claimed > 0 {
-			if claimed > want {
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.InvalidConfig, Node: -1, Tok: k.tok,
-					Msg: fmt.Sprintf("optimizer certificate claims %d merge removals for token %s at %s, but the contract places only %d", claimed, k.tok, stmtLabel(g, k.stmt), want),
-				})
-				continue
-			}
-			want -= claimed
-		}
 		switch {
-		case got < want:
+		case got < want && (got > 0 || !collapsed(k)):
 			ds = append(ds, Diagnostic{
 				Severity: SevError, Check: machcheck.TagViolation, Node: -1, Tok: k.tok,
 				Msg: fmt.Sprintf("missing merge for token %s at %s: |SV| > 1, so several sources would collide on one port (want %d merges, found %d)", k.tok, stmtLabel(g, k.stmt), want, got),
@@ -459,7 +455,7 @@ func checkLoopCirculation(u *Unit, sv *analysis.SourceVectors) []Diagnostic {
 		}
 	}
 	stray := func(kind string, left map[stmtTok]int) {
-		for _, k := range sortedStmtToks(left) {
+		for _, k := range sortedSlots(left) {
 			ds = append(ds, Diagnostic{
 				Severity: SevError, Check: machcheck.TagViolation, Node: -1, Tok: k.tok,
 				Msg: fmt.Sprintf("loop %s operator for token %s at %s, but the loop does not circulate that token", kind, k.tok, stmtLabel(g, k.stmt)),

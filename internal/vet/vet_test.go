@@ -2,10 +2,12 @@ package vet
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/dfg"
+	"ctdf/internal/machcheck"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
 )
@@ -158,4 +160,200 @@ func TestFig9PlacementAgreement(t *testing.T) {
 	if len(emitted) == 0 {
 		t.Fatal("fig9-bypass emitted no switches; the worked example lost its fork")
 	}
+}
+
+// nestedDiamond nests one conditional in another: m is written in every
+// arm, so each fork needs its switch for m and the two joins merge it,
+// the inner merge feeding the outer one; x is touched by neither arm, so
+// under Schema 2 its switch/merge pairs are removable (Figure 9).
+var nestedDiamond = workloads.Workload{Name: "nested-diamond", Source: `
+var a, b, m, x
+x := x + 1
+if a < b {
+  if a < 3 {
+    m := 1
+  } else {
+    m := 2
+  }
+} else {
+  m := 3
+}
+x := 0
+`}
+
+// TestVetJudgesRemovalsByGraph: vet decides whether a switch or merge may
+// be absent from the graph and the CFG alone. Each case hand-edits the
+// Schema 2 graph of nestedDiamond the way a rewrite would.
+func TestVetJudgesRemovalsByGraph(t *testing.T) {
+	g, err := cfg.Build(nestedDiamond.Parse())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := translate.Translate(g, translate.Options{Schema: translate.Schema2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := Run(res.Graph, res); !rep.Clean() {
+		t.Fatalf("unedited graph not clean:\n%s", rep)
+	}
+	edited := *res
+	edited.Opt = &translate.OptCertificate{}
+
+	// merge finds the merge of tok whose output feeds a merge (inner) or
+	// not (outer).
+	merge := func(t *testing.T, tok string, inner bool) *dfg.Node {
+		idx := res.Graph.Index()
+		for _, n := range res.Graph.Nodes {
+			if n.Kind != dfg.Merge || n.Tok != tok {
+				continue
+			}
+			out := idx.Out(n.ID, 0)
+			if len(out) > 0 && (res.Graph.Nodes[res.Graph.Arcs[out[0]].To].Kind == dfg.Merge) == inner {
+				return n
+			}
+		}
+		t.Fatalf("no %v merge of %s", inner, tok)
+		return nil
+	}
+	// switchInto finds the switch of mg's token whose arms reach mg and
+	// no other merge, and the nodes between them.
+	switchInto := func(t *testing.T, mg *dfg.Node) (*dfg.Node, []int) {
+		idx := res.Graph.Index()
+		for _, sw := range res.Graph.Nodes {
+			if sw.Kind != dfg.Switch || sw.Tok != mg.Tok {
+				continue
+			}
+			var region []int
+			seen := map[int]bool{}
+			reaches, other := false, false
+			stack := []int{sw.ID}
+			for len(stack) > 0 {
+				v := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, a := range idx.OutOf(v) {
+					to := res.Graph.Arcs[a].To
+					switch {
+					case to == mg.ID:
+						reaches = true
+					case res.Graph.Nodes[to].Kind == dfg.Merge:
+						other = true
+					case !seen[to]:
+						seen[to] = true
+						region = append(region, to)
+						stack = append(stack, to)
+					}
+				}
+			}
+			if reaches && !other && !seen[res.Graph.EndID] {
+				return sw, region
+			}
+		}
+		t.Fatalf("no switch of %s feeds d%d", mg.Tok, mg.ID)
+		return nil, nil
+	}
+	// sink removes sw and mg the way sink-switches does, after deleting
+	// the nodes between them: sw's data source feeds mg's consumers.
+	sink := func(t *testing.T, sw, mg *dfg.Node, region []int) *dfg.Graph {
+		e := dfg.NewEditor(res.Graph)
+		for _, id := range region {
+			e.KillArcsInto(id)
+			e.Remove(id)
+		}
+		data := e.Arcs[e.Ins().First(e.Ins().Slot(sw.ID, 0))]
+		for slot := e.Outs().Slot(mg.ID, 0); e.Outs().First(slot) >= 0; {
+			e.MoveSource(e.Outs().First(slot), data.From, data.FromPort)
+		}
+		e.KillArcsInto(sw.ID)
+		e.KillArcsInto(mg.ID)
+		e.Remove(sw.ID)
+		e.Remove(mg.ID)
+		return mustGraph(t, e)
+	}
+	errorsOf := func(rep *Report, pass string, check machcheck.Check, msg string) int {
+		n := 0
+		for _, d := range rep.Diags {
+			if d.Severity == SevError && d.Pass == pass && (check == "" || d.Check == check) && strings.Contains(d.Msg, msg) {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("required-pair-removed", func(t *testing.T) {
+		// Theorem 1 requires the inner fork's switch for m: removing it
+		// is unsound even though an edit pass ran.
+		mg := merge(t, "m", true)
+		sw, region := switchInto(t, mg)
+		rep := Run(sink(t, sw, mg, region), &edited)
+		if errorsOf(rep, "switch-placement", machcheck.Determinacy, "missing switch for token m") == 0 {
+			t.Errorf("required switch removed, yet switch-placement reports no determinacy error:\n%s", rep)
+		}
+	})
+
+	t.Run("merge-deleted-under-non-merge", func(t *testing.T) {
+		// The outer join's merge of x feeds the store x := 0. Deleting it
+		// and wiring both arms to its consumers is no collapse.
+		mg := merge(t, "x", false)
+		e := dfg.NewEditor(res.Graph)
+		arms, outs := e.Ins().Slot(mg.ID, 0), e.Outs().Slot(mg.ID, 0)
+		for ii := e.Ins().First(arms); ii >= 0; ii = e.Ins().Next(ii) {
+			for oi := e.Outs().First(outs); oi >= 0; oi = e.Outs().Next(oi) {
+				in, out := e.Arcs[ii], e.Arcs[oi]
+				e.AddArc(dfg.Arc{From: in.From, FromPort: in.FromPort, To: out.To, ToPort: out.ToPort, Dummy: out.Dummy})
+			}
+		}
+		for e.Outs().First(outs) >= 0 {
+			e.KillArc(e.Outs().First(outs))
+		}
+		e.KillArcsInto(mg.ID)
+		e.Remove(mg.ID)
+		rep := Run(mustGraph(t, e), &edited)
+		if errorsOf(rep, "determinacy", "", "") == 0 || errorsOf(rep, "source-vectors", "", "missing merge for token x") == 0 {
+			t.Errorf("merge deleted under a store: want errors from determinacy and source-vectors:\n%s", rep)
+		}
+	})
+
+	t.Run("merge-chain-collapsed", func(t *testing.T) {
+		inner := merge(t, "m", true)
+		e := dfg.NewEditor(res.Graph)
+		out := e.Outs().First(e.Outs().Slot(inner.ID, 0))
+		outer := e.Arcs[out].To
+		arms := e.Ins().Slot(inner.ID, 0)
+		for ii := e.Ins().First(arms); ii >= 0; ii = e.Ins().First(arms) {
+			a := e.Arcs[ii]
+			e.AddArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: outer, ToPort: 0, Dummy: a.Dummy})
+			e.KillArc(ii)
+		}
+		e.KillArc(out)
+		e.Remove(inner.ID)
+		if rep := Run(mustGraph(t, e), res); !rep.Clean() {
+			t.Errorf("collapsed merge chain not clean:\n%s", rep)
+		}
+	})
+
+	t.Run("unrequired-pair-removed", func(t *testing.T) {
+		// The inner fork's switch for x is not required, and its arms
+		// feed the inner merge directly: the sink-switches shape.
+		mg := merge(t, "x", true)
+		sw, region := switchInto(t, mg)
+		if len(region) != 0 {
+			t.Fatalf("switch d%d reaches its merge through %v", sw.ID, region)
+		}
+		g := sink(t, sw, mg, nil)
+		if rep := Run(g, res); errorsOf(rep, "switch-placement", machcheck.InvalidConfig, "missing switch for token x") == 0 {
+			t.Errorf("no edit pass ran, yet the contract's switch for x may be absent:\n%s", rep)
+		}
+		if rep := Run(g, &edited); !rep.Clean() {
+			t.Errorf("an edit pass ran and the switch was not required, yet:\n%s", rep)
+		}
+	})
+}
+
+func mustGraph(t *testing.T, e *dfg.Editor) *dfg.Graph {
+	t.Helper()
+	g, err := e.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -140,6 +140,19 @@ if [ -n "$helpers" ]; then
     exit 1
 fi
 
+echo "== vet judges the graph =="
+# Whether a switch or merge may be absent is decided from the graph and
+# the CFG alone (Theorem 1, Corollary 1; see ANALYSIS.md, "The graph
+# optimizer and how vet judges it"). A removal ledger that every edit
+# pass must fill in by hand was a bug class; its names coming back means
+# a pass has started keeping one again.
+ledger=$(grep -rn 'RemovedSwitches\|RemovedMerges\|StmtTok' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ -n "$ledger" ]; then
+    echo "a removal ledger is back:" >&2
+    echo "$ledger" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
