@@ -197,7 +197,8 @@ func TestSinkLeavesMinimalPlacementAlone(t *testing.T) {
 // removes exactly the pairs it removed when the placement was computed up
 // front (counts recorded from that version), and recomputes the placement
 // once for all of them and every round. Under Schema2Opt no switch/merge
-// pair matches the structural pattern, so the run never computes it.
+// pair matches the structural pattern, so the run never computes it. A
+// graph without a CFG never computes it either.
 func TestPlacementComputedOnDemand(t *testing.T) {
 	for _, c := range []struct {
 		schema     translate.Schema
@@ -213,7 +214,7 @@ func TestPlacementComputedOnDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := newWork(dfg.NewEditor(res.Graph))
-		cert, err := w.run(res)
+		cert, err := w.run(res, pipeline)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,19 +233,20 @@ func TestPlacementComputedOnDemand(t *testing.T) {
 			t.Errorf("%v: placement recomputed %d times, want %d", c.schema, w.placements, c.placements)
 		}
 	}
-	// Without translation metadata there is no placement to recompute:
-	// the one attempt fails and nothing is sunk.
+	// Without a CFG there is no placement to recompute: the pattern alone
+	// decides, and both identity pairs sink without the placement being
+	// tried.
 	res, err := translate.Translate(cfg.MustBuild(workloads.MustByName("fig9-bypass").Parse()), translate.Options{Schema: translate.Schema2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bare := &translate.Result{Graph: res.Graph}
 	w := newWork(dfg.NewEditor(bare.Graph))
-	cert, err := w.run(bare)
+	cert, err := w.run(bare, pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cert.Passes[0].Rewrites != 0 || w.placements != 1 || w.minimal != nil {
+	if cert.Passes[0].Rewrites != 2 || w.placements != 0 {
 		t.Errorf("metadata-free graph: %d pairs sunk, placement tried %d times", cert.Passes[0].Rewrites, w.placements)
 	}
 }

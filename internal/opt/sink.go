@@ -13,7 +13,8 @@ import (
 // need a switch for (fork, token). By Theorem 1 the token's value is
 // not live across the conditional in a way that requires routing, so
 // steering it per-arm is pure overhead. This is exactly the predicate
-// behind vet's "redundant switch" warning.
+// behind vet's "redundant switch" warning. A graph without a CFG has no
+// placement to recompute, and there the pattern alone decides.
 //
 // Pattern (structural): both switch arms are wired, via exactly one arc
 // each, into port 0 of the same 2-input merge for the same token, and
@@ -92,11 +93,16 @@ func (w *work) sinkSwitches(res *translate.Result) int {
 	}
 }
 
-// needsSwitch reports whether the §4 minimal placement requires switch sw
-// — always, when there is no translation metadata to recompute it from.
-// The placement is vet's recomputation, independent of the translator's,
-// made at the first call and kept for the run.
+// needsSwitch reports whether the §4 minimal placement requires switch
+// sw. Without a CFG there is no placement to consult and the identity
+// pattern alone decides, which is the rule as §4 states it: no switch is
+// required. With one, the placement is vet's recomputation, independent
+// of the translator's, made at the first call and kept for the run; a
+// placement that cannot be computed requires every switch.
 func (w *work) needsSwitch(res *translate.Result, sw *dfg.Node) bool {
+	if res.CFG == nil {
+		return false
+	}
 	if w.placements == 0 {
 		w.placements++
 		w.minimal, _ = vet.MinimalPlacement(res)
