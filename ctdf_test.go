@@ -211,9 +211,10 @@ e := a + b + c
 
 // TestGraphPassesAcceptEveryGraphClass: LegalizeSynchTrees and
 // EliminateRedundantSwitches take every graph a translation hands over —
-// plain, optimized (fused nodes and their step programs) and linked (apply
-// nodes and their call linkage) — and hand back a valid graph that vets
-// clean and computes the unedited graph's store on both engines.
+// plain, optimized (fused nodes and their step programs), reloaded from
+// text (no translation metadata) and linked (apply nodes and their call
+// linkage) — and hand back a valid graph that vets clean and computes the
+// unedited graph's store on both engines.
 func TestGraphPassesAcceptEveryGraphClass(t *testing.T) {
 	passes := []struct {
 		name string
@@ -270,7 +271,13 @@ func TestGraphPassesAcceptEveryGraphClass(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", w.Name, s, err)
 				}
-				check(fmt.Sprintf("%s/%v/optimize=%d", w.Name, s, optimize), d)
+				label := fmt.Sprintf("%s/%v/optimize=%d", w.Name, s, optimize)
+				check(label, d)
+				loaded, err := LoadDataflow(strings.NewReader(d.Text()))
+				if err != nil {
+					t.Fatalf("%s: reload: %v", label, err)
+				}
+				check(label+"/reloaded", loaded)
 			}
 		}
 		if strings.HasPrefix(w.Name, "proc-") {

@@ -337,10 +337,13 @@ func e6() ([]*table, error) {
 		if err != nil {
 			return nil, err
 		}
-		iter, _ := translate.EliminateRedundantSwitches(s2.Graph)
-		a := iter.CountKind(dfg.Switch)
+		before := s2.Graph.CountKind(dfg.Switch)
+		if _, err := graphopt.EliminateRedundantSwitches(s2); err != nil {
+			return nil, err
+		}
+		a := s2.Graph.CountKind(dfg.Switch)
 		b := direct.Graph.CountKind(dfg.Switch)
-		t.row(w.Name, s2.Graph.CountKind(dfg.Switch), a, b, a == b)
+		t.row(w.Name, before, a, b, a == b)
 	}
 	return []*table{t}, nil
 }

@@ -34,20 +34,3 @@ func TestRandomUnstructuredWithTransforms(t *testing.T) {
 		})
 	}
 }
-
-func TestRandomUnstructuredIterativeElimination(t *testing.T) {
-	for seed := int64(90); seed <= 100; seed++ {
-		w := workloads.RandomUnstructured(seed, 3)
-		t.Run(w.Name, func(t *testing.T) {
-			g := mustCFG(t, w)
-			res, err := Translate(g, Options{Schema: Schema2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			simplified, _ := EliminateRedundantSwitches(res.Graph)
-			if err := simplified.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
