@@ -457,9 +457,7 @@ func (e *engine) startWatchdog(d time.Duration) *wdog {
 			return
 		}
 		w.mu.Unlock()
-		if e.fail(e.watchdogError(d)) {
-			watchdogFired.Add(1)
-		} else {
+		if !e.failCounted(e.watchdogError(d), &watchdogFired) {
 			watchdogLate.Add(1)
 		}
 	}
@@ -487,9 +485,16 @@ func (w *wdog) stop() {
 // whether this call won the transition. A fail that loses the race to
 // normal completion (or to an earlier fail) changes nothing and returns
 // false — late watchdog fires rely on this.
-func (e *engine) fail(err error) bool {
+func (e *engine) fail(err error) bool { return e.failCounted(err, nil) }
+
+// failCounted is fail that, when it wins, adds one to won before the run
+// ends, so that whoever sees Run return also sees the count.
+func (e *engine) failCounted(err error, won *atomic.Int64) bool {
 	if !e.state.CompareAndSwap(stateRunning, stateFailed) {
 		return false
+	}
+	if won != nil {
+		won.Add(1)
 	}
 	e.failed.Store(true)
 	e.errMu.Lock()
