@@ -206,34 +206,17 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	return DecodeCheckpoint(b)
 }
 
-// GraphFingerprint hashes the graph's structure so a checkpoint refuses
-// to restore into a different graph.
-func GraphFingerprint(g graphLike) uint64 {
+// graphFP hashes the graph's structure so a checkpoint refuses to
+// restore into a different graph.
+func (m *sim) graphFP() uint64 {
 	h := fnv.New64a()
-	nodes := g.nodeCount()
-	io.WriteString(h, strconv.Itoa(nodes))
-	for i := 0; i < nodes; i++ {
+	io.WriteString(h, strconv.Itoa(len(m.g.Nodes)))
+	for _, n := range m.g.Nodes {
 		h.Write([]byte{0})
-		io.WriteString(h, g.nodeSig(i))
+		io.WriteString(h, n.String()+"/"+strconv.Itoa(n.NIns))
 	}
 	return h.Sum64()
 }
-
-// graphLike decouples the fingerprint from *dfg.Graph for tests.
-type graphLike interface {
-	nodeCount() int
-	nodeSig(i int) string
-}
-
-type dfgGraph struct{ m *sim }
-
-func (d dfgGraph) nodeCount() int { return len(d.m.g.Nodes) }
-func (d dfgGraph) nodeSig(i int) string {
-	n := d.m.g.Nodes[i]
-	return n.String() + "/" + strconv.Itoa(n.NIns)
-}
-
-func (m *sim) graphFP() uint64 { return GraphFingerprint(dfgGraph{m}) }
 
 // ckErrf builds the InvalidConfig machine check every malformed-restore
 // path returns.
