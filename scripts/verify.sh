@@ -153,6 +153,20 @@ if [ -n "$ledger" ]; then
     exit 1
 fi
 
+echo "== the Figure 9 rewrite is written once =="
+# The iterative switch elimination §4 opens with is the optimizer's
+# sink-switches and eliminate-dead run with the CFG withheld
+# (opt.EliminateRedundantSwitches; see DESIGN.md, "internal/opt"). A
+# function of that name, or the dead-value sweep of the copy it replaced,
+# declared outside internal/opt is a second switch/merge matcher.
+figure9=$(grep -rnE 'func (EliminateRedundantSwitches|(\([^)]*\) )?removeDeadPure)\(' --include='*.go' . |
+    grep -v '^\./internal/opt/' | grep -v '_test\.go:' || true)
+if [ -n "$figure9" ]; then
+    echo "the Figure 9 rewrite is written twice:" >&2
+    echo "$figure9" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
