@@ -136,12 +136,13 @@ type PassCount struct {
 	Rewrites int    `json:"rewrites"`
 }
 
-// OptCertificate reports what the last graph-editing pass did: the
-// optimizer (internal/opt) or the iterative switch elimination. It claims
-// nothing the verifier relies on — vet judges a switch or merge absent
-// from the graph by the graph and the CFG alone — but its presence on a
-// Result says an edit pass ran, so a switch missing where the minimal
-// placement does not require one is a removal, not a contract breach.
+// OptCertificate reports what the last run of the optimizer
+// (internal/opt) did: the full pipeline, or the iterative switch
+// elimination, which runs two of its passes. It claims nothing the
+// verifier relies on — vet judges a switch or merge absent from the graph
+// by the graph and the CFG alone — but its presence on a Result says an
+// edit pass ran, so a switch missing where the minimal placement does not
+// require one is a removal, not a contract breach.
 type OptCertificate struct {
 	// Passes records per-pass rewrite counts in pipeline order (for
 	// `ctdf opt -explain` and the experiments).
@@ -201,9 +202,9 @@ type Result struct {
 	// DispatchRegions is the number of irreducible regions given a
 	// dispatch header (cfg.MakeReducible, paper footnote 5).
 	DispatchRegions int
-	// Opt is set by every pass that edits the graph after translation —
-	// internal/opt and the iterative switch elimination — and is nil on
-	// a graph as translated. Vet then accepts a switch absent where the
+	// Opt is set by every internal/opt run that edits the graph after
+	// translation, the iterative switch elimination among them, and is
+	// nil on a graph as translated. Vet then accepts a switch absent where the
 	// minimal placement does not require one.
 	Opt *OptCertificate
 }
