@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -71,131 +72,279 @@ func gatherCheck(u *Unit) []Diagnostic {
 // are exempt; a §6.3-parallelized store is exempt against itself, since
 // the transformation's whole point is to prove its iterations
 // independent and unorder them (Figure 14(b)).
+//
+// Reachability is decided one cover element at a time, over that
+// element's own operations only: a pair sharing no element is never
+// asked about.
 func orderingCheck(u *Unit) []Diagnostic {
-	ops, opOf := memoryOps(u.G)
+	ops := memoryOps(u.G)
 	if len(ops) < 2 {
 		return nil
 	}
-	// Sets of operations are bitsets over ops: the stores, and per cover
-	// element the operations whose access set holds it.
-	words := (len(ops) + 63) / 64
-	stores := make([]uint64, words)
-	holders := map[string][]uint64{}
+	// holders lists, per cover element, the operations whose access set
+	// holds it, in operation order: element e's are
+	// holders[start[e]:start[e+1]].
+	elem := map[string]int32{}
+	var pairs []int32 // (element, operation) in operation order
 	for i, n := range ops {
-		if n.Kind == dfg.Store || n.Kind == dfg.StoreIdx {
-			stores[i/64] |= 1 << (i % 64)
-		}
 		for _, t := range u.Res.TokensOf[n.Var] {
-			if holders[t] == nil {
-				holders[t] = make([]uint64, words)
+			e, ok := elem[t]
+			if !ok {
+				e = int32(len(elem))
+				elem[t] = e
 			}
-			holders[t][i/64] |= 1 << (i % 64)
+			pairs = append(pairs, e, int32(i))
 		}
 	}
-	reach := reachOps(u, opOf, words)
+	start := make([]int32, len(elem)+1)
+	for k := 0; k < len(pairs); k += 2 {
+		start[pairs[k]+1]++
+	}
+	for e := range len(elem) {
+		start[e+1] += start[e]
+	}
+	holders, at := make([]int32, len(pairs)/2), slices.Clone(start)
+	for k := 0; k < len(pairs); k += 2 {
+		holders[at[pairs[k]]] = pairs[k+1]
+		at[pairs[k]]++
+	}
+
+	r := newOpReach(u)
 	guards := u.guardTable()
+	var races [][2]int32 // racing pairs (earlier, later operation)
+	var nodes []int32
+	var stores []uint64
+	for e := range len(elem) {
+		held := holders[start[e]:start[e+1]]
+		nodes, stores = nodes[:0], append(stores[:0], make([]uint64, (len(held)+63)/64)...)
+		for x, i := range held {
+			nodes = append(nodes, int32(ops[i].ID))
+			if k := ops[i].Kind; k == dfg.Store || k == dfg.StoreIdx {
+				stores[x/64] |= 1 << (x % 64)
+			}
+		}
+		r.solve(nodes)
+		for c := range stores {
+			r.chunk(c)
+			for x, i := range held[:min(len(held), 64*c+63)] {
+				// Candidates: later holders in the chunk, one of the pair a
+				// store (reads never race), neither reaching the other.
+				set := ^(r.to(x) | r.from(x))
+				if y := x - 64*c; y >= 0 {
+					set &^= 1<<(y+1) - 1
+				}
+				if len(held) < 64*(c+1) {
+					set &= 1<<(len(held)-64*c) - 1
+				}
+				if stores[x/64]&(1<<(x%64)) == 0 {
+					set &= stores[c]
+				}
+				for ; set != 0; set &= set - 1 {
+					// Memory operations put their firing guard on every
+					// output. A starved operation cannot race (token-balance
+					// reports it); an unconverged table overstates guards and
+					// exempts no pair.
+					j := held[64*c+bits.TrailingZeros64(set)]
+					ga, gb := guards.at(ops[i].ID, 0), guards.at(ops[j].ID, 0)
+					if guards.converged && (ga.top || gb.top || guards.disjoint(ga, gb)) {
+						continue
+					}
+					races = append(races, [2]int32{i, j})
+				}
+			}
+		}
+	}
+	// A pair sharing several elements races under each: report it once,
+	// in operation order.
+	slices.SortFunc(races, func(p, q [2]int32) int { return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1])) })
+	races = slices.Compact(races)
 
 	var ds []Diagnostic
-	cand := make([]uint64, words)
-	for i, a := range ops {
-		// Candidates: operations sharing a cover element with a, one of the
-		// pair a store (reads never race), that a does not reach.
-		isStore := stores[i/64]&(1<<(i%64)) != 0
-		clear(cand)
+	for _, p := range races {
+		a, b := ops[p[0]], ops[p[1]]
+		shared := ""
 		for _, t := range u.Res.TokensOf[a.Var] {
-			for w, set := range holders[t] {
-				cand[w] |= set
+			if slices.Contains(u.Res.TokensOf[b.Var], t) {
+				shared = t
+				break
 			}
 		}
-		for w, set := range reach[a.ID*words : (a.ID+1)*words] {
-			cand[w] &^= set
-			if !isStore {
-				cand[w] &= stores[w]
-			}
-		}
-		// Each pair is judged once, from its earlier operation.
-		for w := i / 64; w < words; w++ {
-			set := cand[w]
-			if w == i/64 {
-				set &^= 1<<(i%64+1) - 1
-			}
-			for ; set != 0; set &= set - 1 {
-				b := ops[w*64+bits.TrailingZeros64(set)]
-				if reach[b.ID*words+i/64]&(1<<(i%64)) != 0 {
-					continue
-				}
-				// Memory operations put their firing guard on every output. A
-				// starved operation cannot race (token-balance reports it); an
-				// unconverged table overstates guards and exempts no pair.
-				ga, gb := guards.at(a.ID, 0), guards.at(b.ID, 0)
-				if guards.converged && (ga.top || gb.top || disjoint(ga, gb)) {
-					continue
-				}
-				shared := ""
-				for _, t := range u.Res.TokensOf[a.Var] {
-					if slices.Contains(u.Res.TokensOf[b.Var], t) {
-						shared = t
-						break
-					}
-				}
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
-					Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
-				})
-			}
-		}
+		ds = append(ds, Diagnostic{
+			Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
+			Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
+		})
 	}
 	return ds
 }
 
-// memoryOps lists the operations that hold access tokens, in node order,
-// and maps each node to its index in that list, or -1.
-func memoryOps(g *dfg.Graph) (ops []*dfg.Node, opOf []int) {
-	opOf = make([]int, len(g.Nodes))
+// memoryOps lists the operations that hold access tokens, in node order.
+func memoryOps(g *dfg.Graph) []*dfg.Node {
+	var ops []*dfg.Node
 	for _, n := range g.Nodes {
-		opOf[n.ID] = -1
 		switch n.Kind {
 		case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
-			opOf[n.ID] = len(ops)
 			ops = append(ops, n)
 		}
 	}
-	return ops, opOf
+	return ops
 }
 
-// reachOps computes, for every node, the set of memory operations some
-// path of one or more arcs leads to, as one row of words uint64s per node
-// over the operation numbering opOf. It is the least solution of
-// row(n) = ∪ over arcs n→s of row(s) ∪ {s}, found by sweeping the nodes in
-// post-order — successors first, so only arcs closing a cycle leave work
-// for the next sweep — until a sweep changes nothing.
-func reachOps(u *Unit, opOf []int, words int) []uint64 {
-	arcs := u.G.Arcs
-	rows := make([]uint64, len(u.G.Nodes)*words)
-	for n := range u.G.Nodes {
-		for _, ai := range u.adj.OutOf(n) {
-			if k := opOf[arcs[ai].To]; k >= 0 {
-				rows[n*words+k/64] |= 1 << (k % 64)
+// opReach decides which of a set of nodes reach which through one or more
+// arcs. The graph's strongly connected components are condensed once,
+// numbered so that every component a component reaches has a smaller
+// number (the order Tarjan's algorithm finishes them in). For a set of
+// nodes, only the components between the lowest and the highest holding
+// one of them matter: a path between two members stays in that range.
+// The set is decided 64 members at a time, by a sweep of the range in
+// each direction through two buffers of one word per component, reused
+// from chunk to chunk and from set to set.
+type opReach struct {
+	comp []int32 // component of each node
+	// The components component c has an arc to are succ[first[c]:first[c+1]],
+	// those with an arc to c pred[firstPred[c]:firstPred[c+1]].
+	first, succ, firstPred, pred []int32
+
+	nodes    []int32 // the set being decided
+	lo, hi   int32   // its lowest and highest component
+	fwd, bwd []uint64
+}
+
+// newOpReach condenses u's graph by an iterative Tarjan search, rooted at
+// start first and then at every node not yet visited, in id order.
+func newOpReach(u *Unit) *opReach {
+	n := len(u.G.Nodes)
+	r := &opReach{comp: make([]int32, n)}
+	index := make([]int32, n) // visit number, from 1; 0 until visited
+	low := make([]int32, n)
+	for i := range r.comp {
+		r.comp[i] = -1 // until finished: visited and unfinished means on the stack
+	}
+	// members lists the nodes component by component; component c's are
+	// members[memberOf[c]:memberOf[c+1]].
+	members, memberOf := make([]int32, 0, n), []int32{0}
+	var stack []int32
+	type frame struct{ node, next int32 } // next: out-arcs of node taken
+	var calls []frame
+	visited := int32(0)
+	visit := func(v int32) {
+		visited++
+		index[v], low[v] = visited, visited
+		stack = append(stack, v)
+		calls = append(calls, frame{v, 0})
+	}
+	root := func(v int) {
+		if index[v] != 0 {
+			return
+		}
+		visit(int32(v))
+		for len(calls) > 0 {
+			top := len(calls) - 1
+			v := calls[top].node
+			if out := u.adj.OutOf(int(v)); int(calls[top].next) < len(out) {
+				to := int32(u.G.Arcs[out[calls[top].next]].To)
+				calls[top].next++
+				if index[to] == 0 {
+					visit(to)
+				} else if r.comp[to] < 0 {
+					low[v] = min(low[v], index[to])
+				}
+				continue
+			}
+			calls = calls[:top]
+			if top > 0 {
+				p := calls[top-1].node
+				low[p] = min(low[p], low[v])
+			}
+			if low[v] == index[v] {
+				c := int32(len(memberOf) - 1)
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					r.comp[w] = c
+					members = append(members, w)
+					if w == v {
+						break
+					}
+				}
+				memberOf = append(memberOf, int32(len(members)))
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range u.post {
-			row := rows[n*words : (n+1)*words]
-			for _, ai := range u.adj.OutOf(n) {
-				to := arcs[ai].To
-				for i, w := range rows[to*words : (to+1)*words] {
-					if row[i]|w != row[i] {
-						row[i] |= w
-						changed = true
-					}
+	if s := u.G.StartID; s >= 0 && s < n {
+		root(s)
+	}
+	for v := range n {
+		root(v)
+	}
+	comps := len(memberOf) - 1
+	r.first, r.firstPred = make([]int32, comps+1), make([]int32, comps+2)
+	for c := range comps {
+		for _, v := range members[memberOf[c]:memberOf[c+1]] {
+			for _, ai := range u.adj.OutOf(int(v)) {
+				if d := r.comp[u.G.Arcs[ai].To]; d != int32(c) {
+					r.succ = append(r.succ, d)
+					r.firstPred[d+2]++
 				}
 			}
 		}
+		r.first[c+1] = int32(len(r.succ))
 	}
-	return rows
+	for c := 2; c < len(r.firstPred); c++ {
+		r.firstPred[c] += r.firstPred[c-1]
+	}
+	r.pred = make([]int32, len(r.succ))
+	for c := range comps {
+		for _, d := range r.succ[r.first[c]:r.first[c+1]] {
+			r.pred[r.firstPred[d+1]] = int32(c)
+			r.firstPred[d+1]++
+		}
+	}
+	r.firstPred = r.firstPred[:comps+1]
+	r.fwd, r.bwd = make([]uint64, comps), make([]uint64, comps)
+	return r
 }
+
+// solve starts deciding reachability among nodes, a chunk at a time.
+func (r *opReach) solve(nodes []int32) {
+	r.nodes, r.lo, r.hi = nodes, int32(len(r.fwd)), -1
+	for _, v := range nodes {
+		r.lo, r.hi = min(r.lo, r.comp[v]), max(r.hi, r.comp[v])
+	}
+}
+
+// chunk decides reachability between every member and the members
+// 64c to 64c+63, the chunk: afterwards to and from read it.
+func (r *opReach) chunk(c int) {
+	clear(r.fwd[r.lo : r.hi+1])
+	clear(r.bwd[r.lo : r.hi+1])
+	for y, v := range r.nodes[64*c : min(len(r.nodes), 64*c+64)] {
+		r.fwd[r.comp[v]] |= 1 << y
+		r.bwd[r.comp[v]] |= 1 << y
+	}
+	// A component reaches what its successors hold or reach; one outside
+	// the range reaches no member.
+	for k := r.lo; k <= r.hi; k++ {
+		for _, d := range r.succ[r.first[k]:r.first[k+1]] {
+			if d >= r.lo {
+				r.fwd[k] |= r.fwd[d]
+			}
+		}
+	}
+	for k := r.hi; k >= r.lo; k-- {
+		for _, p := range r.pred[r.firstPred[k]:r.firstPred[k+1]] {
+			if p <= r.hi {
+				r.bwd[k] |= r.bwd[p]
+			}
+		}
+	}
+}
+
+// to is the set of chunk members nodes[x] reaches, bit y for member
+// 64c+y; it holds x itself too when x is in the chunk.
+func (r *opReach) to(x int) uint64 { return r.fwd[r.comp[r.nodes[x]]] }
+
+// from is the set of chunk members that reach nodes[x], read as to is.
+func (r *opReach) from(x int) uint64 { return r.bwd[r.comp[r.nodes[x]]] }
 
 // tokenTracer memoizes, per output port, the set of access-token lines
 // flowing through it.
