@@ -175,6 +175,15 @@ func (e *Editor) Remove(id int) {
 	e.Nodes[id] = nil
 }
 
+// ReserveArcs makes room for n arcs in all, so that adding up to that
+// many grows the arc table no further.
+func (e *Editor) ReserveArcs(n int) {
+	if n > cap(e.Arcs) {
+		e.Arcs = slices.Grow(e.Arcs, n-len(e.Arcs))
+		e.dead = slices.Grow(e.dead, n-len(e.dead))
+	}
+}
+
 // AddArc appends a, last at both its ports.
 func (e *Editor) AddArc(a Arc) {
 	e.Arcs, e.dead = appendArc(e.Arcs, a), append(e.dead, false)

@@ -352,6 +352,13 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		istructs:    istructs,
 		out:         dfg.NewEditorFor(prog),
 	}
+	// The arc table is reserved once: what the builder emits, and a third
+	// as much again for the arcs an edit moves (each move appends one).
+	arcs := b.arcEstimate()
+	if edit != nil {
+		arcs += arcs / 3
+	}
+	b.out.ReserveArcs(arcs)
 	if err := b.build(); err != nil {
 		return nil, err
 	}
