@@ -68,8 +68,12 @@ func BenchmarkE2Schema2IndependentChains(b *testing.B) {
 
 // --- E3: translation cost and O(E·V) size scaling (§3) ---
 
+// BenchmarkE3TranslateSizeScaling translates generated programs of 2 to
+// 16 statements, and one of 1 000, where any table dense in CFG nodes ×
+// tokens dominates the bytes per op (-benchmem).
+
 func BenchmarkE3TranslateSizeScaling(b *testing.B) {
-	for _, size := range []int{2, 4, 8, 16} {
+	for _, size := range []int{2, 4, 8, 16, 1000} {
 		w := workloads.Random(1234, size, 2)
 		b.Run(fmt.Sprintf("stmts=%d", size), func(b *testing.B) {
 			p := compileBench(b, w.Source)

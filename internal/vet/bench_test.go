@@ -39,7 +39,9 @@ var benchSink *vet.Report
 // the class cover, the narrow loop nest without memory elimination), so a
 // profile of the verifier can be taken without the rest of the pipeline
 // around it. Vet runs its passes concurrently; -cpu 1,2 reads the serial
-// and the two-core figure.
+// and the two-core figure. structured-1000 is no ruler shape: at 1 000
+// statements any table dense in nodes × tokens or nodes × memory
+// operations dominates the bytes per op (-benchmem).
 func BenchmarkVet(b *testing.B) {
 	structured := translate.Options{Schema: translate.Schema2Opt}
 	aliased := workloads.RandomAliased(1990, 32, 3)
@@ -56,6 +58,7 @@ func BenchmarkVet(b *testing.B) {
 		{"aliased-32", aliased, classCover, false},
 		{"wide-64", workloads.Wide(64, 4000), translate.Options{Schema: translate.Schema2Opt, EliminateMemory: true}, false},
 		{"narrow-8", workloads.Wide(8, 8000), structured, false},
+		{"structured-1000", workloads.Random(7, 1000, 3), structured, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			res := compile(b, c.w, c.o, c.optimize)
