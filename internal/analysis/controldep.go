@@ -16,8 +16,8 @@
 //   - sourcevec.go — source vectors (Figure 11) for the §4.2 direct
 //     construction; sourcevec_literal_test.go holds a line-by-line
 //     transliteration of the figure, kept as a cross-check.
-//   - tokens.go — the dense form the three run on: interned token ids and
-//     bit rows indexed by (CFG node, token).
+//   - tokens.go — the form the three run on: interned token ids and token
+//     sets in compressed sparse rows, by CFG node or by token.
 //   - alias.go — alias structures, covers, and access sets C[x]
 //     (Definitions 6–7) with cover legality checking.
 //   - procalias.go — deriving alias structures from FORTRAN-style call

@@ -167,6 +167,21 @@ if [ -n "$figure9" ]; then
     exit 1
 fi
 
+echo "== compile and vet keep no node × token table =="
+# The analyses the translator and vet run keep each table the size of
+# what it describes: source vectors per token, taps per regenerated
+# token, ordering per cover element, guard sets hash-consed (see
+# ANALYSIS.md, "Cost"). A make sized by rows, nodes or n times tokens,
+# words or memory operations is a dense row per node again, and bytes
+# per node grow with the program (TestCompileScalesLinearly).
+dense=$(grep -rnE 'make\(\[\][^,]+, *(\((rows|n)\+.*\)|rows|n|len\([^)]*Nodes\))\*[a-z.]*(v|w|words)\)' \
+    --include='*.go' internal/analysis internal/translate internal/vet | grep -v '_test\.go:' || true)
+if [ -n "$dense" ]; then
+    echo "a table dense in nodes × tokens or memory operations:" >&2
+    echo "$dense" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
