@@ -275,14 +275,9 @@ func (p *Program) Interpret(binding map[string]string) (*Result, error) {
 // call-site-derived alias structures). The program must declare at least
 // one procedure.
 func (p *Program) TranslateLinked() (*Dataflow, error) {
-	lr, err := translate.TranslateLinked(p.prog)
+	res, err := translate.TranslateLinked(p.prog)
 	if err != nil {
 		return nil, err
-	}
-	res := &translate.Result{
-		Graph:       lr.Graph,
-		Universe:    lr.MainUniverse,
-		ValueTokens: lr.ValueTokens,
 	}
 	return &Dataflow{res: res}, nil
 }

@@ -124,49 +124,17 @@ func DeriveAliasStructures(prog *lang.Program) (map[string]*AliasStructure, erro
 // the procedure body. Translating it under Schema 3 yields one dataflow
 // graph that is correct under the binding induced by any call site.
 func StandaloneProc(prog *lang.Program, name string, derived *AliasStructure) (*lang.Program, error) {
-	var pr *lang.ProcDecl
-	for i := range prog.Procedures {
-		if prog.Procedures[i].Name == name {
-			pr = &prog.Procedures[i]
-		}
-	}
+	pr := prog.Proc(name)
 	if pr == nil {
 		return nil, fmt.Errorf("analysis: no procedure %s", name)
 	}
 	out := &lang.Program{Body: pr.Body}
-	// Nested calls inside the body still resolve: carry the transitively
-	// called procedure declarations along (they inline when the standalone
-	// view is compiled). The subject procedure itself is excluded — its
+	// Nested calls inside the body still resolve: carry the declarations
+	// of the procedures it reaches along (they inline when the standalone
+	// view is compiled). The subject procedure is not among them — its
 	// formals become the standalone program's variables.
-	needed := map[string]bool{}
-	var mark func(stmts []lang.Stmt)
-	byName := map[string]*lang.ProcDecl{}
-	for i := range prog.Procedures {
-		byName[prog.Procedures[i].Name] = &prog.Procedures[i]
-	}
-	mark = func(stmts []lang.Stmt) {
-		for _, s := range stmts {
-			switch x := s.(type) {
-			case *lang.CallStmt:
-				if !needed[x.Proc] {
-					needed[x.Proc] = true
-					if callee := byName[x.Proc]; callee != nil {
-						mark(callee.Body)
-					}
-				}
-			case *lang.If:
-				mark(x.Then)
-				mark(x.Else)
-			case *lang.While:
-				mark(x.Body)
-			}
-		}
-	}
-	mark(pr.Body)
-	for i := range prog.Procedures {
-		if n := prog.Procedures[i].Name; n != name && needed[n] {
-			out.Procedures = append(out.Procedures, prog.Procedures[i])
-		}
+	for _, callee := range prog.Reachable(name) {
+		out.Procedures = append(out.Procedures, *prog.Proc(callee))
 	}
 	for _, f := range pr.Params {
 		out.Vars = append(out.Vars, lang.VarDecl{Name: f})
@@ -196,12 +164,7 @@ func StandaloneProc(prog *lang.Program, name string, derived *AliasStructure) (*
 // a location (and share it with that actual's global name when the actual
 // is a global).
 func CallBinding(prog *lang.Program, call *lang.CallStmt) (interp.Binding, error) {
-	var pr *lang.ProcDecl
-	for i := range prog.Procedures {
-		if prog.Procedures[i].Name == call.Proc {
-			pr = &prog.Procedures[i]
-		}
-	}
+	pr := prog.Proc(call.Proc)
 	if pr == nil {
 		return nil, fmt.Errorf("analysis: no procedure %s", call.Proc)
 	}

@@ -34,6 +34,43 @@ func (s *CallStmt) String() string {
 // Procs returns the declared procedures of a program.
 func (p *Program) Procs() []ProcDecl { return p.Procedures }
 
+// Proc returns the procedure declared as name, or nil.
+func (p *Program) Proc(name string) *ProcDecl {
+	for i := range p.Procedures {
+		if p.Procedures[i].Name == name {
+			return &p.Procedures[i]
+		}
+	}
+	return nil
+}
+
+// Reachable returns, in declaration order, the procedures some chain of
+// calls from the body of from ("" for the main body) invokes.
+func (p *Program) Reachable(from string) []string {
+	callees := map[string][]string{}
+	for _, cs := range p.Calls() {
+		callees[cs.Caller] = append(callees[cs.Caller], cs.Call.Proc)
+	}
+	seen := map[string]bool{}
+	var visit func(caller string)
+	visit = func(caller string) {
+		for _, c := range callees[caller] {
+			if !seen[c] {
+				seen[c] = true
+				visit(c)
+			}
+		}
+	}
+	visit(from)
+	var out []string
+	for _, pr := range p.Procedures {
+		if seen[pr.Name] {
+			out = append(out, pr.Name)
+		}
+	}
+	return out
+}
+
 // Calls collects every call statement in the program body (calls inside
 // procedure bodies are also returned, annotated by the enclosing
 // procedure's name; "" means the main body).

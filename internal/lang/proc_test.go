@@ -149,3 +149,53 @@ func TestProcFormatRoundTrip(t *testing.T) {
 		t.Errorf("format not a fixed point:\n%s\nvs\n%s", f1, f2)
 	}
 }
+
+func TestProcAndReachable(t *testing.T) {
+	p, err := Parse(`
+var a, b
+proc leaf(x) {
+  x := x + 1
+}
+proc mid(y) {
+  if y < 3 {
+    call leaf(y)
+  }
+}
+proc top(z) {
+  while z < 10 {
+    call mid(z)
+  }
+}
+proc orphan(w) {
+  call leaf(w)
+}
+call top(a)
+b := a
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		from string
+		want string
+	}{
+		{"", "leaf mid top"}, // a nested chain, reached through if and while
+		{"top", "leaf mid"},  // from a procedure body
+		{"mid", "leaf"},
+		{"leaf", ""},
+		{"orphan", "leaf"}, // declared, never called, yet its own calls count
+	} {
+		if got := strings.Join(p.Reachable(tc.from), " "); got != tc.want {
+			t.Errorf("Reachable(%q) = %q, want %q", tc.from, got, tc.want)
+		}
+	}
+	if pr := p.Proc("mid"); pr == nil || pr != &p.Procedures[1] {
+		t.Errorf("Proc(mid) = %v, want the declaration", pr)
+	}
+	if pr := p.Proc("nosuch"); pr != nil {
+		t.Errorf("Proc of an unknown name = %v, want nil", pr)
+	}
+	if got := p.Reachable("nosuch"); got != nil {
+		t.Errorf("Reachable of an unknown name = %v, want none", got)
+	}
+}

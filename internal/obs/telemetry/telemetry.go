@@ -31,7 +31,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -84,15 +83,6 @@ type Spec struct {
 // MarshalJSON renders the kind as its OpenMetrics type name.
 func (k Kind) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + k.String() + `"`), nil
-}
-
-// SampleName is the name samples are rendered under: OpenMetrics
-// counters expose `<name>_total` while the family keeps the base name.
-func (s Spec) SampleName() string {
-	if s.Kind == KindCounter {
-		return s.Name + "_total"
-	}
-	return s.Name
 }
 
 // Series is one labelled instrument inside a family. All mutation is
@@ -390,21 +380,4 @@ func labelsEqual(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// SortedCopy returns a deep copy with families sorted by name and
-// series sorted by label values. The engines never need it (their
-// registration order is deterministic), but tests comparing registries
-// built along different code paths do.
-func (s *Snapshot) SortedCopy() *Snapshot {
-	out := &Snapshot{Families: append([]FamilySnap(nil), s.Families...)}
-	sort.Slice(out.Families, func(i, j int) bool { return out.Families[i].Name < out.Families[j].Name })
-	for i := range out.Families {
-		f := &out.Families[i]
-		f.Series = append([]SeriesSnap(nil), f.Series...)
-		sort.Slice(f.Series, func(a, b int) bool {
-			return seriesKey(f.Series[a].Labels) < seriesKey(f.Series[b].Labels)
-		})
-	}
-	return out
 }

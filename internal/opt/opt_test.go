@@ -105,11 +105,10 @@ func TestOptimizedLinkedGraphs(t *testing.T) {
 	}
 	rewrites := 0
 	for _, w := range progs {
-		lr, err := translate.TranslateLinked(w.Parse())
+		res, err := translate.TranslateLinked(w.Parse())
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		res := &translate.Result{Graph: lr.Graph, Universe: lr.MainUniverse, ValueTokens: lr.ValueTokens}
 		base, err := machine.Run(res.Graph, machine.Config{})
 		if err != nil {
 			t.Fatalf("%s: unoptimized run: %v", w.Name, err)

@@ -40,14 +40,13 @@ type builder struct {
 
 	// Separate-compilation (linked) mode: a procedure unit replaces the
 	// start node by per-token Param nodes and the end node by a ProcReturn;
-	// call statements become Apply nodes. callNeed supplies the mapped
-	// token set a call consumes; pendingCalls records linkage to resolve
-	// after every unit is built.
+	// call statements become Apply nodes, consuming the token set need
+	// maps the callee's universe to; pendingCalls records linkage to
+	// resolve after every unit is built.
 	procMode     bool
 	procName     string
 	paramNodes   map[string]int
 	returnNode   int
-	callNeed     func(id int) []string
 	calleeArity  func(proc string) int // callee universe size (param ports)
 	pendingCalls []*pendingCall
 
@@ -338,11 +337,11 @@ type pendingCall struct {
 // fires. Entry arcs into the callee's Param nodes are wired by the linker
 // once every unit is built.
 func (b *builder) buildCall(id int) error {
-	if b.callNeed == nil {
+	if b.calleeArity == nil {
 		return fmt.Errorf("translate: call statement outside separate-compilation mode at %s", b.g.Nodes[id])
 	}
 	n := b.g.Nodes[id]
-	consumed := b.callNeed(id)
+	consumed := b.need(id)
 	if len(consumed) == 0 {
 		return fmt.Errorf("translate: call of %s touches nothing (empty effect set)", n.Proc)
 	}
@@ -360,21 +359,12 @@ func (b *builder) buildCall(id int) error {
 		b.setTap(false, tok, src{apply, int32(i)})
 	}
 	bindings := map[string]string{}
-	for i, formal := range procParams(b.g.Prog, n.Proc) {
+	for i, formal := range b.g.Prog.Proc(n.Proc).Params {
 		bindings[formal] = n.Args[i]
 	}
 	b.pendingCalls = append(b.pendingCalls, &pendingCall{
 		apply: int(apply), proc: n.Proc, inTokens: consumed, bindings: bindings,
 	})
-	return nil
-}
-
-func procParams(prog *lang.Program, name string) []string {
-	for _, pr := range prog.Procs() {
-		if pr.Name == name {
-			return pr.Params
-		}
-	}
 	return nil
 }
 

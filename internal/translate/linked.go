@@ -2,6 +2,8 @@ package translate
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"ctdf/internal/analysis"
@@ -10,30 +12,17 @@ import (
 	"ctdf/internal/lang"
 )
 
-// LinkedResult is the outcome of separate compilation: one dataflow graph
-// in which every procedure body appears once, call sites are Apply nodes,
-// and each dynamic call executes the shared body under a fresh activation
+// TranslateLinked compiles prog with separate procedure compilation. The
+// main body and every procedure body it reaches is one translation unit,
+// run through the unit stage Translate runs (builder.emit) into one shared
+// editor, under the optimized construction and, for a procedure, the alias
+// structure its call sites induce (DeriveAliasStructures). Call sites
+// become Apply nodes linked to the body's Param and ProcReturn nodes, and
+// each dynamic call executes the shared body under a fresh activation
 // frame (paper §2.2: "each invocation of a procedure ... gets an
-// activation context").
-type LinkedResult struct {
-	Graph *dfg.Graph
-	// MainUniverse is the main unit's access-token universe; the graph's
-	// end node collects it.
-	MainUniverse []string
-	// ProcUniverse maps each procedure to its token universe (formals plus
-	// the globals it may touch, transitively).
-	ProcUniverse map[string][]string
-	// ValueTokens is always empty in linked mode (the §6 transformations
-	// are not applied); present so FinalSnapshot-style helpers compose.
-	ValueTokens map[string]string
-}
-
-// TranslateLinked compiles prog with separate procedure compilation: each
-// procedure body is translated once — under the optimized construction
-// with the alias structure its call sites induce (DeriveAliasStructures) —
-// and linked to its call sites with Apply/Param/ProcReturn nodes. The §6
-// transformations do not apply in this mode.
-func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
+// activation context"). The Result holds the graph, the main unit's token
+// universe and no value tokens: the §6 transformations do not apply.
+func TranslateLinked(prog *lang.Program) (*Result, error) {
 	if len(prog.Procs()) == 0 {
 		return nil, fmt.Errorf("translate: no procedures to compile separately")
 	}
@@ -44,53 +33,25 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 
 	// Only procedures reachable from the main body are compiled (an
 	// uncalled body would have no call sites to feed its Param nodes).
-	called := map[string]bool{}
-	var markCalled func(stmts []lang.Stmt)
-	byName := map[string]*lang.ProcDecl{}
-	procsList := prog.Procs()
-	for i := range procsList {
-		byName[procsList[i].Name] = &procsList[i]
-	}
-	markCalled = func(stmts []lang.Stmt) {
-		for _, s := range stmts {
-			switch x := s.(type) {
-			case *lang.CallStmt:
-				if !called[x.Proc] {
-					called[x.Proc] = true
-					markCalled(byName[x.Proc].Body)
-				}
-			case *lang.If:
-				markCalled(x.Then)
-				markCalled(x.Else)
-			case *lang.While:
-				markCalled(x.Body)
-			}
-		}
-	}
-	markCalled(prog.Body)
-	if len(called) == 0 {
+	order := append([]string{""}, prog.Reachable("")...)
+	if len(order) == 1 {
 		return nil, fmt.Errorf("translate: no procedure is ever called")
 	}
-
-	// Per-unit CFGs ("" = main).
+	reach := map[string][]string{}
 	units := map[string]*cfg.Graph{}
-	order := []string{""}
-	g, err := cfg.BuildSeparate(prog, prog.Body)
-	if err != nil {
-		return nil, err
-	}
-	units[""] = g
-	for _, pr := range prog.Procs() {
-		if !called[pr.Name] {
-			continue
+	for _, name := range order {
+		body := prog.Body
+		if name != "" {
+			body = prog.Proc(name).Body
+			reach[name] = prog.Reachable(name)
 		}
-		pg, err := cfg.BuildSeparate(prog, pr.Body)
+		g, err := cfg.BuildSeparate(prog, body)
 		if err != nil {
-			return nil, fmt.Errorf("translate: procedure %s: %w", pr.Name, err)
+			return nil, fmt.Errorf("translate: unit %q: %w", name, err)
 		}
-		units[pr.Name] = pg
-		order = append(order, pr.Name)
+		units[name] = g
 	}
+	reach[""] = order[1:]
 	// Footnote 5, as in Translate. A dispatch header's selector is one
 	// more global, declared on the program every unit then reads.
 	for _, name := range order {
@@ -108,165 +69,108 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 		globals[n] = true
 	}
 
-	// Universes: formals plus transitively touched globals; the call graph
-	// is acyclic, so iterate to a fixpoint.
-	universe := map[string]map[string]bool{}
-	for name, ug := range units {
+	// A unit's own names are its formals and every name it references or
+	// passes; its universe adds the globals of every procedure it reaches.
+	// Main's covers every declared name (unused tokens flow straight to
+	// end, matching the inlined translations).
+	own := map[string]map[string]bool{}
+	for _, name := range order {
 		set := map[string]bool{}
-		for _, f := range procParams(prog, name) {
-			set[f] = true
+		if name != "" {
+			for _, f := range prog.Proc(name).Params {
+				set[f] = true
+			}
 		}
-		for id := range ug.Nodes {
-			n := ug.Nodes[id]
+		ug := units[name]
+		for id, n := range ug.Nodes {
 			for v := range ug.Refs(id) {
 				set[v] = true
 			}
-			if n.Kind == cfg.KindCall {
-				for _, a := range n.Args {
-					set[a] = true
+			for _, a := range n.Args {
+				set[a] = true
+			}
+		}
+		own[name] = set
+	}
+	universe := map[string][]string{}
+	for _, name := range order {
+		set := maps.Clone(own[name])
+		for _, callee := range reach[name] {
+			for v := range own[callee] {
+				if globals[v] {
+					set[v] = true
 				}
 			}
 		}
-		universe[name] = set
+		if name == "" {
+			maps.Copy(set, globals)
+		}
+		universe[name] = sortedTokens(set)
 	}
-	for changed := true; changed; {
-		changed = false
-		for name, ug := range units {
-			for id := range ug.Nodes {
-				n := ug.Nodes[id]
-				if n.Kind != cfg.KindCall {
-					continue
-				}
-				for v := range universe[n.Proc] {
-					if globals[v] && !universe[name][v] {
-						universe[name][v] = true
-						changed = true
-					}
-				}
+
+	// A call consumes, for every token of its callee, the caller-side
+	// tokens of the name bound to it.
+	bound := func(n *cfg.Node) []string {
+		params := prog.Proc(n.Proc).Params
+		names := slices.Clone(universe[n.Proc])
+		for i, v := range names {
+			if k := slices.Index(params, v); k >= 0 {
+				names[i] = n.Args[k]
 			}
 		}
+		return names
 	}
-	// Main's universe covers every declared name (unused tokens flow
-	// straight to end, matching the inlined translations).
-	for _, n := range prog.AllNames() {
-		universe[""][n] = true
-	}
-
-	sortedUniverse := map[string][]string{}
-	for name, set := range universe {
-		sortedUniverse[name] = sortedTokens(set)
-	}
-
-	// Per-unit alias structure and singleton-cover token mapping.
 	mainAlias := analysis.NewAliasStructure(prog)
-	classOf := func(unit, name string) []string {
-		var as *analysis.AliasStructure
-		if unit == "" {
-			as = mainAlias
-		} else {
-			as = derived[unit]
-		}
-		var out []string
-		for _, m := range as.Class(name) {
-			if universe[unit][m] {
-				out = append(out, m)
-			}
-		}
-		if len(out) == 0 {
-			out = []string{name}
-		}
-		return out
-	}
-
 	out := dfg.NewEditorFor(prog)
-	type unitExports struct {
-		params  map[string]int
-		ret     int
-		pending []*pendingCall
-	}
-	exports := map[string]*unitExports{}
-
+	built := map[string]*builder{}
 	for _, name := range order {
 		ug, loops, err := cfg.InsertLoopControl(units[name])
 		if err != nil {
 			return nil, err
 		}
-		unit := name
+		// A name's tokens are its alias class within the unit's universe
+		// (the singleton cover).
+		as := derived[name]
+		if name == "" {
+			as = mainAlias
+		}
 		tokensOf := map[string][]string{}
-		for v := range universe[unit] {
-			tokensOf[v] = classOf(unit, v)
-		}
-		// A call consumes, for every token of its callee, the caller-side
-		// tokens of the bound name.
-		callNeed := func(id int) []string {
-			n := ug.Nodes[id]
-			bind := map[string]string{}
-			for i, f := range procParams(prog, n.Proc) {
-				bind[f] = n.Args[i]
-			}
-			set := map[string]bool{}
-			for _, ct := range sortedUniverse[n.Proc] {
-				caller := ct
-				if b, ok := bind[ct]; ok {
-					caller = b
-				}
-				for _, tok := range tokensOf[caller] {
-					set[tok] = true
+		for _, v := range universe[name] {
+			for _, m := range as.Class(v) {
+				if _, ok := slices.BinarySearch(universe[name], m); ok {
+					tokensOf[v] = append(tokensOf[v], m)
 				}
 			}
-			return sortedTokens(set)
-		}
-		need := func(id int) []string {
-			if ug.Nodes[id].Kind == cfg.KindCall {
-				return callNeed(id)
+			if len(tokensOf[v]) == 0 {
+				tokensOf[v] = []string{v}
 			}
-			set := map[string]bool{}
-			for v := range ug.Refs(id) {
-				for _, tok := range tokensOf[v] {
-					set[tok] = true
-				}
-			}
-			return sortedTokens(set)
-		}
-
-		cd := analysis.ComputeControlDeps(ug)
-		extNeed, placement := placeWithLoopControl(ug, loops, cd, need)
-		sv, err := analysis.ComputeSourceVectors(ug, loops, sortedUniverse[unit], extNeed, placement)
-		if err != nil {
-			return nil, fmt.Errorf("translate: unit %q: %w", unit, err)
 		}
 		b := &builder{
-			g: ug, loops: loops, need: need, sv: sv, placement: placement,
-			tokensOf: tokensOf, universe: sortedUniverse[unit],
-			valueTokens: map[string]string{},
-			istructs:    map[string]bool{},
-			out:         out,
-			procMode:    unit != "",
-			procName:    unit,
-			callNeed:    callNeed,
-			calleeArity: func(proc string) int { return len(sortedUniverse[proc]) },
+			g: ug, loops: loops, need: makeNeed(ug, tokensOf, nil, nil, bound),
+			tokensOf: tokensOf, universe: universe[name], out: out,
+			procMode: name != "", procName: name,
+			calleeArity: func(proc string) int { return len(universe[proc]) },
 		}
-		if err := b.build(); err != nil {
-			return nil, fmt.Errorf("translate: unit %q: %w", unit, err)
+		if err := b.emit(true, false); err != nil {
+			return nil, fmt.Errorf("translate: unit %q: %w", name, err)
 		}
-		exports[unit] = &unitExports{params: b.paramNodes, ret: b.returnNode, pending: b.pendingCalls}
+		built[name] = b
 	}
 
 	// Link every call site to its callee.
 	var calls []dfg.CallInfo
 	for _, name := range order {
-		for _, pc := range exports[name].pending {
-			callee := exports[pc.proc]
-			toks := sortedUniverse[pc.proc]
+		for _, pc := range built[name].pendingCalls {
+			callee := built[pc.proc]
 			info := dfg.CallInfo{
 				Apply:    pc.apply,
 				Proc:     pc.proc,
 				InTokens: pc.inTokens,
-				Return:   callee.ret,
+				Return:   callee.returnNode,
 				Bindings: pc.bindings,
 			}
-			for j, tok := range toks {
-				pn, ok := callee.params[tok]
+			for j, tok := range universe[pc.proc] {
+				pn, ok := callee.paramNodes[tok]
 				if !ok {
 					return nil, fmt.Errorf("translate: callee %s has no param node for token %s", pc.proc, tok)
 				}
@@ -286,10 +190,5 @@ func TranslateLinked(prog *lang.Program) (*LinkedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("translate: linked graph invalid: %w", err)
 	}
-	return &LinkedResult{
-		Graph:        linked,
-		MainUniverse: sortedUniverse[""],
-		ProcUniverse: sortedUniverse,
-		ValueTokens:  map[string]string{},
-	}, nil
+	return &Result{Graph: linked, Universe: universe[""], ValueTokens: map[string]string{}}, nil
 }

@@ -13,7 +13,7 @@ import (
 
 // checkLinked runs the separately compiled graph and compares against the
 // sequential interpreter (over the inlined CFG).
-func checkLinked(t *testing.T, w workloads.Workload) *LinkedResult {
+func checkLinked(t *testing.T, w workloads.Workload) *Result {
 	t.Helper()
 	prog := w.Parse()
 	res, err := TranslateLinked(prog)

@@ -36,8 +36,9 @@
 //   - istruct.go — I-structure translation for write-once arrays (§6.3).
 //   - synchtree.go — synch-tree legalization to two-operand ETS matching
 //     (Figure 2).
-//   - linked.go — separate compilation with Apply/Param/ProcReturn linkage
-//     and per-activation tag frames (§2.2).
+//   - linked.go — separate compilation: every unit through the same stage,
+//     linked with Apply/Param/ProcReturn nodes and per-activation tag
+//     frames (§2.2).
 //   - snapshot.go — loadable textual graph format and assembly listing.
 //
 // The effect of each choice here is measurable: run the result under
@@ -321,29 +322,10 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		universe = slices.Compact(universe)
 	}
 
-	base := makeNeed(g, tokensOf, pstores, istructs)
-
-	need := base
-	var placement *analysis.Placement
-	switch opt.Schema {
-	case Schema2Opt, Schema3Opt:
-		cd := analysis.ComputeControlDeps(g)
-		need, placement = placeWithLoopControl(g, loops, cd, base)
-	default:
-		placement = allSwitches(g, universe)
-	}
-
-	sv, err := analysis.ComputeSourceVectors(g, loops, universe, need, placement)
-	if err != nil {
-		return nil, err
-	}
-
 	b := &builder{
 		g:           g,
 		loops:       loops,
-		need:        base,
-		sv:          sv,
-		placement:   placement,
+		need:        makeNeed(g, tokensOf, pstores, istructs, nil),
 		tokensOf:    tokensOf,
 		universe:    universe,
 		valueTokens: valueTokens,
@@ -352,22 +334,15 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		istructs:    istructs,
 		out:         dfg.NewEditorFor(prog),
 	}
-	// The arc table is reserved once: what the builder emits, and a third
-	// as much again for the arcs an edit moves (each move appends one).
-	arcs := b.arcEstimate()
-	if edit != nil {
-		arcs += arcs / 3
-	}
-	b.out.ReserveArcs(arcs)
-	if err := b.build(); err != nil {
+	if err := b.emit(opt.Schema == Schema2Opt || opt.Schema == Schema3Opt, edit != nil); err != nil {
 		return nil, err
 	}
 	res := &Result{
 		Options:         opt,
 		CFG:             g,
 		Loops:           loops,
-		Placement:       placement,
-		SV:              sv,
+		Placement:       b.placement,
+		SV:              b.sv,
 		Universe:        universe,
 		TokensOf:        tokensOf,
 		ValueTokens:     valueTokens,
@@ -390,19 +365,26 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 }
 
 // makeNeed derives the NeedFunc: a node needs the union of the token sets
-// of the variables it references (I-structure arrays have none);
-// statements carrying a §6.3-parallelized store additionally need the
-// loop's completion token. Every node's need is worked out here, once;
-// the analyses and the builder all read the same sorted slices.
-func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStore, istructs map[string]bool) analysis.NeedFunc {
+// of the variables it references (I-structure arrays have none), and a
+// call statement those of the caller-side names bound gives it (separate
+// compilation; nil elsewhere); statements carrying a §6.3-parallelized
+// store additionally need the loop's completion token. Every node's need
+// is worked out here, once; the analyses and the builder all read the
+// same sorted slices.
+func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStore, istructs map[string]bool, bound func(*cfg.Node) []string) analysis.NeedFunc {
 	needs := make([][]string, g.Len())
 	for _, ps := range pstores {
 		needs[ps.StoreStmt] = append(needs[ps.StoreStmt], ps.DoneToken())
 	}
-	for id := range g.Nodes {
+	for id, n := range g.Nodes {
 		toks := needs[id]
 		for v := range g.Refs(id) {
 			if !istructs[v] {
+				toks = append(toks, tokensOf[v]...)
+			}
+		}
+		if n.Kind == cfg.KindCall && bound != nil {
+			for _, v := range bound(n) {
 				toks = append(toks, tokensOf[v]...)
 			}
 		}
@@ -410,6 +392,32 @@ func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStor
 		needs[id] = slices.Compact(toks)
 	}
 	return func(id int) []string { return needs[id] }
+}
+
+// emit is the unit stage every translation unit runs, a program's or one
+// procedure body of a separate compilation: it places switches (minimally
+// for the optimized schemas, every token at every fork otherwise),
+// computes the source vectors under that placement, reserves the arc
+// table for what the builder emits (and a third as much again for the
+// arcs a following edit moves, each move appending one) and builds.
+func (b *builder) emit(minimal, edited bool) error {
+	need := b.need
+	if minimal {
+		need, b.placement = placeWithLoopControl(b.g, b.loops, analysis.ComputeControlDeps(b.g), b.need)
+	} else {
+		b.placement = allSwitches(b.g, b.universe)
+	}
+	sv, err := analysis.ComputeSourceVectors(b.g, b.loops, b.universe, need, b.placement)
+	if err != nil {
+		return err
+	}
+	b.sv = sv
+	arcs := b.arcEstimate()
+	if edited {
+		arcs += arcs / 3
+	}
+	b.out.ReserveArcs(len(b.out.Arcs) + arcs)
+	return b.build()
 }
 
 // placeWithLoopControl computes switch placement for the optimized

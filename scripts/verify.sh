@@ -182,6 +182,28 @@ if [ -n "$dense" ]; then
     exit 1
 fi
 
+echo "== a translation unit is emitted one way =="
+# Translate and separate compilation run every translation unit through
+# one stage (builder.emit: switch placement, source vectors, arc
+# reservation, build; see DESIGN.md, "internal/translate"). A second call
+# site of either analysis, or a result type of the linked path's own, is
+# that stage written twice.
+for fn in ComputeSourceVectors placeWithLoopControl; do
+    sites=$(grep -rn "$fn(" --include='*.go' internal/translate | grep -v '_test\.go:' |
+        grep -vE '^[^:]+:[0-9]+:(func |[[:space:]]*//)' || true)
+    if [ "$(echo "$sites" | grep -c .)" -gt 1 ]; then
+        echo "$fn called from more than one site:" >&2
+        echo "$sites" >&2
+        exit 1
+    fi
+done
+linkedres=$(grep -rn 'type LinkedResult\b' --include='*.go' internal/translate | grep -v '_test\.go:' || true)
+if [ -n "$linkedres" ]; then
+    echo "separate compilation has a result type of its own:" >&2
+    echo "$linkedres" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
