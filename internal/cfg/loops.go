@@ -19,7 +19,8 @@ import (
 // node (flagged as iteration re-entries), and a loop-exit node is spliced
 // onto every edge A→B with A inside the cyclic part and B outside.
 // Irreducible graphs are reported as an error: MakeReducible (paper
-// footnote 5) must run first.
+// footnote 5) must run first. The nest the transformation works from is
+// also what it returns: each Loop is read off the nest's record of it.
 
 // ErrIrreducible is returned (wrapped) by InsertLoopControl for CFGs whose
 // cycles cannot be decomposed into nested single-entry intervals.
@@ -51,7 +52,8 @@ type Loop struct {
 // each enclosing loop's size, by the statements that land inside it, and
 // sizes decide the order (smallest body first, then header id) and with
 // it the ids the new nodes get; so every pending loop keeps its member
-// list current as inner loops are transformed.
+// list current as inner loops are transformed, and at the end those lists
+// are the loops' bodies.
 func InsertLoopControl(g *Graph) (*Graph, []Loop, error) {
 	dom, err := reducibleDominators(g)
 	if err != nil {
@@ -82,7 +84,7 @@ func InsertLoopControl(g *Graph) (*Graph, []Loop, error) {
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("cfg: loop transformation broke the graph: %w", err)
 	}
-	return out, FindLoops(out), nil
+	return out, nest.result(), nil
 }
 
 // Clone deep-copies the graph structure (expressions are shared; they are
@@ -114,8 +116,8 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// pendingLoop is a natural loop that has not been given its control
-// statements yet.
+// pendingLoop is a natural loop of the nest, given its control statements
+// when its turn comes.
 type pendingLoop struct {
 	header int
 	parent int // innermost enclosing loop, -1 for none
@@ -124,6 +126,10 @@ type pendingLoop struct {
 	// and, appended as they are created, the control statements of
 	// enclosed loops that lie inside it.
 	members []int
+	// entry and exits are the loop's own control statements, set by
+	// transform.
+	entry int
+	exits []int
 }
 
 // loopNest is the forest of natural loops of a reducible graph whose
@@ -161,7 +167,7 @@ func findLoopNest(g *Graph, dom *DomTree) *loopNest {
 	bodies, headers := make([][]int, len(nest.loops)), make([]int, len(nest.loops))
 	for i := range nest.loops {
 		l := &nest.loops[i]
-		l.members = reaching(g, l.members, 1, nest.in, int32(i+1))
+		l.members = reaching(g, l.members, nest.in, int32(i+1))
 		bodies[i], headers[i] = l.members, l.header
 	}
 	for i := range nest.in {
@@ -176,24 +182,22 @@ func findLoopNest(g *Graph, dom *DomTree) *loopNest {
 	return nest
 }
 
-// reaching completes a loop body: members[:from] are nodes the walk stops
-// at and members[from:] nodes it starts from, possibly repeated; it
+// reaching completes a loop body: members[0] is the header the walk stops
+// at and members[1:] the nodes it starts from, possibly repeated; it
 // returns, in ascending order, these and every node that reaches a
-// starting node without passing a stopping one. in is scratch: no entry
-// may equal stamp beforehand, and the body's entries do afterwards.
-func reaching(g *Graph, members []int, from int, in []int32, stamp int32) []int {
-	seeds := members[from:]
-	members = members[:from]
-	for _, v := range members {
-		in[v] = stamp
-	}
+// starting node without passing the header. in is scratch: no entry may
+// equal stamp beforehand, and the body's entries do afterwards.
+func reaching(g *Graph, members []int, in []int32, stamp int32) []int {
+	seeds := members[1:]
+	members = members[:1]
+	in[members[0]] = stamp
 	for _, v := range seeds {
 		if in[v] != stamp {
 			in[v] = stamp
 			members = append(members, v)
 		}
 	}
-	for k := from; k < len(members); k++ {
+	for k := 1; k < len(members); k++ {
 		for _, p := range g.Nodes[members[k]].Preds {
 			if in[p] != stamp {
 				in[p] = stamp
@@ -252,6 +256,7 @@ func (nest *loopNest) transform(g *Graph, i int32) {
 
 	le := nest.addNode(g, KindLoopEntry, h, l.parent)
 	le.BackPreds = map[int]bool{}
+	l.entry = le.ID
 
 	// Redirect every edge into the header — from outside (entries) and from
 	// back-edge sources (iteration) — to the loop entry.
@@ -279,10 +284,37 @@ func (nest *loopNest) transform(g *Graph, i int32) {
 				continue
 			}
 			lx := nest.addNode(g, KindLoopExit, h, l.parent)
+			l.exits = append(l.exits, lx.ID)
 			g.ReplaceEdgeAt(a, si, lx.ID)
 			g.AddEdge(lx.ID, s)
 		}
 	}
+}
+
+// result describes the transformed nest, innermost loops first and then
+// by entry: a loop's body is its members and its own entry, its depth one
+// more than the number of loops around it.
+func (nest *loopNest) result() []Loop {
+	var loops []Loop // nil for a graph without loops
+	for _, l := range nest.loops {
+		body := make(map[int]bool, len(l.members)+1)
+		body[l.entry] = true
+		for _, m := range l.members {
+			body[m] = true
+		}
+		depth := 1
+		for p := l.parent; p >= 0; p = nest.loops[p].parent {
+			depth++
+		}
+		loops = append(loops, Loop{Entry: l.entry, Header: l.header, Exits: l.exits, Body: body, Depth: depth})
+	}
+	sort.Slice(loops, func(i, j int) bool {
+		if loops[i].Depth != loops[j].Depth {
+			return loops[i].Depth > loops[j].Depth // innermost first
+		}
+		return loops[i].Entry < loops[j].Entry
+	})
+	return loops
 }
 
 // TopoOrder returns g's nodes in topological order ignoring the back
@@ -359,61 +391,6 @@ func (h *intHeap) pop() int {
 		i = c
 	}
 	return top
-}
-
-// FindLoops reconstructs the Loop descriptors of a graph already
-// transformed by InsertLoopControl: one per loop-entry node, innermost
-// loops listed first, with nesting depths filled in.
-func FindLoops(g *Graph) []Loop {
-	var loops []Loop
-	of := make([]int32, g.Len()) // of[h] indexes the loop headed by node h
-	for _, n := range g.Nodes {
-		if n.Kind == KindLoopEntry {
-			of[n.Succs[0]] = int32(len(loops))
-			loops = append(loops, Loop{Entry: n.ID, Header: n.Succs[0]})
-		}
-	}
-	for _, n := range g.Nodes {
-		if n.Kind == KindLoopExit {
-			l := &loops[of[n.LoopHeader]]
-			l.Exits = append(l.Exits, n.ID)
-		}
-	}
-	bodies, entries := make([][]int, len(loops)), make([]int, len(loops))
-	in := make([]int32, g.Len())
-	for i := range loops {
-		l := &loops[i]
-		// The body is what reaches a back edge or an exit without
-		// passing through the entry.
-		body := []int{l.Entry}
-		for b := range g.Nodes[l.Entry].BackPreds {
-			body = append(body, b)
-		}
-		for _, x := range l.Exits {
-			body = append(body, g.Nodes[x].Preds[0])
-		}
-		body = reaching(g, body, 1, in, int32(i+1))
-		l.Body = make(map[int]bool, len(body))
-		for _, b := range body {
-			l.Body[b] = true
-		}
-		bodies[i], entries[i] = body, l.Entry
-	}
-	// Nesting depth: one more than the number of loops around the entry.
-	parents := nesting(g.Len(), bodies, entries)
-	for i := range loops {
-		loops[i].Depth = 1
-		for p := parents[i]; p >= 0; p = parents[p] {
-			loops[i].Depth++
-		}
-	}
-	sort.Slice(loops, func(i, j int) bool {
-		if loops[i].Depth != loops[j].Depth {
-			return loops[i].Depth > loops[j].Depth // innermost first
-		}
-		return loops[i].Entry < loops[j].Entry
-	})
-	return loops
 }
 
 // reducibleDominators returns g's dominator tree, or ErrIrreducible

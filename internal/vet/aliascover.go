@@ -85,7 +85,7 @@ func orderingCheck(u *Unit) []Diagnostic {
 	// holds it, in operation order: element e's are
 	// holders[start[e]:start[e+1]].
 	elem := map[string]int32{}
-	var pairs []int32 // (element, operation) in operation order
+	var elems, holding []int32 // (element, operation) pairs in operation order
 	for i, n := range ops {
 		for _, t := range u.Res.TokensOf[n.Var] {
 			e, ok := elem[t]
@@ -93,21 +93,10 @@ func orderingCheck(u *Unit) []Diagnostic {
 				e = int32(len(elem))
 				elem[t] = e
 			}
-			pairs = append(pairs, e, int32(i))
+			elems, holding = append(elems, e), append(holding, int32(i))
 		}
 	}
-	start := make([]int32, len(elem)+1)
-	for k := 0; k < len(pairs); k += 2 {
-		start[pairs[k]+1]++
-	}
-	for e := range len(elem) {
-		start[e+1] += start[e]
-	}
-	holders, at := make([]int32, len(pairs)/2), slices.Clone(start)
-	for k := 0; k < len(pairs); k += 2 {
-		holders[at[pairs[k]]] = pairs[k+1]
-		at[pairs[k]]++
-	}
+	start, holders := csr(len(elem), elems, holding)
 
 	r := newOpReach(u)
 	guards := u.guardTable()
@@ -209,99 +198,40 @@ type opReach struct {
 	fwd, bwd []uint64
 }
 
-// newOpReach condenses u's graph by an iterative Tarjan search, rooted at
-// start first and then at every node not yet visited, in id order.
+// newOpReach condenses u's graph along the components its search found.
 func newOpReach(u *Unit) *opReach {
-	n := len(u.G.Nodes)
-	r := &opReach{comp: make([]int32, n)}
-	index := make([]int32, n) // visit number, from 1; 0 until visited
-	low := make([]int32, n)
-	for i := range r.comp {
-		r.comp[i] = -1 // until finished: visited and unfinished means on the stack
-	}
-	// members lists the nodes component by component; component c's are
-	// members[memberOf[c]:memberOf[c+1]].
-	members, memberOf := make([]int32, 0, n), []int32{0}
-	var stack []int32
-	type frame struct{ node, next int32 } // next: out-arcs of node taken
-	var calls []frame
-	visited := int32(0)
-	visit := func(v int32) {
-		visited++
-		index[v], low[v] = visited, visited
-		stack = append(stack, v)
-		calls = append(calls, frame{v, 0})
-	}
-	root := func(v int) {
-		if index[v] != 0 {
-			return
-		}
-		visit(int32(v))
-		for len(calls) > 0 {
-			top := len(calls) - 1
-			v := calls[top].node
-			if out := u.adj.OutOf(int(v)); int(calls[top].next) < len(out) {
-				to := int32(u.G.Arcs[out[calls[top].next]].To)
-				calls[top].next++
-				if index[to] == 0 {
-					visit(to)
-				} else if r.comp[to] < 0 {
-					low[v] = min(low[v], index[to])
-				}
-				continue
-			}
-			calls = calls[:top]
-			if top > 0 {
-				p := calls[top-1].node
-				low[p] = min(low[p], low[v])
-			}
-			if low[v] == index[v] {
-				c := int32(len(memberOf) - 1)
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					r.comp[w] = c
-					members = append(members, w)
-					if w == v {
-						break
-					}
-				}
-				memberOf = append(memberOf, int32(len(members)))
+	var from, to []int32 // the arcs between components
+	for v, c := range u.comp {
+		for _, ai := range u.adj.OutOf(v) {
+			if d := u.comp[u.G.Arcs[ai].To]; d != c {
+				from, to = append(from, c), append(to, d)
 			}
 		}
 	}
-	if s := u.G.StartID; s >= 0 && s < n {
-		root(s)
-	}
-	for v := range n {
-		root(v)
-	}
-	comps := len(memberOf) - 1
-	r.first, r.firstPred = make([]int32, comps+1), make([]int32, comps+2)
-	for c := range comps {
-		for _, v := range members[memberOf[c]:memberOf[c+1]] {
-			for _, ai := range u.adj.OutOf(int(v)) {
-				if d := r.comp[u.G.Arcs[ai].To]; d != int32(c) {
-					r.succ = append(r.succ, d)
-					r.firstPred[d+2]++
-				}
-			}
-		}
-		r.first[c+1] = int32(len(r.succ))
-	}
-	for c := 2; c < len(r.firstPred); c++ {
-		r.firstPred[c] += r.firstPred[c-1]
-	}
-	r.pred = make([]int32, len(r.succ))
-	for c := range comps {
-		for _, d := range r.succ[r.first[c]:r.first[c+1]] {
-			r.pred[r.firstPred[d+1]] = int32(c)
-			r.firstPred[d+1]++
-		}
-	}
-	r.firstPred = r.firstPred[:comps+1]
-	r.fwd, r.bwd = make([]uint64, comps), make([]uint64, comps)
+	r := &opReach{comp: u.comp}
+	r.first, r.succ = csr(u.comps, from, to)
+	r.firstPred, r.pred = csr(u.comps, to, from)
+	r.fwd, r.bwd = make([]uint64, u.comps), make([]uint64, u.comps)
 	return r
+}
+
+// csr groups vals by their keys, which lie in 0…n-1: key k's values are
+// out[start[k]:start[k+1]], in the order they come.
+func csr(n int, keys, vals []int32) (start, out []int32) {
+	start = make([]int32, n+1)
+	for _, k := range keys {
+		start[k+1]++
+	}
+	for k := range n {
+		start[k+1] += start[k]
+	}
+	out = make([]int32, len(vals))
+	at := slices.Clone(start[:n])
+	for i, k := range keys {
+		out[at[k]] = vals[i]
+		at[k]++
+	}
+	return start, out
 }
 
 // solve starts deciding reachability among nodes, a chunk at a time.

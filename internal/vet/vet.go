@@ -247,8 +247,8 @@ func (u *Unit) run(passes []Pass) *Report {
 }
 
 // Unit is the subject of a vet run: the graph, optional translation
-// metadata, and what the passes share — the graph's adjacency and a
-// depth-first order over it.
+// metadata, and what the passes share — the graph's adjacency and what
+// one depth-first search over it finds.
 type Unit struct {
 	G   *dfg.Graph
 	Res *translate.Result
@@ -264,6 +264,11 @@ type Unit struct {
 	// that all but loop-carried facts settle in one sweep.
 	post      []int
 	fromStart int
+	// comp numbers each node's strongly connected component in the order
+	// the search finishes them, so that every component a component
+	// reaches has a smaller number; comps counts them.
+	comp  []int32
+	comps int
 
 	placeOnce   sync.Once
 	place       *placeInfo // recomputed placement (switch-placement, source-vectors)
@@ -274,45 +279,74 @@ type Unit struct {
 
 func newUnit(g *dfg.Graph, res *translate.Result) *Unit {
 	u := &Unit{G: g, Res: res, adj: g.Index()}
-	u.postOrder()
+	u.search()
 	return u
 }
 
-// postOrder fills post and fromStart by iterative depth-first search,
-// rooted at start first and then at every node start does not reach.
-func (u *Unit) postOrder() {
+// search is the run's one depth-first search over the arcs, iterative,
+// rooted at start first and then at every node not yet visited, in id
+// order. It fills post and fromStart and, by Tarjan's bookkeeping, comp.
+func (u *Unit) search() {
 	n := len(u.G.Nodes)
-	u.post = make([]int, 0, n)
-	seen := make([]bool, n)
-	followed := make([]int, n) // out-arcs of each node already taken
-	var stack []int
-	visit := func(root int) {
-		seen[root] = true
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			arcs := u.adj.OutOf(v)
-			if followed[v] == len(arcs) {
-				u.post = append(u.post, v)
-				stack = stack[:len(stack)-1]
+	u.post, u.comp = make([]int, 0, n), make([]int32, n)
+	index := make([]int32, n) // visit number, from 1; 0 until visited
+	low := make([]int32, n)
+	for i := range u.comp {
+		u.comp[i] = -1 // until finished: visited and unfinished means on the stack
+	}
+	var stack []int32
+	type frame struct{ node, next int32 } // next: out-arcs of node taken
+	var calls []frame
+	visited := int32(0)
+	visit := func(v int32) {
+		visited++
+		index[v], low[v] = visited, visited
+		stack = append(stack, v)
+		calls = append(calls, frame{v, 0})
+	}
+	root := func(v int) {
+		if index[v] != 0 {
+			return
+		}
+		visit(int32(v))
+		for len(calls) > 0 {
+			top := len(calls) - 1
+			v := calls[top].node
+			if out := u.adj.OutOf(int(v)); int(calls[top].next) < len(out) {
+				to := int32(u.G.Arcs[out[calls[top].next]].To)
+				calls[top].next++
+				if index[to] == 0 {
+					visit(to)
+				} else if u.comp[to] < 0 {
+					low[v] = min(low[v], index[to])
+				}
 				continue
 			}
-			to := u.G.Arcs[arcs[followed[v]]].To
-			followed[v]++
-			if !seen[to] {
-				seen[to] = true
-				stack = append(stack, to)
+			calls = calls[:top]
+			u.post = append(u.post, int(v))
+			if top > 0 {
+				p := calls[top-1].node
+				low[p] = min(low[p], low[v])
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					u.comp[w] = int32(u.comps)
+					if w == v {
+						break
+					}
+				}
+				u.comps++
 			}
 		}
 	}
 	if s := u.G.StartID; s >= 0 && s < n {
-		visit(s)
+		root(s)
 	}
 	u.fromStart = len(u.post)
-	for i := range seen {
-		if !seen[i] {
-			visit(i)
-		}
+	for v := range n {
+		root(v)
 	}
 }
 

@@ -188,7 +188,7 @@ echo "== a translation unit is emitted one way =="
 # reservation, build; see DESIGN.md, "internal/translate"). A second call
 # site of either analysis, or a result type of the linked path's own, is
 # that stage written twice.
-for fn in ComputeSourceVectors placeWithLoopControl; do
+for fn in ComputeSourceVectors PlaceWithLoopControl; do
     sites=$(grep -rn "$fn(" --include='*.go' internal/translate | grep -v '_test\.go:' |
         grep -vE '^[^:]+:[0-9]+:(func |[[:space:]]*//)' || true)
     if [ "$(echo "$sites" | grep -c .)" -gt 1 ]; then
@@ -201,6 +201,41 @@ linkedres=$(grep -rn 'type LinkedResult\b' --include='*.go' internal/translate |
 if [ -n "$linkedres" ]; then
     echo "separate compilation has a result type of its own:" >&2
     echo "$linkedres" >&2
+    exit 1
+fi
+
+echo "== each structure is derived once =="
+# The loop nest InsertLoopControl transforms is the []Loop it returns; a
+# vet run searches the graph once, one Tarjan search giving the
+# post-order and the components; placement and loop needs are iterated
+# by one function, analysis.PlaceWithLoopControl, which the translator and
+# vet hand their own placement step (see DESIGN.md, "One dominator tree,
+# one loop nest" and "internal/vet"). A loop finder over the transformed
+# graph, a second function keeping Tarjan's low links, or a loop of its
+# own around LoopNeeds is that structure derived twice.
+refind=$(grep -rn 'func FindLoops(' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ -n "$refind" ]; then
+    echo "the loops are found again in the transformed graph:" >&2
+    echo "$refind" >&2
+    exit 1
+fi
+searches=$(awk '/^func /{fn=FILENAME": "$0} /low\[/{print fn}' \
+    $(find internal/vet -name '*.go' ! -name '*_test.go') | sort -u)
+if [ "$(echo "$searches" | grep -c .)" -gt 1 ]; then
+    echo "Tarjan's search kept in more than one function of internal/vet:" >&2
+    echo "$searches" >&2
+    exit 1
+fi
+# A line calling LoopNeeds( between a for and the brace that closes it
+# (gofmt's indentation tells where that is).
+fixpoints=$(awk 'FNR==1{ind=-1}
+    ind<0 && match($0, /^\t+for[ {]/){ind=RLENGTH-4}
+    ind>=0 && /LoopNeeds\(/{print FILENAME":"FNR":"$0}
+    ind>=0 && match($0, /^\t+\}/) && RLENGTH-1==ind{ind=-1}' \
+    $(find internal/translate internal/vet -name '*.go' ! -name '*_test.go'))
+if [ -n "$fixpoints" ]; then
+    echo "a placement / loop-need fixpoint outside analysis.PlaceWithLoopControl:" >&2
+    echo "$fixpoints" >&2
     exit 1
 fi
 
