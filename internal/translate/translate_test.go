@@ -89,3 +89,28 @@ func TestRunningExampleValues(t *testing.T) {
 		t.Errorf("x=%d y=%d, want 5 5", out.Store.Get("x"), out.Store.Get("y"))
 	}
 }
+
+// TestLoopsCirculatingNoToken: a loop whose body references no variable
+// circulates no token, and the optimized schemas' placement fixpoint
+// reaches that at once rather than failing the translation.
+func TestLoopsCirculatingNoToken(t *testing.T) {
+	for _, src := range []string{"var x\nwhile 0 { }\n", "var x\nx := 1\nwhile 0 { }\n"} {
+		for _, opt := range allSchemas {
+			checkEquivalence(t, workloads.Workload{Name: src, Source: src}, opt, nil)
+		}
+	}
+	g := cfg.MustBuild(workloads.Workload{Source: "while 0 { }\n"}.Parse())
+	for _, sc := range []Schema{Schema2Opt, Schema3Opt} {
+		if _, err := Translate(g, Options{Schema: sc}); err != nil {
+			t.Errorf("a program without variables, %v: %v", sc, err)
+		}
+	}
+	checkLinked(t, workloads.Workload{Name: "no-token-callee", Source: `
+var a
+proc spin(x) {
+  while 0 { }
+}
+a := 1
+call spin(a)
+`})
+}
