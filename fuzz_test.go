@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ctdf/internal/vet"
 	"ctdf/internal/workloads"
 )
 
@@ -57,6 +58,18 @@ func FuzzLoadDataflowRun(f *testing.F) {
 // give the very graph that optimizing the plain translation gives. Seeds
 // are the committed workloads, so the fuzzer mutates from realistic
 // programs toward pathological ones.
+// vetTranslated vets a graph the translator (and optimizer) built, on
+// which the ordering check must order every pair along the token lines
+// and the guards, never falling back to its reachability sweep.
+func vetTranslated(t *testing.T, d *Dataflow) *VetReport {
+	t.Helper()
+	rep, work := vet.Measure(d.res.Graph, d.res)
+	if work.Fallbacks != 0 {
+		t.Errorf("the ordering check fell back to the reachability sweep %d times", work.Fallbacks)
+	}
+	return rep
+}
+
 func FuzzCompileVet(f *testing.F) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source)
@@ -92,7 +105,7 @@ func FuzzCompileVet(f *testing.F) {
 			if err != nil {
 				continue // combination rejected by the schema: fine
 			}
-			if rep := d.Vet(); !rep.Clean() {
+			if rep := vetTranslated(t, d); !rep.Clean() {
 				t.Errorf("schema %v graph does not vet clean:\n%s", opt.Schema, rep)
 				continue
 			}
@@ -104,7 +117,7 @@ func FuzzCompileVet(f *testing.F) {
 				t.Errorf("schema %v optimize failed: %v", opt.Schema, err)
 				continue
 			}
-			if rep := d.Vet(); !rep.Clean() {
+			if rep := vetTranslated(t, d); !rep.Clean() {
 				t.Errorf("schema %v optimized graph does not vet clean:\n%s", opt.Schema, rep)
 				continue
 			}

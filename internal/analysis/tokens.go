@@ -16,8 +16,9 @@ import (
 // tokenIDs interns access-token names; a token's id is its position in
 // names.
 type tokenIDs struct {
-	names []string
-	id    map[string]int32
+	names   []string
+	id      map[string]int32
+	interns int // names looked up
 }
 
 func newTokenIDs(names []string) *tokenIDs {
@@ -29,6 +30,7 @@ func newTokenIDs(names []string) *tokenIDs {
 }
 
 func (t *tokenIDs) intern(name string) int32 {
+	t.interns++
 	id, ok := t.id[name]
 	if !ok {
 		id = int32(len(t.names))

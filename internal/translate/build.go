@@ -37,6 +37,7 @@ type builder struct {
 	pstores     []ParallelStore
 	istructs    map[string]bool // arrays with I-structure semantics (§6.3)
 	out         *dfg.Editor
+	start       int32 // the start node, once built
 
 	// Separate-compilation (linked) mode: a procedure unit replaces the
 	// start node by per-token Param nodes and the end node by a ProcReturn;
@@ -301,6 +302,7 @@ func (b *builder) buildStart(id int) {
 		return
 	}
 	s := b.node(dfg.Node{Kind: dfg.Start, Stmt: id})
+	b.start = s
 	for _, tok := range b.universe {
 		b.setTap(false, tok, src{s, 0})
 	}
@@ -310,6 +312,13 @@ func (b *builder) buildEnd(id int) error {
 	kind := dfg.End
 	if b.procMode {
 		kind = dfg.ProcReturn
+	}
+	if len(b.universe) == 0 && !b.procMode {
+		// No token circulates: end collects start's own token, as Schema
+		// 1's single token line runs from start to end.
+		e := b.node(dfg.Node{Kind: kind, NIns: 1, Stmt: id})
+		b.wire(src{b.start, 0}, e, 0, true)
+		return nil
 	}
 	e := b.node(dfg.Node{Kind: kind, NIns: len(b.universe), Var: b.procName, Stmt: id})
 	b.returnNode = int(e)

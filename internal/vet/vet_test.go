@@ -132,6 +132,10 @@ func TestFig9PlacementAgreement(t *testing.T) {
 		t.Fatal(pi.err)
 	}
 
+	type stmtTok struct {
+		stmt int
+		tok  string
+	}
 	emitted := map[stmtTok]bool{}
 	for _, n := range res.Graph.Nodes {
 		if n.Kind == dfg.Switch {
@@ -139,7 +143,7 @@ func TestFig9PlacementAgreement(t *testing.T) {
 		}
 	}
 	recomputed := map[stmtTok]bool{}
-	for f, toks := range pi.place.Needs {
+	for f, toks := range pi.plan.Placement.Needs {
 		if f < 0 || f >= res.CFG.Len() || res.CFG.Nodes[f].Kind != cfg.KindFork {
 			continue
 		}

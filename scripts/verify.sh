@@ -188,7 +188,7 @@ echo "== a translation unit is emitted one way =="
 # reservation, build; see DESIGN.md, "internal/translate"). A second call
 # site of either analysis, or a result type of the linked path's own, is
 # that stage written twice.
-for fn in ComputeSourceVectors PlaceWithLoopControl; do
+for fn in SourceVectors PlaceWithLoopControl; do
     sites=$(grep -rn "$fn(" --include='*.go' internal/translate | grep -v '_test\.go:' |
         grep -vE '^[^:]+:[0-9]+:(func |[[:space:]]*//)' || true)
     if [ "$(echo "$sites" | grep -c .)" -gt 1 ]; then
@@ -238,6 +238,30 @@ if [ -n "$fixpoints" ]; then
     echo "$fixpoints" >&2
     exit 1
 fi
+
+echo "== vet orders along token lines; the fixpoint numbers tokens once =="
+# vet's ordering check walks each cover element's token line instead of
+# sweeping reachability per element, and the guard table interns its arm
+# lists in chains by arm, without a map; the placement fixpoint numbers
+# the tokens once and every round, and the source vectors, run on those
+# rows (see ANALYSIS.md, "Cost"). A hashed (arm, tail) table, or a second
+# function of internal/analysis numbering needs or building a
+# postdominator tree, is that work done again.
+guardmap=$(grep -n 'map\[uint64\]int32' internal/vet/determinacy.go || true)
+if [ -n "$guardmap" ]; then
+    echo "the guard table hashes its sets again:" >&2
+    echo "$guardmap" >&2
+    exit 1
+fi
+for fn in 'tokenRows(' 'cfg.PostDominators('; do
+    callers=$(awk -v pat="$fn" '/^func /{fn=FILENAME": "$0} index($0, pat) && !/^func / && !/^[[:space:]]*\/\//{print fn}' \
+        $(find internal/analysis -name '*.go' ! -name '*_test.go') | sort -u)
+    if [ "$(echo "$callers" | grep -c .)" -gt 1 ]; then
+        echo "$fn called from more than one function of internal/analysis:" >&2
+        echo "$callers" >&2
+        exit 1
+    fi
+done
 
 echo "== go test =="
 go test ./...

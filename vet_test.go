@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,5 +125,48 @@ func TestVetLoadedGraph(t *testing.T) {
 	}
 	if len(rep.Skipped) == 0 {
 		t.Error("reloaded graph: translation-validation passes should be skipped without metadata")
+	}
+}
+
+// TestProgramWithoutTokensEnds: a program that declares no variable
+// circulates no access token. Its end collects start's own token, under
+// every schema as under Schema 1, so the machine and the channel engine
+// finish it as the interpreter does, and vet passes the graph. A graph
+// whose end no arc feeds never finishes, and token-balance says so.
+func TestProgramWithoutTokensEnds(t *testing.T) {
+	for _, src := range []string{"", "while 0 { }\n"} {
+		p, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.Interpret(nil)
+		if err != nil {
+			t.Fatalf("%q: interpreter: %v", src, err)
+		}
+		for _, sc := range allSchemas {
+			d, err := p.Translate(Options{Schema: sc})
+			if err != nil {
+				t.Fatalf("%q, %v: %v", src, sc, err)
+			}
+			if rep := d.Vet(); !rep.Clean() {
+				t.Errorf("%q, %v: vet:\n%s", src, sc, rep)
+			}
+			for _, e := range []Engine{EngineMachine, EngineChannels} {
+				got, err := d.Run(RunConfig{Engine: e})
+				if err != nil {
+					t.Errorf("%q, %v, engine %d: %v", src, sc, e, err)
+				} else if got.Snapshot != want.Snapshot {
+					t.Errorf("%q, %v, engine %d: %q, interpreter %q", src, sc, e, got.Snapshot, want.Snapshot)
+				}
+			}
+		}
+	}
+	d, err := LoadDataflow(strings.NewReader("ctdf-dataflow v1\nnode d0 start\nnode d1 end ins=0 stmt=1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := d.Vet()
+	if !slices.Contains(rep.Detectors(), "token-balance") {
+		t.Errorf("an end no arc feeds passes token-balance:\n%s", rep)
 	}
 }
