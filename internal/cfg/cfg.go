@@ -175,19 +175,29 @@ func (g *Graph) ReplaceEdgeAt(from, si, newTo int) {
 // and right-hand side (paper §6.3 treats an assignment to any array
 // location as an operation on the entire array).
 func (g *Graph) Refs(id int) map[string]bool {
-	n := g.Nodes[id]
 	set := map[string]bool{}
-	switch n.Kind {
-	case KindAssign:
-		set[n.Target] = true
-		if n.TargetIndex != nil {
-			lang.Reads(n.TargetIndex, set)
-		}
-		lang.Reads(n.RHS, set)
-	case KindFork:
-		lang.Reads(n.Cond, set)
+	for _, v := range g.AppendRefs(nil, id) {
+		set[v] = true
 	}
 	return set
+}
+
+// AppendRefs appends to dst the variables node id references, as Refs
+// lists them but in the order met and as often as met: a caller reading
+// every node can reuse one slice.
+func (g *Graph) AppendRefs(dst []string, id int) []string {
+	n := g.Nodes[id]
+	switch n.Kind {
+	case KindAssign:
+		dst = append(dst, n.Target)
+		if n.TargetIndex != nil {
+			dst = lang.AppendReads(dst, n.TargetIndex)
+		}
+		dst = lang.AppendReads(dst, n.RHS)
+	case KindFork:
+		dst = lang.AppendReads(dst, n.Cond)
+	}
+	return dst
 }
 
 // ReadSet returns the variables read by node n (for an assignment, the RHS

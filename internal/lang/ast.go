@@ -248,6 +248,23 @@ func Reads(e Expr, set map[string]bool) {
 	}
 }
 
+// AppendReads appends to dst the names expression e reads, as Reads
+// collects them but in the order met and as often as met.
+func AppendReads(dst []string, e Expr) []string {
+	switch x := e.(type) {
+	case *IntLit:
+	case *VarRef:
+		dst = append(dst, x.Name)
+	case *IndexRef:
+		dst = AppendReads(append(dst, x.Name), x.Index)
+	case *BinExpr:
+		dst = AppendReads(AppendReads(dst, x.L), x.R)
+	case *UnExpr:
+		dst = AppendReads(dst, x.X)
+	}
+	return dst
+}
+
 // Format renders the program in parseable source form.
 func (p *Program) Format() string {
 	var b strings.Builder
