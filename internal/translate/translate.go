@@ -396,6 +396,18 @@ func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStor
 	return func(id int) []string { return needs[id] }
 }
 
+// NeedOf derives again the NeedFunc the translator placed res's switches
+// by, from what res records: its CFG, TokensOf, parallelized stores and
+// I-structure arrays. It needs a program's translation; a separate
+// compilation records no CFG.
+func NeedOf(res *Result) analysis.NeedFunc {
+	istructs := map[string]bool{}
+	for _, a := range res.IStructures {
+		istructs[a] = true
+	}
+	return makeNeed(res.CFG, res.TokensOf, res.ParallelStores, istructs, nil)
+}
+
 // emit is the unit stage every translation unit runs, a program's or one
 // procedure body of a separate compilation: it places switches (minimally
 // for the optimized schemas, every token at every fork otherwise),

@@ -81,10 +81,12 @@ func BenchmarkVet(b *testing.B) {
 // makes 9.4 k now that the memo is keyed by the output rows of the graph's
 // index and a single-source port shares its source's token set. (Reading
 // the graph's index instead of counting-sorting two private copies of
-// every arc saved bytes, 5.6 → 3.9 MB, not counts.) The gate is that count
-// (under -race, which allocates a little more) × 1.25. Allocation counts
-// repeat exactly, so this gate is deterministic where wall time is not.
-const vetAllocBudget = 11_750
+// every arc saved bytes, 5.6 → 3.9 MB, not counts.) Ordering along token
+// lines brought it to 4.1 k, and walking each operation's synch tree back
+// in place of that memo to 3.3 k. The gate is that count (under -race,
+// which allocates a little more) × 1.25. Allocation counts repeat
+// exactly, so this gate is deterministic where wall time is not.
+const vetAllocBudget = 4_160
 
 func TestVetAllocBudget(t *testing.T) {
 	res := compile(t, workloads.Random(1990, 40, 3), translate.Options{Schema: translate.Schema2Opt}, true)

@@ -133,19 +133,18 @@ func isFork(g *cfg.Graph, id int) bool {
 }
 
 func recomputePlacement(res *translate.Result) *placeInfo {
-	base := baseNeed(res)
 	if sc := res.Options.Schema; sc == translate.Schema2Opt || sc == translate.Schema3Opt {
-		return minimalFixpoint(res, base)
+		return minimalFixpoint(res)
 	}
-	return &placeInfo{plan: analysis.PlaceEverywhere(res.CFG, res.Loops, res.Universe, base)}
+	return &placeInfo{plan: analysis.PlaceEverywhere(res.CFG, res.Loops, res.Universe, translate.NeedOf(res))}
 }
 
 // minimalFixpoint computes the §4-optimized placement — CD+ closures
 // iterated with loop needs to their fixpoint — regardless of the schema
 // the graph was built under.
-func minimalFixpoint(res *translate.Result, base analysis.NeedFunc) *placeInfo {
+func minimalFixpoint(res *translate.Result) *placeInfo {
 	pi := &placeInfo{}
-	pi.plan, pi.err = analysis.PlaceWithLoopControl(res.CFG, res.Loops, res.Universe, base, analysis.ByIteratedCD)
+	pi.plan, pi.err = analysis.PlaceWithLoopControl(res.CFG, res.Loops, res.Universe, translate.NeedOf(res), analysis.ByIteratedCD)
 	return pi
 }
 
@@ -164,39 +163,11 @@ func MinimalPlacement(res *translate.Result) (*analysis.Placement, error) {
 	if res == nil || res.CFG == nil || res.TokensOf == nil {
 		return nil, fmt.Errorf("vet: no translation metadata to recompute placement from")
 	}
-	pi := minimalFixpoint(res, baseNeed(res))
+	pi := minimalFixpoint(res)
 	if pi.err != nil {
 		return nil, pi.err
 	}
 	return pi.plan.Placement, nil
-}
-
-// baseNeed mirrors the translator's need derivation: a node needs the
-// union of the token sets of the variables it references (I-structure
-// arrays have none), plus the completion token of any §6.3-parallelized
-// store it carries. The plan reads it once per node.
-func baseNeed(res *translate.Result) analysis.NeedFunc {
-	istructs := map[string]bool{}
-	for _, a := range res.IStructures {
-		istructs[a] = true
-	}
-	needs := make([][]string, res.CFG.Len())
-	for _, ps := range res.ParallelStores {
-		needs[ps.StoreStmt] = append(needs[ps.StoreStmt], ps.DoneToken())
-	}
-	var refs []string
-	for id := range needs {
-		toks := needs[id]
-		refs = res.CFG.AppendRefs(refs[:0], id)
-		for _, v := range refs {
-			if !istructs[v] {
-				toks = append(toks, res.TokensOf[v]...)
-			}
-		}
-		slices.Sort(toks)
-		needs[id] = slices.Compact(toks)
-	}
-	return func(id int) []string { return needs[id] }
 }
 
 // passSwitchPlacement diffs the switches the translator emitted against

@@ -197,10 +197,11 @@ func Run(g *dfg.Graph, res *translate.Result) *Report {
 // loop, so that the cost of the run can be read without a clock.
 type Work struct {
 	// OrderSteps counts the ordering check's steps: arcs and intervals
-	// its line walks take, pairs it judges and words its fallback sweeps.
+	// its line walks take, pairs it judges and arcs its fallback searches
+	// take.
 	OrderSteps int
-	// Fallbacks counts the elements whose pairs the line left to the
-	// reachability sweep.
+	// Fallbacks counts the elements whose pairs neither the line nor the
+	// guards settled, left to a search over the whole graph.
 	Fallbacks int
 	// GuardCons counts the guard table's cons calls, GuardSteps the arm
 	// list steps of its set operations while it is solved.

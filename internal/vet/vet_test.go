@@ -2,6 +2,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,6 +104,58 @@ func TestVetCleanOnRandomPrograms(t *testing.T) {
 					t.Errorf("%s/%s: want clean, got:\n%s", w.Name, optLabel(opt), rep)
 				}
 			}
+		}
+	}
+}
+
+// TestGatherEndsOnSynchCycle: two synchs feed each other ahead of a
+// memory operation's access input. The gather walk passes each synch
+// once, so vet returns. With nothing else entering the cycle it begins no
+// line, and alias-cover reports every token of the operation's access
+// set; with the operation's old feed as a second operand of the cycle, it
+// reports none of them.
+func TestGatherEndsOnSynchCycle(t *testing.T) {
+	res := mustTranslate(t, "fortran-alias", translate.Options{Schema: translate.Schema3})
+	var op *dfg.Node
+	for _, n := range memoryOps(res.Graph) {
+		if in, _ := accessPorts(n.Kind); len(res.TokensOf[n.Var]) >= 2 && len(res.Graph.Index().In(n.ID, in)) == 1 {
+			op = n
+			break
+		}
+	}
+	if op == nil {
+		t.Fatal("no memory operation of fortran-alias holds two cover elements under Schema 3")
+	}
+	in, _ := accessPorts(op.Kind)
+	for _, fed := range []bool{false, true} {
+		e := dfg.NewEditor(res.Graph)
+		access := e.Ins().Only(e.Ins().Slot(op.ID, in))
+		feed := e.Arcs[access]
+		a := e.AddNode(&dfg.Node{Kind: dfg.Synch, NIns: 1})
+		b := e.AddNode(&dfg.Node{Kind: dfg.Synch, NIns: 1})
+		e.AddArc(dfg.Arc{From: b, To: a})
+		e.AddArc(dfg.Arc{From: a, To: b})
+		if fed {
+			e.Nodes[a].NIns = 2
+			e.AddArc(dfg.Arc{From: feed.From, FromPort: feed.FromPort, To: a, ToPort: 1})
+		}
+		e.MoveSource(access, a, 0)
+		g, err := e.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var missing []string
+		for _, d := range Run(g, res).Diags {
+			if d.Pass == "alias-cover" && d.Node == op.ID && strings.Contains(d.Msg, "does not gather") {
+				missing = append(missing, d.Tok)
+			}
+		}
+		want := res.TokensOf[op.Var]
+		if fed {
+			want = nil
+		}
+		if !slices.Equal(missing, want) {
+			t.Errorf("fed=%v: %s misses %v, want %v", fed, op, missing, want)
 		}
 	}
 }

@@ -263,6 +263,23 @@ for fn in 'tokenRows(' 'cfg.PostDominators('; do
     fi
 done
 
+echo "== alias-cover keeps one walk per question =="
+# alias-cover answers each §5 question with one walk: order along each
+# cover element's token line, with a plain search for the pairs line and
+# guards leave, and the gather as a backward walk of each synch tree; the
+# recomputed placement starts from translate.NeedOf (see ANALYSIS.md,
+# "Cost"). A condensed-graph reachability sweep, a memoized token tracer,
+# a case for linked graphs (which carry no translation metadata, so the
+# pass never runs on them) or vet's own copy of the need derivation is a
+# second mechanism for one question.
+walks=$({ grep -Hn 'type opReach\|tokenTracer\|dfg\.Apply\|dfg\.Param' internal/vet/aliascover.go
+    grep -rn 'func baseNeed' --include='*.go' internal/vet | grep -v '_test\.go:'; } || true)
+if [ -n "$walks" ]; then
+    echo "alias-cover or vet's placement keeps a second mechanism:" >&2
+    echo "$walks" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
