@@ -36,15 +36,27 @@ func BuildSeparate(prog *lang.Program, body []lang.Stmt) (*Graph, error) {
 }
 
 func buildCFG(prog *lang.Program, separate bool) (*Graph, error) {
-	b := &builder{g: NewGraph(prog), labels: map[string]int{}, separate: separate}
+	// Every node and out-edge the lowering can make is carved from one
+	// array each, sized by a walk of the program beforehand.
+	nodes, edges := size(prog.Body)
+	nodes, edges = nodes+2, edges+2 // start and its two out-edges, end
+	b := &builder{
+		g:        &Graph{Prog: prog, Nodes: make([]*Node, 0, nodes)},
+		labels:   map[string]int{},
+		separate: separate,
+		free:     make([]Node, nodes),
+		succs:    make([]int, edges),
+		pend:     make([]pending, edges),
+	}
+	// slot 0 of start is the program entry, slot 1 the conventional edge
+	// to end.
+	b.g.Start = b.node(KindStart, 2).ID
+	b.g.End = b.node(KindEnd, 0).ID
 	// Pre-create a join node for every label so forward gotos resolve.
 	b.collectLabels(prog.Body)
 	b.labels["end"] = b.g.End
 
-	start := b.g.Nodes[b.g.Start]
-	start.Succs = []int{-1, -1} // slot 0: program entry, slot 1: conventional edge to end
-	frontier := []pending{{b.g.Start, 0}}
-	frontier = b.stmts(prog.Body, frontier)
+	frontier := b.stmts(prog.Body, b.out(b.g.Start, 0))
 	// Whatever still dangles falls through to end.
 	for _, p := range frontier {
 		b.wire(p, b.g.End)
@@ -53,14 +65,13 @@ func buildCFG(prog *lang.Program, separate bool) (*Graph, error) {
 	// start and end, and thus start is a fork").
 	b.wire(pending{b.g.Start, 1}, b.g.End)
 
-	g, err := b.g.compact()
-	if err != nil {
+	if err := b.g.compact(); err != nil {
 		return nil, err
 	}
-	if err := g.Validate(); err != nil {
+	if err := b.g.Validate(); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return b.g, nil
 }
 
 // MustBuild is Build, panicking on error; for tests and fixed fixtures.
@@ -82,15 +93,65 @@ type builder struct {
 	g        *Graph
 	labels   map[string]int // label name -> join node ID
 	separate bool
+
+	// What node and out carve from: nodes, successor lists, and the
+	// one-edge frontiers the lowering of a statement returns.
+	free  []Node
+	succs []int
+	pend  []pending
+}
+
+// size returns how many nodes and out-edges stmt lowers stmts into at
+// most (an if whose arms both jump away gets no join).
+func size(stmts []lang.Stmt) (nodes, edges int) {
+	for _, s := range stmts {
+		switch x := s.(type) {
+		case *lang.Assign, *lang.ArrayAssign, *lang.CallStmt, *lang.Label:
+			nodes, edges = nodes+1, edges+1
+		case *lang.CondGoto:
+			nodes, edges = nodes+1, edges+2
+		case *lang.If:
+			tn, te := size(x.Then)
+			en, ee := size(x.Else)
+			nodes, edges = nodes+2+tn+en, edges+3+te+ee
+		case *lang.While:
+			bn, be := size(x.Body)
+			nodes, edges = nodes+2+bn, edges+3+be
+		}
+	}
+	return nodes, edges
+}
+
+// node adds a node of the given kind with succs dangling out-edges.
+func (b *builder) node(kind NodeKind, succs int) *Node {
+	n := &b.free[0]
+	b.free = b.free[1:]
+	n.ID, n.Kind = len(b.g.Nodes), kind
+	if succs > 0 {
+		n.Succs = b.succs[:succs:succs]
+		b.succs = b.succs[succs:]
+		for i := range n.Succs {
+			n.Succs[i] = -1
+		}
+	}
+	b.g.Nodes = append(b.g.Nodes, n)
+	return n
+}
+
+// out is the frontier of the one dangling edge, slot of node from.
+func (b *builder) out(from, slot int) []pending {
+	f := b.pend[:1:1]
+	b.pend = b.pend[1:]
+	f[0] = pending{from, slot}
+	return f
 }
 
 func (b *builder) collectLabels(stmts []lang.Stmt) {
 	for _, s := range stmts {
 		switch x := s.(type) {
 		case *lang.Label:
-			j := b.g.AddNode(KindJoin)
+			j := b.node(KindJoin, 1)
 			j.Label = x.Name
-			j.Succs = []int{-1}
 			b.labels[x.Name] = j.ID
 		case *lang.If:
 			b.collectLabels(x.Then)
@@ -101,10 +162,10 @@ func (b *builder) collectLabels(stmts []lang.Stmt) {
 	}
 }
 
-// wire connects a pending edge to its target node.
+// wire connects a pending edge to its target node. The predecessor
+// lists are built once the graph is compacted.
 func (b *builder) wire(p pending, to int) {
 	b.g.Nodes[p.from].Succs[p.slot] = to
-	b.g.Nodes[to].Preds = append(b.g.Nodes[to].Preds, p.from)
 }
 
 func (b *builder) wireAll(ps []pending, to int) {
@@ -126,96 +187,91 @@ func (b *builder) stmts(stmts []lang.Stmt, frontier []pending) []pending {
 func (b *builder) stmt(s lang.Stmt, frontier []pending) []pending {
 	switch x := s.(type) {
 	case *lang.Assign:
-		n := b.g.AddNode(KindAssign)
+		n := b.node(KindAssign, 1)
 		n.Target, n.RHS = x.Name, x.Expr
-		n.Succs = []int{-1}
 		b.wireAll(frontier, n.ID)
-		return []pending{{n.ID, 0}}
+		return b.out(n.ID, 0)
 
 	case *lang.ArrayAssign:
-		n := b.g.AddNode(KindAssign)
+		n := b.node(KindAssign, 1)
 		n.Target, n.TargetIndex, n.RHS = x.Name, x.Index, x.Expr
-		n.Succs = []int{-1}
 		b.wireAll(frontier, n.ID)
-		return []pending{{n.ID, 0}}
+		return b.out(n.ID, 0)
 
 	case *lang.CallStmt:
 		if !b.separate {
 			panic("cfg: call statement survived inlining")
 		}
-		n := b.g.AddNode(KindCall)
+		n := b.node(KindCall, 1)
 		n.Proc, n.Args = x.Proc, append([]string(nil), x.Args...)
-		n.Succs = []int{-1}
 		b.wireAll(frontier, n.ID)
-		return []pending{{n.ID, 0}}
+		return b.out(n.ID, 0)
 
 	case *lang.Label:
 		j := b.labels[x.Name]
 		b.wireAll(frontier, j)
-		return []pending{{j, 0}}
+		return b.out(j, 0)
 
 	case *lang.Goto:
 		b.wireAll(frontier, b.labels[x.Label])
 		return nil
 
 	case *lang.CondGoto:
-		f := b.g.AddNode(KindFork)
+		f := b.node(KindFork, 2)
 		f.Cond = x.Cond
-		f.Succs = []int{-1, -1}
 		b.wireAll(frontier, f.ID)
 		b.wire(pending{f.ID, 0}, b.labels[x.True])
 		b.wire(pending{f.ID, 1}, b.labels[x.False])
 		return nil
 
 	case *lang.If:
-		f := b.g.AddNode(KindFork)
+		f := b.node(KindFork, 2)
 		f.Cond = x.Cond
-		f.Succs = []int{-1, -1}
 		b.wireAll(frontier, f.ID)
-		thenOut := b.stmts(x.Then, []pending{{f.ID, 0}})
-		elseOut := b.stmts(x.Else, []pending{{f.ID, 1}})
+		thenOut := b.stmts(x.Then, b.out(f.ID, 0))
+		elseOut := b.stmts(x.Else, b.out(f.ID, 1))
 		switch {
 		case len(thenOut) == 0:
 			return elseOut
 		case len(elseOut) == 0:
 			return thenOut
 		default:
-			j := b.g.AddNode(KindJoin)
-			j.Succs = []int{-1}
+			j := b.node(KindJoin, 1)
 			b.wireAll(thenOut, j.ID)
 			b.wireAll(elseOut, j.ID)
-			return []pending{{j.ID, 0}}
+			return b.out(j.ID, 0)
 		}
 
 	case *lang.While:
 		// header join → fork(cond); true → body → back to header;
 		// false → fall through.
-		h := b.g.AddNode(KindJoin)
-		h.Succs = []int{-1}
+		h := b.node(KindJoin, 1)
 		b.wireAll(frontier, h.ID)
-		f := b.g.AddNode(KindFork)
+		f := b.node(KindFork, 2)
 		f.Cond = x.Cond
-		f.Succs = []int{-1, -1}
 		b.wire(pending{h.ID, 0}, f.ID)
-		bodyOut := b.stmts(x.Body, []pending{{f.ID, 0}})
+		bodyOut := b.stmts(x.Body, b.out(f.ID, 0))
 		b.wireAll(bodyOut, h.ID)
-		return []pending{{f.ID, 1}}
+		return b.out(f.ID, 1)
 	}
 	panic(fmt.Sprintf("cfg: unknown statement type %T", s))
 }
 
 // compact removes nodes unreachable from start (dead code after gotos,
-// labels never targeted inside dead regions) and renumbers node IDs
-// densely. Dangling out-edges of reachable nodes are an error.
-func (g *Graph) compact() (*Graph, error) {
-	reach := map[int]bool{g.Start: true}
+// labels never targeted inside dead regions), renumbers node IDs densely
+// in place and builds the predecessor lists, each in the order of its
+// predecessors' new IDs. Dangling out-edges of reachable nodes are an
+// error.
+func (g *Graph) compact() error {
+	reach := make([]bool, len(g.Nodes))
+	reach[g.Start] = true
 	stack := []int{g.Start}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range g.Nodes[id].Succs {
 			if s < 0 {
-				return nil, fmt.Errorf("cfg: internal error: dangling edge out of %s", g.Nodes[id])
+				return fmt.Errorf("cfg: internal error: dangling edge out of %s", g.Nodes[id])
 			}
 			if !reach[s] {
 				reach[s] = true
@@ -224,32 +280,42 @@ func (g *Graph) compact() (*Graph, error) {
 		}
 	}
 	remap := make([]int, len(g.Nodes))
-	for i := range remap {
-		remap[i] = -1
-	}
-	out := &Graph{Prog: g.Prog}
+	live := g.Nodes[:0]
 	for _, n := range g.Nodes {
 		if reach[n.ID] {
-			remap[n.ID] = len(out.Nodes)
-			nn := *n
-			nn.ID = remap[n.ID]
-			nn.Succs = append([]int(nil), n.Succs...)
-			nn.Preds = nil
-			out.Nodes = append(out.Nodes, &nn)
+			remap[n.ID] = len(live)
+			live = append(live, n)
 		}
 	}
-	for _, n := range out.Nodes {
+	clear(g.Nodes[len(live):])
+	g.Nodes = live
+	g.Start, g.End = remap[g.Start], remap[g.End]
+	edges := 0
+	for _, n := range live {
+		n.ID = remap[n.ID]
 		for i, s := range n.Succs {
 			n.Succs[i] = remap[s]
 		}
+		edges += len(n.Succs)
 	}
-	// Rebuild pred lists from succ lists.
-	for _, n := range out.Nodes {
+	// Each pred list gets exactly its own length of one array.
+	preds := remap[:len(live)]
+	clear(preds)
+	for _, n := range live {
 		for _, s := range n.Succs {
-			out.Nodes[s].Preds = append(out.Nodes[s].Preds, n.ID)
+			preds[s]++
 		}
 	}
-	out.Start = remap[g.Start]
-	out.End = remap[g.End]
-	return out, nil
+	all := make([]int, edges)
+	for i, n := range live {
+		if k := preds[i]; k > 0 {
+			n.Preds, all = all[:0:k], all[k:]
+		}
+	}
+	for _, n := range live {
+		for _, s := range n.Succs {
+			live[s].Preds = append(live[s].Preds, n.ID)
+		}
+	}
+	return nil
 }

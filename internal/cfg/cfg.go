@@ -200,21 +200,23 @@ func (g *Graph) AppendRefs(dst []string, id int) []string {
 	return dst
 }
 
-// ReadSet returns the variables read by node n (for an assignment, the RHS
-// and index reads; for a fork, the predicate reads).
-func (g *Graph) ReadSet(id int) map[string]bool {
+// ReadSet appends to dst the variables node id reads (for an assignment,
+// the RHS and index reads; for a fork, the predicate reads), sorted by
+// name and each once: a caller reading every node can reuse one slice.
+func (g *Graph) ReadSet(dst []string, id int) []string {
 	n := g.Nodes[id]
-	set := map[string]bool{}
+	start := len(dst)
 	switch n.Kind {
 	case KindAssign:
 		if n.TargetIndex != nil {
-			lang.Reads(n.TargetIndex, set)
+			dst = lang.AppendReads(dst, n.TargetIndex)
 		}
-		lang.Reads(n.RHS, set)
+		dst = lang.AppendReads(dst, n.RHS)
 	case KindFork:
-		lang.Reads(n.Cond, set)
+		dst = lang.AppendReads(dst, n.Cond)
 	}
-	return set
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // Validate checks the structural invariants the translation schemas rely

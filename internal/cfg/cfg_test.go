@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,7 +166,7 @@ func TestEmptyProgram(t *testing.T) {
 }
 
 func TestRefs(t *testing.T) {
-	g := build(t, "var x, y\narray a[4]\na[x] := y + 1\nif x < 2 then goto end else goto end\n")
+	g := build(t, "var x, y\narray a[4]\na[y] := y + x\nif x < 2 then goto end else goto end\n")
 	var assign, fork *Node
 	for _, n := range g.Nodes {
 		switch n.Kind {
@@ -181,12 +182,8 @@ func TestRefs(t *testing.T) {
 			t.Errorf("assign refs missing %s: %v", want, refs)
 		}
 	}
-	reads := g.ReadSet(assign.ID)
-	if reads["a"] {
-		t.Errorf("a is written, not read, by a[x] := y+1: %v", reads)
-	}
-	if !reads["x"] || !reads["y"] {
-		t.Errorf("reads = %v, want x and y", reads)
+	if reads := g.ReadSet([]string{"kept"}, assign.ID); !slices.Equal(reads, []string{"kept", "x", "y"}) {
+		t.Errorf("reads = %v, want x and y appended, sorted and once each (a is written, not read, by a[y] := y+x)", reads)
 	}
 	frefs := g.Refs(fork.ID)
 	if !frefs["x"] || len(frefs) != 1 {

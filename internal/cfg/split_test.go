@@ -105,12 +105,12 @@ func TestMakeReducibleOnIrreducible(t *testing.T) {
 				}
 				continue
 			}
-			reads := out.ReadSet(id)
+			reads := out.ReadSet(nil, id)
 			switch {
 			case n.Kind == KindJoin:
 				joins++
 			case n.Kind == KindAssign && n.Target == Selector && len(reads) == 0:
-			case n.Kind == KindFork && len(reads) == 1 && reads[Selector]:
+			case n.Kind == KindFork && len(reads) == 1 && reads[0] == Selector:
 			default:
 				t.Errorf("dispatch added %s", n)
 			}

@@ -54,6 +54,7 @@ func FindParallelStores(g *cfg.Graph, loops []cfg.Loop) []ParallelStore {
 	dom := cfg.Dominators(g)
 
 	var out []ParallelStore
+	var reads []string
 	for _, l := range loops {
 		// Gather per-array store statements and read flags, and per-scalar
 		// assignment statistics, over the loop body.
@@ -62,7 +63,8 @@ func FindParallelStores(g *cfg.Graph, loops []cfg.Loop) []ParallelStore {
 		scalarAssigns := map[string][]int{}
 		for _, id := range sortedIntKeys(l.Body) {
 			n := g.Nodes[id]
-			for v := range g.ReadSet(id) {
+			reads = g.ReadSet(reads[:0], id)
+			for _, v := range reads {
 				if g.Prog.IsArray(v) {
 					arrayRead[v] = true
 				}

@@ -67,11 +67,12 @@ type builder struct {
 
 	// Scratch reused from statement to statement: the context, the nodes
 	// emitted (allocated a slab at a time), the wires a gate collects, the
-	// tokens a join merges.
+	// tokens a join merges, the variables a block reads.
 	ctx    stmtCtx
 	slab   []dfg.Node
 	wires  []src
 	merged []string
+	reads  []string
 }
 
 func (b *builder) isValueToken(tok string) bool { return b.valueTokens[tok] != "" }
@@ -625,7 +626,8 @@ func (b *builder) buildAssign(id int) error {
 	// Read block: one load per distinct scalar variable read, in name
 	// order ("the assignment schema begins by reading the values it will
 	// reference", §3).
-	for _, v := range sortedTokens(b.g.ReadSet(id)) {
+	b.reads = b.g.ReadSet(b.reads[:0], id)
+	for _, v := range b.reads {
 		if !b.g.Prog.IsArray(v) {
 			ctx.loadScalar(v)
 		}
@@ -716,7 +718,8 @@ func (b *builder) buildFork(id int) error {
 	}
 
 	// Read block for the predicate's variables.
-	for _, v := range sortedTokens(b.g.ReadSet(id)) {
+	b.reads = b.g.ReadSet(b.reads[:0], id)
+	for _, v := range b.reads {
 		if !b.g.Prog.IsArray(v) {
 			ctx.loadScalar(v)
 		}

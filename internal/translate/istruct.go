@@ -38,11 +38,13 @@ func FindIStructures(g *cfg.Graph, loops []cfg.Loop) []string {
 	// outside the qualifying one.
 	storeCount := map[string]int{}
 	reads := map[string][]int{} // array -> reading statement IDs
+	var nodeReads []string
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.KindAssign && n.TargetIndex != nil {
 			storeCount[n.Target]++
 		}
-		for v := range g.ReadSet(n.ID) {
+		nodeReads = g.ReadSet(nodeReads[:0], n.ID)
+		for _, v := range nodeReads {
 			if g.Prog.IsArray(v) {
 				reads[v] = append(reads[v], n.ID)
 			}
