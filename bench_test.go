@@ -355,17 +355,18 @@ func BenchmarkCompile(b *testing.B) {
 // dfg.Graph kept a slice per node and per port, grown arc by arc, in
 // translation and again in the optimizer's one materialisation; 39.8 k
 // (8.3 MB) while the translator built a graph the optimizer copied into
-// its editor and out again; and takes 20.8 k (6.1 MB) now that the
-// optimizer edits the editor the translator emitted into, and the
-// builder's per-statement scratch is dense and reused. Each gate is that
-// figure under -race, which allocates a little more, × 1.25: the
-// previous construction path (a built graph copied into the optimizer's
-// editor and back out) trips both. Allocation counts
-// and bytes repeat exactly, so these gates are deterministic where wall
-// time is not.
+// its editor and out again; 20.8 k (6.1 MB) while the front end lexed a
+// []rune copy of the source into a token slice, allocated every AST node
+// and CFG node, edge list and frontier one by one, and copied the CFG to
+// compact it; and takes 5.0 k (3.8 MB) now that the source is lexed in
+// place, the AST and CFG are carved from chunks and the CFG is compacted
+// in place. Each gate is that figure under -race, which allocates a
+// little more, × 1.25: the previous front end trips both. Allocation
+// counts and bytes repeat exactly, so these gates are deterministic where
+// wall time is not.
 const (
-	compileAllocBudget = 26_000
-	compileByteBudget  = 7_650_000
+	compileAllocBudget = 6_250
+	compileByteBudget  = 5_370_000
 )
 
 func TestCompileAllocBudget(t *testing.T) {

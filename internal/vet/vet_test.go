@@ -8,6 +8,7 @@ import (
 
 	"ctdf/internal/cfg"
 	"ctdf/internal/dfg"
+	"ctdf/internal/lang"
 	"ctdf/internal/machcheck"
 	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
@@ -157,6 +158,52 @@ func TestGatherEndsOnSynchCycle(t *testing.T) {
 		if !slices.Equal(missing, want) {
 			t.Errorf("fed=%v: %s misses %v, want %v", fed, op, missing, want)
 		}
+	}
+}
+
+// TestGatherParallelStoreBeginsCompletion: a §6.3 parallelized store's
+// access output begins its loop's completion token, not the array's
+// (Figure 14(b)): the array's line resumes only at the loop exits, where
+// the completion line rejoins it. A load after the loop rewired to take
+// its access input straight from the parallel store has gathered the
+// completion token alone, and alias-cover must report the array's.
+func TestGatherParallelStoreBeginsCompletion(t *testing.T) {
+	prog := lang.MustParse("var i, s\narray a[8]\nwhile i < 8 {\n  a[i] := i\n  i := i + 1\n}\ns := a[3]\n")
+	res, err := translate.Translate(cfg.MustBuild(prog), translate.Options{Schema: translate.Schema2Opt, ParallelArrayStores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.ParallelStores) != 1 {
+		t.Fatalf("want the loop's store of a parallelized, got %+v", res.ParallelStores)
+	}
+	if rep := Run(res.Graph, res); !rep.Clean() {
+		t.Fatalf("translated graph not clean:\n%s", rep)
+	}
+	var store, load *dfg.Node
+	for _, n := range memoryOps(res.Graph) {
+		switch {
+		case n.Kind == dfg.StoreIdx && n.Stmt == res.ParallelStores[0].StoreStmt:
+			store = n
+		case n.Kind == dfg.LoadIdx && n.Var == "a":
+			load = n
+		}
+	}
+	if store == nil || load == nil {
+		t.Fatalf("no parallel store (%v) or later load (%v) of a", store, load)
+	}
+	e := dfg.NewEditor(res.Graph)
+	in, _ := accessPorts(load.Kind)
+	_, out := accessPorts(store.Kind)
+	access := e.Ins().Only(e.Ins().Slot(load.ID, in))
+	e.MoveSource(access, store.ID, out)
+	var missing []string
+	for _, d := range Run(mustGraph(t, e), res).Diags {
+		if d.Pass == "alias-cover" && d.Node == load.ID && strings.Contains(d.Msg, "does not gather") {
+			missing = append(missing, d.Tok)
+		}
+	}
+	if want := res.TokensOf["a"]; !slices.Equal(missing, want) {
+		t.Errorf("load fed by the parallel store misses %v, want %v", missing, want)
 	}
 }
 

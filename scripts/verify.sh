@@ -280,6 +280,23 @@ if [ -n "$walks" ]; then
     exit 1
 fi
 
+echo "== the front end scans the source in place =="
+# The lexer reads the source string a byte at a time, decoding a rune only
+# at a byte >= 0x80, and classifies keywords and operators by switch; the
+# parser takes precedence and operator from the token; cfg.Build compacts
+# its graph in place, marking reachability in a []bool (see PERFORMANCE.md,
+# "The compile side: the front end"). A []rune copy of the source, a
+# string-keyed keyword, precedence or operator table, or a map-keyed
+# reach set is that front end's per-character and per-token cost again.
+frontend=$({ grep -nE '\[\]rune\(|^(var )?[[:space:]]*[A-Za-z_]+ += map\[string\]' \
+    $(find internal/lang -name '*.go' ! -name '*_test.go')
+    grep -Hn 'map\[int\]bool' internal/cfg/build.go; } || true)
+if [ -n "$frontend" ]; then
+    echo "the front end copies the source or looks tokens up in maps:" >&2
+    echo "$frontend" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
