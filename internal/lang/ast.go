@@ -230,26 +230,8 @@ func (e *IndexRef) String() string { return fmt.Sprintf("%s[%s]", e.Name, e.Inde
 func (e *BinExpr) String() string  { return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R) }
 func (e *UnExpr) String() string   { return fmt.Sprintf("%s%s", e.Op, e.X) }
 
-// Reads appends to set the names of all variables (scalar and array) that
-// expression e reads.
-func Reads(e Expr, set map[string]bool) {
-	switch x := e.(type) {
-	case *IntLit:
-	case *VarRef:
-		set[x.Name] = true
-	case *IndexRef:
-		set[x.Name] = true
-		Reads(x.Index, set)
-	case *BinExpr:
-		Reads(x.L, set)
-		Reads(x.R, set)
-	case *UnExpr:
-		Reads(x.X, set)
-	}
-}
-
-// AppendReads appends to dst the names expression e reads, as Reads
-// collects them but in the order met and as often as met.
+// AppendReads appends to dst the names of the variables (scalar and
+// array) that expression e reads, in the order met and as often as met.
 func AppendReads(dst []string, e Expr) []string {
 	switch x := e.(type) {
 	case *IntLit:

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -195,15 +196,9 @@ func TestFormatRoundTrip(t *testing.T) {
 
 func TestReads(t *testing.T) {
 	p := MustParse("var x, y\narray a[4]\nx := a[y] + x\n")
-	set := map[string]bool{}
-	Reads(p.Body[0].(*Assign).Expr, set)
-	for _, want := range []string{"x", "y", "a"} {
-		if !set[want] {
-			t.Errorf("Reads missing %s (got %v)", want, set)
-		}
-	}
-	if len(set) != 3 {
-		t.Errorf("Reads = %v, want exactly {x y a}", set)
+	got := AppendReads([]string{"kept"}, p.Body[0].(*Assign).Expr)
+	if want := []string{"kept", "a", "y", "x"}; !slices.Equal(got, want) {
+		t.Errorf("AppendReads = %v, want %v (in the order met)", got, want)
 	}
 }
 
