@@ -358,15 +358,16 @@ func BenchmarkCompile(b *testing.B) {
 // its editor and out again; 20.8 k (6.1 MB) while the front end lexed a
 // []rune copy of the source into a token slice, allocated every AST node
 // and CFG node, edge list and frontier one by one, and copied the CFG to
-// compact it; and takes 5.0 k (3.8 MB) now that the source is lexed in
-// place, the AST and CFG are carved from chunks and the CFG is compacted
-// in place. Each gate is that figure under -race, which allocates a
-// little more, × 1.25: the previous front end trips both. Allocation
-// counts and bytes repeat exactly, so these gates are deterministic where
-// wall time is not.
+// compact it; 5.0 k (3.8 MB) while the analyses numbered token names
+// through a map and the translator turned the placement and loop needs
+// back into name sets; and takes 3.4 k (3.7 MB) now that a token is its
+// position in the sorted universe from the need rows on. Each gate is
+// that figure under -race, which allocates a little more, × 1.25: the
+// previous numbering trips the count. Allocation counts and bytes repeat
+// exactly, so these gates are deterministic where wall time is not.
 const (
-	compileAllocBudget = 6_250
-	compileByteBudget  = 5_370_000
+	compileAllocBudget = 4_285
+	compileByteBudget  = 5_230_000
 )
 
 func TestCompileAllocBudget(t *testing.T) {

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"sort"
 	"strings"
 
 	"ctdf/internal/analysis"
@@ -95,19 +94,21 @@ func cmdExplain(args []string) error {
 	}
 
 	fmt.Printf("\n== switch placement (Figure 10), schema %s ==\n", schema)
-	forks := make([]int, 0, len(res.Placement.Needs))
-	for f := range res.Placement.Needs {
-		forks = append(forks, f)
-	}
-	sort.Ints(forks)
-	for _, f := range forks {
-		fmt.Printf("%s switches: %s\n", res.CFG.Nodes[f], strings.Join(res.Placement.Tokens(f), ", "))
+	for f, row := range res.Placement.Needs {
+		if len(row) == 0 {
+			continue
+		}
+		toks := make([]string, len(row))
+		for i, t := range row {
+			toks[i] = res.Placement.Universe[t]
+		}
+		fmt.Printf("%s switches: %s\n", res.CFG.Nodes[f], strings.Join(toks, ", "))
 	}
 
 	fmt.Println("\n== source vectors (Figure 11), non-trivial entries ==")
 	for id := range res.CFG.Nodes {
-		for _, tok := range res.SV.Universe {
-			srcs := res.SV.Sources(id, tok)
+		for t, tok := range res.SV.Universe {
+			srcs := res.SV.Sources(id, int32(t))
 			if len(srcs) == 0 {
 				continue
 			}

@@ -184,3 +184,12 @@ func MonolithicCover(a *AliasStructure) *Cover {
 	}
 	return &Cover{Elements: []CoverElement{{Name: "V", Vars: vars}}}
 }
+
+func sortedNames(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}

@@ -113,7 +113,7 @@ func TestSwitchPlacementMatchesTheorem1(t *testing.T) {
 			for f := range g.Nodes {
 				want := false
 				for n := range g.Nodes {
-					if g.Refs(n)[x] && BetweenWith(g, pdom, f, n) {
+					if slices.Contains(g.RefSet(nil, n), x) && BetweenWith(g, pdom, f, n) {
 						want = true
 						break
 					}

@@ -25,8 +25,10 @@ func TestControlDepsTrivialGraph(t *testing.T) {
 			t.Errorf("CD+(n%d) = %v, want empty on the trivial graph", n, cdp)
 		}
 	}
-	if p := PlaceSwitches(g, cd, VarNeed(g)); len(p.Needs) != 0 {
-		t.Errorf("trivial graph placed switches: %v", p.Needs)
+	for f, row := range PlaceSwitches(g, cd, VarNeed(g)).Needs {
+		if len(row) != 0 {
+			t.Errorf("trivial graph placed switches at n%d: %v", f, row)
+		}
 	}
 	pdom := cd.PostDom()
 	for f := range g.Nodes {

@@ -76,7 +76,7 @@ func TestSourceAndVectorsAccessors(t *testing.T) {
 	if second < 0 {
 		t.Fatal("no second assignment")
 	}
-	if got := sv.Sources(second, "x"); len(got) != 1 {
+	if got := sv.Sources(second, 0); len(got) != 1 {
 		t.Errorf("Sources = %v, want one", got)
 	}
 }

@@ -128,8 +128,8 @@ func TestQuickSwitchPlacementMonotone(t *testing.T) {
 		}
 		p2 := PlaceSwitches(g, cd, extended)
 		for f2, toks := range p1.Needs {
-			for tok := range toks {
-				if !p2.Needs[f2][tok] {
+			for _, tok := range toks {
+				if !p2.NeedsSwitch(f2, p1.Universe[tok]) {
 					return false
 				}
 			}

@@ -68,16 +68,13 @@ func compareSources(a, b Source) int {
 // Their number is the size of the graph built from them, not nodes ×
 // tokens. Any other entry is recomputed on request (Sources).
 type SourceVectors struct {
-	// LoopNeed[n], for loop-entry and loop-exit nodes, is the token set
-	// that must circulate through the loop (everything else bypasses it).
-	LoopNeed map[int]map[string]bool
-	// Universe is the full token name universe, sorted.
+	// Universe is the full token name universe, sorted: token id t is
+	// Universe[t].
 	Universe []string
 	// Order is the topological order (cfg.Graph.TopoOrder) the vectors
 	// were propagated in; the graph builder emits nodes in the same order.
 	Order []int
 
-	toks *tokenIDs // Universe first, so a token's id is its Universe index
 	// The kept entries. Rows number the ports sources arrive on: a row per
 	// CFG node — for loop entries the initial (entry-side) port — then one
 	// per loop entry for its back-edge (iteration) port, found through
@@ -95,7 +92,7 @@ type SourceVectors struct {
 	// recomputation.
 	mu     sync.Mutex
 	col    column
-	colTok int
+	colTok int32
 }
 
 // cell is a kept entry: its token, or its row while the entries are
@@ -107,65 +104,62 @@ const (
 	manySources = -2
 )
 
-// Sources returns the sorted source list of token tok at node n; for a
+// Sources returns the sorted source list of token id t at node n; for a
 // loop entry, those of the initial port.
-func (s *SourceVectors) Sources(n int, tok string) []Source { return s.at(n, tok) }
+func (s *SourceVectors) Sources(n int, t int32) []Source { return s.at(n, t) }
 
-// BackSources returns the sorted sources of token tok at the back-edge
+// BackSources returns the sorted sources of token id t at the back-edge
 // port of loop entry n.
-func (s *SourceVectors) BackSources(n int, tok string) []Source {
+func (s *SourceVectors) BackSources(n int, t int32) []Source {
 	if row, ok := s.backRow[n]; ok {
-		return s.at(row, tok)
+		return s.at(row, t)
 	}
 	return nil
 }
 
-// Merges appends to buf, in Universe order, the tokens with more than one
-// source at node n (for a loop entry, at its initial port): the tokens a
-// dataflow merge collects there.
-func (s *SourceVectors) Merges(n int, buf []string) []string {
+// Merges appends to buf, ascending, the ids of the tokens with more than
+// one source at node n (for a loop entry, at its initial port): the
+// tokens a dataflow merge collects there.
+func (s *SourceVectors) Merges(n int, buf []int32) []int32 {
 	for _, c := range s.cells[s.rowOff[n]:s.rowOff[n+1]] {
 		if c.n > 1 {
-			buf = append(buf, s.Universe[c.key])
+			buf = append(buf, c.key)
 		}
 	}
 	return buf
+}
+
+// LoopNeed returns, for a loop-entry or loop-exit node n, the ids of the
+// tokens that must circulate through the loop, ascending (everything
+// else bypasses it); nil for any other node.
+func (s *SourceVectors) LoopNeed(n int) []int32 {
+	if k := s.prop.kind[n]; k == cfg.KindLoopEntry || k == cfg.KindLoopExit {
+		return s.prop.regen.Row(n)
+	}
+	return nil
 }
 
 // Wires counts the sources of the kept entries: the wires the graph
 // built from the vectors runs into the nodes that read them.
 func (s *SourceVectors) Wires() int { return len(s.srcs) }
 
-// TokenID returns tok's position in Universe, the id the analyses
-// interned it under, or -1 for a token outside the universe.
-func (s *SourceVectors) TokenID(tok string) int {
-	if t, ok := s.toks.id[tok]; ok && int(t) < len(s.Universe) {
-		return int(t)
-	}
-	return -1
-}
-
-func (s *SourceVectors) at(row int, tok string) []Source {
-	t := s.TokenID(tok)
-	if t < 0 {
-		return nil
-	}
+func (s *SourceVectors) at(row int, t int32) []Source {
 	if list, ok := s.kept(row, t); ok {
 		return list
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.colTok != t {
-		s.prop.sweep(t, &s.col)
+		s.prop.sweep(int(t), &s.col)
 		s.colTok = t
 	}
 	return slices.Clone(s.col.list(row))
 }
 
 // kept returns the kept sources of token t on row, if the entry was kept.
-func (s *SourceVectors) kept(row, t int) ([]Source, bool) {
+func (s *SourceVectors) kept(row int, t int32) ([]Source, bool) {
 	cells := s.cells[s.rowOff[row]:s.rowOff[row+1]]
-	i, found := slices.BinarySearchFunc(cells, int32(t), func(c cell, t int32) int { return int(c.key - t) })
+	i, found := slices.BinarySearchFunc(cells, t, func(c cell, t int32) int { return int(c.key - t) })
 	if !found {
 		return nil, false
 	}
@@ -344,7 +338,7 @@ type propagation struct {
 	// assignment, call or fork needs, the tokens a loop's control
 	// statements circulate. switched[id] is what fork id switches. takers
 	// and switchers are the same sets by token.
-	regen, switched, takers, switchers idSets
+	regen, switched, takers, switchers Rows
 	// next[id] is the row of node id's (true) successor port; alt[id] the
 	// row of a fork's false successor; past[id] the row a fork sends the
 	// tokens it does not switch to, and a loop entry the tokens it
@@ -365,7 +359,7 @@ type propagation struct {
 	starts               []int32 // the start nodes
 }
 
-// ComputeSourceVectors runs the worklist algorithm of Figure 11,
+// SourceVectors runs the worklist algorithm of Figure 11,
 // generalized to abstract tokens and to the loop control statements of §3:
 //
 //   - start sources every token to its successor;
@@ -389,27 +383,21 @@ type propagation struct {
 // influence propagation (a loop entry regenerates its tokens). Each token
 // is propagated on its own, through one column of scratch reused from
 // token to token.
-func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, need NeedFunc, placement *Placement) (*SourceVectors, error) {
-	return newPlan(g, loops, universe, need, placement, ComputeControlDeps(g)).SourceVectors()
-}
-
-// SourceVectors is ComputeSourceVectors on the plan's own rows, under its
-// placement and with its need: the tokens are not numbered again, and the
-// postdominators are those of the plan's control dependences.
+//
+// It runs on the plan's own rows, under its placement and with its need,
+// and on the postdominators of the plan's control dependences.
 func (pl *Plan) SourceVectors() (*SourceVectors, error) {
 	g, loops, needs, switched := pl.g, pl.loops, pl.need, pl.switched
 	n := g.Len()
 	out := &SourceVectors{
-		Universe: slices.Clone(pl.universe),
+		Universe: pl.universe,
 		backRow:  map[int]int{},
 		colTok:   -1,
-		toks:     pl.toks,
 	}
 	v := len(out.Universe)
 	p := &propagation{kind: make([]cfg.NodeKind, n)}
 	out.prop = p
 	loopRows := pl.loopRows(needs, switched)
-	out.LoopNeed = pl.loopNeedOf(loopRows)
 	pdom := pl.cd.pdom
 	loopOf := map[int]int{} // loop entry or exit → the (last) loop it controls
 
@@ -432,17 +420,17 @@ func (pl *Plan) SourceVectors() (*SourceVectors, error) {
 		}
 	}
 	// Loop control statements regenerate what their loop circulates.
-	p.regen = idSets{off: make([]int32, n+1), ids: make([]int32, 0, len(needs.ids)+len(loopRows.ids))}
+	p.regen = Rows{off: make([]int32, n+1), ids: make([]int32, 0, len(needs.ids)+len(loopRows.ids))}
 	for id := range n {
-		row := needs.row(id)
+		row := needs.Row(id)
 		if i, ok := loopOf[id]; ok {
-			row = loopRows.row(i)
+			row = loopRows.Row(i)
 		}
 		p.regen.ids = append(p.regen.ids, row...)
 		p.regen.off[id+1] = int32(len(p.regen.ids))
 	}
 	p.switched = switched
-	p.takers, p.switchers = p.regen.transpose(len(out.toks.names)), switched.transpose(len(out.toks.names))
+	p.takers, p.switchers = p.regen.transpose(v), switched.transpose(v)
 	for id, nd := range g.Nodes {
 		if nd.Kind == cfg.KindLoopEntry {
 			out.backRow[id] = n + len(out.backRow)
@@ -579,10 +567,10 @@ func (p *propagation) sweep(t int, c *column) {
 			c.marks = append(c.marks, chainKey(ch, p.idx[id]))
 		}
 	}
-	for _, id := range p.takers.row(t) {
+	for _, id := range p.takers.Row(t) {
 		mark(id)
 	}
-	for _, id := range p.switchers.row(t) {
+	for _, id := range p.switchers.Row(t) {
 		// The join past a fork switching the token merges its arms.
 		mark(id)
 		if j := p.past[id]; int(j) < len(p.pos) && p.kind[j] == cfg.KindJoin {
@@ -590,11 +578,11 @@ func (p *propagation) sweep(t int, c *column) {
 		}
 	}
 	slices.Sort(c.marks)
-	for _, id := range p.takers.row(t) {
+	for _, id := range p.takers.Row(t) {
 		c.takes[id] = c.epoch
 		c.visit(p.pos[id])
 	}
-	for _, id := range p.switchers.row(t) {
+	for _, id := range p.switchers.Row(t) {
 		c.sw[id] = c.epoch
 		c.visit(p.pos[id])
 	}
@@ -743,27 +731,16 @@ func isExit(l cfg.Loop, id int) bool {
 // validate checks the structural invariants the graph builder relies on;
 // needs holds the need rows of assignments, calls and forks. Every entry
 // it reads is one the propagation keeps whenever it is not empty.
-func (s *SourceVectors) validate(g *cfg.Graph, needs, switched idSets) error {
-	// countID counts the sources of token id t at row; a token outside the
-	// universe has none: nothing carries it.
-	countID := func(row int, t int32) int {
-		if int(t) < len(s.Universe) {
-			list, _ := s.kept(row, int(t))
-			return len(list)
-		}
-		return 0
-	}
-	count := func(row int, tok string) int {
-		if t, ok := s.toks.id[tok]; ok {
-			return countID(row, t)
-		}
-		return 0
+func (s *SourceVectors) validate(g *cfg.Graph, needs, switched Rows) error {
+	count := func(row int, t int32) int {
+		list, _ := s.kept(row, t)
+		return len(list)
 	}
 	// single checks that every token of row has exactly one source at nd.
 	single := func(nd *cfg.Node, row []int32, does string) error {
 		for _, t := range row {
-			if c := countID(nd.ID, t); c != 1 {
-				return fmt.Errorf("analysis: %s %s token %s but has %d sources", nd, does, s.toks.names[t], c)
+			if c := count(nd.ID, t); c != 1 {
+				return fmt.Errorf("analysis: %s %s token %s but has %d sources", nd, does, s.Universe[t], c)
 			}
 		}
 		return nil
@@ -779,34 +756,34 @@ func (s *SourceVectors) validate(g *cfg.Graph, needs, switched idSets) error {
 		}
 		switch nd.Kind {
 		case cfg.KindAssign, cfg.KindCall:
-			if err := single(nd, needs.row(id), "needs"); err != nil {
+			if err := single(nd, needs.Row(id), "needs"); err != nil {
 				return err
 			}
 		case cfg.KindFork:
-			if err := single(nd, needs.row(id), "reads"); err != nil {
+			if err := single(nd, needs.Row(id), "reads"); err != nil {
 				return err
 			}
-			if err := single(nd, switched.row(id), "switches"); err != nil {
+			if err := single(nd, switched.Row(id), "switches"); err != nil {
 				return err
 			}
 		case cfg.KindLoopEntry:
-			for tok := range s.LoopNeed[id] {
-				if count(id, tok) < 1 {
-					return fmt.Errorf("analysis: loop entry %s has no initial source for %s", nd, tok)
+			for _, t := range s.LoopNeed(id) {
+				if count(id, t) < 1 {
+					return fmt.Errorf("analysis: loop entry %s has no initial source for %s", nd, s.Universe[t])
 				}
-				if count(s.backRow[id], tok) < 1 {
-					return fmt.Errorf("analysis: loop entry %s has no back-edge source for %s", nd, tok)
+				if count(s.backRow[id], t) < 1 {
+					return fmt.Errorf("analysis: loop entry %s has no back-edge source for %s", nd, s.Universe[t])
 				}
 			}
 		case cfg.KindLoopExit:
-			for tok := range s.LoopNeed[id] {
-				if c := count(id, tok); c != 1 {
-					return fmt.Errorf("analysis: loop exit %s has %d sources for %s", nd, c, tok)
+			for _, t := range s.LoopNeed(id) {
+				if c := count(id, t); c != 1 {
+					return fmt.Errorf("analysis: loop exit %s has %d sources for %s", nd, c, s.Universe[t])
 				}
 			}
 		case cfg.KindEnd:
 			for t, tok := range s.Universe {
-				if _, ok := s.kept(id, t); !ok {
+				if _, ok := s.kept(id, int32(t)); !ok {
 					return fmt.Errorf("analysis: token %s never reaches end", tok)
 				}
 			}

@@ -50,21 +50,23 @@ func TestSourceVectorsMatchLiteralOnPartialPlacements(t *testing.T) {
 	for _, g := range acyclicPrograms(t) {
 		need := VarNeed(g)
 		minimal := PlaceSwitches(g, ComputeControlDeps(g), need)
+		universe := slices.Clone(g.Prog.AllNames())
+		slices.Sort(universe)
 		for round := 0; round < 3; round++ {
-			needs := map[int]map[string]bool{}
+			p := &Placement{Universe: universe, Needs: make([][]int32, g.Len())}
 			for id, nd := range g.Nodes {
 				if nd.Kind != cfg.KindFork {
 					continue
 				}
-				set := map[string]bool{}
 				for _, tok := range g.Prog.AllNames() {
 					if minimal.NeedsSwitch(id, tok) || rng.Intn(2) == 0 {
-						set[tok] = true
+						k, _ := slices.BinarySearch(universe, tok)
+						p.Needs[id] = append(p.Needs[id], int32(k))
 					}
 				}
-				needs[id] = set
+				slices.Sort(p.Needs[id])
 			}
-			matchLiteral(t, g, need, &Placement{Needs: needs})
+			matchLiteral(t, g, need, p)
 		}
 	}
 }
@@ -90,10 +92,14 @@ func matchLiteral(t *testing.T, g *cfg.Graph, need NeedFunc, placement *Placemen
 		return out
 	}
 	litAt := func(n int, tok string) []Source { return lit[n][tok] }
+	prodAt := func(n int, tok string) []Source {
+		t, _ := slices.BinarySearch(prod.Universe, tok)
+		return prod.Sources(n, int32(t))
+	}
 	for id := range g.Nodes {
 		for _, tok := range universe {
-			ps, ls := prod.Sources(id, tok), lit[id][tok]
-			pr, lr := resolve(prod.Sources, ps, tok), resolve(litAt, ls, tok)
+			ps, ls := prodAt(id, tok), lit[id][tok]
+			pr, lr := resolve(prodAt, ps, tok), resolve(litAt, ls, tok)
 			if len(pr) != len(lr) {
 				t.Errorf("node n%d tok %s: production %v vs literal %v", id, tok, ps, ls)
 				continue

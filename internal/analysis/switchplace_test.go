@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ctdf/internal/cfg"
@@ -15,6 +16,36 @@ func TestPlaceWithLoopControl(t *testing.T) {
 	t.Run("steps agree", testPlaceStepsAgree)
 	t.Run("no token", testPlaceNoToken)
 	t.Run("no fixpoint", testPlaceNoFixpoint)
+}
+
+// varRows numbers VarNeed(g) by position in the sorted universe of g's
+// names.
+func varRows(t *testing.T, g *cfg.Graph) ([]string, Rows) {
+	t.Helper()
+	universe := slices.Clone(g.Prog.AllNames())
+	slices.Sort(universe)
+	rows, err := number(needNames(g, VarNeed(g)), universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return universe, rows
+}
+
+// loopNeedNames names loop rows by their loops' control statements, as
+// LoopNeeds does.
+func loopNeedNames(pl *Plan, rows Rows) map[int]map[string]bool {
+	out := map[int]map[string]bool{}
+	for i, l := range pl.loops {
+		set := map[string]bool{}
+		for _, t := range rows.Row(i) {
+			set[pl.universe[t]] = true
+		}
+		out[l.Entry] = set
+		for _, x := range l.Exits {
+			out[x] = set
+		}
+	}
+	return out
 }
 
 // loopCFG builds src's CFG with loop control inserted.
@@ -52,7 +83,7 @@ func testPlaceStepsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		base, universe := VarNeed(g), g.Prog.AllNames()
+		universe, base := varRows(t, g)
 		p1, err1 := PlaceWithLoopControl(g, loops, universe, base, Figure10)
 		p2, err2 := PlaceWithLoopControl(g, loops, universe, base, ByIteratedCD)
 		if err1 != nil || err2 != nil {
@@ -61,7 +92,7 @@ func testPlaceStepsAgree(t *testing.T) {
 		if !reflect.DeepEqual(p1.Placement.Needs, p2.Placement.Needs) {
 			t.Errorf("%s: placements differ:\nFigure 10 %v\nCD+       %v", w.Name, p1.Placement.Needs, p2.Placement.Needs)
 		}
-		ln1, ln2 := p1.loopNeedOf(p1.loopRows(p1.need, p1.switched)), p2.loopNeedOf(p2.loopRows(p2.need, p2.switched))
+		ln1, ln2 := loopNeedNames(p1, p1.loopRows(p1.need, p1.switched)), loopNeedNames(p2, p2.loopRows(p2.need, p2.switched))
 		if !reflect.DeepEqual(ln1, ln2) {
 			t.Errorf("%s: loop needs differ:\nFigure 10 %v\nCD+       %v", w.Name, ln1, ln2)
 		}
@@ -70,7 +101,7 @@ func testPlaceStepsAgree(t *testing.T) {
 		}
 		// The fixpoint's loop needs are those LoopNeeds finds under its
 		// placement.
-		if ln := LoopNeeds(g, loops, base, p1.Placement); !reflect.DeepEqual(ln, ln1) {
+		if ln := LoopNeeds(g, loops, VarNeed(g), p1.Placement); !reflect.DeepEqual(ln, ln1) {
 			t.Errorf("%s: loop needs %v, LoopNeeds under the placement %v", w.Name, ln1, ln)
 		}
 	}
@@ -89,7 +120,8 @@ func testPlaceNoToken(t *testing.T) {
 		g, loops := loopCFG(t, src)
 		for name, step := range map[string]Step{"Figure 10": Figure10, "CD+": ByIteratedCD} {
 			calls := 0
-			pl, err := PlaceWithLoopControl(g, loops, g.Prog.AllNames(), VarNeed(g), func(cd *ControlDeps, users idSets, w *Work) idSets {
+			universe, base := varRows(t, g)
+			pl, err := PlaceWithLoopControl(g, loops, universe, base, func(cd *ControlDeps, users Rows, w *Work) Rows {
 				calls++
 				return step(cd, users, w)
 			})
@@ -99,7 +131,7 @@ func testPlaceNoToken(t *testing.T) {
 			if calls != 1 {
 				t.Errorf("%q, %s: %d rounds, want 1", src, name, calls)
 			}
-			for id, toks := range pl.loopNeedOf(pl.loopRows(pl.need, pl.switched)) {
+			for id, toks := range loopNeedNames(pl, pl.loopRows(pl.need, pl.switched)) {
 				if len(toks) > 0 {
 					t.Errorf("%q, %s: statement %d circulates %v, want none", src, name, id, toks)
 				}
@@ -141,14 +173,15 @@ after:
 	none := byNode(g.Len(), nil, nil)
 	withX := byNode(g.Len(), []int32{int32(fork)}, []int32{0})
 	calls := 0
-	alternate := func(*ControlDeps, idSets, *Work) idSets {
+	alternate := func(*ControlDeps, Rows, *Work) Rows {
 		calls++
 		if calls%2 == 0 {
 			return withX
 		}
 		return none
 	}
-	_, err := PlaceWithLoopControl(g, loops, []string{"x", "y"}, VarNeed(g), alternate)
+	universe, base := varRows(t, g)
+	_, err := PlaceWithLoopControl(g, loops, universe, base, alternate)
 	if err == nil {
 		t.Fatal("an alternating placement reached a fixpoint")
 	}

@@ -2,65 +2,41 @@ package analysis
 
 import (
 	"slices"
-
-	"ctdf/internal/cfg"
 )
 
-// The analyses run on dense token ids: names are interned once per call,
-// every node's need is evaluated exactly once, and token sets are rows of
-// compressed sparse rows indexed by CFG node (or by token, transposed), so
-// they take the room of the sets themselves, never nodes × tokens. The
-// string-keyed results the callers see are filled from the rows at the
-// end.
+// The analyses run on dense token ids: a token's id is its position in
+// the unit's sorted universe, fixed once by the caller that numbers the
+// need (the translator's makeNeed, or the name-based entry points of
+// names.go). Every node's need is read exactly once, and token sets are
+// rows of compressed sparse rows indexed by CFG node (or by token,
+// transposed), so they take the room of the sets themselves, never
+// nodes × tokens. A name comes back only where text is made.
 
-// tokenIDs interns access-token names; a token's id is its position in
-// names.
-type tokenIDs struct {
-	names   []string
-	id      map[string]int32
-	interns int // names looked up
-}
-
-func newTokenIDs(names []string) *tokenIDs {
-	t := &tokenIDs{id: make(map[string]int32, len(names))}
-	for _, name := range names {
-		t.intern(name)
-	}
-	return t
-}
-
-func (t *tokenIDs) intern(name string) int32 {
-	t.interns++
-	id, ok := t.id[name]
-	if !ok {
-		id = int32(len(t.names))
-		t.id[name] = id
-		t.names = append(t.names, name)
-	}
-	return id
-}
-
-// nameSet decodes a row of ids into the set of token names.
-func (t *tokenIDs) nameSet(row []int32) map[string]bool {
-	out := make(map[string]bool, len(row))
-	for _, id := range row {
-		out[t.names[id]] = true
-	}
-	return out
-}
-
-// idSets is a set of ids per row in compressed sparse rows: row i's ids
-// are ids[off[i]:off[i+1]], ascending.
-type idSets struct {
+// Rows is a set of token ids per row in compressed sparse rows: row i's
+// ids are ids[off[i]:off[i+1]], ascending.
+type Rows struct {
 	off []int32
 	ids []int32
 }
 
-func (s idSets) row(i int) []int32 { return s.ids[s.off[i]:s.off[i+1]] }
+// NewRows returns n rows to fill in order, Add then EndRow, with room
+// for ids ids in all.
+func NewRows(n, ids int) Rows {
+	return Rows{off: make([]int32, n+1), ids: make([]int32, 0, ids)}
+}
 
-// endRow closes the row being appended to s.ids: sorts it, drops its
+// Row returns row i's ids, ascending.
+func (s Rows) Row(i int) []int32 { return s.ids[s.off[i]:s.off[i+1]:s.off[i+1]] }
+
+// Entries counts the ids of every row.
+func (s Rows) Entries() int { return len(s.ids) }
+
+// Add appends ids to the row being filled.
+func (s *Rows) Add(ids ...int32) { s.ids = append(s.ids, ids...) }
+
+// EndRow closes row i, the one being filled: sorts it, drops its
 // duplicates and records where it ends.
-func (s *idSets) endRow(i int) {
+func (s *Rows) EndRow(i int) {
 	row := s.ids[s.off[i]:]
 	for k := 1; k < len(row); k++ {
 		if row[k-1] >= row[k] { // seldom: need lists come sorted
@@ -74,8 +50,8 @@ func (s *idSets) endRow(i int) {
 
 // transpose returns the sets by id: row id lists the rows holding it,
 // ascending.
-func (s idSets) transpose(cols int) idSets {
-	t := idSets{off: make([]int32, cols+1), ids: make([]int32, len(s.ids))}
+func (s Rows) transpose(cols int) Rows {
+	t := Rows{off: make([]int32, cols+1), ids: make([]int32, len(s.ids))}
 	for _, id := range s.ids {
 		t.off[id+1]++
 	}
@@ -84,44 +60,10 @@ func (s idSets) transpose(cols int) idSets {
 	}
 	at := slices.Clone(t.off[:cols])
 	for i := range len(s.off) - 1 {
-		for _, id := range s.row(i) {
+		for _, id := range s.Row(i) {
 			t.ids[at[id]] = int32(i)
 			at[id]++
 		}
 	}
 	return t
-}
-
-// tokenRows evaluates need once for every node of g and interns every
-// token of needs and of placement's forks into toks, then returns, per
-// node, the tokens the node needs and the tokens switched at it.
-func tokenRows(g *cfg.Graph, toks *tokenIDs, need NeedFunc, p *Placement) (needs, switched idSets) {
-	n := g.Len()
-	needs = idSets{off: make([]int32, n+1), ids: make([]int32, 0, 4*n)}
-	for id := range n {
-		for _, tok := range need(id) {
-			needs.ids = append(needs.ids, toks.intern(tok))
-		}
-		needs.endRow(id)
-	}
-	switched = idSets{off: make([]int32, n+1)}
-	var forks []int // p's forks from 0 up, sorted
-	if p != nil {
-		for f := range p.Needs {
-			if f >= 0 {
-				forks = append(forks, f)
-			}
-		}
-		slices.Sort(forks)
-	}
-	for id := range n {
-		if len(forks) > 0 && forks[0] == id {
-			for tok := range p.Needs[id] {
-				switched.ids = append(switched.ids, toks.intern(tok))
-			}
-			forks = forks[1:]
-		}
-		switched.endRow(id)
-	}
-	return needs, switched
 }

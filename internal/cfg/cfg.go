@@ -169,22 +169,19 @@ func (g *Graph) ReplaceEdgeAt(from, si, newTo int) {
 	g.Nodes[newTo].Preds = append(g.Nodes[newTo].Preds, from)
 }
 
-// Refs returns the set of variable names referenced (read or written) by
-// node n. Forks reference the variables read by their predicate; array
-// assignments reference the array name and the variables read by the index
-// and right-hand side (paper §6.3 treats an assignment to any array
-// location as an operation on the entire array).
-func (g *Graph) Refs(id int) map[string]bool {
-	set := map[string]bool{}
-	for _, v := range g.AppendRefs(nil, id) {
-		set[v] = true
-	}
-	return set
+// RefSet appends to dst the variables node id references (read or
+// written), sorted by name and each once: a caller reading every node can
+// reuse one slice. Forks reference the variables read by their predicate;
+// array assignments reference the array name and the variables read by
+// the index and right-hand side (paper §6.3 treats an assignment to any
+// array location as an operation on the entire array).
+func (g *Graph) RefSet(dst []string, id int) []string {
+	start := len(dst)
+	return distinct(g.AppendRefs(dst, id), start)
 }
 
-// AppendRefs appends to dst the variables node id references, as Refs
-// lists them but in the order met and as often as met: a caller reading
-// every node can reuse one slice.
+// AppendRefs appends to dst the variables node id references, as RefSet
+// lists them but in the order met and as often as met.
 func (g *Graph) AppendRefs(dst []string, id int) []string {
 	n := g.Nodes[id]
 	switch n.Kind {
@@ -215,8 +212,13 @@ func (g *Graph) ReadSet(dst []string, id int) []string {
 	case KindFork:
 		dst = lang.AppendReads(dst, n.Cond)
 	}
-	slices.Sort(dst[start:])
-	return dst[:start+len(slices.Compact(dst[start:]))]
+	return distinct(dst, start)
+}
+
+// distinct sorts list[start:] and drops its duplicates.
+func distinct(list []string, start int) []string {
+	slices.Sort(list[start:])
+	return list[:start+len(slices.Compact(list[start:]))]
 }
 
 // Validate checks the structural invariants the translation schemas rely

@@ -176,18 +176,14 @@ func TestRefs(t *testing.T) {
 			fork = n
 		}
 	}
-	refs := g.Refs(assign.ID)
-	for _, want := range []string{"a", "x", "y"} {
-		if !refs[want] {
-			t.Errorf("assign refs missing %s: %v", want, refs)
-		}
+	if refs := g.RefSet([]string{"kept"}, assign.ID); !slices.Equal(refs, []string{"kept", "a", "x", "y"}) {
+		t.Errorf("assign refs = %v, want a, x and y appended, sorted and once each", refs)
 	}
 	if reads := g.ReadSet([]string{"kept"}, assign.ID); !slices.Equal(reads, []string{"kept", "x", "y"}) {
 		t.Errorf("reads = %v, want x and y appended, sorted and once each (a is written, not read, by a[y] := y+x)", reads)
 	}
-	frefs := g.Refs(fork.ID)
-	if !frefs["x"] || len(frefs) != 1 {
-		t.Errorf("fork refs = %v, want {x}", frefs)
+	if frefs := g.RefSet(nil, fork.ID); !slices.Equal(frefs, []string{"x"}) {
+		t.Errorf("fork refs = %v, want [x]", frefs)
 	}
 }
 

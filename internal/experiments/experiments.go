@@ -369,9 +369,7 @@ func e7() ([]*table, error) {
 		}
 		var refs []string
 		for id := range g.Nodes {
-			for v := range g.Refs(id) {
-				refs = append(refs, v)
-			}
+			refs = g.RefSet(refs, id)
 		}
 		sort.Strings(refs)
 

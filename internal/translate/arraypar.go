@@ -1,6 +1,9 @@
 package translate
 
 import (
+	"cmp"
+	"slices"
+
 	"ctdf/internal/cfg"
 	"ctdf/internal/lang"
 )
@@ -61,7 +64,7 @@ func FindParallelStores(g *cfg.Graph, loops []cfg.Loop) []ParallelStore {
 		arrayStores := map[string][]int{}
 		arrayRead := map[string]bool{}
 		scalarAssigns := map[string][]int{}
-		for _, id := range sortedIntKeys(l.Body) {
+		for _, id := range sortedKeys(l.Body) {
 			n := g.Nodes[id]
 			reads = g.ReadSet(reads[:0], id)
 			for _, v := range reads {
@@ -80,7 +83,7 @@ func FindParallelStores(g *cfg.Graph, loops []cfg.Loop) []ParallelStore {
 		}
 
 		le := g.Nodes[l.Entry]
-		for _, arr := range sortedTokens(arrayStores) {
+		for _, arr := range sortedKeys(arrayStores) {
 			stores := arrayStores[arr]
 			if len(stores) != 1 || arrayRead[arr] || aliased[arr] {
 				continue
@@ -149,15 +152,11 @@ func isInductionUpdate(n *cfg.Node, v string) bool {
 	return ok && c.Value != 0
 }
 
-func sortedIntKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ctdf/internal/analysis"
 	"ctdf/internal/cfg"
@@ -24,20 +23,15 @@ var noWire = src{-1, 0}
 type builder struct {
 	g     *cfg.Graph
 	loops []cfg.Loop
-	// need gives the sorted token set a statement or fork block consumes:
-	// the tokens of every variable it references plus any §6.3 completion
-	// token attached to it.
-	need        analysis.NeedFunc
-	sv          *analysis.SourceVectors
-	placement   *analysis.Placement
-	tokensOf    map[string][]string
-	universe    []string
-	valueTokens map[string]string // token → variable whose value it carries (§6.1)
-	parReads    bool
-	pstores     []ParallelStore
-	istructs    map[string]bool // arrays with I-structure semantics (§6.3)
-	out         *dfg.Editor
-	start       int32 // the start node, once built
+	numbering
+	sv        *analysis.SourceVectors
+	placement *analysis.Placement
+	value     []bool // per token, whether it carries its variable's value (§6.1)
+	parReads  bool
+	pstores   []ParallelStore
+	istructs  map[string]bool // arrays with I-structure semantics (§6.3)
+	out       *dfg.Editor
+	start     int32 // the start node, once built
 
 	// Separate-compilation (linked) mode: a procedure unit replaces the
 	// start node by per-token Param nodes and the end node by a ProcReturn;
@@ -46,7 +40,7 @@ type builder struct {
 	// resolve after every unit is built.
 	procMode     bool
 	procName     string
-	paramNodes   map[string]int
+	paramNodes   []int // per token
 	returnNode   int
 	calleeArity  func(proc string) int // callee universe size (param ports)
 	pendingCalls []*pendingCall
@@ -56,8 +50,7 @@ type builder struct {
 	// out-direction, and on a fork's other side a switch's false arm or
 	// the post-read tap of a token the fork reads but does not switch
 	// (never both). A node keeps a wire only for the tokens it regenerates
-	// or switches. Token ids are the source vectors'; a token outside the
-	// universe has no wire. The taps of the node being built, building,
+	// or switches. The taps of the node being built, building,
 	// are appended at taps[spans[building].lo:], and open[key] is the
 	// index of key's tap there, or -1.
 	taps     []tap
@@ -71,15 +64,13 @@ type builder struct {
 	ctx    stmtCtx
 	slab   []dfg.Node
 	wires  []src
-	merged []string
+	merged []int32
 	reads  []string
 }
 
-func (b *builder) isValueToken(tok string) bool { return b.valueTokens[tok] != "" }
-
-// dummyFor reports whether arcs carrying token tok are dummy
+// dummyFor reports whether arcs carrying token t are dummy
 // (synchronization-only) arcs; value-carrying token lines (§6.1) are not.
-func (b *builder) dummyFor(tok string) bool { return !b.isValueToken(tok) }
+func (b *builder) dummyFor(t int32) bool { return !b.value[t] }
 
 // node emits n and returns its id.
 func (b *builder) node(n dfg.Node) int32 {
@@ -104,39 +95,31 @@ type tap struct {
 
 type tapSpan struct{ lo, hi int32 }
 
-// tapKey is 2·t, plus 1 on a fork's other side; -1 for a token outside
-// the universe.
-func (b *builder) tapKey(side bool, tok string) int32 {
-	t := b.sv.TokenID(tok)
-	switch {
-	case t < 0:
-		return -1
-	case side:
-		return int32(2*t + 1)
+// tapKey is 2·t, plus 1 on a fork's other side.
+func tapKey(side bool, t int32) int32 {
+	if side {
+		return 2*t + 1
 	}
-	return int32(2 * t)
+	return 2 * t
 }
 
-// setTap records w as the wire token tok leaves the node being built on,
-// on the fork's other side when side is set.
-func (b *builder) setTap(side bool, tok string, w src) {
-	k := b.tapKey(side, tok)
-	switch {
-	case k < 0:
-	case b.open[k] >= 0:
+// setTap records w as the wire token t leaves the node being built on, on
+// the fork's other side when side is set.
+func (b *builder) setTap(side bool, t int32, w src) {
+	k := tapKey(side, t)
+	if b.open[k] >= 0 {
 		b.taps[b.open[k]].w = w
-	default:
-		b.open[k] = int32(len(b.taps))
-		b.taps = append(b.taps, tap{k, w})
+		return
 	}
+	b.open[k] = int32(len(b.taps))
+	b.taps = append(b.taps, tap{k, w})
 }
 
-// tapOf returns the wire token tok leaves CFG node id on, on the fork's
+// tapOf returns the wire token t leaves CFG node id on, on the fork's
 // other side when side is set, or noWire.
-func (b *builder) tapOf(id int, side bool, tok string) src {
-	k := b.tapKey(side, tok)
+func (b *builder) tapOf(id int, side bool, t int32) src {
+	k := tapKey(side, t)
 	switch {
-	case k < 0:
 	case id == b.building:
 		if i := b.open[k]; i >= 0 {
 			return b.taps[i].w
@@ -150,35 +133,36 @@ func (b *builder) tapOf(id int, side bool, tok string) src {
 	return noWire
 }
 
-// resolve maps an SV source to the concrete output port it names.
-func (b *builder) resolve(s analysis.Source, tok string) (src, error) {
-	if w := b.tapOf(int(s.Node), s.Read || !s.Dir, tok); w.node >= 0 {
+// resolve maps an SV source of token t to the concrete output port it
+// names.
+func (b *builder) resolve(s analysis.Source, t int32) (src, error) {
+	if w := b.tapOf(int(s.Node), s.Read || !s.Dir, t); w.node >= 0 {
 		return w, nil
 	}
-	return src{}, fmt.Errorf("translate: no tap for %v token %s (source %s)", b.g.Nodes[s.Node], tok, s)
+	return src{}, fmt.Errorf("translate: no tap for %v token %s (source %s)", b.g.Nodes[s.Node], b.universe[t], s)
 }
 
-// inputSrc resolves the (single or merged) source of token tok flowing
+// inputSrc resolves the (single or merged) source of token t flowing
 // into CFG node id and returns the wire to consume it from. A merge node
 // is created when several sources feed the same point.
-func (b *builder) inputSrc(id int, tok string) (src, error) {
-	return b.combine(b.sv.Sources(id, tok), id, tok)
+func (b *builder) inputSrc(id int, t int32) (src, error) {
+	return b.combine(b.sv.Sources(id, t), id, t)
 }
 
-func (b *builder) combine(srcs []analysis.Source, id int, tok string) (src, error) {
+func (b *builder) combine(srcs []analysis.Source, id int, t int32) (src, error) {
 	if len(srcs) == 0 {
-		return src{}, fmt.Errorf("translate: %v consumes token %s but it has no sources", b.g.Nodes[id], tok)
+		return src{}, fmt.Errorf("translate: %v consumes token %s but it has no sources", b.g.Nodes[id], b.universe[t])
 	}
 	if len(srcs) == 1 {
-		return b.resolve(srcs[0], tok)
+		return b.resolve(srcs[0], t)
 	}
-	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: tok, Stmt: id})
+	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: b.universe[t], Stmt: id})
 	for _, s := range srcs {
-		w, err := b.resolve(s, tok)
+		w, err := b.resolve(s, t)
 		if err != nil {
 			return src{}, err
 		}
-		b.wire(w, m, 0, b.dummyFor(tok))
+		b.wire(w, m, 0, b.dummyFor(t))
 	}
 	return src{m, 0}, nil
 }
@@ -186,14 +170,15 @@ func (b *builder) combine(srcs []analysis.Source, id int, tok string) (src, erro
 // synchOf collects a set of wires into one: a single wire passes through;
 // several are joined by a synch tree (paper Figure 2). Wires are
 // deduplicated — token lines that already merged at a shared operation
-// need only one arc. The wires are sorted in place.
-func (b *builder) synchOf(wires []src, stmt int, tok string) src {
+// need only one arc. The wires are sorted in place; the synch is named
+// after token t.
+func (b *builder) synchOf(wires []src, stmt int, t int32) src {
 	slices.SortFunc(wires, func(x, y src) int { return cmp.Or(cmp.Compare(x.node, y.node), cmp.Compare(x.port, y.port)) })
 	wires = slices.Compact(wires)
 	if len(wires) == 1 {
 		return wires[0]
 	}
-	s := b.node(dfg.Node{Kind: dfg.Synch, NIns: len(wires), Tok: tok, Stmt: stmt})
+	s := b.node(dfg.Node{Kind: dfg.Synch, NIns: len(wires), Tok: b.universe[t], Stmt: stmt})
 	for i, w := range wires {
 		b.wire(w, s, i, true)
 	}
@@ -294,18 +279,18 @@ func (b *builder) buildStart(id int) {
 	if b.procMode {
 		// A procedure unit's tokens arrive from its call sites: one Param
 		// node per token, fed by every Apply.
-		b.paramNodes = map[string]int{}
-		for _, tok := range b.universe {
+		b.paramNodes = make([]int, len(b.universe))
+		for t, tok := range b.universe {
 			p := b.node(dfg.Node{Kind: dfg.Param, Tok: tok, Var: b.procName, Stmt: id})
-			b.paramNodes[tok] = int(p)
-			b.setTap(false, tok, src{p, 0})
+			b.paramNodes[t] = int(p)
+			b.setTap(false, int32(t), src{p, 0})
 		}
 		return
 	}
 	s := b.node(dfg.Node{Kind: dfg.Start, Stmt: id})
 	b.start = s
-	for _, tok := range b.universe {
-		b.setTap(false, tok, src{s, 0})
+	for t := range b.universe {
+		b.setTap(false, int32(t), src{s, 0})
 	}
 }
 
@@ -323,12 +308,12 @@ func (b *builder) buildEnd(id int) error {
 	}
 	e := b.node(dfg.Node{Kind: kind, NIns: len(b.universe), Var: b.procName, Stmt: id})
 	b.returnNode = int(e)
-	for i, tok := range b.universe {
-		w, err := b.inputSrc(id, tok)
+	for t := range int32(len(b.universe)) {
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return err
 		}
-		b.wire(w, e, i, b.dummyFor(tok))
+		b.wire(w, e, int(t), b.dummyFor(t))
 	}
 	return nil
 }
@@ -351,7 +336,7 @@ func (b *builder) buildCall(id int) error {
 		return fmt.Errorf("translate: call statement outside separate-compilation mode at %s", b.g.Nodes[id])
 	}
 	n := b.g.Nodes[id]
-	consumed := b.need(id)
+	consumed := b.need.Row(id)
 	if len(consumed) == 0 {
 		return fmt.Errorf("translate: call of %s touches nothing (empty effect set)", n.Proc)
 	}
@@ -360,20 +345,22 @@ func (b *builder) buildCall(id int) error {
 		NIns:  len(consumed),
 		NOuts: len(consumed) + b.calleeArity(n.Proc),
 	})
-	for i, tok := range consumed {
-		w, err := b.inputSrc(id, tok)
+	inTokens := make([]string, len(consumed))
+	for i, t := range consumed {
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return err
 		}
 		b.wire(w, apply, i, true)
-		b.setTap(false, tok, src{apply, int32(i)})
+		b.setTap(false, t, src{apply, int32(i)})
+		inTokens[i] = b.universe[t]
 	}
 	bindings := map[string]string{}
 	for i, formal := range b.g.Prog.Proc(n.Proc).Params {
 		bindings[formal] = n.Args[i]
 	}
 	b.pendingCalls = append(b.pendingCalls, &pendingCall{
-		apply: int(apply), proc: n.Proc, inTokens: consumed, bindings: bindings,
+		apply: int(apply), proc: n.Proc, inTokens: inTokens, bindings: bindings,
 	})
 	return nil
 }
@@ -384,72 +371,72 @@ func (b *builder) buildJoin(id int) error {
 	// computation ("a join with a single source is equivalent to no
 	// operator", §4.2).
 	b.merged = b.sv.Merges(id, b.merged[:0])
-	for _, tok := range b.merged {
-		w, err := b.combine(b.sv.Sources(id, tok), id, tok)
+	for _, t := range b.merged {
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return err
 		}
-		b.setTap(false, tok, w)
+		b.setTap(false, t, w)
 	}
 	return nil
 }
 
 func (b *builder) buildLoopEntry(id int) error {
-	for _, tok := range sortedTokens(b.sv.LoopNeed[id]) {
-		le := b.node(dfg.Node{Kind: dfg.LoopEntry, Tok: tok, Stmt: id})
-		w, err := b.inputSrc(id, tok)
+	for _, t := range b.sv.LoopNeed(id) {
+		le := b.node(dfg.Node{Kind: dfg.LoopEntry, Tok: b.universe[t], Stmt: id})
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return err
 		}
-		b.wire(w, le, 0, b.dummyFor(tok))
-		b.setTap(false, tok, src{le, 0})
+		b.wire(w, le, 0, b.dummyFor(t))
+		b.setTap(false, t, src{le, 0})
 	}
 	return nil
 }
 
 func (b *builder) wireBackPort(id int) error {
-	for _, tok := range sortedTokens(b.sv.LoopNeed[id]) {
-		w, err := b.combine(b.sv.BackSources(id, tok), id, tok)
+	for _, t := range b.sv.LoopNeed(id) {
+		w, err := b.combine(b.sv.BackSources(id, t), id, t)
 		if err != nil {
 			return err
 		}
-		b.wire(w, b.tapOf(id, false, tok).node, 1, b.dummyFor(tok))
+		b.wire(w, b.tapOf(id, false, t).node, 1, b.dummyFor(t))
 	}
 	return nil
 }
 
 func (b *builder) buildLoopExit(id int) error {
-	for _, tok := range sortedTokens(b.sv.LoopNeed[id]) {
-		lx := b.node(dfg.Node{Kind: dfg.LoopExit, Tok: tok, Stmt: id})
-		w, err := b.inputSrc(id, tok)
+	for _, t := range b.sv.LoopNeed(id) {
+		lx := b.node(dfg.Node{Kind: dfg.LoopExit, Tok: b.universe[t], Stmt: id})
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return err
 		}
-		b.wire(w, lx, 0, b.dummyFor(tok))
-		b.setTap(false, tok, src{lx, 0})
+		b.wire(w, lx, 0, b.dummyFor(t))
+		b.setTap(false, t, src{lx, 0})
 	}
 	// §6.3: downstream consumers of a parallelized array must wait for all
 	// of the loop's stores: rejoin the array's access line with the
 	// completion line at the exit. The line is the array's one token —
 	// under a Schema 3 cover its access set, not its name
 	// (FindParallelStores accepts unaliased arrays only).
-	for _, ps := range b.pstores {
+	for i, ps := range b.pstores {
 		if !slices.Contains(ps.Exits, id) {
 			continue
 		}
-		tok, exit := b.tokensOf[ps.Array][0], analysis.Source{Node: int32(id), Dir: true}
-		arr, err := b.resolve(exit, tok)
+		t, exit := b.vars[ps.Array][0], analysis.Source{Node: int32(id), Dir: true}
+		arr, err := b.resolve(exit, t)
 		if err != nil {
 			return err
 		}
-		done, err := b.resolve(exit, ps.DoneToken())
+		done, err := b.resolve(exit, b.done[i])
 		if err != nil {
 			return err
 		}
-		s := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: tok, Stmt: id})
+		s := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: b.universe[t], Stmt: id})
 		b.wire(arr, s, 0, true)
 		b.wire(done, s, 1, true)
-		b.setTap(false, tok, src{s, 0})
+		b.setTap(false, t, src{s, 0})
 	}
 	return nil
 }
@@ -463,7 +450,7 @@ func (b *builder) buildLoopExit(id int) error {
 type stmtCtx struct {
 	b          *builder
 	id         int
-	consumed   []string
+	consumed   []int32
 	tails      []src
 	pending    [][]src
 	trigger    src
@@ -471,20 +458,19 @@ type stmtCtx struct {
 	vals       map[string]src // loaded scalar values
 }
 
-func (b *builder) newStmtCtx(id int, consumed []string) (*stmtCtx, error) {
+func (b *builder) newStmtCtx(id int, consumed []int32) (*stmtCtx, error) {
 	ctx := &b.ctx
-	for _, tok := range ctx.consumed {
-		t := b.sv.TokenID(tok)
+	for _, t := range ctx.consumed {
 		ctx.tails[t], ctx.pending[t] = noWire, ctx.pending[t][:0]
 	}
 	ctx.id, ctx.consumed, ctx.trigger, ctx.hasTrigger = id, consumed, noWire, false
 	clear(ctx.vals)
-	for i, tok := range consumed {
-		w, err := b.inputSrc(id, tok)
+	for i, t := range consumed {
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return nil, err
 		}
-		ctx.tails[b.sv.TokenID(tok)] = w
+		ctx.tails[t] = w
 		if i == 0 {
 			ctx.trigger = w
 			ctx.hasTrigger = true
@@ -493,12 +479,11 @@ func (b *builder) newStmtCtx(id int, consumed []string) (*stmtCtx, error) {
 	return ctx, nil
 }
 
-// collapse finishes any pending parallel reads on token tok and returns
-// its up-to-date tail.
-func (ctx *stmtCtx) collapse(tok string) src {
-	t := ctx.b.sv.TokenID(tok)
+// collapse finishes any pending parallel reads on token t and returns its
+// up-to-date tail.
+func (ctx *stmtCtx) collapse(t int32) src {
 	if p := ctx.pending[t]; len(p) > 0 {
-		ctx.tails[t] = ctx.b.synchOf(p, ctx.id, tok)
+		ctx.tails[t] = ctx.b.synchOf(p, ctx.id, t)
 		ctx.pending[t] = p[:0]
 	}
 	return ctx.tails[t]
@@ -507,12 +492,12 @@ func (ctx *stmtCtx) collapse(tok string) src {
 // gate returns the access wire of a memory operation on the given token
 // lines: under §6.2 a read is fed a replica of each line, anything else
 // waits for the line's pending reads first.
-func (ctx *stmtCtx) gate(tokens []string, read bool) src {
+func (ctx *stmtCtx) gate(tokens []int32, read bool) src {
 	b := ctx.b
 	wires := b.wires[:0]
 	for _, t := range tokens {
 		if read && b.parReads {
-			wires = append(wires, ctx.tails[b.sv.TokenID(t)])
+			wires = append(wires, ctx.tails[t])
 		} else {
 			wires = append(wires, ctx.collapse(t))
 		}
@@ -524,9 +509,8 @@ func (ctx *stmtCtx) gate(tokens []string, read bool) src {
 // complete registers the operation's access completion out on the token
 // lines it gated: their new tail, or under §6.2 one more read for the
 // line's synch tree to collect.
-func (ctx *stmtCtx) complete(tokens []string, read bool, out src) {
-	for _, tok := range tokens {
-		t := ctx.b.sv.TokenID(tok)
+func (ctx *stmtCtx) complete(tokens []int32, read bool, out src) {
+	for _, t := range tokens {
 		if read && ctx.b.parReads {
 			ctx.pending[t] = append(ctx.pending[t], out)
 		} else {
@@ -538,10 +522,10 @@ func (ctx *stmtCtx) complete(tokens []string, read bool, out src) {
 // loadScalar emits the (single) load of scalar variable v for this block.
 func (ctx *stmtCtx) loadScalar(v string) {
 	b := ctx.b
-	toks := b.tokensOf[v]
-	if len(toks) == 1 && b.isValueToken(toks[0]) {
+	toks := b.vars[v]
+	if len(toks) == 1 && b.value[toks[0]] {
 		// §6.1: the token line carries the value; no load needed.
-		ctx.vals[v] = ctx.tails[b.sv.TokenID(toks[0])]
+		ctx.vals[v] = ctx.tails[toks[0]]
 		return
 	}
 	gate := ctx.gate(toks, true)
@@ -583,7 +567,7 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 			b.wire(idx, ld, 0, false)
 			return src{ld, 0}, nil
 		}
-		toks := b.tokensOf[x.Name]
+		toks := b.vars[x.Name]
 		gate := ctx.gate(toks, true)
 		ld := b.node(dfg.Node{Kind: dfg.LoadIdx, Var: x.Name, Stmt: ctx.id})
 		b.wire(idx, ld, 0, false)
@@ -617,7 +601,7 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 
 func (b *builder) buildAssign(id int) error {
 	n := b.g.Nodes[id]
-	consumed := b.need(id)
+	consumed := b.need.Row(id)
 	ctx, err := b.newStmtCtx(id, consumed)
 	if err != nil {
 		return err
@@ -646,12 +630,12 @@ func (b *builder) buildAssign(id int) error {
 
 	// Store.
 	target := n.Target
-	toks := b.tokensOf[target]
+	toks := b.vars[target]
 	switch {
-	case n.TargetIndex == nil && len(toks) == 1 && b.isValueToken(toks[0]):
+	case n.TargetIndex == nil && len(toks) == 1 && b.value[toks[0]]:
 		// §6.1: the value rides the token line; no store.
 		ctx.collapse(toks[0])
-		ctx.tails[b.sv.TokenID(toks[0])] = val
+		ctx.tails[toks[0]] = val
 	case n.TargetIndex == nil:
 		gate := ctx.gate(toks, false)
 		st := b.node(dfg.Node{Kind: dfg.Store, Var: target, Stmt: id})
@@ -674,38 +658,38 @@ func (b *builder) buildAssign(id int) error {
 			// access token, which passes to the next iteration
 			// immediately; the store's completion joins the loop's
 			// completion line.
-			d := b.pstores[i].DoneToken()
-			ctx.tails[b.sv.TokenID(d)] = b.synchOf([]src{ctx.collapse(d), {st, 0}}, id, d)
+			d := b.done[i]
+			ctx.tails[d] = b.synchOf([]src{ctx.collapse(d), {st, 0}}, id, d)
 		} else {
 			ctx.complete(toks, false, src{st, 0})
 		}
 	}
 
-	for _, tok := range consumed {
-		b.setTap(false, tok, ctx.collapse(tok))
+	for _, t := range consumed {
+		b.setTap(false, t, ctx.collapse(t))
 	}
 	return nil
 }
 
 func (b *builder) buildFork(id int) error {
 	n := b.g.Nodes[id]
-	consumed := b.need(id)
-	switched := b.placement.Tokens(id)
+	consumed := b.need.Row(id)
+	switched := b.placement.Needs[id]
 
 	ctx, err := b.newStmtCtx(id, consumed)
 	if err != nil {
 		return err
 	}
 	// Switched-but-not-read tokens enter at the switch directly.
-	for _, tok := range switched {
-		if slices.Contains(consumed, tok) {
+	for _, t := range switched {
+		if slices.Contains(consumed, t) {
 			continue
 		}
-		w, err := b.inputSrc(id, tok)
+		w, err := b.inputSrc(id, t)
 		if err != nil {
 			return err
 		}
-		b.setTap(true, tok, w) // the switch's data input, until the switch is built
+		b.setTap(true, t, w) // the switch's data input, until the switch is built
 		if !ctx.hasTrigger {
 			ctx.trigger = w
 			ctx.hasTrigger = true
@@ -729,31 +713,22 @@ func (b *builder) buildFork(id int) error {
 		return err
 	}
 
-	for _, tok := range switched {
-		data := b.tapOf(id, true, tok)
-		if slices.Contains(consumed, tok) {
-			data = ctx.collapse(tok)
+	for _, t := range switched {
+		data := b.tapOf(id, true, t)
+		if slices.Contains(consumed, t) {
+			data = ctx.collapse(t)
 		}
-		sw := b.node(dfg.Node{Kind: dfg.Switch, Tok: tok, Stmt: id})
-		b.wire(data, sw, 0, b.dummyFor(tok))
+		sw := b.node(dfg.Node{Kind: dfg.Switch, Tok: b.universe[t], Stmt: id})
+		b.wire(data, sw, 0, b.dummyFor(t))
 		b.wire(pval, sw, 1, false)
-		b.setTap(false, tok, src{sw, 0})
-		b.setTap(true, tok, src{sw, 1})
+		b.setTap(false, t, src{sw, 0})
+		b.setTap(true, t, src{sw, 1})
 	}
 	// Read-but-unswitched tokens leave through the post-read tap.
-	for _, tok := range consumed {
-		if !slices.Contains(switched, tok) {
-			b.setTap(true, tok, ctx.collapse(tok))
+	for _, t := range consumed {
+		if !slices.Contains(switched, t) {
+			b.setTap(true, t, ctx.collapse(t))
 		}
 	}
 	return nil
-}
-
-func sortedTokens[T any](m map[string]T) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

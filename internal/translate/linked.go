@@ -2,7 +2,6 @@ package translate
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -73,39 +72,34 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 	// passes; its universe adds the globals of every procedure it reaches.
 	// Main's covers every declared name (unused tokens flow straight to
 	// end, matching the inlined translations).
-	own := map[string]map[string]bool{}
+	own := map[string][]string{} // sorted, each once
 	for _, name := range order {
-		set := map[string]bool{}
+		var names []string
 		if name != "" {
-			for _, f := range prog.Proc(name).Params {
-				set[f] = true
-			}
+			names = append(names, prog.Proc(name).Params...)
 		}
 		ug := units[name]
 		for id, n := range ug.Nodes {
-			for v := range ug.Refs(id) {
-				set[v] = true
-			}
-			for _, a := range n.Args {
-				set[a] = true
-			}
+			names = append(ug.RefSet(names, id), n.Args...)
 		}
-		own[name] = set
+		slices.Sort(names)
+		own[name] = slices.Compact(names)
 	}
 	universe := map[string][]string{}
 	for _, name := range order {
-		set := maps.Clone(own[name])
+		names := slices.Clone(own[name])
 		for _, callee := range reach[name] {
-			for v := range own[callee] {
+			for _, v := range own[callee] {
 				if globals[v] {
-					set[v] = true
+					names = append(names, v)
 				}
 			}
 		}
 		if name == "" {
-			maps.Copy(set, globals)
+			names = append(names, prog.AllNames()...)
 		}
-		universe[name] = sortedTokens(set)
+		slices.Sort(names)
+		universe[name] = slices.Compact(names)
 	}
 
 	// A call consumes, for every token of its callee, the caller-side
@@ -145,9 +139,12 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 				tokensOf[v] = []string{v}
 			}
 		}
+		nb, err := makeNeed(ug, universe[name], tokensOf, nil, nil, bound)
+		if err != nil {
+			return nil, fmt.Errorf("translate: unit %q: %w", name, err)
+		}
 		b := &builder{
-			g: ug, loops: loops, need: makeNeed(ug, tokensOf, nil, nil, bound),
-			tokensOf: tokensOf, universe: universe[name], out: out,
+			g: ug, loops: loops, numbering: nb, value: make([]bool, len(nb.universe)), out: out,
 			procMode: name != "", procName: name,
 			calleeArity: func(proc string) int { return len(universe[proc]) },
 		}
@@ -169,11 +166,7 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 				Return:   callee.returnNode,
 				Bindings: pc.bindings,
 			}
-			for j, tok := range universe[pc.proc] {
-				pn, ok := callee.paramNodes[tok]
-				if !ok {
-					return nil, fmt.Errorf("translate: callee %s has no param node for token %s", pc.proc, tok)
-				}
+			for j, pn := range callee.paramNodes {
 				info.Params = append(info.Params, pn)
 				out.AddArc(dfg.Arc{From: pc.apply, FromPort: len(pc.inTokens) + j, To: pn, Dummy: true})
 			}

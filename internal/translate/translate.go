@@ -322,17 +322,22 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		universe = slices.Compact(universe)
 	}
 
+	nb, err := makeNeed(g, universe, tokensOf, pstores, istructs, nil)
+	if err != nil {
+		return nil, err
+	}
 	b := &builder{
-		g:           g,
-		loops:       loops,
-		need:        makeNeed(g, tokensOf, pstores, istructs, nil),
-		tokensOf:    tokensOf,
-		universe:    universe,
-		valueTokens: valueTokens,
-		parReads:    opt.ParallelReads,
-		pstores:     pstores,
-		istructs:    istructs,
-		out:         dfg.NewEditorFor(prog),
+		g:         g,
+		loops:     loops,
+		numbering: nb,
+		value:     make([]bool, len(universe)),
+		parReads:  opt.ParallelReads,
+		pstores:   pstores,
+		istructs:  istructs,
+		out:       dfg.NewEditorFor(prog),
+	}
+	for _, v := range valueTokens { // v's one token carries its value
+		b.value[b.vars[v][0]] = true
 	}
 	if err := b.emit(opt.Schema == Schema2Opt || opt.Schema == Schema3Opt, edit != nil); err != nil {
 		return nil, err
@@ -364,48 +369,90 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 	return res, nil
 }
 
-// makeNeed derives the NeedFunc: a node needs the union of the token sets
-// of the variables it references (I-structure arrays have none), and a
-// call statement those of the caller-side names bound gives it (separate
-// compilation; nil elsewhere); statements carrying a §6.3-parallelized
-// store additionally need the loop's completion token. Every node's need
-// is worked out here, once; the analyses and the builder all read the
-// same sorted slices.
-func makeNeed(g *cfg.Graph, tokensOf map[string][]string, pstores []ParallelStore, istructs map[string]bool, bound func(*cfg.Node) []string) analysis.NeedFunc {
-	needs := make([][]string, g.Len())
-	for _, ps := range pstores {
-		needs[ps.StoreStmt] = append(needs[ps.StoreStmt], ps.DoneToken())
-	}
-	var refs []string
-	for id, n := range g.Nodes {
-		toks := needs[id]
-		refs = g.AppendRefs(refs[:0], id)
-		for _, v := range refs {
-			if !istructs[v] {
-				toks = append(toks, tokensOf[v]...)
-			}
-		}
-		if n.Kind == cfg.KindCall && bound != nil {
-			for _, v := range bound(n) {
-				toks = append(toks, tokensOf[v]...)
-			}
-		}
-		slices.Sort(toks)
-		needs[id] = slices.Compact(toks)
-	}
-	return func(id int) []string { return needs[id] }
+// numbering is a unit's tokens on ids: a token's id is its position in
+// the unit's sorted universe.
+type numbering struct {
+	universe []string
+	// need holds per CFG node the ids of the tokens a statement or fork
+	// block consumes, ascending: the tokens of every variable it
+	// references plus any §6.3 completion token attached to it.
+	need analysis.Rows
+	vars map[string][]int32 // per variable, the ids of its tokens
+	done []int32            // per §6.3 parallelized store, the id of its completion token
 }
 
-// NeedOf derives again the NeedFunc the translator placed res's switches
-// by, from what res records: its CFG, TokensOf, parallelized stores and
-// I-structure arrays. It needs a program's translation; a separate
-// compilation records no CFG.
-func NeedOf(res *Result) analysis.NeedFunc {
+// makeNeed numbers the tokens of a unit once: tokensOf becomes per
+// variable id slices (I-structure arrays have none), and every node's need
+// a row of ids. A node needs the union of the token sets of the variables
+// it references, and a call statement those of the caller-side names
+// bound gives it (separate compilation; nil elsewhere); statements
+// carrying a §6.3-parallelized store additionally need the loop's
+// completion token. The analyses and the builder all read the same rows.
+func makeNeed(g *cfg.Graph, universe []string, tokensOf map[string][]string, pstores []ParallelStore, istructs map[string]bool, bound func(*cfg.Node) []string) (nb numbering, err error) {
+	nb = numbering{universe: universe, vars: make(map[string][]int32, len(tokensOf))}
+	var ids []int32 // the variables' ids, appended to one array
+	for v, toks := range tokensOf {
+		if !istructs[v] {
+			from := len(ids)
+			if ids, err = number(ids, universe, toks...); err != nil {
+				return nb, err
+			}
+			nb.vars[v] = ids[from:len(ids):len(ids)]
+		}
+	}
+	for _, ps := range pstores {
+		if nb.done, err = number(nb.done, universe, ps.DoneToken()); err != nil {
+			return nb, err
+		}
+	}
+	nb.need = analysis.NewRows(g.Len(), 4*g.Len())
+	var names []string
+	for n, nd := range g.Nodes {
+		for i, ps := range pstores {
+			if ps.StoreStmt == n {
+				nb.need.Add(nb.done[i])
+			}
+		}
+		names = g.AppendRefs(names[:0], n)
+		if nd.Kind == cfg.KindCall && bound != nil {
+			names = append(names, bound(nd)...)
+		}
+		for _, v := range names {
+			ids, ok := nb.vars[v]
+			if !ok && !istructs[v] {
+				return nb, fmt.Errorf("translate: %s at %s has no tokens", v, nd)
+			}
+			nb.need.Add(ids...)
+		}
+		nb.need.EndRow(n)
+	}
+	return nb, nil
+}
+
+// number appends to ids the ids of toks, their positions in the sorted
+// universe.
+func number(ids []int32, universe []string, toks ...string) ([]int32, error) {
+	for _, tok := range toks {
+		t, ok := slices.BinarySearch(universe, tok)
+		if !ok {
+			return nil, fmt.Errorf("translate: token %s is outside the universe", tok)
+		}
+		ids = append(ids, int32(t))
+	}
+	return ids, nil
+}
+
+// NeedOf derives again the need rows the translator placed res's switches
+// by, from what res records: its CFG, Universe, TokensOf, parallelized
+// stores and I-structure arrays. It needs a program's translation; a
+// separate compilation records no CFG.
+func NeedOf(res *Result) (analysis.Rows, error) {
 	istructs := map[string]bool{}
 	for _, a := range res.IStructures {
 		istructs[a] = true
 	}
-	return makeNeed(res.CFG, res.TokensOf, res.ParallelStores, istructs, nil)
+	nb, err := makeNeed(res.CFG, res.Universe, res.TokensOf, res.ParallelStores, istructs, nil)
+	return nb.need, err
 }
 
 // emit is the unit stage every translation unit runs, a program's or one

@@ -82,11 +82,13 @@ func BenchmarkVet(b *testing.B) {
 // index and a single-source port shares its source's token set. (Reading
 // the graph's index instead of counting-sorting two private copies of
 // every arc saved bytes, 5.6 → 3.9 MB, not counts.) Ordering along token
-// lines brought it to 4.1 k, and walking each operation's synch tree back
-// in place of that memo to 3.3 k. The gate is that count (under -race,
-// which allocates a little more) × 1.25. Allocation counts repeat
-// exactly, so this gate is deterministic where wall time is not.
-const vetAllocBudget = 4_160
+// lines brought it to 4.1 k, walking each operation's synch tree back
+// in place of that memo to 3.3 k, and numbering the recomputed plan's
+// tokens by their place in the universe, with no name sets rebuilt, to
+// 1.75 k. The gate is that count (under -race, which allocates a little
+// more) × 1.25. Allocation counts repeat exactly, so this gate is
+// deterministic where wall time is not.
+const vetAllocBudget = 2_195
 
 func TestVetAllocBudget(t *testing.T) {
 	res := compile(t, workloads.Random(1990, 40, 3), translate.Options{Schema: translate.Schema2Opt}, true)

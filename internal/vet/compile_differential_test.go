@@ -42,11 +42,12 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 		fail("loops", res.Loops, wantLoops)
 	}
 
-	need, placement := refNeed(res), res.Placement
+	need, placement := refNeed(res), refPlacementOf(res.Placement)
 	if o.Schema == translate.Schema2Opt || o.Schema == translate.Schema3Opt {
+		got := placement
 		need, placement = refPlaceWithLoopControl(res.CFG, res.Loops, need)
-		if !reflect.DeepEqual(res.Placement.Needs, placement.Needs) {
-			fail("switch placement", res.Placement.Needs, placement.Needs)
+		if !reflect.DeepEqual(got, placement) {
+			fail("switch placement", got, placement)
 		}
 	}
 	want, err := refComputeSourceVectors(res.CFG, res.Loops, res.Universe, need, placement)
@@ -56,16 +57,25 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 	if !reflect.DeepEqual(res.SV.Order, want.order) {
 		fail("topological order", res.SV.Order, want.order)
 	}
-	if !reflect.DeepEqual(res.SV.LoopNeed, want.loopNeed) {
-		fail("loop needs", res.SV.LoopNeed, want.loopNeed)
+	loopNeed := map[int]map[string]bool{}
+	for id, n := range res.CFG.Nodes {
+		if n.Kind == cfg.KindLoopEntry || n.Kind == cfg.KindLoopExit {
+			loopNeed[id] = map[string]bool{}
+			for _, t := range res.SV.LoopNeed(id) {
+				loopNeed[id][res.Universe[t]] = true
+			}
+		}
+	}
+	if !reflect.DeepEqual(loopNeed, want.loopNeed) {
+		fail("loop needs", loopNeed, want.loopNeed)
 	}
 	same := func(a, b []analysis.Source) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
 	for id := range res.CFG.Nodes {
-		for _, tok := range res.Universe {
-			if got, want := res.SV.Sources(id, tok), want.sv[id][tok]; !same(got, want) {
+		for t, tok := range res.Universe {
+			if got, want := res.SV.Sources(id, int32(t)), want.sv[id][tok]; !same(got, want) {
 				fail(fmt.Sprintf("SV_n%d(%s)", id, tok), got, want)
 			}
-			if got, want := res.SV.BackSources(id, tok), want.back[id][tok]; !same(got, want) {
+			if got, want := res.SV.BackSources(id, int32(t)), want.back[id][tok]; !same(got, want) {
 				fail(fmt.Sprintf("back SV_n%d(%s)", id, tok), got, want)
 			}
 		}

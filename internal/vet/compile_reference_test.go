@@ -733,7 +733,7 @@ func refNeed(res *translate.Result) analysis.NeedFunc {
 	}
 	return func(id int) []string {
 		set := map[string]bool{}
-		for v := range res.CFG.Refs(id) {
+		for _, v := range res.CFG.RefSet(nil, id) {
 			if !istructs[v] {
 				for _, tok := range res.TokensOf[v] {
 					set[tok] = true
@@ -758,9 +758,29 @@ func refSortedNames(m map[string]bool) []string {
 	return out
 }
 
+// refPlacement is a switch placement by name: per fork, the tokens it
+// switches.
+type refPlacement map[int]map[string]bool
+
+func (p refPlacement) NeedsSwitch(f int, tok string) bool { return p[f][tok] }
+
+// refPlacementOf names the rows of p.
+func refPlacementOf(p *analysis.Placement) refPlacement {
+	out := refPlacement{}
+	for f, row := range p.Needs {
+		for _, t := range row {
+			if out[f] == nil {
+				out[f] = map[string]bool{}
+			}
+			out[f][p.Universe[t]] = true
+		}
+	}
+	return out
+}
+
 // refPlaceSwitches is Figure 10 one token at a time.
-func refPlaceSwitches(g *cfg.Graph, cd *analysis.ControlDeps, need analysis.NeedFunc) *analysis.Placement {
-	p := &analysis.Placement{Needs: map[int]map[string]bool{}}
+func refPlaceSwitches(g *cfg.Graph, cd *analysis.ControlDeps, need analysis.NeedFunc) refPlacement {
+	p := refPlacement{}
 	users := map[string][]int{}
 	for id := range g.Nodes {
 		for _, tok := range need(id) {
@@ -780,10 +800,10 @@ func refPlaceSwitches(g *cfg.Graph, cd *analysis.ControlDeps, need analysis.Need
 			n := worklist[len(worklist)-1]
 			worklist = worklist[:len(worklist)-1]
 			for _, f := range cd.On[n] {
-				if p.Needs[f] == nil {
-					p.Needs[f] = map[string]bool{}
+				if p[f] == nil {
+					p[f] = map[string]bool{}
 				}
-				p.Needs[f][tok] = true
+				p[f][tok] = true
 				if !onWL[f] {
 					onWL[f] = true
 					worklist = append(worklist, f)
@@ -794,7 +814,7 @@ func refPlaceSwitches(g *cfg.Graph, cd *analysis.ControlDeps, need analysis.Need
 	return p
 }
 
-func refLoopNeeds(loops []cfg.Loop, need analysis.NeedFunc, p *analysis.Placement) map[int]map[string]bool {
+func refLoopNeeds(loops []cfg.Loop, need analysis.NeedFunc, p refPlacement) map[int]map[string]bool {
 	out := map[int]map[string]bool{}
 	for _, l := range loops {
 		set := map[string]bool{}
@@ -802,7 +822,7 @@ func refLoopNeeds(loops []cfg.Loop, need analysis.NeedFunc, p *analysis.Placemen
 			for _, tok := range need(b) {
 				set[tok] = true
 			}
-			for tok := range p.Needs[b] {
+			for tok := range p[b] {
 				set[tok] = true
 			}
 		}
@@ -817,7 +837,7 @@ func refLoopNeeds(loops []cfg.Loop, need analysis.NeedFunc, p *analysis.Placemen
 // refPlaceWithLoopControl iterates placement and loop needs to their
 // fixpoint, as translate does for the optimized schemas, and returns the
 // extended need function with the placement.
-func refPlaceWithLoopControl(g *cfg.Graph, loops []cfg.Loop, base analysis.NeedFunc) (analysis.NeedFunc, *analysis.Placement) {
+func refPlaceWithLoopControl(g *cfg.Graph, loops []cfg.Loop, base analysis.NeedFunc) (analysis.NeedFunc, refPlacement) {
 	cd := analysis.ComputeControlDeps(g)
 	loopNeed := map[int]map[string]bool{}
 	extended := func(id int) []string {
@@ -849,7 +869,7 @@ type refSourceVectors struct {
 	order    []int
 }
 
-func refComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, need analysis.NeedFunc, placement *analysis.Placement) (*refSourceVectors, error) {
+func refComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, need analysis.NeedFunc, placement refPlacement) (*refSourceVectors, error) {
 	n := g.Len()
 	sv := make([]map[string]map[analysis.Source]bool, n)
 	svBack := make([]map[string]map[analysis.Source]bool, n)

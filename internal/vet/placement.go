@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ctdf/internal/analysis"
 	"ctdf/internal/cfg"
@@ -17,22 +16,22 @@ import (
 // and the number of the access token served.
 type slot struct{ stmt, tok int32 }
 
-// slotNames numbers token names as the recomputed plan does, and a name
-// the plan does not know (a mutated or hand-written graph's) after them,
-// in the order met.
+// slotNames numbers a graph's token names as the recomputed plan does,
+// by their position in its sorted universe (known), and a name the plan
+// does not know (a mutated or hand-written graph's) after them, in the
+// order met.
 type slotNames struct {
-	id     func(string) int
 	known  []string
 	strays map[string]int32
 	names  []string
 }
 
-func newSlotNames(id func(string) int, known []string) *slotNames {
-	return &slotNames{id: id, known: known, strays: map[string]int32{}}
+func newSlotNames(known []string) *slotNames {
+	return &slotNames{known: known, strays: map[string]int32{}}
 }
 
 func (s *slotNames) slot(stmt int, tok string) slot {
-	if t := s.id(tok); t >= 0 && t < len(s.known) {
+	if t, ok := slices.BinarySearch(s.known, tok); ok {
 		return slot{int32(stmt), int32(t)}
 	}
 	t, ok := s.strays[tok]
@@ -64,8 +63,9 @@ func sortedSlots[T any](m map[slot]T) []slot {
 // validation passes diff the graph against: the switch placement and the
 // per-loop circulating token sets, on the plan's token numbers.
 type placeInfo struct {
-	plan *analysis.Plan
-	err  error
+	plan        *analysis.Plan
+	err         error
+	needEntries int // the entries of the need rows the plan read
 
 	// switches lists the graph's switches by (fork, token number), then
 	// node id (switchesAt reads it); held is plan without the slots that
@@ -97,7 +97,7 @@ func (pi *placeInfo) indexSwitches(g *dfg.Graph, c *cfg.Graph) {
 		if n.Kind != dfg.Switch {
 			continue
 		}
-		if t := pi.plan.TokenID(n.Tok); t >= 0 {
+		if t, ok := slices.BinarySearch(pi.plan.Placement.Universe, n.Tok); ok {
 			pi.switches = append(pi.switches, slotNode{slotKey(n.Stmt, t), n.ID})
 		}
 	}
@@ -136,15 +136,23 @@ func recomputePlacement(res *translate.Result) *placeInfo {
 	if sc := res.Options.Schema; sc == translate.Schema2Opt || sc == translate.Schema3Opt {
 		return minimalFixpoint(res)
 	}
-	return &placeInfo{plan: analysis.PlaceEverywhere(res.CFG, res.Loops, res.Universe, translate.NeedOf(res))}
+	need, err := translate.NeedOf(res)
+	if err != nil {
+		return &placeInfo{err: err}
+	}
+	return &placeInfo{plan: analysis.PlaceEverywhere(res.CFG, res.Loops, res.Universe, need), needEntries: need.Entries()}
 }
 
 // minimalFixpoint computes the §4-optimized placement — CD+ closures
 // iterated with loop needs to their fixpoint — regardless of the schema
 // the graph was built under.
 func minimalFixpoint(res *translate.Result) *placeInfo {
-	pi := &placeInfo{}
-	pi.plan, pi.err = analysis.PlaceWithLoopControl(res.CFG, res.Loops, res.Universe, translate.NeedOf(res), analysis.ByIteratedCD)
+	need, err := translate.NeedOf(res)
+	if err != nil {
+		return &placeInfo{err: err}
+	}
+	pi := &placeInfo{needEntries: need.Entries()}
+	pi.plan, pi.err = analysis.PlaceWithLoopControl(res.CFG, res.Loops, res.Universe, need, analysis.ByIteratedCD)
 	return pi
 }
 
@@ -207,12 +215,13 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 	}
 
 	var ds []Diagnostic
-	for _, f := range sortedIntKeys(place.Needs) {
+	for f, row := range place.Needs {
 		if !isFork(g, f) {
 			continue
 		}
-		for _, tok := range sortedKeys(place.Needs[f]) {
-			switch ids := pi.switchesAt(f, pi.plan.TokenID(tok)); {
+		for _, t := range row {
+			tok := place.Universe[t]
+			switch ids := pi.switchesAt(f, int(t)); {
 			case len(ids) == 0 && minimal.NeedsSwitch(f, tok):
 				ds = append(ds, Diagnostic{
 					Severity: SevError, Check: machcheck.Determinacy, Node: -1, Tok: tok,
@@ -275,22 +284,22 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 			Msg: "source-vector recomputation failed: " + err.Error()}}, ""
 	}
 	u.work.SVCells = pi.held.Work.Cells
-	names := newSlotNames(sv.TokenID, sv.Universe)
+	names := newSlotNames(sv.Universe)
 
 	expected := map[slot]int{}
 	for id := range g.Nodes {
 		switch g.Nodes[id].Kind {
 		case cfg.KindJoin, cfg.KindEnd:
-			for _, tok := range sv.Merges(id, nil) {
-				expected[names.slot(id, tok)]++
+			for _, t := range sv.Merges(id, nil) {
+				expected[slot{int32(id), t}]++
 			}
 		case cfg.KindLoopEntry:
-			for tok := range sv.LoopNeed[id] {
-				if len(sv.Sources(id, tok)) > 1 {
-					expected[names.slot(id, tok)]++
+			for _, t := range sv.LoopNeed(id) {
+				if len(sv.Sources(id, t)) > 1 {
+					expected[slot{int32(id), t}]++
 				}
-				if len(sv.BackSources(id, tok)) > 1 {
-					expected[names.slot(id, tok)]++
+				if len(sv.BackSources(id, t)) > 1 {
+					expected[slot{int32(id), t}]++
 				}
 			}
 		}
@@ -310,8 +319,7 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 		if feeds == nil {
 			feeds = map[slot]slot{}
 			for s := range expected {
-				tok := names.name(s.tok)
-				for _, srcs := range [...][]analysis.Source{sv.Sources(int(s.stmt), tok), sv.BackSources(int(s.stmt), tok)} {
+				for _, srcs := range [...][]analysis.Source{sv.Sources(int(s.stmt), s.tok), sv.BackSources(int(s.stmt), s.tok)} {
 					for _, src := range srcs {
 						if len(srcs) > 1 && g.Nodes[src.Node].Kind == cfg.KindJoin {
 							feeds[slot{src.Node, s.tok}] = s
@@ -376,8 +384,8 @@ func checkLoopCirculation(u *Unit, sv *analysis.SourceVectors, names *slotNames)
 	entries, exits := count(dfg.LoopEntry), count(dfg.LoopExit)
 	var ds []Diagnostic
 	check := func(kind string, stmt int, actual map[slot]int) {
-		for _, tok := range sortedKeys(sv.LoopNeed[stmt]) {
-			k := names.slot(stmt, tok)
+		for _, t := range sv.LoopNeed(stmt) {
+			k, tok := slot{int32(stmt), t}, sv.Universe[t]
 			if actual[k] != 1 {
 				ds = append(ds, Diagnostic{
 					Severity: SevError, Check: machcheck.TagViolation, Node: -1, Tok: tok,
@@ -425,22 +433,4 @@ func mergeNodeAt(u *Unit, stmt int, tok string) int {
 		}
 	}
 	return -1
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedIntKeys(m map[int]map[string]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

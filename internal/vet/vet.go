@@ -206,10 +206,11 @@ type Work struct {
 	// GuardCons counts the guard table's cons calls, GuardSteps the arm
 	// list steps of its set operations while it is solved.
 	GuardCons, GuardSteps int
-	// NeedInterns counts the token names the recomputed placement looked
-	// up to number them, CDPops the CD+ worklist pops of its rounds, and
-	// SVCells the source-vector cells its propagation visited.
-	NeedInterns, CDPops, SVCells int
+	// NeedEntries counts the entries of the need rows translate.NeedOf
+	// numbered for the recomputed placement, one per (node, token it
+	// needs), CDPops the CD+ worklist pops of its rounds, and SVCells the
+	// source-vector cells its propagation visited.
+	NeedEntries, CDPops, SVCells int
 }
 
 // Measure is Run that also returns the run's work counts.
@@ -243,7 +244,7 @@ func (u *Unit) run(passes []Pass) *Report {
 	}
 	wg.Wait()
 	if u.place != nil && u.place.plan != nil {
-		u.work.NeedInterns, u.work.CDPops = u.place.plan.Work.Interns, u.place.plan.Work.Pops
+		u.work.NeedEntries, u.work.CDPops = u.place.needEntries, u.place.plan.Work.Pops
 	}
 
 	g := u.G

@@ -247,8 +247,8 @@ func TestFig9PlacementAgreement(t *testing.T) {
 		if f < 0 || f >= res.CFG.Len() || res.CFG.Nodes[f].Kind != cfg.KindFork {
 			continue
 		}
-		for tok := range toks {
-			recomputed[stmtTok{f, tok}] = true
+		for _, tok := range toks {
+			recomputed[stmtTok{f, pi.plan.Placement.Universe[tok]}] = true
 		}
 	}
 	for k := range emitted {

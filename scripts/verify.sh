@@ -239,29 +239,45 @@ if [ -n "$fixpoints" ]; then
     exit 1
 fi
 
-echo "== vet orders along token lines; the fixpoint numbers tokens once =="
+echo "== vet orders along token lines; one postdominator tree =="
 # vet's ordering check walks each cover element's token line instead of
 # sweeping reachability per element, and the guard table interns its arm
-# lists in chains by arm, without a map; the placement fixpoint numbers
-# the tokens once and every round, and the source vectors, run on those
-# rows (see ANALYSIS.md, "Cost"). A hashed (arm, tail) table, or a second
-# function of internal/analysis numbering needs or building a
-# postdominator tree, is that work done again.
+# lists in chains by arm, without a map; the placement rounds and the
+# source vectors run on one set of need rows and one postdominator tree
+# (see ANALYSIS.md, "Cost"). A hashed (arm, tail) table, or a second
+# function of internal/analysis building a postdominator tree, is that
+# work done again.
 guardmap=$(grep -n 'map\[uint64\]int32' internal/vet/determinacy.go || true)
 if [ -n "$guardmap" ]; then
     echo "the guard table hashes its sets again:" >&2
     echo "$guardmap" >&2
     exit 1
 fi
-for fn in 'tokenRows(' 'cfg.PostDominators('; do
-    callers=$(awk -v pat="$fn" '/^func /{fn=FILENAME": "$0} index($0, pat) && !/^func / && !/^[[:space:]]*\/\//{print fn}' \
-        $(find internal/analysis -name '*.go' ! -name '*_test.go') | sort -u)
-    if [ "$(echo "$callers" | grep -c .)" -gt 1 ]; then
-        echo "$fn called from more than one function of internal/analysis:" >&2
-        echo "$callers" >&2
-        exit 1
-    fi
-done
+fn='cfg.PostDominators('
+callers=$(awk -v pat="$fn" '/^func /{fn=FILENAME": "$0} index($0, pat) && !/^func / && !/^[[:space:]]*\/\//{print fn}' \
+    $(find internal/analysis -name '*.go' ! -name '*_test.go') | sort -u)
+if [ "$(echo "$callers" | grep -c .)" -gt 1 ]; then
+    echo "$fn called from more than one function of internal/analysis:" >&2
+    echo "$callers" >&2
+    exit 1
+fi
+
+echo "== tokens are numbers in the translator =="
+# A token's id is its position in the unit's sorted universe, fixed once
+# where translate's makeNeed numbers the need rows; the analyses and the
+# builder carry only ids, and a name comes back only where text is made
+# (see ANALYSIS.md, "Cost"). A TokenID that takes a name, the builder's
+# sortedTokens over a name set, or a map keyed by token name in the id
+# core of internal/analysis (the name-based entry points the benchmark
+# calls live in names.go) is that numbering done again.
+numbering=$({ grep -nE 'TokenID\([^)]*string' $(find . -name '*.go' ! -name '*_test.go')
+    grep -rn 'sortedTokens(' --include='*.go' internal/translate | grep -v '_test\.go:'
+    grep -Hn 'map\[string\]' internal/analysis/tokens.go internal/analysis/switchplace.go internal/analysis/sourcevec.go; } || true)
+if [ -n "$numbering" ]; then
+    echo "token names are numbered again outside makeNeed:" >&2
+    echo "$numbering" >&2
+    exit 1
+fi
 
 echo "== alias-cover keeps one walk per question =="
 # alias-cover answers each §5 question with one walk: order along each
