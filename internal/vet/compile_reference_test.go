@@ -896,10 +896,27 @@ func refComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, 
 		bypass[l.Entry] = t
 	}
 
+	// A fork inside a loop whose immediate postdominator is the loop's
+	// entry parts the loop's back edges: what it forwards reaches the
+	// entry on the next iteration, on the back port.
+	forwardsBack := func(fork, to int) bool {
+		for _, l := range loops {
+			if l.Entry == to && l.Body[fork] {
+				return true
+			}
+		}
+		return false
+	}
+	// contribute puts srcs on tok's list at node to, arriving from CFG
+	// predecessor fromNode, from around intervening nodes (-1), or
+	// forwarded by fork f to its immediate postdominator (-2-f).
 	contribute := func(to int, tok string, srcs []analysis.Source, fromNode int) {
 		tgt := sv
 		toNode := g.Nodes[to]
 		if toNode.Kind == cfg.KindLoopEntry && fromNode >= 0 && toNode.BackPreds[fromNode] {
+			tgt = svBack
+		}
+		if fromNode < -1 && forwardsBack(-fromNode-2, to) {
 			tgt = svBack
 		}
 		m := tgt[to][tok]
@@ -985,10 +1002,10 @@ func refComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, 
 					contribute(nd.Succs[0], tok, []analysis.Source{{Node: int32(pick), Dir: true}}, pick)
 					contribute(nd.Succs[1], tok, []analysis.Source{{Node: int32(pick), Dir: false}}, pick)
 				case readSet[tok]:
-					contribute(pdom.Idom[pick], tok, []analysis.Source{{Node: int32(pick), Dir: true, Read: true}}, -1)
+					contribute(pdom.Idom[pick], tok, []analysis.Source{{Node: int32(pick), Dir: true, Read: true}}, -pick-2)
 				default:
 					if srcs := current(pick, tok); len(srcs) > 0 {
-						contribute(pdom.Idom[pick], tok, srcs, -1)
+						contribute(pdom.Idom[pick], tok, srcs, -pick-2)
 					}
 				}
 			}
