@@ -360,14 +360,15 @@ func BenchmarkCompile(b *testing.B) {
 // and CFG node, edge list and frontier one by one, and copied the CFG to
 // compact it; 5.0 k (3.8 MB) while the analyses numbered token names
 // through a map and the translator turned the placement and loop needs
-// back into name sets; and takes 3.4 k (3.7 MB) now that a token is its
-// position in the sorted universe from the need rows on. Each gate is
-// that figure under -race, which allocates a little more, × 1.25: the
-// previous numbering trips the count. Allocation counts and bytes repeat
-// exactly, so these gates are deterministic where wall time is not.
+// back into name sets; 3.4 k (3.7 MB) while a token's sources were
+// swept token by token; and takes 3.3 k (3.5 MB) now that they are
+// computed in one walk over the order. Each gate is that figure under
+// -race, which allocates a little more, × 1.25. Allocation counts and
+// bytes repeat exactly, so these gates are deterministic where wall time
+// is not.
 const (
-	compileAllocBudget = 4_285
-	compileByteBudget  = 5_230_000
+	compileAllocBudget = 4_130
+	compileByteBudget  = 5_065_000
 )
 
 func TestCompileAllocBudget(t *testing.T) {

@@ -51,19 +51,11 @@ func (s *Rows) EndRow(i int) {
 // transpose returns the sets by id: row id lists the rows holding it,
 // ascending.
 func (s Rows) transpose(cols int) Rows {
-	t := Rows{off: make([]int32, cols+1), ids: make([]int32, len(s.ids))}
-	for _, id := range s.ids {
-		t.off[id+1]++
-	}
-	for c := range cols {
-		t.off[c+1] += t.off[c]
-	}
-	at := slices.Clone(t.off[:cols])
+	rows := make([]int32, len(s.ids)) // the row of each id
 	for i := range len(s.off) - 1 {
-		for _, id := range s.Row(i) {
-			t.ids[at[id]] = int32(i)
-			at[id]++
+		for k := s.off[i]; k < s.off[i+1]; k++ {
+			rows[k] = int32(i)
 		}
 	}
-	return t
+	return byNode(cols, s.ids, rows)
 }

@@ -232,17 +232,22 @@ func Run(cfg Config) (*Matrix, error) {
 
 	// The whole sweep must leave no goroutines behind: every aborted
 	// channel-engine run tears its workers down before returning.
+	m.LeakedGoroutines = leakedGoroutines(baseGoroutines)
+	return m, nil
+}
+
+// leakedGoroutines gives the goroutines started since base was counted
+// half a second to exit, collecting between looks, and returns how many
+// are left.
+func leakedGoroutines(base int) int {
 	for i := 0; i < 50; i++ {
 		runtime.GC()
-		if runtime.NumGoroutine() <= baseGoroutines {
-			break
+		if runtime.NumGoroutine() <= base {
+			return 0
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > baseGoroutines {
-		m.LeakedGoroutines = n - baseGoroutines
-	}
-	return m, nil
+	return max(runtime.NumGoroutine()-base, 0)
 }
 
 // runCell executes one matrix cell: counting pass (the clean run), site

@@ -197,16 +197,7 @@ func RunRecover(cfg Config) (*RecoverMatrix, error) {
 		}
 	}
 
-	for i := 0; i < 50; i++ {
-		runtime.GC()
-		if runtime.NumGoroutine() <= baseGoroutines {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseGoroutines {
-		m.LeakedGoroutines = n - baseGoroutines
-	}
+	m.LeakedGoroutines = leakedGoroutines(baseGoroutines)
 	return m, nil
 }
 
