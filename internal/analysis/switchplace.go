@@ -113,7 +113,7 @@ func byNode(n int, nodes, toks []int32) Rows {
 // loop, so that their cost can be read without a clock.
 type Work struct {
 	// Pops counts the CD+ worklist pops of the placement steps, Cells the
-	// source-vector cells the propagation visits.
+	// entries the source-vector walk makes, moves, records and unites.
 	Pops, Cells int
 }
 

@@ -209,7 +209,7 @@ type Work struct {
 	// NeedEntries counts the entries of the need rows translate.NeedOf
 	// numbered for the recomputed placement, one per (node, token it
 	// needs), CDPops the CD+ worklist pops of its rounds, and SVCells the
-	// source-vector cells its propagation visited.
+	// entries its source-vector walk made, moved, recorded and united.
 	NeedEntries, CDPops, SVCells int
 }
 
