@@ -106,9 +106,16 @@ func cmdExplain(args []string) error {
 	}
 
 	fmt.Println("\n== source vectors (Figure 11), non-trivial entries ==")
-	for id := range res.CFG.Nodes {
-		for t, tok := range res.SV.Universe {
-			srcs := res.SV.Sources(id, int32(t))
+	sv, err := res.Plan.SourceVectors()
+	if err != nil {
+		return err
+	}
+	// Read token by token, as an entry the vectors do not keep is
+	// recomputed a token at a time; printed node by node.
+	lines := make([][]string, len(res.CFG.Nodes))
+	for t, tok := range sv.Universe {
+		for id := range res.CFG.Nodes {
+			srcs := sv.Sources(id, int32(t))
 			if len(srcs) == 0 {
 				continue
 			}
@@ -116,7 +123,12 @@ func cmdExplain(args []string) error {
 			for _, s := range srcs {
 				parts = append(parts, s.String())
 			}
-			fmt.Printf("SV_n%d(%s) = {%s}\n", id, tok, strings.Join(parts, ", "))
+			lines[id] = append(lines[id], fmt.Sprintf("SV_n%d(%s) = {%s}", id, tok, strings.Join(parts, ", ")))
+		}
+	}
+	for _, node := range lines {
+		for _, l := range node {
+			fmt.Println(l)
 		}
 	}
 

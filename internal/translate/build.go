@@ -13,10 +13,7 @@ import (
 
 // src is a wire source: an output port of a dataflow node. Node -1 is no
 // wire.
-type src struct {
-	node int32
-	port int32
-}
+type src analysis.Wire
 
 var noWire = src{-1, 0}
 
@@ -24,14 +21,14 @@ type builder struct {
 	g     *cfg.Graph
 	loops []cfg.Loop
 	numbering
-	sv        *analysis.SourceVectors
-	placement *analysis.Placement
-	value     []bool // per token, whether it carries its variable's value (§6.1)
-	parReads  bool
-	pstores   []ParallelStore
-	istructs  map[string]bool // arrays with I-structure semantics (§6.3)
-	out       *dfg.Editor
-	start     int32 // the start node, once built
+	plan     *analysis.Plan
+	route    *analysis.Route
+	value    []bool // per token, whether it carries its variable's value (§6.1)
+	parReads bool
+	pstores  []ParallelStore
+	istructs map[string]bool // arrays with I-structure semantics (§6.3)
+	out      *dfg.Editor
+	start    int32 // the start node, once built
 
 	// Separate-compilation (linked) mode: a procedure unit replaces the
 	// start node by per-token Param nodes and the end node by a ProcReturn;
@@ -45,27 +42,18 @@ type builder struct {
 	calleeArity  func(proc string) int // callee universe size (param ports)
 	pendingCalls []*pendingCall
 
-	// taps holds the wires tokens leave CFG nodes on, node id's in
-	// taps[spans[id].lo:spans[id].hi] sorted by key: the true or only
-	// out-direction, and on a fork's other side a switch's false arm or
-	// the post-read tap of a token the fork reads but does not switch
-	// (never both). A node keeps a wire only for the tokens it regenerates
-	// or switches. The taps of the node being built, building,
-	// are appended at taps[spans[building].lo:], and open[key] is the
-	// index of key's tap there, or -1.
-	taps     []tap
-	spans    []tapSpan
-	building int
-	open     []int32
+	// The walk: the tokens it carries, and the loop entries' LoopEntry
+	// nodes, in visit order, then by token.
+	analysis.Carrier
+	les []int32
 
 	// Scratch reused from statement to statement: the context, the nodes
 	// emitted (allocated a slab at a time), the wires a gate collects, the
-	// tokens a join merges, the variables a block reads.
-	ctx    stmtCtx
-	slab   []dfg.Node
-	wires  []src
-	merged []int32
-	reads  []string
+	// variables a block reads.
+	ctx   stmtCtx
+	slab  []dfg.Node
+	wires []src
+	reads []string
 }
 
 // dummyFor reports whether arcs carrying token t are dummy
@@ -83,88 +71,7 @@ func (b *builder) node(n dfg.Node) int32 {
 
 // wire connects w to port port of node to.
 func (b *builder) wire(w src, to int32, port int, dummy bool) {
-	b.out.AddArc(dfg.Arc{From: int(w.node), FromPort: int(w.port), To: int(to), ToPort: port, Dummy: dummy})
-}
-
-// tap is one wire a token leaves a CFG node on, under the key tapKey
-// gives the token and side.
-type tap struct {
-	key int32
-	w   src
-}
-
-type tapSpan struct{ lo, hi int32 }
-
-// tapKey is 2·t, plus 1 on a fork's other side.
-func tapKey(side bool, t int32) int32 {
-	if side {
-		return 2*t + 1
-	}
-	return 2 * t
-}
-
-// setTap records w as the wire token t leaves the node being built on, on
-// the fork's other side when side is set.
-func (b *builder) setTap(side bool, t int32, w src) {
-	k := tapKey(side, t)
-	if b.open[k] >= 0 {
-		b.taps[b.open[k]].w = w
-		return
-	}
-	b.open[k] = int32(len(b.taps))
-	b.taps = append(b.taps, tap{k, w})
-}
-
-// tapOf returns the wire token t leaves CFG node id on, on the fork's
-// other side when side is set, or noWire.
-func (b *builder) tapOf(id int, side bool, t int32) src {
-	k := tapKey(side, t)
-	switch {
-	case id == b.building:
-		if i := b.open[k]; i >= 0 {
-			return b.taps[i].w
-		}
-	default:
-		span := b.taps[b.spans[id].lo:b.spans[id].hi]
-		if i, found := slices.BinarySearchFunc(span, k, func(x tap, k int32) int { return cmp.Compare(x.key, k) }); found {
-			return span[i].w
-		}
-	}
-	return noWire
-}
-
-// resolve maps an SV source of token t to the concrete output port it
-// names.
-func (b *builder) resolve(s analysis.Source, t int32) (src, error) {
-	if w := b.tapOf(int(s.Node), s.Read || !s.Dir, t); w.node >= 0 {
-		return w, nil
-	}
-	return src{}, fmt.Errorf("translate: no tap for %v token %s (source %s)", b.g.Nodes[s.Node], b.universe[t], s)
-}
-
-// inputSrc resolves the (single or merged) source of token t flowing
-// into CFG node id and returns the wire to consume it from. A merge node
-// is created when several sources feed the same point.
-func (b *builder) inputSrc(id int, t int32) (src, error) {
-	return b.combine(b.sv.Sources(id, t), id, t)
-}
-
-func (b *builder) combine(srcs []analysis.Source, id int, t int32) (src, error) {
-	if len(srcs) == 0 {
-		return src{}, fmt.Errorf("translate: %v consumes token %s but it has no sources", b.g.Nodes[id], b.universe[t])
-	}
-	if len(srcs) == 1 {
-		return b.resolve(srcs[0], t)
-	}
-	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: b.universe[t], Stmt: id})
-	for _, s := range srcs {
-		w, err := b.resolve(s, t)
-		if err != nil {
-			return src{}, err
-		}
-		b.wire(w, m, 0, b.dummyFor(t))
-	}
-	return src{m, 0}, nil
+	b.out.AddArc(dfg.Arc{From: int(w.Node), FromPort: int(w.Port), To: int(to), ToPort: port, Dummy: dummy})
 }
 
 // synchOf collects a set of wires into one: a single wire passes through;
@@ -173,7 +80,7 @@ func (b *builder) combine(srcs []analysis.Source, id int, t int32) (src, error) 
 // need only one arc. The wires are sorted in place; the synch is named
 // after token t.
 func (b *builder) synchOf(wires []src, stmt int, t int32) src {
-	slices.SortFunc(wires, func(x, y src) int { return cmp.Or(cmp.Compare(x.node, y.node), cmp.Compare(x.port, y.port)) })
+	slices.SortFunc(wires, func(x, y src) int { return cmp.Or(cmp.Compare(x.Node, y.Node), cmp.Compare(x.Port, y.Port)) })
 	wires = slices.Compact(wires)
 	if len(wires) == 1 {
 		return wires[0]
@@ -185,14 +92,51 @@ func (b *builder) synchOf(wires []src, stmt int, t int32) src {
 	return src{s, 0}
 }
 
+// The sides a token leaves a CFG node on: its tap, a switch's false arm,
+// a fork's post-read tap.
+var tap, falseTap, readTap = analysis.Source{Dir: true}, analysis.Source{}, analysis.Source{Dir: true, Read: true}
+
+// take returns token t's entry in set s, which CFG node id consumes.
+func (b *builder) take(s, t int32, id int) (int32, error) {
+	if e := b.Find(s, t); e >= 0 {
+		return e, nil
+	}
+	return -1, fmt.Errorf("translate: %v consumes token %s but it has no sources", b.g.Nodes[id], b.universe[t])
+}
+
+// wireOf returns the one wire entry e arrives on.
+func (b *builder) wireOf(e int32) src { return src(b.Inputs(e)[0].W) }
+
+// merged returns the wire entry e arrives on at CFG node id: a new merge
+// of its inputs when it has several.
+func (b *builder) merged(e int32, id int) src {
+	ins, t := b.Inputs(e), b.Ents[e].Tok
+	if len(ins) == 1 {
+		return b.wireOf(e)
+	}
+	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: b.universe[t], Stmt: id})
+	for _, in := range ins {
+		b.wire(src(in.W), m, 0, b.dummyFor(t))
+	}
+	return src{m, 0}
+}
+
+// leave is the input of a token leaving CFG node id on wire w, from side.
+func leave(id int, w src, side analysis.Source) analysis.Input {
+	side.Node = int32(id)
+	return analysis.Input{From: side, W: analysis.Wire(w)}
+}
+
 // arcEstimate bounds, before anything is emitted, the arcs the builder
-// emits: one per source a consuming node reads (the source vectors'
-// wires), one per switch for its predicate, and about one per operand of
+// emits: one per token a node regenerates, end collects or a back port
+// receives, three per switched token (its data input, its predicate and
+// an input of the merge its arms meet at), and about one per operand of
 // the statements' expression graphs and their stores.
 func (b *builder) arcEstimate() int {
-	n := b.sv.Wires()
-	for _, set := range b.placement.Needs {
-		n += len(set)
+	r := b.route
+	n := r.Regen.Entries() + 3*r.Switched.Entries() + len(b.universe)
+	for entry := range r.BackRow {
+		n += len(r.LoopNeed(entry))
 	}
 	for _, nd := range b.g.Nodes {
 		n += exprArcs(nd.RHS) + exprArcs(nd.Cond) + exprArcs(nd.TargetIndex)
@@ -217,65 +161,74 @@ func exprArcs(e lang.Expr) int {
 	return 0
 }
 
-// build drives the translation: CFG nodes are processed in the
-// topological order the source vectors were propagated in (ignoring loop
-// back edges), so every input source tap exists by the time it is
-// consumed; loop-entry back ports are wired in a final pass.
+// build drives the translation as the walk of Figure 11 (§4.2: the
+// optimized graph is wired directly). It visits the route's topological
+// order once (ignoring loop back edges) and carries the tokens by
+// reference (analysis.Carrier): an entry is the wire a token is on beside
+// the CFG source it leaves, or where several meet, the list of both. A
+// node takes what it consumes from the set arriving on its row and puts
+// its own output wires back. A back row's entries are parked once the
+// last node sending to it is built, and filled into the loop entry's back
+// port after the walk, as SSA construction fills an incomplete φ when it
+// seals a block ("Simple and Efficient Construction of Static Single
+// Assignment Form", Braun et al., CC 2013).
 func (b *builder) build() error {
-	v := len(b.universe)
-	b.spans = make([]tapSpan, b.g.Len())
-	b.open = make([]int32, 2*v)
-	for k := range b.open {
-		b.open[k] = -1
-	}
+	r, v := b.route, len(b.universe)
 	b.ctx = stmtCtx{b: b, tails: make([]src, v), pending: make([][]src, v), vals: map[string]src{}}
-
-	var pendingBack []int
-	for _, id := range b.sv.Order {
-		n := b.g.Nodes[id]
-		b.building = id
-		lo := int32(len(b.taps))
-		var err error
-		switch n.Kind {
-		case cfg.KindStart:
-			b.buildStart(id)
-		case cfg.KindEnd:
-			err = b.buildEnd(id)
-		case cfg.KindAssign:
-			err = b.buildAssign(id)
-		case cfg.KindFork:
-			err = b.buildFork(id)
-		case cfg.KindJoin:
-			err = b.buildJoin(id)
-		case cfg.KindLoopEntry:
-			err = b.buildLoopEntry(id)
-			pendingBack = append(pendingBack, id)
-		case cfg.KindLoopExit:
-			err = b.buildLoopExit(id)
-		case cfg.KindCall:
-			err = b.buildCall(id)
-		}
-		if err != nil {
-			return err
-		}
-		span := b.taps[lo:]
-		for _, x := range span {
-			b.open[x.key] = -1
-		}
-		slices.SortFunc(span, func(x, y tap) int { return cmp.Compare(x.key, y.key) })
-		b.spans[id] = tapSpan{lo, int32(len(b.taps))}
+	parked := map[int][]int32{} // per back row, the entries that arrived
+	if err := b.Walk(r, v, b.visit, func(row int) { parked[row] = b.Park(b.Arrive(row)) }); err != nil {
+		return err
 	}
-	b.building = -1
-	// Back-edge wiring: every tap now exists.
-	for _, id := range pendingBack {
-		if err := b.wireBackPort(id); err != nil {
-			return err
+	// Back-edge wiring, by loop entry in visit order, then by token.
+	les := b.les
+	for _, id := range r.Order {
+		if b.g.Nodes[id].Kind != cfg.KindLoopEntry {
+			continue
+		}
+		back := parked[r.BackRow[id]] // by token, of the tokens the loop circulates
+		for i, t := range r.LoopNeed(id) {
+			if i >= len(back) || b.Ents[back[i]].Tok != t {
+				return fmt.Errorf("translate: loop entry %s has no back-edge source for %s", b.g.Nodes[id], b.universe[t])
+			}
+			b.wire(b.merged(back[i], id), les[0], 1, b.dummyFor(t))
+			les = les[1:]
 		}
 	}
 	return nil
 }
 
-func (b *builder) buildStart(id int) {
+// visit builds CFG node id from the set arriving on its row, and sends
+// the set on.
+func (b *builder) visit(id int) error {
+	kind := b.g.Nodes[id].Kind
+	s := b.Arrive(id)
+	if multi := b.Multi(s); len(multi) > 0 && kind != cfg.KindJoin && kind != cfg.KindEnd && kind != cfg.KindLoopEntry {
+		return fmt.Errorf("translate: %s has %d sources for %s at non-merge node", b.g.Nodes[id], len(b.Inputs(multi[0])), b.universe[b.Ents[multi[0]].Tok])
+	}
+	var err error
+	switch kind {
+	case cfg.KindEnd:
+		return b.buildEnd(id, s)
+	case cfg.KindFork:
+		return b.buildFork(id, s)
+	case cfg.KindLoopEntry:
+		return b.buildLoopEntry(id, s)
+	case cfg.KindStart:
+		b.buildStart(id, s)
+	case cfg.KindJoin:
+		b.buildJoin(id, s)
+	case cfg.KindAssign:
+		err = b.buildAssign(id, s)
+	case cfg.KindLoopExit:
+		err = b.buildLoopExit(id, s)
+	case cfg.KindCall:
+		err = b.buildCall(id, s)
+	}
+	b.Send(s, b.route.Next[id]) // harmless after an error: the walk stops at it
+	return err
+}
+
+func (b *builder) buildStart(id int, s int32) {
 	if b.procMode {
 		// A procedure unit's tokens arrive from its call sites: one Param
 		// node per token, fed by every Apply.
@@ -283,18 +236,17 @@ func (b *builder) buildStart(id int) {
 		for t, tok := range b.universe {
 			p := b.node(dfg.Node{Kind: dfg.Param, Tok: tok, Var: b.procName, Stmt: id})
 			b.paramNodes[t] = int(p)
-			b.setTap(false, int32(t), src{p, 0})
+			b.Add(s, int32(t), leave(id, src{p, 0}, tap))
 		}
 		return
 	}
-	s := b.node(dfg.Node{Kind: dfg.Start, Stmt: id})
-	b.start = s
-	for t := range b.universe {
-		b.setTap(false, int32(t), src{s, 0})
+	b.start = b.node(dfg.Node{Kind: dfg.Start, Stmt: id})
+	for t := range int32(len(b.universe)) {
+		b.Add(s, t, leave(id, src{b.start, 0}, tap))
 	}
 }
 
-func (b *builder) buildEnd(id int) error {
+func (b *builder) buildEnd(id int, s int32) error {
 	kind := dfg.End
 	if b.procMode {
 		kind = dfg.ProcReturn
@@ -309,11 +261,11 @@ func (b *builder) buildEnd(id int) error {
 	e := b.node(dfg.Node{Kind: kind, NIns: len(b.universe), Var: b.procName, Stmt: id})
 	b.returnNode = int(e)
 	for t := range int32(len(b.universe)) {
-		w, err := b.inputSrc(id, t)
-		if err != nil {
-			return err
+		en := b.Find(s, t)
+		if en < 0 {
+			return fmt.Errorf("translate: token %s never reaches end", b.universe[t])
 		}
-		b.wire(w, e, int(t), b.dummyFor(t))
+		b.wire(b.merged(en, id), e, int(t), b.dummyFor(t))
 	}
 	return nil
 }
@@ -331,7 +283,7 @@ type pendingCall struct {
 // touch; its return ports regenerate them when the callee's ProcReturn
 // fires. Entry arcs into the callee's Param nodes are wired by the linker
 // once every unit is built.
-func (b *builder) buildCall(id int) error {
+func (b *builder) buildCall(id int, s int32) error {
 	if b.calleeArity == nil {
 		return fmt.Errorf("translate: call statement outside separate-compilation mode at %s", b.g.Nodes[id])
 	}
@@ -347,12 +299,12 @@ func (b *builder) buildCall(id int) error {
 	})
 	inTokens := make([]string, len(consumed))
 	for i, t := range consumed {
-		w, err := b.inputSrc(id, t)
+		e, err := b.take(s, t, id)
 		if err != nil {
 			return err
 		}
-		b.wire(w, apply, i, true)
-		b.setTap(false, t, src{apply, int32(i)})
+		b.wire(b.wireOf(e), apply, i, true)
+		b.Put(e, s, leave(id, src{apply, int32(i)}, tap))
 		inTokens[i] = b.universe[t]
 	}
 	bindings := map[string]string{}
@@ -365,55 +317,46 @@ func (b *builder) buildCall(id int) error {
 	return nil
 }
 
-func (b *builder) buildJoin(id int) error {
-	// A join becomes a merge for every token with several sources; tokens
-	// with a single source were forwarded during the source-vector
-	// computation ("a join with a single source is equivalent to no
-	// operator", §4.2).
-	b.merged = b.sv.Merges(id, b.merged[:0])
-	for _, t := range b.merged {
-		w, err := b.inputSrc(id, t)
-		if err != nil {
-			return err
-		}
-		b.setTap(false, t, w)
+// buildJoin makes a merge for every token with several sources, by
+// ascending token; a token with a single source passes ("a join with a
+// single source is equivalent to no operator", §4.2).
+func (b *builder) buildJoin(id int, s int32) {
+	multi := b.Multi(s)
+	slices.SortFunc(multi, func(x, y int32) int { return cmp.Compare(b.Ents[x].Tok, b.Ents[y].Tok) })
+	for _, e := range multi {
+		b.Put(e, s, leave(id, b.merged(e, id), tap))
 	}
-	return nil
 }
 
-func (b *builder) buildLoopEntry(id int) error {
-	for _, t := range b.sv.LoopNeed(id) {
+// buildLoopEntry gives every token the loop circulates a LoopEntry node,
+// whose back port is wired after the walk, and sends the others past the
+// loop.
+func (b *builder) buildLoopEntry(id int, s int32) error {
+	body := b.NewSet()
+	for _, t := range b.route.LoopNeed(id) {
 		le := b.node(dfg.Node{Kind: dfg.LoopEntry, Tok: b.universe[t], Stmt: id})
-		w, err := b.inputSrc(id, t)
-		if err != nil {
-			return err
+		e := b.Find(s, t)
+		if e < 0 {
+			return fmt.Errorf("translate: loop entry %s has no initial source for %s", b.g.Nodes[id], b.universe[t])
 		}
-		b.wire(w, le, 0, b.dummyFor(t))
-		b.setTap(false, t, src{le, 0})
+		b.wire(b.merged(e, id), le, 0, b.dummyFor(t))
+		b.Put(e, body, leave(id, src{le, 0}, tap))
+		b.les = append(b.les, le)
 	}
+	b.Send(body, b.route.Next[id])
+	b.Send(s, b.route.Past[id])
 	return nil
 }
 
-func (b *builder) wireBackPort(id int) error {
-	for _, t := range b.sv.LoopNeed(id) {
-		w, err := b.combine(b.sv.BackSources(id, t), id, t)
-		if err != nil {
-			return err
-		}
-		b.wire(w, b.tapOf(id, false, t).node, 1, b.dummyFor(t))
-	}
-	return nil
-}
-
-func (b *builder) buildLoopExit(id int) error {
-	for _, t := range b.sv.LoopNeed(id) {
+func (b *builder) buildLoopExit(id int, s int32) error {
+	for _, t := range b.route.LoopNeed(id) {
 		lx := b.node(dfg.Node{Kind: dfg.LoopExit, Tok: b.universe[t], Stmt: id})
-		w, err := b.inputSrc(id, t)
+		e, err := b.take(s, t, id)
 		if err != nil {
 			return err
 		}
-		b.wire(w, lx, 0, b.dummyFor(t))
-		b.setTap(false, t, src{lx, 0})
+		b.wire(b.wireOf(e), lx, 0, b.dummyFor(t))
+		b.Put(e, s, leave(id, src{lx, 0}, tap))
 	}
 	// §6.3: downstream consumers of a parallelized array must wait for all
 	// of the loop's stores: rejoin the array's access line with the
@@ -424,19 +367,16 @@ func (b *builder) buildLoopExit(id int) error {
 		if !slices.Contains(ps.Exits, id) {
 			continue
 		}
-		t, exit := b.vars[ps.Array][0], analysis.Source{Node: int32(id), Dir: true}
-		arr, err := b.resolve(exit, t)
-		if err != nil {
+		t := b.vars[ps.Array][0]
+		arr, err := b.take(s, t, id)
+		done, err2 := b.take(s, b.done[i], id)
+		if err := cmp.Or(err, err2); err != nil {
 			return err
 		}
-		done, err := b.resolve(exit, b.done[i])
-		if err != nil {
-			return err
-		}
-		s := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: b.universe[t], Stmt: id})
-		b.wire(arr, s, 0, true)
-		b.wire(done, s, 1, true)
-		b.setTap(false, t, src{s, 0})
+		syn := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: b.universe[t], Stmt: id})
+		b.wire(b.wireOf(arr), syn, 0, true)
+		b.wire(b.wireOf(done), syn, 1, true)
+		b.Put(arr, s, leave(id, src{syn, 0}, tap))
 	}
 	return nil
 }
@@ -451,6 +391,7 @@ type stmtCtx struct {
 	b          *builder
 	id         int
 	consumed   []int32
+	ents       []int32 // the consumed tokens' entries
 	tails      []src
 	pending    [][]src
 	trigger    src
@@ -458,22 +399,23 @@ type stmtCtx struct {
 	vals       map[string]src // loaded scalar values
 }
 
-func (b *builder) newStmtCtx(id int, consumed []int32) (*stmtCtx, error) {
+// newStmtCtx starts the block of CFG node id, consuming its tokens from
+// set s.
+func (b *builder) newStmtCtx(id int, consumed []int32, s int32) (*stmtCtx, error) {
 	ctx := &b.ctx
 	for _, t := range ctx.consumed {
 		ctx.tails[t], ctx.pending[t] = noWire, ctx.pending[t][:0]
 	}
-	ctx.id, ctx.consumed, ctx.trigger, ctx.hasTrigger = id, consumed, noWire, false
+	ctx.id, ctx.consumed, ctx.ents, ctx.trigger, ctx.hasTrigger = id, consumed, ctx.ents[:0], noWire, false
 	clear(ctx.vals)
 	for i, t := range consumed {
-		w, err := b.inputSrc(id, t)
+		e, err := b.take(s, t, id)
 		if err != nil {
 			return nil, err
 		}
-		ctx.tails[t] = w
+		ctx.ents, ctx.tails[t] = append(ctx.ents, e), b.wireOf(e)
 		if i == 0 {
-			ctx.trigger = w
-			ctx.hasTrigger = true
+			ctx.trigger, ctx.hasTrigger = ctx.tails[t], true
 		}
 	}
 	return ctx, nil
@@ -599,10 +541,10 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 	return src{}, fmt.Errorf("translate: unknown expression %T", e)
 }
 
-func (b *builder) buildAssign(id int) error {
+func (b *builder) buildAssign(id int, s int32) error {
 	n := b.g.Nodes[id]
 	consumed := b.need.Row(id)
-	ctx, err := b.newStmtCtx(id, consumed)
+	ctx, err := b.newStmtCtx(id, consumed, s)
 	if err != nil {
 		return err
 	}
@@ -665,18 +607,27 @@ func (b *builder) buildAssign(id int) error {
 		}
 	}
 
-	for _, t := range consumed {
-		b.setTap(false, t, ctx.collapse(t))
+	for i, t := range consumed {
+		b.Put(ctx.ents[i], s, leave(id, ctx.collapse(t), tap))
 	}
 	return nil
 }
 
-func (b *builder) buildFork(id int) error {
+// buildFork builds a fork's read block and its switches: a switched
+// token leaves on the switch's arms, into a new set each, and the set
+// goes on past the fork with the tokens it reads or does not touch.
+func (b *builder) buildFork(id int, s int32) error {
 	n := b.g.Nodes[id]
 	consumed := b.need.Row(id)
-	switched := b.placement.Needs[id]
+	switched := b.route.Switched.Row(id)
+	yes, no := b.NewSet(), b.NewSet()
+	defer func() {
+		b.Send(yes, b.route.Next[id])
+		b.Send(no, b.route.Alt[id])
+		b.Send(s, b.route.Past[id])
+	}()
 
-	ctx, err := b.newStmtCtx(id, consumed)
+	ctx, err := b.newStmtCtx(id, consumed, s)
 	if err != nil {
 		return err
 	}
@@ -685,19 +636,17 @@ func (b *builder) buildFork(id int) error {
 		if slices.Contains(consumed, t) {
 			continue
 		}
-		w, err := b.inputSrc(id, t)
+		e, err := b.take(s, t, id)
 		if err != nil {
 			return err
 		}
-		b.setTap(true, t, w) // the switch's data input, until the switch is built
 		if !ctx.hasTrigger {
-			ctx.trigger = w
-			ctx.hasTrigger = true
+			ctx.trigger, ctx.hasTrigger = b.wireOf(e), true
 		}
 	}
 	if len(consumed) == 0 && len(switched) == 0 {
 		// A fork that reads nothing and switches nothing has no dataflow
-		// presence at all; source vectors routed every token past it.
+		// presence at all: every token goes past it.
 		return nil
 	}
 
@@ -714,20 +663,21 @@ func (b *builder) buildFork(id int) error {
 	}
 
 	for _, t := range switched {
-		data := b.tapOf(id, true, t)
+		e := b.Find(s, t)
+		data := b.wireOf(e)
 		if slices.Contains(consumed, t) {
 			data = ctx.collapse(t)
 		}
 		sw := b.node(dfg.Node{Kind: dfg.Switch, Tok: b.universe[t], Stmt: id})
 		b.wire(data, sw, 0, b.dummyFor(t))
 		b.wire(pval, sw, 1, false)
-		b.setTap(false, t, src{sw, 0})
-		b.setTap(true, t, src{sw, 1})
+		b.Put(e, yes, leave(id, src{sw, 0}, tap))
+		b.Add(no, t, leave(id, src{sw, 1}, falseTap))
 	}
 	// Read-but-unswitched tokens leave through the post-read tap.
-	for _, t := range consumed {
+	for i, t := range consumed {
 		if !slices.Contains(switched, t) {
-			b.setTap(true, t, ctx.collapse(t))
+			b.Put(ctx.ents[i], s, leave(id, ctx.collapse(t), readTap))
 		}
 	}
 	return nil

@@ -185,8 +185,9 @@ type Result struct {
 	// Placement is the switch placement used (for Schema 1/2/3 this is
 	// "every token at every fork").
 	Placement *analysis.Placement
-	// SV holds the source vectors that wired the graph.
-	SV *analysis.SourceVectors
+	// Plan is the token plan the graph was built on: its placement and
+	// loop needs. Its SourceVectors recomputes Figure 11 on request.
+	Plan *analysis.Plan
 	// Universe is the access-token name universe.
 	Universe []string
 	// TokensOf maps each variable to the tokens its memory operations
@@ -346,8 +347,8 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		Options:         opt,
 		CFG:             g,
 		Loops:           loops,
-		Placement:       b.placement,
-		SV:              b.sv,
+		Placement:       b.plan.Placement,
+		Plan:            b.plan,
 		Universe:        universe,
 		TokensOf:        tokensOf,
 		ValueTokens:     valueTokens,
@@ -457,22 +458,21 @@ func NeedOf(res *Result) (analysis.Rows, error) {
 
 // emit is the unit stage every translation unit runs, a program's or one
 // procedure body of a separate compilation: it places switches (minimally
-// for the optimized schemas, every token at every fork otherwise),
-// computes the source vectors under that placement, reserves the arc
-// table for what the builder emits (and a third as much again for the
-// arcs a following edit moves, each move appending one) and builds.
+// for the optimized schemas, every token at every fork otherwise), routes
+// the tokens under that placement, reserves the arc table for what the
+// builder emits (and a third as much again for the arcs a following edit
+// moves, each move appending one) and builds, wiring the source vectors
+// of Figure 11 as its walk computes them.
 func (b *builder) emit(minimal, edited bool) error {
-	var plan *analysis.Plan
 	var err error
 	if minimal {
-		if plan, err = analysis.PlaceWithLoopControl(b.g, b.loops, b.universe, b.need, analysis.Figure10); err != nil {
+		if b.plan, err = analysis.PlaceWithLoopControl(b.g, b.loops, b.universe, b.need, analysis.Figure10); err != nil {
 			return err
 		}
 	} else {
-		plan = analysis.PlaceEverywhere(b.g, b.loops, b.universe, b.need)
+		b.plan = analysis.PlaceEverywhere(b.g, b.loops, b.universe, b.need)
 	}
-	b.placement = plan.Placement
-	if b.sv, err = plan.SourceVectors(); err != nil {
+	if b.route, err = b.plan.Route(); err != nil {
 		return err
 	}
 	arcs := b.arcEstimate()

@@ -62,14 +62,18 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 	if err != nil {
 		t.Fatalf("%s/%+v: reference source vectors: %v", label, o, err)
 	}
-	if !reflect.DeepEqual(res.SV.Order, want.order) {
-		fail("topological order", res.SV.Order, want.order)
+	sv, err := res.Plan.SourceVectors()
+	if err != nil {
+		t.Fatalf("%s/%+v: source vectors: %v", label, o, err)
+	}
+	if !reflect.DeepEqual(sv.Order, want.order) {
+		fail("topological order", sv.Order, want.order)
 	}
 	loopNeed := map[int]map[string]bool{}
 	for id, n := range res.CFG.Nodes {
 		if n.Kind == cfg.KindLoopEntry || n.Kind == cfg.KindLoopExit {
 			loopNeed[id] = map[string]bool{}
-			for _, t := range res.SV.LoopNeed(id) {
+			for _, t := range sv.LoopNeed(id) {
 				loopNeed[id][res.Universe[t]] = true
 			}
 		}
@@ -82,10 +86,10 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 	// recomputed a token at a time.
 	for t, tok := range res.Universe {
 		for id := range res.CFG.Nodes {
-			if got, want := res.SV.Sources(id, int32(t)), want.sv[id][tok]; !same(got, want) {
+			if got, want := sv.Sources(id, int32(t)), want.sv[id][tok]; !same(got, want) {
 				fail(fmt.Sprintf("SV_n%d(%s)", id, tok), got, want)
 			}
-			if got, want := res.SV.BackSources(id, int32(t)), want.back[id][tok]; !same(got, want) {
+			if got, want := sv.BackSources(id, int32(t)), want.back[id][tok]; !same(got, want) {
 				fail(fmt.Sprintf("back SV_n%d(%s)", id, tok), got, want)
 			}
 		}
@@ -204,8 +208,8 @@ func TestCompileMatchesReference(t *testing.T) {
 
 // TestSourceVectorsDeterministic: the source vectors do not depend on the
 // order a map is ranged in, which Go draws anew on every range. Computed
-// twice on every workload under every option combination, the order, the
-// graph built from the kept entries, the merges, the loop needs and every
+// twice on every workload under every option combination, the graph the
+// builder's walk wires, and the plan's order, merges, loop needs and every
 // entry, kept or recomputed on request, are the same.
 func TestSourceVectorsDeterministic(t *testing.T) {
 	cells := 0
@@ -227,27 +231,32 @@ func TestSourceVectorsDeterministic(t *testing.T) {
 				t.Helper()
 				t.Fatalf("%s/%+v: %s differs between two computations\n%v\n%v", w.Name, o, what, x, y)
 			}
-			if !slices.Equal(a.SV.Order, b.SV.Order) {
-				fail("order", a.SV.Order, b.SV.Order)
-			}
-			if x, y := dfg.Text(a.Graph), dfg.Text(b.Graph); x != y || a.SV.Wires() != b.SV.Wires() {
+			if x, y := dfg.Text(a.Graph), dfg.Text(b.Graph); x != y {
 				fail("graph", x, y)
 			}
+			svA, errA := a.Plan.SourceVectors()
+			svB, errB := b.Plan.SourceVectors()
+			if errA != nil || errB != nil {
+				t.Fatalf("%s/%+v: source vectors: %v, %v", w.Name, o, errA, errB)
+			}
+			if !slices.Equal(svA.Order, svB.Order) {
+				fail("order", svA.Order, svB.Order)
+			}
 			for id := range a.CFG.Nodes {
-				if x, y := a.SV.Merges(id, nil), b.SV.Merges(id, nil); !slices.Equal(x, y) {
+				if x, y := svA.Merges(id, nil), svB.Merges(id, nil); !slices.Equal(x, y) {
 					fail(fmt.Sprintf("merges at n%d", id), x, y)
 				}
-				if x, y := a.SV.LoopNeed(id), b.SV.LoopNeed(id); !slices.Equal(x, y) {
+				if x, y := svA.LoopNeed(id), svB.LoopNeed(id); !slices.Equal(x, y) {
 					fail(fmt.Sprintf("loop need of n%d", id), x, y)
 				}
 			}
-			for tok := range a.SV.Universe {
+			for tok := range svA.Universe {
 				for id := range a.CFG.Nodes {
-					if x, y := a.SV.Sources(id, int32(tok)), b.SV.Sources(id, int32(tok)); !slices.Equal(x, y) {
-						fail(fmt.Sprintf("SV_n%d(%s)", id, a.SV.Universe[tok]), x, y)
+					if x, y := svA.Sources(id, int32(tok)), svB.Sources(id, int32(tok)); !slices.Equal(x, y) {
+						fail(fmt.Sprintf("SV_n%d(%s)", id, svA.Universe[tok]), x, y)
 					}
-					if x, y := a.SV.BackSources(id, int32(tok)), b.SV.BackSources(id, int32(tok)); !slices.Equal(x, y) {
-						fail(fmt.Sprintf("back SV_n%d(%s)", id, a.SV.Universe[tok]), x, y)
+					if x, y := svA.BackSources(id, int32(tok)), svB.BackSources(id, int32(tok)); !slices.Equal(x, y) {
+						fail(fmt.Sprintf("back SV_n%d(%s)", id, svA.Universe[tok]), x, y)
 					}
 				}
 			}
