@@ -22,19 +22,26 @@ import (
 // activation context"). The Result holds the graph, the main unit's token
 // universe and no value tokens: the §6 transformations do not apply.
 func TranslateLinked(prog *lang.Program) (*Result, error) {
+	res, _, err := translateLinked(prog)
+	return res, err
+}
+
+// translateLinked is TranslateLinked, also returning the units' builders
+// in emission order.
+func translateLinked(prog *lang.Program) (*Result, []*builder, error) {
 	if len(prog.Procs()) == 0 {
-		return nil, fmt.Errorf("translate: no procedures to compile separately")
+		return nil, nil, fmt.Errorf("translate: no procedures to compile separately")
 	}
 	derived, err := analysis.DeriveAliasStructures(prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Only procedures reachable from the main body are compiled (an
 	// uncalled body would have no call sites to feed its Param nodes).
 	order := append([]string{""}, prog.Reachable("")...)
 	if len(order) == 1 {
-		return nil, fmt.Errorf("translate: no procedure is ever called")
+		return nil, nil, fmt.Errorf("translate: no procedure is ever called")
 	}
 	reach := map[string][]string{}
 	units := map[string]*cfg.Graph{}
@@ -46,7 +53,7 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 		}
 		g, err := cfg.BuildSeparate(prog, body)
 		if err != nil {
-			return nil, fmt.Errorf("translate: unit %q: %w", name, err)
+			return nil, nil, fmt.Errorf("translate: unit %q: %w", name, err)
 		}
 		units[name] = g
 	}
@@ -56,7 +63,7 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 	for _, name := range order {
 		ug, regions, err := cfg.MakeReducible(units[name])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if regions > 0 {
 			prog = ug.Prog
@@ -116,11 +123,11 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 	}
 	mainAlias := analysis.NewAliasStructure(prog)
 	out := dfg.NewEditorFor(prog)
-	built := map[string]*builder{}
+	built, emitted := map[string]*builder{}, []*builder{}
 	for _, name := range order {
 		ug, loops, err := cfg.InsertLoopControl(units[name])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// A name's tokens are its alias class within the unit's universe
 		// (the singleton cover).
@@ -141,7 +148,7 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 		}
 		nb, err := makeNeed(ug, universe[name], tokensOf, nil, nil, bound)
 		if err != nil {
-			return nil, fmt.Errorf("translate: unit %q: %w", name, err)
+			return nil, nil, fmt.Errorf("translate: unit %q: %w", name, err)
 		}
 		b := &builder{
 			g: ug, loops: loops, numbering: nb, value: make([]bool, len(nb.universe)), out: out,
@@ -149,9 +156,9 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 			calleeArity: func(proc string) int { return len(universe[proc]) },
 		}
 		if err := b.emit(true, false); err != nil {
-			return nil, fmt.Errorf("translate: unit %q: %w", name, err)
+			return nil, nil, fmt.Errorf("translate: unit %q: %w", name, err)
 		}
-		built[name] = b
+		built[name], emitted = b, append(emitted, b)
 	}
 
 	// Link every call site to its callee.
@@ -181,7 +188,7 @@ func TranslateLinked(prog *lang.Program) (*Result, error) {
 		err = linked.Validate()
 	}
 	if err != nil {
-		return nil, fmt.Errorf("translate: linked graph invalid: %w", err)
+		return nil, nil, fmt.Errorf("translate: linked graph invalid: %w", err)
 	}
-	return &Result{Graph: linked, Universe: universe[""], ValueTokens: map[string]string{}}, nil
+	return &Result{Graph: linked, Universe: universe[""], ValueTokens: map[string]string{}}, emitted, nil
 }
