@@ -20,13 +20,8 @@ import (
 // after the graph optimizer, to the reference compile side: the
 // loop-controlled CFG and its loops, switch placement, source vectors
 // and emission order, and the optimized graph's text. It returns how
-// many dataflow graphs it diffed; zero when the schema rejects o. With
-// sameCFG unset the loop-controlled CFG is not diffed: the reference
-// transforms the smallest loop first and the production the innermost,
-// so where several loops are transformed in another order their control
-// statements are numbered differently. The analyses run on the
-// production CFG either way.
-func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, optimize, sameCFG bool) int {
+// many dataflow graphs it diffed; zero when the schema rejects o.
+func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, optimize bool) int {
 	res, err := translate.Translate(g, o)
 	if err != nil {
 		return 0
@@ -36,18 +31,16 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 		t.Fatalf("%s/%+v: %s differs from the reference\n got %v\nwant %v", label, o, what, got, want)
 	}
 
-	if sameCFG {
-		g0, _, err := cfg.MakeReducible(g)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		wantCFG, wantLoops := refInsertLoopControl(g0)
-		if !reflect.DeepEqual(res.CFG.Nodes, wantCFG.Nodes) {
-			fail("loop-controlled CFG", res.CFG, wantCFG)
-		}
-		if !reflect.DeepEqual(res.Loops, wantLoops) {
-			fail("loops", res.Loops, wantLoops)
-		}
+	g0, _, err := cfg.MakeReducible(g)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	wantCFG, wantLoops := refInsertLoopControl(g0)
+	if !reflect.DeepEqual(res.CFG.Nodes, wantCFG.Nodes) {
+		fail("loop-controlled CFG", res.CFG, wantCFG)
+	}
+	if !reflect.DeepEqual(res.Loops, wantLoops) {
+		fail("loops", res.Loops, wantLoops)
 	}
 
 	need, placement := refNeed(res), refPlacementOf(res.Placement)
@@ -137,7 +130,7 @@ func TestCompileMatchesReference(t *testing.T) {
 			continue // procedure workloads need linked translation
 		}
 		for _, o := range combos {
-			graphs += diffCompile(t, w.Name, g, o, true, true)
+			graphs += diffCompile(t, w.Name, g, o, true)
 		}
 	}
 	for seed := int64(0); seed < 70; seed++ {
@@ -156,7 +149,7 @@ func TestCompileMatchesReference(t *testing.T) {
 				// combination drawn.
 				for k := range combos {
 					o := combos[(int(seed)*18+size*3+i+k)%len(combos)]
-					if n := diffCompile(t, fmt.Sprintf("%s/%d", w.Name, size), g, o, (int(seed)+size)%2 == 0, true); n > 0 {
+					if n := diffCompile(t, fmt.Sprintf("%s/%d", w.Name, size), g, o, (int(seed)+size)%2 == 0); n > 0 {
 						graphs += n
 						break
 					}
@@ -173,26 +166,23 @@ func TestCompileMatchesReference(t *testing.T) {
 			t.Fatalf("k-entry-%d: %v", k, err)
 		}
 		for _, o := range combos {
-			graphs += diffCompile(t, fmt.Sprintf("k-entry-%d", k), g, o, k%2 == 0, true)
+			graphs += diffCompile(t, fmt.Sprintf("k-entry-%d", k), g, o, k%2 == 0)
 		}
 	}
 	for seed := int64(0); seed < 24; seed++ {
 		for size := 1; size <= 3; size++ {
-			for i, c := range []struct {
-				w       workloads.Workload
-				sameCFG bool // multi-exit nests transform their loops in another order
-			}{
-				{workloads.RandomMultiExit(seed, size), false},
-				{workloads.RandomMultiLatch(seed, size), true},
-				{workloads.RandomIrreducible(seed, size), true},
+			for i, w := range []workloads.Workload{
+				workloads.RandomMultiExit(seed, size),
+				workloads.RandomMultiLatch(seed, size),
+				workloads.RandomIrreducible(seed, size),
 			} {
-				g, err := cfg.Build(c.w.Parse())
+				g, err := cfg.Build(w.Parse())
 				if err != nil {
-					t.Fatalf("%s: %v", c.w.Name, err)
+					t.Fatalf("%s: %v", w.Name, err)
 				}
 				for k := range combos {
 					o := combos[(int(seed)*7+size*3+i+k)%len(combos)]
-					if n := diffCompile(t, fmt.Sprintf("%s/%d", c.w.Name, size), g, o, (int(seed)+size+i)%2 == 0, c.sameCFG); n > 0 {
+					if n := diffCompile(t, fmt.Sprintf("%s/%d", w.Name, size), g, o, (int(seed)+size+i)%2 == 0); n > 0 {
 						graphs += n
 						break
 					}

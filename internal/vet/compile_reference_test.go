@@ -52,16 +52,26 @@ func refFindUntransformedLoop(g *cfg.Graph) (header int, body map[int]bool, ok b
 		return 0, nil, false
 	}
 	type rawLoop struct {
-		header int
-		body   map[int]bool
+		header, size int
+		body         map[int]bool
 	}
 	var candidates []rawLoop
 	for h, backs := range byHeader {
-		candidates = append(candidates, rawLoop{h, refNaturalLoop(g, h, backs)})
+		body := refNaturalLoop(g, h, backs)
+		// An exit statement lies in every loop around its own loop (§3),
+		// also where its edge leaves them all: it counts in their size,
+		// which orders the transformation as in cfg.InsertLoopControl.
+		size := len(body)
+		for _, x := range g.Nodes {
+			if x.Kind == cfg.KindLoopExit && !body[x.ID] && body[x.LoopHeader] {
+				size++
+			}
+		}
+		candidates = append(candidates, rawLoop{h, size, body})
 	}
 	sort.Slice(candidates, func(i, j int) bool {
-		if len(candidates[i].body) != len(candidates[j].body) {
-			return len(candidates[i].body) < len(candidates[j].body)
+		if candidates[i].size != candidates[j].size {
+			return candidates[i].size < candidates[j].size
 		}
 		return candidates[i].header < candidates[j].header
 	})
