@@ -215,27 +215,26 @@ func (c *Carrier) unlink(e int32) {
 // entries by token, kept as they are for reading: Find meets them no more.
 func (c *Carrier) Park(s int32) []int32 {
 	lo := len(c.parked)
-	for _, e := range c.sets[s].members {
-		c.unlink(e)
-		c.Ents[e].Set = -1
-		c.parked = append(c.parked, e)
-	}
+	c.parked = c.release(s, c.parked)
 	slices.SortFunc(c.parked[lo:], func(x, y int32) int { return cmp.Compare(c.Ents[x].Tok, c.Ents[y].Tok) })
-	c.sets[s].members, c.sets[s].multi = c.sets[s].members[:0], c.sets[s].multi[:0]
-	c.free = append(c.free, s)
 	return c.parked[lo:len(c.parked):len(c.parked)]
 }
 
 // Drain frees set s and the entries it holds.
-func (c *Carrier) Drain(s int32) {
+func (c *Carrier) Drain(s int32) { c.freeEnts = c.release(s, c.freeEnts) }
+
+// release frees set s, and appends to list the entries it holds, taken
+// off their tokens' chains.
+func (c *Carrier) release(s int32, list []int32) []int32 {
 	for _, e := range c.sets[s].members {
 		if c.Ents[e].Set != s {
 			continue // moved on by unite
 		}
 		c.unlink(e)
 		c.Ents[e].Set = -1
-		c.freeEnts = append(c.freeEnts, e)
+		list = append(list, e)
 	}
 	c.sets[s].members, c.sets[s].multi = c.sets[s].members[:0], c.sets[s].multi[:0]
 	c.free = append(c.free, s)
+	return list
 }

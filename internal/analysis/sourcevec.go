@@ -314,16 +314,11 @@ type walker struct {
 	work  *int
 }
 
-// walk computes the source vectors into out in one pass over the order,
-// recording the entries vet reads or, for one ≥ 0, carrying token one
-// alone and recording its every entry. Each node takes the set arriving
-// on its row, regenerates, switches or circulates the tokens it touches,
-// and sends the set on: to next, or a fork's and a loop entry's to past.
-// A fork moves its switched tokens into two new sets, one per arm; a loop
-// entry the tokens it circulates into the body's. A join merges every
-// token left with several sources. A back row records what arrived once
-// the last node sending to it is visited. work counts the entries made,
-// moved, recorded and united.
+// walk computes the source vectors into out in one pass over the order
+// (Carrier.Walk), recording the entries vet reads or, for one ≥ 0,
+// carrying token one alone and recording its every entry. A back row
+// records what arrived once the last node sending to it is visited. work
+// counts the entries made, moved, recorded and united.
 func (s *SourceVectors) walk(one int32, out *table, work *int) error {
 	w := &walker{SourceVectors: s, one: one, out: out, work: work}
 	out.span, out.cells, out.srcs = make([]struct{ lo, hi int32 }, len(s.Pos)+len(s.Last)), out.cells[:0], out.srcs[:0]
@@ -424,11 +419,11 @@ func (w *walker) record(e int32) {
 	if en := &w.Ents[e]; en.stamp != w.stamp {
 		en.stamp = w.stamp
 		*w.work++
-		w.out.cells = append(w.out.cells, cell{en.Tok, int32(len(w.out.srcs)), 0})
+		off := int32(len(w.out.srcs))
 		for _, in := range w.Inputs(e) {
 			w.out.srcs = append(w.out.srcs, in.From)
 		}
-		w.out.cells[len(w.out.cells)-1].n = int32(len(w.out.srcs)) - w.out.cells[len(w.out.cells)-1].off
+		w.out.cells = append(w.out.cells, cell{en.Tok, off, int32(len(w.out.srcs)) - off})
 	}
 }
 

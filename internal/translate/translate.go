@@ -186,7 +186,7 @@ type Result struct {
 	// "every token at every fork").
 	Placement *analysis.Placement
 	// Plan is the token plan the graph was built on: its placement and
-	// loop needs. Its SourceVectors recomputes Figure 11 on request.
+	// loop needs, from which vet and explain recompute Figure 11.
 	Plan *analysis.Plan
 	// Universe is the access-token name universe.
 	Universe []string

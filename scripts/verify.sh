@@ -293,6 +293,19 @@ if [ -n "$sweeps" ]; then
     exit 1
 fi
 
+echo "== the builder wires as it walks =="
+# The translator's builder is the walk of Figure 11: it carries each
+# token's wire from row to row and wires merges as it meets them (see
+# ANALYSIS.md, "Source vectors"). Reading the plan's source vectors back,
+# or resolving a source to a tap through a table, is a second walk.
+rewalk=$(grep -rnE 'SourceVectors|\.Sources\(|BackSources\(|tapOf\(' --include='*.go' internal/translate |
+    grep -v '_test\.go:' || true)
+if [ -n "$rewalk" ]; then
+    echo "the translator reads source vectors instead of wiring as it walks:" >&2
+    echo "$rewalk" >&2
+    exit 1
+fi
+
 echo "== alias-cover keeps one walk per question =="
 # alias-cover answers each §5 question with one walk: order along each
 # cover element's token line, with a plain search for the pairs line and
