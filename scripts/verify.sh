@@ -169,8 +169,8 @@ fi
 
 echo "== compile and vet keep no node × token table =="
 # The analyses the translator and vet run keep each table the size of
-# what it describes: source vectors per token, taps per regenerated
-# token, ordering per cover element, guard sets hash-consed (see
+# what it describes: source vectors per token, the builder's wires per
+# token in flight, ordering per cover element, guard sets hash-consed (see
 # ANALYSIS.md, "Cost"). A make sized by rows, nodes or n times tokens,
 # words or memory operations is a dense row per node again, and bytes
 # per node grow with the program (TestCompileScalesLinearly).
@@ -184,11 +184,11 @@ fi
 
 echo "== a translation unit is emitted one way =="
 # Translate and separate compilation run every translation unit through
-# one stage (builder.emit: switch placement, source vectors, arc
-# reservation, build; see DESIGN.md, "internal/translate"). A second call
-# site of either analysis, or a result type of the linked path's own, is
-# that stage written twice.
-for fn in SourceVectors PlaceWithLoopControl; do
+# one stage (builder.emit: switch placement, routing, arc reservation,
+# build; see DESIGN.md, "internal/translate"). A second call site of
+# either analysis, or a result type of the linked path's own, is that
+# stage written twice.
+for fn in Route PlaceWithLoopControl; do
     sites=$(grep -rn "$fn(" --include='*.go' internal/translate | grep -v '_test\.go:' |
         grep -vE '^[^:]+:[0-9]+:(func |[[:space:]]*//)' || true)
     if [ "$(echo "$sites" | grep -c .)" -gt 1 ]; then
