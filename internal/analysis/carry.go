@@ -15,7 +15,7 @@ import (
 // node does to the tokens it takes is the walk's own.
 type Carrier struct {
 	Ents   []Entry
-	United int // the entries moved by uniting sets
+	united int // the entries moved by uniting sets
 
 	at             []int32 // per row, the set arriving there, or -1
 	pool           []Input // the inputs of the entries with several
@@ -106,7 +106,7 @@ func (c *Carrier) Arrive(row int) int32 {
 func (c *Carrier) Send(s, row int32) {
 	if int(row) < len(c.route.Pos) && c.route.Pos[row] <= c.cur {
 		c.err = cmp.Or(c.err, fmt.Errorf("analysis: n%d sends tokens to a port the order has passed", c.route.Order[c.cur]))
-		c.Drain(s)
+		c.drain(s)
 		return
 	}
 	c.sets[s].multi = slices.DeleteFunc(c.sets[s].multi, func(e int32) bool { return c.Ents[e].Set != s || c.Ents[e].n < 2 })
@@ -124,7 +124,7 @@ func (c *Carrier) unite(a, b int32) int32 {
 		a, b = b, a
 	}
 	for _, e := range c.sets[b].members {
-		c.United++
+		c.united++
 		f := c.Find(a, c.Ents[e].Tok)
 		if f < 0 {
 			c.attach(e, a)
@@ -143,7 +143,7 @@ func (c *Carrier) unite(a, b int32) int32 {
 			c.sets[a].multi = append(c.sets[a].multi, f)
 		}
 	}
-	c.Drain(b)
+	c.drain(b)
 	return a
 }
 
@@ -220,8 +220,8 @@ func (c *Carrier) Park(s int32) []int32 {
 	return c.parked[lo:len(c.parked):len(c.parked)]
 }
 
-// Drain frees set s and the entries it holds.
-func (c *Carrier) Drain(s int32) { c.freeEnts = c.release(s, c.freeEnts) }
+// drain frees set s and the entries it holds.
+func (c *Carrier) drain(s int32) { c.freeEnts = c.release(s, c.freeEnts) }
 
 // release frees set s, and appends to list the entries it holds, taken
 // off their tokens' chains.

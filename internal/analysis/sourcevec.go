@@ -323,10 +323,10 @@ func (s *SourceVectors) walk(one int32, out *table, work *int) error {
 	w := &walker{SourceVectors: s, one: one, out: out, work: work}
 	out.span, out.cells, out.srcs = make([]struct{ lo, hi int32 }, len(s.Pos)+len(s.Last)), out.cells[:0], out.srcs[:0]
 	err := w.Walk(s.Route, len(s.Universe), w.visit, func(row int) {
-		w.Drain(w.arrive(row, true))
+		w.drain(w.arrive(row, true))
 		w.close(row)
 	})
-	*work += w.United
+	*work += w.united
 	return err
 }
 
@@ -347,7 +347,7 @@ func (w *walker) visit(id int) error {
 
 	case cfg.KindEnd:
 		// Terminal; the translation collects every token here.
-		w.Drain(s)
+		w.drain(s)
 		return nil
 
 	case cfg.KindAssign, cfg.KindCall, cfg.KindLoopExit:
