@@ -94,13 +94,13 @@ func cmdExplain(args []string) error {
 	}
 
 	fmt.Printf("\n== switch placement (Figure 10), schema %s ==\n", schema)
-	for f, row := range res.Placement.Needs {
+	for f, row := range res.Plan.Placement.Needs {
 		if len(row) == 0 {
 			continue
 		}
 		toks := make([]string, len(row))
 		for i, t := range row {
-			toks[i] = res.Placement.Universe[t]
+			toks[i] = res.Plan.Placement.Universe[t]
 		}
 		fmt.Printf("%s switches: %s\n", res.CFG.Nodes[f], strings.Join(toks, ", "))
 	}

@@ -68,7 +68,7 @@ func ComputeSourceVectors(g *cfg.Graph, loops []cfg.Loop, universe []string, nee
 	if err != nil {
 		return nil, err
 	}
-	pl := &Plan{g: g, loops: loops, cd: ComputeControlDeps(g), universe: universe, need: needs}
+	pl := &Plan{g: g, loops: loops, cd: ComputeControlDeps(g), universe: universe, base: needs, need: needs}
 	if pl.switched, err = placement.renumber(universe); err != nil {
 		return nil, err
 	}

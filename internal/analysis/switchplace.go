@@ -131,11 +131,12 @@ type Plan struct {
 	loops    []cfg.Loop
 	cd       *ControlDeps
 	universe []string // sorted: token id t is universe[t]
-	// need holds per CFG node the tokens the source vectors see it need:
-	// its own, and at a loop's control statements the tokens the loop
-	// circulates; switched the tokens switched at it.
-	need, switched Rows
-	bodies         [][]int32 // per loop, its body's nodes
+	// base holds per CFG node the tokens it needs, as the caller numbered
+	// them; need the tokens the source vectors see it need: its own, and
+	// at a loop's control statements the tokens the loop circulates;
+	// switched the tokens switched at it.
+	base, need, switched Rows
+	bodies               [][]int32 // per loop, its body's nodes
 }
 
 // PlaceEverywhere is the plan of Schemas 1, 2 and 3: every fork switches
@@ -143,7 +144,7 @@ type Plan struct {
 // need holds per CFG node the ids of the tokens it needs, ids being
 // positions in universe, which is sorted.
 func PlaceEverywhere(g *cfg.Graph, loops []cfg.Loop, universe []string, need Rows) *Plan {
-	pl := &Plan{g: g, loops: loops, cd: ComputeControlDeps(g), universe: universe, need: need}
+	pl := &Plan{g: g, loops: loops, cd: ComputeControlDeps(g), universe: universe, base: need, need: need}
 	all := make([]int32, len(universe))
 	for t := range all {
 		all[t] = int32(t)
@@ -169,8 +170,8 @@ func PlaceEverywhere(g *cfg.Graph, loops []cfg.Loop, universe []string, need Row
 // appear at in-loop forks, placement and loop needs are iterated to their
 // fixpoint. step is the Corollary 1 placement, over g's control
 // dependences: the translator passes Figure 10's worklist (Figure10), vet
-// ByIteratedCD. base holds per CFG node the ids of the tokens it needs,
-// ids being positions in universe, which is sorted.
+// ByIteratedCD (through PlaceWith). base holds per CFG node the ids of
+// the tokens it needs, ids being positions in universe, which is sorted.
 //
 // Every round runs on the same rows. The plan's need is base extended by
 // the last round's loop needs, which the source vectors must also see,
@@ -179,7 +180,22 @@ func PlaceEverywhere(g *cfg.Graph, loops []cfg.Loop, universe []string, need Row
 // (loop, token) pairs, finite, reach their fixpoint; a round whose loop
 // needs drop a pair is an error, as no fixpoint need follow it.
 func PlaceWithLoopControl(g *cfg.Graph, loops []cfg.Loop, universe []string, base Rows, step Step) (*Plan, error) {
-	pl := &Plan{g: g, loops: loops, cd: ComputeControlDeps(g), universe: universe}
+	return (&Plan{g: g, loops: loops, cd: ComputeControlDeps(g), universe: universe, base: base}).place(step)
+}
+
+// PlaceWith is PlaceWithLoopControl by step on the plan's own need, the
+// one its caller numbered, and control dependences: a new plan.
+func (pl *Plan) PlaceWith(step Step) (*Plan, error) {
+	return (&Plan{g: pl.g, loops: pl.loops, cd: pl.cd, universe: pl.universe, base: pl.base}).place(step)
+}
+
+// Need returns per CFG node the ids of the tokens it needs, as the
+// plan's caller numbered them.
+func (pl *Plan) Need() Rows { return pl.base }
+
+// place iterates placement by step and loop needs to their fixpoint.
+func (pl *Plan) place(step Step) (*Plan, error) {
+	base, universe := pl.base, pl.universe
 	var loopRows Rows // per loop, the tokens it circulates
 	for round := 1; ; round++ {
 		pl.need = pl.extend(base, loopRows)

@@ -182,11 +182,9 @@ type Result struct {
 	// translation ran on.
 	CFG   *cfg.Graph
 	Loops []cfg.Loop
-	// Placement is the switch placement used (for Schema 1/2/3 this is
-	// "every token at every fork").
-	Placement *analysis.Placement
-	// Plan is the token plan the graph was built on: its placement and
-	// loop needs, from which vet and explain recompute Figure 11.
+	// Plan is the token plan the graph was built on: its need, its switch
+	// placement (for Schema 1/2/3 "every token at every fork") and loop
+	// needs, from which vet and explain recompute Figure 11.
 	Plan *analysis.Plan
 	// Universe is the access-token name universe.
 	Universe []string
@@ -347,7 +345,6 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		Options:         opt,
 		CFG:             g,
 		Loops:           loops,
-		Placement:       b.plan.Placement,
 		Plan:            b.plan,
 		Universe:        universe,
 		TokensOf:        tokensOf,
@@ -441,19 +438,6 @@ func number(ids []int32, universe []string, toks ...string) ([]int32, error) {
 		ids = append(ids, int32(t))
 	}
 	return ids, nil
-}
-
-// NeedOf derives again the need rows the translator placed res's switches
-// by, from what res records: its CFG, Universe, TokensOf, parallelized
-// stores and I-structure arrays. It needs a program's translation; a
-// separate compilation records no CFG.
-func NeedOf(res *Result) (analysis.Rows, error) {
-	istructs := map[string]bool{}
-	for _, a := range res.IStructures {
-		istructs[a] = true
-	}
-	nb, err := makeNeed(res.CFG, res.Universe, res.TokensOf, res.ParallelStores, istructs, nil)
-	return nb.need, err
 }
 
 // emit is the unit stage every translation unit runs, a program's or one

@@ -85,11 +85,13 @@ func BenchmarkVet(b *testing.B) {
 // lines brought it to 4.1 k, walking each operation's synch tree back
 // in place of that memo to 3.3 k, and numbering the recomputed plan's
 // tokens by their place in the universe, with no name sets rebuilt, to
-// 1.75 k, and computing its source vectors in one walk over the order,
-// in place of a sweep per token, to 1.63 k. The gate is that count (under
+// 1.75 k, computing its source vectors in one walk over the order, in
+// place of a sweep per token, to 1.63 k, and placing on the translator's
+// own need and control dependences, in place of deriving both again, to
+// 858. The gate is that count (under
 // -race, which allocates a little more) × 1.25. Allocation counts repeat
 // exactly, so this gate is deterministic where wall time is not.
-const vetAllocBudget = 2_040
+const vetAllocBudget = 1_075
 
 func TestVetAllocBudget(t *testing.T) {
 	res := compile(t, workloads.Random(1990, 40, 3), translate.Options{Schema: translate.Schema2Opt}, true)

@@ -43,7 +43,7 @@ func diffCompile(t *testing.T, label string, g *cfg.Graph, o translate.Options, 
 		fail("loops", res.Loops, wantLoops)
 	}
 
-	need, placement := refNeed(res), refPlacementOf(res.Placement)
+	need, placement := refNeed(res), refPlacementOf(res.Plan.Placement)
 	if o.Schema == translate.Schema2Opt || o.Schema == translate.Schema3Opt {
 		got := placement
 		need, placement = refPlaceWithLoopControl(res.CFG, res.Loops, need)

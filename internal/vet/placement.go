@@ -78,7 +78,8 @@ type placeInfo struct {
 // CD+ closures (analysis.ByIteratedCD, Definition 5), not the Figure 10
 // worklist the translator itself ran — so agreement between the two is a
 // genuine cross-check, iterated with loop needs by the fixpoint the
-// translator runs too (analysis.PlaceWithLoopControl). Cached per Unit.
+// translator runs too (analysis.Plan.PlaceWith), on the need the
+// translator numbered. Cached per Unit.
 func (u *Unit) placementInfo() *placeInfo {
 	u.placeOnce.Do(func() {
 		u.place = recomputePlacement(u.Res)
@@ -133,26 +134,17 @@ func isFork(g *cfg.Graph, id int) bool {
 }
 
 func recomputePlacement(res *translate.Result) *placeInfo {
+	pi := &placeInfo{needEntries: res.Plan.Need().Entries()}
 	if sc := res.Options.Schema; sc == translate.Schema2Opt || sc == translate.Schema3Opt {
-		return minimalFixpoint(res)
+		pi.plan, pi.err = res.Plan.PlaceWith(analysis.ByIteratedCD)
+		return pi
 	}
-	need, err := translate.NeedOf(res)
-	if err != nil {
-		return &placeInfo{err: err}
-	}
-	return &placeInfo{plan: analysis.PlaceEverywhere(res.CFG, res.Loops, res.Universe, need), needEntries: need.Entries()}
-}
-
-// minimalFixpoint computes the §4-optimized placement — CD+ closures
-// iterated with loop needs to their fixpoint — regardless of the schema
-// the graph was built under.
-func minimalFixpoint(res *translate.Result) *placeInfo {
-	need, err := translate.NeedOf(res)
-	if err != nil {
-		return &placeInfo{err: err}
-	}
-	pi := &placeInfo{needEntries: need.Entries()}
-	pi.plan, pi.err = analysis.PlaceWithLoopControl(res.CFG, res.Loops, res.Universe, need, analysis.ByIteratedCD)
+	// The contract of the unoptimized schemas is the translator's own
+	// placement, every token at every fork; a copy keeps vet's work
+	// counts its own.
+	plan := *res.Plan
+	plan.Work = analysis.Work{}
+	pi.plan = &plan
 	return pi
 }
 
@@ -168,14 +160,14 @@ func minimalFixpoint(res *translate.Result) *placeInfo {
 // (analysis.Figure10), whose switches the switch-placement pass diffs
 // against this recomputation by iterated control dependence.
 func MinimalPlacement(res *translate.Result) (*analysis.Placement, error) {
-	if res == nil || res.CFG == nil || res.TokensOf == nil {
+	if res == nil || res.Plan == nil {
 		return nil, fmt.Errorf("vet: no translation metadata to recompute placement from")
 	}
-	pi := minimalFixpoint(res)
-	if pi.err != nil {
-		return nil, pi.err
+	pl, err := res.Plan.PlaceWith(analysis.ByIteratedCD)
+	if err != nil {
+		return nil, err
 	}
-	return pi.plan.Placement, nil
+	return pl.Placement, nil
 }
 
 // passSwitchPlacement diffs the switches the translator emitted against
@@ -263,7 +255,9 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 // switches the graph holds and checks the merge set: a dataflow merge
 // exists exactly where a token has more than one source — at joins and
 // end, and at the initial and back ports of the loop entries of the
-// tokens each loop circulates. The one accepted shortfall is the shape
+// tokens each loop circulates. A merge the vectors do not expect means
+// the graph and this second computation of Figure 11 disagree, and is an
+// error as a missing one is. The one accepted shortfall is the shape
 // merge collapsing leaves: a join with no merge whose token feeds a merge
 // slot of the same token that holds one, directly or through a chain of
 // such joins (determinacy judges where the arms landed). The same vectors
@@ -355,7 +349,7 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 			})
 		case got > want:
 			ds = append(ds, Diagnostic{
-				Severity: SevWarning, Node: mergeNodeAt(u, stmt, tok), Tok: tok,
+				Severity: SevError, Check: machcheck.InvalidConfig, Node: mergeNodeAt(u, stmt, tok), Tok: tok,
 				Msg: fmt.Sprintf("redundant merge for token %s at %s: the source vector has a single element (want %d merges, found %d)", tok, stmtLabel(g, stmt), want, got),
 			})
 		}

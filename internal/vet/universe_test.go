@@ -18,8 +18,9 @@ import (
 // name, apart from the translator: per node, the tokens of the variables
 // it references (none for an I-structure array) and the completion token
 // of a §6.3 store it carries, on every workload under every option
-// combination and on every generator; translate.NeedOf must number the
-// same tokens. A linked unit's need is numbered as the unit is built, and
+// combination and on every generator; the need of the plan the graph was
+// built on (res.Plan.Need), which vet places on, must number the same
+// tokens. A linked unit's need is numbered as the unit is built, and
 // TranslateLinked fails on a name without tokens in its unit, so the
 // proc-* workloads and RandomProcs must translate.
 func TestNeedTokensInUniverse(t *testing.T) {
@@ -49,10 +50,7 @@ func TestNeedTokensInUniverse(t *testing.T) {
 			if !slices.IsSorted(res.Universe) {
 				t.Fatalf("%s: universe %v is not sorted", label, res.Universe)
 			}
-			need, err := translate.NeedOf(res)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			need := res.Plan.Need()
 			var want []string
 			for id := range res.CFG.Nodes {
 				want = want[:0]
@@ -78,7 +76,7 @@ func TestNeedTokensInUniverse(t *testing.T) {
 					got = append(got, res.Universe[tk])
 				}
 				if !slices.Equal(got, want) {
-					t.Fatalf("%s: %s: NeedOf numbers %v, want %v", label, res.CFG.Nodes[id], got, want)
+					t.Fatalf("%s: %s: the plan's need numbers %v, want %v", label, res.CFG.Nodes[id], got, want)
 				}
 			}
 		}

@@ -206,10 +206,11 @@ type Work struct {
 	// GuardCons counts the guard table's cons calls, GuardSteps the arm
 	// list steps of its set operations while it is solved.
 	GuardCons, GuardSteps int
-	// NeedEntries counts the entries of the need rows translate.NeedOf
-	// numbered for the recomputed placement, one per (node, token it
-	// needs), CDPops the CD+ worklist pops of its rounds, and SVCells the
-	// entries its source-vector walk made, moved, recorded and united.
+	// NeedEntries counts the entries of the need rows the translator
+	// numbered and the recomputed placement reads, one per (node, token
+	// it needs), CDPops the CD+ worklist pops of its rounds, and SVCells
+	// the entries its source-vector walk made, moved, recorded and
+	// united.
 	NeedEntries, CDPops, SVCells int
 }
 
@@ -400,7 +401,7 @@ func (u *Unit) Out(node, port int) []int32 { return u.adj.Out(node, port) }
 
 // hasMeta reports whether translation-validation metadata is available.
 func (u *Unit) hasMeta() bool {
-	return u.Res != nil && u.Res.CFG != nil && u.Res.TokensOf != nil
+	return u.Res != nil && u.Res.Plan != nil
 }
 
 const noMetaReason = "no translation metadata (graph loaded from text or linked)"

@@ -285,6 +285,30 @@ if a < b {
 x := 0
 `}
 
+// TestVetRejectsSplicedMerge: a merge the recomputed source vectors do
+// not expect — here spliced, with one input, onto the token line into a
+// loop exit — is an error of the source-vectors pass, not a warning: the
+// graph and vet's Figure 11 disagree.
+func TestVetRejectsSplicedMerge(t *testing.T) {
+	res := mustTranslate(t, "running-example", translate.Options{Schema: translate.Schema2Opt})
+	i := slices.IndexFunc(res.Graph.Nodes, func(n *dfg.Node) bool { return n.Kind == dfg.LoopExit })
+	if i < 0 {
+		t.Fatal("no loop exit")
+	}
+	lx := res.Graph.Nodes[i]
+	e := dfg.NewEditor(res.Graph)
+	in := e.Ins().First(e.Ins().Slot(lx.ID, 0))
+	a := e.Arcs[in]
+	m := e.AddNode(&dfg.Node{Kind: dfg.Merge, Tok: lx.Tok, Stmt: lx.Stmt})
+	e.KillArc(in)
+	e.AddArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: m, Dummy: a.Dummy})
+	e.AddArc(dfg.Arc{From: m, To: lx.ID, Dummy: a.Dummy})
+	rep := Run(mustGraph(t, e), res)
+	if !slices.Contains(rep.Detectors(), "source-vectors") {
+		t.Errorf("merge of %s spliced in at %s: want an error from source-vectors, detectors %v:\n%s", lx.Tok, res.CFG.Nodes[lx.Stmt], rep.Detectors(), rep)
+	}
+}
+
 // TestVetJudgesRemovalsByGraph: vet decides whether a switch or merge may
 // be absent from the graph and the CFG alone. Each case hand-edits the
 // Schema 2 graph of nestedDiamond the way a rewrite would.
