@@ -306,6 +306,21 @@ if [ -n "$rewalk" ]; then
     exit 1
 fi
 
+echo "== what a node does to its tokens is stated once =="
+# Carrier.Move (internal/analysis/carry.go) states what each CFG node
+# does to the tokens arriving on its row, for the builder's walk and the
+# source-vector walk alike (see ANALYSIS.md, "Source vectors"): it alone
+# decides a fork's arms and a loop's bypass. Code outside
+# internal/analysis that reads the route's Alt or Past rows has started
+# a second statement of the per-node moves.
+moves=$(grep -rn '\.Alt\[\|\.Past\[' --include='*.go' . | grep -v '_test\.go:' |
+    grep -v '^\./internal/analysis/' || true)
+if [ -n "$moves" ]; then
+    echo "per-node token routing outside analysis.Carrier.Move:" >&2
+    echo "$moves" >&2
+    exit 1
+fi
+
 echo "== alias-cover keeps one walk per question =="
 # alias-cover answers each §5 question with one walk: order along each
 # cover element's token line, with a plain search for the pairs line and
