@@ -358,7 +358,7 @@ func Run(g *dfg.Graph, cfg Config) (*Outcome, error) {
 	// the count again, driving inflight to zero mid-seeding and tripping a
 	// spurious quiescent-before-end deadlock on a clean run.
 	e.inflight.Add(1)
-	for _, t := range e.tab.Out(int32(g.StartID), 0) {
+	for _, t := range e.tab.Out(g.StartID, 0) {
 		e.send(int(t.Node), msg{port: int(t.Port), val: 0, tg: token.Root})
 		if seedTestDelay != nil {
 			seedTestDelay()
@@ -410,7 +410,7 @@ func (e *engine) watchdogError(d time.Duration) error {
 		if depth == 0 && !wedged {
 			continue
 		}
-		label := e.g.Nodes[i].String()
+		label := e.g.Label(e.g.Nodes[i])
 		if wedged {
 			label += " (wedged)"
 		}
@@ -595,14 +595,14 @@ func (e *engine) worker(n *dfg.Node) {
 		bit := uint64(1) << uint(m.port)
 		if st.have&bit != 0 {
 			e.fail(machcheck.Newf(machcheck.TagViolation, "channels",
-				"duplicate token at %s port %d tag %q", n, m.port, m.tg.Key()))
+				"duplicate token at %s port %d tag %q", e.g.Label(n), m.port, m.tg.Key()))
 			e.retire()
 			continue
 		}
 		st.have |= bit
 		st.vals[m.port] = m.val
 		st.n++
-		if st.n == n.NIns {
+		if st.n == int(n.NIns) {
 			delete(match, m.tg.Key())
 			e.fire(n, st.vals, 0, st.tg, st.clock, &fused)
 		}
@@ -621,7 +621,7 @@ func (e *engine) emit(node, port int, val int64, tg token.Tag, clock int64) {
 // opFault fails the run with a kernel or store error, reported as this
 // engine's operator fault at the node.
 func (e *engine) opFault(n *dfg.Node, err error) {
-	e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", n, err))
+	e.fail(machcheck.Newf(machcheck.OperatorFault, "channels", "%s: %v", e.g.Label(n), err))
 }
 
 // fire executes one activation. clock is the max Lamport timestamp over
@@ -640,8 +640,8 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		return
 	}
 	fc := clock + 1
-	e.counters.Inc(n.ID)
-	e.counters.ObserveClock(n.ID, fc)
+	e.counters.Inc(int(n.ID))
+	e.counters.ObserveClock(int(n.ID), fc)
 	if e.tel != nil {
 		e.tel.firings.Add(1)
 	}
@@ -677,24 +677,24 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		}
 		*fused = res
 		for p, s := range fi.Outs {
-			e.emit(n.ID, p, res[s], tg, fc)
+			e.emit(int(n.ID), p, res[s], tg, fc)
 		}
 
 	case dfg.Apply:
 		e.procMu.Lock()
-		nt, info, err := e.procs.Open(n.ID, tg, tg)
+		nt, info, err := e.procs.Open(int(n.ID), tg, tg)
 		e.procMu.Unlock()
 		if err != nil {
 			e.fail(err)
 			return
 		}
 		for j := range info.Params {
-			e.emit(n.ID, len(info.InTokens)+j, 0, nt, fc)
+			e.emit(int(n.ID), len(info.InTokens)+j, 0, nt, fc)
 		}
 
 	case dfg.ProcReturn:
 		e.procMu.Lock()
-		info, caller, err := e.procs.Close(n.ID, tg)
+		info, caller, err := e.procs.Close(int(n.ID), tg)
 		e.procMu.Unlock()
 		if err != nil {
 			e.fail(err)
@@ -705,10 +705,10 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 		}
 
 	case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
-		name := n.Var
+		name := e.g.Name(n.Var)
 		if e.procs.Linked() { // else the registry never changes
 			e.procMu.Lock()
-			name = e.procs.Resolve(n.Var, tg)
+			name = e.procs.Resolve(e.g.Name(n.Var), tg)
 			e.procMu.Unlock()
 		}
 		v, err := e.store.Access(n.Kind, name, vals)
@@ -716,24 +716,24 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 			e.opFault(n, err)
 			return
 		}
-		e.emit(n.ID, 0, v, tg, fc)
+		e.emit(int(n.ID), 0, v, tg, fc)
 		if n.OutPorts() == 2 {
-			e.emit(n.ID, 1, 0, tg, fc)
+			e.emit(int(n.ID), 1, 0, tg, fc)
 		}
 
 	case dfg.ILoad:
 		e.istructMu.Lock()
-		v, full, err := e.istructs.Read(n.Var, vals[0], deferredRead{node: n.ID, tg: tg, clock: fc})
+		v, full, err := e.istructs.Read(e.g.Name(n.Var), vals[0], deferredRead{node: int(n.ID), tg: tg, clock: fc})
 		e.istructMu.Unlock()
 		if err != nil {
 			e.fail(err)
 		} else if full { // else the write emits the result
-			e.emit(n.ID, 0, v, tg, fc)
+			e.emit(int(n.ID), 0, v, tg, fc)
 		}
 
 	case dfg.IStore:
 		e.istructMu.Lock()
-		waiters, err := e.istructs.Write(n.Var, vals[0], vals[1])
+		waiters, err := e.istructs.Write(e.g.Name(n.Var), vals[0], vals[1])
 		e.istructMu.Unlock()
 		if err != nil {
 			e.fail(err)
@@ -762,15 +762,15 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 			if port == 0 {
 				tg = tg.Push()
 			} else if tg, err = tg.Bump(); err != nil {
-				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
+				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", e.g.Label(n), err))
 				return
 			}
 		case dfg.LoopExit:
 			if tg, err = tg.Pop(); err != nil {
-				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", n, err))
+				e.fail(machcheck.Newf(machcheck.TagViolation, "channels", "%s: %v", e.g.Label(n), err))
 				return
 			}
 		}
-		e.emit(n.ID, out, v, tg, fc)
+		e.emit(int(n.ID), out, v, tg, fc)
 	}
 }

@@ -77,7 +77,7 @@ func TestCrossEngineFiringCountsAgree(t *testing.T) {
 				for id := range mf {
 					if mf[id] != cf[id] {
 						t.Errorf("%s: node %s fired %d times on machine, %d on chanexec",
-							tag, res.Graph.Nodes[id], mf[id], cf[id])
+							tag, res.Graph.Label(res.Graph.Nodes[id]), mf[id], cf[id])
 					}
 				}
 				if mout.Store.Snapshot() != cout.Store.Snapshot() {

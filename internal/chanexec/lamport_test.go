@@ -60,7 +60,7 @@ func TestLamportClocksMatchMachineCausalDepth(t *testing.T) {
 				for id := range depths {
 					if depths[id] != clocks[id] {
 						t.Errorf("%s/%v P=%d: node %s causal depth %d on machine, Lamport clock %d on chanexec",
-							w.Name, opt.Schema, procs, res.Graph.Nodes[id], depths[id], clocks[id])
+							w.Name, opt.Schema, procs, res.Graph.Label(res.Graph.Nodes[id]), depths[id], clocks[id])
 					}
 				}
 			}

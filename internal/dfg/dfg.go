@@ -17,7 +17,7 @@ import (
 )
 
 // Kind classifies dataflow operators.
-type Kind int
+type Kind uint8
 
 // Dataflow operator kinds and their port conventions:
 //
@@ -105,14 +105,14 @@ func numOuts(k Kind) int {
 // carry their own; every other kind derives it from Kind).
 func (n *Node) OutPorts() int {
 	if n.Kind == Apply || n.Kind == Fused {
-		return n.NOuts
+		return int(n.NOuts)
 	}
 	return numOuts(n.Kind)
 }
 
 // fixedIns returns the input port count for fixed-arity kinds, or -1 for
 // variable arity (End, Synch).
-func fixedIns(k Kind) int {
+func fixedIns(k Kind) int32 {
 	switch k {
 	case Start:
 		return 0
@@ -127,22 +127,30 @@ func fixedIns(k Kind) int {
 	}
 }
 
-// Node is a dataflow operator.
+// Node is a dataflow operator: 40 bytes and pointer-free, its ids 32-bit
+// and its names numbers in the graph's name table (Graph.Names,
+// Graph.Name).
 type Node struct {
-	ID   int
-	Kind Kind
-	Op   lang.Op // BinOp, UnOp
-	Val  int64   // Const
-	Var  string  // Load/Store/LoadIdx/StoreIdx: variable or array name
-	Tok  string  // access-token name this operator serves (switch/merge/synch/loop control); "" otherwise
-	NIns int     // number of input ports
+	Val int64 // Const
+	ID  int32
+	// Var is the variable or array a memory operator touches, or the
+	// procedure of an Apply, Param or ProcReturn; NoName otherwise.
+	Var int32
+	// Tok is the access token this operator serves (switch/merge/synch/
+	// loop control, a procedure's Param); NoName otherwise.
+	Tok  int32
+	NIns int32 // number of input ports
 	// NOuts is the output port count for Apply nodes (return ports then
 	// callee-entry ports); other kinds derive it from Kind.
-	NOuts int
-
+	NOuts int32
 	// Stmt is the originating CFG node (provenance), or -1.
-	Stmt int
+	Stmt int32
+	Kind Kind
+	Op   lang.Op // BinOp, UnOp
 }
+
+// NoName is the Var or Tok of a node that names no variable or token.
+const NoName int32 = 0
 
 // The firing-rule classes of §2.2 — when an operator is enabled, as
 // opposed to what it then computes (interp.Step). Every engine takes them
@@ -205,21 +213,29 @@ type FusedInfo struct {
 	Outs  []int
 }
 
-// String renders the node for diagnostics.
-func (n *Node) String() string {
+// Name returns name id of the graph's name table, "" for NoName.
+func (g *Graph) Name(id int32) string {
+	if id == NoName {
+		return ""
+	}
+	return g.Names[id-1]
+}
+
+// Label renders node n of the graph for diagnostics.
+func (g *Graph) Label(n *Node) string {
 	switch n.Kind {
 	case Const:
 		return fmt.Sprintf("d%d: const %d", n.ID, n.Val)
 	case BinOp, UnOp:
 		return fmt.Sprintf("d%d: %s %s", n.ID, n.Kind, n.Op)
 	case Load, Store, LoadIdx, StoreIdx, ILoad, IStore, Apply, Param, ProcReturn:
-		if n.Tok != "" {
-			return fmt.Sprintf("d%d: %s %s[%s]", n.ID, n.Kind, n.Var, n.Tok)
+		if n.Tok != NoName {
+			return fmt.Sprintf("d%d: %s %s[%s]", n.ID, n.Kind, g.Name(n.Var), g.Name(n.Tok))
 		}
-		return fmt.Sprintf("d%d: %s %s", n.ID, n.Kind, n.Var)
+		return fmt.Sprintf("d%d: %s %s", n.ID, n.Kind, g.Name(n.Var))
 	case Switch, Merge, Synch, LoopEntry, LoopExit:
-		if n.Tok != "" {
-			return fmt.Sprintf("d%d: %s[%s]", n.ID, n.Kind, n.Tok)
+		if n.Tok != NoName {
+			return fmt.Sprintf("d%d: %s[%s]", n.ID, n.Kind, g.Name(n.Tok))
 		}
 	case Fused:
 		return fmt.Sprintf("d%d: fused/%d", n.ID, n.NIns)
@@ -227,13 +243,13 @@ func (n *Node) String() string {
 	return fmt.Sprintf("d%d: %s", n.ID, n.Kind)
 }
 
-// Arc is a token-carrying edge. Dummy marks access-token (synchronization
-// only) arcs — the dotted arcs of the paper's figures.
+// Arc is a token-carrying edge, 20 bytes. Dummy marks access-token
+// (synchronization only) arcs — the dotted arcs of the paper's figures.
 type Arc struct {
-	From     int
-	FromPort int
-	To       int
-	ToPort   int
+	From     int32
+	FromPort int32
+	To       int32
+	ToPort   int32
 	Dummy    bool
 }
 
@@ -267,6 +283,10 @@ type CallInfo struct {
 type Graph struct {
 	Nodes []*Node
 	Arcs  []Arc
+	// Names is the table Node.Var and Node.Tok number from 1: a
+	// translated graph's token universe, in the translator's order, then
+	// the other names its nodes carry, as first met.
+	Names []string
 
 	// Calls holds the call linkage of separately compiled procedures
 	// (empty for inlined translations).
@@ -283,8 +303,8 @@ type Graph struct {
 	table atomic.Pointer[OpTable]
 	valid atomic.Pointer[[4]int]
 
-	StartID int
-	EndID   int
+	StartID int32
+	EndID   int32
 
 	// Prog supplies the variable universe for execution (array sizes,
 	// alias declarations).
@@ -303,7 +323,7 @@ func (g *Graph) Add(n *Node) *Node {
 	if fi := fixedIns(n.Kind); fi >= 0 {
 		n.NIns = fi
 	}
-	n.ID = len(g.Nodes)
+	n.ID = int32(len(g.Nodes))
 	g.Nodes = append(g.Nodes, n)
 	switch n.Kind {
 	case Start:
@@ -320,26 +340,26 @@ func (g *Graph) AddFusion(fi FusedInfo) { g.Fusions = append(g.Fusions, fi) }
 // Connect adds an arc from (from, fromPort) to (to, toPort). The
 // endpoints are not checked here: Validate reports an arc that names no
 // port, and Index leaves it out.
-func (g *Graph) Connect(from, fromPort, to, toPort int, dummy bool) {
-	g.Arcs = appendArc(g.Arcs, Arc{From: from, FromPort: fromPort, To: to, ToPort: toPort, Dummy: dummy})
+func (g *Graph) Connect(from, fromPort, to, toPort int32, dummy bool) {
+	g.Arcs = appendDoubling(g.Arcs, Arc{From: from, FromPort: fromPort, To: to, ToPort: toPort, Dummy: dummy})
 }
 
-// appendArc appends a to arcs, doubling a full table: append grows a
-// table this long by a quarter at a time, copying it four times over on
-// the way to its final length.
-func appendArc(arcs []Arc, a Arc) []Arc {
-	if len(arcs) == cap(arcs) {
-		arcs = slices.Grow(arcs, max(len(arcs), 64))
+// appendDoubling appends v to a node or arc table, doubling a full one:
+// append grows a table this long by a quarter at a time, copying it four
+// times over on the way to its final length.
+func appendDoubling[T any](table []T, v T) []T {
+	if len(table) == cap(table) {
+		table = slices.Grow(table, max(len(table), 64))
 	}
-	return append(arcs, a)
+	return append(table, v)
 }
 
 // OutArcs returns the ids of the arcs leaving (node, port), in arc order:
 // a row of the graph's Index, to be read and not written.
-func (g *Graph) OutArcs(node, port int) []int32 { return g.Index().Out(node, port) }
+func (g *Graph) OutArcs(node int32, port int) []int32 { return g.Index().Out(node, port) }
 
 // InDegree returns the number of arcs entering (node, port).
-func (g *Graph) InDegree(node, port int) int { return len(g.Index().In(node, port)) }
+func (g *Graph) InDegree(node int32, port int) int { return len(g.Index().In(node, port)) }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
@@ -407,16 +427,21 @@ func (g *Graph) validate() error {
 	if g.StartID < 0 || g.EndID < 0 {
 		return fmt.Errorf("dfg: missing start or end node")
 	}
+	for _, n := range g.Nodes {
+		if uint32(n.Var) > uint32(len(g.Names)) || uint32(n.Tok) > uint32(len(g.Names)) {
+			return fmt.Errorf("dfg: d%d names %d and %d in a table of %d", n.ID, n.Var, n.Tok, len(g.Names))
+		}
+	}
 	x := g.Index()
 	for ai, a := range g.Arcs {
-		if a.From < 0 || a.From >= len(g.Nodes) || a.To < 0 || a.To >= len(g.Nodes) {
+		if a.From < 0 || int(a.From) >= len(g.Nodes) || a.To < 0 || int(a.To) >= len(g.Nodes) {
 			return fmt.Errorf("dfg: arc %+v out of node range", a)
 		}
-		if a.FromPort < 0 || a.FromPort >= g.Nodes[a.From].OutPorts() {
-			return fmt.Errorf("dfg: arc from %s port %d out of range", g.Nodes[a.From], a.FromPort)
+		if a.FromPort < 0 || int(a.FromPort) >= g.Nodes[a.From].OutPorts() {
+			return fmt.Errorf("dfg: arc from %s port %d out of range", g.Label(g.Nodes[a.From]), a.FromPort)
 		}
 		if a.ToPort < 0 || a.ToPort >= g.Nodes[a.To].NIns {
-			return fmt.Errorf("dfg: arc into %s port %d out of range (NIns=%d)", g.Nodes[a.To], a.ToPort, g.Nodes[a.To].NIns)
+			return fmt.Errorf("dfg: arc into %s port %d out of range (NIns=%d)", g.Label(g.Nodes[a.To]), a.ToPort, g.Nodes[a.To].NIns)
 		}
 		// Duplicate endpoints would deliver the same token twice (and once
 		// delivered twice under one tag, the ETS matching rules of §2.2 are
@@ -424,12 +449,12 @@ func (g *Graph) validate() error {
 		// the endpoint identity. An out-port's arc list is short and in
 		// arc order, so the earlier arcs of a's own list are the only
 		// possible duplicates.
-		for _, bi := range x.Out(a.From, a.FromPort) {
+		for _, bi := range x.Out(a.From, int(a.FromPort)) {
 			if int(bi) >= ai {
 				break
 			}
 			if b := g.Arcs[bi]; b.To == a.To && b.ToPort == a.ToPort {
-				return fmt.Errorf("dfg: duplicate arc %s port %d → %s port %d", g.Nodes[a.From], a.FromPort, g.Nodes[a.To], a.ToPort)
+				return fmt.Errorf("dfg: duplicate arc %s port %d → %s port %d", g.Label(g.Nodes[a.From]), a.FromPort, g.Label(g.Nodes[a.To]), a.ToPort)
 			}
 		}
 	}
@@ -438,16 +463,16 @@ func (g *Graph) validate() error {
 		// inputs or a two-input unary op would silently drop or never match
 		// operands at execution time.
 		if fi := fixedIns(n.Kind); fi >= 0 && n.NIns != fi {
-			return fmt.Errorf("dfg: %s has NIns=%d, kind %s requires %d", n, n.NIns, n.Kind, fi)
+			return fmt.Errorf("dfg: %s has NIns=%d, kind %s requires %d", g.Label(n), n.NIns, n.Kind, fi)
 		}
 	}
 	for _, n := range g.Nodes {
-		for p := 0; p < n.NIns; p++ {
+		for p := 0; p < int(n.NIns); p++ {
 			deg := len(x.In(n.ID, p))
 			switch {
 			case n.Kind == Merge && p == 0:
 				if deg < 2 {
-					return fmt.Errorf("dfg: %s has %d input arcs; a merge needs at least 2", n, deg)
+					return fmt.Errorf("dfg: %s has %d input arcs; a merge needs at least 2", g.Label(n), deg)
 				}
 			case n.Kind == End:
 				if deg < 1 {
@@ -455,16 +480,16 @@ func (g *Graph) validate() error {
 				}
 			case n.Kind == Param:
 				if deg < 1 {
-					return fmt.Errorf("dfg: %s never fed by any call site", n)
+					return fmt.Errorf("dfg: %s never fed by any call site", g.Label(n))
 				}
 			default:
 				if deg != 1 {
-					return fmt.Errorf("dfg: %s input port %d has %d arcs, want exactly 1", n, p, deg)
+					return fmt.Errorf("dfg: %s input port %d has %d arcs, want exactly 1", g.Label(n), p, deg)
 				}
 			}
 		}
 		if n.Kind == Synch && n.NIns < 1 {
-			return fmt.Errorf("dfg: %s has no inputs", n)
+			return fmt.Errorf("dfg: %s has no inputs", g.Label(n))
 		}
 	}
 	// Memory operators must name declared storage of the right shape:
@@ -495,12 +520,12 @@ func (g *Graph) validate() error {
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case Load, Store:
-			if !scalars[n.Var] {
-				return fmt.Errorf("dfg: %s references undeclared scalar %q", n, n.Var)
+			if !scalars[g.Name(n.Var)] {
+				return fmt.Errorf("dfg: %s references undeclared scalar %q", g.Label(n), g.Name(n.Var))
 			}
 		case LoadIdx, StoreIdx, ILoad, IStore:
-			if !arrays[n.Var] {
-				return fmt.Errorf("dfg: %s references undeclared array %q", n, n.Var)
+			if !arrays[g.Name(n.Var)] {
+				return fmt.Errorf("dfg: %s references undeclared array %q", g.Label(n), g.Name(n.Var))
 			}
 		}
 	}
@@ -519,25 +544,25 @@ func (g *Graph) validateFusions() error {
 			return fmt.Errorf("dfg: fusion entry %d names d%d, which is not a fused node", i, fi.Node)
 		}
 		if seen[fi.Node] {
-			return fmt.Errorf("dfg: duplicate fusion entry for %s", g.Nodes[fi.Node])
+			return fmt.Errorf("dfg: duplicate fusion entry for %s", g.Label(g.Nodes[fi.Node]))
 		}
 		seen[fi.Node] = true
 		n := g.Nodes[fi.Node]
 		if n.NIns > 64 {
-			return fmt.Errorf("dfg: %s has %d inputs; strict matching is limited to 64", n, n.NIns)
+			return fmt.Errorf("dfg: %s has %d inputs; strict matching is limited to 64", g.Label(n), n.NIns)
 		}
 		if len(fi.Steps) == 0 {
-			return fmt.Errorf("dfg: %s has an empty step program", n)
+			return fmt.Errorf("dfg: %s has an empty step program", g.Label(n))
 		}
 		ref := func(step, r int) error {
 			if r >= 0 {
 				if r >= step {
-					return fmt.Errorf("dfg: %s step %d references step %d (must be a prior step)", n, step, r)
+					return fmt.Errorf("dfg: %s step %d references step %d (must be a prior step)", g.Label(n), step, r)
 				}
 				return nil
 			}
-			if p := -r - fusedInputBias; p < 0 || p >= n.NIns {
-				return fmt.Errorf("dfg: %s step %d references input port %d (NIns=%d)", n, step, p, n.NIns)
+			if p := -r - fusedInputBias; p < 0 || p >= int(n.NIns) {
+				return fmt.Errorf("dfg: %s step %d references input port %d (NIns=%d)", g.Label(n), step, p, n.NIns)
 			}
 			return nil
 		}
@@ -555,21 +580,21 @@ func (g *Graph) validateFusions() error {
 					return err
 				}
 			default:
-				return fmt.Errorf("dfg: %s step %d has kind %s; only const/unop/binop fuse", n, s, op.Kind)
+				return fmt.Errorf("dfg: %s step %d has kind %s; only const/unop/binop fuse", g.Label(n), s, op.Kind)
 			}
 		}
-		if len(fi.Outs) != n.NOuts || n.NOuts < 1 {
-			return fmt.Errorf("dfg: %s emits %d ports but fusion lists %d outs", n, n.NOuts, len(fi.Outs))
+		if len(fi.Outs) != int(n.NOuts) || n.NOuts < 1 {
+			return fmt.Errorf("dfg: %s emits %d ports but fusion lists %d outs", g.Label(n), n.NOuts, len(fi.Outs))
 		}
 		for p, s := range fi.Outs {
 			if s < 0 || s >= len(fi.Steps) {
-				return fmt.Errorf("dfg: %s out port %d names step %d of %d", n, p, s, len(fi.Steps))
+				return fmt.Errorf("dfg: %s out port %d names step %d of %d", g.Label(n), p, s, len(fi.Steps))
 			}
 		}
 	}
 	for _, n := range g.Nodes {
 		if n.Kind == Fused && !seen[n.ID] {
-			return fmt.Errorf("dfg: %s has no fusion entry", n)
+			return fmt.Errorf("dfg: %s has no fusion entry", g.Label(n))
 		}
 	}
 	return nil
@@ -598,7 +623,7 @@ func (g *Graph) DOT() string {
 		case Fused:
 			shape = "box3d"
 		}
-		fmt.Fprintf(&b, "  d%d [label=%q, shape=%s];\n", n.ID, n.String(), shape)
+		fmt.Fprintf(&b, "  d%d [label=%q, shape=%s];\n", n.ID, g.Label(n), shape)
 	}
 	for _, a := range g.Arcs {
 		style := ""
@@ -633,7 +658,7 @@ type Meta struct {
 func (g *Graph) Meta() []Meta {
 	out := make([]Meta, len(g.Nodes))
 	for i, n := range g.Nodes {
-		m := Meta{Node: n.ID, Kind: n.Kind.String(), Label: n.String(), Var: n.Var, Tok: n.Tok, Stmt: n.Stmt, Ins: n.NIns}
+		m := Meta{Node: int(n.ID), Kind: n.Kind.String(), Label: g.Label(n), Var: g.Name(n.Var), Tok: g.Name(n.Tok), Stmt: int(n.Stmt), Ins: int(n.NIns)}
 		if n.Kind == BinOp || n.Kind == UnOp {
 			m.Op = n.Op.String()
 		}

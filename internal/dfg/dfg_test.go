@@ -3,6 +3,7 @@ package dfg
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ctdf/internal/lang"
 )
@@ -98,10 +99,11 @@ func TestValidateRules(t *testing.T) {
 
 func TestStatsAndCounts(t *testing.T) {
 	g := scratch()
+	g.Names = []string{"x"}
 	s := g.Add(&Node{Kind: Start})
 	e := g.Add(&Node{Kind: End, NIns: 1})
-	ld := g.Add(&Node{Kind: Load, Var: "x"})
-	st := g.Add(&Node{Kind: Store, Var: "x"})
+	ld := g.Add(&Node{Kind: Load, Var: 1})
+	st := g.Add(&Node{Kind: Store, Var: 1})
 	sw := g.Add(&Node{Kind: Switch})
 	_ = sw
 	g.Connect(s.ID, 0, ld.ID, 0, true)
@@ -117,21 +119,37 @@ func TestStatsAndCounts(t *testing.T) {
 	}
 }
 
-func TestNodeStrings(t *testing.T) {
+func TestNodeLabels(t *testing.T) {
+	g := &Graph{Names: []string{"x", "y", "q"}}
 	cases := []struct {
 		n    *Node
 		want string
 	}{
-		{&Node{ID: 1, Kind: Const, Val: 42}, "const 42"},
-		{&Node{ID: 2, Kind: BinOp, Op: lang.OpMul}, "binop *"},
-		{&Node{ID: 3, Kind: Load, Var: "q"}, "load q"},
-		{&Node{ID: 4, Kind: Switch, Tok: "x"}, "switch[x]"},
-		{&Node{ID: 5, Kind: LoopEntry, Tok: "y"}, "loop-entry[y]"},
+		{&Node{ID: 1, Kind: Const, Val: 42}, "d1: const 42"},
+		{&Node{ID: 2, Kind: BinOp, Op: lang.OpMul}, "d2: binop *"},
+		{&Node{ID: 3, Kind: Load, Var: 3}, "d3: load q"},
+		{&Node{ID: 7, Kind: Param, Var: 3, Tok: 1}, "d7: param q[x]"},
+		{&Node{ID: 4, Kind: Switch, Tok: 1}, "d4: switch[x]"},
+		{&Node{ID: 5, Kind: LoopEntry, Tok: 2}, "d5: loop-entry[y]"},
+		{&Node{ID: 6, Kind: Merge}, "d6: merge"},
 	}
 	for _, c := range cases {
-		if !strings.Contains(c.n.String(), c.want) {
-			t.Errorf("%q does not contain %q", c.n.String(), c.want)
+		if got := g.Label(c.n); got != c.want {
+			t.Errorf("label %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestRecordSizes pins the graph's two records at their 32-bit widths:
+// a translated graph holds O(E·V) arcs (§3), so every byte of Arc counts
+// E·V times, and a Node that holds no pointer is never scanned by the
+// collector.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Arc{}); got > 20 {
+		t.Errorf("Arc is %d bytes, want at most 20", got)
+	}
+	if got := unsafe.Sizeof(Node{}); got > 40 {
+		t.Errorf("Node is %d bytes, want at most 40", got)
 	}
 }
 

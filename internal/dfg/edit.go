@@ -33,6 +33,10 @@ type Editor struct {
 	// fusions holds the step programs by editor node id, in creation
 	// order.
 	fusions []FusedInfo
+	// names is the name table (Graph.Names), numbered by ids once
+	// NameID is first asked.
+	names []string
+	ids   map[string]int32
 }
 
 // Ports holds one arc list per port, doubly linked through per-arc
@@ -59,7 +63,7 @@ func (p *Ports) addNode(nports int) {
 }
 
 // Slot names port port of node node to the other methods.
-func (p *Ports) Slot(node, port int) int32 { return p.base[node] + int32(port) }
+func (p *Ports) Slot(node, port int32) int32 { return p.base[node] + port }
 
 // First returns the first arc of the slot, or -1; Next the one after arc.
 func (p *Ports) First(slot int32) int32 { return p.slots[slot].head }
@@ -111,11 +115,15 @@ func NewEditor(g *Graph) *Editor {
 		Arcs:    append(make([]Arc, 0, len(g.Arcs)+len(g.Arcs)/2), g.Arcs...),
 		dead:    make([]bool, len(g.Arcs)),
 		fusions: append([]FusedInfo(nil), g.Fusions...),
+		names:   g.Names,
 	}
 }
 
-// NewEditorFor starts an empty graph for prog.
-func NewEditorFor(prog *lang.Program) *Editor { return &Editor{src: NewGraph(prog)} }
+// NewEditorFor starts an empty graph for prog whose name table begins
+// with names (Graph.Names): a translation unit's token universe.
+func NewEditorFor(prog *lang.Program, names []string) *Editor {
+	return &Editor{src: NewGraph(prog), names: names}
+}
 
 // Outs and Ins list the live arcs at every output and input port, in
 // arc-creation order, and are current after every edit.
@@ -128,13 +136,16 @@ func (e *Editor) port() {
 	}
 	outs, ins := 0, 0
 	for _, n := range e.Nodes {
-		outs, ins = outs+n.OutPorts(), ins+n.NIns
+		outs, ins = outs+n.OutPorts(), ins+int(n.NIns)
 	}
-	e.outs.reserve(len(e.Nodes), outs, cap(e.Arcs))
-	e.ins.reserve(len(e.Nodes), ins, cap(e.Arcs))
+	// Links for the arcs there and half as many again, the margin the
+	// translator reserves for an edit's appends (the table's capacity
+	// holds its estimate's slack as well).
+	e.outs.reserve(len(e.Nodes), outs, len(e.Arcs)*3/2)
+	e.ins.reserve(len(e.Nodes), ins, len(e.Arcs)*3/2)
 	for _, n := range e.Nodes {
 		e.outs.addNode(n.OutPorts())
-		e.ins.addNode(n.NIns)
+		e.ins.addNode(int(n.NIns))
 	}
 	for id, a := range e.Arcs {
 		e.link(int32(id), a)
@@ -149,15 +160,15 @@ func (e *Editor) link(id int32, a Arc) {
 
 // AddNode appends n and returns its id. A fixed-arity kind gets its NIns
 // here; for the others the caller sets the port counts.
-func (e *Editor) AddNode(n *Node) int {
+func (e *Editor) AddNode(n *Node) int32 {
 	if fi := fixedIns(n.Kind); fi >= 0 {
 		n.NIns = fi
 	}
-	n.ID = len(e.Nodes)
-	e.Nodes = append(e.Nodes, n)
+	n.ID = int32(len(e.Nodes))
+	e.Nodes = appendDoubling(e.Nodes, n)
 	if e.ported {
 		e.outs.addNode(n.OutPorts())
-		e.ins.addNode(n.NIns)
+		e.ins.addNode(int(n.NIns))
 	}
 	return n.ID
 }
@@ -167,10 +178,10 @@ func (e *Editor) AddFusion(fi FusedInfo) { e.fusions = append(e.fusions, fi) }
 
 // Remove deletes node id and, with a Fused node, its step program. The
 // node's arcs are the caller's to kill: one left attached fails Graph.
-func (e *Editor) Remove(id int) {
+func (e *Editor) Remove(id int32) {
 	e.port() // built after the removal, they would have no row for it
 	if e.Nodes[id].Kind == Fused {
-		e.fusions = slices.DeleteFunc(e.fusions, func(fi FusedInfo) bool { return fi.Node == id })
+		e.fusions = slices.DeleteFunc(e.fusions, func(fi FusedInfo) bool { return fi.Node == int(id) })
 	}
 	e.Nodes[id] = nil
 }
@@ -186,7 +197,7 @@ func (e *Editor) ReserveArcs(n int) {
 
 // AddArc appends a, last at both its ports.
 func (e *Editor) AddArc(a Arc) {
-	e.Arcs, e.dead = appendArc(e.Arcs, a), append(e.dead, false)
+	e.Arcs, e.dead = appendDoubling(e.Arcs, a), append(e.dead, false)
 	if e.ported {
 		e.link(int32(len(e.Arcs)-1), a)
 	}
@@ -203,7 +214,7 @@ func (e *Editor) KillArc(id int32) {
 
 // MoveSource makes arc id leave port port of node node: the arc is killed
 // and its successor appended.
-func (e *Editor) MoveSource(id int32, node, port int) {
+func (e *Editor) MoveSource(id int32, node, port int32) {
 	a := e.Arcs[id]
 	a.From, a.FromPort = node, port
 	e.KillArc(id)
@@ -211,13 +222,40 @@ func (e *Editor) MoveSource(id int32, node, port int) {
 }
 
 // KillArcsInto kills every arc entering node id.
-func (e *Editor) KillArcsInto(id int) {
+func (e *Editor) KillArcsInto(id int32) {
 	ins := e.Ins()
-	for p := 0; p < e.Nodes[id].NIns; p++ {
+	for p := int32(0); p < e.Nodes[id].NIns; p++ {
 		for slot := ins.Slot(id, p); ins.First(slot) >= 0; {
 			e.KillArc(ins.First(slot))
 		}
 	}
+}
+
+// Name returns name id of the graph's name table (Graph.Name).
+func (e *Editor) Name(id int32) string {
+	if id == NoName {
+		return ""
+	}
+	return e.names[id-1]
+}
+
+// NameID returns the number of name in the graph's name table, adding it
+// after the names there if it is new.
+func (e *Editor) NameID(name string) int32 {
+	if e.ids == nil {
+		e.names = slices.Clip(e.names) // the table began as the caller's: append to a copy
+		e.ids = make(map[string]int32, len(e.names))
+		for i, s := range e.names {
+			e.ids[s] = int32(i) + 1
+		}
+	}
+	id, ok := e.ids[name]
+	if !ok {
+		e.names = append(e.names, name)
+		id = int32(len(e.names))
+		e.ids[name] = id
+	}
+	return id
 }
 
 // Live reports whether arc id has not been killed.
@@ -225,7 +263,7 @@ func (e *Editor) Live(id int32) bool { return !e.dead[id] }
 
 // HasArc reports whether an arc with these endpoints exists — used to
 // refuse rewrites that would create a duplicate arc.
-func (e *Editor) HasArc(from, fromPort, to, toPort int) bool {
+func (e *Editor) HasArc(from, fromPort, to, toPort int32) bool {
 	outs := e.Outs()
 	for id := outs.First(outs.Slot(from, fromPort)); id >= 0; id = outs.Next(id) {
 		if a := e.Arcs[id]; a.To == to && a.ToPort == toPort {
@@ -236,9 +274,9 @@ func (e *Editor) HasArc(from, fromPort, to, toPort int) bool {
 }
 
 // OutDegree returns the number of arcs leaving node id on any port.
-func (e *Editor) OutDegree(id int) int {
+func (e *Editor) OutDegree(id int32) int {
 	outs, d := e.Outs(), int32(0)
-	for p := e.Nodes[id].OutPorts() - 1; p >= 0; p-- {
+	for p := int32(e.Nodes[id].OutPorts()) - 1; p >= 0; p-- {
 		d += outs.Size(outs.Slot(id, p))
 	}
 	return int(d)
@@ -249,12 +287,14 @@ func (e *Editor) OutDegree(id int) int {
 // step programs and the source's call linkage follow their nodes. An arc,
 // a step program or a call record left attached to a removed node is a
 // bug in the pass that edited, and the error. Once Graph has succeeded the
-// editor is done: the result holds its arc table, compacted in place, and
-// the nodes it created, renumbered in place; the source's are copied.
+// editor is done: the result holds its node and arc tables, compacted in
+// place, and the nodes it created, renumbered in place; the source's are
+// copied.
 func (e *Editor) Graph() (*Graph, error) {
 	ng := NewGraph(e.src.Prog)
-	remap := make([]int, len(e.Nodes))
-	alive := 0
+	ng.Names = e.names
+	remap := make([]int32, len(e.Nodes))
+	alive := int32(0)
 	for i, n := range e.Nodes {
 		remap[i] = -1
 		if n != nil {
@@ -275,7 +315,7 @@ func (e *Editor) Graph() (*Graph, error) {
 			ok = false
 			return -1
 		}
-		return remap[id]
+		return int(remap[id])
 	}
 	for _, fi := range e.fusions {
 		if fi.Node = moved(fi.Node); !ok {
@@ -301,7 +341,7 @@ func (e *Editor) Graph() (*Graph, error) {
 			ng.Arcs = append(ng.Arcs, a)
 		}
 	}
-	ng.Nodes = make([]*Node, 0, alive)
+	ng.Nodes = e.Nodes[:0]
 	copies := make([]Node, 0, len(e.src.Nodes))
 	for i, n := range e.Nodes {
 		if n == nil {

@@ -32,7 +32,7 @@ func newModel(g *dfg.Graph) *model {
 
 // at lists the live arcs at a port in arc order: leaving it when out is
 // set, entering it otherwise.
-func (m *model) at(out bool, node, port int) []int32 {
+func (m *model) at(out bool, node, port int32) []int32 {
 	var ids []int32
 	for i, a := range m.arcs {
 		if m.dead[i] {
@@ -48,13 +48,13 @@ func (m *model) at(out bool, node, port int) []int32 {
 // graph is what Editor.Graph must return: survivors renumbered in table
 // order, every table following them.
 func (m *model) graph() (nodes []dfg.Node, arcs []dfg.Arc, fusions []dfg.FusedInfo, calls []dfg.CallInfo) {
-	remap := make([]int, len(m.nodes))
+	remap := make([]int32, len(m.nodes))
 	for i, n := range m.nodes {
 		if n == nil {
 			continue
 		}
 		c := *n
-		c.ID, remap[i] = len(nodes), len(nodes)
+		c.ID, remap[i] = int32(len(nodes)), int32(len(nodes))
 		nodes = append(nodes, c)
 	}
 	for i, a := range m.arcs {
@@ -65,15 +65,15 @@ func (m *model) graph() (nodes []dfg.Node, arcs []dfg.Arc, fusions []dfg.FusedIn
 	}
 	for _, fi := range m.fusions {
 		if m.nodes[fi.Node] != nil {
-			fi.Node = remap[fi.Node]
+			fi.Node = int(remap[fi.Node])
 			fusions = append(fusions, fi)
 		}
 	}
 	for _, c := range m.calls {
-		c.Apply, c.Return = remap[c.Apply], remap[c.Return]
+		c.Apply, c.Return = int(remap[c.Apply]), int(remap[c.Return])
 		c.Params = slices.Clone(c.Params)
 		for j, p := range c.Params {
-			c.Params[j] = remap[p]
+			c.Params[j] = int(remap[p])
 		}
 		calls = append(calls, c)
 	}
@@ -84,7 +84,7 @@ func (m *model) graph() (nodes []dfg.Node, arcs []dfg.Arc, fusions []dfg.FusedIn
 // them to the model's scans.
 func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 	t.Helper()
-	walk := func(p *dfg.Ports, node, port int) []int32 {
+	walk := func(p *dfg.Ports, node, port int32) []int32 {
 		var ids []int32
 		for id := p.First(p.Slot(node, port)); id >= 0; id = p.Next(id) {
 			ids = append(ids, id)
@@ -96,7 +96,8 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 			t.Fatalf("%s: arc %d is %+v live=%v, want %+v live=%v", name, i, e.Arcs[i], e.Live(int32(i)), m.arcs[i], !m.dead[i])
 		}
 	}
-	for id, n := range m.nodes {
+	for i, n := range m.nodes {
+		id := int32(i)
 		if e.Nodes[id] != n {
 			t.Fatalf("%s: node %d is %v, want %v", name, id, e.Nodes[id], n)
 		}
@@ -104,7 +105,7 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 			continue
 		}
 		degree := 0
-		for p := 0; p < n.OutPorts(); p++ {
+		for p := int32(0); p < int32(n.OutPorts()); p++ {
 			want := m.at(true, id, p)
 			slot := e.Outs().Slot(id, p)
 			only := int32(-1)
@@ -112,24 +113,24 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 				only = want[0]
 			}
 			if got := walk(e.Outs(), id, p); !slices.Equal(got, want) || int(e.Outs().Size(slot)) != len(want) || e.Outs().Only(slot) != only {
-				t.Fatalf("%s: %s out port %d lists %v (size %d, only %d), want %v", name, n, p, got, e.Outs().Size(slot), e.Outs().Only(slot), want)
+				t.Fatalf("%s: d%d out port %d lists %v (size %d, only %d), want %v", name, n.ID, p, got, e.Outs().Size(slot), e.Outs().Only(slot), want)
 			}
 			for _, ai := range want {
 				if a := m.arcs[ai]; !e.HasArc(id, p, a.To, a.ToPort) {
 					t.Fatalf("%s: HasArc misses arc %d", name, ai)
 				}
 			}
-			if e.HasArc(id, p, len(m.nodes), 0) {
+			if e.HasArc(id, p, int32(len(m.nodes)), 0) {
 				t.Fatalf("%s: HasArc finds an arc to a node that is not there", name)
 			}
 			degree += len(want)
 		}
 		if e.OutDegree(id) != degree {
-			t.Fatalf("%s: %s has out-degree %d, want %d", name, n, e.OutDegree(id), degree)
+			t.Fatalf("%s: d%d has out-degree %d, want %d", name, n.ID, e.OutDegree(id), degree)
 		}
-		for p := 0; p < n.NIns; p++ {
+		for p := int32(0); p < n.NIns; p++ {
 			if got, want := walk(e.Ins(), id, p), m.at(false, id, p); !slices.Equal(got, want) {
-				t.Fatalf("%s: %s in port %d lists %v, want %v", name, n, p, got, want)
+				t.Fatalf("%s: d%d in port %d lists %v, want %v", name, n.ID, p, got, want)
 			}
 		}
 	}
@@ -140,25 +141,25 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 // kill an arc, move an arc's source, remove a node with its arcs. Nodes a
 // call record names are never removed.
 func editScript(r *rand.Rand, e *dfg.Editor, m *model, steps int) {
-	pinned := map[int]bool{}
+	pinned := map[int32]bool{}
 	for _, c := range m.calls {
-		pinned[c.Apply], pinned[c.Return] = true, true
+		pinned[int32(c.Apply)], pinned[int32(c.Return)] = true, true
 		for _, p := range c.Params {
-			pinned[p] = true
+			pinned[int32(p)] = true
 		}
 	}
 	// pick returns a live node with a port of the wanted direction, and
 	// one of those ports.
-	pick := func(out bool) (node, port int, ok bool) {
+	pick := func(out bool) (node, port int32, ok bool) {
 		for try := 0; try < 8; try++ {
-			id := r.Intn(len(m.nodes))
+			id := int32(r.Intn(len(m.nodes)))
 			if n := m.nodes[id]; n != nil {
 				ports := n.NIns
 				if out {
-					ports = n.OutPorts()
+					ports = int32(n.OutPorts())
 				}
 				if ports > 0 {
-					return id, r.Intn(ports), true
+					return id, r.Int31n(ports), true
 				}
 			}
 		}
@@ -183,19 +184,19 @@ func editScript(r *rand.Rand, e *dfg.Editor, m *model, steps int) {
 	for s := 0; s < steps; s++ {
 		switch r.Intn(6) {
 		case 0:
-			n := &dfg.Node{Kind: dfg.Synch, NIns: 2 + r.Intn(3), Tok: "t", Stmt: -1}
+			n := &dfg.Node{Kind: dfg.Synch, NIns: 2 + r.Int31n(3), Tok: 1, Stmt: -1}
 			switch r.Intn(3) {
 			case 1:
-				n = &dfg.Node{Kind: dfg.Fused, NIns: 1 + r.Intn(3), NOuts: 1 + r.Intn(2), Stmt: s}
+				n = &dfg.Node{Kind: dfg.Fused, NIns: 1 + r.Int31n(3), NOuts: 1 + r.Int31n(2), Stmt: int32(s)}
 			case 2:
-				n = &dfg.Node{Kind: dfg.Apply, NIns: 1 + r.Intn(2), NOuts: 2 + r.Intn(3), Var: "f"}
+				n = &dfg.Node{Kind: dfg.Apply, NIns: 1 + r.Int31n(2), NOuts: 2 + r.Int31n(3), Var: 1}
 			}
-			if id := e.AddNode(n); id != len(m.nodes) || n.ID != id {
+			if id := e.AddNode(n); int(id) != len(m.nodes) || n.ID != id {
 				panic(fmt.Sprintf("AddNode returned %d for table slot %d", id, len(m.nodes)))
 			}
 			m.nodes = append(m.nodes, n)
 			if n.Kind == dfg.Fused {
-				fi := dfg.FusedInfo{Node: n.ID, Steps: []dfg.FusedOp{{Kind: dfg.UnOp, A: dfg.FusedInput(0)}}, Outs: make([]int, n.NOuts)}
+				fi := dfg.FusedInfo{Node: int(n.ID), Steps: []dfg.FusedOp{{Kind: dfg.UnOp, A: dfg.FusedInput(0)}}, Outs: make([]int, n.NOuts)}
 				e.AddFusion(fi)
 				m.fusions = append(m.fusions, fi)
 			}
@@ -220,7 +221,7 @@ func editScript(r *rand.Rand, e *dfg.Editor, m *model, steps int) {
 				m.arcs, m.dead = append(m.arcs, a), append(m.dead, false)
 			}
 		case 5:
-			id := r.Intn(len(m.nodes))
+			id := int32(r.Intn(len(m.nodes)))
 			if m.nodes[id] == nil || pinned[id] {
 				continue
 			}
@@ -277,10 +278,10 @@ func TestEditorAgainstModel(t *testing.T) {
 				t.Fatalf("%s: node %d is %+v, want %+v", name, i, *n, nodes[i])
 			}
 			if (n.Kind == dfg.Fused) != (ops[i].Aux >= 0) {
-				t.Fatalf("%s: %s: step program row %d", name, n, ops[i].Aux)
+				t.Fatalf("%s: %s: step program row %d", name, got.Label(n), ops[i].Aux)
 			}
-			if n.Kind == dfg.Start && got.StartID != i || n.Kind == dfg.End && got.EndID != i {
-				t.Fatalf("%s: %s is not the graph's start %d / end %d", name, n, got.StartID, got.EndID)
+			if n.Kind == dfg.Start && got.StartID != n.ID || n.Kind == dfg.End && got.EndID != n.ID {
+				t.Fatalf("%s: %s is not the graph's start %d / end %d", name, got.Label(n), got.StartID, got.EndID)
 			}
 		}
 		if !slices.Equal(got.Arcs, arcs) {
@@ -324,13 +325,14 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 				t.Fatalf("%s: Graph accepted %s: %d nodes", name, what, len(ng.Nodes))
 			}
 		}
-		for id, n := range g.Nodes {
+		for _, n := range g.Nodes {
 			if n.Kind == dfg.Switch {
+				id := n.ID
 				e := dfg.NewEditor(g)
 				e.KillArcsInto(id)
 				e.Remove(id)
 				fails("arcs leaving a removed switch", e)
-				for p := 0; p < 2; p++ {
+				for p := int32(0); p < 2; p++ {
 					for slot := e.Outs().Slot(id, p); e.Outs().First(slot) >= 0; {
 						e.KillArc(e.Outs().First(slot))
 					}
@@ -343,7 +345,7 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 			}
 		}
 		if len(g.Fusions) > 0 {
-			id := g.Fusions[len(g.Fusions)-1].Node
+			id := int32(g.Fusions[len(g.Fusions)-1].Node)
 			e := dfg.NewEditor(g)
 			e.KillArcsInto(id)
 			for slot := e.Outs().Slot(id, 0); e.Outs().First(slot) >= 0; {
@@ -358,16 +360,16 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 			programs++
 		}
 		for _, c := range g.Calls {
-			for _, id := range []int{c.Apply, c.Return, c.Params[0]} {
+			for _, id := range []int32{int32(c.Apply), int32(c.Return), int32(c.Params[0])} {
 				e := dfg.NewEditor(g)
 				e.KillArcsInto(id)
-				for p := 0; p < g.Nodes[id].OutPorts(); p++ {
+				for p := int32(0); p < int32(g.Nodes[id].OutPorts()); p++ {
 					for slot := e.Outs().Slot(id, p); e.Outs().First(slot) >= 0; {
 						e.KillArc(e.Outs().First(slot))
 					}
 				}
 				e.Remove(id)
-				fails(fmt.Sprintf("the call record of %s with %s removed", c.Proc, g.Nodes[id]), e)
+				fails(fmt.Sprintf("the call record of %s with %s removed", c.Proc, g.Label(g.Nodes[id])), e)
 			}
 			records++
 			break

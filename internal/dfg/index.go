@@ -48,7 +48,7 @@ func newIndex(g *Graph) *Index {
 	x.base[n] = rows
 	for i, nd := range g.Nodes {
 		x.base[n+1+i] = rows
-		rows += int32(max(nd.NIns, 0))
+		rows += max(nd.NIns, 0)
 	}
 	x.base[2*n+1] = rows
 
@@ -84,11 +84,11 @@ func (x *Index) rows(a *Arc) (out, in int32, ok bool) {
 	if uint(a.From) >= uint(x.nodes) || uint(a.To) >= uint(x.nodes) {
 		return 0, 0, false
 	}
-	from, to := x.base[a.From:a.From+2], x.base[x.nodes+1+a.To:x.nodes+3+a.To]
-	if uint(a.FromPort) >= uint(from[1]-from[0]) || uint(a.ToPort) >= uint(to[1]-to[0]) {
+	from, to := x.base[a.From:a.From+2], x.base[x.nodes+1+int(a.To):x.nodes+3+int(a.To)]
+	if uint32(a.FromPort) >= uint32(from[1]-from[0]) || uint32(a.ToPort) >= uint32(to[1]-to[0]) {
 		return 0, 0, false
 	}
-	return from[0] + int32(a.FromPort), to[0] + int32(a.ToPort), true
+	return from[0] + a.FromPort, to[0] + a.ToPort, true
 }
 
 // row returns the ids in row lo+port, none when port is not one of the
@@ -103,30 +103,30 @@ func (x *Index) row(lo, hi int32, port int) []int32 {
 
 // Out returns the ids of the arcs leaving (node, port), none if the node
 // has no such port.
-func (x *Index) Out(node, port int) []int32 {
+func (x *Index) Out(node int32, port int) []int32 {
 	return x.row(x.base[node], x.base[node+1], port)
 }
 
 // In returns the ids of the arcs entering (node, port), none if the node
 // has no such port.
-func (x *Index) In(node, port int) []int32 {
-	return x.row(x.base[x.nodes+1+node], x.base[x.nodes+2+node], port)
+func (x *Index) In(node int32, port int) []int32 {
+	return x.row(x.base[x.nodes+1+int(node)], x.base[x.nodes+2+int(node)], port)
 }
 
 // OutOf returns the ids of the arcs leaving node, port by port.
-func (x *Index) OutOf(node int) []int32 {
+func (x *Index) OutOf(node int32) []int32 {
 	return x.ids[x.off[x.base[node]]:x.off[x.base[node+1]]]
 }
 
 // InTo returns the ids of the arcs entering node, port by port.
-func (x *Index) InTo(node int) []int32 {
-	return x.ids[x.off[x.base[x.nodes+1+node]]:x.off[x.base[x.nodes+2+node]]]
+func (x *Index) InTo(node int32) []int32 {
+	return x.ids[x.off[x.base[x.nodes+1+int(node)]]:x.off[x.base[x.nodes+2+int(node)]]]
 }
 
 // OutRow returns the row of (node, port 0) in the dense numbering of
 // output ports — a key for per-port side tables. OutRow(n+1) is one past
 // node n's last row, and OutRow of the node count the number of rows.
-func (x *Index) OutRow(node int) int { return int(x.base[node]) }
+func (x *Index) OutRow(node int32) int { return int(x.base[node]) }
 
 // NumArcs returns how many arcs are indexed: all but the malformed ones.
 func (x *Index) NumArcs() int { return len(x.ids) / 2 }

@@ -21,74 +21,75 @@ import (
 func checkIndex(t *testing.T, name string, g *dfg.Graph) {
 	t.Helper()
 	x := g.Index()
-	type port struct{ node, port int }
+	type port struct{ node, port int32 }
 	outs, ins := map[port][]int32{}, map[port][]int32{}
 	for i, a := range g.Arcs {
-		if a.From >= 0 && a.From < len(g.Nodes) && a.To >= 0 && a.To < len(g.Nodes) &&
-			a.FromPort >= 0 && a.FromPort < g.Nodes[a.From].OutPorts() &&
+		if a.From >= 0 && int(a.From) < len(g.Nodes) && a.To >= 0 && int(a.To) < len(g.Nodes) &&
+			a.FromPort >= 0 && int(a.FromPort) < g.Nodes[a.From].OutPorts() &&
 			a.ToPort >= 0 && a.ToPort < g.Nodes[a.To].NIns {
 			outs[port{a.From, a.FromPort}] = append(outs[port{a.From, a.FromPort}], int32(i))
 			ins[port{a.To, a.ToPort}] = append(ins[port{a.To, a.ToPort}], int32(i))
 		}
 	}
 	rows, all := 0, 0
-	for id, n := range g.Nodes {
+	for _, n := range g.Nodes {
+		id, label := n.ID, g.Label(n)
 		if x.OutRow(id) != rows {
-			t.Fatalf("%s: %s has output row %d, want %d", name, n, x.OutRow(id), rows)
+			t.Fatalf("%s: %s has output row %d, want %d", name, label, x.OutRow(id), rows)
 		}
 		rows += n.OutPorts()
 		var outOf, inTo []int32
 		for p := 0; p < n.OutPorts(); p++ {
-			want := outs[port{id, p}]
+			want := outs[port{id, int32(p)}]
 			if got := x.Out(id, p); !slices.Equal(got, want) || !slices.Equal(g.OutArcs(id, p), want) {
-				t.Fatalf("%s: %s out port %d holds arcs %v, want %v", name, n, p, got, want)
+				t.Fatalf("%s: %s out port %d holds arcs %v, want %v", name, label, p, got, want)
 			}
 			outOf = append(outOf, want...)
 		}
-		for p := 0; p < n.NIns; p++ {
-			want := ins[port{id, p}]
+		for p := 0; p < int(n.NIns); p++ {
+			want := ins[port{id, int32(p)}]
 			if got := x.In(id, p); !slices.Equal(got, want) || g.InDegree(id, p) != len(want) {
-				t.Fatalf("%s: %s in port %d holds arcs %v, want %v", name, n, p, got, want)
+				t.Fatalf("%s: %s in port %d holds arcs %v, want %v", name, label, p, got, want)
 			}
 			inTo = append(inTo, want...)
 		}
 		if !slices.Equal(x.OutOf(id), outOf) || !slices.Equal(x.InTo(id), inTo) {
-			t.Fatalf("%s: %s: OutOf %v InTo %v, want %v %v", name, n, x.OutOf(id), x.InTo(id), outOf, inTo)
+			t.Fatalf("%s: %s: OutOf %v InTo %v, want %v %v", name, label, x.OutOf(id), x.InTo(id), outOf, inTo)
 		}
-		for _, p := range []int{-1, n.OutPorts(), n.NIns, 1 << 40} {
+		for _, p := range []int{-1, n.OutPorts(), int(n.NIns), 1 << 40} {
 			if p < 0 || p >= n.OutPorts() {
 				if got := x.Out(id, p); got != nil {
-					t.Fatalf("%s: %s has no out port %d, index holds %v", name, n, p, got)
+					t.Fatalf("%s: %s has no out port %d, index holds %v", name, label, p, got)
 				}
 			}
-			if p < 0 || p >= n.NIns {
+			if p < 0 || p >= int(n.NIns) {
 				if got := x.In(id, p); got != nil {
-					t.Fatalf("%s: %s has no in port %d, index holds %v", name, n, p, got)
+					t.Fatalf("%s: %s has no in port %d, index holds %v", name, label, p, got)
 				}
 			}
 		}
 		all += len(outOf)
 	}
-	if x.OutRow(len(g.Nodes)) != rows || x.NumArcs() != all {
-		t.Fatalf("%s: %d output rows and %d arcs, want %d and %d", name, x.OutRow(len(g.Nodes)), x.NumArcs(), rows, all)
+	if x.OutRow(int32(len(g.Nodes))) != rows || x.NumArcs() != all {
+		t.Fatalf("%s: %d output rows and %d arcs, want %d and %d", name, x.OutRow(int32(len(g.Nodes))), x.NumArcs(), rows, all)
 	}
 }
 
 // malform appends arcs that name no node or no port of g — the kinds a
 // mutated or hand-written graph may hold.
 func malform(g *dfg.Graph) int {
-	n := len(g.Nodes)
+	n, start, end := int32(len(g.Nodes)), g.StartID, g.EndID
 	bad := []dfg.Arc{
-		{From: n + 7, To: g.EndID},
-		{From: g.StartID, To: n},
-		{From: -1, To: g.EndID},
-		{From: g.StartID, To: -3},
-		{From: g.StartID, FromPort: 1, To: g.EndID},
-		{From: g.StartID, FromPort: -1, To: g.EndID},
-		{From: g.StartID, To: g.EndID, ToPort: g.Nodes[g.EndID].NIns},
-		{From: g.StartID, To: g.EndID, ToPort: -1},
-		{From: g.StartID, To: g.StartID}, // start has no input port
-		{From: g.EndID, To: g.EndID},     // end has no output port
+		{From: n + 7, To: end},
+		{From: start, To: n},
+		{From: -1, To: end},
+		{From: start, To: -3},
+		{From: start, FromPort: 1, To: end},
+		{From: start, FromPort: -1, To: end},
+		{From: start, To: end, ToPort: g.Nodes[end].NIns},
+		{From: start, To: end, ToPort: -1},
+		{From: start, To: start}, // start has no input port
+		{From: end, To: end},     // end has no output port
 	}
 	g.Arcs = append(g.Arcs, bad...)
 	return len(bad)
@@ -209,9 +210,11 @@ func TestIndexFollowsTheGraph(t *testing.T) {
 // validation cannot slip through.
 func TestValidateFollowsTheGraph(t *testing.T) {
 	grow := map[string]func(g *dfg.Graph){
-		"arc":    func(g *dfg.Graph) { g.Arcs = append(g.Arcs, dfg.Arc{From: len(g.Nodes) + 7, To: g.EndID}) },
-		"node":   func(g *dfg.Graph) { g.Nodes = append(g.Nodes, &dfg.Node{ID: len(g.Nodes), Kind: dfg.UnOp, NIns: 1}) },
-		"fusion": func(g *dfg.Graph) { g.AddFusion(dfg.FusedInfo{Node: g.StartID}) },
+		"arc": func(g *dfg.Graph) { g.Arcs = append(g.Arcs, dfg.Arc{From: int32(len(g.Nodes)) + 7, To: g.EndID}) },
+		"node": func(g *dfg.Graph) {
+			g.Nodes = append(g.Nodes, &dfg.Node{ID: int32(len(g.Nodes)), Kind: dfg.UnOp, NIns: 1})
+		},
+		"fusion": func(g *dfg.Graph) { g.AddFusion(dfg.FusedInfo{Node: int(g.StartID)}) },
 	}
 	for name, grow := range grow {
 		res, err := translate.Translate(cfg.MustBuild(workloads.MustByName("fib-iterative").Parse()), translate.Options{Schema: translate.Schema2})
@@ -249,7 +252,7 @@ func TestIndexVariableArity(t *testing.T) {
 			t.Fatal("a synch without inputs has an input row")
 		}
 		sy.NIns = 3
-		for p := 0; p < 3; p++ {
+		for p := int32(0); p < 3; p++ {
 			g.Connect(s.ID, 0, sy.ID, p, true)
 		}
 		g.Connect(sy.ID, 0, e.ID, 0, true)
@@ -273,6 +276,7 @@ func TestIndexSharedByConcurrentReaders(t *testing.T) {
 	}
 	// Translate has validated its graph, and so indexed it: copy it.
 	g := dfg.NewGraph(res.Graph.Prog)
+	g.Names = res.Graph.Names
 	for _, n := range res.Graph.Nodes {
 		c := *n
 		g.Add(&c)
@@ -292,7 +296,7 @@ func TestIndexSharedByConcurrentReaders(t *testing.T) {
 			if x := g.Index(); x.NumArcs() != want || len(x.Out(g.StartID, 0)) == 0 {
 				t.Errorf("reader saw an index of %d arcs, want %d", x.NumArcs(), want)
 			}
-			if tab := g.OpTable(); len(tab.Ops) != len(g.Nodes) || len(tab.Out(int32(g.StartID), 0)) == 0 {
+			if tab := g.OpTable(); len(tab.Ops) != len(g.Nodes) || len(tab.Out(g.StartID, 0)) == 0 {
 				t.Errorf("reader saw a table of %d ops, want %d", len(tab.Ops), len(g.Nodes))
 			}
 		}()

@@ -69,7 +69,7 @@ func newOpTable(g *Graph) *OpTable {
 		Ops: make([]Op, len(g.Nodes)), spans: x.off[:rows+1], MaxIns: 1}
 	for i, n := range g.Nodes {
 		o := &t.Ops[i]
-		*o = Op{Val: n.Val, Outs: x.base[i], NIns: int32(n.NIns), Aux: -1, Kind: uint8(n.Kind), Code: uint8(n.Op)}
+		*o = Op{Val: n.Val, Outs: x.base[i], NIns: n.NIns, Aux: -1, Kind: uint8(n.Kind), Code: uint8(n.Op)}
 		if n.FiresPerToken() {
 			o.Flags |= OpSolo
 		}
@@ -79,7 +79,7 @@ func newOpTable(g *Graph) *OpTable {
 		if n.SplitPhase() {
 			o.Flags |= OpMem
 		}
-		t.MaxIns = max(t.MaxIns, n.NIns)
+		t.MaxIns = max(t.MaxIns, int(n.NIns))
 	}
 	for i := range g.Fusions {
 		t.Ops[g.Fusions[i].Node].Aux = int32(i)
@@ -88,7 +88,7 @@ func newOpTable(g *Graph) *OpTable {
 	t.targets = make([]Target, len(ids))
 	for i, ai := range ids {
 		a := &g.Arcs[ai]
-		t.targets[i] = Target{Node: int32(a.To), Port: int32(a.ToPort)}
+		t.targets[i] = Target{Node: a.To, Port: a.ToPort}
 	}
 	return t
 }

@@ -24,40 +24,40 @@ func checkOpTable(t *testing.T, name string, g *dfg.Graph) {
 		t.Fatalf("%s: table has %d ops, graph %d nodes", name, len(tab.Ops), len(g.Nodes))
 	}
 	targets := 0
-	for id, n := range g.Nodes {
-		o := tab.Ops[id]
-		if dfg.Kind(o.Kind) != n.Kind || int(o.NIns) != n.NIns || lang.Op(o.Code) != n.Op || o.Val != n.Val {
-			t.Fatalf("%s: %s has row %+v", name, n, o)
+	for i, n := range g.Nodes {
+		id, o := n.ID, tab.Ops[i]
+		if dfg.Kind(o.Kind) != n.Kind || o.NIns != n.NIns || lang.Op(o.Code) != n.Op || o.Val != n.Val {
+			t.Fatalf("%s: %s has row %+v", name, g.Label(n), o)
 		}
 		// The class bits are the node's firing-rule classes (pinned per
 		// kind by TestFiringRuleClasses), nothing of the table's own.
 		if o.Flags&dfg.OpSolo != 0 != n.FiresPerToken() || o.Flags&dfg.OpMatchSite != 0 != n.MatchSite() ||
 			o.Flags&dfg.OpMem != 0 != n.SplitPhase() {
-			t.Fatalf("%s: %s has class bits %03b", name, n, o.Flags)
+			t.Fatalf("%s: %s has class bits %03b", name, g.Label(n), o.Flags)
 		}
-		if n.NIns > tab.MaxIns {
-			t.Fatalf("%s: MaxIns %d below %s's %d", name, tab.MaxIns, n, n.NIns)
+		if int(n.NIns) > tab.MaxIns {
+			t.Fatalf("%s: MaxIns %d below %s's %d", name, tab.MaxIns, g.Label(n), n.NIns)
 		}
 		for port := 0; port < n.OutPorts(); port++ {
-			arcs, span := g.OutArcs(id, port), tab.Out(int32(id), port)
+			arcs, span := g.OutArcs(id, port), tab.Out(id, port)
 			if len(arcs) != len(span) {
-				t.Fatalf("%s: %s port %d: %d targets, %d arcs", name, n, port, len(span), len(arcs))
+				t.Fatalf("%s: %s port %d: %d targets, %d arcs", name, g.Label(n), port, len(span), len(arcs))
 			}
 			for i, ai := range arcs {
 				a := g.Arcs[ai]
-				if int(span[i].Node) != a.To || int(span[i].Port) != a.ToPort {
-					t.Fatalf("%s: %s port %d target %d = %+v, arc %+v", name, n, port, i, span[i], a)
+				if span[i].Node != a.To || span[i].Port != a.ToPort {
+					t.Fatalf("%s: %s port %d target %d = %+v, arc %+v", name, g.Label(n), port, i, span[i], a)
 				}
 			}
 			targets += len(span)
 		}
 		switch {
 		case n.Kind == dfg.Fused:
-			if o.Aux < 0 || int(o.Aux) >= len(g.Fusions) || g.Fusions[o.Aux].Node != id {
-				t.Fatalf("%s: %s lost its step program (aux %d)", name, n, o.Aux)
+			if o.Aux < 0 || int(o.Aux) >= len(g.Fusions) || g.Fusions[o.Aux].Node != int(id) {
+				t.Fatalf("%s: %s lost its step program (aux %d)", name, g.Label(n), o.Aux)
 			}
 		case o.Aux != -1:
-			t.Fatalf("%s: %s has side-table row %d", name, n, o.Aux)
+			t.Fatalf("%s: %s has side-table row %d", name, g.Label(n), o.Aux)
 		}
 	}
 	if targets != len(g.Arcs) {
@@ -138,13 +138,13 @@ func TestOpTableFollowsTheGraph(t *testing.T) {
 	e := g.Add(&dfg.Node{Kind: dfg.End, NIns: 2})
 	g.Connect(s.ID, 0, e.ID, 0, true)
 	t0 := g.OpTable()
-	if g.OpTable() != t0 || len(t0.Out(int32(s.ID), 0)) != 1 {
+	if g.OpTable() != t0 || len(t0.Out(s.ID, 0)) != 1 {
 		t.Fatal("an unchanged graph rebuilt its table, or the table lost the first arc")
 	}
 
 	g.Connect(s.ID, 0, e.ID, 1, true)
 	t1 := g.OpTable()
-	if t1 == t0 || len(t1.Out(int32(s.ID), 0)) != 2 {
+	if t1 == t0 || len(t1.Out(s.ID, 0)) != 2 {
 		t.Fatal("table is stale after Connect")
 	}
 
@@ -154,14 +154,14 @@ func TestOpTableFollowsTheGraph(t *testing.T) {
 	}
 	g.Connect(s.ID, 0, f.ID, 0, true)
 	t2 := g.OpTable()
-	if len(t2.Out(int32(s.ID), 0)) != 3 || t2.Ops[f.ID].Aux != -1 {
+	if len(t2.Out(s.ID, 0)) != 3 || t2.Ops[f.ID].Aux != -1 {
 		t.Fatal("table is stale after Connect")
 	}
-	g.AddFusion(dfg.FusedInfo{Node: f.ID, Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int{0}})
+	g.AddFusion(dfg.FusedInfo{Node: int(f.ID), Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int{0}})
 	if t3 := g.OpTable(); t3 == t2 || t3.Ops[f.ID].Aux != 0 {
 		t.Fatal("table is stale after AddFusion")
 	}
-	if len(t0.Ops) != 2 || len(t0.Out(int32(s.ID), 0)) != 1 || len(t1.Out(int32(s.ID), 0)) != 2 || t2.Ops[f.ID].Aux != -1 {
+	if len(t0.Ops) != 2 || len(t0.Out(s.ID, 0)) != 1 || len(t1.Out(s.ID, 0)) != 2 || t2.Ops[f.ID].Aux != -1 {
 		t.Fatal("a published table changed")
 	}
 }

@@ -93,10 +93,10 @@ func WriteText(w io.Writer, g *Graph) error {
 		case BinOp, UnOp:
 			fmt.Fprintf(bw, " op=%s", opName(n.Kind, n.Op))
 		case Load, Store, LoadIdx, StoreIdx, ILoad, IStore:
-			fmt.Fprintf(bw, " var=%s", n.Var)
+			fmt.Fprintf(bw, " var=%s", g.Name(n.Var))
 		}
-		if n.Tok != "" {
-			fmt.Fprintf(bw, " tok=%s", n.Tok)
+		if n.Tok != NoName {
+			fmt.Fprintf(bw, " tok=%s", g.Name(n.Tok))
 		}
 		if n.Kind == End || n.Kind == Synch || n.Kind == Fused {
 			fmt.Fprintf(bw, " ins=%d", n.NIns)
@@ -178,6 +178,16 @@ func ParseText(r io.Reader) (*Graph, error) {
 		}
 		return g
 	}
+	names := map[string]int32{} // the name table, numbered as first met
+	name := func(s string) int32 {
+		id, ok := names[s]
+		if !ok {
+			g.Names = append(g.Names, s)
+			id = int32(len(g.Names))
+			names[s] = id
+		}
+		return id
+	}
 
 	for {
 		line, ok := next()
@@ -251,15 +261,15 @@ func ParseText(r io.Reader) (*Graph, error) {
 					}
 					n.Op = op
 				case "var":
-					n.Var = kv[1]
+					n.Var = name(kv[1])
 				case "tok":
-					n.Tok = kv[1]
+					n.Tok = name(kv[1])
 				case "ins":
 					v, err := strconv.Atoi(kv[1])
 					if err != nil || v < 0 || v > maxNodeIns {
 						return nil, fail("bad ins %q (must be 0..%d)", kv[1], maxNodeIns)
 					}
-					n.NIns = v
+					n.NIns = int32(v)
 					insSet = true
 				case "outs":
 					v, err := strconv.Atoi(kv[1])
@@ -269,13 +279,13 @@ func ParseText(r io.Reader) (*Graph, error) {
 					if kind != Fused {
 						return nil, fail("outs= is only valid on fused nodes")
 					}
-					n.NOuts = v
+					n.NOuts = int32(v)
 				case "stmt":
-					v, err := strconv.Atoi(kv[1])
+					v, err := strconv.ParseInt(kv[1], 10, 32)
 					if err != nil {
 						return nil, fail("bad stmt %q", kv[1])
 					}
-					n.Stmt = v
+					n.Stmt = int32(v)
 				default:
 					return nil, fail("unknown attribute %q", kv[0])
 				}
@@ -378,10 +388,10 @@ func ParseText(r io.Reader) (*Graph, error) {
 			if from < 0 || from >= len(g.Nodes) || to < 0 || to >= len(g.Nodes) {
 				return nil, fail("arc references unknown node")
 			}
-			if fp < 0 || fp >= g.Nodes[from].OutPorts() || tp < 0 || tp >= g.Nodes[to].NIns {
+			if fp < 0 || fp >= g.Nodes[from].OutPorts() || tp < 0 || tp >= int(g.Nodes[to].NIns) {
 				return nil, fail("arc references out-of-range port")
 			}
-			g.Connect(from, fp, to, tp, dummy)
+			g.Connect(int32(from), int32(fp), int32(to), int32(tp), dummy)
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
@@ -452,7 +462,7 @@ func parseEndpoint(s string) (int, int, error) {
 func Listing(g *Graph) string {
 	var b strings.Builder
 	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "%-28s", n.String())
+		fmt.Fprintf(&b, "%-28s", g.Label(n))
 		var dests []string
 		for p := 0; p < n.OutPorts(); p++ {
 			for _, ai := range g.OutArcs(n.ID, p) {

@@ -11,14 +11,15 @@ func sampleGraph(t *testing.T) *Graph {
 	t.Helper()
 	prog := lang.MustParse("var x, z\narray a[4]\nalias x ~ z\nx := 1\n")
 	g := NewGraph(prog)
+	g.Names = []string{"x"}
 	start := g.Add(&Node{Kind: Start})
 	end := g.Add(&Node{Kind: End, NIns: 2})
 	c := g.Add(&Node{Kind: Const, Val: 7, Stmt: 3})
-	ld := g.Add(&Node{Kind: Load, Var: "x"})
-	st := g.Add(&Node{Kind: Store, Var: "x"})
+	ld := g.Add(&Node{Kind: Load, Var: 1})
+	st := g.Add(&Node{Kind: Store, Var: 1})
 	bin := g.Add(&Node{Kind: BinOp, Op: lang.OpAdd})
 	un := g.Add(&Node{Kind: UnOp, Op: lang.OpNeg})
-	sy := g.Add(&Node{Kind: Synch, NIns: 2, Tok: "x"})
+	sy := g.Add(&Node{Kind: Synch, NIns: 2, Tok: 1})
 	g.Connect(start.ID, 0, c.ID, 0, true)
 	g.Connect(start.ID, 0, ld.ID, 0, true)
 	g.Connect(c.ID, 0, bin.ID, 0, false)

@@ -272,7 +272,7 @@ func e4() ([]*table, error) {
 		}
 		swx := 0
 		for _, n := range res.Graph.Nodes {
-			if n.Kind == dfg.Switch && n.Tok == "x" {
+			if n.Kind == dfg.Switch && res.Graph.Name(n.Tok) == "x" {
 				swx++
 			}
 		}

@@ -93,7 +93,7 @@ func (a *Activations[C]) Close(node int, tg token.Tag) (*dfg.CallInfo, C, error)
 	var caller C
 	_, id, err := tg.PopCall()
 	if err != nil {
-		return nil, caller, machcheck.Newf(machcheck.TagViolation, a.engine, "%s: %v", a.g.Nodes[node], err)
+		return nil, caller, machcheck.Newf(machcheck.TagViolation, a.engine, "%s: %v", a.g.Label(a.g.Nodes[node]), err)
 	}
 	rec := a.live[id]
 	if rec == nil {

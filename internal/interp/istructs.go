@@ -30,9 +30,9 @@ type IStructs[W any] struct {
 func NewIStructs[W any](g *dfg.Graph, store *Store, engine string) IStructs[W] {
 	u := IStructs[W]{engine: engine, store: store, full: map[string][]bool{}, deferred: map[string]map[int64][]W{}}
 	for _, n := range g.Nodes {
-		if _, ok := u.full[n.Var]; !ok && (n.Kind == dfg.ILoad || n.Kind == dfg.IStore) {
-			u.full[n.Var] = make([]bool, g.Prog.ArraySize(n.Var))
-			u.deferred[n.Var] = map[int64][]W{}
+		if a := g.Name(n.Var); (n.Kind == dfg.ILoad || n.Kind == dfg.IStore) && u.full[a] == nil {
+			u.full[a] = make([]bool, g.Prog.ArraySize(a))
+			u.deferred[a] = map[int64][]W{}
 		}
 	}
 	return u

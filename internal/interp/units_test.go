@@ -56,7 +56,7 @@ func TestActivationsCallLookup(t *testing.T) {
 		}
 		for id, n := range g.Nodes {
 			if c := a.Call(id); (c != nil) != (n.Kind == dfg.Apply) || c != nil && c.Apply != id {
-				t.Fatalf("%s: %s looks up %+v", w.Name, n, c)
+				t.Fatalf("%s: %s looks up %+v", w.Name, g.Label(n), c)
 			}
 		}
 		for i := range g.Calls {
@@ -73,9 +73,9 @@ func TestActivationsCallLookup(t *testing.T) {
 	g := linked(t, workloads.MustByName("proc-fortran"))
 	apply := g.Calls[0].Apply
 	g.Calls[0].Apply = len(g.Nodes)
-	g.Calls[1].Apply = g.StartID
+	g.Calls[1].Apply = int(g.StartID)
 	a := interp.NewActivations[int](g, "test")
-	for _, id := range []int{apply, len(g.Nodes), g.StartID} {
+	for _, id := range []int{apply, len(g.Nodes), int(g.StartID)} {
 		if a.Call(id) != nil {
 			t.Errorf("node %d kept a call record", id)
 		}
@@ -151,7 +151,7 @@ func TestActivationsLifecycle(t *testing.T) {
 		wantCheck(t, "close twice", err, machcheck.TagViolation, "return for unknown activation 0")
 		_, _, err = r.Close(outer.Return, token.Root)
 		wantCheck(t, "close at root", err, machcheck.TagViolation,
-			fmt.Sprintf("%s: token: procedure return outside any activation (unbalanced tags)", g.Nodes[outer.Return]))
+			fmt.Sprintf("%s: token: procedure return outside any activation (unbalanced tags)", g.Label(g.Nodes[outer.Return])))
 	}
 	if t2, _, _ := b.Open(outer.Apply, "root", token.Root); t2.Activation() != 2 {
 		t.Errorf("restored registry opened activation %d, want 2", t2.Activation())

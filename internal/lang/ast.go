@@ -134,7 +134,7 @@ func (s *CondGoto) String() string {
 func (s *Label) String() string { return s.Name + ":" }
 
 // Op identifies a binary or unary operator.
-type Op int
+type Op uint8
 
 // Binary and unary operators of the expression language.
 const (

@@ -213,7 +213,7 @@ func (m *sim) graphFP() uint64 {
 	io.WriteString(h, strconv.Itoa(len(m.g.Nodes)))
 	for _, n := range m.g.Nodes {
 		h.Write([]byte{0})
-		io.WriteString(h, n.String()+"/"+strconv.Itoa(n.NIns))
+		io.WriteString(h, m.g.Label(n)+"/"+strconv.Itoa(int(n.NIns)))
 	}
 	return h.Sum64()
 }
@@ -311,7 +311,7 @@ func (m *sim) capture() *Checkpoint {
 		if s.e.n == 0 && len(s.more) == 0 {
 			continue
 		}
-		nIns := m.g.Nodes[node].NIns
+		nIns := int(m.g.Nodes[node].NIns)
 		arena := m.owner(int32(node)).arena
 		var ents []ckMatch
 		add := func(tgID int32, e *matchEntry) {
@@ -404,7 +404,7 @@ func (m *sim) internKey(key string) (int32, error) {
 
 // inPort reports whether port is one of node's input ports: the operand
 // frame slot and matching bit a restored token or firing may name.
-func (m *sim) inPort(node, port int) bool { return port >= 0 && port < m.g.Nodes[node].NIns }
+func (m *sim) inPort(node, port int) bool { return port >= 0 && port < int(m.g.Nodes[node].NIns) }
 
 // restore loads a checkpoint into a freshly initialized sim, in place of
 // the cycle-0 start-token delivery. The sim's shards, stores, and units
@@ -563,7 +563,7 @@ func (m *sim) restore(ck *Checkpoint) error {
 		if cm.Node < 0 || cm.Node >= len(m.g.Nodes) {
 			return ckErrf("match entry node %d out of range", cm.Node)
 		}
-		nIns := m.g.Nodes[cm.Node].NIns
+		nIns := int(m.g.Nodes[cm.Node].NIns)
 		if len(cm.Vals) != nIns || cm.N <= 0 || cm.N >= nIns ||
 			cm.Have>>uint(nIns) != 0 || bits.OnesCount64(cm.Have) != cm.N {
 			return ckErrf("match entry at node %d is not a partial activation", cm.Node)

@@ -425,7 +425,7 @@ func TestRestoreRejectsMalformedCheckpoints(t *testing.T) {
 			if len(ck.Ready) == 0 {
 				return false
 			}
-			ck.Ready[0].Firings[0].Port = g.Nodes[ck.Ready[0].Node].NIns
+			ck.Ready[0].Firings[0].Port = int(g.Nodes[ck.Ready[0].Node].NIns)
 			return true
 		}},
 		edit{"match bit past the inputs", func(g *dfg.Graph, ck *Checkpoint) bool {

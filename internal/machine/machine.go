@@ -489,7 +489,7 @@ func (m *sim) run() (*Outcome, error) {
 		}
 	} else {
 		// Cycle 0: start emits one dummy token per out arc at the root tag.
-		for _, t := range m.p.Out(int32(m.g.StartID), 0) {
+		for _, t := range m.p.Out(m.g.StartID, 0) {
 			m.emitBuf = append(m.emitBuf, tok{node: t.Node, port: t.Port, tgID: rootTagID, dep: -1})
 		}
 		if err := m.deliverBoundary(nil); err != nil {
@@ -751,8 +751,8 @@ func (m *sim) stuckList() []machcheck.Stuck {
 	out := make([]machcheck.Stuck, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, machcheck.Stuck{
-			Node: k.node, Label: m.g.Nodes[k.node].String(), Tag: k.tag,
-			Have: int(k.e.n), Need: m.g.Nodes[k.node].NIns,
+			Node: k.node, Label: m.g.Label(m.g.Nodes[k.node]), Tag: k.tag,
+			Have: int(k.e.n), Need: int(m.g.Nodes[k.node].NIns),
 		})
 	}
 	return out
@@ -894,7 +894,7 @@ func (m *sim) deliverOnce(sh *shardState, t *tok) error {
 	bit := uint64(1) << uint(t.port)
 	if e.have&bit != 0 {
 		return machcheck.Newf(machcheck.TagViolation, "machine",
-			"duplicate token at %s port %d tag %q", m.g.Nodes[t.node], t.port, m.tags.key(t.tgID))
+			"duplicate token at %s port %d tag %q", m.g.Label(m.g.Nodes[t.node]), t.port, m.tags.key(t.tgID))
 	}
 	e.have |= bit
 	sh.arena[e.vals+t.port] = t.val
@@ -953,7 +953,7 @@ func loopTagStep(kind dfg.Kind, port int32) int {
 // opFault reports a kernel or store error as this engine's operator
 // fault at the node.
 func (m *sim) opFault(node int32, err error) error {
-	return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Nodes[node], err)
+	return machcheck.Newf(machcheck.OperatorFault, "machine", "%s: %v", m.g.Label(m.g.Nodes[node]), err)
 }
 
 // fire executes one operator activation, appending the tokens it emits
@@ -974,7 +974,7 @@ func (m *sim) fire(f *firing, vals []int64) error {
 	tgID := f.tgID
 	if kind == dfg.LoopEntry || kind == dfg.LoopExit {
 		if tgID, err = m.tags.step(tgID, loopTagStep(kind, f.port)); err != nil {
-			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Nodes[f.node], err)
+			return machcheck.Newf(machcheck.TagViolation, "machine", "%s: %v", m.g.Label(m.g.Nodes[f.node]), err)
 		}
 	} else if m.inj != nil && kind == dfg.BinOp && fault.PredicateOp(lang.Op(o.Code)) {
 		if fv, hit := m.inj.Misfire(v); hit {
@@ -1049,7 +1049,7 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 	m.stats.MemOps++
 	switch kind {
 	case dfg.ILoad:
-		v, full, err := m.istruct.Read(n.Var, vals[0], waiter{node: f.node, tgID: f.tgID, dep: m.curDep})
+		v, full, err := m.istruct.Read(m.g.Name(n.Var), vals[0], waiter{node: f.node, tgID: f.tgID, dep: m.curDep})
 		if err != nil {
 			return err
 		}
@@ -1062,7 +1062,7 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 		return nil
 
 	case dfg.IStore:
-		waiters, err := m.istruct.Write(n.Var, vals[0], vals[1])
+		waiters, err := m.istruct.Write(m.g.Name(n.Var), vals[0], vals[1])
 		if err != nil {
 			return err
 		}
@@ -1092,7 +1092,7 @@ func (m *sim) fireMem(f *firing, kind dfg.Kind, vals []int64) error {
 	// Updatable memory: the engine resolves the name under the firing's
 	// activation and holds the location for the race checker; what is
 	// read or written is the kernel's (Store.Access).
-	name := m.procs.Resolve(n.Var, m.tags.tag(f.tgID))
+	name := m.procs.Resolve(m.g.Name(n.Var), m.tags.tag(f.tgID))
 	idx := int64(-1)
 	if kind == dfg.LoadIdx || kind == dfg.StoreIdx {
 		idx = vals[0]

@@ -32,9 +32,10 @@ func TestRunFollowsAGrownGraph(t *testing.T) {
 	g.Connect(c.ID, 0, u.ID, 0, false)
 	f := g.Add(&dfg.Node{Kind: dfg.Fused, NIns: 1, NOuts: 1})
 	g.Connect(u.ID, 0, f.ID, 0, false)
-	g.AddFusion(dfg.FusedInfo{Node: f.ID, Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int{0}})
+	g.AddFusion(dfg.FusedInfo{Node: int(f.ID), Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int{0}})
 
 	fresh := dfg.NewGraph(g.Prog)
+	fresh.Names = g.Names
 	for _, n := range g.Nodes {
 		cp := *n
 		fresh.Add(&cp)
@@ -71,9 +72,9 @@ func TestRunFollowsAGrownGraph(t *testing.T) {
 // that already ran clean is validated again once it has grown.
 func TestRunValidatesBeforeLowering(t *testing.T) {
 	for _, grow := range []func(g *dfg.Graph){
-		func(g *dfg.Graph) { g.Arcs = append(g.Arcs, dfg.Arc{From: len(g.Nodes) + 7, To: g.EndID}) },
+		func(g *dfg.Graph) { g.Arcs = append(g.Arcs, dfg.Arc{From: int32(len(g.Nodes)) + 7, To: g.EndID}) },
 		func(g *dfg.Graph) {
-			g.Nodes = append(g.Nodes, &dfg.Node{ID: len(g.Nodes), Kind: dfg.Load, NIns: 1, Var: "x"})
+			g.Nodes = append(g.Nodes, &dfg.Node{ID: int32(len(g.Nodes)), Kind: dfg.Load, NIns: 1, Var: 1})
 		},
 	} {
 		g := benchGraph(t, workloads.MustByName("running-example"), translate.Options{Schema: translate.Schema2}, false)

@@ -65,7 +65,7 @@ type Options struct {
 // NewCollector prepares a collector for one run of g.
 func NewCollector(g *dfg.Graph, opt Options) *Collector {
 	meta := g.Meta()
-	c := &Collector{meta: meta, endID: g.EndID}
+	c := &Collector{meta: meta, endID: int(g.EndID)}
 	if opt.CriticalPath {
 		c.rec = &Record{}
 	}

@@ -35,18 +35,19 @@ func (w *work) eliminateDead(res *translate.Result) int {
 		case (sn.Kind == dfg.Load || sn.Kind == dfg.LoadIdx || sn.Kind == dfg.ILoad) && a.FromPort == 0:
 			return true
 		}
-		return res != nil && sn.Tok != "" && res.ValueTokens[sn.Tok] != ""
+		return res != nil && sn.Tok != dfg.NoName && res.ValueTokens[w.Name(sn.Tok)] != ""
 	}
 
 	n := 0
 	for changed := true; changed; {
 		changed = false
 	nodes:
-		for id, v := range w.Nodes {
-			if v == nil || !isValue(v.Kind) || v.OutPorts() == 0 || w.OutDegree(id) != 0 {
+		for _, v := range w.Nodes {
+			if v == nil || !isValue(v.Kind) || v.OutPorts() == 0 || w.OutDegree(v.ID) != 0 {
 				continue
 			}
-			for p := 0; p < v.NIns; p++ {
+			id := v.ID
+			for p := int32(0); p < v.NIns; p++ {
 				for ai := w.Ins().First(w.Ins().Slot(id, p)); ai >= 0; ai = w.Ins().Next(ai) {
 					if !droppable(w.Arcs[ai]) {
 						continue nodes

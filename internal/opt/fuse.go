@@ -26,7 +26,7 @@ func (w *work) fuseOperators() int {
 	// absorbable: the node's single consumer is a pure operator tree
 	// under construction (binop/unop), so the node belongs to that
 	// consumer's tree rather than rooting its own.
-	absorbable := func(id int) bool {
+	absorbable := func(id int32) bool {
 		if w.OutDegree(id) != 1 {
 			return false
 		}
@@ -57,14 +57,14 @@ func (w *work) fuseOperators() int {
 	// be fused.
 	var t tree
 	okTree := true
-	var build func(v int) int
-	build = func(v int) int {
+	var build func(v int32) int
+	build = func(v int32) int {
 		if !okTree {
 			return 0
 		}
 		vn := w.Nodes[v]
 		var refs [2]int
-		for p := 0; p < vn.NIns; p++ {
+		for p := int32(0); p < vn.NIns; p++ {
 			ai := w.Ins().Only(w.Ins().Slot(v, p))
 			if ai < 0 {
 				okTree = false
@@ -99,10 +99,11 @@ func (w *work) fuseOperators() int {
 		members = append(members, v)
 		return len(steps) - 1 - t.lo
 	}
-	for id, root := range w.Nodes {
-		if root == nil || (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || w.treeOf[id] != -1 {
+	for _, root := range w.Nodes {
+		if root == nil || (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || w.treeOf[root.ID] != -1 {
 			continue
 		}
+		id := root.ID
 		if w.OutDegree(id) < 1 || absorbable(id) {
 			continue
 		}
@@ -122,12 +123,12 @@ func (w *work) fuseOperators() int {
 		return 0
 	}
 
-	fusedID, outs := make([]int, len(trees)), make([]int, 0, len(trees))
+	fusedID, outs := make([]int32, len(trees)), make([]int, 0, len(trees))
 	for i, t := range trees {
 		rn := w.Nodes[members[t.hi-1]]
-		fusedID[i] = w.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
+		fusedID[i] = w.addNode(&dfg.Node{Kind: dfg.Fused, NIns: int32(t.nExt), NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
 		outs = append(outs, t.hi-t.lo-1)
-		w.AddFusion(dfg.FusedInfo{Node: fusedID[i], Steps: steps[t.lo:t.hi:t.hi], Outs: outs[i : i+1 : i+1]})
+		w.AddFusion(dfg.FusedInfo{Node: int(fusedID[i]), Steps: steps[t.lo:t.hi:t.hi], Outs: outs[i : i+1 : i+1]})
 	}
 	// Rewire the arcs that were there before this round's; they connect
 	// nodes that were, too.
@@ -146,7 +147,7 @@ func (w *work) fuseOperators() int {
 			if sT != -1 {
 				a.From, a.FromPort = fusedID[sT], 0 // the feeder is another tree's root
 			}
-			w.AddArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: fusedID[dT], ToPort: int(w.extPort[ai]), Dummy: a.Dummy})
+			w.AddArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: fusedID[dT], ToPort: w.extPort[ai], Dummy: a.Dummy})
 		}
 		// Otherwise an interior arc, dropped — that is the optimization.
 	}

@@ -21,10 +21,11 @@ func (w *work) collapseMerges() int {
 	for {
 		w.sweep++
 		n := 0
-		for id, m1 := range w.Nodes {
-			if m1 == nil || m1.Kind != dfg.Merge || !w.fresh(id) {
+		for _, m1 := range w.Nodes {
+			if m1 == nil || m1.Kind != dfg.Merge || !w.fresh(m1.ID) {
 				continue
 			}
+			id := m1.ID
 			out := w.Outs().Only(w.Outs().Slot(id, 0))
 			if out < 0 {
 				continue

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"ctdf/internal/cfg"
@@ -37,11 +38,13 @@ func dead(w *work) int     { return w.eliminateDead(nil) }
 // merges on token tok2 unless tok1 overrides m1's.
 func mergeChain(tok1, tok2 string) *dfg.Graph {
 	g := dfg.NewGraph(nil)
+	g.Names = slices.Compact([]string{tok1, tok2})
+	tok := func(name string) int32 { return int32(slices.Index(g.Names, name)) + 1 }
 	start := g.Add(&dfg.Node{Kind: dfg.Start})
 	c1 := g.Add(&dfg.Node{Kind: dfg.Const, Val: 1})
 	c2 := g.Add(&dfg.Node{Kind: dfg.Const, Val: 2})
-	m1 := g.Add(&dfg.Node{Kind: dfg.Merge, Tok: tok1})
-	m2 := g.Add(&dfg.Node{Kind: dfg.Merge, Tok: tok2})
+	m1 := g.Add(&dfg.Node{Kind: dfg.Merge, Tok: tok(tok1)})
+	m2 := g.Add(&dfg.Node{Kind: dfg.Merge, Tok: tok(tok2)})
 	end := g.Add(&dfg.Node{Kind: dfg.End, NIns: 1})
 	g.Connect(start.ID, 0, c1.ID, 0, false)
 	g.Connect(start.ID, 0, c2.ID, 0, false)

@@ -42,10 +42,11 @@ func (w *work) sinkSwitches(res *translate.Result) int {
 	for {
 		w.sweep++
 		n := 0
-		for id, sw := range w.Nodes {
-			if sw == nil || sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" || !w.fresh(id) {
+		for _, sw := range w.Nodes {
+			if sw == nil || sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == dfg.NoName || !w.fresh(sw.ID) {
 				continue
 			}
+			id := sw.ID
 			o0, o1 := w.Outs().Only(w.Outs().Slot(id, 0)), w.Outs().Only(w.Outs().Slot(id, 1))
 			if o0 < 0 || o1 < 0 {
 				continue
@@ -107,5 +108,5 @@ func (w *work) needsSwitch(res *translate.Result, sw *dfg.Node) bool {
 		w.placements++
 		w.minimal, _ = vet.MinimalPlacement(res)
 	}
-	return w.minimal == nil || w.minimal.NeedsSwitch(sw.Stmt, sw.Tok)
+	return w.minimal == nil || w.minimal.NeedsSwitch(int(sw.Stmt), w.Name(sw.Tok))
 }

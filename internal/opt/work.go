@@ -25,14 +25,14 @@ type work struct {
 	// Scratch of fuseOperators, kept between rounds.
 	treeOf  []int32
 	extPort []int32
-	members []int
+	members []int32
 }
 
 func newWork(e *dfg.Editor) *work {
 	return &work{Editor: e, touched: make([]int32, len(e.Nodes))}
 }
 
-func (w *work) addNode(n *dfg.Node) int {
+func (w *work) addNode(n *dfg.Node) int32 {
 	w.touched = append(w.touched, 0)
 	return w.AddNode(n)
 }
@@ -41,5 +41,5 @@ func (w *work) addNode(n *dfg.Node) int {
 // fresh reports that none was. A pattern that reads the adjacency of a
 // touched node waits for the next sweep, so that a sweep's rewrites are
 // pairwise independent whatever their order.
-func (w *work) touch(id int)      { w.touched[id] = w.sweep }
-func (w *work) fresh(id int) bool { return w.touched[id] != w.sweep }
+func (w *work) touch(id int32)      { w.touched[id] = w.sweep }
+func (w *work) fresh(id int32) bool { return w.touched[id] != w.sweep }

@@ -23,7 +23,8 @@ type builder struct {
 	numbering
 	plan     *analysis.Plan
 	route    *analysis.Route
-	value    []bool // per token, whether it carries its variable's value (§6.1)
+	value    []bool  // per token, whether it carries its variable's value (§6.1)
+	toks     []int32 // per token, its number in the graph's name table (dfg.Node.Tok)
 	parReads bool
 	pstores  []ParallelStore
 	istructs map[string]bool // arrays with I-structure semantics (§6.3)
@@ -37,8 +38,8 @@ type builder struct {
 	// resolve after every unit is built.
 	procMode     bool
 	procName     string
-	paramNodes   []int // per token
-	returnNode   int
+	paramNodes   []int32 // per token
+	returnNode   int32
 	calleeArity  func(proc string) int // callee universe size (param ports)
 	pendingCalls []*pendingCall
 
@@ -66,12 +67,12 @@ func (b *builder) node(n dfg.Node) int32 {
 		b.slab = make([]dfg.Node, 0, 256)
 	}
 	b.slab = append(b.slab, n)
-	return int32(b.out.AddNode(&b.slab[len(b.slab)-1]))
+	return b.out.AddNode(&b.slab[len(b.slab)-1])
 }
 
 // wire connects w to port port of node to.
 func (b *builder) wire(w src, to int32, port int, dummy bool) {
-	b.out.AddArc(dfg.Arc{From: int(w.Node), FromPort: int(w.Port), To: int(to), ToPort: port, Dummy: dummy})
+	b.out.AddArc(dfg.Arc{From: w.Node, FromPort: w.Port, To: to, ToPort: int32(port), Dummy: dummy})
 }
 
 // synchOf collects a set of wires into one: a single wire passes through;
@@ -85,7 +86,7 @@ func (b *builder) synchOf(wires []src, stmt int, t int32) src {
 	if len(wires) == 1 {
 		return wires[0]
 	}
-	s := b.node(dfg.Node{Kind: dfg.Synch, NIns: len(wires), Tok: b.universe[t], Stmt: stmt})
+	s := b.node(dfg.Node{Kind: dfg.Synch, NIns: int32(len(wires)), Tok: b.toks[t], Stmt: int32(stmt)})
 	for i, w := range wires {
 		b.wire(w, s, i, true)
 	}
@@ -102,7 +103,7 @@ func (b *builder) merged(e int32, id int) src {
 	if len(ins) == 1 {
 		return b.wireOf(e)
 	}
-	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: b.universe[t], Stmt: id})
+	m := b.node(dfg.Node{Kind: dfg.Merge, Tok: b.toks[t], Stmt: int32(id)})
 	for _, in := range ins {
 		b.wire(src(in.W), m, 0, b.dummyFor(t))
 	}
@@ -110,35 +111,98 @@ func (b *builder) merged(e int32, id int) src {
 }
 
 // arcEstimate bounds, before anything is emitted, the arcs the builder
-// emits: one per token a node regenerates, end collects or a back port
-// receives, three per switched token (its data input, its predicate and
-// an input of the merge its arms meet at), and about one per operand of
-// the statements' expression graphs and their stores.
+// emits, by the input ports they enter. A switch takes its token's line
+// and the predicate. Switches split a token's line, and merges join the
+// arms again: each merge of k inputs undoes k-1 splits, and a loop entry's
+// back port undoes one of the splits of every token its loop circulates
+// (the arm that leaves by a loop exit), so the merges take at most twice
+// the splits left over. Loop entries take two arcs per token, loop exits
+// one, end one per token and a call one per token it consumes. What a
+// statement emits is counted from its expressions: the value arcs of
+// every operator, and for every memory operation one arc per token line
+// it gates on, one more through the synch that joins several, and under
+// §6.2 one more per line for the synch that collects its completion.
 func (b *builder) arcEstimate() int {
 	r := b.route
-	n := r.Regen.Entries() + 3*r.Switched.Entries() + len(b.universe)
-	for entry := range r.BackRow {
-		n += len(r.LoopNeed(entry))
-	}
-	for _, nd := range b.g.Nodes {
-		n += exprArcs(nd.RHS) + exprArcs(nd.Cond) + exprArcs(nd.TargetIndex)
-		if nd.RHS != nil {
-			n += 2
+	switches, circulated := 0, 0
+	for id, nd := range b.g.Nodes {
+		switch nd.Kind {
+		case cfg.KindFork: // the placement marks start too, which gets no switch
+			switches += len(r.Switched.Row(id))
+		case cfg.KindLoopEntry:
+			circulated += len(r.LoopNeed(id))
 		}
+	}
+	n := 2*switches + 2*max(0, switches-circulated) + 2*circulated + max(1, len(b.universe))
+	for id, nd := range b.g.Nodes {
+		switch nd.Kind {
+		case cfg.KindLoopExit:
+			n += len(r.LoopNeed(id))
+		case cfg.KindCall:
+			n += len(b.need.Row(id))
+		case cfg.KindAssign, cfg.KindFork:
+			b.reads = b.g.ReadSet(b.reads[:0], id)
+			for _, v := range b.reads {
+				if !b.g.Prog.IsArray(v) && !b.valueLine(v) {
+					n += b.gateArcs(v, true)
+				}
+			}
+			n += b.exprArcs(nd.Cond) + b.exprArcs(nd.RHS) + b.exprArcs(nd.TargetIndex)
+			switch {
+			case nd.Kind == cfg.KindFork || nd.TargetIndex == nil && b.valueLine(nd.Target):
+			case nd.TargetIndex == nil:
+				n += 1 + b.gateArcs(nd.Target, false)
+			case b.istructs[nd.Target]:
+				n += 2
+			default:
+				n += 4 + b.gateArcs(nd.Target, false) // a §6.3 store's completion synch too
+			}
+		}
+	}
+	for _, ps := range b.pstores {
+		n += 2 * len(ps.Exits)
 	}
 	return n
 }
 
-func exprArcs(e lang.Expr) int {
+// valueLine reports whether scalar v's one token line carries its value
+// (§6.1), so that it is neither loaded nor stored.
+func (b *builder) valueLine(v string) bool {
+	toks := b.vars[v]
+	return len(toks) == 1 && b.value[toks[0]]
+}
+
+// gateArcs bounds the arcs into a memory operation on v's token lines:
+// one per line, one from the synch that joins several, and for a §6.2
+// read one per line into the synch that collects the reads.
+func (b *builder) gateArcs(v string, read bool) int {
+	k := len(b.vars[v])
+	n := k
+	if k > 1 {
+		n++
+	}
+	if read && b.parReads {
+		n += k
+	}
+	return n
+}
+
+// exprArcs counts the arcs compile emits for e: the operands of its
+// operators, a constant's trigger, and an array read's index and gate.
+func (b *builder) exprArcs(e lang.Expr) int {
 	switch x := e.(type) {
-	case *lang.IntLit, *lang.VarRef:
+	case *lang.IntLit:
 		return 1
 	case *lang.IndexRef:
-		return 2 + exprArcs(x.Index)
+		n := 1 + b.exprArcs(x.Index)
+		if !b.istructs[x.Name] {
+			n += b.gateArcs(x.Name, true)
+		}
+		return n
 	case *lang.BinExpr:
-		return 2 + exprArcs(x.L) + exprArcs(x.R)
+		return 2 + b.exprArcs(x.L) + b.exprArcs(x.R)
 	case *lang.UnExpr:
-		return 1 + exprArcs(x.X)
+		return 1 + b.exprArcs(x.X)
 	}
 	return 0
 }
@@ -186,9 +250,9 @@ func (b *builder) visit(id int, s int32) error {
 	switch b.g.Nodes[id].Kind {
 	case cfg.KindStart:
 		if b.procMode {
-			b.paramNodes = make([]int, len(b.universe)) // one Param per token, made as it leaves
+			b.paramNodes = make([]int32, len(b.universe)) // one Param per token, made as it leaves
 		} else {
-			b.start = b.node(dfg.Node{Kind: dfg.Start, Stmt: id})
+			b.start = b.node(dfg.Node{Kind: dfg.Start, Stmt: int32(id)})
 		}
 	case cfg.KindEnd:
 		b.buildEnd(id)
@@ -220,27 +284,27 @@ func (b *builder) leave(e int32, k int, side analysis.Source) analysis.Wire {
 		// node per token, fed by every Apply.
 		w = src{b.start, 0}
 		if b.procMode {
-			w.Node = b.node(dfg.Node{Kind: dfg.Param, Tok: b.universe[t], Var: b.procName, Stmt: id})
-			b.paramNodes[t] = int(w.Node)
+			w.Node = b.node(dfg.Node{Kind: dfg.Param, Tok: b.toks[t], Var: b.out.NameID(b.procName), Stmt: int32(id)})
+			b.paramNodes[t] = w.Node
 		}
 	case cfg.KindEnd:
-		b.wire(b.merged(e, id), int32(b.returnNode), int(t), b.dummyFor(t))
+		b.wire(b.merged(e, id), b.returnNode, int(t), b.dummyFor(t))
 	case cfg.KindJoin:
 		// "A join with a single source is equivalent to no operator"
 		// (§4.2): Move passes only the tokens with several.
 		w = b.merged(e, id)
 	case cfg.KindLoopEntry:
 		// The LoopEntry's back port is wired after the walk.
-		w = src{b.node(dfg.Node{Kind: dfg.LoopEntry, Tok: b.universe[t], Stmt: id}), 0}
+		w = src{b.node(dfg.Node{Kind: dfg.LoopEntry, Tok: b.toks[t], Stmt: int32(id)}), 0}
 		b.wire(b.merged(e, id), w.Node, 0, b.dummyFor(t))
 		b.les = append(b.les, w.Node)
 	case cfg.KindLoopExit:
-		w = src{b.node(dfg.Node{Kind: dfg.LoopExit, Tok: b.universe[t], Stmt: id}), 0}
+		w = src{b.node(dfg.Node{Kind: dfg.LoopExit, Tok: b.toks[t], Stmt: int32(id)}), 0}
 		b.wire(b.wireOf(e), w.Node, 0, b.dummyFor(t))
 	case cfg.KindCall:
 		// The Apply buildCall made regenerates the call's k-th token on
 		// its port k.
-		w = src{int32(b.pendingCalls[len(b.pendingCalls)-1].apply), int32(k)}
+		w = src{b.pendingCalls[len(b.pendingCalls)-1].apply, int32(k)}
 	case cfg.KindAssign:
 		w = ctx.collapse(t)
 	case cfg.KindFork:
@@ -252,7 +316,7 @@ func (b *builder) leave(e int32, k int, side analysis.Source) analysis.Wire {
 		if slices.Contains(ctx.consumed, t) {
 			data = ctx.collapse(t)
 		}
-		w = src{b.node(dfg.Node{Kind: dfg.Switch, Tok: b.universe[t], Stmt: id}), 0}
+		w = src{b.node(dfg.Node{Kind: dfg.Switch, Tok: b.toks[t], Stmt: int32(id)}), 0}
 		b.wire(data, w.Node, 0, b.dummyFor(t))
 		b.wire(ctx.pred, w.Node, 1, false)
 	}
@@ -269,16 +333,16 @@ func (b *builder) buildEnd(id int) {
 	if len(b.universe) == 0 && !b.procMode {
 		// No token circulates: end collects start's own token, as Schema
 		// 1's single token line runs from start to end.
-		e := b.node(dfg.Node{Kind: kind, NIns: 1, Stmt: id})
+		e := b.node(dfg.Node{Kind: kind, NIns: 1, Stmt: int32(id)})
 		b.wire(src{b.start, 0}, e, 0, true)
 		return
 	}
-	b.returnNode = int(b.node(dfg.Node{Kind: kind, NIns: len(b.universe), Var: b.procName, Stmt: id}))
+	b.returnNode = b.node(dfg.Node{Kind: kind, NIns: int32(len(b.universe)), Var: b.out.NameID(b.procName), Stmt: int32(id)})
 }
 
 // pendingCall records one Apply awaiting linkage to its callee unit.
 type pendingCall struct {
-	apply    int
+	apply    int32
 	proc     string
 	inTokens []string
 	bindings map[string]string
@@ -299,9 +363,9 @@ func (b *builder) buildCall(id int, s int32) error {
 		return fmt.Errorf("translate: call of %s touches nothing (empty effect set)", n.Proc)
 	}
 	apply := b.node(dfg.Node{
-		Kind: dfg.Apply, Var: n.Proc, Stmt: id,
-		NIns:  len(consumed),
-		NOuts: len(consumed) + b.calleeArity(n.Proc),
+		Kind: dfg.Apply, Var: b.out.NameID(n.Proc), Stmt: int32(id),
+		NIns:  int32(len(consumed)),
+		NOuts: int32(len(consumed) + b.calleeArity(n.Proc)),
 	})
 	inTokens := make([]string, len(consumed))
 	for i, t := range consumed {
@@ -317,7 +381,7 @@ func (b *builder) buildCall(id int, s int32) error {
 		bindings[formal] = n.Args[i]
 	}
 	b.pendingCalls = append(b.pendingCalls, &pendingCall{
-		apply: int(apply), proc: n.Proc, inTokens: inTokens, bindings: bindings,
+		apply: apply, proc: n.Proc, inTokens: inTokens, bindings: bindings,
 	})
 	return nil
 }
@@ -338,7 +402,7 @@ func (b *builder) rejoin(id int, s int32) error {
 		if err := cmp.Or(err, err2); err != nil {
 			return err
 		}
-		syn := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: b.universe[t], Stmt: id})
+		syn := b.node(dfg.Node{Kind: dfg.Synch, NIns: 2, Tok: b.toks[t], Stmt: int32(id)})
 		b.wire(b.wireOf(arr), syn, 0, true)
 		b.wire(b.wireOf(done), syn, 1, true)
 		b.Put(arr, s, analysis.Input{From: analysis.Source{Node: int32(id), Dir: true}, W: analysis.Wire{Node: syn}})
@@ -430,13 +494,13 @@ func (ctx *stmtCtx) complete(tokens []int32, read bool, out src) {
 func (ctx *stmtCtx) loadScalar(v string) {
 	b := ctx.b
 	toks := b.vars[v]
-	if len(toks) == 1 && b.value[toks[0]] {
+	if b.valueLine(v) {
 		// §6.1: the token line carries the value; no load needed.
 		ctx.vals[v] = ctx.tails[toks[0]]
 		return
 	}
 	gate := ctx.gate(toks, true)
-	ld := b.node(dfg.Node{Kind: dfg.Load, Var: v, Stmt: ctx.id})
+	ld := b.node(dfg.Node{Kind: dfg.Load, Var: b.out.NameID(v), Stmt: int32(ctx.id)})
 	b.wire(gate, ld, 0, true)
 	ctx.complete(toks, true, src{ld, 1})
 	ctx.vals[v] = src{ld, 0}
@@ -453,7 +517,7 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if !ctx.hasTrigger {
 			return src{}, fmt.Errorf("translate: internal: no trigger wire for constant in %s", b.g.Nodes[ctx.id])
 		}
-		c := b.node(dfg.Node{Kind: dfg.Const, Val: x.Value, Stmt: ctx.id})
+		c := b.node(dfg.Node{Kind: dfg.Const, Val: x.Value, Stmt: int32(ctx.id)})
 		b.wire(ctx.trigger, c, 0, true)
 		return src{c, 0}, nil
 	case *lang.VarRef:
@@ -470,13 +534,13 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if b.istructs[x.Name] {
 			// I-structure read: no access token; the memory defers the
 			// read until the cell is written.
-			ld := b.node(dfg.Node{Kind: dfg.ILoad, Var: x.Name, Stmt: ctx.id})
+			ld := b.node(dfg.Node{Kind: dfg.ILoad, Var: b.out.NameID(x.Name), Stmt: int32(ctx.id)})
 			b.wire(idx, ld, 0, false)
 			return src{ld, 0}, nil
 		}
 		toks := b.vars[x.Name]
 		gate := ctx.gate(toks, true)
-		ld := b.node(dfg.Node{Kind: dfg.LoadIdx, Var: x.Name, Stmt: ctx.id})
+		ld := b.node(dfg.Node{Kind: dfg.LoadIdx, Var: b.out.NameID(x.Name), Stmt: int32(ctx.id)})
 		b.wire(idx, ld, 0, false)
 		b.wire(gate, ld, 1, true)
 		ctx.complete(toks, true, src{ld, 1})
@@ -490,7 +554,7 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if err != nil {
 			return src{}, err
 		}
-		op := b.node(dfg.Node{Kind: dfg.BinOp, Op: x.Op, Stmt: ctx.id})
+		op := b.node(dfg.Node{Kind: dfg.BinOp, Op: x.Op, Stmt: int32(ctx.id)})
 		b.wire(l, op, 0, false)
 		b.wire(r, op, 1, false)
 		return src{op, 0}, nil
@@ -499,7 +563,7 @@ func (ctx *stmtCtx) compile(e lang.Expr) (src, error) {
 		if err != nil {
 			return src{}, err
 		}
-		op := b.node(dfg.Node{Kind: dfg.UnOp, Op: x.Op, Stmt: ctx.id})
+		op := b.node(dfg.Node{Kind: dfg.UnOp, Op: x.Op, Stmt: int32(ctx.id)})
 		b.wire(v, op, 0, false)
 		return src{op, 0}, nil
 	}
@@ -539,23 +603,23 @@ func (b *builder) buildAssign(id int, s int32) error {
 	target := n.Target
 	toks := b.vars[target]
 	switch {
-	case n.TargetIndex == nil && len(toks) == 1 && b.value[toks[0]]:
+	case n.TargetIndex == nil && b.valueLine(target):
 		// §6.1: the value rides the token line; no store.
 		ctx.collapse(toks[0])
 		ctx.tails[toks[0]] = val
 	case n.TargetIndex == nil:
 		gate := ctx.gate(toks, false)
-		st := b.node(dfg.Node{Kind: dfg.Store, Var: target, Stmt: id})
+		st := b.node(dfg.Node{Kind: dfg.Store, Var: b.out.NameID(target), Stmt: int32(id)})
 		b.wire(val, st, 0, false)
 		b.wire(gate, st, 1, true)
 		ctx.complete(toks, false, src{st, 0})
 	case b.istructs[target]:
 		// I-structure write: index and value in, no token, no output.
-		st := b.node(dfg.Node{Kind: dfg.IStore, Var: target, Stmt: id})
+		st := b.node(dfg.Node{Kind: dfg.IStore, Var: b.out.NameID(target), Stmt: int32(id)})
 		b.wire(idxSrc, st, 0, false)
 		b.wire(val, st, 1, false)
 	default:
-		st := b.node(dfg.Node{Kind: dfg.StoreIdx, Var: target, Stmt: id})
+		st := b.node(dfg.Node{Kind: dfg.StoreIdx, Var: b.out.NameID(target), Stmt: int32(id)})
 		b.wire(idxSrc, st, 0, false)
 		b.wire(val, st, 1, false)
 		gate := ctx.gate(toks, false)

@@ -66,11 +66,11 @@ func TestGoldenSchema2RunningExample(t *testing.T) {
 	}
 	byTok := map[string]map[dfg.Kind]int{}
 	for _, n := range res.Graph.Nodes {
-		if n.Tok != "" {
-			if byTok[n.Tok] == nil {
-				byTok[n.Tok] = map[dfg.Kind]int{}
+		if tok := res.Graph.Name(n.Tok); tok != "" {
+			if byTok[tok] == nil {
+				byTok[tok] = map[dfg.Kind]int{}
 			}
-			byTok[n.Tok][n.Kind]++
+			byTok[tok][n.Kind]++
 		}
 	}
 	for _, v := range []string{"x", "y"} {
@@ -101,7 +101,7 @@ func TestGoldenFig9BypassWiring(t *testing.T) {
 	// second (x := 0).
 	var firstStore, secondStore *dfg.Node
 	for _, n := range dg.Nodes {
-		if n.Kind == dfg.Store && n.Var == "x" {
+		if n.Kind == dfg.Store && dg.Name(n.Var) == "x" {
 			if firstStore == nil {
 				firstStore = n
 			} else {
@@ -121,7 +121,7 @@ func TestGoldenFig9BypassWiring(t *testing.T) {
 		to := dg.Nodes[a.To]
 		// Acceptable direct targets: the load of x in the second statement
 		// (x := 0 has no load — so the store itself) or the store.
-		if (to.Kind == dfg.Load || to.Kind == dfg.Store) && to.Var == "x" && to.Stmt == secondStore.Stmt {
+		if (to.Kind == dfg.Load || to.Kind == dfg.Store) && dg.Name(to.Var) == "x" && to.Stmt == secondStore.Stmt {
 			foundDirect = true
 		}
 		if to.Kind == dfg.Switch {
@@ -156,7 +156,7 @@ x := x + 1
 	countLE := func(res *Result, tok string) int {
 		c := 0
 		for _, n := range res.Graph.Nodes {
-			if n.Kind == dfg.LoopEntry && n.Tok == tok {
+			if n.Kind == dfg.LoopEntry && res.Graph.Name(n.Tok) == tok {
 				c++
 			}
 		}

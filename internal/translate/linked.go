@@ -121,8 +121,15 @@ func translateLinked(prog *lang.Program) (*Result, []*builder, error) {
 		}
 		return names
 	}
+	// The graph's name table begins with the units' universes merged.
+	var table []string
+	for _, name := range order {
+		table = append(table, universe[name]...)
+	}
+	slices.Sort(table)
+	table = slices.Compact(table)
 	mainAlias := analysis.NewAliasStructure(prog)
-	out := dfg.NewEditorFor(prog)
+	out := dfg.NewEditorFor(prog, table)
 	built, emitted := map[string]*builder{}, []*builder{}
 	for _, name := range order {
 		ug, loops, err := cfg.InsertLoopControl(units[name])
@@ -151,7 +158,7 @@ func translateLinked(prog *lang.Program) (*Result, []*builder, error) {
 			return nil, nil, fmt.Errorf("translate: unit %q: %w", name, err)
 		}
 		b := &builder{
-			g: ug, loops: loops, numbering: nb, value: make([]bool, len(nb.universe)), out: out,
+			g: ug, loops: loops, numbering: nb, value: make([]bool, len(nb.universe)), toks: tableIDs(nb.universe, table), out: out,
 			procMode: name != "", procName: name,
 			calleeArity: func(proc string) int { return len(universe[proc]) },
 		}
@@ -167,15 +174,15 @@ func translateLinked(prog *lang.Program) (*Result, []*builder, error) {
 		for _, pc := range built[name].pendingCalls {
 			callee := built[pc.proc]
 			info := dfg.CallInfo{
-				Apply:    pc.apply,
+				Apply:    int(pc.apply),
 				Proc:     pc.proc,
 				InTokens: pc.inTokens,
-				Return:   callee.returnNode,
+				Return:   int(callee.returnNode),
 				Bindings: pc.bindings,
 			}
 			for j, pn := range callee.paramNodes {
-				info.Params = append(info.Params, pn)
-				out.AddArc(dfg.Arc{From: pc.apply, FromPort: len(pc.inTokens) + j, To: pn, Dummy: true})
+				info.Params = append(info.Params, int(pn))
+				out.AddArc(dfg.Arc{From: pc.apply, FromPort: int32(len(pc.inTokens) + j), To: pn, Dummy: true})
 			}
 			calls = append(calls, info)
 		}

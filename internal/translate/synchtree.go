@@ -22,14 +22,15 @@ import (
 func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 	e := dfg.NewEditor(g)
 	added := 0
-	type end struct{ node, port int }
-	for id, n := range g.Nodes {
+	type end struct{ node, port int32 }
+	for _, n := range g.Nodes {
 		if n.Kind != dfg.Synch || n.NIns <= 2 {
 			continue
 		}
+		id := n.ID
 		cur := make([]end, n.NIns)
 		for p := range cur {
-			a := e.Arcs[e.Ins().First(e.Ins().Slot(id, p))]
+			a := e.Arcs[e.Ins().First(e.Ins().Slot(id, int32(p)))]
 			cur[p] = end{a.From, a.FromPort}
 		}
 		e.KillArcsInto(id)
@@ -67,8 +68,8 @@ func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 func MaxSynchArity(g *dfg.Graph) int {
 	max := 0
 	for _, n := range g.Nodes {
-		if n.Kind == dfg.Synch && n.NIns > max {
-			max = n.NIns
+		if n.Kind == dfg.Synch && int(n.NIns) > max {
+			max = int(n.NIns)
 		}
 	}
 	return max

@@ -330,10 +330,11 @@ func TranslateEdited(g0 *cfg.Graph, opt Options, edit func(*dfg.Editor, *Result)
 		loops:     loops,
 		numbering: nb,
 		value:     make([]bool, len(universe)),
+		toks:      tableIDs(universe, universe),
 		parReads:  opt.ParallelReads,
 		pstores:   pstores,
 		istructs:  istructs,
-		out:       dfg.NewEditorFor(prog),
+		out:       dfg.NewEditorFor(prog, universe),
 	}
 	for _, v := range valueTokens { // v's one token carries its value
 		b.value[b.vars[v][0]] = true
@@ -440,13 +441,25 @@ func number(ids []int32, universe []string, toks ...string) ([]int32, error) {
 	return ids, nil
 }
 
+// tableIDs returns the node Tok of each token of a unit's universe: its
+// position in table, the sorted universes the graph's name table begins
+// with, counted from 1.
+func tableIDs(universe, table []string) []int32 {
+	ids, _ := number(make([]int32, 0, len(universe)), table, universe...)
+	for i := range ids {
+		ids[i]++
+	}
+	return ids
+}
+
 // emit is the unit stage every translation unit runs, a program's or one
 // procedure body of a separate compilation: it places switches (minimally
 // for the optimized schemas, every token at every fork otherwise), routes
 // the tokens under that placement, reserves the arc table for what the
-// builder emits (and a third as much again for the arcs a following edit
-// moves, each move appending one) and builds, wiring the source vectors
-// of Figure 11 as its walk computes them.
+// builder emits (and half as much again for the arcs a following edit
+// appends: the optimizer's moves and fused operators add up to 0.43 times
+// the arcs emitted over the workloads and generators) and builds, wiring
+// the source vectors of Figure 11 as its walk computes them.
 func (b *builder) emit(minimal, edited bool) error {
 	var err error
 	if minimal {
@@ -461,7 +474,7 @@ func (b *builder) emit(minimal, edited bool) error {
 	}
 	arcs := b.arcEstimate()
 	if edited {
-		arcs += arcs / 3
+		arcs += arcs / 2
 	}
 	b.out.ReserveArcs(len(b.out.Arcs) + arcs)
 	return b.build()

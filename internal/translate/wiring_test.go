@@ -20,7 +20,7 @@ import (
 // switch's true output for a true out-direction and its false one for a
 // false; and there is a merge for every entry with several sources. It
 // returns how many merges it checked.
-func checkWiring(t *testing.T, label string, d *dfg.Graph, g *cfg.Graph, plan *analysis.Plan, lo, hi int) int {
+func checkWiring(t *testing.T, label string, d *dfg.Graph, g *cfg.Graph, plan *analysis.Plan, lo, hi int32) int {
 	t.Helper()
 	sv, err := plan.SourceVectors()
 	if err != nil {
@@ -48,12 +48,12 @@ func checkWiring(t *testing.T, label string, d *dfg.Graph, g *cfg.Graph, plan *a
 		if n.Kind != dfg.Merge {
 			continue
 		}
-		tok, ok := slices.BinarySearch(sv.Universe, n.Tok)
+		tok, ok := slices.BinarySearch(sv.Universe, d.Name(n.Tok))
 		if !ok || len(outs[m-lo]) == 0 {
-			t.Fatalf("%s: merge d%d of token %q feeds %d arcs", label, m, n.Tok, len(outs[m-lo]))
+			t.Fatalf("%s: merge d%d of token %q feeds %d arcs", label, m, d.Name(n.Tok), len(outs[m-lo]))
 		}
 		to := outs[m-lo][0]
-		r := row{n.Stmt, int32(tok), d.Nodes[to.To].Kind == dfg.LoopEntry && d.Nodes[to.To].Stmt == n.Stmt && to.ToPort == 1}
+		r := row{int(n.Stmt), int32(tok), d.Nodes[to.To].Kind == dfg.LoopEntry && d.Nodes[to.To].Stmt == n.Stmt && to.ToPort == 1}
 		got[r]++
 		srcs := sv.Sources(r.stmt, r.tok)
 		if r.back {
@@ -75,7 +75,7 @@ func checkWiring(t *testing.T, label string, d *dfg.Graph, g *cfg.Graph, plan *a
 			}
 		}
 		if !slices.Equal(have, want) {
-			t.Fatalf("%s: merge d%d (%+v, %s) takes %v, its sources are %v", label, m, r, n.Tok, have, want)
+			t.Fatalf("%s: merge d%d (%+v, %s) takes %v, its sources are %v", label, m, r, d.Name(n.Tok), have, want)
 		}
 	}
 	want := map[row]int{}
@@ -135,7 +135,7 @@ func TestBuilderWiringMatchesSourceVectors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", w.Name, s, err)
 			}
-			merges += checkWiring(t, fmt.Sprintf("%s/%v", w.Name, s), res.Graph, res.CFG, res.Plan, 0, len(res.Graph.Nodes))
+			merges += checkWiring(t, fmt.Sprintf("%s/%v", w.Name, s), res.Graph, res.CFG, res.Plan, 0, int32(len(res.Graph.Nodes)))
 			graphs++
 		}
 	}
@@ -148,7 +148,7 @@ func TestBuilderWiringMatchesSourceVectors(t *testing.T) {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		for i, b := range built {
-			lo, hi := int(b.start), len(res.Graph.Nodes)
+			lo, hi := b.start, int32(len(res.Graph.Nodes))
 			if b.procMode {
 				lo = b.paramNodes[0]
 			}
@@ -189,7 +189,7 @@ func TestBuilderAndSourceVectorsFailAlike(t *testing.T) {
 			for _, tok := range row {
 				pl := res.Plan.Without(func(fork, t int) bool { return fork == f && t == int(tok) })
 				_, svErr := pl.SourceVectors()
-				b := &builder{g: res.CFG, loops: res.Loops, numbering: nb, value: make([]bool, len(res.Universe)), out: dfg.NewEditorFor(g.Prog), plan: pl}
+				b := &builder{g: res.CFG, loops: res.Loops, numbering: nb, value: make([]bool, len(res.Universe)), toks: tableIDs(res.Universe, res.Universe), out: dfg.NewEditorFor(g.Prog, res.Universe), plan: pl}
 				route, buildErr := pl.Route()
 				if buildErr == nil {
 					b.route = route
@@ -244,7 +244,7 @@ func TestBuilderUnsentBackRowIsAnError(t *testing.T) {
 				}
 			}
 		}
-		b := &builder{g: res.CFG, loops: res.Loops, numbering: nb, value: make([]bool, len(res.Universe)), out: dfg.NewEditorFor(g.Prog), plan: res.Plan, route: route}
+		b := &builder{g: res.CFG, loops: res.Loops, numbering: nb, value: make([]bool, len(res.Universe)), toks: tableIDs(res.Universe, res.Universe), out: dfg.NewEditorFor(g.Prog, res.Universe), plan: res.Plan, route: route}
 		if err := b.build(); err == nil || !strings.Contains(err.Error(), "has no back-edge source") {
 			t.Errorf("%s with no back edge sent: the builder returns %v", w.Name, err)
 		}

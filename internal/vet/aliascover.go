@@ -62,11 +62,11 @@ func gatherCheck(u *Unit) []Diagnostic {
 	var ds []Diagnostic
 	for _, n := range u.G.Nodes {
 		in, _ := accessPorts(n.Kind)
-		toks := u.Res.TokensOf[n.Var]
+		toks := u.Res.TokensOf[u.G.Name(n.Var)]
 		if in < 0 || len(toks) == 0 {
 			continue // not a memory operation, or one on a tokenless array (§6.3)
 		}
-		walk, fromStart := int32(n.ID)+1, false
+		walk, fromStart := n.ID+1, false
 		begin := func(tok string) {
 			m := begun[tok]
 			m.walk = walk
@@ -86,16 +86,16 @@ func gatherCheck(u *Unit) []Diagnostic {
 			case dfg.Start:
 				fromStart = true
 			case dfg.Switch, dfg.Merge, dfg.LoopEntry, dfg.LoopExit:
-				begin(src.Tok)
+				begin(u.G.Name(src.Tok))
 			default:
-				if _, out := accessPorts(src.Kind); a.FromPort != out {
+				if _, out := accessPorts(src.Kind); int(a.FromPort) != out {
 					break // value ports carry no access line
 				}
-				if tok, ok := done[src.Stmt]; ok && src.Kind == dfg.StoreIdx {
+				if tok, ok := done[int(src.Stmt)]; ok && src.Kind == dfg.StoreIdx {
 					begin(tok)
 					break
 				}
-				for _, tok := range u.Res.TokensOf[src.Var] {
+				for _, tok := range u.Res.TokensOf[u.G.Name(src.Var)] {
 					begin(tok)
 				}
 			}
@@ -103,8 +103,8 @@ func gatherCheck(u *Unit) []Diagnostic {
 		for _, tok := range toks {
 			if m := begun[tok]; m.walk != walk && !(fromStart && m.start) {
 				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: tok,
-					Msg: fmt.Sprintf("access input does not gather token %s: cover element [%s] intersects [%s], so operations on the two are unordered", tok, tok, n.Var),
+					Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: tok,
+					Msg: fmt.Sprintf("access input does not gather token %s: cover element [%s] intersects [%s], so operations on the two are unordered", tok, tok, u.G.Name(n.Var)),
 				})
 			}
 		}
@@ -172,15 +172,15 @@ func orderingCheck(u *Unit) []Diagnostic {
 	for _, p := range races {
 		a, b := ops[p[0]], ops[p[1]]
 		shared := ""
-		for _, t := range u.Res.TokensOf[a.Var] {
-			if slices.Contains(u.Res.TokensOf[b.Var], t) {
+		for _, t := range u.Res.TokensOf[u.G.Name(a.Var)] {
+			if slices.Contains(u.Res.TokensOf[u.G.Name(b.Var)], t) {
 				shared = t
 				break
 			}
 		}
 		ds = append(ds, Diagnostic{
-			Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
-			Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
+			Severity: SevError, Check: machcheck.Determinacy, Node: int(a.ID), Tok: shared,
+			Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Label(b), shared),
 		})
 	}
 	return ds
@@ -193,7 +193,7 @@ func coverElements(u *Unit, ops []*dfg.Node) (elem map[string]int32, start, hold
 	elem = map[string]int32{}
 	var elems, holding []int32 // (element, operation) pairs in operation order
 	for i, n := range ops {
-		for _, t := range u.Res.TokensOf[n.Var] {
+		for _, t := range u.Res.TokensOf[u.G.Name(n.Var)] {
 			e, ok := elem[t]
 			if !ok {
 				e = int32(len(elem))
@@ -226,8 +226,9 @@ type lineWalk struct {
 	ops    []*dfg.Node
 	guards *guardTable
 	// name[e] is element e's token, done[e] the completion token of a
-	// §6.3 store on it, or "": the tokens of the routing nodes on its line.
-	name, done []string
+	// §6.3 store on it, as numbered in the graph's name table (-1 where
+	// it has none): the tokens of the routing nodes on its line.
+	name, done []int32
 
 	// The walk of one element. seen and holds mark, with the walk's
 	// epoch, the nodes on the line and the holders; nodes lists the
@@ -267,19 +268,19 @@ func newLineWalk(u *Unit, ops []*dfg.Node, elem map[string]int32) *lineWalk {
 	n := len(u.searched().G.Nodes)
 	w := &lineWalk{
 		u: u, ops: ops, guards: u.guardTable(),
-		name: make([]string, len(elem)), done: make([]string, len(elem)),
+		name: make([]int32, len(elem)), done: make([]int32, len(elem)),
 		seen: make([]int32, n), holds: make([]int32, n), opOf: make([]int32, n), num: make([]int32, n),
 		lo: make([]int32, n), hi: make([]int32, n),
 		pendAt: make([]int32, u.comps), pend: make([]ivList, u.comps),
 		isStore: make([]bool, len(ops)),
 	}
 	for tok, e := range elem {
-		w.name[e] = tok
+		w.name[e], w.done[e] = u.tokID(tok), -1
 	}
 	for _, ps := range u.Res.ParallelStores {
 		if toks := u.Res.TokensOf[ps.Array]; len(toks) > 0 {
 			if e, ok := elem[toks[0]]; ok {
-				w.done[e] = ps.DoneToken()
+				w.done[e] = u.tokID(ps.DoneToken())
 			}
 		}
 	}
@@ -303,13 +304,13 @@ func (w *lineWalk) next(n int32, e int32, f func(to int32)) {
 		lo, hi = 0, 2
 	}
 	for p := lo; p < hi; p++ {
-		for _, ai := range w.u.Out(int(n), p) {
+		for _, ai := range w.u.Out(n, p) {
 			w.steps++
-			to := int32(w.u.G.Arcs[ai].To)
+			to := w.u.G.Arcs[ai].To
 			switch w.u.G.Nodes[to].Kind {
 			case dfg.Synch, dfg.End:
 			case dfg.Switch, dfg.Merge, dfg.LoopEntry, dfg.LoopExit:
-				if tok := w.u.G.Nodes[to].Tok; tok != w.name[e] && (tok != w.done[e] || tok == "") {
+				if tok := w.u.G.Nodes[to].Tok; tok != w.name[e] && tok != w.done[e] {
 					continue
 				}
 			default:
@@ -334,7 +335,7 @@ func (w *lineWalk) unordered(e int32, held []int32) [][2]int32 {
 	w.epoch++
 	w.nodes, w.succ = w.nodes[:0], w.succ[:0]
 	for _, i := range held {
-		n := int32(w.ops[i].ID)
+		n := w.ops[i].ID
 		w.holds[n], w.opOf[n] = w.epoch, i
 		w.seen[n] = w.epoch
 		w.nodes = append(w.nodes, n)
@@ -552,7 +553,7 @@ func (w *lineWalk) reach(n int32) {
 	for len(w.nodes) > 0 {
 		v := w.nodes[len(w.nodes)-1]
 		w.nodes = w.nodes[:len(w.nodes)-1]
-		for _, ai := range w.u.adj.OutOf(int(v)) {
+		for _, ai := range w.u.adj.OutOf(v) {
 			w.steps++
 			if to := int32(w.u.G.Arcs[ai].To); w.seen[to] != w.epoch {
 				w.seen[to] = w.epoch

@@ -309,14 +309,14 @@ func newRefEditor(g *dfg.Graph) *refEditor {
 	return e
 }
 
-func (e *refEditor) addNode(n *dfg.Node) int {
-	id := len(e.g.Nodes) + len(e.newNodes)
+func (e *refEditor) addNode(n *dfg.Node) int32 {
+	id := int32(len(e.g.Nodes) + len(e.newNodes))
 	e.newNodes = append(e.newNodes, n)
 	return id
 }
 
-func (e *refEditor) hasArc(from, fromPort, to, toPort int) bool {
-	if from < len(e.outs) {
+func (e *refEditor) hasArc(from, fromPort, to, toPort int32) bool {
+	if int(from) < len(e.outs) {
 		for _, ai := range e.outs[from][fromPort] {
 			if !e.deadA[ai] {
 				a := e.g.Arcs[ai]
@@ -337,7 +337,8 @@ func (e *refEditor) hasArc(from, fromPort, to, toPort int) bool {
 func (e *refEditor) rebuild() (*dfg.Graph, error) {
 	g := e.g
 	ng := dfg.NewGraph(g.Prog)
-	remap := make([]int, len(g.Nodes)+len(e.newNodes))
+	ng.Names = g.Names
+	remap := make([]int32, len(g.Nodes)+len(e.newNodes))
 	for i, n := range g.Nodes {
 		if e.deadN[i] {
 			remap[i] = -1
@@ -378,7 +379,7 @@ func (e *refEditor) rebuild() (*dfg.Graph, error) {
 		if remap[fi.Node] < 0 {
 			continue
 		}
-		fi.Node = remap[fi.Node]
+		fi.Node = int(remap[fi.Node])
 		fi.Steps = append([]dfg.FusedOp(nil), fi.Steps...)
 		fi.Outs = append([]int(nil), fi.Outs...)
 		ng.AddFusion(fi)
@@ -387,7 +388,7 @@ func (e *refEditor) rebuild() (*dfg.Graph, error) {
 		if remap[fi.Node] < 0 {
 			continue
 		}
-		fi.Node = remap[fi.Node]
+		fi.Node = int(remap[fi.Node])
 		ng.AddFusion(fi)
 	}
 	return ng, nil
@@ -399,10 +400,10 @@ func refSinkSwitches(g *dfg.Graph, minimal *analysis.Placement, count, total *in
 		touched := make([]bool, len(g.Nodes)) // adjacency edited this sweep
 		n := 0
 		for _, sw := range g.Nodes {
-			if sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == "" || touched[sw.ID] {
+			if sw.Kind != dfg.Switch || sw.Stmt < 0 || sw.Tok == dfg.NoName || touched[sw.ID] {
 				continue
 			}
-			if minimal.NeedsSwitch(sw.Stmt, sw.Tok) {
+			if minimal.NeedsSwitch(int(sw.Stmt), g.Name(sw.Tok)) {
 				continue // required by Theorem 1: removing it would break determinacy
 			}
 			o0, o1 := e.outs[sw.ID][0], e.outs[sw.ID][1]
@@ -519,7 +520,7 @@ func refCollapseMerges(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 	e := newRefEditor(g)
 	pure := func(k dfg.Kind) bool { return k == dfg.Const || k == dfg.BinOp || k == dfg.UnOp }
-	outDeg := func(id int) int {
+	outDeg := func(id int32) int {
 		d := 0
 		for _, arcs := range e.outs[id] {
 			d += len(arcs)
@@ -529,7 +530,7 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 	// absorbable: the node's single consumer is a pure operator tree
 	// under construction (binop/unop), so the node belongs to that
 	// consumer's tree rather than rooting its own.
-	absorbable := func(id int) bool {
+	absorbable := func(id int32) bool {
 		if outDeg(id) != 1 {
 			return false
 		}
@@ -538,11 +539,11 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 	}
 
 	type tree struct {
-		root    int
+		root    int32
 		steps   []dfg.FusedOp
-		ext     map[int]int // arc index → external input port
-		members []int
-		nExt    int
+		ext     map[int]int32 // arc index → external input port
+		members []int32
+		nExt    int32
 	}
 	treeOf := make([]int, len(g.Nodes))
 	for i := range treeOf {
@@ -557,16 +558,16 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 		if outDeg(root.ID) < 1 || absorbable(root.ID) {
 			continue
 		}
-		t := &tree{root: root.ID, ext: map[int]int{}}
+		t := &tree{root: root.ID, ext: map[int]int32{}}
 		okTree := true
-		var build func(v int) int
-		build = func(v int) int {
+		var build func(v int32) int
+		build = func(v int32) int {
 			if !okTree {
 				return 0
 			}
 			vn := g.Nodes[v]
 			var refs [2]int
-			for p := 0; p < vn.NIns; p++ {
+			for p := 0; p < int(vn.NIns); p++ {
 				arcs := e.ins[v][p]
 				if len(arcs) != 1 {
 					okTree = false
@@ -582,7 +583,7 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 						return 0
 					}
 					t.ext[ai] = t.nExt
-					refs[p] = dfg.FusedInput(t.nExt)
+					refs[p] = dfg.FusedInput(int(t.nExt))
 					t.nExt++
 				}
 			}
@@ -615,11 +616,11 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 		return g, nil
 	}
 
-	fusedID := make([]int, len(trees))
+	fusedID := make([]int32, len(trees))
 	for i, t := range trees {
 		rn := g.Nodes[t.root]
 		fusedID[i] = e.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
-		e.newFus = append(e.newFus, dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int{len(t.steps) - 1}})
+		e.newFus = append(e.newFus, dfg.FusedInfo{Node: int(fusedID[i]), Steps: t.steps, Outs: []int{len(t.steps) - 1}})
 		for _, m := range t.members {
 			e.deadN[m] = true
 		}
@@ -666,7 +667,7 @@ func refEliminateDead(g *dfg.Graph, res *translate.Result, count, total *int) (*
 		if (sn.Kind == dfg.Load || sn.Kind == dfg.LoadIdx || sn.Kind == dfg.ILoad) && port == 0 {
 			return true
 		}
-		return res != nil && sn.Tok != "" && res.ValueTokens[sn.Tok] != ""
+		return res != nil && sn.Tok != dfg.NoName && res.ValueTokens[g.Name(sn.Tok)] != ""
 	}
 
 	portLive := make([][]int, len(g.Nodes)) // live out-arc count per (node, port)
@@ -687,13 +688,13 @@ func refEliminateDead(g *dfg.Graph, res *translate.Result, count, total *int) (*
 				continue
 			}
 			ok := true
-			for p := 0; p < v.NIns && ok; p++ {
+			for p := 0; p < int(v.NIns) && ok; p++ {
 				for _, ai := range e.ins[v.ID][p] {
 					if e.deadA[ai] {
 						continue
 					}
 					a := g.Arcs[ai]
-					if portLive[a.From][a.FromPort] > 1 || srcSafe(g.Nodes[a.From], a.FromPort) {
+					if portLive[a.From][a.FromPort] > 1 || srcSafe(g.Nodes[a.From], int(a.FromPort)) {
 						continue
 					}
 					ok = false
@@ -703,7 +704,7 @@ func refEliminateDead(g *dfg.Graph, res *translate.Result, count, total *int) (*
 			if !ok {
 				continue
 			}
-			for p := 0; p < v.NIns; p++ {
+			for p := 0; p < int(v.NIns); p++ {
 				for _, ai := range e.ins[v.ID][p] {
 					if e.deadA[ai] {
 						continue

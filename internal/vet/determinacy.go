@@ -44,7 +44,7 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 	}
 	var ds []Diagnostic
 	for _, n := range g.Nodes {
-		for p := 0; p < n.NIns; p++ {
+		for p := 0; p < int(n.NIns); p++ {
 			arcs := u.In(n.ID, p)
 			if len(arcs) < 2 {
 				continue
@@ -61,7 +61,7 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 						}
 						if !guards.disjoint(gi, gj) {
 							ds = append(ds, Diagnostic{
-								Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: n.Tok,
+								Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: g.Name(n.Tok),
 								Msg: fmt.Sprintf("merge inputs from d%d.%d and d%d.%d are not on disjoint predicate paths: one execution can deliver both tokens under one tag",
 									ai.From, ai.FromPort, aj.From, aj.FromPort),
 							})
@@ -72,7 +72,7 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 				// One arc per call site; activations are tag-disjoint.
 			default:
 				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TagViolation, Node: n.ID, Tok: n.Tok,
+					Severity: SevError, Check: machcheck.TagViolation, Node: int(n.ID), Tok: g.Name(n.Tok),
 					Msg: fmt.Sprintf("input port %d is fed by %d arcs: two tokens can arrive under one tag", p, len(arcs)),
 				})
 			}
@@ -87,7 +87,7 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 // switches on the SAME wire are still the same predicate decision (the
 // diamond's merge receives switch-a's false arm and switch-b's true arm —
 // disjoint because both switches test a<b).
-type predWire struct{ node, port int }
+type predWire struct{ node, port int32 }
 
 // guardSet is a set of switch arms, or ⊤ (the port provably never emits).
 // Predicate wire i owns arms 2i (true arm) and 2i+1 (false arm). id names
@@ -130,8 +130,8 @@ type guardCell struct {
 
 const topID = -1
 
-func (t *guardTable) at(node, port int) guardSet {
-	id := t.row[t.u.adj.OutRow(node)+port]
+func (t *guardTable) at(node, port int32) guardSet {
+	id := t.row[int32(t.u.adj.OutRow(node))+port]
 	return guardSet{top: id == topID, id: id}
 }
 
@@ -292,7 +292,7 @@ func newGuardTable(u *Unit) *guardTable {
 		t.arm[n.ID] = int32(2 * i)
 	}
 	t.head = make([]int32, 2*len(t.wires))
-	t.row = make([]int32, u.adj.OutRow(len(g.Nodes)))
+	t.row = make([]int32, u.adj.OutRow(int32(len(g.Nodes))))
 	for i := range t.row {
 		t.row[i] = topID
 	}
@@ -316,7 +316,7 @@ func newGuardTable(u *Unit) *guardTable {
 			if !t.update(g.Nodes[n]) {
 				continue
 			}
-			for _, ai := range u.adj.OutOf(n) {
+			for _, ai := range u.adj.OutOf(int32(n)) {
 				if to := g.Arcs[ai].To; clean[to] {
 					clean[to] = false
 					pending++
@@ -367,7 +367,7 @@ func (t *guardTable) set(row int, id int32) bool {
 // set id (or topID) and returns the result. Starting from ⊤ this is the
 // guard of the input port: a multi-arc port is a merge point, so only
 // common guards survive, and an unfed port stays ⊤ — it never matches.
-func (t *guardTable) meetPort(id int32, node, port int) int32 {
+func (t *guardTable) meetPort(id, node int32, port int) int32 {
 	for _, ai := range t.u.In(node, port) {
 		a := &t.u.G.Arcs[ai]
 		switch src := t.at(a.From, a.FromPort); {
@@ -393,7 +393,7 @@ func (t *guardTable) firingGuard(n *dfg.Node) int32 {
 		return 0
 	}
 	ports := t.ports[:0]
-	for p := 0; p < n.NIns; p++ {
+	for p := 0; p < int(n.NIns); p++ {
 		port := t.meetPort(topID, n.ID, p)
 		if port == topID {
 			return topID

@@ -71,16 +71,17 @@ func mutant(e *dfg.Editor) (*dfg.Graph, bool) {
 // exists to prevent.
 func dropSwitch(res *translate.Result) (*dfg.Graph, bool) {
 	e := dfg.NewEditor(res.Graph)
-	for sw, n := range e.Nodes {
+	for _, n := range e.Nodes {
 		if n.Kind != dfg.Switch {
 			continue
 		}
+		sw := n.ID
 		din := e.Ins().First(e.Ins().Slot(sw, 0))
 		if din < 0 {
 			return nil, false
 		}
 		data := e.Arcs[din]
-		for p := 0; p < 2; p++ {
+		for p := int32(0); p < 2; p++ {
 			for slot := e.Outs().Slot(sw, p); e.Outs().First(slot) >= 0; {
 				e.MoveSource(e.Outs().First(slot), data.From, data.FromPort)
 			}

@@ -16,31 +16,41 @@ import (
 // and the number of the access token served.
 type slot struct{ stmt, tok int32 }
 
-// slotNames numbers a graph's token names as the recomputed plan does,
-// by their position in its sorted universe (known), and a name the plan
+// tokNumbers returns, per token of g's table (NoName first), its position
+// in the sorted universe known, or -1 where known has no such name.
+func tokNumbers(g *dfg.Graph, known []string) []int32 {
+	nums := make([]int32, len(g.Names)+1)
+	for tok := range nums {
+		t, ok := slices.BinarySearch(known, g.Name(int32(tok)))
+		nums[tok] = int32(t)
+		if !ok {
+			nums[tok] = -1
+		}
+	}
+	return nums
+}
+
+// slotNames numbers a graph's tokens as the recomputed plan does, by
+// their position in its sorted universe (known), and a token the plan
 // does not know (a mutated or hand-written graph's) after them, in the
 // order met.
 type slotNames struct {
-	known  []string
-	strays map[string]int32
-	names  []string
+	g     *dfg.Graph
+	known []string
+	nums  []int32 // per graph token, its number once met (tokNumbers)
+	names []string
 }
 
-func newSlotNames(known []string) *slotNames {
-	return &slotNames{known: known, strays: map[string]int32{}}
+func newSlotNames(g *dfg.Graph, known []string) *slotNames {
+	return &slotNames{g: g, known: known, nums: tokNumbers(g, known)}
 }
 
-func (s *slotNames) slot(stmt int, tok string) slot {
-	if t, ok := slices.BinarySearch(s.known, tok); ok {
-		return slot{int32(stmt), int32(t)}
+func (s *slotNames) slot(stmt, tok int32) slot {
+	if s.nums[tok] < 0 {
+		s.nums[tok] = int32(len(s.known) + len(s.names))
+		s.names = append(s.names, s.g.Name(tok))
 	}
-	t, ok := s.strays[tok]
-	if !ok {
-		t = int32(len(s.known) + len(s.names))
-		s.strays[tok] = t
-		s.names = append(s.names, tok)
-	}
-	return slot{int32(stmt), t}
+	return slot{stmt, s.nums[tok]}
 }
 
 func (s *slotNames) name(t int32) string {
@@ -94,12 +104,13 @@ func (u *Unit) placementInfo() *placeInfo {
 // too (the conventional start→end edge makes it a fork for CD purposes),
 // but the builder gives start no switch.
 func (pi *placeInfo) indexSwitches(g *dfg.Graph, c *cfg.Graph) {
+	nums := tokNumbers(g, pi.plan.Placement.Universe)
 	for _, n := range g.Nodes {
 		if n.Kind != dfg.Switch {
 			continue
 		}
-		if t, ok := slices.BinarySearch(pi.plan.Placement.Universe, n.Tok); ok {
-			pi.switches = append(pi.switches, slotNode{slotKey(n.Stmt, t), n.ID})
+		if t := nums[n.Tok]; t >= 0 {
+			pi.switches = append(pi.switches, slotNode{slotKey(int(n.Stmt), int(t)), int(n.ID)})
 		}
 	}
 	slices.SortFunc(pi.switches, func(a, b slotNode) int { return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.node, b.node)) })
@@ -233,19 +244,20 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 		}
 	}
 	for _, n := range u.G.Nodes {
-		if n.Kind != dfg.Switch || (isFork(g, n.Stmt) && place.NeedsSwitch(n.Stmt, n.Tok)) {
+		stmt, tok := int(n.Stmt), u.G.Name(n.Tok)
+		if n.Kind != dfg.Switch || (isFork(g, stmt) && place.NeedsSwitch(stmt, tok)) {
 			continue
 		}
-		if !isFork(g, n.Stmt) {
+		if !isFork(g, stmt) {
 			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: n.Tok,
+				Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: tok,
 				Msg: fmt.Sprintf("switch has no originating fork (stmt %d)", n.Stmt),
 			})
 			continue
 		}
 		ds = append(ds, Diagnostic{
-			Severity: SevWarning, Node: n.ID, Tok: n.Tok,
-			Msg: fmt.Sprintf("redundant switch: fork %s is not in CD+ of any node referencing token %s (missed §4 optimization)", g.Nodes[n.Stmt], n.Tok),
+			Severity: SevWarning, Node: int(n.ID), Tok: tok,
+			Msg: fmt.Sprintf("redundant switch: fork %s is not in CD+ of any node referencing token %s (missed §4 optimization)", g.Nodes[stmt], tok),
 		})
 	}
 	return ds, ""
@@ -278,7 +290,7 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 			Msg: "source-vector recomputation failed: " + err.Error()}}, ""
 	}
 	u.work.SVCells = pi.held.Work.Cells
-	names := newSlotNames(sv.Universe)
+	names := newSlotNames(u.G, sv.Universe)
 
 	expected := map[slot]int{}
 	for id := range g.Nodes {
@@ -422,8 +434,8 @@ func stmtLabel(g *cfg.Graph, stmt int) string {
 // a diagnostic; -1 when none exists.
 func mergeNodeAt(u *Unit, stmt int, tok string) int {
 	for _, n := range u.G.Nodes {
-		if n.Kind == dfg.Merge && n.Stmt == stmt && n.Tok == tok {
-			return n.ID
+		if n.Kind == dfg.Merge && int(n.Stmt) == stmt && u.G.Name(n.Tok) == tok {
+			return int(n.ID)
 		}
 	}
 	return -1

@@ -47,9 +47,9 @@ func CheckAgainstReference(tb testing.TB, g *dfg.Graph, res *translate.Result) *
 	}
 	for _, n := range g.Nodes {
 		for p := 0; p < n.OutPorts(); p++ {
-			gs, ws := got.at(n.ID, p), want.at(n.ID, p)
+			gs, ws := got.at(n.ID, int32(p)), want.at(n.ID, int32(p))
 			if dec := decodeGuards(got, gs); !refGuardEqual(dec, ws) {
-				tb.Errorf("%s port %d: guard set %v, reference %v", n, p, dec, ws)
+				tb.Errorf("%s port %d: guard set %v, reference %v", g.Label(n), p, dec, ws)
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func CheckAgainstReference(tb testing.TB, g *dfg.Graph, res *translate.Result) *
 				for x := range y {
 					a, b := w.order[x], w.order[y]
 					if w.ordered(x, y) && !seen[a][ops[b].ID] {
-						tb.Errorf("the line orders %s before %s; no dataflow path does", ops[a], ops[b])
+						tb.Errorf("the line orders %s before %s; no dataflow path does", g.Label(ops[a]), g.Label(ops[b]))
 					}
 				}
 			}
@@ -140,7 +140,7 @@ func refRun(u *Unit, passes []Pass) *Report {
 				diags[i].Paper = p.Paper
 			}
 			if diags[i].Node >= 0 && diags[i].Node < len(g.Nodes) && diags[i].Label == "" {
-				diags[i].Label = g.Nodes[diags[i].Node].String()
+				diags[i].Label = g.Label(g.Nodes[diags[i].Node])
 			}
 		}
 		rep.Diags = append(rep.Diags, diags...)
@@ -176,7 +176,7 @@ func refPassDeterminacy(u *Unit) ([]Diagnostic, string) {
 	guards := newRefGuardTable(u)
 	var ds []Diagnostic
 	for _, n := range g.Nodes {
-		for p := 0; p < n.NIns; p++ {
+		for p := 0; p < int(n.NIns); p++ {
 			arcs := refArcs(u, u.In(n.ID, p))
 			if len(arcs) < 2 {
 				continue
@@ -192,7 +192,7 @@ func refPassDeterminacy(u *Unit) ([]Diagnostic, string) {
 						}
 						if !refDisjoint(gi, gj) {
 							ds = append(ds, Diagnostic{
-								Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: n.Tok,
+								Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: g.Name(n.Tok),
 								Msg: fmt.Sprintf("merge inputs from d%d.%d and d%d.%d are not on disjoint predicate paths: one execution can deliver both tokens under one tag",
 									arcs[i].From, arcs[i].FromPort, arcs[j].From, arcs[j].FromPort),
 							})
@@ -202,7 +202,7 @@ func refPassDeterminacy(u *Unit) ([]Diagnostic, string) {
 			case n.Kind == dfg.Param:
 			default:
 				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TagViolation, Node: n.ID, Tok: n.Tok,
+					Severity: SevError, Check: machcheck.TagViolation, Node: int(n.ID), Tok: g.Name(n.Tok),
 					Msg: fmt.Sprintf("input port %d is fed by %d arcs: two tokens can arrive under one tag", p, len(arcs)),
 				})
 			}
@@ -237,11 +237,11 @@ func refGatherCheck(u *Unit) []Diagnostic {
 			continue
 		}
 		got := tr.portTokens(n.ID, accessIn)
-		for _, tok := range u.Res.TokensOf[n.Var] {
+		for _, tok := range u.Res.TokensOf[u.G.Name(n.Var)] {
 			if _, ok := slices.BinarySearch(got, tr.id(tok)); !ok {
 				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Determinacy, Node: n.ID, Tok: tok,
-					Msg: fmt.Sprintf("access input does not gather token %s: cover element [%s] intersects [%s], so operations on the two are unordered", tok, tok, n.Var),
+					Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: tok,
+					Msg: fmt.Sprintf("access input does not gather token %s: cover element [%s] intersects [%s], so operations on the two are unordered", tok, tok, u.G.Name(n.Var)),
 				})
 			}
 		}
@@ -277,7 +277,7 @@ const (
 )
 
 func newRefTokenTracer(u *Unit) *refTokenTracer {
-	rows := u.adj.OutRow(len(u.G.Nodes))
+	rows := u.adj.OutRow(int32(len(u.G.Nodes)))
 	tr := &refTokenTracer{
 		u:        u,
 		memo:     make([][]int32, rows),
@@ -314,16 +314,16 @@ func (tr *refTokenTracer) id(tok string) int32 {
 // portTokens is the union over the arcs entering (node, port) of the
 // tokens each source emits. Token sets are read, never written, once
 // returned, so a port fed by one arc shares its source's.
-func (tr *refTokenTracer) portTokens(node, port int) []int32 {
+func (tr *refTokenTracer) portTokens(node int32, port int) []int32 {
 	in := tr.u.In(node, port)
 	if len(in) == 1 {
 		a := &tr.u.G.Arcs[in[0]]
-		return tr.outTokens(a.From, a.FromPort)
+		return tr.outTokens(a.From, int(a.FromPort))
 	}
 	var out []int32
 	for _, ai := range in {
 		a := &tr.u.G.Arcs[ai]
-		out = refUnion(out, tr.outTokens(a.From, a.FromPort))
+		out = refUnion(out, tr.outTokens(a.From, int(a.FromPort)))
 	}
 	return out
 }
@@ -357,8 +357,8 @@ func refUnion(a, b []int32) []int32 {
 }
 
 // outTokens is the set of token lines emitted from (node, port).
-func (tr *refTokenTracer) outTokens(node, port int) []int32 {
-	if node < 0 || node >= len(tr.u.G.Nodes) {
+func (tr *refTokenTracer) outTokens(node int32, port int) []int32 {
+	if node < 0 || int(node) >= len(tr.u.G.Nodes) {
 		return nil
 	}
 	row := tr.u.adj.OutRow(node) + port
@@ -383,36 +383,36 @@ func (tr *refTokenTracer) compute(n *dfg.Node, port int) []int32 {
 	case dfg.Switch, dfg.Merge, dfg.LoopEntry, dfg.LoopExit:
 		// Routing operators carry exactly the line they are labelled with;
 		// the structure pass and determinacy pass police their wiring.
-		return single(n.Tok)
+		return single(tr.u.G.Name(n.Tok))
 	case dfg.Synch:
 		// A synch holds every line of its operands (Figure 13's gather
 		// tree). Never trust Synch.Tok — it names only the first line.
 		var out []int32
-		for p := 0; p < n.NIns; p++ {
+		for p := 0; p < int(n.NIns); p++ {
 			out = refUnion(out, tr.portTokens(n.ID, p))
 		}
 		return out
 	case dfg.Load, dfg.LoadIdx:
 		if port == 1 {
-			return tr.tokensOfVar(n.Var)
+			return tr.tokensOfVar(tr.u.G.Name(n.Var))
 		}
 	case dfg.Store:
 		if port == 0 {
-			return tr.tokensOfVar(n.Var)
+			return tr.tokensOfVar(tr.u.G.Name(n.Var))
 		}
 	case dfg.StoreIdx:
 		if port == 0 {
-			if done, ok := tr.parallel[n.Stmt]; ok {
+			if done, ok := tr.parallel[int(n.Stmt)]; ok {
 				// §6.3 / Figure 14(b): a parallelized store replicates the
 				// array token on entry and emits a completion instead.
 				return single(done)
 			}
-			return tr.tokensOfVar(n.Var)
+			return tr.tokensOfVar(tr.u.G.Name(n.Var))
 		}
 	case dfg.Param:
-		return single(n.Tok)
+		return single(tr.u.G.Name(n.Tok))
 	case dfg.Apply:
-		if c := tr.calls[n.ID]; c != nil {
+		if c := tr.calls[int(n.ID)]; c != nil {
 			if port < len(c.InTokens) {
 				return single(c.InTokens[port])
 			}
@@ -454,13 +454,13 @@ func refOrderingCheck(u *Unit) []Diagnostic {
 	if len(ops) < 2 {
 		return nil
 	}
-	reach := map[int][]bool{}
+	reach := map[int32][]bool{}
 	for _, n := range ops {
 		reach[n.ID] = refForwardReach(u, n.ID)
 	}
 	toks := func(n *dfg.Node) map[string]bool {
 		set := map[string]bool{}
-		for _, t := range u.Res.TokensOf[n.Var] {
+		for _, t := range u.Res.TokensOf[u.G.Name(n.Var)] {
 			set[t] = true
 		}
 		return set
@@ -476,7 +476,7 @@ func refOrderingCheck(u *Unit) []Diagnostic {
 			}
 			shared := ""
 			bt := toks(b)
-			for _, t := range u.Res.TokensOf[a.Var] {
+			for _, t := range u.Res.TokensOf[u.G.Name(a.Var)] {
 				if bt[t] {
 					shared = t
 					break
@@ -496,8 +496,8 @@ func refOrderingCheck(u *Unit) []Diagnostic {
 				continue
 			}
 			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Determinacy, Node: a.ID, Tok: shared,
-				Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Nodes[b.ID], shared),
+				Severity: SevError, Check: machcheck.Determinacy, Node: int(a.ID), Tok: shared,
+				Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Label(b), shared),
 			})
 		}
 	}
@@ -511,8 +511,8 @@ func refOrderingCheck(u *Unit) []Diagnostic {
 // predicate decision (the diamond's merge receives switch-a's false arm
 // and switch-b's true arm — refDisjoint because both switches test a<b).
 type refGuardKey struct {
-	predNode int
-	predPort int
+	predNode int32
+	predPort int32
 	arm      bool
 }
 
@@ -542,8 +542,8 @@ type refGuardTable struct {
 	byNode [][]refGuardSet
 }
 
-func (t *refGuardTable) at(node, port int) refGuardSet {
-	if node < 0 || node >= len(t.byNode) || port < 0 || port >= len(t.byNode[node]) {
+func (t *refGuardTable) at(node, port int32) refGuardSet {
+	if node < 0 || int(node) >= len(t.byNode) || port < 0 || int(port) >= len(t.byNode[node]) {
 		return refGuardSet{top: true}
 	}
 	return t.byNode[node][port]
@@ -639,7 +639,7 @@ func (t *refGuardTable) firingGuard(n *dfg.Node) refGuardSet {
 		return refGuardSet{set: map[refGuardKey]bool{}}
 	}
 	out := refGuardSet{set: map[refGuardKey]bool{}}
-	for p := 0; p < n.NIns; p++ {
+	for p := 0; p < int(n.NIns); p++ {
 		port := t.portGuard(n, p)
 		if port.top {
 			return refGuardSet{top: true}
@@ -698,10 +698,10 @@ func refGuardEqual(a, b refGuardSet) bool {
 }
 
 // refForwardReach marks every node reachable from src over any arc.
-func refForwardReach(u *Unit, src int) []bool {
+func refForwardReach(u *Unit, src int32) []bool {
 	seen := make([]bool, len(u.G.Nodes))
 	seen[src] = true
-	stack := []int{src}
+	stack := []int32{src}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

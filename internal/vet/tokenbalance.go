@@ -38,7 +38,7 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 
 	// Backward reachability to a token-retiring sink.
 	bwd := make([]bool, len(g.Nodes))
-	var stack []int
+	var stack []int32
 	for _, n := range g.Nodes {
 		if n.Kind == dfg.End || n.Kind == dfg.ProcReturn || n.Kind == dfg.IStore {
 			bwd[n.ID] = true
@@ -62,7 +62,7 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 		// program's end collects start's own token.
 		if n.Kind == dfg.End && n.NIns == 0 {
 			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Deadlock, Node: n.ID,
+				Severity: SevError, Check: machcheck.Deadlock, Node: int(n.ID),
 				Msg: "end has no input port, so no arc feeds it: it never fires and the run cannot finish",
 			})
 		}
@@ -70,16 +70,16 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 		// reachability does not apply.
 		if n.Kind != dfg.Start && n.NIns > 0 && !fwd[n.ID] {
 			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Deadlock, Node: n.ID, Tok: n.Tok,
+				Severity: SevError, Check: machcheck.Deadlock, Node: int(n.ID), Tok: g.Name(n.Tok),
 				Msg: "unreachable from start: the node can never fire and its consumers starve",
 			})
 			// Its ports would all be reported too; one finding is enough.
 			continue
 		}
-		for p := 0; p < n.NIns; p++ {
+		for p := 0; p < int(n.NIns); p++ {
 			if len(u.In(n.ID, p)) == 0 {
 				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Deadlock, Node: n.ID, Tok: n.Tok,
+					Severity: SevError, Check: machcheck.Deadlock, Node: int(n.ID), Tok: g.Name(n.Tok),
 					Msg: fmt.Sprintf("input port %d never receives a token: the node can never fire", p),
 				})
 			}
@@ -87,14 +87,14 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 		for p := 0; p < n.OutPorts(); p++ {
 			if len(u.Out(n.ID, p)) == 0 && !unconsumedOK(u, n, p) {
 				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TokenLeak, Node: n.ID, Tok: n.Tok,
+					Severity: SevError, Check: machcheck.TokenLeak, Node: int(n.ID), Tok: g.Name(n.Tok),
 					Msg: fmt.Sprintf("output port %d has no consumer: its token count drops below 1 and end can never collect it", p),
 				})
 			}
 		}
 		if n.OutPorts() > 0 && fwd[n.ID] && !bwd[n.ID] && !valueKind(n) && !valueTokenLine(u, n) {
 			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.TokenLeak, Node: n.ID, Tok: n.Tok,
+				Severity: SevError, Check: machcheck.TokenLeak, Node: int(n.ID), Tok: g.Name(n.Tok),
 				Msg: "no path to end (or any token-retiring sink): tokens pool here forever",
 			})
 		}
@@ -103,10 +103,10 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 	// End arity against the token universe: the translation contract wires
 	// end port i to token universe[i], and an empty universe's end port 0
 	// to start.
-	if u.Res != nil && u.Res.Universe != nil && g.EndID >= 0 && g.EndID < len(g.Nodes) {
-		if got, want := g.Nodes[g.EndID].NIns, max(1, len(u.Res.Universe)); got != want {
+	if u.Res != nil && u.Res.Universe != nil && g.EndID >= 0 && int(g.EndID) < len(g.Nodes) {
+		if got, want := int(g.Nodes[g.EndID].NIns), max(1, len(u.Res.Universe)); got != want {
 			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.TokenLeak, Node: g.EndID,
+				Severity: SevError, Check: machcheck.TokenLeak, Node: int(g.EndID),
 				Msg: fmt.Sprintf("end collects %d ports but the token universe has %d tokens", got, want),
 			})
 		}
@@ -148,8 +148,8 @@ func valueKind(n *dfg.Node) bool {
 // line (§6.1 memory elimination), where token-count conservation does not
 // apply.
 func valueTokenLine(u *Unit, n *dfg.Node) bool {
-	if u.Res == nil || n.Tok == "" {
+	if u.Res == nil || n.Tok == dfg.NoName {
 		return false
 	}
-	return u.Res.ValueTokens[n.Tok] != ""
+	return u.Res.ValueTokens[u.G.Name(n.Tok)] != ""
 }

@@ -33,6 +33,7 @@ package vet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -263,7 +264,7 @@ func (u *Unit) run(passes []Pass) *Report {
 				diags[i].Paper = p.Paper
 			}
 			if diags[i].Node >= 0 && diags[i].Node < len(g.Nodes) && diags[i].Label == "" {
-				diags[i].Label = g.Nodes[diags[i].Node].String()
+				diags[i].Label = g.Label(g.Nodes[diags[i].Node])
 			}
 		}
 		rep.Diags = append(rep.Diags, diags...)
@@ -355,8 +356,8 @@ func (u *Unit) search() {
 		for len(calls) > 0 {
 			top := len(calls) - 1
 			v := calls[top].node
-			if out := u.adj.OutOf(int(v)); int(calls[top].next) < len(out) {
-				to := int32(u.G.Arcs[out[calls[top].next]].To)
+			if out := u.adj.OutOf(v); int(calls[top].next) < len(out) {
+				to := u.G.Arcs[out[calls[top].next]].To
 				calls[top].next++
 				if index[to] == 0 {
 					visit(to)
@@ -384,7 +385,7 @@ func (u *Unit) search() {
 			}
 		}
 	}
-	if s := u.G.StartID; s >= 0 && s < n {
+	if s := int(u.G.StartID); s >= 0 && s < n {
 		root(s)
 	}
 	u.fromStart = len(u.post)
@@ -394,10 +395,19 @@ func (u *Unit) search() {
 }
 
 // In returns the ids of the arcs entering (node, port).
-func (u *Unit) In(node, port int) []int32 { return u.adj.In(node, port) }
+func (u *Unit) In(node int32, port int) []int32 { return u.adj.In(node, port) }
 
 // Out returns the ids of the arcs leaving (node, port).
-func (u *Unit) Out(node, port int) []int32 { return u.adj.Out(node, port) }
+func (u *Unit) Out(node int32, port int) []int32 { return u.adj.Out(node, port) }
+
+// tokID returns the number of token name in the graph's name table
+// (dfg.Node.Tok), or -1 when the table has no such name.
+func (u *Unit) tokID(name string) int32 {
+	if i := slices.Index(u.G.Names, name); i >= 0 {
+		return int32(i) + 1
+	}
+	return -1
+}
 
 // hasMeta reports whether translation-validation metadata is available.
 func (u *Unit) hasMeta() bool {

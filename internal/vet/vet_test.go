@@ -119,7 +119,7 @@ func TestGatherEndsOnSynchCycle(t *testing.T) {
 	res := mustTranslate(t, "fortran-alias", translate.Options{Schema: translate.Schema3})
 	var op *dfg.Node
 	for _, n := range memoryOps(res.Graph) {
-		if in, _ := accessPorts(n.Kind); len(res.TokensOf[n.Var]) >= 2 && len(res.Graph.Index().In(n.ID, in)) == 1 {
+		if in, _ := accessPorts(n.Kind); len(res.TokensOf[res.Graph.Name(n.Var)]) >= 2 && len(res.Graph.Index().In(n.ID, in)) == 1 {
 			op = n
 			break
 		}
@@ -130,7 +130,7 @@ func TestGatherEndsOnSynchCycle(t *testing.T) {
 	in, _ := accessPorts(op.Kind)
 	for _, fed := range []bool{false, true} {
 		e := dfg.NewEditor(res.Graph)
-		access := e.Ins().Only(e.Ins().Slot(op.ID, in))
+		access := e.Ins().Only(e.Ins().Slot(op.ID, int32(in)))
 		feed := e.Arcs[access]
 		a := e.AddNode(&dfg.Node{Kind: dfg.Synch, NIns: 1})
 		b := e.AddNode(&dfg.Node{Kind: dfg.Synch, NIns: 1})
@@ -147,16 +147,16 @@ func TestGatherEndsOnSynchCycle(t *testing.T) {
 		}
 		var missing []string
 		for _, d := range Run(g, res).Diags {
-			if d.Pass == "alias-cover" && d.Node == op.ID && strings.Contains(d.Msg, "does not gather") {
+			if d.Pass == "alias-cover" && d.Node == int(op.ID) && strings.Contains(d.Msg, "does not gather") {
 				missing = append(missing, d.Tok)
 			}
 		}
-		want := res.TokensOf[op.Var]
+		want := res.TokensOf[res.Graph.Name(op.Var)]
 		if fed {
 			want = nil
 		}
 		if !slices.Equal(missing, want) {
-			t.Errorf("fed=%v: %s misses %v, want %v", fed, op, missing, want)
+			t.Errorf("fed=%v: %s misses %v, want %v", fed, res.Graph.Label(op), missing, want)
 		}
 	}
 }
@@ -182,9 +182,9 @@ func TestGatherParallelStoreBeginsCompletion(t *testing.T) {
 	var store, load *dfg.Node
 	for _, n := range memoryOps(res.Graph) {
 		switch {
-		case n.Kind == dfg.StoreIdx && n.Stmt == res.ParallelStores[0].StoreStmt:
+		case n.Kind == dfg.StoreIdx && int(n.Stmt) == res.ParallelStores[0].StoreStmt:
 			store = n
-		case n.Kind == dfg.LoadIdx && n.Var == "a":
+		case n.Kind == dfg.LoadIdx && res.Graph.Name(n.Var) == "a":
 			load = n
 		}
 	}
@@ -194,11 +194,11 @@ func TestGatherParallelStoreBeginsCompletion(t *testing.T) {
 	e := dfg.NewEditor(res.Graph)
 	in, _ := accessPorts(load.Kind)
 	_, out := accessPorts(store.Kind)
-	access := e.Ins().Only(e.Ins().Slot(load.ID, in))
-	e.MoveSource(access, store.ID, out)
+	access := e.Ins().Only(e.Ins().Slot(load.ID, int32(in)))
+	e.MoveSource(access, store.ID, int32(out))
 	var missing []string
 	for _, d := range Run(mustGraph(t, e), res).Diags {
-		if d.Pass == "alias-cover" && d.Node == load.ID && strings.Contains(d.Msg, "does not gather") {
+		if d.Pass == "alias-cover" && d.Node == int(load.ID) && strings.Contains(d.Msg, "does not gather") {
 			missing = append(missing, d.Tok)
 		}
 	}
@@ -239,7 +239,7 @@ func TestFig9PlacementAgreement(t *testing.T) {
 	emitted := map[stmtTok]bool{}
 	for _, n := range res.Graph.Nodes {
 		if n.Kind == dfg.Switch {
-			emitted[stmtTok{n.Stmt, n.Tok}] = true
+			emitted[stmtTok{int(n.Stmt), res.Graph.Name(n.Tok)}] = true
 		}
 	}
 	recomputed := map[stmtTok]bool{}
@@ -305,7 +305,7 @@ func TestVetRejectsSplicedMerge(t *testing.T) {
 	e.AddArc(dfg.Arc{From: m, To: lx.ID, Dummy: a.Dummy})
 	rep := Run(mustGraph(t, e), res)
 	if !slices.Contains(rep.Detectors(), "source-vectors") {
-		t.Errorf("merge of %s spliced in at %s: want an error from source-vectors, detectors %v:\n%s", lx.Tok, res.CFG.Nodes[lx.Stmt], rep.Detectors(), rep)
+		t.Errorf("merge of %s spliced in at %s: want an error from source-vectors, detectors %v:\n%s", res.Graph.Name(lx.Tok), res.CFG.Nodes[lx.Stmt], rep.Detectors(), rep)
 	}
 }
 
@@ -332,7 +332,7 @@ func TestVetJudgesRemovalsByGraph(t *testing.T) {
 	merge := func(t *testing.T, tok string, inner bool) *dfg.Node {
 		idx := res.Graph.Index()
 		for _, n := range res.Graph.Nodes {
-			if n.Kind != dfg.Merge || n.Tok != tok {
+			if n.Kind != dfg.Merge || res.Graph.Name(n.Tok) != tok {
 				continue
 			}
 			out := idx.Out(n.ID, 0)
@@ -345,16 +345,16 @@ func TestVetJudgesRemovalsByGraph(t *testing.T) {
 	}
 	// switchInto finds the switch of mg's token whose arms reach mg and
 	// no other merge, and the nodes between them.
-	switchInto := func(t *testing.T, mg *dfg.Node) (*dfg.Node, []int) {
+	switchInto := func(t *testing.T, mg *dfg.Node) (*dfg.Node, []int32) {
 		idx := res.Graph.Index()
 		for _, sw := range res.Graph.Nodes {
 			if sw.Kind != dfg.Switch || sw.Tok != mg.Tok {
 				continue
 			}
-			var region []int
-			seen := map[int]bool{}
+			var region []int32
+			seen := map[int32]bool{}
 			reaches, other := false, false
-			stack := []int{sw.ID}
+			stack := []int32{sw.ID}
 			for len(stack) > 0 {
 				v := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -376,12 +376,12 @@ func TestVetJudgesRemovalsByGraph(t *testing.T) {
 				return sw, region
 			}
 		}
-		t.Fatalf("no switch of %s feeds d%d", mg.Tok, mg.ID)
+		t.Fatalf("no switch of %s feeds d%d", res.Graph.Name(mg.Tok), mg.ID)
 		return nil, nil
 	}
 	// sink removes sw and mg the way sink-switches does, after deleting
 	// the nodes between them: sw's data source feeds mg's consumers.
-	sink := func(t *testing.T, sw, mg *dfg.Node, region []int) *dfg.Graph {
+	sink := func(t *testing.T, sw, mg *dfg.Node, region []int32) *dfg.Graph {
 		e := dfg.NewEditor(res.Graph)
 		for _, id := range region {
 			e.KillArcsInto(id)

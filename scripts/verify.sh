@@ -355,6 +355,22 @@ if [ -n "$frontend" ]; then
     exit 1
 fi
 
+echo "== the graph is held in 32-bit ids =="
+# A translated graph holds O(E·V) arcs (§3): dfg.Arc is four int32s and
+# a flag, and dfg.Node numbers its ids, ports and provenance in int32 and
+# its variable and access token in the graph's name table (see DESIGN.md,
+# "The IR records"; TestRecordSizes pins the sizes). An int or string
+# field in either record is the 64-bit, name-carrying graph again.
+wide=$(awk '/^type (Arc|Node) struct/ { in_rec = 1; next }
+    in_rec && /^}/ { in_rec = 0 }
+    in_rec && /^[[:space:]]*[A-Za-z_, ]+[[:space:]]+(int|string)([[:space:]]|$)/ { print FILENAME ":" FNR ": " $0 }' \
+    internal/dfg/dfg.go)
+if [ -n "$wide" ]; then
+    echo "a graph record holds an int or string field:" >&2
+    echo "$wide" >&2
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
