@@ -11,7 +11,10 @@ import (
 	"runtime"
 	"testing"
 
+	"ctdf/internal/dfg"
 	"ctdf/internal/experiments"
+	graphopt "ctdf/internal/opt"
+	"ctdf/internal/translate"
 	"ctdf/internal/workloads"
 )
 
@@ -370,14 +373,16 @@ func BenchmarkCompile(b *testing.B) {
 // back into name sets; 3.4 k (3.7 MB) while a token's sources were
 // swept token by token; 3.3 k (3.5 MB) while they were computed in one
 // walk over the order and read back by the builder; 3.3 k (3.4 MB) while
-// the graph's nodes and arcs were held in ints and names; and takes 3.3 k
-// (2.7 MB) now that they are held in 32-bit ids. Each gate is that
-// figure under -race, which allocates a little more, × 1.25. Allocation
-// counts and bytes repeat exactly, so these gates are deterministic where
-// wall time is not.
+// the graph's nodes and arcs were held in ints and names; 3.3 k (2.7 MB)
+// while the optimizer kept a doubly linked arc list per port and a node
+// allocation per fused tree beside them; and takes 2.7 k (2.2 MB) now that
+// its lists are singly linked rings and its side tables are handed over
+// (optimizeByteBudget). Each gate is that figure under -race, which
+// allocates a little more, × 1.25. Allocation counts and bytes repeat
+// exactly, so these gates are deterministic where wall time is not.
 const (
-	compileAllocBudget = 4_125
-	compileByteBudget  = 3_807_000
+	compileAllocBudget = 3_383
+	compileByteBudget  = 3_221_000
 )
 
 func TestCompileAllocBudget(t *testing.T) {
@@ -401,6 +406,41 @@ func TestCompileAllocBudget(t *testing.T) {
 		t.Errorf("compile allocates %.0f times and %d bytes per run, budget %d and %d", got, bytes, compileAllocBudget, compileByteBudget)
 	}
 	t.Logf("compile: %.0f allocs and %d bytes per run (budget %d and %d)", got, bytes, compileAllocBudget, compileByteBudget)
+}
+
+// optimizeByteBudget bounds the bytes the optimizer alone (opt.Edit, on
+// the editor the translator emitted into) allocates in one compile of the
+// budget program: its per-port arc lists, fusion's tables, the fused nodes
+// and their step programs. It took 895 kB while each port held a doubly
+// linked list with its size, fusion kept a table over every arc and made
+// a step arena per round, and the step programs were re-appended into the
+// graph; and takes 459 kB (492 kB under -race) now that the lists are
+// singly linked rings, fusion finds a member's inputs through its steps
+// and keeps one arena for the run, and the editor hands its programs over.
+// The gate is the -race figure × 1.25.
+const optimizeByteBudget = 615_000
+
+func TestOptimizeAllocBudget(t *testing.T) {
+	p, err := Compile(workloads.Random(1990, 40, 3).Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes uint64
+	edit := func(e *dfg.Editor, res *translate.Result) error {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := graphopt.Edit(e, res)
+		runtime.ReadMemStats(&after)
+		bytes = after.TotalAlloc - before.TotalAlloc
+		return err
+	}
+	if _, err := translate.TranslateEdited(p.cfg, translate.Options{Schema: Schema2Opt, Optimize: 1}, edit); err != nil {
+		t.Fatal(err)
+	}
+	if bytes > optimizeByteBudget {
+		t.Errorf("opt.Edit allocates %d bytes per compile, budget %d", bytes, optimizeByteBudget)
+	}
+	t.Logf("opt.Edit: %d bytes per compile (budget %d)", bytes, optimizeByteBudget)
 }
 
 func BenchmarkTranslateSchemas(b *testing.B) {

@@ -701,7 +701,7 @@ func (e *engine) fire(n *dfg.Node, vals []int64, port int, tg token.Tag, clock i
 			return
 		}
 		for p := range info.InTokens {
-			e.emit(info.Apply, p, 0, caller, fc)
+			e.emit(int(info.Apply), p, 0, caller, fc)
 		}
 
 	case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:

@@ -193,7 +193,7 @@ func TestStatefulFaultTextAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply := unlinked.Graph.Calls[0].Apply
-	unlinked.Graph.Calls[0].Apply = len(unlinked.Graph.Nodes)
+	unlinked.Graph.Calls[0].Apply = int32(len(unlinked.Graph.Nodes))
 	for _, c := range []struct {
 		name  string
 		g     *dfg.Graph

@@ -9,7 +9,6 @@ package dfg
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -187,30 +186,30 @@ func (n *Node) SplitPhase() bool {
 const fusedInputBias = 1
 
 // FusedInput encodes external input port p as a step operand reference.
-func FusedInput(p int) int { return -(p + fusedInputBias) }
+func FusedInput(p int32) int32 { return -(p + fusedInputBias) }
 
 // FusedInputPort decodes a reference produced by FusedInput (call only
 // when r < 0).
-func FusedInputPort(r int) int { return -r - fusedInputBias }
+func FusedInputPort(r int32) int32 { return -r - fusedInputBias }
 
-// FusedOp is one step of a fused operator's internal program. Only the
-// pure value kinds appear: Const (consumes its trigger operand A,
-// produces Val), UnOp (operand A), BinOp (operands A, B). Operands are
+// FusedOp is one step of a fused operator's internal program, 24 bytes.
+// Only the pure value kinds appear: Const (consumes its trigger operand
+// A, produces Val), UnOp (operand A), BinOp (operands A, B). Operands are
 // encoded per FusedInput.
 type FusedOp struct {
 	Kind Kind
 	Op   lang.Op
 	Val  int64
-	A, B int
+	A, B int32
 }
 
 // FusedInfo is the side-table entry describing one Fused node (the
 // analogue of CallInfo for Apply): the step program evaluated per
 // firing, and for each output port the step whose result it emits.
 type FusedInfo struct {
-	Node  int
+	Node  int32
 	Steps []FusedOp
-	Outs  []int
+	Outs  []int32
 }
 
 // Name returns name id of the graph's name table, "" for NoName.
@@ -257,7 +256,7 @@ type Arc struct {
 // linked (separately compiled) graph.
 type CallInfo struct {
 	// Apply is the call-site node; Proc the callee's name.
-	Apply int
+	Apply int32
 	Proc  string
 	// InTokens names the caller-side access tokens, one per Apply
 	// input port; return port i signals the same token.
@@ -265,13 +264,13 @@ type CallInfo struct {
 	// Params[j] is the callee's Param node for its j-th token; ParamIn[j]
 	// is the Apply input port whose token becomes it. The arc feeding
 	// Params[j] leaves Apply output port len(InTokens)+j.
-	Params  []int
-	ParamIn []int
+	Params  []int32
+	ParamIn []int32
 	// Return is the callee's ProcReturn node; RetOut[j] is the Apply
 	// return port signalled for the callee's j-th token (several callee
 	// tokens may share one return port when a call aliases formals).
-	Return int
-	RetOut []int
+	Return int32
+	RetOut []int32
 	// Bindings maps each formal of the callee to the caller-scope name
 	// bound at this site.
 	Bindings map[string]string
@@ -333,9 +332,6 @@ func (g *Graph) Add(n *Node) *Node {
 	}
 	return n
 }
-
-// AddFusion records the step program of a Fused node.
-func (g *Graph) AddFusion(fi FusedInfo) { g.Fusions = append(g.Fusions, fi) }
 
 // Connect adds an arc from (from, fromPort) to (to, toPort). The
 // endpoints are not checked here: Validate reports an arc that names no
@@ -540,7 +536,7 @@ func (g *Graph) validateFusions() error {
 	seen := make([]bool, len(g.Nodes))
 	for i := range g.Fusions {
 		fi := &g.Fusions[i]
-		if fi.Node < 0 || fi.Node >= len(g.Nodes) || g.Nodes[fi.Node].Kind != Fused {
+		if fi.Node < 0 || int(fi.Node) >= len(g.Nodes) || g.Nodes[fi.Node].Kind != Fused {
 			return fmt.Errorf("dfg: fusion entry %d names d%d, which is not a fused node", i, fi.Node)
 		}
 		if seen[fi.Node] {
@@ -554,14 +550,14 @@ func (g *Graph) validateFusions() error {
 		if len(fi.Steps) == 0 {
 			return fmt.Errorf("dfg: %s has an empty step program", g.Label(n))
 		}
-		ref := func(step, r int) error {
+		ref := func(step int, r int32) error {
 			if r >= 0 {
-				if r >= step {
+				if int(r) >= step {
 					return fmt.Errorf("dfg: %s step %d references step %d (must be a prior step)", g.Label(n), step, r)
 				}
 				return nil
 			}
-			if p := -r - fusedInputBias; p < 0 || p >= int(n.NIns) {
+			if p := FusedInputPort(r); p < 0 || p >= n.NIns {
 				return fmt.Errorf("dfg: %s step %d references input port %d (NIns=%d)", g.Label(n), step, p, n.NIns)
 			}
 			return nil
@@ -587,7 +583,7 @@ func (g *Graph) validateFusions() error {
 			return fmt.Errorf("dfg: %s emits %d ports but fusion lists %d outs", g.Label(n), n.NOuts, len(fi.Outs))
 		}
 		for p, s := range fi.Outs {
-			if s < 0 || s >= len(fi.Steps) {
+			if s < 0 || int(s) >= len(fi.Steps) {
 				return fmt.Errorf("dfg: %s out port %d names step %d of %d", g.Label(n), p, s, len(fi.Steps))
 			}
 		}
@@ -665,21 +661,4 @@ func (g *Graph) Meta() []Meta {
 		out[i] = m
 	}
 	return out
-}
-
-// SortedByKind returns node IDs sorted by kind then ID (deterministic
-// iteration helper for engines and tests).
-func (g *Graph) SortedByKind() []int {
-	ids := make([]int, len(g.Nodes))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := g.Nodes[ids[i]], g.Nodes[ids[j]]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.ID < b.ID
-	})
-	return ids
 }

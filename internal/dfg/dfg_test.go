@@ -140,16 +140,20 @@ func TestNodeLabels(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the graph's two records at their 32-bit widths:
-// a translated graph holds O(E·V) arcs (§3), so every byte of Arc counts
-// E·V times, and a Node that holds no pointer is never scanned by the
-// collector.
+// TestRecordSizes pins the graph's records at their 32-bit widths: a
+// translated graph holds O(E·V) arcs (§3), so every byte of Arc counts
+// E·V times, a Node that holds no pointer is never scanned by the
+// collector, and a fused step stands for a pure node of the graph it
+// replaced.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(Arc{}); got > 20 {
 		t.Errorf("Arc is %d bytes, want at most 20", got)
 	}
 	if got := unsafe.Sizeof(Node{}); got > 40 {
 		t.Errorf("Node is %d bytes, want at most 40", got)
+	}
+	if got := unsafe.Sizeof(FusedOp{}); got > 24 {
+		t.Errorf("FusedOp is %d bytes, want at most 24", got)
 	}
 }
 
@@ -161,24 +165,6 @@ func TestDOT(t *testing.T) {
 	dot := g.DOT()
 	if !strings.Contains(dot, "digraph dfg") || !strings.Contains(dot, "style=dashed") {
 		t.Errorf("DOT output missing dashed dummy arcs:\n%s", dot)
-	}
-}
-
-func TestSortedByKind(t *testing.T) {
-	g := scratch()
-	g.Add(&Node{Kind: Start})
-	g.Add(&Node{Kind: End, NIns: 1})
-	g.Add(&Node{Kind: Merge})
-	g.Add(&Node{Kind: Const})
-	ids := g.SortedByKind()
-	if len(ids) != 4 {
-		t.Fatalf("len = %d", len(ids))
-	}
-	for i := 1; i < len(ids); i++ {
-		a, b := g.Nodes[ids[i-1]], g.Nodes[ids[i]]
-		if a.Kind > b.Kind || (a.Kind == b.Kind && a.ID > b.ID) {
-			t.Error("not sorted by kind then ID")
-		}
 	}
 }
 

@@ -31,79 +31,99 @@ type Editor struct {
 	outs, ins Ports
 	ported    bool
 	// fusions holds the step programs by editor node id, in creation
-	// order.
+	// order; unfused the fused nodes Remove took with theirs.
 	fusions []FusedInfo
+	unfused []int32
 	// names is the name table (Graph.Names), numbered by ids once
 	// NameID is first asked.
 	names []string
 	ids   map[string]int32
 }
 
-// Ports holds one arc list per port, doubly linked through per-arc
-// links: port p of node v is slot base[v]+p.
+// Ports holds one arc list per port, in arc-creation order, which is
+// ascending arc id: port p of node v is slot base[v]+p. A list is a ring
+// threaded through one link per arc, and its slot holds its last arc,
+// whose link leads back to its first. Appending and unlinking the first
+// arc take one step; unlinking another walks the ring to its predecessor,
+// at most the port's fan-out (fan-in, for an input port) in steps.
 type Ports struct {
-	base  []int32
-	slots []struct{ head, tail, size int32 } // head and tail -1 for no arc
-	links []struct{ next, prev int32 }       // per arc, -1 at the ends
+	base []int32
+	last []int32 // per slot, -1 for no arc
+	next []int32 // per arc
 }
 
 // reserve makes room for the given nodes and ports and a quarter as many
 // again, and for arcs arcs.
 func (p *Ports) reserve(nodes, ports, arcs int) {
 	p.base = make([]int32, 0, nodes+nodes/4)
-	p.slots = make([]struct{ head, tail, size int32 }, 0, ports+ports/4)
-	p.links = make([]struct{ next, prev int32 }, 0, arcs)
+	p.last = make([]int32, 0, ports+ports/4)
+	p.next = make([]int32, 0, arcs)
 }
 
 func (p *Ports) addNode(nports int) {
-	p.base = append(p.base, int32(len(p.slots)))
+	p.base = append(p.base, int32(len(p.last)))
 	for i := 0; i < nports; i++ {
-		p.slots = append(p.slots, struct{ head, tail, size int32 }{-1, -1, 0})
+		p.last = append(p.last, -1)
 	}
 }
 
 // Slot names port port of node node to the other methods.
 func (p *Ports) Slot(node, port int32) int32 { return p.base[node] + port }
 
-// First returns the first arc of the slot, or -1; Next the one after arc.
-func (p *Ports) First(slot int32) int32 { return p.slots[slot].head }
-func (p *Ports) Next(arc int32) int32   { return p.links[arc].next }
-func (p *Ports) Size(slot int32) int32  { return p.slots[slot].size }
-
-// Only returns the single arc of the slot, or -1 unless there is exactly
-// one.
-func (p *Ports) Only(slot int32) int32 {
-	if p.slots[slot].size != 1 {
-		return -1
+// First returns the first arc of the slot and Next the one after arc in
+// its list, or -1: ids ascend along a list but where its last arc links
+// back to its first.
+func (p *Ports) First(slot int32) int32 {
+	if l := p.last[slot]; l >= 0 {
+		return p.next[l]
 	}
-	return p.slots[slot].head
+	return -1
 }
 
-func (p *Ports) push(slot, arc int32) {
-	s := &p.slots[slot]
-	p.links = append(p.links, struct{ next, prev int32 }{-1, s.tail})
-	if s.tail >= 0 {
-		p.links[s.tail].next = arc
-	} else {
-		s.head = arc
+func (p *Ports) Next(arc int32) int32 {
+	if n := p.next[arc]; n > arc {
+		return n
 	}
-	s.tail = arc
-	s.size++
+	return -1
+}
+
+// Only returns the single arc of the slot, or -1 unless there is exactly
+// one; Size counts the slot's arcs.
+func (p *Ports) Only(slot int32) int32 {
+	if f := p.First(slot); f == p.last[slot] {
+		return f
+	}
+	return -1
+}
+
+func (p *Ports) Size(slot int32) (n int32) {
+	for a := p.First(slot); a >= 0; a = p.Next(a) {
+		n++
+	}
+	return n
+}
+
+// push appends arc, the newest of all, to the slot's list.
+func (p *Ports) push(slot, arc int32) {
+	first := arc
+	if l := p.last[slot]; l >= 0 {
+		first, p.next[l] = p.next[l], arc
+	}
+	p.next = append(p.next, first)
+	p.last[slot] = arc
 }
 
 func (p *Ports) remove(slot, arc int32) {
-	s, l := &p.slots[slot], p.links[arc]
-	if l.prev >= 0 {
-		p.links[l.prev].next = l.next
-	} else {
-		s.head = l.next
+	prev := p.last[slot]
+	for p.next[prev] != arc {
+		prev = p.next[prev]
 	}
-	if l.next >= 0 {
-		p.links[l.next].prev = l.prev
-	} else {
-		s.tail = l.prev
+	switch p.next[prev] = p.next[arc]; {
+	case prev == arc:
+		p.last[slot] = -1
+	case p.last[slot] == arc:
+		p.last[slot] = prev
 	}
-	s.size--
 }
 
 // NewEditor lowers g, whose arcs must name ports that exist (a validated
@@ -173,15 +193,17 @@ func (e *Editor) AddNode(n *Node) int32 {
 	return n.ID
 }
 
-// AddFusion records the step program of a Fused node.
+// AddFusion records the step program of a Fused node; ReserveFusions
+// makes room for n more.
 func (e *Editor) AddFusion(fi FusedInfo) { e.fusions = append(e.fusions, fi) }
+func (e *Editor) ReserveFusions(n int)   { e.fusions = slices.Grow(e.fusions, n) }
 
 // Remove deletes node id and, with a Fused node, its step program. The
 // node's arcs are the caller's to kill: one left attached fails Graph.
 func (e *Editor) Remove(id int32) {
 	e.port() // built after the removal, they would have no row for it
 	if e.Nodes[id].Kind == Fused {
-		e.fusions = slices.DeleteFunc(e.fusions, func(fi FusedInfo) bool { return fi.Node == int(id) })
+		e.unfused = append(e.unfused, id)
 	}
 	e.Nodes[id] = nil
 }
@@ -284,12 +306,12 @@ func (e *Editor) OutDegree(id int32) int {
 
 // Graph materializes the edited graph: surviving nodes are renumbered
 // densely in table order, surviving arcs follow in table order, and the
-// step programs and the source's call linkage follow their nodes. An arc,
-// a step program or a call record left attached to a removed node is a
-// bug in the pass that edited, and the error. Once Graph has succeeded the
-// editor is done: the result holds its node and arc tables, compacted in
-// place, and the nodes it created, renumbered in place; the source's are
-// copied.
+// step programs and the source's call linkage follow their nodes. An arc
+// or a call record left attached to a removed node, or a step program to
+// one not removed by Remove, is a bug in the pass that edited, and the
+// error. Once Graph has succeeded the editor is done: the result holds
+// its node, arc and step program tables, compacted in place, and the
+// nodes it created, renumbered in place; the source's are copied.
 func (e *Editor) Graph() (*Graph, error) {
 	ng := NewGraph(e.src.Prog)
 	ng.Names = e.names
@@ -302,30 +324,35 @@ func (e *Editor) Graph() (*Graph, error) {
 			alive++
 		}
 	}
+	for _, id := range e.unfused {
+		remap[id] = -2 // its step program goes with it
+	}
 	for id, a := range e.Arcs {
 		if !e.dead[id] && (remap[a.From] < 0 || remap[a.To] < 0) {
 			return nil, fmt.Errorf("dfg: arc d%d.%d→d%d.%d survives a removed endpoint", a.From, a.FromPort, a.To, a.ToPort)
 		}
 	}
-	// moved renumbers a node a side table names; ok turns false if it is
+	for _, fi := range e.fusions {
+		if uint32(fi.Node) >= uint32(len(remap)) || remap[fi.Node] == -1 {
+			return nil, fmt.Errorf("dfg: a step program survives its removed fused node")
+		}
+		if fi.Node = remap[fi.Node]; fi.Node != -2 {
+			ng.Fusions = append(e.fusions[:len(ng.Fusions)], fi)
+		}
+	}
+	// moved renumbers a node a call record names; ok turns false if it is
 	// not there.
 	ok := true
-	moved := func(id int) int {
-		if id < 0 || id >= len(remap) || remap[id] < 0 {
+	moved := func(id int32) int32 {
+		if uint32(id) >= uint32(len(remap)) || remap[id] < 0 {
 			ok = false
 			return -1
 		}
-		return int(remap[id])
-	}
-	for _, fi := range e.fusions {
-		if fi.Node = moved(fi.Node); !ok {
-			return nil, fmt.Errorf("dfg: a step program survives its removed fused node")
-		}
-		ng.AddFusion(fi)
+		return remap[id]
 	}
 	for _, c := range e.src.Calls {
 		c.Apply, c.Return = moved(c.Apply), moved(c.Return)
-		c.Params = append([]int(nil), c.Params...)
+		c.Params = append([]int32(nil), c.Params...)
 		for j, p := range c.Params {
 			c.Params[j] = moved(p)
 		}

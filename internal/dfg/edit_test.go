@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ctdf/internal/dfg"
+	"ctdf/internal/lang"
 )
 
 // model is the editor's specification kept as plain slices: the tables an
@@ -65,15 +66,15 @@ func (m *model) graph() (nodes []dfg.Node, arcs []dfg.Arc, fusions []dfg.FusedIn
 	}
 	for _, fi := range m.fusions {
 		if m.nodes[fi.Node] != nil {
-			fi.Node = int(remap[fi.Node])
+			fi.Node = remap[fi.Node]
 			fusions = append(fusions, fi)
 		}
 	}
 	for _, c := range m.calls {
-		c.Apply, c.Return = int(remap[c.Apply]), int(remap[c.Return])
+		c.Apply, c.Return = remap[c.Apply], remap[c.Return]
 		c.Params = slices.Clone(c.Params)
 		for j, p := range c.Params {
-			c.Params[j] = int(remap[p])
+			c.Params[j] = remap[p]
 		}
 		calls = append(calls, c)
 	}
@@ -143,9 +144,9 @@ func checkPorts(t *testing.T, name string, e *dfg.Editor, m *model) {
 func editScript(r *rand.Rand, e *dfg.Editor, m *model, steps int) {
 	pinned := map[int32]bool{}
 	for _, c := range m.calls {
-		pinned[int32(c.Apply)], pinned[int32(c.Return)] = true, true
+		pinned[c.Apply], pinned[c.Return] = true, true
 		for _, p := range c.Params {
-			pinned[int32(p)] = true
+			pinned[p] = true
 		}
 	}
 	// pick returns a live node with a port of the wanted direction, and
@@ -196,7 +197,7 @@ func editScript(r *rand.Rand, e *dfg.Editor, m *model, steps int) {
 			}
 			m.nodes = append(m.nodes, n)
 			if n.Kind == dfg.Fused {
-				fi := dfg.FusedInfo{Node: int(n.ID), Steps: []dfg.FusedOp{{Kind: dfg.UnOp, A: dfg.FusedInput(0)}}, Outs: make([]int, n.NOuts)}
+				fi := dfg.FusedInfo{Node: n.ID, Steps: []dfg.FusedOp{{Kind: dfg.UnOp, A: dfg.FusedInput(0)}}, Outs: make([]int32, n.NOuts)}
 				e.AddFusion(fi)
 				m.fusions = append(m.fusions, fi)
 			}
@@ -313,6 +314,33 @@ func TestEditorAgainstModel(t *testing.T) {
 	}
 }
 
+// TestRemoveEveryOtherFusedNode: Remove takes a fused node's step program
+// along without searching the programs, and Graph keeps the survivors'
+// programs in node order, renumbered with their nodes.
+func TestRemoveEveryOtherFusedNode(t *testing.T) {
+	const n = 1 << 15
+	e := dfg.NewEditorFor(lang.MustParse("var x\n"), nil)
+	for i := 0; i < n; i++ {
+		id := e.AddNode(&dfg.Node{Kind: dfg.Fused, NIns: 1, NOuts: 1, Stmt: int32(i)})
+		e.AddFusion(dfg.FusedInfo{Node: id, Steps: []dfg.FusedOp{{Kind: dfg.Const, Val: int64(i), A: dfg.FusedInput(0)}}, Outs: []int32{0}})
+	}
+	for id := int32(0); id < n; id += 2 {
+		e.Remove(id)
+	}
+	g, err := e.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Nodes) != n/2 || len(g.Fusions) != n/2 {
+		t.Fatalf("%d nodes and %d step programs survive, want %d of each", len(g.Nodes), len(g.Fusions), n/2)
+	}
+	for i, fi := range g.Fusions {
+		if want := int32(2*i + 1); fi.Node != int32(i) || g.Nodes[i].ID != int32(i) || g.Nodes[i].Stmt != want || fi.Steps[0].Val != int64(want) {
+			t.Fatalf("program %d is %+v for node %+v, want the one of d%d", i, fi, *g.Nodes[i], want)
+		}
+	}
+}
+
 // TestEditorReportsDanglingReferences: an arc, a step program or a call
 // record left attached to a removed node fails Graph with an error, and
 // never panics.
@@ -345,7 +373,7 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 			}
 		}
 		if len(g.Fusions) > 0 {
-			id := int32(g.Fusions[len(g.Fusions)-1].Node)
+			id := g.Fusions[len(g.Fusions)-1].Node
 			e := dfg.NewEditor(g)
 			e.KillArcsInto(id)
 			for slot := e.Outs().Slot(id, 0); e.Outs().First(slot) >= 0; {
@@ -355,12 +383,12 @@ func TestEditorReportsDanglingReferences(t *testing.T) {
 			fails("a step program whose node is gone", e)
 
 			e = dfg.NewEditor(g)
-			e.AddFusion(dfg.FusedInfo{Node: len(g.Nodes) + 3})
+			e.AddFusion(dfg.FusedInfo{Node: int32(len(g.Nodes)) + 3})
 			fails("a step program for a node that never was", e)
 			programs++
 		}
 		for _, c := range g.Calls {
-			for _, id := range []int32{int32(c.Apply), int32(c.Return), int32(c.Params[0])} {
+			for _, id := range []int32{c.Apply, c.Return, c.Params[0]} {
 				e := dfg.NewEditor(g)
 				e.KillArcsInto(id)
 				for p := int32(0); p < int32(g.Nodes[id].OutPorts()); p++ {

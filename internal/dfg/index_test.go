@@ -214,7 +214,7 @@ func TestValidateFollowsTheGraph(t *testing.T) {
 		"node": func(g *dfg.Graph) {
 			g.Nodes = append(g.Nodes, &dfg.Node{ID: int32(len(g.Nodes)), Kind: dfg.UnOp, NIns: 1})
 		},
-		"fusion": func(g *dfg.Graph) { g.AddFusion(dfg.FusedInfo{Node: int(g.StartID)}) },
+		"fusion": func(g *dfg.Graph) { g.Fusions = append(g.Fusions, dfg.FusedInfo{Node: g.StartID}) },
 	}
 	for name, grow := range grow {
 		res, err := translate.Translate(cfg.MustBuild(workloads.MustByName("fib-iterative").Parse()), translate.Options{Schema: translate.Schema2})

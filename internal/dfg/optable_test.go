@@ -53,7 +53,7 @@ func checkOpTable(t *testing.T, name string, g *dfg.Graph) {
 		}
 		switch {
 		case n.Kind == dfg.Fused:
-			if o.Aux < 0 || int(o.Aux) >= len(g.Fusions) || g.Fusions[o.Aux].Node != int(id) {
+			if o.Aux < 0 || int(o.Aux) >= len(g.Fusions) || g.Fusions[o.Aux].Node != int32(id) {
 				t.Fatalf("%s: %s lost its step program (aux %d)", name, g.Label(n), o.Aux)
 			}
 		case o.Aux != -1:
@@ -130,8 +130,8 @@ func TestOpTableIsTheGraph(t *testing.T) {
 }
 
 // TestOpTableFollowsTheGraph: a graph that grew after its table was read
-// — by Add, Connect or AddFusion — hands out a new table, and the tables
-// handed out earlier still describe the graph as it was.
+// — by Add, Connect or an appended step program — hands out a new table,
+// and the tables handed out earlier still describe the graph as it was.
 func TestOpTableFollowsTheGraph(t *testing.T) {
 	g := dfg.NewGraph(lang.MustParse("var x\n"))
 	s := g.Add(&dfg.Node{Kind: dfg.Start})
@@ -157,9 +157,9 @@ func TestOpTableFollowsTheGraph(t *testing.T) {
 	if len(t2.Out(s.ID, 0)) != 3 || t2.Ops[f.ID].Aux != -1 {
 		t.Fatal("table is stale after Connect")
 	}
-	g.AddFusion(dfg.FusedInfo{Node: int(f.ID), Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int{0}})
+	g.Fusions = append(g.Fusions, dfg.FusedInfo{Node: f.ID, Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int32{0}})
 	if t3 := g.OpTable(); t3 == t2 || t3.Ops[f.ID].Aux != 0 {
-		t.Fatal("table is stale after AddFusion")
+		t.Fatal("table is stale after a step program was added")
 	}
 	if len(t0.Ops) != 2 || len(t0.Out(s.ID, 0)) != 1 || len(t1.Out(s.ID, 0)) != 2 || t2.Ops[f.ID].Aux != -1 {
 		t.Fatal("a published table changed")

@@ -124,7 +124,7 @@ func WriteText(w io.Writer, g *Graph) error {
 		}
 		outs := make([]string, len(fi.Outs))
 		for p, s := range fi.Outs {
-			outs[p] = strconv.Itoa(s)
+			outs[p] = strconv.Itoa(int(s))
 		}
 		fmt.Fprintf(bw, " out=%s\n", strings.Join(outs, ","))
 	}
@@ -311,7 +311,7 @@ func ParseText(r io.Reader) (*Graph, error) {
 			if id < 0 || id >= len(g.Nodes) || g.Nodes[id].Kind != Fused {
 				return nil, fail("fused directive for d%d, which is not a declared fused node", id)
 			}
-			fi := FusedInfo{Node: id}
+			fi := FusedInfo{Node: int32(id)}
 			for _, f := range fields[2 : len(fields)-1] {
 				parts := strings.Split(f, ":")
 				var op FusedOp
@@ -361,13 +361,13 @@ func ParseText(r io.Reader) (*Graph, error) {
 				return nil, fail("fused line must end with out=")
 			}
 			for _, s := range strings.Split(strings.TrimPrefix(last, "out="), ",") {
-				v, err := strconv.Atoi(s)
+				v, err := strconv.ParseInt(s, 10, 32)
 				if err != nil || v < 0 {
 					return nil, fail("bad fused out %q", s)
 				}
-				fi.Outs = append(fi.Outs, v)
+				fi.Outs = append(fi.Outs, int32(v))
 			}
-			g.AddFusion(fi)
+			g.Fusions = append(g.Fusions, fi)
 		case "arc":
 			if g == nil {
 				return nil, fail("arc before any node")
@@ -410,26 +410,26 @@ func ParseText(r io.Reader) (*Graph, error) {
 
 // fusedRef renders a FusedOp operand reference: s<k> for the result of
 // step k, i<p> for external input port p.
-func fusedRef(r int) string {
+func fusedRef(r int32) string {
 	if r >= 0 {
 		return fmt.Sprintf("s%d", r)
 	}
-	return fmt.Sprintf("i%d", -r-fusedInputBias)
+	return fmt.Sprintf("i%d", FusedInputPort(r))
 }
 
-func parseFusedRef(s string) (int, error) {
+func parseFusedRef(s string) (int32, error) {
 	if len(s) < 2 {
 		return 0, fmt.Errorf("bad fused operand %q", s)
 	}
-	v, err := strconv.Atoi(s[1:])
+	v, err := strconv.ParseInt(s[1:], 10, 32)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("bad fused operand %q", s)
 	}
 	switch s[0] {
 	case 's':
-		return v, nil
+		return int32(v), nil
 	case 'i':
-		return FusedInput(v), nil
+		return FusedInput(int32(v)), nil
 	}
 	return 0, fmt.Errorf("bad fused operand %q", s)
 }

@@ -40,7 +40,7 @@ func NewActivations[C any](g *dfg.Graph, engine string) Activations[C] {
 		a.calls, a.live = map[int]*dfg.CallInfo{}, map[int]*activation[C]{}
 	}
 	for i := range g.Calls {
-		if ap := g.Calls[i].Apply; ap >= 0 && ap < len(g.Nodes) && g.Nodes[ap].Kind == dfg.Apply {
+		if ap := int(g.Calls[i].Apply); ap >= 0 && ap < len(g.Nodes) && g.Nodes[ap].Kind == dfg.Apply {
 			a.calls[ap] = &g.Calls[i]
 		}
 	}

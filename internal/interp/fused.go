@@ -19,7 +19,7 @@ func EvalFused(steps []dfg.FusedOp, in []int64, scratch []int64) ([]int64, error
 	} else {
 		res = make([]int64, len(steps))
 	}
-	rd := func(r int) int64 {
+	rd := func(r int32) int64 {
 		if r >= 0 {
 			return res[r]
 		}

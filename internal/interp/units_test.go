@@ -55,12 +55,12 @@ func TestActivationsCallLookup(t *testing.T) {
 			t.Fatalf("%s: linked graph without call records", w.Name)
 		}
 		for id, n := range g.Nodes {
-			if c := a.Call(id); (c != nil) != (n.Kind == dfg.Apply) || c != nil && c.Apply != id {
+			if c := a.Call(id); (c != nil) != (n.Kind == dfg.Apply) || c != nil && int(c.Apply) != id {
 				t.Fatalf("%s: %s looks up %+v", w.Name, g.Label(n), c)
 			}
 		}
 		for i := range g.Calls {
-			if a.Call(g.Calls[i].Apply) != &g.Calls[i] {
+			if a.Call(int(g.Calls[i].Apply)) != &g.Calls[i] {
 				t.Fatalf("%s: call record %d does not round-trip", w.Name, i)
 			}
 			calls++
@@ -71,9 +71,9 @@ func TestActivationsCallLookup(t *testing.T) {
 	}
 
 	g := linked(t, workloads.MustByName("proc-fortran"))
-	apply := g.Calls[0].Apply
-	g.Calls[0].Apply = len(g.Nodes)
-	g.Calls[1].Apply = int(g.StartID)
+	apply := int(g.Calls[0].Apply)
+	g.Calls[0].Apply = int32(len(g.Nodes))
+	g.Calls[1].Apply = g.StartID
 	a := interp.NewActivations[int](g, "test")
 	for _, id := range []int{apply, len(g.Nodes), int(g.StartID)} {
 		if a.Call(id) != nil {
@@ -91,7 +91,7 @@ func TestActivationsLifecycle(t *testing.T) {
 	g := linked(t, workloads.MustByName("proc-fortran"))
 	a := interp.NewActivations[string](g, "test")
 	outer, inner := g.Calls[0], g.Calls[1]
-	t0, info, err := a.Open(outer.Apply, "root", token.Root)
+	t0, info, err := a.Open(int(outer.Apply), "root", token.Root)
 	if err != nil || info != &g.Calls[0] || t0.Activation() != 0 {
 		t.Fatalf("open: tag %q, %v, %v", t0.Key(), info, err)
 	}
@@ -104,7 +104,7 @@ func TestActivationsLifecycle(t *testing.T) {
 		t.Errorf("a global resolved to %s", got)
 	}
 	// A call from inside the first activation binds its formals through it.
-	t1, _, err := a.Open(inner.Apply, "callee", t0)
+	t1, _, err := a.Open(int(inner.Apply), "callee", t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,30 +130,30 @@ func TestActivationsLifecycle(t *testing.T) {
 	b := interp.NewActivations[string](g, "test")
 	b.Restore(next)
 	for _, s := range got {
-		b.Reopen(s.id, b.Call([]int{outer.Apply, inner.Apply}[s.id]), s.caller, s.resolved)
+		b.Reopen(s.id, b.Call([]int{int(outer.Apply), int(inner.Apply)}[s.id]), s.caller, s.resolved)
 	}
 	x := a.Resolve("x", t0)
 	for _, r := range []*interp.Activations[string]{&a, &b} {
-		info, caller, err := r.Close(inner.Return, t1)
+		info, caller, err := r.Close(int(inner.Return), t1)
 		if err != nil || info.Apply != inner.Apply || caller != "callee" {
 			t.Errorf("close inner: %v, %q, %v", info, caller, err)
 		}
 		if r.Resolve("x", t0) != x || x == "x" {
 			t.Error("restored bindings differ")
 		}
-		if _, caller, err := r.Close(outer.Return, t0); err != nil || caller != "root" {
+		if _, caller, err := r.Close(int(outer.Return), t0); err != nil || caller != "root" {
 			t.Errorf("close outer: %q, %v", caller, err)
 		}
 		if err := r.Leak(); err != nil {
 			t.Error(err)
 		}
-		_, _, err = r.Close(outer.Return, t0)
+		_, _, err = r.Close(int(outer.Return), t0)
 		wantCheck(t, "close twice", err, machcheck.TagViolation, "return for unknown activation 0")
-		_, _, err = r.Close(outer.Return, token.Root)
+		_, _, err = r.Close(int(outer.Return), token.Root)
 		wantCheck(t, "close at root", err, machcheck.TagViolation,
 			fmt.Sprintf("%s: token: procedure return outside any activation (unbalanced tags)", g.Label(g.Nodes[outer.Return])))
 	}
-	if t2, _, _ := b.Open(outer.Apply, "root", token.Root); t2.Activation() != 2 {
+	if t2, _, _ := b.Open(int(outer.Apply), "root", token.Root); t2.Activation() != 2 {
 		t.Errorf("restored registry opened activation %d, want 2", t2.Activation())
 	}
 
@@ -163,7 +163,7 @@ func TestActivationsLifecycle(t *testing.T) {
 	if plain.Linked() || plain.Resolve("x", t0) != "x" || plain.Leak() != nil {
 		t.Error("a registry without call records is not empty")
 	}
-	_, _, err = plain.Close(outer.Return, t0)
+	_, _, err = plain.Close(int(outer.Return), t0)
 	wantCheck(t, "close unlinked", err, machcheck.TagViolation, "return for unknown activation 0")
 }
 

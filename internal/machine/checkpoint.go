@@ -379,7 +379,7 @@ func (m *sim) capture() *Checkpoint {
 		ck.IDeferred = append(ck.IDeferred, ckDeferred{Array: name, Idx: idx, Node: int(w.node), Tag: m.tags.key(w.tgID)})
 	})
 	ck.NextAct = m.procs.Save(func(id int, info *dfg.CallInfo, caller int32, resolved map[string]string) {
-		ck.Acts = append(ck.Acts, ckActivation{ID: id, Apply: info.Apply, CallerTag: m.tags.key(caller), Resolved: resolved})
+		ck.Acts = append(ck.Acts, ckActivation{ID: id, Apply: int(info.Apply), CallerTag: m.tags.key(caller), Resolved: resolved})
 	})
 
 	// RNG shuffle histories (seeded-random mode only).

@@ -1035,7 +1035,7 @@ func (m *sim) fireStateful(f *firing, kind dfg.Kind, vals []int64) error {
 			return err
 		}
 		for p := range info.InTokens {
-			m.emitAll(int32(info.Apply), p, 0, caller)
+			m.emitAll(info.Apply, p, 0, caller)
 		}
 		return nil
 	}

@@ -12,8 +12,8 @@ import (
 
 // TestRunFollowsAGrownGraph: reruns of an unchanged graph share its
 // operator table; a graph grown after its first run — by Add, Connect and
-// AddFusion — runs on a new one, exactly as a fresh graph of the same
-// nodes, arcs and step programs runs.
+// an appended step program — runs on a new one, exactly as a fresh graph
+// of the same nodes, arcs and step programs runs.
 func TestRunFollowsAGrownGraph(t *testing.T) {
 	g := benchGraph(t, workloads.MustByName("running-example"), translate.Options{Schema: translate.Schema2}, false)
 	first, err := Run(g, Config{})
@@ -32,7 +32,7 @@ func TestRunFollowsAGrownGraph(t *testing.T) {
 	g.Connect(c.ID, 0, u.ID, 0, false)
 	f := g.Add(&dfg.Node{Kind: dfg.Fused, NIns: 1, NOuts: 1})
 	g.Connect(u.ID, 0, f.ID, 0, false)
-	g.AddFusion(dfg.FusedInfo{Node: int(f.ID), Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int{0}})
+	g.Fusions = append(g.Fusions, dfg.FusedInfo{Node: f.ID, Steps: []dfg.FusedOp{{Kind: dfg.UnOp, Op: lang.OpNeg, A: dfg.FusedInput(0)}}, Outs: []int32{0}})
 
 	fresh := dfg.NewGraph(g.Prog)
 	fresh.Names = g.Names

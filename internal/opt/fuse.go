@@ -1,6 +1,9 @@
 package opt
 
 import (
+	"slices"
+	"sort"
+
 	"ctdf/internal/dfg"
 )
 
@@ -27,43 +30,43 @@ func (w *work) fuseOperators() int {
 	// under construction (binop/unop), so the node belongs to that
 	// consumer's tree rather than rooting its own.
 	absorbable := func(id int32) bool {
-		if w.OutDegree(id) != 1 {
-			return false
-		}
-		k := w.Nodes[w.Arcs[w.Outs().First(w.Outs().Slot(id, 0))].To].Kind
-		return k == dfg.BinOp || k == dfg.UnOp
+		a := w.Outs().Only(w.Outs().Slot(id, 0)) // a binop's or unop's one port
+		return a >= 0 && (w.Nodes[w.Arcs[a].To].Kind == dfg.BinOp || w.Nodes[w.Arcs[a].To].Kind == dfg.UnOp)
 	}
 
-	// A tree's steps are steps[lo:hi] of an arena the round's step
-	// programs keep, and its members, root last, members[lo:hi] of one kept
-	// between rounds: the two grow and shrink in step.
-	type tree struct{ lo, hi, nExt int }
-	// treeOf[v] is the tree node v joined, extPort[a] the external input
-	// port arc a feeds on crossing into a tree; -1 for none.
-	w.treeOf = minusOnes(w.treeOf, len(w.Nodes), cap(w.Nodes))
-	w.extPort = minusOnes(w.extPort, len(w.Arcs), cap(w.Arcs))
-	npure := 0 // bounds the steps
-	for _, n := range w.Nodes {
+	// A tree's steps are steps[lo:hi] of an arena its step programs keep,
+	// and its members, root last, members[lo:hi] beside it; nExt counts
+	// its external inputs. treeOf[v] is the index of member v's step, -1
+	// for a node in no tree.
+	type tree struct{ lo, hi, nExt int32 }
+	w.treeOf = slices.Grow(w.treeOf[:0], cap(w.Nodes))[:len(w.Nodes)]
+	npure := 0 // bounds the steps of a round
+	for i, n := range w.Nodes {
+		w.treeOf[i] = -1
 		if n != nil && pure(n.Kind) {
 			npure++
 		}
 	}
+	// A step kept by the programs of earlier rounds stands for a pure node
+	// they removed, so the arena's tail has room for this round's.
+	if cap(w.steps)-len(w.steps) < npure {
+		w.steps, w.members = make([]dfg.FusedOp, 0, npure), make([]int32, 0, npure)
+	}
+	steps, members := w.steps, w.members
 	var trees []tree
-	steps := make([]dfg.FusedOp, 0, npure)
-	members := w.members[:0]
 
 	// build adds node v and, producers first, the operators it absorbs to
 	// tree t, and returns v's step; okTree turns false if the tree cannot
 	// be fused.
 	var t tree
 	okTree := true
-	var build func(v int32) int
-	build = func(v int32) int {
+	var build func(v int32) int32
+	build = func(v int32) int32 {
 		if !okTree {
 			return 0
 		}
 		vn := w.Nodes[v]
-		var refs [2]int
+		var refs [2]int32
 		for p := int32(0); p < vn.NIns; p++ {
 			ai := w.Ins().Only(w.Ins().Slot(v, p))
 			if ai < 0 {
@@ -78,7 +81,6 @@ func (w *work) fuseOperators() int {
 					okTree = false
 					return 0
 				}
-				w.extPort[ai] = int32(t.nExt)
 				refs[p] = dfg.FusedInput(t.nExt)
 				t.nExt++
 			}
@@ -97,7 +99,7 @@ func (w *work) fuseOperators() int {
 		}
 		steps = append(steps, op)
 		members = append(members, v)
-		return len(steps) - 1 - t.lo
+		return int32(len(steps)) - 1 - t.lo
 	}
 	for _, root := range w.Nodes {
 		if root == nil || (root.Kind != dfg.BinOp && root.Kind != dfg.UnOp) || w.treeOf[root.ID] != -1 {
@@ -107,67 +109,59 @@ func (w *work) fuseOperators() int {
 		if w.OutDegree(id) < 1 || absorbable(id) {
 			continue
 		}
-		t, okTree = tree{lo: len(steps)}, true
+		t, okTree = tree{lo: int32(len(steps))}, true
 		build(id)
-		if t.hi = len(steps); !okTree || t.hi-t.lo < 2 {
+		if t.hi = int32(len(steps)); !okTree || t.hi-t.lo < 2 {
 			steps, members = steps[:t.lo], members[:t.lo] // nothing worth fusing at this root
 			continue
 		}
-		for _, m := range members[t.lo:t.hi] {
-			w.treeOf[m] = int32(len(trees))
+		for k := t.lo; k < t.hi; k++ {
+			w.treeOf[members[k]] = k
 		}
 		trees = append(trees, t)
 	}
-	w.members = members
+	w.steps, w.members = steps, members
 	if len(trees) == 0 {
 		return 0
 	}
 
-	fusedID, outs := make([]int32, len(trees)), make([]int, 0, len(trees))
+	// fusedAt returns the fused node, first+i for trees[i], of the tree holding step k.
+	first := int32(len(w.Nodes))
+	fusedAt := func(k int32) int32 {
+		return first + int32(sort.Search(len(trees), func(i int) bool { return trees[i].hi > k }))
+	}
+	nodes, outs := make([]dfg.Node, len(trees)), make([]int32, len(trees))
+	w.ReserveFusions(len(trees))
 	for i, t := range trees {
 		rn := w.Nodes[members[t.hi-1]]
-		fusedID[i] = w.addNode(&dfg.Node{Kind: dfg.Fused, NIns: int32(t.nExt), NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
-		outs = append(outs, t.hi-t.lo-1)
-		w.AddFusion(dfg.FusedInfo{Node: int(fusedID[i]), Steps: steps[t.lo:t.hi:t.hi], Outs: outs[i : i+1 : i+1]})
+		nodes[i] = dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok}
+		outs[i] = t.hi - t.lo - 1
+		w.AddFusion(dfg.FusedInfo{Node: w.addNode(&nodes[i]), Steps: steps[t.lo:t.hi:t.hi], Outs: outs[i : i+1 : i+1]})
 	}
 	// Rewire the arcs that were there before this round's; they connect
-	// nodes that were, too.
-	for ai := int32(0); int(ai) < len(w.extPort); ai++ {
+	// nodes that were, too. An arc into a member feeds the external input
+	// its step names, or is interior when the step names a prior one.
+	for ai, n := int32(0), int32(len(w.Arcs)); ai < n; ai++ {
 		a := w.Arcs[ai]
-		sT, dT := w.treeOf[a.From], w.treeOf[a.To]
-		if !w.Live(ai) || (sT == -1 && dT == -1) {
+		sK, dK := w.treeOf[a.From], w.treeOf[a.To]
+		if !w.Live(ai) || (sK == -1 && dK == -1) {
 			continue
 		}
 		w.KillArc(ai)
-		switch {
-		case dT == -1:
-			// Root output crossing out of the tree.
-			w.AddArc(dfg.Arc{From: fusedID[sT], FromPort: 0, To: a.To, ToPort: a.ToPort, Dummy: a.Dummy})
-		case w.extPort[ai] >= 0:
-			if sT != -1 {
-				a.From, a.FromPort = fusedID[sT], 0 // the feeder is another tree's root
+		if dK != -1 {
+			ref := [2]int32{steps[dK].A, steps[dK].B}[a.ToPort]
+			if ref >= 0 {
+				continue // an interior arc, dropped — that is the optimization
 			}
-			w.AddArc(dfg.Arc{From: a.From, FromPort: a.FromPort, To: fusedID[dT], ToPort: w.extPort[ai], Dummy: a.Dummy})
+			a.To, a.ToPort = fusedAt(dK), dfg.FusedInputPort(ref)
 		}
-		// Otherwise an interior arc, dropped — that is the optimization.
+		if sK != -1 {
+			a.From, a.FromPort = fusedAt(sK), 0 // a root's output, now its fused node's
+		}
+		w.AddArc(a)
 	}
-	for _, t := range trees {
-		for _, m := range members[t.lo:t.hi] {
-			w.Remove(m)
-		}
+	for _, m := range members[trees[0].lo:] {
+		w.Remove(m)
 	}
 	return len(trees)
-}
-
-// minusOnes returns s resized to n elements, all -1; a new s has room
-// for c.
-func minusOnes(s []int32, n, c int) []int32 {
-	if cap(s) < n {
-		s = make([]int32, n, max(n, c))
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = -1
-	}
-	return s
 }

@@ -132,6 +132,27 @@ func TestFuseOperatorsCollapsesTree(t *testing.T) {
 	}
 }
 
+// TestFuseIdleRoundAllocatesNothing: fusion keeps its tables and the
+// unused tail of its step arena between rounds, so a round after the
+// first that fuses nothing allocates nothing.
+func TestFuseIdleRoundAllocatesNothing(t *testing.T) {
+	res, err := translate.Translate(cfg.MustBuild(workloads.Random(1990, 40, 3).Parse()), translate.Options{Schema: translate.Schema2Opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWork(dfg.NewEditor(res.Graph))
+	if w.fuseOperators() == 0 {
+		t.Fatal("the first round fused no tree")
+	}
+	if got := testing.AllocsPerRun(3, func() {
+		if n := w.fuseOperators(); n != 0 {
+			t.Fatalf("a second round fused %d trees", n)
+		}
+	}); got != 0 {
+		t.Errorf("a round that fuses nothing allocates %.0f times", got)
+	}
+}
+
 func TestFuseOperatorsLeavesSingleOperator(t *testing.T) {
 	g := dfg.NewGraph(nil)
 	start := g.Add(&dfg.Node{Kind: dfg.Start})

@@ -22,14 +22,14 @@ type work struct {
 	minimal    *analysis.Placement
 	placements int
 
-	// Scratch of fuseOperators, kept between rounds.
+	// Scratch of fuseOperators and its step arena, kept between rounds.
 	treeOf  []int32
-	extPort []int32
 	members []int32
+	steps   []dfg.FusedOp
 }
 
 func newWork(e *dfg.Editor) *work {
-	return &work{Editor: e, touched: make([]int32, len(e.Nodes))}
+	return &work{Editor: e, touched: make([]int32, len(e.Nodes), cap(e.Nodes))}
 }
 
 func (w *work) addNode(n *dfg.Node) int32 {

@@ -174,14 +174,14 @@ func translateLinked(prog *lang.Program) (*Result, []*builder, error) {
 		for _, pc := range built[name].pendingCalls {
 			callee := built[pc.proc]
 			info := dfg.CallInfo{
-				Apply:    int(pc.apply),
+				Apply:    pc.apply,
 				Proc:     pc.proc,
 				InTokens: pc.inTokens,
-				Return:   int(callee.returnNode),
+				Return:   callee.returnNode,
 				Bindings: pc.bindings,
 			}
 			for j, pn := range callee.paramNodes {
-				info.Params = append(info.Params, int(pn))
+				info.Params = append(info.Params, pn)
 				out.AddArc(dfg.Arc{From: pc.apply, FromPort: int32(len(pc.inTokens) + j), To: pn, Dummy: true})
 			}
 			calls = append(calls, info)

@@ -21,10 +21,24 @@ import (
 // is unchanged.
 func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 	e := dfg.NewEditor(g)
+	added := LegalizeEdited(e)
+	out, err := e.Graph()
+	if err != nil {
+		// The pass kills every arc into a node it removes and removes no
+		// node of a call's linkage, so an error is a bug in it.
+		panic(fmt.Sprintf("translate: internal error: %v", err))
+	}
+	return out, added
+}
+
+// LegalizeEdited is LegalizeSynchTrees on a graph being edited: it
+// rewrites the synchs wider than two inputs among e's nodes and returns
+// the number of synch nodes added.
+func LegalizeEdited(e *dfg.Editor) int {
 	added := 0
 	type end struct{ node, port int32 }
-	for _, n := range g.Nodes {
-		if n.Kind != dfg.Synch || n.NIns <= 2 {
+	for _, n := range e.Nodes {
+		if n == nil || n.Kind != dfg.Synch || n.NIns <= 2 {
 			continue
 		}
 		id := n.ID
@@ -55,13 +69,7 @@ func LegalizeSynchTrees(g *dfg.Graph) (*dfg.Graph, int) {
 		}
 		e.Remove(id)
 	}
-	out, err := e.Graph()
-	if err != nil {
-		// The pass kills every arc into a node it removes and removes no
-		// node of a call's linkage, so an error is a bug in it.
-		panic(fmt.Sprintf("translate: internal error: %v", err))
-	}
-	return out, added
+	return added
 }
 
 // MaxSynchArity returns the widest synch operator in the graph (0 if none).

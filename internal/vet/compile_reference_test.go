@@ -379,17 +379,17 @@ func (e *refEditor) rebuild() (*dfg.Graph, error) {
 		if remap[fi.Node] < 0 {
 			continue
 		}
-		fi.Node = int(remap[fi.Node])
+		fi.Node = remap[fi.Node]
 		fi.Steps = append([]dfg.FusedOp(nil), fi.Steps...)
-		fi.Outs = append([]int(nil), fi.Outs...)
-		ng.AddFusion(fi)
+		fi.Outs = append([]int32(nil), fi.Outs...)
+		ng.Fusions = append(ng.Fusions, fi)
 	}
 	for _, fi := range e.newFus {
 		if remap[fi.Node] < 0 {
 			continue
 		}
-		fi.Node = int(remap[fi.Node])
-		ng.AddFusion(fi)
+		fi.Node = remap[fi.Node]
+		ng.Fusions = append(ng.Fusions, fi)
 	}
 	return ng, nil
 }
@@ -560,13 +560,13 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 		}
 		t := &tree{root: root.ID, ext: map[int]int32{}}
 		okTree := true
-		var build func(v int32) int
-		build = func(v int32) int {
+		var build func(v int32) int32
+		build = func(v int32) int32 {
 			if !okTree {
 				return 0
 			}
 			vn := g.Nodes[v]
-			var refs [2]int
+			var refs [2]int32
 			for p := 0; p < int(vn.NIns); p++ {
 				arcs := e.ins[v][p]
 				if len(arcs) != 1 {
@@ -583,7 +583,7 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 						return 0
 					}
 					t.ext[ai] = t.nExt
-					refs[p] = dfg.FusedInput(int(t.nExt))
+					refs[p] = dfg.FusedInput(t.nExt)
 					t.nExt++
 				}
 			}
@@ -601,7 +601,7 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 			}
 			t.steps = append(t.steps, op)
 			t.members = append(t.members, v)
-			return len(t.steps) - 1
+			return int32(len(t.steps) - 1)
 		}
 		build(root.ID)
 		if !okTree || len(t.steps) < 2 {
@@ -620,7 +620,7 @@ func refFuseOperators(g *dfg.Graph, count, total *int) (*dfg.Graph, error) {
 	for i, t := range trees {
 		rn := g.Nodes[t.root]
 		fusedID[i] = e.addNode(&dfg.Node{Kind: dfg.Fused, NIns: t.nExt, NOuts: 1, Stmt: rn.Stmt, Tok: rn.Tok})
-		e.newFus = append(e.newFus, dfg.FusedInfo{Node: int(fusedID[i]), Steps: t.steps, Outs: []int{len(t.steps) - 1}})
+		e.newFus = append(e.newFus, dfg.FusedInfo{Node: fusedID[i], Steps: t.steps, Outs: []int32{int32(len(t.steps) - 1)}})
 		for _, m := range t.members {
 			e.deadN[m] = true
 		}

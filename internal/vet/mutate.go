@@ -23,53 +23,58 @@ type Mutation struct {
 	Name string
 	// Doc says what the mutation breaks.
 	Doc string
-	// Apply returns the mutated graph, or ok=false when the translation
-	// has no site this mutation applies to.
-	Apply func(res *translate.Result) (g *dfg.Graph, ok bool)
+	// Edit returns the editor holding the mutated graph, or ok=false
+	// when the translation has no site this mutation applies to.
+	Edit func(res *translate.Result) (e *dfg.Editor, ok bool)
+}
+
+// Apply returns the mutated graph, or ok=false when the translation has
+// no site this mutation applies to.
+func (m Mutation) Apply(res *translate.Result) (g *dfg.Graph, ok bool) {
+	e, ok := m.Edit(res)
+	if !ok {
+		return nil, false
+	}
+	g, err := e.Graph()
+	return g, err == nil
 }
 
 // Mutations returns the seeded mutation classes.
 func Mutations() []Mutation {
 	return []Mutation{
 		{
-			Name:  "drop-switch",
-			Doc:   "remove a switch and feed its consumers the unrouted token (Theorem 1 violation)",
-			Apply: dropSwitch,
+			Name: "drop-switch",
+			Doc:  "remove a switch and feed its consumers the unrouted token (Theorem 1 violation)",
+			Edit: dropSwitch,
 		},
 		{
-			Name:  "retarget-arc",
-			Doc:   "retarget a token arc onto end port 0: one port double-fed, one starved",
-			Apply: retargetArc,
+			Name: "retarget-arc",
+			Doc:  "retarget a token arc onto end port 0: one port double-fed, one starved",
+			Edit: retargetArc,
 		},
 		{
-			Name:  "drop-merge-arm",
-			Doc:   "disconnect one arm of a merge: the arm's token line leaks",
-			Apply: dropMergeArm,
+			Name: "drop-merge-arm",
+			Doc:  "disconnect one arm of a merge: the arm's token line leaks",
+			Edit: dropMergeArm,
 		},
 		{
-			Name:  "truncate-synch",
-			Doc:   "shrink a synch tree by one operand: the §5 gather set loses a cover element",
-			Apply: truncateSynch,
+			Name: "truncate-synch",
+			Doc:  "shrink a synch tree by one operand: the §5 gather set loses a cover element",
+			Edit: truncateSynch,
 		},
 		{
-			Name:  "bypass-synch",
-			Doc:   "wire a memory op's access input past its synch gate to a single operand line",
-			Apply: bypassSynch,
+			Name: "bypass-synch",
+			Doc:  "wire a memory op's access input past its synch gate to a single operand line",
+			Edit: bypassSynch,
 		},
 	}
-}
-
-// mutant materializes an edited graph.
-func mutant(e *dfg.Editor) (*dfg.Graph, bool) {
-	g, err := e.Graph()
-	return g, err == nil
 }
 
 // dropSwitch removes the first switch and rewires both arms' consumers
 // straight to the switch's data source: the token now arrives regardless
 // of the branch taken — exactly the unsoundness Theorem 1's placement
 // exists to prevent.
-func dropSwitch(res *translate.Result) (*dfg.Graph, bool) {
+func dropSwitch(res *translate.Result) (*dfg.Editor, bool) {
 	e := dfg.NewEditor(res.Graph)
 	for _, n := range e.Nodes {
 		if n.Kind != dfg.Switch {
@@ -88,7 +93,7 @@ func dropSwitch(res *translate.Result) (*dfg.Graph, bool) {
 		}
 		e.KillArcsInto(sw)
 		e.Remove(sw)
-		return mutant(e)
+		return e, true
 	}
 	return nil, false
 }
@@ -96,7 +101,7 @@ func dropSwitch(res *translate.Result) (*dfg.Graph, bool) {
 // retargetArc redirects the first dummy arc not already feeding end onto
 // end port 0: that port is now double-fed (two tokens, one tag) and the
 // arc's original destination starves.
-func retargetArc(res *translate.Result) (*dfg.Graph, bool) {
+func retargetArc(res *translate.Result) (*dfg.Editor, bool) {
 	g := res.Graph
 	if g.EndID < 0 || g.Nodes[g.EndID].NIns == 0 {
 		return nil, false
@@ -107,7 +112,7 @@ func retargetArc(res *translate.Result) (*dfg.Graph, bool) {
 			e.KillArc(int32(i))
 			a.To, a.ToPort = g.EndID, 0
 			e.AddArc(a)
-			return mutant(e)
+			return e, true
 		}
 	}
 	return nil, false
@@ -115,12 +120,12 @@ func retargetArc(res *translate.Result) (*dfg.Graph, bool) {
 
 // dropMergeArm deletes one input arc of the first merge fed by two or
 // more arcs: the deleted arm's line has no consumer left.
-func dropMergeArm(res *translate.Result) (*dfg.Graph, bool) {
+func dropMergeArm(res *translate.Result) (*dfg.Editor, bool) {
 	e := dfg.NewEditor(res.Graph)
 	for i, a := range e.Arcs {
 		if a.ToPort == 0 && e.Nodes[a.To].Kind == dfg.Merge && e.Ins().Size(e.Ins().Slot(a.To, 0)) >= 2 {
 			e.KillArc(int32(i))
-			return mutant(e)
+			return e, true
 		}
 	}
 	return nil, false
@@ -140,7 +145,7 @@ func synchSites(g *dfg.Graph) []*dfg.Node {
 // truncateSynch shrinks the first eligible synch by one operand: its
 // gather set (Figure 13) silently loses a line, and that line's producer
 // loses its consumer.
-func truncateSynch(res *translate.Result) (*dfg.Graph, bool) {
+func truncateSynch(res *translate.Result) (*dfg.Editor, bool) {
 	sites := synchSites(res.Graph)
 	if len(sites) == 0 {
 		return nil, false
@@ -152,14 +157,14 @@ func truncateSynch(res *translate.Result) (*dfg.Graph, bool) {
 		e.KillArc(e.Ins().First(slot))
 	}
 	e.Nodes[s.ID] = &s
-	return mutant(e)
+	return e, true
 }
 
 // bypassSynch rewires a memory operation's access input past its synch
 // gate, straight to the line feeding the synch's first operand: the
 // operation now fires holding one cover element's token instead of all of
 // them — the §5 race the synch tree exists to prevent.
-func bypassSynch(res *translate.Result) (*dfg.Graph, bool) {
+func bypassSynch(res *translate.Result) (*dfg.Editor, bool) {
 	e := dfg.NewEditor(res.Graph)
 	for _, s := range synchSites(res.Graph) {
 		oi := e.Ins().First(e.Ins().Slot(s.ID, 0))
@@ -172,7 +177,7 @@ func bypassSynch(res *translate.Result) (*dfg.Graph, bool) {
 			switch e.Nodes[e.Arcs[op].To].Kind {
 			case dfg.Load, dfg.Store, dfg.LoadIdx, dfg.StoreIdx:
 				e.MoveSource(op, operand.From, operand.FromPort)
-				return mutant(e)
+				return e, true
 			}
 		}
 	}

@@ -296,7 +296,7 @@ func newRefTokenTracer(u *Unit) *refTokenTracer {
 	slices.Sort(tr.all)
 	tr.all = slices.Compact(tr.all)
 	for i := len(u.G.Calls) - 1; i >= 0; i-- { // backwards: the first entry for an Apply wins
-		tr.calls[u.G.Calls[i].Apply] = &u.G.Calls[i]
+		tr.calls[int(u.G.Calls[i].Apply)] = &u.G.Calls[i]
 	}
 	return tr
 }

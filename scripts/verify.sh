@@ -360,13 +360,17 @@ echo "== the graph is held in 32-bit ids =="
 # a flag, and dfg.Node numbers its ids, ports and provenance in int32 and
 # its variable and access token in the graph's name table (see DESIGN.md,
 # "The IR records"; TestRecordSizes pins the sizes). An int or string
-# field in either record is the 64-bit, name-carrying graph again.
-wide=$(awk '/^type (Arc|Node) struct/ { in_rec = 1; next }
-    in_rec && /^}/ { in_rec = 0 }
-    in_rec && /^[[:space:]]*[A-Za-z_, ]+[[:space:]]+(int|string)([[:space:]]|$)/ { print FILENAME ":" FNR ": " $0 }' \
+# field in either record is the 64-bit, name-carrying graph again. The
+# side tables, the fused steps (FusedOp, FusedInfo) and the call linkage
+# (CallInfo), number their nodes, steps and ports in int32 too: an int or
+# []int field there is a second width of node id.
+wide=$(awk '/^type (Arc|Node|FusedOp|FusedInfo|CallInfo) struct/ { rec = $2; next }
+    rec != "" && /^}/ { rec = "" }
+    rec != "" && /^[[:space:]]*[A-Za-z_, ]+[[:space:]]+(\[\])?int([[:space:]]|$)/ { print FILENAME ":" FNR ": " $0; next }
+    (rec == "Arc" || rec == "Node") && /^[[:space:]]*[A-Za-z_, ]+[[:space:]]+string([[:space:]]|$)/ { print FILENAME ":" FNR ": " $0 }' \
     internal/dfg/dfg.go)
 if [ -n "$wide" ]; then
-    echo "a graph record holds an int or string field:" >&2
+    echo "a graph record or side table holds an int field, or a record a string field:" >&2
     echo "$wide" >&2
     exit 1
 fi
