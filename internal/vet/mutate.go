@@ -67,6 +67,11 @@ func Mutations() []Mutation {
 			Doc:  "wire a memory op's access input past its synch gate to a single operand line",
 			Edit: bypassSynch,
 		},
+		{
+			Name: "rewire-merge-arm",
+			Doc:  "swap one arm each of two same-token merges at different statements: port counts hold, the sources do not",
+			Edit: rewireMergeArm,
+		},
 	}
 }
 
@@ -180,6 +185,47 @@ func bypassSynch(res *translate.Result) (*dfg.Editor, bool) {
 				return e, true
 			}
 		}
+	}
+	return nil, false
+}
+
+// rewireMergeArm swaps one arm each of the first two merges of one token
+// at different statements whose swapped producers differ (by statement, or
+// by switch arm): every port keeps its arc count, but each merge now takes
+// a token from a path its row's sources (Figure 11) do not name. Value
+// tokens (§6.1) are left alone: a read does not regenerate one, so their
+// producers are not the sources Figure 11 names.
+func rewireMergeArm(res *translate.Result) (*dfg.Editor, bool) {
+	e := dfg.NewEditor(res.Graph)
+	producer := func(a dfg.Arc) [2]int32 {
+		p := e.Nodes[a.From]
+		if p.Kind == dfg.Switch && a.FromPort == 1 {
+			return [2]int32{p.Stmt, 1}
+		}
+		return [2]int32{p.Stmt, 0}
+	}
+	var merges []*dfg.Node
+	for _, m := range e.Nodes {
+		if m.Kind != dfg.Merge || res.ValueTokens[e.Name(m.Tok)] != "" {
+			continue
+		}
+		for _, m1 := range merges {
+			if m1.Tok != m.Tok || m1.Stmt == m.Stmt {
+				continue
+			}
+			for i := e.Ins().First(e.Ins().Slot(m1.ID, 0)); i >= 0; i = e.Ins().Next(i) {
+				for j := e.Ins().First(e.Ins().Slot(m.ID, 0)); j >= 0; j = e.Ins().Next(j) {
+					x, y := e.Arcs[i], e.Arcs[j]
+					if producer(x) == producer(y) || e.HasArc(y.From, y.FromPort, m1.ID, 0) || e.HasArc(x.From, x.FromPort, m.ID, 0) {
+						continue
+					}
+					e.MoveSource(i, y.From, y.FromPort)
+					e.MoveSource(j, x.From, x.FromPort)
+					return e, true
+				}
+			}
+		}
+		merges = append(merges, m)
 	}
 	return nil, false
 }
