@@ -261,16 +261,11 @@ type CallInfo struct {
 	// InTokens names the caller-side access tokens, one per Apply
 	// input port; return port i signals the same token.
 	InTokens []string
-	// Params[j] is the callee's Param node for its j-th token; ParamIn[j]
-	// is the Apply input port whose token becomes it. The arc feeding
-	// Params[j] leaves Apply output port len(InTokens)+j.
-	Params  []int32
-	ParamIn []int32
-	// Return is the callee's ProcReturn node; RetOut[j] is the Apply
-	// return port signalled for the callee's j-th token (several callee
-	// tokens may share one return port when a call aliases formals).
+	// Params[j] is the callee's Param node for its j-th token. The arc
+	// feeding Params[j] leaves Apply output port len(InTokens)+j.
+	Params []int32
+	// Return is the callee's ProcReturn node.
 	Return int32
-	RetOut []int32
 	// Bindings maps each formal of the callee to the caller-scope name
 	// bound at this site.
 	Bindings map[string]string

@@ -109,9 +109,10 @@ func checkWiring(t *testing.T, label string, d *dfg.Graph, g *cfg.Graph, plan *a
 
 // TestBuilderWiringMatchesSourceVectors: two computations of Figure 11
 // agree — the builder's walk, which wires the graph, and the plan's
-// SourceVectors, which vet reads. Every workload under every schema,
-// eight seeds of every generator, and every unit of the linked
-// compilations.
+// SourceVectors, which vet reads. Every workload under every schema and
+// the §6.2/§6.3 options, eight seeds of every generator, and every unit
+// of the linked compilations. EliminateMemory is left out: a §6.1 value
+// token is not regenerated by a read, so its producers are not its sources.
 func TestBuilderWiringMatchesSourceVectors(t *testing.T) {
 	merges, graphs, units := 0, 0, 0
 	var progs []workloads.Workload
@@ -130,12 +131,15 @@ func TestBuilderWiringMatchesSourceVectors(t *testing.T) {
 			linked = append(linked, w) // procedure workloads need linked translation
 			continue
 		}
-		for _, s := range []Schema{Schema1, Schema2, Schema2Opt, Schema3, Schema3Opt} {
-			res, err := Translate(g, Options{Schema: s})
+		for _, o := range []Options{
+			{Schema: Schema1}, {Schema: Schema2}, {Schema: Schema2Opt}, {Schema: Schema3}, {Schema: Schema3Opt},
+			{Schema: Schema2Opt, ParallelReads: true}, {Schema: Schema2Opt, ParallelArrayStores: true}, {Schema: Schema3Opt, ParallelReads: true},
+		} {
+			res, err := Translate(g, o)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", w.Name, s, err)
+				t.Fatalf("%s/%+v: %v", w.Name, o, err)
 			}
-			merges += checkWiring(t, fmt.Sprintf("%s/%v", w.Name, s), res.Graph, res.CFG, res.Plan, 0, int32(len(res.Graph.Nodes)))
+			merges += checkWiring(t, fmt.Sprintf("%s/%+v", w.Name, o), res.Graph, res.CFG, res.Plan, 0, int32(len(res.Graph.Nodes)))
 			graphs++
 		}
 	}

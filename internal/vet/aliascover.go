@@ -2,7 +2,6 @@ package vet
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 
@@ -102,10 +101,7 @@ func gatherCheck(u *Unit) []Diagnostic {
 		}
 		for _, tok := range toks {
 			if m := begun[tok]; m.walk != walk && !(fromStart && m.start) {
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: tok,
-					Msg: fmt.Sprintf("access input does not gather token %s: cover element [%s] intersects [%s], so operations on the two are unordered", tok, tok, u.G.Name(n.Var)),
-				})
+				ds = append(ds, errorOf(machcheck.Determinacy, int(n.ID), tok, "access input does not gather token %s: cover element [%s] intersects [%s], so operations on the two are unordered", tok, tok, u.G.Name(n.Var)))
 			}
 		}
 	}
@@ -178,10 +174,7 @@ func orderingCheck(u *Unit) []Diagnostic {
 				break
 			}
 		}
-		ds = append(ds, Diagnostic{
-			Severity: SevError, Check: machcheck.Determinacy, Node: int(a.ID), Tok: shared,
-			Msg: fmt.Sprintf("no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Label(b), shared),
-		})
+		ds = append(ds, errorOf(machcheck.Determinacy, int(a.ID), shared, "no dataflow ordering against %s: both hold cover element [%s], so the two operations race", u.G.Label(b), shared))
 	}
 	return ds
 }

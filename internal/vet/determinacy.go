@@ -1,8 +1,6 @@
 package vet
 
 import (
-	"fmt"
-
 	"ctdf/internal/dfg"
 	"ctdf/internal/machcheck"
 )
@@ -37,10 +35,7 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 	g := u.G
 	guards := u.guardTable()
 	if !guards.converged {
-		return []Diagnostic{{
-			Severity: SevError, Check: machcheck.InvalidConfig, Node: -1,
-			Msg: "guard analysis exceeded its monotone step bound: the graph is malformed and its merges cannot be judged",
-		}}, ""
+		return []Diagnostic{errorOf(machcheck.InvalidConfig, -1, "", "guard analysis exceeded its monotone step bound: the graph is malformed and its merges cannot be judged")}, ""
 	}
 	var ds []Diagnostic
 	for _, n := range g.Nodes {
@@ -60,21 +55,15 @@ func passDeterminacy(u *Unit) ([]Diagnostic, string) {
 							continue // a source that never fires cannot collide (reported by token-balance)
 						}
 						if !guards.disjoint(gi, gj) {
-							ds = append(ds, Diagnostic{
-								Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: g.Name(n.Tok),
-								Msg: fmt.Sprintf("merge inputs from d%d.%d and d%d.%d are not on disjoint predicate paths: one execution can deliver both tokens under one tag",
-									ai.From, ai.FromPort, aj.From, aj.FromPort),
-							})
+							ds = append(ds, errorOf(machcheck.Determinacy, int(n.ID), g.Name(n.Tok), "merge inputs from d%d.%d and d%d.%d are not on disjoint predicate paths: one execution can deliver both tokens under one tag",
+								ai.From, ai.FromPort, aj.From, aj.FromPort))
 						}
 					}
 				}
 			case n.Kind == dfg.Param:
 				// One arc per call site; activations are tag-disjoint.
 			default:
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TagViolation, Node: int(n.ID), Tok: g.Name(n.Tok),
-					Msg: fmt.Sprintf("input port %d is fed by %d arcs: two tokens can arrive under one tag", p, len(arcs)),
-				})
+				ds = append(ds, errorOf(machcheck.TagViolation, int(n.ID), g.Name(n.Tok), "input port %d is fed by %d arcs: two tokens can arrive under one tag", p, len(arcs)))
 			}
 		}
 	}

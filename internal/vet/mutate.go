@@ -190,20 +190,12 @@ func bypassSynch(res *translate.Result) (*dfg.Editor, bool) {
 }
 
 // rewireMergeArm swaps one arm each of the first two merges of one token
-// at different statements whose swapped producers differ (by statement, or
-// by switch arm): every port keeps its arc count, but each merge now takes
-// a token from a path its row's sources (Figure 11) do not name. Value
-// tokens (§6.1) are left alone: a read does not regenerate one, so their
-// producers are not the sources Figure 11 names.
+// at different statements whose swapped producers differ: every port
+// keeps its arc count, but each merge takes a token from a path its row's
+// sources do not name. Value tokens (§6.1) are left alone, as
+// source-vectors judges only their arm counts.
 func rewireMergeArm(res *translate.Result) (*dfg.Editor, bool) {
 	e := dfg.NewEditor(res.Graph)
-	producer := func(a dfg.Arc) [2]int32 {
-		p := e.Nodes[a.From]
-		if p.Kind == dfg.Switch && a.FromPort == 1 {
-			return [2]int32{p.Stmt, 1}
-		}
-		return [2]int32{p.Stmt, 0}
-	}
 	var merges []*dfg.Node
 	for _, m := range e.Nodes {
 		if m.Kind != dfg.Merge || res.ValueTokens[e.Name(m.Tok)] != "" {
@@ -216,7 +208,7 @@ func rewireMergeArm(res *translate.Result) (*dfg.Editor, bool) {
 			for i := e.Ins().First(e.Ins().Slot(m1.ID, 0)); i >= 0; i = e.Ins().Next(i) {
 				for j := e.Ins().First(e.Ins().Slot(m.ID, 0)); j >= 0; j = e.Ins().Next(j) {
 					x, y := e.Arcs[i], e.Arcs[j]
-					if producer(x) == producer(y) || e.HasArc(y.From, y.FromPort, m1.ID, 0) || e.HasArc(x.From, x.FromPort, m.ID, 0) {
+					if producer(e.Nodes, x) == producer(e.Nodes, y) || e.HasArc(y.From, y.FromPort, m1.ID, 0) || e.HasArc(x.From, x.FromPort, m.ID, 0) {
 						continue
 					}
 					e.MoveSource(i, y.From, y.FromPort)

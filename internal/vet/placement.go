@@ -3,6 +3,7 @@ package vet
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"ctdf/internal/analysis"
@@ -12,63 +13,6 @@ import (
 	"ctdf/internal/translate"
 )
 
-// slot keys graph operators by provenance: the originating CFG statement
-// and the number of the access token served.
-type slot struct{ stmt, tok int32 }
-
-// tokNumbers returns, per token of g's table (NoName first), its position
-// in the sorted universe known, or -1 where known has no such name.
-func tokNumbers(g *dfg.Graph, known []string) []int32 {
-	nums := make([]int32, len(g.Names)+1)
-	for tok := range nums {
-		t, ok := slices.BinarySearch(known, g.Name(int32(tok)))
-		nums[tok] = int32(t)
-		if !ok {
-			nums[tok] = -1
-		}
-	}
-	return nums
-}
-
-// slotNames numbers a graph's tokens as the recomputed plan does, by
-// their position in its sorted universe (known), and a token the plan
-// does not know (a mutated or hand-written graph's) after them, in the
-// order met.
-type slotNames struct {
-	g     *dfg.Graph
-	known []string
-	nums  []int32 // per graph token, its number once met (tokNumbers)
-	names []string
-}
-
-func newSlotNames(g *dfg.Graph, known []string) *slotNames {
-	return &slotNames{g: g, known: known, nums: tokNumbers(g, known)}
-}
-
-func (s *slotNames) slot(stmt, tok int32) slot {
-	if s.nums[tok] < 0 {
-		s.nums[tok] = int32(len(s.known) + len(s.names))
-		s.names = append(s.names, s.g.Name(tok))
-	}
-	return slot{stmt, s.nums[tok]}
-}
-
-func (s *slotNames) name(t int32) string {
-	if int(t) < len(s.known) {
-		return s.known[t]
-	}
-	return s.names[int(t)-len(s.known)]
-}
-
-func sortedSlots[T any](m map[slot]T) []slot {
-	out := make([]slot, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, func(a, b slot) int { return cmp.Or(cmp.Compare(a.stmt, b.stmt), cmp.Compare(a.tok, b.tok)) })
-	return out
-}
-
 // placeInfo is the independently recomputed translation plan the
 // validation passes diff the graph against: the switch placement and the
 // per-loop circulating token sets, on the plan's token numbers.
@@ -77,11 +21,11 @@ type placeInfo struct {
 	err         error
 	needEntries int // the entries of the need rows the plan read
 
-	// switches lists the graph's switches by (fork, token number), then
-	// node id (switchesAt reads it); held is plan without the slots that
-	// hold none — plan itself when all do.
-	switches []slotNode
-	held     *analysis.Plan
+	// ops lists the graph's routing operators by key, then node id (at
+	// reads it); held is plan without the slots that hold no switch —
+	// plan itself when all do.
+	ops  []opNode
+	held *analysis.Plan
 }
 
 // placementInfo recomputes switch placement from first principles —
@@ -94,50 +38,97 @@ func (u *Unit) placementInfo() *placeInfo {
 	u.placeOnce.Do(func() {
 		u.place = recomputePlacement(u.Res)
 		if u.place.err == nil {
-			u.place.indexSwitches(u.G, u.Res.CFG)
+			u.place.indexOps(u.G, u.Res.CFG)
 		}
 	})
 	return u.place
 }
 
-// indexSwitches fills switches and held from g. Placement marks start
-// too (the conventional start→end edge makes it a fork for CD purposes),
-// but the builder gives start no switch.
-func (pi *placeInfo) indexSwitches(g *dfg.Graph, c *cfg.Graph) {
-	nums := tokNumbers(g, pi.plan.Placement.Universe)
-	for _, n := range g.Nodes {
-		if n.Kind != dfg.Switch {
-			continue
-		}
-		if t := nums[n.Tok]; t >= 0 {
-			pi.switches = append(pi.switches, slotNode{slotKey(int(n.Stmt), int(t)), int(n.ID)})
+// opKey orders the routing operators by kind, originating statement, then
+// token number: the token's position in the plan's universe or, for a
+// token the universe lacks (a mutated or hand-written graph's), the
+// universe's length plus its number in the graph's name table.
+type opKey struct {
+	kind      dfg.Kind
+	stmt, tok int32
+}
+
+func (a opKey) compare(b opKey) int {
+	if a.kind != b.kind {
+		return cmp.Compare(a.kind, b.kind)
+	}
+	return cmp.Or(cmp.Compare(a.stmt, b.stmt), cmp.Compare(a.tok, b.tok))
+}
+
+// opNode is a routing operator under its key.
+type opNode struct {
+	opKey
+	node int32
+}
+
+// indexOps fills ops with g's switches, merges, loop entries and loop
+// exits, numbering each token of g's table once, and held. Placement
+// marks start too (the conventional start→end edge makes it a fork for CD
+// purposes), but the builder gives start no switch.
+func (pi *placeInfo) indexOps(g *dfg.Graph, c *cfg.Graph) {
+	universe := pi.plan.Placement.Universe
+	nums := make([]int32, len(g.Names)+1) // per token of g's table, NoName first
+	for tok := range nums {
+		t, ok := slices.BinarySearch(universe, g.Name(int32(tok)))
+		if nums[tok] = int32(t); !ok {
+			nums[tok] = int32(len(universe) + tok)
 		}
 	}
-	slices.SortFunc(pi.switches, func(a, b slotNode) int { return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.node, b.node)) })
+	for _, n := range g.Nodes {
+		switch n.Kind {
+		case dfg.Switch, dfg.Merge, dfg.LoopEntry, dfg.LoopExit:
+			pi.ops = append(pi.ops, opNode{opKey{n.Kind, n.Stmt, nums[n.Tok]}, n.ID})
+		}
+	}
+	slices.SortFunc(pi.ops, func(a, b opNode) int { return cmp.Or(a.compare(b.opKey), cmp.Compare(a.node, b.node)) })
 	pi.held = pi.plan.Without(func(f, t int) bool {
-		return isFork(c, f) && len(pi.switchesAt(f, t)) == 0
+		return isFork(c, f) && len(pi.at(dfg.Switch, int32(f), int32(t))) == 0
 	})
 }
 
-// slotNode is a node under its slot's key (slotKey).
-type slotNode struct {
-	slot uint64
-	node int
+// at returns the operators of kind at (stmt, token number t), by node id.
+func (pi *placeInfo) at(kind dfg.Kind, stmt, t int32) []opNode {
+	i, _ := slices.BinarySearchFunc(pi.ops, opKey{kind, stmt, t}, opNode.compare)
+	_, at := (&cursor{pi.ops[i:], kind}).upTo(stmt, t)
+	return at
 }
 
-// slotKey orders slots by statement, then token number.
-func slotKey(stmt, tok int) uint64 { return uint64(uint32(stmt))<<32 | uint64(uint32(tok)) }
+// cursor walks the operators of one kind in key order.
+type cursor struct {
+	ops  []opNode
+	kind dfg.Kind
+}
 
-// switchesAt returns the switches of slot (fork, token number), by node
-// id.
-func (pi *placeInfo) switchesAt(f, t int) []slotNode {
-	k := slotKey(f, t)
-	lo, _ := slices.BinarySearchFunc(pi.switches, k, func(s slotNode, k uint64) int { return cmp.Compare(s.slot, k) })
-	hi := lo
-	for hi < len(pi.switches) && pi.switches[hi].slot == k {
-		hi++
+// cursor returns a cursor before the first operator of kind.
+func (pi *placeInfo) cursor(kind dfg.Kind) *cursor {
+	i, _ := slices.BinarySearchFunc(pi.ops, opKey{kind, math.MinInt32, 0}, opNode.compare)
+	return &cursor{pi.ops[i:], kind}
+}
+
+// upTo returns the operators keyed before (stmt, t) and those keyed at
+// it, and moves past both.
+func (c *cursor) upTo(stmt, t int32) (before, at []opNode) {
+	k, i := opKey{c.kind, stmt, t}, 0
+	for i < len(c.ops) && c.ops[i].compare(k) < 0 {
+		i++
 	}
-	return pi.switches[lo:hi]
+	j := i
+	for j < len(c.ops) && c.ops[j].opKey == k {
+		j++
+	}
+	before, at, c.ops = c.ops[:i], c.ops[i:j], c.ops[j:]
+	return before, at
+}
+
+// rest returns the operators c has not passed.
+func (c *cursor) rest() []opNode {
+	before, _ := c.upTo(math.MaxInt32, 0)
+	return before
 }
 
 func isFork(g *cfg.Graph, id int) bool {
@@ -202,7 +193,7 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 	}
 	pi := u.placementInfo()
 	if pi.err != nil {
-		return []Diagnostic{{Severity: SevError, Check: machcheck.InvalidConfig, Node: -1, Msg: pi.err.Error()}}, ""
+		return []Diagnostic{errorOf(machcheck.InvalidConfig, -1, "", "%v", pi.err)}, ""
 	}
 	g := u.Res.CFG
 
@@ -218,63 +209,46 @@ func passSwitchPlacement(u *Unit) ([]Diagnostic, string) {
 	}
 
 	var ds []Diagnostic
+	stray := func(ops []opNode) {
+		for _, o := range ops {
+			if tok := u.G.Name(u.G.Nodes[o.node].Tok); !isFork(g, int(o.stmt)) {
+				ds = append(ds, errorOf(machcheck.Determinacy, int(o.node), tok, "switch has no originating fork (stmt %d)", o.stmt))
+			} else {
+				ds = append(ds, Diagnostic{
+					Severity: SevWarning, Node: int(o.node), Tok: tok,
+					Msg: fmt.Sprintf("redundant switch: fork %s is not in CD+ of any node referencing token %s (missed §4 optimization)", g.Nodes[o.stmt], tok),
+				})
+			}
+		}
+	}
+	switches := pi.cursor(dfg.Switch)
 	for f, row := range place.Needs {
 		if !isFork(g, f) {
 			continue
 		}
 		for _, t := range row {
 			tok := place.Universe[t]
-			switch ids := pi.switchesAt(f, int(t)); {
+			before, ids := switches.upTo(int32(f), t)
+			stray(before)
+			switch {
 			case len(ids) == 0 && minimal.NeedsSwitch(f, tok):
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Determinacy, Node: -1, Tok: tok,
-					Msg: fmt.Sprintf("missing switch for token %s at fork %s: the fork is in CD+ of a node referencing it, so the token must be branch-routed", tok, g.Nodes[f]),
-				})
+				ds = append(ds, errorOf(machcheck.Determinacy, -1, tok, "missing switch for token %s at fork %s: the fork is in CD+ of a node referencing it, so the token must be branch-routed", tok, g.Nodes[f]))
 			case len(ids) == 0 && u.Res.Opt == nil:
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.InvalidConfig, Node: -1, Tok: tok,
-					Msg: fmt.Sprintf("missing switch for token %s at fork %s: the schema contract places one there, and no edit pass ran to remove it", tok, g.Nodes[f]),
-				})
+				ds = append(ds, errorOf(machcheck.InvalidConfig, -1, tok, "missing switch for token %s at fork %s: the schema contract places one there, and no edit pass ran to remove it", tok, g.Nodes[f]))
 			case len(ids) > 1:
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TagViolation, Node: ids[1].node, Tok: tok,
-					Msg: fmt.Sprintf("token %s is switched %d times at fork %s: want exactly one switch", tok, len(ids), g.Nodes[f]),
-				})
+				ds = append(ds, errorOf(machcheck.TagViolation, int(ids[1].node), tok, "token %s is switched %d times at fork %s: want exactly one switch", tok, len(ids), g.Nodes[f]))
 			}
 		}
 	}
-	for _, n := range u.G.Nodes {
-		stmt, tok := int(n.Stmt), u.G.Name(n.Tok)
-		if n.Kind != dfg.Switch || (isFork(g, stmt) && place.NeedsSwitch(stmt, tok)) {
-			continue
-		}
-		if !isFork(g, stmt) {
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Determinacy, Node: int(n.ID), Tok: tok,
-				Msg: fmt.Sprintf("switch has no originating fork (stmt %d)", n.Stmt),
-			})
-			continue
-		}
-		ds = append(ds, Diagnostic{
-			Severity: SevWarning, Node: int(n.ID), Tok: tok,
-			Msg: fmt.Sprintf("redundant switch: fork %s is not in CD+ of any node referencing token %s (missed §4 optimization)", g.Nodes[stmt], tok),
-		})
-	}
+	stray(switches.rest())
 	return ds, ""
 }
 
 // passSourceVectors recomputes the Figure 11 source vectors under the
-// switches the graph holds and checks the merge set: a dataflow merge
-// exists exactly where a token has more than one source — at joins and
-// end, and at the initial and back ports of the loop entries of the
-// tokens each loop circulates. A merge the vectors do not expect means
-// the graph and this second computation of Figure 11 disagree, and is an
-// error as a missing one is. The one accepted shortfall is the shape
-// merge collapsing leaves: a join with no merge whose token feeds a merge
-// slot of the same token that holds one, directly or through a chain of
-// such joins (determinacy judges where the arms landed). The same vectors
-// check the loop entry/exit operator sets against the circulating-token
-// sets.
+// switches the graph holds and judges each merge by its arcs (row, arcs,
+// fold). A row with several sources must hold one merge or be folded into
+// one, and a merge needs a row with several sources. The loop entry/exit
+// operators are checked against the circulating-token sets on the way.
 func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 	if !u.hasMeta() {
 		return nil, noMetaReason
@@ -283,144 +257,177 @@ func passSourceVectors(u *Unit) ([]Diagnostic, string) {
 	if pi.err != nil {
 		return nil, "placement recomputation failed: " + pi.err.Error()
 	}
-	g := u.Res.CFG
 	sv, err := pi.held.SourceVectors()
 	if err != nil {
-		return []Diagnostic{{Severity: SevError, Check: machcheck.InvalidConfig, Node: -1,
-			Msg: "source-vector recomputation failed: " + err.Error()}}, ""
+		return []Diagnostic{errorOf(machcheck.InvalidConfig, -1, "", "source-vector recomputation failed: %v", err)}, ""
 	}
 	u.work.SVCells = pi.held.Work.Cells
-	names := newSlotNames(u.G, sv.Universe)
-
-	expected := map[slot]int{}
+	j := &judge{u: u, pi: pi, sv: sv, merges: pi.cursor(dfg.Merge)}
+	entries, exits := pi.cursor(dfg.LoopEntry), pi.cursor(dfg.LoopExit)
+	g := u.Res.CFG
 	for id := range g.Nodes {
 		switch g.Nodes[id].Kind {
 		case cfg.KindJoin, cfg.KindEnd:
-			for _, t := range sv.Merges(id, nil) {
-				expected[slot{int32(id), t}]++
+			j.toks = sv.Merges(id, j.toks[:0])
+			for _, t := range j.toks {
+				j.row(int32(id), t, sv.Sources(id, t), nil)
 			}
 		case cfg.KindLoopEntry:
 			for _, t := range sv.LoopNeed(id) {
-				if len(sv.Sources(id, t)) > 1 {
-					expected[slot{int32(id), t}]++
-				}
-				if len(sv.BackSources(id, t)) > 1 {
-					expected[slot{int32(id), t}]++
-				}
+				j.row(int32(id), t, sv.Sources(id, t), sv.BackSources(id, t))
+				j.circulates("entry", entries, id, t)
+			}
+		case cfg.KindLoopExit:
+			for _, t := range sv.LoopNeed(id) {
+				j.circulates("exit", exits, id, t)
 			}
 		}
 	}
-	actual := map[slot]int{}
-	for _, n := range u.G.Nodes {
-		if n.Kind == dfg.Merge {
-			actual[names.slot(n.Stmt, n.Tok)]++
+	j.redundant(j.merges.rest())
+	j.stray("entry", entries.rest())
+	j.stray("exit", exits.rest())
+	slices.Sort(j.folded)
+	for _, k := range j.empty {
+		if _, ok := slices.BinarySearch(j.folded, k); !ok {
+			tok := sv.Universe[uint32(k)]
+			j.ds = append(j.ds, errorOf(machcheck.TagViolation, -1, tok, "missing merge for token %s at %s: |SV| > 1, so several sources would collide on one port", tok, stmtLabel(g, int(k>>32))))
 		}
 	}
-	// collapsed reports whether slot k, holding no merge, is a join whose
-	// token feeds a merge slot that holds one, directly or through joins
-	// holding none either. Its index of which slot each join feeds is
-	// built at the first shortfall.
-	var feeds map[slot]slot
-	collapsed := func(k slot) bool {
-		if feeds == nil {
-			feeds = map[slot]slot{}
-			for s := range expected {
-				for _, srcs := range [...][]analysis.Source{sv.Sources(int(s.stmt), s.tok), sv.BackSources(int(s.stmt), s.tok)} {
-					for _, src := range srcs {
-						if len(srcs) > 1 && g.Nodes[src.Node].Kind == cfg.KindJoin {
-							feeds[slot{src.Node, s.tok}] = s
-						}
-					}
-				}
-			}
-		}
-		for range len(feeds) {
-			next, ok := feeds[k]
-			if !ok || actual[next] > 0 {
-				return ok
-			}
-			k = next
-		}
-		return false
-	}
-	var ds []Diagnostic
-	keys := map[slot]bool{}
-	for k := range expected {
-		keys[k] = true
-	}
-	for k := range actual {
-		keys[k] = true
-	}
-	for _, k := range sortedSlots(keys) {
-		want, got, tok, stmt := expected[k], actual[k], names.name(k.tok), int(k.stmt)
-		switch {
-		case got < want && (got > 0 || !collapsed(k)):
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.TagViolation, Node: -1, Tok: tok,
-				Msg: fmt.Sprintf("missing merge for token %s at %s: |SV| > 1, so several sources would collide on one port (want %d merges, found %d)", tok, stmtLabel(g, stmt), want, got),
-			})
-		case got > want:
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.InvalidConfig, Node: mergeNodeAt(u, stmt, tok), Tok: tok,
-				Msg: fmt.Sprintf("redundant merge for token %s at %s: the source vector has a single element (want %d merges, found %d)", tok, stmtLabel(g, stmt), want, got),
-			})
-		}
-	}
-
-	// Loop circulation: one entry and one exit operator per circulated
-	// token, none for bypassing tokens.
-	ds = append(ds, checkLoopCirculation(u, sv, names)...)
-	return ds, ""
+	u.work.MergeArms = j.arms
+	return j.ds, ""
 }
 
-// checkLoopCirculation diffs the loop entry/exit operators against the
-// recomputed per-loop circulating token sets (§3's tag discipline: exactly
-// the circulated tokens get fresh iteration tags).
-func checkLoopCirculation(u *Unit, sv *analysis.SourceVectors, names *slotNames) []Diagnostic {
-	g := u.Res.CFG
-	count := func(kind dfg.Kind) map[slot]int {
-		m := map[slot]int{}
-		for _, n := range u.G.Nodes {
-			if n.Kind == kind {
-				m[names.slot(n.Stmt, n.Tok)]++
+// judge is the state of the source-vectors pass. Its scratch is reused
+// from merge to merge: the arm keys of a merge's producers and sources, a
+// join's merging tokens, and (by slotKey) the rows holding no merge and
+// the joins folded into one.
+type judge struct {
+	u             *Unit
+	pi            *placeInfo
+	sv            *analysis.SourceVectors
+	merges        *cursor
+	have, want    []int64
+	toks          []int32
+	empty, folded []uint64
+	arms          int // the merge arms judged
+	ds            []Diagnostic
+}
+
+func slotKey(stmt, t int32) uint64 { return uint64(uint32(stmt))<<32 | uint64(uint32(t)) }
+
+// arm keys a producer or a source: its statement, and whether it is the
+// false arm of a fork — for a producer, port 1 of a switch.
+func arm(stmt int32, falseArm bool) int64 {
+	if falseArm {
+		return 2*int64(stmt) + 1
+	}
+	return 2 * int64(stmt)
+}
+
+// producer returns the arm key of arc a's producer among nodes.
+func producer(nodes []*dfg.Node, a dfg.Arc) int64 {
+	return arm(nodes[a.From].Stmt, nodes[a.From].Kind == dfg.Switch && a.FromPort == 1)
+}
+
+// row judges the merges of token t at statement stmt: a merge is on the
+// back row of stmt's loop entry when it feeds the entry's back port, on
+// the front row otherwise, and the rows have the sources given (back nil
+// but at a loop entry). The merges the cursor passes on the way are on
+// rows with one source.
+func (j *judge) row(stmt, t int32, front, back []analysis.Source) {
+	before, at := j.merges.upTo(stmt, t)
+	j.redundant(before)
+	var held [2]int // merges on the front and the back row
+	for _, m := range at {
+		r, srcs := 0, front
+		if outs := j.u.Out(m.node, 0); len(outs) > 0 {
+			if a := j.u.G.Arcs[outs[0]]; a.ToPort == 1 && j.u.G.Nodes[a.To].Kind == dfg.LoopEntry && j.u.G.Nodes[a.To].Stmt == stmt {
+				r, srcs = 1, back
 			}
 		}
-		return m
-	}
-	entries, exits := count(dfg.LoopEntry), count(dfg.LoopExit)
-	var ds []Diagnostic
-	check := func(kind string, stmt int, actual map[slot]int) {
-		for _, t := range sv.LoopNeed(stmt) {
-			k, tok := slot{int32(stmt), t}, sv.Universe[t]
-			if actual[k] != 1 {
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TagViolation, Node: -1, Tok: tok,
-					Msg: fmt.Sprintf("loop %s at %s must circulate token %s exactly once: found %d operators", kind, stmtLabel(g, stmt), tok, actual[k]),
-				})
-			}
-			delete(actual, k)
+		if held[r]++; len(srcs) < 2 || held[r] > 1 {
+			j.redundant([]opNode{m})
+		} else {
+			j.arcs(m.node, t, srcs)
 		}
 	}
-	for id := range g.Nodes {
-		switch g.Nodes[id].Kind {
-		case cfg.KindLoopEntry:
-			check("entry", id, entries)
-		case cfg.KindLoopExit:
-			check("exit", id, exits)
+	if len(front) > 1 && held[0] == 0 || len(back) > 1 && held[1] == 0 {
+		j.empty = append(j.empty, slotKey(stmt, t))
+	}
+}
+
+// arcs judges merge m of token t by its arms: their producers must be the
+// row's sources srcs, as a multiset (arm, fold). A token carrying its
+// variable's value (§6.1) is judged by its arm count alone: a read does
+// not regenerate it, so its producers are not the sources Figure 11 names.
+func (j *judge) arcs(m, t int32, srcs []analysis.Source) {
+	j.have, j.want = j.have[:0], j.fold(j.want[:0], t, srcs)
+	for _, a := range j.u.In(m, 0) {
+		j.have = append(j.have, producer(j.u.G.Nodes, j.u.G.Arcs[a]))
+	}
+	j.arms += len(j.have)
+	tok := j.sv.Universe[t]
+	same := len(j.have) == len(j.want)
+	if j.u.Res.ValueTokens[tok] == "" {
+		slices.Sort(j.have)
+		slices.Sort(j.want)
+		same = slices.Equal(j.have, j.want)
+	}
+	if !same {
+		j.ds = append(j.ds, errorOf(machcheck.TagViolation, int(m), tok, "merge for token %s at %s takes arms from %s, but its sources are %s", tok, stmtLabel(j.u.Res.CFG, int(j.u.G.Nodes[m].Stmt)), arms(j.have), arms(j.want)))
+	}
+}
+
+// fold appends the arm keys of srcs, of token t, to keys. A join holding
+// no merge for t, as merge collapsing leaves it, stands for its own
+// sources, and is recorded as folded into the merge judged.
+func (j *judge) fold(keys []int64, t int32, srcs []analysis.Source) []int64 {
+	for _, s := range srcs {
+		if j.u.Res.CFG.Nodes[s.Node].Kind != cfg.KindJoin || len(j.pi.at(dfg.Merge, s.Node, t)) > 0 {
+			keys = append(keys, arm(s.Node, !s.Dir))
+			continue
+		}
+		j.folded = append(j.folded, slotKey(s.Node, t))
+		keys = j.fold(keys, t, j.sv.Sources(int(s.Node), t))
+	}
+	return keys
+}
+
+// redundant reports the merges ms as ones their rows do not want.
+func (j *judge) redundant(ms []opNode) {
+	for _, m := range ms {
+		tok := j.u.G.Name(j.u.G.Nodes[m.node].Tok)
+		j.ds = append(j.ds, errorOf(machcheck.InvalidConfig, int(m.node), tok, "redundant merge for token %s at %s: its row has a single source, or another merge", tok, stmtLabel(j.u.Res.CFG, int(m.stmt))))
+	}
+}
+
+// circulates checks that loop cursor c holds one operator of token t at
+// id (§3's tag discipline: exactly the circulated tokens get fresh
+// iteration tags); those it passes circulate a token their loop does not.
+func (j *judge) circulates(kind string, c *cursor, id int, t int32) {
+	before, at := c.upTo(int32(id), t)
+	if j.stray(kind, before); len(at) != 1 {
+		tok := j.sv.Universe[t]
+		j.ds = append(j.ds, errorOf(machcheck.TagViolation, -1, tok, "loop %s at %s must circulate token %s exactly once: found %d operators", kind, stmtLabel(j.u.Res.CFG, id), tok, len(at)))
+	}
+}
+
+func (j *judge) stray(kind string, ops []opNode) {
+	for _, o := range ops {
+		tok := j.u.G.Name(j.u.G.Nodes[o.node].Tok)
+		j.ds = append(j.ds, errorOf(machcheck.TagViolation, -1, tok, "loop %s operator for token %s at %s, but the loop does not circulate that token", kind, tok, stmtLabel(j.u.Res.CFG, int(o.stmt))))
+	}
+}
+
+// arms renders sorted arm keys.
+func arms(keys []int64) string {
+	s := make([]string, len(keys))
+	for i, k := range keys {
+		if s[i] = fmt.Sprintf("n%d", k>>1); k&1 != 0 {
+			s[i] += "/f"
 		}
 	}
-	stray := func(kind string, left map[slot]int) {
-		for _, k := range sortedSlots(left) {
-			tok := names.name(k.tok)
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.TagViolation, Node: -1, Tok: tok,
-				Msg: fmt.Sprintf("loop %s operator for token %s at %s, but the loop does not circulate that token", kind, tok, stmtLabel(g, int(k.stmt))),
-			})
-		}
-	}
-	stray("entry", entries)
-	stray("exit", exits)
-	return ds
+	return fmt.Sprint(s)
 }
 
 func stmtLabel(g *cfg.Graph, stmt int) string {
@@ -428,15 +435,4 @@ func stmtLabel(g *cfg.Graph, stmt int) string {
 		return g.Nodes[stmt].String()
 	}
 	return fmt.Sprintf("stmt %d", stmt)
-}
-
-// mergeNodeAt finds a merge node with the given provenance, for anchoring
-// a diagnostic; -1 when none exists.
-func mergeNodeAt(u *Unit, stmt int, tok string) int {
-	for _, n := range u.G.Nodes {
-		if n.Kind == dfg.Merge && int(n.Stmt) == stmt && u.G.Name(n.Tok) == tok {
-			return int(n.ID)
-		}
-	}
-	return -1
 }

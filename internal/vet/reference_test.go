@@ -416,9 +416,6 @@ func (tr *refTokenTracer) compute(n *dfg.Node, port int) []int32 {
 			if port < len(c.InTokens) {
 				return single(c.InTokens[port])
 			}
-			if j := port - len(c.InTokens); j < len(c.ParamIn) {
-				return single(c.InTokens[c.ParamIn[j]])
-			}
 		}
 	}
 	// Value ports (const, binop, load values, …) carry no access line.

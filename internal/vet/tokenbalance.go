@@ -1,8 +1,6 @@
 package vet
 
 import (
-	"fmt"
-
 	"ctdf/internal/dfg"
 	"ctdf/internal/machcheck"
 )
@@ -61,42 +59,27 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 		// is never triggered and the run never finishes: an empty
 		// program's end collects start's own token.
 		if n.Kind == dfg.End && n.NIns == 0 {
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Deadlock, Node: int(n.ID),
-				Msg: "end has no input port, so no arc feeds it: it never fires and the run cannot finish",
-			})
+			ds = append(ds, errorOf(machcheck.Deadlock, int(n.ID), "", "end has no input port, so no arc feeds it: it never fires and the run cannot finish"))
 		}
 		// Start has no input port and fires without waiting on any token;
 		// reachability does not apply.
 		if n.Kind != dfg.Start && n.NIns > 0 && !fwd[n.ID] {
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.Deadlock, Node: int(n.ID), Tok: g.Name(n.Tok),
-				Msg: "unreachable from start: the node can never fire and its consumers starve",
-			})
+			ds = append(ds, errorOf(machcheck.Deadlock, int(n.ID), g.Name(n.Tok), "unreachable from start: the node can never fire and its consumers starve"))
 			// Its ports would all be reported too; one finding is enough.
 			continue
 		}
 		for p := 0; p < int(n.NIns); p++ {
 			if len(u.In(n.ID, p)) == 0 {
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.Deadlock, Node: int(n.ID), Tok: g.Name(n.Tok),
-					Msg: fmt.Sprintf("input port %d never receives a token: the node can never fire", p),
-				})
+				ds = append(ds, errorOf(machcheck.Deadlock, int(n.ID), g.Name(n.Tok), "input port %d never receives a token: the node can never fire", p))
 			}
 		}
 		for p := 0; p < n.OutPorts(); p++ {
 			if len(u.Out(n.ID, p)) == 0 && !unconsumedOK(u, n, p) {
-				ds = append(ds, Diagnostic{
-					Severity: SevError, Check: machcheck.TokenLeak, Node: int(n.ID), Tok: g.Name(n.Tok),
-					Msg: fmt.Sprintf("output port %d has no consumer: its token count drops below 1 and end can never collect it", p),
-				})
+				ds = append(ds, errorOf(machcheck.TokenLeak, int(n.ID), g.Name(n.Tok), "output port %d has no consumer: its token count drops below 1 and end can never collect it", p))
 			}
 		}
 		if n.OutPorts() > 0 && fwd[n.ID] && !bwd[n.ID] && !valueKind(n) && !valueTokenLine(u, n) {
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.TokenLeak, Node: int(n.ID), Tok: g.Name(n.Tok),
-				Msg: "no path to end (or any token-retiring sink): tokens pool here forever",
-			})
+			ds = append(ds, errorOf(machcheck.TokenLeak, int(n.ID), g.Name(n.Tok), "no path to end (or any token-retiring sink): tokens pool here forever"))
 		}
 	}
 
@@ -105,10 +88,7 @@ func passTokenBalance(u *Unit) ([]Diagnostic, string) {
 	// to start.
 	if u.Res != nil && u.Res.Universe != nil && g.EndID >= 0 && int(g.EndID) < len(g.Nodes) {
 		if got, want := int(g.Nodes[g.EndID].NIns), max(1, len(u.Res.Universe)); got != want {
-			ds = append(ds, Diagnostic{
-				Severity: SevError, Check: machcheck.TokenLeak, Node: int(g.EndID),
-				Msg: fmt.Sprintf("end collects %d ports but the token universe has %d tokens", got, want),
-			})
+			ds = append(ds, errorOf(machcheck.TokenLeak, int(g.EndID), "", "end collects %d ports but the token universe has %d tokens", got, want))
 		}
 	}
 	return ds, ""

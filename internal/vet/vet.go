@@ -13,8 +13,9 @@
 //     recomputation of CD+ per token (Theorem 1/Corollary 1, Figure 10):
 //     a missing switch is unsound, a redundant one is a missed §4
 //     optimization;
-//   - source-vectors — merges exist exactly where the recomputed source
-//     vector SV_N(x) has more than one element (Figure 11), and loop
+//   - source-vectors — every merge's arms come from the sources of its
+//     row in the recomputed source vector SV_N(x) (Figure 11), and a row
+//     with more than one source holds a merge or is folded into one; loop
 //     entry/exit operators exist exactly for the tokens each loop
 //     circulates;
 //   - alias-cover — every memory operation on x gathers, through its synch
@@ -105,6 +106,11 @@ func (d Diagnostic) String() string {
 	return b.String()
 }
 
+// errorOf returns an error diagnostic of check at node (-1: none) on tok.
+func errorOf(check machcheck.Check, node int, tok, format string, args ...any) Diagnostic {
+	return Diagnostic{Severity: SevError, Check: check, Node: node, Tok: tok, Msg: fmt.Sprintf(format, args...)}
+}
+
 // SkippedPass records a pass that could not run and why.
 type SkippedPass struct {
 	Pass   string `json:"pass"`
@@ -181,7 +187,7 @@ func Passes() []Pass {
 		{Name: "token-balance", Paper: "§3", Doc: "every access token count is exactly 1 on every path", run: passTokenBalance},
 		{Name: "determinacy", Paper: "§2.2, §5", Doc: "no port statically receives two same-tag tokens", run: passDeterminacy},
 		{Name: "switch-placement", Paper: "§4 Theorem 1, Figure 10", Doc: "emitted switches equal the recomputed CD+ placement", run: passSwitchPlacement},
-		{Name: "source-vectors", Paper: "§4.2 Figure 11", Doc: "merges exist exactly where |SV_N(x)| > 1", run: passSourceVectors},
+		{Name: "source-vectors", Paper: "§4.2 Figure 11", Doc: "each merge's arms are its row's sources SV_N(x)", run: passSourceVectors},
 		{Name: "alias-cover", Paper: "§5 Figure 13", Doc: "memory ops gather the access set C[x] through their synch trees", run: passAliasCover},
 	}
 }
@@ -213,6 +219,8 @@ type Work struct {
 	// the entries its source-vector walk made, moved, recorded and
 	// united.
 	NeedEntries, CDPops, SVCells int
+	// MergeArms counts the merge arms the source-vectors pass judged.
+	MergeArms int
 }
 
 // Measure is Run that also returns the run's work counts.
@@ -421,12 +429,7 @@ const noMetaReason = "no translation metadata (graph loaded from text or linked)
 // no malformed arc), so one broken invariant does not hide others.
 func passStructure(u *Unit) ([]Diagnostic, string) {
 	if err := u.G.Validate(); err != nil {
-		return []Diagnostic{{
-			Severity: SevError,
-			Check:    machcheck.InvalidConfig,
-			Node:     -1,
-			Msg:      err.Error(),
-		}}, ""
+		return []Diagnostic{errorOf(machcheck.InvalidConfig, -1, "", "%v", err)}, ""
 	}
 	return nil, ""
 }

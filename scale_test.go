@@ -77,8 +77,9 @@ func TestCompileScalesLinearly(t *testing.T) {
 // TestCompileWorkScalesLinearly reads vet's work counts in the same
 // compiles as TestCompileScalesLinearly, one size further, per dataflow
 // node, and holds each asserted count within scaleBound per doubling: the
-// ordering check's line walks, and the recomputed placement's
-// need-row entries, CD+ worklist and source-vector cells. The guard table's
+// ordering check's line walks, the recomputed placement's need-row
+// entries, CD+ worklist and source-vector cells, and the merge arms the
+// source-vectors pass judges. The guard table's
 // counts are logged only: a guard keeps one arm per loop its tokens have
 // left, so on Random its sets grow with the program, and joining two that
 // differ costs what they differ by (ROADMAP item 15). The ordering check
@@ -94,6 +95,7 @@ func TestCompileWorkScalesLinearly(t *testing.T) {
 		{"need-entries", func(w vet.Work) int { return w.NeedEntries }, true},
 		{"cd-pops", func(w vet.Work) int { return w.CDPops }, true},
 		{"sv-cells", func(w vet.Work) int { return w.SVCells }, true},
+		{"merge-arms", func(w vet.Work) int { return w.MergeArms }, true},
 		{"guard-cons", func(w vet.Work) int { return w.GuardCons }, false},
 		{"guard-steps", func(w vet.Work) int { return w.GuardSteps }, false},
 	}

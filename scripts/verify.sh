@@ -153,6 +153,19 @@ if [ -n "$ledger" ]; then
     exit 1
 fi
 
+echo "== vet judges Figure 11 by its arcs =="
+# source-vectors holds every merge's arms to its row's sources, folding a
+# join left without a merge into the merge it feeds, on the one sorted
+# index of routing operators the placement checks share (see ANALYSIS.md,
+# "source-vectors"). A map keyed by slot, the collapsed-chain exemption or
+# a scan for a merge to anchor to is the former slot tally coming back.
+tally=$(grep -rnE 'map\[slot\]|collapsed|mergeNodeAt' --include='*.go' internal/vet | grep -v '_test\.go:' || true)
+if [ -n "$tally" ]; then
+    echo "source-vectors tallies merges per slot again:" >&2
+    echo "$tally" >&2
+    exit 1
+fi
+
 echo "== the Figure 9 rewrite is written once =="
 # The iterative switch elimination §4 opens with is the optimizer's
 # sink-switches and eliminate-dead run with the CFG withheld
